@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet staticcheck govulncheck race chaos fuzz-smoke bench bench-compare verify
+.PHONY: all build test vet check-ignore staticcheck govulncheck race chaos fuzz-smoke bench bench-compare verify
 
 all: verify
 
@@ -12,6 +12,14 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# No Go source may match a .gitignore pattern, tracked or not: `git add`
+# drops such a file without a word, and the next clone does not build (a bare
+# `bcpqp-proxy` line once hid all of cmd/bcpqp-proxy/). The benchmark's build
+# directory is the one place ignored Go files belong.
+check-ignore:
+	@ignored=$$(git ls-files --cached --others -- '*.go' | grep -v '^\.bench_build/' | git check-ignore --no-index --stdin || true); \
+	if [ -n "$$ignored" ]; then echo "Go files matched by .gitignore:"; echo "$$ignored"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -56,8 +64,10 @@ fuzz-smoke:
 		done; \
 	done
 
+# The repository's benchmark (bench/README.md): every workload, with output
+# and reproducibility checks.
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./...
+	bash bench/run.sh -workload all
 
 # Base-vs-head datapath benchmark comparison in a throwaway worktree;
 # fails on a >10% mean pkts/sec regression. benchstat adds a statistical
@@ -65,6 +75,6 @@ bench:
 bench-compare:
 	scripts/bench-compare.sh
 
-# The gate CI runs: build + vet + staticcheck + govulncheck +
+# The gate CI runs: ignore check + build + vet + staticcheck + govulncheck +
 # race-enabled tests + chaos suite + fuzz smoke.
-verify: build vet staticcheck govulncheck race chaos fuzz-smoke
+verify: check-ignore build vet staticcheck govulncheck race chaos fuzz-smoke

@@ -514,10 +514,10 @@ func BenchmarkMiddleboxSubmitBatchOverloaded(b *testing.B) {
 
 // BenchmarkMiddleboxChurn measures the aggregate lifecycle: one iteration
 // is one full Add (with a fresh BC-PQP enforcer), one burst of traffic, and
-// one Remove with its final-stats drain barrier. The registry is
-// copy-on-write, so this is the control-plane cost subscribers pay to come
-// and go while the datapath keeps running — and thanks to slot recycling it
-// runs in bounded memory at any iteration count.
+// one Remove with its final-stats drain barrier. This is the control-plane
+// cost subscribers pay to come and go while the datapath keeps running —
+// and thanks to slot recycling it runs in bounded memory at any iteration
+// count.
 func BenchmarkMiddleboxChurn(b *testing.B) {
 	eng, handles := benchEngine(b, 16) // background population
 	defer eng.Close()

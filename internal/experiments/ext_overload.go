@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -24,8 +25,8 @@ import (
 // admission), ring-shed, or priority-shed, and whether the engine ended
 // the storm healthy.
 //
-// Every generator is open-loop and seeded, so the table is deterministic
-// per seed and the disposition columns sum exactly to the offered column.
+// Every generator is open-loop and seeded, so the offered column is
+// identical per seed and the disposition columns sum exactly to it.
 func ExtOverload(scale Scale, seed uint64) (*Report, error) {
 	dur := 300 * time.Millisecond
 	if scale == Full {
@@ -76,8 +77,10 @@ func ExtOverload(scale Scale, seed uint64) (*Report, error) {
 				"offered = accepted + dropped + shed exactly (open-loop generators);",
 				"accepted stays within the Theorem-1 bound r·Δt + B per aggregate no",
 				"matter the offered multiple; shed counts both full-ring and",
-				"priority (overload-plane) sheds; healthy = every shard back to",
-				"Healthy once the storm ends",
+				"priority (overload-plane) sheds; the engine's capacity during a",
+				"storm is pinned at one burst enforced per eight offered, through",
+				"the injected clock, so the overdrive does not depend on the host;",
+				"healthy = every shard back to Healthy once the storm ends",
 			},
 		}},
 	}, nil
@@ -91,19 +94,37 @@ type overloadRow struct {
 	healthy  bool
 }
 
+// serviceEvery pins the engine's capacity during a storm: its shards may
+// enforce one burst for every serviceEvery offered.
+const serviceEvery = 8
+
 // runOverloadScenario drives one adversarial source through a fresh
 // overload-enabled engine (8 tbf aggregates spanning all four shed
 // classes, deliberately shallow rings) and reconciles the disposition.
+//
+// How far a producer outruns the shard goroutines depends on the host and
+// on GOMAXPROCS, so the overdrive is made explicit instead. A shard reads
+// the injected clock once per burst; during the storm that read waits for a
+// service token, and the producer hands out one token per serviceEvery
+// bursts it offers (a token nobody is waiting for is capacity the engine
+// left idle, and is lost). The shards therefore enforce at most an eighth
+// of the offered bursts plus what the rings hold when the storm ends,
+// whatever the host; the rest must be shed. Once the source is exhausted
+// the clock runs free and the rings drain.
 func runOverloadScenario(src workload.Source) (overloadRow, error) {
 	const (
 		aggs   = 8
 		rate   = 8 * units.Mbps
 		bucket = int64(64 * units.MSS)
+		shards = 2
 	)
 	var ticks atomic.Int64
+	tokens := make(chan struct{}, shards) // one waiting shard each
+	endStorm := sync.OnceFunc(func() { close(tokens) })
 	e := mbox.New(mbox.Config{
-		Shards: 2, QueueDepth: 16,
+		Shards: shards, QueueDepth: 16,
 		Clock: func() time.Duration {
+			<-tokens
 			return time.Duration(ticks.Add(1)) * 10 * time.Microsecond
 		},
 		WatchdogInterval: time.Millisecond,
@@ -111,6 +132,7 @@ func runOverloadScenario(src workload.Source) (overloadRow, error) {
 		Overload:         mbox.OverloadConfig{Enabled: true},
 	})
 	defer e.Close()
+	defer endStorm() // before Close, on every path: a gated shard cannot exit
 	ids := make([]string, aggs)
 	handles := make([]mbox.Handle, aggs)
 	for i := 0; i < aggs; i++ {
@@ -135,7 +157,14 @@ func runOverloadScenario(src workload.Source) (overloadRow, error) {
 		if err := e.SubmitBatch(h, buf[:n]); err != nil {
 			return overloadRow{}, err
 		}
+		if i%serviceEvery == serviceEvery-1 {
+			select {
+			case tokens <- struct{}{}:
+			default:
+			}
+		}
 	}
+	endStorm()
 
 	// Drain: every ring empty, then check the shards reclassified Healthy.
 	deadline := time.Now().Add(10 * time.Second)

@@ -232,7 +232,8 @@ type AuditEntry struct {
 func (e *Engine) AuditReport() []AuditEntry {
 	t := e.table.Load()
 	var out []AuditEntry
-	for _, agg := range t.slots {
+	for i := range t.slots {
+		agg := t.slots[i].Load()
 		if agg == nil {
 			continue
 		}
@@ -274,7 +275,8 @@ func (e *Engine) AuditReport() []AuditEntry {
 func (e *Engine) AuditViolations() int64 {
 	var n int64
 	t := e.table.Load()
-	for _, agg := range t.slots {
+	for i := range t.slots {
+		agg := t.slots[i].Load()
 		if agg == nil {
 			continue
 		}

@@ -826,3 +826,83 @@ func TestChurnRaceNoVerdictBleed(t *testing.T) {
 		t.Log("note: no ErrStale observed this run (timing); bleed invariants still checked")
 	}
 }
+
+// TestRegistryGrowsInPlace registers past several doublings of the slot
+// array while a submitter keeps hitting the earliest handle: handles issued
+// before a doubling stay valid across it, every registration is visible by
+// handle and by id, removal and slot recycling work in the grown array, and
+// the race detector sees the in-place slot stores against lock-free reads.
+func TestRegistryGrowsInPlace(t *testing.T) {
+	e := New(Config{Shards: 2})
+	defer e.Close()
+	const n = 5*minSlots + 3
+	first, err := e.Add("agg-0", tbf.MustNew(8*units.Mbps, 64*units.MSS), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var submitter sync.WaitGroup
+	submitter.Add(1)
+	go func() {
+		defer submitter.Done()
+		pkt := packet.Packet{Size: units.MSS}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := e.Submit(first, pkt); err != nil {
+				t.Errorf("submit through a handle issued before the table grew: %v", err)
+				return
+			}
+		}
+	}()
+	handles := []Handle{first}
+	for i := 1; i < n; i++ {
+		h, err := e.Add(fmt.Sprintf("agg-%d", i), tbf.MustNew(8*units.Mbps, 64*units.MSS), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	close(stop)
+	submitter.Wait()
+
+	if got := e.Len(); got != n {
+		t.Fatalf("Len = %d, want %d", got, n)
+	}
+	if got := len(e.table.Load().slots); got != 8*minSlots {
+		t.Errorf("slot array has %d slots for %d aggregates, want %d", got, n, 8*minSlots)
+	}
+	for i, h := range handles {
+		agg, err := e.resolve(h)
+		if err != nil || agg.id != fmt.Sprintf("agg-%d", i) {
+			t.Fatalf("handle %d resolves to %v, %v", i, agg, err)
+		}
+		if got, err := e.Lookup(agg.id); err != nil || got != h {
+			t.Fatalf("Lookup(%q) = %v, %v; want %v", agg.id, got, err, h)
+		}
+	}
+	if _, err := e.Add("agg-7", tbf.MustNew(8*units.Mbps, 64*units.MSS), nil); err == nil {
+		t.Error("duplicate id accepted")
+	}
+	// Recycling in the grown array: the freed slot is reused under a new
+	// generation and the old handle goes stale.
+	if _, err := e.Remove("agg-200"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.resolve(handles[200]); !errors.Is(err, ErrStale) {
+		t.Errorf("removed handle resolves with %v, want ErrStale", err)
+	}
+	again, err := e.Add("agg-200b", tbf.MustNew(8*units.Mbps, 64*units.MSS), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.slot() != handles[200].slot() || again == handles[200] {
+		t.Errorf("re-add got handle %v after removing %v: want the same slot under a new generation", again, handles[200])
+	}
+	if e.Len() != n {
+		t.Errorf("Len = %d after remove and re-add, want %d", e.Len(), n)
+	}
+}

@@ -5,9 +5,8 @@
 // The datapath is burst-oriented and handle-based, the way a DPDK middlebox
 // receives traffic: packets arrive in bursts (rx_burst ≈ 32), aggregates
 // are identified by small integer handles resolved once at Add time, and
-// the engine's hot path is a lock-free read of an atomically swapped
-// copy-on-write registry snapshot — no mutex, no map lookup, no hashing,
-// no allocation per packet.
+// the engine's hot path is a lock-free read of an atomically published slot
+// array — no mutex, no map lookup, no hashing, no allocation per packet.
 //
 // Aggregates are hashed across shards; each shard owns its aggregates
 // exclusively and processes bursts on a single goroutine, so enforcers
@@ -315,11 +314,18 @@ type Engine struct {
 	// holder); their packets are counted in Overloaded.
 	InlineFallbacks atomic.Int64
 
-	// table is the copy-on-write registry snapshot the datapath reads
-	// lock-free. Writers (Add/Remove/Close) serialize on mu and publish
-	// whole new snapshots.
+	// table is the slot array the datapath reads lock-free. Writers
+	// (Add/Remove/Close) serialize on mu; they store into slots in place
+	// and publish a new registry only to double the array or to close, so
+	// registration is amortised O(1).
 	table atomic.Pointer[registry]
 	mu    sync.Mutex
+
+	// ids is the string-keyed view of the table for the control plane
+	// (Lookup, Stats, Update, …); the datapath resolves handles through
+	// slots alone and never takes idMu. Writers hold mu, then idMu.
+	idMu sync.RWMutex
+	ids  map[string]Handle
 
 	// Slot lifecycle, guarded by mu. slotGen[s] is the generation of the
 	// aggregate currently (or most recently) occupying slot s; freeSlots
@@ -349,11 +355,24 @@ type Engine struct {
 	closeReport CloseReport   // stored by the first Close, returned by later ones
 }
 
-// registry is one immutable snapshot of the aggregate table.
+// registry is the aggregate table: a fixed-length array of slots, each
+// written in place. A reader holding a superseded registry sees the table as
+// of the moment it was replaced, which is what a copy-on-write snapshot
+// would have shown it.
 type registry struct {
 	closed bool
-	slots  []*aggregate      // indexed by Handle.slot(); nil = vacant
-	byID   map[string]Handle // compatibility shim for string-keyed lookup
+	slots  []atomic.Pointer[aggregate] // indexed by Handle.slot(); nil = vacant
+}
+
+// minSlots is the slot array's first size; it doubles from there.
+const minSlots = 64
+
+// handleOf returns the handle registered under id.
+func (e *Engine) handleOf(id string) (Handle, bool) {
+	e.idMu.RLock()
+	h, ok := e.ids[id]
+	e.idMu.RUnlock()
+	return h, ok
 }
 
 // aggregate pairs an enforcer with its emit hook and owning shard, plus the
@@ -541,7 +560,8 @@ func New(cfg Config) *Engine {
 			node:  enforcer.NoNode,
 		}
 	}
-	e.table.Store(&registry{byID: make(map[string]Handle)})
+	e.table.Store(&registry{})
+	e.ids = make(map[string]Handle)
 	now := time.Now().UnixNano()
 	for i := 0; i < cfg.Shards; i++ {
 		s := &shard{
@@ -1003,17 +1023,17 @@ func (e *Engine) add(id string, enf enforcer.Enforcer, emit Emit, pinned *shard)
 	if t.closed {
 		return NoHandle, fmt.Errorf("mbox: engine closed")
 	}
-	if _, dup := t.byID[id]; dup {
+	// mu excludes every writer of ids, so reading it here needs no idMu.
+	if _, dup := e.ids[id]; dup {
 		return NoHandle, fmt.Errorf("mbox: aggregate %q already registered", id)
 	}
-	if e.cfg.MaxAggregates > 0 && len(t.byID) >= e.cfg.MaxAggregates {
+	if e.cfg.MaxAggregates > 0 && len(e.ids) >= e.cfg.MaxAggregates {
 		victim := e.evictForAdmissionLocked(t, time.Now().UnixNano())
 		if victim == nil {
 			return NoHandle, fmt.Errorf("mbox: aggregate %q: %w (%d registered)",
-				id, ErrTableFull, len(t.byID))
+				id, ErrTableFull, len(e.ids))
 		}
 		evictedID = victim.id
-		t = e.table.Load()
 	}
 	// Pick a slot: recycle from the free list, else extend the table.
 	var slot int
@@ -1050,18 +1070,20 @@ func (e *Engine) add(id string, enf enforcer.Enforcer, emit Emit, pinned *shard)
 	if e.cfg.Observer != nil {
 		agg.obs = e.cfg.Observer.NewAggObs()
 	}
-	slots := make([]*aggregate, len(e.slotGen))
-	copy(slots, t.slots)
-	slots[slot] = agg
-	nt := &registry{
-		slots: slots,
-		byID:  make(map[string]Handle, len(t.byID)+1),
+	if slot >= len(t.slots) {
+		// Double the array. Readers of the old one miss only aggregates
+		// whose handles have not been returned yet.
+		nt := &registry{slots: make([]atomic.Pointer[aggregate], max(minSlots, 2*len(t.slots)))}
+		for i := range t.slots {
+			nt.slots[i].Store(t.slots[i].Load())
+		}
+		e.table.Store(nt)
+		t = nt
 	}
-	for k, v := range t.byID {
-		nt.byID[k] = v
-	}
-	nt.byID[id] = h
-	e.table.Store(nt)
+	t.slots[slot].Store(agg)
+	e.idMu.Lock()
+	e.ids[id] = h
+	e.idMu.Unlock()
 	return h, nil
 }
 
@@ -1107,25 +1129,18 @@ func (e *Engine) unpublishLocked(id string, cond func(*aggregate) bool) (*aggreg
 	if t.closed {
 		return nil, fmt.Errorf("mbox: engine closed")
 	}
-	h, ok := t.byID[id]
+	h, ok := e.ids[id]
 	if !ok {
 		return nil, fmt.Errorf("mbox: unknown aggregate %q", id)
 	}
-	agg := t.slots[h.slot()]
+	agg := t.slots[h.slot()].Load()
 	if cond != nil && !cond(agg) {
 		return nil, errEvictSkipped
 	}
-	nt := &registry{
-		slots: append(make([]*aggregate, 0, len(t.slots)), t.slots...),
-		byID:  make(map[string]Handle, len(t.byID)),
-	}
-	for k, v := range t.byID {
-		if k != id {
-			nt.byID[k] = v
-		}
-	}
-	nt.slots[h.slot()] = nil
-	e.table.Store(nt)
+	t.slots[h.slot()].Store(nil)
+	e.idMu.Lock()
+	delete(e.ids, id)
+	e.idMu.Unlock()
 	e.freeSlots = append(e.freeSlots, h.slot())
 	return agg, nil
 }
@@ -1154,8 +1169,7 @@ func (e *Engine) finalStats(agg *aggregate) (enforcer.Stats, error) {
 
 // Lookup resolves an aggregate ID to its datapath handle.
 func (e *Engine) Lookup(id string) (Handle, error) {
-	t := e.table.Load()
-	h, ok := t.byID[id]
+	h, ok := e.handleOf(id)
 	if !ok {
 		return NoHandle, fmt.Errorf("mbox: unknown aggregate %q", id)
 	}
@@ -1164,7 +1178,9 @@ func (e *Engine) Lookup(id string) (Handle, error) {
 
 // Len returns the number of registered aggregates.
 func (e *Engine) Len() int {
-	return len(e.table.Load().byID)
+	e.idMu.RLock()
+	defer e.idMu.RUnlock()
+	return len(e.ids)
 }
 
 // resolve is the datapath handle check: a lock-free snapshot read, a
@@ -1181,7 +1197,7 @@ func (e *Engine) resolve(h Handle) (*aggregate, error) {
 	if h < 0 || h.slot() >= len(t.slots) {
 		return nil, fmt.Errorf("mbox: invalid handle %d", h)
 	}
-	agg := t.slots[h.slot()]
+	agg := t.slots[h.slot()].Load()
 	if agg == nil || agg.h != h {
 		return nil, fmt.Errorf("mbox: handle %d: %w", h, ErrStale)
 	}
@@ -1269,7 +1285,7 @@ func (e *Engine) SubmitID(id string, pkt packet.Packet) error {
 	if t.closed {
 		return fmt.Errorf("mbox: engine closed")
 	}
-	h, ok := t.byID[id]
+	h, ok := e.handleOf(id)
 	if !ok {
 		return fmt.Errorf("mbox: unknown aggregate %q", id)
 	}
@@ -1478,7 +1494,8 @@ func (e *Engine) sweep() {
 		return
 	}
 	ttl := int64(e.effectiveTTL())
-	for _, agg := range t.slots {
+	for i := range t.slots {
+		agg := t.slots[i].Load()
 		if agg == nil {
 			continue
 		}
@@ -1509,11 +1526,11 @@ func (e *Engine) aggByID(id string) (*aggregate, error) {
 	if t.closed {
 		return nil, fmt.Errorf("mbox: engine closed")
 	}
-	h, ok := t.byID[id]
+	h, ok := e.handleOf(id)
 	if !ok {
 		return nil, fmt.Errorf("mbox: unknown aggregate %q", id)
 	}
-	agg := t.slots[h.slot()]
+	agg := t.slots[h.slot()].Load()
 	if agg == nil || agg.h != h {
 		return nil, fmt.Errorf("mbox: unknown aggregate %q", id)
 	}
@@ -1661,8 +1678,9 @@ func (e *Engine) Health() Health {
 			Shed:         s.shed.Load(),
 		}
 	}
-	for _, agg := range e.table.Load().slots {
-		if agg != nil && agg.quarantined.Load() {
+	t := e.table.Load()
+	for i := range t.slots {
+		if agg := t.slots[i].Load(); agg != nil && agg.quarantined.Load() {
 			h.Quarantined = append(h.Quarantined, agg.id)
 		}
 	}
@@ -1751,7 +1769,10 @@ func (e *Engine) Close() CloseReport {
 	}
 	// Publish the closed snapshot: subsequent datapath and control calls
 	// fail fast without touching the shards.
-	e.table.Store(&registry{closed: true, byID: map[string]Handle{}})
+	e.table.Store(&registry{closed: true})
+	e.idMu.Lock()
+	e.ids = map[string]Handle{}
+	e.idMu.Unlock()
 	close(e.flushStop) // stops the flusher and the watchdog
 	// Flush staged bursts so everything accepted before Close is
 	// enforced where the shard is still responsive.

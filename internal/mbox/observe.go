@@ -55,7 +55,7 @@ func (e *Engine) TraceDump() []TraceEvent {
 	for i, ev := range evs {
 		te := TraceEvent{Event: ev}
 		if h := Handle(ev.Agg); h > 0 && h.slot() < len(t.slots) {
-			if agg := t.slots[h.slot()]; agg != nil && agg.h == h {
+			if agg := t.slots[h.slot()].Load(); agg != nil && agg.h == h {
 				te.AggID = agg.id
 				if agg.tree != nil && ev.Node >= 0 {
 					te.NodePath = nodePath(agg.tree, enforcer.NodeID(ev.Node))
@@ -87,7 +87,7 @@ func (e *Engine) Metrics() obs.Snapshot {
 	}
 
 	t := e.table.Load()
-	gauge("bcpqp_aggregates", "registered aggregates", float64(len(t.byID)))
+	gauge("bcpqp_aggregates", "registered aggregates", float64(e.Len()))
 	counter("bcpqp_panics_total", "recovered enforcer/emit panics", float64(e.Panics.Load()))
 	counter("bcpqp_degraded_drops_total", "packets dropped for quarantined fail-closed aggregates", float64(e.DegradedDrops.Load()))
 	counter("bcpqp_degraded_passes_total", "packets passed unenforced for quarantined fail-open aggregates", float64(e.DegradedPasses.Load()))
@@ -150,7 +150,8 @@ func (e *Engine) Metrics() obs.Snapshot {
 		{Name: "bcpqp_aggregate_rate_bps", Help: "accepted throughput over the last measurement window", Type: "gauge"},
 	}
 	const nFault = 3 // families exported even without per-aggregate obs
-	for _, agg := range t.slots {
+	for i := range t.slots {
+		agg := t.slots[i].Load()
 		if agg == nil {
 			continue
 		}
@@ -241,7 +242,8 @@ func (e *Engine) auditFamilies(t *registry) []obs.Family {
 			af[j].Samples = append(af[j].Samples, obs.Sample{Labels: lbl, Value: vals[j]})
 		}
 	}
-	for _, agg := range t.slots {
+	for i := range t.slots {
+		agg := t.slots[i].Load()
 		if agg == nil {
 			continue
 		}

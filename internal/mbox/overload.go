@@ -358,7 +358,8 @@ func (e *Engine) evictForAdmissionLocked(t *registry, now int64) *aggregate {
 	minIdle := int64(p.cfg.AdmissionTTL)
 	var victim *aggregate
 	var oldest int64
-	for _, agg := range t.slots {
+	for i := range t.slots {
+		agg := t.slots[i].Load()
 		if agg == nil {
 			continue
 		}

@@ -163,7 +163,8 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("mbox: engine closed")
 	}
 	snap := &Snapshot{}
-	for _, agg := range t.slots {
+	for i := range t.slots {
+		agg := t.slots[i].Load()
 		if agg == nil {
 			continue
 		}

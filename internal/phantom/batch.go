@@ -25,8 +25,7 @@ import (
 //   - One burst-control window roll per class per burst. rollWindow at a
 //     fixed now is idempotent: the first call either no-ops or re-opens
 //     the window with windowStart = now, and now < now + T makes every
-//     repeat a no-op. Classes are stamped with a per-burst epoch so each
-//     rolls once.
+//     repeat a no-op. A per-burst bitmask marks the classes already rolled.
 //
 //   - One started/lastDrain initialization per burst.
 //
@@ -42,8 +41,8 @@ func (p *PQP) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []en
 		p.started = true
 		p.lastDrain = now
 	}
-	if p.cfg.BurstControl {
-		p.windowEpoch++
+	for c := 0; c < len(p.queues); c += 64 {
+		*p.rolledWord(c) = 0
 	}
 	drainProbed := false
 	for i := range pkts {
@@ -61,9 +60,11 @@ func (p *PQP) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []en
 			continue
 		}
 
-		if p.cfg.BurstControl && p.windowStamp[class] != p.windowEpoch {
-			p.windowStamp[class] = p.windowEpoch
-			p.rollWindow(now, class)
+		if p.cfg.BurstControl {
+			if w, bit := p.rolledWord(class), uint64(1)<<(class&63); *w&bit == 0 {
+				*w |= bit
+				p.rollWindow(now, class)
+			}
 		}
 
 		if q.length+size > p.cfg.QueueSize || p.red != nil {

@@ -1,0 +1,457 @@
+package phantom
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+	"time"
+	"unsafe"
+
+	"bcpqp/internal/enforcer"
+	"bcpqp/internal/packet"
+	"bcpqp/internal/sched"
+	"bcpqp/internal/units"
+)
+
+// TestQueueLayout pins the shape the package doc promises: a queue is two
+// cache lines, and everything an admission decision touches is in the first.
+func TestQueueLayout(t *testing.T) {
+	var q queue
+	if got := unsafe.Sizeof(q); got != 128 {
+		t.Fatalf("queue is %d bytes, want 128", got)
+	}
+	if got := unsafe.Offsetof(q.open) + unsafe.Sizeof(q.open); got > 64 {
+		t.Fatalf("hot fields end at byte %d, want within the first 64", got)
+	}
+	if got := unsafe.Offsetof(q.ring); got != 64 {
+		t.Fatalf("FIFO starts at byte %d, want 64", got)
+	}
+	if ringCap&(ringCap-1) != 0 {
+		t.Fatalf("ringCap %d is not a power of two", ringCap)
+	}
+}
+
+// diffPolicies are the rate-sharing policies the differential cycles
+// through; each call builds a fresh tree, since policies carry scratch.
+var diffPolicies = []func() *sched.Policy{
+	func() *sched.Policy { return nil },
+	func() *sched.Policy { return sched.WeightedFair(1, 2, 3, 0.5) },
+	func() *sched.Policy { return sched.StrictPriority(4) },
+	func() *sched.Policy {
+		return sched.MustNew(sched.Priority(
+			sched.Weighted(sched.Leaf(0).WithWeight(2), sched.Leaf(1)),
+			sched.Weighted(sched.Leaf(2), sched.Leaf(3))))
+	},
+	func() *sched.Policy { return sched.Fair(4) },
+}
+
+// layoutDiff drives the flat layout and the reference side by side.
+type layoutDiff struct {
+	t        *testing.T
+	cfg      Config // as given to New; Policy is set per construction
+	policies []func() *sched.Policy
+	policy   int // index into policies
+	rate     units.Rate
+	p        *PQP
+	ref      *refPQP
+	now      time.Duration
+	// zeroRun is set once a zero-size packet has been offered. Accepted
+	// into an empty queue it leaves a zero-byte run, which SnapshotState
+	// writes and RestoreState has always rejected, so round trips stop.
+	zeroRun bool
+}
+
+func newLayoutDiff(t *testing.T, cfg Config, policy int, policies ...func() *sched.Policy) *layoutDiff {
+	if policies == nil {
+		policies = diffPolicies
+	}
+	d := &layoutDiff{t: t, cfg: cfg, policies: policies, policy: policy % len(policies), rate: cfg.Rate}
+	d.p = d.build()
+	d.ref = newRef(d.p, policies[d.policy]())
+	return d
+}
+
+// build makes a fresh PQP under the current rate and policy.
+func (d *layoutDiff) build() *PQP {
+	cfg := d.cfg
+	cfg.Rate = d.rate
+	cfg.Policy = d.policies[d.policy]()
+	return MustNew(cfg)
+}
+
+func (d *layoutDiff) submit(gap time.Duration, class, size int, ect bool) {
+	d.now += gap
+	d.zeroRun = d.zeroRun || size == 0
+	pkt := packet.Packet{Key: packet.FlowKey{SrcPort: uint16(class)}, Class: class, Size: size, ECT: ect}
+	if got, want := d.p.Submit(d.now, pkt), d.ref.Submit(d.now, pkt); got != want {
+		d.t.Fatalf("t=%v class %d size %d: verdict %v, reference %v", d.now, class, size, got, want)
+	}
+	d.compare("submit")
+}
+
+func (d *layoutDiff) tick(gap time.Duration) {
+	d.now += gap
+	d.p.Tick(d.now)
+	d.ref.Tick(d.now)
+	d.compare("tick")
+}
+
+func (d *layoutDiff) setRate(rate units.Rate) {
+	d.rate = rate
+	if err := d.p.SetRate(d.now, rate); err != nil {
+		d.t.Fatal(err)
+	}
+	d.ref.SetRate(d.now, rate)
+	d.compare("set-rate")
+}
+
+func (d *layoutDiff) nextPolicy() {
+	d.policy = (d.policy + 1) % len(d.policies)
+	if err := d.p.SetPolicy(d.now, d.policies[d.policy]()); err != nil {
+		d.t.Fatal(err)
+	}
+	d.ref.SetPolicy(d.now, d.policies[d.policy]())
+	d.compare("set-policy")
+}
+
+// roundTrip replaces the flat-layout enforcer with a twin restored from its
+// snapshot; the reference carries on untouched.
+func (d *layoutDiff) roundTrip() {
+	if d.zeroRun {
+		return
+	}
+	blob, err := d.p.SnapshotState()
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	twin := d.build()
+	if err := twin.RestoreState(blob); err != nil {
+		d.t.Fatalf("t=%v: twin rejected snapshot: %v", d.now, err)
+	}
+	again, err := twin.SnapshotState()
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	if !bytes.Equal(blob, again) {
+		d.t.Fatalf("t=%v: snapshot changed across a restore", d.now)
+	}
+	d.p = twin
+	d.compare("restore")
+}
+
+// compare checks everything observable, and the FIFO run by run.
+func (d *layoutDiff) compare(after string) {
+	d.t.Helper()
+	if got, want := d.p.EnforcerStats(), d.ref.stats; got != want {
+		d.t.Fatalf("t=%v after %s: stats %+v, reference %+v", d.now, after, got, want)
+	}
+	for c := range d.ref.queues {
+		q, r := &d.p.queues[c], &d.ref.queues[c]
+		if q.length != r.length || d.p.MagicBytes(c) != r.magic {
+			d.t.Fatalf("t=%v after %s: class %d length/magic %d/%d, reference %d/%d",
+				d.now, after, c, q.length, d.p.MagicBytes(c), r.length, r.magic)
+		}
+		ap, ab, dp, db := d.p.ClassStats(c)
+		if ap != r.acceptedPackets || ab != r.acceptedBytes || dp != r.droppedPackets || db != r.droppedBytes {
+			d.t.Fatalf("t=%v after %s: class %d stats differ from reference", d.now, after, c)
+		}
+		if q.open != r.windowOpen || q.accepted != r.accepted || (q.open && q.windowStart != r.windowStart) {
+			d.t.Fatalf("t=%v after %s: class %d window differs from reference", d.now, after, c)
+		}
+		if d.p.isOccupied(c) != (r.length > 0) {
+			d.t.Fatalf("t=%v after %s: class %d occupied bit %v at length %d", d.now, after, c, d.p.isOccupied(c), r.length)
+		}
+		live := r.segs[r.head:]
+		if n := d.p.numRuns(c); n != len(live) {
+			d.t.Fatalf("t=%v after %s: class %d has %d runs, reference %d", d.now, after, c, n, len(live))
+		}
+		if q.spilled != (d.p.spills != nil && d.p.spills[c] != nil) {
+			d.t.Fatalf("t=%v after %s: class %d spilled flag %v disagrees with the spill table", d.now, after, c, q.spilled)
+		}
+		for i, s := range live {
+			want := s.bytes
+			if s.magic {
+				want = -want
+			}
+			if got := d.p.run(c, i); got != want {
+				d.t.Fatalf("t=%v after %s: class %d run %d is %d, reference %d", d.now, after, c, i, got, want)
+			}
+		}
+	}
+}
+
+// diffConfig decodes the fuzzers' flag byte.
+func diffConfig(flags byte) Config {
+	cfg := Config{
+		Rate:         4 * units.Mbps,
+		Queues:       4,
+		QueueSize:    40 * units.MSS,
+		BurstControl: flags&1 == 0,
+		Window:       10 * time.Millisecond,
+	}
+	if flags&2 != 0 {
+		// Runs of 2 GiB and more do not fit a ring slot.
+		cfg.QueueSize = 3 << 30
+	}
+	if flags&4 != 0 {
+		cfg.RED = &REDConfig{MinBytes: 10 * units.MSS, MaxBytes: 35 * units.MSS, Seed: 7, MarkECN: flags&8 != 0}
+	}
+	return cfg
+}
+
+// run interprets ops as (gap, op, arg) triples.
+func (d *layoutDiff) run(ops []byte) {
+	for i := 0; i+2 < len(ops); i += 3 {
+		gap := time.Duration(ops[i]) * 37 * time.Microsecond
+		op, arg := ops[i+1], ops[i+2]
+		switch op % 16 {
+		case 15:
+			d.tick(gap + time.Duration(arg)*time.Millisecond)
+		case 14:
+			d.setRate(units.Rate(1+int(arg)%32) * units.Mbps)
+		case 13:
+			d.nextPolicy()
+		case 12:
+			d.roundTrip()
+		case 11:
+			d.submit(gap, int(arg)%4, 0, false)
+		default:
+			d.submit(gap, int(op)%4, 40+int(arg)*8, arg&1 != 0)
+		}
+	}
+}
+
+// FuzzLayoutEquivalence is the flat layout's differential: arbitrary
+// arrivals, ticks, rate and policy changes and snapshot round trips, with
+// RED, ECN marking, burst control and huge queues switched by the input,
+// must leave the flat layout and the segment-deque reference agreeing on
+// every verdict, counter, window and FIFO run.
+func FuzzLayoutEquivalence(f *testing.F) {
+	f.Add(byte(0), byte(0), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 200, 3, 12, 0})
+	f.Add(byte(1), byte(4), []byte{0, 0, 255, 0, 1, 255, 200, 14, 9, 0, 13, 0, 90, 2, 255})
+	f.Add(byte(3), byte(12), []byte{7, 0, 7, 0, 7, 0, 200, 15, 200, 1, 12, 1, 3, 3, 3})
+	f.Add(byte(0), byte(0), []byte{1, 0, 100, 1, 11, 0, 255, 15, 9, 0, 11, 0, 0, 11, 1, 3, 0, 50, 0, 11, 0})
+	f.Add(byte(0), byte(2), alternation(40))
+	f.Add(byte(1), byte(0), alternation(40))
+	f.Fuzz(func(t *testing.T, policy, flags byte, ops []byte) {
+		newLayoutDiff(t, diffConfig(flags), int(policy)).run(ops)
+	})
+}
+
+// alternation is an op stream that leaves a real and a magic run behind per
+// round: class 0 floods until burst control fills it with magic, then each
+// round lets a packet's worth drain and refills the space, all within the
+// window whose θ⁺ threshold the flood crossed.
+func alternation(rounds int) []byte {
+	var ops []byte
+	for i := 0; i < 60; i++ {
+		ops = append(ops, 1, 0, 182) // MSS-sized
+	}
+	for r := 0; r < rounds; r++ {
+		ops = append(ops, 84, 0, 100) // 3.1 ms drains 1.5 kB; 840 B refill it
+		ops = append(ops, 0, 0, 100)
+	}
+	return ops
+}
+
+// TestRingSpillAndReturn drives a queue's FIFO past the inline ring and
+// back, checking against the reference at every step and that the heap
+// deque is held only while it is needed.
+func TestRingSpillAndReturn(t *testing.T) {
+	cfg := diffConfig(0)
+	// A window long enough to hold a dozen drain-and-refill rounds, and a
+	// drain batch small enough for each round to drain.
+	cfg.Window, cfg.DrainBatch = 50*time.Millisecond, units.MSS
+	d := newLayoutDiff(t, cfg, 0)
+	d.run(alternation(14))
+	q := &d.p.queues[0]
+	if !q.spilled || d.p.numRuns(0) <= ringCap {
+		t.Fatalf("alternation left %d runs (spilled %v); the test no longer exercises the spill", d.p.numRuns(0), q.spilled)
+	}
+	// Quiet: the runs drain out, and the FIFO returns to the ring.
+	for q.length > 0 {
+		d.tick(5 * time.Millisecond)
+		if n := d.p.numRuns(0); q.spilled && n <= ringCap/2 {
+			t.Fatalf("%d runs still on the heap", n)
+		}
+	}
+	if q.spilled || q.n != 0 || d.p.spills[0] != nil {
+		t.Fatalf("empty queue: spilled %v, n %d, deque held %v", q.spilled, q.n, d.p.spills[0] != nil)
+	}
+	// A run of 2 GiB spills whatever the run count, and reclaiming it
+	// brings the FIFO back.
+	d = newLayoutDiff(t, diffConfig(2), 0)
+	for i := 0; i < 400; i++ {
+		d.submit(time.Microsecond, 0, units.MSS, false)
+	}
+	q = &d.p.queues[0]
+	if !q.spilled || d.p.MagicBytes(0) < 2<<30 {
+		t.Fatalf("no wide magic run: spilled %v, magic %d", q.spilled, d.p.MagicBytes(0))
+	}
+	d.tick(time.Second) // closes the flood's window
+	d.tick(time.Second) // closes a quiet one: reclaim
+	if q.spilled || d.p.spills[0] != nil || d.p.MagicBytes(0) != 0 {
+		t.Fatalf("after reclaim: spilled %v, magic %d", q.spilled, d.p.MagicBytes(0))
+	}
+}
+
+// TestManyQueuesEquivalence runs the differential over 130 queues, so the
+// occupied and rolled masks span three words, under a fair, a weighted and a
+// priority policy.
+func TestManyQueuesEquivalence(t *testing.T) {
+	const queues = 130
+	weights := make([]float64, queues)
+	for i := range weights {
+		weights[i] = 0.3 + float64(i%7)/3
+	}
+	cfg := diffConfig(0)
+	cfg.Queues = queues
+	d := newLayoutDiff(t, cfg, 0,
+		func() *sched.Policy { return nil },
+		func() *sched.Policy { return sched.WeightedFair(weights...) },
+		func() *sched.Policy { return sched.StrictPriority(queues) })
+	pkts := make([]packet.Packet, 32)
+	verdicts := make([]enforcer.Verdict, len(pkts))
+	for step := 0; step < 6000; step++ {
+		class := step * 37 % queues
+		if step%5 == 0 {
+			class = step / 5 % 3 * 64 // the first queue of each mask word
+		}
+		d.submit(time.Duration(step%29)*31*time.Microsecond, class, 100+step*613%1400, false)
+		switch {
+		case step%997 == 996:
+			d.nextPolicy()
+		case step%401 == 400:
+			d.tick(time.Duration(step%50) * time.Millisecond)
+		case step%211 == 210:
+			// A burst through SubmitBatch, checked against the reference
+			// packet by packet.
+			for i := range pkts {
+				pkts[i] = packet.Packet{Class: (step + i*41) % queues, Size: units.MSS}
+			}
+			d.p.SubmitBatch(d.now, pkts, verdicts)
+			for i, pkt := range pkts {
+				if want := d.ref.Submit(d.now, pkt); verdicts[i] != want {
+					t.Fatalf("step %d burst packet %d: verdict %v, reference %v", step, i, verdicts[i], want)
+				}
+			}
+			d.compare("burst")
+		}
+	}
+	if d.p.EnforcerStats().DroppedPackets == 0 || d.ref.stats.AcceptedPackets == 0 {
+		t.Fatalf("trace did not both accept and drop: %+v", d.ref.stats)
+	}
+}
+
+// benchSubscriber is the benchmark's engine-workload subscriber: a 20 Mbps
+// plan over sixteen queues at the recommended queue size (ten times the Reno
+// requirement at 100 ms).
+func benchSubscriber(onEvent func(Event)) *PQP {
+	return MustNew(Config{
+		Rate:         20 * units.Mbps,
+		Queues:       16,
+		QueueSize:    10 * units.RenoPhantomRequirement(20*units.Mbps, 100*time.Millisecond),
+		BurstControl: true,
+		OnEvent:      onEvent,
+	})
+}
+
+// TestBytesPerSubscriber pins the memory a warmed-up subscriber holds. The
+// warm-up is the benchmark's: bursts of 32 MSS packets 7.68 ms apart, the
+// sixteen flows offering 1×, 1.2×, … 4× a fair share (2.5× the plan in
+// all), sixteen bursts — one burst-control window and a half, during which
+// every queue above θ⁺ is filled with magic and then collects a real and a
+// sub-MSS magic run per drain. The budget is 2,048 B of queues, 320 B of
+// PQP, 16 B of masks and what the few queues past sixteen runs spill.
+func TestBytesPerSubscriber(t *testing.T) {
+	const subs, bursts, burstLen = 1024, 16, 32
+	pkts := make([]packet.Packet, burstLen)
+	verdicts := make([]enforcer.Verdict, burstLen)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // twice: what earlier tests left for the sweeper
+	runtime.ReadMemStats(&before)
+	table := make([]*PQP, subs)
+	for s := range table {
+		p := benchSubscriber(nil)
+		var credit [16]float64
+		for b := 1; b <= bursts; b++ {
+			for i := range pkts {
+				// Smooth weighted round-robin over weights 1, 1.2, … 4.
+				best := 0
+				for f := range credit {
+					credit[f] += 1 + 0.2*float64(f)
+					if credit[f] > credit[best] {
+						best = f
+					}
+				}
+				credit[best] -= 40
+				pkts[i] = packet.Packet{Class: best, Size: units.MSS}
+			}
+			p.SubmitBatch(time.Duration(b)*7680*time.Microsecond, pkts, verdicts)
+		}
+		table[s] = p
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / subs
+	var runs, spilled int
+	for _, p := range table {
+		for i := range p.queues {
+			runs += p.numRuns(i)
+			if p.queues[i].spilled {
+				spilled++
+			}
+		}
+	}
+	t.Logf("%.0f B per subscriber; %.1f runs per queue, %d of %d queues spilled", per, float64(runs)/(subs*16), spilled, subs*16)
+	if per > 2600 {
+		t.Errorf("a warmed-up 16-queue subscriber holds %.0f B, want ≤ 2600", per)
+	}
+	if runs < 2*subs*16 {
+		t.Errorf("warm-up left %.1f runs per queue: it no longer exercises burst control", float64(runs)/(subs*16))
+	}
+	runtime.KeepAlive(table)
+}
+
+// TestSteadyStateAllocs: once a subscriber is running, nothing on the
+// enforcement path allocates — including a magic fill, the drains through
+// it, and the reclaim when the flow goes quiet.
+func TestSteadyStateAllocs(t *testing.T) {
+	var fills, reclaims int
+	p := benchSubscriber(func(e Event) {
+		switch e.Kind {
+		case EventMagicFill:
+			fills++
+		case EventMagicReclaim:
+			reclaims++
+		}
+	})
+	pkts := make([]packet.Packet, 32)
+	for i := range pkts {
+		pkts[i] = packet.Packet{Class: 3, Size: units.MSS}
+	}
+	verdicts := make([]enforcer.Verdict, len(pkts))
+	now := time.Duration(0)
+	cycle := func() {
+		// One flow at twice the plan for 150 ms: its eighth burst crosses
+		// θ⁺ and fills the queue with magic, the rest drain through it.
+		for b := 0; b < 15; b++ {
+			now += 10 * time.Millisecond
+			p.SubmitBatch(now, pkts, verdicts)
+		}
+		// Quiet for three windows: the second closes under θ⁻ and
+		// reclaims.
+		for w := 0; w < 3; w++ {
+			now += DefaultWindow
+			p.Tick(now)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Errorf("%v allocs per fill-drain-reclaim cycle, want 0", allocs)
+	}
+	if fills < 22 || reclaims < 22 {
+		t.Errorf("%d fills and %d reclaims over 22 cycles: the cycle no longer exercises burst control", fills, reclaims)
+	}
+}

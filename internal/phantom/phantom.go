@@ -20,6 +20,40 @@
 // otherwise admit. When the accept rate falls below θ⁻·r_i*·T the remaining
 // magic bytes are reclaimed so a departing flow frees its rate share
 // immediately.
+//
+// # Layout
+//
+// The paper's pitch is that a subscriber costs counters, not objects, and
+// the state is laid out to keep that true at table scale. A PQP is three
+// allocations, none of them made after New: the PQP itself (320 bytes:
+// configuration, aggregate statistics, the drain clock, the share cache),
+// the queue array, and two mask words per 64 queues (which queues are
+// occupied; which have had their window rolled in the current burst). A
+// 16-queue subscriber is 2,384 bytes.
+//
+// A queue is 128 bytes, two cache lines, and holds no pointers, so the
+// collector never scans the array. The first line is what an admission
+// decision reads and writes — occupancy, the burst-control window, the
+// per-class counters, the FIFO cursor. The second is the FIFO itself: a
+// ring of sixteen runs, each a signed 32-bit byte count, positive for real
+// phantom bytes and negative for magic. The FIFO exists only so that a
+// reclaim removes exactly the magic bytes that have not yet drained.
+//
+// The ring-spill rule: a queue's FIFO moves, whole, to a heap deque of
+// 64-bit runs when it needs a seventeenth run or holds a run of 2 GiB or
+// more, and moves back — releasing the deque — once it is down to eight
+// runs that all fit. A conforming flow holds one real run and, after a
+// slow-start fill, one magic run. The long FIFOs come from flows that stay
+// above θ⁺ inside one window: each drain frees a little room, the refill is
+// a real run, and the sub-MSS remainder is filled with magic again, a pair
+// of runs per drain. Runs of 2 GiB arise when the queue size itself is that
+// large, i.e. for plans of several hundred Mbps at the recommended sizing.
+//
+// Single-level weighted policies (per-flow fairness, weighted fairness) are
+// reduced at New to their weights — one read-only slice, shared by every
+// equal-weight PQP in the process — and r_i* and the GPS drain are loops
+// over the occupied mask. Hierarchical and priority policies keep their
+// sched.Policy tree and walk it.
 package phantom
 
 import (
@@ -85,68 +119,38 @@ type Config struct {
 	OnEvent func(Event)
 }
 
-// segment is a FIFO run of bytes in a phantom queue, either real (phantom
-// copies of transmitted packets) or magic (vacuous fill from burst control).
-// FIFO order is tracked only so that reclaiming magic removes exactly the
-// magic bytes that have not yet drained.
-type segment struct {
-	bytes int64
-	magic bool
-}
-
-// queue is one phantom queue: counters plus burst-control window state.
-type queue struct {
-	length int64 // total simulated occupancy incl. magic bytes
-	magic  int64 // magic bytes currently in the queue
-
-	segs []segment
-	head int // index of the FIFO front within segs
-
-	windowOpen  bool
-	windowStart time.Duration
-	accepted    int64 // bytes accepted in the current window
-
-	// Per-class statistics.
-	acceptedPackets int64
-	acceptedBytes   int64
-	droppedPackets  int64
-	droppedBytes    int64
-}
-
 // PQP is a phantom-queue policer (optionally burst-controlled) for a single
 // traffic aggregate. It is not safe for concurrent use; shard aggregates
 // across goroutines instead, as a middlebox shards across cores.
 type PQP struct {
+	// cfg.Policy is kept only for hierarchical and priority policies;
+	// single-level weighted ones are reduced to weights and the tree is
+	// let go.
 	cfg   Config
 	stats enforcer.Stats
 
-	queues []queue
+	// All per-queue state (see queue).
+	queueTable
 
 	lastDrain   time.Duration
 	drainCredit float64 // fractional bytes of drain budget carried over
+	windowSec   float64 // cfg.Window in seconds
 
-	// shares caches the per-class drain rates for the current active
-	// set (queues with non-zero length). It is invalidated whenever a
-	// queue transitions between empty and occupied, so the per-packet
-	// burst-control check is a cached read rather than a policy-tree
-	// walk.
-	shares      []float64
-	sharesValid bool
-
-	// flatWeights enables the allocation-free drain fast path for
-	// single-level weighted (fair) policies; nil for hierarchical or
-	// priority trees, which use the generic GPS walk.
-	flatWeights []float64
+	// weights is the whole policy when it is single-level weighted (fair,
+	// weighted fair): r_i* = rate·w_i/Σ_occupied w and the GPS drain are
+	// loops over the occupied mask, with no tree and no closures. The
+	// slice is read-only and, for equal weights, shared by every PQP. Nil
+	// for hierarchical or priority policies, which walk cfg.Policy.
+	weights []float64
+	// wsum (weights) or shares (trees) cache the share computation for
+	// the current occupied set, valid while sharesValid (which the queue
+	// table clears whenever a queue transitions between empty and
+	// occupied), so the per-packet burst-control check is a cached read.
+	wsum   float64
+	shares []float64
 
 	// red holds per-queue RED state when the AQM extension is enabled.
 	red []redState
-
-	// windowEpoch/windowStamp dedupe burst-control window rolls within one
-	// SubmitBatch call: rolling a class's window is idempotent at a fixed
-	// virtual time, so the batch path performs it once per class per burst
-	// instead of once per packet (see SubmitBatch).
-	windowEpoch uint64
-	windowStamp []uint64
 
 	started bool
 }
@@ -162,10 +166,7 @@ func New(cfg Config) (*PQP, error) {
 	if cfg.QueueSize < units.MSS {
 		return nil, fmt.Errorf("phantom: queue size %d below one MSS", cfg.QueueSize)
 	}
-	if cfg.Policy == nil {
-		cfg.Policy = sched.Fair(cfg.Queues)
-	}
-	if cfg.Policy.NumClasses() != cfg.Queues {
+	if cfg.Policy != nil && cfg.Policy.NumClasses() != cfg.Queues {
 		return nil, fmt.Errorf("phantom: policy covers %d classes but enforcer has %d queues",
 			cfg.Policy.NumClasses(), cfg.Queues)
 	}
@@ -198,12 +199,11 @@ func New(cfg Config) (*PQP, error) {
 		}
 	}
 	p := &PQP{
-		cfg:         cfg,
-		queues:      make([]queue, cfg.Queues),
-		shares:      make([]float64, cfg.Queues),
-		windowStamp: make([]uint64, cfg.Queues),
+		cfg:        cfg,
+		queueTable: newQueueTable(cfg.Queues),
+		windowSec:  cfg.Window.Seconds(),
 	}
-	p.flatWeights = cfg.Policy.FlatWeighted()
+	p.installPolicy(cfg.Policy)
 	if cfg.RED != nil {
 		if err := cfg.RED.validate(cfg.QueueSize); err != nil {
 			return nil, err
@@ -224,6 +224,25 @@ func MustNew(cfg Config) *PQP {
 		panic(err)
 	}
 	return p
+}
+
+// installPolicy makes policy (nil = per-flow fairness) the rate-sharing
+// policy. The caller has checked its class count.
+func (p *PQP) installPolicy(policy *sched.Policy) {
+	p.sharesValid = false
+	if policy == nil {
+		p.weights = sched.EqualWeights(p.cfg.Queues)
+	} else {
+		p.weights = policy.FlatWeighted()
+	}
+	if p.weights != nil {
+		p.cfg.Policy, p.shares = nil, nil
+		return
+	}
+	p.cfg.Policy = policy
+	if p.shares == nil {
+		p.shares = make([]float64, p.cfg.Queues)
+	}
 }
 
 // Submit implements enforcer.Enforcer. Virtual time must be non-decreasing.
@@ -302,17 +321,14 @@ func (p *PQP) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
 // the phantom enqueue, statistics, and burst-control window accounting
 // (including the θ⁺ magic fill).
 func (p *PQP) accept(now time.Duration, class int, q *queue, size int64) {
-	if q.length == 0 {
-		p.sharesValid = false // queue becomes active
-	}
-	q.pushReal(size)
+	p.pushReal(class, size)
 	q.acceptedPackets++
 	q.acceptedBytes += size
 	p.stats.Accept(int(size))
 
 	if p.cfg.BurstControl {
-		if !q.windowOpen {
-			q.windowOpen = true
+		if !q.open {
+			q.open = true
 			q.windowStart = now
 			q.accepted = 0
 		}
@@ -415,92 +431,80 @@ func (p *PQP) advance(now time.Duration) {
 	if whole <= 0 {
 		return
 	}
-	if p.flatWeights != nil {
+	if p.weights != nil {
 		p.flatDrain(whole)
 		return
 	}
 	p.cfg.Policy.Drain(whole,
 		func(class int) int64 { return p.queues[class].length },
-		func(class int, n int64) {
-			q := &p.queues[class]
-			q.drain(n)
-			if q.length == 0 {
-				p.sharesValid = false // queue goes idle
-			}
-		})
+		p.drain)
 }
 
 // flatDrain is the allocation-free GPS drain for single-level weighted
 // policies: the budget is split among occupied queues in weight proportion,
 // re-allocating the slack of queues that empty (work conservation).
 func (p *PQP) flatDrain(budget int64) {
-	for budget > 0 {
-		var wsum float64
-		occupied := 0
-		for i := range p.queues {
-			if p.queues[i].length > 0 {
-				wsum += p.flatWeights[i]
-				occupied++
-			}
-		}
-		if occupied == 0 {
-			return
-		}
+	w := p.weights
+	for budget > 0 && p.nextOccupied(0) >= 0 {
+		wsum := p.occupiedWeight()
 		// Drain queues whose backlog fits inside their allocation
 		// first; if none fits, hand out proportional shares (plus the
 		// rounding remainder) and finish.
 		drainedSmall := false
-		for i := range p.queues {
+		for i := p.nextOccupied(0); i >= 0; i = p.nextOccupied(i + 1) {
 			q := &p.queues[i]
-			if q.length == 0 {
-				continue
-			}
-			alloc := int64(float64(budget) * p.flatWeights[i] / wsum)
+			alloc := int64(float64(budget) * w[i] / wsum)
 			if q.length <= alloc {
 				budget -= q.length
-				q.drain(q.length)
-				p.sharesValid = false
+				p.drain(i, q.length)
 				drainedSmall = true
 			}
 		}
 		if drainedSmall {
 			continue
 		}
+		// Every occupied queue is longer than its allocation, so none
+		// empties here.
 		var consumed int64
-		for i := range p.queues {
-			q := &p.queues[i]
-			if q.length == 0 {
-				continue
-			}
-			alloc := int64(float64(budget) * p.flatWeights[i] / wsum)
-			q.drain(alloc)
+		for i := p.nextOccupied(0); i >= 0; i = p.nextOccupied(i + 1) {
+			alloc := int64(float64(budget) * w[i] / wsum)
+			p.drain(i, alloc)
 			consumed += alloc
-			if q.length == 0 {
-				p.sharesValid = false
-			}
 		}
 		// Rounding remainder: give leftover bytes to queues with
 		// remaining backlog, one pass.
 		leftover := budget - consumed
-		for i := range p.queues {
-			if leftover == 0 {
-				break
-			}
+		for i := p.nextOccupied(0); i >= 0 && leftover > 0; i = p.nextOccupied(i + 1) {
 			q := &p.queues[i]
-			if q.length > 0 {
-				d := leftover
-				if d > q.length {
-					d = q.length
-				}
-				q.drain(d)
-				leftover -= d
-				if q.length == 0 {
-					p.sharesValid = false
-				}
+			d := leftover
+			if d > q.length {
+				d = q.length
 			}
+			p.drain(i, d)
+			leftover -= d
 		}
 		return
 	}
+}
+
+// occupiedWeight returns Σ w over the occupied queues, cached until the
+// occupied set changes.
+func (p *PQP) occupiedWeight() float64 {
+	if !p.sharesValid {
+		p.wsum = p.sumWeights()
+		p.sharesValid = true
+	}
+	return p.wsum
+}
+
+// sumWeights adds up the occupied queues' weights in class order, the order
+// sched.Policy.Shares visits the leaves of a fair or weighted-fair policy.
+func (p *PQP) sumWeights() float64 {
+	var sum float64
+	for i := p.nextOccupied(0); i >= 0; i = p.nextOccupied(i + 1) {
+		sum += p.weights[i]
+	}
+	return sum
 }
 
 // rollWindow closes an expired burst-control window on queue class: if the
@@ -508,20 +512,18 @@ func (p *PQP) flatDrain(budget int64) {
 // magic bytes are reclaimed and its rate share frees up immediately.
 func (p *PQP) rollWindow(now time.Duration, class int) {
 	q := &p.queues[class]
-	if !q.windowOpen || now < q.windowStart+p.cfg.Window {
+	if !q.open || now < q.windowStart+p.cfg.Window {
 		return
 	}
-	x := p.expectedWindowBytes(class)
-	if float64(q.accepted) < p.cfg.ThetaLo*x && q.magic > 0 {
-		reclaimed := q.magic
-		q.reclaimMagic()
-		p.emit(now, class, EventMagicReclaim, reclaimed, q.length)
-		if q.length == 0 {
-			p.sharesValid = false
+	// An empty queue holds no magic, so r_i* is only worked out for
+	// queues that might reclaim.
+	if q.length > 0 && float64(q.accepted) < p.cfg.ThetaLo*p.expectedWindowBytes(class) {
+		if reclaimed := p.reclaimMagic(class); reclaimed > 0 {
+			p.emit(now, class, EventMagicReclaim, reclaimed, q.length)
 		}
 	}
 	if q.length == 0 {
-		q.windowOpen = false
+		q.open = false
 		q.accepted = 0
 		return
 	}
@@ -530,18 +532,32 @@ func (p *PQP) rollWindow(now time.Duration, class int) {
 }
 
 // expectedWindowBytes returns X_i = r_i*·T: the bytes queue class is
-// expected to drain over one window given the current active set, with the
-// class itself counted active (it is being evaluated because it carries
-// traffic). The share vector is cached and recomputed only when the active
-// set changes, which keeps the per-packet burst-control check O(1).
+// expected to drain over one window given the current occupied set, with
+// the class itself counted active (it is being evaluated because it carries
+// traffic).
 func (p *PQP) expectedWindowBytes(class int) float64 {
+	rate := p.cfg.Rate.BytesPerSecond()
+	if w := p.weights; w != nil {
+		var wsum float64
+		if p.isOccupied(class) {
+			wsum = p.occupiedWeight()
+		} else {
+			// Only a zero-size accept gets here: count the class in
+			// without caching the sum.
+			bit := uint64(1) << (class & 63)
+			*p.occupiedWord(class) |= bit
+			wsum = p.sumWeights()
+			*p.occupiedWord(class) &^= bit
+		}
+		return rate * w[class] / wsum * p.windowSec
+	}
 	if !p.sharesValid || (p.queues[class].length == 0 && p.shares[class] == 0) {
-		p.cfg.Policy.Shares(p.cfg.Rate.BytesPerSecond(),
+		p.cfg.Policy.Shares(rate,
 			func(c int) bool { return c == class || p.queues[c].length > 0 },
 			p.shares)
 		p.sharesValid = p.queues[class].length > 0
 	}
-	return p.shares[class] * p.cfg.Window.Seconds()
+	return p.shares[class] * p.windowSec
 }
 
 // fillMagic vacuously fills q to capacity with magic bytes.
@@ -550,83 +566,8 @@ func (p *PQP) fillMagic(now time.Duration, class int, q *queue) {
 	if m <= 0 {
 		return
 	}
-	q.segs = append(q.segs, segment{bytes: m, magic: true})
-	q.magic += m
-	q.length += m
+	p.pushRun(class, -m)
 	p.emit(now, class, EventMagicFill, m, q.length)
-}
-
-// pushReal appends s real phantom bytes, coalescing with a real tail
-// segment to keep the deque short.
-func (q *queue) pushReal(s int64) {
-	if n := len(q.segs); n > q.head && !q.segs[n-1].magic {
-		q.segs[n-1].bytes += s
-	} else {
-		q.segs = append(q.segs, segment{bytes: s})
-	}
-	q.length += s
-}
-
-// drain removes n bytes from the FIFO front, tracking how many of them were
-// magic.
-func (q *queue) drain(n int64) {
-	if n > q.length {
-		n = q.length
-	}
-	q.length -= n
-	for n > 0 {
-		s := &q.segs[q.head]
-		take := s.bytes
-		if take > n {
-			take = n
-		}
-		s.bytes -= take
-		if s.magic {
-			q.magic -= take
-		}
-		n -= take
-		if s.bytes == 0 {
-			q.head++
-		}
-	}
-	q.compact()
-}
-
-// reclaimMagic removes every remaining magic byte from the queue.
-func (q *queue) reclaimMagic() {
-	if q.magic == 0 {
-		return
-	}
-	out := q.segs[q.head:q.head]
-	for _, s := range q.segs[q.head:] {
-		if s.magic {
-			continue
-		}
-		if n := len(out); n > 0 && !out[n-1].magic {
-			out[n-1].bytes += s.bytes
-		} else {
-			out = append(out, s)
-		}
-	}
-	q.length -= q.magic
-	q.magic = 0
-	q.segs = q.segs[:q.head+len(out)]
-	q.compact()
-}
-
-// compact resets the deque storage once fully drained, or slides it down
-// when the dead prefix dominates, keeping memory bounded.
-func (q *queue) compact() {
-	if q.head == len(q.segs) {
-		q.segs = q.segs[:0]
-		q.head = 0
-		return
-	}
-	if q.head > 32 && q.head > len(q.segs)/2 {
-		n := copy(q.segs, q.segs[q.head:])
-		q.segs = q.segs[:n]
-		q.head = 0
-	}
 }
 
 // QueueLength returns the simulated occupancy (including magic bytes) of
@@ -635,7 +576,7 @@ func (q *queue) compact() {
 func (p *PQP) QueueLength(class int) int64 { return p.queues[class].length }
 
 // MagicBytes returns the magic bytes currently in queue class.
-func (p *PQP) MagicBytes(class int) int64 { return p.queues[class].magic }
+func (p *PQP) MagicBytes(class int) int64 { return p.magic(class) }
 
 // EnforcerStats implements enforcer.StatsReader.
 func (p *PQP) EnforcerStats() enforcer.Stats { return p.stats }

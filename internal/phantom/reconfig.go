@@ -39,17 +39,12 @@ func (p *PQP) SetRate(now time.Duration, rate units.Rate) error {
 // served by a reconfigured scheduler. The enforcer takes ownership of the
 // policy object (policies carry scratch state and are not concurrency-safe).
 func (p *PQP) SetPolicy(now time.Duration, policy *sched.Policy) error {
-	if policy == nil {
-		policy = sched.Fair(p.cfg.Queues)
-	}
-	if policy.NumClasses() != p.cfg.Queues {
+	if policy != nil && policy.NumClasses() != p.cfg.Queues {
 		return fmt.Errorf("phantom: policy covers %d classes but enforcer has %d queues",
 			policy.NumClasses(), p.cfg.Queues)
 	}
 	p.Tick(now) // settle drains and windows under the old policy
-	p.cfg.Policy = policy
-	p.flatWeights = policy.FlatWeighted()
-	p.sharesValid = false
+	p.installPolicy(policy)
 	return nil
 }
 

@@ -35,9 +35,9 @@ const snapVersion = 1
 //	bool RED present (must match cfg.RED != nil)
 //	per queue when present: f64 avg, i64 count, u64 rng
 //
-// Derived state (queue length/magic totals, share cache, window-roll epoch
-// stamps) is recomputed on restore rather than stored, so a blob cannot
-// smuggle in an inconsistent occupancy.
+// Derived state (queue lengths, the occupied mask, the share cache) is
+// recomputed on restore rather than stored, so a blob cannot smuggle in an
+// inconsistent occupancy.
 func (p *PQP) SnapshotState() ([]byte, error) {
 	var e enforcer.Enc
 	e.U8(snapVersion)
@@ -48,18 +48,19 @@ func (p *PQP) SnapshotState() ([]byte, error) {
 	e.U32(uint32(len(p.queues)))
 	for i := range p.queues {
 		q := &p.queues[i]
-		e.Bool(q.windowOpen)
+		e.Bool(q.open)
 		e.Dur(q.windowStart)
 		e.I64(q.accepted)
 		e.I64(q.acceptedPackets)
 		e.I64(q.acceptedBytes)
 		e.I64(q.droppedPackets)
 		e.I64(q.droppedBytes)
-		live := q.segs[q.head:]
-		e.U32(uint32(len(live)))
-		for _, s := range live {
-			e.I64(s.bytes)
-			e.Bool(s.magic)
+		runs := p.numRuns(i)
+		e.U32(uint32(runs))
+		for r := 0; r < runs; r++ {
+			v := p.run(i, r)
+			e.I64(max(v, -v))
+			e.Bool(v < 0)
 		}
 	}
 	e.Bool(p.red != nil)
@@ -95,10 +96,10 @@ func (p *PQP) RestoreState(data []byte) error {
 		return d.Err()
 	}
 
-	queues := make([]queue, p.cfg.Queues)
-	for i := range queues {
-		q := &queues[i]
-		q.windowOpen = d.Bool()
+	restored := newQueueTable(p.cfg.Queues)
+	for i := range restored.queues {
+		q := &restored.queues[i]
+		q.open = d.Bool()
 		q.windowStart = d.Dur()
 		q.accepted = d.I64()
 		q.acceptedPackets = d.I64()
@@ -120,11 +121,10 @@ func (p *PQP) RestoreState(data []byte) error {
 				d.Fail("phantom: non-positive segment of %d bytes in queue %d", bytes, i)
 				break
 			}
-			q.segs = append(q.segs, segment{bytes: bytes, magic: magic})
-			q.length += bytes
 			if magic {
-				q.magic += bytes
+				bytes = -bytes
 			}
+			restored.pushRun(i, bytes)
 			if q.length > p.cfg.QueueSize {
 				d.Fail("phantom: queue %d occupancy %d exceeds simulated buffer %d",
 					i, q.length, p.cfg.QueueSize)
@@ -154,20 +154,15 @@ func (p *PQP) RestoreState(data []byte) error {
 	p.lastDrain = lastDrain
 	p.drainCredit = drainCredit
 	p.stats = stats
-	p.queues = queues
+	p.queueTable = restored
 	if p.red != nil {
 		p.red = red
 	}
-	// Derived caches: recompute lazily. The window-roll epoch stamps only
-	// dedupe rolls within a single SubmitBatch call, so resetting them is
-	// behaviorally identical.
-	p.sharesValid = false
+	// Derived state: the restored table built its occupied mask as the
+	// runs went in and arrives with the share cache invalid. The rolled
+	// mask only dedupes window rolls within a single SubmitBatch call.
 	for i := range p.shares {
 		p.shares[i] = 0
-	}
-	p.windowEpoch = 0
-	for i := range p.windowStamp {
-		p.windowStamp[i] = 0
 	}
 	return nil
 }

@@ -18,6 +18,7 @@ package sched
 
 import (
 	"fmt"
+	"sync/atomic"
 )
 
 // Kind discriminates policy tree nodes.
@@ -176,24 +177,51 @@ func (p *Policy) NumClasses() int { return p.n }
 
 // FlatWeighted returns the per-class weights when the policy is a single
 // weighted node over plain leaves — the common fair / weighted-fair case —
-// and nil for hierarchical or priority policies. Enforcers use this to take
-// an allocation-free flat drain path.
+// and nil for hierarchical or priority policies. The weights are all an
+// enforcer needs of such a policy: it can compute shares and drains from
+// them and let the tree go. The slice is read-only; equal weights return
+// the slice shared by EqualWeights. A lone leaf is one class of weight 1,
+// since its own weight has no sibling to be relative to.
 func (p *Policy) FlatWeighted() []float64 {
 	root := p.root
 	if root.kind == KindLeaf {
-		return []float64{root.weight}
+		return EqualWeights(1)
 	}
 	if root.kind != KindWeighted {
 		return nil
 	}
 	out := make([]float64, p.n)
+	equal := true
 	for _, c := range root.children {
 		if c.kind != KindLeaf {
 			return nil
 		}
 		out[c.class] = c.weight
+		equal = equal && c.weight == 1
+	}
+	if equal {
+		return EqualWeights(p.n)
 	}
 	return out
+}
+
+// ones backs EqualWeights. Every version of it is all ones and callers keep
+// the slice they were handed, so racing replacements are harmless.
+var ones atomic.Pointer[[]float64]
+
+// EqualWeights returns the weights of per-flow fairness over n classes: a
+// read-only slice of n ones, shared by every caller, so that a table of
+// fair-policy enforcers holds one copy between them.
+func EqualWeights(n int) []float64 {
+	if s := ones.Load(); s != nil && len(*s) >= n {
+		return (*s)[:n:n]
+	}
+	s := make([]float64, max(n, 64))
+	for i := range s {
+		s[i] = 1
+	}
+	ones.Store(&s)
+	return s[:n:n]
 }
 
 // Shares fills out[class] with the drain rate assigned to each class when

@@ -337,3 +337,39 @@ func TestNumClasses(t *testing.T) {
 		t.Errorf("NumClasses = %d, want 7", got)
 	}
 }
+
+// TestFlatWeighted: single-level weighted policies reduce to their weights
+// by class; equal weights are the one shared slice, whatever the class count
+// asked for first; anything with depth or priority does not reduce.
+func TestFlatWeighted(t *testing.T) {
+	if got := WeightedFair(1, 2, 0.5).FlatWeighted(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 0.5 {
+		t.Errorf("WeightedFair(1, 2, 0.5) → %v", got)
+	}
+	permuted := MustNew(Weighted(Leaf(2).WithWeight(3), Leaf(0), Leaf(1).WithWeight(2)))
+	if got := permuted.FlatWeighted(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Errorf("weights are not indexed by class: %v", got)
+	}
+	big, small := Fair(200).FlatWeighted(), Fair(16).FlatWeighted()
+	if len(big) != 200 || len(small) != 16 || cap(small) != 16 {
+		t.Fatalf("Fair → %d and %d weights (cap %d)", len(big), len(small), cap(small))
+	}
+	for _, w := range big {
+		if w != 1 {
+			t.Fatalf("Fair(200) has weight %v", w)
+		}
+	}
+	if &small[0] != &EqualWeights(16)[0] || &small[0] != &Fair(16).FlatWeighted()[0] || &small[0] != &big[0] {
+		t.Error("equal weights are not one shared slice")
+	}
+	if got := MustNew(Leaf(0).WithWeight(0.3)).FlatWeighted(); len(got) != 1 || got[0] != 1 {
+		t.Errorf("lone leaf → %v, want [1]", got)
+	}
+	for name, p := range map[string]*Policy{
+		"priority": StrictPriority(3),
+		"nested":   MustNew(Weighted(Leaf(0), Weighted(Leaf(1), Leaf(2)))),
+	} {
+		if got := p.FlatWeighted(); got != nil {
+			t.Errorf("%s policy reduced to %v", name, got)
+		}
+	}
+}

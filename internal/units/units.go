@@ -10,6 +10,7 @@ package units
 
 import (
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -118,6 +119,42 @@ func RenoPhantomRequirement(r Rate, rtt time.Duration) int64 {
 // W(t) = C(t−K)³ + Wmax with a multiplicative decrease to βWmax; the peak
 // Wmax satisfying avg(W) = BDP is found numerically.
 func CubicPhantomRequirement(r Rate, rtt time.Duration) int64 {
+	key := cubicKey{r, rtt}
+	cubicMemo.Lock()
+	for i, k := range cubicMemo.keys {
+		if b := cubicMemo.vals[i]; k == key && b != 0 { // results are ≥ 4 MSS; 0 is an empty entry
+			cubicMemo.Unlock()
+			return b
+		}
+	}
+	cubicMemo.Unlock()
+	b := cubicPhantomRequirement(r, rtt)
+	cubicMemo.Lock()
+	i := cubicMemo.next
+	cubicMemo.keys[i], cubicMemo.vals[i] = key, b
+	cubicMemo.next = (i + 1) % len(cubicMemo.keys)
+	cubicMemo.Unlock()
+	return b
+}
+
+type cubicKey struct {
+	r   Rate
+	rtt time.Duration
+}
+
+// cubicMemo holds the most recent CubicPhantomRequirement results. The
+// search costs tens of microseconds and is a pure function of its arguments,
+// and a middlebox sizes every subscriber of a plan with the same pair, so a
+// handful of entries takes it off the registration path.
+var cubicMemo struct {
+	sync.Mutex
+	keys [8]cubicKey
+	vals [8]int64
+	next int
+}
+
+// cubicPhantomRequirement is the search CubicPhantomRequirement memoises.
+func cubicPhantomRequirement(r Rate, rtt time.Duration) int64 {
 	const (
 		c    = 0.4 // Cubic's C constant (packets/sec³ scaling)
 		beta = 0.7 // multiplicative decrease factor

@@ -157,3 +157,41 @@ func TestCubeRoot(t *testing.T) {
 		}
 	}
 }
+
+// TestPhantomRequirementTable pins the sizing results for the plans the
+// benchmarks and examples use. CubicPhantomRequirement is memoised; every
+// row is asked twice (a miss, then a hit), and the table is longer than the
+// memo, so a second pass also covers entries that were evicted and refilled.
+func TestPhantomRequirementTable(t *testing.T) {
+	rows := []struct {
+		r           Rate
+		rtt         time.Duration
+		reno, cubic int64
+	}{
+		{1 * Mbps, 50 * time.Millisecond, 6000, 9706},
+		{1 * Mbps, 100 * time.Millisecond, 6750, 11193},
+		{20 * Mbps, 50 * time.Millisecond, 588000, 403983},
+		{20 * Mbps, 100 * time.Millisecond, 2324083, 514506},
+		{100 * Mbps, 50 * time.Millisecond, 14490750, 3392828},
+		{100 * Mbps, 100 * time.Millisecond, 57963000, 4299834},
+		{0, 0, 4 * MSS, 4 * MSS},
+		{1 * Mbps, 0, 4 * MSS, 4 * MSS},
+		{2 * Mbps, 100 * time.Millisecond, 24083, cubicPhantomRequirement(2*Mbps, 100*time.Millisecond)},
+		{3 * Mbps, 100 * time.Millisecond, 52083, cubicPhantomRequirement(3*Mbps, 100*time.Millisecond)},
+	}
+	if len(rows) <= len(cubicMemo.keys) {
+		t.Fatalf("table of %d rows does not overflow the %d-entry memo", len(rows), len(cubicMemo.keys))
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, row := range rows {
+			if got := RenoPhantomRequirement(row.r, row.rtt); got != row.reno {
+				t.Errorf("Reno(%v, %v) = %d, want %d", row.r, row.rtt, got, row.reno)
+			}
+			for ask := 0; ask < 2; ask++ {
+				if got := CubicPhantomRequirement(row.r, row.rtt); got != row.cubic {
+					t.Errorf("pass %d ask %d: Cubic(%v, %v) = %d, want %d", pass, ask, row.r, row.rtt, got, row.cubic)
+				}
+			}
+		}
+	}
+}
