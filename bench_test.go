@@ -602,8 +602,9 @@ func BenchmarkExtECN(b *testing.B) { benchFig(b, experiments.ExtECN) }
 // pseudo-randomly rotating leaf, so every admission walks the full
 // three-level path (two ceiling probes/commits plus the borrow layer) with
 // a cold-ish leaf. One benchmark iteration is one packet; steady state
-// must report 0 allocs/op at every size — the flat struct-of-arrays layout
-// is what keeps the million-leaf walk pointer-free.
+// must report 0 allocs/op at every size. CI runs it once as a smoke pass;
+// the numbers to compare across commits are bench/'s tree_deep workload and
+// its ptree.* rows.
 func BenchmarkPolicyTreeSubmitBatch(b *testing.B) {
 	shapes := []struct {
 		name             string

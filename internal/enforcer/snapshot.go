@@ -64,6 +64,14 @@ type Enc struct {
 	buf []byte
 }
 
+// Grow makes room for exactly n more bytes, for callers that know the
+// blob's size.
+func (e *Enc) Grow(n int) {
+	if n > cap(e.buf)-len(e.buf) {
+		e.buf = append(make([]byte, 0, len(e.buf)+n), e.buf...)
+	}
+}
+
 // U8 appends one byte.
 func (e *Enc) U8(v uint8) { e.buf = append(e.buf, v) }
 

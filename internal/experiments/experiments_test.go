@@ -202,26 +202,46 @@ func TestFig3Shape(t *testing.T) {
 	}
 }
 
-// TestFig5Shape asserts the efficiency ordering the paper reports.
+// TestFig5Shape asserts the efficiency ordering the paper reports. The
+// ratios are of wall-clock costs on whatever else the host is running, so
+// each scheme is taken as the best of five measurements, interleaved so that
+// a slow stretch of the host falls on all three alike, and sized to take
+// about as long as each other (≈ 15 ms): on a busy host a measurement short
+// enough to fit between two preemptions wins its best-of while longer ones
+// cannot. Other processes' cache traffic slows BC-PQP and the shaper (tens of
+// kilobytes of state) but not the policer (one bucket), for seconds at a
+// time, so while the ordering has not shown the rounds go on, up to twenty
+// more: a minimum only ever approaches the true cost from above.
 func TestFig5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
 	}
-	const n = 200_000
-	policer := MeasureEfficiency(harness.SchemePolicer, n)
-	bcpqp := MeasureEfficiency(harness.SchemeBCPQP, n)
-	shaper := MeasureEfficiency(harness.SchemeShaper, n)
-	if bcpqp.NsPerPacket < policer.NsPerPacket {
-		t.Logf("bc-pqp (%.0f ns) cheaper than policer (%.0f ns)?",
-			bcpqp.NsPerPacket, policer.NsPerPacket)
+	runs := [...]struct {
+		scheme  harness.Scheme
+		packets int
+	}{{harness.SchemePolicer, 1_000_000}, {harness.SchemeBCPQP, 200_000}, {harness.SchemeShaper, 30_000}}
+	var best [len(runs)]float64
+	for round := 0; round < 25; round++ {
+		for k, r := range runs {
+			if ns := MeasureEfficiency(r.scheme, r.packets).NsPerPacket; round == 0 || ns < best[k] {
+				best[k] = ns
+			}
+		}
+		if round >= 4 && best[1] <= 6*best[0] && best[2] >= 3*best[1] {
+			break
+		}
 	}
-	if bcpqp.NsPerPacket > 6*policer.NsPerPacket {
+	policer, bcpqp, shaper := best[0], best[1], best[2]
+	if bcpqp < policer {
+		t.Logf("bc-pqp (%.0f ns) cheaper than policer (%.0f ns)?", bcpqp, policer)
+	}
+	if bcpqp > 6*policer {
 		t.Errorf("bc-pqp %.0f ns vs policer %.0f ns: ratio %.1f, want ≲6 (paper: 1.5-2)",
-			bcpqp.NsPerPacket, policer.NsPerPacket, bcpqp.NsPerPacket/policer.NsPerPacket)
+			bcpqp, policer, bcpqp/policer)
 	}
-	if shaper.NsPerPacket < 3*bcpqp.NsPerPacket {
+	if shaper < 3*bcpqp {
 		t.Errorf("shaper %.0f ns vs bc-pqp %.0f ns: ratio %.1f, want ≳3 (paper: 5-7)",
-			shaper.NsPerPacket, bcpqp.NsPerPacket, shaper.NsPerPacket/bcpqp.NsPerPacket)
+			shaper, bcpqp, shaper/bcpqp)
 	}
 }
 

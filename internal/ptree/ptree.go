@@ -6,16 +6,42 @@
 //
 // # Layout
 //
-// The tree lives in flat arrays with index-linked nodes: parent,
-// first-child and next-sibling are int32 indices, node state (stages,
-// token levels, refill clocks, per-node counters) is struct-of-arrays, and
-// a NodeID is an array offset. There are no per-node heap objects and no
-// pointers between nodes, so a million-leaf tree is a handful of
-// contiguous slices (~100 B/node), the datapath never chases pointers, and
-// steady-state SubmitBatchAt performs zero allocations. Specs are given in
-// topological order (every parent precedes its children), which makes
-// cycles unrepresentable at build time; the snapshot decoder re-validates
-// topology independently because its input is untrusted.
+// Everything the datapath touches at a node is one 64-byte, pointer-free
+// record — parent and next-sibling indices, the index of the node's ceiling
+// (-1 for none), two flag bits, and the assured layer's refill rate,
+// capacity, token level, refill clock and accepted counters — in one []node
+// indexed by NodeID. A burst at a random leaf of a million-leaf tree
+// therefore misses the cache once per level, not once per field, and the
+// array holds nothing for the garbage collector to scan. What the record
+// leaves out is either derived or cold:
+//
+//   - The token floor (0 for a leaf's guarantee bucket, -burst for an
+//     interior ledger) and the configured assured rate (0 or the effective
+//     rate) are the interior and own-assured flag bits, recomputed where
+//     read.
+//   - Ceilings live in a short []enforcer.Stage that has a slot only for
+//     nodes that have one; names in a sorted index/name pair that has an
+//     entry only for named nodes.
+//   - Side arrays, n long, hold what the accept path never reads: the drop
+//     counters (written by the drop path, read by NodeStats and snapshots)
+//     and first-child links (control plane only: SetNodeAssured re-deriving
+//     a pool's lend rate). Leaves is exactly sized.
+//
+// That is 88 B per node of a million-leaf tree (64 + 16 + 4, and 4 per
+// leaf). SubmitBatchAt resolves the node → root path once per burst into a
+// scratch array of record pointers and ceiling interfaces, sized at build
+// time to the deepest path, and every packet of the burst works through
+// that: zero allocations, no per-packet index arithmetic. Assured buckets
+// are refilled once per burst, by the first packet that passes every
+// ceiling probe — the moment the per-packet code would have. Refilling
+// eagerly on entry would move the refill clock of a burst dropped whole at
+// a ceiling, splitting one r·(d₁+d₂) refill into r·d₁ + r·d₂, which differs
+// in the last bit and shows up in verdicts and snapshots.
+//
+// Specs are given in topological order (every parent precedes its
+// children), which makes cycles unrepresentable at build time; the snapshot
+// decoder re-validates topology independently because its input is
+// untrusted.
 //
 // # Admission
 //
@@ -60,6 +86,7 @@ package ptree
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"bcpqp/internal/enforcer"
@@ -96,44 +123,89 @@ type NodeSpec struct {
 	Burst int64
 }
 
+// node is one tree node's record: everything admission reads or writes at
+// the node, in one cache line with no pointers.
+type node struct {
+	parent  int32 // -1 = root
+	next    int32 // next sibling, -1 = last; control plane only
+	ceiling int32 // index into Tree.ceilings, -1 = no ceiling
+	flags   uint32
+
+	// Assured/borrow layer. effRate is the node's effective refill rate in
+	// bytes/sec: its own assured rate if flagOwn is set, else the sum of
+	// its children's effective rates (the lend rate of an interior pool).
+	// effRate == 0 means the node does not participate, and then burst and
+	// tokens are 0 too.
+	effRate  float64
+	burst    float64 // bucket/pool capacity, bytes
+	tokens   float64
+	lastFill time.Duration
+
+	// Admitted traffic: interior nodes see their whole subtree's (every
+	// packet on a path through them).
+	accPkts  int64
+	accBytes int64
+}
+
+const (
+	// flagInterior marks a node with children. Its bucket is a borrow-pool
+	// ledger that may run into debt down to -burst; a leaf's guarantee
+	// bucket clamps at zero.
+	flagInterior uint32 = 1 << iota
+	// flagOwn marks a node whose assured rate is configured rather than
+	// pooled from its children: the configured rate is then effRate.
+	flagOwn
+)
+
+func (n *node) interior() bool { return n.flags&flagInterior != 0 }
+func (n *node) own() bool      { return n.flags&flagOwn != 0 }
+
+// floor is the lowest token level a commit may leave behind.
+func (n *node) floor() float64 {
+	if n.interior() {
+		return -n.burst
+	}
+	return 0
+}
+
+// defaultBurst sizes a bucket whose spec gave none: DefaultBurstWindow at
+// the refill rate, and never less than one MSS.
+func defaultBurst(effRate float64) float64 {
+	return max(effRate*DefaultBurstWindow.Seconds(), units.MSS)
+}
+
+// hop is one step of a resolved node → root path: what admission needs from
+// the tree at that node, looked up once per burst.
+type hop struct {
+	n     *node
+	stage enforcer.Stage // the node's ceiling, nil = none
+	idx   int32          // the node's index, for the drop counters
+}
+
 // Tree is a policy-tree enforcer. It implements enforcer.TreeEnforcer,
 // enforcer.Enforcer (leaf-routing by packet class), enforcer.BatchSubmitter,
 // enforcer.StatsReader, enforcer.Reconfigurer (targeting the root) and
 // enforcer.Snapshotter. Not safe for concurrent use.
 type Tree struct {
-	// Topology, immutable after New. Index-linked: no pointers.
-	parent      []int32
-	firstChild  []int32 // -1 = leaf
-	nextSibling []int32 // -1 = last sibling
-	names       []string
-	stages      []enforcer.Stage
-	leaves      []enforcer.NodeID
-	maxDepth    int // nodes on the longest leaf→root path
+	nodes    []node
+	ceilings []enforcer.Stage // only the nodes that have one; see node.ceiling
 
-	// Assured/borrow layer, hot state. ownAssured is the configured rate;
-	// effRate is the node's effective refill rate in bytes/sec: its own
-	// assured rate if set, else the sum of its children's effective rates
-	// (the lend rate of an interior pool). effRate == 0 means the node
-	// does not participate.
-	ownAssured []float64 // configured, bytes/sec
-	effRate    []float64 // effective refill, bytes/sec
-	burst      []float64 // bucket/pool capacity, bytes
-	floor      []float64 // token floor: 0 for leaf buckets, -burst for pools
-	tokens     []float64
-	lastFill   []time.Duration
+	// Side arrays, n long: what the accept path never reads. Drops are
+	// attributed to the rejecting node (the first ceiling that refused, or
+	// the entry node for borrow-layer rejections).
+	drpPkts    []int64
+	drpBytes   []int64
+	firstChild []int32 // -1 = leaf; the head of the node.next chain
 
-	// Per-node accounting: interior nodes see their whole subtree's
-	// admitted traffic (every packet on a path through them), drops are
-	// attributed to the rejecting node (the first ceiling that refused,
-	// or the entry leaf for borrow-layer rejections).
-	accPkts  []int64
-	accBytes []int64
-	drpPkts  []int64
-	drpBytes []int64
+	leaves []enforcer.NodeID
+
+	// Names of the named nodes only, sorted by node index.
+	namedIdx []int32
+	names    []string
 
 	stats enforcer.Stats
 
-	path []int32 // leaf→root scratch, cap maxDepth; reused per packet
+	path []hop // node → root scratch, cap = the deepest path; reused per burst
 }
 
 // New builds a policy tree from a topologically ordered spec: spec[0] is
@@ -148,23 +220,17 @@ func New(spec []NodeSpec) (*Tree, error) {
 		return nil, fmt.Errorf("ptree: spec[0] must be the root (Parent -1, got %d)", spec[0].Parent)
 	}
 	t := &Tree{
-		parent:      make([]int32, n),
-		firstChild:  make([]int32, n),
-		nextSibling: make([]int32, n),
-		stages:      make([]enforcer.Stage, n),
-		ownAssured:  make([]float64, n),
-		effRate:     make([]float64, n),
-		burst:       make([]float64, n),
-		floor:       make([]float64, n),
-		tokens:      make([]float64, n),
-		lastFill:    make([]time.Duration, n),
-		accPkts:     make([]int64, n),
-		accBytes:    make([]int64, n),
-		drpPkts:     make([]int64, n),
-		drpBytes:    make([]int64, n),
+		nodes:      make([]node, n),
+		drpPkts:    make([]int64, n),
+		drpBytes:   make([]int64, n),
+		firstChild: make([]int32, n),
 	}
-	named := false
-	for i, s := range spec {
+	// Forward pass, parents before children: validate, write each record's
+	// configuration, mark parents interior, and measure depth.
+	depth := make([]int32, n) // build-time scratch
+	maxDepth, interiors := int32(0), 0
+	for i := range spec {
+		s := &spec[i]
 		if i > 0 && (s.Parent < 0 || s.Parent >= i) {
 			return nil, fmt.Errorf("ptree: node %d: parent %d not topologically ordered (want [0,%d))",
 				i, s.Parent, i)
@@ -178,79 +244,62 @@ func New(spec []NodeSpec) (*Tree, error) {
 		if s.Burst > 0 && s.Burst < units.MSS {
 			return nil, fmt.Errorf("ptree: node %d: burst %d below one MSS", i, s.Burst)
 		}
-		t.parent[i] = int32(s.Parent)
-		t.firstChild[i] = -1
-		t.nextSibling[i] = -1
-		t.stages[i] = s.Stage
-		t.ownAssured[i] = s.Assured.BytesPerSecond()
+		nd := node{parent: int32(s.Parent), next: -1, ceiling: -1}
+		if own := s.Assured.BytesPerSecond(); own > 0 {
+			nd.effRate, nd.flags = own, flagOwn
+		}
+		if s.Stage != nil {
+			nd.ceiling = int32(len(t.ceilings))
+			t.ceilings = append(t.ceilings, s.Stage)
+		}
 		if s.Name != "" {
-			named = true
+			t.namedIdx = append(t.namedIdx, int32(i))
+			t.names = append(t.names, s.Name)
 		}
-	}
-	t.parent[0] = -1
-	// Link children in spec order: iterating high-to-low and prepending
-	// leaves each child list sorted ascending.
-	for i := n - 1; i >= 1; i-- {
-		p := t.parent[i]
-		t.nextSibling[i] = t.firstChild[p]
-		t.firstChild[p] = int32(i)
-	}
-	if named {
-		t.names = make([]string, n)
-		for i, s := range spec {
-			t.names[i] = s.Name
+		depth[i] = 1
+		if i > 0 {
+			p := &t.nodes[s.Parent]
+			if !p.interior() {
+				p.flags |= flagInterior
+				interiors++
+			}
+			depth[i] = depth[s.Parent] + 1
 		}
+		maxDepth = max(maxDepth, depth[i])
+		t.nodes[i] = nd
+		t.firstChild[i] = -1
 	}
-	// Effective refill rates, children before parents (reverse spec
-	// order): a node's own assured rate overrides; otherwise it pools its
-	// children's effective rates.
+	// Reverse pass, children before parents. Prepending while descending
+	// leaves every child list in ascending order; a node's effective rate
+	// is final when the pass reaches it (its own, or what its children
+	// have pooled into it), so its bucket can be sized — configured, or
+	// the default at that rate — and filled, as deployed policers start.
+	t.leaves = make([]enforcer.NodeID, n-interiors)
+	leaf := len(t.leaves)
 	for i := n - 1; i >= 0; i-- {
-		if t.ownAssured[i] > 0 {
-			t.effRate[i] = t.ownAssured[i]
+		nd := &t.nodes[i]
+		if b := spec[i].Burst; b > 0 {
+			if nd.effRate == 0 {
+				return nil, fmt.Errorf("ptree: node %d: burst %d without an assured rate in its subtree", i, b)
+			}
+			nd.burst = float64(b)
+		} else if nd.effRate > 0 {
+			nd.burst = defaultBurst(nd.effRate)
 		}
-		// else effRate[i] already accumulated from children below.
-		if p := t.parent[i]; p >= 0 && t.ownAssured[p] == 0 {
-			t.effRate[p] += t.effRate[i]
+		nd.tokens = nd.burst
+		if !nd.interior() {
+			leaf--
+			t.leaves[leaf] = enforcer.NodeID(i)
 		}
-	}
-	// Bucket capacities: configured, or DefaultBurstWindow at the refill
-	// rate. Buckets start full, as deployed policers do.
-	for i := 0; i < n; i++ {
-		if spec[i].Burst > 0 && t.effRate[i] == 0 {
-			return nil, fmt.Errorf("ptree: node %d: burst %d without an assured rate in its subtree",
-				i, spec[i].Burst)
-		}
-		if t.effRate[i] == 0 {
-			continue
-		}
-		if spec[i].Burst > 0 {
-			t.burst[i] = float64(spec[i].Burst)
-		} else {
-			t.burst[i] = t.effRate[i] * DefaultBurstWindow.Seconds()
-			if t.burst[i] < units.MSS {
-				t.burst[i] = units.MSS
+		if nd.parent >= 0 {
+			nd.next = t.firstChild[nd.parent]
+			t.firstChild[nd.parent] = int32(i)
+			if p := &t.nodes[nd.parent]; !p.own() {
+				p.effRate += nd.effRate
 			}
 		}
-		t.tokens[i] = t.burst[i]
-		if t.firstChild[i] != -1 {
-			t.floor[i] = -t.burst[i]
-		}
 	}
-	// Leaves, and the deepest leaf→root path for the scratch buffer.
-	for i := 0; i < n; i++ {
-		if t.firstChild[i] != -1 {
-			continue
-		}
-		t.leaves = append(t.leaves, enforcer.NodeID(i))
-		depth := 0
-		for v := int32(i); v >= 0; v = t.parent[v] {
-			depth++
-		}
-		if depth > t.maxDepth {
-			t.maxDepth = depth
-		}
-	}
-	t.path = make([]int32, 0, t.maxDepth)
+	t.path = make([]hop, 0, maxDepth)
 	return t, nil
 }
 
@@ -263,29 +312,40 @@ func MustNew(spec []NodeSpec) *Tree {
 	return t
 }
 
+// inRange reports whether node addresses a node of the tree.
+func (t *Tree) inRange(node enforcer.NodeID) bool {
+	return int(node) >= 0 && int(node) < len(t.nodes)
+}
+
+// errBadNode is the error every node-addressed call returns for an address
+// outside the tree.
+func (t *Tree) errBadNode(node enforcer.NodeID) error {
+	return fmt.Errorf("ptree: node %d out of range [0,%d): %w", node, len(t.nodes), enforcer.ErrBadNode)
+}
+
 // NumNodes implements enforcer.TreeEnforcer.
-func (t *Tree) NumNodes() int { return len(t.parent) }
+func (t *Tree) NumNodes() int { return len(t.nodes) }
 
 // Parent implements enforcer.TreeEnforcer.
 func (t *Tree) Parent(node enforcer.NodeID) enforcer.NodeID {
-	if int(node) < 0 || int(node) >= len(t.parent) {
+	if !t.inRange(node) {
 		return enforcer.NoNode
 	}
-	return enforcer.NodeID(t.parent[node])
+	return enforcer.NodeID(t.nodes[node].parent)
 }
 
 // IsLeaf implements enforcer.TreeEnforcer.
 func (t *Tree) IsLeaf(node enforcer.NodeID) bool {
-	return int(node) >= 0 && int(node) < len(t.parent) && t.firstChild[node] == -1
+	return t.inRange(node) && !t.nodes[node].interior()
 }
 
 // NodeLabel implements enforcer.TreeEnforcer.
 func (t *Tree) NodeLabel(node enforcer.NodeID) string {
-	if int(node) < 0 || int(node) >= len(t.parent) {
+	if !t.inRange(node) {
 		return ""
 	}
-	if t.names != nil && t.names[node] != "" {
-		return t.names[node]
+	if k, ok := slices.BinarySearch(t.namedIdx, int32(node)); ok {
+		return t.names[k]
 	}
 	return fmt.Sprintf("node%d", node)
 }
@@ -294,27 +354,39 @@ func (t *Tree) NodeLabel(node enforcer.NodeID) string {
 // tree's own: callers must not mutate it.
 func (t *Tree) Leaves() []enforcer.NodeID { return t.leaves }
 
+// ceiling returns a node's ceiling stage, nil for none.
+func (t *Tree) ceiling(n *node) enforcer.Stage {
+	if n.ceiling < 0 {
+		return nil
+	}
+	return t.ceilings[n.ceiling]
+}
+
 // AssuredRate returns a node's configured assured rate (zero when the
 // borrowing layer is disabled there) and its effective refill rate — for
 // interior pools, the lend rate pooled from its children.
 func (t *Tree) AssuredRate(node enforcer.NodeID) (configured, effective units.Rate) {
-	if int(node) < 0 || int(node) >= len(t.parent) {
+	if !t.inRange(node) {
 		return 0, 0
 	}
-	return units.Rate(t.ownAssured[node] * 8), units.Rate(t.effRate[node] * 8)
+	n := &t.nodes[node]
+	effective = units.Rate(n.effRate * 8)
+	if n.own() {
+		configured = effective
+	}
+	return configured, effective
 }
 
 // NodeStats implements enforcer.TreeEnforcer. Interior nodes account their
 // whole subtree's admitted traffic; drops are attributed to the rejecting
 // node.
 func (t *Tree) NodeStats(node enforcer.NodeID) (enforcer.Stats, error) {
-	if int(node) < 0 || int(node) >= len(t.parent) {
-		return enforcer.Stats{}, fmt.Errorf("ptree: node %d out of range [0,%d): %w",
-			node, len(t.parent), enforcer.ErrBadNode)
+	if !t.inRange(node) {
+		return enforcer.Stats{}, t.errBadNode(node)
 	}
 	return enforcer.Stats{
-		AcceptedPackets: t.accPkts[node],
-		AcceptedBytes:   t.accBytes[node],
+		AcceptedPackets: t.nodes[node].accPkts,
+		AcceptedBytes:   t.nodes[node].accBytes,
 		DroppedPackets:  t.drpPkts[node],
 		DroppedBytes:    t.drpBytes[node],
 	}, nil
@@ -324,12 +396,14 @@ func (t *Tree) NodeStats(node enforcer.NodeID) (enforcer.Stats, error) {
 // (root-subtree) verdict accounting.
 func (t *Tree) EnforcerStats() enforcer.Stats { return t.stats }
 
-// fillPath writes the node → root index path into the tree's scratch
-// buffer (preallocated to the deepest path: no allocation) and returns it.
-func (t *Tree) fillPath(node enforcer.NodeID) []int32 {
+// fillPath resolves the node → root path into the tree's scratch buffer
+// (preallocated to the deepest path: no allocation) and returns it.
+func (t *Tree) fillPath(node enforcer.NodeID) []hop {
 	p := t.path[:0]
-	for v := int32(node); v >= 0; v = t.parent[v] {
-		p = append(p, v)
+	for v := int32(node); v >= 0; {
+		n := &t.nodes[v]
+		p = append(p, hop{n: n, stage: t.ceiling(n), idx: v})
+		v = n.parent
 	}
 	return p
 }

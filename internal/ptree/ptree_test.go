@@ -377,8 +377,8 @@ func TestBorrowConservation(t *testing.T) {
 		_, eff := tr.AssuredRate(0)
 		rootStats, _ := tr.NodeStats(0)
 		var capital float64
-		for _, b := range tr.burst {
-			capital += b
+		for i := range tr.nodes {
+			capital += tr.nodes[i].burst
 		}
 		bound := eff.Bytes(horizon) + capital + units.MSS
 		if f := float64(rootStats.AcceptedBytes); f > bound {

@@ -1,7 +1,6 @@
 package ptree
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -27,30 +26,27 @@ func millionLeafSpec(leavesPerPool, pools int) []NodeSpec {
 }
 
 // TestMillionLeafScale is the scaling acceptance test: a million-leaf,
-// depth-3 policy tree builds in bounded memory (flat arrays, ~100 B/node),
-// steady-state batch submission performs zero allocations, and both
+// depth-3 policy tree builds in bounded memory (a 64-byte record plus 24 B of
+// side arrays per node), steady-state batch submission performs zero
+// allocations, and both
 // Theorem 1 per interior ceiling and the assured-layer conservation bound
 // hold at scale exactly as they do on a 7-node tree.
 func TestMillionLeafScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-node build in -short mode")
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	tr := MustNew(millionLeafSpec(1000, 1000))
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	tr, heap := heapAfter(func() *Tree { return MustNew(millionLeafSpec(1000, 1000)) })
 	n := tr.NumNodes()
 	if n != 1_001_001 {
 		t.Fatalf("NumNodes = %d, want 1001001", n)
 	}
-	perNode := float64(after.HeapAlloc-before.HeapAlloc) / float64(n)
-	// Flat struct-of-arrays layout: ~100 B of tree state per node plus the
-	// interior ceilings. 400 B/node of headroom guards against a
-	// regression to per-node heap objects without flaking on GC noise.
-	if perNode > 400 {
-		t.Errorf("tree costs %.0f B/node, want flat-array footprint (≤ 400)", perNode)
+	perNode := float64(heap) / float64(n)
+	// 64 B of record, 16 of drop counters, 4 of first-child link and 4 of
+	// leaf list: 88 B, plus the thousand interior ceilings. The bound
+	// leaves room for one more side array of int64, not for a return to a
+	// slot per node for names (16 B) or ceilings (16 B) on top of it.
+	if perNode > 96 {
+		t.Errorf("tree costs %.1f B/node, want ≤ 96", perNode)
 	}
 
 	// Steady state: warm up the paths, then batches must not allocate.
@@ -104,10 +100,10 @@ func TestMillionLeafScale(t *testing.T) {
 		// plus banked capital even when its leaves overdrive 30x.
 		if node != 0 {
 			var capital float64
-			for c := tr.firstChild[node]; c >= 0; c = tr.nextSibling[c] {
-				capital += tr.burst[c]
+			for c := tr.firstChild[node]; c >= 0; c = tr.nodes[c].next {
+				capital += tr.nodes[c].burst
 			}
-			capital += tr.burst[node]
+			capital += tr.nodes[node].burst
 			if f := float64(st.AcceptedBytes); f > eff.Bytes(elapsed)+capital+units.MSS {
 				t.Errorf("pool %d: accepted %d bytes > assured bound %.0f",
 					node, st.AcceptedBytes, eff.Bytes(elapsed)+capital)

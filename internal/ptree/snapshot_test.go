@@ -135,12 +135,12 @@ func TestSnapshotPoolDebt(t *testing.T) {
 	// one MSS — and send one packet. The commit charges the pool the full
 	// packet size, driving its ledger negative (x's guarantee clamps at
 	// zero).
-	warm.tokens[0], warm.tokens[1] = 0, 0
+	warm.nodes[0].tokens, warm.nodes[1].tokens = 0, 0
 	if v := warm.SubmitAt(900*time.Microsecond, 1, pkt(1, units.MSS)); v != enforcer.Transmit {
 		t.Fatalf("engineered borrow packet dropped")
 	}
-	if warm.tokens[0] >= 0 {
-		t.Fatalf("expected root pool in debt, tokens = %g", warm.tokens[0])
+	if warm.nodes[0].tokens >= 0 {
+		t.Fatalf("expected root pool in debt, tokens = %g", warm.nodes[0].tokens)
 	}
 	blob, err := warm.SnapshotState()
 	if err != nil {
@@ -150,8 +150,8 @@ func TestSnapshotPoolDebt(t *testing.T) {
 	if err := cold.RestoreState(blob); err != nil {
 		t.Fatalf("RestoreState rejected legitimate pool debt: %v", err)
 	}
-	if cold.tokens[0] != warm.tokens[0] {
-		t.Errorf("debt not restored: %g, want %g", cold.tokens[0], warm.tokens[0])
+	if cold.nodes[0].tokens != warm.nodes[0].tokens {
+		t.Errorf("debt not restored: %g, want %g", cold.nodes[0].tokens, warm.nodes[0].tokens)
 	}
 
 	// An interior node with its own assured rate is still a ledger, so
@@ -168,7 +168,7 @@ func TestSnapshotPoolDebt(t *testing.T) {
 	// Debt is only legal on interior pools, and only down to -burst: a
 	// leaf guarantee bucket in debt and a below-floor ledger are both
 	// rejected before any state is touched.
-	warm.tokens[1] = -100
+	warm.nodes[1].tokens = -100
 	leafDebt, err := warm.SnapshotState()
 	if err != nil {
 		t.Fatal(err)
@@ -176,8 +176,8 @@ func TestSnapshotPoolDebt(t *testing.T) {
 	if err := mk().RestoreState(leafDebt); err == nil {
 		t.Error("negative tokens accepted on a leaf guarantee bucket")
 	}
-	warm.tokens[1] = 0
-	warm.tokens[0] = warm.floor[0] - 1
+	warm.nodes[1].tokens = 0
+	warm.nodes[0].tokens = warm.nodes[0].floor() - 1
 	deepDebt, err := warm.SnapshotState()
 	if err != nil {
 		t.Fatal(err)

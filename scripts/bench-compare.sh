@@ -12,8 +12,10 @@
 # falling back to HEAD~1 when that is HEAD itself (e.g. running on main).
 #
 # Environment:
-#   BENCH   benchmark regexp      (default: the middlebox + policy-tree SubmitBatch pair
-#                                  plus the cluster rebalance tick)
+#   BENCH   benchmark regexp      (default: the middlebox SubmitBatch family, the
+#                                  cluster rebalance tick and the two datapaths;
+#                                  policy trees are gated by bench/'s tree_deep
+#                                  workload and its ptree.* rows instead)
 #   COUNT   repetitions per side  (default 6)
 #   BUDGET  allowed mean pkts/sec regression in percent (default 10)
 #   OUTDIR  where base.txt / head.txt are written (default: a temp dir)
@@ -21,7 +23,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-BENCH="${BENCH:-^(BenchmarkMiddleboxSubmitBatch|BenchmarkMiddleboxSubmitBatchOverloaded|BenchmarkMiddleboxSubmitBatchLocal|BenchmarkMiddleboxSubmitBatchObserved|BenchmarkMiddleboxSubmitBatchAudited|BenchmarkPolicyTreeSubmitBatch|BenchmarkClusterRebalance|BenchmarkDatapathSingleSocket|BenchmarkDatapathPerCore)\$}"
+BENCH="${BENCH:-^(BenchmarkMiddleboxSubmitBatch|BenchmarkMiddleboxSubmitBatchOverloaded|BenchmarkMiddleboxSubmitBatchLocal|BenchmarkMiddleboxSubmitBatchObserved|BenchmarkMiddleboxSubmitBatchAudited|BenchmarkClusterRebalance|BenchmarkDatapathSingleSocket|BenchmarkDatapathPerCore)\$}"
 COUNT="${COUNT:-6}"
 BUDGET="${BUDGET:-10}"
 

@@ -10,11 +10,12 @@ import (
 // object covering a whole rooted tree of rate limits — tenant → plan →
 // subscriber — with per-node ceilings (phantom queues or token buckets)
 // enforced top to bottom and an HTB-style assured-rate layer that lets an
-// active subscriber borrow an idle sibling's unused share. The tree lives
-// in flat index-linked arrays (no per-node heap objects), so a
-// million-leaf tree is a handful of contiguous slices and steady-state
-// batch submission performs zero allocations. See internal/ptree for the
-// admission semantics.
+// active subscriber borrow an idle sibling's unused share. A node is one
+// 64-byte pointer-free record plus 24 B of side arrays (88 B per node
+// measured, no per-node heap objects), so a million-leaf tree is 88 MB in a
+// handful of contiguous slices and steady-state batch submission performs
+// zero allocations. See internal/ptree for the layout and the admission
+// semantics.
 type PolicyTree = ptree.Tree
 
 // PolicyTreeNode describes one node of a PolicyTree spec: its parent index
