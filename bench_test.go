@@ -347,8 +347,9 @@ func BenchmarkMiddleboxSubmitBatchObserved(b *testing.B) {
 // BenchmarkMiddleboxSubmitBatchAudited is the Observed benchmark with a
 // conformance auditor additionally armed on every aggregate: each enforced
 // burst is checked against the declared r·Δt + B envelope inline on the
-// shard goroutine. The acceptance budget for the audit path is 0 allocs/op
-// and ≤10% pkts/sec regression against the Observed benchmark.
+// shard goroutine. CI gates it on 0 allocs/op; what auditing costs in time
+// and bytes is measured by bench/ (engine_ring, obs.audit_ns_per_pkt), at
+// 4,096 aggregates rather than this benchmark's cache-resident 16 or 256.
 func BenchmarkMiddleboxSubmitBatchAudited(b *testing.B) {
 	for _, aggs := range []int{16, 256} {
 		aggs := aggs

@@ -2,6 +2,8 @@ package mbox
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"bcpqp/internal/enforcer"
@@ -19,29 +21,41 @@ import (
 // arithmetic, not by asking the suspect for its own opinion.
 //
 // The audit state hangs off the aggregate as an atomic.Pointer to an
-// immutable aggAudit: arming swaps a new pointer in-band (copy-on-write,
-// serialized with the aggregate's bursts), rate changes rebase the armed
-// envelopes inside the same in-band closure that reconfigures the
-// enforcer, and the datapath reads one pointer-load per run — nil means
-// unarmed and costs a single predictable branch.
+// aggAudit: one allocation holding the whole-aggregate envelope, its export
+// counters and both digest headers, which is all a flat or whole-only armed
+// aggregate ever has. Arming the whole envelope swaps a new record in-band
+// (serialized with the aggregate's bursts); arming a node swaps the armed
+// node set inside the record; rate changes rebase the armed envelopes
+// inside the same in-band closure that reconfigures the enforcer. The
+// datapath reads one pointer per run — nil means unarmed and costs a single
+// predictable branch.
 type aggAudit struct {
 	// whole audits the aggregate-level envelope: every accepted byte,
-	// whatever node it entered at.
-	whole *obs.Audit
-	// nodes holds per-node audits (index = NodeID; a flat aggregate has
-	// exactly one slot for node 0). nil slots are unarmed.
-	nodes []*obs.Audit
-	// chains[int(node)+1] lists the audits an accepted run entering at
-	// node must credit: the armed node audits on the ingress→root path,
-	// then whole. Index 0 is the NoNode (whole-aggregate submission)
-	// chain: root + whole — every admitted packet passes the root
-	// whichever leaf it was classed to. Precomputed at arm time so the
-	// hot path is a slice walk with no topology queries.
-	chains [][]*obs.Audit
+	// whatever node it entered at. Armed only when wholeOn (a record made
+	// to hold node audits alone leaves it zero).
+	whole   obs.Audit
+	wholeOn bool
 	// vioTick coalesces KindViolation trace events at the burst-sampling
 	// cadence under a sustained breach (the first always records). Only
 	// touched on the owning shard goroutine.
-	vioTick int
+	vioTick int32
+	// nodes is the armed per-node set, nil when only whole is armed.
+	nodes atomic.Pointer[nodeAudits]
+}
+
+// nodeAudits is an immutable set of armed per-node audits: storage is per
+// armed node, never per tree node, so arming one envelope on a
+// million-node tree costs what it costs on a flat aggregate.
+type nodeAudits struct {
+	ids []enforcer.NodeID // armed nodes, ascending
+	// chains[i] lists what a run entering at ids[i] credits below the
+	// whole-aggregate envelope: ids[i]'s own audit, then its armed
+	// ancestors' in rootward order. A run entering anywhere else credits
+	// the chain of its nearest armed ancestor.
+	chains [][]*obs.Audit
+	// root is the tree's root: every admitted packet passes it, so it is
+	// where a whole-aggregate (NoNode) submission enters the chains.
+	root enforcer.NodeID
 }
 
 // nodeAuditCount returns the size of the aggregate's node-audit space: the
@@ -54,55 +68,73 @@ func nodeAuditCount(agg *aggregate) int {
 	return 1
 }
 
-// rebuild recomputes the per-ingress audit chains from the armed set and
-// the (immutable) tree topology. Runs at arm time on the shard goroutine.
-func (au *aggAudit) rebuild(agg *aggregate) {
-	n := nodeAuditCount(agg)
-	au.chains = make([][]*obs.Audit, n+1)
-	for node := 0; node < n; node++ {
-		var c []*obs.Audit
-		if agg.tree != nil {
-			for cur := enforcer.NodeID(node); cur != enforcer.NoNode; cur = agg.tree.Parent(cur) {
-				if a := au.nodes[cur]; a != nil {
-					c = append(c, a)
-				}
-			}
-		} else if a := au.nodes[node]; a != nil {
-			c = append(c, a)
-		}
-		if au.whole != nil {
-			c = append(c, au.whole)
-		}
-		au.chains[node+1] = c
+// audit returns node's own audit, nil when it is not armed.
+func (na *nodeAudits) audit(node enforcer.NodeID) *obs.Audit {
+	if na == nil {
+		return nil
 	}
-	var c0 []*obs.Audit
-	if agg.tree != nil {
-		for i := 0; i < n; i++ {
-			if agg.tree.Parent(enforcer.NodeID(i)) == enforcer.NoNode {
-				if a := au.nodes[i]; a != nil {
-					c0 = append(c0, a)
-				}
-				break
-			}
-		}
-	} else if a := au.nodes[0]; a != nil {
-		c0 = append(c0, a)
+	if i, ok := slices.BinarySearch(na.ids, node); ok {
+		return na.chains[i][0]
 	}
-	if au.whole != nil {
-		c0 = append(c0, au.whole)
-	}
-	au.chains[0] = c0
+	return nil
 }
 
-// cloneAudit copies the armed set (not the audits themselves — envelopes
-// survive re-arming of their siblings) for a copy-on-write swap.
-func cloneAudit(agg *aggregate) *aggAudit {
-	na := &aggAudit{nodes: make([]*obs.Audit, nodeAuditCount(agg))}
-	if old := agg.audit.Load(); old != nil {
-		na.whole = old.whole
-		copy(na.nodes, old.nodes)
+// with returns a copy of the set (nil is the empty set) with a armed at
+// node, replacing node's previous audit if it had one; the other envelopes
+// carry over untouched. Chains are rebuilt by walking each armed node to
+// the root: O(armed × depth), whatever the size of the tree. Runs at arm
+// time on the shard goroutine.
+func (na *nodeAudits) with(tree enforcer.TreeEnforcer, node enforcer.NodeID, a *obs.Audit) *nodeAudits {
+	out := &nodeAudits{root: node}
+	if tree != nil {
+		for up := tree.Parent(node); up != enforcer.NoNode; up = tree.Parent(up) {
+			out.root = up
+		}
 	}
-	return na
+	var own []*obs.Audit
+	if na != nil {
+		out.ids, own = slices.Clone(na.ids), make([]*obs.Audit, len(na.ids), len(na.ids)+1)
+		for i, c := range na.chains {
+			own[i] = c[0]
+		}
+	}
+	if i, ok := slices.BinarySearch(out.ids, node); ok {
+		own[i] = a
+	} else {
+		out.ids, own = slices.Insert(out.ids, i, node), slices.Insert(own, i, a)
+	}
+	out.chains = make([][]*obs.Audit, len(out.ids))
+	for i, id := range out.ids {
+		chain := own[i : i+1 : i+1]
+		if tree != nil {
+			for up := tree.Parent(id); up != enforcer.NoNode; up = tree.Parent(up) {
+				if j, ok := slices.BinarySearch(out.ids, up); ok {
+					chain = append(chain, own[j])
+				}
+			}
+		}
+		out.chains[i] = chain
+	}
+	return out
+}
+
+// chain returns the node audits a run entering at node credits, nearest
+// first. A flat aggregate has only node 0, the enforcer itself, and every
+// run passes it; in a tree, a NoNode or out-of-range ingress enters at the
+// root.
+func (na *nodeAudits) chain(tree enforcer.TreeEnforcer, node enforcer.NodeID) []*obs.Audit {
+	if tree == nil {
+		return na.chains[0]
+	}
+	if int(node) < 0 || int(node) >= tree.NumNodes() {
+		node = na.root
+	}
+	for ; node != enforcer.NoNode; node = tree.Parent(node) {
+		if i, ok := slices.BinarySearch(na.ids, node); ok {
+			return na.chains[i]
+		}
+	}
+	return nil
 }
 
 // ArmAudit arms (or re-arms) the whole-aggregate conformance auditor with
@@ -120,10 +152,12 @@ func (e *Engine) ArmAudit(id string, rate units.Rate, burstBytes int64) error {
 		return err
 	}
 	return e.controlAgg(agg, func(enforcer.Enforcer) {
-		na := cloneAudit(agg)
-		na.whole = obs.NewAudit(e.cfg.Clock(), int64(rate), burstBytes, 0)
-		na.rebuild(agg)
-		agg.audit.Store(na)
+		au := &aggAudit{wholeOn: true}
+		au.whole.Init(e.cfg.Clock(), int64(rate), burstBytes, 0)
+		if old := agg.audit.Load(); old != nil {
+			au.nodes.Store(old.nodes.Load())
+		}
+		agg.audit.Store(au)
 	})
 }
 
@@ -145,10 +179,14 @@ func (e *Engine) ArmNodeAudit(id string, node enforcer.NodeID, rate units.Rate, 
 		return fmt.Errorf("mbox: aggregate %q node %d: %w", id, node, ErrBadNode)
 	}
 	return e.controlAgg(agg, func(enforcer.Enforcer) {
-		na := cloneAudit(agg)
-		na.nodes[node] = obs.NewAudit(e.cfg.Clock(), int64(rate), burstBytes, 0)
-		na.rebuild(agg)
-		agg.audit.Store(na)
+		au := agg.audit.Load()
+		if au == nil {
+			au = new(aggAudit)
+		}
+		a := obs.NewAudit(e.cfg.Clock(), int64(rate), burstBytes, 0)
+		au.nodes.Store(au.nodes.Load().with(agg.tree, node, a))
+		au.vioTick = 0
+		agg.audit.Store(au)
 	})
 }
 
@@ -164,22 +202,25 @@ func (e *Engine) DisarmAudit(id string) error {
 }
 
 // auditRun checks one enforced run against every armed envelope on its
-// ingress chain. Runs on the shard goroutine right after the verdict
-// tally; the cost is a pointer load, a short slice walk and integer
-// arithmetic — no allocation, no locks. A breach records a KindViolation
-// trace event (coalesced at the sampling cadence) attributed to the run's
-// ingress node.
+// ingress path: the armed nodes from the ingress rootward, then the whole
+// aggregate. Runs on the shard goroutine right after the verdict tally;
+// whole-only is integer arithmetic on the record already in hand, armed
+// nodes add a walk to the nearest armed ancestor — no allocation, no locks.
+// A breach records a KindViolation trace event (coalesced at the sampling
+// cadence) attributed to the run's ingress node.
 func (e *Engine) auditRun(s *shard, now time.Duration, agg *aggregate, au *aggAudit, node enforcer.NodeID, accBytes int64) {
-	idx := int(node) + 1
-	if idx < 0 || idx >= len(au.chains) {
-		idx = 0
-	}
 	var worst int64
 	var worstAudit *obs.Audit
-	for _, a := range au.chains[idx] {
-		if d := a.Observe(now, accBytes); d > worst {
-			worst = d
-			worstAudit = a
+	if na := au.nodes.Load(); na != nil {
+		for _, a := range na.chain(agg.tree, node) {
+			if d := a.Observe(now, accBytes); d > worst {
+				worst, worstAudit = d, a
+			}
+		}
+	}
+	if au.wholeOn {
+		if d := au.whole.Observe(now, accBytes); d > worst {
+			worst, worstAudit = d, &au.whole
 		}
 	}
 	if worst == 0 {
@@ -189,10 +230,7 @@ func (e *Engine) auditRun(s *shard, now time.Duration, agg *aggregate, au *aggAu
 	if au.vioTick > 0 {
 		return
 	}
-	au.vioTick = e.obsSample
-	if au.vioTick < 1 {
-		au.vioTick = 1
-	}
+	au.vioTick = int32(max(e.obsSample, 1))
 	c := worstAudit.Snapshot()
 	e.record(s, obs.Event{
 		Kind: obs.KindViolation,
@@ -230,8 +268,27 @@ type AuditEntry struct {
 // entries first per aggregate, then armed nodes in id order. Control-plane
 // only (it allocates); the datapath is never stopped.
 func (e *Engine) AuditReport() []AuditEntry {
-	t := e.table.Load()
 	var out []AuditEntry
+	e.eachAudit(e.table.Load(), func(agg *aggregate, node enforcer.NodeID, a *obs.Audit) {
+		ent := AuditEntry{
+			Aggregate: agg.id,
+			Node:      node,
+			Counters:  a.Snapshot(),
+			Slack:     a.SlackDigest(),
+			RateErr:   a.RateErrDigest(),
+		}
+		if agg.tree != nil && node != enforcer.NoNode {
+			ent.NodeLabel = agg.tree.NodeLabel(node)
+		}
+		out = append(out, ent)
+	})
+	return out
+}
+
+// eachAudit visits every armed auditor in t: per aggregate the
+// whole-aggregate envelope first (node = NoNode), then armed nodes in id
+// order.
+func (e *Engine) eachAudit(t *registry, fn func(agg *aggregate, node enforcer.NodeID, a *obs.Audit)) {
 	for i := range t.slots {
 		agg := t.slots[i].Load()
 		if agg == nil {
@@ -241,58 +298,24 @@ func (e *Engine) AuditReport() []AuditEntry {
 		if au == nil {
 			continue
 		}
-		if au.whole != nil {
-			out = append(out, AuditEntry{
-				Aggregate: agg.id,
-				Node:      enforcer.NoNode,
-				Counters:  au.whole.Snapshot(),
-				Slack:     au.whole.SlackDigest(),
-				RateErr:   au.whole.RateErrDigest(),
-			})
+		if au.wholeOn {
+			fn(agg, enforcer.NoNode, &au.whole)
 		}
-		for n, a := range au.nodes {
-			if a == nil {
-				continue
+		if na := au.nodes.Load(); na != nil {
+			for j, id := range na.ids {
+				fn(agg, id, na.chains[j][0])
 			}
-			ent := AuditEntry{
-				Aggregate: agg.id,
-				Node:      enforcer.NodeID(n),
-				Counters:  a.Snapshot(),
-				Slack:     a.SlackDigest(),
-				RateErr:   a.RateErrDigest(),
-			}
-			if agg.tree != nil {
-				ent.NodeLabel = agg.tree.NodeLabel(enforcer.NodeID(n))
-			}
-			out = append(out, ent)
 		}
 	}
-	return out
 }
 
 // AuditViolations sums violations across every armed auditor — the
 // headline "is the system conformant" number (0 on a healthy system).
 func (e *Engine) AuditViolations() int64 {
 	var n int64
-	t := e.table.Load()
-	for i := range t.slots {
-		agg := t.slots[i].Load()
-		if agg == nil {
-			continue
-		}
-		au := agg.audit.Load()
-		if au == nil {
-			continue
-		}
-		if au.whole != nil {
-			n += au.whole.Snapshot().Violations
-		}
-		for _, a := range au.nodes {
-			if a != nil {
-				n += a.Snapshot().Violations
-			}
-		}
-	}
+	e.eachAudit(e.table.Load(), func(_ *aggregate, _ enforcer.NodeID, a *obs.Audit) {
+		n += a.Snapshot().Violations
+	})
 	return n
 }
 

@@ -421,8 +421,8 @@ type aggregate struct {
 	obs *obs.AggObs
 
 	// audit is the conformance-audit state (see audit.go); nil when
-	// unarmed. Arming swaps an immutable aggAudit in-band; the datapath
-	// pays one pointer load per enforced run.
+	// unarmed. Arming swaps it in-band; the datapath pays one pointer
+	// load per enforced run.
 	audit atomic.Pointer[aggAudit]
 }
 
@@ -1430,7 +1430,7 @@ func (e *Engine) SetRate(id string, rate units.Rate) error {
 		if uerr = r.SetRate(now, rate); uerr != nil {
 			return
 		}
-		if au := agg.audit.Load(); au != nil && au.whole != nil {
+		if au := agg.audit.Load(); au != nil && au.wholeOn {
 			au.whole.Rebase(now, int64(rate))
 		}
 	}); cerr != nil {

@@ -184,19 +184,19 @@ func (e *Engine) Metrics() obs.Snapshot {
 	if c := e.cfg.Observer; c != nil {
 		counter("bcpqp_trace_events_total", "flight-recorder events recorded (including overwritten)", float64(c.EventsRecorded()))
 		counter("bcpqp_bursts_enforced_total", "enforced bursts observed across all shards", float64(c.Bursts()))
+		// Both latency families are the one per-shard digest: the first
+		// name predates it and dashboards still ask for it.
 		h := c.BurstHist()
 		fams = append(fams, obs.Family{
 			Name:    "bcpqp_burst_enforce_seconds",
 			Help:    "per-burst enforcement latency on the shard goroutines",
 			Type:    "histogram",
 			Samples: []obs.Sample{{Hist: &h}},
-		})
-		ld := c.BurstLatencyDigest().Hist(1e-9)
-		fams = append(fams, obs.Family{
+		}, obs.Family{
 			Name:    "bcpqp_burst_enforce_latency_digest_seconds",
 			Help:    "per-burst enforcement latency as a mergeable relative-error quantile digest",
 			Type:    "histogram",
-			Samples: []obs.Sample{{Hist: &ld}},
+			Samples: []obs.Sample{{Hist: &h}},
 		})
 	}
 
@@ -225,13 +225,20 @@ func (e *Engine) auditFamilies(t *registry) []obs.Family {
 		{Name: "bcpqp_conformance_max_deficit_bytes", Help: "deepest envelope breach observed", Type: "gauge"},
 		{Name: "bcpqp_conformance_windows_total", Help: "completed rate-error measurement windows with traffic", Type: "counter"},
 	}
-	slackAcc, errAcc := obs.NewDigest(), obs.NewDigest()
+	var slackAcc, errAcc obs.Digest
 	armed := 0
-	add := func(lbl []obs.Label, a *obs.Audit) {
+	e.eachAudit(t, func(agg *aggregate, node enforcer.NodeID, a *obs.Audit) {
 		armed++
+		lbl := []obs.Label{{Name: "aggregate", Value: agg.id}}
+		if node != enforcer.NoNode {
+			lbl = append(lbl, obs.Label{Name: "node", Value: strconv.Itoa(int(node))})
+			if agg.tree != nil {
+				lbl = append(lbl, obs.Label{Name: "path", Value: nodePath(agg.tree, node)})
+			}
+		}
 		c := a.Snapshot()
-		a.MergeSlack(slackAcc)
-		a.MergeRateErr(errAcc)
+		a.MergeSlack(&slackAcc)
+		a.MergeRateErr(&errAcc)
 		vals := []float64{
 			float64(c.Violations), float64(c.RateBps),
 			float64(c.AllowedBytes), float64(c.AcceptedBytes),
@@ -241,33 +248,7 @@ func (e *Engine) auditFamilies(t *registry) []obs.Family {
 		for j := range vals {
 			af[j].Samples = append(af[j].Samples, obs.Sample{Labels: lbl, Value: vals[j]})
 		}
-	}
-	for i := range t.slots {
-		agg := t.slots[i].Load()
-		if agg == nil {
-			continue
-		}
-		au := agg.audit.Load()
-		if au == nil {
-			continue
-		}
-		if au.whole != nil {
-			add([]obs.Label{{Name: "aggregate", Value: agg.id}}, au.whole)
-		}
-		for n, a := range au.nodes {
-			if a == nil {
-				continue
-			}
-			lbl := []obs.Label{
-				{Name: "aggregate", Value: agg.id},
-				{Name: "node", Value: strconv.Itoa(n)},
-			}
-			if agg.tree != nil {
-				lbl = append(lbl, obs.Label{Name: "path", Value: nodePath(agg.tree, enforcer.NodeID(n))})
-			}
-			add(lbl, a)
-		}
-	}
+	})
 	if armed == 0 {
 		return nil
 	}

@@ -206,8 +206,8 @@ func (e *Engine) SetNodeRate(id string, node enforcer.NodeID, rate units.Rate) e
 		if uerr = r.SetRate(now, rate); uerr != nil {
 			return
 		}
-		if au := agg.audit.Load(); au != nil && int(node) >= 0 && int(node) < len(au.nodes) {
-			if a := au.nodes[node]; a != nil {
+		if au := agg.audit.Load(); au != nil {
+			if a := au.nodes.Load().audit(node); a != nil {
 				a.Rebase(now, int64(rate))
 			}
 		}

@@ -25,10 +25,17 @@ import (
 // Concurrency contract: Observe and Rebase are single-writer — the mbox
 // engine calls both on the aggregate's owning shard goroutine (rebases
 // ride the in-band control lane), so the envelope arithmetic needs no
-// synchronization. Every exported counter is mirrored into an atomic by
-// that single writer, so metric scrapes read a consistent recent view
-// from any goroutine without stopping the datapath. Both paths are
-// allocation-free.
+// synchronization. Everything a scrape reads is an atomic that single
+// writer stores (and reads back with a plain load), so metric scrapes see
+// a consistent recent view from any goroutine without stopping the
+// datapath and no value is kept twice. Both paths are allocation-free
+// (the digests grow their spans a handful of times in an auditor's life).
+//
+// The record is 144 bytes with both digest headers inline, laid out by
+// use: the first cache line is what every audited run reads and writes,
+// the second the window accumulator and the digests, and what only a
+// breach or a closed window touches comes last. The zero value is not
+// armed; embed it and call Init, or use NewAudit.
 //
 // The allowance accrual is exact integer arithmetic: bits/sec × ns
 // products run through 128-bit mul/div with the sub-byte remainder carried
@@ -36,34 +43,27 @@ import (
 // reproduces the same violation count bit-for-bit — that is what lets
 // chaos tests reconcile violations EXACTLY against injected ground truth.
 type Audit struct {
-	// Single-writer envelope state.
-	rateBps int64         // currently enforced rate, bits/sec
-	burst   int64         // burst allowance B, bytes
-	lastAdv time.Duration // virtual time the allowance last accrued to
-	frac    uint64        // sub-byte allowance remainder, in bit·ns (< envDen)
-	allowed int64         // accrued allowance bytes since arming (excl. burst)
-	accept  int64         // accepted bytes since arming
-
-	minSlack   int64
-	maxDeficit int64
-	violations int64
+	rateBps  atomic.Int64  // currently enforced rate, bits/sec
+	burst    int64         // burst allowance B, bytes
+	lastAdv  time.Duration // virtual time the allowance last accrued to
+	frac     uint64        // sub-byte allowance remainder, in bit·ns (< envDen)
+	allowed  atomic.Int64  // accrued allowance bytes since arming (excl. burst)
+	accept   atomic.Int64  // accepted bytes since arming
+	minSlack atomic.Int64
+	lastObs  atomic.Int64 // the last Observe or Rebase's now, as given
 
 	// Windowed rate error (|observed − r| per completed measurement
 	// window, in permille of r).
 	window   time.Duration
 	winStart time.Duration
 	winBytes int64
-	windows  int64
 
-	// Export mirrors, written only by the owning shard goroutine.
-	m struct {
-		rateBps, allowed, accept       atomic.Int64
-		minSlack, maxDeficit           atomic.Int64
-		violations, windows, lastAdvNs atomic.Int64
-	}
+	slackD Digest // slack bytes at each audited run (clamped at 0)
+	errD   Digest // |rate error| per completed window, permille of r
 
-	slackD *Digest // slack bytes at each audited run (clamped at 0)
-	errD   *Digest // |rate error| per completed window, permille of r
+	maxDeficit atomic.Int64
+	violations atomic.Int64
+	windows    atomic.Int64
 }
 
 // envDen converts bits/sec × ns products to bytes: 8 bits per byte times
@@ -74,54 +74,68 @@ const envDen = 8 * 1_000_000_000
 // envelope. window is the rate-error measurement window (≤ 0 applies the
 // paper's 250 ms).
 func NewAudit(now time.Duration, rateBps, burstBytes int64, window time.Duration) *Audit {
+	a := new(Audit)
+	a.Init(now, rateBps, burstBytes, window)
+	return a
+}
+
+// Init arms a zero Audit in place, as NewAudit does a new one.
+func (a *Audit) Init(now time.Duration, rateBps, burstBytes int64, window time.Duration) {
 	if window <= 0 {
 		window = metrics.DefaultWindow
 	}
-	a := &Audit{
-		rateBps:  rateBps,
-		burst:    burstBytes,
-		lastAdv:  now,
-		minSlack: math.MaxInt64,
-		window:   window,
-		winStart: now,
-		slackD:   NewDigest(),
-		errD:     NewDigest(),
-	}
-	a.m.rateBps.Store(rateBps)
-	a.m.minSlack.Store(math.MaxInt64)
-	a.m.lastAdvNs.Store(int64(now))
-	return a
+	a.burst = burstBytes
+	a.lastAdv = now
+	a.window = window
+	a.winStart = now
+	a.rateBps.Store(rateBps)
+	a.minSlack.Store(math.MaxInt64)
+	a.lastObs.Store(int64(now))
 }
 
 // advance accrues allowance to now: allowed += r·Δt exactly, carrying the
 // sub-byte remainder. Saturates at MaxInt64 (an unbounded envelope) rather
 // than wrapping.
-func (a *Audit) advance(now time.Duration) {
+func (a *Audit) advance(now time.Duration) (allowed int64) {
+	allowed = a.allowed.Load()
 	dt := now - a.lastAdv
 	if dt <= 0 {
-		return
+		return allowed
 	}
 	a.lastAdv = now
-	if a.rateBps <= 0 || a.allowed == math.MaxInt64 {
-		return
+	rate := a.rateBps.Load()
+	if rate <= 0 || allowed == math.MaxInt64 {
+		return allowed
 	}
-	hi, lo := bits.Mul64(uint64(a.rateBps), uint64(dt))
+	hi, lo := bits.Mul64(uint64(rate), uint64(dt))
 	var carry uint64
 	lo, carry = bits.Add64(lo, a.frac, 0)
 	hi += carry
-	if hi >= envDen {
-		a.allowed = math.MaxInt64 // > 2^63 bytes of allowance: saturate
-		a.frac = 0
-		return
+	if hi < envDen {
+		if quo, rem := bits.Div64(hi, lo, envDen); quo <= uint64(math.MaxInt64-allowed) {
+			allowed += int64(quo)
+			a.frac = rem
+			a.allowed.Store(allowed)
+			return allowed
+		}
 	}
-	quo, rem := bits.Div64(hi, lo, envDen)
-	if quo > uint64(math.MaxInt64-a.allowed) {
-		a.allowed = math.MaxInt64
-		a.frac = 0
-		return
+	// More than 2^63 bytes of allowance: saturate.
+	a.frac = 0
+	a.allowed.Store(math.MaxInt64)
+	return math.MaxInt64
+}
+
+// slack is allowance + B − accepted, saturating: allowed may be pinned at
+// MaxInt64.
+func (a *Audit) slack(allowed, accepted int64) int64 {
+	slack := allowed - accepted
+	if a.burst > 0 {
+		if s := slack + a.burst; s > slack {
+			return s
+		}
+		return math.MaxInt64
 	}
-	a.allowed += int64(quo)
-	a.frac = rem
+	return slack
 }
 
 // Observe folds one enforced run's accepted bytes into the auditor at
@@ -129,28 +143,15 @@ func (a *Audit) advance(now time.Duration) {
 // conformant, accepted − (allowance + B) when it breaches. Each breaching
 // run counts exactly one violation.
 func (a *Audit) Observe(now time.Duration, accBytes int64) (deficit int64) {
-	a.advance(now)
-	a.accept += accBytes
-	slack := a.allowed - a.accept
-	if a.burst > 0 {
-		// Saturating add: allowed may be pinned at MaxInt64.
-		if s := slack + a.burst; s > slack {
-			slack = s
-		} else {
-			slack = math.MaxInt64
-		}
-	}
-	if slack < a.minSlack {
-		a.minSlack = slack
-		a.m.minSlack.Store(slack)
+	slack := a.slack(a.advance(now), a.accept.Add(accBytes))
+	if slack < a.minSlack.Load() {
+		a.minSlack.Store(slack)
 	}
 	if slack < 0 {
 		deficit = -slack
-		a.violations++
-		a.m.violations.Store(a.violations)
-		if deficit > a.maxDeficit {
-			a.maxDeficit = deficit
-			a.m.maxDeficit.Store(deficit)
+		a.violations.Add(1)
+		if deficit > a.maxDeficit.Load() {
+			a.maxDeficit.Store(deficit)
 		}
 		a.slackD.Observe(0)
 	} else {
@@ -162,28 +163,24 @@ func (a *Audit) Observe(now time.Duration, accBytes int64) (deficit int64) {
 	// closing window); idle gaps (several windows with no audited runs)
 	// collapse into one close so the loop is O(1) per run.
 	if now-a.winStart > a.window {
-		if a.winBytes > 0 && a.rateBps > 0 {
+		if rate := a.rateBps.Load(); a.winBytes > 0 && rate > 0 {
 			// winBytes·8e9 / windowNs = observed bits/sec over the window.
 			obsBps, _ := mulDivI(a.winBytes, envDen, int64(a.window))
-			errBps := obsBps - a.rateBps
+			errBps := obsBps - rate
 			if errBps < 0 {
 				errBps = -errBps
 			}
-			if pm, ok := mulDivI(errBps, 1000, a.rateBps); ok {
+			if pm, ok := mulDivI(errBps, 1000, rate); ok {
 				a.errD.Observe(pm)
 			}
-			a.windows++
-			a.m.windows.Store(a.windows)
+			a.windows.Add(1)
 		}
 		skip := (now - a.winStart) / a.window
 		a.winStart += skip * a.window
 		a.winBytes = 0
 	}
 	a.winBytes += accBytes
-
-	a.m.allowed.Store(a.allowed)
-	a.m.accept.Store(a.accept)
-	a.m.lastAdvNs.Store(int64(now))
+	a.lastObs.Store(int64(now))
 	return deficit
 }
 
@@ -210,9 +207,8 @@ func mulDivI(a, b, c int64) (int64, bool) {
 // allowance is unchanged.
 func (a *Audit) Rebase(now time.Duration, rateBps int64) {
 	a.advance(now)
-	a.rateBps = rateBps
-	a.m.rateBps.Store(rateBps)
-	a.m.lastAdvNs.Store(int64(now))
+	a.rateBps.Store(rateBps)
+	a.lastObs.Store(int64(now))
 }
 
 // AuditCounters is a point-in-time copy of an auditor's exported state,
@@ -233,31 +229,24 @@ type AuditCounters struct {
 
 // Snapshot copies the exported counters. Safe from any goroutine.
 func (a *Audit) Snapshot() AuditCounters {
-	allowed := a.m.allowed.Load()
-	accepted := a.m.accept.Load()
-	slack := allowed - accepted
-	if b := a.burst; b > 0 {
-		if s := slack + b; s > slack {
-			slack = s
-		} else {
-			slack = math.MaxInt64
-		}
-	}
-	minSlack := a.m.minSlack.Load()
+	allowed := a.allowed.Load()
+	accepted := a.accept.Load()
+	slack := a.slack(allowed, accepted)
+	minSlack := a.minSlack.Load()
 	if minSlack == math.MaxInt64 {
 		minSlack = slack // nothing audited yet: report the standing slack
 	}
 	return AuditCounters{
-		RateBps:       a.m.rateBps.Load(),
+		RateBps:       a.rateBps.Load(),
 		BurstBytes:    a.burst,
 		AllowedBytes:  allowed,
 		AcceptedBytes: accepted,
 		SlackBytes:    slack,
 		MinSlackBytes: minSlack,
-		MaxDeficit:    a.m.maxDeficit.Load(),
-		Violations:    a.m.violations.Load(),
-		Windows:       a.m.windows.Load(),
-		LastObserve:   time.Duration(a.m.lastAdvNs.Load()),
+		MaxDeficit:    a.maxDeficit.Load(),
+		Violations:    a.violations.Load(),
+		Windows:       a.windows.Load(),
+		LastObserve:   time.Duration(a.lastObs.Load()),
 	}
 }
 
@@ -271,5 +260,5 @@ func (a *Audit) RateErrDigest() DigestSnapshot { return a.errD.Snapshot() }
 
 // MergeSlack / MergeRateErr fold this auditor's digests into acc for
 // engine-wide roll-ups.
-func (a *Audit) MergeSlack(acc *Digest)   { acc.Merge(a.slackD) }
-func (a *Audit) MergeRateErr(acc *Digest) { acc.Merge(a.errD) }
+func (a *Audit) MergeSlack(acc *Digest)   { acc.Merge(&a.slackD) }
+func (a *Audit) MergeRateErr(acc *Digest) { acc.Merge(&a.errD) }

@@ -27,9 +27,6 @@ type Options struct {
 	// MeterWindow is the windowed-rate meter granularity (default the
 	// paper's 250 ms measurement window).
 	MeterWindow time.Duration
-	// MeterHorizon is how many windows each rate meter retains before
-	// rebasing (default 64), bounding meter memory over unbounded runs.
-	MeterHorizon int
 }
 
 func (o Options) withDefaults() Options {
@@ -41,9 +38,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MeterWindow <= 0 {
 		o.MeterWindow = metrics.DefaultWindow
-	}
-	if o.MeterHorizon <= 0 {
-		o.MeterHorizon = 64
 	}
 	return o
 }
@@ -101,8 +95,6 @@ func (c *Collector) Shard(i int) *ShardObs {
 			c:     c,
 			shard: int32(len(c.shards)),
 			ring:  NewRing(c.opts.RingDepth),
-			hist:  NewHist(),
-			lat:   NewDigest(),
 		})
 	}
 	return c.shards[i]
@@ -123,30 +115,22 @@ func (c *Collector) Events() []Event {
 	return out
 }
 
-// BurstHist returns the per-shard burst-enforcement-latency histograms
-// merged into one snapshot.
+// BurstHist returns the burst-enforcement latency as an exportable
+// histogram in seconds: BurstLatencyDigest in Prometheus form.
 func (c *Collector) BurstHist() HistSnapshot {
-	c.mu.Lock()
-	shards := append([]*ShardObs(nil), c.shards...)
-	c.mu.Unlock()
-	merged := NewHist()
-	for _, s := range shards {
-		merged.Merge(s.hist)
-	}
-	return merged.Snapshot()
+	return c.BurstLatencyDigest().Hist(1e-9)
 }
 
 // BurstLatencyDigest returns the per-shard burst-enforcement-latency
-// quantile digests (nanoseconds) merged into one mergeable snapshot — the
-// sketch counterpart of BurstHist, suitable for cross-process roll-up via
-// the BQAD wire form.
+// quantile digests (nanoseconds) merged into one mergeable snapshot,
+// suitable for cross-process roll-up via the BQAD wire form.
 func (c *Collector) BurstLatencyDigest() DigestSnapshot {
 	c.mu.Lock()
 	shards := append([]*ShardObs(nil), c.shards...)
 	c.mu.Unlock()
-	merged := NewDigest()
+	var merged Digest
 	for _, s := range shards {
-		merged.Merge(s.lat)
+		merged.Merge(&s.lat)
 	}
 	return merged.Snapshot()
 }
@@ -166,11 +150,13 @@ func (c *Collector) Bursts() int64 {
 // NewAggObs returns a per-aggregate metrics block wired to the collector's
 // meter configuration.
 func (c *Collector) NewAggObs() *AggObs {
-	return &AggObs{meter: NewRateMeter(c.opts.MeterWindow, c.opts.MeterHorizon)}
+	a := new(AggObs)
+	a.meter.init(c.opts.MeterWindow)
+	return a
 }
 
 // ShardObs is one shard's observability block: its flight-recorder ring,
-// its burst-latency histogram, and the trace sampling state. Record and
+// its burst-latency digest, and the trace sampling state. Record and
 // ObserveBurst are called from the shard goroutine (or, for shed events,
 // from producers under the shard's staging lock); the ring tolerates
 // either.
@@ -178,8 +164,7 @@ type ShardObs struct {
 	c     *Collector
 	shard int32
 	ring  *Ring
-	hist  *Hist
-	lat   *Digest
+	lat   Digest
 
 	bursts atomic.Int64
 	// tick is the burst-trace sampling countdown. It is only touched by
@@ -211,19 +196,19 @@ func (s *ShardObs) SampleBurst() bool {
 // nanoseconds.
 func (s *ShardObs) ObserveBurst(elapsed int64) {
 	s.bursts.Add(1)
-	s.hist.Observe(elapsed)
 	s.lat.Observe(elapsed)
 }
 
 // AggObs is one aggregate's metric block: monotonic accept/drop counters
 // stamped once per enforced run (a handful of atomic adds, no per-packet
-// work) and a windowed rate meter over accepted bytes.
+// work) and a windowed rate meter over accepted bytes — 64 bytes, one
+// cache line, one allocation.
 type AggObs struct {
 	acceptedPackets atomic.Int64
 	acceptedBytes   atomic.Int64
 	droppedPackets  atomic.Int64
 	droppedBytes    atomic.Int64
-	meter           *RateMeter
+	meter           RateMeter
 }
 
 // Count folds one enforced run's verdict tallies into the block at virtual

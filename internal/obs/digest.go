@@ -7,26 +7,36 @@ import (
 	"sync/atomic"
 )
 
-// Digest is a fixed-size, mergeable, relative-error quantile sketch over
-// non-negative int64 values (bytes, nanoseconds, permille — the unit is the
-// caller's). It is the DDSketch shape adapted to the repo's log-linear
-// histogram idiom: values 0..15 get exact buckets, every later power-of-two
-// octave is split into 8 linear sub-buckets, so any quantile read off a
-// bucket's upper bound overestimates the true value by at most 1/8 (12.5%)
-// relative error, at any scale, from 16 up to MaxInt64.
+// Digest is a mergeable, relative-error quantile sketch over non-negative
+// int64 values (bytes, nanoseconds, permille — the unit is the caller's).
+// It is the DDSketch shape adapted to the repo's log-linear histogram
+// idiom: values 0..15 get exact buckets, every later power-of-two octave is
+// split into 8 linear sub-buckets, so any quantile read off a bucket's
+// upper bound overestimates the true value by at most 1/8 (12.5%) relative
+// error, at any scale, from 16 up to MaxInt64.
 //
-// Observe is lock-free and allocation-free (one bucket index computation
-// via bits.Len64 plus three atomic adds), so audits can feed a digest once
-// per enforced run on the hot path. Snapshots read the atomic buckets
-// without stopping writers — like the flight-recorder rings, a snapshot
-// racing writers is internally consistent enough for export (a bucket may
-// trail an in-flight observation). Merging is bucket-wise integer
-// addition, which makes it exactly associative and commutative: per-shard,
-// per-aggregate and per-node digests roll up in any order to the same
-// result, and the BQAD wire form lets digests merge across processes.
+// The geometry is fixed at 488 buckets; the memory is not. A digest holds
+// counts only for the span of buckets it has seen: an empty digest is a
+// 16-byte header, the first observation hangs a one-cache-line span off it,
+// and a value outside the span replaces it with the next size up (see
+// span). An envelope-slack digest that only ever sees one bucket stays at
+// 64 bytes and a rate-error digest spread over fifty at 512, where the
+// dense array cost 3.9 KB each.
+//
+// Concurrency contract: one writer at a time (Observe and Merge into d),
+// any number of readers. The writer's path is lock-free and, between
+// growths, allocation-free: one bucket index via bits.Len64, one pointer
+// load and two atomic adds. A reader that races a growth reads the span
+// the writer is about to retire — every count in it was true a moment ago —
+// and a reader that arrives once the writer is quiet sees every count:
+// growth copies the old counts before it publishes the new span. Merging
+// is bucket-wise integer addition, which makes it exactly associative and
+// commutative: per-shard, per-aggregate and per-node digests roll up in any
+// order to the same result, and the BQAD wire form lets digests merge
+// across processes.
 type Digest struct {
-	counts [digestBuckets]atomic.Uint64
-	sum    atomic.Int64
+	sum  atomic.Int64
+	span atomic.Pointer[span]
 }
 
 // Digest geometry: 16 exact buckets for 0..15, then (64-4)=60 octaves of 8
@@ -38,6 +48,137 @@ const (
 	digestSubBits = 3                          // log2(digestSub)
 	digestBuckets = digestExact + 59*digestSub // 488
 )
+
+// span is the window of buckets [lo, lo+len(counts)) a digest holds counts
+// for. Header and counts are one allocation of 64<<k bytes — a power-of-two
+// size class, so a span starts on a cache line — holding 8<<k − 4 buckets:
+// 4, 12, 28, 60, 124, 252, and all 488 in the 4 KB class. A span's window
+// never moves; growing means publishing a larger one.
+type span struct {
+	lo     int
+	counts []atomic.Uint64
+}
+
+// spanCap returns the smallest span capacity that holds n buckets.
+func spanCap(n int) int {
+	c := 4
+	for c < n {
+		c = 2*c + 4
+	}
+	return min(c, digestBuckets)
+}
+
+// A span is one object, header then counts, which takes an array type per
+// size class.
+type (
+	span4 struct {
+		span
+		c [4]atomic.Uint64
+	}
+	span12 struct {
+		span
+		c [12]atomic.Uint64
+	}
+	span28 struct {
+		span
+		c [28]atomic.Uint64
+	}
+	span60 struct {
+		span
+		c [60]atomic.Uint64
+	}
+	span124 struct {
+		span
+		c [124]atomic.Uint64
+	}
+	span252 struct {
+		span
+		c [252]atomic.Uint64
+	}
+	span488 struct {
+		span
+		c [digestBuckets]atomic.Uint64
+	}
+)
+
+// newSpan allocates a span of capacity n (a spanCap result) at lo.
+func newSpan(lo, n int) *span {
+	var s *span
+	switch n {
+	case 4:
+		b := new(span4)
+		s, b.counts = &b.span, b.c[:]
+	case 12:
+		b := new(span12)
+		s, b.counts = &b.span, b.c[:]
+	case 28:
+		b := new(span28)
+		s, b.counts = &b.span, b.c[:]
+	case 60:
+		b := new(span60)
+		s, b.counts = &b.span, b.c[:]
+	case 124:
+		b := new(span124)
+		s, b.counts = &b.span, b.c[:]
+	case 252:
+		b := new(span252)
+		s, b.counts = &b.span, b.c[:]
+	default:
+		b := new(span488)
+		s, b.counts = &b.span, b.c[:]
+	}
+	s.lo = lo
+	return s
+}
+
+// used returns the first and last bucket of s with a count; ok is false
+// for a nil or all-zero span.
+func (s *span) used() (first, last int, ok bool) {
+	if s == nil {
+		return 0, 0, false
+	}
+	first, last = -1, -1
+	for i := range s.counts {
+		if s.counts[i].Load() != 0 {
+			if first < 0 {
+				first = s.lo + i
+			}
+			last = s.lo + i
+		}
+	}
+	return first, last, first >= 0
+}
+
+// reserve returns a span covering buckets [lo, hi], the current one when it
+// already does. Otherwise it publishes the smallest span that holds [lo,
+// hi] together with every bucket counted so far, and puts the spare room on
+// the side that grew: a slack digest drifting upward with its envelope and
+// a latency digest finding its floor each grow a few times, not once per
+// bucket. Writer only.
+func (d *Digest) reserve(lo, hi int) *span {
+	old := d.span.Load()
+	if old != nil && lo >= old.lo && hi < old.lo+len(old.counts) {
+		return old
+	}
+	first, last, kept := old.used()
+	up := !kept || hi > last
+	if kept {
+		lo, hi = min(lo, first), max(hi, last)
+	}
+	n := spanCap(hi - lo + 1)
+	at := lo
+	if !up {
+		at = hi + 1 - n
+	}
+	s := newSpan(max(0, min(at, digestBuckets-n)), n)
+	if kept {
+		for i := first; i <= last; i++ {
+			s.counts[i-s.lo].Store(old.counts[i-old.lo].Load())
+		}
+	}
+	d.span.Store(s)
+	return s
+}
 
 // NewDigest returns an empty digest.
 func NewDigest() *Digest { return &Digest{} }
@@ -73,18 +214,27 @@ func (d *Digest) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	d.counts[digestIdx(v)].Add(1)
+	idx := digestIdx(v)
+	s := d.span.Load()
+	if s == nil || uint(idx-s.lo) >= uint(len(s.counts)) {
+		s = d.reserve(idx, idx)
+	}
+	s.counts[idx-s.lo].Add(1)
 	d.sum.Add(v)
 }
 
-// Merge adds other's counts into d.
+// Merge adds other's counts into d, walking only other's populated span.
 func (d *Digest) Merge(other *Digest) {
 	if other == nil {
 		return
 	}
-	for i := range other.counts {
-		if n := other.counts[i].Load(); n > 0 {
-			d.counts[i].Add(n)
+	src := other.span.Load()
+	if first, last, ok := src.used(); ok {
+		dst := d.reserve(first, last)
+		for i := first; i <= last; i++ {
+			if n := src.counts[i-src.lo].Load(); n > 0 {
+				dst.counts[i-dst.lo].Add(n)
+			}
 		}
 	}
 	d.sum.Add(other.sum.Load())
@@ -95,8 +245,10 @@ func (d *Digest) Merge(other *Digest) {
 // is not in a bucket).
 func (d *Digest) Snapshot() DigestSnapshot {
 	s := DigestSnapshot{Counts: make([]uint64, digestBuckets), Sum: d.sum.Load()}
-	for i := range d.counts {
-		s.Counts[i] = d.counts[i].Load()
+	if sp := d.span.Load(); sp != nil {
+		for i := range sp.counts {
+			s.Counts[sp.lo+i] = sp.counts[i].Load()
+		}
 	}
 	return s
 }

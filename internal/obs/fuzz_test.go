@@ -16,13 +16,12 @@ func FuzzPromExposition(f *testing.F) {
 	f.Add("", "line\nbreak\r\ttab", 0.0, int64(-5))
 	f.Add("0digit", "ünïcödé \x00 bytes", 1e308, int64(1<<40))
 	f.Fuzz(func(t *testing.T, lname, lval string, v float64, hv int64) {
-		h := NewHist()
+		hs := latencyHist()
 		if hv != 0 {
-			h.Observe(hv)
+			hs = latencyHist(hv)
 		}
-		hs := h.Snapshot()
-		empty := NewRateMeter(0, 0) // never Added: Rate must be 0, not NaN
-		m := NewRateMeter(time.Millisecond, 4)
+		empty := NewRateMeter(0) // never Added: Rate must be 0, not NaN
+		m := NewRateMeter(time.Millisecond)
 		if hv > 0 {
 			m.Add(time.Duration(hv%int64(time.Second)), int(v)%65536)
 		}

@@ -1,130 +1,18 @@
 package obs
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
-
-// Log-linear histogram geometry: values (nanoseconds) below 2^histMinBits
-// land in bucket 0; each subsequent power-of-two octave is split into
-// histSubBuckets linear sub-buckets; values at or above 2^histMaxBits
-// (≈17 s) land in the overflow bucket. Relative error is bounded by
-// 1/histSubBuckets within the covered range.
-const (
-	histMinBits    = 7  // 128 ns
-	histMaxBits    = 34 // ~17.2 s
-	histSubBuckets = 4
-)
-
-// histBuckets is the number of bounded buckets (bucket 0 plus the
-// sub-bucketed octaves); one overflow bucket follows.
-const histBuckets = 1 + (histMaxBits-histMinBits)*histSubBuckets
-
-// histBounds holds each bounded bucket's inclusive upper bound in
-// nanoseconds, computed once at init.
-var histBounds = func() [histBuckets]int64 {
-	var b [histBuckets]int64
-	b[0] = 1 << histMinBits
-	i := 1
-	for oct := histMinBits + 1; oct <= histMaxBits; oct++ {
-		lo := int64(1) << (oct - 1)
-		step := int64(1) << (oct - 1 - 2) // octave width / histSubBuckets
-		for sub := 1; sub <= histSubBuckets; sub++ {
-			b[i] = lo + int64(sub)*step
-			i++
-		}
-	}
-	return b
-}()
-
-// Hist is a fixed-size log-linear histogram of nanosecond durations with
-// atomic buckets: Observe is lock-free and allocation-free, and snapshots
-// are safe at any time. It measures per-burst enforcement latency on the
-// shard goroutines.
-type Hist struct {
-	counts [histBuckets + 1]atomic.Uint64 // last = overflow
-	sum    atomic.Int64
-	total  atomic.Uint64
-}
-
-// NewHist returns an empty histogram.
-func NewHist() *Hist { return &Hist{} }
-
-// histIdx maps a non-negative nanosecond value to its bucket. Buckets are
-// ranges (prevBound, bound] to match Prometheus's inclusive le semantics,
-// so the bit-length test runs on v-1: an exact power of two is the upper
-// edge of its octave, not the lower edge of the next.
-func histIdx(v int64) int {
-	if v <= 0 {
-		return 0
-	}
-	u := uint64(v) - 1
-	l := bits.Len64(u)
-	if l <= histMinBits {
-		return 0
-	}
-	if l > histMaxBits {
-		return histBuckets // overflow
-	}
-	sub := int(u>>(l-1-2)) & (histSubBuckets - 1)
-	return 1 + (l-1-histMinBits)*histSubBuckets + sub
-}
-
-// Observe records one duration in nanoseconds (negatives clamp to zero).
-func (h *Hist) Observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	h.counts[histIdx(v)].Add(1)
-	h.sum.Add(v)
-	h.total.Add(1)
-}
-
-// Merge adds other's counts into h (used to merge per-shard histograms at
-// export time).
-func (h *Hist) Merge(other *Hist) {
-	if other == nil {
-		return
-	}
-	for i := range other.counts {
-		if n := other.counts[i].Load(); n > 0 {
-			h.counts[i].Add(n)
-		}
-	}
-	h.sum.Add(other.sum.Load())
-	h.total.Add(other.total.Load())
-}
-
-// HistSnapshot is a point-in-time copy of a histogram in export form.
-// Counts are per-bucket (not cumulative); Counts[len(Bounds)] is the
-// overflow (+Inf) bucket. Bounds are inclusive upper bounds in seconds.
+// HistSnapshot is a histogram in export form, what a Prometheus histogram
+// sample carries; DigestSnapshot.Hist makes one. Counts are per-bucket (not
+// cumulative); Counts[len(Bounds)] is the overflow (+Inf) bucket. Bounds
+// are inclusive upper bounds in the exported unit (seconds for latencies).
 type HistSnapshot struct {
 	Bounds []float64
 	Counts []uint64
-	Sum    float64 // seconds
+	Sum    float64
 	Count  uint64
 }
 
-// Snapshot copies the histogram. Concurrent Observe calls may or may not
-// be included; the snapshot is internally consistent enough for export
-// (bucket sums may trail Count by in-flight observations).
-func (h *Hist) Snapshot() HistSnapshot {
-	s := HistSnapshot{
-		Bounds: make([]float64, histBuckets),
-		Counts: make([]uint64, histBuckets+1),
-		Sum:    float64(h.sum.Load()) / 1e9,
-		Count:  h.total.Load(),
-	}
-	for i := 0; i < histBuckets; i++ {
-		s.Bounds[i] = float64(histBounds[i]) / 1e9
-		s.Counts[i] = h.counts[i].Load()
-	}
-	s.Counts[histBuckets] = h.counts[histBuckets].Load()
-	return s
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) in seconds from bucket
-// upper bounds; it returns 0 for an empty histogram.
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from bucket upper
+// bounds; it returns 0 for an empty histogram.
 func (s HistSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0

@@ -1,93 +1,72 @@
 package obs
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"bcpqp/internal/metrics"
 	"bcpqp/internal/units"
 )
 
-// RateMeter adapts internal/metrics.Meter — the paper's §6.1 windowed
-// throughput meter — to a long-running monotonic clock. metrics.Meter
-// indexes windows from virtual time zero and grows its window slice
-// forever; RateMeter rebases onto a fresh Meter every `horizon` windows so
-// memory stays bounded over an unbounded run, at the cost of forgetting
-// history older than the horizon (which is exactly what a runtime gauge
-// wants).
+// RateMeter is the paper's §6.1 windowed throughput meter for a
+// long-running monotonic clock, reduced to what a runtime gauge reads: the
+// bytes of the window the last Add fell in and of the window before it.
+// Windows are now/window, so their edges are the same for every meter on
+// one clock. It is 32 bytes held inline in AggObs, never allocates and
+// takes no lock: one writer (one Add per enforced run on a shard goroutine)
+// and any number of readers, which load a single word.
 //
-// It is safe for one writer and any number of readers; the expected shape
-// is one Add per enforced burst on a shard goroutine and occasional reads
-// from the metrics exporter.
+// (internal/metrics.Meter keeps every window of every key and is what the
+// simulator's Series come from; nothing on the datapath uses it.)
 type RateMeter struct {
-	mu      sync.Mutex
-	window  time.Duration
-	horizon int
-	base    time.Duration // virtual-time origin of the current meter
-	last    time.Duration // most recent Add time (absolute)
-	m       *metrics.Meter
-	total   int64
+	window time.Duration
+	win    atomic.Int64 // index of the window cur counts; −1 until the first Add
+	cur    atomic.Int64 // bytes in window win
+	prev   atomic.Int64 // bytes in window win−1; −1 until a window has closed
 }
 
 // NewRateMeter returns a meter with the given window (0 selects the
-// paper's 250 ms default) keeping at most horizon windows of history
-// (0 selects 64).
-func NewRateMeter(window time.Duration, horizon int) *RateMeter {
+// paper's 250 ms default).
+func NewRateMeter(window time.Duration) *RateMeter {
+	r := new(RateMeter)
+	r.init(window)
+	return r
+}
+
+func (r *RateMeter) init(window time.Duration) {
 	if window <= 0 {
 		window = metrics.DefaultWindow
 	}
-	if horizon <= 0 {
-		horizon = 64
-	}
-	return &RateMeter{window: window, horizon: horizon}
+	r.window = window
+	r.win.Store(-1)
+	r.prev.Store(-1)
 }
 
-// Window returns the meter's window size.
-func (r *RateMeter) Window() time.Duration { return r.window }
-
-// Add records bytes at monotonic time now. Regressions clamp to the last
-// observed time (the underlying meter requires non-decreasing time).
+// Add records bytes at monotonic time now. A regression counts into the
+// current window and a negative now is time zero. Single writer.
 func (r *RateMeter) Add(now time.Duration, bytes int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if now < r.last {
-		now = r.last
+	w, win := max(int64(now/r.window), 0), r.win.Load()
+	switch {
+	case w <= win:
+		r.cur.Add(int64(bytes))
+		return
+	case win < 0: // first Add: nothing has closed
+	case w == win+1:
+		r.prev.Store(r.cur.Load())
+	default: // idle gap: the window before w saw nothing
+		r.prev.Store(0)
 	}
-	if r.m == nil || now-r.base >= time.Duration(r.horizon)*r.window {
-		// Rebase: drop history beyond the horizon and realign the
-		// origin to a window boundary so window edges stay stable.
-		r.base = now - now%r.window
-		r.m = metrics.NewMeter(r.window)
-	}
-	r.m.Add(now-r.base, 0, bytes)
-	r.last = now
-	r.total += int64(bytes)
+	r.cur.Store(int64(bytes))
+	r.win.Store(w)
 }
 
-// Rate returns the throughput over the most recent completed window, or
-// over the current partial window when it is the only one. An unused meter
-// reports zero (never NaN).
+// Rate returns the throughput over the most recent completed window — the
+// one before the last Add's — or over the current partial window when none
+// has completed yet. An unused meter reports zero (never NaN).
 func (r *RateMeter) Rate() units.Rate {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.m == nil {
-		return 0
+	b := r.prev.Load()
+	if b < 0 {
+		b = r.cur.Load()
 	}
-	wb := r.m.WindowBytes(0)
-	cur := int((r.last - r.base) / r.window)
-	idx := cur - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(wb) {
-		idx = len(wb) - 1
-	}
-	return units.Rate(float64(wb[idx]) * 8 / r.window.Seconds())
-}
-
-// Total returns all bytes ever recorded (across rebases).
-func (r *RateMeter) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
+	return units.Rate(float64(b) * 8 / r.window.Seconds())
 }

@@ -1,9 +1,16 @@
 // Package obs is the runtime observability layer of the middlebox
 // datapath: a flight recorder (fixed-size, lock-free per-shard rings of
-// trace events), a metrics plane (per-aggregate and per-shard counters,
-// windowed-rate meters reusing internal/metrics, and log-linear latency
-// histograms), and exporters for the Prometheus text exposition format and
-// expvar.
+// trace events), a metrics plane (per-aggregate counters with a two-window
+// rate meter, a per-shard latency digest), the conformance auditor, and
+// exporters for the Prometheus text exposition format and expvar.
+//
+// What watches a subscriber is sized like the subscriber: an observed,
+// audited flat aggregate carries one 64-byte AggObs (four counters and the
+// meter), one 144-byte Audit (envelope state, the counters a scrape reads,
+// both digest headers) and a Digest span per distribution that holds only
+// the buckets it has seen — 64 bytes for a slack digest that sits in one
+// bucket, 512 for a rate-error digest spread over fifty. There is one
+// sketch (Digest; HistSnapshot is only its export form) and one meter.
 //
 // The design constraint is zero allocation and near-zero cost on the hot
 // path: events are fixed-size structs written into pre-allocated rings with
@@ -15,8 +22,8 @@
 // eviction, control-lane failover, shed bursts, panics — are always
 // recorded.
 //
-// The package is deliberately dependency-light (internal/metrics and
-// internal/units only); internal/mbox threads it through the engine and
+// The package is deliberately dependency-light (internal/metrics for the
+// paper's window constant and internal/units only); internal/mbox threads it through the engine and
 // the bcpqp facade re-exports the wiring surface.
 package obs
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math/bits"
 	"sync"
 	"testing"
 	"time"
@@ -103,105 +102,64 @@ func TestSampleBurst(t *testing.T) {
 	}
 }
 
-func TestHistBuckets(t *testing.T) {
-	h := NewHist()
-	values := []int64{0, 1, 100, 128, 129, 1000, 1 << 20, 1 << 33, 1 << 40}
-	for _, v := range values {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	if s.Count != uint64(len(values)) {
-		t.Fatalf("Count = %d, want %d", s.Count, len(values))
-	}
-	var sum int64
-	for _, v := range values {
-		sum += v
-	}
-	if got := s.Sum * 1e9; got < float64(sum)*0.999 || got > float64(sum)*1.001 {
-		t.Errorf("Sum = %g s, want ≈%d ns", s.Sum, sum)
-	}
-	var total uint64
-	for _, n := range s.Counts {
-		total += n
-	}
-	if total != s.Count {
-		t.Errorf("bucket counts sum to %d, want %d", total, s.Count)
-	}
-	// The overflow bucket holds exactly the 2^40 observation.
-	if s.Counts[len(s.Counts)-1] != 1 {
-		t.Errorf("overflow bucket = %d, want 1", s.Counts[len(s.Counts)-1])
-	}
-	// Every value must land in a bucket whose bound covers it.
-	for _, v := range values[:len(values)-1] {
-		idx := histIdx(v)
-		if idx >= len(s.Bounds) {
-			t.Errorf("value %d overflowed (bit length %d)", v, bits.Len64(uint64(v)))
-			continue
-		}
-		if float64(v)/1e9 > s.Bounds[idx] {
-			t.Errorf("value %d above its bucket bound %g", v, s.Bounds[idx])
-		}
-		if idx > 0 && float64(v)/1e9 <= s.Bounds[idx-1] {
-			t.Errorf("value %d at or below the previous bound %g", v, s.Bounds[idx-1])
-		}
-	}
-}
-
-func TestHistBoundsMonotone(t *testing.T) {
-	prev := int64(0)
-	for i, b := range histBounds {
-		if b <= prev {
-			t.Fatalf("bound %d = %d not increasing past %d", i, b, prev)
-		}
-		prev = b
-	}
-}
-
 func TestHistQuantile(t *testing.T) {
-	h := NewHist()
-	if q := h.Snapshot().Quantile(0.5); q != 0 {
+	if q := latencyHist().Quantile(0.5); q != 0 {
 		t.Errorf("empty hist quantile = %g, want 0", q)
 	}
-	for i := 0; i < 1000; i++ {
-		h.Observe(1000) // 1 µs
+	ns := make([]int64, 1000)
+	for i := range ns {
+		ns[i] = 1000 // 1 µs
 	}
-	s := h.Snapshot()
+	s := latencyHist(ns...)
 	if q := s.Quantile(0.5); q < 0.9e-6 || q > 1.2e-6 {
 		t.Errorf("p50 of 1µs = %g s", q)
+	}
+	if s.Count != 1000 || s.Sum < 0.999e-3 || s.Sum > 1.001e-3 {
+		t.Errorf("Count %d Sum %g, want 1000 and 1e-3", s.Count, s.Sum)
 	}
 }
 
 func TestRateMeter(t *testing.T) {
-	m := NewRateMeter(100*time.Millisecond, 8)
+	m := NewRateMeter(100 * time.Millisecond)
 	if r := m.Rate(); r != 0 {
 		t.Errorf("empty meter Rate = %v, want 0", r)
 	}
-	// 12500 bytes into the first window = 1 Mbps at 100 ms windows.
+	// 12500 bytes into the first window = 1 Mbps at 100 ms windows: read
+	// off the partial window while it is the only one, off the completed
+	// window once the next has begun.
 	m.Add(10*time.Millisecond, 12500)
-	m.Add(150*time.Millisecond, 1) // advance into window 1
-	if r := float64(m.Rate()); r < 0.99e6 || r > 1.01e6 {
-		t.Errorf("Rate = %g bps, want ≈1e6", r)
+	if r := float64(m.Rate()); r != 1e6 {
+		t.Errorf("partial first window Rate = %g bps, want 1e6", r)
 	}
-	if m.Total() != 12501 {
-		t.Errorf("Total = %d", m.Total())
+	m.Add(150*time.Millisecond, 1) // advance into window 1
+	if r := float64(m.Rate()); r != 1e6 {
+		t.Errorf("Rate = %g bps, want 1e6", r)
+	}
+	m.Add(460*time.Millisecond, 1) // windows 2 and 3 saw nothing
+	if r := m.Rate(); r != 0 {
+		t.Errorf("Rate after an idle gap = %v, want 0", r)
 	}
 }
 
-func TestRateMeterRebaseBoundsMemory(t *testing.T) {
-	m := NewRateMeter(time.Millisecond, 4)
-	// Walk far past the horizon; the meter must keep working (and keep
-	// only the rebased history).
+// TestRateMeterLongRun walks far past where the old meter rebased: two
+// windows of state keep working, at the same size, for ever.
+func TestRateMeterLongRun(t *testing.T) {
+	m := NewRateMeter(time.Millisecond)
 	for i := 0; i < 10_000; i++ {
 		m.Add(time.Duration(i)*time.Millisecond, 125)
+		if i > 0 && m.Rate() != 1e6 {
+			t.Fatalf("steady 1 Mbps reads %v bps at window %d", m.Rate(), i)
+		}
 	}
-	if r := float64(m.Rate()); r < 0.9e6 || r > 1.1e6 {
-		t.Errorf("steady 1 Mbps reads %g bps after rebases", r)
-	}
-	if m.Total() != 10_000*125 {
-		t.Errorf("Total = %d", m.Total())
-	}
-	// Time regression clamps instead of panicking.
+	// Time regression counts into the current window instead of panicking.
 	m.Add(0, 10)
+	m.Add(10_000*time.Millisecond, 1)
+	if r := float64(m.Rate()); r != 135*8e3 {
+		t.Errorf("Rate = %g, want the regressed bytes counted into the last window", r)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.Add(20_000*time.Millisecond, 1); _ = m.Rate() }); n != 0 {
+		t.Errorf("Add+Rate allocates %v times", n)
+	}
 }
 
 func TestAggObsCount(t *testing.T) {

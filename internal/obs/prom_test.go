@@ -89,11 +89,18 @@ func checkLabelBlock(t *testing.T, line, block string) {
 	}
 }
 
+// latencyHist is the export form of a digest of nanosecond observations,
+// in seconds: what Collector.BurstHist serves.
+func latencyHist(ns ...int64) HistSnapshot {
+	var d Digest
+	for _, v := range ns {
+		d.Observe(v)
+	}
+	return d.Snapshot().Hist(1e-9)
+}
+
 func TestWritePrometheus(t *testing.T) {
-	h := NewHist()
-	h.Observe(1000)
-	h.Observe(2000)
-	hs := h.Snapshot()
+	hs := latencyHist(1000, 2000)
 	snap := Snapshot{Families: []Family{
 		{Name: "bcpqp_accepted_packets_total", Help: "accepted \\ packets\nper aggregate", Type: "counter",
 			Samples: []Sample{
@@ -130,10 +137,7 @@ func TestWritePrometheus(t *testing.T) {
 }
 
 func TestHistBucketsCumulative(t *testing.T) {
-	h := NewHist()
-	h.Observe(100)  // bucket 0
-	h.Observe(5000) // later bucket
-	hs := h.Snapshot()
+	hs := latencyHist(100, 5000)
 	var buf bytes.Buffer
 	err := WritePrometheus(&buf, Snapshot{Families: []Family{
 		{Name: "x", Type: "histogram", Samples: []Sample{{Hist: &hs}}},
@@ -162,9 +166,7 @@ func TestHistBucketsCumulative(t *testing.T) {
 }
 
 func TestExpvarVar(t *testing.T) {
-	h := NewHist()
-	h.Observe(1500)
-	hs := h.Snapshot()
+	hs := latencyHist(1500)
 	v := Var(func() Snapshot {
 		return Snapshot{Families: []Family{
 			{Name: "bcpqp_panics_total", Type: "counter", Samples: []Sample{{Value: 3}}},

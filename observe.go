@@ -13,16 +13,15 @@ import (
 )
 
 // Collector is the observability hub a Middlebox reports into: per-shard
-// flight-recorder rings of trace events, per-burst enforcement-latency
-// histograms, and per-aggregate traffic counters with windowed rate
-// meters. Attach one with Observe before NewMiddlebox; read it back
+// flight-recorder rings of trace events, a per-burst enforcement-latency
+// digest, and per-aggregate traffic counters with windowed rate meters. Attach one with Observe before NewMiddlebox; read it back
 // through Middlebox.TraceDump and Middlebox.Metrics. All recording paths
 // are lock-free and allocation-free — SubmitBatch with observability
 // enabled stays zero-allocation.
 type Collector = obs.Collector
 
 // ObserveOptions sizes the observability layer: flight-recorder ring
-// depth, KindBurst trace sampling cadence, and rate-meter window/horizon.
+// depth, KindBurst trace sampling cadence, and the rate-meter window.
 // The zero value applies defaults (1024-event rings, 1-in-16 burst
 // sampling, the paper's 250 ms measurement window).
 type ObserveOptions = obs.Options

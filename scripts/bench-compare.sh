@@ -15,7 +15,8 @@
 #   BENCH   benchmark regexp      (default: the middlebox SubmitBatch family, the
 #                                  cluster rebalance tick and the two datapaths;
 #                                  policy trees are gated by bench/'s tree_deep
-#                                  workload and its ptree.* rows instead)
+#                                  workload and its ptree.* rows, the audited
+#                                  path by engine_ring and its obs.* rows)
 #   COUNT   repetitions per side  (default 6)
 #   BUDGET  allowed mean pkts/sec regression in percent (default 10)
 #   OUTDIR  where base.txt / head.txt are written (default: a temp dir)
@@ -23,7 +24,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-BENCH="${BENCH:-^(BenchmarkMiddleboxSubmitBatch|BenchmarkMiddleboxSubmitBatchOverloaded|BenchmarkMiddleboxSubmitBatchLocal|BenchmarkMiddleboxSubmitBatchObserved|BenchmarkMiddleboxSubmitBatchAudited|BenchmarkClusterRebalance|BenchmarkDatapathSingleSocket|BenchmarkDatapathPerCore)\$}"
+BENCH="${BENCH:-^(BenchmarkMiddleboxSubmitBatch|BenchmarkMiddleboxSubmitBatchOverloaded|BenchmarkMiddleboxSubmitBatchLocal|BenchmarkMiddleboxSubmitBatchObserved|BenchmarkClusterRebalance|BenchmarkDatapathSingleSocket|BenchmarkDatapathPerCore)\$}"
 COUNT="${COUNT:-6}"
 BUDGET="${BUDGET:-10}"
 
