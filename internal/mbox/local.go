@@ -167,12 +167,12 @@ func (l *LocalSubmitter) SubmitBatch(h Handle, pkts []packet.Packet) error {
 	// Heartbeat/activity stamps mirror process(): a core that only ever
 	// submits inline still reads as alive to the watchdog, and its
 	// aggregates as active to the idle-TTL sweeper.
-	wall := time.Now().UnixNano()
+	wall := e.burstWall(s)
 	s.heartbeat.Store(wall)
 	agg.lastActive.Store(wall)
 	now := e.cfg.Clock()
 	e.runBatch(s, now, agg, enforcer.NoNode, pkts)
-	end := time.Now().UnixNano()
+	end := e.burstWall(s)
 	s.heartbeat.Store(end)
 	s.processed.Add(1)
 	if s.obs != nil {

@@ -8,10 +8,12 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bcpqp/internal/enforcer"
+	"bcpqp/internal/obs"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/tbf"
 	"bcpqp/internal/units"
@@ -189,5 +191,101 @@ func TestLocalSubmitSaturatedOnWedgedShard(t *testing.T) {
 	}
 	if got := e.InlineFallbacks.Load(); got != 1 {
 		t.Errorf("InlineFallbacks = %d, want 1", got)
+	}
+}
+
+// TestWatchdogSeesWedgedInlineBurst: an inline burst stuck in an emit hook
+// holds the shard's occupancy word, and that is in-flight work to the
+// watchdog — it used to look only at the ring and at ring items. classify is
+// called with chosen readings of now, so nothing here waits on a timer.
+func TestWatchdogSeesWedgedInlineBurst(t *testing.T) {
+	const wedge = time.Second
+	entered, gate := make(chan struct{}), make(chan struct{})
+	e := New(Config{Shards: 1, WedgeTimeout: wedge, WatchdogInterval: time.Hour})
+	defer e.Close()
+	h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), func(packet.Packet) {
+		close(entered)
+		<-gate
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := e.Local(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.shards[0]
+	var panics, shed int64
+	classify := func(age time.Duration) ShardState {
+		return e.classify(s, s.heartbeat.Load()+int64(age), &panics, &shed)
+	}
+
+	if got := classify(10 * wedge); got != ShardHealthy {
+		t.Fatalf("idle shard with a stale heartbeat is %v, want healthy", got)
+	}
+	done := make(chan error, 1)
+	go func() { done <- ls.SubmitBatch(h, burstOf(1, 0)) }()
+	<-entered // the burst is inside the emit hook, holding the occupancy word
+	if !e.Health().Shards[0].Busy {
+		t.Error("Health reports the shard idle while an inline burst is in flight")
+	}
+	if got := classify(wedge / 2); got != ShardHealthy {
+		t.Errorf("inline burst in flight for half the wedge timeout: %v, want healthy", got)
+	}
+	if got := classify(wedge + 1); got != ShardWedged {
+		t.Errorf("inline burst blocked past the wedge timeout: %v, want wedged", got)
+	}
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := classify(10 * wedge); got != ShardHealthy {
+		t.Errorf("released shard with a stale heartbeat is %v, want healthy", got)
+	}
+}
+
+// TestInlineBurstReadsNoWallClock pins what the inline path's speed rests on,
+// as a count: without an Observer a burst reads the wall clock zero times (its
+// heartbeat and idle-TTL stamps are the flusher's coarse reading); with one it
+// reads it exactly twice, for the burst-latency histogram. The flusher is
+// parked so that its own reads do not enter the count.
+func TestInlineBurstReadsNoWallClock(t *testing.T) {
+	const bursts = 10000
+	var reads atomic.Int64
+	real := wallClock
+	wallClock = func() int64 { reads.Add(1); return real() }
+	defer func() { wallClock = real }()
+
+	for _, tc := range []struct {
+		name     string
+		observer *obs.Collector
+		want     int64
+	}{
+		{"unobserved", nil, 0},
+		{"observed", obs.NewCollector(obs.Options{}), 2 * bursts},
+	} {
+		e := New(Config{Shards: 1, FlushInterval: time.Hour, Observer: tc.observer})
+		h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls, err := e.Local(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		burst := burstOf(8, 0)
+		before := reads.Load()
+		for i := 0; i < bursts; i++ {
+			if err := ls.SubmitBatch(h, burst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := reads.Load() - before; got != tc.want {
+			t.Errorf("%s: %d wall-clock reads over %d inline bursts, want %d", tc.name, got, bursts, tc.want)
+		}
+		if age := e.Health().Shards[0].HeartbeatAge; age < 0 || age > time.Minute {
+			t.Errorf("%s: heartbeat age %v after %d bursts", tc.name, age, bursts)
+		}
+		e.Close()
 	}
 }

@@ -223,7 +223,8 @@ type Config struct {
 	// health (default 25ms).
 	WatchdogInterval time.Duration
 	// WedgeTimeout is the heartbeat age beyond which a shard with
-	// pending or in-flight work is classified Wedged (default 1s).
+	// pending or in-flight work is classified Wedged (default 1s; keep it
+	// well above FlushInterval, which the heartbeat can trail the work by).
 	WedgeTimeout time.Duration
 	// OnFault, when non-nil, is called once per recovered panic with the
 	// aggregate id (empty when unattributable), the recovered value, and
@@ -240,8 +241,8 @@ type Config struct {
 	// whose datapath has been quiet for longer than this (no bursts
 	// processed, no Update) is evicted as if Removed, counted in Evicted,
 	// and reported through OnEvict. Activity is stamped once per
-	// processed burst on the shard goroutine — no additional per-packet
-	// atomics on the hot path.
+	// enforced burst — no per-packet atomics, and no clock read: see
+	// burstWall — so an aggregate can look a FlushInterval idler than it is.
 	IdleTTL time.Duration
 	// SweepInterval is how often the sweeper scans for idle aggregates
 	// (default IdleTTL/4, clamped to [1ms, 1s]). Eviction therefore lags
@@ -349,10 +350,34 @@ type Engine struct {
 	extraMu      sync.Mutex
 	extraMetrics []func() []obs.Family
 
+	// wall is wallClock as it stood at New; coarseWall is its reading at
+	// New or at the flusher's last wake-up, a FlushInterval (plus the
+	// flusher's scheduling delay) old at most. See burstWall.
+	wall       func() int64
+	coarseWall atomic.Int64
+
 	pool        sync.Pool // *burst
 	flushStop   chan struct{}
 	dead        chan struct{} // closed once Close finished (shards exited or abandoned)
 	closeReport CloseReport   // stored by the first Close, returned by later ones
+}
+
+// wallClock reads the wall clock in Unix nanoseconds. Engines call it through
+// the copy New takes, so a test that counts clock reads can swap it before
+// New without racing the goroutines of engines that already run.
+var wallClock = func() int64 { return time.Now().UnixNano() }
+
+// burstWall is the wall time the packet path stamps a shard's heartbeat and
+// an aggregate's activity with. Both are read at millisecond-to-second
+// granularity (WedgeTimeout, IdleTTL), so the flusher's coarse reading
+// serves and a burst reads no clock — unless the shard is observed, when the
+// burst-latency histogram needs the two precise reads anyway. Heartbeat ages
+// and idle times therefore read up to a FlushInterval high.
+func (e *Engine) burstWall(s *shard) int64 {
+	if s.obs != nil {
+		return e.wall()
+	}
+	return e.coarseWall.Load()
 }
 
 // registry is the aggregate table: a fixed-length array of slots, each
@@ -407,11 +432,11 @@ type aggregate struct {
 	shedClass atomic.Int32
 	shed      atomic.Int64
 
-	// lastActive is the idle-TTL activity stamp (wall nanos): set at Add,
-	// once per processed burst on the shard goroutine (reusing the wall
-	// clock read already taken for the shard heartbeat — no extra clock
-	// call and no per-packet atomics), and on Update. The sweeper evicts
-	// aggregates whose stamp is older than IdleTTL.
+	// lastActive is the idle-TTL activity stamp (wall nanos): set at Add
+	// and on Update from the clock, and once per enforced burst from the
+	// stamp the shard heartbeat gets (burstWall) — no extra clock call and
+	// no per-packet atomics. The sweeper evicts aggregates whose stamp is
+	// older than IdleTTL.
 	lastActive atomic.Int64
 
 	// obs is the per-aggregate metrics block (nil without an Observer).
@@ -469,11 +494,11 @@ type shard struct {
 
 	verdicts []enforcer.Verdict // enforcement-side scratch, owned by the occupancy holder
 
-	// Health plane. heartbeat is stamped (wall nanos) around every item;
-	// busy is true while an item is being processed, so the watchdog can
-	// tell a shard wedged mid-item (ring may be empty) from an idle one.
+	// Health plane. heartbeat is stamped (wall nanos, see burstWall) around
+	// every ring item and inline burst; that one is in flight — how the
+	// watchdog tells a shard wedged mid-item (ring may be empty) from an
+	// idle one — is the occupancy word above (inFlight).
 	heartbeat atomic.Int64
-	busy      atomic.Bool
 	processed atomic.Int64 // items completed
 	panics    atomic.Int64 // panics recovered on this shard
 	shed      atomic.Int64 // packets shed at this shard's ring
@@ -543,6 +568,7 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{
 		cfg:       cfg,
+		wall:      wallClock,
 		flushStop: make(chan struct{}),
 		dead:      make(chan struct{}),
 	}
@@ -562,7 +588,8 @@ func New(cfg Config) *Engine {
 	}
 	e.table.Store(&registry{})
 	e.ids = make(map[string]Handle)
-	now := time.Now().UnixNano()
+	now := e.wall()
+	e.coarseWall.Store(now)
 	for i := 0; i < cfg.Shards; i++ {
 		s := &shard{
 			idx:      i,
@@ -606,28 +633,24 @@ func (e *Engine) run(s *shard) {
 }
 
 // process executes one item on the shard goroutine; true means stop. It
-// stamps the shard heartbeat around the item and marks the shard busy while
-// the item is in flight, so the watchdog can tell wedged from idle. The
-// item runs under the shard's occupancy word, serializing it against
-// ring-bypass inline submitters (see local.go); stop items skip the word —
-// they touch no enforcement state.
+// stamps the shard heartbeat around the item. The item runs under the
+// shard's occupancy word, which serializes it against ring-bypass inline
+// submitters (see local.go) and tells the watchdog that work is in flight;
+// stop items skip the word — they touch no enforcement state.
 func (e *Engine) process(s *shard, it item) bool {
 	if it.stop {
 		return true
 	}
-	s.busy.Store(true)
 	s.acquire(occShard)
 	defer s.release()
-	wall := time.Now().UnixNano()
+	wall := e.burstWall(s)
 	s.heartbeat.Store(wall)
 	defer func() {
 		s.processed.Add(1)
-		// One wall-clock read serves both the heartbeat stamp and the
-		// burst-latency histogram — enabling observability adds no clock
-		// calls to the datapath.
-		end := time.Now().UnixNano()
+		// One stamp serves both the heartbeat and the burst-latency
+		// histogram.
+		end := e.burstWall(s)
 		s.heartbeat.Store(end)
-		s.busy.Store(false)
 		if s.obs != nil && it.b != nil {
 			s.obs.ObserveBurst(end - wall)
 		}
@@ -653,8 +676,8 @@ func (e *Engine) process(s *shard, it item) bool {
 			for j < len(b.pkts) && b.aggs[j] == b.aggs[i] && b.nodes[j] == b.nodes[i] {
 				j++
 			}
-			// One coarse idle-TTL stamp per run, reusing the wall time
-			// already read for the heartbeat: no per-packet atomics.
+			// One idle-TTL stamp per run, reusing the heartbeat's: no
+			// per-packet atomics.
 			b.aggs[i].lastActive.Store(wall)
 			e.runBatch(s, now, b.aggs[i], b.nodes[i], b.pkts[i:j])
 			i = j
@@ -886,7 +909,8 @@ func (e *Engine) notePanic(s *shard, agg *aggregate, recovered any) {
 
 // flusher is the deadline trigger: it flushes every shard's pending
 // coalesced burst at least once per FlushInterval so low-rate traffic is
-// never stranded behind the size trigger.
+// never stranded behind the size trigger. Waking that often whatever the
+// traffic, it also publishes the coarse wall reading behind burstWall.
 func (e *Engine) flusher() {
 	t := time.NewTicker(e.cfg.FlushInterval)
 	defer t.Stop()
@@ -895,6 +919,7 @@ func (e *Engine) flusher() {
 		case <-e.flushStop:
 			return
 		case <-t.C:
+			e.coarseWall.Store(e.wall())
 			for _, s := range e.shards {
 				e.flushStaged(s)
 			}
@@ -1468,6 +1493,7 @@ func (e *Engine) SetPolicy(id string, policy *sched.Policy) error {
 // in Evicted and reporting id + final stats through OnEvict. The idle check
 // is re-verified under mu against the registered aggregate, so a sweep
 // racing a Remove+Add of the same id never evicts the fresh incarnation.
+// Idleness is overestimated by at most a FlushInterval (burstWall).
 func (e *Engine) sweeper() {
 	t := time.NewTicker(e.cfg.SweepInterval)
 	defer t.Stop()
@@ -1611,15 +1637,17 @@ func (e *Engine) Reinstate(id string) error {
 
 // ShardHealth is the watchdog's view of one shard.
 type ShardHealth struct {
-	Shard        int
-	State        ShardState
-	QueueDepth   int           // bursts queued on the ordered data ring
-	QueueCap     int           // ring capacity in bursts
-	HeartbeatAge time.Duration // time since the shard last made progress
-	Busy         bool          // an item is in flight right now
-	Processed    int64         // items completed
-	Panics       int64         // panics recovered on this shard
-	Shed         int64         // packets shed at this shard's ring
+	Shard      int
+	State      ShardState
+	QueueDepth int // bursts queued on the ordered data ring
+	QueueCap   int // ring capacity in bursts
+	// HeartbeatAge is the time since the shard last made progress; without
+	// an Observer it can read up to a FlushInterval high.
+	HeartbeatAge time.Duration
+	Busy         bool  // a ring item or an inline burst is in flight right now
+	Processed    int64 // items completed
+	Panics       int64 // panics recovered on this shard
+	Shed         int64 // packets shed at this shard's ring
 }
 
 // Health is a point-in-time snapshot of the engine's fault plane.
@@ -1672,7 +1700,7 @@ func (e *Engine) Health() Health {
 			QueueDepth:   len(s.in),
 			QueueCap:     cap(s.in),
 			HeartbeatAge: time.Duration(now - s.heartbeat.Load()),
-			Busy:         s.busy.Load(),
+			Busy:         s.inFlight(),
 			Processed:    s.processed.Load(),
 			Panics:       s.panics.Load(),
 			Shed:         s.shed.Load(),
@@ -1711,14 +1739,20 @@ func (e *Engine) watchdog() {
 	}
 }
 
+// inFlight reports whether a ring item or an inline burst holds the shard's
+// enforcement state right now.
+func (s *shard) inFlight() bool { return s.occ.Load() != occFree }
+
 // classify derives one shard's state. A shard is Wedged only when it has
-// work (queued or in flight) and its heartbeat is stale — an idle shard's
-// heartbeat goes stale legitimately. It is Degraded when it recovered a
-// panic or shed load since the last check, or its ring is ≥3/4 full.
+// work (queued, or in flight on its own goroutine or an inline submitter's)
+// and its heartbeat is stale by more than WedgeTimeout — an idle shard's
+// heartbeat goes stale legitimately, and a working one's by a FlushInterval
+// (burstWall). It is Degraded when it recovered a panic or shed load since
+// the last check, or its ring is ≥3/4 full.
 func (e *Engine) classify(s *shard, now int64, lastPanics, lastShed *int64) ShardState {
 	depth := len(s.in) + len(s.ctrl)
 	age := time.Duration(now - s.heartbeat.Load())
-	working := depth > 0 || s.busy.Load()
+	working := depth > 0 || s.inFlight()
 	p, sh := s.panics.Load(), s.shed.Load()
 	panicked, shed := p > *lastPanics, sh > *lastShed
 	*lastPanics, *lastShed = p, sh

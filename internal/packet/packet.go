@@ -81,8 +81,14 @@ type Packet struct {
 // ClassIn returns the effective class of the packet for an enforcer with n
 // queues: the explicit class if set, otherwise the flow-key hash class.
 func (p *Packet) ClassIn(n int) int {
-	if p.Class != NoClass && p.Class >= 0 && p.Class < n {
+	if uint(p.Class) < uint(n) { // NoClass and other negatives wrap above n
 		return p.Class
 	}
-	return p.Key.Class(n)
+	return p.keyClass(n)
 }
+
+// keyClass is the hash fallback, out of line so that ClassIn's compare fits
+// the inliner's budget and the enforcers' packet loops pay no call for it.
+//
+//go:noinline
+func (p *Packet) keyClass(n int) int { return p.Key.Class(n) }

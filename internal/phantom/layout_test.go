@@ -29,6 +29,11 @@ func TestQueueLayout(t *testing.T) {
 	if ringCap&(ringCap-1) != 0 {
 		t.Fatalf("ringCap %d is not a power of two", ringCap)
 	}
+	// 320 B is a malloc size class; a byte more and every subscriber (and
+	// every relay-table entry) pays for 352.
+	if got := unsafe.Sizeof(PQP{}); got > 320 {
+		t.Fatalf("PQP is %d bytes, want ≤ 320", got)
+	}
 }
 
 // diffPolicies are the rate-sharing policies the differential cycles
@@ -59,6 +64,14 @@ type layoutDiff struct {
 	// into an empty queue it leaves a zero-byte run, which SnapshotState
 	// writes and RestoreState has always rejected, so round trips stop.
 	zeroRun bool
+
+	// batched sends arrivals through SubmitBatch: a packet with no gap
+	// joins the burst the previous one started, and anything else — a gap,
+	// a tick, a reconfiguration — submits what is pending first. hashed
+	// leaves every packet's class to its flow key.
+	batched, hashed bool
+	pending         []packet.Packet
+	verdicts        []enforcer.Verdict
 }
 
 func newLayoutDiff(t *testing.T, cfg Config, policy int, policies ...func() *sched.Policy) *layoutDiff {
@@ -80,16 +93,61 @@ func (d *layoutDiff) build() *PQP {
 }
 
 func (d *layoutDiff) submit(gap time.Duration, class, size int, ect bool) {
-	d.now += gap
-	d.zeroRun = d.zeroRun || size == 0
 	pkt := packet.Packet{Key: packet.FlowKey{SrcPort: uint16(class)}, Class: class, Size: size, ECT: ect}
+	if d.hashed {
+		pkt.Class = packet.NoClass
+	}
+	d.zeroRun = d.zeroRun || size == 0
+	if d.batched {
+		if gap > 0 {
+			d.flush()
+		}
+		d.now += gap
+		d.pending = append(d.pending, pkt)
+		return
+	}
+	d.now += gap
 	if got, want := d.p.Submit(d.now, pkt), d.ref.Submit(d.now, pkt); got != want {
 		d.t.Fatalf("t=%v class %d size %d: verdict %v, reference %v", d.now, class, size, got, want)
 	}
 	d.compare("submit")
 }
 
+// burst submits pkts as one SubmitBatch call, gap after whatever came last.
+func (d *layoutDiff) burst(gap time.Duration, pkts ...packet.Packet) {
+	d.flush()
+	d.now += gap
+	d.pending = append(d.pending, pkts...)
+	for _, pkt := range pkts {
+		d.zeroRun = d.zeroRun || pkt.Size == 0
+	}
+	d.flush()
+}
+
+// flush hands the pending burst to SubmitBatch, and to the reference packet
+// by packet.
+func (d *layoutDiff) flush() {
+	if len(d.pending) == 0 {
+		return
+	}
+	d.t.Helper()
+	if cap(d.verdicts) < len(d.pending) {
+		d.verdicts = make([]enforcer.Verdict, len(d.pending))
+	}
+	v := d.verdicts[:len(d.pending)]
+	d.p.SubmitBatch(d.now, d.pending, v)
+	for i, pkt := range d.pending {
+		if want := d.ref.Submit(d.now, pkt); v[i] != want {
+			d.t.Fatalf("t=%v burst packet %d of %d (class %d size %d): verdict %v, reference %v",
+				d.now, i, len(d.pending), pkt.Class, pkt.Size, v[i], want)
+		}
+	}
+	d.pending = d.pending[:0]
+	d.compare("burst")
+}
+
 func (d *layoutDiff) tick(gap time.Duration) {
+	d.flush()
 	d.now += gap
 	d.p.Tick(d.now)
 	d.ref.Tick(d.now)
@@ -97,6 +155,7 @@ func (d *layoutDiff) tick(gap time.Duration) {
 }
 
 func (d *layoutDiff) setRate(rate units.Rate) {
+	d.flush()
 	d.rate = rate
 	if err := d.p.SetRate(d.now, rate); err != nil {
 		d.t.Fatal(err)
@@ -106,6 +165,7 @@ func (d *layoutDiff) setRate(rate units.Rate) {
 }
 
 func (d *layoutDiff) nextPolicy() {
+	d.flush()
 	d.policy = (d.policy + 1) % len(d.policies)
 	if err := d.p.SetPolicy(d.now, d.policies[d.policy]()); err != nil {
 		d.t.Fatal(err)
@@ -117,6 +177,7 @@ func (d *layoutDiff) nextPolicy() {
 // roundTrip replaces the flat-layout enforcer with a twin restored from its
 // snapshot; the reference carries on untouched.
 func (d *layoutDiff) roundTrip() {
+	d.flush()
 	if d.zeroRun {
 		return
 	}
@@ -180,6 +241,13 @@ func (d *layoutDiff) compare(after string) {
 	}
 }
 
+// Flag bits of the fuzzers' flag byte that diffConfig does not read: how the
+// arrivals are delivered, not what enforces them.
+const (
+	flagBatched = 16 // through SubmitBatch, gap-less packets sharing a burst
+	flagHashed  = 32 // classified by flow key
+)
+
 // diffConfig decodes the fuzzers' flag byte.
 func diffConfig(flags byte) Config {
 	cfg := Config{
@@ -219,6 +287,7 @@ func (d *layoutDiff) run(ops []byte) {
 			d.submit(gap, int(op)%4, 40+int(arg)*8, arg&1 != 0)
 		}
 	}
+	d.flush()
 }
 
 // FuzzLayoutEquivalence is the flat layout's differential: arbitrary
@@ -233,8 +302,34 @@ func FuzzLayoutEquivalence(f *testing.F) {
 	f.Add(byte(0), byte(0), []byte{1, 0, 100, 1, 11, 0, 255, 15, 9, 0, 11, 0, 0, 11, 1, 3, 0, 50, 0, 11, 0})
 	f.Add(byte(0), byte(2), alternation(40))
 	f.Add(byte(1), byte(0), alternation(40))
+	// The same through SubmitBatch: a seventeenth run and a 3 GiB one reach
+	// the ring's fast paths and must be handed to the spill path.
+	f.Add(byte(0), byte(flagBatched), alternation(40))
+	f.Add(byte(1), byte(flagBatched|2), alternation(40))
+	// A burst that carries class 0 four times across a window boundary,
+	// twice: the first roll restarts the flood's window, the second finds
+	// it quiet and reclaims the magic, and neither may happen again within
+	// its burst.
+	f.Add(byte(0), byte(flagBatched), append(alternation(0),
+		255, 1, 182, 255, 0, 182, 0, 0, 182, 0, 0, 182, 0, 2, 182, 0, 0, 182,
+		255, 1, 182, 255, 0, 182, 0, 0, 182, 0, 3, 182, 0, 0, 182, 0, 0, 182))
+	// Unequal weights, a short queue and three long ones: pass 1 of the
+	// drain empties the short one and the budget changes under the others.
+	f.Add(byte(1), byte(flagBatched|1), []byte{
+		0, 0, 0, 0, 1, 182, 0, 1, 182, 0, 2, 182, 0, 2, 182, 0, 3, 182, 0, 3, 182,
+		27, 15, 0, 0, 0, 0, 0, 1, 182, 27, 15, 1})
+	// Rate, policy and snapshot round trips between bursts: r_i* is
+	// memoised per occupied set and must not outlive any of them.
+	f.Add(byte(0), byte(flagBatched), []byte{
+		1, 0, 182, 0, 0, 182, 0, 1, 182, 0, 14, 31, 9, 0, 182, 0, 0, 182, 0, 0, 182, 0, 0, 182, 0, 0, 182, 0, 0, 182,
+		0, 13, 0, 9, 1, 182, 0, 1, 182, 0, 1, 182, 0, 12, 0, 9, 2, 182, 0, 2, 182, 0, 14, 0, 9, 2, 182, 0, 2, 182})
+	// Zero-size and hash-classified packets inside bursts.
+	f.Add(byte(0), byte(flagBatched|flagHashed), []byte{
+		1, 11, 0, 0, 0, 100, 0, 11, 0, 0, 11, 1, 0, 1, 100, 0, 11, 1, 200, 15, 9, 0, 11, 0, 0, 3, 50})
 	f.Fuzz(func(t *testing.T, policy, flags byte, ops []byte) {
-		newLayoutDiff(t, diffConfig(flags), int(policy)).run(ops)
+		d := newLayoutDiff(t, diffConfig(flags), int(policy))
+		d.batched, d.hashed = flags&flagBatched != 0, flags&flagHashed != 0
+		d.run(ops)
 	})
 }
 
@@ -295,9 +390,187 @@ func TestRingSpillAndReturn(t *testing.T) {
 	}
 }
 
+// TestBurstShortcuts aims the differential at each thing SubmitBatch and the
+// drain skip, hoist or remember, one scenario apiece, and checks that the
+// scenario really gets there. Every scenario runs twice: bare, where a burst
+// counts its statistics in locals, and with an event hook, where it writes
+// them through.
+func TestBurstShortcuts(t *testing.T) {
+	mss := func(class, n int) []packet.Packet {
+		pkts := make([]packet.Packet, n)
+		for i := range pkts {
+			pkts[i] = packet.Packet{Class: class, Size: units.MSS}
+		}
+		return pkts
+	}
+	sized := func(class, size int) packet.Packet { return packet.Packet{Class: class, Size: size} }
+	fair := func() *sched.Policy { return nil }
+
+	scenarios := []struct {
+		name string
+		run  func(t *testing.T, hook func(Event))
+	}{
+		// No rolled mask: a window is closed by the first packet of the
+		// burst that finds it due and by none after it. The flood's window
+		// is restarted by a lone packet, stays quiet, and the next burst —
+		// class 0 three times — closes it under θ⁻ and reclaims. Closing it
+		// again for the second packet would zero the bytes the first added.
+		{"one roll per class per burst", func(t *testing.T, hook func(Event)) {
+			cfg := diffConfig(0)
+			cfg.OnEvent = hook
+			d := newLayoutDiff(t, cfg, 0, fair)
+			d.burst(time.Microsecond, mss(0, 60)...)
+			d.burst(12*time.Millisecond, mss(0, 1)...)
+			if d.p.MagicBytes(0) == 0 {
+				t.Fatal("the flood left no magic to reclaim")
+			}
+			d.burst(12*time.Millisecond, mss(0, 3)...)
+			q := &d.p.queues[0]
+			if d.p.MagicBytes(0) != 0 || !q.open || q.windowStart != d.now || q.accepted != 3*units.MSS {
+				t.Fatalf("after the quiet window: magic %d, window open %v at %v holding %d B; want a reclaim and one restart at %v holding three packets",
+					d.p.MagicBytes(0), q.open, q.windowStart, q.accepted, d.now)
+			}
+		}},
+		// The drain's allocation memo is keyed on the budget as well as the
+		// weight: pass 1 empties queue 0, the budget shrinks, and queue 1 —
+		// same weight, a backlog between the old allocation and the new —
+		// is measured against the new one, as are the long queues behind it.
+		{"budget changes inside a drain pass", func(t *testing.T, hook func(Event)) {
+			for _, tc := range []struct {
+				weights []float64
+				q1      int
+			}{{[]float64{1, 1, 1, 1}, 120}, {[]float64{1, 1, 2, 2}, 80}} {
+				cfg := diffConfig(1)
+				cfg.OnEvent = hook
+				d := newLayoutDiff(t, cfg, 0, func() *sched.Policy { return sched.WeightedFair(tc.weights...) })
+				d.burst(time.Microsecond, sized(0, 40), sized(1, tc.q1), sized(2, 2*units.MSS), sized(3, 2*units.MSS))
+				d.tick(time.Millisecond) // 500 B of budget
+				if q := d.p.queues; q[0].length != 0 || q[2].length == 0 || q[2].length == 2*units.MSS {
+					t.Fatalf("weights %v: queues 0 and 2 hold %d and %d B; want 0 emptied by pass 1 and 2 part-drained by pass 2",
+						tc.weights, q[0].length, q[2].length)
+				}
+			}
+		}},
+		// r_i*·T is remembered per occupied set and must not outlive a
+		// rate change, a policy change or a restore. At 4 Mbps the second
+		// burst would cross θ⁺ and fill; at 32 Mbps it must not.
+		{"share memo across reconfiguration", func(t *testing.T, hook func(Event)) {
+			cfg := diffConfig(0)
+			cfg.OnEvent = hook
+			d := newLayoutDiff(t, cfg, 0)
+			d.burst(time.Microsecond, mss(0, 3)...)
+			d.setRate(32 * units.Mbps)
+			d.burst(time.Microsecond, mss(0, 8)...)
+			if m := d.p.MagicBytes(0); m != 0 {
+				t.Fatalf("%d magic bytes: the burst after SetRate was held to the old rate's θ⁺", m)
+			}
+			d.nextPolicy()
+			d.burst(time.Microsecond, append(mss(1, 4), mss(0, 4)...)...)
+			d.roundTrip()
+			d.burst(time.Microsecond, append(mss(1, 4), mss(3, 4)...)...)
+			d.setRate(units.Mbps)
+			d.burst(time.Microsecond, append(mss(1, 4), mss(3, 4)...)...)
+		}},
+		// The ring fast paths hand over to the spill path: a real tail run
+		// that would pass 2 GiB, a packet that is itself past it, and a
+		// seventeenth run.
+		{"fast paths give way to the spill", func(t *testing.T, hook func(Event)) {
+			cfg := diffConfig(1 | 2)
+			cfg.OnEvent = hook
+			d := newLayoutDiff(t, cfg, 0, fair)
+			d.burst(time.Microsecond, sized(0, 1<<30), sized(0, 1<<30), sized(1, 1<<31), sized(0, 1<<30), sized(0, units.MSS))
+			if q := d.p.queues; !q[0].spilled || !q[1].spilled || q[0].length != 3<<30 {
+				t.Fatalf("queue 0 spilled %v holding %d B, queue 1 spilled %v; want both on the heap and queue 0 full", q[0].spilled, q[0].length, q[1].spilled)
+			}
+			cfg = diffConfig(0)
+			cfg.OnEvent = hook
+			cfg.Window, cfg.DrainBatch = 50*time.Millisecond, units.MSS
+			d = newLayoutDiff(t, cfg, 0, fair)
+			d.batched = true
+			d.run(alternation(14))
+			if !d.p.queues[0].spilled || d.p.numRuns(0) <= ringCap {
+				t.Fatalf("alternation left %d runs (spilled %v); it no longer reaches a seventeenth", d.p.numRuns(0), d.p.queues[0].spilled)
+			}
+		}},
+		// Zero-size packets (into an empty queue, where r_i* counts the
+		// class in without it being occupied, and behind a magic tail) and
+		// packets classified by flow key, unset or out of range.
+		{"zero-size and hash-classified packets", func(t *testing.T, hook func(Event)) {
+			cfg := diffConfig(0)
+			cfg.OnEvent = hook
+			d := newLayoutDiff(t, cfg, 0, fair)
+			keyed := func(class, port, size int) packet.Packet {
+				return packet.Packet{Key: packet.FlowKey{SrcPort: uint16(port)}, Class: class, Size: size}
+			}
+			d.burst(time.Microsecond, sized(0, 0), sized(0, 0), sized(1, units.MSS), sized(2, 0),
+				keyed(packet.NoClass, 7, units.MSS), keyed(4, 8, units.MSS), keyed(-7, 9, 0), keyed(99, 10, units.MSS))
+			d.burst(time.Microsecond, mss(1, 60)...)
+			if d.p.MagicBytes(1) == 0 {
+				t.Fatal("the flood left no magic tail")
+			}
+			d.burst(12*time.Millisecond, sized(1, 0), sized(1, 0), keyed(packet.NoClass, 7, 0), sized(1, units.MSS))
+		}},
+	}
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			sc.run(t, nil)
+			events := 0
+			sc.run(t, func(Event) { events++ })
+			if events == 0 {
+				t.Fatal("the hooked run saw no events")
+			}
+		})
+	}
+}
+
+// TestBurstStatsVisibleToHooks: a burst counts its aggregate statistics in
+// locals, except that whatever a Filter or OnEvent hook can see is already
+// in EnforcerStats when the hook runs — every earlier packet for the filter,
+// the event's own packet too for the event.
+func TestBurstStatsVisibleToHooks(t *testing.T) {
+	var p *PQP
+	var filtered, decided int64
+	total := func() int64 {
+		st := p.EnforcerStats()
+		return st.AcceptedPackets + st.DroppedPackets
+	}
+	cfg := diffConfig(0)
+	cfg.Filter = func(pkt packet.Packet) bool {
+		if got := total(); got != filtered {
+			t.Fatalf("filter for packet %d sees %d packets counted", filtered, got)
+		}
+		filtered++
+		return pkt.Size != 99
+	}
+	cfg.OnEvent = func(e Event) {
+		switch e.Kind {
+		case EventAccept, EventDrop, EventMark:
+			decided++
+			if got := total(); got != decided {
+				t.Fatalf("event %d (%v) sees %d packets counted", decided, e.Kind, got)
+			}
+		}
+	}
+	p = MustNew(cfg)
+	pkts := make([]packet.Packet, 64)
+	for i := range pkts {
+		pkts[i] = packet.Packet{Class: i % 2, Size: units.MSS}
+		if i%7 == 3 {
+			pkts[i].Size = 99
+		}
+	}
+	verdicts := make([]enforcer.Verdict, len(pkts))
+	for b := 0; b < 3; b++ {
+		p.SubmitBatch(time.Duration(b)*12*time.Millisecond, pkts, verdicts)
+	}
+	if st := p.EnforcerStats(); filtered != 3*64 || decided != filtered || st.DroppedPackets == 0 || st.AcceptedPackets == 0 {
+		t.Fatalf("%d filter calls, %d decisions, stats %+v", filtered, decided, st)
+	}
+}
+
 // TestManyQueuesEquivalence runs the differential over 130 queues, so the
-// occupied and rolled masks span three words, under a fair, a weighted and a
-// priority policy.
+// occupied mask spans three words, under a fair, a weighted and a priority
+// policy.
 func TestManyQueuesEquivalence(t *testing.T) {
 	const queues = 130
 	weights := make([]float64, queues)
@@ -311,7 +584,6 @@ func TestManyQueuesEquivalence(t *testing.T) {
 		func() *sched.Policy { return sched.WeightedFair(weights...) },
 		func() *sched.Policy { return sched.StrictPriority(queues) })
 	pkts := make([]packet.Packet, 32)
-	verdicts := make([]enforcer.Verdict, len(pkts))
 	for step := 0; step < 6000; step++ {
 		class := step * 37 % queues
 		if step%5 == 0 {
@@ -329,13 +601,7 @@ func TestManyQueuesEquivalence(t *testing.T) {
 			for i := range pkts {
 				pkts[i] = packet.Packet{Class: (step + i*41) % queues, Size: units.MSS}
 			}
-			d.p.SubmitBatch(d.now, pkts, verdicts)
-			for i, pkt := range pkts {
-				if want := d.ref.Submit(d.now, pkt); verdicts[i] != want {
-					t.Fatalf("step %d burst packet %d: verdict %v, reference %v", step, i, verdicts[i], want)
-				}
-			}
-			d.compare("burst")
+			d.burst(0, pkts...)
 		}
 	}
 	if d.p.EnforcerStats().DroppedPackets == 0 || d.ref.stats.AcceptedPackets == 0 {
@@ -362,7 +628,7 @@ func benchSubscriber(onEvent func(Event)) *PQP {
 // all), sixteen bursts — one burst-control window and a half, during which
 // every queue above θ⁺ is filled with magic and then collects a real and a
 // sub-MSS magic run per drain. The budget is 2,048 B of queues, 320 B of
-// PQP, 16 B of masks and what the few queues past sixteen runs spill.
+// PQP, 8 B of mask and what the few queues past sixteen runs spill.
 func TestBytesPerSubscriber(t *testing.T) {
 	const subs, bursts, burstLen = 1024, 16, 32
 	pkts := make([]packet.Packet, burstLen)

@@ -25,11 +25,10 @@
 //
 // The paper's pitch is that a subscriber costs counters, not objects, and
 // the state is laid out to keep that true at table scale. A PQP is three
-// allocations, none of them made after New: the PQP itself (320 bytes:
-// configuration, aggregate statistics, the drain clock, the share cache),
-// the queue array, and two mask words per 64 queues (which queues are
-// occupied; which have had their window rolled in the current burst). A
-// 16-queue subscriber is 2,384 bytes.
+// allocations, none of them made after New: the PQP itself (320 bytes, a
+// malloc size class: configuration, aggregate statistics, the drain clock,
+// the share cache), the queue array, and one mask word per 64 queues (which
+// queues are occupied). A 16-queue subscriber is 2,376 bytes.
 //
 // A queue is 128 bytes, two cache lines, and holds no pointers, so the
 // collector never scans the array. The first line is what an admission
@@ -58,6 +57,7 @@ package phantom
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"bcpqp/internal/enforcer"
@@ -146,13 +146,14 @@ type PQP struct {
 	// the current occupied set, valid while sharesValid (which the queue
 	// table clears whenever a queue transitions between empty and
 	// occupied), so the per-packet burst-control check is a cached read.
-	wsum   float64
-	shares []float64
+	// memoBytes is X_i under wsum for the weight of class memoClass (-1:
+	// none yet): equal weights divide once per occupied set, not per accept.
+	wsum      float64
+	memoBytes float64
+	shares    []float64
 
 	// red holds per-queue RED state when the AQM extension is enabled.
 	red []redState
-
-	started bool
 }
 
 // New validates cfg and returns a PQP (or BC-PQP when cfg.BurstControl).
@@ -272,8 +273,8 @@ func (p *PQP) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
 		return enforcer.Drop
 	}
 
-	if p.cfg.BurstControl {
-		p.rollWindow(now, class)
+	if p.cfg.BurstControl && q.windowDue(now, p.cfg.Window) {
+		p.closeWindow(now, class, q)
 	}
 
 	// Drop-tail admission on the simulated buffer, with batched lazy
@@ -308,6 +309,7 @@ func (p *PQP) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
 		return enforcer.Drop
 	}
 
+	p.stats.Accept(pkt.Size)
 	p.accept(now, class, q, size)
 	if markCE {
 		p.emit(now, class, EventMark, size, q.length)
@@ -317,14 +319,14 @@ func (p *PQP) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
 	return enforcer.Transmit
 }
 
-// accept performs the admission bookkeeping shared by Submit and Commit:
-// the phantom enqueue, statistics, and burst-control window accounting
-// (including the θ⁺ magic fill).
+// accept performs the admission bookkeeping shared by Submit, SubmitBatch
+// and Commit: the phantom enqueue, the class counters, and burst-control
+// window accounting (including the θ⁺ magic fill). The aggregate statistics
+// are the caller's, counted before the call so that a fill event sees them.
 func (p *PQP) accept(now time.Duration, class int, q *queue, size int64) {
 	p.pushReal(class, size)
 	q.acceptedPackets++
 	q.acceptedBytes += size
-	p.stats.Accept(int(size))
 
 	if p.cfg.BurstControl {
 		if !q.open {
@@ -392,9 +394,10 @@ func (p *PQP) Commit(now time.Duration, pkt packet.Packet) {
 	class := pkt.ClassIn(p.cfg.Queues)
 	q := &p.queues[class]
 	size := int64(pkt.Size)
-	if p.cfg.BurstControl {
-		p.rollWindow(now, class)
+	if p.cfg.BurstControl && q.windowDue(now, p.cfg.Window) {
+		p.closeWindow(now, class, q)
 	}
+	p.stats.Accept(pkt.Size)
 	p.accept(now, class, q, size)
 	p.emit(now, class, EventAccept, size, q.length)
 }
@@ -407,7 +410,9 @@ func (p *PQP) Tick(now time.Duration) {
 	p.advance(now)
 	if p.cfg.BurstControl {
 		for i := range p.queues {
-			p.rollWindow(now, i)
+			if q := &p.queues[i]; q.windowDue(now, p.cfg.Window) {
+				p.closeWindow(now, i, q)
+			}
 		}
 	}
 }
@@ -445,19 +450,29 @@ func (p *PQP) advance(now time.Duration) {
 // re-allocating the slack of queues that empty (work conservation).
 func (p *PQP) flatDrain(budget int64) {
 	w := p.weights
-	for budget > 0 && p.nextOccupied(0) >= 0 {
+	for budget > 0 && p.anyOccupied() {
 		wsum := p.occupiedWeight()
+		// alloc is queue i's share of the budget as it stands, remembered
+		// for the last (budget, weight): equal weights divide once a pass.
+		memoBudget, memoWeight, memoAlloc := int64(-1), 0.0, int64(0)
+		alloc := func(i int) int64 {
+			if wi := w[i]; wi != memoWeight || budget != memoBudget {
+				memoBudget, memoWeight, memoAlloc = budget, wi, int64(float64(budget)*wi/wsum)
+			}
+			return memoAlloc
+		}
 		// Drain queues whose backlog fits inside their allocation
 		// first; if none fits, hand out proportional shares (plus the
 		// rounding remainder) and finish.
 		drainedSmall := false
-		for i := p.nextOccupied(0); i >= 0; i = p.nextOccupied(i + 1) {
-			q := &p.queues[i]
-			alloc := int64(float64(budget) * w[i] / wsum)
-			if q.length <= alloc {
-				budget -= q.length
-				p.drain(i, q.length)
-				drainedSmall = true
+		for base, word := range p.masks {
+			for m := word; m != 0; m &= m - 1 {
+				i := base<<6 + bits.TrailingZeros64(m)
+				if q := &p.queues[i]; q.length <= alloc(i) {
+					budget -= q.length
+					p.drain(i, q.length)
+					drainedSmall = true
+				}
 			}
 		}
 		if drainedSmall {
@@ -466,22 +481,24 @@ func (p *PQP) flatDrain(budget int64) {
 		// Every occupied queue is longer than its allocation, so none
 		// empties here.
 		var consumed int64
-		for i := p.nextOccupied(0); i >= 0; i = p.nextOccupied(i + 1) {
-			alloc := int64(float64(budget) * w[i] / wsum)
-			p.drain(i, alloc)
-			consumed += alloc
+		for base, word := range p.masks {
+			for m := word; m != 0; m &= m - 1 {
+				i := base<<6 + bits.TrailingZeros64(m)
+				a := alloc(i)
+				p.drain(i, a)
+				consumed += a
+			}
 		}
 		// Rounding remainder: give leftover bytes to queues with
 		// remaining backlog, one pass.
 		leftover := budget - consumed
-		for i := p.nextOccupied(0); i >= 0 && leftover > 0; i = p.nextOccupied(i + 1) {
-			q := &p.queues[i]
-			d := leftover
-			if d > q.length {
-				d = q.length
+		for base, word := range p.masks {
+			for m := word; m != 0 && leftover > 0; m &= m - 1 {
+				i := base<<6 + bits.TrailingZeros64(m)
+				d := min(leftover, p.queues[i].length)
+				p.drain(i, d)
+				leftover -= d
 			}
-			p.drain(i, d)
-			leftover -= d
 		}
 		return
 	}
@@ -493,6 +510,7 @@ func (p *PQP) occupiedWeight() float64 {
 	if !p.sharesValid {
 		p.wsum = p.sumWeights()
 		p.sharesValid = true
+		p.memoClass = -1
 	}
 	return p.wsum
 }
@@ -501,20 +519,26 @@ func (p *PQP) occupiedWeight() float64 {
 // sched.Policy.Shares visits the leaves of a fair or weighted-fair policy.
 func (p *PQP) sumWeights() float64 {
 	var sum float64
-	for i := p.nextOccupied(0); i >= 0; i = p.nextOccupied(i + 1) {
-		sum += p.weights[i]
+	for base, word := range p.masks {
+		for m := word; m != 0; m &= m - 1 {
+			sum += p.weights[base<<6+bits.TrailingZeros64(m)]
+		}
 	}
 	return sum
 }
 
-// rollWindow closes an expired burst-control window on queue class: if the
-// queue accepted less than θ⁻·r_i*·T bytes it is "finishing", so remaining
-// magic bytes are reclaimed and its rate share frees up immediately.
-func (p *PQP) rollWindow(now time.Duration, class int) {
-	q := &p.queues[class]
-	if !q.open || now < q.windowStart+p.cfg.Window {
-		return
-	}
+// windowDue reports whether q has a burst-control window open that has run
+// its length by now: the guard in front of every closeWindow, false again as
+// soon as that has run (the window is gone or restarted at now < now + T).
+func (q *queue) windowDue(now, window time.Duration) bool {
+	return q.open && now >= q.windowStart+window
+}
+
+// closeWindow closes queue class's expired burst-control window (windowDue):
+// if the queue accepted less than θ⁻·r_i*·T bytes it is "finishing", so
+// remaining magic bytes are reclaimed and its rate share frees up
+// immediately.
+func (p *PQP) closeWindow(now time.Duration, class int, q *queue) {
 	// An empty queue holds no magic, so r_i* is only worked out for
 	// queues that might reclaim.
 	if q.length > 0 && float64(q.accepted) < p.cfg.ThetaLo*p.expectedWindowBytes(class) {
@@ -538,18 +562,20 @@ func (p *PQP) rollWindow(now time.Duration, class int) {
 func (p *PQP) expectedWindowBytes(class int) float64 {
 	rate := p.cfg.Rate.BytesPerSecond()
 	if w := p.weights; w != nil {
-		var wsum float64
-		if p.isOccupied(class) {
-			wsum = p.occupiedWeight()
-		} else {
+		if !p.isOccupied(class) {
 			// Only a zero-size accept gets here: count the class in
 			// without caching the sum.
 			bit := uint64(1) << (class & 63)
 			*p.occupiedWord(class) |= bit
-			wsum = p.sumWeights()
+			wsum := p.sumWeights()
 			*p.occupiedWord(class) &^= bit
+			return rate * w[class] / wsum * p.windowSec
 		}
-		return rate * w[class] / wsum * p.windowSec
+		wsum := p.occupiedWeight()
+		if c := p.memoClass; c < 0 || w[c] != w[class] {
+			p.memoClass, p.memoBytes = int32(class), rate*w[class]/wsum*p.windowSec
+		}
+		return p.memoBytes
 	}
 	if !p.sharesValid || (p.queues[class].length == 0 && p.shares[class] == 0) {
 		p.cfg.Policy.Shares(rate,

@@ -2,7 +2,6 @@ package phantom
 
 import (
 	"math"
-	"math/bits"
 	"time"
 )
 
@@ -45,9 +44,9 @@ type queue struct {
 
 // queueTable is a PQP's per-queue state: the queue array, one pointer-free
 // allocation the garbage collector never scans, the FIFOs that do not
-// currently fit their ring, and two bitmasks over the queues. Every change
-// to a queue's length goes through its methods, which is what keeps the
-// occupied mask true.
+// currently fit their ring, and the occupied bitmask over the queues. Every
+// change to a queue's length goes through its methods, which is what keeps
+// the mask true.
 //
 // A FIFO spills, whole, to a heap deque when it has more than ringCap runs
 // (drain-and-refill alternation inside one window above θ⁺ leaves a real run
@@ -59,40 +58,39 @@ type queueTable struct {
 	queues []queue
 	spills []*deque
 
-	// masks interleaves two bitmasks, a word of each per 64 queues:
-	// occupied (even words) has a bit per queue with non-zero length;
-	// rolled (odd words) has a bit per queue whose burst-control window
-	// the current SubmitBatch call has already rolled.
+	// masks is the occupied mask, a word per 64 queues: a bit per queue
+	// with non-zero length. Walks take a word at a time and strip bits off
+	// their copy (m &= m-1), which holds while a walk changes no queue's
+	// bit but the one it stands on.
 	masks []uint64
+
 	// sharesValid is cleared whenever the occupied set changes; the PQP
-	// sets it when it caches something computed from that set.
+	// sets it when it caches something computed from that set. started and
+	// memoClass are the PQP's alone (its drain clock is set; the class its
+	// r_i* memo is for) and live in this word's padding, which is what
+	// keeps a PQP inside the 320-byte size class.
 	sharesValid bool
+	started     bool
+	memoClass   int32
 }
 
 func newQueueTable(n int) queueTable {
-	return queueTable{queues: make([]queue, n), masks: make([]uint64, 2*((n+63)/64))}
+	return queueTable{queues: make([]queue, n), masks: make([]uint64, (n+63)/64)}
 }
 
-// occupiedWord and rolledWord return the mask word holding queue c's bit.
-func (t *queueTable) occupiedWord(c int) *uint64 { return &t.masks[c>>6<<1] }
-func (t *queueTable) rolledWord(c int) *uint64   { return &t.masks[c>>6<<1|1] }
+// occupiedWord returns the mask word holding queue c's bit.
+func (t *queueTable) occupiedWord(c int) *uint64 { return &t.masks[c>>6] }
 
 func (t *queueTable) isOccupied(c int) bool { return *t.occupiedWord(c)&(1<<(c&63)) != 0 }
 
-// nextOccupied returns the lowest occupied queue at or above c, or -1.
-func (t *queueTable) nextOccupied(c int) int {
-	if c >= len(t.queues) {
-		return -1
-	}
-	if w := *t.occupiedWord(c) >> (c & 63); w != 0 {
-		return c + bits.TrailingZeros64(w)
-	}
-	for c = (c | 63) + 1; c < len(t.queues); c += 64 {
-		if w := *t.occupiedWord(c); w != 0 {
-			return c + bits.TrailingZeros64(w)
+// anyOccupied reports whether any queue holds bytes.
+func (t *queueTable) anyOccupied() bool {
+	for _, m := range t.masks {
+		if m != 0 {
+			return true
 		}
 	}
-	return -1
+	return false
 }
 
 // addLength changes queue c's length by delta and keeps the occupied mask
@@ -170,22 +168,6 @@ func (t *queueTable) pushBack(c int, v int64) {
 	t.spills[c].push(v)
 }
 
-func (t *queueTable) popFront(c int) {
-	q := &t.queues[c]
-	if !q.spilled {
-		q.head = uint8(q.slot(1))
-		if q.n--; q.n == 0 {
-			q.head = 0
-		}
-		return
-	}
-	d := t.spills[c]
-	d.head++
-	if live := d.runs[d.head:]; len(live) <= ringCap/2 {
-		t.toRing(c, live)
-	}
-}
-
 // toHeap moves queue c's FIFO from the ring to a heap deque.
 func (t *queueTable) toHeap(c int) {
 	q := &t.queues[c]
@@ -230,6 +212,25 @@ func (t *queueTable) magic(c int) int64 {
 // pushReal appends s real phantom bytes to queue c, coalescing with a real
 // tail run.
 func (t *queueTable) pushReal(c int, s int64) {
+	// The common accepts write the ring directly: the queue is occupied
+	// (so the mask stands) and in its ring, and s joins a real tail run or
+	// starts one behind a magic tail. What does not fit a slot or the ring
+	// takes the general path below and may spill.
+	if q := &t.queues[c]; q.length > 0 && !q.spilled && uint64(s) <= math.MaxInt32 {
+		i := (q.head + q.n - 1) & (ringCap - 1)
+		if tail := int64(q.ring[i]); tail >= 0 {
+			if tail+s <= math.MaxInt32 {
+				q.ring[i] = int32(tail + s)
+				q.length += s
+				return
+			}
+		} else if q.n < ringCap {
+			q.ring[(i+1)&(ringCap-1)] = int32(s)
+			q.n++
+			q.length += s
+			return
+		}
+	}
 	t.addLength(c, s)
 	if n := t.numRuns(c); n > 0 {
 		if tail := t.run(c, n-1); tail >= 0 {
@@ -249,26 +250,68 @@ func (t *queueTable) pushRun(c int, v int64) {
 
 // drain removes n bytes from the front of queue c.
 func (t *queueTable) drain(c int, n int64) {
-	if length := t.queues[c].length; n > length {
-		n = length
+	q := &t.queues[c]
+	if n = min(n, q.length); n <= 0 {
+		return
 	}
-	t.addLength(c, -n)
+	if q.spilled {
+		t.drainSpilled(c, n)
+		return
+	}
+	// Ring-direct: the cursor stays in registers and is written back once,
+	// as is the occupied bit if the queue empties.
+	q.length -= n
+	head, runs := q.head, q.n
 	for n > 0 {
-		v := t.run(c, 0)
-		sign := int64(1)
-		if v < 0 {
-			sign = -1
+		v := int64(q.ring[head&(ringCap-1)])
+		if take := max(v, -v); take <= n {
+			n -= take
+			head, runs = (head+1)&(ringCap-1), runs-1
+		} else {
+			if v < 0 {
+				n = -n
+			}
+			q.ring[head&(ringCap-1)] = int32(v - n)
+			break
 		}
-		take := v * sign
+	}
+	if runs == 0 {
+		head = 0
+	}
+	q.head, q.n = head, runs
+	if q.length == 0 {
+		*t.occupiedWord(c) &^= 1 << (c & 63)
+		t.sharesValid = false
+	}
+}
+
+// drainSpilled is drain for a FIFO on the heap: 0 < n ≤ length. Whole runs
+// come off the deque; the FIFO returns to the ring if that left half a ring
+// of runs that all fit; the rest of n comes off the front run where it lives.
+func (t *queueTable) drainSpilled(c int, n int64) {
+	t.addLength(c, -n)
+	d := t.spills[c]
+	head := d.head
+	for n > 0 {
+		take := max(d.runs[head], -d.runs[head])
 		if take > n {
-			take = n
+			break
 		}
 		n -= take
-		if v -= sign * take; v == 0 {
-			t.popFront(c)
-		} else {
-			t.setRun(c, 0, v)
+		head++
+	}
+	if head != d.head {
+		d.head = head
+		if live := d.runs[head:]; len(live) <= ringCap/2 {
+			t.toRing(c, live)
 		}
+	}
+	if n > 0 {
+		v := t.run(c, 0)
+		if v < 0 {
+			n = -n
+		}
+		t.setRun(c, 0, v-n)
 	}
 }
 

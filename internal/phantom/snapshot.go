@@ -150,17 +150,16 @@ func (p *PQP) RestoreState(data []byte) error {
 		return err
 	}
 
-	p.started = started
+	restored.started = started
+	p.queueTable = restored
 	p.lastDrain = lastDrain
 	p.drainCredit = drainCredit
 	p.stats = stats
-	p.queueTable = restored
 	if p.red != nil {
 		p.red = red
 	}
 	// Derived state: the restored table built its occupied mask as the
-	// runs went in and arrives with the share cache invalid. The rolled
-	// mask only dedupes window rolls within a single SubmitBatch call.
+	// runs went in and arrives with the share cache invalid.
 	for i := range p.shares {
 		p.shares[i] = 0
 	}
