@@ -259,8 +259,9 @@ type Config struct {
 	// flight-recorder rings fed by datapath and fault events, per-burst
 	// enforcement-latency histograms, and per-aggregate traffic counters
 	// with windowed rate meters. The hot-path cost is a verdict tally per
-	// enforced run (a handful of atomic adds — no per-packet work, no
-	// allocation) plus one sampled trace event per Options.SampleEvery
+	// enforced run (one pass over the run's verdicts into locals, then a
+	// handful of atomic adds — no per-packet atomics, no allocation) plus
+	// one sampled trace event per Options.SampleEvery
 	// runs; rare events (panics, quarantine, shed, failover, evict,
 	// reconfiguration) are always recorded. Read it back through
 	// Engine.TraceDump and Engine.Metrics.

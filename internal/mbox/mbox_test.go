@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"bcpqp/internal/enforcer"
 	"bcpqp/internal/packet"
@@ -31,6 +32,15 @@ func pkt(flow int) packet.Packet {
 		Key:   packet.FlowKey{SrcPort: uint16(flow + 1), Proto: 6},
 		Size:  units.MSS,
 		Class: flow % 16,
+	}
+}
+
+// TestAggregateLayout pins the aggregate's size class: 144 bytes, sixteen
+// bytes short of the next. Field order is not pinned: a hot prefix moved
+// nothing measurable on engine_inline (DESIGN.md, "Lines touched per burst").
+func TestAggregateLayout(t *testing.T) {
+	if got := unsafe.Sizeof(aggregate{}); got > 144 {
+		t.Errorf("aggregate is %d bytes, want ≤ 144 (a malloc size class)", got)
 	}
 }
 

@@ -14,13 +14,14 @@ import (
 )
 
 // TestQueueLayout pins the shape the package doc promises: a queue is two
-// cache lines, and everything an admission decision touches is in the first.
+// cache lines, and everything an accept, a drop or a drain touches is in the
+// first.
 func TestQueueLayout(t *testing.T) {
 	var q queue
 	if got := unsafe.Sizeof(q); got != 128 {
 		t.Fatalf("queue is %d bytes, want 128", got)
 	}
-	if got := unsafe.Offsetof(q.open) + unsafe.Sizeof(q.open); got > 64 {
+	if got := unsafe.Offsetof(q.tail) + unsafe.Sizeof(q.tail); got > 64 || unsafe.Offsetof(q.open) >= 64 {
 		t.Fatalf("hot fields end at byte %d, want within the first 64", got)
 	}
 	if got := unsafe.Offsetof(q.ring); got != 64 {
@@ -60,18 +61,18 @@ type layoutDiff struct {
 	p        *PQP
 	ref      *refPQP
 	now      time.Duration
-	// zeroRun is set once a zero-size packet has been offered. Accepted
-	// into an empty queue it leaves a zero-byte run, which SnapshotState
-	// writes and RestoreState has always rejected, so round trips stop.
-	zeroRun bool
 
 	// batched sends arrivals through SubmitBatch: a packet with no gap
 	// joins the burst the previous one started, and anything else — a gap,
 	// a tick, a reconfiguration — submits what is pending first. hashed
-	// leaves every packet's class to its flow key.
-	batched, hashed bool
-	pending         []packet.Packet
-	verdicts        []enforcer.Verdict
+	// leaves every packet's class to its flow key. lazy checks after each
+	// step only what a queue's first line holds and leaves the runs and the
+	// magic total, which cannot be read without bringing the FIFO up to
+	// date, to a snapshot round trip, the end of the run and wherever the
+	// test calls fifo: in between, the only syncs are the enforcer's own.
+	batched, hashed, lazy bool
+	pending               []packet.Packet
+	verdicts              []enforcer.Verdict
 }
 
 func newLayoutDiff(t *testing.T, cfg Config, policy int, policies ...func() *sched.Policy) *layoutDiff {
@@ -97,7 +98,6 @@ func (d *layoutDiff) submit(gap time.Duration, class, size int, ect bool) {
 	if d.hashed {
 		pkt.Class = packet.NoClass
 	}
-	d.zeroRun = d.zeroRun || size == 0
 	if d.batched {
 		if gap > 0 {
 			d.flush()
@@ -118,9 +118,6 @@ func (d *layoutDiff) burst(gap time.Duration, pkts ...packet.Packet) {
 	d.flush()
 	d.now += gap
 	d.pending = append(d.pending, pkts...)
-	for _, pkt := range pkts {
-		d.zeroRun = d.zeroRun || pkt.Size == 0
-	}
 	d.flush()
 }
 
@@ -178,9 +175,6 @@ func (d *layoutDiff) nextPolicy() {
 // snapshot; the reference carries on untouched.
 func (d *layoutDiff) roundTrip() {
 	d.flush()
-	if d.zeroRun {
-		return
-	}
 	blob, err := d.p.SnapshotState()
 	if err != nil {
 		d.t.Fatal(err)
@@ -198,9 +192,11 @@ func (d *layoutDiff) roundTrip() {
 	}
 	d.p = twin
 	d.compare("restore")
+	d.fifo("restore")
 }
 
-// compare checks everything observable, and the FIFO run by run.
+// compare checks everything observable after a step; the FIFOs too unless
+// the run is lazy.
 func (d *layoutDiff) compare(after string) {
 	d.t.Helper()
 	if got, want := d.p.EnforcerStats(), d.ref.stats; got != want {
@@ -208,9 +204,8 @@ func (d *layoutDiff) compare(after string) {
 	}
 	for c := range d.ref.queues {
 		q, r := &d.p.queues[c], &d.ref.queues[c]
-		if q.length != r.length || d.p.MagicBytes(c) != r.magic {
-			d.t.Fatalf("t=%v after %s: class %d length/magic %d/%d, reference %d/%d",
-				d.now, after, c, q.length, d.p.MagicBytes(c), r.length, r.magic)
+		if q.length != r.length {
+			d.t.Fatalf("t=%v after %s: class %d length %d, reference %d", d.now, after, c, q.length, r.length)
 		}
 		ap, ab, dp, db := d.p.ClassStats(c)
 		if ap != r.acceptedPackets || ab != r.acceptedBytes || dp != r.droppedPackets || db != r.droppedBytes {
@@ -222,7 +217,30 @@ func (d *layoutDiff) compare(after string) {
 		if d.p.isOccupied(c) != (r.length > 0) {
 			d.t.Fatalf("t=%v after %s: class %d occupied bit %v at length %d", d.now, after, c, d.p.isOccupied(c), r.length)
 		}
-		live := r.segs[r.head:]
+	}
+	if !d.lazy {
+		d.fifo(after)
+	}
+}
+
+// fifo brings every FIFO up to date and checks it, run by run and in its
+// magic total, against the reference's.
+func (d *layoutDiff) fifo(after string) {
+	d.t.Helper()
+	for c := range d.ref.queues {
+		q, r := &d.p.queues[c], &d.ref.queues[c]
+		if got := d.p.MagicBytes(c); got != r.magic {
+			d.t.Fatalf("t=%v after %s: class %d holds %d magic bytes, reference %d", d.now, after, c, got, r.magic)
+		}
+		// The reference keeps the zero-byte run a zero-size accept leaves in
+		// an empty queue or behind a magic tail; the FIFO never holds one,
+		// so the runs are compared without them.
+		var live []refSegment
+		for _, s := range r.segs[r.head:] {
+			if s.bytes != 0 {
+				live = append(live, s)
+			}
+		}
 		if n := d.p.numRuns(c); n != len(live) {
 			d.t.Fatalf("t=%v after %s: class %d has %d runs, reference %d", d.now, after, c, n, len(live))
 		}
@@ -246,6 +264,7 @@ func (d *layoutDiff) compare(after string) {
 const (
 	flagBatched = 16 // through SubmitBatch, gap-less packets sharing a burst
 	flagHashed  = 32 // classified by flow key
+	flagLazy    = 64 // FIFOs checked at round trips and at the end only
 )
 
 // diffConfig decodes the fuzzers' flag byte.
@@ -288,6 +307,7 @@ func (d *layoutDiff) run(ops []byte) {
 		}
 	}
 	d.flush()
+	d.fifo("the last op")
 }
 
 // FuzzLayoutEquivalence is the flat layout's differential: arbitrary
@@ -326,9 +346,23 @@ func FuzzLayoutEquivalence(f *testing.F) {
 	// Zero-size and hash-classified packets inside bursts.
 	f.Add(byte(0), byte(flagBatched|flagHashed), []byte{
 		1, 11, 0, 0, 0, 100, 0, 11, 0, 0, 11, 1, 0, 1, 100, 0, 11, 1, 200, 15, 9, 0, 11, 0, 0, 3, 50})
+	// The FIFOs left alone between the enforcer's own syncs: drains pending
+	// over stale runs and tails waiting while bursts, ticks, round trips and
+	// reconfigurations go by, with 3 GiB queues and through SubmitBatch.
+	f.Add(byte(0), byte(flagLazy), alternation(40))
+	f.Add(byte(1), byte(flagLazy|flagBatched|2), alternation(40))
+	f.Add(byte(0), byte(flagLazy|flagBatched), []byte{
+		1, 0, 182, 0, 0, 182, 0, 1, 182, 0, 14, 31, 9, 0, 182, 0, 0, 182, 0, 0, 182, 0, 0, 182, 0, 0, 182, 0, 0, 182,
+		0, 13, 0, 9, 1, 182, 0, 1, 182, 0, 1, 182, 0, 12, 0, 9, 2, 182, 0, 2, 182, 0, 14, 0, 9, 2, 182, 0, 2, 182})
+	// Empty and refill, a drain that stops inside the magic run, zero-size
+	// accepts and a round trip, all with the runs unread until the end.
+	f.Add(byte(0), byte(flagLazy), append(alternation(0),
+		255, 15, 3, 1, 0, 182, 1, 11, 0, 255, 15, 40, 1, 0, 100, 1, 11, 0, 1, 0, 100, 200, 15, 1, 1, 0, 50, 0, 12, 0, 1, 0, 50))
+	f.Add(byte(1), byte(flagLazy|1), []byte{
+		1, 0, 182, 1, 1, 182, 255, 15, 100, 1, 0, 100, 1, 0, 100, 100, 15, 1, 1, 0, 100, 1, 1, 100, 0, 12, 0, 255, 15, 100, 1, 1, 7})
 	f.Fuzz(func(t *testing.T, policy, flags byte, ops []byte) {
 		d := newLayoutDiff(t, diffConfig(flags), int(policy))
-		d.batched, d.hashed = flags&flagBatched != 0, flags&flagHashed != 0
+		d.batched, d.hashed, d.lazy = flags&flagBatched != 0, flags&flagHashed != 0, flags&flagLazy != 0
 		d.run(ops)
 	})
 }
@@ -510,6 +544,125 @@ func TestBurstShortcuts(t *testing.T) {
 			}
 			d.burst(12*time.Millisecond, sized(1, 0), sized(1, 0), keyed(packet.NoClass, 7, 0), sized(1, units.MSS))
 		}},
+		// The lazy FIFO, with no sync but the enforcer's own. A queue that
+		// empties forgets its stored runs and its tail at once, the refill
+		// accumulates in a fresh tail, and a drain takes its front off late.
+		{"empty and refill between syncs", func(t *testing.T, hook func(Event)) {
+			cfg := diffConfig(1)
+			cfg.OnEvent = hook
+			d := newLayoutDiff(t, cfg, 0, fair)
+			d.lazy = true
+			d.burst(time.Microsecond, mss(0, 5)...)
+			d.fifo("the first burst")
+			d.burst(time.Microsecond, mss(0, 2)...)
+			d.tick(50 * time.Millisecond)
+			if q := &d.p.queues[0]; q.length != 0 || q.n != 0 || q.tail != 0 {
+				t.Fatalf("emptied queue: length %d, %d stored runs, tail %d; want all forgotten", q.length, q.n, q.tail)
+			}
+			d.burst(time.Microsecond, mss(0, 3)...)
+			d.tick(2 * time.Millisecond)
+			d.burst(time.Microsecond, mss(0, 2)...)
+			if q := &d.p.queues[0]; q.n != 0 || q.tail != 5*units.MSS || q.length >= 5*units.MSS {
+				t.Fatalf("refilled queue: %d stored runs, tail %d, length %d; want the refill in the tail and a drain pending", q.n, q.tail, q.length)
+			}
+		}},
+		// Each thing that reads or appends runs brings the FIFO up to date
+		// first. A flood leaves [real, magic]; two windows later a drain is
+		// pending over both and a packet waits in the tail, and then the
+		// sync comes from a magic fill, from a reclaim reached by an arrival,
+		// by Tick, by SetRate and by SetPolicy, from a snapshot, and from
+		// MagicBytes.
+		{"every reader of runs syncs first", func(t *testing.T, hook func(Event)) {
+			triggers := []struct {
+				name string
+				pull func(d *layoutDiff)
+			}{
+				{"fill", func(d *layoutDiff) { d.burst(time.Microsecond, mss(0, 5)...) }},
+				{"reclaim on arrival", func(d *layoutDiff) { d.burst(12*time.Millisecond, sized(0, 0)) }},
+				{"Tick", func(d *layoutDiff) { d.tick(12 * time.Millisecond) }},
+				{"SetRate", func(d *layoutDiff) { d.now += 12 * time.Millisecond; d.setRate(8 * units.Mbps) }},
+				{"SetPolicy", func(d *layoutDiff) { d.now += 12 * time.Millisecond; d.nextPolicy() }},
+				{"SnapshotState", func(d *layoutDiff) {
+					if _, err := d.p.SnapshotState(); err != nil {
+						t.Fatal(err)
+					}
+				}},
+				{"MagicBytes", func(d *layoutDiff) { d.p.MagicBytes(0) }},
+			}
+			for _, tr := range triggers {
+				cfg := diffConfig(0)
+				cfg.OnEvent = hook
+				d := newLayoutDiff(t, cfg, 0, fair, fair)
+				d.lazy = true
+				d.burst(time.Microsecond, mss(0, 10)...)
+				d.tick(20 * time.Millisecond)
+				d.burst(time.Millisecond, mss(0, 1)...)
+				if q := &d.p.queues[0]; upToDate(d.p, 0) || q.tail != units.MSS || q.n != 2 {
+					t.Fatalf("%s: set-up left %d stored runs and a tail of %d; want the flood's two, a drain pending and a packet waiting", tr.name, q.n, q.tail)
+				}
+				tr.pull(d)
+				if !upToDate(d.p, 0) {
+					t.Fatalf("%s left queue 0's FIFO stale", tr.name)
+				}
+				d.fifo(tr.name)
+			}
+		}},
+		// The tail counts up to 2 GiB − 1. What would take it past that
+		// goes to the runs first; a packet it cannot count at all goes
+		// straight to the back; and the real run that grows past a ring slot
+		// when the tail lands on it spills.
+		{"the tail hands over at 2 GiB", func(t *testing.T, hook func(Event)) {
+			cfg := diffConfig(1 | 2)
+			cfg.OnEvent = hook
+			d := newLayoutDiff(t, cfg, 0, fair)
+			d.lazy = true
+			d.burst(time.Microsecond, sized(0, 1<<30), sized(0, 1<<30))
+			if q := &d.p.queues[0]; q.spilled || q.n != 1 || q.ring[0] != 1<<30 || q.tail != 1<<30 {
+				t.Fatalf("after 2 GiB: spilled %v, %d stored runs, tail %d; want the first GiB handed over and the second waiting", q.spilled, q.n, q.tail)
+			}
+			d.tick(time.Second) // 500 kB off the front, pending
+			d.burst(time.Microsecond, sized(0, 1<<30), sized(1, 1<<31), sized(1, units.MSS))
+			if q := d.p.queues; q[0].spilled || q[0].n != 1 || q[0].tail != 1<<30 || !q[1].spilled || q[1].tail != 0 {
+				t.Fatalf("queue 0 spilled %v with %d runs and tail %d, queue 1 spilled %v with tail %d; want queue 0 in its ring after a second hand-over and queue 1 eager on the heap",
+					q[0].spilled, q[0].n, q[0].tail, q[1].spilled, q[1].tail)
+			}
+			d.fifo("3 GiB")
+			if q := &d.p.queues[0]; !q.spilled || d.p.numRuns(0) != 1 || q.length <= 2<<30 {
+				t.Fatalf("queue 0 spilled %v holding %d B in %d runs; want one run past a ring slot", q.spilled, q.length, d.p.numRuns(0))
+			}
+		}},
+		// A seventeenth run that appears only when the tail is appended: the
+		// ring holds sixteen runs ending in magic, a packet that fills the
+		// queue exactly is accepted with no fill behind it, and the sync
+		// finds no slot for it. Quiet then drains the FIFO back into the
+		// ring.
+		{"a seventeenth run at sync time", func(t *testing.T, hook func(Event)) {
+			cfg := diffConfig(0)
+			cfg.OnEvent = hook
+			cfg.Window, cfg.DrainBatch = 50*time.Millisecond, units.MSS
+			d := newLayoutDiff(t, cfg, 0, fair)
+			d.run(alternation(7))
+			if q := &d.p.queues[0]; q.spilled || q.n != ringCap || d.p.run(0, ringCap-1) >= 0 {
+				t.Fatalf("alternation left %d runs (spilled %v); want a full ring ending in magic", d.p.numRuns(0), q.spilled)
+			}
+			d.lazy = true
+			d.tick(time.Millisecond)
+			d.burst(0, sized(0, int(cfg.QueueSize-d.p.queues[0].length)))
+			if q := &d.p.queues[0]; q.spilled || q.tail == 0 || q.length != cfg.QueueSize {
+				t.Fatalf("exact fit: spilled %v, tail %d, length %d; want the packet waiting in the tail of a full queue", q.spilled, q.tail, q.length)
+			}
+			d.fifo("the seventeenth run")
+			if q := &d.p.queues[0]; !q.spilled || d.p.numRuns(0) != ringCap+1 {
+				t.Fatalf("after the sync: spilled %v with %d runs; want seventeen on the heap", q.spilled, d.p.numRuns(0))
+			}
+			for d.p.queues[0].spilled {
+				d.tick(time.Millisecond)
+			}
+			d.fifo("the return to the ring")
+			if n := d.p.numRuns(0); n == 0 || n > ringCap/2 {
+				t.Fatalf("back in the ring with %d runs; want the half ring the return waits for", n)
+			}
+		}},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -520,6 +673,114 @@ func TestBurstShortcuts(t *testing.T) {
 				t.Fatal("the hooked run saw no events")
 			}
 		})
+	}
+}
+
+// upToDate reports whether queue c's stored runs are its FIFO: no packet
+// waits in the tail and no drain is pending.
+func upToDate(p *PQP, c int) bool {
+	var stored int64
+	for i, n := 0, p.numRuns(c); i < n; i++ {
+		v := p.run(c, i)
+		stored += max(v, -v)
+	}
+	return p.queues[c].tail == 0 && stored == p.queues[c].length
+}
+
+// TestDrainLeavesFIFOLineUntouched: accepts that trigger no magic fill, drops
+// and lazy drains of any size write nothing to a queue's second cache line.
+// Four flows flood, are filled with magic, and then offer twice their share
+// for windows on end — every burst drains, accepts and drops — while the
+// drains eat through the stored real run, into the magic behind it and
+// finally past it; the ring bytes stay as the last sync left them, and the
+// FIFO they imply is the reference's whenever it is looked at.
+func TestDrainLeavesFIFOLineUntouched(t *testing.T) {
+	// Where the front of the FIFO stands after so many bursts: in the real
+	// run, in the magic run, past every stored run.
+	for _, tc := range []struct {
+		bursts int
+		front  string
+	}{{10, "real"}, {25, "magic"}, {60, "tail"}} {
+		var fills, reclaims int
+		cfg := diffConfig(0)
+		cfg.Window, cfg.ThetaHi = 100*time.Millisecond, 3
+		cfg.OnEvent = func(e Event) {
+			switch e.Kind {
+			case EventMagicFill:
+				fills++
+			case EventMagicReclaim:
+				reclaims++
+			}
+		}
+		d := newLayoutDiff(t, cfg, 0, func() *sched.Policy { return nil })
+		d.lazy = true
+		var flood, pairs []packet.Packet
+		for i := 0; i < 160; i++ {
+			flood = append(flood, packet.Packet{Class: i % 4, Size: units.MSS})
+		}
+		for i := 0; i < 8; i++ {
+			pairs = append(pairs, packet.Packet{Class: i % 4, Size: units.MSS})
+		}
+		d.burst(time.Microsecond, flood...)
+		d.tick(101 * time.Millisecond) // closes the flood's window, busy: no reclaim
+		d.fifo("the flood")
+		if fills != 4 || reclaims != 0 {
+			t.Fatalf("%d fills and %d reclaims after the flood, want one fill per queue", fills, reclaims)
+		}
+		var rings [4][ringCap]int32
+		for c := range rings {
+			if q := &d.p.queues[c]; q.n != 2 || q.ring[q.slot(0)] <= 0 || q.ring[q.slot(1)] >= 0 {
+				t.Fatalf("queue %d holds %d runs after the flood, want a real and a magic one", c, q.n)
+			}
+			rings[c] = d.p.queues[c].ring
+		}
+		before := d.p.EnforcerStats()
+		for b := 0; b < tc.bursts; b++ {
+			d.burst(12*time.Millisecond, pairs...)
+		}
+		after := d.p.EnforcerStats()
+		if after.AcceptedPackets == before.AcceptedPackets || after.DroppedPackets == before.DroppedPackets || fills != 4 || reclaims != 0 {
+			t.Fatalf("%d bursts: %d accepts, %d drops, %d fills, %d reclaims; want accepts and drops and no fill or reclaim",
+				tc.bursts, after.AcceptedPackets-before.AcceptedPackets, after.DroppedPackets-before.DroppedPackets, fills-4, reclaims)
+		}
+		for c := range rings {
+			if q := &d.p.queues[c]; q.ring != rings[c] {
+				t.Fatalf("%d bursts: queue %d's ring changed from %v to %v", tc.bursts, c, rings[c], q.ring)
+			} else if upToDate(d.p, c) {
+				t.Fatalf("%d bursts: queue %d has nothing pending; the test no longer exercises the lazy paths", tc.bursts, c)
+			}
+		}
+		d.fifo("the bursts")
+		front := "tail"
+		if n := d.p.numRuns(0); n == 3 {
+			front = "real"
+		} else if n == 2 {
+			front = "magic"
+		}
+		if front != tc.front || (front == "magic") != (d.p.run(0, 0) < 0) {
+			t.Fatalf("%d bursts: the front of queue 0 stands in %s (%d runs, first %d), want %s", tc.bursts, front, d.p.numRuns(0), d.p.run(0, 0), tc.front)
+		}
+	}
+}
+
+// TestZeroSizeAcceptSnapshotRestores: a zero-size accept into an empty queue,
+// or behind a magic tail, leaves no zero-byte run for SnapshotState to write
+// and RestoreState to refuse.
+func TestZeroSizeAcceptSnapshotRestores(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		d := newLayoutDiff(t, diffConfig(0), 0)
+		d.lazy = lazy
+		d.submit(time.Millisecond, 1, 0, false)
+		d.roundTrip()
+		for i := 0; i < 60; i++ {
+			d.submit(time.Microsecond, 1, units.MSS, false)
+		}
+		d.submit(time.Microsecond, 1, 0, false)
+		if q := &d.ref.queues[1]; q.segs[len(q.segs)-1] != (refSegment{}) || !q.segs[len(q.segs)-2].magic {
+			t.Fatalf("the reference's queue ends in %+v; want a zero-byte run behind a magic one", q.segs[q.head:])
+		}
+		d.roundTrip()
+		d.submit(12*time.Millisecond, 1, units.MSS, false)
 	}
 }
 
@@ -664,6 +925,7 @@ func TestBytesPerSubscriber(t *testing.T) {
 	var runs, spilled int
 	for _, p := range table {
 		for i := range p.queues {
+			p.sync(i)
 			runs += p.numRuns(i)
 			if p.queues[i].spilled {
 				spilled++

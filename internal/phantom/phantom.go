@@ -32,16 +32,30 @@
 //
 // A queue is 128 bytes, two cache lines, and holds no pointers, so the
 // collector never scans the array. The first line is what an admission
-// decision reads and writes — occupancy, the burst-control window, the
-// per-class counters, the FIFO cursor. The second is the FIFO itself: a
-// ring of sixteen runs, each a signed 32-bit byte count, positive for real
-// phantom bytes and negative for magic. The FIFO exists only so that a
-// reclaim removes exactly the magic bytes that have not yet drained.
+// decision or a drain reads and writes — occupancy, the burst-control window,
+// the per-class counters, the FIFO cursor, and the real bytes accepted since
+// the FIFO was last brought up to date (the tail). The second is the FIFO as
+// of that moment: a ring of sixteen runs, each a signed 32-bit byte count,
+// positive for real phantom bytes and negative for magic.
+//
+// The FIFO exists only so that a reclaim removes exactly the magic bytes that
+// have not yet drained, so it is kept lazily. An accept adds to the length
+// and the tail, a drain subtracts from the length, and neither touches the
+// second line; the runs are implied — the stored ones followed by the tail,
+// less what must come off the front for the total to be the length — until
+// something reads or appends runs and syncs them first: a magic fill, a
+// closed window's reclaim, MagicBytes, SnapshotState, and the tail handing
+// over before it would pass 2 GiB. Pushes go on the back and drains come off
+// the front and never exceed what the queue held, so applying them late
+// leaves the runs an eager FIFO would hold. MagicBytes and SnapshotState
+// therefore write to the queue they read; like every other method of a PQP
+// they belong to the goroutine that owns it.
 //
 // The ring-spill rule: a queue's FIFO moves, whole, to a heap deque of
 // 64-bit runs when it needs a seventeenth run or holds a run of 2 GiB or
 // more, and moves back — releasing the deque — once it is down to eight
-// runs that all fit. A conforming flow holds one real run and, after a
+// runs that all fit. While it is there it is kept eagerly, each accept and
+// drain applied to the deque as it happens. A conforming flow holds one real run and, after a
 // slow-start fill, one magic run. The long FIFOs come from flows that stay
 // above θ⁺ inside one window: each drain frees a little room, the refill is
 // a real run, and the sub-MSS remainder is filled with magic again, a pair
@@ -601,7 +615,8 @@ func (p *PQP) fillMagic(now time.Duration, class int, q *queue) {
 // most recent Submit/Tick.
 func (p *PQP) QueueLength(class int) int64 { return p.queues[class].length }
 
-// MagicBytes returns the magic bytes currently in queue class.
+// MagicBytes returns the magic bytes currently in queue class. It brings the
+// queue's FIFO up to date, so it is for the owning goroutine only.
 func (p *PQP) MagicBytes(class int) int64 { return p.magic(class) }
 
 // EnforcerStats implements enforcer.StatsReader.

@@ -11,14 +11,23 @@ const ringCap = 16
 
 // queue is one phantom queue: 128 bytes, two cache lines, no pointers.
 //
-// The first line is everything an admission decision reads or writes: the
-// simulated occupancy, the burst-control window, the per-class counters and
-// the ring cursor. A drop touches nothing else; an accept also writes the
-// ring's tail slot.
+// The first line is everything an admission decision or a drain reads or
+// writes: the simulated occupancy, the burst-control window, the per-class
+// counters, the ring cursor and tail, the real bytes accepted since the FIFO
+// was last brought up to date. An accept is length += s, tail += s; a drain
+// is length -= n. Neither touches the second line.
 //
-// The second line is the FIFO of real/magic runs. FIFO order is tracked only
-// so that reclaiming magic removes exactly the magic bytes that have not yet
-// drained. A run is a signed byte count — positive for phantom copies of
+// The second line is the FIFO of real/magic runs as of the last sync. FIFO
+// order is tracked only so that reclaiming magic removes exactly the magic
+// bytes that have not yet drained, so only what needs the runs — a magic
+// fill, a closed window's reclaim, MagicBytes, a snapshot — brings them up
+// to date (sync). In between, the FIFO is implied: the stored runs followed
+// by tail real bytes, less whatever has to come off the front for the total
+// to be length. Pushes go on the back and drains come off the front, and a
+// drain never takes more than the queue held at its moment, so applying them
+// late and all at once leaves the same runs as applying each in turn.
+//
+// A run is a signed byte count, never zero — positive for phantom copies of
 // transmitted packets, negative for burst control's vacuous fill — and the
 // queue's magic total is the sum of the negative runs, derived on demand
 // (once per closed window) rather than maintained on every drain.
@@ -37,7 +46,7 @@ type queue struct {
 	n       uint8 // runs in the ring (0 while spilled)
 	open    bool  // a burst-control window is open
 	spilled bool  // the FIFO is in the table's spills, not in ring
-	_       [4]byte
+	tail    int32 // real bytes accepted since the last sync (0 while spilled)
 
 	ring [ringCap]int32
 }
@@ -126,7 +135,50 @@ func fitsRing(v int64) bool { return v >= -math.MaxInt32 && v <= math.MaxInt32 }
 // slot maps the i-th run from the front to its ring slot.
 func (q *queue) slot(i int) int { return (int(q.head) + i) & (ringCap - 1) }
 
-// numRuns returns the number of runs in queue c's FIFO.
+// sync brings queue c's stored FIFO up to date: what has drained since the
+// last sync comes off the front and the tail goes on the back as a real run.
+// Everything that reads or appends runs calls it first. A spilled FIFO is
+// kept up to date as it goes and has nothing pending.
+func (t *queueTable) sync(c int) {
+	q := &t.queues[c]
+	if q.spilled {
+		return
+	}
+	tail := int64(q.tail)
+	q.tail = 0
+	// The FIFO is the last length bytes of the stored runs followed by the
+	// tail, so keep bytes of the stored runs are still queued.
+	keep := q.length - tail
+	if keep <= 0 {
+		// Every stored run has drained, and some of the tail after them.
+		q.head, q.n, tail = 0, 0, q.length
+	}
+	// Walk back from the tail run to the one the front now falls in.
+	i := int(q.n)
+	for keep > 0 {
+		if i == 0 {
+			panic("phantom: a queue's runs and tail hold fewer bytes than its length")
+		}
+		i--
+		v := int64(q.ring[q.slot(i)])
+		if size := max(v, -v); size <= keep {
+			keep -= size
+			continue
+		}
+		if v < 0 {
+			keep = -keep
+		}
+		q.ring[q.slot(i)] = int32(keep)
+		break
+	}
+	q.head, q.n = uint8(q.slot(i)), q.n-uint8(i)
+	if tail > 0 {
+		t.appendReal(c, tail)
+	}
+}
+
+// numRuns returns the number of runs stored in queue c's FIFO, which is all
+// of them after a sync.
 func (t *queueTable) numRuns(c int) int {
 	if q := &t.queues[c]; !q.spilled {
 		return int(q.n)
@@ -135,7 +187,7 @@ func (t *queueTable) numRuns(c int) int {
 	return len(d.runs) - d.head
 }
 
-// run returns the i-th run from the front of queue c.
+// run returns the i-th stored run from the front of queue c.
 func (t *queueTable) run(c, i int) int64 {
 	if q := &t.queues[c]; !q.spilled {
 		return int64(q.ring[q.slot(i)])
@@ -166,6 +218,18 @@ func (t *queueTable) pushBack(c int, v int64) {
 		t.toHeap(c)
 	}
 	t.spills[c].push(v)
+}
+
+// appendReal puts s > 0 real bytes on the back of queue c's stored runs,
+// coalescing with a real tail run.
+func (t *queueTable) appendReal(c int, s int64) {
+	if n := t.numRuns(c); n > 0 {
+		if last := t.run(c, n-1); last > 0 {
+			t.setRun(c, n-1, last+s)
+			return
+		}
+	}
+	t.pushBack(c, s)
 }
 
 // toHeap moves queue c's FIFO from the ring to a heap deque.
@@ -200,6 +264,7 @@ func (t *queueTable) toRing(c int, live []int64) {
 
 // magic returns the magic bytes currently in queue c.
 func (t *queueTable) magic(c int) int64 {
+	t.sync(c)
 	var m int64
 	for i, n := 0, t.numRuns(c); i < n; i++ {
 		if v := t.run(c, i); v < 0 {
@@ -209,46 +274,37 @@ func (t *queueTable) magic(c int) int64 {
 	return m
 }
 
-// pushReal appends s real phantom bytes to queue c, coalescing with a real
-// tail run.
+// pushReal appends s real phantom bytes to queue c. They wait in the tail
+// until something needs the runs; only bytes the tail cannot count, or a
+// spilled FIFO, go on the back at once.
 func (t *queueTable) pushReal(c int, s int64) {
-	// The common accepts write the ring directly: the queue is occupied
-	// (so the mask stands) and in its ring, and s joins a real tail run or
-	// starts one behind a magic tail. What does not fit a slot or the ring
-	// takes the general path below and may spill.
-	if q := &t.queues[c]; q.length > 0 && !q.spilled && uint64(s) <= math.MaxInt32 {
-		i := (q.head + q.n - 1) & (ringCap - 1)
-		if tail := int64(q.ring[i]); tail >= 0 {
-			if tail+s <= math.MaxInt32 {
-				q.ring[i] = int32(tail + s)
-				q.length += s
-				return
-			}
-		} else if q.n < ringCap {
-			q.ring[(i+1)&(ringCap-1)] = int32(s)
-			q.n++
-			q.length += s
-			return
-		}
+	q := &t.queues[c]
+	// The common accept: the queue is occupied (so the mask stands) and in
+	// its ring, and the tail has room.
+	if q.length > 0 && !q.spilled && uint64(s) <= uint64(math.MaxInt32-q.tail) {
+		q.length += s
+		q.tail += int32(s)
+		return
 	}
+	t.sync(c)
 	t.addLength(c, s)
-	if n := t.numRuns(c); n > 0 {
-		if tail := t.run(c, n-1); tail >= 0 {
-			t.setRun(c, n-1, tail+s)
-			return
-		}
+	if !q.spilled && uint64(s) <= math.MaxInt32 {
+		q.tail = int32(s)
+	} else if s > 0 {
+		t.appendReal(c, s)
 	}
-	t.pushBack(c, s)
 }
 
 // pushRun appends a run to queue c as it stands, without coalescing: a magic
 // fill, or a run read from a snapshot.
 func (t *queueTable) pushRun(c int, v int64) {
+	t.sync(c)
 	t.addLength(c, max(v, -v))
 	t.pushBack(c, v)
 }
 
-// drain removes n bytes from the front of queue c.
+// drain removes n bytes from the front of queue c. An emptied queue forgets
+// its stored runs there and then, so a refill starts from a clean cursor.
 func (t *queueTable) drain(c int, n int64) {
 	q := &t.queues[c]
 	if n = min(n, q.length); n <= 0 {
@@ -258,28 +314,9 @@ func (t *queueTable) drain(c int, n int64) {
 		t.drainSpilled(c, n)
 		return
 	}
-	// Ring-direct: the cursor stays in registers and is written back once,
-	// as is the occupied bit if the queue empties.
 	q.length -= n
-	head, runs := q.head, q.n
-	for n > 0 {
-		v := int64(q.ring[head&(ringCap-1)])
-		if take := max(v, -v); take <= n {
-			n -= take
-			head, runs = (head+1)&(ringCap-1), runs-1
-		} else {
-			if v < 0 {
-				n = -n
-			}
-			q.ring[head&(ringCap-1)] = int32(v - n)
-			break
-		}
-	}
-	if runs == 0 {
-		head = 0
-	}
-	q.head, q.n = head, runs
 	if q.length == 0 {
+		q.head, q.n, q.tail = 0, 0, 0
 		*t.occupiedWord(c) &^= 1 << (c & 63)
 		t.sharesValid = false
 	}
@@ -318,6 +355,7 @@ func (t *queueTable) drainSpilled(c int, n int64) {
 // reclaimMagic removes every magic byte from queue c and returns how many
 // there were. The real runs left behind coalesce into one.
 func (t *queueTable) reclaimMagic(c int) int64 {
+	t.sync(c)
 	var m int64
 	anyReal := false
 	for i, n := 0, t.numRuns(c); i < n; i++ {

@@ -37,7 +37,9 @@ const snapVersion = 1
 //
 // Derived state (queue lengths, the occupied mask, the share cache) is
 // recomputed on restore rather than stored, so a blob cannot smuggle in an
-// inconsistent occupancy.
+// inconsistent occupancy. Writing the segments brings every queue's FIFO up
+// to date first, which changes what the queues store though not what they
+// mean: a snapshot is the owning goroutine's to take.
 func (p *PQP) SnapshotState() ([]byte, error) {
 	var e enforcer.Enc
 	e.U8(snapVersion)
@@ -55,6 +57,7 @@ func (p *PQP) SnapshotState() ([]byte, error) {
 		e.I64(q.acceptedBytes)
 		e.I64(q.droppedPackets)
 		e.I64(q.droppedBytes)
+		p.sync(i)
 		runs := p.numRuns(i)
 		e.U32(uint32(runs))
 		for r := 0; r < runs; r++ {
