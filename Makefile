@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet check-ignore staticcheck govulncheck race chaos fuzz-smoke bench bench-compare verify
+.PHONY: all build test vet check-ignore staticcheck govulncheck race chaos fuzz-smoke examples bench bench-compare verify
 
 all: verify
 
@@ -64,6 +64,11 @@ fuzz-smoke:
 		done; \
 	done
 
+# Every example runs to completion (about two seconds each): `go build` only
+# proves they compile.
+examples:
+	@for d in examples/*/; do echo "run $$d"; $(GO) run ./$$d >/dev/null || exit 1; done
+
 # The repository's benchmark (bench/README.md): every workload, with output
 # and reproducibility checks.
 bench:
@@ -76,5 +81,5 @@ bench-compare:
 	scripts/bench-compare.sh
 
 # The gate CI runs: ignore check + build + vet + staticcheck + govulncheck +
-# race-enabled tests + chaos suite + fuzz smoke.
-verify: check-ignore build vet staticcheck govulncheck race chaos fuzz-smoke
+# race-enabled tests + chaos suite + fuzz smoke + the examples.
+verify: check-ignore build vet staticcheck govulncheck race chaos fuzz-smoke examples

@@ -65,7 +65,7 @@ type (
 )
 
 // Reconfigurer is the hot-reconfiguration capability: enforcers that
-// implement it (PQP/BC-PQP, Policer, FairPolicer, Cascade) change their
+// implement it (PQP/BC-PQP, Policer, FairPolicer, PolicyTree) change their
 // enforced rate or rate-sharing policy in place, preserving admission state
 // (phantom occupancy, burst-control windows, token levels) so the Theorem 1
 // bound holds piecewise across the change. Middlebox.SetRate/SetPolicy

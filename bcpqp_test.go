@@ -128,29 +128,6 @@ func TestParseSchemeFacade(t *testing.T) {
 	}
 }
 
-func TestCascadeFacade(t *testing.T) {
-	sub, err := NewBCPQP(BCPQPConfig{Rate: 5 * Mbps, Queues: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	link, err := NewPolicer(8*Mbps, 0, 50*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	casc, err := NewCascade(sub, link)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Millisecond
-	pkt := Packet{Key: FlowKey{SrcIP: 1, Proto: 6}, Size: MSS, Class: 0}
-	if casc.Submit(now, pkt) != Transmit {
-		t.Error("first packet through a fresh cascade dropped")
-	}
-	if _, err := NewCascade(); err == nil {
-		t.Error("empty cascade accepted")
-	}
-}
-
 func TestMiddleboxFacade(t *testing.T) {
 	eng := NewMiddlebox(MiddleboxConfig{Shards: 2})
 	defer eng.Close()
@@ -166,27 +143,20 @@ func TestMiddleboxFacade(t *testing.T) {
 	if h == NoAggregate {
 		t.Fatal("Add returned no handle")
 	}
-	// Single-packet handle path, burst path, and the string compat shim.
+	// Bursts of one, then a burst of six.
 	for i := 0; i < 4; i++ {
-		if err := eng.Submit(h, Packet{
+		if err := eng.SubmitBatch(h, []Packet{{
 			Key: FlowKey{SrcIP: 1, SrcPort: uint16(i), Proto: 6}, Size: MSS, Class: i % 4,
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	burst := make([]Packet, 4)
+	burst := make([]Packet, 6)
 	for i := range burst {
 		burst[i] = Packet{Key: FlowKey{SrcIP: 1, SrcPort: uint16(4 + i), Proto: 6}, Size: MSS, Class: i % 4}
 	}
 	if err := eng.SubmitBatch(h, burst); err != nil {
 		t.Fatal(err)
-	}
-	for i := 8; i < 10; i++ {
-		if err := eng.SubmitID("sub-1", Packet{
-			Key: FlowKey{SrcIP: 1, SrcPort: uint16(i), Proto: 6}, Size: MSS, Class: i % 4,
-		}); err != nil {
-			t.Fatal(err)
-		}
 	}
 	st, err := eng.Stats("sub-1")
 	if err != nil {

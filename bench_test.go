@@ -208,65 +208,11 @@ func benchEngine(b *testing.B, aggs int) (*Middlebox, []AggregateHandle) {
 	return eng, handles
 }
 
-// BenchmarkMiddleboxSubmit measures the per-packet ingress path of the
-// sharded engine with BC-PQP enforcers — the "thousands of subscribers on
-// one box" number, one packet per call. This is the baseline the burst
-// path in BenchmarkMiddleboxSubmitBatch is compared against on the same
-// workload.
-func BenchmarkMiddleboxSubmit(b *testing.B) {
-	for _, aggs := range []int{16, 256} {
-		aggs := aggs
-		b.Run(fmt.Sprintf("aggregates=%d", aggs), func(b *testing.B) {
-			eng, handles := benchEngine(b, aggs)
-			defer eng.Close()
-			pkt := Packet{Key: FlowKey{SrcIP: 1, Proto: 6}, Size: MSS}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					pkt.Class = i & 15
-					eng.Submit(handles[i%aggs], pkt)
-					i++
-				}
-			})
-			b.StopTimer()
-			pps := float64(b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(pps, "pkts/sec")
-		})
-	}
-}
-
-// BenchmarkMiddleboxSubmitID measures the deprecated string-keyed
-// compatibility shim: the per-packet map lookup the handle API removes.
-func BenchmarkMiddleboxSubmitID(b *testing.B) {
-	const aggs = 256
-	eng, _ := benchEngine(b, aggs)
-	defer eng.Close()
-	ids := make([]string, aggs)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("agg-%d", i)
-	}
-	pkt := Packet{Key: FlowKey{SrcIP: 1, Proto: 6}, Size: MSS}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			pkt.Class = i & 15
-			eng.SubmitID(ids[i%aggs], pkt)
-			i++
-		}
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/sec")
-}
-
 // BenchmarkMiddleboxSubmitBatch measures the burst ingress path: one
 // SubmitBatch of DefaultBurst packets per engine call, the rx_burst shape
 // of a DPDK middlebox. One benchmark iteration is one PACKET (bursts are
-// submitted every DefaultBurst iterations), so ns/op and pkts/sec compare
-// directly against BenchmarkMiddleboxSubmit.
+// submitted every DefaultBurst iterations), so ns/op and pkts/sec are per
+// packet.
 func BenchmarkMiddleboxSubmitBatch(b *testing.B) {
 	for _, aggs := range []int{16, 256} {
 		aggs := aggs
@@ -464,7 +410,6 @@ func BenchmarkMiddleboxSubmitBatchOverloaded(b *testing.B) {
 	eng := NewMiddlebox(MiddleboxConfig{
 		Shards:     1,
 		QueueDepth: 64,
-		FlushBurst: 1,
 		Clock: func() time.Duration {
 			return time.Duration(ticks.Add(1)) * 10 * time.Microsecond
 		},

@@ -24,7 +24,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata goldens (run at 
 func TestDebugAuditGolden(t *testing.T) {
 	var clk atomic.Int64
 	mb := bcpqp.NewMiddlebox(bcpqp.MiddleboxConfig{
-		Shards: 1, QueueDepth: 256, FlushBurst: 64,
+		Shards: 1, QueueDepth: 256,
 		Clock: func() time.Duration { return time.Duration(clk.Load()) },
 	})
 	defer mb.Close()

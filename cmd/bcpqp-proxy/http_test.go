@@ -222,7 +222,6 @@ func TestHealthzOverloadDegradedBut200(t *testing.T) {
 	mb := bcpqp.NewMiddlebox(bcpqp.MiddleboxConfig{
 		Shards:           1,
 		QueueDepth:       8,
-		FlushBurst:       1,
 		WatchdogInterval: time.Millisecond,
 		CloseTimeout:     5 * time.Second,
 		Overload:         bcpqp.OverloadConfig{Enabled: true},
@@ -306,7 +305,7 @@ func TestFaultLogRateLimits(t *testing.T) {
 // understated envelope, pushes traffic through, and asserts /debug/audit
 // reports the armed auditor with nonzero violations and exact counters.
 func TestDebugAuditEndpoint(t *testing.T) {
-	mb := bcpqp.NewMiddlebox(bcpqp.MiddleboxConfig{Shards: 1, QueueDepth: 256, FlushBurst: 64})
+	mb := bcpqp.NewMiddlebox(bcpqp.MiddleboxConfig{Shards: 1, QueueDepth: 256})
 	defer mb.Close()
 	enf, err := buildEnforcer("tbf", bcpqp.Rate(100)*bcpqp.Mbps, 8)
 	if err != nil {

@@ -312,15 +312,10 @@ func serve(in net.PacketConn, forward string, enf bcpqp.Enforcer, opts proxyOpts
 			}
 		}
 	}
-	// A policy tree registers node-addressable (per-node stats, in-band
+	// Add registers a policy tree node-addressable (per-node stats, in-band
 	// node reconfiguration, the /metrics/tree export); a flat enforcer is
 	// the degenerate one-node aggregate.
-	var h bcpqp.AggregateHandle
-	if tree, ok := enf.(bcpqp.TreeEnforcer); ok {
-		h, err = mb.AddTree(proxyAggregate, tree, emit)
-	} else {
-		h, err = mb.Add(proxyAggregate, enf, emit)
-	}
+	h, err := mb.Add(proxyAggregate, enf, emit)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bcpqp-proxy:", err)
 		return 1

@@ -1,7 +1,9 @@
 // Multisubscriber: a deployment-shaped example. A middlebox hosts many
-// subscribers, each with its own BC-PQP enforcer, all cascaded under a
-// shared link-level limit — subscriber caps AND an aggregate cap, enforced
-// bufferlessly with consistent accounting (two-phase admission).
+// subscribers, each with its own BC-PQP enforcer, all under a shared
+// link-level limit: one PolicyTree with the link as root and the subscribers
+// as leaves — subscriber caps AND an aggregate cap, enforced bufferlessly
+// with consistent accounting (two-phase admission: a packet is charged to
+// its subscriber and to the link only when both admit it).
 //
 // Four 5 Mbps subscribers share a 12 Mbps link. All offer 8 Mbps. Each must
 // be held to ≤5, the total to ≤12, and the link's spare split fairly.
@@ -32,16 +34,17 @@ func main() {
 		panic(err)
 	}
 
-	cascades := make([]*bcpqp.Cascade, subscribers)
-	for i := range cascades {
+	spec := []bcpqp.PolicyTreeNode{{Name: "link", Parent: -1, Stage: link}}
+	for i := 0; i < subscribers; i++ {
 		sub, err := bcpqp.NewBCPQP(bcpqp.BCPQPConfig{Rate: subRate, Queues: 1})
 		if err != nil {
 			panic(err)
 		}
-		cascades[i], err = bcpqp.NewCascade(sub, link)
-		if err != nil {
-			panic(err)
-		}
+		spec = append(spec, bcpqp.PolicyTreeNode{Name: fmt.Sprintf("sub%d", i), Parent: 0, Stage: sub})
+	}
+	tree, err := bcpqp.NewPolicyTree(spec)
+	if err != nil {
+		panic(err)
 	}
 
 	// Every subscriber offers 8 Mbps of MSS packets.
@@ -54,7 +57,7 @@ func main() {
 				Size:  bcpqp.MSS,
 				Class: s, // the link's per-subscriber class
 			}
-			if cascades[s].Submit(now, pkt) == bcpqp.Transmit {
+			if tree.SubmitAt(now, bcpqp.NodeID(1+s), pkt) == bcpqp.Transmit {
 				accepted[s] += bcpqp.MSS
 			}
 		}

@@ -5,11 +5,11 @@ import (
 	"testing"
 	"time"
 
-	"bcpqp/internal/cascade"
 	"bcpqp/internal/enforcer"
 	"bcpqp/internal/fairpolicer"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/phantom"
+	"bcpqp/internal/ptree"
 	"bcpqp/internal/rng"
 	"bcpqp/internal/tbf"
 	"bcpqp/internal/units"
@@ -29,32 +29,69 @@ const (
 	eqMaxRTT = 40 * time.Millisecond
 )
 
-// eqScheme builds one instance of an enforcer under test.
+// eqScheme builds one instance of an enforcer under test. ref, when set,
+// builds the per-packet side from an independent reference instead.
 type eqScheme struct {
 	name  string
 	build func() enforcer.Enforcer
+	ref   func() enforcer.Enforcer
+}
+
+// refChain is two-phase admission at its plainest: probe every stage,
+// outermost first, and commit to all only when all accept. It is the
+// reference a unary policy tree — the one hierarchy enforcer — is held to.
+type refChain struct {
+	stages []enforcer.Stage
+	stats  enforcer.Stats
+}
+
+func (c *refChain) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
+	for _, s := range c.stages {
+		if !s.Probe(now, pkt) {
+			c.stats.Reject(pkt.Size)
+			return enforcer.Drop
+		}
+	}
+	for _, s := range c.stages {
+		s.Commit(now, pkt)
+	}
+	c.stats.Accept(pkt.Size)
+	return enforcer.Transmit
+}
+
+func (c *refChain) EnforcerStats() enforcer.Stats { return c.stats }
+
+// chainStages is a subscriber limit under a link limit, outermost first.
+func chainStages() []enforcer.Stage {
+	sub := phantom.MustNew(phantom.Config{
+		Rate:         eqRate / 2,
+		Queues:       eqFlows,
+		QueueSize:    10 * tbf.PlusBucket(eqRate/2, eqMaxRTT),
+		BurstControl: true,
+	})
+	return []enforcer.Stage{sub, tbf.MustNew(eqRate, tbf.PlusBucket(eqRate, eqMaxRTT))}
 }
 
 func equivalenceSchemes() []eqScheme {
 	return []eqScheme{
-		{"tbf", func() enforcer.Enforcer {
+		{name: "tbf", build: func() enforcer.Enforcer {
 			return tbf.MustNew(eqRate, tbf.PlusBucket(eqRate, eqMaxRTT))
 		}},
-		{"fairpolicer", func() enforcer.Enforcer {
+		{name: "fairpolicer", build: func() enforcer.Enforcer {
 			return fairpolicer.MustNew(fairpolicer.Config{
 				Rate:   eqRate,
 				Bucket: tbf.PlusBucket(eqRate, eqMaxRTT),
 				Flows:  eqFlows,
 			})
 		}},
-		{"pqp", func() enforcer.Enforcer {
+		{name: "pqp", build: func() enforcer.Enforcer {
 			return phantom.MustNew(phantom.Config{
 				Rate:      eqRate,
 				Queues:    eqFlows,
 				QueueSize: units.RenoPhantomRequirement(eqRate, eqMaxRTT),
 			})
 		}},
-		{"bc-pqp", func() enforcer.Enforcer {
+		{name: "bc-pqp", build: func() enforcer.Enforcer {
 			return phantom.MustNew(phantom.Config{
 				Rate:         eqRate,
 				Queues:       eqFlows,
@@ -62,7 +99,7 @@ func equivalenceSchemes() []eqScheme {
 				BurstControl: true,
 			})
 		}},
-		{"bc-pqp-red", func() enforcer.Enforcer {
+		{name: "bc-pqp-red", build: func() enforcer.Enforcer {
 			qsize := 10 * tbf.PlusBucket(eqRate, eqMaxRTT)
 			return phantom.MustNew(phantom.Config{
 				Rate:         eqRate,
@@ -76,16 +113,10 @@ func equivalenceSchemes() []eqScheme {
 				},
 			})
 		}},
-		{"cascade", func() enforcer.Enforcer {
-			sub := phantom.MustNew(phantom.Config{
-				Rate:         eqRate / 2,
-				Queues:       eqFlows,
-				QueueSize:    10 * tbf.PlusBucket(eqRate/2, eqMaxRTT),
-				BurstControl: true,
-			})
-			link := tbf.MustNew(eqRate, tbf.PlusBucket(eqRate, eqMaxRTT))
-			return cascade.MustNew(sub, link)
-		}},
+		{name: "cascade", build: func() enforcer.Enforcer {
+			st := chainStages()
+			return ptree.MustNew([]ptree.NodeSpec{{Parent: -1, Stage: st[1]}, {Parent: 0, Stage: st[0]}})
+		}, ref: func() enforcer.Enforcer { return &refChain{stages: chainStages()} }},
 	}
 }
 
@@ -143,8 +174,10 @@ func TestBatchSingleEquivalence(t *testing.T) {
 		for _, seed := range []uint64{1, 0xBADCAB1E, 0x5EED} {
 			t.Run(fmt.Sprintf("%s/seed=%#x", sc.name, seed), func(t *testing.T) {
 				traffic := equivalenceTraffic(seed, 400)
-				single := sc.build()
-				batch := sc.build()
+				single, batch := sc.build(), sc.build()
+				if sc.ref != nil {
+					single = sc.ref()
+				}
 				if _, ok := batch.(enforcer.BatchSubmitter); !ok {
 					t.Fatalf("%s does not implement BatchSubmitter", sc.name)
 				}

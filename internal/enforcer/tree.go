@@ -36,7 +36,7 @@ var ErrNotSnapshottable = errors.New("enforcer: not snapshottable")
 var ErrNoStats = errors.New("enforcer: no stats")
 
 // Stage is the two-phase admission capability used to compose rate limits
-// hierarchically (cascade chains and policy trees): Probe asks whether a
+// hierarchically (policy trees): Probe asks whether a
 // packet would be admitted without changing admission state, Commit charges
 // a packet every probed level accepted. *phantom.PQP and *tbf.Policer
 // implement it. Splitting admission keeps each level's Theorem 1 accounting
@@ -58,13 +58,11 @@ type Stage interface {
 // Traffic enters at a node — normally a leaf — and must be admitted by that
 // node and every ancestor up to the root. Submitting at an interior node is
 // allowed and enforces only the path from that node upward (traffic already
-// aggregated at, say, the plan level). Node 0's meaning is
-// implementation-defined; Parent is the source of truth for topology.
+// aggregated at, say, the plan level). Parent is the source of truth for
+// topology.
 //
-// The contract is implemented by *ptree.Tree (the flat-array policy tree)
-// and retrofitted onto *cascade.Cascade as the degenerate unary tree: stage
-// i is node i, node 0 (the outermost stage) is the only leaf, and each
-// node's parent is the next-inner stage.
+// The contract is implemented by *ptree.Tree (the flat-array policy tree); a
+// chain of limits is the degenerate unary tree.
 //
 // Like Enforcer, a TreeEnforcer is single-threaded: all Submit*At calls and
 // all per-node control operations must be serialized onto one execution

@@ -85,12 +85,7 @@ func (na *nodeAudits) audit(node enforcer.NodeID) *obs.Audit {
 // the root: O(armed × depth), whatever the size of the tree. Runs at arm
 // time on the shard goroutine.
 func (na *nodeAudits) with(tree enforcer.TreeEnforcer, node enforcer.NodeID, a *obs.Audit) *nodeAudits {
-	out := &nodeAudits{root: node}
-	if tree != nil {
-		for up := tree.Parent(node); up != enforcer.NoNode; up = tree.Parent(up) {
-			out.root = up
-		}
-	}
+	out := &nodeAudits{root: rootOf(tree)}
 	var own []*obs.Audit
 	if na != nil {
 		out.ids, own = slices.Clone(na.ids), make([]*obs.Audit, len(na.ids), len(na.ids)+1)
@@ -140,8 +135,9 @@ func (na *nodeAudits) chain(tree enforcer.TreeEnforcer, node enforcer.NodeID) []
 // ArmAudit arms (or re-arms) the whole-aggregate conformance auditor with
 // the declared envelope: rate in bits per second and a burst allowance in
 // bytes. The swap is in-band — the new envelope starts at the aggregate's
-// virtual time, serialized against its bursts — and subsequent SetRate
-// calls rebase it automatically. Re-arming replaces the envelope and
+// virtual time, serialized against its bursts — and subsequent rate changes
+// at the aggregate's root (SetRate, or SetNodeRate there) rebase it
+// automatically. Re-arming replaces the envelope and
 // resets its counters.
 func (e *Engine) ArmAudit(id string, rate units.Rate, burstBytes int64) error {
 	if burstBytes < 0 {
@@ -188,6 +184,23 @@ func (e *Engine) ArmNodeAudit(id string, node enforcer.NodeID, rate units.Rate, 
 		au.vioTick = 0
 		agg.audit.Store(au)
 	})
+}
+
+// rebaseAudits moves every armed envelope over node's ceiling to the rate the
+// ceiling just changed to: node's own, and the whole-aggregate one when node
+// is the root (every admitted byte passes the root, so its ceiling is the
+// aggregate's). Runs inside the in-band closure that changed the rate.
+func (agg *aggregate) rebaseAudits(now time.Duration, node enforcer.NodeID, rate units.Rate) {
+	au := agg.audit.Load()
+	if au == nil {
+		return
+	}
+	if a := au.nodes.Load().audit(node); a != nil {
+		a.Rebase(now, int64(rate))
+	}
+	if au.wholeOn && node == rootOf(agg.tree) {
+		au.whole.Rebase(now, int64(rate))
+	}
 }
 
 // DisarmAudit removes every auditor from the aggregate.

@@ -11,6 +11,7 @@ import (
 	"bcpqp/internal/faultinject"
 	"bcpqp/internal/obs"
 	"bcpqp/internal/packet"
+	"bcpqp/internal/ptree"
 	"bcpqp/internal/tbf"
 	"bcpqp/internal/units"
 )
@@ -198,6 +199,104 @@ func TestAuditRebaseNoFalsePositives(t *testing.T) {
 	}
 }
 
+// TestRateChangeRebasesEveryEnvelope: a rate change moves every armed
+// envelope over the ceiling it moved — the node's own, and the
+// whole-aggregate one when the node is the root — whichever name it came in
+// by. SetRate and SetNodeRate(id, root, …) used to rebase one each, so with
+// both armed a raise through either reported the other's stale envelope as
+// violations. A leaf's raise moves the leaf's envelope only.
+func TestRateChangeRebasesEveryEnvelope(t *testing.T) {
+	const (
+		low, high = 8 * units.Mbps, 80 * units.Mbps
+		wide      = 800 * units.Mbps
+		bucket    = 64 * units.MSS
+	)
+	flat := func(units.Rate, units.Rate) enforcer.Enforcer { return tbf.MustNew(low, bucket) }
+	tree := func(root, leaf units.Rate) enforcer.Enforcer {
+		return ptree.MustNew([]ptree.NodeSpec{
+			{Parent: -1, Stage: tbf.MustNew(root, bucket)},
+			{Parent: 0, Stage: tbf.MustNew(leaf, bucket)},
+		})
+	}
+	whole := enforcer.NoNode
+	for _, tc := range []struct {
+		name       string
+		build      func(root, leaf units.Rate) enforcer.Enforcer
+		root, leaf units.Rate // configured ceilings; flat has only root
+		raise      func(e *Engine) error
+		want       map[enforcer.NodeID]units.Rate // envelope rates afterwards
+	}{
+		{"flat/SetRate", flat, low, 0,
+			func(e *Engine) error { return e.SetRate("a", high) },
+			map[enforcer.NodeID]units.Rate{whole: high, 0: high}},
+		{"flat/SetNodeRate", flat, low, 0,
+			func(e *Engine) error { return e.SetNodeRate("a", 0, high) },
+			map[enforcer.NodeID]units.Rate{whole: high, 0: high}},
+		{"tree/root/SetRate", tree, low, wide,
+			func(e *Engine) error { return e.SetRate("a", high) },
+			map[enforcer.NodeID]units.Rate{whole: high, 0: high, 1: wide}},
+		{"tree/root/SetNodeRate", tree, low, wide,
+			func(e *Engine) error { return e.SetNodeRate("a", 0, high) },
+			map[enforcer.NodeID]units.Rate{whole: high, 0: high, 1: wide}},
+		{"tree/leaf/SetNodeRate", tree, wide, low,
+			func(e *Engine) error { return e.SetNodeRate("a", 1, high) },
+			map[enforcer.NodeID]units.Rate{whole: wide, 0: wide, 1: high}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := &manualClock{}
+			e := New(Config{Shards: 1, Clock: clk.read})
+			defer e.Close()
+			h, err := e.Add("a", tc.build(tc.root, tc.leaf), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.ArmAudit("a", tc.root, bucket); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.ArmNodeAudit("a", 0, tc.root, bucket); err != nil {
+				t.Fatal(err)
+			}
+			if tc.leaf != 0 {
+				if err := e.ArmNodeAudit("a", 1, tc.leaf, bucket); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tc.raise(e); err != nil {
+				t.Fatal(err)
+			}
+			// Offer at the new rate for 200 ms of virtual time: 7 MSS per
+			// millisecond is 81 Mb/s. Each burst settles before the clock
+			// moves (the shard reads it when it runs the burst).
+			batch := make([]packet.Packet, 7)
+			for i := range batch {
+				batch[i] = pkt(i)
+			}
+			for i := 0; i < 200; i++ {
+				clk.add(time.Millisecond)
+				if err := e.SubmitBatch(h, batch); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e.Stats("a"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if v := e.AuditViolations(); v != 0 {
+				t.Errorf("%d violations from an envelope the rate change left behind", v)
+			}
+			rep := e.AuditReport()
+			if len(rep) != len(tc.want) {
+				t.Fatalf("%d audit entries, want %d", len(rep), len(tc.want))
+			}
+			for _, ent := range rep {
+				if got, want := ent.Counters.RateBps, int64(tc.want[ent.Node]); got != want {
+					t.Errorf("node %d envelope at %d b/s (%d violations), want %d",
+						ent.Node, got, ent.Counters.Violations, want)
+				}
+			}
+		})
+	}
+}
+
 // TestAuditTreeRollup: interior node bounds are audited independently of
 // leaves — a leaf-conformant workload that exceeds an interior envelope is
 // flagged at the interior node, attributed by node id and label, while the
@@ -207,7 +306,7 @@ func TestAuditTreeRollup(t *testing.T) {
 	e := New(Config{Shards: 1, Clock: clk.read, QueueDepth: 1 << 12})
 	defer e.Close()
 
-	h, err := e.AddTree("tenant", newTestTree(), nil) // 20 Mbps link over subA/subB
+	h, err := e.Add("tenant", newTestTree(), nil) // 20 Mbps link over subA/subB
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,21 +70,22 @@ func TestChaosLocalRunToCompletionChurn(t *testing.T) {
 	// objects); two of them contend for shard 0's occupancy word.
 	type inlineProducer struct {
 		h         Handle
+		shard     int
 		submitted atomic.Int64 // packets through successful inline submits
 		inline    atomic.Int64 // successful inline submits (bursts)
 		shed      atomic.Int64 // packets rejected ErrSaturated
 	}
 	producers := map[string]*inlineProducer{
-		"inline-clean":  {h: hClean},
-		"inline-faulty": {h: hFaulty},
-		"inline-other":  {h: hOther},
+		"inline-clean":  {h: hClean, shard: 0},
+		"inline-faulty": {h: hFaulty, shard: 0},
+		"inline-other":  {h: hOther, shard: 1},
 	}
 	var wg sync.WaitGroup
 	for id, p := range producers {
 		wg.Add(1)
 		go func(id string, p *inlineProducer) {
 			defer wg.Done()
-			ls, err := e.Local(p.h)
+			ls, err := e.LocalShard(p.shard)
 			if err != nil {
 				t.Error(err)
 				return
@@ -139,7 +140,7 @@ func TestChaosLocalRunToCompletionChurn(t *testing.T) {
 			}
 			id := fmt.Sprintf("churn-%d", i%8)
 			if h, err := e.AddPinned(id, i%2, tbf.MustNew(rate, bucket), nil); err == nil {
-				_ = e.Submit(h, pkt(i))
+				_ = e.SubmitBatch(h, []packet.Packet{pkt(i)})
 				if _, err := e.Remove(id); err != nil && !errors.Is(err, ErrSaturated) {
 					t.Errorf("Remove during churn: %v", err)
 					return

@@ -254,7 +254,6 @@ func TestChaosStorm(t *testing.T) {
 	e := New(Config{
 		Shards:         4,
 		QueueDepth:     1 << 14, // deep enough that nothing sheds: conservation stays exact
-		FlushBurst:     16,
 		ControlTimeout: controlTimeout,
 		CloseTimeout:   10 * time.Second,
 		Clock:          clock.now,
@@ -514,7 +513,7 @@ func TestChaosCloseDeadlineForceAbandonsWedgedShard(t *testing.T) {
 
 	const closeTimeout = 300 * time.Millisecond
 	e := New(Config{
-		Shards: 1, QueueDepth: 4, FlushBurst: 1,
+		Shards: 1, QueueDepth: 4,
 		ControlTimeout: 20 * time.Millisecond,
 		CloseTimeout:   closeTimeout,
 	})
@@ -583,7 +582,7 @@ func TestChaosWatchdogClassifiesWedgedShard(t *testing.T) {
 	defer openGate()
 
 	e := New(Config{
-		Shards: 1, QueueDepth: 8, FlushBurst: 1,
+		Shards: 1, QueueDepth: 8,
 		WatchdogInterval: 5 * time.Millisecond,
 		WedgeTimeout:     20 * time.Millisecond,
 		CloseTimeout:     500 * time.Millisecond,
@@ -639,7 +638,7 @@ func TestControlEscalationDeterministic(t *testing.T) {
 
 	const controlTimeout = 20 * time.Millisecond
 	e := New(Config{
-		Shards: 1, QueueDepth: 1, FlushBurst: 1,
+		Shards: 1, QueueDepth: 1,
 		ControlTimeout: controlTimeout,
 	})
 	defer e.Close()
@@ -749,7 +748,7 @@ func TestOverloadedAccountingExact(t *testing.T) {
 	openGate := func() { once.Do(func() { close(gate) }) }
 	defer openGate()
 
-	e := New(Config{Shards: 1, QueueDepth: 2, FlushBurst: 1, CloseTimeout: 5 * time.Second})
+	e := New(Config{Shards: 1, QueueDepth: 2, CloseTimeout: 5 * time.Second})
 	enf := &countingEnforcer{}
 	started := make(chan struct{}, 1)
 	h, err := e.Add("x", enf, func(packet.Packet) {

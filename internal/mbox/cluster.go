@@ -10,6 +10,7 @@
 package mbox
 
 import (
+	"bcpqp/internal/enforcer"
 	"bcpqp/internal/obs"
 	"bcpqp/internal/units"
 )
@@ -23,15 +24,10 @@ func (e *Engine) ApplyShare(id string, share units.Rate, fallback bool) error {
 	if err := e.SetRate(id, share); err != nil {
 		return err
 	}
-	if e.cfg.Observer != nil {
-		ev := obs.Event{Kind: obs.KindShareApply, Shard: -1, Agg: -1, Node: -1, A: int64(share)}
-		if fallback {
-			ev.B = 1
-		}
-		if agg, err := e.aggByID(id); err == nil {
-			ev.Agg = int64(agg.h)
-		}
-		e.cfg.Observer.Record(ev)
+	ev := obs.Event{Kind: obs.KindShareApply, A: int64(share)}
+	if fallback {
+		ev.B = 1
 	}
+	e.recordControl(id, enforcer.NoNode, ev)
 	return nil
 }

@@ -53,7 +53,7 @@ func TestChurnBoundedRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = e.Submit(h, pkt(i))
+		_ = e.SubmitBatch(h, []packet.Packet{pkt(i)})
 		if _, err := e.Remove(id); err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestChurnBoundedRegistry(t *testing.T) {
 			t.Fatalf("cycle %d: %v", i, err)
 		}
 		if i&63 == 0 {
-			if err := e.Submit(h, pkt(i)); err != nil {
+			if err := e.SubmitBatch(h, []packet.Packet{pkt(i)}); err != nil {
 				t.Fatalf("cycle %d: %v", i, err)
 			}
 		}
@@ -211,7 +211,7 @@ wait:
 	for {
 		select {
 		case <-tick.C:
-			_ = e.Submit(hBusy, pkt(1)) // keep "busy" alive
+			_ = e.SubmitBatch(hBusy, []packet.Packet{pkt(1)}) // keep "busy" alive
 		case ev = <-evicted:
 			break wait
 		case <-deadline:
@@ -228,7 +228,7 @@ wait:
 	if got := e.Evicted.Load(); got != 1 {
 		t.Errorf("Evicted = %d, want 1", got)
 	}
-	if err := e.Submit(hIdle, pkt(0)); !errors.Is(err, ErrStale) {
+	if err := e.SubmitBatch(hIdle, []packet.Packet{pkt(0)}); !errors.Is(err, ErrStale) {
 		t.Errorf("submit to evicted aggregate: err = %v, want ErrStale", err)
 	}
 	if _, err := e.Lookup("busy"); err != nil {
@@ -852,7 +852,7 @@ func TestRegistryGrowsInPlace(t *testing.T) {
 				return
 			default:
 			}
-			if err := e.Submit(first, pkt); err != nil {
+			if err := e.SubmitBatch(first, []packet.Packet{pkt}); err != nil {
 				t.Errorf("submit through a handle issued before the table grew: %v", err)
 				return
 			}

@@ -45,8 +45,8 @@ const (
 )
 
 // ErrWrongShard reports a LocalSubmitter used against an aggregate owned by
-// a different shard. Pin the aggregate with AddPinned or mint the submitter
-// from the aggregate's own handle. Test with errors.Is.
+// a different shard. Pin the aggregate to the submitter's shard with
+// AddPinned. Test with errors.Is.
 var ErrWrongShard = errors.New("aggregate not owned by this submitter's shard")
 
 // acquire claims the shard's occupancy word for who, spinning until it is
@@ -91,7 +91,7 @@ func (s *shard) release() {
 }
 
 // LocalSubmitter is a shard-affinity handle for ring-bypass burst
-// submission. It is minted by Engine.Local for one shard and may only
+// submission. It is minted by Engine.LocalShard for one shard and may only
 // submit to aggregates owned by that shard (AddPinned pins an aggregate to
 // a chosen shard so a per-core worker can own core, shard, and aggregates
 // together).
@@ -102,15 +102,6 @@ func (s *shard) release() {
 type LocalSubmitter struct {
 	e *Engine
 	s *shard
-}
-
-// Local returns a ring-bypass submitter bound to the shard that owns h.
-func (e *Engine) Local(h Handle) (*LocalSubmitter, error) {
-	agg, err := e.resolve(h)
-	if err != nil {
-		return nil, err
-	}
-	return &LocalSubmitter{e: e, s: agg.shard}, nil
 }
 
 // LocalShard returns a ring-bypass submitter bound to shard index shard
@@ -130,31 +121,23 @@ func (l *LocalSubmitter) Shard() int { return l.s.idx }
 // payloads) past the call, so the caller may reuse the backing buffers
 // immediately, which is what makes a zero-copy rx→enforce→tx loop possible.
 //
-// The run is byte-identical to the ring path: same overload shed gate, same
-// panic barrier and quarantine/degrade handling, same verdict tallies and
-// trace sampling, same one-clock-read-per-burst arrival stamping. Verdicts
-// reach the aggregate's emit hook before SubmitBatch returns.
+// The run is the ring path's (the same admit gate in front, the same serve
+// body behind): same overload shed gate, same panic barrier and
+// quarantine/degrade handling, same verdict tallies and trace sampling, same
+// one-clock-read-per-burst arrival stamping — so a core that only ever
+// submits inline still reads as alive to the watchdog, and its aggregates as
+// active to the idle-TTL sweeper. Verdicts reach the aggregate's emit hook
+// before SubmitBatch returns.
 //
 // Errors: ErrStale/invalid handle as usual; ErrWrongShard when h lives on a
 // different shard; ErrSaturated when the shard's occupancy word could not
 // be claimed within ControlTimeout (a wedged holder — the burst is counted
 // shed, mirroring what a full ring does to the queued path).
 func (l *LocalSubmitter) SubmitBatch(h Handle, pkts []packet.Packet) error {
-	e := l.e
-	agg, err := e.resolve(h)
-	if err != nil {
+	e, s := l.e, l.s
+	agg, err := e.admit(h, len(pkts), s)
+	if agg == nil {
 		return err
-	}
-	if agg.shard != l.s {
-		return fmt.Errorf("mbox: aggregate %q on shard %d: %w", agg.id, agg.shard.idx, ErrWrongShard)
-	}
-	if len(pkts) == 0 {
-		return nil
-	}
-	s := l.s
-	if p := e.overload; p != nil && p.shedGate(s, agg) {
-		e.shedPriority(s, agg, len(pkts))
-		return nil
 	}
 	if !s.tryAcquire(occLocal, e.cfg.ControlTimeout) {
 		n := int64(len(pkts))
@@ -164,20 +147,7 @@ func (l *LocalSubmitter) SubmitBatch(h Handle, pkts []packet.Packet) error {
 		return fmt.Errorf("mbox: aggregate %q: %w", agg.id, ErrSaturated)
 	}
 	defer s.release()
-	// Heartbeat/activity stamps mirror process(): a core that only ever
-	// submits inline still reads as alive to the watchdog, and its
-	// aggregates as active to the idle-TTL sweeper.
-	wall := e.burstWall(s)
-	s.heartbeat.Store(wall)
-	agg.lastActive.Store(wall)
-	now := e.cfg.Clock()
-	e.runBatch(s, now, agg, enforcer.NoNode, pkts)
-	end := e.burstWall(s)
-	s.heartbeat.Store(end)
-	s.processed.Add(1)
-	if s.obs != nil {
-		s.obs.ObserveBurst(end - wall)
-	}
+	e.serve(s, agg, enforcer.NoNode, pkts)
 	e.InlineBursts.Add(1)
 	return nil
 }

@@ -65,12 +65,12 @@ func TestLocalSubmitEquivalentToRing(t *testing.T) {
 		}
 		submit := e.SubmitBatch
 		if local {
-			ls, err := e.Local(h)
+			ls, err := e.LocalShard(1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ls.Shard() != 1 {
-				t.Fatalf("Local resolved shard %d, want the pinned shard 1", ls.Shard())
+				t.Fatalf("LocalShard(1) is bound to shard %d", ls.Shard())
 			}
 			submit = ls.SubmitBatch
 		}
@@ -141,7 +141,7 @@ func TestLocalSubmitStaleHandle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := e.Local(h)
+	ls, err := e.LocalShard(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +173,11 @@ func TestLocalSubmitSaturatedOnWedgedShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := e.Local(hl)
+	ls, err := e.LocalShard(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit(hw, pkt(0)); err != nil {
+	if err := e.SubmitBatch(hw, []packet.Packet{pkt(0)}); err != nil {
 		t.Fatal(err)
 	}
 	<-wedged // shard goroutine now holds the occupancy word
@@ -210,7 +210,7 @@ func TestWatchdogSeesWedgedInlineBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := e.Local(h)
+	ls, err := e.LocalShard(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,9 +246,11 @@ func TestWatchdogSeesWedgedInlineBurst(t *testing.T) {
 
 // TestInlineBurstReadsNoWallClock pins what the inline path's speed rests on,
 // as a count: without an Observer a burst reads the wall clock zero times (its
-// heartbeat and idle-TTL stamps are the flusher's coarse reading); with one it
-// reads it exactly twice, for the burst-latency histogram. The flusher is
-// parked so that its own reads do not enter the count.
+// heartbeat and idle-TTL stamps are the wall ticker's coarse reading); with
+// one it reads it exactly twice, for the burst-latency histogram. The only
+// other reader is the wall ticker, once per coarseWallInterval at most (a
+// ticker never queues more than one tick), so its share is bounded by the
+// time the bursts took.
 func TestInlineBurstReadsNoWallClock(t *testing.T) {
 	const bursts = 10000
 	var reads atomic.Int64
@@ -264,24 +266,26 @@ func TestInlineBurstReadsNoWallClock(t *testing.T) {
 		{"unobserved", nil, 0},
 		{"observed", obs.NewCollector(obs.Options{}), 2 * bursts},
 	} {
-		e := New(Config{Shards: 1, FlushInterval: time.Hour, Observer: tc.observer})
+		e := New(Config{Shards: 1, Observer: tc.observer})
 		h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ls, err := e.Local(h)
+		ls, err := e.LocalShard(0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		burst := burstOf(8, 0)
-		before := reads.Load()
+		before, start := reads.Load(), time.Now()
 		for i := 0; i < bursts; i++ {
 			if err := ls.SubmitBatch(h, burst); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if got := reads.Load() - before; got != tc.want {
-			t.Errorf("%s: %d wall-clock reads over %d inline bursts, want %d", tc.name, got, bursts, tc.want)
+		ticks := int64(time.Since(start)/coarseWallInterval) + 2
+		if got := reads.Load() - before; got < tc.want || got > tc.want+ticks {
+			t.Errorf("%s: %d wall-clock reads over %d inline bursts, want %d plus at most %d ticker reads",
+				tc.name, got, bursts, tc.want, ticks)
 		}
 		if age := e.Health().Shards[0].HeartbeatAge; age < 0 || age > time.Minute {
 			t.Errorf("%s: heartbeat age %v after %d bursts", tc.name, age, bursts)

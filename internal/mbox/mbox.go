@@ -11,12 +11,10 @@
 // Aggregates are hashed across shards; each shard owns its aggregates
 // exclusively and processes bursts on a single goroutine, so enforcers
 // never need locks on the datapath (the same shared-nothing sharding a
-// DPDK middlebox gets from RSS queues). Single-packet Submits are coalesced
-// into per-shard pending bursts flushed on a size-or-deadline trigger;
-// SubmitBatch hands a whole burst to the shard in one ring operation. Each
-// shard ring slot carries a burst: when a shard falls behind, excess bursts
-// are shed and counted as overload — a middlebox must shed load, not
-// buffer unboundedly.
+// DPDK middlebox gets from RSS queues). SubmitBatch hands a whole burst to
+// the shard in one ring operation; each shard ring slot carries a burst.
+// When a shard falls behind, excess bursts are shed and counted as overload
+// — a middlebox must shed load, not buffer unboundedly.
 //
 // Control operations (stats/flush/live reconfiguration/snapshots) are
 // serialized through the same shard goroutines, so they are safe during
@@ -185,18 +183,9 @@ type Config struct {
 	// Shards is the number of shard goroutines (default GOMAXPROCS).
 	Shards int
 	// QueueDepth is each shard's ingress ring capacity in BURSTS
-	// (default 1024). With the default FlushBurst of 32 a full ring
-	// therefore holds up to 32× as many packets.
+	// (default 1024), whatever their size: a full ring of 32-packet bursts
+	// holds 32× as many packets.
 	QueueDepth int
-	// FlushBurst is the target burst size: single-packet Submits are
-	// coalesced per shard until the pending burst reaches this size
-	// (default 32). 1 disables coalescing — every Submit enqueues
-	// immediately.
-	FlushBurst int
-	// FlushInterval is the deadline trigger: a partially filled pending
-	// burst is flushed at least this often by a background flusher, so a
-	// trickle of traffic is never stranded in staging (default 500µs).
-	FlushInterval time.Duration
 	// ControlTimeout bounds how long a control operation (Stats/Flush)
 	// waits for space on the ordered data ring before failing over to
 	// the shard's priority control lane, and then how long it waits for
@@ -224,7 +213,7 @@ type Config struct {
 	WatchdogInterval time.Duration
 	// WedgeTimeout is the heartbeat age beyond which a shard with
 	// pending or in-flight work is classified Wedged (default 1s; keep it
-	// well above FlushInterval, which the heartbeat can trail the work by).
+	// well above the 500µs the heartbeat can trail the work by, see burstWall).
 	WedgeTimeout time.Duration
 	// OnFault, when non-nil, is called once per recovered panic with the
 	// aggregate id (empty when unattributable), the recovered value, and
@@ -242,7 +231,7 @@ type Config struct {
 	// processed, no Update) is evicted as if Removed, counted in Evicted,
 	// and reported through OnEvict. Activity is stamped once per
 	// enforced burst — no per-packet atomics, and no clock read: see
-	// burstWall — so an aggregate can look a FlushInterval idler than it is.
+	// burstWall — so an aggregate can look 500µs idler than it is.
 	IdleTTL time.Duration
 	// SweepInterval is how often the sweeper scans for idle aggregates
 	// (default IdleTTL/4, clamped to [1ms, 1s]). Eviction therefore lags
@@ -337,7 +326,7 @@ type Engine struct {
 	freeSlots []int
 
 	// obsSample caches Observer.Options().SampleEvery for the shed-event
-	// coalescing in enqueue (0 without an Observer).
+	// coalescing in recordShed (0 without an Observer).
 	obsSample int
 
 	// overload is the overload-control plane; nil unless
@@ -352,13 +341,13 @@ type Engine struct {
 	extraMetrics []func() []obs.Family
 
 	// wall is wallClock as it stood at New; coarseWall is its reading at
-	// New or at the flusher's last wake-up, a FlushInterval (plus the
-	// flusher's scheduling delay) old at most. See burstWall.
+	// New or at the wall ticker's last wake-up, coarseWallInterval (plus the
+	// ticker's scheduling delay) old at most. See burstWall.
 	wall       func() int64
 	coarseWall atomic.Int64
 
-	pool        sync.Pool // *burst
-	flushStop   chan struct{}
+	pool        sync.Pool     // *burst
+	stop        chan struct{} // closed by Close: stops the wall ticker, watchdog and sweeper
 	dead        chan struct{} // closed once Close finished (shards exited or abandoned)
 	closeReport CloseReport   // stored by the first Close, returned by later ones
 }
@@ -370,10 +359,10 @@ var wallClock = func() int64 { return time.Now().UnixNano() }
 
 // burstWall is the wall time the packet path stamps a shard's heartbeat and
 // an aggregate's activity with. Both are read at millisecond-to-second
-// granularity (WedgeTimeout, IdleTTL), so the flusher's coarse reading
+// granularity (WedgeTimeout, IdleTTL), so the wall ticker's coarse reading
 // serves and a burst reads no clock — unless the shard is observed, when the
 // burst-latency histogram needs the two precise reads anyway. Heartbeat ages
-// and idle times therefore read up to a FlushInterval high.
+// and idle times therefore read up to coarseWallInterval high.
 func (e *Engine) burstWall(s *shard) int64 {
 	if s.obs != nil {
 		return e.wall()
@@ -412,10 +401,10 @@ type aggregate struct {
 	shard *shard
 
 	// tree is set when the enforcer is node-addressable
-	// (enforcer.TreeEnforcer): a policy tree or a cascade chain. It opens
-	// the aggregate's per-tree handle namespace — leaf handles resolve to
+	// (enforcer.TreeEnforcer), i.e. a policy tree. It opens the
+	// aggregate's per-tree handle namespace — leaf handles resolve to
 	// (aggregate, node), node-addressed bursts enter the tree at their
-	// node, and the per-node control plane (UpdateNode, NodeStats) routes
+	// node, and the per-node control plane (SetNodeRate, NodeStats) routes
 	// through it. Nil for flat single-enforcer aggregates.
 	tree enforcer.TreeEnforcer
 
@@ -452,18 +441,15 @@ type aggregate struct {
 	audit atomic.Pointer[aggAudit]
 }
 
-// burst is one ring slot of work: either a single-aggregate burst (agg set,
-// from SubmitBatch) or a mixed coalesced burst (aggs parallel to pkts, from
-// staged single-packet Submits). node (single) / nodes (parallel to pkts)
-// carry the tree-node ingress for leaf-addressed submissions; NoNode means
-// whole-aggregate submission (node 0 is a valid node, so the zero value
-// must never be used as "unset"). Bursts are pooled; the engine owns them.
+// burst is one ring slot of work: one aggregate's packets. node carries the
+// tree-node ingress of a leaf-addressed submission; NoNode means
+// whole-aggregate submission (node 0 is a valid node, so submitRing sets the
+// field on every burst it takes from the pool). Bursts are pooled; the
+// engine owns them.
 type burst struct {
-	pkts  []packet.Packet
-	aggs  []*aggregate
-	nodes []enforcer.NodeID
-	agg   *aggregate
-	node  enforcer.NodeID
+	pkts []packet.Packet
+	agg  *aggregate
+	node enforcer.NodeID
 }
 
 // item is one unit of shard work.
@@ -482,9 +468,6 @@ type shard struct {
 	idx  int
 	in   chan item // ordered data ring (bursts + in-band control)
 	ctrl chan item // priority control lane used when in is saturated
-
-	mu     sync.Mutex
-	staged *burst // pending coalesced burst, nil when empty
 
 	// occ is the shard occupancy word (occFree/occShard/occLocal): the
 	// shard goroutine CASes it around every ring item and ring-bypass
@@ -514,8 +497,9 @@ type shard struct {
 	// the collector's global sequence from every producer. The first shed
 	// records immediately (the transition into overload is never missed);
 	// after that one event per obsSample sheds carries the accumulated
-	// packet count. Both are guarded by the shard's staging lock, which
-	// every enqueue already holds. Overloaded/shed counters stay exact.
+	// packet count. Both are guarded by mu, which only a shedding producer
+	// takes (recordShed). Overloaded/shed counters stay exact.
+	mu        sync.Mutex
 	shedTick  int
 	shedAccum int64
 
@@ -529,12 +513,6 @@ func New(cfg Config) *Engine {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
-	}
-	if cfg.FlushBurst <= 0 {
-		cfg.FlushBurst = enforcer.DefaultBurst
-	}
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = 500 * time.Microsecond
 	}
 	if cfg.ControlTimeout <= 0 {
 		cfg.ControlTimeout = 10 * time.Millisecond
@@ -568,10 +546,10 @@ func New(cfg Config) *Engine {
 		cfg.Overload = cfg.Overload.withDefaults(cfg.IdleTTL)
 	}
 	e := &Engine{
-		cfg:       cfg,
-		wall:      wallClock,
-		flushStop: make(chan struct{}),
-		dead:      make(chan struct{}),
+		cfg:  cfg,
+		wall: wallClock,
+		stop: make(chan struct{}),
+		dead: make(chan struct{}),
 	}
 	if cfg.Overload.Enabled {
 		e.overload = newOverloadPlane(cfg.Overload, cfg.QueueDepth)
@@ -580,12 +558,7 @@ func New(cfg Config) *Engine {
 		e.obsSample = cfg.Observer.Options().SampleEvery
 	}
 	e.pool.New = func() any {
-		return &burst{
-			pkts:  make([]packet.Packet, 0, cfg.FlushBurst),
-			aggs:  make([]*aggregate, 0, cfg.FlushBurst),
-			nodes: make([]enforcer.NodeID, 0, cfg.FlushBurst),
-			node:  enforcer.NoNode,
-		}
+		return &burst{pkts: make([]packet.Packet, 0, enforcer.DefaultBurst)}
 	}
 	e.table.Store(&registry{})
 	e.ids = make(map[string]Handle)
@@ -596,7 +569,7 @@ func New(cfg Config) *Engine {
 			idx:      i,
 			in:       make(chan item, cfg.QueueDepth),
 			ctrl:     make(chan item, 16),
-			verdicts: make([]enforcer.Verdict, cfg.FlushBurst),
+			verdicts: make([]enforcer.Verdict, enforcer.DefaultBurst),
 			done:     make(chan struct{}),
 		}
 		s.heartbeat.Store(now)
@@ -606,7 +579,7 @@ func New(cfg Config) *Engine {
 		e.shards = append(e.shards, s)
 		go e.run(s)
 	}
-	go e.flusher()
+	go e.wallTicker()
 	go e.watchdog()
 	if cfg.IdleTTL > 0 {
 		go e.sweeper()
@@ -633,59 +606,47 @@ func (e *Engine) run(s *shard) {
 	}
 }
 
-// process executes one item on the shard goroutine; true means stop. It
-// stamps the shard heartbeat around the item. The item runs under the
-// shard's occupancy word, which serializes it against ring-bypass inline
-// submitters (see local.go) and tells the watchdog that work is in flight;
-// stop items skip the word — they touch no enforcement state.
+// process executes one item on the shard goroutine; true means stop. The
+// item runs under the shard's occupancy word, which serializes it against
+// ring-bypass inline submitters (see local.go) and tells the watchdog that
+// work is in flight; stop items skip the word — they touch no enforcement
+// state.
 func (e *Engine) process(s *shard, it item) bool {
 	if it.stop {
 		return true
 	}
 	s.acquire(occShard)
 	defer s.release()
-	wall := e.burstWall(s)
-	s.heartbeat.Store(wall)
-	defer func() {
-		s.processed.Add(1)
-		// One stamp serves both the heartbeat and the burst-latency
-		// histogram.
-		end := e.burstWall(s)
-		s.heartbeat.Store(end)
-		if s.obs != nil && it.b != nil {
-			s.obs.ObserveBurst(end - wall)
-		}
-	}()
 	if it.control != nil {
+		s.heartbeat.Store(e.burstWall(s))
 		e.runControl(s, it)
+		s.processed.Add(1)
+		s.heartbeat.Store(e.burstWall(s))
 		return false
 	}
-	b := it.b
-	// One clock read per burst (vs per packet): every packet in the burst
-	// is enforced at the same virtual arrival time, the granularity a
-	// burst-polling middlebox actually observes.
-	now := e.cfg.Clock()
-	if b.agg != nil {
-		b.agg.lastActive.Store(wall)
-		e.runBatch(s, now, b.agg, b.node, b.pkts)
-	} else {
-		// Mixed coalesced burst: group consecutive same-(aggregate, node)
-		// runs so each run goes through the enforcer's native batch path
-		// with a single path resolution.
-		for i := 0; i < len(b.pkts); {
-			j := i + 1
-			for j < len(b.pkts) && b.aggs[j] == b.aggs[i] && b.nodes[j] == b.nodes[i] {
-				j++
-			}
-			// One idle-TTL stamp per run, reusing the heartbeat's: no
-			// per-packet atomics.
-			b.aggs[i].lastActive.Store(wall)
-			e.runBatch(s, now, b.aggs[i], b.nodes[i], b.pkts[i:j])
-			i = j
-		}
-	}
-	e.putBurst(b)
+	e.serve(s, it.b.agg, it.b.node, it.b.pkts)
+	e.putBurst(it.b)
 	return false
+}
+
+// serve enforces one burst on behalf of whoever holds the shard's occupancy
+// word: the shard goroutine for a ring item, the submitting goroutine for an
+// inline one. The two wall stamps serve the heartbeat, the idle-TTL activity
+// stamp and the burst-latency histogram at once (see burstWall), and the
+// engine clock is read once per burst, not once per packet: every packet in
+// the burst is enforced at the same virtual arrival time, the granularity a
+// burst-polling middlebox actually observes.
+func (e *Engine) serve(s *shard, agg *aggregate, node enforcer.NodeID, pkts []packet.Packet) {
+	wall := e.burstWall(s)
+	s.heartbeat.Store(wall)
+	agg.lastActive.Store(wall)
+	e.runBatch(s, e.cfg.Clock(), agg, node, pkts)
+	end := e.burstWall(s)
+	s.heartbeat.Store(end)
+	s.processed.Add(1)
+	if s.obs != nil {
+		s.obs.ObserveBurst(end - wall)
+	}
 }
 
 // runControl executes one control item inside a panic barrier. done is
@@ -833,13 +794,13 @@ func (e *Engine) record(s *shard, ev obs.Event) {
 }
 
 // recordControl publishes a control-plane trace event attributed to an
-// aggregate id, resolving its handle when still registered. No-op without
-// an Observer.
-func (e *Engine) recordControl(id string, kind obs.Kind) {
+// aggregate id — resolving its handle when still registered — and to node
+// (-1 for a whole-aggregate operation). No-op without an Observer.
+func (e *Engine) recordControl(id string, node enforcer.NodeID, ev obs.Event) {
 	if e.cfg.Observer == nil {
 		return
 	}
-	ev := obs.Event{Kind: kind, Shard: -1, Agg: -1, Node: -1}
+	ev.Shard, ev.Agg, ev.Node = -1, -1, int32(node)
 	if agg, err := e.aggByID(id); err == nil {
 		ev.Agg = int64(agg.h)
 	}
@@ -908,37 +869,23 @@ func (e *Engine) notePanic(s *shard, agg *aggregate, recovered any) {
 	}
 }
 
-// flusher is the deadline trigger: it flushes every shard's pending
-// coalesced burst at least once per FlushInterval so low-rate traffic is
-// never stranded behind the size trigger. Waking that often whatever the
-// traffic, it also publishes the coarse wall reading behind burstWall.
-func (e *Engine) flusher() {
-	t := time.NewTicker(e.cfg.FlushInterval)
+// coarseWallInterval is how often the wall ticker refreshes the coarse wall
+// reading behind burstWall.
+const coarseWallInterval = 500 * time.Microsecond
+
+// wallTicker publishes the coarse wall reading behind burstWall, whatever
+// the traffic.
+func (e *Engine) wallTicker() {
+	t := time.NewTicker(coarseWallInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-e.flushStop:
+		case <-e.stop:
 			return
 		case <-t.C:
 			e.coarseWall.Store(e.wall())
-			for _, s := range e.shards {
-				e.flushStaged(s)
-			}
 		}
 	}
-}
-
-// flushStaged enqueues a shard's pending coalesced burst, if any. The
-// enqueue happens under the staging lock so a producer that fills a fresh
-// burst immediately afterwards cannot overtake the flushed one (per-
-// producer FIFO is preserved).
-func (e *Engine) flushStaged(s *shard) {
-	s.mu.Lock()
-	if b := s.staged; b != nil {
-		s.staged = nil
-		e.enqueue(s, b)
-	}
-	s.mu.Unlock()
 }
 
 // enqueue offers a burst to the shard ring without blocking: a full ring
@@ -950,33 +897,36 @@ func (e *Engine) enqueue(s *shard, b *burst) {
 		n := int64(len(b.pkts))
 		e.Overloaded.Add(n)
 		s.shed.Add(n)
-		if s.obs != nil {
-			s.shedAccum += n
-			if s.shedTick--; s.shedTick <= 0 {
-				s.shedTick = e.obsSample
-				s.obs.Record(obs.Event{Kind: obs.KindShed, Agg: -1, Node: -1, A: s.shedAccum})
-				s.shedAccum = 0
-			}
-		}
+		e.recordShed(s, n, obs.Event{Kind: obs.KindShed, Agg: -1, Node: -1})
 		e.putBurst(b)
 	}
 }
 
-// getBurst takes a reset burst from the pool.
-func (e *Engine) getBurst() *burst {
-	return e.pool.Get().(*burst)
+// recordShed coalesces KindShed trace events for n shed packets (see
+// shard.shedTick): ev, with the accumulated packet count in A, is recorded
+// on the first shed and then once per obsSample sheds. No-op without an
+// Observer.
+func (e *Engine) recordShed(s *shard, n int64, ev obs.Event) {
+	if s.obs == nil {
+		return
+	}
+	s.mu.Lock()
+	s.shedAccum += n
+	if s.shedTick--; s.shedTick <= 0 {
+		s.shedTick = e.obsSample
+		ev.A = s.shedAccum
+		s.obs.Record(ev)
+		s.shedAccum = 0
+	}
+	s.mu.Unlock()
 }
 
 // putBurst clears a burst (dropping payload and aggregate references so
 // the pool does not pin memory) and returns it to the pool.
 func (e *Engine) putBurst(b *burst) {
 	clear(b.pkts)
-	clear(b.aggs)
 	b.pkts = b.pkts[:0]
-	b.aggs = b.aggs[:0]
-	b.nodes = b.nodes[:0]
 	b.agg = nil
-	b.node = enforcer.NoNode
 	e.pool.Put(b)
 }
 
@@ -1083,8 +1033,8 @@ func (e *Engine) add(id string, enf enforcer.Enforcer, emit Emit, pinned *shard)
 	}
 	agg := &aggregate{id: id, h: h, enf: enf, emit: emit, shard: owner}
 	if tree, ok := enf.(enforcer.TreeEnforcer); ok {
-		// Node-addressable enforcer (policy tree, cascade chain): open its
-		// per-tree handle namespace. Whole-aggregate submission through h
+		// Node-addressable enforcer (a policy tree): open its per-tree
+		// handle namespace. Whole-aggregate submission through h
 		// is unchanged; Leaf(h, node) mints node-addressed handles.
 		agg.tree = tree
 	}
@@ -1116,10 +1066,10 @@ func (e *Engine) add(id string, enf enforcer.Enforcer, emit Emit, pinned *shard)
 // Remove unregisters an aggregate and returns its final enforcement
 // statistics, so accounting is not silently lost at teardown.
 //
-// Drain semantics: unpublication is immediate — new Submits fail with
-// ErrStale — but packets already staged or queued to the shard when Remove
-// is called are still enforced and emitted (the aggregate's state stays
-// valid until its queued bursts drain). The final stats are read through an
+// Drain semantics: unpublication is immediate — new submissions fail with
+// ErrStale — but bursts already queued to the shard when Remove is called
+// are still enforced and emitted (the aggregate's state stays valid until
+// its queued bursts drain). The final stats are read through an
 // in-band control barrier after those bursts, so they include every packet
 // submitted happens-before the Remove call; packets submitted concurrently
 // with Remove may land on either side.
@@ -1178,19 +1128,29 @@ var errEvictSkipped = errors.New("mbox: eviction condition not met")
 // control barrier on its shard, so every burst queued before unpublication
 // has been enforced first.
 func (e *Engine) finalStats(agg *aggregate) (enforcer.Stats, error) {
+	return e.readStats(agg, agg.ownStats)
+}
+
+// readStats runs read on agg's shard goroutine, behind every burst submitted
+// before the call. A control error (saturated shard, closed engine) wins
+// over read's.
+func (e *Engine) readStats(agg *aggregate, read func() (enforcer.Stats, error)) (enforcer.Stats, error) {
 	var out enforcer.Stats
 	var statErr error
-	err := e.controlAgg(agg, func(enf enforcer.Enforcer) {
-		if sr, ok := enf.(enforcer.StatsReader); ok {
-			out = sr.EnforcerStats()
-		} else {
-			statErr = fmt.Errorf("mbox: aggregate %q: %w", agg.id, ErrNoStats)
-		}
-	})
-	if err != nil {
+	if err := e.controlAgg(agg, func(enforcer.Enforcer) { out, statErr = read() }); err != nil {
 		return out, err
 	}
 	return out, statErr
+}
+
+// ownStats is the flat-aggregate statistics read: the enforcer's own
+// counters — for a tree, its whole-tree totals. Must run on the shard
+// goroutine.
+func (agg *aggregate) ownStats() (enforcer.Stats, error) {
+	if sr, ok := agg.enf.(enforcer.StatsReader); ok {
+		return sr.EnforcerStats(), nil
+	}
+	return enforcer.Stats{}, fmt.Errorf("mbox: aggregate %q: %w", agg.id, ErrNoStats)
 }
 
 // Lookup resolves an aggregate ID to its datapath handle.
@@ -1230,112 +1190,67 @@ func (e *Engine) resolve(h Handle) (*aggregate, error) {
 	return agg, nil
 }
 
-// Submit hands one packet to the aggregate behind h. It never blocks: the
-// packet joins the owning shard's pending burst (flushed on the size or
-// deadline trigger), and when the shard ring is full the burst is shed and
-// counted in Overloaded. With the overload plane active, packets whose
-// aggregate's shed class exceeds its ring-occupancy ceiling are shed
-// proactively and counted in OverloadShed. Invalid handles report an error
-// (misrouted traffic should be visible).
-func (e *Engine) Submit(h Handle, pkt packet.Packet) error {
+// admit is the one gate every submission passes, ring or inline (inline
+// names the submitter's shard; nil for the ring): handle resolution, shard
+// ownership for an inline submitter, the empty burst, and the overload
+// plane's shed gate — bursts whose aggregate's shed class exceeds its
+// ring-occupancy ceiling are shed proactively and counted in OverloadShed
+// before any buffer or occupancy word is taken. A nil aggregate with a nil
+// error means there is nothing left to serve.
+func (e *Engine) admit(h Handle, n int, inline *shard) (*aggregate, error) {
 	agg, err := e.resolve(h)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s := agg.shard
-	if p := e.overload; p != nil && p.shedGate(s, agg) {
-		e.shedPriority(s, agg, 1)
-		return nil
+	if inline != nil && agg.shard != inline {
+		return nil, fmt.Errorf("mbox: aggregate %q on shard %d: %w", agg.id, agg.shard.idx, ErrWrongShard)
 	}
-	s.mu.Lock()
-	b := s.staged
-	if b == nil {
-		b = e.getBurst()
-		s.staged = b
+	if n == 0 {
+		return nil, nil
 	}
-	b.pkts = append(b.pkts, pkt)
-	b.aggs = append(b.aggs, agg)
-	b.nodes = append(b.nodes, enforcer.NoNode)
-	if len(b.pkts) >= e.cfg.FlushBurst {
-		s.staged = nil
-		e.enqueue(s, b)
+	if p := e.overload; p != nil && p.shedGate(agg.shard, agg) {
+		e.shedPriority(agg.shard, agg, n)
+		return nil, nil
 	}
-	s.mu.Unlock()
-	return nil
+	return agg, nil
 }
 
 // SubmitBatch hands a whole burst for one aggregate to its shard in a
-// single ring operation — the engine's preferred ingress path. The packets
-// are copied into an engine-owned pooled buffer, so the caller may reuse
-// pkts immediately; steady-state burst submission performs no allocation.
-// Any pending coalesced single-packet burst for the shard is flushed first
-// so per-producer FIFO order holds across both APIs. With the overload
-// plane active, bursts whose aggregate's shed class exceeds its
-// ring-occupancy ceiling are shed proactively (counted in OverloadShed)
-// before any buffer is taken.
+// single ring operation. It never blocks: when the shard ring is full the
+// burst is shed and counted in Overloaded, and with the overload plane
+// active a burst can be shed before that (see admit). The packets are
+// copied into an engine-owned pooled buffer, so the caller may reuse pkts
+// immediately; steady-state burst submission performs no allocation.
+// Invalid handles report an error (misrouted traffic should be visible).
 func (e *Engine) SubmitBatch(h Handle, pkts []packet.Packet) error {
-	agg, err := e.resolve(h)
-	if err != nil {
+	return e.submitRing(h, enforcer.NoNode, pkts)
+}
+
+// submitRing is the ring ingress behind SubmitBatch and SubmitLeafBatch.
+func (e *Engine) submitRing(h Handle, node enforcer.NodeID, pkts []packet.Packet) error {
+	agg, err := e.admit(h, len(pkts), nil)
+	if agg == nil {
 		return err
 	}
-	if len(pkts) == 0 {
-		return nil
-	}
-	s := agg.shard
-	if p := e.overload; p != nil && p.shedGate(s, agg) {
-		e.shedPriority(s, agg, len(pkts))
-		return nil
-	}
-	b := e.getBurst()
+	b := e.pool.Get().(*burst)
 	b.agg = agg
+	b.node = node
 	b.pkts = append(b.pkts, pkts...)
-	s.mu.Lock()
-	if st := s.staged; st != nil {
-		s.staged = nil
-		e.enqueue(s, st)
-	}
-	e.enqueue(s, b)
-	s.mu.Unlock()
+	e.enqueue(agg.shard, b)
 	return nil
 }
 
-// SubmitID is the string-keyed compatibility shim for callers that have
-// not resolved a handle: one map lookup against the same lock-free
-// registry snapshot, then the Submit path.
-//
-// Deprecated: resolve a Handle once at Add/Lookup time and use Submit or
-// SubmitBatch; per-packet string lookups are exactly the overhead the
-// burst datapath removes.
-func (e *Engine) SubmitID(id string, pkt packet.Packet) error {
-	t := e.table.Load()
-	if t.closed {
-		return fmt.Errorf("mbox: engine closed")
-	}
-	h, ok := e.handleOf(id)
-	if !ok {
-		return fmt.Errorf("mbox: unknown aggregate %q", id)
-	}
-	return e.Submit(h, pkt)
-}
-
-// Stats reads an aggregate's enforcement statistics. The read executes on
-// the owning shard goroutine, so it is safe during traffic. An enforcer
+// Stats reads an aggregate's enforcement statistics — for a tree aggregate,
+// its whole-tree totals (NodeStats reads one node's own). The read executes
+// on the owning shard goroutine, so it is safe during traffic. An enforcer
 // that does not implement enforcer.StatsReader reports ErrNoStats instead
 // of silently returning zeros.
 func (e *Engine) Stats(id string) (enforcer.Stats, error) {
-	var out enforcer.Stats
-	var statErr error
-	err := e.control(id, func(enf enforcer.Enforcer) {
-		if sr, ok := enf.(enforcer.StatsReader); ok {
-			out = sr.EnforcerStats()
-		} else {
-			statErr = fmt.Errorf("mbox: aggregate %q: %w", id, ErrNoStats)
-		}
-	})
+	agg, err := e.aggByID(id)
 	if err != nil {
-		return out, err
+		return enforcer.Stats{}, err
 	}
-	return out, statErr
+	return e.readStats(agg, agg.ownStats)
 }
 
 // Flush runs fn for aggregate id on its shard goroutine — the hook for
@@ -1357,16 +1272,14 @@ func (e *Engine) control(id string, fn func(enforcer.Enforcer)) error {
 // goroutine and waits for it. It works on unpublished aggregates too, which
 // is how Remove and the eviction sweeper collect final statistics.
 //
-// The shard's pending coalesced burst is flushed first and the control
-// item rides the ordered data ring, so fn observes every packet submitted
-// before the call. When the data ring stays full past ControlTimeout
+// The control item rides the ordered data ring, so fn observes every packet
+// submitted before the call. When the data ring stays full past ControlTimeout
 // (a saturated or wedged shard), the item fails over to the shard's
 // dedicated control lane — jumping ahead of queued data is the price of
 // not letting data traffic stall the control plane; if even the lane is
 // full past the timeout, ErrSaturated is reported.
 func (e *Engine) controlAgg(agg *aggregate, fn func(enforcer.Enforcer)) error {
 	s := agg.shard
-	e.flushStaged(s)
 	done := make(chan struct{})
 	it := item{control: func() { fn(agg.enf) }, done: done, agg: agg}
 
@@ -1416,6 +1329,11 @@ func (e *Engine) controlAgg(agg *aggregate, fn func(enforcer.Enforcer)) error {
 // operations, Update fails over to the priority control lane against a
 // saturated shard and then reports ErrSaturated.
 func (e *Engine) Update(id string, fn func(now time.Duration, enf enforcer.Enforcer) error) error {
+	return e.update(id, func(now time.Duration, agg *aggregate) error { return fn(now, agg.enf) })
+}
+
+// update is the in-band closure behind Update and reconfigure.
+func (e *Engine) update(id string, fn func(now time.Duration, agg *aggregate) error) error {
 	agg, err := e.aggByID(id)
 	if err != nil {
 		return err
@@ -1424,8 +1342,8 @@ func (e *Engine) Update(id string, fn func(now time.Duration, enf enforcer.Enfor
 	// plan mid-quiet-period should not be evicted under them.
 	agg.lastActive.Store(time.Now().UnixNano())
 	var uerr error
-	if cerr := e.controlAgg(agg, func(enf enforcer.Enforcer) {
-		uerr = fn(e.cfg.Clock(), enf)
+	if cerr := e.controlAgg(agg, func(enforcer.Enforcer) {
+		uerr = fn(e.cfg.Clock(), agg)
 	}); cerr != nil {
 		return cerr
 	}
@@ -1433,58 +1351,17 @@ func (e *Engine) Update(id string, fn func(now time.Duration, enf enforcer.Enfor
 }
 
 // SetRate changes an aggregate's enforced rate in-band, preserving its
-// admission state (see Update). The enforcer must implement
-// enforcer.Reconfigurer; ErrNotReconfigurable otherwise. An armed
-// conformance auditor is rebased to the new rate atomically with the
-// enforcer change (same in-band closure, same virtual time), so the
-// audited envelope stays the piecewise Theorem-1 bound across the
-// reconfiguration and never flags the change itself.
+// admission state (see Update): SetNodeRate at the aggregate's root — the
+// enforcer itself for a flat aggregate, the root ceiling of a tree.
 func (e *Engine) SetRate(id string, rate units.Rate) error {
-	agg, err := e.aggByID(id)
-	if err != nil {
-		return err
-	}
-	agg.lastActive.Store(time.Now().UnixNano())
-	var uerr error
-	if cerr := e.controlAgg(agg, func(enf enforcer.Enforcer) {
-		now := e.cfg.Clock()
-		r, ok := enf.(enforcer.Reconfigurer)
-		if !ok {
-			uerr = fmt.Errorf("mbox: aggregate %q (%T): %w", id, enf, ErrNotReconfigurable)
-			return
-		}
-		if uerr = r.SetRate(now, rate); uerr != nil {
-			return
-		}
-		if au := agg.audit.Load(); au != nil && au.wholeOn {
-			au.whole.Rebase(now, int64(rate))
-		}
-	}); cerr != nil {
-		return cerr
-	}
-	if uerr == nil {
-		e.recordControl(id, obs.KindRateUpdate)
-	}
-	return uerr
+	return e.setRate(id, true, 0, rate)
 }
 
 // SetPolicy changes an aggregate's intra-aggregate rate-sharing policy
-// in-band, preserving its admission state (see Update). The engine takes
-// ownership of the policy object. The enforcer must implement
-// enforcer.Reconfigurer; enforcers without a policy dimension report
-// enforcer.ErrNoPolicy.
+// in-band, preserving its admission state (see Update): SetNodePolicy at the
+// aggregate's root.
 func (e *Engine) SetPolicy(id string, policy *sched.Policy) error {
-	err := e.Update(id, func(now time.Duration, enf enforcer.Enforcer) error {
-		r, ok := enf.(enforcer.Reconfigurer)
-		if !ok {
-			return fmt.Errorf("mbox: aggregate %q (%T): %w", id, enf, ErrNotReconfigurable)
-		}
-		return r.SetPolicy(now, policy)
-	})
-	if err == nil {
-		e.recordControl(id, obs.KindPolicyUpdate)
-	}
-	return err
+	return e.setPolicy(id, true, 0, policy)
 }
 
 // sweeper is the idle-TTL eviction loop: every SweepInterval it scans the
@@ -1494,13 +1371,13 @@ func (e *Engine) SetPolicy(id string, policy *sched.Policy) error {
 // in Evicted and reporting id + final stats through OnEvict. The idle check
 // is re-verified under mu against the registered aggregate, so a sweep
 // racing a Remove+Add of the same id never evicts the fresh incarnation.
-// Idleness is overestimated by at most a FlushInterval (burstWall).
+// Idleness is overestimated by at most coarseWallInterval (burstWall).
 func (e *Engine) sweeper() {
 	t := time.NewTicker(e.cfg.SweepInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-e.flushStop:
+		case <-e.stop:
 			return
 		case <-t.C:
 			e.sweep()
@@ -1643,7 +1520,7 @@ type ShardHealth struct {
 	QueueDepth int // bursts queued on the ordered data ring
 	QueueCap   int // ring capacity in bursts
 	// HeartbeatAge is the time since the shard last made progress; without
-	// an Observer it can read up to a FlushInterval high.
+	// an Observer it can read up to 500µs high (burstWall).
 	HeartbeatAge time.Duration
 	Busy         bool  // a ring item or an inline burst is in flight right now
 	Processed    int64 // items completed
@@ -1717,8 +1594,7 @@ func (e *Engine) Health() Health {
 }
 
 // watchdog periodically reclassifies every shard from its heartbeat age,
-// ring depth, and fault-counter deltas. It shares the flusher's stop
-// channel and exits at Close.
+// ring depth, and fault-counter deltas. It exits at Close.
 func (e *Engine) watchdog() {
 	t := time.NewTicker(e.cfg.WatchdogInterval)
 	defer t.Stop()
@@ -1726,7 +1602,7 @@ func (e *Engine) watchdog() {
 	lastShed := make([]int64, len(e.shards))
 	for {
 		select {
-		case <-e.flushStop:
+		case <-e.stop:
 			return
 		case <-t.C:
 			now := time.Now().UnixNano()
@@ -1747,8 +1623,8 @@ func (s *shard) inFlight() bool { return s.occ.Load() != occFree }
 // classify derives one shard's state. A shard is Wedged only when it has
 // work (queued, or in flight on its own goroutine or an inline submitter's)
 // and its heartbeat is stale by more than WedgeTimeout — an idle shard's
-// heartbeat goes stale legitimately, and a working one's by a FlushInterval
-// (burstWall). It is Degraded when it recovered a panic or shed load since
+// heartbeat goes stale legitimately, and a working one's by
+// coarseWallInterval (burstWall). It is Degraded when it recovered a panic or shed load since
 // the last check, or its ring is ≥3/4 full.
 func (e *Engine) classify(s *shard, now int64, lastPanics, lastShed *int64) ShardState {
 	depth := len(s.in) + len(s.ctrl)
@@ -1784,7 +1660,7 @@ type CloseReport struct {
 }
 
 // Close stops the engine within Config.CloseTimeout. Submitting after Close
-// returns an error; packets from Submit calls racing Close may be silently
+// returns an error; bursts submitted while Close runs may be silently
 // discarded. Close is idempotent; concurrent and later calls return the
 // first call's report.
 //
@@ -1808,12 +1684,7 @@ func (e *Engine) Close() CloseReport {
 	e.idMu.Lock()
 	e.ids = map[string]Handle{}
 	e.idMu.Unlock()
-	close(e.flushStop) // stops the flusher and the watchdog
-	// Flush staged bursts so everything accepted before Close is
-	// enforced where the shard is still responsive.
-	for _, s := range e.shards {
-		e.flushStaged(s)
-	}
+	close(e.stop)
 	deadline := time.Now().Add(e.cfg.CloseTimeout)
 	type result struct {
 		exited bool

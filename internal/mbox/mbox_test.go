@@ -72,19 +72,16 @@ func TestAddRemove(t *testing.T) {
 	if _, err := e.Remove("a"); err == nil {
 		t.Error("double remove accepted")
 	}
-	if err := e.Submit(h, pkt(0)); !errors.Is(err, ErrStale) {
-		t.Errorf("submit to removed aggregate: err = %v, want ErrStale", err)
-	}
 	if err := e.SubmitBatch(h, []packet.Packet{pkt(0)}); !errors.Is(err, ErrStale) {
 		t.Errorf("batch submit to removed aggregate: err = %v, want ErrStale", err)
 	}
 	if _, err := e.Lookup("a"); err == nil {
 		t.Error("lookup of removed aggregate succeeded")
 	}
-	if err := e.Submit(NoHandle, pkt(0)); err == nil {
+	if err := e.SubmitBatch(NoHandle, []packet.Packet{pkt(0)}); err == nil {
 		t.Error("invalid handle accepted")
 	}
-	if err := e.Submit(Handle(99), pkt(0)); err == nil {
+	if err := e.SubmitBatch(Handle(99), []packet.Packet{pkt(0)}); err == nil {
 		t.Error("out-of-range handle accepted")
 	}
 }
@@ -115,7 +112,7 @@ func TestHandlesNotReused(t *testing.T) {
 	if h1.gen() == h2.gen() {
 		t.Errorf("generation %d reused across recycle", h1.gen())
 	}
-	if err := e.Submit(h1, pkt(0)); !errors.Is(err, ErrStale) {
+	if err := e.SubmitBatch(h1, []packet.Packet{pkt(0)}); !errors.Is(err, ErrStale) {
 		t.Errorf("stale handle: err = %v, want ErrStale", err)
 	}
 }
@@ -148,8 +145,8 @@ func TestPerAggregateRateEnforcement(t *testing.T) {
 		handles[i] = h
 	}
 
-	// Offer far above the rate from several goroutines, mixing the
-	// single-packet and burst ingress paths.
+	// Offer far above the rate from several goroutines, in bursts of one
+	// and of thirty-two.
 	var wg sync.WaitGroup
 	const perSender = 20000
 	for s := 0; s < 4; s++ {
@@ -159,7 +156,7 @@ func TestPerAggregateRateEnforcement(t *testing.T) {
 			if s%2 == 0 {
 				for i := 0; i < perSender; i++ {
 					h := handles[(s*perSender+i)%aggs]
-					if err := e.Submit(h, pkt(i)); err != nil {
+					if err := e.SubmitBatch(h, []packet.Packet{pkt(i)}); err != nil {
 						t.Error(err)
 						return
 					}
@@ -206,12 +203,11 @@ func TestStatsOnShardGoroutine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := e.Submit(h, pkt(i)); err != nil {
+		if err := e.SubmitBatch(h, []packet.Packet{pkt(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Stats is synchronous: it flushes the pending burst and runs after
-	// everything queued before it.
+	// Stats is synchronous: it runs after everything queued before it.
 	st, err := e.Stats("x")
 	if err != nil {
 		t.Fatal(err)
@@ -244,32 +240,41 @@ func TestStatsErrNoStats(t *testing.T) {
 }
 
 func TestSingleAndBatchAgree(t *testing.T) {
-	// The same deterministic traffic through Submit and through
-	// SubmitBatch must produce identical enforcement statistics.
+	// The same traffic at the same virtual times must produce identical
+	// enforcement statistics whether each 32 packets arrive as one burst or
+	// as thirty-two bursts of one: how a producer cuts its bursts is not
+	// part of the verdict.
 	run := func(batch bool) enforcer.Stats {
-		clock := &fakeClock{step: 100 * time.Microsecond}
-		e := New(Config{Shards: 1, Clock: clock.now, QueueDepth: 1 << 16})
+		clk := &manualClock{}
+		e := New(Config{Shards: 1, Clock: clk.read, QueueDepth: 1 << 16})
 		defer e.Close()
 		h, err := e.Add("x", tbf.MustNew(8*units.Mbps, 64*units.MSS), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		const n = 4096
-		if batch {
-			var buf [32]packet.Packet
-			for i := 0; i < n; i += len(buf) {
+		var buf [32]packet.Packet
+		for i := 0; i < n; i += len(buf) {
+			clk.add(100 * time.Microsecond)
+			for j := range buf {
+				buf[j] = pkt(i + j)
+			}
+			if batch {
+				err = e.SubmitBatch(h, buf[:])
+			} else {
 				for j := range buf {
-					buf[j] = pkt(i + j)
-				}
-				if err := e.SubmitBatch(h, buf[:]); err != nil {
-					t.Fatal(err)
+					if err = e.SubmitBatch(h, buf[j:j+1]); err != nil {
+						break
+					}
 				}
 			}
-		} else {
-			for i := 0; i < n; i++ {
-				if err := e.Submit(h, pkt(i)); err != nil {
-					t.Fatal(err)
-				}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The shard reads the clock when it runs a burst: settle
+			// these before the clock moves again.
+			if _, err := e.Stats("x"); err != nil {
+				t.Fatal(err)
 			}
 		}
 		st, err := e.Stats("x")
@@ -283,7 +288,7 @@ func TestSingleAndBatchAgree(t *testing.T) {
 	}
 	single, batched := run(false), run(true)
 	if single != batched {
-		t.Errorf("single-packet path stats %+v != batch path stats %+v", single, batched)
+		t.Errorf("bursts-of-one stats %+v != bursts-of-32 stats %+v", single, batched)
 	}
 }
 
@@ -308,33 +313,6 @@ func TestFlushRunsMaintenance(t *testing.T) {
 	}
 }
 
-func TestDeadlineFlushDeliversPartialBursts(t *testing.T) {
-	// A lone packet must not be stranded in the pending burst: the
-	// background deadline flusher delivers it without any further
-	// traffic or control activity.
-	var emitted atomic.Int64
-	e := New(Config{Shards: 1, FlushInterval: time.Millisecond, QueueDepth: 16})
-	defer e.Close()
-	h, err := e.Add("x", tbf.MustNew(units.Mbps, 10*units.MSS), func(packet.Packet) {
-		emitted.Add(1)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Submit(h, pkt(0)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(5 * time.Second)
-	for emitted.Load() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("staged packet never flushed by the deadline trigger")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-}
-
 func TestOverloadSheds(t *testing.T) {
 	// A blocked shard must shed bursts rather than block Submit.
 	gate := make(chan struct{})
@@ -354,7 +332,7 @@ func TestOverloadSheds(t *testing.T) {
 			t.Fatal("never shed load with a blocked shard")
 		default:
 		}
-		if err := e.Submit(h, pkt(0)); err != nil {
+		if err := e.SubmitBatch(h, []packet.Packet{pkt(0)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -367,7 +345,7 @@ func TestControlFailsOverOnSaturatedShard(t *testing.T) {
 	// still wedged, eventually reports ErrSaturated instead of hanging.
 	gate := make(chan struct{})
 	e := New(Config{
-		Shards: 1, QueueDepth: 1, FlushBurst: 1,
+		Shards: 1, QueueDepth: 1,
 		ControlTimeout: 20 * time.Millisecond,
 	})
 	defer e.Close()
@@ -378,7 +356,7 @@ func TestControlFailsOverOnSaturatedShard(t *testing.T) {
 	}
 	// Wedge the consumer and fill the ring.
 	for i := 0; i < 64; i++ {
-		if err := e.Submit(h, pkt(0)); err != nil {
+		if err := e.SubmitBatch(h, []packet.Packet{pkt(0)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -415,43 +393,14 @@ func TestCloseIdempotentAndRejects(t *testing.T) {
 	}
 	e.Close()
 	e.Close()
-	if err := e.Submit(h, pkt(0)); err == nil {
-		t.Error("submit after close accepted")
-	}
 	if err := e.SubmitBatch(h, []packet.Packet{pkt(0)}); err == nil {
 		t.Error("batch submit after close accepted")
-	}
-	if err := e.SubmitID("x", pkt(0)); err == nil {
-		t.Error("submit by id after close accepted")
 	}
 	if _, err := e.Stats("x"); err == nil {
 		t.Error("stats after close accepted")
 	}
 	if _, err := e.Add("y", tbf.MustNew(units.Mbps, 10*units.MSS), nil); err == nil {
 		t.Error("add after close accepted")
-	}
-}
-
-func TestSubmitIDCompatibilityShim(t *testing.T) {
-	e := New(Config{Shards: 1})
-	defer e.Close()
-	if _, err := e.Add("x", tbf.MustNew(8*units.Mbps, 4*units.MSS), nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := e.SubmitID("x", pkt(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.SubmitID("nope", pkt(0)); err == nil {
-		t.Error("submit to unknown id accepted")
-	}
-	st, err := e.Stats("x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := st.Totals(); p != 5 {
-		t.Errorf("stats saw %d packets, want 5", p)
 	}
 }
 
@@ -474,7 +423,7 @@ func TestConcurrentAddRemoveDuringTraffic(t *testing.T) {
 				return
 			default:
 			}
-			e.Submit(steady, pkt(i))
+			e.SubmitBatch(steady, []packet.Packet{pkt(i)})
 		}
 	}()
 	go func() {
@@ -486,7 +435,7 @@ func TestConcurrentAddRemoveDuringTraffic(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			e.Submit(h, pkt(i))
+			e.SubmitBatch(h, []packet.Packet{pkt(i)})
 			if _, err := e.Remove(id); err != nil {
 				t.Error(err)
 				return
@@ -521,7 +470,7 @@ func TestFlushDrivesPhantomMaintenance(t *testing.T) {
 	}
 	// Burst to trigger the magic fill.
 	for i := 0; i < 400; i++ {
-		if err := e.Submit(h, pkt(0)); err != nil {
+		if err := e.SubmitBatch(h, []packet.Packet{pkt(0)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -232,25 +232,16 @@ func (p *overloadPlane) shedGate(s *shard, agg *aggregate) bool {
 }
 
 // shedPriority accounts one proactively shed submission of n packets. Trace
-// events ride the shard's existing KindShed coalescing (under s.mu); a
-// proactive shed is distinguished from a ring-full shed by carrying the
-// aggregate handle (ring-full sheds record Agg=-1).
+// events ride the shard's KindShed coalescing (recordShed); a proactive shed
+// is distinguished from a ring-full shed by carrying the aggregate handle
+// (ring-full sheds record Agg=-1).
 func (e *Engine) shedPriority(s *shard, agg *aggregate, n int) {
 	nn := int64(n)
 	e.OverloadShed.Add(nn)
 	agg.shed.Add(nn)
 	s.shed.Add(nn)
-	if s.obs != nil {
-		s.mu.Lock()
-		s.shedAccum += nn
-		if s.shedTick--; s.shedTick <= 0 {
-			s.shedTick = e.obsSample
-			s.obs.Record(obs.Event{Kind: obs.KindShed, Agg: int64(agg.h), Node: -1,
-				A: s.shedAccum, B: int64(agg.shedClass.Load())})
-			s.shedAccum = 0
-		}
-		s.mu.Unlock()
-	}
+	e.recordShed(s, nn, obs.Event{Kind: obs.KindShed, Agg: int64(agg.h), Node: -1,
+		B: int64(agg.shedClass.Load())})
 }
 
 // updatePressure recomputes the composite pressure signal. It runs on the

@@ -129,7 +129,7 @@ func TestPriorityShedUnderPressure(t *testing.T) {
 
 	c := obs.NewCollector(obs.Options{SampleEvery: 1})
 	e := New(Config{
-		Shards: 1, QueueDepth: 8, FlushBurst: 1,
+		Shards: 1, QueueDepth: 8,
 		WatchdogInterval: time.Millisecond,
 		CloseTimeout:     5 * time.Second,
 		Observer:         c,
@@ -176,14 +176,28 @@ func TestPriorityShedUnderPressure(t *testing.T) {
 	// Class 3's ceiling on an 8-deep ring is ⌊8·3/25⌋=0→clamped to 1
 	// burst; the ring is full, so every victim submission sheds
 	// proactively, before any ring slot and before the enforcer.
-	shed0 := e.OverloadShed.Load()
-	for i := 0; i < 20; i++ {
-		if err := e.SubmitBatch(hVictim, burstOf(1, i)); err != nil {
-			t.Fatal(err)
-		}
+	// The leaf spelling passes the same gate: it used to skip it and take
+	// ring slots from class 0.
+	leafVictim, err := e.Leaf(hVictim, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := e.OverloadShed.Load() - shed0; got != 20 {
-		t.Errorf("OverloadShed grew %d, want 20", got)
+	for name, submit := range map[string]func([]packet.Packet) error{
+		"SubmitBatch":     func(p []packet.Packet) error { return e.SubmitBatch(hVictim, p) },
+		"SubmitLeafBatch": func(p []packet.Packet) error { return e.SubmitLeafBatch(leafVictim, p) },
+	} {
+		shed0, over0 := e.OverloadShed.Load(), e.Overloaded.Load()
+		for i := 0; i < 20; i++ {
+			if err := submit(burstOf(1, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := e.OverloadShed.Load() - shed0; got != 20 {
+			t.Errorf("%s: OverloadShed grew %d, want 20", name, got)
+		}
+		if got := e.Overloaded.Load() - over0; got != 0 {
+			t.Errorf("%s: Overloaded grew %d, want 0 (shed before the ring)", name, got)
+		}
 	}
 	if f, err := e.Faults("victim"); err != nil {
 		t.Fatal(err)

@@ -22,11 +22,9 @@ import (
 func TestEngineConcurrentStress(t *testing.T) {
 	clock := &fakeClock{step: 10 * time.Microsecond}
 	e := New(Config{
-		Shards:        4,
-		QueueDepth:    64,
-		FlushBurst:    8,
-		FlushInterval: 100 * time.Microsecond,
-		Clock:         clock.now,
+		Shards:     4,
+		QueueDepth: 64,
+		Clock:      clock.now,
 	})
 
 	const stable = 6
@@ -56,7 +54,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 				default:
 				}
 				h := handles[(g+i)%stable]
-				if err := e.Submit(h, pkt(i)); err == nil {
+				if err := e.SubmitBatch(h, []packet.Packet{pkt(i)}); err == nil {
 					submitted.Add(1)
 				}
 			}
@@ -100,7 +98,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 			id := fmt.Sprintf("churn-%d", i%8)
 			h, err := e.Add(id, tbf.MustNew(units.Mbps, 50*units.MSS), nil)
 			if err == nil {
-				_ = e.Submit(h, pkt(i))
+				_ = e.SubmitBatch(h, []packet.Packet{pkt(i)})
 				_ = e.SetRate(id, (1+units.Rate(i%4))*units.Mbps)
 				_, _ = e.Remove(id)
 			}
@@ -138,7 +136,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 		t.Fatal("stress run submitted nothing")
 	}
 	// Post-Close calls stay well-defined.
-	if err := e.Submit(handles[0], pkt(0)); err == nil {
+	if err := e.SubmitBatch(handles[0], []packet.Packet{pkt(0)}); err == nil {
 		t.Error("Submit after Close succeeded")
 	}
 	if _, err := e.Add("late", tbf.MustNew(units.Mbps, units.MSS), nil); err == nil {

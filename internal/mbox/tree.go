@@ -14,10 +14,9 @@ import (
 // Per-tree handle namespaces.
 //
 // A tree aggregate (one whose enforcer implements enforcer.TreeEnforcer —
-// a ptree policy tree or a cascade chain) hosts a namespace of node
-// addresses under its one registry slot: a LeafHandle is (aggregate
-// handle, node), minted by Leaf and carried on the datapath next to the
-// packets. The registry itself stays flat — one slot, one generation tag,
+// a ptree policy tree; Add detects it) hosts a namespace of node addresses
+// under its one registry slot: a LeafHandle is (aggregate handle, node),
+// minted by Leaf and carried on the datapath next to the packets. The registry itself stays flat — one slot, one generation tag,
 // one idle-TTL stamp, one quarantine breaker per tree — so a million-leaf
 // tree costs the table exactly one entry, and removing or evicting the
 // aggregate invalidates every LeafHandle of the tree at once through the
@@ -26,7 +25,7 @@ import (
 // A flat single-enforcer aggregate participates as the degenerate one-node
 // tree: node 0 addresses the enforcer itself, so node-addressed control
 // (NodeStats, SetNodeRate) and Leaf(h, 0) work uniformly over flat
-// aggregates, chains and trees.
+// aggregates and trees.
 
 // LeafHandle addresses one node of an aggregate on the datapath: packets
 // submitted through it enter the aggregate's policy tree at that node
@@ -47,28 +46,13 @@ func (lh LeafHandle) Aggregate() Handle { return lh.h }
 // unified node-0 handle (whole-aggregate submission).
 func (lh LeafHandle) Node() enforcer.NodeID { return lh.node }
 
-// AddTree registers a node-addressable enforcer tree for aggregate id.
-// The tree must also implement enforcer.Enforcer (whole-aggregate
-// submission through the plain handle routes packets to leaves by class;
-// *ptree.Tree and *cascade.Cascade both do), which keeps every existing
-// engine surface — Submit, Stats, Update, snapshots, eviction — working
-// unchanged on tree aggregates. Node addressing is layered on top: mint
-// per-node handles with Leaf, submit with SubmitLeaf/SubmitLeafBatch,
-// control nodes with UpdateNode/SetNodeRate/SetNodePolicy/NodeStats.
-func (e *Engine) AddTree(id string, tree enforcer.TreeEnforcer, emit Emit) (Handle, error) {
-	enf, ok := tree.(enforcer.Enforcer)
-	if !ok {
-		return NoHandle, fmt.Errorf("mbox: tree for %q (%T) does not implement enforcer.Enforcer", id, tree)
-	}
-	return e.Add(id, enf, emit)
-}
-
 // Leaf mints a node-addressed handle inside aggregate h's namespace. The
 // node must be in the tree's range; for a flat (non-tree) aggregate only
 // node 0 — the enforcer itself — is addressable, and the minted handle is
 // the whole-aggregate one. Node validity is checked here, once: tree
 // topology is immutable, so a LeafHandle stays node-valid for the
-// aggregate's lifetime and SubmitLeaf repeats only the generation check.
+// aggregate's lifetime and SubmitLeafBatch repeats only the generation
+// check.
 func (e *Engine) Leaf(h Handle, node enforcer.NodeID) (LeafHandle, error) {
 	agg, err := e.resolve(h)
 	if err != nil {
@@ -88,59 +72,11 @@ func (e *Engine) Leaf(h Handle, node enforcer.NodeID) (LeafHandle, error) {
 	return LeafHandle{h: h, node: node}, nil
 }
 
-// SubmitLeaf hands one packet to a tree node. Like Submit it never blocks:
-// the packet joins the owning shard's pending coalesced burst carrying its
-// node address, and consecutive same-(aggregate, node) packets are run
-// through the tree's batch path together.
-func (e *Engine) SubmitLeaf(lh LeafHandle, pkt packet.Packet) error {
-	agg, err := e.resolve(lh.h)
-	if err != nil {
-		return err
-	}
-	s := agg.shard
-	s.mu.Lock()
-	b := s.staged
-	if b == nil {
-		b = e.getBurst()
-		s.staged = b
-	}
-	b.pkts = append(b.pkts, pkt)
-	b.aggs = append(b.aggs, agg)
-	b.nodes = append(b.nodes, lh.node)
-	if len(b.pkts) >= e.cfg.FlushBurst {
-		s.staged = nil
-		e.enqueue(s, b)
-	}
-	s.mu.Unlock()
-	return nil
-}
-
 // SubmitLeafBatch hands a whole burst for one tree node to its shard in a
-// single ring operation — the preferred node-addressed ingress. Semantics
-// match SubmitBatch: packets are copied into an engine-owned pooled
-// buffer, any pending coalesced burst flushes first for per-producer FIFO
-// order, and steady-state submission performs no allocation.
+// single ring operation: SubmitBatch, entering the aggregate's tree at the
+// handle's node.
 func (e *Engine) SubmitLeafBatch(lh LeafHandle, pkts []packet.Packet) error {
-	agg, err := e.resolve(lh.h)
-	if err != nil {
-		return err
-	}
-	if len(pkts) == 0 {
-		return nil
-	}
-	b := e.getBurst()
-	b.agg = agg
-	b.node = lh.node
-	b.pkts = append(b.pkts, pkts...)
-	s := agg.shard
-	s.mu.Lock()
-	if st := s.staged; st != nil {
-		s.staged = nil
-		e.enqueue(s, st)
-	}
-	e.enqueue(s, b)
-	s.mu.Unlock()
-	return nil
+	return e.submitRing(lh.h, lh.node, pkts)
 }
 
 // nodeReconfigurer resolves the Reconfigurer behind (aggregate, node):
@@ -160,77 +96,82 @@ func nodeReconfigurer(agg *aggregate, node enforcer.NodeID) (enforcer.Reconfigur
 	return r, nil
 }
 
-// UpdateNode applies a live reconfiguration to one tree node, in place and
-// in-band with the same guarantees as Update: fn runs on the owning shard
-// goroutine with the engine clock read there, serialized against the
-// aggregate's bursts, and node admission state survives the change — the
-// Theorem 1 bound holds piecewise across it, per node.
-func (e *Engine) UpdateNode(id string, node enforcer.NodeID, fn func(now time.Duration, r enforcer.Reconfigurer) error) error {
-	agg, err := e.aggByID(id)
-	if err != nil {
-		return err
+// reconfigure is the one in-band reconfiguration body, behind SetRate,
+// SetPolicy, SetNodeRate and SetNodePolicy: fn runs on the owning shard
+// goroutine against node's Reconfigurer with the engine clock read there,
+// serialized against the aggregate's bursts (see Update), and a successful
+// change records a kind trace event. whole is the SetRate/SetPolicy
+// spelling: it addresses the aggregate's root and attributes the event to
+// the aggregate rather than to a node.
+func (e *Engine) reconfigure(id string, whole bool, node enforcer.NodeID, kind obs.Kind,
+	fn func(now time.Duration, agg *aggregate, node enforcer.NodeID, r enforcer.Reconfigurer) error) error {
+	at := node
+	if whole {
+		at = enforcer.NoNode
 	}
-	agg.lastActive.Store(time.Now().UnixNano())
-	var uerr error
-	if cerr := e.controlAgg(agg, func(enforcer.Enforcer) {
-		r, rerr := nodeReconfigurer(agg, node)
-		if rerr != nil {
-			uerr = rerr
-			return
+	err := e.update(id, func(now time.Duration, agg *aggregate) error {
+		if whole {
+			node = rootOf(agg.tree)
 		}
-		uerr = fn(e.cfg.Clock(), r)
-	}); cerr != nil {
-		return cerr
-	}
-	return uerr
-}
-
-// SetNodeRate changes one tree node's ceiling rate in-band, preserving its
-// admission state (see UpdateNode). An armed per-node conformance auditor
-// is rebased to the new rate atomically with the node change (same in-band
-// closure, same virtual time), preserving the piecewise per-node bound.
-func (e *Engine) SetNodeRate(id string, node enforcer.NodeID, rate units.Rate) error {
-	agg, err := e.aggByID(id)
-	if err != nil {
-		return err
-	}
-	agg.lastActive.Store(time.Now().UnixNano())
-	var uerr error
-	if cerr := e.controlAgg(agg, func(enforcer.Enforcer) {
-		r, rerr := nodeReconfigurer(agg, node)
-		if rerr != nil {
-			uerr = rerr
-			return
+		r, err := nodeReconfigurer(agg, node)
+		if err != nil {
+			return err
 		}
-		now := e.cfg.Clock()
-		if uerr = r.SetRate(now, rate); uerr != nil {
-			return
-		}
-		if au := agg.audit.Load(); au != nil {
-			if a := au.nodes.Load().audit(node); a != nil {
-				a.Rebase(now, int64(rate))
-			}
-		}
-	}); cerr != nil {
-		return cerr
-	}
-	if uerr == nil {
-		e.recordControlNode(id, node, obs.KindRateUpdate)
-	}
-	return uerr
-}
-
-// SetNodePolicy changes one tree node's rate-sharing policy in-band,
-// preserving its admission state (see UpdateNode). The engine takes
-// ownership of the policy object.
-func (e *Engine) SetNodePolicy(id string, node enforcer.NodeID, policy *sched.Policy) error {
-	err := e.UpdateNode(id, node, func(now time.Duration, r enforcer.Reconfigurer) error {
-		return r.SetPolicy(now, policy)
+		return fn(now, agg, node, r)
 	})
 	if err == nil {
-		e.recordControlNode(id, node, obs.KindPolicyUpdate)
+		e.recordControl(id, at, obs.Event{Kind: kind})
 	}
 	return err
+}
+
+// rootOf returns the root of tree — the node every admitted packet passes —
+// and node 0, the enforcer itself, for a flat aggregate's nil tree.
+func rootOf(tree enforcer.TreeEnforcer) enforcer.NodeID {
+	root := enforcer.NodeID(0)
+	if tree != nil {
+		for up := tree.Parent(root); up != enforcer.NoNode; up = tree.Parent(up) {
+			root = up
+		}
+	}
+	return root
+}
+
+// SetNodeRate changes one node's ceiling rate in-band, preserving its
+// admission state (see Update) — the Theorem 1 bound holds piecewise across
+// the change, per node. Every armed conformance envelope over the ceiling
+// (the node's own, and the whole-aggregate one when the node is the root)
+// is rebased to the new rate atomically with the change (same in-band
+// closure, same virtual time), so the audited envelope stays the piecewise
+// bound and never flags the reconfiguration itself. The node's mechanism
+// must implement enforcer.Reconfigurer; ErrNotReconfigurable otherwise.
+func (e *Engine) SetNodeRate(id string, node enforcer.NodeID, rate units.Rate) error {
+	return e.setRate(id, false, node, rate)
+}
+
+func (e *Engine) setRate(id string, whole bool, node enforcer.NodeID, rate units.Rate) error {
+	return e.reconfigure(id, whole, node, obs.KindRateUpdate,
+		func(now time.Duration, agg *aggregate, node enforcer.NodeID, r enforcer.Reconfigurer) error {
+			if err := r.SetRate(now, rate); err != nil {
+				return err
+			}
+			agg.rebaseAudits(now, node, rate)
+			return nil
+		})
+}
+
+// SetNodePolicy changes one node's rate-sharing policy in-band, preserving
+// its admission state (see Update). The engine takes ownership of the policy
+// object. Mechanisms without a policy dimension report enforcer.ErrNoPolicy.
+func (e *Engine) SetNodePolicy(id string, node enforcer.NodeID, policy *sched.Policy) error {
+	return e.setPolicy(id, false, node, policy)
+}
+
+func (e *Engine) setPolicy(id string, whole bool, node enforcer.NodeID, policy *sched.Policy) error {
+	return e.reconfigure(id, whole, node, obs.KindPolicyUpdate,
+		func(now time.Duration, _ *aggregate, _ enforcer.NodeID, r enforcer.Reconfigurer) error {
+			return r.SetPolicy(now, policy)
+		})
 }
 
 // NodeStats reads one tree node's accounting through an in-band barrier,
@@ -242,38 +183,13 @@ func (e *Engine) NodeStats(id string, node enforcer.NodeID) (enforcer.Stats, err
 	if err != nil {
 		return enforcer.Stats{}, err
 	}
-	var out enforcer.Stats
-	var statErr error
-	err = e.controlAgg(agg, func(enf enforcer.Enforcer) {
+	return e.readStats(agg, func() (enforcer.Stats, error) {
 		if agg.tree != nil {
-			out, statErr = agg.tree.NodeStats(node)
-			return
+			return agg.tree.NodeStats(node)
 		}
 		if node != 0 {
-			statErr = fmt.Errorf("mbox: aggregate %q is flat, node %d: %w", id, node, ErrBadNode)
-			return
+			return enforcer.Stats{}, fmt.Errorf("mbox: aggregate %q is flat, node %d: %w", id, node, ErrBadNode)
 		}
-		if sr, ok := enf.(enforcer.StatsReader); ok {
-			out = sr.EnforcerStats()
-		} else {
-			statErr = fmt.Errorf("mbox: aggregate %q: %w", id, ErrNoStats)
-		}
+		return agg.ownStats()
 	})
-	if err != nil {
-		return out, err
-	}
-	return out, statErr
-}
-
-// recordControlNode publishes a node-attributed control-plane trace event.
-// No-op without an Observer.
-func (e *Engine) recordControlNode(id string, node enforcer.NodeID, kind obs.Kind) {
-	if e.cfg.Observer == nil {
-		return
-	}
-	ev := obs.Event{Kind: kind, Shard: -1, Agg: -1, Node: int32(node)}
-	if agg, err := e.aggByID(id); err == nil {
-		ev.Agg = int64(agg.h)
-	}
-	e.cfg.Observer.Record(ev)
 }

@@ -27,7 +27,7 @@ func newTestTree() *ptree.Tree {
 func TestAddTreeAndLeafResolution(t *testing.T) {
 	e := New(Config{Shards: 1})
 	defer e.Close()
-	h, err := e.AddTree("tenant", newTestTree(), nil)
+	h, err := e.Add("tenant", newTestTree(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +65,6 @@ func TestAddTreeAndLeafResolution(t *testing.T) {
 	if _, err := e.Remove("tenant"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SubmitLeaf(lh, pkt(0)); !errors.Is(err, ErrStale) {
-		t.Errorf("stale leaf submit: %v, want ErrStale", err)
-	}
 	if err := e.SubmitLeafBatch(lh, []packet.Packet{pkt(0)}); !errors.Is(err, ErrStale) {
 		t.Errorf("stale leaf batch: %v, want ErrStale", err)
 	}
@@ -82,7 +79,7 @@ func TestLeafSubmissionRoutesToNodes(t *testing.T) {
 	e := New(Config{Shards: 1, Clock: clock.now})
 	defer e.Close()
 	var emitted atomic.Int64
-	h, err := e.AddTree("tenant", newTestTree(), func(p packet.Packet) {
+	h, err := e.Add("tenant", newTestTree(), func(p packet.Packet) {
 		emitted.Add(1)
 	})
 	if err != nil {
@@ -91,8 +88,7 @@ func TestLeafSubmissionRoutesToNodes(t *testing.T) {
 	lhA, _ := e.Leaf(h, 1)
 	lhB, _ := e.Leaf(h, 2)
 
-	// Interleave coalesced single submits with batches so same-node runs
-	// are grouped and cross-node boundaries split correctly.
+	// Interleave bursts of one with bursts of eight across two leaves.
 	batch := make([]packet.Packet, 8)
 	for i := range batch {
 		batch[i] = pkt(i)
@@ -102,10 +98,10 @@ func TestLeafSubmissionRoutesToNodes(t *testing.T) {
 		if err := e.SubmitLeafBatch(lhA, batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.SubmitLeaf(lhB, pkt(i)); err != nil {
+		if err := e.SubmitLeafBatch(lhB, []packet.Packet{pkt(i)}); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.SubmitLeaf(lhB, pkt(i+1)); err != nil {
+		if err := e.SubmitLeafBatch(lhB, []packet.Packet{pkt(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,7 +152,7 @@ func TestSetNodeRateInBand(t *testing.T) {
 	e := New(Config{Shards: 1, Clock: clock.now})
 	defer e.Close()
 	tr := newTestTree()
-	h, err := e.AddTree("tenant", tr, nil)
+	h, err := e.Add("tenant", tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +163,7 @@ func TestSetNodeRateInBand(t *testing.T) {
 	// Push well past the new 2 Mbps root ceiling; the barrier in
 	// NodeStats guarantees we read post-burst state.
 	for i := 0; i < 4000; i++ {
-		if err := e.SubmitLeaf(lh, pkt(i)); err != nil {
+		if err := e.SubmitLeafBatch(lh, []packet.Packet{pkt(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,13 +189,13 @@ func TestSetNodeRateInBand(t *testing.T) {
 func TestNodeMetricsExport(t *testing.T) {
 	e := New(Config{Shards: 1, Clock: func() time.Duration { return 0 }})
 	defer e.Close()
-	h, err := e.AddTree("tenant", newTestTree(), nil)
+	h, err := e.Add("tenant", newTestTree(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lh, _ := e.Leaf(h, 1)
 	for i := 0; i < 10; i++ {
-		if err := e.SubmitLeaf(lh, pkt(i)); err != nil {
+		if err := e.SubmitLeafBatch(lh, []packet.Packet{pkt(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,7 +264,7 @@ func TestTraceNodePath(t *testing.T) {
 	c := obs.NewCollector(obs.Options{SampleEvery: 1})
 	e := New(Config{Shards: 1, Observer: c, Clock: func() time.Duration { return 0 }})
 	defer e.Close()
-	h, err := e.AddTree("tenant", newTestTree(), nil)
+	h, err := e.Add("tenant", newTestTree(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,13 +296,13 @@ func TestTreeSnapshotThroughEngine(t *testing.T) {
 	clock := &fakeClock{step: time.Millisecond}
 	e := New(Config{Shards: 1, Clock: clock.now})
 	defer e.Close()
-	h, err := e.AddTree("tenant", newTestTree(), nil)
+	h, err := e.Add("tenant", newTestTree(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lh, _ := e.Leaf(h, 1)
 	for i := 0; i < 500; i++ {
-		if err := e.SubmitLeaf(lh, pkt(i)); err != nil {
+		if err := e.SubmitLeafBatch(lh, []packet.Packet{pkt(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -322,7 +318,7 @@ func TestTreeSnapshotThroughEngine(t *testing.T) {
 	// Restore onto a fresh engine hosting an identically configured tree.
 	e2 := New(Config{Shards: 1, Clock: clock.now})
 	defer e2.Close()
-	if _, err := e2.AddTree("tenant", newTestTree(), nil); err != nil {
+	if _, err := e2.Add("tenant", newTestTree(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := e2.RestoreAggregate("tenant", blob); err != nil {

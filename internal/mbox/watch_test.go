@@ -182,7 +182,7 @@ func TestArmAuditIsNotTreeSized(t *testing.T) {
 	clk := &manualClock{}
 	e := New(Config{Shards: 1, Clock: clk.read})
 	defer e.Close()
-	h, err := e.AddTree("big", ptree.MustNew(spec), nil)
+	h, err := e.Add("big", ptree.MustNew(spec), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package ptree implements an allocation-free hierarchical policy-tree
 // enforcer: one object covering a whole rooted tree of rate limits —
 // tenant → plan → subscriber — the shape the paper's operators (ISPs,
-// cellular carriers) actually configure, rather than the linear chains
-// internal/cascade composes.
+// cellular carriers) actually configure; a linear chain of limits
+// (subscriber → plan → link) is its degenerate unary case.
 //
 // # Layout
 //
@@ -47,11 +47,12 @@
 //
 // Each node optionally carries a ceiling Stage (enforcer.Stage: a phantom
 // queue or token-bucket policer) — the hard cap on its subtree, enforced
-// with the same two-phase packet-major probe/commit discipline as
-// internal/cascade, so every level's Theorem 1 bound (accepted ≤ r·Δt + B)
-// holds exactly per interior node. A packet submitted at a leaf probes
-// every ceiling on the leaf → root path and is committed to all of them or
-// none.
+// with two-phase, packet-major admission: a packet submitted at a leaf
+// probes every ceiling on the leaf → root path (drains and refills advance,
+// no admission state changes) and is committed to all of them or none. No
+// level is charged for a packet another level drops, and packet i's commit
+// is visible to packet i+1's probes, so every level's Theorem 1 bound
+// (accepted ≤ r·Δt + B) holds exactly per interior node.
 //
 // # Borrowing
 //

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"testing/quick"
 	"time"
 
-	"bcpqp/internal/cascade"
 	"bcpqp/internal/enforcer"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/phantom"
@@ -115,10 +115,11 @@ func TestTopology(t *testing.T) {
 	}
 }
 
-// chainSpec mirrors a cascade's stages as a linear ptree: spec[0] (root) is
-// the innermost stage, the last node the outermost leaf — the cascade's
-// stage 0. No assured rates, so the borrow layer is disabled and the tree
-// must reproduce cascade verdicts exactly.
+// chainStages builds a chain's stages, outermost first. TestChainEquivalence
+// mirrors them as a linear ptree: spec[0] (root) is the innermost stage, the
+// last node the outermost leaf — the chain's stage 0. No assured rates, so
+// the borrow layer is disabled and the tree must reproduce the chain's
+// verdicts exactly.
 func chainStages(seed uint64) (mk func() []enforcer.Stage) {
 	return func() []enforcer.Stage {
 		r := rng.New(seed)
@@ -137,20 +138,20 @@ func chainStages(seed uint64) (mk func() []enforcer.Stage) {
 }
 
 // TestChainEquivalence: a linear-chain policy tree produces byte-identical
-// verdicts, stats and per-stage drop attribution to a Cascade over the same
-// stage configurations, under randomized bursty traffic.
+// verdicts, stats and per-stage drop attribution to refChain — probe all,
+// then commit all — over the same stage configurations, under randomized
+// bursty traffic.
 func TestChainEquivalence(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			mk := chainStages(seed)
-			cascStages := mk()
 			treeStages := mk()
-			casc := cascade.MustNew(cascStages...)
+			chain := newRefChain(mk())
 			n := len(treeStages)
 			spec := make([]NodeSpec, n)
 			for i := range spec {
-				// Tree node i holds cascade stage n-1-i: root = innermost.
+				// Tree node i holds chain stage n-1-i: root = innermost.
 				spec[i] = NodeSpec{Parent: i - 1, Stage: treeStages[n-1-i]}
 			}
 			tr := MustNew(spec)
@@ -174,28 +175,138 @@ func TestChainEquivalence(t *testing.T) {
 						size = 64 + r.IntN(units.MSS-64)
 					}
 					p := pkt(r.IntN(4), size)
-					vc := casc.Submit(now, p)
+					vc := chain.Submit(now, p)
 					vt := tr.SubmitAt(now, leaf, p)
 					if vc != vt {
-						t.Fatalf("burst %d pkt %d: cascade %v, tree %v", b, k, vc, vt)
+						t.Fatalf("burst %d pkt %d: chain %v, tree %v", b, k, vc, vt)
 					}
 				}
 			}
-			if cs, ts := casc.EnforcerStats(), tr.EnforcerStats(); cs != ts {
-				t.Errorf("stats diverged: cascade %+v, tree %+v", cs, ts)
+			if cs, ts := chain.stats, tr.EnforcerStats(); cs != ts {
+				t.Errorf("stats diverged: chain %+v, tree %+v", cs, ts)
 			}
 			for i := 0; i < n; i++ {
-				// Cascade stage i == tree node n-1-i.
+				// Chain stage i == tree node n-1-i.
 				ns, err := tr.NodeStats(enforcer.NodeID(n - 1 - i))
 				if err != nil {
 					t.Fatalf("NodeStats: %v", err)
 				}
-				if ns.DroppedPackets != casc.DroppedAt[i] {
-					t.Errorf("stage %d drop attribution: cascade %d, tree %d",
-						i, casc.DroppedAt[i], ns.DroppedPackets)
+				if ns.DroppedPackets != chain.droppedAt[i] {
+					t.Errorf("stage %d drop attribution: chain %d, tree %d",
+						i, chain.droppedAt[i], ns.DroppedPackets)
 				}
 			}
 		})
+	}
+}
+
+// TestSingleStageMatchesPlainSubmit: a one-node tree admits exactly the
+// packets its ceiling's own Submit would admit — Probe then Commit is Submit.
+func TestSingleStageMatchesPlainSubmit(t *testing.T) {
+	plain := newPQP(8*units.Mbps, 2)
+	tr := MustNew([]NodeSpec{{Parent: -1, Stage: newPQP(8*units.Mbps, 2)}})
+	now := time.Duration(0)
+	var plainAcc, treeAcc int
+	for i := 0; i < 5000; i++ {
+		now += 600 * time.Microsecond // 2.5 MB/s offered vs 1 MB/s
+		p := pkt(i%2, units.MSS)
+		if plain.Submit(now, p) == enforcer.Transmit {
+			plainAcc++
+		}
+		if tr.SubmitAt(now, 0, p) == enforcer.Transmit {
+			treeAcc++
+		}
+	}
+	if plainAcc != treeAcc {
+		t.Errorf("tree admitted %d, plain submit %d", treeAcc, plainAcc)
+	}
+}
+
+// TestLinkLevelCapsSubscribers: two 5 Mbps subscribers under an 8 Mbps
+// link — each subscriber is capped at 5, and their sum at 8.
+func TestLinkLevelCapsSubscribers(t *testing.T) {
+	tr := MustNew([]NodeSpec{
+		{Parent: -1, Stage: newPQP(8*units.Mbps, 2)}, // one link queue per subscriber
+		{Parent: 0, Stage: newPQP(5*units.Mbps, 1)},
+		{Parent: 0, Stage: newPQP(5*units.Mbps, 1)},
+	})
+	// Both subscribers offer 10 Mbps for 10 virtual seconds; a packet's
+	// class picks its queue at the link (a subscriber has only one).
+	gap := (10 * units.Mbps).DurationForBytes(units.MSS)
+	var acc [2]int64
+	for now := gap; now < 10*time.Second; now += gap {
+		for sub := range acc {
+			if tr.SubmitAt(now, enforcer.NodeID(1+sub), pkt(sub, units.MSS)) == enforcer.Transmit {
+				acc[sub] += units.MSS
+			}
+		}
+	}
+	mbpsA, mbpsB := float64(acc[0])*8/10/1e6, float64(acc[1])*8/10/1e6
+	if mbpsA > 5.3 || mbpsB > 5.3 {
+		t.Errorf("subscriber exceeded its cap: A=%.2f B=%.2f Mbps", mbpsA, mbpsB)
+	}
+	if total := mbpsA + mbpsB; total > 8.4 {
+		t.Errorf("link cap violated: %.2f Mbps total", total)
+	}
+	if mbpsA < 3.4 || mbpsB < 3.4 {
+		t.Errorf("link level starved a subscriber: A=%.2f B=%.2f", mbpsA, mbpsB)
+	}
+}
+
+// TestNoPhantomLeakOnOuterDrop: when the link level rejects, the subscriber
+// level must not have enqueued a phantom copy (the accounting bug two-phase
+// admission exists to prevent).
+func TestNoPhantomLeakOnOuterDrop(t *testing.T) {
+	sub := newPQP(10*units.Mbps, 1)
+	tr := MustNew([]NodeSpec{
+		{Parent: -1, Stage: tbf.MustNew(units.Mbps, units.MSS)}, // tiny: rejects almost everything
+		{Parent: 0, Stage: sub},
+	})
+	var accepted int64
+	for i := 0; i < 100; i++ {
+		if tr.SubmitAt(time.Millisecond, 1, pkt(0, units.MSS)) == enforcer.Transmit {
+			accepted += units.MSS
+		}
+	}
+	// The subscriber's phantom queue must hold exactly the accepted
+	// bytes — not the offered bytes.
+	if got := sub.QueueLength(0); got != accepted {
+		t.Errorf("subscriber phantom queue holds %d, want exactly accepted %d", got, accepted)
+	}
+	if st := sub.EnforcerStats(); st.AcceptedBytes != accepted {
+		t.Errorf("subscriber stats charged %d, want %d", st.AcceptedBytes, accepted)
+	}
+	if link, err := tr.NodeStats(0); err != nil || link.DroppedPackets == 0 {
+		t.Errorf("link-level drops not attributed: %+v, %v", link, err)
+	}
+}
+
+// TestChainUpperBoundsProperty: for random offered loads, a chain never
+// admits more than either level's token-bucket bound allows.
+func TestChainUpperBoundsProperty(t *testing.T) {
+	f := func(gaps []uint16) bool {
+		const (
+			subRate, linkRate = 4 * units.Mbps, 6 * units.Mbps
+			subB, linkB       = int64(20 * units.MSS), int64(30 * units.MSS)
+		)
+		tr := MustNew([]NodeSpec{
+			{Parent: -1, Stage: tbf.MustNew(linkRate, linkB)},
+			{Parent: 0, Stage: tbf.MustNew(subRate, subB)},
+		})
+		now := time.Duration(0)
+		var accepted int64
+		for _, g := range gaps {
+			now += time.Duration(g%3000) * time.Microsecond
+			if tr.SubmitAt(now, 1, pkt(0, units.MSS)) == enforcer.Transmit {
+				accepted += units.MSS
+			}
+		}
+		okSub := float64(accepted) <= float64(subB)+subRate.Bytes(now)+1
+		okLink := float64(accepted) <= float64(linkB)+linkRate.Bytes(now)+1
+		return okSub && okLink
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -42,6 +42,35 @@ type refTree struct {
 	path []int32
 }
 
+// refChain is two-phase admission at its plainest: probe every stage,
+// outermost first, and commit to all only when all accept. droppedAt counts
+// the drops of the first stage that refused. It is the reference
+// TestChainEquivalence holds a unary Tree to.
+type refChain struct {
+	stages    []enforcer.Stage
+	droppedAt []int64
+	stats     enforcer.Stats
+}
+
+func newRefChain(stages []enforcer.Stage) *refChain {
+	return &refChain{stages: stages, droppedAt: make([]int64, len(stages))}
+}
+
+func (c *refChain) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
+	for i, s := range c.stages {
+		if !s.Probe(now, pkt) {
+			c.droppedAt[i]++
+			c.stats.Reject(pkt.Size)
+			return enforcer.Drop
+		}
+	}
+	for _, s := range c.stages {
+		s.Commit(now, pkt)
+	}
+	c.stats.Accept(pkt.Size)
+	return enforcer.Transmit
+}
+
 func newRefTree(spec []NodeSpec) (*refTree, error) {
 	n := len(spec)
 	if n == 0 {

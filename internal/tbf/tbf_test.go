@@ -175,3 +175,23 @@ func TestNonMonotonicTimeTolerated(t *testing.T) {
 	// A same-or-earlier timestamp must not refill or panic.
 	p.Submit(5*time.Millisecond, pkt(units.MSS))
 }
+
+// TestProbeCommitEquivalence: probe+commit — the two-phase admission a policy
+// tree drives a ceiling with — admits the same packets as plain Submit.
+func TestProbeCommitEquivalence(t *testing.T) {
+	plain := MustNew(8*units.Mbps, 10*units.MSS)
+	staged := MustNew(8*units.Mbps, 10*units.MSS)
+	now := time.Duration(0)
+	for i := 0; i < 3000; i++ {
+		now += 900 * time.Microsecond
+		p := pkt(units.MSS)
+		a := plain.Submit(now, p) == enforcer.Transmit
+		b := staged.Probe(now, p)
+		if b {
+			staged.Commit(now, p)
+		}
+		if a != b {
+			t.Fatalf("packet %d: plain=%v staged=%v", i, a, b)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package bcpqp
 import (
 	"time"
 
-	"bcpqp/internal/cascade"
 	"bcpqp/internal/enforcer"
 	"bcpqp/internal/mbox"
 )
@@ -12,16 +11,14 @@ import (
 // traffic aggregate) concurrently — the deployment shape of a production
 // rate-limiting middlebox. The datapath is burst-oriented and handle-based:
 // aggregates resolve to an AggregateHandle once at Add time, submissions
-// are lock-free reads of an atomically swapped registry snapshot, and
-// single-packet Submits coalesce into per-shard bursts flushed on a
-// size-or-deadline trigger. Aggregates are hashed across single-goroutine
-// shards so enforcers stay lock-free on the datapath; a full shard sheds
-// bursts rather than blocking.
+// are lock-free reads of an atomically swapped registry snapshot, and a
+// burst goes to its shard in one ring operation (SubmitBatch) or is
+// enforced in place (LocalSubmitter). Aggregates are hashed across
+// single-goroutine shards so enforcers stay lock-free on the datapath; a
+// full shard sheds bursts rather than blocking.
 type Middlebox = mbox.Engine
 
-// MiddleboxConfig configures NewMiddlebox, including the burst coalescing
-// parameters FlushBurst (size trigger, default 32) and FlushInterval
-// (deadline trigger, default 500µs).
+// MiddleboxConfig configures NewMiddlebox.
 type MiddleboxConfig = mbox.Config
 
 // AggregateHandle identifies a registered aggregate on the middlebox
@@ -52,15 +49,14 @@ var ErrStaleHandle = mbox.ErrStale
 var ErrAggregateTableFull = mbox.ErrTableFull
 
 // ErrWrongShard reports a ring-bypass submission against an aggregate owned
-// by a different shard than the submitter's. Pin the aggregate with
-// Middlebox.AddPinned or mint the submitter from the aggregate's own handle
-// via Middlebox.Local. Test with errors.Is.
+// by a different shard than the submitter's. Pin the aggregate to that shard
+// with Middlebox.AddPinned. Test with errors.Is.
 var ErrWrongShard = mbox.ErrWrongShard
 
 // LocalSubmitter is the ring-bypass fast path: a shard-affinity submitter
 // that enforces bursts inline on the calling goroutine — no channel send,
 // no cross-core handoff — for per-core run-to-completion datapaths. Mint
-// one with Middlebox.Local or Middlebox.LocalShard; see mbox.LocalSubmitter
+// one with Middlebox.LocalShard; see mbox.LocalSubmitter
 // for the ownership and ordering contract.
 type LocalSubmitter = mbox.LocalSubmitter
 
@@ -146,7 +142,7 @@ type AggregateFaults = mbox.FaultRecord
 type MiddleboxCloseReport = mbox.CloseReport
 
 // BatchSubmitter is the burst-oriented enforcement capability: all
-// enforcers in this module (PQP/BC-PQP, Policer, FairPolicer, Cascade)
+// enforcers in this module (PQP/BC-PQP, Policer, FairPolicer, PolicyTree)
 // implement it natively, amortizing clock handling, lazy drains, token
 // refills, and burst-control window checks across a whole burst.
 type BatchSubmitter = enforcer.BatchSubmitter
@@ -167,16 +163,6 @@ func Batched(enf Enforcer) BatchSubmitter { return enforcer.Batched(enf) }
 type StatsReader = enforcer.StatsReader
 
 // CascadeStage is an enforcer supporting two-phase (probe/commit)
-// admission; PQP/BC-PQP and token-bucket policers implement it.
-type CascadeStage = cascade.Stage
-
-// Cascade enforces hierarchical rate limits: a packet passes only if every
-// level admits it, and no level's accounting is charged for packets another
-// level drops.
-type Cascade = cascade.Cascade
-
-// NewCascade builds a multi-level rate limit, outermost (e.g. subscriber)
-// stage first.
-func NewCascade(stages ...CascadeStage) (*Cascade, error) {
-	return cascade.New(stages...)
-}
+// admission, the capability a PolicyTree node ceiling needs; PQP/BC-PQP and
+// token-bucket policers implement it.
+type CascadeStage = enforcer.Stage

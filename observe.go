@@ -156,7 +156,7 @@ func Observe(cfg *MiddleboxConfig, opts ObserveOptions) *Collector {
 // they are the rare, diagnostic transitions the recorder exists for.
 //
 // The aggregate's enforcer must be a *PQP; ErrNotObservable otherwise
-// (wrap a cascade's member queues before composing them instead).
+// (wrap a policy tree's member queues before composing them instead).
 func ObserveAggregate(mb *Middlebox, id string, c *Collector) error {
 	if c == nil {
 		return fmt.Errorf("bcpqp: nil collector for %q", id)

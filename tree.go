@@ -30,10 +30,10 @@ func NewPolicyTree(spec []PolicyTreeNode) (*PolicyTree, error) { return ptree.Ne
 func MustNewPolicyTree(spec []PolicyTreeNode) *PolicyTree { return ptree.MustNew(spec) }
 
 // TreeEnforcer is the node-addressed enforcement contract implemented by
-// *PolicyTree and *Cascade (a chain is the degenerate unary tree): packet
-// submission at a chosen node, and per-node stats, reconfiguration and
-// snapshot access. A Middlebox aggregate registered with AddTree exposes
-// all of it through per-node handles and control calls.
+// *PolicyTree: packet submission at a chosen node, and per-node stats,
+// reconfiguration and snapshot access. A Middlebox aggregate whose enforcer
+// implements it (Middlebox.Add detects this) exposes all of it through
+// per-node handles and control calls.
 type TreeEnforcer = enforcer.TreeEnforcer
 
 // NodeID addresses one node of a TreeEnforcer; nodes are dense indices
@@ -47,8 +47,7 @@ const NoNode = enforcer.NoNode
 var ErrBadNode = enforcer.ErrBadNode
 
 // LeafHandle addresses one tree node of a Middlebox aggregate on the
-// datapath: mint with Middlebox.Leaf, submit with SubmitLeaf or
-// SubmitLeafBatch. Removing the aggregate invalidates every LeafHandle of
+// datapath: mint with Middlebox.Leaf, submit with SubmitLeafBatch. Removing the aggregate invalidates every LeafHandle of
 // its tree at once.
 type LeafHandle = mbox.LeafHandle
 
