@@ -58,7 +58,7 @@ func TestDebugAuditGolden(t *testing.T) {
 		}
 	}
 
-	srv := httptest.NewServer(newAdminMux(mb, nil))
+	srv := httptest.NewServer(newAdminMux(mb, nil, nil))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/audit")
 	must(err)

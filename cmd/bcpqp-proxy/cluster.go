@@ -27,8 +27,7 @@ type clusterOpts struct {
 	nodeID string
 	peers  map[string]string // peer ID → host:port
 	listen string            // exchange UDP listener
-	shared bool              // enforce the proxy aggregate cluster-wide
-	rate   bcpqp.Rate        // global bound r for the shared aggregate
+	shared bool              // enforce the plan rate cluster-wide
 	key    string            // shared frame-authentication secret ("" = trusted net)
 }
 
@@ -58,9 +57,16 @@ func parsePeers(s string) (map[string]string, error) {
 }
 
 // startCluster assembles the exchange: UDP transport, cluster node over the
-// engine's proxy aggregate, metric attachment, receive loop, tick loop.
-// The returned stop function tears everything down in reverse order.
-func startCluster(mb *bcpqp.Middlebox, col *bcpqp.Collector, o clusterOpts) (*bcpqp.ClusterNode, func(), error) {
+// engine's core aggregates, metric attachment, receive loop, tick loop. The
+// returned stop function tears everything down in reverse order.
+//
+// With o.shared the cluster enforces rate over one aggregate, "proxy",
+// whatever the core count: what it observes is the sum over ids (the cores'
+// aggregates) and a share it grants lands as share/len(ids) on each — the
+// static split the plan rate got, so a node's cores together never exceed
+// its share. Snapshot, the migration handoff image, is one enforcer's state
+// and is wired only when there is one.
+func startCluster(mb *bcpqp.Middlebox, col *bcpqp.Collector, ids []string, rate bcpqp.Rate, o clusterOpts) (*bcpqp.ClusterNode, func(), error) {
 	tr, err := bcpqp.NewClusterTransport(o.listen, o.peers)
 	if err != nil {
 		return nil, nil, err
@@ -69,30 +75,43 @@ func startCluster(mb *bcpqp.Middlebox, col *bcpqp.Collector, o clusterOpts) (*bc
 	for id := range o.peers {
 		peerIDs = append(peerIDs, id)
 	}
+	apply := func(share bcpqp.Rate, fallback bool) error {
+		var first error
+		for _, id := range ids {
+			if err := mb.ApplyShare(id, share/bcpqp.Rate(len(ids)), fallback); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
 	var shared []bcpqp.SharedAggregate
 	if o.shared {
-		shared = append(shared, bcpqp.SharedAggregate{
+		agg := bcpqp.SharedAggregate{
 			ID:   proxyAggregate,
-			Rate: o.rate,
+			Rate: rate,
 			Observed: func() (int64, bool) {
-				st, err := mb.Stats(proxyAggregate)
-				return st.AcceptedBytes, err == nil
+				var sum int64
+				for _, id := range ids {
+					st, err := mb.Stats(id)
+					if err != nil {
+						return 0, false
+					}
+					sum += st.AcceptedBytes
+				}
+				return sum, true
 			},
-			Apply: func(share bcpqp.Rate, fallback bool) error {
-				return mb.ApplyShare(proxyAggregate, share, fallback)
-			},
-			Snapshot: func() ([]byte, error) {
-				return mb.SnapshotAggregate(proxyAggregate)
-			},
-		})
+			Apply: apply,
+		}
+		if len(ids) == 1 {
+			agg.Snapshot = func() ([]byte, error) { return mb.SnapshotAggregate(ids[0]) }
+		}
+		shared = append(shared, agg)
 	}
 	cfg := bcpqp.ClusterConfig{
 		Self:      o.nodeID,
 		Peers:     peerIDs,
 		Transport: tr,
-	}
-	if o.key != "" {
-		cfg.Key = []byte(o.key)
+		Key:       []byte(o.key), // empty: frames go unauthenticated
 	}
 	if col != nil { // a typed-nil Recorder would defeat the node's nil check
 		cfg.Recorder = col
@@ -104,11 +123,11 @@ func startCluster(mb *bcpqp.Middlebox, col *bcpqp.Collector, o clusterOpts) (*bc
 	}
 	if o.shared && len(peerIDs) > 0 {
 		// Pull the engine down to the conservative static share BEFORE any
-		// traffic and before the exchange starts: the enforcer was built at
-		// the full global rate, and safety requires every node to begin at
-		// r/N — headroom is reclaimed by grants, never assumed.
-		floor := o.rate / bcpqp.Rate(len(peerIDs)+1)
-		if err := mb.ApplyShare(proxyAggregate, floor, true); err != nil {
+		// traffic and before the exchange starts: the enforcers were built
+		// to the full global rate, and safety requires every node to begin
+		// at r/N — headroom is reclaimed by grants, never assumed.
+		floor := rate / bcpqp.Rate(len(peerIDs)+1)
+		if err := apply(floor, true); err != nil {
 			node.Close()
 			tr.Close()
 			return nil, nil, fmt.Errorf("apply initial share: %w", err)

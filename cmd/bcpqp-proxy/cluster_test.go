@@ -2,10 +2,10 @@ package main
 
 import (
 	"encoding/json"
-	"io"
+	"fmt"
+	"math"
 	"net"
 	"net/http"
-	"os"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"bcpqp"
+	"bcpqp/internal/netio"
 )
 
 // freeUDPPort reserves an OS-assigned UDP port and releases it for the
@@ -50,75 +51,75 @@ func TestParsePeers(t *testing.T) {
 
 // TestClusterProxyEndToEnd: a full proxy in cluster mode (serve, engine,
 // admin endpoints, UDP exchange transport) peered over loopback with a
-// facade-level cluster node. The proxy must start degraded on its
-// conservative share, report that on /healthz with a 200 (degraded, not
-// down), establish the exchange once the peer speaks, expose peer state on
-// /cluster and the cluster metric families on /metrics, and still drain to
-// exit 0 on SIGTERM.
+// facade-level cluster node, on one core and on two. The proxy must start
+// degraded on its conservative share — r/N, split evenly over its cores —
+// report that on /healthz with a 200 (degraded, not down), establish the
+// exchange once the peer speaks, take the idle peer's grant (again split
+// evenly over its cores), expose peer state on /cluster and the cluster
+// metric families on /metrics, and still drain to exit 0 on SIGTERM.
 func TestClusterProxyEndToEnd(t *testing.T) {
-	sink, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	go func() {
-		buf := make([]byte, 65536)
-		for {
-			if _, _, err := sink.ReadFrom(buf); err != nil {
-				return
+	for _, cores := range []int{1, 2} {
+		t.Run(fmt.Sprintf("cores=%d", cores), func(t *testing.T) {
+			if cores > 1 && !netio.SupportsBatch() {
+				t.Skip("several cores need SO_REUSEPORT")
 			}
-		}
-	}()
-	in, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close()
-	admin, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer admin.Close()
-	base := "http://" + admin.Addr().String()
-
-	addrA, addrB := freeUDPPort(t), freeUDPPort(t)
-	enf, err := buildEnforcer("bc-pqp", bcpqp.Rate(8)*bcpqp.Mbps, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigc := make(chan os.Signal, 4)
-	code := make(chan int, 1)
-	go func() {
-		code <- serve(in, sink.LocalAddr().String(), enf, proxyOpts{
-			drainTimeout: 5 * time.Second,
-			sig:          sigc,
-			admin:        admin,
-			cluster: clusterOpts{
-				nodeID: "a",
-				peers:  map[string]string{"b": addrB},
-				listen: addrA,
-				shared: true,
-				rate:   bcpqp.Rate(8) * bcpqp.Mbps,
-				key:    "proxy-e2e-secret",
-			},
+			clusterProxyEndToEnd(t, cores)
 		})
-	}()
+	}
+}
 
+func clusterProxyEndToEnd(t *testing.T, cores int) {
+	const rate = 8 * bcpqp.Mbps
+	forward, _ := startSink(t, nil)
+	addrA, addrB := freeUDPPort(t), freeUDPPort(t)
+	p := startServe(t, proxyOpts{
+		forward: forward, cores: cores, scheme: "bc-pqp", rate: rate, admin: adminListener(t),
+		cluster: clusterOpts{
+			nodeID: "a",
+			peers:  map[string]string{"b": addrB},
+			listen: addrA,
+			shared: true,
+			key:    "proxy-e2e-secret",
+		},
+	})
 	get := func(path string) (int, []byte) {
 		t.Helper()
-		var lastErr error
-		for i := 0; i < 50; i++ {
-			resp, err := http.Get(base + path)
-			if err == nil {
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				return resp.StatusCode, body
-			}
-			lastErr = err
-			time.Sleep(50 * time.Millisecond)
+		status, body := p.get(t, path)
+		return status, []byte(body)
+	}
+	// coreRates reads the rate each core enforces off its armed audit
+	// envelope, which every ApplyShare rebases.
+	coreRates := func() []float64 {
+		t.Helper()
+		var audit struct {
+			Audits []struct {
+				Aggregate   string  `json:"aggregate"`
+				EnvelopeBps float64 `json:"envelope_bps"`
+			} `json:"audits"`
 		}
-		t.Fatalf("GET %s never succeeded: %v", path, lastErr)
-		return 0, nil
+		_, body := get("/debug/audit")
+		if err := json.Unmarshal(body, &audit); err != nil {
+			t.Fatalf("/debug/audit body: %v", err)
+		}
+		rates := make([]float64, cores)
+		for i := range rates {
+			for _, a := range audit.Audits {
+				if a.Aggregate == coreAggregate(i, cores) {
+					rates[i] = a.EnvelopeBps
+				}
+			}
+		}
+		return rates
+	}
+	// splits reports whether every core enforces share/cores (to the bit
+	// per second the envelope is kept in).
+	splits := func(share float64) bool {
+		for _, r := range coreRates() {
+			if math.Abs(r-share/float64(cores)) > 1 {
+				return false
+			}
+		}
+		return true
 	}
 
 	// Alone, the proxy must be on its conservative fallback share: healthy
@@ -161,6 +162,10 @@ func TestClusterProxyEndToEnd(t *testing.T) {
 	if !cl.Shared[0].Fallback || cl.Shared[0].ID != proxyAggregate {
 		t.Fatalf("/cluster shared before peer: %s", body)
 	}
+	if floor := float64(rate) / 2; !splits(floor) {
+		t.Fatalf("before the peer speaks the cores enforce %v bps, want the r/N floor %v split %d ways",
+			coreRates(), floor, cores)
+	}
 
 	// Bring up peer b (idle: observed 0, surplus to grant).
 	trB, err := bcpqp.NewClusterTransport(addrB, map[string]string{"a": addrA})
@@ -188,21 +193,50 @@ func TestClusterProxyEndToEnd(t *testing.T) {
 	trB.Start(nodeB.Deliver)
 	nodeB.Run()
 
-	// The exchange establishes within a few 250 ms windows.
+	// Demand at a, so idle b has someone to grant its headroom to — from
+	// sixteen sources, because a's demand is what its cores accept and the
+	// kernel's source hash must not leave one of them idle.
+	stopSend := make(chan struct{})
+	defer close(stopSend)
+	for s := 0; s < 16; s++ {
+		conn := p.dial(t)
+		go func() {
+			payload := make([]byte, 1200)
+			for tick := time.NewTicker(2 * time.Millisecond); ; {
+				select {
+				case <-stopSend:
+					tick.Stop()
+					return
+				case <-tick.C:
+					conn.Write(payload)
+				}
+			}
+		}()
+	}
+
+	// The exchange establishes within a few 250 ms windows, and a's share
+	// then grows past its floor by what b grants.
 	deadline := time.Now().Add(8 * time.Second)
 	for {
 		_, body = get("/cluster")
 		if err := json.Unmarshal(body, &cl); err != nil {
 			t.Fatalf("/cluster body: %v", err)
 		}
-		if !cl.Degraded && cl.Peers[0].State == "alive" {
+		if !cl.Degraded && cl.Peers[0].State == "alive" && cl.Shared[0].AppliedBps > cl.Shared[0].FloorBps {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("exchange never established: %s", body)
+			t.Fatalf("exchange never established a grant: %s", body)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
+	waitFor(t, "the granted share split over the cores", func() bool {
+		_, body = get("/cluster")
+		if err := json.Unmarshal(body, &cl); err != nil {
+			t.Fatalf("/cluster body: %v", err)
+		}
+		return splits(cl.Shared[0].AppliedBps)
+	})
 	status, body = get("/healthz")
 	if err := json.Unmarshal(body, &hz); err != nil || status != http.StatusOK {
 		t.Fatalf("/healthz after peer: %d %v", status, err)
@@ -219,13 +253,5 @@ func TestClusterProxyEndToEnd(t *testing.T) {
 		}
 	}
 
-	sigc <- syscall.SIGTERM
-	select {
-	case c := <-code:
-		if c != 0 {
-			t.Fatalf("serve exit code %d", c)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("serve did not drain after SIGTERM")
-	}
+	p.stop(t, syscall.SIGTERM)
 }

@@ -7,8 +7,9 @@ import (
 	"bcpqp"
 )
 
-// coreStats is one percore worker's cycle accounting. The worker is the only
-// writer; scrapes and the final report read concurrently, hence atomics.
+// coreStats is one worker's cycle accounting. The worker (and the emit hook
+// it runs inline) is the only writer; scrapes and the final report read
+// concurrently, hence atomics.
 // Busy time is split into the three phases of a burst — waiting in the
 // receive call, enforcing inline, flushing the transmit queue — so that
 // rx-wait + enforce + flush accounts for the worker's wall time.
@@ -18,9 +19,13 @@ type coreStats struct {
 	rxTimeouts atomic.Int64 // receive deadlines that expired idle
 	txFlushes  atomic.Int64 // transmit flushes that sent something
 	txPkts     atomic.Int64 // datagrams they sent
-	rxWaitNs   atomic.Int64
-	enforceNs  atomic.Int64
-	flushNs    atomic.Int64
+	// shed: received, but the core's shard could not be claimed. writeDropped:
+	// accepted, but refused by the forward socket (accepted = txPkts + it).
+	shed         atomic.Int64
+	writeDropped atomic.Int64
+	rxWaitNs     atomic.Int64
+	enforceNs    atomic.Int64
+	flushNs      atomic.Int64
 }
 
 // coreFamilies builds the bcpqp_core_* metric families, one sample per core
@@ -41,28 +46,30 @@ const (
 	famEnforce
 	famFlush
 	famShed
+	famWriteDropped
 	famKernelDrops
 )
 
 func newCoreFamilies() *coreFamilies {
 	return &coreFamilies{fams: []bcpqp.MetricsFamily{
-		famRecvCalls:   {Name: "bcpqp_core_recv_syscalls_total", Help: "receive syscalls that returned datagrams", Type: "counter"},
-		famRecvPkts:    {Name: "bcpqp_core_recv_packets_total", Help: "datagrams received", Type: "counter"},
-		famPktsPerRecv: {Name: "bcpqp_core_packets_per_recv_syscall", Help: "mean datagrams per receive syscall since start", Type: "gauge"},
-		famRxTimeouts:  {Name: "bcpqp_core_recv_timeouts_total", Help: "receive deadlines that expired with nothing to read", Type: "counter"},
-		famTxFlushes:   {Name: "bcpqp_core_tx_flushes_total", Help: "transmit flushes that sent datagrams", Type: "counter"},
-		famTxPkts:      {Name: "bcpqp_core_tx_packets_total", Help: "datagrams transmitted", Type: "counter"},
-		famRxWait:      {Name: "bcpqp_core_rx_wait_seconds_total", Help: "time spent in the receive call, blocked or reading", Type: "counter"},
-		famEnforce:     {Name: "bcpqp_core_enforce_seconds_total", Help: "time spent enforcing bursts inline", Type: "counter"},
-		famFlush:       {Name: "bcpqp_core_flush_seconds_total", Help: "time spent flushing the transmit queue", Type: "counter"},
-		famShed:        {Name: "bcpqp_core_shed_packets_total", Help: "datagrams shed because the core's shard could not be claimed", Type: "counter"},
-		famKernelDrops: {Name: "bcpqp_core_kernel_drops_total", Help: "datagrams the kernel dropped at the core's socket before the datapath saw them", Type: "counter"},
+		famRecvCalls:    {Name: "bcpqp_core_recv_syscalls_total", Help: "receive syscalls that returned datagrams", Type: "counter"},
+		famRecvPkts:     {Name: "bcpqp_core_recv_packets_total", Help: "datagrams received", Type: "counter"},
+		famPktsPerRecv:  {Name: "bcpqp_core_packets_per_recv_syscall", Help: "mean datagrams per receive syscall since start", Type: "gauge"},
+		famRxTimeouts:   {Name: "bcpqp_core_recv_timeouts_total", Help: "receive deadlines that expired with nothing to read", Type: "counter"},
+		famTxFlushes:    {Name: "bcpqp_core_tx_flushes_total", Help: "transmit flushes that sent datagrams", Type: "counter"},
+		famTxPkts:       {Name: "bcpqp_core_tx_packets_total", Help: "datagrams transmitted", Type: "counter"},
+		famRxWait:       {Name: "bcpqp_core_rx_wait_seconds_total", Help: "time spent in the receive call, blocked or reading", Type: "counter"},
+		famEnforce:      {Name: "bcpqp_core_enforce_seconds_total", Help: "time spent enforcing bursts inline", Type: "counter"},
+		famFlush:        {Name: "bcpqp_core_flush_seconds_total", Help: "time spent flushing the transmit queue", Type: "counter"},
+		famShed:         {Name: "bcpqp_core_shed_packets_total", Help: "datagrams shed because the core's shard could not be claimed", Type: "counter"},
+		famWriteDropped: {Name: "bcpqp_core_write_dropped_total", Help: "accepted datagrams the forward socket refused (shed, not retried)", Type: "counter"},
+		famKernelDrops:  {Name: "bcpqp_core_kernel_drops_total", Help: "datagrams the kernel dropped at the core's socket before the datapath saw them", Type: "counter"},
 	}}
 }
 
 // add appends core i's samples. The kernel-drop sample is omitted when the
 // platform cannot read the socket's drop counter.
-func (b *coreFamilies) add(i int, s *coreStats, shed, kernelDrops int64, haveDrops bool) {
+func (b *coreFamilies) add(i int, s *coreStats, kernelDrops int64, haveDrops bool) {
 	lbl := []bcpqp.MetricsLabel{{Name: "core", Value: strconv.Itoa(i)}}
 	put := func(fam int, v float64) {
 		b.fams[fam].Samples = append(b.fams[fam].Samples, bcpqp.MetricsSample{Labels: lbl, Value: v})
@@ -79,7 +86,8 @@ func (b *coreFamilies) add(i int, s *coreStats, shed, kernelDrops int64, haveDro
 	put(famRxWait, float64(s.rxWaitNs.Load())/1e9)
 	put(famEnforce, float64(s.enforceNs.Load())/1e9)
 	put(famFlush, float64(s.flushNs.Load())/1e9)
-	put(famShed, float64(shed))
+	put(famShed, float64(s.shed.Load()))
+	put(famWriteDropped, float64(s.writeDropped.Load()))
 	if haveDrops {
 		put(famKernelDrops, float64(kernelDrops))
 	}

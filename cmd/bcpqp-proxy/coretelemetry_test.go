@@ -13,11 +13,13 @@ func TestCoreFamilies(t *testing.T) {
 	a.recvCalls.Store(4)
 	a.recvPkts.Store(100)
 	a.enforceNs.Store(2_500_000_000)
+	a.shed.Store(7)
+	a.writeDropped.Store(5)
 	b.rxTimeouts.Store(3)
 
 	fams := newCoreFamilies()
-	fams.add(0, &a, 7, 9, true)
-	fams.add(1, &b, 0, 0, false)
+	fams.add(0, &a, 9, true)
+	fams.add(1, &b, 0, false)
 	got := map[string]map[string]float64{}
 	for _, f := range fams.render() {
 		if !strings.HasPrefix(f.Name, "bcpqp_core_") || f.Help == "" || f.Type == "" {
@@ -31,8 +33,8 @@ func TestCoreFamilies(t *testing.T) {
 			got[f.Name][s.Labels[0].Value] = s.Value
 		}
 	}
-	if len(got) != 11 {
-		t.Errorf("%d families, want 11", len(got))
+	if len(got) != 12 {
+		t.Errorf("%d families, want 12", len(got))
 	}
 	for name, want := range map[string]map[string]float64{
 		"bcpqp_core_recv_packets_total":       {"0": 100, "1": 0},
@@ -40,6 +42,7 @@ func TestCoreFamilies(t *testing.T) {
 		"bcpqp_core_enforce_seconds_total":    {"0": 2.5, "1": 0},
 		"bcpqp_core_recv_timeouts_total":      {"0": 0, "1": 3},
 		"bcpqp_core_shed_packets_total":       {"0": 7, "1": 0},
+		"bcpqp_core_write_dropped_total":      {"0": 5, "1": 0},
 		"bcpqp_core_kernel_drops_total":       {"0": 9},
 	} {
 		if len(got[name]) != len(want) {

@@ -78,8 +78,9 @@ var publishMetricsVar = func() func(mb *bcpqp.Middlebox) {
 }()
 
 // newAdminMux builds the admin endpoint set for one engine. node is the
-// cluster exchange node, or nil when the proxy runs standalone.
-func newAdminMux(mb *bcpqp.Middlebox, node *bcpqp.ClusterNode) *http.ServeMux {
+// cluster exchange node, or nil when the proxy runs standalone; ids are the
+// cores' aggregates, whose policy trees /metrics/tree exports.
+func newAdminMux(mb *bcpqp.Middlebox, node *bcpqp.ClusterNode, ids []string) *http.ServeMux {
 	publishMetricsVar(mb)
 	mux := http.NewServeMux()
 
@@ -92,14 +93,26 @@ func newAdminMux(mb *bcpqp.Middlebox, node *bcpqp.ClusterNode) *http.ServeMux {
 	})
 
 	mux.HandleFunc("/metrics/tree", func(w http.ResponseWriter, r *http.Request) {
-		// Per-node counters of the proxy aggregate's policy tree, with
-		// node index and root→node path labels. Works on a flat aggregate
-		// too (one node); bounded export — very large trees report leaf
-		// omission through bcpqp_tree_nodes vs bcpqp_tree_nodes_exported.
-		snap, err := mb.NodeMetrics(proxyAggregate)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
+		// Per-node counters of every core's policy tree, with node index
+		// and root→node path labels. Works on a flat aggregate too (one
+		// node); bounded export — very large trees report leaf omission
+		// through bcpqp_tree_nodes vs bcpqp_tree_nodes_exported.
+		var snap bcpqp.MetricsSnapshot
+		for i, id := range ids {
+			core, err := mb.NodeMetrics(id)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusServiceUnavailable)
+				return
+			}
+			if i == 0 {
+				snap = core
+				continue
+			}
+			// Every aggregate reports the same families in the same
+			// order; the aggregate label tells the cores' samples apart.
+			for j, f := range core.Families {
+				snap.Families[j].Samples = append(snap.Families[j].Samples, f.Samples...)
+			}
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := bcpqp.WritePrometheus(w, snap); err != nil {
@@ -387,8 +400,8 @@ func newAdminMux(mb *bcpqp.Middlebox, node *bcpqp.ClusterNode) *http.ServeMux {
 
 // startAdmin serves the admin mux on ln until the returned server is
 // closed. Serve errors after shutdown are expected and discarded.
-func startAdmin(ln net.Listener, mb *bcpqp.Middlebox, node *bcpqp.ClusterNode) *http.Server {
-	srv := &http.Server{Handler: newAdminMux(mb, node), ReadHeaderTimeout: 5 * time.Second}
+func startAdmin(ln net.Listener, mb *bcpqp.Middlebox, node *bcpqp.ClusterNode, ids []string) *http.Server {
+	srv := &http.Server{Handler: newAdminMux(mb, node, ids), ReadHeaderTimeout: 5 * time.Second}
 	go func() {
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			fmt.Fprintf(os.Stderr, "bcpqp-proxy: admin listener: %v\n", err)

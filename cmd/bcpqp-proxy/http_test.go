@@ -2,11 +2,8 @@ package main
 
 import (
 	"encoding/json"
-	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"syscall"
 	"testing"
@@ -23,53 +20,15 @@ import (
 // expvar output, and /debug/pprof must serve its index. SIGTERM must still
 // drain to exit 0 with the admin server attached.
 func TestAdminEndpointsEndToEnd(t *testing.T) {
-	sink, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	go func() {
-		buf := make([]byte, 65536)
-		for {
-			if _, _, err := sink.ReadFrom(buf); err != nil {
-				return
-			}
-		}
-	}()
-
-	in, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close()
-	admin, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer admin.Close()
-	base := "http://" + admin.Addr().String()
-
-	enf, err := buildEnforcer("bc-pqp", bcpqp.Rate(1)*bcpqp.Mbps, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigc := make(chan os.Signal, 4)
-	code := make(chan int, 1)
-	go func() {
-		code <- serve(in, sink.LocalAddr().String(), enf, proxyOpts{
-			drainTimeout: 5 * time.Second,
-			sig:          sigc,
-			admin:        admin,
-		})
-	}()
+	forward, _ := startSink(t, nil)
+	p := startServe(t, proxyOpts{
+		forward: forward, scheme: "bc-pqp", rate: bcpqp.Mbps, admin: adminListener(t),
+	})
+	get := func(path string) (int, string) { return p.get(t, path) }
 
 	// Offered load far beyond the 1 Mbps plan, so the trace and counters
 	// have drops to show.
-	conn, err := net.Dial("udp", in.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := p.dial(t)
 	payload := make([]byte, 1200)
 	for i := 0; i < 200; i++ {
 		if _, err := conn.Write(payload); err != nil {
@@ -80,39 +39,7 @@ func TestAdminEndpointsEndToEnd(t *testing.T) {
 		}
 	}
 
-	get := func(path string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET %s: read body: %v", path, err)
-		}
-		return resp.StatusCode, string(body)
-	}
-
-	// The admin server starts with serve; poll /healthz until it answers.
-	deadline := time.Now().Add(5 * time.Second)
-	var healthStatus int
-	var healthBody string
-	for {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			body, rerr := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if rerr == nil {
-				healthStatus, healthBody = resp.StatusCode, string(body)
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("admin listener never answered /healthz: %v", err)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	healthStatus, healthBody := get("/healthz")
 	if healthStatus != http.StatusOK {
 		t.Fatalf("/healthz = %d, body %s", healthStatus, healthBody)
 	}
@@ -128,6 +55,31 @@ func TestAdminEndpointsEndToEnd(t *testing.T) {
 	if !health.Healthy || len(health.Shards) == 0 {
 		t.Errorf("/healthz = %+v, want healthy with shards", health)
 	}
+
+	// /debug/trace: the flight recorder decodes and holds sampled bursts
+	// for the proxy aggregate — once the worker has enforced one, which a
+	// scrape may be ahead of; the scrapes after this one are not.
+	waitFor(t, "a sampled burst in /debug/trace", func() bool {
+		status, trace := get("/debug/trace")
+		if status != http.StatusOK {
+			t.Fatalf("/debug/trace = %d", status)
+		}
+		var dump struct {
+			Events []struct {
+				Kind      string `json:"kind"`
+				Aggregate string `json:"aggregate"`
+			} `json:"events"`
+		}
+		if err := json.Unmarshal([]byte(trace), &dump); err != nil {
+			t.Fatalf("/debug/trace body not JSON: %v", err)
+		}
+		for _, ev := range dump.Events {
+			if ev.Kind == "burst" && ev.Aggregate == proxyAggregate {
+				return true
+			}
+		}
+		return false
+	})
 
 	// /metrics: Prometheus exposition with engine, shard and aggregate
 	// families, and only finite sample values.
@@ -155,31 +107,6 @@ func TestAdminEndpointsEndToEnd(t *testing.T) {
 		}
 	}
 
-	// /debug/trace: the flight recorder decodes and holds sampled bursts
-	// for the proxy aggregate.
-	status, trace := get("/debug/trace")
-	if status != http.StatusOK {
-		t.Fatalf("/debug/trace = %d", status)
-	}
-	var dump struct {
-		Events []struct {
-			Kind      string `json:"kind"`
-			Aggregate string `json:"aggregate"`
-		} `json:"events"`
-	}
-	if err := json.Unmarshal([]byte(trace), &dump); err != nil {
-		t.Fatalf("/debug/trace body not JSON: %v", err)
-	}
-	var bursts int
-	for _, ev := range dump.Events {
-		if ev.Kind == "burst" && ev.Aggregate == proxyAggregate {
-			bursts++
-		}
-	}
-	if bursts == 0 {
-		t.Errorf("/debug/trace holds no sampled bursts for %q among %d events", proxyAggregate, len(dump.Events))
-	}
-
 	// /debug/vars: valid expvar JSON including the published engine metrics.
 	status, vars := get("/debug/vars")
 	if status != http.StatusOK {
@@ -200,15 +127,7 @@ func TestAdminEndpointsEndToEnd(t *testing.T) {
 	}
 
 	// Graceful drain still works with the admin server attached.
-	sigc <- syscall.SIGTERM
-	select {
-	case c := <-code:
-		if c != 0 {
-			t.Fatalf("drain with admin server exited %d, want 0", c)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("proxy did not exit within 10s of SIGTERM")
-	}
+	p.stop(t, syscall.SIGTERM)
 }
 
 // TestHealthzOverloadDegradedBut200 pins the load-balancer contract during
@@ -250,7 +169,7 @@ func TestHealthzOverloadDegradedBut200(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	srv := httptest.NewServer(newAdminMux(mb, nil))
+	srv := httptest.NewServer(newAdminMux(mb, nil, nil))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
@@ -331,7 +250,7 @@ func TestDebugAuditEndpoint(t *testing.T) {
 	}
 	mb.Stats("audited") // in-band barrier: all submitted batches enforced
 
-	srv := httptest.NewServer(newAdminMux(mb, nil))
+	srv := httptest.NewServer(newAdminMux(mb, nil, nil))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/audit")
 	if err != nil {

@@ -16,6 +16,13 @@
 // fair share, one greedy) over loopback for a few seconds and reports the
 // goodput each flow achieved through the enforcer.
 //
+// There is one datapath: -cores workers (default 1), each running
+// relayLoop over its own batched socket. With -cores N > 1 the kernel
+// hashes sources over N SO_REUSEPORT listeners and each core enforces 1/N
+// of the plan — the flat -rate, or every rate and burst of a -tree spec —
+// on its own aggregate (DESIGN.md "Datapath" says why a static split
+// suffices). Every other feature works the same at any core count.
+//
 // The proxy is a well-behaved middlebox process:
 //
 //   - SIGTERM/SIGINT drain gracefully: in-flight bursts are enforced, the
@@ -24,7 +31,12 @@
 //   - SIGHUP writes a warm-restart snapshot to the -snapshot path
 //     (atomic temp-file + rename); at startup an existing snapshot there
 //     is restored, so a restarted proxy resumes with the enforcement state
-//     (phantom occupancy, burst windows, token levels) it had.
+//     (phantom occupancy, burst windows, token levels) it had. A snapshot
+//     taken at a different -cores does not fit and the proxy starts cold.
+//   - Every run ends with one cycle-accounting line per core, the summed
+//     final stats and a reconciliation line (kernel drops at the sockets
+//     plus what the engine saw is what the wire offered); with -http the
+//     per-core numbers are the bcpqp_core_* families on /metrics.
 //
 // Bufferless schemes only (policer, policer+, fairpolicer, pqp, bc-pqp):
 // a relay cannot hold datagrams the way a shaper holds packets.
@@ -37,11 +49,14 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	"bcpqp"
+	"bcpqp/internal/netio"
 )
 
 func main() {
@@ -60,62 +75,20 @@ func main() {
 		clKey    = flag.String("cluster-key", "", "shared secret authenticating budget-exchange frames (HMAC-SHA256); all peers must agree. Empty sends frames unauthenticated — only safe on a trusted network")
 		sharedFl = flag.Bool("shared", false, "enforce -rate as the CLUSTER-WIDE bound for the proxy aggregate: start at the static r/N share and let the budget exchange reclaim idle peers' headroom")
 		overload = flag.Bool("overload", false, "enable the overload-control plane: pressure-driven priority shedding, tightened idle eviction and admission-eviction under table pressure; /healthz reports an active plane as degraded (still 200)")
-		datapath = flag.String("datapath", "ring", "datapath mode: ring (shared socket, engine shard ring) or percore (per-core run-to-completion: SO_REUSEPORT batched sockets, ring-bypass inline enforcement at rate/N per core)")
-		coresFl  = flag.Int("cores", 0, "percore datapath worker count (0 = GOMAXPROCS); each core enforces rate/cores")
+		coresFl  = flag.Int("cores", 1, "datapath workers, each with its own SO_REUSEPORT socket and 1/cores of the plan (0 = GOMAXPROCS)")
 		drain    = flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain deadline on SIGTERM/SIGINT")
 		selftest = flag.Bool("selftest", false, "run the loopback demonstration and exit")
 		duration = flag.Duration("selftest-duration", 5*time.Second, "selftest run length")
 	)
 	flag.Parse()
+	rate := bcpqp.Rate(*rateMbps) * bcpqp.Mbps
 
 	if *selftest {
-		if err := runSelfTest(*rateMbps, *scheme, *queues, *duration); err != nil {
+		if err := runSelfTest(rate, *scheme, *queues, *duration); err != nil {
 			fmt.Fprintln(os.Stderr, "selftest:", err)
 			os.Exit(1)
 		}
 		return
-	}
-
-	if *datapath == "percore" {
-		// The percore plane is deliberately narrow: flat enforcers split
-		// rate/N across pinned cores; the tree, snapshot and cluster
-		// planes stay ring-mode features.
-		for flagName, set := range map[string]bool{
-			"-tree": *treePath != "", "-snapshot": *snapPath != "",
-			"-node-id": *nodeID != "", "-peers": *peerSpec != "",
-			"-cluster-listen": *clListen != "", "-shared": *sharedFl,
-		} {
-			if set {
-				fmt.Fprintf(os.Stderr, "bcpqp-proxy: %s is not supported with -datapath percore\n", flagName)
-				os.Exit(1)
-			}
-		}
-		var admin net.Listener
-		var err error
-		if *httpAddr != "" {
-			if admin, err = net.Listen("tcp", *httpAddr); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			defer admin.Close()
-		}
-		sigc := make(chan os.Signal, 4)
-		signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
-		os.Exit(servePerCore(perCoreOpts{
-			cores:        *coresFl,
-			listen:       *listen,
-			forward:      *forward,
-			scheme:       *scheme,
-			rate:         bcpqp.Rate(*rateMbps) * bcpqp.Mbps,
-			queues:       *queues,
-			drainTimeout: *drain,
-			sig:          sigc,
-			admin:        admin,
-			overload:     *overload,
-		}))
-	} else if *datapath != "ring" {
-		fmt.Fprintf(os.Stderr, "bcpqp-proxy: unknown -datapath %q (ring|percore)\n", *datapath)
-		os.Exit(1)
 	}
 
 	var clOpts clusterOpts
@@ -138,97 +111,104 @@ func main() {
 			peers:  peers,
 			listen: *clListen,
 			shared: *sharedFl,
-			rate:   bcpqp.Rate(*rateMbps) * bcpqp.Mbps,
 			key:    *clKey,
 		}
 	}
 
-	var enf bcpqp.Enforcer
-	var err error
-	if *treePath != "" {
-		enf, err = loadTreeSpec(*treePath, *queues)
-	} else {
-		enf, err = buildEnforcer(*scheme, bcpqp.Rate(*rateMbps)*bcpqp.Mbps, *queues)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	in, err := net.ListenPacket("udp", *listen)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer in.Close()
 	var admin net.Listener
 	if *httpAddr != "" {
-		admin, err = net.Listen("tcp", *httpAddr)
-		if err != nil {
+		var err error
+		if admin, err = net.Listen("tcp", *httpAddr); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer admin.Close()
 	}
 	sigc := make(chan os.Signal, 4)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
-	auditBurst := int64(0)
-	if *treePath == "" {
-		auditBurst = auditEnvelope(*scheme, bcpqp.Rate(*rateMbps)*bcpqp.Mbps, *queues)
-	}
-	os.Exit(serve(in, *forward, enf, proxyOpts{
+	os.Exit(serve(proxyOpts{
+		listen:       *listen,
+		forward:      *forward,
+		cores:        *coresFl,
+		scheme:       *scheme,
+		rate:         rate,
+		queues:       *queues,
+		treePath:     *treePath,
 		snapshotPath: *snapPath,
 		drainTimeout: *drain,
 		sig:          sigc,
 		admin:        admin,
 		cluster:      clOpts,
 		overload:     *overload,
-		auditRate:    bcpqp.Rate(*rateMbps) * bcpqp.Mbps,
-		auditBurst:   auditBurst,
 	}))
 }
 
-// proxyAggregate is the id the proxy registers its single enforcer under on
-// the middlebox engine; snapshots key on it, so a restarted proxy restores
-// into the same id.
+// proxyAggregate is the engine id of a one-core proxy's enforcer and the
+// prefix of the per-core ids otherwise; snapshots key on these.
 const proxyAggregate = "proxy"
 
-// proxyOpts parameterizes serve. sig delivers shutdown and snapshot
-// requests; in production it is a signal.Notify channel, in tests a plain
-// channel fed directly.
+// coreAggregate names core i's aggregate. One core keeps the bare id, so a
+// default run writes the snapshots and metric series it always has.
+func coreAggregate(i, cores int) string {
+	if cores == 1 {
+		return proxyAggregate
+	}
+	return fmt.Sprintf("%s/core%d", proxyAggregate, i)
+}
+
+// proxyOpts parameterizes serve.
 type proxyOpts struct {
+	listen  string
+	forward string
+	// cores is the worker count (0 = GOMAXPROCS). Each core enforces
+	// 1/cores of the plan below.
+	cores int
+	// The plan: a flat scheme at rate over queues flow buckets, or, when
+	// treePath is set, the policy tree in that spec file (queues is then
+	// the default for ceilings that name none).
+	scheme   string
+	rate     bcpqp.Rate
+	queues   int
+	treePath string
+
 	snapshotPath string
 	drainTimeout time.Duration
-	sig          <-chan os.Signal
+	// sig delivers shutdown and snapshot requests; in production it is a
+	// signal.Notify channel, in tests and the selftest a plain channel fed
+	// directly.
+	sig <-chan os.Signal
 	// admin, when non-nil, serves the observability endpoints (/metrics,
 	// /healthz, /cluster, /debug/trace, /debug/vars, /debug/pprof) until
-	// shutdown; serve closes it. It also switches the engine's trace
-	// collector on.
+	// shutdown. It also switches the engine's trace collector on.
 	admin net.Listener
 	// cluster, when enabled, joins the peer budget exchange (and, with
-	// shared set, enforces the proxy aggregate's rate cluster-wide).
+	// shared set, enforces the plan rate cluster-wide).
 	cluster clusterOpts
 	// overload enables the engine's overload-control plane (defaults:
 	// pressure thresholds, harmonic shed classes, admission eviction).
 	overload bool
-	// auditRate/auditBurst, when burst > 0, arm the always-on conformance
-	// auditor on the proxy aggregate: every enforced burst is checked
-	// against the Theorem-1 envelope auditRate·Δt + auditBurst.
-	auditRate  bcpqp.Rate
-	auditBurst int64
+	// forceSingle selects netio's portable single-datagram backend (tests
+	// run both on any platform); it cannot share a port, so: one core.
+	forceSingle bool
+	// ready, when non-nil, receives the bound listen address once every
+	// core is up (tests and the selftest listen on :0).
+	ready chan<- string
 }
+
+// maxRTT is the round trip the enforcers and their audit envelopes are sized for.
+const maxRTT = 100 * time.Millisecond
 
 // auditEnvelope sizes the plan-rate conformance envelope for a scheme: the
 // plan rate plus a burst term covering the scheme's worst-case buffering
 // (phantom capacity or bucket depth) with 2× slop, so a correct enforcer
 // can never trip it while real over-admission — which grows without bound —
-// still does. Returns burst 0 (audit off) for unknown schemes and policy
-// trees, whose per-node ceilings are armed individually via ArmNodeAudit.
+// still does. Returns burst 0 (audit off) for unknown schemes; policy trees
+// are not armed here, their per-node ceilings are armed individually via
+// ArmNodeAudit.
 func auditEnvelope(name string, rate bcpqp.Rate, queues int) int64 {
 	scheme, err := bcpqp.ParseScheme(name)
 	if err != nil {
 		return 0
 	}
-	const maxRTT = 100 * time.Millisecond
 	switch scheme {
 	case bcpqp.SchemeBCPQP:
 		return 2 * int64(queues) * bcpqp.RecommendedQueueSize(rate, maxRTT)
@@ -246,35 +226,41 @@ func auditEnvelope(name string, rate bcpqp.Rate, queues int) int64 {
 	}
 }
 
-// serve runs the engine-hosted datapath until SIGTERM/SIGINT, then drains
-// gracefully: the middlebox Close is deadline-bounded (drainTimeout), its
-// CloseReport is logged, and the exit code is nonzero when the shutdown was
-// unclean (wedged shards abandoned or queued packets shed). SIGHUP writes a
-// warm-restart snapshot to snapshotPath (temp file + atomic rename); at
-// startup an existing snapshot at that path is restored, so a restarted
-// proxy resumes enforcement with the phantom occupancy, burst-control
-// windows and token levels it had — instead of re-admitting a burst storm
-// from every subscriber at once.
-func serve(in net.PacketConn, forward string, enf bcpqp.Enforcer, opts proxyOpts) int {
-	dst, err := net.ResolveUDPAddr("udp", forward)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcpqp-proxy:", err)
-		return 1
-	}
-	out, err := net.DialUDP("udp", nil, dst)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcpqp-proxy:", err)
-		return 1
-	}
-	defer out.Close()
+// rxBufBytes sizes a receive slot for the largest UDP datagram (2 MB of
+// slots per core), so every datagram is relayed, and charged, whole.
+const rxBufBytes = 65536
 
-	var writeDropped, writeErrs atomic.Int64
+// core is one worker's sockets, aggregate (on its own shard) and counters.
+type core struct {
+	rx, tx *netio.Conn
+	h      bcpqp.AggregateHandle
+	ls     *bcpqp.LocalSubmitter
+	coreStats
+}
+
+// serve runs the proxy until SIGTERM/SIGINT, snapshotting on SIGHUP (the
+// package comment has the protocol), then drains: the workers finish the
+// burst they hold, the cores' final stats are summed and logged with the
+// deadline-bounded Close's report, and the exit code is nonzero when a
+// worker failed or the shutdown was unclean (wedged shards abandoned or
+// queued packets shed).
+func serve(opts proxyOpts) int {
+	cores := opts.cores
+	if cores <= 0 {
+		cores = runtime.GOMAXPROCS(0)
+	}
+	if cores > 1 && (opts.forceSingle || !netio.SupportsBatch()) {
+		fmt.Fprintln(os.Stderr, "bcpqp-proxy: -cores > 1 needs SO_REUSEPORT (linux amd64/arm64); falling back to 1 core")
+		cores = 1
+	}
+
 	// Structured, rate-limited fault-plane logging: one line on the first
-	// enforcer panic / eviction per aggregate, then every 64th, so a
-	// crash-looping enforcer cannot flood stderr. Both hooks run on shard
-	// goroutines and must not call back into the engine.
+	// enforcer panic per aggregate, then every 64th, so a crash-looping
+	// enforcer cannot flood stderr. The hook must not call back into the
+	// engine.
 	var flog faultLog
 	cfg := bcpqp.MiddleboxConfig{
+		Shards:       cores,
 		CloseTimeout: opts.drainTimeout,
 		OnFault: func(id string, recovered any, _ []byte) {
 			if id == "" {
@@ -283,12 +269,6 @@ func serve(in net.PacketConn, forward string, enf bcpqp.Enforcer, opts proxyOpts
 			if log, n := flog.note(id); log {
 				fmt.Fprintf(os.Stderr, "bcpqp-proxy: event=fault aggregate=%q reason=%q count=%d\n",
 					id, fmt.Sprint(recovered), n)
-			}
-		},
-		OnEvict: func(id string, final bcpqp.Stats) {
-			if log, n := flog.note("evict:" + id); log {
-				fmt.Fprintf(os.Stderr, "bcpqp-proxy: event=evict aggregate=%q reason=%q count=%d accepted=%d dropped=%d\n",
-					id, "idle-ttl", n, final.AcceptedPackets, final.DroppedPackets)
 			}
 		},
 	}
@@ -304,37 +284,84 @@ func serve(in net.PacketConn, forward string, enf bcpqp.Enforcer, opts proxyOpts
 		col = bcpqp.Observe(&cfg, bcpqp.ObserveOptions{})
 	}
 	mb := bcpqp.NewMiddlebox(cfg)
-	emit := func(p bcpqp.Packet) {
-		if err := writeTransient(out, p.Payload); err != nil {
-			writeDropped.Add(1)
-			if n := writeErrs.Add(1); n == 1 || n%1024 == 0 {
-				fmt.Fprintf(os.Stderr, "bcpqp-proxy: transient write error (%d so far, dropping): %v\n", n, err)
-			}
+
+	var cs []*core
+	var ids []string
+	var conns []*netio.Conn
+	defer func() {
+		for _, c := range conns {
+			c.Close()
 		}
-	}
-	// Add registers a policy tree node-addressable (per-node stats, in-band
-	// node reconfiguration, the /metrics/tree export); a flat enforcer is
-	// the degenerate one-node aggregate.
-	h, err := mb.Add(proxyAggregate, enf, emit)
-	if err != nil {
+	}()
+	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, "bcpqp-proxy:", err)
+		mb.Close()
 		return 1
 	}
-	if col != nil {
-		// Wire enforcer-internal events (drops with reason, ECN marks,
-		// magic fill/reclaim) into the flight recorder. Token-bucket
-		// schemes expose no event hook; that only thins the trace.
-		if err := bcpqp.ObserveAggregate(mb, proxyAggregate, col); err != nil && !errors.Is(err, bcpqp.ErrNotObservable) {
-			fmt.Fprintln(os.Stderr, "bcpqp-proxy: observe:", err)
+	// One core's enforcer, at 1/cores of the plan. Rates split linearly the
+	// way HTB's do: every ceiling, assured rate and burst of a tree scales
+	// by the same factor, so borrowing ratios are those of the whole plan.
+	coreRate := opts.rate / bcpqp.Rate(cores)
+	build := func() (bcpqp.Enforcer, error) {
+		if opts.treePath != "" {
+			return loadTreeSpec(opts.treePath, opts.queues, cores)
 		}
+		return buildEnforcer(opts.scheme, coreRate, opts.queues)
 	}
-	if opts.auditBurst > 0 {
-		// Always-on conformance audit: the plan envelope (with the
-		// scheme's buffering slop) is live from the first packet, so
-		// bcpqp_conformance_violations_total staying at zero is a
+	listen := opts.listen
+	for i := 0; i < cores; i++ {
+		c, id := new(core), coreAggregate(i, cores)
+		cs, ids = append(cs, c), append(ids, id)
+		enf, err := build()
+		if err != nil {
+			return fail(err)
+		}
+		c.rx, err = netio.Listen(listen, netio.Config{
+			BufBytes: rxBufBytes, ReusePort: cores > 1, ForceSingle: opts.forceSingle,
+		})
+		if err != nil {
+			return fail(fmt.Errorf("core %d listen: %w", i, err))
+		}
+		// A REUSEPORT group binds one address: later cores follow the
+		// first socket's choice when the listen address was :0 style.
+		conns, listen = append(conns, c.rx), c.rx.LocalAddr().String()
+		if c.tx, err = netio.Dial(opts.forward, netio.Config{ForceSingle: opts.forceSingle}); err != nil {
+			return fail(fmt.Errorf("core %d dial: %w", i, err))
+		}
+		conns = append(conns, c.tx)
+		tx, st := c.tx, &c.coreStats
+		emit := func(p bcpqp.Packet) {
+			// Runs inline in the worker's SubmitBatch: the payload is queued
+			// by reference and leaves in FlushTx, before rx reuses it.
+			if !tx.QueueTx(p.Payload) {
+				st.writeDropped.Add(1)
+			}
+		}
+		// AddPinned registers a policy tree node-addressable (per-node
+		// stats, in-band node reconfiguration, the /metrics/tree export); a
+		// flat enforcer is the degenerate one-node aggregate.
+		if c.h, err = mb.AddPinned(id, i, enf, emit); err != nil {
+			return fail(err)
+		}
+		if c.ls, err = mb.LocalShard(i); err != nil {
+			return fail(err)
+		}
+		if col != nil {
+			// Wire enforcer-internal events (drops with reason, ECN marks,
+			// magic fill/reclaim) into the flight recorder. Token-bucket
+			// schemes expose no event hook; that only thins the trace.
+			if err := bcpqp.ObserveAggregate(mb, id, col); err != nil && !errors.Is(err, bcpqp.ErrNotObservable) {
+				fmt.Fprintln(os.Stderr, "bcpqp-proxy: observe:", err)
+			}
+		}
+		// Always-on conformance audit of a flat plan: the core's envelope
+		// (with the scheme's buffering slop) is live from the first packet,
+		// so bcpqp_conformance_violations_total staying at zero is a
 		// continuously-checked claim, not an assumption.
-		if err := mb.ArmAudit(proxyAggregate, opts.auditRate, opts.auditBurst); err != nil {
-			fmt.Fprintln(os.Stderr, "bcpqp-proxy: audit:", err)
+		if burst := auditEnvelope(opts.scheme, coreRate, opts.queues); opts.treePath == "" && burst > 0 {
+			if err := mb.ArmAudit(id, coreRate, burst); err != nil {
+				fmt.Fprintln(os.Stderr, "bcpqp-proxy: audit:", err)
+			}
 		}
 	}
 
@@ -352,28 +379,38 @@ func serve(in net.PacketConn, forward string, enf bcpqp.Enforcer, opts proxyOpts
 	}
 
 	// Cluster exchange: joined after the warm restart so the exchange
-	// observes restored counters, and before traffic so a shared aggregate
+	// observes restored counters, and before traffic so a shared plan
 	// starts at its conservative r/N share, never the full global rate.
 	var node *bcpqp.ClusterNode
 	if opts.cluster.enabled() {
 		var stopCluster func()
-		node, stopCluster, err = startCluster(mb, col, opts.cluster)
+		var err error
+		node, stopCluster, err = startCluster(mb, col, ids, opts.rate, opts.cluster)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bcpqp-proxy: cluster:", err)
-			return 1
+			return fail(fmt.Errorf("cluster: %w", err))
 		}
 		defer stopCluster()
 		fmt.Fprintf(os.Stderr, "bcpqp-proxy: cluster node %q: %d peers, shared=%v\n",
 			opts.cluster.nodeID, len(opts.cluster.peers), opts.cluster.shared)
 	}
 	if col != nil {
-		defer startAdmin(opts.admin, mb, node).Close()
+		// Per-core cycle telemetry joins the engine's /metrics exposition:
+		// one bcpqp_core_* sample per core, plus the kernel's own
+		// receive-drop counter so a scrape can reconcile offered load
+		// against what the datapath actually saw.
+		mb.AttachMetricSource(func() []bcpqp.MetricsFamily {
+			b := newCoreFamilies()
+			for i, c := range cs {
+				drops, haveDrops := c.rx.KernelDrops()
+				b.add(i, &c.coreStats, drops, haveDrops)
+			}
+			return b.render()
+		})
+		defer startAdmin(opts.admin, mb, node, ids).Close()
 	}
 
 	var stopping atomic.Bool
-	sigDone := make(chan struct{})
 	go func() {
-		defer close(sigDone)
 		for s := range opts.sig {
 			switch s {
 			case syscall.SIGHUP:
@@ -394,87 +431,75 @@ func serve(in net.PacketConn, forward string, enf bcpqp.Enforcer, opts proxyOpts
 		}
 	}()
 
-	fmt.Fprintf(os.Stderr, "bcpqp-proxy: %s -> %s (engine datapath)\n", in.LocalAddr(), dst)
-	var (
-		bufs [bcpqp.DefaultBurst][]byte
-		pkts [bcpqp.DefaultBurst]bcpqp.Packet
-	)
-	for i := range bufs {
-		bufs[i] = make([]byte, 65536)
-	}
-	readErr := func(err error) bool { // true = fatal
-		var ne net.Error
-		return !(errors.As(err, &ne) && ne.Timeout())
-	}
-	var kc keyCache
-	exit := 0
-	for !stopping.Load() {
-		// First datagram of the burst: block briefly, then re-check the
-		// stop flag so a signal is honoured within ~100ms even when idle.
-		if err := in.SetReadDeadline(time.Now().Add(100 * time.Millisecond)); err != nil {
-			fmt.Fprintln(os.Stderr, "bcpqp-proxy: set read deadline:", err)
-			exit = 1
-			break
-		}
-		n, from, err := in.ReadFrom(bufs[0])
-		if err != nil {
-			if readErr(err) {
-				fmt.Fprintln(os.Stderr, "bcpqp-proxy: read:", err)
-				exit = 1
-				break
-			}
-			continue
-		}
-		// Each datagram's payload is copied out of the reusable read
-		// buffer: the engine enforces asynchronously and the emit hook
-		// relays from Packet.Payload.
-		pkts[0] = bcpqp.Packet{
-			Key:     kc.keyFor(from),
-			Size:    n,
-			Class:   bcpqp.NoClass,
-			Payload: append([]byte(nil), bufs[0][:n]...),
-		}
-		count := 1
-		// Opportunistic drain under ONE absolute deadline for the whole
-		// burst: re-arming the deadline before every drain read costs a
-		// timer update per datagram and lets a slow trickle stretch the
-		// window far past drainDeadline.
-		if err := in.SetReadDeadline(time.Now().Add(drainDeadline)); err == nil {
-			for count < len(bufs) {
-				n, from, err = in.ReadFrom(bufs[count])
-				if err != nil {
-					break
-				}
-				pkts[count] = bcpqp.Packet{
-					Key:     kc.keyFor(from),
-					Size:    n,
-					Class:   bcpqp.NoClass,
-					Payload: append([]byte(nil), bufs[count][:n]...),
-				}
-				count++
-			}
-		}
-		if err := mb.SubmitBatch(h, pkts[:count]); err != nil {
-			fmt.Fprintln(os.Stderr, "bcpqp-proxy: submit:", err)
-			exit = 1
-			break
-		}
+	fmt.Fprintf(os.Stderr, "bcpqp-proxy: %s -> %s (cores=%d, batched=%v)\n",
+		listen, opts.forward, cores, cs[0].rx.Batched())
+	if opts.ready != nil {
+		opts.ready <- listen
 	}
 
-	// Graceful drain: Remove's final-stats barrier enforces every burst
-	// submitted above, then the deadline-bounded Close stops the shards.
-	final, statErr := mb.Remove(proxyAggregate)
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for i, c := range cs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Run-to-completion: pin the worker to an OS thread so the
+			// scheduler never migrates its socket wakeups mid-burst.
+			runtime.LockOSThread()
+			defer runtime.UnlockOSThread()
+			if err := relayLoop(c.rx, c.tx, c.ls, c.h, &c.coreStats, &stopping); err != nil {
+				// It takes the proxy down with it: its share of the sources
+				// would otherwise be black-holed behind a live process.
+				fmt.Fprintf(os.Stderr, "bcpqp-proxy: core %d %v\n", i, err)
+				failed.Store(true)
+				stopping.Store(true)
+			}
+		}()
+	}
+	wg.Wait()
+
+	// Every burst a worker received has been enforced and flushed by the
+	// time it returned; Remove reads each core's final stats, then the
+	// deadline-bounded Close stops the shards.
+	var total bcpqp.Stats
+	var shed, writeDropped, kernelDrops int64
+	kernelDropsKnown := true
+	for i, c := range cs {
+		if final, err := mb.Remove(ids[i]); err == nil {
+			total.AcceptedPackets += final.AcceptedPackets
+			total.AcceptedBytes += final.AcceptedBytes
+			total.DroppedPackets += final.DroppedPackets
+		}
+		shed += c.shed.Load()
+		writeDropped += c.writeDropped.Load()
+		// recvPkts + kernel drops = what the wire offered this core.
+		drops, ok := c.rx.KernelDrops()
+		kernelDrops += drops
+		kernelDropsKnown = kernelDropsKnown && ok
+		pps := 0.0
+		if calls := c.recvCalls.Load(); calls > 0 {
+			pps = float64(c.recvPkts.Load()) / float64(calls)
+		}
+		fmt.Fprintf(os.Stderr, "bcpqp-proxy: core %d: recv %d pkts in %d syscalls (%.1f pkts/syscall), tx %d pkts in %d flushes, kernel-drops %d, busy rx=%v enforce=%v flush=%v\n",
+			i, c.recvPkts.Load(), c.recvCalls.Load(), pps,
+			c.txPkts.Load(), c.txFlushes.Load(), drops,
+			time.Duration(c.rxWaitNs.Load()).Round(time.Millisecond),
+			time.Duration(c.enforceNs.Load()).Round(time.Millisecond),
+			time.Duration(c.flushNs.Load()).Round(time.Millisecond))
+	}
 	rep := mb.Close()
-	if statErr == nil {
-		fmt.Fprintf(os.Stderr, "bcpqp-proxy: final stats: accepted %d (%d bytes), dropped %d, write-dropped %d\n",
-			final.AcceptedPackets, final.AcceptedBytes, final.DroppedPackets, writeDropped.Load())
+	fmt.Fprintf(os.Stderr, "bcpqp-proxy: final stats: accepted %d (%d bytes), dropped %d, shed %d, write-dropped %d\n",
+		total.AcceptedPackets, total.AcceptedBytes, total.DroppedPackets, shed, writeDropped)
+	if kernelDropsKnown {
+		fmt.Fprintf(os.Stderr, "bcpqp-proxy: reconciliation: kernel dropped %d datagrams before the datapath (engine saw offered minus exactly these)\n",
+			kernelDrops)
 	}
 	fmt.Fprintf(os.Stderr, "bcpqp-proxy: close report: clean=%v abandoned-shards=%d shed-packets=%d\n",
 		rep.Clean, rep.AbandonedShards, rep.ShedPackets)
-	if !rep.Clean {
-		exit = 1
+	if failed.Load() || !rep.Clean {
+		return 1
 	}
-	return exit
+	return 0
 }
 
 // writeSnapshot captures a warm-restart image of the engine and persists it
@@ -507,6 +532,11 @@ func restoreSnapshot(mb *bcpqp.Middlebox, path string) error {
 	if err := snap.UnmarshalBinary(blob); err != nil {
 		return err
 	}
+	// The aggregates are the cores, each built at 1/cores of the plan: an
+	// image of a different number of them fits none of these enforcers.
+	if n := len(snap.Aggregates); n != mb.Len() {
+		return fmt.Errorf("snapshot holds %d aggregates, this run has %d (taken at a different -cores?)", n, mb.Len())
+	}
 	return mb.Restore(&snap)
 }
 
@@ -516,7 +546,6 @@ func buildEnforcer(name string, rate bcpqp.Rate, queues int) (bcpqp.Enforcer, er
 	if err != nil {
 		return nil, err
 	}
-	const maxRTT = 100 * time.Millisecond
 	switch scheme {
 	case bcpqp.SchemeBCPQP:
 		return bcpqp.NewBCPQP(bcpqp.BCPQPConfig{Rate: rate, Queues: queues, MaxRTT: maxRTT})
@@ -533,210 +562,10 @@ func buildEnforcer(name string, rate bcpqp.Rate, queues int) (bcpqp.Enforcer, er
 	}
 }
 
-// drainDeadline bounds the opportunistic follow-up reads that assemble a
-// burst: after the first (blocking) datagram of a burst arrives, the relay
-// keeps reading until the socket is empty for this long or the burst is
-// full. It trades ≤200µs of added relay latency for batch amortization of
-// the enforcer datapath — the userspace analogue of a DPDK rx_burst.
-const drainDeadline = 200 * time.Microsecond
-
-// relayRetries bounds how many times a transiently failing write to the
-// out-socket is retried (with a short backoff) before the datagram is
-// dropped and counted; the relay itself keeps running either way.
-const (
-	relayRetries    = 3
-	relayRetryDelay = 200 * time.Microsecond
-)
-
-// transientNetErr reports whether a socket error is transient for a live
-// relay: an ICMP-induced ECONNREFUSED on the connected out-socket (the
-// forward target briefly down), an unreachable network/host during a
-// routing flap, exhausted socket buffers, or a plain timeout. A policer
-// must degrade on these — drop and count — not exit.
-func transientNetErr(err error) bool {
-	if errors.Is(err, syscall.ECONNREFUSED) ||
-		errors.Is(err, syscall.ENETUNREACH) ||
-		errors.Is(err, syscall.EHOSTUNREACH) ||
-		errors.Is(err, syscall.ENOBUFS) ||
-		errors.Is(err, syscall.EAGAIN) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// relay runs the datapath over the already-open listen socket until the
-// socket closes. The caller owns in (passing it open avoids any
-// close-and-rebind race for callers that need to learn the bound address
-// first). stop, when non-nil, is polled to terminate gracefully (used by
-// the selftest).
-//
-// Datagrams are received in bursts of up to bcpqp.DefaultBurst: one
-// blocking read, then opportunistic reads that drain whatever the kernel
-// has already queued. The whole burst is pushed through the enforcer with
-// a single SubmitBatch call at one arrival timestamp — the same burst
-// granularity a polling middlebox observes — and accepted datagrams are
-// relayed in order.
-//
-// Transient errors on the connected out-socket (ECONNREFUSED from ICMP
-// port-unreachable, ENETUNREACH, full socket buffers) are retried a bounded
-// number of times and then dropped and counted — the relay only exits on
-// hard errors or when its listen socket is closed.
-func relay(in net.PacketConn, forward string, enf bcpqp.Enforcer, stop *atomic.Bool) error {
-	dst, err := net.ResolveUDPAddr("udp", forward)
-	if err != nil {
-		return err
-	}
-	out, err := net.DialUDP("udp", nil, dst)
-	if err != nil {
-		return err
-	}
-	defer out.Close()
-
-	fmt.Fprintf(os.Stderr, "bcpqp-proxy: %s -> %s\n", in.LocalAddr(), dst)
-	var (
-		bufs     [bcpqp.DefaultBurst][]byte
-		lens     [bcpqp.DefaultBurst]int
-		pkts     [bcpqp.DefaultBurst]bcpqp.Packet
-		verdicts [bcpqp.DefaultBurst]bcpqp.Verdict
-	)
-	for i := range bufs {
-		bufs[i] = make([]byte, 65536)
-	}
-	start := time.Now()
-	var kc keyCache
-	var accepted, dropped, writeDropped, writeErrs int64
-	for {
-		if stop != nil && stop.Load() {
-			fmt.Fprintf(os.Stderr, "bcpqp-proxy: accepted %d, dropped %d, write-dropped %d\n",
-				accepted, dropped, writeDropped)
-			return nil
-		}
-		// First datagram of the burst: wait for traffic (polling the
-		// stop flag when one is wired up).
-		var deadline time.Time
-		if stop != nil {
-			deadline = time.Now().Add(100 * time.Millisecond)
-		}
-		if err := in.SetReadDeadline(deadline); err != nil {
-			return fmt.Errorf("set read deadline: %w", err)
-		}
-		n, from, err := in.ReadFrom(bufs[0])
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			return err
-		}
-		lens[0] = n
-		pkts[0] = bcpqp.Packet{Key: kc.keyFor(from), Size: n, Class: bcpqp.NoClass}
-		count := 1
-		// Opportunistic drain: collect datagrams the kernel already
-		// buffered, under ONE absolute deadline for the whole burst (a
-		// per-read deadline would cost a timer update per datagram and let
-		// a trickle stretch the window far past drainDeadline).
-		if err := in.SetReadDeadline(time.Now().Add(drainDeadline)); err != nil {
-			return fmt.Errorf("set read deadline: %w", err)
-		}
-		for count < len(bufs) {
-			n, from, err = in.ReadFrom(bufs[count])
-			if err != nil {
-				if ne, ok := err.(net.Error); ok && ne.Timeout() {
-					break
-				}
-				return err
-			}
-			lens[count] = n
-			pkts[count] = bcpqp.Packet{Key: kc.keyFor(from), Size: n, Class: bcpqp.NoClass}
-			count++
-		}
-		bcpqp.SubmitBatch(enf, time.Since(start), pkts[:count], verdicts[:count])
-		for i := 0; i < count; i++ {
-			switch verdicts[i] {
-			case bcpqp.Transmit, bcpqp.TransmitCE:
-				accepted++
-				if err := writeTransient(out, bufs[i][:lens[i]]); err != nil {
-					if !transientNetErr(err) {
-						return fmt.Errorf("relay write: %w", err)
-					}
-					// Still failing after bounded retries: shed the
-					// datagram, keep the relay alive, and say so
-					// (first occurrence, then every 1024th).
-					writeDropped++
-					if writeErrs++; writeErrs == 1 || writeErrs%1024 == 0 {
-						fmt.Fprintf(os.Stderr,
-							"bcpqp-proxy: transient write error (%d so far, dropping): %v\n",
-							writeErrs, err)
-					}
-				}
-			default:
-				dropped++
-			}
-		}
-	}
-}
-
-// writeTransient writes one datagram with a bounded retry on transient
-// errors; the final error (nil on success) is returned for accounting.
-func writeTransient(out *net.UDPConn, buf []byte) error {
-	var err error
-	for attempt := 0; attempt <= relayRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(relayRetryDelay)
-		}
-		if _, err = out.Write(buf); err == nil || !transientNetErr(err) {
-			return err
-		}
-	}
-	return err
-}
-
-// keyFor derives a flow key from a UDP source address.
-func keyFor(addr net.Addr) bcpqp.FlowKey {
-	ua, ok := addr.(*net.UDPAddr)
-	if !ok {
-		return bcpqp.FlowKey{}
-	}
-	var ip uint32
-	if v4 := ua.IP.To4(); v4 != nil {
-		ip = uint32(v4[0])<<24 | uint32(v4[1])<<16 | uint32(v4[2])<<8 | uint32(v4[3])
-	}
-	return bcpqp.FlowKey{SrcIP: ip, SrcPort: uint16(ua.Port), Proto: 17}
-}
-
-// keyCache memoizes the last resolved source address → flow key: within a
-// burst, consecutive datagrams overwhelmingly share a sender, so the common
-// case is one port compare and one IP compare against a reused buffer
-// instead of re-deriving the key per datagram. Single-goroutine, like the
-// read loop that owns it.
-type keyCache struct {
-	ip   net.IP
-	port int
-	key  bcpqp.FlowKey
-	ok   bool
-}
-
-func (c *keyCache) keyFor(addr net.Addr) bcpqp.FlowKey {
-	ua, ok := addr.(*net.UDPAddr)
-	if !ok {
-		return bcpqp.FlowKey{}
-	}
-	if c.ok && ua.Port == c.port && ua.IP.Equal(c.ip) {
-		return c.key
-	}
-	c.ip = append(c.ip[:0], ua.IP...)
-	c.port = ua.Port
-	c.key = keyFor(ua)
-	c.ok = true
-	return c.key
-}
-
 // runSelfTest demonstrates live enforcement over loopback: two senders — a
 // greedy one and one paced at its fair share — push datagrams through the
 // proxy to a counting sink.
-func runSelfTest(rateMbps float64, scheme string, queues int, dur time.Duration) error {
-	rate := bcpqp.Rate(rateMbps) * bcpqp.Mbps
-
+func runSelfTest(rate bcpqp.Rate, scheme string, queues int, dur time.Duration) error {
 	// Sink: counts received bytes per sending flow (first payload byte
 	// carries the flow id).
 	sink, err := net.ListenPacket("udp", "127.0.0.1:0")
@@ -745,7 +574,9 @@ func runSelfTest(rateMbps float64, scheme string, queues int, dur time.Duration)
 	}
 	defer sink.Close()
 	var got [2]atomic.Int64
+	sinkDone := make(chan struct{})
 	go func() {
+		defer close(sinkDone)
 		buf := make([]byte, 65536)
 		for {
 			n, _, err := sink.ReadFrom(buf)
@@ -758,26 +589,25 @@ func runSelfTest(rateMbps float64, scheme string, queues int, dur time.Duration)
 		}
 	}()
 
-	enf, err := buildEnforcer(scheme, rate, queues)
-	if err != nil {
-		return err
-	}
-	var stop atomic.Bool
-	// Bind the proxy socket once and hand it to the relay still open: the
-	// senders learn the bound address from the same socket the relay reads,
-	// so there is no close-and-rebind window in which another process could
-	// grab the port (or early datagrams could be lost).
-	in, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	listenAddr := in.LocalAddr().String()
-	proxyDone := make(chan error, 1)
+	// The proxy itself, on one core so the two flows contend for one
+	// enforcer: it binds :0 and reports the address it got, so there is no
+	// close-and-rebind window in which early datagrams could be lost.
+	sig := make(chan os.Signal, 1)
+	ready := make(chan string, 1)
+	code := make(chan int, 1)
 	go func() {
-		proxyDone <- relay(in, sink.LocalAddr().String(), enf, &stop)
+		code <- serve(proxyOpts{
+			listen: "127.0.0.1:0", forward: sink.LocalAddr().String(), cores: 1,
+			scheme: scheme, rate: rate, queues: queues,
+			drainTimeout: 5 * time.Second, sig: sig, ready: ready,
+		})
 	}()
-	time.Sleep(50 * time.Millisecond)
+	var listenAddr string
+	select {
+	case listenAddr = <-ready:
+	case c := <-code:
+		return fmt.Errorf("proxy exited %d before serving", c)
+	}
 
 	// Sender 0: greedy, sends as fast as pacing at 2× the full rate.
 	// Sender 1: well-behaved, paced at half the enforced rate.
@@ -803,11 +633,16 @@ func runSelfTest(rateMbps float64, scheme string, queues int, dur time.Duration)
 	go func() { send(1, 2*fullGap); close(done) }() // half the rate (its fair share)
 
 	<-done
-	time.Sleep(200 * time.Millisecond)
-	stop.Store(true)
-	<-proxyDone
+	sig <- syscall.SIGTERM
+	if c := <-code; c != 0 {
+		return fmt.Errorf("proxy drain exited %d", c)
+	}
+	// Everything the proxy relayed is in the sink's socket buffer by now:
+	// the reader counts it and stops at the first idle read.
+	sink.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	<-sinkDone
 
-	fmt.Printf("enforced %.1f Mbps via %s for %v over loopback\n", rateMbps, scheme, dur)
+	fmt.Printf("enforced %.1f Mbps via %s for %v over loopback\n", rate.Mbps(), scheme, dur)
 	for f := 0; f < 2; f++ {
 		mbps := float64(got[f].Load()) * 8 / dur.Seconds() / 1e6
 		role := "greedy (2x rate)"
@@ -817,6 +652,6 @@ func runSelfTest(rateMbps float64, scheme string, queues int, dur time.Duration)
 		fmt.Printf("  flow %d %-18s delivered %.2f Mbps\n", f, role, mbps)
 	}
 	total := float64(got[0].Load()+got[1].Load()) * 8 / dur.Seconds() / 1e6
-	fmt.Printf("  total %.2f Mbps (enforced %.1f)\n", total, rateMbps)
+	fmt.Printf("  total %.2f Mbps (enforced %.1f)\n", total, rate.Mbps())
 	return nil
 }

@@ -43,20 +43,22 @@ type treeNodeJSON struct {
 	BurstBytes  int64   `json:"burst_bytes,omitempty"`
 }
 
-// loadTreeSpec reads a -tree JSON file and builds the policy tree.
-func loadTreeSpec(path string, defaultQueues int) (*bcpqp.PolicyTree, error) {
+// loadTreeSpec reads a -tree JSON file and builds one core's policy tree.
+func loadTreeSpec(path string, defaultQueues, cores int) (*bcpqp.PolicyTree, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return parseTreeSpec(blob, defaultQueues)
+	return parseTreeSpec(blob, defaultQueues, cores)
 }
 
-// parseTreeSpec builds a policy tree from spec-file bytes. The enforcer
-// stages behind each ceiling come from the same bufferless constructor set
-// as the flat -scheme flag; defaultQueues applies when a ceiling omits
-// "queues".
-func parseTreeSpec(blob []byte, defaultQueues int) (*bcpqp.PolicyTree, error) {
+// parseTreeSpec builds one core's policy tree from spec-file bytes: the
+// spec's tree with every rate_mbps, assured_mbps and burst_bytes divided by
+// cores (a burst never below the one MSS a bucket must hold), so the cores'
+// trees together enforce the spec and each keeps its borrowing ratios.
+// Ceiling stages come from the flat -scheme flag's bufferless constructors;
+// defaultQueues applies when a ceiling omits "queues".
+func parseTreeSpec(blob []byte, defaultQueues, cores int) (*bcpqp.PolicyTree, error) {
 	var nodes []treeNodeJSON
 	if err := json.Unmarshal(blob, &nodes); err != nil {
 		return nil, fmt.Errorf("tree spec: %w", err)
@@ -64,6 +66,7 @@ func parseTreeSpec(blob []byte, defaultQueues int) (*bcpqp.PolicyTree, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("tree spec: empty")
 	}
+	share := bcpqp.Mbps / bcpqp.Rate(cores)
 	spec := make([]bcpqp.PolicyTreeNode, len(nodes))
 	for i, n := range nodes {
 		parent := 0
@@ -79,7 +82,7 @@ func parseTreeSpec(blob []byte, defaultQueues int) (*bcpqp.PolicyTree, error) {
 			if queues <= 0 {
 				queues = defaultQueues
 			}
-			enf, err := buildEnforcer(c.Scheme, bcpqp.Rate(c.RateMbps)*bcpqp.Mbps, queues)
+			enf, err := buildEnforcer(c.Scheme, bcpqp.Rate(c.RateMbps)*share, queues)
 			if err != nil {
 				return nil, fmt.Errorf("tree spec node %d (%s): %w", i, n.Name, err)
 			}
@@ -90,12 +93,16 @@ func parseTreeSpec(blob []byte, defaultQueues int) (*bcpqp.PolicyTree, error) {
 			}
 			stage = s
 		}
+		burst := n.BurstBytes
+		if burst > 0 {
+			burst = max(burst/int64(cores), int64(bcpqp.MSS))
+		}
 		spec[i] = bcpqp.PolicyTreeNode{
 			Name:    n.Name,
 			Parent:  parent,
 			Stage:   stage,
-			Assured: bcpqp.Rate(n.AssuredMbps) * bcpqp.Mbps,
-			Burst:   n.BurstBytes,
+			Assured: bcpqp.Rate(n.AssuredMbps) * share,
+			Burst:   burst,
 		}
 	}
 	tree, err := bcpqp.NewPolicyTree(spec)

@@ -1,17 +1,14 @@
 package main
 
 import (
-	"io"
-	"net"
+	"fmt"
 	"net/http"
-	"os"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"testing"
-	"time"
 
 	"bcpqp"
+	"bcpqp/internal/netio"
 )
 
 const demoTreeSpec = `[
@@ -22,7 +19,7 @@ const demoTreeSpec = `[
 ]`
 
 func TestParseTreeSpec(t *testing.T) {
-	tree, err := parseTreeSpec([]byte(demoTreeSpec), 16)
+	tree, err := parseTreeSpec([]byte(demoTreeSpec), 16, 1)
 	if err != nil {
 		t.Fatalf("parseTreeSpec: %v", err)
 	}
@@ -35,6 +32,22 @@ func TestParseTreeSpec(t *testing.T) {
 	if _, eff := tree.AssuredRate(1); eff != 16*bcpqp.Mbps {
 		t.Errorf("gold lend rate = %v, want 16 Mbps", eff)
 	}
+	// One of four cores' trees: the same shape at a quarter of every rate,
+	// and a burst cut no lower than the one MSS a bucket must hold.
+	quarter, err := parseTreeSpec([]byte(`[
+	  {"name": "tenant", "ceiling": {"scheme": "policer", "rate_mbps": 50}},
+	  {"name": "alice", "assured_mbps": 8, "burst_bytes": 40000},
+	  {"name": "bob",   "assured_mbps": 8, "burst_bytes": 2000}
+	]`), 16, 4)
+	if err != nil {
+		t.Fatalf("parseTreeSpec at cores=4: %v", err)
+	}
+	if own, eff := quarter.AssuredRate(1); own != 2*bcpqp.Mbps || eff != 2*bcpqp.Mbps {
+		t.Errorf("alice on one of four cores: assured %v / %v, want 2 Mbps", own, eff)
+	}
+	if _, eff := quarter.AssuredRate(0); eff != 4*bcpqp.Mbps {
+		t.Errorf("tenant lend rate on one of four cores = %v, want 4 Mbps", eff)
+	}
 
 	bad := []struct{ name, spec string }{
 		{"not json", `{`},
@@ -46,109 +59,56 @@ func TestParseTreeSpec(t *testing.T) {
 		{"negative assured", `[{"name": "r", "assured_mbps": -1}]`},
 	}
 	for _, tc := range bad {
-		if _, err := parseTreeSpec([]byte(tc.spec), 16); err == nil {
+		if _, err := parseTreeSpec([]byte(tc.spec), 16, 1); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 }
 
 func TestLoadTreeSpecMissingFile(t *testing.T) {
-	if _, err := loadTreeSpec(t.TempDir()+"/nope.json", 16); err == nil {
+	if _, err := loadTreeSpec(t.TempDir()+"/nope.json", 16, 1); err == nil {
 		t.Fatal("missing spec file accepted")
 	}
 }
 
-// TestServeTreeAggregate runs the engine-hosted proxy over a policy tree:
-// datagrams relay through the tree's leaf-routed datapath, and the admin
-// /metrics/tree endpoint exports per-node counters with path labels.
+// TestServeTreeAggregate runs the proxy over a policy tree, on one core and
+// on two: datagrams relay through the tree's leaf-routed datapath, and the
+// admin /metrics/tree endpoint exports every core's per-node counters with
+// path labels.
 func TestServeTreeAggregate(t *testing.T) {
-	sink, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	var sunk atomic.Int64
-	go func() {
-		buf := make([]byte, 65536)
-		for {
-			n, _, err := sink.ReadFrom(buf)
-			if err != nil {
-				return
+	for _, cores := range []int{1, 2} {
+		t.Run(fmt.Sprintf("cores=%d", cores), func(t *testing.T) {
+			if cores > 1 && !netio.SupportsBatch() {
+				t.Skip("several cores need SO_REUSEPORT")
 			}
-			sunk.Add(int64(n))
-		}
-	}()
+			forward, sunk := startSink(t, nil)
+			p := startServe(t, proxyOpts{
+				forward: forward, cores: cores, treePath: writeSpec(t, demoTreeSpec), admin: adminListener(t),
+			})
+			conn := p.dial(t)
+			payload := make([]byte, 600)
+			for i := 0; i < 50; i++ {
+				if _, err := conn.Write(payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The tree datapath must actually relay: wait for sink bytes.
+			waitFor(t, "traffic at the sink through the tree datapath", func() bool { return sunk.Load() > 0 })
 
-	tree, err := parseTreeSpec([]byte(demoTreeSpec), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { in.Close() })
-	admin, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	adminAddr := admin.Addr().String()
-	sigc := make(chan os.Signal, 1)
-	code := make(chan int, 1)
-	go func() {
-		code <- serve(in, sink.LocalAddr().String(), tree, proxyOpts{
-			drainTimeout: 5 * time.Second,
-			sig:          sigc,
-			admin:        admin,
+			status, text := p.get(t, "/metrics/tree")
+			if status != http.StatusOK {
+				t.Fatalf("/metrics/tree status %d: %s", status, text)
+			}
+			if n := strings.Count(text, "# TYPE bcpqp_tree_nodes gauge"); n != 1 {
+				t.Errorf("/metrics/tree declares bcpqp_tree_nodes %d times, want once:\n%s", n, text)
+			}
+			for i := 0; i < cores; i++ {
+				want := fmt.Sprintf(`aggregate=%q,node="1",path="tenant/gold"`, coreAggregate(i, cores))
+				if !strings.Contains(text, want) {
+					t.Errorf("/metrics/tree missing %s:\n%s", want, text)
+				}
+			}
+			p.stop(t, syscall.SIGTERM)
 		})
-	}()
-
-	conn, err := net.Dial("udp", in.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	payload := make([]byte, 600)
-	for i := 0; i < 50; i++ {
-		if _, err := conn.Write(payload); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// The tree datapath must actually relay: wait for sink bytes.
-	deadline := time.Now().Add(5 * time.Second)
-	for sunk.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if sunk.Load() == 0 {
-		t.Fatal("no traffic reached the sink through the tree datapath")
-	}
-
-	resp, err := http.Get("http://" + adminAddr + "/metrics/tree")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics/tree status %d: %s", resp.StatusCode, body)
-	}
-	text := string(body)
-	if !strings.Contains(text, "bcpqp_tree_nodes") {
-		t.Errorf("/metrics/tree missing bcpqp_tree_nodes:\n%s", text)
-	}
-	if !strings.Contains(text, `path="tenant/gold"`) {
-		t.Errorf("/metrics/tree missing the tenant/gold path label:\n%s", text)
-	}
-
-	sigc <- syscall.SIGTERM
-	select {
-	case c := <-code:
-		if c != 0 {
-			t.Fatalf("tree proxy drain exited %d, want 0", c)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("tree proxy did not exit within 10s of SIGTERM")
 	}
 }

@@ -34,7 +34,6 @@ var registry = map[string]Runner{
 	// Extensions beyond the paper's figures.
 	"ext-aqm":      ExtAQM,
 	"ext-audit":    ExtAudit,
-	"ext-datapath": ExtDatapath,
 	"ext-ecn":      ExtECN,
 	"ext-mem":      ExtMem,
 	"ext-overload": ExtOverload,
@@ -56,7 +55,7 @@ func Lookup(id string) (Runner, error) {
 // IDs lists the canonical set of figure IDs, deduplicated and sorted.
 func IDs() []string {
 	canonical := []string{"1a", "1b", "2", "3", "4", "5", "6a", "6bc", "6d",
-		"7a", "7b", "8", "9", "ext-aqm", "ext-audit", "ext-datapath", "ext-ecn", "ext-mem", "ext-overload"}
+		"7a", "7b", "8", "9", "ext-aqm", "ext-audit", "ext-ecn", "ext-mem", "ext-overload"}
 	sort.Strings(canonical)
 	return canonical
 }
@@ -64,7 +63,7 @@ func IDs() []string {
 // All runs every experiment at the given scale, in figure order.
 func All(scale Scale, seed uint64) ([]*Report, error) {
 	order := []string{"1a", "1b", "2", "3", "4", "5", "6a", "6bc", "6d",
-		"7a", "7b", "8", "9", "ext-aqm", "ext-audit", "ext-datapath", "ext-ecn", "ext-mem", "ext-overload"}
+		"7a", "7b", "8", "9", "ext-aqm", "ext-audit", "ext-ecn", "ext-mem", "ext-overload"}
 	var out []*Report
 	for _, id := range order {
 		r, err := registry[id](scale, seed)

@@ -144,7 +144,7 @@ func (b *mmsgBackend) read(fd uintptr) bool {
 	return true
 }
 
-func (b *mmsgBackend) send(payloads [][]byte) error {
+func (b *mmsgBackend) send(payloads [][]byte) (failed int, first error) {
 	for i := range payloads {
 		p := payloads[i]
 		if len(p) > 0 {
@@ -154,18 +154,29 @@ func (b *mmsgBackend) send(payloads [][]byte) error {
 		}
 		b.txIovs[i].SetLen(len(p))
 	}
-	b.txFrom, b.txTo, b.txErr = 0, len(payloads), nil
+	b.txFrom, b.txTo = 0, len(payloads)
 	// The kernel may take a partial batch; resume from the first unsent
-	// message until the queue drains or a real error surfaces.
+	// message until the queue drains. sendmmsg reports an errno only when
+	// the first message it was handed failed, so that one is skipped —
+	// what the fallback's per-datagram Write does — and the rest resume.
 	for b.txFrom < b.txTo {
+		b.txErr = nil
 		if err := b.rawc.Write(b.writeFn); err != nil {
-			return err
+			// The socket itself is gone: nothing left can be sent.
+			if first == nil {
+				first = err
+			}
+			return failed + b.txTo - b.txFrom, first
 		}
 		if b.txErr != nil {
-			return b.txErr
+			if first == nil {
+				first = b.txErr
+			}
+			failed++
+			b.txFrom++
 		}
 	}
-	return nil
+	return failed, first
 }
 
 // write is the RawConn.Write callback: one sendmmsg for the unsent tail.

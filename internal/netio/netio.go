@@ -44,7 +44,8 @@ type Config struct {
 	Batch int
 	// BufBytes is each receive slot's buffer size (default
 	// DefaultBufBytes). Datagrams longer than this are truncated by the
-	// kernel, as with any undersized recv buffer.
+	// kernel, as with any undersized recv buffer; 65,536 holds any UDP
+	// datagram whole.
 	BufBytes int
 	// ReusePort sets SO_REUSEPORT on a listening socket so multiple
 	// per-core listeners can share one address (Linux batched backend
@@ -84,8 +85,9 @@ type Conn struct {
 	// Transmit queue: payload references only — FlushTx sends them
 	// without copying, so the backing buffers must stay untouched until
 	// it returns.
-	txPay [][]byte
-	txN   int
+	txPay    [][]byte
+	txN      int
+	txFailed int
 }
 
 // backend is the platform I/O strategy behind a Conn.
@@ -94,8 +96,10 @@ type backend interface {
 	// datagram arrives, fills the Conn's lens/src views, and returns the
 	// datagram count.
 	recv() (int, error)
-	// send transmits every payload on the connected socket.
-	send(payloads [][]byte) error
+	// send transmits the payloads on the connected socket. A datagram the
+	// kernel refuses is skipped, not retried, and the rest still go out;
+	// failed is how many were skipped and err the first refusal.
+	send(payloads [][]byte) (failed int, err error)
 	// batched reports whether this is the one-syscall-per-burst backend.
 	batched() bool
 }
@@ -216,16 +220,27 @@ func (c *Conn) QueuedTx() int { return c.txN }
 
 // FlushTx transmits every queued datagram on the connected socket — one
 // sendmmsg per call on the batched backend (more if the kernel takes a
-// partial batch). The queue is emptied even on error: a transmit error on
-// an open-loop datapath sheds, it does not retry into a growing backlog.
+// partial batch or refuses a datagram). The queue is emptied even on error:
+// a transmit error on an open-loop datapath sheds, it does not retry into a
+// growing backlog. A refused datagram (say ECONNREFUSED, from the ICMP
+// answer to an earlier one) costs that datagram only: the rest of the queue
+// is still sent, the first such error is returned, and FailedTx says how
+// many were lost.
 func (c *Conn) FlushTx() error {
 	if c.txN == 0 {
+		c.txFailed = 0
 		return nil
 	}
 	n := c.txN
 	c.txN = 0
-	return c.be.send(c.txPay[:n])
+	var err error
+	c.txFailed, err = c.be.send(c.txPay[:n])
+	return err
 }
+
+// FailedTx reports how many of the datagrams the last FlushTx was given it
+// could not send; queued minus failed left the socket.
+func (c *Conn) FailedTx() int { return c.txFailed }
 
 // simpleBackend is the portable single-datagram fallback: one
 // ReadFromUDPAddrPort or Write syscall per datagram, allocation-free via
@@ -256,12 +271,14 @@ func (b *simpleBackend) recv() (int, error) {
 	return 1, nil
 }
 
-func (b *simpleBackend) send(payloads [][]byte) error {
-	var first error
+func (b *simpleBackend) send(payloads [][]byte) (failed int, first error) {
 	for _, p := range payloads {
-		if _, err := b.c.pc.Write(p); err != nil && first == nil {
-			first = err
+		if _, err := b.c.pc.Write(p); err != nil {
+			failed++
+			if first == nil {
+				first = err
+			}
 		}
 	}
-	return first
+	return failed, first
 }

@@ -2,12 +2,8 @@ package netio
 
 import (
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"bcpqp/internal/units"
-	"bcpqp/internal/workload"
 )
 
 // exchange pushes k datagrams through a loopback pair and asserts payload
@@ -209,63 +205,73 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func TestBlast(t *testing.T) {
-	cfg := Config{Batch: 8, BufBytes: 256}
-	rx, err := Listen("127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer rx.Close()
-
-	src := workload.NewFlood(workload.FloodConfig{
-		Rate: units.MbpsRate(100), Flows: 4, PktSize: 100, Duration: time.Second,
-	})
-	const want = 50
-	pkts, bytes, err := Blast(rx.LocalAddr().String(), src, BlastConfig{
-		Config: cfg, MaxPackets: want,
-	})
-	if err != nil {
-		t.Fatalf("Blast: %v", err)
-	}
-	if pkts != want {
-		t.Fatalf("Blast sent %d packets, want %d", pkts, want)
-	}
-	if bytes != want*100 {
-		t.Fatalf("Blast sent %d bytes, want %d", bytes, want*100)
-	}
-
-	got := 0
-	rx.SetReadDeadline(time.Now().Add(2 * time.Second))
-	for got < want {
-		n, err := rx.RecvBatch()
+// TestFlushTxSkipsRefusedDatagram: a connected UDP socket reports the ICMP
+// port-unreachable an earlier datagram drew as ECONNREFUSED on a later send,
+// and that send's datagram is not transmitted. On both backends the refusal
+// must cost that one datagram and be counted: a flush of eight towards a
+// port that has just come back delivers exactly eight minus FailedTx, and
+// FailedTx is at most the one pending refusal.
+func TestFlushTxSkipsRefusedDatagram(t *testing.T) {
+	for _, force := range []bool{true, false} {
+		if !force && !SupportsBatch() {
+			continue
+		}
+		cfg := Config{Batch: 8, ForceSingle: force}
+		rx, err := Listen("127.0.0.1:0", cfg)
 		if err != nil {
-			t.Fatalf("RecvBatch after %d/%d: %v", got, want, err)
+			t.Fatalf("Listen(force=%v): %v", force, err)
 		}
-		for i := 0; i < n; i++ {
-			if len(rx.Payload(i)) != 100 {
-				t.Fatalf("datagram %d: %d bytes, want 100", got, len(rx.Payload(i)))
-			}
-			got++
+		addr := rx.LocalAddr().String()
+		tx, err := Dial(addr, cfg)
+		if err != nil {
+			t.Fatalf("Dial(force=%v): %v", force, err)
 		}
-	}
-}
+		rx.Close()
 
-func TestBlastStop(t *testing.T) {
-	rx, err := Listen("127.0.0.1:0", Config{})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer rx.Close()
-	var stop atomic.Bool
-	stop.Store(true)
-	src := workload.NewFlood(workload.FloodConfig{
-		Rate: units.MbpsRate(100), Flows: 1, PktSize: 64, Duration: time.Hour,
-	})
-	pkts, _, err := Blast(rx.LocalAddr().String(), src, BlastConfig{Stop: &stop})
-	if err != nil {
-		t.Fatalf("Blast: %v", err)
-	}
-	if pkts != 0 {
-		t.Fatalf("Blast with pre-set stop sent %d packets, want 0", pkts)
+		// Nobody listens: keep flushing bursts until one is refused
+		// mid-way, which must not take the datagrams behind it along.
+		refused := false
+		for deadline := time.Now().Add(5 * time.Second); !refused; {
+			if time.Now().After(deadline) {
+				t.Fatalf("force=%v: no send to a closed port was ever refused", force)
+			}
+			for i := 0; i < 8; i++ {
+				tx.QueueTx([]byte{byte(i)})
+			}
+			err := tx.FlushTx()
+			if failed := tx.FailedTx(); err != nil {
+				if failed == 0 || failed == 8 {
+					t.Fatalf("force=%v: FlushTx = %v with %d of 8 failed, want some but not all", force, err, failed)
+				}
+				refused = true
+			} else if failed != 0 {
+				t.Fatalf("force=%v: FlushTx = nil with %d failed", force, failed)
+			}
+		}
+
+		// The port comes back (the tiny close-and-rebind race is the
+		// standard trade). At most one refusal is still pending.
+		rx, err = Listen(addr, cfg)
+		if err != nil {
+			t.Fatalf("re-Listen(force=%v): %v", force, err)
+		}
+		for i := 0; i < 8; i++ {
+			tx.QueueTx([]byte{0xaa, byte(i)})
+		}
+		tx.FlushTx()
+		failed := tx.FailedTx()
+		if failed > 1 {
+			t.Fatalf("force=%v: %d of 8 failed towards an open port, want at most the one pending refusal", force, failed)
+		}
+		rx.SetReadDeadline(time.Now().Add(2 * time.Second))
+		for got := 0; got < 8-failed; {
+			n, err := rx.RecvBatch()
+			if err != nil {
+				t.Fatalf("force=%v: received %d of the %d datagrams sent: %v", force, got, 8-failed, err)
+			}
+			got += n
+		}
+		rx.Close()
+		tx.Close()
 	}
 }

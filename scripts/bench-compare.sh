@@ -12,8 +12,8 @@
 # falling back to HEAD~1 when that is HEAD itself (e.g. running on main).
 #
 # Environment:
-#   BENCH   benchmark regexp      (default: the middlebox SubmitBatch family, the
-#                                  cluster rebalance tick and the two datapaths;
+#   BENCH   benchmark regexp      (default: the middlebox SubmitBatch family, ring
+#                                  and inline, and the cluster rebalance tick;
 #                                  policy trees are gated by bench/'s tree_deep
 #                                  workload and its ptree.* rows, the audited
 #                                  path by engine_ring and its obs.* rows)
@@ -24,7 +24,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-BENCH="${BENCH:-^(BenchmarkMiddleboxSubmitBatch|BenchmarkMiddleboxSubmitBatchOverloaded|BenchmarkMiddleboxSubmitBatchLocal|BenchmarkMiddleboxSubmitBatchObserved|BenchmarkClusterRebalance|BenchmarkDatapathSingleSocket|BenchmarkDatapathPerCore)\$}"
+BENCH="${BENCH:-^(BenchmarkMiddleboxSubmitBatch|BenchmarkMiddleboxSubmitBatchOverloaded|BenchmarkMiddleboxSubmitBatchLocal|BenchmarkMiddleboxSubmitBatchObserved|BenchmarkClusterRebalance)\$}"
 COUNT="${COUNT:-6}"
 BUDGET="${BUDGET:-10}"
 
@@ -89,15 +89,12 @@ fi
 # The gate: per benchmark present on both sides, the head's mean throughput
 # (pkts/sec for the datapath, shares/sec for the cluster rebalance) must not
 # be more than BUDGET percent below the base's. A benchmark present on only
-# one side (e.g. newly added at head) is skipped, not failed. Lines that
-# report both pkts/sec and pkts/sec/core (the datapath benchmarks) are gated
-# on the per-core figure only — never summed twice.
+# one side (e.g. newly added at head) is skipped, not failed.
 awk -v budget="$BUDGET" '
 	FNR == 1 { side++ }
 	/^Benchmark/ {
 		v = ""
 		for (i = 2; i < NF; i++) {
-			if ($(i + 1) == "pkts/sec/core") { v = $i; break }
 			if ($(i + 1) == "pkts/sec" || $(i + 1) == "shares/sec") v = $i
 		}
 		if (v != "") {
