@@ -7,8 +7,14 @@ all: verify
 build:
 	$(GO) build ./...
 
+# netio is three builds in one directory (linux amd64, linux arm64, the rest)
+# and an amd64 Linux runner only ever compiles the first: every change to
+# mmsg_linux.go's types has to be mirrored in mmsg_other.go and the arm64
+# syscall numbers. Both cross-builds need only the standard library.
 vet:
 	$(GO) vet ./...
+	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/netio
+	GOOS=darwin GOARCH=arm64 $(GO) build ./internal/netio
 
 test:
 	$(GO) test ./...

@@ -19,8 +19,11 @@ type coreStats struct {
 	rxTimeouts atomic.Int64 // receive deadlines that expired idle
 	txFlushes  atomic.Int64 // transmit flushes that sent something
 	txPkts     atomic.Int64 // datagrams they sent
+	txMsgs     atomic.Int64 // kernel messages that carried them (netio.TxStats)
+	// rxTruncated: received longer than a receive slot, so dropped unpoliced.
 	// shed: received, but the core's shard could not be claimed. writeDropped:
 	// accepted, but refused by the forward socket (accepted = txPkts + it).
+	rxTruncated  atomic.Int64
 	shed         atomic.Int64
 	writeDropped atomic.Int64
 	rxWaitNs     atomic.Int64
@@ -42,9 +45,11 @@ const (
 	famRxTimeouts
 	famTxFlushes
 	famTxPkts
+	famTxMsgs
 	famRxWait
 	famEnforce
 	famFlush
+	famRxTruncated
 	famShed
 	famWriteDropped
 	famKernelDrops
@@ -58,9 +63,11 @@ func newCoreFamilies() *coreFamilies {
 		famRxTimeouts:   {Name: "bcpqp_core_recv_timeouts_total", Help: "receive deadlines that expired with nothing to read", Type: "counter"},
 		famTxFlushes:    {Name: "bcpqp_core_tx_flushes_total", Help: "transmit flushes that sent datagrams", Type: "counter"},
 		famTxPkts:       {Name: "bcpqp_core_tx_packets_total", Help: "datagrams transmitted", Type: "counter"},
+		famTxMsgs:       {Name: "bcpqp_core_tx_msgs_total", Help: "kernel messages that carried the transmitted datagrams (fewer than the datagrams where segmentation offload groups them)", Type: "counter"},
 		famRxWait:       {Name: "bcpqp_core_rx_wait_seconds_total", Help: "time spent in the receive call, blocked or reading", Type: "counter"},
 		famEnforce:      {Name: "bcpqp_core_enforce_seconds_total", Help: "time spent enforcing bursts inline", Type: "counter"},
 		famFlush:        {Name: "bcpqp_core_flush_seconds_total", Help: "time spent flushing the transmit queue", Type: "counter"},
+		famRxTruncated:  {Name: "bcpqp_core_rx_truncated_total", Help: "datagrams received longer than a receive slot and dropped without being policed", Type: "counter"},
 		famShed:         {Name: "bcpqp_core_shed_packets_total", Help: "datagrams shed because the core's shard could not be claimed", Type: "counter"},
 		famWriteDropped: {Name: "bcpqp_core_write_dropped_total", Help: "accepted datagrams the forward socket refused (shed, not retried)", Type: "counter"},
 		famKernelDrops:  {Name: "bcpqp_core_kernel_drops_total", Help: "datagrams the kernel dropped at the core's socket before the datapath saw them", Type: "counter"},
@@ -83,9 +90,11 @@ func (b *coreFamilies) add(i int, s *coreStats, kernelDrops int64, haveDrops boo
 	put(famRxTimeouts, float64(s.rxTimeouts.Load()))
 	put(famTxFlushes, float64(s.txFlushes.Load()))
 	put(famTxPkts, float64(s.txPkts.Load()))
+	put(famTxMsgs, float64(s.txMsgs.Load()))
 	put(famRxWait, float64(s.rxWaitNs.Load())/1e9)
 	put(famEnforce, float64(s.enforceNs.Load())/1e9)
 	put(famFlush, float64(s.flushNs.Load())/1e9)
+	put(famRxTruncated, float64(s.rxTruncated.Load()))
 	put(famShed, float64(s.shed.Load()))
 	put(famWriteDropped, float64(s.writeDropped.Load()))
 	if haveDrops {

@@ -15,6 +15,9 @@ func TestCoreFamilies(t *testing.T) {
 	a.enforceNs.Store(2_500_000_000)
 	a.shed.Store(7)
 	a.writeDropped.Store(5)
+	a.txPkts.Store(96)
+	a.txMsgs.Store(3)
+	a.rxTruncated.Store(2)
 	b.rxTimeouts.Store(3)
 
 	fams := newCoreFamilies()
@@ -33,8 +36,8 @@ func TestCoreFamilies(t *testing.T) {
 			got[f.Name][s.Labels[0].Value] = s.Value
 		}
 	}
-	if len(got) != 12 {
-		t.Errorf("%d families, want 12", len(got))
+	if len(got) != 14 {
+		t.Errorf("%d families, want 14", len(got))
 	}
 	for name, want := range map[string]map[string]float64{
 		"bcpqp_core_recv_packets_total":       {"0": 100, "1": 0},
@@ -42,6 +45,9 @@ func TestCoreFamilies(t *testing.T) {
 		"bcpqp_core_enforce_seconds_total":    {"0": 2.5, "1": 0},
 		"bcpqp_core_recv_timeouts_total":      {"0": 0, "1": 3},
 		"bcpqp_core_shed_packets_total":       {"0": 7, "1": 0},
+		"bcpqp_core_tx_packets_total":         {"0": 96, "1": 0},
+		"bcpqp_core_tx_msgs_total":            {"0": 3, "1": 0},
+		"bcpqp_core_rx_truncated_total":       {"0": 2, "1": 0},
 		"bcpqp_core_write_dropped_total":      {"0": 5, "1": 0},
 		"bcpqp_core_kernel_drops_total":       {"0": 9},
 	} {

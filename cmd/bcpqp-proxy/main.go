@@ -431,8 +431,10 @@ func serve(opts proxyOpts) int {
 		}
 	}()
 
-	fmt.Fprintf(os.Stderr, "bcpqp-proxy: %s -> %s (cores=%d, batched=%v)\n",
-		listen, opts.forward, cores, cs[0].rx.Batched())
+	// segment-offload is what the forward sockets start out doing; a route
+	// that turns it down says so in one line from the flush that found out.
+	fmt.Fprintf(os.Stderr, "bcpqp-proxy: %s -> %s (cores=%d, batched=%v, segment-offload=%v)\n",
+		listen, opts.forward, cores, cs[0].rx.Batched(), cs[0].tx.SegmentOffload())
 	if opts.ready != nil {
 		opts.ready <- listen
 	}
@@ -480,9 +482,9 @@ func serve(opts proxyOpts) int {
 		if calls := c.recvCalls.Load(); calls > 0 {
 			pps = float64(c.recvPkts.Load()) / float64(calls)
 		}
-		fmt.Fprintf(os.Stderr, "bcpqp-proxy: core %d: recv %d pkts in %d syscalls (%.1f pkts/syscall), tx %d pkts in %d flushes, kernel-drops %d, busy rx=%v enforce=%v flush=%v\n",
-			i, c.recvPkts.Load(), c.recvCalls.Load(), pps,
-			c.txPkts.Load(), c.txFlushes.Load(), drops,
+		fmt.Fprintf(os.Stderr, "bcpqp-proxy: core %d: recv %d pkts in %d syscalls (%.1f pkts/syscall), truncated %d, tx %d pkts in %d msgs and %d flushes, kernel-drops %d, busy rx=%v enforce=%v flush=%v\n",
+			i, c.recvPkts.Load(), c.recvCalls.Load(), pps, c.rxTruncated.Load(),
+			c.txPkts.Load(), c.txMsgs.Load(), c.txFlushes.Load(), drops,
 			time.Duration(c.rxWaitNs.Load()).Round(time.Millisecond),
 			time.Duration(c.enforceNs.Load()).Round(time.Millisecond),
 			time.Duration(c.flushNs.Load()).Round(time.Millisecond))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -18,7 +19,9 @@ import (
 // ring-bypass LocalSubmitter enforces inline (h's emit hook has queued the
 // accepted payloads on tx, by reference, when SubmitBatch returns), and one
 // sendmmsg flushes them before the buffers are reused: no copy, no handoff,
-// no allocation.
+// no allocation. A datagram that arrived longer than rx's receive slots is
+// neither whole nor of known size: it is counted in st.rxTruncated and goes
+// no further.
 //
 // It returns nil once stop is set (noticed within 100 ms when idle) and an
 // error when the sockets or the engine can no longer serve. A datagram the
@@ -27,6 +30,7 @@ import (
 // stall the bursts behind it.
 func relayLoop(rx, tx *netio.Conn, ls *bcpqp.LocalSubmitter, h bcpqp.AggregateHandle, st *coreStats, stop *atomic.Bool) error {
 	pkts := make([]bcpqp.Packet, rx.Batch())
+	segmenting := tx.SegmentOffload()
 	for !stop.Load() {
 		t0 := time.Now()
 		rx.SetReadDeadline(t0.Add(100 * time.Millisecond))
@@ -40,24 +44,35 @@ func relayLoop(rx, tx *netio.Conn, ls *bcpqp.LocalSubmitter, h bcpqp.AggregateHa
 			}
 			return fmt.Errorf("read: %w", err)
 		}
+		m := 0
 		for j := 0; j < n; j++ {
+			if rx.IsTruncated(j) {
+				continue
+			}
 			ip, port := rx.Src(j)
 			pl := rx.Payload(j)
-			pkts[j] = bcpqp.Packet{
+			pkts[m] = bcpqp.Packet{
 				Key:     bcpqp.FlowKey{SrcIP: ip, SrcPort: port, Proto: 17},
 				Size:    len(pl),
 				Class:   bcpqp.NoClass,
 				Payload: pl,
 			}
+			m++
 		}
 		st.recvCalls.Add(1)
 		st.recvPkts.Add(int64(n))
+		if m < n {
+			st.rxTruncated.Store(rx.Truncated())
+			if m == 0 {
+				continue
+			}
+		}
 
 		t1 := time.Now()
-		err = ls.SubmitBatch(h, pkts[:n])
+		err = ls.SubmitBatch(h, pkts[:m])
 		st.enforceNs.Add(time.Since(t1).Nanoseconds())
 		if errors.Is(err, bcpqp.ErrShardSaturated) {
-			st.shed.Add(int64(n))
+			st.shed.Add(int64(m))
 			continue
 		}
 		if err != nil {
@@ -73,6 +88,12 @@ func relayLoop(rx, tx *netio.Conn, ls *bcpqp.LocalSubmitter, h bcpqp.AggregateHa
 		if sent := queued - failed; sent > 0 {
 			st.txFlushes.Add(1)
 			st.txPkts.Add(int64(sent))
+			st.txMsgs.Store(tx.TxStats().Messages)
+		}
+		if segmenting && !tx.SegmentOffload() {
+			segmenting = false
+			fmt.Fprintf(os.Stderr, "bcpqp-proxy: forward socket %v: no checksum offload on the route, segment-offload=false from here on (no datagram lost)\n",
+				tx.LocalAddr())
 		}
 		if err != nil && !transientNetErr(err) {
 			return fmt.Errorf("write: %w", err)

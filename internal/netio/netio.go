@@ -17,6 +17,11 @@
 // socket model of a run-to-completion datapath (each core owns socket →
 // enforce → emit with no cross-core handoff).
 //
+// On transmit the batched backend also hands the kernel each run of
+// equal-length datagrams as one UDP_SEGMENT message (mmsg_linux.go): one
+// trip down the stack per run instead of one per datagram, the same
+// datagrams at the receiver.
+//
 // A Conn is a single-goroutine object: one worker owns one Conn. Receive
 // results are exposed as views into the Conn's preallocated buffers
 // (Payload/Src), valid until the next RecvBatch.
@@ -24,6 +29,7 @@ package netio
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -44,8 +50,8 @@ type Config struct {
 	Batch int
 	// BufBytes is each receive slot's buffer size (default
 	// DefaultBufBytes). Datagrams longer than this are truncated by the
-	// kernel, as with any undersized recv buffer; 65,536 holds any UDP
-	// datagram whole.
+	// kernel, as with any undersized recv buffer, and flagged (IsTruncated,
+	// Truncated); 65,536 holds any UDP datagram whole.
 	BufBytes int
 	// ReusePort sets SO_REUSEPORT on a listening socket so multiple
 	// per-core listeners can share one address (Linux batched backend
@@ -69,39 +75,60 @@ func (c Config) withDefaults() Config {
 }
 
 // Conn is a batched UDP endpoint. Listening Conns receive (RecvBatch,
-// Payload, Src); connected Conns transmit (QueueTx, FlushTx). One
-// goroutine owns a Conn; distinct Conns are fully independent.
+// Payload, Src); connected Conns transmit (QueueTx, FlushTx), and each
+// holds the state of its own direction only. One goroutine owns a Conn;
+// distinct Conns are fully independent.
 type Conn struct {
 	pc    *net.UDPConn
 	be    backend
 	batch int
 
-	// Receive views, filled by RecvBatch, valid until the next call.
-	bufs  [][]byte
-	lens  []int
-	srcIP []uint32
-	srcPt []uint16
+	// Receive views (Listen only), filled by RecvBatch, valid until the
+	// next call.
+	bufs      [][]byte
+	lens      []int
+	srcIP     []uint32
+	srcPt     []uint16
+	trunc     []bool
+	truncated int64
 
-	// Transmit queue: payload references only — FlushTx sends them
-	// without copying, so the backing buffers must stay untouched until
-	// it returns.
+	// Transmit queue (Dial only): payload references only — FlushTx sends
+	// them without copying, so the backing buffers must stay untouched
+	// until it returns.
 	txPay    [][]byte
 	txN      int
 	txFailed int
+	txStats  TxStats
 }
+
+// TxStats counts what a Conn has transmitted since it was dialed. On the
+// fallback backend the three are equal; on the batched one
+// Datagrams/Messages is the mean run the segmentation offload found and
+// Messages/Calls the mean sendmmsg vector.
+type TxStats struct {
+	Datagrams int64 // datagrams the kernel took
+	Messages  int64 // kernel messages that carried them
+	Calls     int64 // transmit syscalls that took at least one message
+}
+
+var errNotListening = errors.New("netio: RecvBatch on a dialed Conn")
 
 // backend is the platform I/O strategy behind a Conn.
 type backend interface {
 	// recv blocks (respecting the read deadline) until at least one
-	// datagram arrives, fills the Conn's lens/src views, and returns the
-	// datagram count.
+	// datagram arrives, fills the Conn's lens/src/trunc views, and returns
+	// the datagram count.
 	recv() (int, error)
-	// send transmits the payloads on the connected socket. A datagram the
-	// kernel refuses is skipped, not retried, and the rest still go out;
-	// failed is how many were skipped and err the first refusal.
+	// send transmits the payloads on the connected socket and counts them
+	// in the Conn's txStats. A datagram the kernel refuses is skipped, not
+	// retried, and the rest still go out; failed is how many were skipped
+	// and err the first refusal.
 	send(payloads [][]byte) (failed int, err error)
 	// batched reports whether this is the one-syscall-per-burst backend.
 	batched() bool
+	// segmenting reports whether send still groups equal-length runs into
+	// UDP_SEGMENT messages.
+	segmenting() bool
 }
 
 // SupportsBatch reports whether this platform has the batched
@@ -122,7 +149,19 @@ func Listen(addr string, cfg Config) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newConn(pc.(*net.UDPConn), cfg)
+	c := &Conn{
+		pc:    pc.(*net.UDPConn),
+		batch: cfg.Batch,
+		bufs:  make([][]byte, cfg.Batch),
+		lens:  make([]int, cfg.Batch),
+		srcIP: make([]uint32, cfg.Batch),
+		srcPt: make([]uint16, cfg.Batch),
+		trunc: make([]bool, cfg.Batch),
+	}
+	for i := range c.bufs {
+		c.bufs[i] = make([]byte, cfg.BufBytes)
+	}
+	return c.attach(cfg)
 }
 
 // Dial opens a connected (transmitting) Conn to a UDP address.
@@ -136,28 +175,18 @@ func Dial(addr string, cfg Config) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newConn(uc, cfg)
+	c := &Conn{pc: uc, batch: cfg.Batch, txPay: make([][]byte, cfg.Batch)}
+	return c.attach(cfg)
 }
 
-// newConn wires a Conn over an open socket, choosing the batched backend
-// where available (and not overridden).
-func newConn(uc *net.UDPConn, cfg Config) (*Conn, error) {
-	c := &Conn{
-		pc:    uc,
-		batch: cfg.Batch,
-		bufs:  make([][]byte, cfg.Batch),
-		lens:  make([]int, cfg.Batch),
-		srcIP: make([]uint32, cfg.Batch),
-		srcPt: make([]uint16, cfg.Batch),
-		txPay: make([][]byte, cfg.Batch),
-	}
-	for i := range c.bufs {
-		c.bufs[i] = make([]byte, cfg.BufBytes)
-	}
+// attach gives a Conn its backend — the batched one where available (and
+// not overridden) — sized for whichever direction the Conn holds state for.
+// On error the socket is closed.
+func (c *Conn) attach(cfg Config) (*Conn, error) {
 	if supportsBatch && !cfg.ForceSingle {
 		be, err := newBatchBackend(c)
 		if err != nil {
-			uc.Close()
+			c.pc.Close()
 			return nil, err
 		}
 		c.be = be
@@ -188,12 +217,27 @@ func (c *Conn) Close() error { return c.pc.Close() }
 // deadline passes) and returns how many were received — up to Batch in one
 // recvmmsg on the batched backend, exactly one on the fallback. The
 // datagrams are read through Payload and Src; the views stay valid until
-// the next RecvBatch.
-func (c *Conn) RecvBatch() (int, error) { return c.be.recv() }
+// the next RecvBatch. A dialed Conn has no receive state and returns an
+// error.
+func (c *Conn) RecvBatch() (int, error) {
+	if len(c.bufs) == 0 {
+		return 0, errNotListening
+	}
+	return c.be.recv()
+}
 
 // Payload returns the i-th received datagram's bytes, a view into the
 // Conn's receive buffer — valid until the next RecvBatch.
 func (c *Conn) Payload(i int) []byte { return c.bufs[i][:c.lens[i]] }
+
+// IsTruncated reports whether the i-th received datagram was longer than
+// BufBytes: Payload(i) is then only its head, and neither its true size nor
+// its tail is known — a datapath must not police or forward it as if whole.
+func (c *Conn) IsTruncated(i int) bool { return c.trunc[i] }
+
+// Truncated reports how many datagrams this Conn has received truncated
+// since it was opened (cumulative, like KernelDrops).
+func (c *Conn) Truncated() int64 { return c.truncated }
 
 // Src returns the i-th received datagram's source as a big-endian IPv4
 // address (for IPv6 sources, the low 4 address bytes — exact for
@@ -205,7 +249,7 @@ func (c *Conn) Src(i int) (ip uint32, port uint16) { return c.srcIP[i], c.srcPt[
 // returns (the zero-copy contract a run-to-completion loop satisfies
 // naturally: rx buffers are only reused after the burst is enforced,
 // emitted, and flushed). Returns false when the transmit queue is full —
-// flush first.
+// flush first — and always on a listening Conn, which has none.
 func (c *Conn) QueueTx(p []byte) bool {
 	if c.txN >= len(c.txPay) {
 		return false
@@ -242,23 +286,40 @@ func (c *Conn) FlushTx() error {
 // could not send; queued minus failed left the socket.
 func (c *Conn) FailedTx() int { return c.txFailed }
 
+// TxStats returns the Conn's cumulative transmit counts.
+func (c *Conn) TxStats() TxStats { return c.txStats }
+
+// SegmentOffload reports whether FlushTx still hands the kernel runs of
+// equal-length datagrams as single UDP_SEGMENT messages. It starts true on
+// the batched backend and turns false, for good, on the first flush the
+// route refuses one for want of checksum offload; it is always false on
+// the fallback.
+func (c *Conn) SegmentOffload() bool { return c.be.segmenting() }
+
 // simpleBackend is the portable single-datagram fallback: one
-// ReadFromUDPAddrPort or Write syscall per datagram, allocation-free via
+// ReadMsgUDPAddrPort or Write syscall per datagram, allocation-free via
 // netip. It compiles (and is tested) everywhere, so the fallback path is
 // exercised on Linux too, not just on the platforms that need it.
 type simpleBackend struct {
 	c *Conn
 }
 
-func (b *simpleBackend) batched() bool { return false }
+func (b *simpleBackend) batched() bool    { return false }
+func (b *simpleBackend) segmenting() bool { return false }
 
 func (b *simpleBackend) recv() (int, error) {
 	c := b.c
-	n, ap, err := c.pc.ReadFromUDPAddrPort(c.bufs[0])
+	// ReadMsg rather than ReadFrom for its flags: the only way to learn
+	// the kernel cut the datagram to fit.
+	n, _, flags, ap, err := c.pc.ReadMsgUDPAddrPort(c.bufs[0], nil)
 	if err != nil {
 		return 0, err
 	}
 	c.lens[0] = n
+	c.trunc[0] = flags&msgTrunc != 0
+	if c.trunc[0] {
+		c.truncated++
+	}
 	a := ap.Addr().Unmap()
 	if a.Is4() {
 		b4 := a.As4()
@@ -280,5 +341,9 @@ func (b *simpleBackend) send(payloads [][]byte) (failed int, first error) {
 			}
 		}
 	}
+	sent := int64(len(payloads) - failed)
+	b.c.txStats.Datagrams += sent
+	b.c.txStats.Messages += sent
+	b.c.txStats.Calls += sent
 	return failed, first
 }

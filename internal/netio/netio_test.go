@@ -167,7 +167,8 @@ func TestReusePortRefusedOnFallback(t *testing.T) {
 }
 
 // TestSteadyStateAllocs locks in the 0 allocs/op contract on the receive
-// and transmit hot paths, for both backends.
+// and transmit hot paths, for both backends — on the batched one with the
+// flush going out as one segmented message.
 func TestSteadyStateAllocs(t *testing.T) {
 	for _, force := range []bool{true, false} {
 		if !force && !SupportsBatch() {
@@ -184,21 +185,28 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 		p := []byte{1, 2, 3, 4}
 		rx.SetReadDeadline(time.Now().Add(5 * time.Second))
+		const burst = 4
 		cycle := func() {
-			tx.QueueTx(p)
+			for i := 0; i < burst; i++ {
+				tx.QueueTx(p)
+			}
 			if err := tx.FlushTx(); err != nil {
 				t.Fatalf("FlushTx: %v", err)
 			}
-			for {
-				if _, err := rx.RecvBatch(); err != nil {
+			for got := 0; got < burst; {
+				n, err := rx.RecvBatch()
+				if err != nil {
 					t.Fatalf("RecvBatch: %v", err)
 				}
-				return
+				got += n
 			}
 		}
 		cycle() // warm up poller timers and lazy paths
 		if allocs := testing.AllocsPerRun(200, cycle); allocs > 0 {
 			t.Errorf("force=%v: %.2f allocs per rx/tx cycle, want 0", force, allocs)
+		}
+		if st := tx.TxStats(); !force && st.Messages*burst != st.Datagrams {
+			t.Errorf("batched: %d datagrams left in %d messages, want %d to a message", st.Datagrams, st.Messages, burst)
 		}
 		rx.Close()
 		tx.Close()
@@ -270,6 +278,84 @@ func TestFlushTxSkipsRefusedDatagram(t *testing.T) {
 				t.Fatalf("force=%v: received %d of the %d datagrams sent: %v", force, got, 8-failed, err)
 			}
 			got += n
+		}
+		rx.Close()
+		tx.Close()
+	}
+}
+
+// TestTruncationCounted: a datagram longer than BufBytes arrives cut to the
+// buffer, and says so — flagged on its slot and counted on the Conn — while
+// the datagram behind it is whole. Both backends.
+func TestTruncationCounted(t *testing.T) {
+	for _, force := range []bool{true, false} {
+		if !force && !SupportsBatch() {
+			continue
+		}
+		cfg := Config{Batch: 8, ForceSingle: force}
+		rx, err := Listen("127.0.0.1:0", cfg)
+		if err != nil {
+			t.Fatalf("Listen(force=%v): %v", force, err)
+		}
+		tx, err := Dial(rx.LocalAddr().String(), cfg)
+		if err != nil {
+			t.Fatalf("Dial(force=%v): %v", force, err)
+		}
+		tx.QueueTx(make([]byte, 3000))
+		tx.QueueTx([]byte{1, 2, 3})
+		if err := tx.FlushTx(); err != nil {
+			t.Fatalf("force=%v: FlushTx: %v", force, err)
+		}
+		rx.SetReadDeadline(time.Now().Add(2 * time.Second))
+		var lens []int
+		var trunc []bool
+		for len(lens) < 2 {
+			n, err := rx.RecvBatch()
+			if err != nil {
+				t.Fatalf("force=%v: RecvBatch after %d datagrams: %v", force, len(lens), err)
+			}
+			for i := 0; i < n; i++ {
+				lens, trunc = append(lens, len(rx.Payload(i))), append(trunc, rx.IsTruncated(i))
+			}
+		}
+		if lens[0] != DefaultBufBytes || !trunc[0] || lens[1] != 3 || trunc[1] {
+			t.Errorf("force=%v: got lengths %v truncated %v, want [%d 3] [true false]", force, lens, trunc, DefaultBufBytes)
+		}
+		if got := rx.Truncated(); got != 1 {
+			t.Errorf("force=%v: Truncated() = %d, want 1", force, got)
+		}
+		rx.Close()
+		tx.Close()
+	}
+}
+
+// TestConnServesOneDirection: a Conn holds the state of the direction it was
+// opened for, and the other direction's calls say no instead of panicking.
+func TestConnServesOneDirection(t *testing.T) {
+	for _, force := range []bool{true, false} {
+		if !force && !SupportsBatch() {
+			continue
+		}
+		cfg := Config{Batch: 4, ForceSingle: force}
+		rx, err := Listen("127.0.0.1:0", cfg)
+		if err != nil {
+			t.Fatalf("Listen(force=%v): %v", force, err)
+		}
+		tx, err := Dial(rx.LocalAddr().String(), cfg)
+		if err != nil {
+			t.Fatalf("Dial(force=%v): %v", force, err)
+		}
+		if rx.QueueTx([]byte{1}) {
+			t.Errorf("force=%v: QueueTx on a listening Conn = true", force)
+		}
+		if err := rx.FlushTx(); err != nil || rx.QueuedTx() != 0 {
+			t.Errorf("force=%v: FlushTx on a listening Conn = %v with %d queued", force, err, rx.QueuedTx())
+		}
+		if n, err := tx.RecvBatch(); err == nil {
+			t.Errorf("force=%v: RecvBatch on a dialed Conn = %d, nil; want an error", force, n)
+		}
+		if got := tx.Truncated(); got != 0 {
+			t.Errorf("force=%v: Truncated() on a dialed Conn = %d", force, got)
 		}
 		rx.Close()
 		tx.Close()
