@@ -56,9 +56,13 @@ govulncheck:
 # short-flow storms against the load-shed plane) and the conformance-audit
 # suite (exact reconciliation against injected over-admission) repeated
 # under the race detector. Seeded draws make every repetition identical,
-# so -count=3 checks the engine, not the dice.
+# so -count=3 checks the engine, not the dice. The two tests of the
+# who-serves-the-shard rule run twenty times: the window they guard (an item
+# popped off the ring but not yet under the occupancy word) is a few
+# instructions wide, and three repetitions do not find it.
 chaos:
 	$(GO) test -race -count=3 -run 'Chaos|Fault|Control|Overload|Storm|Flood|Flash|Audit' ./internal/mbox/ ./internal/faultinject/ ./internal/cluster/ ./internal/workload/
+	$(GO) test -race -count=20 -run 'TestClaimKeepsSubmissionOrder|TestClaimedEqualsQueued' ./internal/mbox/
 
 # Ten-second smoke run of every fuzz target (seed corpus + a short burst of
 # generated inputs); full fuzzing sessions run the targets individually.

@@ -3,6 +3,7 @@ package bcpqp
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -253,6 +254,95 @@ func runBatchBench(b *testing.B, eng *Middlebox, handles []AggregateHandle) {
 	b.StopTimer()
 	pps := float64(b.N) / b.Elapsed().Seconds()
 	b.ReportMetric(pps, "pkts/sec")
+}
+
+// BenchmarkMiddleboxSubmitBatchContended is the burst ingress path with two
+// producers on ONE shard, the shape in which SubmitBatch cannot always find
+// its shard idle: a burst that meets the other producer's, or anything still
+// pending behind it, is copied and queued for the shard goroutine.
+//
+//   - loop=closed: each producer waits at a Flush barrier every 256 bursts, as
+//     bench/'s engine_ring producer does, so the 16 Ki ring never fills and
+//     every packet is enforced (a shed fails the benchmark). Who serves a
+//     burst is whatever the collisions make it.
+//   - loop=open: no barrier but the last. Producers enqueue faster than one
+//     goroutine serves, so after the first collision something is always
+//     pending and every burst queues, or is shed at a full ring: the queued
+//     path under two-producer pressure, and nothing else.
+//
+// pkts/sec counts enforced packets only, drain included; caller-share is the
+// fraction of enforced bursts their own submitter served, shed-share the
+// fraction of offered packets shed.
+func BenchmarkMiddleboxSubmitBatchContended(b *testing.B) {
+	for _, closed := range []bool{true, false} {
+		name := "loop=open"
+		if closed {
+			name = "loop=closed"
+		}
+		b.Run(name, func(b *testing.B) { benchContended(b, closed) })
+	}
+}
+
+func benchContended(b *testing.B, closed bool) {
+	const producers, aggs, window = 2, 16, 256
+	var ticks atomic.Int64
+	eng := NewMiddlebox(MiddleboxConfig{
+		Shards:     1,
+		QueueDepth: 1 << 14,
+		Clock: func() time.Duration {
+			return time.Duration(ticks.Add(1)) * 10 * time.Microsecond
+		},
+	})
+	defer eng.Close()
+	ids := make([]string, aggs)
+	handles := make([]AggregateHandle, aggs)
+	for i := range handles {
+		enf, err := NewBCPQP(BCPQPConfig{Rate: 20 * Mbps, Queues: 16})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids[i] = fmt.Sprintf("agg-%d", i)
+		if handles[i], err = eng.Add(ids[i], enf, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	barrier := func(id string) {
+		if err := eng.Flush(id, func(Enforcer) {}); err != nil {
+			b.Error(err)
+		}
+	}
+	bursts := (b.N + DefaultBurst - 1) / DefaultBurst
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			var burst [DefaultBurst]Packet
+			for i := range burst {
+				burst[i] = Packet{Key: FlowKey{SrcIP: 1, Proto: 6}, Size: MSS, Class: i & 15}
+			}
+			// Each producer owns half of the aggregates and of the bursts.
+			for i := p; i < bursts; i += producers {
+				eng.SubmitBatch(handles[i%aggs], burst[:])
+				if closed && i/producers%window == window-1 {
+					barrier(ids[i%aggs])
+				}
+			}
+			barrier(ids[p])
+		}(p)
+	}
+	wg.Wait()
+	b.StopTimer()
+	sh := eng.Health().Shards[0]
+	if closed && sh.Shed != 0 {
+		b.Fatalf("%d packets shed: the ring must hold a window from each producer", sh.Shed)
+	}
+	offered := int64(bursts) * DefaultBurst
+	b.ReportMetric(float64(offered-sh.Shed)/b.Elapsed().Seconds(), "pkts/sec")
+	b.ReportMetric(float64(sh.Shed)/float64(offered), "shed-share")
+	b.ReportMetric(float64(sh.Claimed)/float64(sh.Claimed+sh.Queued), "caller-share")
 }
 
 // BenchmarkMiddleboxSubmitBatchLocal measures the ring-bypass fast path in
@@ -518,12 +608,20 @@ func BenchmarkMiddleboxSubmitBatchOverloaded(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Wedge the shard: the first burst blocks in emit, the rest pack the
-	// ring to full occupancy.
+	// ring to full occupancy. The emit blocks whoever serves the burst, and
+	// on an idle shard that is the submitter: wedge from a helper goroutine.
 	trip := [1]Packet{{Key: FlowKey{SrcIP: 1, Proto: 6}, Size: MSS}}
-	for i := 0; i < 80; i++ {
+	go func(first [1]Packet) { eng.SubmitBatch(plug, first[:]) }(trip)
+	deadline := time.Now().Add(5 * time.Second)
+	for !eng.Health().Shards[0].Busy {
+		if time.Now().After(deadline) {
+			b.Fatal("the blocked emit never held the shard")
+		}
+		runtime.Gosched()
+	}
+	for i := 1; i < 80; i++ {
 		eng.SubmitBatch(plug, trip[:])
 	}
-	deadline := time.Now().Add(5 * time.Second)
 	for !eng.Health().Overload.Active {
 		if time.Now().After(deadline) {
 			b.Fatal("overload plane never activated")

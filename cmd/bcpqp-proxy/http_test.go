@@ -156,8 +156,11 @@ func TestHealthzOverloadDegradedBut200(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pack the shard ring behind the blocked emit until pressure trips the
-	// plane.
+	// plane. The emit blocks whoever serves the burst, and on an idle shard
+	// that is the submitter: wedge from a helper goroutine.
 	pkt := [1]bcpqp.Packet{{Key: bcpqp.FlowKey{SrcIP: 1, Proto: 17}, Size: bcpqp.MSS}}
+	go func(first [1]bcpqp.Packet) { mb.SubmitBatch(h, first[:]) }(pkt)
+	waitFor(t, "the blocked emit to hold the shard", func() bool { return mb.Health().Shards[0].Busy })
 	for i := 0; i < 16; i++ {
 		mb.SubmitBatch(h, pkt[:])
 	}

@@ -14,7 +14,7 @@ import (
 // Conformance auditing: an armed aggregate carries live obs.Audit
 // envelopes — one for the whole aggregate and optionally one per tree
 // node — and every enforced run's accepted bytes are checked against the
-// piecewise Theorem-1 bound (accepted ≤ r·Δt + B) on the shard goroutine,
+// piecewise Theorem-1 bound (accepted ≤ r·Δt + B) by whoever holds the shard,
 // immediately after the verdict tally. The auditor is a watchdog on the
 // enforcers themselves: it shares no admission state with them, so a
 // corrupted or buggy enforcer that over-admits is caught by independent
@@ -37,7 +37,7 @@ type aggAudit struct {
 	wholeOn bool
 	// vioTick coalesces KindViolation trace events at the burst-sampling
 	// cadence under a sustained breach (the first always records). Only
-	// touched on the owning shard goroutine.
+	// touched under the owning shard's occupancy word.
 	vioTick int32
 	// nodes is the armed per-node set, nil when only whole is armed.
 	nodes atomic.Pointer[nodeAudits]
@@ -83,7 +83,7 @@ func (na *nodeAudits) audit(node enforcer.NodeID) *obs.Audit {
 // node, replacing node's previous audit if it had one; the other envelopes
 // carry over untouched. Chains are rebuilt by walking each armed node to
 // the root: O(armed × depth), whatever the size of the tree. Runs at arm
-// time on the shard goroutine.
+// time under the shard's occupancy word.
 func (na *nodeAudits) with(tree enforcer.TreeEnforcer, node enforcer.NodeID, a *obs.Audit) *nodeAudits {
 	out := &nodeAudits{root: rootOf(tree)}
 	var own []*obs.Audit
@@ -216,7 +216,7 @@ func (e *Engine) DisarmAudit(id string) error {
 
 // auditRun checks one enforced run against every armed envelope on its
 // ingress path: the armed nodes from the ingress rootward, then the whole
-// aggregate. Runs on the shard goroutine right after the verdict tally;
+// aggregate. Runs under the shard's occupancy word right after the verdict tally;
 // whole-only is integer arithmetic on the record already in hand, armed
 // nodes add a walk to the nearest armed ancestor — no allocation, no locks.
 // A breach records a KindViolation trace event (coalesced at the sampling

@@ -529,9 +529,7 @@ func TestChaosCloseDeadlineForceAbandonsWedgedShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wedge the shard on the first packet, then fill the ring behind it.
-	if err := e.SubmitBatch(h, burstOf(1, 0)); err != nil {
-		t.Fatal(err)
-	}
+	wedgeShard(t, e, 0, func() { e.SubmitBatch(h, burstOf(1, 0)) })
 	<-started
 	for i := 0; i < 4; i++ {
 		if err := e.SubmitBatch(h, burstOf(2, i)); err != nil {
@@ -594,9 +592,7 @@ func TestChaosWatchdogClassifiesWedgedShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SubmitBatch(h, burstOf(1, 0)); err != nil {
-		t.Fatal(err)
-	}
+	wedgeShard(t, e, 0, func() { e.SubmitBatch(h, burstOf(1, 0)) })
 
 	waitState := func(want ShardState) bool {
 		deadline := time.After(5 * time.Second)
@@ -654,9 +650,11 @@ func TestControlEscalationDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wedge the consumer on packet 1, fill the one-slot ring with packet 2.
+	release := holdShard(t, e, "x")
 	if err := e.SubmitBatch(h, burstOf(1, 0)); err != nil {
 		t.Fatal(err)
 	}
+	release()
 	<-started
 	if err := e.SubmitBatch(h, burstOf(1, 1)); err != nil {
 		t.Fatal(err)
@@ -765,9 +763,11 @@ func TestOverloadedAccountingExact(t *testing.T) {
 	// Packet 1 wedges the consumer; once it is in the emit hook the shard
 	// dequeues nothing more, so of the remaining 49 exactly QueueDepth=2
 	// are queued and 47 shed — deterministically.
+	release := holdShard(t, e, "x")
 	if err := e.SubmitBatch(h, burstOf(1, 0)); err != nil {
 		t.Fatal(err)
 	}
+	release()
 	<-started
 	for i := 1; i < submitted; i++ {
 		if err := e.SubmitBatch(h, burstOf(1, i)); err != nil {

@@ -749,12 +749,15 @@ func TestChurnRaceNoVerdictBleed(t *testing.T) {
 					buf[j] = pkt(g*8 + j)
 					buf[j].Seq = in.inc
 				}
-				err := e.SubmitBatch(in.h, buf)
-				switch {
-				case err == nil:
-					in.ok.Add(int64(len(buf)))
-				case errors.Is(err, ErrStale):
-					staleSeen.Add(1)
+				// Counted before the submit and taken back if it fails: the
+				// controller's Remove can read the enforcer between the burst
+				// being served and SubmitBatch returning.
+				in.ok.Add(int64(len(buf)))
+				if err := e.SubmitBatch(in.h, buf); err != nil {
+					in.ok.Add(-int64(len(buf)))
+					if errors.Is(err, ErrStale) {
+						staleSeen.Add(1)
+					}
 				}
 			}
 		}(g)

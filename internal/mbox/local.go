@@ -3,6 +3,7 @@ package mbox
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -10,34 +11,40 @@ import (
 	"bcpqp/internal/packet"
 )
 
-// Ring-bypass fast path: per-core run-to-completion submission.
+// The occupancy word, and who runs a unit of shard work.
 //
-// The shard ring decouples producers from enforcement at the cost of one
-// channel operation and one cross-core handoff per burst. A run-to-completion
-// datapath (the DPDK deployment model the paper benchmarks against) has no
-// one to hand off to: the goroutine that read the burst off the wire owns the
-// shard and should enforce in place. LocalSubmitter is that path — the caller
-// claims the target shard's occupancy word and runs the engine's existing
-// enforcement body (panic barrier, quarantine/degrade, observability tallies,
-// overload shed gate) inline on its own goroutine, with no channel send.
+// Safety comes from a single CAS-guarded occupancy word per shard: whoever
+// holds it has exclusive use of the shard's enforcement state (enforcers,
+// verdict scratch, trace sampling state), and the CAS/Store pair carries the
+// happens-before edge, so bursts, control operations, watchdog reads and
+// Close interleave race-free whichever goroutine runs them. Three kinds of
+// holder take it, all through claim:
 //
-// Safety comes from a single CAS-guarded occupancy word per shard: the shard
-// goroutine acquires it around every ring item (data bursts AND in-band
-// control operations), and a LocalSubmitter acquires it around every inline
-// run. Whoever holds the word has exclusive use of the shard's enforcement
-// state (enforcers, verdict scratch, trace sampling state), and the
-// CAS/Store pair carries the happens-before edge, so ring items, control
-// operations, watchdog reads, Close, and inline runs interleave race-free.
+//   - Engine.SubmitBatch, SubmitLeafBatch and every control call (claimIdle):
+//     whoever finds the shard idle serves it. When the word is free AND no
+//     earlier item is still pending, the caller runs the serve / runControl
+//     body itself, on its own packets — no pooled burst, no copy, no channel,
+//     no wake-up. Otherwise the unit is queued exactly as before and the
+//     shard goroutine, the drainer of whatever was queued under contention,
+//     serves it in order.
+//   - The shard goroutine (acquire), around every item it pops.
+//   - LocalSubmitter (tryAcquire): a run-to-completion datapath (the DPDK
+//     deployment model the paper benchmarks against) that owns its shard
+//     never queues: it waits up to ControlTimeout for the word and enforces
+//     in place, or sheds.
 //
-// Ordering: an inline submission is synchronous — when SubmitBatch returns,
+// Ordering: a unit run by its caller is synchronous — when the call returns,
 // the burst has been enforced and emitted — so it is strictly ordered with
-// everything the same goroutine does before and after (in particular, a
-// control operation issued after an inline submit observes it). Between an
-// inline submitter and bursts already queued on the shard ring there is no
+// everything the same goroutine does before and after. claimIdle keeps the
+// ring's order too: shard.pending counts the items sent and not yet
+// completed, so a producer whose earlier burst is still queued (or popped but
+// not yet served) queues behind it instead of overtaking it. Between a
+// LocalSubmitter and bursts already queued on the shard ring there is no
 // ordering: feed one aggregate through one ingress mode at a time (the
 // per-core proxy pins one aggregate per core and never mixes).
 
-// occupancy word states. occFree must be zero (the shard's zero value).
+// occupancy word states. occFree must be zero (the shard's zero value);
+// occLocal is any holder other than the shard goroutine.
 const (
 	occFree  int32 = 0
 	occShard int32 = 1
@@ -49,39 +56,63 @@ const (
 // AddPinned. Test with errors.Is.
 var ErrWrongShard = errors.New("aggregate not owned by this submitter's shard")
 
-// acquire claims the shard's occupancy word for who, spinning until it is
-// free. Holders are short-lived (one burst or one control item), so the spin
-// yields rather than parks.
-func (s *shard) acquire(who int32) {
-	for !s.occ.CompareAndSwap(occFree, who) {
-		runtime.Gosched()
-	}
+// claim takes the shard's occupancy word for who if it is free right now.
+func (s *shard) claim(who int32) bool {
+	return s.occ.CompareAndSwap(occFree, who)
 }
 
-// tryAcquire is acquire with a deadline: false means the word could not be
+// claimIdle claims the word for the calling goroutine when the shard is idle:
+// the word is free and nothing is pending. The pending count, not the ring's
+// length, is what keeps one producer's bursts in order: run pops an item
+// before process acquires the word, so in between the ring is empty and the
+// word free while the item has yet to be served.
+func (s *shard) claimIdle() bool {
+	return s.pending.Load() == 0 && s.claim(occLocal)
+}
+
+// acquire claims the shard's occupancy word for who, however long that takes.
+func (s *shard) acquire(who int32) {
+	s.tryAcquire(who, math.MaxInt64)
+}
+
+// claimSpins is how many yields a waiter spends on the word before it reads
+// the clock and, from the second round on, sleeps; claimNapMax caps the sleep.
+const (
+	claimSpins  = 64
+	claimNapMax = time.Millisecond
+)
+
+// tryAcquire waits for the word with a deadline: false means it could not be
 // claimed within timeout (a wedged or abandoned holder), so the caller can
-// degrade instead of spinning forever.
+// degrade instead of waiting forever. The common contention — one burst or
+// control item in flight — resolves in well under a microsecond, so the wait
+// starts as a yielding spin. A holder that outlasts a round of spins is in
+// user code (an emit hook doing I/O, or wedged): from then on the waiter
+// sleeps between rounds, 1 µs doubling to 1 ms, so a shard goroutine behind a
+// slow submitter costs a wake-up per millisecond, not a core.
 func (s *shard) tryAcquire(who int32, timeout time.Duration) bool {
-	if s.occ.CompareAndSwap(occFree, who) {
+	if s.claim(who) {
 		return true
 	}
 	var start time.Time
-	for spins := 0; ; spins++ {
-		runtime.Gosched()
-		if s.occ.CompareAndSwap(occFree, who) {
-			return true
-		}
-		// Read the clock every 64 spins, not every miss: the common
-		// contention (a burst in flight on the shard goroutine) resolves
-		// in well under a microsecond.
-		if spins&63 == 0 {
-			now := time.Now()
-			if start.IsZero() {
-				start = now
-			} else if now.Sub(start) > timeout {
-				return false
+	var nap time.Duration
+	for {
+		for i := 0; i < claimSpins; i++ {
+			runtime.Gosched()
+			if s.claim(who) {
+				return true
 			}
 		}
+		now := time.Now()
+		if start.IsZero() {
+			start = now
+		}
+		left := timeout - now.Sub(start)
+		if left <= 0 {
+			return false
+		}
+		time.Sleep(min(nap, left))
+		nap = min(max(2*nap, time.Microsecond), claimNapMax)
 	}
 }
 
@@ -143,11 +174,11 @@ func (l *LocalSubmitter) SubmitBatch(h Handle, pkts []packet.Packet) error {
 		n := int64(len(pkts))
 		e.Overloaded.Add(n)
 		s.shed.Add(n)
-		e.InlineFallbacks.Add(1)
+		s.inlineFallbacks.Add(1)
 		return fmt.Errorf("mbox: aggregate %q: %w", agg.id, ErrSaturated)
 	}
 	defer s.release()
 	e.serve(s, agg, enforcer.NoNode, pkts)
-	e.InlineBursts.Add(1)
+	s.inlineBursts.Add(1)
 	return nil
 }

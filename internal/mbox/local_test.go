@@ -104,11 +104,8 @@ func TestLocalSubmitEquivalentToRing(t *testing.T) {
 		t.Fatal("ring path emitted nothing — workload too small to compare")
 	}
 	if !reflect.DeepEqual(ringRecs, localRecs) {
-		i := 0
-		for i < len(ringRecs) && i < len(localRecs) && ringRecs[i] == localRecs[i] {
-			i++
-		}
-		t.Fatalf("emitted sequences diverge at index %d (ring %d recs, local %d recs)", i, len(ringRecs), len(localRecs))
+		t.Fatalf("emitted sequences diverge at index %d (ring %d recs, local %d recs)",
+			divergeAt(ringRecs, localRecs), len(ringRecs), len(localRecs))
 	}
 }
 
@@ -153,7 +150,7 @@ func TestLocalSubmitStaleHandle(t *testing.T) {
 	}
 }
 
-// TestLocalSubmitSaturatedOnWedgedShard wedges the shard goroutine inside an
+// TestLocalSubmitSaturatedOnWedgedShard wedges a SubmitBatch caller inside an
 // emit hook (so it holds the occupancy word) and asserts an inline submitter
 // degrades: ErrSaturated within ControlTimeout, packets counted as shed.
 func TestLocalSubmitSaturatedOnWedgedShard(t *testing.T) {
@@ -177,10 +174,8 @@ func TestLocalSubmitSaturatedOnWedgedShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SubmitBatch(hw, []packet.Packet{pkt(0)}); err != nil {
-		t.Fatal(err)
-	}
-	<-wedged // shard goroutine now holds the occupancy word
+	wedgeShard(t, e, 0, func() { e.SubmitBatch(hw, []packet.Packet{pkt(0)}) })
+	<-wedged // the helper goroutine now holds the occupancy word
 
 	burst := burstOf(8, 1)
 	if err := ls.SubmitBatch(hl, burst); !errors.Is(err, ErrSaturated) {

@@ -9,18 +9,20 @@
 // array — no mutex, no map lookup, no hashing, no allocation per packet.
 //
 // Aggregates are hashed across shards; each shard owns its aggregates
-// exclusively and processes bursts on a single goroutine, so enforcers
-// never need locks on the datapath (the same shared-nothing sharding a
-// DPDK middlebox gets from RSS queues). SubmitBatch hands a whole burst to
-// the shard in one ring operation; each shard ring slot carries a burst.
+// exclusively and serves one unit of work at a time, so enforcers never
+// need locks on the datapath (the same shared-nothing sharding a DPDK
+// middlebox gets from RSS queues). Whoever finds a shard idle serves it:
+// SubmitBatch on an idle shard enforces the burst on the caller's goroutine,
+// run to completion; when the shard is busy or has work queued, the burst is
+// copied into one ring slot and the shard's goroutine serves it in order.
 // When a shard falls behind, excess bursts are shed and counted as overload
 // — a middlebox must shed load, not buffer unboundedly.
 //
-// Control operations (stats/flush/live reconfiguration/snapshots) are
-// serialized through the same shard goroutines, so they are safe during
-// full-rate traffic; under saturation they fail over to a dedicated control
-// lane so a wedged shard ring cannot stall the control plane behind data
-// traffic. Update applies rate-plan and policy changes in-band and in
+// Control operations (stats/flush/live reconfiguration/snapshots) follow the
+// same rule and are serialized with the shard's bursts, so they are safe
+// during full-rate traffic; under saturation they fail over to a dedicated
+// control lane so a wedged shard ring cannot stall the control plane behind
+// data traffic. Update applies rate-plan and policy changes in-band and in
 // place — admission state (phantom occupancy, burst-control windows, token
 // levels) survives the change, preserving the Theorem 1 bound piecewise
 // across it.
@@ -58,10 +60,15 @@ import (
 	"bcpqp/internal/units"
 )
 
-// Emit is called by a shard for every transmitted packet. CE-marked
-// transmissions (AQM marking) arrive with pkt.CE set. Emit runs on the
-// shard goroutine: it must not block and must not call back into the
-// Engine (doing so can deadlock against a concurrent Close).
+// Emit is called for every transmitted packet. CE-marked transmissions (AQM
+// marking) arrive with pkt.CE set. Emit runs on whichever goroutine holds the
+// shard — the submitter's own on an idle shard, the shard goroutine
+// otherwise: it must not block, and must not make a control call into the
+// Engine (the call would wait on the holder that issued it). A SubmitBatch
+// to the same shard from inside Emit queues behind the burst being emitted.
+// While Emit runs nobody else can serve the shard: what queues behind it
+// waits, and the goroutine waiting to serve it polls for the word, after the
+// first few microseconds at most once a millisecond (tryAcquire).
 type Emit func(pkt packet.Packet)
 
 // Handle identifies a registered aggregate on the datapath. Handles are
@@ -217,9 +224,9 @@ type Config struct {
 	WedgeTimeout time.Duration
 	// OnFault, when non-nil, is called once per recovered panic with the
 	// aggregate id (empty when unattributable), the recovered value, and
-	// the stack of the panicking goroutine. It runs on the shard
-	// goroutine: it must be fast, must not block, and must not call back
-	// into the Engine.
+	// the stack of the panicking goroutine. It runs on the goroutine that
+	// holds the shard (see Emit): it must be fast, must not block, and must
+	// not call back into the Engine.
 	OnFault func(id string, recovered any, stack []byte)
 
 	// MaxAggregates caps the number of registered aggregates; Add reports
@@ -299,11 +306,11 @@ type Engine struct {
 	// InlineBursts counts bursts enforced through the ring-bypass fast
 	// path (LocalSubmitter.SubmitBatch) — run to completion on the
 	// submitting goroutine, no shard-ring hop.
-	InlineBursts atomic.Int64
+	InlineBursts shardSum
 	// InlineFallbacks counts ring-bypass submissions that could not claim
 	// their shard's occupancy word within ControlTimeout (a wedged
 	// holder); their packets are counted in Overloaded.
-	InlineFallbacks atomic.Int64
+	InlineFallbacks shardSum
 
 	// table is the slot array the datapath reads lock-free. Writers
 	// (Add/Remove/Close) serialize on mu; they store into slots in place
@@ -350,6 +357,23 @@ type Engine struct {
 	stop        chan struct{} // closed by Close: stops the wall ticker, watchdog and sweeper
 	dead        chan struct{} // closed once Close finished (shards exited or abandoned)
 	closeReport CloseReport   // stored by the first Close, returned by later ones
+}
+
+// shardSum is an engine-wide counter kept as one word per shard, so the cores
+// of a per-core datapath, each driving its own shard, never write one cache
+// line; Load sums the words.
+type shardSum struct {
+	shards []*shard
+	word   func(*shard) *atomic.Int64
+}
+
+// Load returns the counter's engine-wide value.
+func (c *shardSum) Load() int64 {
+	var n int64
+	for _, s := range c.shards {
+		n += c.word(s).Load()
+	}
+	return n
 }
 
 // wallClock reads the wall clock in Unix nanoseconds. Engines call it through
@@ -456,28 +480,40 @@ type burst struct {
 type item struct {
 	b *burst
 
-	// Control messages. agg attributes a control panic to its aggregate.
-	control func()
+	// Control messages: control runs on agg's enforcer, and agg attributes
+	// a control panic to its aggregate. done is nil when the caller runs
+	// the item itself.
+	control func(enforcer.Enforcer)
 	done    chan struct{}
 	agg     *aggregate
 	stop    bool
 }
 
-// shard is one single-goroutine execution domain.
+// shard is one execution domain: one holder of its occupancy word at a time.
+// Its fields are grouped by who writes them, one 64-byte line per group (the
+// struct is 256 bytes, a size class whose objects start on a line): what
+// nobody writes after New; what the holder of the word writes; the pending
+// count, which both sides write; and what submitters write behind a busy
+// shard. A producer that queues or sheds there takes no line the holder is
+// writing, and one that sheds does not take the count's either.
 type shard struct {
-	idx  int
-	in   chan item // ordered data ring (bursts + in-band control)
-	ctrl chan item // priority control lane used when in is saturated
+	idx      int
+	in       chan item          // ordered data ring (bursts + in-band control)
+	ctrl     chan item          // priority control lane used when in is saturated
+	verdicts []enforcer.Verdict // enforcement-side scratch, owned by the occupancy holder
+	// obs is the shard's observability block (nil without an Observer):
+	// its flight-recorder ring, burst-latency histogram and trace
+	// sampling state.
+	obs  *obs.ShardObs
+	done chan struct{} // closed when the shard goroutine exits
 
 	// occ is the shard occupancy word (occFree/occShard/occLocal): the
-	// shard goroutine CASes it around every ring item and ring-bypass
-	// submitters CAS it around every inline run, so exactly one goroutine
-	// at a time uses the shard's enforcement state (enforcers, verdicts
-	// scratch, trace sampling). See local.go.
-	occ atomic.Int32
-
-	verdicts []enforcer.Verdict // enforcement-side scratch, owned by the occupancy holder
-
+	// shard goroutine CASes it around every ring item and submitters CAS
+	// it around every run of their own, so exactly one goroutine at a time
+	// uses the shard's enforcement state (enforcers, verdicts scratch,
+	// trace sampling). See local.go.
+	occ   atomic.Int32
+	state atomic.Int32 // ShardState, maintained by the watchdog
 	// Health plane. heartbeat is stamped (wall nanos, see burstWall) around
 	// every ring item and inline burst; that one is in flight — how the
 	// watchdog tells a shard wedged mid-item (ring may be empty) from an
@@ -485,13 +521,23 @@ type shard struct {
 	heartbeat atomic.Int64
 	processed atomic.Int64 // items completed
 	panics    atomic.Int64 // panics recovered on this shard
-	shed      atomic.Int64 // packets shed at this shard's ring
-	state     atomic.Int32 // ShardState, maintained by the watchdog
+	// Who served what, written under the word: ring-API bursts run by their
+	// submitter (claimed) or handed to the shard goroutine (queued), and
+	// LocalSubmitter's bursts (Engine.InlineBursts sums them).
+	claimed      atomic.Int64
+	queued       atomic.Int64
+	inlineBursts atomic.Int64
+	_            [8]byte
 
-	// obs is the shard's observability block (nil without an Observer):
-	// its flight-recorder ring, burst-latency histogram and trace
-	// sampling state.
-	obs *obs.ShardObs
+	// pending counts the items offered to in or ctrl and not yet completed:
+	// raised before the channel send, lowered under the word once the item
+	// has run (or by whoever sheds, times out or drains it). Submitters
+	// serve their own work only at zero (claimIdle).
+	pending atomic.Int32
+	_       [60]byte
+
+	shed            atomic.Int64 // packets shed at this shard's ring
+	inlineFallbacks atomic.Int64 // LocalSubmitter bursts refused (Engine.InlineFallbacks sums them)
 	// shedTick/shedAccum coalesce KindShed trace events: under sustained
 	// overload every enqueue sheds, and recording each one would hammer
 	// the collector's global sequence from every producer. The first shed
@@ -502,8 +548,7 @@ type shard struct {
 	mu        sync.Mutex
 	shedTick  int
 	shedAccum int64
-
-	done chan struct{} // closed when the shard goroutine exits
+	_         [24]byte
 }
 
 // New starts an Engine.
@@ -579,6 +624,8 @@ func New(cfg Config) *Engine {
 		e.shards = append(e.shards, s)
 		go e.run(s)
 	}
+	e.InlineBursts = shardSum{e.shards, func(s *shard) *atomic.Int64 { return &s.inlineBursts }}
+	e.InlineFallbacks = shardSum{e.shards, func(s *shard) *atomic.Int64 { return &s.inlineFallbacks }}
 	go e.wallTicker()
 	go e.watchdog()
 	if cfg.IdleTTL > 0 {
@@ -587,9 +634,10 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// run is a shard's event loop. The control lane is drained with equal
-// priority; it only carries traffic when the data ring is saturated, which
-// is exactly when jumping the queue is the point.
+// run is a shard's event loop: it drains what submitters queued because they
+// found the shard busy. The control lane is drained with equal priority; it
+// only carries traffic when the data ring is saturated, which is exactly when
+// jumping the queue is the point.
 func (e *Engine) run(s *shard) {
 	defer close(s.done)
 	for {
@@ -606,32 +654,31 @@ func (e *Engine) run(s *shard) {
 	}
 }
 
-// process executes one item on the shard goroutine; true means stop. The
-// item runs under the shard's occupancy word, which serializes it against
-// ring-bypass inline submitters (see local.go) and tells the watchdog that
-// work is in flight; stop items skip the word — they touch no enforcement
-// state.
+// process executes one queued item on the shard goroutine; true means stop.
+// The item runs under the shard's occupancy word, which serializes it against
+// submitters serving their own work (see local.go) and tells the watchdog
+// that work is in flight, and stops counting as pending only once it has run;
+// stop items skip both — they touch no enforcement state.
 func (e *Engine) process(s *shard, it item) bool {
 	if it.stop {
 		return true
 	}
 	s.acquire(occShard)
 	defer s.release()
+	defer s.pending.Add(-1)
 	if it.control != nil {
-		s.heartbeat.Store(e.burstWall(s))
-		e.runControl(s, it)
-		s.processed.Add(1)
-		s.heartbeat.Store(e.burstWall(s))
+		e.serveControl(s, it)
 		return false
 	}
 	e.serve(s, it.b.agg, it.b.node, it.b.pkts)
+	s.queued.Add(1)
 	e.putBurst(it.b)
 	return false
 }
 
 // serve enforces one burst on behalf of whoever holds the shard's occupancy
-// word: the shard goroutine for a ring item, the submitting goroutine for an
-// inline one. The two wall stamps serve the heartbeat, the idle-TTL activity
+// word: the shard goroutine for a queued item, the submitting goroutine for
+// one it claimed the shard for. The two wall stamps serve the heartbeat, the idle-TTL activity
 // stamp and the burst-latency histogram at once (see burstWall), and the
 // engine clock is read once per burst, not once per packet: every packet in
 // the burst is enforced at the same virtual arrival time, the granularity a
@@ -649,6 +696,15 @@ func (e *Engine) serve(s *shard, agg *aggregate, node enforcer.NodeID, pkts []pa
 	}
 }
 
+// serveControl runs one control item on behalf of whoever holds the shard's
+// occupancy word, between two heartbeat stamps.
+func (e *Engine) serveControl(s *shard, it item) {
+	s.heartbeat.Store(e.burstWall(s))
+	e.runControl(s, it)
+	s.processed.Add(1)
+	s.heartbeat.Store(e.burstWall(s))
+}
+
 // runControl executes one control item inside a panic barrier. done is
 // closed even when fn panics, so a control waiter can never be leaked by a
 // faulty enforcer; the panic is attributed to the item's aggregate.
@@ -663,7 +719,7 @@ func (e *Engine) runControl(s *shard, it item) {
 			e.notePanic(s, it.agg, r)
 		}
 	}()
-	it.control()
+	it.control(it.agg.enf)
 }
 
 // runBatch pushes one single-aggregate run through the enforcer's batch
@@ -743,7 +799,7 @@ func (e *Engine) enforceRun(s *shard, now time.Duration, agg *aggregate, node en
 // observeRun tallies one enforced run's verdicts into the aggregate's
 // metrics block, checks the tally against any armed conformance auditors
 // (au, pre-loaded by the caller), and, on the sampling cadence, records a
-// KindBurst trace event. It runs on the shard goroutine inside
+// KindBurst trace event. It runs under the shard's occupancy word, inside
 // enforceRun's panic barrier, immediately after the verdicts are written:
 // the tally is a single pass over the verdict slice plus a handful of
 // atomic adds — no per-packet atomics, no interface calls, no allocation.
@@ -889,17 +945,24 @@ func (e *Engine) wallTicker() {
 }
 
 // enqueue offers a burst to the shard ring without blocking: a full ring
-// sheds the whole burst and counts it as overload.
+// sheds the whole burst and counts it as overload. A ring that already reads
+// full sheds without raising pending — under a flood that is most bursts, and
+// the count shares a cache line with what the shard goroutine writes per item.
 func (e *Engine) enqueue(s *shard, b *burst) {
-	select {
-	case s.in <- item{b: b}:
-	default:
-		n := int64(len(b.pkts))
-		e.Overloaded.Add(n)
-		s.shed.Add(n)
-		e.recordShed(s, n, obs.Event{Kind: obs.KindShed, Agg: -1, Node: -1})
-		e.putBurst(b)
+	if len(s.in) < cap(s.in) {
+		s.pending.Add(1)
+		select {
+		case s.in <- item{b: b}:
+			return
+		default:
+			s.pending.Add(-1)
+		}
 	}
+	n := int64(len(b.pkts))
+	e.Overloaded.Add(n)
+	s.shed.Add(n)
+	e.recordShed(s, n, obs.Event{Kind: obs.KindShed, Agg: -1, Node: -1})
+	e.putBurst(b)
 }
 
 // recordShed coalesces KindShed trace events for n shed packets (see
@@ -947,7 +1010,8 @@ func (e *Engine) shardFor(id string) *shard {
 
 // Add registers an enforcer for aggregate id and returns its datapath
 // handle. The engine takes exclusive ownership of the enforcer: callers
-// must not touch it afterwards (it runs on a shard goroutine). emit
+// must not touch it afterwards (it runs under its shard's occupancy word,
+// on whichever goroutine holds it). emit
 // receives transmitted packets and may be nil.
 //
 // Slots freed by Remove or eviction are recycled (the table never grows
@@ -1131,7 +1195,7 @@ func (e *Engine) finalStats(agg *aggregate) (enforcer.Stats, error) {
 	return e.readStats(agg, agg.ownStats)
 }
 
-// readStats runs read on agg's shard goroutine, behind every burst submitted
+// readStats runs read while holding agg's shard, behind every burst submitted
 // before the call. A control error (saturated shard, closed engine) wins
 // over read's.
 func (e *Engine) readStats(agg *aggregate, read func() (enforcer.Stats, error)) (enforcer.Stats, error) {
@@ -1144,8 +1208,8 @@ func (e *Engine) readStats(agg *aggregate, read func() (enforcer.Stats, error)) 
 }
 
 // ownStats is the flat-aggregate statistics read: the enforcer's own
-// counters — for a tree, its whole-tree totals. Must run on the shard
-// goroutine.
+// counters — for a tree, its whole-tree totals. Must run under the shard's
+// occupancy word.
 func (agg *aggregate) ownStats() (enforcer.Stats, error) {
 	if sr, ok := agg.enf.(enforcer.StatsReader); ok {
 		return sr.EnforcerStats(), nil
@@ -1215,34 +1279,49 @@ func (e *Engine) admit(h Handle, n int, inline *shard) (*aggregate, error) {
 	return agg, nil
 }
 
-// SubmitBatch hands a whole burst for one aggregate to its shard in a
-// single ring operation. It never blocks: when the shard ring is full the
-// burst is shed and counted in Overloaded, and with the overload plane
-// active a burst can be shed before that (see admit). The packets are
-// copied into an engine-owned pooled buffer, so the caller may reuse pkts
-// immediately; steady-state burst submission performs no allocation.
-// Invalid handles report an error (misrouted traffic should be visible).
+// SubmitBatch submits a whole burst for one aggregate. It never waits behind
+// another submitter's work. On an idle shard — nobody holds it, nothing is
+// queued — the burst is enforced on the calling goroutine before SubmitBatch
+// returns: enforcer, observation, audit and emit hook run in place on pkts
+// (a TransmitCE verdict sets CE on the caller's slice), exactly as
+// LocalSubmitter.SubmitBatch does, so an emit hook that blocks blocks its own
+// caller. Otherwise the packets are copied into an engine-owned pooled buffer
+// and handed to the shard's goroutine in one ring operation, behind
+// everything queued before them; when the ring is full the burst is shed and
+// counted in Overloaded, and with the overload plane active a burst can be
+// shed before that (see admit). Either way the caller may reuse pkts on
+// return, and steady-state submission performs no allocation. Invalid handles
+// report an error (misrouted traffic should be visible).
 func (e *Engine) SubmitBatch(h Handle, pkts []packet.Packet) error {
 	return e.submitRing(h, enforcer.NoNode, pkts)
 }
 
-// submitRing is the ring ingress behind SubmitBatch and SubmitLeafBatch.
+// submitRing is the ingress behind SubmitBatch and SubmitLeafBatch: serve the
+// burst here when the shard is idle, else queue a copy for the shard
+// goroutine.
 func (e *Engine) submitRing(h Handle, node enforcer.NodeID, pkts []packet.Packet) error {
 	agg, err := e.admit(h, len(pkts), nil)
 	if agg == nil {
 		return err
 	}
+	s := agg.shard
+	if s.claimIdle() {
+		defer s.release()
+		e.serve(s, agg, node, pkts)
+		s.claimed.Add(1)
+		return nil
+	}
 	b := e.pool.Get().(*burst)
 	b.agg = agg
 	b.node = node
 	b.pkts = append(b.pkts, pkts...)
-	e.enqueue(agg.shard, b)
+	e.enqueue(s, b)
 	return nil
 }
 
 // Stats reads an aggregate's enforcement statistics — for a tree aggregate,
 // its whole-tree totals (NodeStats reads one node's own). The read executes
-// on the owning shard goroutine, so it is safe during traffic. An enforcer
+// under the owning shard's occupancy word, so it is safe during traffic. An enforcer
 // that does not implement enforcer.StatsReader reports ErrNoStats instead
 // of silently returning zeros.
 func (e *Engine) Stats(id string) (enforcer.Stats, error) {
@@ -1253,13 +1332,13 @@ func (e *Engine) Stats(id string) (enforcer.Stats, error) {
 	return e.readStats(agg, agg.ownStats)
 }
 
-// Flush runs fn for aggregate id on its shard goroutine — the hook for
+// Flush runs fn for aggregate id while holding its shard — the hook for
 // periodic maintenance such as phantom Tick calls, executed race-free.
 func (e *Engine) Flush(id string, fn func(enf enforcer.Enforcer)) error {
 	return e.control(id, fn)
 }
 
-// control runs fn on the aggregate's shard goroutine and waits for it.
+// control runs fn under the aggregate's shard and waits for it.
 func (e *Engine) control(id string, fn func(enforcer.Enforcer)) error {
 	agg, err := e.aggByID(id)
 	if err != nil {
@@ -1268,21 +1347,29 @@ func (e *Engine) control(id string, fn func(enforcer.Enforcer)) error {
 	return e.controlAgg(agg, fn)
 }
 
-// controlAgg runs fn for an already-resolved aggregate on its shard
-// goroutine and waits for it. It works on unpublished aggregates too, which
-// is how Remove and the eviction sweeper collect final statistics.
+// controlAgg runs fn for an already-resolved aggregate under its shard's
+// occupancy word and waits for it. It works on unpublished aggregates too,
+// which is how Remove and the eviction sweeper collect final statistics.
 //
-// The control item rides the ordered data ring, so fn observes every packet
-// submitted before the call. When the data ring stays full past ControlTimeout
-// (a saturated or wedged shard), the item fails over to the shard's
-// dedicated control lane — jumping ahead of queued data is the price of
-// not letting data traffic stall the control plane; if even the lane is
+// On an idle shard the caller claims the word and runs fn itself. Otherwise
+// the control item rides the ordered data ring; either way fn observes every
+// packet submitted before the call. When the data ring stays full past
+// ControlTimeout (a saturated or wedged shard), the item fails over to the
+// shard's dedicated control lane — jumping ahead of queued data is the price
+// of not letting data traffic stall the control plane; if even the lane is
 // full past the timeout, ErrSaturated is reported.
 func (e *Engine) controlAgg(agg *aggregate, fn func(enforcer.Enforcer)) error {
 	s := agg.shard
+	it := item{control: fn, agg: agg}
+	if s.claimIdle() {
+		defer s.release()
+		e.serveControl(s, it)
+		return nil
+	}
 	done := make(chan struct{})
-	it := item{control: func() { fn(agg.enf) }, done: done, agg: agg}
+	it.done = done
 
+	s.pending.Add(1)
 	timer := time.NewTimer(e.cfg.ControlTimeout)
 	select {
 	case s.in <- it:
@@ -1296,6 +1383,7 @@ func (e *Engine) controlAgg(agg *aggregate, fn func(enforcer.Enforcer)) error {
 		case s.ctrl <- it:
 			timer.Stop()
 		case <-timer.C:
+			s.pending.Add(-1)
 			return fmt.Errorf("mbox: aggregate %q: %w", agg.id, ErrSaturated)
 		}
 	}
@@ -1315,9 +1403,9 @@ func (e *Engine) controlAgg(agg *aggregate, fn func(enforcer.Enforcer)) error {
 }
 
 // Update applies a live reconfiguration to an aggregate's enforcer, in
-// place and in-band: fn runs on the owning shard goroutine with the
-// engine's clock read there, serialized against the aggregate's bursts on
-// the ordered ring. A concurrently running batch therefore never observes a
+// place and in-band: fn runs under the owning shard's occupancy word with
+// the engine's clock read there, serialized against the aggregate's bursts
+// and behind any still queued on the ordered ring. A concurrently running batch therefore never observes a
 // partially applied configuration, fn observes every packet submitted
 // before the call, and — because enforcers reconfigure in place (see
 // enforcer.Reconfigurer) — admission state survives: no phantom occupancy
@@ -1522,10 +1610,15 @@ type ShardHealth struct {
 	// HeartbeatAge is the time since the shard last made progress; without
 	// an Observer it can read up to 500µs high (burstWall).
 	HeartbeatAge time.Duration
-	Busy         bool  // a ring item or an inline burst is in flight right now
+	Busy         bool  // somebody holds the shard: a burst or control item is in flight
 	Processed    int64 // items completed
 	Panics       int64 // panics recovered on this shard
 	Shed         int64 // packets shed at this shard's ring
+	// Claimed / Queued split the SubmitBatch and SubmitLeafBatch bursts
+	// served so far by who served them: the submitter, having found the
+	// shard idle, or the shard goroutine, from the ring.
+	Claimed int64
+	Queued  int64
 }
 
 // Health is a point-in-time snapshot of the engine's fault plane.
@@ -1582,6 +1675,8 @@ func (e *Engine) Health() Health {
 			Processed:    s.processed.Load(),
 			Panics:       s.panics.Load(),
 			Shed:         s.shed.Load(),
+			Claimed:      s.claimed.Load(),
+			Queued:       s.queued.Load(),
 		}
 	}
 	t := e.table.Load()
@@ -1648,8 +1743,9 @@ type CloseReport struct {
 	// Clean is true when every shard drained its ring and exited within
 	// the deadline — the pre-fault-tolerance Close behaviour.
 	Clean bool
-	// AbandonedShards counts shard goroutines that did not exit within
-	// the deadline and were force-abandoned (typically wedged in a
+	// AbandonedShards counts shards that were force-abandoned: the shard
+	// goroutine did not exit within the deadline, or a submitter serving
+	// its own work still held the shard at it (typically wedged in a
 	// blocked Emit callback). Their goroutines are left behind; if they
 	// ever unwedge they find empty rings and exit on the pending stop.
 	AbandonedShards int
@@ -1669,8 +1765,9 @@ type CloseReport struct {
 // drains everything accepted before Close; (2) if the ring stays full past
 // the deadline's share, the stop jumps the queue via the priority control
 // lane and the ring's remaining bursts are drained unenforced and counted
-// as shed; (3) a shard that still does not exit (wedged in user code) is
-// force-abandoned — Close returns anyway and reports it.
+// as shed; (3) a shard that still does not exit, or whose occupancy word a
+// submitter still holds (wedged in user code), is force-abandoned — Close
+// returns anyway and reports it.
 func (e *Engine) Close() CloseReport {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1704,8 +1801,13 @@ func (e *Engine) Close() CloseReport {
 				r.jumped = true
 				delivered = sendUntil(s.ctrl, item{stop: true}, deadline)
 			}
-			if delivered {
-				r.exited = waitUntil(s.done, deadline)
+			if delivered && waitUntil(s.done, deadline) {
+				// A goroutine that exited proves nothing about a submitter
+				// serving its own burst — the stop item skips the word — so
+				// the shard counts as stopped once the word can be had too.
+				if r.exited = s.tryAcquire(occLocal, time.Until(deadline)); r.exited {
+					s.release()
+				}
 			}
 			if !r.exited || r.jumped {
 				// The shard will not (or did not) drain its ring:
@@ -1740,6 +1842,9 @@ func (e *Engine) drainRing(s *shard) int64 {
 	for {
 		select {
 		case it := <-s.in:
+			if !it.stop {
+				s.pending.Add(-1)
+			}
 			if it.b != nil {
 				pkts += int64(len(it.b.pkts))
 				s.shed.Add(int64(len(it.b.pkts)))

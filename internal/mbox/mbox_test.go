@@ -44,6 +44,29 @@ func TestAggregateLayout(t *testing.T) {
 	}
 }
 
+// TestShardLayout pins the shard's four cache lines: what nobody writes
+// after New, what the holder of the occupancy word writes, the pending count
+// both sides write, and what submitters write behind a busy shard. 256 bytes
+// is a size class whose objects start on a line.
+func TestShardLayout(t *testing.T) {
+	var s shard
+	if got := unsafe.Sizeof(s); got != 256 {
+		t.Errorf("shard is %d bytes, want 256 (four lines, a malloc size class)", got)
+	}
+	if got := unsafe.Offsetof(s.occ); got != 64 {
+		t.Errorf("holder-written fields start at %d, want 64", got)
+	}
+	if end := unsafe.Offsetof(s.inlineBursts) + unsafe.Sizeof(s.inlineBursts); end > 128 {
+		t.Errorf("holder-written fields end at %d, want ≤ 128", end)
+	}
+	if got := unsafe.Offsetof(s.pending); got != 128 {
+		t.Errorf("pending is at %d, want 128", got)
+	}
+	if got := unsafe.Offsetof(s.shed); got != 192 {
+		t.Errorf("submitter-written fields start at %d, want 192", got)
+	}
+}
+
 func TestAddRemove(t *testing.T) {
 	e := New(Config{Shards: 2})
 	defer e.Close()
@@ -325,6 +348,7 @@ func TestOverloadSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wedgeShard(t, e, 0, func() { e.SubmitBatch(h, []packet.Packet{pkt(0)}) })
 	deadline := time.After(5 * time.Second)
 	for e.Overloaded.Load() == 0 {
 		select {
@@ -354,7 +378,8 @@ func TestControlFailsOverOnSaturatedShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wedge the consumer and fill the ring.
+	// Wedge the shard and fill the ring.
+	wedgeShard(t, e, 0, func() { e.SubmitBatch(h, []packet.Packet{pkt(0)}) })
 	for i := 0; i < 64; i++ {
 		if err := e.SubmitBatch(h, []packet.Packet{pkt(0)}); err != nil {
 			t.Fatal(err)

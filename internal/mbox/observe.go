@@ -140,6 +140,14 @@ func (e *Engine) Metrics() obs.Snapshot {
 		}
 	}
 	fams = append(fams, shardFams...)
+	bursts := obs.Family{Name: "bcpqp_shard_bursts_total", Help: "SubmitBatch bursts served, by who served them: the submitting caller on an idle shard, or the shard goroutine from the ring", Type: "counter"}
+	for i, s := range e.shards {
+		shard := obs.Label{Name: "shard", Value: strconv.Itoa(i)}
+		bursts.Samples = append(bursts.Samples,
+			obs.Sample{Labels: []obs.Label{shard, {Name: "served", Value: "caller"}}, Value: float64(s.claimed.Load())},
+			obs.Sample{Labels: []obs.Label{shard, {Name: "served", Value: "shard"}}, Value: float64(s.queued.Load())})
+	}
+	fams = append(fams, bursts)
 
 	aggFams := []obs.Family{
 		{Name: "bcpqp_aggregate_quarantined", Help: "1 when the aggregate's circuit breaker is open", Type: "gauge"},
@@ -191,7 +199,7 @@ func (e *Engine) Metrics() obs.Snapshot {
 		h := c.BurstHist()
 		fams = append(fams, obs.Family{
 			Name:    "bcpqp_burst_enforce_seconds",
-			Help:    "per-burst enforcement latency on the shard goroutines",
+			Help:    "per-burst enforcement latency, whichever goroutine served the burst",
 			Type:    "histogram",
 			Samples: []obs.Sample{{Hist: &h}},
 		}, obs.Family{

@@ -162,9 +162,11 @@ func TestPriorityShedUnderPressure(t *testing.T) {
 	}
 
 	// Wedge the consumer and fill the ring: pressure → 1.0.
+	release := holdShard(t, e, "keep")
 	if err := e.SubmitBatch(hKeep, burstOf(1, 0)); err != nil {
 		t.Fatal(err)
 	}
+	release()
 	<-started
 	for i := 0; i < 64; i++ {
 		_ = e.SubmitBatch(hKeep, burstOf(1, i))

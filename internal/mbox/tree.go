@@ -81,7 +81,7 @@ func (e *Engine) SubmitLeafBatch(lh LeafHandle, pkts []packet.Packet) error {
 
 // nodeReconfigurer resolves the Reconfigurer behind (aggregate, node):
 // the tree node's, or the enforcer itself for a flat aggregate's node 0.
-// Must run on the shard goroutine.
+// Must run under the shard's occupancy word.
 func nodeReconfigurer(agg *aggregate, node enforcer.NodeID) (enforcer.Reconfigurer, error) {
 	if agg.tree != nil {
 		return agg.tree.NodeReconfigurer(node)

@@ -12,10 +12,12 @@ import (
 // rate-limiting middlebox. The datapath is burst-oriented and handle-based:
 // aggregates resolve to an AggregateHandle once at Add time, submissions
 // are lock-free reads of an atomically swapped registry snapshot, and a
-// burst goes to its shard in one ring operation (SubmitBatch) or is
-// enforced in place (LocalSubmitter). Aggregates are hashed across
-// single-goroutine shards so enforcers stay lock-free on the datapath; a
-// full shard sheds bursts rather than blocking.
+// burst is enforced in place by whoever finds its shard idle — SubmitBatch
+// on an idle shard, LocalSubmitter always — or, when the shard is busy,
+// queued for the shard's goroutine in one ring operation (SubmitBatch).
+// Aggregates are hashed across shards that serve one burst at a time, so
+// enforcers stay lock-free on the datapath; a full shard ring sheds bursts
+// rather than blocking.
 type Middlebox = mbox.Engine
 
 // MiddleboxConfig configures NewMiddlebox.
@@ -82,8 +84,8 @@ type MiddleboxSnapshot = mbox.Snapshot
 type AggregateSnapshot = mbox.AggregateSnapshot
 
 // EmitFunc receives packets an aggregate's enforcer transmitted. It runs on
-// a shard goroutine: it must not block and must not call back into the
-// Middlebox.
+// whichever goroutine holds the shard — the submitter's own on an idle shard:
+// it must not block and must not make a control call into the Middlebox.
 type EmitFunc = mbox.Emit
 
 // NewMiddlebox starts a middlebox engine.

@@ -148,8 +148,8 @@ func Observe(cfg *MiddleboxConfig, opts ObserveOptions) *Collector {
 
 // ObserveAggregate wires a PQP/BC-PQP aggregate's enforcer-internal events
 // (drops with reason, ECN marks, §5.2 magic fill/reclaim) into the
-// collector's flight recorder. The hook is installed in-band on the owning
-// shard goroutine, so it is safe during full-rate traffic. Accept events
+// collector's flight recorder. The hook is installed in-band, under the
+// owning shard's occupancy word, so it is safe during full-rate traffic. Accept events
 // are intentionally not traced — the per-aggregate counters and rate
 // meters already cover admitted traffic, and tracing per-packet accepts
 // would dominate the ring. Drop/mark/magic events are recorded unsampled:
