@@ -533,8 +533,8 @@ func BenchmarkMiddleboxDegradedBatch(b *testing.B) {
 	if _, err := eng.Stats("victim"); err != nil {
 		b.Fatal(err)
 	}
-	if q, err := eng.Quarantined("victim"); err != nil || !q {
-		b.Fatalf("aggregate not quarantined before timing (q=%v err=%v)", q, err)
+	if f, err := eng.Faults("victim"); err != nil || !f.Quarantined {
+		b.Fatalf("aggregate not quarantined before timing (faults=%+v err=%v)", f, err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -583,7 +583,7 @@ func BenchmarkMiddleboxSubmitBatchOverloaded(b *testing.B) {
 		},
 		WatchdogInterval: time.Millisecond,
 		CloseTimeout:     5 * time.Second,
-		Overload:         OverloadConfig{Enabled: true},
+		Overload:         true,
 	})
 	defer eng.Close()
 	gate := make(chan struct{})

@@ -16,7 +16,13 @@
 //	        Rate:     100 * bcpqp.Mbps,
 //	        Observed: func() (int64, bool) { s, err := mb.Stats("tenant-1"); return s.AcceptedBytes, err == nil },
 //	        Apply:    func(r bcpqp.Rate, fb bool) error { return mb.ApplyShare("tenant-1", r, fb) },
-//	        Snapshot: func() ([]byte, error) { return mb.SnapshotAggregate("tenant-1") },
+//	        Snapshot: func() ([]byte, error) {
+//	                s, err := mb.Snapshot("tenant-1")
+//	                if err != nil {
+//	                        return nil, err
+//	                }
+//	                return s.MarshalBinary() // BQSN: the new owner calls UnmarshalBinary, then Restore
+//	        },
 //	}})
 //	tr.Start(node.Deliver)
 //	mb.AttachMetricSource(node.MetricFamilies)

@@ -64,8 +64,9 @@ func parsePeers(s string) (map[string]string, error) {
 // whatever the core count: what it observes is the sum over ids (the cores'
 // aggregates) and a share it grants lands as share/len(ids) on each — the
 // static split the plan rate got, so a node's cores together never exceed
-// its share. Snapshot, the migration handoff image, is one enforcer's state
-// and is wired only when there is one.
+// its share. Snapshot, the migration handoff image, is the BQSN image of the
+// cores' aggregates (snapshotBlob), which a node running the same plan on as
+// many cores loads with UnmarshalBinary and Restore.
 func startCluster(mb *bcpqp.Middlebox, col *bcpqp.Collector, ids []string, rate bcpqp.Rate, o clusterOpts) (*bcpqp.ClusterNode, func(), error) {
 	tr, err := bcpqp.NewClusterTransport(o.listen, o.peers)
 	if err != nil {
@@ -86,7 +87,7 @@ func startCluster(mb *bcpqp.Middlebox, col *bcpqp.Collector, ids []string, rate 
 	}
 	var shared []bcpqp.SharedAggregate
 	if o.shared {
-		agg := bcpqp.SharedAggregate{
+		shared = append(shared, bcpqp.SharedAggregate{
 			ID:   proxyAggregate,
 			Rate: rate,
 			Observed: func() (int64, bool) {
@@ -100,12 +101,9 @@ func startCluster(mb *bcpqp.Middlebox, col *bcpqp.Collector, ids []string, rate 
 				}
 				return sum, true
 			},
-			Apply: apply,
-		}
-		if len(ids) == 1 {
-			agg.Snapshot = func() ([]byte, error) { return mb.SnapshotAggregate(ids[0]) }
-		}
-		shared = append(shared, agg)
+			Apply:    apply,
+			Snapshot: func() ([]byte, error) { return snapshotBlob(mb, ids...) },
+		})
 	}
 	cfg := bcpqp.ClusterConfig{
 		Self:      o.nodeID,

@@ -49,6 +49,74 @@ func TestParsePeers(t *testing.T) {
 	}
 }
 
+// TestClusterHandoffRestores: the migration handoff blob a shared proxy
+// aggregate sends is a BQSN-framed engine snapshot. A receiver hosting the
+// same plan loads it with UnmarshalBinary and Restore, and then enforces
+// exactly as the sender: the same bursts leave both with the same Stats.
+func TestClusterHandoffRestores(t *testing.T) {
+	var now atomic.Int64 // both engines' clock, set before every burst
+	start := func() *bcpqp.Middlebox {
+		mb := bcpqp.NewMiddlebox(bcpqp.MiddleboxConfig{
+			Shards: 1,
+			Clock:  func() time.Duration { return time.Duration(now.Load()) },
+		})
+		t.Cleanup(func() { mb.Close() })
+		enf, err := buildEnforcer("bc-pqp", 8*bcpqp.Mbps, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mb.Add(proxyAggregate, enf, nil); err != nil {
+			t.Fatal(err)
+		}
+		return mb
+	}
+	var pkts [32]bcpqp.Packet
+	for i := range pkts {
+		pkts[i] = bcpqp.Packet{Key: bcpqp.FlowKey{SrcIP: uint32(i % 4), Proto: 17}, Size: bcpqp.MSS}
+	}
+	// feed offers one 32-packet burst per millisecond, far past the 8 Mbps
+	// plan, so the enforcer both admits and drops.
+	feed := func(mb *bcpqp.Middlebox, from, to int) bcpqp.Stats {
+		h, err := mb.Lookup(proxyAggregate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := from; i < to; i++ {
+			now.Store(int64(i) * int64(time.Millisecond))
+			if err := mb.SubmitBatch(h, pkts[:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := mb.Stats(proxyAggregate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	sender := start()
+	feed(sender, 0, 200)
+	blob, err := snapshotBlob(sender, proxyAggregate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bcpqp.MiddleboxSnapshot
+	if err := snap.UnmarshalBinary(blob); err != nil {
+		t.Fatalf("handoff blob is not a BQSN snapshot: %v", err)
+	}
+	receiver := start()
+	if err := receiver.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	sent, received := feed(sender, 200, 400), feed(receiver, 200, 400)
+	if sent != received {
+		t.Errorf("after the handoff the same bursts left the sender at %+v, the receiver at %+v", sent, received)
+	}
+	if sent.AcceptedPackets == 0 || sent.DroppedPackets == 0 {
+		t.Errorf("workload too tame to compare: %+v", sent)
+	}
+}
+
 // TestClusterProxyEndToEnd: a full proxy in cluster mode (serve, engine,
 // admin endpoints, UDP exchange transport) peered over loopback with a
 // facade-level cluster node, on one core and on two. The proxy must start

@@ -143,7 +143,7 @@ func TestHealthzOverloadDegradedBut200(t *testing.T) {
 		QueueDepth:       8,
 		WatchdogInterval: time.Millisecond,
 		CloseTimeout:     5 * time.Second,
-		Overload:         bcpqp.OverloadConfig{Enabled: true},
+		Overload:         true,
 	})
 	defer mb.Close()
 	defer close(gate) // LIFO: unblock the emit BEFORE Close so the drain is fast

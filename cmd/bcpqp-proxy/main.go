@@ -74,7 +74,7 @@ func main() {
 		clListen = flag.String("cluster-listen", "", "UDP address the budget exchange listens on (e.g. :7400)")
 		clKey    = flag.String("cluster-key", "", "shared secret authenticating budget-exchange frames (HMAC-SHA256); all peers must agree. Empty sends frames unauthenticated — only safe on a trusted network")
 		sharedFl = flag.Bool("shared", false, "enforce -rate as the CLUSTER-WIDE bound for the proxy aggregate: start at the static r/N share and let the budget exchange reclaim idle peers' headroom")
-		overload = flag.Bool("overload", false, "enable the overload-control plane: pressure-driven priority shedding, tightened idle eviction and admission-eviction under table pressure; /healthz reports an active plane as degraded (still 200)")
+		overload = flag.Bool("overload", false, "enable the engine's overload plane. The proxy sets no table cap, idle TTL or shed class, so the plane only tracks pressure: /healthz reports it, and an active plane as degraded (still 200)")
 		coresFl  = flag.Int("cores", 1, "datapath workers, each with its own SO_REUSEPORT socket and 1/cores of the plan (0 = GOMAXPROCS)")
 		drain    = flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain deadline on SIGTERM/SIGINT")
 		selftest = flag.Bool("selftest", false, "run the loopback demonstration and exit")
@@ -183,8 +183,9 @@ type proxyOpts struct {
 	// cluster, when enabled, joins the peer budget exchange (and, with
 	// shared set, enforces the plan rate cluster-wide).
 	cluster clusterOpts
-	// overload enables the engine's overload-control plane (defaults:
-	// pressure thresholds, harmonic shed classes, admission eviction).
+	// overload enables the engine's overload-control plane. With every
+	// aggregate in class 0 and no MaxAggregates or IdleTTL it sheds and
+	// evicts nothing: it tracks pressure for /healthz and /metrics.
 	overload bool
 	// forceSingle selects netio's portable single-datagram backend (tests
 	// run both on any platform); it cannot share a port, so: one core.
@@ -262,6 +263,7 @@ func serve(opts proxyOpts) int {
 	cfg := bcpqp.MiddleboxConfig{
 		Shards:       cores,
 		CloseTimeout: opts.drainTimeout,
+		Overload:     opts.overload,
 		OnFault: func(id string, recovered any, _ []byte) {
 			if id == "" {
 				id = "(unattributed)"
@@ -271,9 +273,6 @@ func serve(opts proxyOpts) int {
 					id, fmt.Sprint(recovered), n)
 			}
 		},
-	}
-	if opts.overload {
-		cfg.Overload = bcpqp.OverloadConfig{Enabled: true, EvictOnFull: true}
 	}
 	// The admin listener switches the trace collector on: flight-recorder
 	// rings, burst-latency histograms and per-aggregate meters feed
@@ -504,15 +503,22 @@ func serve(opts proxyOpts) int {
 	return 0
 }
 
+// snapshotBlob is the BQSN-framed image of the aggregates named in ids, or of
+// every snapshottable one without ids: what writeSnapshot persists and a
+// cluster handoff sends. UnmarshalBinary and Restore load it.
+func snapshotBlob(mb *bcpqp.Middlebox, ids ...string) ([]byte, error) {
+	snap, err := mb.Snapshot(ids...)
+	if err != nil {
+		return nil, err
+	}
+	return snap.MarshalBinary()
+}
+
 // writeSnapshot captures a warm-restart image of the engine and persists it
 // atomically: temp file in the same directory, then rename, so a crash
 // mid-write can never corrupt the previous snapshot.
 func writeSnapshot(mb *bcpqp.Middlebox, path string) error {
-	snap, err := mb.Snapshot()
-	if err != nil {
-		return err
-	}
-	blob, err := snap.MarshalBinary()
+	blob, err := snapshotBlob(mb)
 	if err != nil {
 		return err
 	}

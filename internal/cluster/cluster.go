@@ -43,8 +43,10 @@ type SharedAggregate struct {
 	// the in-band SetRate lane. fallback is true when the node is on its
 	// conservative static floor because the exchange is degraded.
 	Apply func(share units.Rate, fallback bool) error
-	// Snapshot, when non-nil, serializes the aggregate's state (BQSN
-	// framing via Engine.SnapshotAggregate) for live migration handoffs.
+	// Snapshot, when non-nil, serializes the aggregate's state for live
+	// migration handoffs: a BQSN-framed engine snapshot
+	// (Engine.Snapshot(id) then MarshalBinary), which the new owner loads
+	// with UnmarshalBinary and Engine.Restore.
 	Snapshot func() ([]byte, error)
 }
 

@@ -148,7 +148,7 @@ func runOverloadScenario(src workload.Source) (overloadRow, error) {
 		},
 		WatchdogInterval: time.Millisecond,
 		CloseTimeout:     10 * time.Second,
-		Overload:         mbox.OverloadConfig{Enabled: true},
+		Overload:         true,
 	})
 	defer e.Close()
 	defer endStorm() // before Close, on every path: a gated shard cannot exit

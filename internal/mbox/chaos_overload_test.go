@@ -159,7 +159,7 @@ func TestChaosFloodOverload(t *testing.T) {
 		Shards: 2, QueueDepth: 8, Clock: clock.now,
 		CloseTimeout:     closeTimeout,
 		WatchdogInterval: time.Millisecond,
-		Overload:         OverloadConfig{Enabled: true},
+		Overload:         true,
 	})
 	closed := false
 	defer func() {
@@ -250,7 +250,9 @@ func TestChaosFloodOverload(t *testing.T) {
 
 // TestChaosFlashCrowdLifecycle is the satellite lifecycle test: three waves
 // of 10k aggregate arrivals (each inside a 1 s generator window) against a
-// 256-slot table with Add-path eviction on. Asserted exactly: every
+// 256-slot table with Add-path eviction on. Each arrival goes quiet after
+// its hello burst: the test backdates its activity stamp past the admission
+// TTL (idleFor) rather than waiting the TTL out. Asserted exactly: every
 // successful Add beyond capacity evicted exactly one victim (engine
 // counters == OnEvict callback count, all with zero Stats), evicted handles
 // fail ErrStale with no verdict bleed into recycled slots, the registry and
@@ -273,11 +275,7 @@ func TestChaosFlashCrowdLifecycle(t *testing.T) {
 				evictNonZero.Add(1)
 			}
 		},
-		Overload: OverloadConfig{
-			Enabled:      true,
-			EvictOnFull:  true,
-			AdmissionTTL: time.Microsecond,
-		},
+		Overload: true,
 	})
 	closed := false
 	defer func() {
@@ -314,6 +312,7 @@ func TestChaosFlashCrowdLifecycle(t *testing.T) {
 				if err := e.SubmitBatch(h, buf[:n]); err != nil {
 					t.Fatalf("hello burst for %s: %v", a.ID, err)
 				}
+				idleFor(t, e, a.ID, time.Second)
 			case errors.Is(err, ErrTableFull):
 				tableFull++
 			default:
@@ -408,7 +407,7 @@ func TestChaosMixedRTTSwarmOverload(t *testing.T) {
 	e := New(Config{
 		Shards: 4, QueueDepth: 512, Clock: clock.now,
 		CloseTimeout: closeTimeout,
-		Overload:     OverloadConfig{Enabled: true},
+		Overload:     true,
 	})
 	closed := false
 	defer func() {
@@ -505,7 +504,7 @@ func TestChaosShortFlowStormOverload(t *testing.T) {
 	e := New(Config{
 		Shards: 2, QueueDepth: 512, Clock: clock.now,
 		CloseTimeout: closeTimeout,
-		Overload:     OverloadConfig{Enabled: true},
+		Overload:     true,
 	})
 	closed := false
 	defer func() {

@@ -103,11 +103,8 @@ func TestChaosPanicQuarantineDeterministic(t *testing.T) {
 	if !fr.Quarantined || fr.Panics != 1 || fr.Mode != FailClosed || fr.DegradedDrops != bursts*burstLen {
 		t.Errorf("victim fault record = %+v", fr)
 	}
-	if q, err := e.Quarantined("victim"); err != nil || !q {
-		t.Errorf("Quarantined(victim) = %v, %v; want true", q, err)
-	}
-	if q, err := e.Quarantined("healthy"); err != nil || q {
-		t.Errorf("Quarantined(healthy) = %v, %v; want false", q, err)
+	if f, err := e.Faults("healthy"); err != nil || f.Quarantined {
+		t.Errorf("Faults(healthy) = %+v, %v; want not quarantined", f, err)
 	}
 	health := e.Health()
 	if len(health.Quarantined) != 1 || health.Quarantined[0] != "victim" {
@@ -139,7 +136,7 @@ func TestChaosReinstateAfterTransientFault(t *testing.T) {
 	if _, err := e.Stats("flaky"); err != nil { // barrier
 		t.Fatal(err)
 	}
-	if q, _ := e.Quarantined("flaky"); !q {
+	if f, _ := e.Faults("flaky"); !f.Quarantined {
 		t.Fatal("transient crash did not quarantine")
 	}
 	// Traffic during quarantine is degraded, not enforced.
@@ -157,7 +154,7 @@ func TestChaosReinstateAfterTransientFault(t *testing.T) {
 	if err := e.Reinstate("flaky"); err != nil {
 		t.Fatal(err)
 	}
-	if q, _ := e.Quarantined("flaky"); q {
+	if f, _ := e.Faults("flaky"); f.Quarantined {
 		t.Fatal("still quarantined after Reinstate")
 	}
 	if err := e.SubmitBatch(h, burstOf(burstLen, 2)); err != nil {
@@ -187,7 +184,7 @@ func TestChaosReinstateAfterTransientFault(t *testing.T) {
 // unenforced and counted, and SetDegradeMode can flip modes live.
 func TestChaosFailOpenDegrade(t *testing.T) {
 	clock := &fakeClock{step: 100 * time.Microsecond}
-	e := New(Config{Shards: 1, Clock: clock.now, QueueDepth: 1 << 12, DegradeMode: FailOpen})
+	e := New(Config{Shards: 1, Clock: clock.now, QueueDepth: 1 << 12})
 	defer e.Close()
 
 	broken := faultinject.New(tbf.MustNew(units.Mbps, 10*units.MSS),
@@ -195,6 +192,12 @@ func TestChaosFailOpenDegrade(t *testing.T) {
 	var emitted atomic.Int64
 	h, err := e.Add("x", broken, func(packet.Packet) { emitted.Add(1) })
 	if err != nil {
+		t.Fatal(err)
+	}
+	if f, _ := e.Faults("x"); f.Mode != FailClosed {
+		t.Errorf("a new aggregate degrades %v, want fail-closed", f.Mode)
+	}
+	if err := e.SetDegradeMode("x", FailOpen); err != nil {
 		t.Fatal(err)
 	}
 	const bursts, burstLen = 5, 8
@@ -571,8 +574,11 @@ func TestChaosCloseDeadlineForceAbandonsWedgedShard(t *testing.T) {
 	}
 }
 
-// TestChaosWatchdogClassifiesWedgedShard drives a shard into a blocked emit
-// and watches the watchdog move it Healthy → Wedged → Healthy.
+// TestChaosWatchdogClassifiesWedgedShard drives the shard goroutine into a
+// blocked emit and moves it Healthy → Wedged → Healthy the way the watchdog
+// does, by classifying it at chosen heartbeat ages — nothing here waits out
+// the 1s wedge timeout. TestWatchdogSeesWedgedInlineBurst is the same for a
+// burst its submitter serves.
 func TestChaosWatchdogClassifiesWedgedShard(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
@@ -581,42 +587,58 @@ func TestChaosWatchdogClassifiesWedgedShard(t *testing.T) {
 
 	e := New(Config{
 		Shards: 1, QueueDepth: 8,
-		WatchdogInterval: 5 * time.Millisecond,
-		WedgeTimeout:     20 * time.Millisecond,
+		WatchdogInterval: time.Hour,
 		CloseTimeout:     500 * time.Millisecond,
 	})
 	defer e.Close()
+	started := make(chan struct{}, 1)
 	h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), func(packet.Packet) {
+		select {
+		case started <- struct{}{}:
+		default:
+		}
 		<-gate
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wedgeShard(t, e, 0, func() { e.SubmitBatch(h, burstOf(1, 0)) })
-
-	waitState := func(want ShardState) bool {
-		deadline := time.After(5 * time.Second)
-		for {
-			select {
-			case <-deadline:
-				return false
-			default:
-			}
-			if h := e.Health(); h.Shards[0].State == want {
-				return true
-			}
-			time.Sleep(time.Millisecond)
-		}
+	s := e.shards[0]
+	var panics, shed int64
+	classify := func(age time.Duration) ShardState {
+		st := e.classify(s, s.heartbeat.Load()+int64(age), &panics, &shed)
+		s.state.Store(int32(st))
+		return st
 	}
-	if !waitState(ShardWedged) {
-		t.Fatalf("watchdog never classified the blocked shard Wedged: %+v", e.Health().Shards[0])
+	if got := classify(10 * wedgeTimeout); got != ShardHealthy {
+		t.Fatalf("idle shard with a stale heartbeat is %v, want healthy", got)
+	}
+
+	// Queue the burst behind a held shard, so the shard goroutine, not its
+	// submitter, is the one that blocks in the emit hook.
+	release := holdShard(t, e, "x")
+	if err := e.SubmitBatch(h, burstOf(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	<-started
+	if got := classify(wedgeTimeout / 2); got != ShardHealthy {
+		t.Errorf("shard blocked for half the wedge timeout: %v, want healthy", got)
+	}
+	if got := classify(wedgeTimeout + 1); got != ShardWedged {
+		t.Fatalf("shard blocked past the wedge timeout: %v, want wedged", got)
 	}
 	if !e.Health().Wedged() {
 		t.Error("Health.Wedged() false while a shard is wedged")
 	}
 	openGate()
-	if !waitState(ShardHealthy) {
-		t.Fatalf("watchdog never recovered the shard to Healthy: %+v", e.Health().Shards[0])
+	if err := e.Flush("x", func(enforcer.Enforcer) {}); err != nil { // the blocked burst has finished
+		t.Fatal(err)
+	}
+	if got := classify(10 * wedgeTimeout); got != ShardHealthy {
+		t.Fatalf("released shard with a stale heartbeat is %v, want healthy", got)
+	}
+	if e.Health().Wedged() {
+		t.Error("Health.Wedged() true after the shard recovered")
 	}
 }
 

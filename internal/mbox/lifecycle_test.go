@@ -176,11 +176,19 @@ type eviction struct {
 
 func TestIdleTTLEviction(t *testing.T) {
 	evicted := make(chan eviction, 16)
+	for ttl, want := range map[time.Duration]time.Duration{
+		40 * time.Millisecond: 10 * time.Millisecond, // IdleTTL/4
+		time.Millisecond:      time.Millisecond,      // floored
+		time.Minute:           time.Second,           // capped
+	} {
+		if got := sweepInterval(ttl); got != want {
+			t.Errorf("sweepInterval(%v) = %v, want %v", ttl, got, want)
+		}
+	}
 	e := New(Config{
-		Shards:        1,
-		IdleTTL:       40 * time.Millisecond,
-		SweepInterval: 5 * time.Millisecond,
-		OnEvict:       func(id string, final enforcer.Stats) { evicted <- eviction{id, final} },
+		Shards:  1,
+		IdleTTL: 40 * time.Millisecond,
+		OnEvict: func(id string, final enforcer.Stats) { evicted <- eviction{id, final} },
 	})
 	defer e.Close()
 
@@ -359,8 +367,8 @@ func TestChaosRateChangePiecewiseTBF(t *testing.T) {
 	}
 	// The panicking neighbour was quarantined, not fatal, and did not
 	// perturb the measured aggregate's accounting.
-	if q, err := e.Quarantined("victim"); err != nil || !q {
-		t.Errorf("Quarantined(victim) = %v, %v; want true", q, err)
+	if f, err := e.Faults("victim"); err != nil || !f.Quarantined {
+		t.Errorf("Faults(victim) = %+v, %v; want quarantined", f, err)
 	}
 }
 
@@ -562,6 +570,16 @@ func TestSnapshotRestoreReplayByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	state := func(e *Engine) []byte {
+		snap, err := e.Snapshot(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Aggregates) != 1 || snap.Aggregates[0].ID != id {
+			t.Fatalf("Snapshot(%q) = %+v, want exactly that aggregate", id, snap.Aggregates)
+		}
+		return snap.Aggregates[0].State
+	}
 
 	// Run A: uninterrupted reference.
 	eA, hA, recA, _ := start(0)
@@ -570,10 +588,7 @@ func TestSnapshotRestoreReplayByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobA, err := eA.SnapshotAggregate(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blobA := state(eA)
 	eA.Close()
 
 	// Run B: first half, then snapshot through the wire format.
@@ -604,10 +619,7 @@ func TestSnapshotRestoreReplayByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobC, err := eC.SnapshotAggregate(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blobC := state(eC)
 	eC.Close()
 
 	// Emissions: A's trace must equal B's prefix followed by C's suffix,
@@ -648,8 +660,11 @@ func TestSnapshotRestoreReplayByteIdentical(t *testing.T) {
 	if err := eD.Restore(&decoded); err == nil {
 		t.Error("restore into a differently-configured aggregate succeeded")
 	}
-	if err := eD.RestoreAggregate("ghost", nil); err == nil {
+	if err := eD.Restore(&Snapshot{Aggregates: []AggregateSnapshot{{ID: "ghost"}}}); err == nil {
 		t.Error("restore into unregistered aggregate succeeded")
+	}
+	if _, err := eD.Snapshot("ghost"); err == nil {
+		t.Error("snapshot of an unregistered aggregate succeeded")
 	}
 }
 
@@ -659,10 +674,14 @@ func TestSnapshotErrNoSnapshot(t *testing.T) {
 	if _, err := e.Add("mute", statlessEnforcer{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SnapshotAggregate("mute"); !errors.Is(err, ErrNoSnapshot) {
-		t.Errorf("SnapshotAggregate: err = %v, want ErrNoSnapshot", err)
+	if _, err := e.Snapshot("mute"); !errors.Is(err, ErrNoSnapshot) {
+		t.Errorf("Snapshot(mute): err = %v, want ErrNoSnapshot", err)
 	}
-	// Engine-level Snapshot skips it instead of failing.
+	mute := &Snapshot{Aggregates: []AggregateSnapshot{{ID: "mute", State: []byte{1}}}}
+	if err := e.Restore(mute); !errors.Is(err, ErrNoSnapshot) {
+		t.Errorf("Restore into mute: err = %v, want ErrNoSnapshot", err)
+	}
+	// A snapshot of everything skips it instead of failing.
 	snap, err := e.Snapshot()
 	if err != nil {
 		t.Fatal(err)

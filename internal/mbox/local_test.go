@@ -194,9 +194,9 @@ func TestLocalSubmitSaturatedOnWedgedShard(t *testing.T) {
 // watchdog — it used to look only at the ring and at ring items. classify is
 // called with chosen readings of now, so nothing here waits on a timer.
 func TestWatchdogSeesWedgedInlineBurst(t *testing.T) {
-	const wedge = time.Second
+	const wedge = wedgeTimeout
 	entered, gate := make(chan struct{}), make(chan struct{})
-	e := New(Config{Shards: 1, WedgeTimeout: wedge, WatchdogInterval: time.Hour})
+	e := New(Config{Shards: 1, WatchdogInterval: time.Hour})
 	defer e.Close()
 	h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), func(packet.Packet) {
 		close(entered)

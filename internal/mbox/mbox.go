@@ -166,7 +166,7 @@ const (
 	// recovered a panic, shed load, or its ring is nearly full.
 	ShardDegraded
 	// ShardWedged: the shard has queued or in-flight work but its
-	// heartbeat has not advanced within WedgeTimeout — typically a
+	// heartbeat has not advanced within wedgeTimeout (1s) — typically a
 	// blocked Emit callback or a stalled enforcer.
 	ShardWedged
 )
@@ -203,13 +203,10 @@ type Config struct {
 	// since engine start. Tests inject deterministic clocks.
 	Clock func() time.Duration
 
-	// DegradeMode is the default degrade mode applied when an
-	// aggregate's enforcer is quarantined (default FailClosed). Override
-	// per aggregate with SetDegradeMode.
-	DegradeMode DegradeMode
 	// PanicThreshold is the circuit-breaker trip count: an aggregate is
 	// quarantined once its enforcer (or emit hook) has panicked this
-	// many times (default 1).
+	// many times (default 1). A quarantined aggregate's traffic degrades
+	// FailClosed until SetDegradeMode says otherwise.
 	PanicThreshold int
 	// CloseTimeout bounds Close: shards that cannot be stopped and
 	// drained within this deadline are force-abandoned and their queued
@@ -218,10 +215,6 @@ type Config struct {
 	// WatchdogInterval is how often the watchdog reclassifies shard
 	// health (default 25ms).
 	WatchdogInterval time.Duration
-	// WedgeTimeout is the heartbeat age beyond which a shard with
-	// pending or in-flight work is classified Wedged (default 1s; keep it
-	// well above the 500µs the heartbeat can trail the work by, see burstWall).
-	WedgeTimeout time.Duration
 	// OnFault, when non-nil, is called once per recovered panic with the
 	// aggregate id (empty when unattributable), the recovered value, and
 	// the stack of the panicking goroutine. It runs on the goroutine that
@@ -238,12 +231,10 @@ type Config struct {
 	// processed, no Update) is evicted as if Removed, counted in Evicted,
 	// and reported through OnEvict. Activity is stamped once per
 	// enforced burst — no per-packet atomics, and no clock read: see
-	// burstWall — so an aggregate can look 500µs idler than it is.
+	// burstWall — so an aggregate can look 500µs idler than it is. The
+	// sweeper scans every IdleTTL/4, clamped to [1ms, 1s] (sweepInterval),
+	// so eviction lags idleness by up to IdleTTL plus that.
 	IdleTTL time.Duration
-	// SweepInterval is how often the sweeper scans for idle aggregates
-	// (default IdleTTL/4, clamped to [1ms, 1s]). Eviction therefore lags
-	// idleness by up to IdleTTL + SweepInterval.
-	SweepInterval time.Duration
 	// OnEvict, when non-nil, observes every idle eviction with the
 	// aggregate's id and final enforcement statistics (zero Stats when
 	// the enforcer exposes none or the shard was saturated). It runs on
@@ -263,12 +254,12 @@ type Config struct {
 	// Engine.TraceDump and Engine.Metrics.
 	Observer *obs.Collector
 
-	// Overload configures the overload-control plane: pressure tracking,
-	// the priority-aware (harmonic) shed policy, pressure-tightened
-	// idle-TTL, and Add-path admission eviction. Disabled by default —
-	// the zero value leaves the engine's behaviour exactly as before.
-	// See OverloadConfig.
-	Overload OverloadConfig
+	// Overload turns on the overload-control plane: pressure tracking, the
+	// priority-aware (harmonic) shed policy, and — with IdleTTL and
+	// MaxAggregates set — pressure-tightened idle-TTL and Add-path
+	// admission eviction. Its parameters are constants (overload.go). Off
+	// by default: ring-full shedding only.
+	Overload bool
 }
 
 // Engine hosts many enforcers behind a concurrent burst-submit API.
@@ -336,9 +327,8 @@ type Engine struct {
 	// coalescing in recordShed (0 without an Observer).
 	obsSample int
 
-	// overload is the overload-control plane; nil unless
-	// Config.Overload.Enabled, and a single nil check is the entire
-	// datapath cost when disabled.
+	// overload is the overload-control plane; nil unless Config.Overload,
+	// and a single nil check is the entire datapath cost when disabled.
 	overload *overloadPlane
 
 	// extraMetrics holds metric-family sources attached by subsystems
@@ -383,7 +373,7 @@ var wallClock = func() int64 { return time.Now().UnixNano() }
 
 // burstWall is the wall time the packet path stamps a shard's heartbeat and
 // an aggregate's activity with. Both are read at millisecond-to-second
-// granularity (WedgeTimeout, IdleTTL), so the wall ticker's coarse reading
+// granularity (wedgeTimeout, IdleTTL), so the wall ticker's coarse reading
 // serves and a burst reads no clock — unless the shard is observed, when the
 // burst-latency histogram needs the two precise reads anyway. Heartbeat ages
 // and idle times therefore read up to coarseWallInterval high.
@@ -438,11 +428,12 @@ type aggregate struct {
 	panics         atomic.Int64
 	degradedDrops  atomic.Int64
 	degradedPasses atomic.Int64
-	mode           atomic.Int32 // DegradeMode
+	mode           atomic.Int32 // DegradeMode; zero is FailClosed
 
 	// shedClass is the overload plane's priority class (0 = shed last,
-	// never proactively); shed counts this aggregate's proactively shed
-	// packets. Both are dead weight unless Config.Overload.Enabled.
+	// never proactively, where every aggregate starts); shed counts this
+	// aggregate's proactively shed packets. Both are dead weight unless
+	// Config.Overload.
 	shedClass atomic.Int32
 	shed      atomic.Int64
 
@@ -575,29 +566,14 @@ func New(cfg Config) *Engine {
 	if cfg.WatchdogInterval <= 0 {
 		cfg.WatchdogInterval = 25 * time.Millisecond
 	}
-	if cfg.WedgeTimeout <= 0 {
-		cfg.WedgeTimeout = time.Second
-	}
-	if cfg.IdleTTL > 0 && cfg.SweepInterval <= 0 {
-		cfg.SweepInterval = cfg.IdleTTL / 4
-		if cfg.SweepInterval < time.Millisecond {
-			cfg.SweepInterval = time.Millisecond
-		}
-		if cfg.SweepInterval > time.Second {
-			cfg.SweepInterval = time.Second
-		}
-	}
-	if cfg.Overload.Enabled {
-		cfg.Overload = cfg.Overload.withDefaults(cfg.IdleTTL)
-	}
 	e := &Engine{
 		cfg:  cfg,
 		wall: wallClock,
 		stop: make(chan struct{}),
 		dead: make(chan struct{}),
 	}
-	if cfg.Overload.Enabled {
-		e.overload = newOverloadPlane(cfg.Overload, cfg.QueueDepth)
+	if cfg.Overload {
+		e.overload = newOverloadPlane(cfg.IdleTTL, cfg.QueueDepth)
 	}
 	if cfg.Observer != nil {
 		e.obsSample = cfg.Observer.Options().SampleEvery
@@ -1018,8 +994,8 @@ func (e *Engine) shardFor(id string) *shard {
 // past its high-water mark, itself capped by Config.MaxAggregates), with a
 // fresh generation tag so handles to the slot's previous occupant fail with
 // ErrStale. When the table is at MaxAggregates, Add reports ErrTableFull —
-// unless the overload plane's EvictOnFull admission policy finds an
-// aggregate idle past AdmissionTTL, in which case that victim is evicted
+// unless the overload plane's admission eviction finds an aggregate idle
+// past its admission TTL, in which case that victim is evicted
 // (barrier-free, zero Stats through OnEvict) and the Add proceeds. Either
 // way an Add storm against a full table stays O(table scan) per call and
 // never serializes on the shards' control lanes.
@@ -1101,10 +1077,6 @@ func (e *Engine) add(id string, enf enforcer.Enforcer, emit Emit, pinned *shard)
 		// handle namespace. Whole-aggregate submission through h
 		// is unchanged; Leaf(h, node) mints node-addressed handles.
 		agg.tree = tree
-	}
-	agg.mode.Store(int32(e.cfg.DegradeMode))
-	if e.overload != nil {
-		agg.shedClass.Store(int32(e.cfg.Overload.DefaultClass))
 	}
 	agg.lastActive.Store(time.Now().UnixNano())
 	if e.cfg.Observer != nil {
@@ -1452,7 +1424,13 @@ func (e *Engine) SetPolicy(id string, policy *sched.Policy) error {
 	return e.setPolicy(id, true, 0, policy)
 }
 
-// sweeper is the idle-TTL eviction loop: every SweepInterval it scans the
+// sweepInterval is how often the sweeper scans for idle aggregates: a
+// quarter of the TTL, clamped to [1ms, 1s].
+func sweepInterval(idleTTL time.Duration) time.Duration {
+	return min(max(idleTTL/4, time.Millisecond), time.Second)
+}
+
+// sweeper is the idle-TTL eviction loop: every sweepInterval it scans the
 // registry snapshot for aggregates whose last activity stamp is older than
 // IdleTTL and evicts them exactly as Remove would (unpublish, recycle the
 // slot, drain queued bursts through the final-stats barrier), counting them
@@ -1461,7 +1439,7 @@ func (e *Engine) SetPolicy(id string, policy *sched.Policy) error {
 // racing a Remove+Add of the same id never evicts the fresh incarnation.
 // Idleness is overestimated by at most coarseWallInterval (burstWall).
 func (e *Engine) sweeper() {
-	t := time.NewTicker(e.cfg.SweepInterval)
+	t := time.NewTicker(sweepInterval(e.cfg.IdleTTL))
 	defer t.Stop()
 	for {
 		select {
@@ -1475,7 +1453,7 @@ func (e *Engine) sweeper() {
 
 // sweep performs one eviction scan. The TTL it applies is the
 // pressure-tightened effective TTL: as the table fills past half of
-// MaxAggregates, the overload plane shrinks it toward MinIdleTTL so a flash
+// MaxAggregates, the overload plane shrinks it toward IdleTTL/8 so a flash
 // crowd recycles quiescent aggregates before the table pins at its cap.
 // While the overload plane is active the final-stats barrier is skipped
 // (zero Stats through OnEvict): an engine shedding load must not also
@@ -1560,16 +1538,7 @@ func (e *Engine) Faults(id string) (FaultRecord, error) {
 	}, nil
 }
 
-// Quarantined reports whether an aggregate's circuit breaker is open.
-func (e *Engine) Quarantined(id string) (bool, error) {
-	agg, err := e.aggByID(id)
-	if err != nil {
-		return false, err
-	}
-	return agg.quarantined.Load(), nil
-}
-
-// SetDegradeMode overrides the engine-wide degrade mode for one aggregate.
+// SetDegradeMode sets one aggregate's degrade mode (FailClosed until set).
 // It may be called at any time, including while the aggregate is
 // quarantined; in-flight runs observe the change on their next burst.
 func (e *Engine) SetDegradeMode(id string, m DegradeMode) error {
@@ -1715,9 +1684,14 @@ func (e *Engine) watchdog() {
 // enforcement state right now.
 func (s *shard) inFlight() bool { return s.occ.Load() != occFree }
 
+// wedgeTimeout is the heartbeat age beyond which a shard with pending or
+// in-flight work is classified Wedged: well above the 500µs the heartbeat can
+// trail the work by (burstWall).
+const wedgeTimeout = time.Second
+
 // classify derives one shard's state. A shard is Wedged only when it has
 // work (queued, or in flight on its own goroutine or an inline submitter's)
-// and its heartbeat is stale by more than WedgeTimeout — an idle shard's
+// and its heartbeat is stale by more than wedgeTimeout — an idle shard's
 // heartbeat goes stale legitimately, and a working one's by
 // coarseWallInterval (burstWall). It is Degraded when it recovered a panic or shed load since
 // the last check, or its ring is ≥3/4 full.
@@ -1729,7 +1703,7 @@ func (e *Engine) classify(s *shard, now int64, lastPanics, lastShed *int64) Shar
 	panicked, shed := p > *lastPanics, sh > *lastShed
 	*lastPanics, *lastShed = p, sh
 	switch {
-	case working && age > e.cfg.WedgeTimeout:
+	case working && age > wedgeTimeout:
 		return ShardWedged
 	case panicked || shed || len(s.in) >= cap(s.in)-cap(s.in)/4:
 		return ShardDegraded

@@ -116,7 +116,7 @@ func TestTraceDumpLifecycleKinds(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if q, err := e.Quarantined("victim"); err == nil && q {
+		if f, err := e.Faults("victim"); err == nil && f.Quarantined {
 			break
 		}
 		if time.Now().After(deadline) {

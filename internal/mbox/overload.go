@@ -34,109 +34,58 @@ import (
 //     and is never shed proactively, which also makes the plane a strict
 //     no-op for engines that never assign classes.
 //   - Table pressure tightens the idle-TTL: as the registry fills past half
-//     of MaxAggregates the sweeper's TTL shrinks linearly toward MinIdleTTL,
+//     of MaxAggregates the sweeper's TTL shrinks linearly toward minIdleTTL,
 //     so a flash crowd recycles quiescent aggregates instead of pinning the
 //     table at its cap.
-//   - An Add storm against a full table degrades instead of wedging: Add may
-//     evict the least-recently-active aggregate (when it has been idle past
-//     AdmissionTTL) without the in-band final-stats barrier — the barrier
+//   - An Add storm against a full table degrades instead of wedging: Add
+//     evicts the least-recently-active aggregate (when it has been idle past
+//     admissionTTL) without the in-band final-stats barrier — the barrier
 //     costs up to 2×ControlTimeout per eviction, which under a storm would
 //     serialize the control lane into uselessness. Such evictions report
 //     zero Stats through OnEvict, which the OnEvict contract already allows
 //     for saturated shards. When no victim is idle enough, Add fails fast
 //     with ErrTableFull.
 //
-// Everything the plane does is visible: Health().Overload, KindOverload /
-// KindShed trace events, and the bcpqp_overload_* metric families.
+// Config.Overload only switches the plane on; every parameter below is a
+// constant or follows from IdleTTL. Everything the plane does is visible:
+// Health().Overload, KindOverload / KindShed trace events, and the
+// bcpqp_overload_* metric families.
 
-// OverloadConfig configures the engine's overload-control plane.
-type OverloadConfig struct {
-	// Enabled turns the plane on. When false (the default) the engine
-	// behaves exactly as before: ring-full shedding only, no pressure
-	// tracking, no admission eviction.
-	Enabled bool
-	// Classes is the number of shed classes (default 4). Class 0 is shed
-	// last (never proactively); class Classes-1 is shed first. Aggregates
-	// default to DefaultClass and move with SetShedClass.
-	Classes int
-	// DefaultClass is the shed class assigned to newly added aggregates
-	// (default 0: shed last, the conservative choice).
-	DefaultClass int
-	// PressureHi is the composite pressure at which the shed plane
-	// engages (default 0.75); PressureLo is where it disengages
-	// (default 0.5). The gap is the hysteresis band that keeps the plane
-	// from flapping at the boundary.
-	PressureHi, PressureLo float64
-	// Window is the shed-rate EWMA window (default 250ms — the paper's
-	// phantom-queue control interval, so "overloaded" is judged on the
-	// same timescale enforcement reacts on).
-	Window time.Duration
-	// ShedRateRef is the shed rate, in packets/sec, that maps to
-	// pressure 1.0 on the shed-rate axis (default 100_000).
-	ShedRateRef float64
-	// MinIdleTTL is the floor the sweeper's idle-TTL is tightened toward
-	// as the aggregate table fills (default IdleTTL/8). The TTL scales
-	// linearly from IdleTTL at 50% fill to MinIdleTTL at 100%.
-	MinIdleTTL time.Duration
-	// EvictOnFull lets Add evict the least-recently-active aggregate
-	// (idle past AdmissionTTL) when the table is at MaxAggregates,
-	// instead of refusing outright.
-	EvictOnFull bool
-	// AdmissionTTL is the minimum idleness before an aggregate may be
-	// evicted on the Add path (default MinIdleTTL, else 10ms). Victims
-	// are evicted without the final-stats barrier: OnEvict sees zero
-	// Stats, and the control lane is never serialized behind a storm.
-	AdmissionTTL time.Duration
-}
-
-// withDefaults fills zero fields; idleTTL is the engine's Config.IdleTTL.
-func (c OverloadConfig) withDefaults(idleTTL time.Duration) OverloadConfig {
-	if c.Classes <= 0 {
-		c.Classes = 4
-	}
-	if c.DefaultClass < 0 || c.DefaultClass >= c.Classes {
-		c.DefaultClass = 0
-	}
-	if c.PressureHi <= 0 || c.PressureHi > 1 {
-		c.PressureHi = 0.75
-	}
-	if c.PressureLo <= 0 || c.PressureLo >= c.PressureHi {
-		c.PressureLo = c.PressureHi * 2 / 3
-	}
-	if c.Window <= 0 {
-		c.Window = 250 * time.Millisecond
-	}
-	if c.ShedRateRef <= 0 {
-		c.ShedRateRef = 100_000
-	}
-	if c.MinIdleTTL <= 0 && idleTTL > 0 {
-		c.MinIdleTTL = idleTTL / 8
-		if c.MinIdleTTL < time.Millisecond {
-			c.MinIdleTTL = time.Millisecond
-		}
-	}
-	if c.AdmissionTTL <= 0 {
-		if c.MinIdleTTL > 0 {
-			c.AdmissionTTL = c.MinIdleTTL
-		} else {
-			c.AdmissionTTL = 10 * time.Millisecond
-		}
-	}
-	return c
-}
+const (
+	// shedClasses is the number of shed classes. Class 0 is shed last
+	// (never proactively) and is where every aggregate starts; class
+	// shedClasses-1 is shed first. Aggregates move with SetShedClass.
+	shedClasses = 4
+	// pressureHi is the composite pressure at which the shed plane engages
+	// and pressureLo where it disengages; the gap is the hysteresis band
+	// that keeps the plane from flapping at the boundary.
+	pressureHi = 0.75
+	pressureLo = 0.5
+	// pressureWindow is the shed-rate EWMA window: the paper's phantom-queue
+	// control interval, so "overloaded" is judged on the same timescale
+	// enforcement reacts on.
+	pressureWindow = 250 * time.Millisecond
+	// shedRateRef is the shed rate, in packets/sec, that maps to pressure
+	// 1.0 on the shed-rate axis.
+	shedRateRef = 100_000
+)
 
 // overloadPlane is the engine's overload state. The EWMA fields are owned by
 // the watchdog goroutine; everything else is atomics read by the datapath,
 // Health, and Metrics.
 type overloadPlane struct {
-	cfg OverloadConfig
+	// minIdleTTL is the floor the sweeper's idle-TTL is tightened toward
+	// as the aggregate table fills: IdleTTL/8, at least 1ms; zero without
+	// an IdleTTL. admissionTTL is the idleness past which an aggregate may
+	// be evicted on the Add path: minIdleTTL, or 10ms without an IdleTTL.
+	minIdleTTL, admissionTTL time.Duration
 
 	// levels[c] is class c's ring-occupancy ceiling in bursts (harmonic
 	// split of QueueDepth); levels[0] is 0, the "never shed" sentinel.
 	// thresh mirrors levels while the plane is active and is all-zero
 	// while inactive — the datapath reads one atomic and compares.
 	levels []int32
-	thresh []atomic.Int32
+	thresh [shedClasses]atomic.Int32
 
 	active        atomic.Bool
 	transitions   atomic.Int64
@@ -151,14 +100,15 @@ type overloadPlane struct {
 	ewma     float64
 }
 
-// newOverloadPlane precomputes the harmonic per-class ceilings for a ring of
-// queueDepth bursts.
-func newOverloadPlane(cfg OverloadConfig, queueDepth int) *overloadPlane {
-	p := &overloadPlane{
-		cfg:    cfg,
-		levels: harmonicLevels(cfg.Classes, queueDepth),
+// newOverloadPlane derives the plane's TTLs from the engine's IdleTTL and
+// precomputes the harmonic per-class ceilings for a ring of queueDepth
+// bursts.
+func newOverloadPlane(idleTTL time.Duration, queueDepth int) *overloadPlane {
+	p := &overloadPlane{admissionTTL: 10 * time.Millisecond, levels: harmonicLevels(shedClasses, queueDepth)}
+	if idleTTL > 0 {
+		p.minIdleTTL = max(idleTTL/8, time.Millisecond)
+		p.admissionTTL = p.minIdleTTL
 	}
-	p.thresh = make([]atomic.Int32, cfg.Classes)
 	return p
 }
 
@@ -187,19 +137,18 @@ func harmonicLevels(classes, queueDepth int) []int32 {
 }
 
 // errOverloadDisabled reports shed-class operations against an engine built
-// without Config.Overload.Enabled.
+// without Config.Overload.
 var errOverloadDisabled = errors.New("mbox: overload control disabled")
 
 // SetShedClass assigns an aggregate's shed class: 0 is shed last (never
-// proactively), Config.Overload.Classes-1 is shed first. The change is
-// observed by the next submission. Requires Overload.Enabled.
+// proactively), 3 is shed first. The change is observed by the next
+// submission. Requires Config.Overload.
 func (e *Engine) SetShedClass(id string, class int) error {
-	p := e.overload
-	if p == nil {
+	if e.overload == nil {
 		return errOverloadDisabled
 	}
-	if class < 0 || class >= p.cfg.Classes {
-		return fmt.Errorf("mbox: shed class %d out of range [0,%d)", class, p.cfg.Classes)
+	if class < 0 || class >= shedClasses {
+		return fmt.Errorf("mbox: shed class %d out of range [0,%d)", class, shedClasses)
 	}
 	agg, err := e.aggByID(id)
 	if err != nil {
@@ -267,7 +216,7 @@ func (e *Engine) updatePressure(now int64) {
 	if p.lastTick != 0 {
 		if dt := float64(now-p.lastTick) / 1e9; dt > 0 {
 			rate := float64(shedTotal-p.lastShed) / dt
-			alpha := dt / p.cfg.Window.Seconds()
+			alpha := dt / pressureWindow.Seconds()
 			if alpha > 1 {
 				alpha = 1
 			}
@@ -275,7 +224,7 @@ func (e *Engine) updatePressure(now int64) {
 		}
 	}
 	p.lastTick, p.lastShed = now, shedTotal
-	shedFrac := p.ewma / p.cfg.ShedRateRef
+	shedFrac := p.ewma / shedRateRef
 	if shedFrac > 1 {
 		shedFrac = 1
 	}
@@ -291,11 +240,11 @@ func (e *Engine) updatePressure(now int64) {
 	p.shedRate.Store(int64(p.ewma))
 	p.pressureMilli.Store(int64(pressure * 1000))
 
-	// Hysteresis: engage at PressureHi, disengage at PressureLo. The
+	// Hysteresis: engage at pressureHi, disengage at pressureLo. The
 	// per-class thresholds are published/cleared here, so the datapath's
 	// gate is a dead branch (thresh 0) the moment the plane disengages.
 	switch {
-	case !p.active.Load() && pressure >= p.cfg.PressureHi:
+	case !p.active.Load() && pressure >= pressureHi:
 		p.active.Store(true)
 		p.transitions.Add(1)
 		for c := 1; c < len(p.levels); c++ {
@@ -303,7 +252,7 @@ func (e *Engine) updatePressure(now int64) {
 		}
 		e.record(nil, obs.Event{Kind: obs.KindOverload, Agg: -1, Node: -1,
 			A: 1, B: int64(pressure * 1000), C: int64(p.ewma)})
-	case p.active.Load() && pressure <= p.cfg.PressureLo:
+	case p.active.Load() && pressure <= pressureLo:
 		p.active.Store(false)
 		p.transitions.Add(1)
 		for c := 1; c < len(p.levels); c++ {
@@ -315,12 +264,12 @@ func (e *Engine) updatePressure(now int64) {
 }
 
 // effectiveTTL is the sweeper's idle-TTL after pressure tightening: IdleTTL
-// below 50% table fill, then linearly down to MinIdleTTL at 100%. Without
+// below 50% table fill, then linearly down to minIdleTTL at 100%. Without
 // the plane (or without MaxAggregates) it is IdleTTL unchanged.
 func (e *Engine) effectiveTTL() time.Duration {
 	ttl := e.cfg.IdleTTL
 	p := e.overload
-	if p == nil || e.cfg.MaxAggregates <= 0 || p.cfg.MinIdleTTL <= 0 || p.cfg.MinIdleTTL >= ttl {
+	if p == nil || e.cfg.MaxAggregates <= 0 || p.minIdleTTL <= 0 || p.minIdleTTL >= ttl {
 		return ttl
 	}
 	fill := float64(e.Len()) / float64(e.cfg.MaxAggregates)
@@ -331,22 +280,21 @@ func (e *Engine) effectiveTTL() time.Duration {
 	if f > 1 {
 		f = 1
 	}
-	return ttl - time.Duration(f*float64(ttl-p.cfg.MinIdleTTL))
+	return ttl - time.Duration(f*float64(ttl-p.minIdleTTL))
 }
 
 // evictForAdmissionLocked finds and unpublishes the least-recently-active
-// aggregate that has been idle past AdmissionTTL, making room for an Add
+// aggregate that has been idle past admissionTTL, making room for an Add
 // against a full table. The caller holds e.mu and is responsible for calling
 // OnEvict (with zero Stats — deliberately no final-stats barrier, see the
-// package comment) after releasing it. Returns nil when the plane is off,
-// EvictOnFull is unset, or nothing is idle enough — the Add then degrades
-// to ErrTableFull.
+// package comment) after releasing it. Returns nil when the plane is off or
+// nothing is idle enough — the Add then degrades to ErrTableFull.
 func (e *Engine) evictForAdmissionLocked(t *registry, now int64) *aggregate {
 	p := e.overload
-	if p == nil || !p.cfg.EvictOnFull {
+	if p == nil {
 		return nil
 	}
-	minIdle := int64(p.cfg.AdmissionTTL)
+	minIdle := int64(p.admissionTTL)
 	var victim *aggregate
 	var oldest int64
 	for i := range t.slots {
@@ -374,15 +322,19 @@ func (e *Engine) evictForAdmissionLocked(t *registry, now int64) *aggregate {
 	return victim
 }
 
-// OverloadHealth is the overload plane's slice of a Health snapshot.
+// OverloadHealth is the overload plane's slice of a Health snapshot. What
+// moves depends on the engine's configuration: TableFill and
+// AdmissionEvictions stay zero without MaxAggregates, and PriorityShed stays
+// zero until SetShedClass moves some aggregate off class 0.
 type OverloadHealth struct {
-	// Enabled mirrors Config.Overload.Enabled.
+	// Enabled mirrors Config.Overload.
 	Enabled bool
-	// Active reports whether the shed plane is currently engaged.
+	// Active reports whether the shed plane is currently engaged
+	// (pressure reached 0.75 and has not yet fallen to 0.5).
 	Active bool
 	// Pressure is the composite signal in [0,1]; Ring/TableFill are its
 	// occupancy components and ShedRate its EWMA component (packets/sec,
-	// un-normalized).
+	// un-normalized; 100k/s reads as pressure 1).
 	Pressure  float64
 	Ring      float64
 	TableFill float64

@@ -59,22 +59,36 @@ func TestHarmonicLevels(t *testing.T) {
 	}
 }
 
+// idleFor backdates id's activity stamp by d: the aggregate reads as idle d
+// longer than it has been, with no clock waited on.
+func idleFor(t testing.TB, e *Engine, id string, d time.Duration) {
+	t.Helper()
+	agg, err := e.aggByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg.lastActive.Add(-int64(d))
+}
+
+// TestOverloadConfigDefaults pins what Config.Overload switches on: the
+// plane's fixed parameters, and the TTLs it derives from IdleTTL.
 func TestOverloadConfigDefaults(t *testing.T) {
-	c := OverloadConfig{Enabled: true}.withDefaults(800 * time.Millisecond)
-	if c.Classes != 4 || c.DefaultClass != 0 {
-		t.Errorf("classes/default = %d/%d, want 4/0", c.Classes, c.DefaultClass)
+	if shedClasses != 4 || pressureLo >= pressureHi || pressureLo <= 0 || pressureHi > 1 {
+		t.Errorf("classes %d, hysteresis band [%v, %v] malformed", shedClasses, pressureLo, pressureHi)
 	}
-	if c.PressureHi != 0.75 || c.PressureLo >= c.PressureHi || c.PressureLo <= 0 {
-		t.Errorf("hysteresis band [%v, %v] malformed", c.PressureLo, c.PressureHi)
+	if pressureWindow != 250*time.Millisecond {
+		t.Errorf("window = %v, want the paper's 250ms", pressureWindow)
 	}
-	if c.Window != 250*time.Millisecond {
-		t.Errorf("window = %v, want the paper's 250ms", c.Window)
-	}
-	if c.MinIdleTTL != 100*time.Millisecond {
-		t.Errorf("MinIdleTTL = %v, want IdleTTL/8 = 100ms", c.MinIdleTTL)
-	}
-	if c.AdmissionTTL != c.MinIdleTTL {
-		t.Errorf("AdmissionTTL = %v, want MinIdleTTL", c.AdmissionTTL)
+	for _, tc := range []struct{ idleTTL, minIdle, admission time.Duration }{
+		{800 * time.Millisecond, 100 * time.Millisecond, 100 * time.Millisecond}, // IdleTTL/8
+		{4 * time.Millisecond, time.Millisecond, time.Millisecond},               // floored at 1ms
+		{0, 0, 10 * time.Millisecond},                                            // no sweeper
+	} {
+		p := newOverloadPlane(tc.idleTTL, 1024)
+		if p.minIdleTTL != tc.minIdle || p.admissionTTL != tc.admission {
+			t.Errorf("IdleTTL %v: minIdleTTL %v, admissionTTL %v; want %v, %v",
+				tc.idleTTL, p.minIdleTTL, p.admissionTTL, tc.minIdle, tc.admission)
+		}
 	}
 }
 
@@ -92,13 +106,13 @@ func TestShedClassAPI(t *testing.T) {
 	}
 	e.Close()
 
-	e = New(Config{Shards: 1, Overload: OverloadConfig{Enabled: true, DefaultClass: 2}})
+	e = New(Config{Shards: 1, Overload: true})
 	defer e.Close()
 	if _, err := e.Add("a", tbf.MustNew(units.Mbps, 10*units.MSS), nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := e.ShedClass("a"); got != 2 {
-		t.Errorf("default shed class = %d, want 2", got)
+	if got, _ := e.ShedClass("a"); got != 0 {
+		t.Errorf("starting shed class = %d, want 0 (shed last)", got)
 	}
 	if err := e.SetShedClass("a", 3); err != nil {
 		t.Fatal(err)
@@ -117,10 +131,11 @@ func TestShedClassAPI(t *testing.T) {
 	}
 }
 
-// TestPriorityShedUnderPressure wedges a shard, lets the watchdog engage the
-// plane off ring pressure, and proves the shed policy is class-aware: the
-// shed-first aggregate is dropped before the ring while the shed-last one
-// still reaches the ring (and its enforcer, once unwedged).
+// TestPriorityShedUnderPressure wedges a shard, engages the plane off ring
+// pressure, and proves the shed policy is class-aware: the shed-first
+// aggregate is dropped before the ring while the shed-last one still reaches
+// the ring (and its enforcer, once unwedged). The watchdog never ticks: the
+// test runs the pressure update itself with chosen readings of now.
 func TestPriorityShedUnderPressure(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
@@ -130,16 +145,12 @@ func TestPriorityShedUnderPressure(t *testing.T) {
 	c := obs.NewCollector(obs.Options{SampleEvery: 1})
 	e := New(Config{
 		Shards: 1, QueueDepth: 8,
-		WatchdogInterval: time.Millisecond,
+		WatchdogInterval: time.Hour,
 		CloseTimeout:     5 * time.Second,
 		Observer:         c,
-		Overload: OverloadConfig{
-			Enabled: true,
-			// Keep the shed-rate axis out of the signal so the test is
-			// purely ring-driven and deactivation is prompt.
-			ShedRateRef: 1e12,
-		},
+		Overload:         true,
 	})
+	now := time.Now().UnixNano()
 	keep := &countingEnforcer{}
 	victim := &countingEnforcer{}
 	started := make(chan struct{}, 1)
@@ -171,8 +182,9 @@ func TestPriorityShedUnderPressure(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		_ = e.SubmitBatch(hKeep, burstOf(1, i))
 	}
-	if !waitFor(2*time.Second, func() bool { return e.Health().Overload.Active }) {
-		t.Fatalf("plane never engaged: %+v", e.Health().Overload)
+	e.updatePressure(now)
+	if h := e.Health().Overload; !h.Active || h.Ring != 1 {
+		t.Fatalf("plane did not engage on a full ring: %+v", h)
 	}
 
 	// Class 3's ceiling on an 8-deep ring is ⌊8·3/25⌋=0→clamped to 1
@@ -218,18 +230,27 @@ func TestPriorityShedUnderPressure(t *testing.T) {
 		t.Errorf("class-0 submission: OverloadShed grew %d, want 0", got)
 	}
 
-	// Unwedge: pressure falls, the plane disengages, and the victim's
-	// traffic flows to its enforcer again.
+	// Unwedge and let the ring drain (Flush rides behind it): ten seconds
+	// on, the few dozen packets shed read as a shed rate far below the
+	// 100k/s reference, pressure falls, the plane disengages, and the
+	// victim's traffic flows to its enforcer again.
 	openGate()
-	if !waitFor(5*time.Second, func() bool { return !e.Health().Overload.Active }) {
-		t.Fatalf("plane never disengaged: %+v", e.Health().Overload)
+	if err := e.Flush("keep", func(enforcer.Enforcer) {}); err != nil {
+		t.Fatal(err)
+	}
+	e.updatePressure(now + int64(10*time.Second))
+	if h := e.Health().Overload; h.Active || h.Pressure > pressureLo {
+		t.Fatalf("plane did not disengage on a drained ring: %+v", h)
 	}
 	n0 := victim.n.Load()
 	if err := e.SubmitBatch(hVictim, burstOf(4, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if !waitFor(2*time.Second, func() bool { return victim.n.Load() >= n0+4 }) {
-		t.Error("victim traffic still blocked after the plane disengaged")
+	if err := e.Flush("victim", func(enforcer.Enforcer) {}); err != nil { // barrier
+		t.Fatal(err)
+	}
+	if got := victim.n.Load(); got != n0+4 {
+		t.Errorf("victim enforcer saw %d packets after the plane disengaged, want 4", got-n0)
 	}
 
 	// The transition pair is on the flight recorder.
@@ -253,7 +274,7 @@ func TestPriorityShedUnderPressure(t *testing.T) {
 }
 
 // TestAddEvictsIdleWhenFull drives the Add path against a full table: with
-// EvictOnFull the least-recently-active aggregate makes room (zero-Stats
+// the plane on, the least-recently-active aggregate makes room (zero-Stats
 // OnEvict, stale old handle); without an idle-enough victim Add degrades to
 // ErrTableFull.
 func TestAddEvictsIdleWhenFull(t *testing.T) {
@@ -266,11 +287,7 @@ func TestAddEvictsIdleWhenFull(t *testing.T) {
 			evicted[id] = final
 			mu.Unlock()
 		},
-		Overload: OverloadConfig{
-			Enabled:      true,
-			EvictOnFull:  true,
-			AdmissionTTL: 2 * time.Millisecond,
-		},
+		Overload: true,
 	})
 	defer e.Close()
 
@@ -279,7 +296,7 @@ func TestAddEvictsIdleWhenFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond) // a0 is now the LRU, idle past AdmissionTTL
+	idleFor(t, e, "a0", time.Second) // a0 is now the LRU, idle past the 10ms admission TTL
 	if _, err := e.Add("a1", mk(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +336,7 @@ func TestAddEvictsIdleWhenFull(t *testing.T) {
 		t.Errorf("fresh handle error = %v", err)
 	}
 
-	// Everything now current (< AdmissionTTL idle): the next Add degrades
+	// Everything now current (< admission TTL idle): the next Add degrades
 	// to ErrTableFull — fast, no control-lane traffic.
 	for _, id := range []string{"a1", "a2", "a3"} {
 		if err := e.Update(id, func(time.Duration, enforcer.Enforcer) error { return nil }); err != nil {
@@ -331,31 +348,14 @@ func TestAddEvictsIdleWhenFull(t *testing.T) {
 	}
 }
 
-// TestAddRefusesEvictionWhenDisabled: without EvictOnFull the full-table
-// behaviour is unchanged from before the overload plane existed.
-func TestAddRefusesEvictionWhenDisabled(t *testing.T) {
-	e := New(Config{Shards: 1, MaxAggregates: 1,
-		Overload: OverloadConfig{Enabled: true}})
-	defer e.Close()
-	if _, err := e.Add("a", tbf.MustNew(units.Mbps, 10*units.MSS), nil); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(15 * time.Millisecond)
-	if _, err := e.Add("b", tbf.MustNew(units.Mbps, 10*units.MSS), nil); !errors.Is(err, ErrTableFull) {
-		t.Errorf("Add = %v, want ErrTableFull (EvictOnFull unset)", err)
-	}
-	if got := e.Evicted.Load(); got != 0 {
-		t.Errorf("Evicted = %d, want 0", got)
-	}
-}
-
 // TestEffectiveTTLTightens checks the pressure→TTL curve: IdleTTL until 50%
-// fill, then linear down to MinIdleTTL at 100%.
+// fill, then linear down to IdleTTL/8 at 100%. The TTL is long enough that
+// the sweeper (every second) finds nothing to evict while the test runs.
 func TestEffectiveTTLTightens(t *testing.T) {
 	e := New(Config{
 		Shards: 1, MaxAggregates: 10,
-		IdleTTL: 800 * time.Millisecond, SweepInterval: time.Hour,
-		Overload: OverloadConfig{Enabled: true, MinIdleTTL: 100 * time.Millisecond},
+		IdleTTL:  8 * time.Second,
+		Overload: true,
 	})
 	defer e.Close()
 	add := func(n int) {
@@ -367,16 +367,16 @@ func TestEffectiveTTLTightens(t *testing.T) {
 		}
 	}
 	add(5) // fill 0.5: untightened
-	if got := e.effectiveTTL(); got != 800*time.Millisecond {
-		t.Errorf("effectiveTTL at 50%% fill = %v, want 800ms", got)
+	if got := e.effectiveTTL(); got != 8*time.Second {
+		t.Errorf("effectiveTTL at 50%% fill = %v, want 8s", got)
 	}
-	add(8) // fill 0.8: 800 - 0.6·700 = 380ms
-	if got := e.effectiveTTL(); got != 380*time.Millisecond {
-		t.Errorf("effectiveTTL at 80%% fill = %v, want 380ms", got)
+	add(8) // fill 0.8: 8s - 0.6·7s = 3.8s
+	if got := e.effectiveTTL(); got != 3800*time.Millisecond {
+		t.Errorf("effectiveTTL at 80%% fill = %v, want 3.8s", got)
 	}
-	add(10) // fill 1.0: the floor
-	if got := e.effectiveTTL(); got != 100*time.Millisecond {
-		t.Errorf("effectiveTTL at 100%% fill = %v, want 100ms", got)
+	add(10) // fill 1.0: the floor, IdleTTL/8
+	if got := e.effectiveTTL(); got != time.Second {
+		t.Errorf("effectiveTTL at 100%% fill = %v, want 1s", got)
 	}
 }
 
@@ -397,7 +397,7 @@ func TestOverloadMetricsExposition(t *testing.T) {
 	}
 	e.Close()
 
-	e = New(Config{Shards: 1, Overload: OverloadConfig{Enabled: true}})
+	e = New(Config{Shards: 1, Overload: true})
 	defer e.Close()
 	if _, err := e.Add("a", tbf.MustNew(units.Mbps, 10*units.MSS), nil); err != nil {
 		t.Fatal(err)

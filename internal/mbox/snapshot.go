@@ -1,7 +1,8 @@
-// Warm-restart snapshots: Engine.Snapshot serializes every snapshottable
-// aggregate's enforcer state (read in-band on its shard, so each blob is a
-// consistent post-burst state), and Engine.Restore loads the blobs into a
-// fresh engine whose aggregates were re-registered under the same ids. A
+// Warm-restart snapshots: Engine.Snapshot serializes the named aggregates'
+// enforcer state, or every snapshottable aggregate's (read in-band on its
+// shard, so each blob is a consistent post-burst state), and Engine.Restore
+// loads the blobs into an engine whose aggregates were registered under the
+// same ids — a restarted process, or a cluster peer taking a handoff. A
 // restarted proxy that restores its snapshot resumes enforcement with the
 // phantom occupancy, burst-control windows and token levels it had at
 // snapshot time — instead of starting empty and re-admitting a slow-start
@@ -110,75 +111,45 @@ func (s *Snapshot) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// SnapshotAggregate serializes one aggregate's enforcer state, read in-band
-// on its shard (so it reflects every packet submitted before the call and
-// no torn mid-burst state). ErrNoSnapshot when the enforcer does not
-// implement enforcer.Snapshotter.
-func (e *Engine) SnapshotAggregate(id string) ([]byte, error) {
-	var blob []byte
-	var snapErr error
-	err := e.control(id, func(enf enforcer.Enforcer) {
-		sn, ok := enf.(enforcer.Snapshotter)
-		if !ok {
-			snapErr = fmt.Errorf("mbox: aggregate %q (%T): %w", id, enf, ErrNoSnapshot)
-			return
-		}
-		blob, snapErr = sn.SnapshotState()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return blob, snapErr
-}
-
-// RestoreAggregate loads a blob produced by SnapshotAggregate into an
-// aggregate's enforcer, in-band on its shard. The enforcer must have the
-// same configuration the blob was taken under; its RestoreState validates
-// the fit.
-func (e *Engine) RestoreAggregate(id string, state []byte) error {
-	var restoreErr error
-	err := e.control(id, func(enf enforcer.Enforcer) {
-		sn, ok := enf.(enforcer.Snapshotter)
-		if !ok {
-			restoreErr = fmt.Errorf("mbox: aggregate %q (%T): %w", id, enf, ErrNoSnapshot)
-			return
-		}
-		restoreErr = sn.RestoreState(state)
-	})
-	if err != nil {
-		return err
-	}
-	return restoreErr
-}
-
-// Snapshot captures a warm-restart image of every snapshottable aggregate.
-// Aggregates whose enforcers do not implement enforcer.Snapshotter are
-// skipped (they restart cold); per-aggregate blobs are each internally
-// consistent but the image is not a global cut — aggregates keep enforcing
+// Snapshot captures a warm-restart image of the aggregates named in ids, or,
+// with no ids, of every snapshottable aggregate — those whose enforcers do
+// not implement enforcer.Snapshotter are then skipped and restart cold. A
+// named aggregate that is unknown reports an error, and one that cannot be
+// snapshotted ErrNoSnapshot. Each blob is read in-band on the aggregate's
+// shard, so it reflects every packet submitted before the call and no torn
+// mid-burst state; the image is not a global cut — aggregates keep enforcing
 // while others are being snapshotted, exactly as a live middlebox must.
-// Aggregates added or removed concurrently may or may not appear.
-func (e *Engine) Snapshot() (*Snapshot, error) {
-	t := e.table.Load()
-	if t.closed {
-		return nil, fmt.Errorf("mbox: engine closed")
+// Aggregates added or removed concurrently may or may not appear in an
+// image of everything.
+func (e *Engine) Snapshot(ids ...string) (*Snapshot, error) {
+	var aggs []*aggregate
+	for _, id := range ids {
+		agg, err := e.aggByID(id)
+		if err != nil {
+			return nil, err
+		}
+		aggs = append(aggs, agg)
+	}
+	if len(ids) == 0 {
+		t := e.table.Load()
+		if t.closed {
+			return nil, fmt.Errorf("mbox: engine closed")
+		}
+		for i := range t.slots {
+			if agg := t.slots[i].Load(); agg != nil {
+				if _, ok := agg.enf.(enforcer.Snapshotter); ok {
+					aggs = append(aggs, agg)
+				}
+			}
+		}
 	}
 	snap := &Snapshot{}
-	for i := range t.slots {
-		agg := t.slots[i].Load()
-		if agg == nil {
-			continue
-		}
-		if _, ok := agg.enf.(enforcer.Snapshotter); !ok {
-			continue
-		}
+	for _, agg := range aggs {
 		var blob []byte
-		var snapErr error
-		err := e.controlAgg(agg, func(enf enforcer.Enforcer) {
-			blob, snapErr = enf.(enforcer.Snapshotter).SnapshotState()
+		snapErr := e.snapshotter(agg, func(sn enforcer.Snapshotter) (err error) {
+			blob, err = sn.SnapshotState()
+			return err
 		})
-		if err != nil {
-			return nil, fmt.Errorf("mbox: snapshotting %q: %w", agg.id, err)
-		}
 		if snapErr != nil {
 			return nil, fmt.Errorf("mbox: snapshotting %q: %w", agg.id, snapErr)
 		}
@@ -189,15 +160,38 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 
 // Restore loads a snapshot into the engine: every aggregate named in the
 // snapshot must already be registered (under the same id, with an enforcer
-// configured as at snapshot time) and is restored in-band on its shard.
-// Registered aggregates absent from the snapshot are left as they are —
-// they simply start cold. Restore stops at the first failure; aggregates
-// restored before it keep their restored state.
+// configured as at snapshot time, whose RestoreState validates the fit) and
+// is restored in-band on its shard. Registered aggregates absent from the
+// snapshot are left as they are — they simply start cold. Restore stops at
+// the first failure; aggregates restored before it keep their restored
+// state.
 func (e *Engine) Restore(s *Snapshot) error {
 	for _, a := range s.Aggregates {
-		if err := e.RestoreAggregate(a.ID, a.State); err != nil {
+		agg, err := e.aggByID(a.ID)
+		if err == nil {
+			err = e.snapshotter(agg, func(sn enforcer.Snapshotter) error { return sn.RestoreState(a.State) })
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// snapshotter runs fn on agg's enforcer, in-band on its shard; ErrNoSnapshot
+// when the enforcer is not an enforcer.Snapshotter. A control error wins
+// over fn's.
+func (e *Engine) snapshotter(agg *aggregate, fn func(enforcer.Snapshotter) error) error {
+	var fnErr error
+	if err := e.controlAgg(agg, func(enf enforcer.Enforcer) {
+		sn, ok := enf.(enforcer.Snapshotter)
+		if !ok {
+			fnErr = fmt.Errorf("mbox: aggregate %q (%T): %w", agg.id, enf, ErrNoSnapshot)
+			return
+		}
+		fnErr = fn(sn)
+	}); err != nil {
+		return err
+	}
+	return fnErr
 }

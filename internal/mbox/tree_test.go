@@ -310,7 +310,7 @@ func TestTreeSnapshotThroughEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := e.SnapshotAggregate("tenant")
+	snap, err := e.Snapshot("tenant")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestTreeSnapshotThroughEngine(t *testing.T) {
 	if _, err := e2.Add("tenant", newTestTree(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e2.RestoreAggregate("tenant", blob); err != nil {
+	if err := e2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	after, err := e2.NodeStats("tenant", 0)

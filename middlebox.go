@@ -122,15 +122,13 @@ type MiddleboxHealth = mbox.Health
 // ShardHealth is one shard's entry in a MiddleboxHealth snapshot.
 type ShardHealth = mbox.ShardHealth
 
-// OverloadConfig configures the middlebox's overload-control plane:
-// pressure tracking, the priority-aware harmonic shed policy, pressure-
-// tightened idle-TTL, and Add-path admission eviction. Set it on
-// MiddleboxConfig.Overload; the zero value keeps the plane off.
-type OverloadConfig = mbox.OverloadConfig
-
 // OverloadHealth is the overload plane's slice of a MiddleboxHealth
 // snapshot: the composite pressure signal, its components, and the plane's
-// shed/eviction counters.
+// shed/eviction counters. MiddleboxConfig.Overload switches the plane on:
+// pressure tracking always, the priority-aware harmonic shed policy once
+// SetShedClass puts aggregates above class 0, and pressure-tightened
+// idle-TTL and Add-path admission eviction with IdleTTL and MaxAggregates
+// set. Its thresholds are constants (DESIGN.md, "Overload control").
 type OverloadHealth = mbox.OverloadHealth
 
 // AggregateFaults reports one aggregate's fault record: panics observed,
