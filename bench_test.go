@@ -525,7 +525,7 @@ func BenchmarkMiddleboxDegradedBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Trip the breaker (default PanicThreshold 1), then barrier on the
-	// control lane so quarantine is observed before timing starts.
+	// shard so quarantine is observed before timing starts.
 	trip := [1]Packet{{Key: FlowKey{SrcIP: 1, Proto: 6}, Size: MSS}}
 	if err := eng.SubmitBatch(h, trip[:]); err != nil {
 		b.Fatal(err)

@@ -294,7 +294,7 @@ func TestChaosClusterAcceptedBytes(t *testing.T) {
 	}
 	var accepted int64
 	for _, m := range members {
-		// Stats is a control-lane op ordered behind the data ring, so it
+		// Stats is a control op ordered behind queued bursts on the ring, so it
 		// reflects every burst submitted before the producers stopped.
 		st, err := m.engine.Stats(aggID)
 		if err != nil {

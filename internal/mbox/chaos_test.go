@@ -14,6 +14,7 @@ package mbox
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -531,19 +532,31 @@ func TestChaosCloseDeadlineForceAbandonsWedgedShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wedge the shard on the first packet, then fill the ring behind it.
-	wedgeShard(t, e, 0, func() { e.SubmitBatch(h, burstOf(1, 0)) })
+	// Wedge the shard goroutine on the first packet, then fill all but one
+	// ring slot behind it.
+	release := holdShard(t, e, "x")
+	if err := e.SubmitBatch(h, burstOf(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	release()
 	<-started
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 3; i++ {
 		if err := e.SubmitBatch(h, burstOf(2, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// A control op parked against the wedged shard must be released by
-	// Close with an error, not leaked.
+	// A control op parked in the last slot of the wedged shard's ring must
+	// be released by Close with an error, not leaked.
 	ctrlErr := make(chan error, 1)
 	go func() { ctrlErr <- e.Flush("x", func(enforcer.Enforcer) {}) }()
+	ring := e.shards[0].in
+	for deadline := time.Now().Add(10 * time.Second); len(ring) < cap(ring); {
+		if time.Now().After(deadline) {
+			t.Fatal("the Flush never took the last ring slot")
+		}
+		runtime.Gosched()
+	}
 
 	start := time.Now()
 	rep := e.Close()
@@ -642,12 +655,18 @@ func TestChaosWatchdogClassifiesWedgedShard(t *testing.T) {
 	}
 }
 
-// TestControlEscalationDeterministic pins the ErrSaturated failover path
-// step by step: with the shard wedged and the data ring full, a control op
-// (1) times out on the ordered ring, (2) fails over to the priority control
-// lane and parks there, and only once the lane itself is full does a
-// further op (3) escalate to ErrSaturated. Unwedging drains everything and
-// every parked op completes.
+// TestControlEscalationDeterministic pins, step by step, what a control call
+// does when its shard stalls — the shard goroutine stuck in an emit hook,
+// the one-slot ring full behind it. (1) A stall of five ControlTimeouts is no
+// wedge yet (the heartbeat is under wedgeTimeout old; a shard goroutine kept
+// off the CPU looks the same), so the call keeps waiting. (2) Once the stall
+// reads older than wedgeTimeout — the heartbeat is backdated, as the watchdog
+// tests pick clock readings, rather than waited out — the call reports
+// ErrSaturated within ControlTimeout. (3) Its fn never runs, not even once the
+// shard unwedges, so nothing it would have read or changed lands out of
+// order. TestControlFailsOverOnSaturatedShard is (2) and (3) with a submitter
+// wedged instead; TestControlThroughFloodedRing is the other half: a live
+// shard, however flooded, takes every call.
 func TestControlEscalationDeterministic(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
@@ -655,10 +674,7 @@ func TestControlEscalationDeterministic(t *testing.T) {
 	defer openGate()
 
 	const controlTimeout = 20 * time.Millisecond
-	e := New(Config{
-		Shards: 1, QueueDepth: 1,
-		ControlTimeout: controlTimeout,
-	})
+	e := New(Config{Shards: 1, QueueDepth: 1, ControlTimeout: controlTimeout})
 	defer e.Close()
 	started := make(chan struct{}, 1)
 	h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), func(packet.Packet) {
@@ -671,7 +687,8 @@ func TestControlEscalationDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wedge the consumer on packet 1, fill the one-slot ring with packet 2.
+	// Wedge the shard goroutine on packet 1, fill the one-slot ring with
+	// packet 2.
 	release := holdShard(t, e, "x")
 	if err := e.SubmitBatch(h, burstOf(1, 0)); err != nil {
 		t.Fatal(err)
@@ -682,71 +699,123 @@ func TestControlEscalationDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Step 1+2: a single control op fails over from the full ring to the
-	// control lane (observable via ControlFailovers) and parks — it must
-	// NOT report ErrSaturated while the lane has room.
-	opA := make(chan error, 1)
-	go func() { opA <- e.Flush("x", func(enforcer.Enforcer) {}) }()
-	deadline := time.After(10 * time.Second)
-	for e.ControlFailovers.Load() == 0 {
-		select {
-		case err := <-opA:
-			t.Fatalf("control op finished (%v) before failing over", err)
-		case <-deadline:
-			t.Fatal("control op never failed over to the control lane")
-		default:
-			time.Sleep(time.Millisecond)
-		}
+	var ran atomic.Bool
+	refused := make(chan error, 1)
+	go func() { refused <- e.Flush("x", func(enforcer.Enforcer) { ran.Store(true) }) }()
+	select {
+	case err := <-refused:
+		t.Fatalf("Flush gave up on a shard stalled for less than wedgeTimeout: %v", err)
+	case <-time.After(5 * controlTimeout):
 	}
 
-	// Step 3: the lane holds 16 items; op A occupies one slot. 16 more
-	// ops ⇒ 15 park in the lane, exactly one exhausts it and escalates
-	// to ErrSaturated.
-	const extra = 16
-	errs := make(chan error, extra)
-	for i := 0; i < extra; i++ {
-		go func() { errs <- e.Flush("x", func(enforcer.Enforcer) {}) }()
-	}
+	e.shards[0].heartbeat.Add(-int64(wedgeTimeout))
 	select {
-	case err := <-errs:
+	case err := <-refused:
 		if !errors.Is(err, ErrSaturated) {
-			t.Fatalf("first completed op reported %v, want ErrSaturated", err)
+			t.Fatalf("Flush on a wedged shard = %v, want ErrSaturated", err)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("no op escalated to ErrSaturated with a full control lane")
+	case <-time.After(controlTimeout + time.Second):
+		t.Fatal("Flush on a wedged shard still parked after ControlTimeout + 1s")
 	}
 
-	// Unwedge: queued data and every parked control op drain.
+	// Unwedge. Stats rides behind whatever the ring still holds.
 	openGate()
-	for i := 0; i < extra-1; i++ {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Fatalf("parked control op failed after unwedge: %v", err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("parked control op never completed after unwedge")
-		}
-	}
-	select {
-	case err := <-opA:
-		if err != nil {
-			t.Fatalf("failed-over control op errored: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("failed-over control op never completed after unwedge")
-	}
-	// Every op raced the full ring first: all 17 failed over, 16 parked,
-	// 1 saturated.
-	if got := e.ControlFailovers.Load(); got != extra+1 {
-		t.Errorf("ControlFailovers = %d, want %d", got, extra+1)
-	}
 	st, err := e.Stats("x")
+	if err != nil {
+		t.Fatalf("Stats after unwedge: %v", err)
+	}
+	if p, _ := st.Totals(); p != 2 {
+		t.Errorf("enforcer saw %d packets after unwedge, want 2", p)
+	}
+	if err := e.Flush("x", func(enforcer.Enforcer) {}); err != nil {
+		t.Fatalf("Flush after unwedge: %v", err)
+	}
+	if ran.Load() {
+		t.Error("the refused Flush's fn ran after the shard unwedged")
+	}
+}
+
+// TestControlThroughFloodedRing is why a shard needs no second queue for
+// control: two open-loop producers keep a two-slot ring full, and every
+// control call still gets a slot — a sender parked on a full channel is
+// handed the next slot the shard frees, ahead of producers that shed rather
+// than wait. None reports ErrSaturated, every Flush's fn runs exactly once,
+// and the books balance: offered = enforced + Overloaded.
+//
+// The producers never yield and ControlTimeout is the default 10 ms, so on a
+// host with fewer cores than busy goroutines the shard goroutine is often
+// kept off the CPU for a whole ControlTimeout, mid-item: on two vCPUs most
+// calls wait longer than that, and the test takes half a minute. That is not
+// a wedge, and controlAgg must keep waiting through it (measured on two
+// vCPUs: the old control lane took over 412–481 of the 1,000 calls, and a
+// call that gave up after one ControlTimeout was refused within the first
+// three).
+func TestControlThroughFloodedRing(t *testing.T) {
+	e := New(Config{Shards: 1, QueueDepth: 2})
+	defer e.Close()
+	h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, _ := st.Totals(); p != 2 {
-		t.Errorf("enforcer saw %d packets after drain, want 2", p)
+	var stop atomic.Bool
+	var offered atomic.Int64
+	var wg sync.WaitGroup
+	halt := func() { stop.Store(true); wg.Wait() }
+	defer halt()
+	for p := 0; p < 2; p++ {
+		wg.Add(1)
+		go func(b []packet.Packet) {
+			defer wg.Done()
+			for !stop.Load() {
+				if err := e.SubmitBatch(h, b); err != nil {
+					t.Error(err)
+					return
+				}
+				offered.Add(int64(len(b)))
+			}
+		}(burstOf(8, 8*p))
+	}
+
+	const ops = 1000
+	flushed, slow := 0, 0
+	ring := e.shards[0].in
+	deadline := time.Now().Add(time.Minute)
+	for i := 0; i < ops; i++ {
+		// Each call is made against a ring that reads full.
+		for len(ring) < cap(ring) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the producers stopped filling the ring after %d control ops", i)
+			}
+			runtime.Gosched()
+		}
+		start := time.Now()
+		var err error
+		if i%2 == 0 {
+			err = e.Flush("x", func(enforcer.Enforcer) { flushed++ })
+		} else {
+			err = e.SetRate("x", units.Rate(1+i%7)*units.Mbps)
+		}
+		if err != nil {
+			t.Fatalf("control op %d on a flooded live shard: %v", i, err)
+		}
+		if time.Since(start) > e.cfg.ControlTimeout {
+			slow++
+		}
+	}
+	halt()
+	t.Logf("%d of %d control calls waited longer than ControlTimeout (%v)", slow, ops, e.cfg.ControlTimeout)
+
+	st, err := e.Stats("x") // behind every queued burst
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flushed != ops/2 {
+		t.Errorf("%d Flush fns ran for %d calls", flushed, ops/2)
+	}
+	enforced, _ := st.Totals()
+	shed := e.Overloaded.Load()
+	if got := offered.Load(); got != enforced+shed {
+		t.Errorf("offered %d != enforced %d + shed %d", got, enforced, shed)
 	}
 }
 

@@ -19,10 +19,10 @@
 // — a middlebox must shed load, not buffer unboundedly.
 //
 // Control operations (stats/flush/live reconfiguration/snapshots) follow the
-// same rule and are serialized with the shard's bursts, so they are safe
-// during full-rate traffic; under saturation they fail over to a dedicated
-// control lane so a wedged shard ring cannot stall the control plane behind
-// data traffic. Update applies rate-plan and policy changes in-band and in
+// same rule and ride the same ring, serialized with the shard's bursts, so
+// they are safe during full-rate traffic; one that waits for a ring slot on a
+// wedged shard reports ErrSaturated instead of stalling the control plane.
+// Update applies rate-plan and policy changes in-band and in
 // place — admission state (phantom occupancy, burst-control windows, token
 // levels) survives the change, preserving the Theorem 1 bound piecewise
 // across it.
@@ -123,9 +123,11 @@ var ErrNotReconfigurable = enforcer.ErrNotReconfigurable
 // enforcer.ErrBadNode sentinel. Test with errors.Is.
 var ErrBadNode = enforcer.ErrBadNode
 
-// ErrSaturated reports that a control operation could not reach its shard
-// within ControlTimeout on either the ordered data ring or the priority
-// control lane. Test with errors.Is.
+// ErrSaturated reports that a control operation waiting for a slot on its
+// shard's full ring found the shard wedged (ShardWedged: work queued or in
+// flight, no progress for a second), or that a LocalSubmitter could not claim
+// its shard within ControlTimeout. The operation did not run and never will.
+// Test with errors.Is.
 var ErrSaturated = errors.New("shard saturated")
 
 // DegradeMode selects what happens to traffic for a quarantined aggregate
@@ -193,10 +195,10 @@ type Config struct {
 	// (default 1024), whatever their size: a full ring of 32-packet bursts
 	// holds 32× as many packets.
 	QueueDepth int
-	// ControlTimeout bounds how long a control operation (Stats/Flush)
-	// waits for space on the ordered data ring before failing over to
-	// the shard's priority control lane, and then how long it waits for
-	// the lane itself (default 10ms).
+	// ControlTimeout bounds how long a LocalSubmitter waits for its shard's
+	// occupancy word, and how long after its shard turns ShardWedged a
+	// control operation (Stats, Flush, Update, Remove, …) waiting for a ring
+	// slot keeps waiting, before either reports ErrSaturated (default 10ms).
 	ControlTimeout time.Duration
 	// Clock supplies the virtual time passed to enforcers; it is read
 	// once per burst, not once per packet. The default is wall time
@@ -249,7 +251,7 @@ type Config struct {
 	// enforced run (one pass over the run's verdicts into locals, then a
 	// handful of atomic adds — no per-packet atomics, no allocation) plus
 	// one sampled trace event per Options.SampleEvery
-	// runs; rare events (panics, quarantine, shed, failover, evict,
+	// runs; rare events (panics, quarantine, shed, evict,
 	// reconfiguration) are always recorded. Read it back through
 	// Engine.TraceDump and Engine.Metrics.
 	Observer *obs.Collector
@@ -282,9 +284,6 @@ type Engine struct {
 	// BadVerdicts counts out-of-range verdicts (a corrupted or buggy
 	// enforcer) coerced to Drop on the emit path.
 	BadVerdicts atomic.Int64
-	// ControlFailovers counts control operations that failed over from
-	// the ordered data ring to the priority control lane.
-	ControlFailovers atomic.Int64
 	// Evicted counts aggregates removed by the idle-TTL sweeper.
 	Evicted atomic.Int64
 	// OverloadShed counts packets shed proactively by the overload
@@ -343,6 +342,10 @@ type Engine struct {
 	wall       func() int64
 	coarseWall atomic.Int64
 
+	// pool recycles the buffers queued bursts are copied into. A fixed
+	// per-shard slab would pin QueueDepth × DefaultBurst packets (1024 × 32
+	// × 72 B ≈ 2.36 MB a shard) whether or not anything ever queues; the
+	// pool holds what queuing has needed lately (DESIGN.md §5).
 	pool        sync.Pool     // *burst
 	stop        chan struct{} // closed by Close: stops the wall ticker, watchdog and sweeper
 	dead        chan struct{} // closed once Close finished (shards exited or abandoned)
@@ -456,27 +459,25 @@ type aggregate struct {
 	audit atomic.Pointer[aggAudit]
 }
 
-// burst is one ring slot of work: one aggregate's packets. node carries the
-// tree-node ingress of a leaf-addressed submission; NoNode means
-// whole-aggregate submission (node 0 is a valid node, so submitRing sets the
-// field on every burst it takes from the pool). Bursts are pooled; the
-// engine owns them.
+// burst is the pooled buffer a queued burst's packets are copied into; the
+// engine owns it.
 type burst struct {
 	pkts []packet.Packet
-	agg  *aggregate
-	node enforcer.NodeID
 }
 
-// item is one unit of shard work.
+// item is one unit of shard work, for agg: a burst (b, entering agg's tree
+// at node — NoNode means whole-aggregate submission), a control call, or the
+// stop Close sends. node sits beside stop so an item, and a ring slot, stays
+// five words.
 type item struct {
-	b *burst
+	b   *burst
+	agg *aggregate
 
-	// Control messages: control runs on agg's enforcer, and agg attributes
-	// a control panic to its aggregate. done is nil when the caller runs
-	// the item itself.
+	// control runs on agg's enforcer, and agg attributes a control panic
+	// to its aggregate. done is nil when the caller runs the item itself.
 	control func(enforcer.Enforcer)
 	done    chan struct{}
-	agg     *aggregate
+	node    enforcer.NodeID
 	stop    bool
 }
 
@@ -489,14 +490,14 @@ type item struct {
 // writing, and one that sheds does not take the count's either.
 type shard struct {
 	idx      int
-	in       chan item          // ordered data ring (bursts + in-band control)
-	ctrl     chan item          // priority control lane used when in is saturated
+	in       chan item          // the shard's one queue: bursts, control items and the stop, in order
 	verdicts []enforcer.Verdict // enforcement-side scratch, owned by the occupancy holder
 	// obs is the shard's observability block (nil without an Observer):
 	// its flight-recorder ring, burst-latency histogram and trace
 	// sampling state.
 	obs  *obs.ShardObs
 	done chan struct{} // closed when the shard goroutine exits
+	_    [8]byte
 
 	// occ is the shard occupancy word (occFree/occShard/occLocal): the
 	// shard goroutine CASes it around every ring item and submitters CAS
@@ -520,7 +521,7 @@ type shard struct {
 	inlineBursts atomic.Int64
 	_            [8]byte
 
-	// pending counts the items offered to in or ctrl and not yet completed:
+	// pending counts the items offered to in and not yet completed:
 	// raised before the channel send, lowered under the word once the item
 	// has run (or by whoever sheds, times out or drains it). Submitters
 	// serve their own work only at zero (claimIdle).
@@ -589,7 +590,6 @@ func New(cfg Config) *Engine {
 		s := &shard{
 			idx:      i,
 			in:       make(chan item, cfg.QueueDepth),
-			ctrl:     make(chan item, 16),
 			verdicts: make([]enforcer.Verdict, enforcer.DefaultBurst),
 			done:     make(chan struct{}),
 		}
@@ -610,23 +610,12 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// run is a shard's event loop: it drains what submitters queued because they
-// found the shard busy. The control lane is drained with equal priority; it
-// only carries traffic when the data ring is saturated, which is exactly when
-// jumping the queue is the point.
+// run is a shard's event loop: it serves, in order, what submitters and
+// control callers queued because they found the shard busy, until Close's
+// stop item.
 func (e *Engine) run(s *shard) {
 	defer close(s.done)
-	for {
-		select {
-		case it := <-s.in:
-			if e.process(s, it) {
-				return
-			}
-		case it := <-s.ctrl:
-			if e.process(s, it) {
-				return
-			}
-		}
+	for !e.process(s, <-s.in) {
 	}
 }
 
@@ -646,7 +635,7 @@ func (e *Engine) process(s *shard, it item) bool {
 		e.serveControl(s, it)
 		return false
 	}
-	e.serve(s, it.b.agg, it.b.node, it.b.pkts)
+	e.serve(s, it.agg, it.node, it.b.pkts)
 	s.queued.Add(1)
 	e.putBurst(it.b)
 	return false
@@ -924,21 +913,21 @@ func (e *Engine) wallTicker() {
 // sheds the whole burst and counts it as overload. A ring that already reads
 // full sheds without raising pending — under a flood that is most bursts, and
 // the count shares a cache line with what the shard goroutine writes per item.
-func (e *Engine) enqueue(s *shard, b *burst) {
+func (e *Engine) enqueue(s *shard, it item) {
 	if len(s.in) < cap(s.in) {
 		s.pending.Add(1)
 		select {
-		case s.in <- item{b: b}:
+		case s.in <- it:
 			return
 		default:
 			s.pending.Add(-1)
 		}
 	}
-	n := int64(len(b.pkts))
+	n := int64(len(it.b.pkts))
 	e.Overloaded.Add(n)
 	s.shed.Add(n)
 	e.recordShed(s, n, obs.Event{Kind: obs.KindShed, Agg: -1, Node: -1})
-	e.putBurst(b)
+	e.putBurst(it.b)
 }
 
 // recordShed coalesces KindShed trace events for n shed packets (see
@@ -960,12 +949,11 @@ func (e *Engine) recordShed(s *shard, n int64, ev obs.Event) {
 	s.mu.Unlock()
 }
 
-// putBurst clears a burst (dropping payload and aggregate references so
-// the pool does not pin memory) and returns it to the pool.
+// putBurst clears a burst (dropping payload references so the pool does not
+// pin memory) and returns it to the pool.
 func (e *Engine) putBurst(b *burst) {
 	clear(b.pkts)
 	b.pkts = b.pkts[:0]
-	b.agg = nil
 	e.pool.Put(b)
 }
 
@@ -998,7 +986,7 @@ func (e *Engine) shardFor(id string) *shard {
 // past its admission TTL, in which case that victim is evicted
 // (barrier-free, zero Stats through OnEvict) and the Add proceeds. Either
 // way an Add storm against a full table stays O(table scan) per call and
-// never serializes on the shards' control lanes.
+// never serializes on the shards' rings.
 func (e *Engine) Add(id string, enf enforcer.Enforcer, emit Emit) (Handle, error) {
 	return e.add(id, enf, emit, nil)
 }
@@ -1284,10 +1272,8 @@ func (e *Engine) submitRing(h Handle, node enforcer.NodeID, pkts []packet.Packet
 		return nil
 	}
 	b := e.pool.Get().(*burst)
-	b.agg = agg
-	b.node = node
 	b.pkts = append(b.pkts, pkts...)
-	e.enqueue(s, b)
+	e.enqueue(s, item{b: b, agg: agg, node: node})
 	return nil
 }
 
@@ -1324,12 +1310,14 @@ func (e *Engine) control(id string, fn func(enforcer.Enforcer)) error {
 // which is how Remove and the eviction sweeper collect final statistics.
 //
 // On an idle shard the caller claims the word and runs fn itself. Otherwise
-// the control item rides the ordered data ring; either way fn observes every
-// packet submitted before the call. When the data ring stays full past
-// ControlTimeout (a saturated or wedged shard), the item fails over to the
-// shard's dedicated control lane — jumping ahead of queued data is the price
-// of not letting data traffic stall the control plane; if even the lane is
-// full past the timeout, ErrSaturated is reported.
+// the control item joins the shard's ring behind everything queued before
+// it; either way fn observes every packet submitted before the call. A full
+// ring makes the caller wait for a slot, and it gets the first one the shard
+// frees, ahead of producers that would shed rather than wait. It keeps
+// waiting while the shard is alive, however slowly it drains — a shard
+// goroutine kept off the CPU for a few scheduler slices is not wedged — and
+// checks every ControlTimeout whether the shard is wedged by the watchdog's
+// test (shard.wedged). If it is, ErrSaturated is reported and fn never runs.
 func (e *Engine) controlAgg(agg *aggregate, fn func(enforcer.Enforcer)) error {
 	s := agg.shard
 	it := item{control: fn, agg: agg}
@@ -1338,35 +1326,22 @@ func (e *Engine) controlAgg(agg *aggregate, fn func(enforcer.Enforcer)) error {
 		e.serveControl(s, it)
 		return nil
 	}
-	done := make(chan struct{})
-	it.done = done
-
+	it.done = make(chan struct{})
 	s.pending.Add(1)
-	timer := time.NewTimer(e.cfg.ControlTimeout)
-	select {
-	case s.in <- it:
-		timer.Stop()
-	case <-timer.C:
-		// Ordered ring saturated: fail over to the priority lane.
-		e.ControlFailovers.Add(1)
-		e.record(s, obs.Event{Kind: obs.KindFailover, Agg: int64(agg.h), Node: -1})
-		timer.Reset(e.cfg.ControlTimeout)
-		select {
-		case s.ctrl <- it:
-			timer.Stop()
-		case <-timer.C:
+	for !sendUntil(s.in, it, time.Now().Add(e.cfg.ControlTimeout)) {
+		if s.wedged(time.Now().UnixNano()) {
 			s.pending.Add(-1)
 			return fmt.Errorf("mbox: aggregate %q: %w", agg.id, ErrSaturated)
 		}
 	}
 	select {
-	case <-done:
+	case <-it.done:
 		return nil
 	case <-e.dead:
 		// The engine closed while the item was in flight; it may still
 		// have been processed during the drain.
 		select {
-		case <-done:
+		case <-it.done:
 			return nil
 		default:
 			return fmt.Errorf("mbox: engine closed")
@@ -1377,17 +1352,18 @@ func (e *Engine) controlAgg(agg *aggregate, fn func(enforcer.Enforcer)) error {
 // Update applies a live reconfiguration to an aggregate's enforcer, in
 // place and in-band: fn runs under the owning shard's occupancy word with
 // the engine's clock read there, serialized against the aggregate's bursts
-// and behind any still queued on the ordered ring. A concurrently running batch therefore never observes a
-// partially applied configuration, fn observes every packet submitted
-// before the call, and — because enforcers reconfigure in place (see
-// enforcer.Reconfigurer) — admission state survives: no phantom occupancy
-// reset, no refilled token bucket, no re-admitted slow-start burst. The
-// Theorem 1 bound holds piecewise across the change.
+// and behind any still queued on the shard's ring. A concurrently running
+// batch therefore never observes a partially applied configuration, fn
+// observes every packet submitted before the call, and — because enforcers
+// reconfigure in place (see enforcer.Reconfigurer) — admission state
+// survives: no phantom occupancy reset, no refilled token bucket, no
+// re-admitted slow-start burst. The Theorem 1 bound holds piecewise across
+// the change.
 //
 // fn's error is reported but does not retract anything fn already mutated;
 // enforcer Reconfigurers validate before mutating. Like all control
-// operations, Update fails over to the priority control lane against a
-// saturated shard and then reports ErrSaturated.
+// operations, Update reports ErrSaturated, without running fn, when its
+// shard's ring is full and the shard wedged.
 func (e *Engine) Update(id string, fn func(now time.Duration, enf enforcer.Enforcer) error) error {
 	return e.update(id, func(now time.Duration, agg *aggregate) error { return fn(now, agg.enf) })
 }
@@ -1574,7 +1550,7 @@ func (e *Engine) Reinstate(id string) error {
 type ShardHealth struct {
 	Shard      int
 	State      ShardState
-	QueueDepth int // bursts queued on the ordered data ring
+	QueueDepth int // bursts and control items queued on the shard's ring
 	QueueCap   int // ring capacity in bursts
 	// HeartbeatAge is the time since the shard last made progress; without
 	// an Observer it can read up to 500µs high (burstWall).
@@ -1595,12 +1571,11 @@ type Health struct {
 	Shards      []ShardHealth
 	Quarantined []string // ids of quarantined aggregates
 
-	Panics           int64
-	DegradedDrops    int64
-	DegradedPasses   int64
-	BadVerdicts      int64
-	Overloaded       int64
-	ControlFailovers int64
+	Panics         int64
+	DegradedDrops  int64
+	DegradedPasses int64
+	BadVerdicts    int64
+	Overloaded     int64
 
 	// Overload is the overload plane's state (zero value when the plane
 	// is disabled).
@@ -1624,13 +1599,12 @@ func (h Health) Wedged() bool {
 func (e *Engine) Health() Health {
 	now := time.Now().UnixNano()
 	h := Health{
-		Panics:           e.Panics.Load(),
-		DegradedDrops:    e.DegradedDrops.Load(),
-		DegradedPasses:   e.DegradedPasses.Load(),
-		BadVerdicts:      e.BadVerdicts.Load(),
-		Overloaded:       e.Overloaded.Load(),
-		ControlFailovers: e.ControlFailovers.Load(),
-		Overload:         e.overloadHealth(),
+		Panics:         e.Panics.Load(),
+		DegradedDrops:  e.DegradedDrops.Load(),
+		DegradedPasses: e.DegradedPasses.Load(),
+		BadVerdicts:    e.BadVerdicts.Load(),
+		Overloaded:     e.Overloaded.Load(),
+		Overload:       e.overloadHealth(),
 	}
 	h.Shards = make([]ShardHealth, len(e.shards))
 	for i, s := range e.shards {
@@ -1686,24 +1660,29 @@ func (s *shard) inFlight() bool { return s.occ.Load() != occFree }
 
 // wedgeTimeout is the heartbeat age beyond which a shard with pending or
 // in-flight work is classified Wedged: well above the 500µs the heartbeat can
-// trail the work by (burstWall).
+// trail the work by (burstWall), and the tens of milliseconds a runnable
+// shard goroutine can wait for a CPU on a host with more busy goroutines than
+// cores.
 const wedgeTimeout = time.Second
 
-// classify derives one shard's state. A shard is Wedged only when it has
-// work (queued, or in flight on its own goroutine or an inline submitter's)
-// and its heartbeat is stale by more than wedgeTimeout — an idle shard's
-// heartbeat goes stale legitimately, and a working one's by
-// coarseWallInterval (burstWall). It is Degraded when it recovered a panic or shed load since
-// the last check, or its ring is ≥3/4 full.
+// wedged reports whether s has work (queued, or in flight on its own
+// goroutine or an inline submitter's) and a heartbeat stale by more than
+// wedgeTimeout at now — an idle shard's heartbeat goes stale legitimately,
+// and a working one's by coarseWallInterval (burstWall).
+func (s *shard) wedged(now int64) bool {
+	working := len(s.in) > 0 || s.inFlight()
+	return working && time.Duration(now-s.heartbeat.Load()) > wedgeTimeout
+}
+
+// classify derives one shard's state: Wedged when s.wedged, Degraded when it
+// recovered a panic or shed load since the last check, or its ring is ≥3/4
+// full.
 func (e *Engine) classify(s *shard, now int64, lastPanics, lastShed *int64) ShardState {
-	depth := len(s.in) + len(s.ctrl)
-	age := time.Duration(now - s.heartbeat.Load())
-	working := depth > 0 || s.inFlight()
 	p, sh := s.panics.Load(), s.shed.Load()
 	panicked, shed := p > *lastPanics, sh > *lastShed
 	*lastPanics, *lastShed = p, sh
 	switch {
-	case working && age > wedgeTimeout:
+	case s.wedged(now):
 		return ShardWedged
 	case panicked || shed || len(s.in) >= cap(s.in)-cap(s.in)/4:
 		return ShardDegraded
@@ -1725,7 +1704,7 @@ type CloseReport struct {
 	AbandonedShards int
 	// ShedPackets counts packets that were queued but discarded
 	// unenforced during a forced shutdown (drained from the rings of
-	// abandoned or queue-jumped shards).
+	// abandoned shards).
 	ShedPackets int64
 }
 
@@ -1734,14 +1713,13 @@ type CloseReport struct {
 // discarded. Close is idempotent; concurrent and later calls return the
 // first call's report.
 //
-// Shutdown is deadline-bounded and degrades in stages per shard: (1) a stop
-// item is sent in-band on the ordered data ring, so a responsive shard
-// drains everything accepted before Close; (2) if the ring stays full past
-// the deadline's share, the stop jumps the queue via the priority control
-// lane and the ring's remaining bursts are drained unenforced and counted
-// as shed; (3) a shard that still does not exit, or whose occupancy word a
-// submitter still holds (wedged in user code), is force-abandoned — Close
-// returns anyway and reports it.
+// Shutdown is deadline-bounded and has two stages per shard: (1) a stop item
+// joins the ring behind everything accepted before Close, so a responsive
+// shard serves all of it and exits; (2) a shard whose ring stays full, whose
+// goroutine does not exit, or whose occupancy word a submitter still holds
+// (wedged in user code) by the deadline is force-abandoned: what its ring
+// still holds is drained unenforced and counted as shed, queued control
+// calls fail with an engine-closed error, and Close returns and reports it.
 func (e *Engine) Close() CloseReport {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1759,7 +1737,6 @@ func (e *Engine) Close() CloseReport {
 	deadline := time.Now().Add(e.cfg.CloseTimeout)
 	type result struct {
 		exited bool
-		jumped bool
 		shed   int64
 	}
 	results := make([]result, len(e.shards))
@@ -1769,13 +1746,7 @@ func (e *Engine) Close() CloseReport {
 		go func(i int, s *shard) {
 			defer wg.Done()
 			r := &results[i]
-			delivered := sendUntil(s.in, item{stop: true}, deadline)
-			if !delivered {
-				// Ring saturated: jump the queue on the control lane.
-				r.jumped = true
-				delivered = sendUntil(s.ctrl, item{stop: true}, deadline)
-			}
-			if delivered && waitUntil(s.done, deadline) {
+			if sendUntil(s.in, item{stop: true}, deadline) && waitUntil(s.done, deadline) {
 				// A goroutine that exited proves nothing about a submitter
 				// serving its own burst — the stop item skips the word — so
 				// the shard counts as stopped once the word can be had too.
@@ -1783,30 +1754,33 @@ func (e *Engine) Close() CloseReport {
 					s.release()
 				}
 			}
-			if !r.exited || r.jumped {
-				// The shard will not (or did not) drain its ring:
-				// reclaim what is queued and count it as shed.
+			if !r.exited {
+				// The shard will not drain its ring: reclaim what is queued,
+				// count it as shed, and leave a stop for the goroutine to
+				// exit on should it ever unwedge.
 				r.shed = e.drainRing(s)
+				select {
+				case s.in <- item{stop: true}:
+				default:
+				}
 			}
 		}(i, s)
 	}
 	wg.Wait()
-	rep := CloseReport{Clean: true}
+	var rep CloseReport
 	for _, r := range results {
 		if !r.exited {
 			rep.AbandonedShards++
 		}
-		if !r.exited || r.jumped {
-			rep.Clean = false
-		}
 		rep.ShedPackets += r.shed
 	}
+	rep.Clean = rep.AbandonedShards == 0
 	e.closeReport = rep
 	close(e.dead)
 	return rep
 }
 
-// drainRing empties a shard's data ring without enforcing: bursts are
+// drainRing empties a shard's ring without enforcing: bursts are
 // counted as shed and pooled; control items are discarded un-run (their
 // waiters are released by e.dead with an engine-closed error, never a
 // false completion). Safe to run concurrently with a zombie consumer —

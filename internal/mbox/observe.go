@@ -93,7 +93,6 @@ func (e *Engine) Metrics() obs.Snapshot {
 	counter("bcpqp_degraded_passes_total", "packets passed unenforced for quarantined fail-open aggregates", float64(e.DegradedPasses.Load()))
 	counter("bcpqp_bad_verdicts_total", "out-of-range verdicts coerced to drop", float64(e.BadVerdicts.Load()))
 	counter("bcpqp_overloaded_packets_total", "packets shed at full shard rings", float64(e.Overloaded.Load()))
-	counter("bcpqp_control_failovers_total", "control operations that failed over to the priority lane", float64(e.ControlFailovers.Load()))
 	counter("bcpqp_evicted_total", "aggregates evicted by the idle-TTL sweeper", float64(e.Evicted.Load()))
 	counter("bcpqp_inline_bursts_total", "bursts enforced through the ring-bypass fast path", float64(e.InlineBursts.Load()))
 	counter("bcpqp_inline_fallbacks_total", "ring-bypass submissions that fell back to shedding on a wedged shard", float64(e.InlineFallbacks.Load()))
@@ -118,7 +117,7 @@ func (e *Engine) Metrics() obs.Snapshot {
 	now := time.Now().UnixNano()
 	shardFams := []obs.Family{
 		{Name: "bcpqp_shard_state", Help: "watchdog state (0 healthy, 1 degraded, 2 wedged)", Type: "gauge"},
-		{Name: "bcpqp_shard_queue_depth", Help: "bursts queued on the ordered data ring", Type: "gauge"},
+		{Name: "bcpqp_shard_queue_depth", Help: "bursts and control items queued on the shard ring", Type: "gauge"},
 		{Name: "bcpqp_shard_heartbeat_age_seconds", Help: "time since the shard last made progress", Type: "gauge"},
 		{Name: "bcpqp_shard_processed_total", Help: "items completed by the shard", Type: "counter"},
 		{Name: "bcpqp_shard_panics_total", Help: "panics recovered on the shard", Type: "counter"},

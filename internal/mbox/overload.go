@@ -40,8 +40,8 @@ import (
 //   - An Add storm against a full table degrades instead of wedging: Add
 //     evicts the least-recently-active aggregate (when it has been idle past
 //     admissionTTL) without the in-band final-stats barrier — the barrier
-//     costs up to 2×ControlTimeout per eviction, which under a storm would
-//     serialize the control lane into uselessness. Such evictions report
+//     costs up to ControlTimeout per eviction, which under a storm would
+//     serialize Add behind the shard rings. Such evictions report
 //     zero Stats through OnEvict, which the OnEvict contract already allows
 //     for saturated shards. When no victim is idle enough, Add fails fast
 //     with ErrTableFull.

@@ -337,7 +337,7 @@ func TestAddEvictsIdleWhenFull(t *testing.T) {
 	}
 
 	// Everything now current (< admission TTL idle): the next Add degrades
-	// to ErrTableFull — fast, no control-lane traffic.
+	// to ErrTableFull — fast, no ring traffic.
 	for _, id := range []string{"a1", "a2", "a3"} {
 		if err := e.Update(id, func(time.Duration, enforcer.Enforcer) error { return nil }); err != nil {
 			t.Fatal(err)

@@ -105,7 +105,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 		}
 	}()
 
-	// Control-plane pollers: Stats rides the ordered data ring, Lookup
+	// Control-plane pollers: Stats rides the shard's ring, Lookup
 	// and Len read the registry snapshot.
 	for g := 0; g < 2; g++ {
 		wg.Add(1)

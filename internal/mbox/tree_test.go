@@ -272,7 +272,7 @@ func TestTraceNodePath(t *testing.T) {
 	if err := e.SubmitLeafBatch(lh, []packet.Packet{pkt(0), pkt(1)}); err != nil {
 		t.Fatal(err)
 	}
-	// Barrier: NodeStats rides the control lane behind the burst.
+	// Barrier: NodeStats rides the ring behind the burst.
 	if _, err := e.NodeStats("tenant", 2); err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 //
 // Concurrency contract: Observe and Rebase are single-writer — the mbox
 // engine calls both on the aggregate's owning shard goroutine (rebases
-// ride the in-band control lane), so the envelope arithmetic needs no
+// ride the shard's ring in-band), so the envelope arithmetic needs no
 // synchronization. Everything a scrape reads is an atomic that single
 // writer stores (and reads back with a plain load), so metric scrapes see
 // a consistent recent view from any goroutine without stopping the

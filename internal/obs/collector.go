@@ -19,7 +19,7 @@ type Options struct {
 	// SampleEvery records one KindBurst trace event per N enforced runs
 	// per shard (default 16; 1 traces every run), and coalesces KindShed
 	// events at the same cadence under sustained overload (the first shed
-	// always records). Other rare events (panics, quarantine, failover,
+	// always records). Other rare events (panics, quarantine,
 	// lifecycle) are never sampled. Sampling only thins the flight
 	// recorder — metric counters and meters see every burst and every
 	// shed packet.

@@ -19,7 +19,7 @@
 // adds stamped once per burst rather than once per packet, and per-burst
 // trace events are sampled (Options.SampleEvery). Rare events — drops with
 // reasons, magic fill/reclaim, rate and policy updates, quarantine,
-// eviction, control-lane failover, shed bursts, panics — are always
+// eviction, shed bursts, panics — are always
 // recorded.
 //
 // The package is deliberately dependency-light (internal/metrics for the
@@ -36,7 +36,7 @@ import (
 // covers the datapath (burst verdict summaries, per-packet drops with
 // reason, ECN marks, §5.2 magic-byte churn) and the control plane
 // (rate/policy updates, quarantine, reinstatement, removal, idle eviction,
-// control-lane failover, shed bursts, recovered panics).
+// shed bursts, recovered panics).
 type Kind uint8
 
 const (
@@ -70,9 +70,6 @@ const (
 	// KindEvict is an idle-TTL eviction: A = final accepted packets,
 	// B = final dropped packets.
 	KindEvict
-	// KindFailover is a control operation failing over from the ordered
-	// data ring to the priority control lane.
-	KindFailover
 	// KindShed is a burst shed at a full shard ring: A = packets shed.
 	KindShed
 	// KindPanic is a recovered enforcer/emit panic: A = the aggregate's
@@ -125,8 +122,6 @@ func (k Kind) String() string {
 		return "remove"
 	case KindEvict:
 		return "evict"
-	case KindFailover:
-		return "failover"
 	case KindShed:
 		return "shed"
 	case KindPanic:

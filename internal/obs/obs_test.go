@@ -188,7 +188,7 @@ func TestCollectorBurstHistMerge(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	for k := KindBurst; k <= KindOverload; k++ {
+	for k := KindBurst; k <= KindViolation; k++ {
 		if s := k.String(); s == "" || s[0] == 'k' {
 			t.Errorf("Kind(%d).String() = %q", k, s)
 		}

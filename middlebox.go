@@ -37,8 +37,9 @@ const NoAggregate = mbox.NoHandle
 // (it does not implement StatsReader). Test with errors.Is.
 var ErrNoStats = mbox.ErrNoStats
 
-// ErrShardSaturated reports that a middlebox control operation timed out
-// against a saturated shard. Test with errors.Is.
+// ErrShardSaturated reports that a middlebox control operation gave up on a
+// wedged shard (no progress for a second with work queued), which freed no
+// queue slot for it; the operation did not run. Test with errors.Is.
 var ErrShardSaturated = mbox.ErrSaturated
 
 // ErrStaleHandle reports a submission through a handle whose aggregate has

@@ -65,9 +65,6 @@ const (
 	// or by the idle-TTL sweeper.
 	TraceRemove = obs.KindRemove
 	TraceEvict  = obs.KindEvict
-	// TraceFailover: a control operation failed over to the priority
-	// lane against a saturated shard.
-	TraceFailover = obs.KindFailover
 	// TraceShed: a full shard ring shed a burst (A=packets).
 	TraceShed = obs.KindShed
 	// TracePanic: a recovered enforcer/emit panic.
