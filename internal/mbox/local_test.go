@@ -240,23 +240,24 @@ func TestWatchdogSeesWedgedInlineBurst(t *testing.T) {
 }
 
 // TestInlineBurstReadsNoWallClock pins what the inline path's speed rests on,
-// as a count: without an Observer a burst reads the wall clock zero times (its
-// heartbeat and idle-TTL stamps are the wall ticker's coarse reading); with
-// one it reads it exactly twice, for the burst-latency histogram. The only
-// other reader is the wall ticker, once per coarseWallInterval at most (a
-// ticker never queues more than one tick), so its share is bounded by the
-// time the bursts took.
+// as counts: observed or not, a burst reads the wall clock zero times (its
+// heartbeat and idle-TTL stamps are the wall ticker's coarse reading), and an
+// observed burst reads the monotonic clock exactly twice, for the
+// burst-latency digest. The only other wall-clock reader is the wall ticker,
+// once per coarseWallInterval at most (a ticker never queues more than one
+// tick), so its share is bounded by the time the bursts took.
 func TestInlineBurstReadsNoWallClock(t *testing.T) {
 	const bursts = 10000
-	var reads atomic.Int64
-	real := wallClock
-	wallClock = func() int64 { reads.Add(1); return real() }
-	defer func() { wallClock = real }()
+	var reads, monoReads atomic.Int64
+	realWall, realMono := wallClock, monoClock
+	wallClock = func() int64 { reads.Add(1); return realWall() }
+	monoClock = func() time.Duration { monoReads.Add(1); return realMono() }
+	defer func() { wallClock, monoClock = realWall, realMono }()
 
 	for _, tc := range []struct {
 		name     string
 		observer *obs.Collector
-		want     int64
+		wantMono int64
 	}{
 		{"unobserved", nil, 0},
 		{"observed", obs.NewCollector(obs.Options{}), 2 * bursts},
@@ -271,16 +272,20 @@ func TestInlineBurstReadsNoWallClock(t *testing.T) {
 			t.Fatal(err)
 		}
 		burst := burstOf(8, 0)
-		before, start := reads.Load(), time.Now()
+		before, monoBefore, start := reads.Load(), monoReads.Load(), time.Now()
 		for i := 0; i < bursts; i++ {
 			if err := ls.SubmitBatch(h, burst); err != nil {
 				t.Fatal(err)
 			}
 		}
 		ticks := int64(time.Since(start)/coarseWallInterval) + 2
-		if got := reads.Load() - before; got < tc.want || got > tc.want+ticks {
-			t.Errorf("%s: %d wall-clock reads over %d inline bursts, want %d plus at most %d ticker reads",
-				tc.name, got, bursts, tc.want, ticks)
+		if got := reads.Load() - before; got > ticks {
+			t.Errorf("%s: %d wall-clock reads over %d inline bursts, want none beyond at most %d ticker reads",
+				tc.name, got, bursts, ticks)
+		}
+		if got := monoReads.Load() - monoBefore; got != tc.wantMono {
+			t.Errorf("%s: %d monotonic-clock reads over %d inline bursts, want %d",
+				tc.name, got, bursts, tc.wantMono)
 		}
 		if age := e.Health().Shards[0].HeartbeatAge; age < 0 || age > time.Minute {
 			t.Errorf("%s: heartbeat age %v after %d bursts", tc.name, age, bursts)

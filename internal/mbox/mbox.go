@@ -232,8 +232,9 @@ type Config struct {
 	// whose datapath has been quiet for longer than this (no bursts
 	// processed, no Update) is evicted as if Removed, counted in Evicted,
 	// and reported through OnEvict. Activity is stamped once per
-	// enforced burst — no per-packet atomics, and no clock read: see
-	// burstWall — so an aggregate can look 500µs idler than it is. The
+	// enforced burst — no per-packet atomics, and no clock read: the stamp
+	// is the wall ticker's coarse reading (coarseWall) — so an aggregate can
+	// look up to 500µs idler than it is. The
 	// sweeper scans every IdleTTL/4, clamped to [1ms, 1s] (sweepInterval),
 	// so eviction lags idleness by up to IdleTTL plus that.
 	IdleTTL time.Duration
@@ -247,13 +248,13 @@ type Config struct {
 	// Observer, when non-nil, attaches the observability layer: per-shard
 	// flight-recorder rings fed by datapath and fault events, per-burst
 	// enforcement-latency histograms, and per-aggregate traffic counters
-	// with windowed rate meters. The hot-path cost is a verdict tally per
-	// enforced run (one pass over the run's verdicts into locals, then a
-	// handful of atomic adds — no per-packet atomics, no allocation) plus
-	// one sampled trace event per Options.SampleEvery
-	// runs; rare events (panics, quarantine, shed, evict,
-	// reconfiguration) are always recorded. Read it back through
-	// Engine.TraceDump and Engine.Metrics.
+	// with windowed rate meters. The hot-path cost is two monotonic clock
+	// reads per burst for the latency digest, and per enforced run, once its
+	// packets have reached the emit hook, a handful of atomic adds from the
+	// run's verdict tally — no per-packet atomics, no allocation — plus one
+	// sampled trace event per Options.SampleEvery runs; rare events (panics,
+	// quarantine, shed, evict, reconfiguration) are always recorded. Read it
+	// back through Engine.TraceDump and Engine.Metrics.
 	Observer *obs.Collector
 
 	// Overload turns on the overload-control plane: pressure tracking, the
@@ -282,7 +283,8 @@ type Engine struct {
 	// aggregate was quarantined in FailOpen mode.
 	DegradedPasses atomic.Int64
 	// BadVerdicts counts out-of-range verdicts (a corrupted or buggy
-	// enforcer) coerced to Drop on the emit path.
+	// enforcer) coerced to Drop, whether or not the aggregate has an emit
+	// hook.
 	BadVerdicts atomic.Int64
 	// Evicted counts aggregates removed by the idle-TTL sweeper.
 	Evicted atomic.Int64
@@ -336,10 +338,15 @@ type Engine struct {
 	extraMu      sync.Mutex
 	extraMetrics []func() []obs.Family
 
-	// wall is wallClock as it stood at New; coarseWall is its reading at
-	// New or at the wall ticker's last wake-up, coarseWallInterval (plus the
-	// ticker's scheduling delay) old at most. See burstWall.
+	// wall and mono are wallClock and monoClock as they stood at New.
+	// coarseWall is wall's reading at New or at the wall ticker's last
+	// wake-up, coarseWallInterval (plus the ticker's scheduling delay) old at
+	// most: what every burst and control item stamps the shard heartbeat and
+	// the idle-TTL activity with, read at millisecond-to-second granularity
+	// (wedgeTimeout, IdleTTL), so heartbeat ages and idle times read up to
+	// coarseWallInterval high.
 	wall       func() int64
+	mono       func() time.Duration
 	coarseWall atomic.Int64
 
 	// pool recycles the buffers queued bursts are copied into. A fixed
@@ -374,18 +381,14 @@ func (c *shardSum) Load() int64 {
 // New without racing the goroutines of engines that already run.
 var wallClock = func() int64 { return time.Now().UnixNano() }
 
-// burstWall is the wall time the packet path stamps a shard's heartbeat and
-// an aggregate's activity with. Both are read at millisecond-to-second
-// granularity (wedgeTimeout, IdleTTL), so the wall ticker's coarse reading
-// serves and a burst reads no clock — unless the shard is observed, when the
-// burst-latency histogram needs the two precise reads anyway. Heartbeat ages
-// and idle times therefore read up to coarseWallInterval high.
-func (e *Engine) burstWall(s *shard) int64 {
-	if s.obs != nil {
-		return e.wall()
-	}
-	return e.coarseWall.Load()
-}
+// monoClock reads the monotonic clock as the time since monoEpoch: time.Since
+// on a reading that carries a monotonic part reads that clock alone, about
+// half what time.Now costs. The burst-latency digest is its only user, and
+// engines call it through the copy New takes, as they do wallClock.
+var monoClock = func() time.Duration { return time.Since(monoEpoch) }
+
+// monoEpoch anchors monoClock's readings.
+var monoEpoch = time.Now()
 
 // registry is the aggregate table: a fixed-length array of slots, each
 // written in place. A reader holding a superseded registry sees the table as
@@ -442,7 +445,7 @@ type aggregate struct {
 
 	// lastActive is the idle-TTL activity stamp (wall nanos): set at Add
 	// and on Update from the clock, and once per enforced burst from the
-	// stamp the shard heartbeat gets (burstWall) — no extra clock call and
+	// stamp the shard heartbeat gets (Engine.coarseWall) — no clock call and
 	// no per-packet atomics. The sweeper evicts aggregates whose stamp is
 	// older than IdleTTL.
 	lastActive atomic.Int64
@@ -506,7 +509,7 @@ type shard struct {
 	// trace sampling). See local.go.
 	occ   atomic.Int32
 	state atomic.Int32 // ShardState, maintained by the watchdog
-	// Health plane. heartbeat is stamped (wall nanos, see burstWall) around
+	// Health plane. heartbeat is stamped (wall nanos, Engine.coarseWall) around
 	// every ring item and inline burst; that one is in flight — how the
 	// watchdog tells a shard wedged mid-item (ring may be empty) from an
 	// idle one — is the occupancy word above (inFlight).
@@ -570,6 +573,7 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:  cfg,
 		wall: wallClock,
+		mono: monoClock,
 		stop: make(chan struct{}),
 		dead: make(chan struct{}),
 	}
@@ -643,31 +647,35 @@ func (e *Engine) process(s *shard, it item) bool {
 
 // serve enforces one burst on behalf of whoever holds the shard's occupancy
 // word: the shard goroutine for a queued item, the submitting goroutine for
-// one it claimed the shard for. The two wall stamps serve the heartbeat, the idle-TTL activity
-// stamp and the burst-latency histogram at once (see burstWall), and the
-// engine clock is read once per burst, not once per packet: every packet in
-// the burst is enforced at the same virtual arrival time, the granularity a
-// burst-polling middlebox actually observes.
+// one it claimed the shard for. The heartbeat and the idle-TTL activity stamp
+// are the coarse wall reading (coarseWall), so a burst reads no wall clock; an
+// observed shard times every burst for the latency digest with two monotonic
+// reads. The engine clock is read once per burst, not once per packet: every
+// packet in the burst is enforced at the same virtual arrival time, the
+// granularity a burst-polling middlebox actually observes.
 func (e *Engine) serve(s *shard, agg *aggregate, node enforcer.NodeID, pkts []packet.Packet) {
-	wall := e.burstWall(s)
+	wall := e.coarseWall.Load()
 	s.heartbeat.Store(wall)
 	agg.lastActive.Store(wall)
-	e.runBatch(s, e.cfg.Clock(), agg, node, pkts)
-	end := e.burstWall(s)
-	s.heartbeat.Store(end)
-	s.processed.Add(1)
+	var start time.Duration
 	if s.obs != nil {
-		s.obs.ObserveBurst(end - wall)
+		start = e.mono()
 	}
+	e.runBatch(s, e.cfg.Clock(), agg, node, pkts)
+	if s.obs != nil {
+		s.obs.ObserveBurst(int64(e.mono() - start))
+	}
+	s.heartbeat.Store(e.coarseWall.Load())
+	s.processed.Add(1)
 }
 
 // serveControl runs one control item on behalf of whoever holds the shard's
 // occupancy word, between two heartbeat stamps.
 func (e *Engine) serveControl(s *shard, it item) {
-	s.heartbeat.Store(e.burstWall(s))
+	s.heartbeat.Store(e.coarseWall.Load())
 	e.runControl(s, it)
 	s.processed.Add(1)
-	s.heartbeat.Store(e.burstWall(s))
+	s.heartbeat.Store(e.coarseWall.Load())
 }
 
 // runControl executes one control item inside a panic barrier. done is
@@ -703,14 +711,18 @@ func (e *Engine) runBatch(s *shard, now time.Duration, agg *aggregate, node enfo
 	}
 }
 
-// enforceRun enforces and emits one run under a recover barrier. On panic
-// it reports faulted=true and the packets that were not fully handled: the
+// enforceRun enforces, emits and accounts one run under a recover barrier.
+// Forward first, account after: the emit loop runs as soon as the verdicts
+// are written, and only then is the run tallied (accountRun). On panic it
+// reports faulted=true and the packets that were not fully handled: the
 // whole run when the enforcer itself panicked (no verdicts are trustworthy),
-// or the un-emitted tail when the emit hook panicked (the packet in flight
-// at the panic is indeterminate and is skipped).
+// or the un-emitted tail when the emit hook panicked (the packet in flight at
+// the panic is indeterminate and is skipped). A run whose verdicts were
+// written is accounted exactly once either way: the barrier accounts an
+// emit-faulted run in full before its tail degrades.
 func (e *Engine) enforceRun(s *shard, now time.Duration, agg *aggregate, node enforcer.NodeID, pkts []packet.Packet) (rest []packet.Packet, faulted bool) {
-	enforced := false
-	emitting := -1
+	var v []enforcer.Verdict
+	enforced, emitting := false, -1
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -720,14 +732,15 @@ func (e *Engine) enforceRun(s *shard, now time.Duration, agg *aggregate, node en
 		faulted = true
 		if !enforced {
 			rest = pkts
-		} else if emitting >= 0 && emitting+1 < len(pkts) {
+		} else if emitting >= 0 {
+			e.accountRun(s, now, agg, node, pkts, v, false)
 			rest = pkts[emitting+1:]
 		}
 	}()
 	if cap(s.verdicts) < len(pkts) {
 		s.verdicts = make([]enforcer.Verdict, len(pkts))
 	}
-	v := s.verdicts[:len(pkts)]
+	v = s.verdicts[:len(pkts)]
 	if agg.tree != nil && node != enforcer.NoNode {
 		// Node-addressed run: enter the aggregate's tree at the leaf the
 		// handle resolved to. NoNode means whole-aggregate submission,
@@ -737,55 +750,93 @@ func (e *Engine) enforceRun(s *shard, now time.Duration, agg *aggregate, node en
 		enforcer.SubmitBatch(agg.enf, now, pkts, v)
 	}
 	enforced = true
-	if au := agg.audit.Load(); agg.obs != nil || au != nil {
-		e.observeRun(s, now, agg, au, node, pkts, v)
-	}
-	if agg.emit == nil {
-		return nil, false
-	}
-	for i, verdict := range v {
-		emitting = i
-		switch verdict {
-		case enforcer.Transmit:
-			agg.emit(pkts[i])
-		case enforcer.TransmitCE:
-			pkts[i].CE = true
-			agg.emit(pkts[i])
-		case enforcer.Drop, enforcer.Queued:
-		default:
-			// Out-of-range verdict (corrupted or buggy enforcer):
-			// coerce to Drop and make it visible.
-			e.BadVerdicts.Add(1)
+	sound := agg.emit != nil // until the emit loop meets an out-of-range verdict
+	if agg.emit != nil {
+		for i, verdict := range v {
+			emitting = i
+			switch verdict {
+			case enforcer.Transmit:
+				agg.emit(pkts[i])
+			case enforcer.TransmitCE:
+				pkts[i].CE = true
+				agg.emit(pkts[i])
+			case enforcer.Drop, enforcer.Queued:
+			default:
+				sound = false
+			}
 		}
+		emitting = -1
 	}
+	e.accountRun(s, now, agg, node, pkts, v, sound)
 	return nil, false
 }
 
-// observeRun tallies one enforced run's verdicts into the aggregate's
-// metrics block, checks the tally against any armed conformance auditors
-// (au, pre-loaded by the caller), and, on the sampling cadence, records a
-// KindBurst trace event. It runs under the shard's occupancy word, inside
-// enforceRun's panic barrier, immediately after the verdicts are written:
-// the tally is a single pass over the verdict slice plus a handful of
-// atomic adds — no per-packet atomics, no interface calls, no allocation.
-func (e *Engine) observeRun(s *shard, now time.Duration, agg *aggregate, au *aggAudit, node enforcer.NodeID, pkts []packet.Packet, v []enforcer.Verdict) {
-	var accPkts, accBytes, drpPkts, drpBytes int64
+// acceptMask has bit v set for each verdict v that admits its packet, and
+// validMask for each verdict in range: anything else (a corrupted or buggy
+// enforcer) is coerced to Drop and counted in BadVerdicts.
+const (
+	acceptMask = 1<<enforcer.Transmit | 1<<enforcer.TransmitCE | 1<<enforcer.Queued
+	validMask  = acceptMask | 1<<enforcer.Drop
+)
+
+// runTally is one enforced run's verdict tally; what was not accepted dropped.
+type runTally struct {
+	pkts, bytes       int64 // the whole run
+	accPkts, accBytes int64 // Transmit, TransmitCE and Queued
+	bad               int64 // out-of-range verdicts
+}
+
+// tallyRun counts a run's verdicts in one pass with no branch on the
+// verdict: a mask lookup per packet decides whether its size counts as
+// accepted.
+func tallyRun(pkts []packet.Packet, v []enforcer.Verdict) (t runTally) {
+	pkts = pkts[:len(v)]
 	for i, verdict := range v {
 		sz := int64(pkts[i].Size)
-		switch verdict {
-		case enforcer.Transmit, enforcer.TransmitCE, enforcer.Queued:
-			accPkts++
-			accBytes += sz
-		default:
-			drpPkts++
-			drpBytes += sz
-		}
+		acc := int64(uint64(acceptMask) >> uint64(verdict) & 1)
+		t.accPkts += acc
+		t.accBytes += sz & -acc
+		t.bytes += sz
+		t.bad += int64(uint64(validMask)>>uint64(verdict)&1 ^ 1)
 	}
+	t.pkts = int64(len(v))
+	return t
+}
+
+// accountRun counts one enforced run after its emit loop: out-of-range
+// verdicts into BadVerdicts, whatever the emit hook, and — on an observed or
+// audited aggregate — the tally, taken in the same pass, into observeRun.
+// sound says the whole emit loop ran and met no out-of-range verdict, which
+// is all an unwatched run needs to know: only an unwatched run without an
+// emit hook, or with a bad verdict, is tallied for the count alone.
+func (e *Engine) accountRun(s *shard, now time.Duration, agg *aggregate, node enforcer.NodeID, pkts []packet.Packet, v []enforcer.Verdict, sound bool) {
+	au := agg.audit.Load()
+	watched := agg.obs != nil || au != nil
+	if sound && !watched {
+		return
+	}
+	t := tallyRun(pkts, v)
+	if t.bad != 0 {
+		e.BadVerdicts.Add(t.bad)
+	}
+	if watched {
+		e.observeRun(s, now, agg, au, node, t)
+	}
+}
+
+// observeRun moves one enforced run's tally into the aggregate's metrics
+// block and meter, checks it against any armed conformance auditors (au,
+// pre-loaded by the caller), and, on the sampling cadence, records a
+// KindBurst trace event. It runs under the shard's occupancy word, inside
+// enforceRun's panic barrier, once the run's packets have reached the emit
+// hook: a handful of atomic adds — no per-packet atomics, no interface calls,
+// no allocation.
+func (e *Engine) observeRun(s *shard, now time.Duration, agg *aggregate, au *aggAudit, node enforcer.NodeID, t runTally) {
 	if agg.obs != nil {
-		agg.obs.Count(accPkts, accBytes, drpPkts, drpBytes, now)
+		agg.obs.Count(t.accPkts, t.accBytes, t.pkts-t.accPkts, t.bytes-t.accBytes, now)
 	}
 	if au != nil {
-		e.auditRun(s, now, agg, au, node, accBytes)
+		e.auditRun(s, now, agg, au, node, t.accBytes)
 	}
 	if s.obs != nil && s.obs.SampleBurst() {
 		s.obs.Record(obs.Event{
@@ -793,9 +844,9 @@ func (e *Engine) observeRun(s *shard, now time.Duration, agg *aggregate, au *agg
 			VT:   int64(now),
 			Agg:  int64(agg.h),
 			Node: int32(node),
-			A:    accPkts,
-			B:    drpPkts,
-			C:    accBytes + drpBytes,
+			A:    t.accPkts,
+			B:    t.pkts - t.accPkts,
+			C:    t.bytes,
 		})
 	}
 }
@@ -891,11 +942,10 @@ func (e *Engine) notePanic(s *shard, agg *aggregate, recovered any) {
 }
 
 // coarseWallInterval is how often the wall ticker refreshes the coarse wall
-// reading behind burstWall.
+// reading (Engine.coarseWall).
 const coarseWallInterval = 500 * time.Microsecond
 
-// wallTicker publishes the coarse wall reading behind burstWall, whatever
-// the traffic.
+// wallTicker publishes the coarse wall reading, whatever the traffic.
 func (e *Engine) wallTicker() {
 	t := time.NewTicker(coarseWallInterval)
 	defer t.Stop()
@@ -1413,7 +1463,7 @@ func sweepInterval(idleTTL time.Duration) time.Duration {
 // in Evicted and reporting id + final stats through OnEvict. The idle check
 // is re-verified under mu against the registered aggregate, so a sweep
 // racing a Remove+Add of the same id never evicts the fresh incarnation.
-// Idleness is overestimated by at most coarseWallInterval (burstWall).
+// Idleness is overestimated by at most coarseWallInterval (coarseWall).
 func (e *Engine) sweeper() {
 	t := time.NewTicker(sweepInterval(e.cfg.IdleTTL))
 	defer t.Stop()
@@ -1552,8 +1602,8 @@ type ShardHealth struct {
 	State      ShardState
 	QueueDepth int // bursts and control items queued on the shard's ring
 	QueueCap   int // ring capacity in bursts
-	// HeartbeatAge is the time since the shard last made progress; without
-	// an Observer it can read up to 500µs high (burstWall).
+	// HeartbeatAge is the time since the shard last made progress; it can
+	// read up to 500µs high (coarseWall).
 	HeartbeatAge time.Duration
 	Busy         bool  // somebody holds the shard: a burst or control item is in flight
 	Processed    int64 // items completed
@@ -1660,7 +1710,7 @@ func (s *shard) inFlight() bool { return s.occ.Load() != occFree }
 
 // wedgeTimeout is the heartbeat age beyond which a shard with pending or
 // in-flight work is classified Wedged: well above the 500µs the heartbeat can
-// trail the work by (burstWall), and the tens of milliseconds a runnable
+// trail the work by (coarseWall), and the tens of milliseconds a runnable
 // shard goroutine can wait for a CPU on a host with more busy goroutines than
 // cores.
 const wedgeTimeout = time.Second
@@ -1668,7 +1718,7 @@ const wedgeTimeout = time.Second
 // wedged reports whether s has work (queued, or in flight on its own
 // goroutine or an inline submitter's) and a heartbeat stale by more than
 // wedgeTimeout at now — an idle shard's heartbeat goes stale legitimately,
-// and a working one's by coarseWallInterval (burstWall).
+// and a working one's by coarseWallInterval (coarseWall).
 func (s *shard) wedged(now int64) bool {
 	working := len(s.in) > 0 || s.inFlight()
 	return working && time.Duration(now-s.heartbeat.Load()) > wedgeTimeout

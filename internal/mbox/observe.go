@@ -112,8 +112,7 @@ func (e *Engine) Metrics() obs.Snapshot {
 		counter("bcpqp_overload_transitions_total", "overload plane activation and deactivation edges", float64(p.transitions.Load()))
 	}
 
-	// The heartbeat age is exact on an observed engine and up to 500µs
-	// high on one without an Observer (burstWall).
+	// The heartbeat age reads up to 500µs high (coarseWall).
 	now := time.Now().UnixNano()
 	shardFams := []obs.Family{
 		{Name: "bcpqp_shard_state", Help: "watchdog state (0 healthy, 1 degraded, 2 wedged)", Type: "gauge"},

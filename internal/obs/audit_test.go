@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"time"
 )
@@ -196,6 +197,92 @@ func TestAuditSlackDigest(t *testing.T) {
 	}
 	if a.Snapshot().Violations != 1 {
 		t.Fatalf("violations = %d", a.Snapshot().Violations)
+	}
+}
+
+// advance128 is Audit.advance's accrual with the 128-bit divide taken on every
+// call: the reference the 64-bit fast path must match. It returns the new
+// allowance and sub-byte remainder.
+func advance128(allowed int64, frac uint64, rate, dt int64) (int64, uint64) {
+	hi, lo := bits.Mul64(uint64(rate), uint64(dt))
+	lo, carry := bits.Add64(lo, frac, 0)
+	hi += carry
+	if hi < envDen {
+		if quo, rem := bits.Div64(hi, lo, envDen); quo <= uint64(math.MaxInt64-allowed) {
+			return allowed + int64(quo), rem
+		}
+	}
+	return math.MaxInt64, 0
+}
+
+// TestAuditAdvanceMatches128 is the differential test of the accrual's 64-bit
+// fast path: on random (rate, Δt, frac, allowance) and on the edges — a
+// product just below and just above 2^64, a remainder whose carry lifts the
+// sum into the high word, the quotient overflowing 64 bits, saturation at
+// MaxInt64 and one byte short of it — advance leaves the allowance and
+// remainder the 128-bit divide gives.
+func TestAuditAdvanceMatches128(t *testing.T) {
+	type tc struct {
+		allowed int64
+		frac    uint64
+		rate    int64
+		dt      int64
+	}
+	const m32 = 1<<32 - 1
+	cases := []tc{
+		{0, 0, m32, m32 + 2},                      // (2^32−1)(2^32+1) = 2^64−1: the largest 64-bit product
+		{0, 0, 1 << 32, 1 << 32},                  // 2^64: the smallest that needs the high word
+		{0, 1, m32, m32 + 2},                      // frac carries 2^64−1 into the high word
+		{0, envDen - 1, m32, m32 + 2},             // the same with the largest remainder
+		{0, envDen - 1, 1 << 31, 1<<33 - 1},       // 2^64−2^31 plus a remainder: carry
+		{0, 0, math.MaxInt64, math.MaxInt64},      // quotient overflows: saturate
+		{math.MaxInt64 - 1, 0, 8, 1_000_000_000},  // exactly one byte: reaches MaxInt64
+		{math.MaxInt64 - 1, 0, 16, 1_000_000_000}, // two bytes: saturates
+		{math.MaxInt64 - 1, envDen - 1, 8, 1},     // the remainder completes the last byte
+		{math.MaxInt64 - 10, 0, 1 << 32, 1 << 32}, // 128-bit path, saturating
+		{0, 0, 100_000_000_000, 184_467_440},      // 100 Gbit/s just under 2^64
+		{0, 0, 100_000_000_000, 184_467_441},      // and just over
+	}
+	x := uint64(0x9E3779B97F4A7C15)
+	next := func() uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+	for i := 0; i < 200_000; i++ {
+		// Log-uniform magnitudes reach both sides of 2^64 as often as not.
+		cases = append(cases, tc{
+			allowed: int64(next() >> (1 + next()%63)),
+			frac:    next() % envDen,
+			rate:    1 + int64(next()>>(1+next()%63)),
+			dt:      1 + int64(next()>>(1+next()%63)),
+		})
+	}
+	var fast, wide int
+	for _, c := range cases {
+		if c.allowed == math.MaxInt64 {
+			continue // advance returns before dividing
+		}
+		hi, lo := bits.Mul64(uint64(c.rate), uint64(c.dt))
+		if _, carry := bits.Add64(lo, c.frac, 0); hi+carry == 0 {
+			fast++
+		} else {
+			wide++
+		}
+		var a Audit
+		a.allowed.Store(c.allowed)
+		a.rateBps.Store(c.rate)
+		a.frac = c.frac
+		got := a.advance(time.Duration(c.dt))
+		want, wantFrac := advance128(c.allowed, c.frac, c.rate, c.dt)
+		if got != want || a.allowed.Load() != want || a.frac != wantFrac {
+			t.Fatalf("advance%+v = %d (stored %d, frac %d), want %d (frac %d)",
+				c, got, a.allowed.Load(), a.frac, want, wantFrac)
+		}
+	}
+	if fast < 1000 || wide < 1000 {
+		t.Errorf("cases took the 64-bit path %d times and the 128-bit one %d: both want ≥ 1000", fast, wide)
 	}
 }
 
