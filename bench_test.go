@@ -679,7 +679,7 @@ func BenchmarkMiddleboxSetRate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := eng.SetRate("agg-0", Rate(10+i%10)*Mbps); err != nil {
+		if err := eng.SetRate("agg-0", Root, Rate(10+i%10)*Mbps); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -54,7 +54,7 @@ func TestDebugAuditGolden(t *testing.T) {
 		must(mb.SubmitBatch(handles[i%2], pkts[:1+(i*13)%len(pkts)]))
 		mb.Stats("plan-a") // in-band barrier: the burst is enforced before the clock moves
 		if i == 2500 {
-			must(mb.SetRate("plan-a", 12*bcpqp.Mbps))
+			must(mb.SetRate("plan-a", bcpqp.Root, 12*bcpqp.Mbps))
 		}
 	}
 

@@ -202,9 +202,11 @@ const maxRTT = 100 * time.Millisecond
 // plan rate plus a burst term covering the scheme's worst-case buffering
 // (phantom capacity or bucket depth) with 2× slop, so a correct enforcer
 // can never trip it while real over-admission — which grows without bound —
-// still does. Returns burst 0 (audit off) for unknown schemes; policy trees
-// are not armed here, their per-node ceilings are armed individually via
-// ArmNodeAudit.
+// still does. Returns burst 0 (audit off) for unknown schemes. A policy tree
+// is not audited at all: the proxy arms no envelope on it. An envelope armed
+// with ArmNodeAudit on a leaf or interior ceiling would record nothing, since
+// the relay feeds the tree through the handle AddPinned returns and a burst
+// through that handle credits only the root's (see Middlebox.ArmNodeAudit).
 func auditEnvelope(name string, rate bcpqp.Rate, queues int) int64 {
 	scheme, err := bcpqp.ParseScheme(name)
 	if err != nil {
@@ -338,7 +340,7 @@ func serve(opts proxyOpts) int {
 		}
 		// AddPinned registers a policy tree node-addressable (per-node
 		// stats, in-band node reconfiguration, the /metrics/tree export); a
-		// flat enforcer is the degenerate one-node aggregate.
+		// flat enforcer is the one-node tree.
 		if c.h, err = mb.AddPinned(id, i, enf, emit); err != nil {
 			return fail(err)
 		}

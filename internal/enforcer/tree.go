@@ -18,6 +18,10 @@ type NodeID int32
 // node 0.
 const NoNode NodeID = -1
 
+// Root is node 0, the root of every TreeEnforcer — and of a flat enforcer,
+// the one-node tree whose only node is the enforcer itself.
+const Root NodeID = 0
+
 // ErrBadNode reports a node identifier outside a tree enforcer's node
 // range (or one that is structurally invalid for the operation, e.g.
 // addressing node 1 of a flat single-node aggregate). Test with errors.Is.
@@ -58,11 +62,11 @@ type Stage interface {
 // Traffic enters at a node — normally a leaf — and must be admitted by that
 // node and every ancestor up to the root. Submitting at an interior node is
 // allowed and enforces only the path from that node upward (traffic already
-// aggregated at, say, the plan level). Parent is the source of truth for
-// topology.
+// aggregated at, say, the plan level). Node 0 is the root (Root); Parent is
+// the source of truth for the rest of the topology.
 //
-// The contract is implemented by *ptree.Tree (the flat-array policy tree); a
-// chain of limits is the degenerate unary tree.
+// The contract is implemented by *ptree.Tree (the flat-array policy tree),
+// whose constructor rejects any spec whose node 0 is not the root.
 //
 // Like Enforcer, a TreeEnforcer is single-threaded: all Submit*At calls and
 // all per-node control operations must be serialized onto one execution

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bcpqp/internal/enforcer"
 	"bcpqp/internal/mbox"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/tbf"
@@ -138,7 +139,7 @@ func runAuditScenario(envelope units.Rate, burst, bucket int64, rate units.Rate,
 			// SetRate rebases the audit envelope in-band at the same clock
 			// reading the enforcer adopts the new rate, so churn alone can
 			// never manufacture a violation.
-			if err := e.SetRate(id, churnRates[(i/32)%2]); err != nil {
+			if err := e.SetRate(id, enforcer.Root, churnRates[(i/32)%2]); err != nil {
 				return auditRow{}, err
 			}
 		}

@@ -53,9 +53,6 @@ type nodeAudits struct {
 	// ancestors' in rootward order. A run entering anywhere else credits
 	// the chain of its nearest armed ancestor.
 	chains [][]*obs.Audit
-	// root is the tree's root: every admitted packet passes it, so it is
-	// where a whole-aggregate (NoNode) submission enters the chains.
-	root enforcer.NodeID
 }
 
 // nodeAuditCount returns the size of the aggregate's node-audit space: the
@@ -85,7 +82,7 @@ func (na *nodeAudits) audit(node enforcer.NodeID) *obs.Audit {
 // the root: O(armed × depth), whatever the size of the tree. Runs at arm
 // time under the shard's occupancy word.
 func (na *nodeAudits) with(tree enforcer.TreeEnforcer, node enforcer.NodeID, a *obs.Audit) *nodeAudits {
-	out := &nodeAudits{root: rootOf(tree)}
+	out := new(nodeAudits)
 	var own []*obs.Audit
 	if na != nil {
 		out.ids, own = slices.Clone(na.ids), make([]*obs.Audit, len(na.ids), len(na.ids)+1)
@@ -115,14 +112,14 @@ func (na *nodeAudits) with(tree enforcer.TreeEnforcer, node enforcer.NodeID, a *
 
 // chain returns the node audits a run entering at node credits, nearest
 // first. A flat aggregate has only node 0, the enforcer itself, and every
-// run passes it; in a tree, a NoNode or out-of-range ingress enters at the
-// root.
+// run passes it; in a tree, a NoNode or out-of-range ingress is credited at
+// the root alone, whichever leaves the tree routed its packets to.
 func (na *nodeAudits) chain(tree enforcer.TreeEnforcer, node enforcer.NodeID) []*obs.Audit {
 	if tree == nil {
 		return na.chains[0]
 	}
 	if int(node) < 0 || int(node) >= tree.NumNodes() {
-		node = na.root
+		node = enforcer.Root
 	}
 	for ; node != enforcer.NoNode; node = tree.Parent(node) {
 		if i, ok := slices.BinarySearch(na.ids, node); ok {
@@ -136,9 +133,13 @@ func (na *nodeAudits) chain(tree enforcer.TreeEnforcer, node enforcer.NodeID) []
 // the declared envelope: rate in bits per second and a burst allowance in
 // bytes. The swap is in-band — the new envelope starts at the aggregate's
 // virtual time, serialized against its bursts — and subsequent rate changes
-// at the aggregate's root (SetRate, or SetNodeRate there) rebase it
-// automatically. Re-arming replaces the envelope and
-// resets its counters.
+// at the aggregate's root (SetRate(id, Root, …)) rebase it automatically.
+// Re-arming replaces the envelope and resets its counters.
+//
+// ArmAudit and ArmNodeAudit stay two calls while the benchmark harness
+// (bench/) calls ArmAudit(id, rate, burst). The whole-aggregate envelope
+// audits every accepted byte, which in a tree is what the root's does, so
+// the pair can become one node-addressed call once the harness moves.
 func (e *Engine) ArmAudit(id string, rate units.Rate, burstBytes int64) error {
 	if burstBytes < 0 {
 		return fmt.Errorf("mbox: aggregate %q: negative audit burst %d", id, burstBytes)
@@ -161,8 +162,13 @@ func (e *Engine) ArmAudit(id string, rate units.Rate, burstBytes int64) error {
 // tree aggregate: the node's envelope is audited independently of its
 // leaves, so an interior bound violation is attributed to the node even
 // when every leaf is individually conformant. For a flat aggregate node 0
-// audits the enforcer itself. SetNodeRate on the node rebases the
-// envelope.
+// audits the enforcer itself. SetRate on the node rebases the envelope.
+//
+// A node envelope is credited only by bursts whose handle enters at or below
+// that node (see Leaf). A burst through a tree's NoNode handle — the one Add
+// returns — is routed to leaves by the tree itself, but it credits only the
+// root's envelope (and the whole-aggregate one): an armed leaf or interior
+// envelope fed that way records no accepted bytes.
 func (e *Engine) ArmNodeAudit(id string, node enforcer.NodeID, rate units.Rate, burstBytes int64) error {
 	if burstBytes < 0 {
 		return fmt.Errorf("mbox: aggregate %q: negative audit burst %d", id, burstBytes)
@@ -198,7 +204,7 @@ func (agg *aggregate) rebaseAudits(now time.Duration, node enforcer.NodeID, rate
 	if a := au.nodes.Load().audit(node); a != nil {
 		a.Rebase(now, int64(rate))
 	}
-	if au.wholeOn && node == rootOf(agg.tree) {
+	if au.wholeOn && node == enforcer.Root {
 		au.whole.Rebase(now, int64(rate))
 	}
 }

@@ -183,7 +183,7 @@ func TestAuditRebaseNoFalsePositives(t *testing.T) {
 			} else {
 				rate = 16 * units.Mbps
 			}
-			if err := e.SetRate("churn", rate); err != nil {
+			if err := e.SetRate("churn", enforcer.Root, rate); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -201,10 +201,11 @@ func TestAuditRebaseNoFalsePositives(t *testing.T) {
 
 // TestRateChangeRebasesEveryEnvelope: a rate change moves every armed
 // envelope over the ceiling it moved — the node's own, and the
-// whole-aggregate one when the node is the root — whichever name it came in
-// by. SetRate and SetNodeRate(id, root, …) used to rebase one each, so with
-// both armed a raise through either reported the other's stale envelope as
-// violations. A leaf's raise moves the leaf's envelope only.
+// whole-aggregate one when the node is the root — whichever lane it came in
+// by, an operator's SetRate or a cluster's ApplyShare. The root used to have
+// two spellings that rebased one envelope each, so with both armed a raise
+// through either reported the other's stale envelope as violations. A
+// leaf's raise moves the leaf's envelope only.
 func TestRateChangeRebasesEveryEnvelope(t *testing.T) {
 	const (
 		low, high = 8 * units.Mbps, 80 * units.Mbps
@@ -218,6 +219,10 @@ func TestRateChangeRebasesEveryEnvelope(t *testing.T) {
 			{Parent: 0, Stage: tbf.MustNew(leaf, bucket)},
 		})
 	}
+	setRate := func(node enforcer.NodeID) func(e *Engine) error {
+		return func(e *Engine) error { return e.SetRate("a", node, high) }
+	}
+	applyShare := func(e *Engine) error { return e.ApplyShare("a", high, false) }
 	whole := enforcer.NoNode
 	for _, tc := range []struct {
 		name       string
@@ -226,20 +231,15 @@ func TestRateChangeRebasesEveryEnvelope(t *testing.T) {
 		raise      func(e *Engine) error
 		want       map[enforcer.NodeID]units.Rate // envelope rates afterwards
 	}{
-		{"flat/SetRate", flat, low, 0,
-			func(e *Engine) error { return e.SetRate("a", high) },
+		{"flat/SetRate", flat, low, 0, setRate(enforcer.Root),
 			map[enforcer.NodeID]units.Rate{whole: high, 0: high}},
-		{"flat/SetNodeRate", flat, low, 0,
-			func(e *Engine) error { return e.SetNodeRate("a", 0, high) },
+		{"flat/ApplyShare", flat, low, 0, applyShare,
 			map[enforcer.NodeID]units.Rate{whole: high, 0: high}},
-		{"tree/root/SetRate", tree, low, wide,
-			func(e *Engine) error { return e.SetRate("a", high) },
+		{"tree/root/SetRate", tree, low, wide, setRate(enforcer.Root),
 			map[enforcer.NodeID]units.Rate{whole: high, 0: high, 1: wide}},
-		{"tree/root/SetNodeRate", tree, low, wide,
-			func(e *Engine) error { return e.SetNodeRate("a", 0, high) },
+		{"tree/root/ApplyShare", tree, low, wide, applyShare,
 			map[enforcer.NodeID]units.Rate{whole: high, 0: high, 1: wide}},
-		{"tree/leaf/SetNodeRate", tree, wide, low,
-			func(e *Engine) error { return e.SetNodeRate("a", 1, high) },
+		{"tree/leaf/SetRate", tree, wide, low, setRate(1),
 			map[enforcer.NodeID]units.Rate{whole: wide, 0: wide, 1: high}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -336,7 +336,7 @@ func TestAuditTreeRollup(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		clk.add(time.Millisecond)
-		if err := e.SubmitLeafBatch(lh, batch); err != nil {
+		if err := e.SubmitBatch(lh, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -371,6 +371,84 @@ func TestAuditTreeRollup(t *testing.T) {
 	}
 	if link.Counters.AcceptedBytes == 0 {
 		t.Fatal("no bytes audited; workload never reached the tree")
+	}
+}
+
+// TestNodeAuditCreditedAtOrBelowIngress pins which bursts a node envelope
+// sees: only those whose handle enters at or below the node. A tree fed
+// through the handle Add returns routes its packets to leaves itself, yet an
+// armed leaf envelope records none of them, while the whole-aggregate one
+// records all; the same traffic through Leaf(h, 1) credits the leaf.
+func TestNodeAuditCreditedAtOrBelowIngress(t *testing.T) {
+	clk := &manualClock{}
+	e := New(Config{Shards: 1, Clock: clk.read})
+	defer e.Close()
+	h, err := e.Add("tenant", newTestTree(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ArmNodeAudit("tenant", 1, 100*units.Mbps, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ArmAudit("tenant", 100*units.Mbps, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	audited := func() (leaf, whole int64) {
+		t.Helper()
+		for _, ent := range e.AuditReport() {
+			switch ent.Node {
+			case 1:
+				leaf = ent.Counters.AcceptedBytes
+			case enforcer.NoNode:
+				whole = ent.Counters.AcceptedBytes
+			default:
+				t.Fatalf("unexpected audit entry for node %d", ent.Node)
+			}
+		}
+		return leaf, whole
+	}
+	feed := func(h Handle) {
+		t.Helper()
+		for i := 0; i < 20; i++ {
+			clk.add(time.Millisecond)
+			if err := e.SubmitBatch(h, []packet.Packet{pkt(i), pkt(i + 1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	feed(h)
+	st, err := e.Stats("tenant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed, err := e.NodeStats("tenant", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if routed.AcceptedBytes == 0 {
+		t.Fatal("the tree routed nothing to leaf 1; the scenario proves nothing")
+	}
+	if leaf, whole := audited(); leaf != 0 || whole != st.AcceptedBytes {
+		t.Fatalf("fed through h: leaf envelope %d bytes, whole %d; want 0 and %d", leaf, whole, st.AcceptedBytes)
+	}
+
+	lh, err := e.Leaf(h, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(lh)
+	after, err := e.NodeStats("tenant", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = e.Stats("tenant"); err != nil {
+		t.Fatal(err)
+	}
+	want := after.AcceptedBytes - routed.AcceptedBytes
+	if leaf, whole := audited(); want == 0 || leaf != want || whole != st.AcceptedBytes {
+		t.Fatalf("fed through Leaf(h, 1): leaf envelope %d bytes, whole %d; want %d and %d",
+			leaf, whole, want, st.AcceptedBytes)
 	}
 }
 
@@ -484,7 +562,7 @@ func TestAuditChurnReconciliation(t *testing.T) {
 		defer producers.Done()
 		rates := []units.Rate{4 * units.Mbps, 12 * units.Mbps, 8 * units.Mbps}
 		for i := 0; i < 60; i++ {
-			if err := e.SetRate("racy", rates[i%len(rates)]); err != nil {
+			if err := e.SetRate("racy", enforcer.Root, rates[i%len(rates)]); err != nil {
 				return
 			}
 		}

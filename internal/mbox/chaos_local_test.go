@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"bcpqp/internal/enforcer"
 	"bcpqp/internal/faultinject"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/tbf"
@@ -130,7 +131,7 @@ func TestChaosLocalRunToCompletionChurn(t *testing.T) {
 				return
 			default:
 			}
-			if err := e.SetRate("inline-clean", rate+units.Rate(i%5)*units.Mbps); err != nil && !errors.Is(err, ErrSaturated) {
+			if err := e.SetRate("inline-clean", enforcer.Root, rate+units.Rate(i%5)*units.Mbps); err != nil && !errors.Is(err, ErrSaturated) {
 				t.Errorf("SetRate during churn: %v", err)
 				return
 			}

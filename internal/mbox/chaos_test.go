@@ -793,7 +793,7 @@ func TestControlThroughFloodedRing(t *testing.T) {
 		if i%2 == 0 {
 			err = e.Flush("x", func(enforcer.Enforcer) { flushed++ })
 		} else {
-			err = e.SetRate("x", units.Rate(1+i%7)*units.Mbps)
+			err = e.SetRate("x", enforcer.Root, units.Rate(1+i%7)*units.Mbps)
 		}
 		if err != nil {
 			t.Fatalf("control op %d on a flooded live shard: %v", i, err)

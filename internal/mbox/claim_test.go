@@ -165,7 +165,7 @@ func TestClaimedEqualsQueued(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		leaves := [2]LeafHandle{}
+		leaves := [2]Handle{}
 		for i := range leaves {
 			if leaves[i], err = e.Leaf(tree, enforcer.NodeID(i+1)); err != nil {
 				t.Fatal(err)
@@ -189,7 +189,7 @@ func TestClaimedEqualsQueued(t *testing.T) {
 			case 0:
 				err = e.SubmitBatch(flat, b)
 			default:
-				err = e.SubmitLeafBatch(leaves[i%3-1], b)
+				err = e.SubmitBatch(leaves[i%3-1], b)
 			}
 			if err != nil {
 				t.Fatal(err)

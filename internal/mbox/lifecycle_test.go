@@ -244,7 +244,7 @@ wait:
 	}
 	// An Update counts as activity: reconfigure "busy", stop its traffic
 	// briefly, and it must still be present within one more TTL window.
-	if err := e.SetRate("busy", 10*units.Mbps); err != nil {
+	if err := e.SetRate("busy", enforcer.Root, 10*units.Mbps); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond) // < IdleTTL since the Update
@@ -266,16 +266,16 @@ func TestUpdateErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := e.SetRate("mute", units.Mbps); !errors.Is(err, ErrNotReconfigurable) {
+	if err := e.SetRate("mute", enforcer.Root, units.Mbps); !errors.Is(err, ErrNotReconfigurable) {
 		t.Errorf("SetRate on plain enforcer: err = %v, want ErrNotReconfigurable", err)
 	}
-	if err := e.SetPolicy("tb", nil); !errors.Is(err, enforcer.ErrNoPolicy) {
+	if err := e.SetPolicy("tb", enforcer.Root, nil); !errors.Is(err, enforcer.ErrNoPolicy) {
 		t.Errorf("SetPolicy on token bucket: err = %v, want enforcer.ErrNoPolicy", err)
 	}
-	if err := e.SetRate("nope", units.Mbps); err == nil {
+	if err := e.SetRate("nope", enforcer.Root, units.Mbps); err == nil {
 		t.Error("SetRate on unknown aggregate accepted")
 	}
-	if err := e.SetRate("tb", -units.Mbps); err == nil {
+	if err := e.SetRate("tb", enforcer.Root, -units.Mbps); err == nil {
 		t.Error("negative rate accepted")
 	}
 	// Update propagates fn's error verbatim.
@@ -341,7 +341,7 @@ func TestChaosRateChangePiecewiseTBF(t *testing.T) {
 	// SetRate reads the clock exactly once, in-band on the shard; the
 	// boundary time is that reading.
 	tBoundary := time.Duration(clock.ticks.Load()+1) * step
-	if err := e.SetRate("sub", r2); err != nil {
+	if err := e.SetRate("sub", enforcer.Root, r2); err != nil {
 		t.Fatal(err)
 	}
 	submit() // phase 2 at r2
@@ -417,7 +417,7 @@ func TestChaosRateChangePreservesPhantomOccupancy(t *testing.T) {
 		t.Fatal(err)
 	}
 	tBoundary := time.Duration(clock.ticks.Load()+1) * step
-	if err := e.SetRate("sub", r2); err != nil {
+	if err := e.SetRate("sub", enforcer.Root, r2); err != nil {
 		t.Fatal(err)
 	}
 	run(800) // saturate at r2
@@ -793,7 +793,7 @@ func TestChurnRaceNoVerdictBleed(t *testing.T) {
 			default:
 			}
 			time.Sleep(25 * time.Microsecond)
-			_ = e.SetRate("ag", (1+units.Rate(rng.Intn(8)))*units.Mbps) // may miss between incarnations
+			_ = e.SetRate("ag", enforcer.Root, (1+units.Rate(rng.Intn(8)))*units.Mbps) // may miss between incarnations
 		}
 	}()
 
@@ -921,7 +921,7 @@ func TestRegistryGrowsInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.slot() != handles[200].slot() || again == handles[200] {
+	if again.ref.slot() != handles[200].ref.slot() || again == handles[200] {
 		t.Errorf("re-add got handle %v after removing %v: want the same slot under a new generation", again, handles[200])
 	}
 	if e.Len() != n {

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"time"
 
-	"bcpqp/internal/enforcer"
 	"bcpqp/internal/packet"
 )
 
@@ -20,7 +19,7 @@ import (
 // Close interleave race-free whichever goroutine runs them. Three kinds of
 // holder take it, all through claim:
 //
-//   - Engine.SubmitBatch, SubmitLeafBatch and every control call (claimIdle):
+//   - Engine.SubmitBatch and every control call (claimIdle):
 //     whoever finds the shard idle serves it. When the word is free AND no
 //     earlier item is still pending, the caller runs the serve / runControl
 //     body itself, on its own packets — no pooled burst, no copy, no channel,
@@ -147,9 +146,10 @@ func (e *Engine) LocalShard(shard int) (*LocalSubmitter, error) {
 // Shard reports the index of the shard this submitter is bound to.
 func (l *LocalSubmitter) Shard() int { return l.s.idx }
 
-// SubmitBatch enforces one burst for h inline on the calling goroutine —
-// no ring, no handoff, no copy: the engine never retains pkts (or their
-// payloads) past the call, so the caller may reuse the backing buffers
+// SubmitBatch enforces one burst for h inline on the calling goroutine,
+// entering the aggregate's policy tree at h's node as Engine.SubmitBatch
+// does — no ring, no handoff, no copy: the engine never retains pkts (or
+// their payloads) past the call, so the caller may reuse the backing buffers
 // immediately, which is what makes a zero-copy rx→enforce→tx loop possible.
 //
 // The run is the ring path's (the same admit gate in front, the same serve
@@ -178,7 +178,7 @@ func (l *LocalSubmitter) SubmitBatch(h Handle, pkts []packet.Packet) error {
 		return fmt.Errorf("mbox: aggregate %q: %w", agg.id, ErrSaturated)
 	}
 	defer s.release()
-	e.serve(s, agg, enforcer.NoNode, pkts)
+	e.serve(s, agg, h.node, pkts)
 	s.inlineBursts.Add(1)
 	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"bcpqp/internal/enforcer"
 	"bcpqp/internal/obs"
 	"bcpqp/internal/packet"
+	"bcpqp/internal/ptree"
 	"bcpqp/internal/tbf"
 	"bcpqp/internal/units"
 )
@@ -51,17 +52,42 @@ func seededBursts(seed int64, bursts int) [][]packet.Packet {
 // TestLocalSubmitEquivalentToRing runs the identical seeded workload through
 // the ring path and the inline path on otherwise-identical engines and
 // demands the same emitted sequence (order, sizes, CE marks), the same final
-// enforcer stats, and that the inline run really bypassed the ring.
+// enforcer and per-node stats, and that the inline run really bypassed the
+// ring. Two thirds of the bursts feed a tree aggregate at its leaves 1 and 2,
+// through handles that carry the node, so both ingresses enter a tree at a
+// node the same way.
 func TestLocalSubmitEquivalentToRing(t *testing.T) {
 	const bursts = 300
-	run := func(local bool) (recs []emitRec, st enforcer.Stats, inline int64) {
+	type outcome struct {
+		recs    []emitRec
+		st      enforcer.Stats
+		nodes   [3]enforcer.Stats
+		treeSt  enforcer.Stats
+		inlined int64
+	}
+	run := func(local bool) (out outcome) {
 		clock := &fakeClock{step: 50 * time.Microsecond}
 		e := New(Config{Shards: 2, QueueDepth: 1 << 12, Clock: clock.now})
 		defer e.Close()
-		h, err := e.AddPinned("agg", 1, tbf.MustNew(4*units.Mbps, 20*units.MSS),
-			func(p packet.Packet) { recs = append(recs, emitRec{p.Seq, p.Size, p.CE}) })
+		record := func(p packet.Packet) { out.recs = append(out.recs, emitRec{p.Seq, p.Size, p.CE}) }
+		h, err := e.AddPinned("agg", 1, tbf.MustNew(4*units.Mbps, 20*units.MSS), record)
 		if err != nil {
 			t.Fatal(err)
+		}
+		tree, err := e.AddPinned("tree", 1, ptree.MustNew([]ptree.NodeSpec{
+			{Parent: -1, Stage: tbf.MustNew(6*units.Mbps, 20*units.MSS)},
+			{Parent: 0, Assured: 2 * units.Mbps},
+			{Parent: 0, Stage: tbf.MustNew(units.Mbps, 10*units.MSS)},
+		}), record)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var handles [3]Handle
+		handles[0] = h
+		for node := 1; node <= 2; node++ {
+			if handles[node], err = e.Leaf(tree, enforcer.NodeID(node)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		submit := e.SubmitBatch
 		if local {
@@ -74,38 +100,54 @@ func TestLocalSubmitEquivalentToRing(t *testing.T) {
 			}
 			submit = ls.SubmitBatch
 		}
-		for _, b := range seededBursts(7, bursts) {
-			if err := submit(h, b); err != nil {
+		for i, b := range seededBursts(7, bursts) {
+			if err := submit(handles[i%3], b); err != nil {
 				t.Fatal(err)
 			}
 		}
 		// Stats is an in-band barrier on the ring path and trivially
 		// ordered on the inline path — either way recs is final after it.
-		st, err = e.Stats("agg")
-		if err != nil {
+		if out.st, err = e.Stats("agg"); err != nil {
 			t.Fatal(err)
 		}
-		return recs, st, e.InlineBursts.Load()
+		if out.treeSt, err = e.Stats("tree"); err != nil {
+			t.Fatal(err)
+		}
+		for node := range out.nodes {
+			if out.nodes[node], err = e.NodeStats("tree", enforcer.NodeID(node)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out.inlined = e.InlineBursts.Load()
+		return out
 	}
 
-	ringRecs, ringStats, ringInline := run(false)
-	localRecs, localStats, localInline := run(true)
+	ring, local := run(false), run(true)
 
-	if ringInline != 0 {
-		t.Errorf("ring run counted %d inline bursts, want 0", ringInline)
+	if ring.inlined != 0 {
+		t.Errorf("ring run counted %d inline bursts, want 0", ring.inlined)
 	}
-	if localInline != bursts {
-		t.Errorf("local run counted %d inline bursts, want %d", localInline, bursts)
+	if local.inlined != bursts {
+		t.Errorf("local run counted %d inline bursts, want %d", local.inlined, bursts)
 	}
-	if ringStats != localStats {
-		t.Errorf("final stats diverge: ring %+v, local %+v", ringStats, localStats)
+	if ring.st != local.st || ring.treeSt != local.treeSt {
+		t.Errorf("final stats diverge: ring %+v / tree %+v, local %+v / tree %+v",
+			ring.st, ring.treeSt, local.st, local.treeSt)
 	}
-	if len(ringRecs) == 0 {
+	if ring.nodes != local.nodes {
+		t.Errorf("node stats diverge: ring %+v, local %+v", ring.nodes, local.nodes)
+	}
+	for node := 1; node <= 2; node++ {
+		if st := local.nodes[node]; st.AcceptedPackets == 0 || st.DroppedPackets == 0 {
+			t.Errorf("leaf %d stats %+v: the workload should both admit and drop there", node, st)
+		}
+	}
+	if len(ring.recs) == 0 {
 		t.Fatal("ring path emitted nothing — workload too small to compare")
 	}
-	if !reflect.DeepEqual(ringRecs, localRecs) {
+	if !reflect.DeepEqual(ring.recs, local.recs) {
 		t.Fatalf("emitted sequences diverge at index %d (ring %d recs, local %d recs)",
-			divergeAt(ringRecs, localRecs), len(ringRecs), len(localRecs))
+			divergeAt(ring.recs, local.recs), len(ring.recs), len(local.recs))
 	}
 }
 

@@ -56,8 +56,6 @@ import (
 	"bcpqp/internal/enforcer"
 	"bcpqp/internal/obs"
 	"bcpqp/internal/packet"
-	"bcpqp/internal/sched"
-	"bcpqp/internal/units"
 )
 
 // Emit is called for every transmitted packet. CE-marked transmissions (AQM
@@ -71,26 +69,41 @@ import (
 // first few microseconds at most once a millisecond (tryAcquire).
 type Emit func(pkt packet.Packet)
 
-// Handle identifies a registered aggregate on the datapath. Handles are
-// resolved once at Add time and are valid until the aggregate is removed or
-// evicted. A handle packs a table slot (low 32 bits) with a generation tag
-// (high bits): slots ARE recycled — an unbounded Add/Remove churn would
-// otherwise grow the table forever — but each reuse bumps the slot's
-// generation, so a stale handle fails resolution with ErrStale and can
-// never alias the slot's next occupant.
-type Handle int64
+// Handle addresses a registered aggregate on the datapath, and the node of
+// its policy tree its bursts enter at. Add, AddPinned and Lookup return a
+// handle at NoNode — the aggregate's own routing (a tree routes each packet
+// to a leaf by class) — and Leaf re-addresses one at a tree node. Handles are
+// valid until the aggregate is removed or evicted, which invalidates every
+// handle of the aggregate, whatever its node, at once. The zero Handle is
+// invalid.
+type Handle struct {
+	ref  aggRef
+	node enforcer.NodeID
+}
 
 // NoHandle is the invalid handle returned alongside errors.
-const NoHandle Handle = -1
+var NoHandle = Handle{ref: -1, node: enforcer.NoNode}
 
-// slot and generation packing. Generations are 31 bits (keeping Handle
-// positive) and skip zero, so the zero Handle is never valid.
+// TraceAgg returns what trace events carry in Agg for h's aggregate, whatever
+// h's node: how a source outside the engine attributes its events so that
+// TraceDump resolves them to the aggregate's id.
+func (h Handle) TraceAgg() int64 { return int64(h.ref) }
+
+// aggRef is the one-word reference the registry, the id map and trace events
+// keep for an aggregate: a table slot (low 32 bits) with a generation tag
+// (high bits). Slots ARE recycled — an unbounded Add/Remove churn would
+// otherwise grow the table forever — but each reuse bumps the slot's
+// generation, so a stale handle fails resolution with ErrStale and can never
+// alias the slot's next occupant. Generations are 31 bits (keeping the word
+// positive) and skip zero, so the zero reference is never valid.
+type aggRef int64
+
 const genMask = 0x7fffffff
 
-func (h Handle) slot() int   { return int(uint32(h)) }
-func (h Handle) gen() uint32 { return uint32(uint64(h)>>32) & genMask }
-func packHandle(slot int, gen uint32) Handle {
-	return Handle(uint64(gen)<<32 | uint64(uint32(slot)))
+func (r aggRef) slot() int   { return int(uint32(r)) }
+func (r aggRef) gen() uint32 { return uint32(uint64(r)>>32) & genMask }
+func packRef(slot int, gen uint32) aggRef {
+	return aggRef(uint64(gen)<<32 | uint64(uint32(slot)))
 }
 
 // ErrNoStats reports that an aggregate's enforcer does not implement
@@ -315,7 +328,7 @@ type Engine struct {
 	// (Lookup, Stats, Update, …); the datapath resolves handles through
 	// slots alone and never takes idMu. Writers hold mu, then idMu.
 	idMu sync.RWMutex
-	ids  map[string]Handle
+	ids  map[string]aggRef
 
 	// Slot lifecycle, guarded by mu. slotGen[s] is the generation of the
 	// aggregate currently (or most recently) occupying slot s; freeSlots
@@ -396,18 +409,18 @@ var monoEpoch = time.Now()
 // would have shown it.
 type registry struct {
 	closed bool
-	slots  []atomic.Pointer[aggregate] // indexed by Handle.slot(); nil = vacant
+	slots  []atomic.Pointer[aggregate] // indexed by aggRef.slot(); nil = vacant
 }
 
 // minSlots is the slot array's first size; it doubles from there.
 const minSlots = 64
 
-// handleOf returns the handle registered under id.
-func (e *Engine) handleOf(id string) (Handle, bool) {
+// refOf returns the reference registered under id.
+func (e *Engine) refOf(id string) (aggRef, bool) {
 	e.idMu.RLock()
-	h, ok := e.ids[id]
+	r, ok := e.ids[id]
 	e.idMu.RUnlock()
-	return h, ok
+	return r, ok
 }
 
 // aggregate pairs an enforcer with its emit hook and owning shard, plus the
@@ -415,17 +428,16 @@ func (e *Engine) handleOf(id string) (Handle, bool) {
 // (snapshots copy the slot pointers, not the aggregates).
 type aggregate struct {
 	id    string
-	h     Handle
+	h     aggRef
 	enf   enforcer.Enforcer
 	emit  Emit
 	shard *shard
 
 	// tree is set when the enforcer is node-addressable
-	// (enforcer.TreeEnforcer), i.e. a policy tree. It opens the
-	// aggregate's per-tree handle namespace — leaf handles resolve to
-	// (aggregate, node), node-addressed bursts enter the tree at their
-	// node, and the per-node control plane (SetNodeRate, NodeStats) routes
-	// through it. Nil for flat single-enforcer aggregates.
+	// (enforcer.TreeEnforcer), i.e. a policy tree: bursts through a handle
+	// at a node enter the tree there, and node-addressed control (SetRate,
+	// NodeStats, …) routes through it. Nil for flat single-enforcer
+	// aggregates, whose only node is 0, the enforcer itself.
 	tree enforcer.TreeEnforcer
 
 	// Fault state. quarantined is the circuit breaker: once set, the
@@ -587,7 +599,7 @@ func New(cfg Config) *Engine {
 		return &burst{pkts: make([]packet.Packet, 0, enforcer.DefaultBurst)}
 	}
 	e.table.Store(&registry{})
-	e.ids = make(map[string]Handle)
+	e.ids = make(map[string]aggRef)
 	now := e.wall()
 	e.coarseWall.Store(now)
 	for i := 0; i < cfg.Shards; i++ {
@@ -1103,19 +1115,14 @@ func (e *Engine) add(id string, enf enforcer.Enforcer, emit Emit, pinned *shard)
 		gen = 1
 	}
 	e.slotGen[slot] = gen
-	h := packHandle(slot, gen)
+	r := packRef(slot, gen)
 
 	owner := pinned
 	if owner == nil {
 		owner = e.shardFor(id)
 	}
-	agg := &aggregate{id: id, h: h, enf: enf, emit: emit, shard: owner}
-	if tree, ok := enf.(enforcer.TreeEnforcer); ok {
-		// Node-addressable enforcer (a policy tree): open its per-tree
-		// handle namespace. Whole-aggregate submission through h
-		// is unchanged; Leaf(h, node) mints node-addressed handles.
-		agg.tree = tree
-	}
+	agg := &aggregate{id: id, h: r, enf: enf, emit: emit, shard: owner}
+	agg.tree, _ = enf.(enforcer.TreeEnforcer)
 	agg.lastActive.Store(time.Now().UnixNano())
 	if e.cfg.Observer != nil {
 		agg.obs = e.cfg.Observer.NewAggObs()
@@ -1132,9 +1139,9 @@ func (e *Engine) add(id string, enf enforcer.Enforcer, emit Emit, pinned *shard)
 	}
 	t.slots[slot].Store(agg)
 	e.idMu.Lock()
-	e.ids[id] = h
+	e.ids[id] = r
 	e.idMu.Unlock()
-	return h, nil
+	return Handle{ref: r, node: enforcer.NoNode}, nil
 }
 
 // Remove unregisters an aggregate and returns its final enforcement
@@ -1227,13 +1234,13 @@ func (agg *aggregate) ownStats() (enforcer.Stats, error) {
 	return enforcer.Stats{}, fmt.Errorf("mbox: aggregate %q: %w", agg.id, ErrNoStats)
 }
 
-// Lookup resolves an aggregate ID to its datapath handle.
+// Lookup resolves an aggregate ID to its datapath handle, at NoNode.
 func (e *Engine) Lookup(id string) (Handle, error) {
-	h, ok := e.handleOf(id)
+	r, ok := e.refOf(id)
 	if !ok {
 		return NoHandle, fmt.Errorf("mbox: unknown aggregate %q", id)
 	}
-	return h, nil
+	return Handle{ref: r, node: enforcer.NoNode}, nil
 }
 
 // Len returns the number of registered aggregates.
@@ -1254,12 +1261,12 @@ func (e *Engine) resolve(h Handle) (*aggregate, error) {
 	if t.closed {
 		return nil, fmt.Errorf("mbox: engine closed")
 	}
-	if h < 0 || h.slot() >= len(t.slots) {
-		return nil, fmt.Errorf("mbox: invalid handle %d", h)
+	if h.ref < 0 || h.ref.slot() >= len(t.slots) {
+		return nil, fmt.Errorf("mbox: invalid handle %d", h.ref)
 	}
-	agg := t.slots[h.slot()].Load()
-	if agg == nil || agg.h != h {
-		return nil, fmt.Errorf("mbox: handle %d: %w", h, ErrStale)
+	agg := t.slots[h.ref.slot()].Load()
+	if agg == nil || agg.h != h.ref {
+		return nil, fmt.Errorf("mbox: handle %d: %w", h.ref, ErrStale)
 	}
 	return agg, nil
 }
@@ -1289,13 +1296,14 @@ func (e *Engine) admit(h Handle, n int, inline *shard) (*aggregate, error) {
 	return agg, nil
 }
 
-// SubmitBatch submits a whole burst for one aggregate. It never waits behind
-// another submitter's work. On an idle shard — nobody holds it, nothing is
-// queued — the burst is enforced on the calling goroutine before SubmitBatch
-// returns: enforcer, observation, audit and emit hook run in place on pkts
-// (a TransmitCE verdict sets CE on the caller's slice), exactly as
-// LocalSubmitter.SubmitBatch does, so an emit hook that blocks blocks its own
-// caller. Otherwise the packets are copied into an engine-owned pooled buffer
+// SubmitBatch submits a whole burst for one aggregate, entering its policy
+// tree at h's node (see Leaf; at NoNode the aggregate routes each packet
+// itself). It never waits behind another submitter's work. On an idle shard
+// — nobody holds it, nothing is queued — the burst is enforced on the
+// calling goroutine before SubmitBatch returns: enforcer, observation, audit
+// and emit hook run in place on pkts (a TransmitCE verdict sets CE on the
+// caller's slice), exactly as LocalSubmitter.SubmitBatch does, so an emit
+// hook that blocks blocks its own caller. Otherwise the packets are copied into an engine-owned pooled buffer
 // and handed to the shard's goroutine in one ring operation, behind
 // everything queued before them; when the ring is full the burst is shed and
 // counted in Overloaded, and with the overload plane active a burst can be
@@ -1303,13 +1311,6 @@ func (e *Engine) admit(h Handle, n int, inline *shard) (*aggregate, error) {
 // return, and steady-state submission performs no allocation. Invalid handles
 // report an error (misrouted traffic should be visible).
 func (e *Engine) SubmitBatch(h Handle, pkts []packet.Packet) error {
-	return e.submitRing(h, enforcer.NoNode, pkts)
-}
-
-// submitRing is the ingress behind SubmitBatch and SubmitLeafBatch: serve the
-// burst here when the shard is idle, else queue a copy for the shard
-// goroutine.
-func (e *Engine) submitRing(h Handle, node enforcer.NodeID, pkts []packet.Packet) error {
 	agg, err := e.admit(h, len(pkts), nil)
 	if agg == nil {
 		return err
@@ -1317,21 +1318,24 @@ func (e *Engine) submitRing(h Handle, node enforcer.NodeID, pkts []packet.Packet
 	s := agg.shard
 	if s.claimIdle() {
 		defer s.release()
-		e.serve(s, agg, node, pkts)
+		e.serve(s, agg, h.node, pkts)
 		s.claimed.Add(1)
 		return nil
 	}
 	b := e.pool.Get().(*burst)
 	b.pkts = append(b.pkts, pkts...)
-	e.enqueue(s, item{b: b, agg: agg, node: node})
+	e.enqueue(s, item{b: b, agg: agg, node: h.node})
 	return nil
 }
 
-// Stats reads an aggregate's enforcement statistics — for a tree aggregate,
-// its whole-tree totals (NodeStats reads one node's own). The read executes
-// under the owning shard's occupancy word, so it is safe during traffic. An enforcer
-// that does not implement enforcer.StatsReader reports ErrNoStats instead
-// of silently returning zeros.
+// Stats reads an aggregate's enforcement statistics: the whole enforcer's
+// totals, which for a tree count every drop, at whichever node, and the
+// packets rejected at an out-of-range node before they reached any.
+// NodeStats(id, Root) is a different read, the root's own drop attribution:
+// every accepted packet, but only the drops the root made. The read executes
+// under the owning shard's occupancy word, so it is safe during traffic. An
+// enforcer that does not implement enforcer.StatsReader reports ErrNoStats
+// instead of silently returning zeros.
 func (e *Engine) Stats(id string) (enforcer.Stats, error) {
 	agg, err := e.aggByID(id)
 	if err != nil {
@@ -1436,20 +1440,6 @@ func (e *Engine) update(id string, fn func(now time.Duration, agg *aggregate) er
 	return uerr
 }
 
-// SetRate changes an aggregate's enforced rate in-band, preserving its
-// admission state (see Update): SetNodeRate at the aggregate's root — the
-// enforcer itself for a flat aggregate, the root ceiling of a tree.
-func (e *Engine) SetRate(id string, rate units.Rate) error {
-	return e.setRate(id, true, 0, rate)
-}
-
-// SetPolicy changes an aggregate's intra-aggregate rate-sharing policy
-// in-band, preserving its admission state (see Update): SetNodePolicy at the
-// aggregate's root.
-func (e *Engine) SetPolicy(id string, policy *sched.Policy) error {
-	return e.setPolicy(id, true, 0, policy)
-}
-
 // sweepInterval is how often the sweeper scans for idle aggregates: a
 // quarter of the TTL, clamped to [1ms, 1s].
 func sweepInterval(idleTTL time.Duration) time.Duration {
@@ -1522,12 +1512,12 @@ func (e *Engine) aggByID(id string) (*aggregate, error) {
 	if t.closed {
 		return nil, fmt.Errorf("mbox: engine closed")
 	}
-	h, ok := e.handleOf(id)
+	r, ok := e.refOf(id)
 	if !ok {
 		return nil, fmt.Errorf("mbox: unknown aggregate %q", id)
 	}
-	agg := t.slots[h.slot()].Load()
-	if agg == nil || agg.h != h {
+	agg := t.slots[r.slot()].Load()
+	if agg == nil || agg.h != r {
 		return nil, fmt.Errorf("mbox: unknown aggregate %q", id)
 	}
 	return agg, nil
@@ -1609,9 +1599,9 @@ type ShardHealth struct {
 	Processed    int64 // items completed
 	Panics       int64 // panics recovered on this shard
 	Shed         int64 // packets shed at this shard's ring
-	// Claimed / Queued split the SubmitBatch and SubmitLeafBatch bursts
-	// served so far by who served them: the submitter, having found the
-	// shard idle, or the shard goroutine, from the ring.
+	// Claimed / Queued split the Engine.SubmitBatch bursts served so far by
+	// who served them: the submitter, having found the shard idle, or the
+	// shard goroutine, from the ring.
 	Claimed int64
 	Queued  int64
 }
@@ -1781,7 +1771,7 @@ func (e *Engine) Close() CloseReport {
 	// fail fast without touching the shards.
 	e.table.Store(&registry{closed: true})
 	e.idMu.Lock()
-	e.ids = map[string]Handle{}
+	e.ids = map[string]aggRef{}
 	e.idMu.Unlock()
 	close(e.stop)
 	deadline := time.Now().Add(e.cfg.CloseTimeout)

@@ -104,7 +104,7 @@ func TestAddRemove(t *testing.T) {
 	if err := e.SubmitBatch(NoHandle, []packet.Packet{pkt(0)}); err == nil {
 		t.Error("invalid handle accepted")
 	}
-	if err := e.SubmitBatch(Handle(99), []packet.Packet{pkt(0)}); err == nil {
+	if err := e.SubmitBatch(Handle{ref: 99}, []packet.Packet{pkt(0)}); err == nil {
 		t.Error("out-of-range handle accepted")
 	}
 }
@@ -129,11 +129,11 @@ func TestHandlesNotReused(t *testing.T) {
 	if h1 == h2 {
 		t.Fatalf("handle %d reused for a different aggregate", h1)
 	}
-	if h1.slot() != h2.slot() {
-		t.Errorf("slot %d not recycled (got %d): registry would grow without bound", h1.slot(), h2.slot())
+	if h1.ref.slot() != h2.ref.slot() {
+		t.Errorf("slot %d not recycled (got %d): registry would grow without bound", h1.ref.slot(), h2.ref.slot())
 	}
-	if h1.gen() == h2.gen() {
-		t.Errorf("generation %d reused across recycle", h1.gen())
+	if h1.ref.gen() == h2.ref.gen() {
+		t.Errorf("generation %d reused across recycle", h1.ref.gen())
 	}
 	if err := e.SubmitBatch(h1, []packet.Packet{pkt(0)}); !errors.Is(err, ErrStale) {
 		t.Errorf("stale handle: err = %v, want ErrStale", err)

@@ -54,8 +54,8 @@ func (e *Engine) TraceDump() []TraceEvent {
 	out := make([]TraceEvent, len(evs))
 	for i, ev := range evs {
 		te := TraceEvent{Event: ev}
-		if h := Handle(ev.Agg); h > 0 && h.slot() < len(t.slots) {
-			if agg := t.slots[h.slot()].Load(); agg != nil && agg.h == h {
+		if r := aggRef(ev.Agg); r > 0 && r.slot() < len(t.slots) {
+			if agg := t.slots[r.slot()].Load(); agg != nil && agg.h == r {
 				te.AggID = agg.id
 				if agg.tree != nil && ev.Node >= 0 {
 					te.NodePath = nodePath(agg.tree, enforcer.NodeID(ev.Node))
@@ -74,7 +74,9 @@ func (e *Engine) TraceDump() []TraceEvent {
 // Health reads), so it is safe to call at any scrape rate during full-rate
 // traffic. Families derived from the Observer (traffic counters, rate
 // meters, the latency histogram, trace totals) are omitted when the engine
-// has none; fault-plane families are always present.
+// has none; fault-plane families are always present. A tree's per-node
+// counters stay a separate call, NodeMetrics: they sit behind an in-band
+// barrier, which an engine-wide scrape must never wait on.
 func (e *Engine) Metrics() obs.Snapshot {
 	var fams []obs.Family
 	counter := func(name, help string, v float64) {
@@ -301,8 +303,9 @@ const maxNodeMetricSamples = 1024
 // node counters live in the tree's shard-owned arrays, so this read rides
 // an in-band control barrier: it is consistent (a point-in-time cut
 // between bursts, reflecting every packet submitted before the call) but
-// costs one shard round-trip and should be scraped accordingly. A flat
-// aggregate exports its single enforcer as node 0.
+// costs one shard round-trip and should be scraped accordingly, which is why
+// it is per tree and not part of Metrics. A flat aggregate exports its single
+// enforcer as node 0.
 func (e *Engine) NodeMetrics(id string) (obs.Snapshot, error) {
 	agg, err := e.aggByID(id)
 	if err != nil {

@@ -131,7 +131,7 @@ func TestTraceDumpLifecycleKinds(t *testing.T) {
 	if _, err := e.Add("plan", tbf.MustNew(units.Mbps, 10*units.MSS), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SetRate("plan", 2*units.Mbps); err != nil {
+	if err := e.SetRate("plan", enforcer.Root, 2*units.Mbps); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Remove("plan"); err != nil {

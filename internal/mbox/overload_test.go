@@ -190,15 +190,15 @@ func TestPriorityShedUnderPressure(t *testing.T) {
 	// Class 3's ceiling on an 8-deep ring is ⌊8·3/25⌋=0→clamped to 1
 	// burst; the ring is full, so every victim submission sheds
 	// proactively, before any ring slot and before the enforcer.
-	// The leaf spelling passes the same gate: it used to skip it and take
-	// ring slots from class 0.
-	leafVictim, err := e.Leaf(hVictim, 0)
+	// The inline ingress passes the same gate, before it would wait for
+	// the word the wedged shard holds.
+	ls, err := e.LocalShard(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, submit := range map[string]func([]packet.Packet) error{
-		"SubmitBatch":     func(p []packet.Packet) error { return e.SubmitBatch(hVictim, p) },
-		"SubmitLeafBatch": func(p []packet.Packet) error { return e.SubmitLeafBatch(leafVictim, p) },
+		"SubmitBatch":    func(p []packet.Packet) error { return e.SubmitBatch(hVictim, p) },
+		"LocalSubmitter": func(p []packet.Packet) error { return ls.SubmitBatch(hVictim, p) },
 	} {
 		shed0, over0 := e.OverloadShed.Load(), e.Overloaded.Load()
 		for i := 0; i < 20; i++ {

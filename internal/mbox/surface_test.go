@@ -7,10 +7,11 @@ import (
 )
 
 // TestEngineSurface pins the engine's exported surface, so that adding to it
-// is a reviewed diff to these lists rather than one more method: three ways
-// in (SubmitBatch, SubmitLeafBatch, LocalSubmitter.SubmitBatch) over one
-// gate and one serve body, one reconfiguration body behind SetRate,
-// SetPolicy and their node spellings, one snapshot pair, and as Config only
+// is a reviewed diff to these lists rather than one more method: two ways in
+// (Engine.SubmitBatch, LocalSubmitter.SubmitBatch) over one gate and one
+// serve body, both entering at the node their Handle carries, one
+// reconfiguration body behind SetRate and SetPolicy, each addressed by
+// (id, node) with Root for the root, one snapshot pair, and as Config only
 // what some caller outside the tests sets, feature switches, or what the
 // chaos suites need other values of (ControlTimeout, PanicThreshold).
 // Everything else is a constant: see overload.go and wedgeTimeout.
@@ -39,12 +40,12 @@ func TestEngineSurface(t *testing.T) {
 			"AttachMetricSource", "AuditReport", "AuditViolations", "BurstLatency",
 			"Close", "DisarmAudit", "Faults", "Flush", "Health", "Leaf", "Len",
 			"LocalShard", "Lookup", "Metrics", "NodeMetrics", "NodeStats",
-			"Reinstate", "Remove", "Restore", "SetDegradeMode", "SetNodePolicy",
-			"SetNodeRate", "SetPolicy", "SetRate", "SetShedClass", "ShedClass",
-			"Snapshot", "Stats", "SubmitBatch", "SubmitLeafBatch", "TraceDump",
-			"Update",
+			"Reinstate", "Remove", "Restore", "SetDegradeMode", "SetPolicy",
+			"SetRate", "SetShedClass", "ShedClass", "Snapshot", "Stats",
+			"SubmitBatch", "TraceDump", "Update",
 		}},
 		{"*LocalSubmitter methods", methods(&LocalSubmitter{}), []string{"Shard", "SubmitBatch"}},
+		{"Handle methods", methods(Handle{}), []string{"TraceAgg"}},
 		{"Config fields", fields, []string{
 			"Clock", "CloseTimeout", "ControlTimeout", "IdleTTL", "MaxAggregates",
 			"Observer", "OnEvict", "OnFault", "Overload", "PanicThreshold",

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bcpqp/internal/enforcer"
 	"bcpqp/internal/obs"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/ptree"
@@ -32,13 +33,23 @@ func TestAddTreeAndLeafResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// In-range nodes mint handles carrying their node address.
+	// Add returns the aggregate's own address, NoNode, as Lookup does; in
+	// range nodes mint handles carrying the same aggregate and their node.
+	if h.node != enforcer.NoNode {
+		t.Errorf("Add handle at node %d, want NoNode", h.node)
+	}
+	if lk, err := e.Lookup("tenant"); err != nil || lk != h {
+		t.Errorf("Lookup = %+v, %v; want Add's %+v", lk, err, h)
+	}
 	lh, err := e.Leaf(h, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lh.Aggregate() != h || lh.Node() != 1 {
-		t.Errorf("Leaf(h, 1) = (%v, %d)", lh.Aggregate(), lh.Node())
+	if lh.ref != h.ref || lh.node != 1 {
+		t.Errorf("Leaf(h, 1) = (%v, %d)", lh.ref, lh.node)
+	}
+	if again, err := e.Leaf(lh, 2); err != nil || again.ref != h.ref || again.node != 2 {
+		t.Errorf("Leaf(Leaf(h, 1), 2) = (%v, %d), %v", again.ref, again.node, err)
 	}
 	// Out-of-range nodes fail with the typed sentinel.
 	if _, err := e.Leaf(h, 99); !errors.Is(err, ErrBadNode) {
@@ -54,19 +65,42 @@ func TestAddTreeAndLeafResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Leaf(fh, 0); err != nil {
-		t.Errorf("flat Leaf(h, 0): %v", err)
+	if f0, err := e.Leaf(fh, enforcer.Root); err != nil || f0 != fh {
+		t.Errorf("flat Leaf(h, 0) = %+v, %v; want h %+v", f0, err, fh)
 	}
 	if _, err := e.Leaf(fh, 1); !errors.Is(err, ErrBadNode) {
 		t.Errorf("flat Leaf(h, 1): %v, want ErrBadNode", err)
 	}
 
-	// A stale aggregate handle invalidates every leaf handle at once.
+	// Root calls must name Root: NoNode addresses no node.
+	for _, id := range []string{"tenant", "flat"} {
+		if err := e.SetRate(id, enforcer.NoNode, units.Mbps); !errors.Is(err, ErrBadNode) {
+			t.Errorf("%s: SetRate(NoNode): %v, want ErrBadNode", id, err)
+		}
+		if err := e.SetPolicy(id, enforcer.NoNode, nil); !errors.Is(err, ErrBadNode) {
+			t.Errorf("%s: SetPolicy(NoNode): %v, want ErrBadNode", id, err)
+		}
+	}
+
+	// Removing the aggregate invalidates every handle of its tree at once,
+	// on both ingresses, and a re-Add of the same id revives none of them.
 	if _, err := e.Remove("tenant"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SubmitLeafBatch(lh, []packet.Packet{pkt(0)}); !errors.Is(err, ErrStale) {
-		t.Errorf("stale leaf batch: %v, want ErrStale", err)
+	if _, err := e.Add("tenant", newTestTree(), nil); err != nil {
+		t.Fatal(err)
+	}
+	ls, err := e.LocalShard(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stale := range []Handle{h, lh} {
+		if err := e.SubmitBatch(stale, []packet.Packet{pkt(0)}); !errors.Is(err, ErrStale) {
+			t.Errorf("stale node %d, Engine.SubmitBatch: %v, want ErrStale", stale.node, err)
+		}
+		if err := ls.SubmitBatch(stale, []packet.Packet{pkt(0)}); !errors.Is(err, ErrStale) {
+			t.Errorf("stale node %d, LocalSubmitter.SubmitBatch: %v, want ErrStale", stale.node, err)
+		}
 	}
 }
 
@@ -95,13 +129,13 @@ func TestLeafSubmissionRoutesToNodes(t *testing.T) {
 	}
 	const rounds = 50
 	for i := 0; i < rounds; i++ {
-		if err := e.SubmitLeafBatch(lhA, batch); err != nil {
+		if err := e.SubmitBatch(lhA, batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.SubmitLeafBatch(lhB, []packet.Packet{pkt(i)}); err != nil {
+		if err := e.SubmitBatch(lhB, []packet.Packet{pkt(i)}); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.SubmitLeafBatch(lhB, []packet.Packet{pkt(i + 1)}); err != nil {
+		if err := e.SubmitBatch(lhB, []packet.Packet{pkt(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,14 +174,14 @@ func TestLeafSubmissionRoutesToNodes(t *testing.T) {
 	if _, err := e.NodeStats("tenant", 99); !errors.Is(err, ErrBadNode) {
 		t.Errorf("NodeStats(99): %v, want ErrBadNode", err)
 	}
-	if err := e.SetNodeRate("tenant", 1, units.Mbps); !errors.Is(err, ErrNotReconfigurable) {
-		t.Errorf("SetNodeRate(assured leaf): %v, want ErrNotReconfigurable", err)
+	if err := e.SetRate("tenant", 1, units.Mbps); !errors.Is(err, ErrNotReconfigurable) {
+		t.Errorf("SetRate(assured leaf): %v, want ErrNotReconfigurable", err)
 	}
 }
 
-// TestSetNodeRateInBand: a hot interior ceiling change lands between
-// bursts and the enforcement rate actually changes.
-func TestSetNodeRateInBand(t *testing.T) {
+// TestSetRateAtNodeInBand: a hot change of a tree's root ceiling lands between
+// bursts fed at a leaf, and the enforcement rate actually changes.
+func TestSetRateAtNodeInBand(t *testing.T) {
 	clock := &fakeClock{step: time.Millisecond}
 	e := New(Config{Shards: 1, Clock: clock.now})
 	defer e.Close()
@@ -157,13 +191,13 @@ func TestSetNodeRateInBand(t *testing.T) {
 		t.Fatal(err)
 	}
 	lh, _ := e.Leaf(h, 1)
-	if err := e.SetNodeRate("tenant", 0, 2*units.Mbps); err != nil {
+	if err := e.SetRate("tenant", enforcer.Root, 2*units.Mbps); err != nil {
 		t.Fatal(err)
 	}
 	// Push well past the new 2 Mbps root ceiling; the barrier in
 	// NodeStats guarantees we read post-burst state.
 	for i := 0; i < 4000; i++ {
-		if err := e.SubmitLeafBatch(lh, []packet.Packet{pkt(i)}); err != nil {
+		if err := e.SubmitBatch(lh, []packet.Packet{pkt(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,7 +211,7 @@ func TestSetNodeRateInBand(t *testing.T) {
 	// (~48 Mbit); 10 s of 2 Mbps + burst is a generous upper bound.
 	bound := (2 * units.Rate(units.Mbps)).Bytes(10*time.Second) + float64(units.BDPBytes(20*units.Mbps, 100*time.Millisecond))
 	if f := float64(st.AcceptedBytes); f > bound {
-		t.Errorf("accepted %d bytes after SetNodeRate(2 Mbps), want ≤ %.0f", st.AcceptedBytes, bound)
+		t.Errorf("accepted %d bytes after SetRate(2 Mbps), want ≤ %.0f", st.AcceptedBytes, bound)
 	}
 	if st.DroppedPackets == 0 {
 		t.Error("no drops after tightening the root ceiling")
@@ -195,7 +229,7 @@ func TestNodeMetricsExport(t *testing.T) {
 	}
 	lh, _ := e.Leaf(h, 1)
 	for i := 0; i < 10; i++ {
-		if err := e.SubmitLeafBatch(lh, []packet.Packet{pkt(i)}); err != nil {
+		if err := e.SubmitBatch(lh, []packet.Packet{pkt(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,7 +303,7 @@ func TestTraceNodePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	lh, _ := e.Leaf(h, 2)
-	if err := e.SubmitLeafBatch(lh, []packet.Packet{pkt(0), pkt(1)}); err != nil {
+	if err := e.SubmitBatch(lh, []packet.Packet{pkt(0), pkt(1)}); err != nil {
 		t.Fatal(err)
 	}
 	// Barrier: NodeStats rides the ring behind the burst.
@@ -302,7 +336,7 @@ func TestTreeSnapshotThroughEngine(t *testing.T) {
 	}
 	lh, _ := e.Leaf(h, 1)
 	for i := 0; i < 500; i++ {
-		if err := e.SubmitLeafBatch(lh, []packet.Packet{pkt(i)}); err != nil {
+		if err := e.SubmitBatch(lh, []packet.Packet{pkt(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"bcpqp/internal/enforcer"
 	"bcpqp/internal/obs"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/tbf"
@@ -74,10 +75,10 @@ func goldenWatchRun(t *testing.T) string {
 		case 2:
 			must(e.SubmitBatch(flat0, batch[:n]))
 		case 3:
-			must(e.SubmitLeafBatch(leafA, batch[:n]))
+			must(e.SubmitBatch(leafA, batch[:n]))
 		default:
 			if i%2 == 0 {
-				must(e.SubmitLeafBatch(leafB, batch[:n]))
+				must(e.SubmitBatch(leafB, batch[:n]))
 			} else {
 				must(e.SubmitBatch(tree, batch[:n]))
 			}
@@ -89,13 +90,13 @@ func goldenWatchRun(t *testing.T) string {
 		}
 		switch i {
 		case 400:
-			must(e.SetRate("flat", 5*units.Mbps))
+			must(e.SetRate("flat", enforcer.Root, 5*units.Mbps))
 		case 700:
-			must(e.SetNodeRate("tenant", 0, 12*units.Mbps))
+			must(e.SetRate("tenant", enforcer.Root, 12*units.Mbps))
 		case 900:
 			must(e.ArmNodeAudit("tenant", 1, 10*units.Mbps, 1<<18)) // re-arm: fresh envelope, siblings keep theirs
 		case 1100:
-			must(e.SetRate("flat", 9*units.Mbps))
+			must(e.SetRate("flat", enforcer.Root, 9*units.Mbps))
 		}
 	}
 	var out strings.Builder

@@ -329,9 +329,9 @@ func (d *layoutDiff) run(ops []byte) {
 				continue
 			}
 			rate := units.Rate(1+b&15) * units.Mbps
-			err, refErr := d.tr.SetNodeRate(d.now, node, rate), d.ref.SetNodeRate(d.now, node, rate)
+			err, refErr := setRateAt(d.tr, d.now, node, rate), d.ref.setRateAt(d.now, node, rate)
 			if (err != nil) != (refErr != nil) {
-				d.t.Fatalf("SetNodeRate(%d, %v): %v, reference %v", node, rate, err, refErr)
+				d.t.Fatalf("SetRate at node %d, %v: %v, reference %v", node, rate, err, refErr)
 			}
 		}
 		d.compare("an operation")

@@ -27,26 +27,6 @@ func (t *Tree) NodeReconfigurer(node enforcer.NodeID) (enforcer.Reconfigurer, er
 	return r, nil
 }
 
-// SetNodeRate changes one node's ceiling rate in place. Like every
-// Reconfigurer, the old rate's accounting is settled first, so acceptance
-// over any reconfiguration obeys the piecewise bound r₁·Δt₁ + r₂·Δt₂ + B.
-func (t *Tree) SetNodeRate(now time.Duration, node enforcer.NodeID, rate units.Rate) error {
-	r, err := t.NodeReconfigurer(node)
-	if err != nil {
-		return err
-	}
-	return r.SetRate(now, rate)
-}
-
-// SetNodePolicy changes one node's ceiling rate-sharing policy in place.
-func (t *Tree) SetNodePolicy(now time.Duration, node enforcer.NodeID, policy *sched.Policy) error {
-	r, err := t.NodeReconfigurer(node)
-	if err != nil {
-		return err
-	}
-	return r.SetPolicy(now, policy)
-}
-
 // setEffRate retargets one node's effective refill rate, settling accrued
 // income at the old rate first (the same settle-then-switch discipline as
 // tbf.SetRate). A node joining the assured layer gets a fresh full default
@@ -117,15 +97,26 @@ func (t *Tree) SetNodeAssured(now time.Duration, node enforcer.NodeID, rate unit
 
 // SetRate implements enforcer.Reconfigurer by forwarding to the root
 // ceiling — retargeting the whole tree's aggregate limit, the operation a
-// link-capacity change maps to. Per-node changes go through SetNodeRate.
+// link-capacity change maps to. Any node's ceiling, the root's included,
+// changes through NodeReconfigurer(node). Like every Reconfigurer, the old
+// rate's accounting is settled first, so acceptance over any
+// reconfiguration obeys the piecewise bound r₁·Δt₁ + r₂·Δt₂ + B.
 func (t *Tree) SetRate(now time.Duration, rate units.Rate) error {
-	return t.SetNodeRate(now, 0, rate)
+	r, err := t.NodeReconfigurer(enforcer.Root)
+	if err != nil {
+		return err
+	}
+	return r.SetRate(now, rate)
 }
 
 // SetPolicy implements enforcer.Reconfigurer by forwarding to the root
 // ceiling (see SetRate for why).
 func (t *Tree) SetPolicy(now time.Duration, policy *sched.Policy) error {
-	return t.SetNodePolicy(now, 0, policy)
+	r, err := t.NodeReconfigurer(enforcer.Root)
+	if err != nil {
+		return err
+	}
+	return r.SetPolicy(now, policy)
 }
 
 // NodeSnapshotter implements enforcer.TreeEnforcer, exposing the node's

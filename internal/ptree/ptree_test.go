@@ -343,6 +343,16 @@ func TestBatchEquivalence(t *testing.T) {
 	}
 }
 
+// setRateAt changes one node's ceiling rate through its Reconfigurer, the
+// way an engine's node-addressed SetRate does.
+func setRateAt(tr *Tree, now time.Duration, node enforcer.NodeID, rate units.Rate) error {
+	r, err := tr.NodeReconfigurer(node)
+	if err != nil {
+		return err
+	}
+	return r.SetRate(now, rate)
+}
+
 // drive offers traffic at a fixed rate to one leaf over a window and
 // returns the bytes admitted.
 func drive(tr *Tree, leaf enforcer.NodeID, offered units.Rate, from, to time.Duration) int64 {
@@ -552,8 +562,8 @@ func TestInteriorHotSetRate(t *testing.T) {
 	const leaf = enforcer.NodeID(2)
 	const phase = 3 * time.Second
 	acc1 := drive(tr, leaf, 20*units.Mbps, 0, phase)
-	if err := tr.SetNodeRate(phase, 1, r2); err != nil {
-		t.Fatalf("SetNodeRate: %v", err)
+	if err := setRateAt(tr, phase, 1, r2); err != nil {
+		t.Fatalf("SetRate at node 1: %v", err)
 	}
 	acc2 := drive(tr, leaf, 20*units.Mbps, phase, 2*phase)
 	slack := float64(units.BDPBytes(r1, 100*time.Millisecond)) + 2*units.MSS

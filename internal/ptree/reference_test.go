@@ -286,7 +286,9 @@ func (t *refTree) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict 
 	return t.SubmitAt(now, t.leaves[pkt.ClassIn(len(t.leaves))], pkt)
 }
 
-func (t *refTree) SetNodeRate(now time.Duration, node enforcer.NodeID, rate units.Rate) error {
+// setRateAt changes one node's ceiling rate, as Tree.NodeReconfigurer(node)
+// then SetRate does.
+func (t *refTree) setRateAt(now time.Duration, node enforcer.NodeID, rate units.Rate) error {
 	if int(node) < 0 || int(node) >= len(t.parent) {
 		return fmt.Errorf("ptree: node %d out of range [0,%d): %w",
 			node, len(t.parent), enforcer.ErrBadNode)

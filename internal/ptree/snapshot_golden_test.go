@@ -62,7 +62,7 @@ func goldenTrace(tr *Tree, now *time.Duration, i0, n int) string {
 				panic(err)
 			}
 		case i%97 == 75:
-			if err := tr.SetNodeRate(*now, 2, units.Rate(10+i%7)*units.Mbps); err != nil {
+			if err := setRateAt(tr, *now, 2, units.Rate(10+i%7)*units.Mbps); err != nil {
 				panic(err)
 			}
 		}

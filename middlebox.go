@@ -17,21 +17,24 @@ import (
 // queued for the shard's goroutine in one ring operation (SubmitBatch).
 // Aggregates are hashed across shards that serve one burst at a time, so
 // enforcers stay lock-free on the datapath; a full shard ring sheds bursts
-// rather than blocking.
+// rather than blocking. Root and node share one address: a handle carries
+// its node, and SetRate, SetPolicy and NodeStats take (id, node).
 type Middlebox = mbox.Engine
 
 // MiddleboxConfig configures NewMiddlebox.
 type MiddleboxConfig = mbox.Config
 
-// AggregateHandle identifies a registered aggregate on the middlebox
-// datapath. Handles are returned by Add and resolved by Lookup; they carry
-// a generation tag, so although table slots are recycled under churn
-// (bounded registry memory), a stale handle can never alias a later
-// aggregate — it reports ErrStaleHandle instead.
+// AggregateHandle addresses a registered aggregate on the middlebox
+// datapath, and the node of its policy tree its bursts enter at. Add and
+// Lookup return one at NoNode (the aggregate routes each packet itself);
+// Middlebox.Leaf re-addresses it at a node. Handles carry a generation tag,
+// so although table slots are recycled under churn (bounded registry
+// memory), a stale handle can never alias a later aggregate — it reports
+// ErrStaleHandle instead.
 type AggregateHandle = mbox.Handle
 
 // NoAggregate is the invalid handle returned alongside errors.
-const NoAggregate = mbox.NoHandle
+var NoAggregate = mbox.NoHandle
 
 // ErrNoStats reports that an aggregate's enforcer exposes no statistics
 // (it does not implement StatsReader). Test with errors.Is.
@@ -165,5 +168,6 @@ type StatsReader = enforcer.StatsReader
 
 // CascadeStage is an enforcer supporting two-phase (probe/commit)
 // admission, the capability a PolicyTree node ceiling needs; PQP/BC-PQP and
-// token-bucket policers implement it.
+// token-bucket policers implement it. It keeps the name of a cascade that is
+// gone because the benchmark harness (bench/) uses it.
 type CascadeStage = enforcer.Stage

@@ -162,7 +162,7 @@ func ObserveAggregate(mb *Middlebox, id string, c *Collector) error {
 	if err != nil {
 		return err
 	}
-	agg := int64(h)
+	agg := h.TraceAgg()
 	return mb.Update(id, func(now time.Duration, enf Enforcer) error {
 		pq, ok := enf.(*phantom.PQP)
 		if !ok {

@@ -2,7 +2,6 @@ package bcpqp
 
 import (
 	"bcpqp/internal/enforcer"
-	"bcpqp/internal/mbox"
 	"bcpqp/internal/ptree"
 )
 
@@ -32,24 +31,20 @@ func MustNewPolicyTree(spec []PolicyTreeNode) *PolicyTree { return ptree.MustNew
 // TreeEnforcer is the node-addressed enforcement contract implemented by
 // *PolicyTree: packet submission at a chosen node, and per-node stats,
 // reconfiguration and snapshot access. A Middlebox aggregate whose enforcer
-// implements it (Middlebox.Add detects this) exposes all of it through
-// per-node handles and control calls.
+// implements it (Middlebox.Add detects this) exposes all of it through the
+// same calls as a flat aggregate, a one-node tree: handles at a node
+// (Middlebox.Leaf) and (id, node) control calls.
 type TreeEnforcer = enforcer.TreeEnforcer
 
 // NodeID addresses one node of a TreeEnforcer; nodes are dense indices
-// assigned in spec order (the root is 0).
+// assigned in spec order.
 type NodeID = enforcer.NodeID
 
-// NoNode is the invalid NodeID.
+// Root is node 0, the root of every tree — and a flat aggregate's only node.
+const Root = enforcer.Root
+
+// NoNode is the invalid NodeID; a handle at NoNode leaves routing to the aggregate.
 const NoNode = enforcer.NoNode
 
 // ErrBadNode reports a node address outside the tree. Test with errors.Is.
 var ErrBadNode = enforcer.ErrBadNode
-
-// LeafHandle addresses one tree node of a Middlebox aggregate on the
-// datapath: mint with Middlebox.Leaf, submit with SubmitLeafBatch. Removing the aggregate invalidates every LeafHandle of
-// its tree at once.
-type LeafHandle = mbox.LeafHandle
-
-// NoLeafHandle is the invalid leaf handle returned alongside errors.
-var NoLeafHandle = mbox.NoLeafHandle
