@@ -60,13 +60,14 @@ govulncheck:
 # who-serves-the-shard rule run twenty times: the window they guard (an item
 # popped off the ring but not yet under the occupancy word) is a few
 # instructions wide, and three repetitions do not find it. So do the two
-# tests of the one-queue control contract, whose outcome turns on scheduling:
-# a wedged shard refuses a control call, a flooded live one always takes it.
-# With fewer cores than its busy goroutines the flood test takes seconds a
-# run (about 4.5 min for this line on two vCPUs), hence the longer timeout.
+# tests of the one give-up rule, whose outcome turns on scheduling: a wedged
+# shard refuses a control call or an inline submit, a live one — flooded, or
+# held by a slow Flush — always takes it. With fewer cores than its busy
+# goroutines the flood test takes seconds a run (about 4.5 min for this line
+# on two vCPUs), hence the longer timeout.
 chaos:
 	$(GO) test -race -count=3 -run 'Chaos|Fault|Control|Overload|Storm|Flood|Flash|Audit' ./internal/mbox/ ./internal/faultinject/ ./internal/cluster/ ./internal/workload/
-	$(GO) test -race -count=20 -timeout 30m -run 'TestClaimKeepsSubmissionOrder|TestClaimedEqualsQueued|TestControlEscalationDeterministic|TestControlThroughFloodedRing' ./internal/mbox/
+	$(GO) test -race -count=20 -timeout 30m -run 'TestClaimKeepsSubmissionOrder|TestClaimedEqualsQueued|TestControlEscalationDeterministic|TestControlThroughFloodedRing|TestLocalSubmitWaitsOutLiveHolder|TestLocalSubmitSaturatedOnWedgedShard' ./internal/mbox/
 
 # Ten-second smoke run of every fuzz target (seed corpus + a short burst of
 # generated inputs); full fuzzing sessions run the targets individually.

@@ -524,7 +524,7 @@ func BenchmarkMiddleboxDegradedBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Trip the breaker (default PanicThreshold 1), then barrier on the
+	// Trip the breaker (the first panic quarantines), then barrier on the
 	// shard so quarantine is observed before timing starts.
 	trip := [1]Packet{{Key: FlowKey{SrcIP: 1, Proto: 6}, Size: MSS}}
 	if err := eng.SubmitBatch(h, trip[:]); err != nil {

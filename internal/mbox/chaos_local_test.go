@@ -25,12 +25,10 @@ import (
 func TestChaosLocalRunToCompletionChurn(t *testing.T) {
 	clock := &fakeClock{step: 20 * time.Microsecond}
 	e := New(Config{
-		Shards:         2,
-		QueueDepth:     1 << 12, // deep enough that the ring never sheds: conservation stays exact
-		Clock:          clock.now,
-		PanicThreshold: 3,
-		ControlTimeout: 2 * time.Second,
-		CloseTimeout:   10 * time.Second,
+		Shards:       2,
+		QueueDepth:   1 << 12, // deep enough that the ring never sheds: conservation stays exact
+		Clock:        clock.now,
+		CloseTimeout: 10 * time.Second,
 	})
 	closed := false
 	defer func() {
@@ -172,9 +170,10 @@ func TestChaosLocalRunToCompletionChurn(t *testing.T) {
 			t.Errorf("%s: enforced %d + degraded %d = %d packets, want %d submitted",
 				id, st.AcceptedPackets+st.DroppedPackets, fr.DegradedDrops, got, p.submitted.Load())
 		}
+		// No shard here is ever wedged, and a wedge is the only reason an
+		// inline submit gives up.
 		if p.shed.Load() != 0 {
-			t.Errorf("%s: %d packets hit ErrSaturated with a %v occupancy timeout — occupancy word wedged",
-				id, p.shed.Load(), e.cfg.ControlTimeout)
+			t.Errorf("%s: %d packets hit ErrSaturated on a live shard", id, p.shed.Load())
 		}
 	}
 	if st, err := e.Stats("ring"); err != nil {
@@ -187,7 +186,7 @@ func TestChaosLocalRunToCompletionChurn(t *testing.T) {
 	if got := e.Panics.Load(); got != injPanics {
 		t.Errorf("engine recovered %d panics, injector injected %d", got, injPanics)
 	}
-	if injPanics < int64(e.cfg.PanicThreshold) {
+	if injPanics == 0 {
 		t.Errorf("injector panicked only %d times — chaos too tame to prove the inline panic barrier", injPanics)
 	} else if fr, err := e.Faults("inline-faulty"); err != nil || !fr.Quarantined {
 		t.Errorf("inline-faulty quarantine = %+v, %v; want quarantined via inline panics", fr, err)

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"bcpqp/internal/enforcer"
+	"bcpqp/internal/obs"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/phantom"
 	"bcpqp/internal/rng"
@@ -574,4 +575,162 @@ func TestChaosShortFlowStormOverload(t *testing.T) {
 	dumpChaosCounters(t, e, "short-flow-storm")
 	closeBounded(t, e, closeTimeout)
 	closed = true
+}
+
+// TestChaosPlanesTogether arms every plane at once on one shard, driven from
+// one goroutine on an injected clock with the watchdog off: a policy tree fed
+// through two leaf handles beside a flat BC-PQP aggregate in shed class 3,
+// both observed and audited (whole-aggregate envelopes on both, a node
+// envelope on one leaf); a cluster share that halves the tree's root rate and
+// then restores it; and a priority-shed episode, engaged and released by
+// running the pressure update at chosen readings while holdShard keeps the
+// ring filled. No envelope may be breached, and each aggregate's offered
+// packets must equal accepted + dropped + priority-shed exactly.
+func TestChaosPlanesTogether(t *testing.T) {
+	const (
+		treeRate  = 20 * units.Mbps
+		flatRate  = 8 * units.Mbps
+		queues    = 4
+		queueSize = 20 * units.MSS
+		depth     = 16
+		burstLen  = 8
+		rounds    = 100
+	)
+	treeBurst := units.BDPBytes(treeRate, 100*time.Millisecond) // newTestTree's root bucket
+	clock := &fakeClock{step: 100 * time.Microsecond}
+	c := obs.NewCollector(obs.Options{SampleEvery: 1})
+	e := New(Config{
+		Shards: 1, QueueDepth: depth, Clock: clock.now,
+		WatchdogInterval: time.Hour,
+		Observer:         c,
+		Overload:         true,
+	})
+	defer e.Close()
+
+	tree, err := e.Add("tree", newTestTree(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaves [2]Handle
+	for i := range leaves {
+		if leaves[i], err = e.Leaf(tree, enforcer.NodeID(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flat, err := e.Add("flat", phantom.MustNew(phantom.Config{
+		Rate: flatRate, Queues: queues, QueueSize: queueSize, BurstControl: true,
+	}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetShedClass("flat", 3); err != nil {
+		t.Fatal(err)
+	}
+	// Each envelope is one the enforcer cannot exceed: the tree admits no
+	// more than its root's token bucket, a leaf no more than the tree, and
+	// BC-PQP no more than r·Δt plus what its phantom queues can hold.
+	if err := e.ArmAudit("tree", treeRate, treeBurst); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ArmNodeAudit("tree", 1, treeRate, treeBurst); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ArmAudit("flat", flatRate, queues*queueSize); err != nil {
+		t.Fatal(err)
+	}
+
+	var offeredTree, offeredFlat int64
+	submit := func(h Handle, n int, offered *int64) {
+		t.Helper()
+		if err := e.SubmitBatch(h, burstOf(burstLen, n)); err != nil {
+			t.Fatal(err)
+		}
+		*offered += burstLen
+	}
+	traffic := func() {
+		for i := 0; i < rounds; i++ {
+			submit(leaves[i%2], i, &offeredTree)
+			submit(flat, i, &offeredFlat)
+		}
+	}
+
+	traffic()
+	if err := e.ApplyShare("tree", treeRate/2, false); err != nil {
+		t.Fatal(err)
+	}
+	traffic()
+
+	// Priority shed: with the shard held, tree bursts queue until the ring
+	// reads 14/16 full — short of full, so nothing sheds at the ring — and
+	// the pressure update engages the plane, which sheds every class-3 burst.
+	now := time.Now().UnixNano()
+	release := holdShard(t, e, "tree")
+	for i := 0; i < depth-2; i++ {
+		submit(leaves[i%2], i, &offeredTree)
+	}
+	e.updatePressure(now)
+	if h := e.Health().Overload; !h.Active {
+		t.Fatalf("plane did not engage on a %d/%d ring: %+v", depth-2, depth, h)
+	}
+	const shedBursts = 20
+	for i := 0; i < shedBursts; i++ {
+		submit(flat, i, &offeredFlat)
+	}
+	release()
+	if err := e.Flush("tree", func(enforcer.Enforcer) {}); err != nil { // behind the queued bursts
+		t.Fatal(err)
+	}
+	e.updatePressure(now + int64(10*time.Second))
+	if h := e.Health().Overload; h.Active {
+		t.Fatalf("plane did not disengage on a drained ring: %+v", h)
+	}
+
+	if err := e.ApplyShare("tree", treeRate, false); err != nil {
+		t.Fatal(err)
+	}
+	traffic()
+
+	if v := e.AuditViolations(); v != 0 {
+		t.Errorf("%d audit violations with every plane armed", v)
+	}
+	rep := e.AuditReport()
+	if len(rep) != 3 {
+		t.Fatalf("AuditReport has %d entries, want 3: %+v", len(rep), rep)
+	}
+	for _, a := range rep {
+		if a.Counters.AcceptedBytes == 0 {
+			t.Errorf("envelope %s/%d audited no bytes", a.Aggregate, a.Node)
+		}
+	}
+	if got := e.Overloaded.Load(); got != 0 {
+		t.Errorf("Overloaded = %d, want 0: the ring never filled", got)
+	}
+	if got := e.OverloadShed.Load(); got != shedBursts*burstLen {
+		t.Errorf("OverloadShed = %d, want %d", got, shedBursts*burstLen)
+	}
+	snap := e.Metrics()
+	for _, a := range []struct {
+		id      string
+		offered int64
+	}{{"tree", offeredTree}, {"flat", offeredFlat}} {
+		st, err := e.Stats(a.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg, err := e.aggByID(a.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shed := agg.shed.Load()
+		if got := st.AcceptedPackets + st.DroppedPackets + shed; got != a.offered {
+			t.Errorf("%s: accepted %d + dropped %d + priority-shed %d = %d, offered %d",
+				a.id, st.AcceptedPackets, st.DroppedPackets, shed, got, a.offered)
+		}
+		if st.DroppedPackets == 0 {
+			t.Errorf("%s: nothing dropped; the workload should saturate it", a.id)
+		}
+		if got := metricValue(t, snap, "bcpqp_aggregate_accepted_packets_total", a.id); int64(got) != st.AcceptedPackets {
+			t.Errorf("%s: observer counted %v accepted, enforcer %d", a.id, got, st.AcceptedPackets)
+		}
+	}
 }

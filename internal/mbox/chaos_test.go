@@ -38,12 +38,12 @@ func burstOf(n, flow int) []packet.Packet {
 
 // TestChaosPanicQuarantineDeterministic is the deterministic core of the
 // fault story on a single shard: a victim enforcer that always panics is
-// quarantined by the circuit breaker after exactly PanicThreshold panics,
+// quarantined by the circuit breaker on its first panic,
 // its traffic degrades FailClosed, a healthy aggregate sharing the shard is
 // untouched, and every counter reconciles exactly with the injected faults.
 func TestChaosPanicQuarantineDeterministic(t *testing.T) {
 	clock := &fakeClock{step: 100 * time.Microsecond}
-	e := New(Config{Shards: 1, Clock: clock.now, QueueDepth: 1 << 12, PanicThreshold: 1})
+	e := New(Config{Shards: 1, Clock: clock.now, QueueDepth: 1 << 12})
 	defer e.Close()
 
 	victim := faultinject.New(tbf.MustNew(8*units.Mbps, 10*units.MSS),
@@ -82,7 +82,7 @@ func TestChaosPanicQuarantineDeterministic(t *testing.T) {
 		t.Error("healthy aggregate emitted nothing next to a panicking neighbour")
 	}
 
-	// First victim run panicked (threshold 1 ⇒ quarantine); the enforcer
+	// First victim run panicked, which quarantines it; the enforcer
 	// is bypassed afterwards, so exactly one panic was injected and every
 	// victim packet degraded to a counted drop.
 	if got := victim.Panics.Load(); got != 1 {
@@ -121,7 +121,7 @@ func TestChaosPanicQuarantineDeterministic(t *testing.T) {
 // Reinstate restores full enforcement.
 func TestChaosReinstateAfterTransientFault(t *testing.T) {
 	clock := &fakeClock{step: 100 * time.Microsecond}
-	e := New(Config{Shards: 1, Clock: clock.now, QueueDepth: 1 << 12, PanicThreshold: 1})
+	e := New(Config{Shards: 1, Clock: clock.now, QueueDepth: 1 << 12})
 	defer e.Close()
 
 	flaky := faultinject.New(tbf.MustNew(8*units.Mbps, 64*units.MSS),
@@ -254,14 +254,11 @@ func TestChaosFailOpenDegrade(t *testing.T) {
 // reconcile exactly with the injectors' ground truth.
 func TestChaosStorm(t *testing.T) {
 	clock := &fakeClock{step: 20 * time.Microsecond}
-	const controlTimeout = 50 * time.Millisecond
 	e := New(Config{
-		Shards:         4,
-		QueueDepth:     1 << 14, // deep enough that nothing sheds: conservation stays exact
-		ControlTimeout: controlTimeout,
-		CloseTimeout:   10 * time.Second,
-		Clock:          clock.now,
-		PanicThreshold: 3,
+		Shards:       4,
+		QueueDepth:   1 << 14, // deep enough that nothing sheds: conservation stays exact
+		CloseTimeout: 10 * time.Second,
+		Clock:        clock.now,
 	})
 	closed := false
 	defer func() {
@@ -433,10 +430,9 @@ func TestChaosStorm(t *testing.T) {
 			t.Errorf("%s: engine attributed %d panics, injector injected %d",
 				id, fr.Panics, inj.Panics.Load())
 		}
-		wantQuarantined := inj.Panics.Load() >= 3 // PanicThreshold
-		if fr.Quarantined != wantQuarantined {
-			t.Errorf("%s: quarantined=%v with %d panics (threshold 3)",
-				id, fr.Quarantined, fr.Panics)
+		// The breaker trips on the first panic.
+		if wantQuarantined := inj.Panics.Load() >= 1; fr.Quarantined != wantQuarantined {
+			t.Errorf("%s: quarantined=%v with %d panics", id, fr.Quarantined, fr.Panics)
 		}
 	}
 
@@ -486,11 +482,12 @@ func TestChaosStorm(t *testing.T) {
 		}
 	}
 
-	// Stats latency stayed bounded throughout (ControlTimeout + ε).
+	// Stats latency stayed bounded throughout: a control call gives up only
+	// on a wedged shard, so no call waits much past wedgeTimeout + ε.
 	const statsEpsilon = time.Second
-	if worst := time.Duration(worstStats.Load()); worst > controlTimeout+statsEpsilon {
-		t.Errorf("worst Stats latency %v exceeds ControlTimeout(%v)+ε(%v)",
-			worst, controlTimeout, statsEpsilon)
+	if worst := time.Duration(worstStats.Load()); worst > wedgeTimeout+statsEpsilon {
+		t.Errorf("worst Stats latency %v exceeds wedgeTimeout(%v)+ε(%v)",
+			worst, wedgeTimeout, statsEpsilon)
 	}
 
 	// Close drains cleanly and within its deadline.
@@ -516,11 +513,7 @@ func TestChaosCloseDeadlineForceAbandonsWedgedShard(t *testing.T) {
 	defer openGate()
 
 	const closeTimeout = 300 * time.Millisecond
-	e := New(Config{
-		Shards: 1, QueueDepth: 4,
-		ControlTimeout: 20 * time.Millisecond,
-		CloseTimeout:   closeTimeout,
-	})
+	e := New(Config{Shards: 1, QueueDepth: 4, CloseTimeout: closeTimeout})
 	started := make(chan struct{}, 1)
 	h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), func(packet.Packet) {
 		select {
@@ -657,24 +650,24 @@ func TestChaosWatchdogClassifiesWedgedShard(t *testing.T) {
 
 // TestControlEscalationDeterministic pins, step by step, what a control call
 // does when its shard stalls — the shard goroutine stuck in an emit hook,
-// the one-slot ring full behind it. (1) A stall of five ControlTimeouts is no
-// wedge yet (the heartbeat is under wedgeTimeout old; a shard goroutine kept
-// off the CPU looks the same), so the call keeps waiting. (2) Once the stall
-// reads older than wedgeTimeout — the heartbeat is backdated, as the watchdog
-// tests pick clock readings, rather than waited out — the call reports
-// ErrSaturated within ControlTimeout. (3) Its fn never runs, not even once the
-// shard unwedges, so nothing it would have read or changed lands out of
-// order. TestControlFailsOverOnSaturatedShard is (2) and (3) with a submitter
-// wedged instead; TestControlThroughFloodedRing is the other half: a live
-// shard, however flooded, takes every call.
+// the one-slot ring full behind it. (1) A stall of five reofferIntervals is
+// no wedge yet (the heartbeat is under wedgeTimeout old; a shard goroutine
+// kept off the CPU looks the same), so the call keeps waiting. (2) Once the
+// stall reads older than wedgeTimeout — the heartbeat is backdated, as the
+// watchdog tests pick clock readings, rather than waited out — the call
+// reports ErrSaturated at its next re-offer. (3) Its fn never runs, not even
+// once the shard unwedges, so nothing it would have read or changed lands out
+// of order. TestControlFailsOverOnSaturatedShard is (2) and (3) with a
+// submitter wedged instead, TestLocalSubmitSaturatedOnWedgedShard is (1) and
+// (2) for an inline submitter, and TestControlThroughFloodedRing is the other
+// half: a live shard, however flooded, takes every call.
 func TestControlEscalationDeterministic(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
 	openGate := func() { once.Do(func() { close(gate) }) }
 	defer openGate()
 
-	const controlTimeout = 20 * time.Millisecond
-	e := New(Config{Shards: 1, QueueDepth: 1, ControlTimeout: controlTimeout})
+	e := New(Config{Shards: 1, QueueDepth: 1})
 	defer e.Close()
 	started := make(chan struct{}, 1)
 	h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), func(packet.Packet) {
@@ -705,7 +698,7 @@ func TestControlEscalationDeterministic(t *testing.T) {
 	select {
 	case err := <-refused:
 		t.Fatalf("Flush gave up on a shard stalled for less than wedgeTimeout: %v", err)
-	case <-time.After(5 * controlTimeout):
+	case <-time.After(5 * reofferInterval):
 	}
 
 	e.shards[0].heartbeat.Add(-int64(wedgeTimeout))
@@ -714,8 +707,8 @@ func TestControlEscalationDeterministic(t *testing.T) {
 		if !errors.Is(err, ErrSaturated) {
 			t.Fatalf("Flush on a wedged shard = %v, want ErrSaturated", err)
 		}
-	case <-time.After(controlTimeout + time.Second):
-		t.Fatal("Flush on a wedged shard still parked after ControlTimeout + 1s")
+	case <-time.After(reofferInterval + time.Second):
+		t.Fatal("Flush on a wedged shard still parked after reofferInterval + 1s")
 	}
 
 	// Unwedge. Stats rides behind whatever the ring still holds.
@@ -742,14 +735,12 @@ func TestControlEscalationDeterministic(t *testing.T) {
 // than wait. None reports ErrSaturated, every Flush's fn runs exactly once,
 // and the books balance: offered = enforced + Overloaded.
 //
-// The producers never yield and ControlTimeout is the default 10 ms, so on a
-// host with fewer cores than busy goroutines the shard goroutine is often
-// kept off the CPU for a whole ControlTimeout, mid-item: on two vCPUs most
-// calls wait longer than that, and the test takes half a minute. That is not
-// a wedge, and controlAgg must keep waiting through it (measured on two
-// vCPUs: the old control lane took over 412–481 of the 1,000 calls, and a
-// call that gave up after one ControlTimeout was refused within the first
-// three).
+// The producers never yield, so on a host with fewer cores than busy
+// goroutines the shard goroutine is often kept off the CPU for a whole
+// reofferInterval (10 ms), mid-item: on two vCPUs most calls wait longer than
+// that, and the test takes half a minute. That is not a wedge, and controlAgg
+// must keep waiting through it (measured on two vCPUs: a call that gave up
+// after one 10 ms wait was refused within the first three).
 func TestControlThroughFloodedRing(t *testing.T) {
 	e := New(Config{Shards: 1, QueueDepth: 2})
 	defer e.Close()
@@ -798,12 +789,12 @@ func TestControlThroughFloodedRing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("control op %d on a flooded live shard: %v", i, err)
 		}
-		if time.Since(start) > e.cfg.ControlTimeout {
+		if time.Since(start) > reofferInterval {
 			slow++
 		}
 	}
 	halt()
-	t.Logf("%d of %d control calls waited longer than ControlTimeout (%v)", slow, ops, e.cfg.ControlTimeout)
+	t.Logf("%d of %d control calls waited longer than reofferInterval (%v)", slow, ops, reofferInterval)
 
 	st, err := e.Stats("x") // behind every queued burst
 	if err != nil {

@@ -242,12 +242,20 @@ wait:
 	if _, err := e.Lookup("busy"); err != nil {
 		t.Errorf("active aggregate evicted: %v", err)
 	}
-	// An Update counts as activity: reconfigure "busy", stop its traffic
-	// briefly, and it must still be present within one more TTL window.
+	// An Update counts as activity: it stamps "busy" active, and a sweep
+	// right after it keeps the aggregate.
+	busy, err := e.aggByID("busy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := time.Now().UnixNano()
 	if err := e.SetRate("busy", enforcer.Root, 10*units.Mbps); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond) // < IdleTTL since the Update
+	if got := busy.lastActive.Load(); got < before {
+		t.Errorf("Update left the activity stamp %v before the call", time.Duration(before-got))
+	}
+	e.sweep()
 	if _, err := e.Lookup("busy"); err != nil {
 		t.Errorf("aggregate evicted right after Update: %v", err)
 	}
@@ -303,7 +311,7 @@ func TestUpdateErrors(t *testing.T) {
 func TestChaosRateChangePiecewiseTBF(t *testing.T) {
 	const step = 100 * time.Microsecond
 	clock := &fakeClock{step: step}
-	e := New(Config{Shards: 1, Clock: clock.now, QueueDepth: 1 << 14, PanicThreshold: 1})
+	e := New(Config{Shards: 1, Clock: clock.now, QueueDepth: 1 << 14})
 	defer e.Close()
 
 	const (

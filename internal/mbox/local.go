@@ -3,7 +3,6 @@ package mbox
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"time"
 
@@ -29,8 +28,8 @@ import (
 //   - The shard goroutine (acquire), around every item it pops.
 //   - LocalSubmitter (tryAcquire): a run-to-completion datapath (the DPDK
 //     deployment model the paper benchmarks against) that owns its shard
-//     never queues: it waits up to ControlTimeout for the word and enforces
-//     in place, or sheds.
+//     never queues: it waits for the word and enforces in place, or — only
+//     once the shard reads wedged — sheds.
 //
 // Ordering: a unit run by its caller is synchronous — when the call returns,
 // the burst has been enforced and emitted — so it is strictly ordered with
@@ -71,7 +70,7 @@ func (s *shard) claimIdle() bool {
 
 // acquire claims the shard's occupancy word for who, however long that takes.
 func (s *shard) acquire(who int32) {
-	s.tryAcquire(who, math.MaxInt64)
+	s.tryAcquire(who, func(int64) bool { return false })
 }
 
 // claimSpins is how many yields a waiter spends on the word before it reads
@@ -81,19 +80,20 @@ const (
 	claimNapMax = time.Millisecond
 )
 
-// tryAcquire waits for the word with a deadline: false means it could not be
-// claimed within timeout (a wedged or abandoned holder), so the caller can
-// degrade instead of waiting forever. The common contention — one burst or
+// tryAcquire waits for the word until giveUp, asked once per round with the
+// wall clock in Unix nanoseconds, says to stop: false means the word was not
+// claimed, so the caller can degrade instead of waiting forever. A
+// LocalSubmitter gives up only on a wedged shard (shard.wedged), Close at its
+// deadline, the shard goroutine never. The common contention — one burst or
 // control item in flight — resolves in well under a microsecond, so the wait
 // starts as a yielding spin. A holder that outlasts a round of spins is in
 // user code (an emit hook doing I/O, or wedged): from then on the waiter
 // sleeps between rounds, 1 µs doubling to 1 ms, so a shard goroutine behind a
 // slow submitter costs a wake-up per millisecond, not a core.
-func (s *shard) tryAcquire(who int32, timeout time.Duration) bool {
+func (s *shard) tryAcquire(who int32, giveUp func(now int64) bool) bool {
 	if s.claim(who) {
 		return true
 	}
-	var start time.Time
 	var nap time.Duration
 	for {
 		for i := 0; i < claimSpins; i++ {
@@ -102,15 +102,10 @@ func (s *shard) tryAcquire(who int32, timeout time.Duration) bool {
 				return true
 			}
 		}
-		now := time.Now()
-		if start.IsZero() {
-			start = now
-		}
-		left := timeout - now.Sub(start)
-		if left <= 0 {
+		if giveUp(time.Now().UnixNano()) {
 			return false
 		}
-		time.Sleep(min(nap, left))
+		time.Sleep(nap)
 		nap = min(max(2*nap, time.Microsecond), claimNapMax)
 	}
 }
@@ -160,17 +155,21 @@ func (l *LocalSubmitter) Shard() int { return l.s.idx }
 // active to the idle-TTL sweeper. Verdicts reach the aggregate's emit hook
 // before SubmitBatch returns.
 //
+// A live holder of the word — a slow emit hook, a Flush fn, a shard
+// goroutine kept off the CPU — is waited out, however long it takes.
+//
 // Errors: ErrStale/invalid handle as usual; ErrWrongShard when h lives on a
-// different shard; ErrSaturated when the shard's occupancy word could not
-// be claimed within ControlTimeout (a wedged holder — the burst is counted
-// shed, mirroring what a full ring does to the queued path).
+// different shard; ErrSaturated when the shard reads wedged while the call
+// waits for its occupancy word (the holder has made no progress for
+// wedgeTimeout — the burst is counted shed, mirroring what a full ring does
+// to the queued path).
 func (l *LocalSubmitter) SubmitBatch(h Handle, pkts []packet.Packet) error {
 	e, s := l.e, l.s
 	agg, err := e.admit(h, len(pkts), s)
 	if agg == nil {
 		return err
 	}
-	if !s.tryAcquire(occLocal, e.cfg.ControlTimeout) {
+	if !s.tryAcquire(occLocal, s.wedged) {
 		n := int64(len(pkts))
 		e.Overloaded.Add(n)
 		s.shed.Add(n)

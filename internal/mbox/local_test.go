@@ -2,7 +2,8 @@ package mbox
 
 // Ring-bypass fast-path tests: the LocalSubmitter must be byte-identical to
 // the ring path on the same seeded workload, refuse cross-shard handles,
-// and degrade to a counted ErrSaturated when the occupancy word is wedged.
+// wait out a live holder of the occupancy word, and degrade to a counted
+// ErrSaturated only when the shard is wedged.
 
 import (
 	"errors"
@@ -192,12 +193,54 @@ func TestLocalSubmitStaleHandle(t *testing.T) {
 	}
 }
 
+// TestLocalSubmitWaitsOutLiveHolder: a Flush fn holding the occupancy word for
+// 30 ms is a live holder, not a wedge, so an inline submitter on the same
+// shard waits it out and enforces its burst — nothing shed, no fallback.
+func TestLocalSubmitWaitsOutLiveHolder(t *testing.T) {
+	const hold = 30 * time.Millisecond
+	e := New(Config{Shards: 1})
+	defer e.Close()
+	if _, err := e.Add("held", tbf.MustNew(units.Mbps, 1000*units.MSS), nil); err != nil {
+		t.Fatal(err)
+	}
+	enf := &countingEnforcer{}
+	h, err := e.Add("inline", enf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := e.LocalShard(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := holdShard(t, e, "held")
+	done := make(chan error, 1)
+	go func() { done <- ls.SubmitBatch(h, burstOf(8, 1)) }()
+	select {
+	case err := <-done:
+		release()
+		t.Fatalf("inline submit returned %v while a live Flush held the shard", err)
+	case <-time.After(hold):
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatalf("inline submit behind a live holder: %v", err)
+	}
+	if got := e.InlineFallbacks.Load(); got != 0 {
+		t.Errorf("InlineFallbacks = %d, want 0", got)
+	}
+	if got := enf.n.Load(); got != 8 {
+		t.Errorf("enforcer saw %d packets, want all 8", got)
+	}
+}
+
 // TestLocalSubmitSaturatedOnWedgedShard wedges a SubmitBatch caller inside an
 // emit hook (so it holds the occupancy word) and asserts an inline submitter
-// degrades: ErrSaturated within ControlTimeout, packets counted as shed.
+// keeps waiting while the holder's stall is younger than wedgeTimeout, then
+// degrades once it is older — the heartbeat is backdated rather than the
+// second waited out: ErrSaturated, packets counted as shed.
 func TestLocalSubmitSaturatedOnWedgedShard(t *testing.T) {
 	gate := make(chan struct{})
-	e := New(Config{Shards: 1, QueueDepth: 64, ControlTimeout: 50 * time.Millisecond})
+	e := New(Config{Shards: 1, QueueDepth: 64})
 	defer e.Close()
 	defer close(gate)
 	wedged := make(chan struct{})
@@ -220,8 +263,21 @@ func TestLocalSubmitSaturatedOnWedgedShard(t *testing.T) {
 	<-wedged // the helper goroutine now holds the occupancy word
 
 	burst := burstOf(8, 1)
-	if err := ls.SubmitBatch(hl, burst); !errors.Is(err, ErrSaturated) {
-		t.Fatalf("inline submit against a wedged shard = %v, want ErrSaturated", err)
+	refused := make(chan error, 1)
+	go func() { refused <- ls.SubmitBatch(hl, burst) }()
+	select {
+	case err := <-refused:
+		t.Fatalf("inline submit gave up on a shard stalled for less than wedgeTimeout: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	e.shards[0].heartbeat.Add(-int64(wedgeTimeout))
+	select {
+	case err := <-refused:
+		if !errors.Is(err, ErrSaturated) {
+			t.Fatalf("inline submit against a wedged shard = %v, want ErrSaturated", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("inline submit against a wedged shard still waiting after 1s")
 	}
 	if got := e.Overloaded.Load(); got != int64(len(burst)) {
 		t.Errorf("Overloaded = %d, want %d (the whole shed burst)", got, len(burst))

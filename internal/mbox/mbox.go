@@ -136,11 +136,12 @@ var ErrNotReconfigurable = enforcer.ErrNotReconfigurable
 // enforcer.ErrBadNode sentinel. Test with errors.Is.
 var ErrBadNode = enforcer.ErrBadNode
 
-// ErrSaturated reports that a control operation waiting for a slot on its
-// shard's full ring found the shard wedged (ShardWedged: work queued or in
-// flight, no progress for a second), or that a LocalSubmitter could not claim
-// its shard within ControlTimeout. The operation did not run and never will.
-// Test with errors.Is.
+// ErrSaturated reports that an operation waiting on its shard — a control
+// call for a slot on the full ring, a LocalSubmitter for the occupancy word —
+// found the shard wedged (shard.wedged: work queued or in flight, no
+// heartbeat for wedgeTimeout). That is the only reason either gives up: a
+// live shard, however slow, is waited out. The operation did not run and
+// never will. Test with errors.Is.
 var ErrSaturated = errors.New("shard saturated")
 
 // DegradeMode selects what happens to traffic for a quarantined aggregate
@@ -208,21 +209,11 @@ type Config struct {
 	// (default 1024), whatever their size: a full ring of 32-packet bursts
 	// holds 32× as many packets.
 	QueueDepth int
-	// ControlTimeout bounds how long a LocalSubmitter waits for its shard's
-	// occupancy word, and how long after its shard turns ShardWedged a
-	// control operation (Stats, Flush, Update, Remove, …) waiting for a ring
-	// slot keeps waiting, before either reports ErrSaturated (default 10ms).
-	ControlTimeout time.Duration
 	// Clock supplies the virtual time passed to enforcers; it is read
 	// once per burst, not once per packet. The default is wall time
 	// since engine start. Tests inject deterministic clocks.
 	Clock func() time.Duration
 
-	// PanicThreshold is the circuit-breaker trip count: an aggregate is
-	// quarantined once its enforcer (or emit hook) has panicked this
-	// many times (default 1). A quarantined aggregate's traffic degrades
-	// FailClosed until SetDegradeMode says otherwise.
-	PanicThreshold int
 	// CloseTimeout bounds Close: shards that cannot be stopped and
 	// drained within this deadline are force-abandoned and their queued
 	// packets counted as shed (default 5s).
@@ -312,9 +303,9 @@ type Engine struct {
 	// path (LocalSubmitter.SubmitBatch) — run to completion on the
 	// submitting goroutine, no shard-ring hop.
 	InlineBursts shardSum
-	// InlineFallbacks counts ring-bypass submissions that could not claim
-	// their shard's occupancy word within ControlTimeout (a wedged
-	// holder); their packets are counted in Overloaded.
+	// InlineFallbacks counts ring-bypass submissions refused because their
+	// shard read wedged while they waited for its occupancy word; their
+	// packets are counted in Overloaded.
 	InlineFallbacks shardSum
 
 	// table is the slot array the datapath reads lock-free. Writers
@@ -566,15 +557,9 @@ func New(cfg Config) *Engine {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
 	}
-	if cfg.ControlTimeout <= 0 {
-		cfg.ControlTimeout = 10 * time.Millisecond
-	}
 	if cfg.Clock == nil {
 		start := time.Now()
 		cfg.Clock = func() time.Duration { return time.Since(start) }
-	}
-	if cfg.PanicThreshold <= 0 {
-		cfg.PanicThreshold = 1
 	}
 	if cfg.CloseTimeout <= 0 {
 		cfg.CloseTimeout = 5 * time.Second
@@ -711,8 +696,8 @@ func (e *Engine) runControl(s *shard, it item) {
 // path inside a panic barrier. A quarantined aggregate's run never touches
 // the enforcer: it degrades immediately (drop or pass-through per the
 // aggregate's DegradeMode). A run that panics mid-flight quarantines the
-// aggregate once the circuit-breaker threshold is reached and degrades the
-// unhandled remainder of the run, and the shard goroutine survives.
+// aggregate and degrades the unhandled remainder of the run, and the shard
+// goroutine survives.
 func (e *Engine) runBatch(s *shard, now time.Duration, agg *aggregate, node enforcer.NodeID, pkts []packet.Packet) {
 	if agg.quarantined.Load() {
 		e.degrade(s, agg, pkts)
@@ -926,7 +911,7 @@ func (e *Engine) emitUnenforced(s *shard, agg *aggregate, pkts []packet.Packet) 
 }
 
 // notePanic records one recovered panic, trips the aggregate's circuit
-// breaker at the configured threshold, and fires the OnFault hook.
+// breaker — the first panic quarantines it — and fires the OnFault hook.
 func (e *Engine) notePanic(s *shard, agg *aggregate, recovered any) {
 	e.Panics.Add(1)
 	if s != nil {
@@ -938,11 +923,10 @@ func (e *Engine) notePanic(s *shard, agg *aggregate, recovered any) {
 	if agg != nil {
 		id = agg.id
 		aggH = int64(agg.h)
-		if n := agg.panics.Add(1); n >= int64(e.cfg.PanicThreshold) {
-			// Swap so the quarantine transition is detected exactly once
-			// even under racing panics.
-			quarantined = !agg.quarantined.Swap(true)
-		}
+		agg.panics.Add(1)
+		// Swap so the quarantine transition is detected exactly once even
+		// under racing panics.
+		quarantined = !agg.quarantined.Swap(true)
 	}
 	e.record(s, obs.Event{Kind: obs.KindPanic, Agg: aggH, Node: -1})
 	if quarantined {
@@ -1350,6 +1334,10 @@ func (e *Engine) Flush(id string, fn func(enf enforcer.Enforcer)) error {
 	return e.control(id, fn)
 }
 
+// reofferInterval is how long a control call parked on a full ring waits for
+// a slot before it asks again whether the shard is wedged.
+const reofferInterval = 10 * time.Millisecond
+
 // control runs fn under the aggregate's shard and waits for it.
 func (e *Engine) control(id string, fn func(enforcer.Enforcer)) error {
 	agg, err := e.aggByID(id)
@@ -1370,7 +1358,7 @@ func (e *Engine) control(id string, fn func(enforcer.Enforcer)) error {
 // frees, ahead of producers that would shed rather than wait. It keeps
 // waiting while the shard is alive, however slowly it drains — a shard
 // goroutine kept off the CPU for a few scheduler slices is not wedged — and
-// checks every ControlTimeout whether the shard is wedged by the watchdog's
+// checks every reofferInterval whether the shard is wedged by the watchdog's
 // test (shard.wedged). If it is, ErrSaturated is reported and fn never runs.
 func (e *Engine) controlAgg(agg *aggregate, fn func(enforcer.Enforcer)) error {
 	s := agg.shard
@@ -1382,7 +1370,7 @@ func (e *Engine) controlAgg(agg *aggregate, fn func(enforcer.Enforcer)) error {
 	}
 	it.done = make(chan struct{})
 	s.pending.Add(1)
-	for !sendUntil(s.in, it, time.Now().Add(e.cfg.ControlTimeout)) {
+	for !sendUntil(s.in, it, time.Now().Add(reofferInterval)) {
 		if s.wedged(time.Now().UnixNano()) {
 			s.pending.Add(-1)
 			return fmt.Errorf("mbox: aggregate %q: %w", agg.id, ErrSaturated)
@@ -1790,7 +1778,8 @@ func (e *Engine) Close() CloseReport {
 				// A goroutine that exited proves nothing about a submitter
 				// serving its own burst — the stop item skips the word — so
 				// the shard counts as stopped once the word can be had too.
-				if r.exited = s.tryAcquire(occLocal, time.Until(deadline)); r.exited {
+				past := func(now int64) bool { return now >= deadline.UnixNano() }
+				if r.exited = s.tryAcquire(occLocal, past); r.exited {
 					s.release()
 				}
 			}

@@ -369,16 +369,12 @@ func TestControlFailsOverOnSaturatedShard(t *testing.T) {
 	// itself and the data ring full behind it, a control operation must
 	// not block behind data traffic: there is no second queue to fail
 	// over to, so once the shard reads wedged every op reports
-	// ErrSaturated within ControlTimeout, and none of their fns ever runs.
+	// ErrSaturated at its next re-offer, and none of their fns ever runs.
 	// TestControlEscalationDeterministic wedges the shard goroutine instead.
 	gate := make(chan struct{})
 	var once sync.Once
 	openGate := func() { once.Do(func() { close(gate) }) }
-	const controlTimeout = 20 * time.Millisecond
-	e := New(Config{
-		Shards: 1, QueueDepth: 1,
-		ControlTimeout: controlTimeout,
-	})
+	e := New(Config{Shards: 1, QueueDepth: 1})
 	defer e.Close()
 	defer openGate()
 	h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), func(packet.Packet) { <-gate })
@@ -399,7 +395,7 @@ func TestControlFailsOverOnSaturatedShard(t *testing.T) {
 	for i := 0; i < cap(errs); i++ {
 		go func() { errs <- e.Flush("x", func(enforcer.Enforcer) { ran.Add(1) }) }()
 	}
-	timeout := time.After(controlTimeout + time.Second)
+	timeout := time.After(reofferInterval + time.Second)
 	for i := 0; i < cap(errs); i++ {
 		select {
 		case err := <-errs:
@@ -407,7 +403,7 @@ func TestControlFailsOverOnSaturatedShard(t *testing.T) {
 				t.Fatalf("control op on a saturated shard = %v, want ErrSaturated", err)
 			}
 		case <-timeout:
-			t.Fatalf("%d control ops still parked after ControlTimeout + 1s", cap(errs)-i)
+			t.Fatalf("%d control ops still parked after reofferInterval + 1s", cap(errs)-i)
 		}
 	}
 	openGate()
@@ -446,22 +442,19 @@ func TestConcurrentAddRemoveDuringTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := make(chan struct{})
+	// Steady traffic runs until the churner has cycled all its aggregates.
+	var churned atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		for i := 0; !churned.Load(); i++ {
 			e.SubmitBatch(steady, []packet.Packet{pkt(i)})
 		}
 	}()
 	go func() {
 		defer wg.Done()
+		defer churned.Store(true)
 		for i := 0; i < 200; i++ {
 			id := fmt.Sprintf("churn-%d", i)
 			h, err := e.Add(id, tbf.MustNew(units.Mbps, 10*units.MSS), nil)
@@ -476,8 +469,6 @@ func TestConcurrentAddRemoveDuringTraffic(t *testing.T) {
 			}
 		}
 	}()
-	time.Sleep(20 * time.Millisecond)
-	close(stop)
 	wg.Wait()
 	if e.Len() != 1 {
 		t.Errorf("Len = %d after churn, want 1", e.Len())

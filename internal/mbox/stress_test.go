@@ -2,6 +2,7 @@ package mbox
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,9 +18,10 @@ import (
 // goroutines at once — single-packet and burst submissions on stable
 // handles, Add/Remove churn on short-lived aggregates, and control-plane
 // Stats/Lookup polling — then Closes the engine while producers are still
-// running. It contains no assertions about throughput; its job is to give
-// the race detector (and the shutdown path) something to chew on. Run it
-// with -race (the CI verify target does).
+// running — once the producers have submitted stressPkts packets and the
+// churner has cycled stressChurns aggregates. It contains no assertions about
+// throughput; its job is to give the race detector (and the shutdown path)
+// something to chew on. Run it with -race (the CI verify target does).
 func TestEngineConcurrentStress(t *testing.T) {
 	clock := &fakeClock{step: 10 * time.Microsecond}
 	e := New(Config{
@@ -41,7 +43,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	var submitted atomic.Int64
+	var submitted, churned atomic.Int64
 
 	// Single-packet producers.
 	for g := 0; g < 4; g++ {
@@ -103,6 +105,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 				_ = e.SetRate(id, enforcer.Root, (1+units.Rate(i%4))*units.Mbps)
 				_, _ = e.Remove(id)
 			}
+			churned.Add(1)
 		}
 	}()
 
@@ -126,16 +129,18 @@ func TestEngineConcurrentStress(t *testing.T) {
 		}()
 	}
 
-	time.Sleep(150 * time.Millisecond)
+	// A churn cycle's control calls wait for slots on flooded rings, so
+	// cycles are few: about eight in 150 ms on two vCPUs.
+	const stressPkts, stressChurns = 1_000_000, 5
+	for submitted.Load() < stressPkts || churned.Load() < stressChurns {
+		runtime.Gosched()
+	}
 	// Close with producers still running: submissions must fail fast
 	// (engine closed) rather than race or deadlock.
 	e.Close()
 	close(stop)
 	wg.Wait()
 
-	if submitted.Load() == 0 {
-		t.Fatal("stress run submitted nothing")
-	}
 	// Post-Close calls stay well-defined.
 	if err := e.SubmitBatch(handles[0], []packet.Packet{pkt(0)}); err == nil {
 		t.Error("Submit after Close succeeded")

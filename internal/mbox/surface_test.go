@@ -12,9 +12,10 @@ import (
 // serve body, both entering at the node their Handle carries, one
 // reconfiguration body behind SetRate and SetPolicy, each addressed by
 // (id, node) with Root for the root, one snapshot pair, and as Config only
-// what some caller outside the tests sets, feature switches, or what the
-// chaos suites need other values of (ControlTimeout, PanicThreshold).
-// Everything else is a constant: see overload.go and wedgeTimeout.
+// what some caller outside the tests sets, or feature switches. Everything
+// else is a constant: see overload.go, wedgeTimeout (the one reason any
+// waiter gives up on a shard) and reofferInterval; the circuit breaker trips
+// on the first panic.
 func TestEngineSurface(t *testing.T) {
 	methods := func(v any) (out []string) {
 		typ := reflect.TypeOf(v)
@@ -47,9 +48,9 @@ func TestEngineSurface(t *testing.T) {
 		{"*LocalSubmitter methods", methods(&LocalSubmitter{}), []string{"Shard", "SubmitBatch"}},
 		{"Handle methods", methods(Handle{}), []string{"TraceAgg"}},
 		{"Config fields", fields, []string{
-			"Clock", "CloseTimeout", "ControlTimeout", "IdleTTL", "MaxAggregates",
-			"Observer", "OnEvict", "OnFault", "Overload", "PanicThreshold",
-			"QueueDepth", "Shards", "WatchdogInterval",
+			"Clock", "CloseTimeout", "IdleTTL", "MaxAggregates", "Observer",
+			"OnEvict", "OnFault", "Overload", "QueueDepth", "Shards",
+			"WatchdogInterval",
 		}},
 	} {
 		if !slices.Equal(tc.got, tc.want) {

@@ -40,9 +40,11 @@ var NoAggregate = mbox.NoHandle
 // (it does not implement StatsReader). Test with errors.Is.
 var ErrNoStats = mbox.ErrNoStats
 
-// ErrShardSaturated reports that a middlebox control operation gave up on a
-// wedged shard (no progress for a second with work queued), which freed no
-// queue slot for it; the operation did not run. Test with errors.Is.
+// ErrShardSaturated reports that a middlebox operation gave up on a wedged
+// shard (work queued or in flight, no progress for a second): a control call
+// waiting for a queue slot, or a LocalSubmitter waiting for its shard, whose
+// burst is then counted shed. A live shard, however slow, is waited out; the
+// operation did not run. Test with errors.Is.
 var ErrShardSaturated = mbox.ErrSaturated
 
 // ErrStaleHandle reports a submission through a handle whose aggregate has
@@ -61,9 +63,11 @@ var ErrWrongShard = mbox.ErrWrongShard
 
 // LocalSubmitter is the ring-bypass fast path: a shard-affinity submitter
 // that enforces bursts inline on the calling goroutine — no channel send,
-// no cross-core handoff — for per-core run-to-completion datapaths. Mint
-// one with Middlebox.LocalShard; see mbox.LocalSubmitter
-// for the ownership and ordering contract.
+// no cross-core handoff — for per-core run-to-completion datapaths. When
+// another holder has the shard it waits, and sheds the burst
+// (ErrShardSaturated) only if the shard is wedged. Mint one with
+// Middlebox.LocalShard; see mbox.LocalSubmitter for the ownership and
+// ordering contract.
 type LocalSubmitter = mbox.LocalSubmitter
 
 // ErrNotReconfigurable reports a Middlebox.SetRate/SetPolicy against an
