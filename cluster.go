@@ -1,10 +1,9 @@
 // Distributed enforcement facade: the public surface of internal/cluster.
-// N middleboxes form a peer group; a deterministic consistent-hash ring
-// places aggregates on nodes, and aggregates marked shared are enforced
-// everywhere at once under a global bound split into per-node shares by a
-// partition-tolerant budget exchange on the paper's 250 ms window (see
-// DESIGN.md "Distributed enforcement" for the protocol and its safety
-// argument).
+// N middleboxes form a peer group, and aggregates marked shared are
+// enforced everywhere at once under a global bound split into per-node
+// shares by a partition-tolerant budget exchange on the paper's 250 ms
+// window (see DESIGN.md "Distributed enforcement" for the protocol and its
+// safety argument).
 //
 // Wiring, in the order a caller assembles it:
 //
@@ -16,13 +15,6 @@
 //	        Rate:     100 * bcpqp.Mbps,
 //	        Observed: func() (int64, bool) { s, err := mb.Stats("tenant-1"); return s.AcceptedBytes, err == nil },
 //	        Apply:    func(r bcpqp.Rate, fb bool) error { return mb.ApplyShare("tenant-1", r, fb) },
-//	        Snapshot: func() ([]byte, error) {
-//	                s, err := mb.Snapshot("tenant-1")
-//	                if err != nil {
-//	                        return nil, err
-//	                }
-//	                return s.MarshalBinary() // BQSN: the new owner calls UnmarshalBinary, then Restore
-//	        },
 //	}})
 //	tr.Start(node.Deliver)
 //	mb.AttachMetricSource(node.MetricFamilies)
@@ -31,18 +23,17 @@ package bcpqp
 
 import "bcpqp/internal/cluster"
 
-// ClusterNode runs the budget exchange for one middlebox: peer liveness,
-// share rebalancing through the in-band Middlebox.ApplyShare lane, and
-// BQSN handoffs for ring changes.
+// ClusterNode runs the budget exchange for one middlebox: peer liveness and
+// share rebalancing through the in-band Middlebox.ApplyShare lane.
 type ClusterNode = cluster.Node
 
 // ClusterConfig configures a ClusterNode (self/peer IDs, the exchange
-// window, liveness thresholds, transport, retry policy).
+// window, transport, clock, trace recorder, frame key, boot epoch).
 type ClusterConfig = cluster.Config
 
 // SharedAggregate wires one cluster-enforced aggregate to the engine via
-// callbacks: Observed (accepted-byte counter), Apply (share enforcement)
-// and optionally Snapshot (migration handoffs).
+// callbacks: Observed (accepted-byte counter) and Apply (share
+// enforcement).
 type SharedAggregate = cluster.SharedAggregate
 
 // ClusterStatus is a point-in-time operator view from ClusterNode.Status
@@ -58,18 +49,14 @@ type ClusterAggStatus = cluster.AggStatus
 // PeerState is one rung of the peer liveness ladder.
 type PeerState = cluster.PeerState
 
-// Peer liveness states: a valid report within SuspectAfter keeps a peer
-// alive; silence degrades it to suspect then dead, and any valid report
-// resurrects it.
+// Peer liveness states: a valid report within 3 exchange windows keeps a
+// peer alive; silence degrades it to suspect, then after 10 windows to dead,
+// and any valid report resurrects it.
 const (
 	PeerAlive   = cluster.PeerAlive
 	PeerSuspect = cluster.PeerSuspect
 	PeerDead    = cluster.PeerDead
 )
-
-// ClusterRing is the deterministic consistent-hash ring used for
-// aggregate placement.
-type ClusterRing = cluster.Ring
 
 // ClusterTransport delivers budget-exchange frames between nodes.
 type ClusterTransport = cluster.Transport
@@ -80,10 +67,6 @@ type ClusterTransport = cluster.Transport
 func NewClusterNode(cfg ClusterConfig, shared []SharedAggregate) (*ClusterNode, error) {
 	return cluster.New(cfg, shared)
 }
-
-// NewClusterRing builds a placement ring over a set of node IDs; identical
-// ID sets yield identical rings on every node.
-func NewClusterRing(ids []string) *ClusterRing { return cluster.NewRing(ids) }
 
 // NewClusterTransport binds a UDP listener and resolves the peer address
 // map (peer ID → host:port). Call Start(node.Deliver) to receive and Close

@@ -64,9 +64,7 @@ func parsePeers(s string) (map[string]string, error) {
 // whatever the core count: what it observes is the sum over ids (the cores'
 // aggregates) and a share it grants lands as share/len(ids) on each — the
 // static split the plan rate got, so a node's cores together never exceed
-// its share. Snapshot, the migration handoff image, is the BQSN image of the
-// cores' aggregates (snapshotBlob), which a node running the same plan on as
-// many cores loads with UnmarshalBinary and Restore.
+// its share.
 func startCluster(mb *bcpqp.Middlebox, col *bcpqp.Collector, ids []string, rate bcpqp.Rate, o clusterOpts) (*bcpqp.ClusterNode, func(), error) {
 	tr, err := bcpqp.NewClusterTransport(o.listen, o.peers)
 	if err != nil {
@@ -101,8 +99,7 @@ func startCluster(mb *bcpqp.Middlebox, col *bcpqp.Collector, ids []string, rate 
 				}
 				return sum, true
 			},
-			Apply:    apply,
-			Snapshot: func() ([]byte, error) { return snapshotBlob(mb, ids...) },
+			Apply: apply,
 		})
 	}
 	cfg := bcpqp.ClusterConfig{

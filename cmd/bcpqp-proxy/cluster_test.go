@@ -49,11 +49,11 @@ func TestParsePeers(t *testing.T) {
 	}
 }
 
-// TestClusterHandoffRestores: the migration handoff blob a shared proxy
-// aggregate sends is a BQSN-framed engine snapshot. A receiver hosting the
-// same plan loads it with UnmarshalBinary and Restore, and then enforces
-// exactly as the sender: the same bursts leave both with the same Stats.
-func TestClusterHandoffRestores(t *testing.T) {
+// TestSnapshotBlobRestoresEnforcement: the blob SIGHUP writes is a
+// BQSN-framed engine snapshot. An engine hosting the same plan loads it with
+// UnmarshalBinary and Restore, and then enforces exactly as the one that
+// wrote it: the same bursts leave both with the same Stats.
+func TestSnapshotBlobRestoresEnforcement(t *testing.T) {
 	var now atomic.Int64 // both engines' clock, set before every burst
 	start := func() *bcpqp.Middlebox {
 		mb := bcpqp.NewMiddlebox(bcpqp.MiddleboxConfig{
@@ -96,13 +96,13 @@ func TestClusterHandoffRestores(t *testing.T) {
 
 	sender := start()
 	feed(sender, 0, 200)
-	blob, err := snapshotBlob(sender, proxyAggregate)
+	blob, err := snapshotBlob(sender)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var snap bcpqp.MiddleboxSnapshot
 	if err := snap.UnmarshalBinary(blob); err != nil {
-		t.Fatalf("handoff blob is not a BQSN snapshot: %v", err)
+		t.Fatalf("snapshot blob is not a BQSN snapshot: %v", err)
 	}
 	receiver := start()
 	if err := receiver.Restore(&snap); err != nil {
@@ -110,7 +110,7 @@ func TestClusterHandoffRestores(t *testing.T) {
 	}
 	sent, received := feed(sender, 200, 400), feed(receiver, 200, 400)
 	if sent != received {
-		t.Errorf("after the handoff the same bursts left the sender at %+v, the receiver at %+v", sent, received)
+		t.Errorf("after the restore the same bursts left the sender at %+v, the receiver at %+v", sent, received)
 	}
 	if sent.AcceptedPackets == 0 || sent.DroppedPackets == 0 {
 		t.Errorf("workload too tame to compare: %+v", sent)

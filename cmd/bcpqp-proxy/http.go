@@ -248,12 +248,11 @@ func newAdminMux(mb *bcpqp.Middlebox, node *bcpqp.ClusterNode, ids []string) *ht
 			Window    string  `json:"window"`
 			Degraded  bool    `json:"degraded"`
 			BadFrames int64   `json:"bad_frames"`
-			Handoffs  int64   `json:"handoffs"`
 			Peers     []peerz `json:"peers"`
 			Shared    []aggz  `json:"shared"`
 		}{
 			Self: st.Self, Seq: st.Seq, Window: st.Window.String(),
-			Degraded: st.Degraded, BadFrames: st.BadFrames, Handoffs: st.Handoffs,
+			Degraded: st.Degraded, BadFrames: st.BadFrames,
 		}
 		for _, p := range st.Peers {
 			age := "never"

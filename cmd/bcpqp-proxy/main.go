@@ -505,11 +505,10 @@ func serve(opts proxyOpts) int {
 	return 0
 }
 
-// snapshotBlob is the BQSN-framed image of the aggregates named in ids, or of
-// every snapshottable one without ids: what writeSnapshot persists and a
-// cluster handoff sends. UnmarshalBinary and Restore load it.
-func snapshotBlob(mb *bcpqp.Middlebox, ids ...string) ([]byte, error) {
-	snap, err := mb.Snapshot(ids...)
+// snapshotBlob is the BQSN-framed image of every snapshottable aggregate:
+// what writeSnapshot persists on SIGHUP. UnmarshalBinary and Restore load it.
+func snapshotBlob(mb *bcpqp.Middlebox) ([]byte, error) {
+	snap, err := mb.Snapshot()
 	if err != nil {
 		return nil, err
 	}

@@ -8,8 +8,7 @@
 // a frame whose tag does not verify is counted and dropped exactly like a
 // corrupted one, degrading to the silence path the protocol survives.
 //
-// Sealing is applied at the Node boundary (broadcast/Migrate seal, Deliver
-// opens) so every transport — UDP, TCP framing, in-memory test bus —
+// Sealing is applied at the Node boundary (broadcast seals, Deliver opens) so every transport — UDP, TCP framing, in-memory test bus —
 // carries sealed frames unchanged. An empty key disables sealing; that
 // configuration is only sound on a trusted network (see DESIGN.md).
 package cluster

@@ -226,7 +226,6 @@ func TestChaosClusterAcceptedBytes(t *testing.T) {
 				links[m.id][peer].Send(time.Since(start), frame)
 				return nil
 			}),
-			Seed: uint64(i + 1),
 		}, []SharedAggregate{{
 			ID:   aggID,
 			Rate: rate,

@@ -1,13 +1,29 @@
-// Node: the per-process half of the cluster. One Node per bcpqp engine,
-// configured with a static peer set; it runs the budget exchange on the
-// paper's 250 ms window, tracks peer liveness, and drives the engine's
-// in-band rate-update lane through the SharedAggregate.Apply callback —
-// the cluster layer never touches the datapath directly.
+// Package cluster turns N independent bcpqp engines into one logical
+// enforcer for aggregates whose traffic spans machines.
+//
+// An aggregate marked shared is enforced at every node at once. A
+// budget-exchange protocol on the paper's 250 ms window splits its global
+// drain rate r into per-node shares r_i with Σ r_i ≤ r at all times, even
+// while messages are lost, duplicated, reordered, delayed, or one-way
+// partitioned. See rebalance.go for the share calculus and the safety
+// argument.
+//
+// One Node runs per engine, over a static peer set: it runs the exchange,
+// tracks peer liveness, and drives the engine's in-band rate-update lane
+// through the SharedAggregate.Apply callback — the cluster layer never
+// touches the datapath directly.
+//
+// The package deliberately depends only on internal/enforcer (wire codec
+// helpers), internal/metrics (the default window), internal/obs (trace
+// events), internal/rng (retry jitter) and internal/units; engines plug in
+// through the SharedAggregate callbacks, so cluster logic is testable
+// without a datapath.
 package cluster
 
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"sync"
 	"time"
@@ -43,28 +59,20 @@ type SharedAggregate struct {
 	// the in-band SetRate lane. fallback is true when the node is on its
 	// conservative static floor because the exchange is degraded.
 	Apply func(share units.Rate, fallback bool) error
-	// Snapshot, when non-nil, serializes the aggregate's state for live
-	// migration handoffs: a BQSN-framed engine snapshot
-	// (Engine.Snapshot(id) then MarshalBinary), which the new owner loads
-	// with UnmarshalBinary and Engine.Restore.
-	Snapshot func() ([]byte, error)
 }
 
-// Config configures a Node.
+// Config configures a Node. The peer ladder's thresholds (suspectAfter,
+// deadAfter) and the send retry policy (retryMax, retryBase) are constants.
 type Config struct {
 	// Self is this node's ID; Peers are the OTHER members (Self excluded,
 	// though its presence is tolerated). The peer set is fixed for the
-	// node's lifetime; ring changes are a restart plus Migrate.
+	// node's lifetime.
 	Self  string
 	Peers []string
 
 	// Window is the exchange period (default metrics.DefaultWindow, the
 	// paper's 250 ms).
 	Window time.Duration
-	// SuspectAfter / DeadAfter are silence thresholds for the peer ladder
-	// (defaults 3 and 10 windows).
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
 
 	// Transport sends frames to peers. Required.
 	Transport Transport
@@ -75,22 +83,6 @@ type Config struct {
 	// Recorder receives KindPeerState / KindShareApply trace events
 	// (e.g. the engine's obs.Collector). Optional.
 	Recorder obs.Recorder
-	// OnPeerState observes liveness transitions. Optional; called outside
-	// the node lock.
-	OnPeerState func(peer string, from, to PeerState)
-	// OnTakeover consumes a migration handoff: the aggregate's snapshot
-	// blob as produced by SharedAggregate.Snapshot on the old owner.
-	// Optional; handoffs without a consumer are counted and dropped.
-	OnTakeover func(aggID string, state []byte) error
-
-	// RetryMax / RetryBase bound the jittered exponential backoff used
-	// when Transport.Send fails (defaults 3 and 10 ms). At most one retry
-	// loop runs per peer at a time; the tick cadence is the outer retry.
-	RetryMax  int
-	RetryBase time.Duration
-
-	// Seed feeds retry jitter (deterministic per node).
-	Seed uint64
 
 	// Key, when non-empty, seals every frame with a truncated HMAC-SHA256
 	// tag and rejects inbound frames that fail verification. All peers
@@ -141,22 +133,19 @@ type shared struct {
 type Node struct {
 	cfg     Config
 	peerIDs []string // sorted, Self excluded
-	ring    *Ring    // over Self + Peers
 
 	epoch uint64 // this boot's incarnation, carried in every frame
 
-	mu         sync.Mutex
-	seq        uint64 // report sequence, one per tick
-	handoffSeq uint64 // separate space for handoff frames (never echoed)
-	tickIdx    int    // seq % holdTicks, the hold-ring slot
-	peers      map[string]*peer
-	peerList   []*peer // sorted by ID
-	shared     map[string]*shared
-	sharedIDs  []string // sorted, for deterministic reports
-	badFrames  int64    // undecodable or unattributable frames
-	handoffs   int64    // takeover frames consumed
-	jitter     *rng.Source
-	started    time.Time
+	mu        sync.Mutex
+	seq       uint64 // report sequence, one per tick
+	tickIdx   int    // seq % holdTicks, the hold-ring slot
+	peers     map[string]*peer
+	peerList  []*peer // sorted by ID
+	shared    map[string]*shared
+	sharedIDs []string // sorted, for deterministic reports
+	badFrames int64    // undecodable or unattributable frames
+	jitter    *rng.Source
+	started   time.Time
 
 	// Scratch reused every tick so rebalancing allocates nothing.
 	demand   []peerDemand
@@ -177,7 +166,6 @@ type applyOp struct {
 }
 
 type transition struct {
-	peer     string
 	index    int
 	from, to PeerState
 }
@@ -193,24 +181,12 @@ func New(cfg Config, aggs []SharedAggregate) (*Node, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = metrics.DefaultWindow
 	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 3 * cfg.Window
-	}
-	if cfg.DeadAfter <= 0 {
-		cfg.DeadAfter = 10 * cfg.Window
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = 3
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 10 * time.Millisecond
-	}
 	n := &Node{
 		cfg:     cfg,
 		epoch:   cfg.Epoch,
 		peers:   make(map[string]*peer),
 		shared:  make(map[string]*shared),
-		jitter:  rng.New(cfg.Seed ^ hash64(cfg.Self)),
+		jitter:  rng.New(hash64(cfg.Self)),
 		started: time.Now(),
 		done:    make(chan struct{}),
 	}
@@ -229,7 +205,6 @@ func New(cfg Config, aggs []SharedAggregate) (*Node, error) {
 		n.peerIDs = append(n.peerIDs, id)
 	}
 	sort.Strings(n.peerIDs)
-	n.ring = NewRing(append([]string{cfg.Self}, n.peerIDs...))
 	for i, id := range n.peerIDs {
 		p := &peer{id: id, index: i, state: PeerSuspect, aggs: make(map[string]*peerAgg)}
 		n.peers[id] = p
@@ -267,15 +242,6 @@ func New(cfg Config, aggs []SharedAggregate) (*Node, error) {
 	n.transits = make([]transition, 0, len(n.peerIDs))
 	return n, nil
 }
-
-// Ring returns the node's placement ring (Self + Peers).
-func (n *Node) Ring() *Ring { return n.ring }
-
-// Self returns this node's ID.
-func (n *Node) Self() string { return n.cfg.Self }
-
-// Owns reports whether this node owns key on the cluster ring.
-func (n *Node) Owns(key string) bool { return n.ring.Owns(n.cfg.Self, key) }
 
 // Tick runs one full exchange round at virtual time now: sample observed
 // rates, rebalance shares, apply them, and broadcast this node's report.
@@ -332,9 +298,9 @@ func (n *Node) Rebalance(now time.Duration) {
 		if !p.everHeard {
 			last = 0
 		}
-		next := classify(now-last, n.cfg.SuspectAfter, n.cfg.DeadAfter)
+		next := classify(now-last, n.cfg.Window)
 		if next != p.state {
-			n.transits = append(n.transits, transition{peer: p.id, index: p.index, from: p.state, to: next})
+			n.transits = append(n.transits, transition{index: p.index, from: p.state, to: next})
 			p.state = next
 		}
 	}
@@ -416,13 +382,9 @@ func (n *Node) Rebalance(now time.Duration) {
 	rec := n.cfg.Recorder
 	n.mu.Unlock()
 
-	for _, t := range n.transits {
-		if rec != nil {
-			rec.Record(obs.Event{Kind: obs.KindPeerState, Shard: -1, Agg: -1, Node: -1,
-				VT: int64(now), A: int64(t.from), B: int64(t.to), C: int64(t.index)})
-		}
-		if n.cfg.OnPeerState != nil {
-			n.cfg.OnPeerState(t.peer, t.from, t.to)
+	if rec != nil {
+		for _, t := range n.transits {
+			recordPeerState(rec, now, t)
 		}
 	}
 	for _, op := range n.applyOps {
@@ -438,6 +400,12 @@ func (n *Node) Rebalance(now time.Duration) {
 		// previous (never larger-sum) share and the next tick retries.
 		_ = op.fn(op.share, op.fallback)
 	}
+}
+
+// recordPeerState traces one liveness transition as KindPeerState.
+func recordPeerState(rec obs.Recorder, now time.Duration, t transition) {
+	rec.Record(obs.Event{Kind: obs.KindPeerState, Shard: -1, Agg: -1, Node: -1,
+		VT: int64(now), A: int64(t.from), B: int64(t.to), C: int64(t.index)})
 }
 
 // broadcast encodes this node's report and sends it to every peer, with a
@@ -464,6 +432,15 @@ func (n *Node) broadcast(now time.Duration) {
 		n.sendWithRetry(id, frame)
 	}
 }
+
+// retryMax and retryBase bound the jittered exponential backoff used when
+// Transport.Send fails: at most retryMax further attempts, the first after
+// about retryBase. At most one retry loop runs per peer at a time; the tick
+// cadence is the outer retry.
+const (
+	retryMax  = 3
+	retryBase = 10 * time.Millisecond
+)
 
 // sendWithRetry sends one frame; on a transport error it starts (at most
 // one per peer) a background retry loop with jittered exponential backoff.
@@ -492,8 +469,8 @@ func (n *Node) sendWithRetry(peerID string, frame []byte) {
 			p.retrying = false
 			n.mu.Unlock()
 		}()
-		backoff := n.cfg.RetryBase
-		for attempt := 0; attempt < n.cfg.RetryMax; attempt++ {
+		backoff := retryBase
+		for attempt := 0; attempt < retryMax; attempt++ {
 			// Full jitter: sleep in [backoff/2, backoff).
 			d := backoff/2 + time.Duration(src.Int64N(int64(backoff/2)+1))
 			select {
@@ -529,14 +506,7 @@ func (n *Node) Deliver(frame []byte) error {
 		n.mu.Unlock()
 		return err
 	}
-	now := n.cfg.Clock()
-	switch f.Type {
-	case typeReport:
-		return n.deliverReport(f, now)
-	case typeHandoff:
-		return n.deliverHandoff(f)
-	}
-	return nil // unreachable: DecodeFrame rejects unknown types
+	return n.deliverReport(f, n.cfg.Clock())
 }
 
 func (n *Node) deliverReport(f *Frame, now time.Duration) error {
@@ -608,77 +578,15 @@ func (n *Node) deliverReport(f *Frame, now time.Duration) error {
 			pa.grantToMe = 0
 		}
 	}
-	var tr *transition
-	if p.state != PeerAlive {
-		tr = &transition{peer: p.id, index: p.index, from: p.state, to: PeerAlive}
-		p.state = PeerAlive
-	}
+	t := transition{index: p.index, from: p.state, to: PeerAlive}
+	p.state = PeerAlive
 	rec := n.cfg.Recorder
 	n.mu.Unlock()
 
-	if tr != nil {
-		if rec != nil {
-			rec.Record(obs.Event{Kind: obs.KindPeerState, Shard: -1, Agg: -1, Node: -1,
-				VT: int64(now), A: int64(tr.from), B: int64(tr.to), C: int64(tr.index)})
-		}
-		if n.cfg.OnPeerState != nil {
-			n.cfg.OnPeerState(tr.peer, tr.from, tr.to)
-		}
+	if rec != nil && t.from != PeerAlive {
+		recordPeerState(rec, now, t)
 	}
 	return nil
-}
-
-func (n *Node) deliverHandoff(f *Frame) error {
-	n.mu.Lock()
-	known := n.peers[f.Sender] != nil
-	if !known {
-		n.badFrames++
-	} else {
-		n.handoffs++
-	}
-	n.mu.Unlock()
-	if !known {
-		return fmt.Errorf("cluster: handoff from unknown peer %q", f.Sender)
-	}
-	if n.cfg.OnTakeover == nil {
-		return nil
-	}
-	return n.cfg.OnTakeover(f.AggID, f.State)
-}
-
-// Migrate compares a previous ring against the current one and hands off
-// every aggregate in ids that moved away from this node: its state is
-// serialized via snap and sent to the new owner in a handoff frame. Used
-// after a peer-set change (restart with different -peers) to move
-// enforcement state instead of re-admitting a full burst on the new owner.
-func (n *Node) Migrate(prev *Ring, ids []string, snap func(id string) ([]byte, error)) (sent int, firstErr error) {
-	for _, id := range ids {
-		if prev != nil && prev.Owner(id) != n.cfg.Self {
-			continue // was not ours to hand off
-		}
-		newOwner := n.ring.Owner(id)
-		if newOwner == n.cfg.Self || newOwner == "" {
-			continue // still ours
-		}
-		state, err := snap(id)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: snapshot %q: %w", id, err)
-			}
-			continue
-		}
-		// Handoff frames use their own sequence space: receivers never echo
-		// them, and bumping the report seq here would make every peer's echo
-		// look stale for echoSlack ticks (full fallback for a round trip)
-		// whenever more than a couple of aggregates migrate at once.
-		n.mu.Lock()
-		n.handoffSeq++
-		frame := sealFrame(n.cfg.Key, EncodeHandoff(n.cfg.Self, n.epoch, n.handoffSeq, id, state))
-		n.mu.Unlock()
-		n.sendWithRetry(newOwner, frame)
-		sent++
-	}
-	return sent, firstErr
 }
 
 // Run starts the exchange loop on the window cadence until Close. The
@@ -722,4 +630,21 @@ func (n *Node) Degraded() bool {
 		}
 	}
 	return false
+}
+
+// hash64 is FNV-1a over the key with a splitmix64 finalizer: a stable,
+// platform-independent 64-bit seed from an ID. Raw FNV-1a of short IDs that
+// differ in one trailing character disperses poorly; the finalizer's
+// avalanche fixes that, so per-node and per-peer jitter streams do not
+// correlate.
+func hash64(key string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	z := h.Sum64()
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	z ^= z >> 31
+	return z
 }

@@ -10,6 +10,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -120,7 +121,6 @@ func (s *clusterSim) makeNode(id string, sn *simNode) *Node {
 		Window:    simWindow,
 		Transport: &memTransport{from: id, sim: s},
 		Clock:     func() time.Duration { return s.now },
-		Seed:      1,
 		Epoch:     sn.epoch,
 	}, []SharedAggregate{{
 		ID:   simAgg,
@@ -147,9 +147,8 @@ func (s *clusterSim) stop(id string) {
 }
 
 // restart brings id back as a fresh incarnation — sequence numbers back to
-// zero under an advanced epoch, the documented ring-change / restart
-// procedure. The engine-side byte counter (sn.accepted) survives, as the
-// real engine's would across a cluster-layer restart.
+// zero under an advanced epoch. The engine-side byte counter (sn.accepted)
+// survives, as the real engine's would across a cluster-layer restart.
 func (s *clusterSim) restart(id string) {
 	sn := s.nodes[id]
 	if !sn.down {
@@ -314,8 +313,8 @@ func TestClusterFallbackWithinOneWindow(t *testing.T) {
 }
 
 // TestClusterSilentPeerDegradeLadder: a peer that stops ticking walks
-// alive → suspect → dead on the configured thresholds, and its state is
-// visible in Status and the peer-state callback.
+// alive → suspect → dead after 3 and 10 silent windows, and its state is
+// visible in Status.
 func TestClusterSilentPeerDegradeLadder(t *testing.T) {
 	sim := newClusterSim(t, 2, nil)
 	for i := 0; i < 3; i++ {
@@ -343,7 +342,7 @@ func TestClusterSilentPeerDegradeLadder(t *testing.T) {
 		st = sim.nodes["node-0"].node.Status()
 		state := st.Peers[0].State
 		age := time.Duration(silent) * simWindow
-		want := classify(age, 3*simWindow, 10*simWindow)
+		want := classify(age, simWindow)
 		if state != want {
 			t.Fatalf("after %d silent windows: state %v, want %v", silent, state, want)
 		}
@@ -364,8 +363,9 @@ func TestClusterSilentPeerDegradeLadder(t *testing.T) {
 }
 
 // TestClusterStaleAndCorruptFrames: duplicates are dropped by sequence
-// number, corrupted frames are counted and ignored, and neither disturbs
-// the share invariant.
+// number, corrupted frames and a known peer's handoff frame from the
+// earlier two-type wire are counted and ignored, and none disturbs the
+// shares or the share invariant.
 func TestClusterStaleAndCorruptFrames(t *testing.T) {
 	sim := newClusterSim(t, 2, nil)
 	for i := 0; i < 5; i++ {
@@ -408,86 +408,21 @@ func TestClusterStaleAndCorruptFrames(t *testing.T) {
 	if st.BadFrames != 2 {
 		t.Fatalf("BadFrames = %d, want 2", st.BadFrames)
 	}
+
+	if err := n0.Deliver(handoffFrame("node-1")); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("handoff frame: Deliver error %v, want ErrBadFrame", err)
+	}
+	after := n0.Status()
+	if after.BadFrames != 3 {
+		t.Fatalf("BadFrames = %d after the handoff frame, want 3", after.BadFrames)
+	}
+	after.BadFrames = st.BadFrames
+	if !reflect.DeepEqual(after, st) {
+		t.Fatalf("handoff frame changed the node:\nbefore %+v\nafter  %+v", st, after)
+	}
 	for i := 0; i < 5; i++ {
 		sim.step()
 		sim.assertInvariant()
-	}
-}
-
-// TestClusterMigrateHandoff: when the ring changes, Migrate snapshots the
-// moved aggregate and the new owner consumes it through OnTakeover.
-func TestClusterMigrateHandoff(t *testing.T) {
-	var mu sync.Mutex
-	taken := map[string][]byte{}
-
-	delivered := func(dst *Node) func([]byte) {
-		return func(f []byte) { dst.Deliver(f) }
-	}
-	mk := func(self string, peers []string, tr Transport) *Node {
-		n, err := New(Config{Self: self, Peers: peers, Transport: tr,
-			Clock: func() time.Duration { return 0 },
-			OnTakeover: func(agg string, state []byte) error {
-				mu.Lock()
-				defer mu.Unlock()
-				taken[agg] = append([]byte(nil), state...)
-				return nil
-			}}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	var linkAB *faultinject.NetLink
-	trA := transportFunc(func(peer string, f []byte) error {
-		if peer != "b" {
-			return errors.New("unexpected peer")
-		}
-		linkAB.Send(0, f)
-		return nil
-	})
-	a := mk("a", []string{"b"}, trA)
-	b := mk("b", []string{"a"}, transportFunc(func(string, []byte) error { return nil }))
-	linkAB = faultinject.NewNetLink(delivered(b), faultinject.NetPlan{})
-	defer a.Close()
-	defer b.Close()
-
-	// Previously a was alone and owned everything; now the ring is {a,b}.
-	prev := NewRing([]string{"a"})
-	ids := aggIDs(64)
-	wantMoved := 0
-	for _, id := range ids {
-		if a.Ring().Owner(id) == "b" {
-			wantMoved++
-		}
-	}
-	seqBefore := a.Status().Seq
-	sent, err := a.Migrate(prev, ids, func(id string) ([]byte, error) {
-		return []byte("state-of-" + id), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Handoffs ride their own sequence space: migrating dozens of
-	// aggregates must not advance the report seq (which would make every
-	// peer's echo look stale and drop the node into full fallback).
-	if got := a.Status().Seq; got != seqBefore {
-		t.Fatalf("Migrate advanced the report seq %d → %d", seqBefore, got)
-	}
-	if sent != wantMoved || sent == 0 {
-		t.Fatalf("migrated %d aggregates, want %d (nonzero)", sent, wantMoved)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(taken) != wantMoved {
-		t.Fatalf("new owner consumed %d handoffs, want %d", len(taken), wantMoved)
-	}
-	for id, state := range taken {
-		if string(state) != "state-of-"+id {
-			t.Fatalf("handoff state for %s corrupted: %q", id, state)
-		}
-	}
-	if b.Status().Handoffs != int64(wantMoved) {
-		t.Fatalf("Handoffs counter = %d, want %d", b.Status().Handoffs, wantMoved)
 	}
 }
 
@@ -498,40 +433,62 @@ func (f transportFunc) Send(peer string, frame []byte) error { return f(peer, fr
 
 // TestClusterSendRetryBackoff: a transport that fails transiently is
 // retried with backoff until it succeeds, and a permanently dead transport
-// gives up after RetryMax attempts.
+// sees exactly 1 + retryMax sends for one broadcast, after which the retry
+// loop has ended on its own and Close returns.
 func TestClusterSendRetryBackoff(t *testing.T) {
-	var mu sync.Mutex
-	fails, sends := 2, 0
-	tr := transportFunc(func(peer string, frame []byte) error {
-		mu.Lock()
-		defer mu.Unlock()
-		sends++
-		if sends <= fails {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	n, err := New(Config{Self: "a", Peers: []string{"b"}, Transport: tr,
-		RetryBase: time.Millisecond, RetryMax: 5,
-		Clock: func() time.Duration { return 0 }}, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name             string
+		fails, wantSends int
+	}{
+		{"transient", 2, 3},
+		{"dead", -1, 1 + retryMax},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			sends := 0
+			tr := transportFunc(func(peer string, frame []byte) error {
+				mu.Lock()
+				defer mu.Unlock()
+				sends++
+				if tc.fails < 0 || sends <= tc.fails {
+					return errors.New("send failed")
+				}
+				return nil
+			})
+			n, err := New(Config{Self: "a", Peers: []string{"b"}, Transport: tr,
+				Clock: func() time.Duration { return 0 }}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Tick(0) // the broadcast fails, so a retry loop starts
+			retrying := func() bool {
+				n.mu.Lock()
+				defer n.mu.Unlock()
+				return n.peers["b"].retrying
+			}
+			// The backoff sleeps sum to at most retryBase·(2^retryMax − 1).
+			deadline := time.Now().Add(2 * time.Second)
+			for retrying() {
+				if time.Now().After(deadline) {
+					t.Fatal("retry loop still running after 2 s")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			mu.Lock()
+			got := sends
+			mu.Unlock()
+			if got != tc.wantSends {
+				t.Fatalf("%d sends, want %d", got, tc.wantSends)
+			}
+			closed := make(chan struct{})
+			go func() { n.Close(); close(closed) }()
+			select {
+			case <-closed:
+			case <-time.After(time.Second):
+				t.Fatal("Close did not return")
+			}
+		})
 	}
-	n.Tick(0) // broadcast fails twice, then the retry loop succeeds
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		done := sends == fails+1
-		mu.Unlock()
-		if done {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("retry never succeeded: %d sends", sends)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	n.Close()
 }
 
 // TestClusterMetricsFamilies: the exported families carry per-peer and
@@ -553,11 +510,13 @@ func TestClusterMetricsFamilies(t *testing.T) {
 		"bcpqp_cluster_share_bps":              1,
 		"bcpqp_cluster_fallback":               1,
 		"bcpqp_cluster_bad_frames_total":       1,
-		"bcpqp_cluster_handoffs_total":         1,
 	} {
 		if byName[name] != want {
 			t.Fatalf("family %s has %d samples, want %d (families: %v)", name, byName[name], want, byName)
 		}
+	}
+	if _, ok := byName["bcpqp_cluster_handoffs_total"]; ok {
+		t.Fatal("bcpqp_cluster_handoffs_total is still exported: there are no handoffs")
 	}
 }
 

@@ -10,16 +10,24 @@ import (
 	"bcpqp/internal/units"
 )
 
+// suspectAfter and deadAfter are the ladder's silence thresholds, in
+// exchange windows.
+const (
+	suspectAfter = 3
+	deadAfter    = 10
+)
+
 // PeerState is one rung of the liveness ladder.
 type PeerState uint8
 
 const (
-	// PeerAlive: a valid report arrived within SuspectAfter.
+	// PeerAlive: a valid report arrived within the last 3 windows.
 	PeerAlive PeerState = iota
-	// PeerSuspect: silent for SuspectAfter — grants from this peer have
-	// already died (freshFor < SuspectAfter); we keep retrying sends.
+	// PeerSuspect: silent for 3 windows — grants from this peer have
+	// already died (they are honored for 1.5 windows); we keep retrying
+	// sends.
 	PeerSuspect
-	// PeerDead: silent for DeadAfter. Still retried at the tick cadence —
+	// PeerDead: silent for 10 windows. Still retried at the tick cadence —
 	// a healed partition resurrects the peer on its next valid report.
 	PeerDead
 )
@@ -67,13 +75,13 @@ type peer struct {
 	retrying bool // a retry goroutine is in flight for this peer
 }
 
-// classify maps silence duration to a state. Pure function — the caller
-// records transitions.
-func classify(silence, suspectAfter, deadAfter time.Duration) PeerState {
+// classify maps silence duration to a state on the ladder of an exchange
+// with the given window. Pure function — the caller records transitions.
+func classify(silence, window time.Duration) PeerState {
 	switch {
-	case silence >= deadAfter:
+	case silence >= deadAfter*window:
 		return PeerDead
-	case silence >= suspectAfter:
+	case silence >= suspectAfter*window:
 		return PeerSuspect
 	default:
 		return PeerAlive

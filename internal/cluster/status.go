@@ -49,7 +49,6 @@ type Status struct {
 	Peers     []PeerStatus
 	Shared    []AggStatus
 	BadFrames int64
-	Handoffs  int64
 	Degraded  bool
 	// MaxReportAge is the oldest LastExchangeAge across peers (-1 when no
 	// peer has ever reported): the staleness bound on every cluster-wide
@@ -68,7 +67,6 @@ func (n *Node) Status() Status {
 		Seq:       n.seq,
 		Window:    n.cfg.Window,
 		BadFrames: n.badFrames,
-		Handoffs:  n.handoffs,
 	}
 	st.MaxReportAge = -1
 	for _, p := range n.peerList {
@@ -199,13 +197,8 @@ func (n *Node) MetricFamilies() []obs.Family {
 		Help:    "Frames rejected by the wire decoder or from unknown senders.",
 		Samples: []obs.Sample{{Value: float64(st.BadFrames)}},
 	}
-	handoffs := obs.Family{
-		Name: "bcpqp_cluster_handoffs_total", Type: "counter",
-		Help:    "Aggregate state handoffs consumed after ring changes.",
-		Samples: []obs.Sample{{Value: float64(st.Handoffs)}},
-	}
 	return []obs.Family{peerState, peerAge, peerReports, peerStale,
 		share, fallback, grantedIn, grantedOut,
 		sumApplied, bound, headroom, overcommit, churn, reportAge, convergence,
-		hygiene, handoffs}
+		hygiene}
 }

@@ -11,8 +11,8 @@ import (
 	"sync"
 )
 
-// maxFrame bounds one datagram. Reports are tiny; handoff frames carry a
-// BQSN snapshot and get the full safe-UDP budget.
+// maxFrame bounds one datagram: the safe-UDP budget, far above any report
+// a realistic peer and aggregate set produces.
 const maxFrame = 64 << 10
 
 // UDPTransport sends frames as single datagrams to a static peer address

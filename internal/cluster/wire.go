@@ -2,20 +2,21 @@
 // messages built on the enforcer snapshot codec (little-endian, sticky
 // decode errors, trailing-byte rejection).
 //
-// Frames are small (one report covers every shared aggregate) and fit a
-// single UDP datagram for realistic configurations; the transport layer
-// treats them as opaque byte slices, so TCP framing or an in-memory test
-// bus carry them unchanged.
+// There is one frame type, the report. Frames are small (one report covers
+// every shared aggregate) and fit a single UDP datagram for realistic
+// configurations; the transport layer treats them as opaque byte slices, so
+// TCP framing or an in-memory test bus carry them unchanged.
 //
 // Robustness contract, enforced here and proven by FuzzDecodeFrame:
 //
 //   - DecodeFrame never panics on any input.
-//   - Unknown magic, unknown version, unknown type, truncation, trailing
-//     bytes, NaN rates, negative rates, oversized counts and oversized IDs
-//     all reject with an error. The receiver treats a rejected frame
-//     exactly like silence (it counts it and moves on), which the protocol
-//     already survives — corruption therefore degrades to the partition
-//     path, never to bad state.
+//   - Unknown magic, unknown version, unknown type (including the handoff
+//     frame, type 2, of the same version's earlier two-type wire),
+//     truncation, trailing bytes, NaN rates, negative rates, oversized
+//     counts and oversized IDs all reject with an error. The receiver
+//     treats a rejected frame exactly like silence (it counts it and moves
+//     on), which the protocol already survives — corruption therefore
+//     degrades to the partition path, never to bad state.
 //   - Length caps bound what a hostile frame can make the decoder allocate.
 package cluster
 
@@ -31,15 +32,13 @@ import (
 // Frame magic: "BQXC" — Bounded-Queue eXChange. Mirrors the BQSN snapshot
 // magic so on-disk and on-wire artifacts are recognizably related.
 const (
-	frameMagic   = "BQXC"
-	wireVersion  = 2 // v2 added the boot epoch (header + echoes); v1 rejects
-	typeReport   = 1
-	typeHandoff  = 2
-	maxIDLen     = 128 // node and aggregate IDs
-	maxEchoes    = 255 // one per peer; u8 count
-	maxAggs      = 255 // shared aggregates per report; u8 count
-	maxGrants    = 255 // one per peer per aggregate; u8 count
-	maxStateBlob = 1 << 20
+	frameMagic  = "BQXC"
+	wireVersion = 2 // v2 added the boot epoch (header + echoes); v1 rejects
+	typeReport  = 1
+	maxIDLen    = 128 // node and aggregate IDs
+	maxEchoes   = 255 // one per peer; u8 count
+	maxAggs     = 255 // shared aggregates per report; u8 count
+	maxGrants   = 255 // one per peer per aggregate; u8 count
 )
 
 // ErrBadFrame tags every decode rejection; errors.Is(err, ErrBadFrame)
@@ -82,19 +81,12 @@ type AggReport struct {
 // sender's boot: a restart resets Seq to zero under a fresh (higher)
 // epoch, so receivers can distinguish a rebooted peer from a replay.
 type Frame struct {
-	Type   uint8 // typeReport or typeHandoff
+	Type   uint8 // typeReport
 	Sender string
 	Epoch  uint64
 	Seq    uint64
-
-	// Report fields.
 	Echoes []Echo
 	Aggs   []AggReport
-
-	// Handoff fields: a BQSN-framed aggregate snapshot migrating to the new
-	// ring owner.
-	AggID string
-	State []byte
 }
 
 // EncodeReport builds a report frame. Callers keep Echoes/Aggs within the
@@ -138,24 +130,9 @@ func EncodeReport(sender string, epoch, seq uint64, echoes []Echo, aggs []AggRep
 	return e.Out()
 }
 
-// EncodeHandoff builds a handoff frame carrying one aggregate's snapshot
-// blob to its new owner after a ring change.
-func EncodeHandoff(sender string, epoch, seq uint64, aggID string, state []byte) []byte {
-	var e enforcer.Enc
-	e.Bytes([]byte(frameMagic))
-	e.U8(wireVersion)
-	e.U8(typeHandoff)
-	e.Bytes([]byte(clampID(sender)))
-	e.U64(epoch)
-	e.U64(seq)
-	e.Bytes([]byte(clampID(aggID)))
-	e.Bytes(state)
-	return e.Out()
-}
-
 // DecodeFrame parses one frame. Any malformation returns an error wrapping
-// ErrBadFrame; the returned Frame is nil on error. Decoded byte slices are
-// copied, so the caller's buffer may be recycled.
+// ErrBadFrame; the returned Frame is nil on error. Decoded IDs are copied,
+// so the caller's buffer may be recycled.
 func DecodeFrame(data []byte) (*Frame, error) {
 	d := enforcer.NewDec(data)
 	if magic := d.Bytes(); string(magic) != frameMagic {
@@ -165,28 +142,17 @@ func DecodeFrame(data []byte) (*Frame, error) {
 		return nil, fmt.Errorf("%w: version %d (want %d)", ErrBadFrame, v, wireVersion)
 	}
 	f := &Frame{Type: d.U8()}
+	if f.Type != typeReport {
+		return nil, fmt.Errorf("%w: type %d", ErrBadFrame, f.Type)
+	}
 	var err error
 	if f.Sender, err = decodeID(d, "sender"); err != nil {
 		return nil, err
 	}
 	f.Epoch = d.U64()
 	f.Seq = d.U64()
-	switch f.Type {
-	case typeReport:
-		if err := decodeReport(d, f); err != nil {
-			return nil, err
-		}
-	case typeHandoff:
-		if f.AggID, err = decodeID(d, "aggregate"); err != nil {
-			return nil, err
-		}
-		state := d.Bytes()
-		if len(state) > maxStateBlob {
-			return nil, fmt.Errorf("%w: state blob %d bytes exceeds %d", ErrBadFrame, len(state), maxStateBlob)
-		}
-		f.State = append([]byte(nil), state...)
-	default:
-		return nil, fmt.Errorf("%w: type %d", ErrBadFrame, f.Type)
+	if err := decodeReport(d, f); err != nil {
+		return nil, err
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)

@@ -2,10 +2,9 @@
 // enforcer state, or every snapshottable aggregate's (read in-band on its
 // shard, so each blob is a consistent post-burst state), and Engine.Restore
 // loads the blobs into an engine whose aggregates were registered under the
-// same ids — a restarted process, or a cluster peer taking a handoff. A
-// restarted proxy that restores its snapshot resumes enforcement with the
-// phantom occupancy, burst-control windows and token levels it had at
-// snapshot time — instead of starting empty and re-admitting a slow-start
+// same ids, such as a restarted process. A restarted proxy that restores
+// its snapshot resumes enforcement with the phantom occupancy, burst-control
+// windows and token levels it had at snapshot time — instead of starting empty and re-admitting a slow-start
 // burst storm, restart-synchronized across every subscriber at once.
 package mbox
 

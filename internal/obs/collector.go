@@ -59,7 +59,7 @@ type Collector struct {
 // NewCollector returns a collector with the given options.
 func NewCollector(opts Options) *Collector {
 	o := opts.withDefaults()
-	return &Collector{opts: o, aux: NewRing(o.RingDepth)}
+	return &Collector{opts: o, aux: newRing(o.RingDepth)}
 }
 
 // Options returns the collector's normalized options.
@@ -94,7 +94,7 @@ func (c *Collector) Shard(i int) *ShardObs {
 		c.shards = append(c.shards, &ShardObs{
 			c:     c,
 			shard: int32(len(c.shards)),
-			ring:  NewRing(c.opts.RingDepth),
+			ring:  newRing(c.opts.RingDepth),
 		})
 	}
 	return c.shards[i]

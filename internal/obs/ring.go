@@ -34,9 +34,9 @@ type ringSlot struct {
 	c    atomic.Int64
 }
 
-// NewRing returns a ring holding the most recent n events (rounded up to a
+// newRing returns a ring holding the most recent n events (rounded up to a
 // power of two, minimum 16).
-func NewRing(n int) *Ring {
+func newRing(n int) *Ring {
 	capacity := 16
 	for capacity < n {
 		capacity <<= 1
