@@ -2,8 +2,11 @@ package enforcer_test
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"bcpqp/internal/enforcer"
 	"bcpqp/internal/fairpolicer"
@@ -47,13 +50,13 @@ type refChain struct {
 
 func (c *refChain) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
 	for _, s := range c.stages {
-		if !s.Probe(now, pkt) {
+		if !s.Probe(now, &pkt) {
 			c.stats.Reject(pkt.Size)
 			return enforcer.Drop
 		}
 	}
 	for _, s := range c.stages {
-		s.Commit(now, pkt)
+		s.Commit(now, &pkt)
 	}
 	c.stats.Accept(pkt.Size)
 	return enforcer.Transmit
@@ -70,6 +73,62 @@ func chainStages() []enforcer.Stage {
 		BurstControl: true,
 	})
 	return []enforcer.Stage{sub, tbf.MustNew(eqRate, tbf.PlusBucket(eqRate, eqMaxRTT))}
+}
+
+// TestStageLeavesPacketAlone holds every ceiling stage to the by-reference
+// contract: Probe and Commit read the caller's packet and change nothing in
+// it — no field, not the Payload slice header, not the payload bytes.
+func TestStageLeavesPacketAlone(t *testing.T) {
+	stages := []struct {
+		name  string
+		stage enforcer.Stage
+	}{
+		{"tbf", tbf.MustNew(eqRate, 4*units.MSS)},
+		{"pqp", phantom.MustNew(phantom.Config{Rate: eqRate, Queues: eqFlows, QueueSize: 4 * units.MSS})},
+		{"bc-pqp", phantom.MustNew(phantom.Config{
+			Rate: eqRate, Queues: eqFlows, QueueSize: 4 * units.MSS, BurstControl: true,
+		})},
+	}
+	for _, sc := range stages {
+		t.Run(sc.name, func(t *testing.T) {
+			payload := make([]byte, 16, 64)
+			for i := range payload {
+				payload[i] = byte(i)
+			}
+			const probes = 200
+			committed := 0
+			for i := 0; i < probes; i++ {
+				now := time.Duration(i) * 50 * time.Microsecond
+				pkt := &packet.Packet{
+					Key:     packet.FlowKey{SrcIP: 10, DstIP: 20, SrcPort: uint16(i), DstPort: 443, Proto: 17},
+					Size:    units.MSS,
+					Class:   i%eqFlows - 1, // -1 is NoClass: routed by the flow-key hash
+					Seq:     int64(i),
+					ECT:     i%2 == 0,
+					CE:      i%3 == 0,
+					Payload: payload[i%4:],
+				}
+				want, wantBytes := *pkt, slices.Clone(pkt.Payload)
+				check := func(call string) {
+					t.Helper()
+					if !reflect.DeepEqual(*pkt, want) || unsafe.SliceData(pkt.Payload) != unsafe.SliceData(want.Payload) ||
+						cap(pkt.Payload) != cap(want.Payload) || !slices.Equal(pkt.Payload, wantBytes) {
+						t.Fatalf("packet %d: %s changed the packet to %+v, was %+v", i, call, *pkt, want)
+					}
+				}
+				ok := sc.stage.Probe(now, pkt)
+				check("Probe")
+				if ok {
+					sc.stage.Commit(now, pkt)
+					check("Commit")
+					committed++
+				}
+			}
+			if committed == 0 || committed == probes {
+				t.Fatalf("%d of %d probes accepted: the pattern exercises one outcome only", committed, probes)
+			}
+		})
+	}
 }
 
 func equivalenceSchemes() []eqScheme {

@@ -45,14 +45,18 @@ var ErrNoStats = errors.New("enforcer: no stats")
 // a packet every probed level accepted. *phantom.PQP and *tbf.Policer
 // implement it. Splitting admission keeps each level's Theorem 1 accounting
 // exact: a level is never charged for a packet another level drops.
+//
+// pkt is the caller's packet, passed by reference so that a tree burst does
+// not copy it into every call. It is valid only for the duration of the
+// call: a stage must neither retain nor modify it.
 type Stage interface {
 	// Probe reports whether the packet would be admitted at now, without
 	// changing admission state (time-driven work — lazy drains, token
 	// refills — may advance).
-	Probe(now time.Duration, pkt packet.Packet) bool
+	Probe(now time.Duration, pkt *packet.Packet) bool
 	// Commit admits a packet previously accepted by Probe at the same
 	// virtual time.
-	Commit(now time.Duration, pkt packet.Packet)
+	Commit(now time.Duration, pkt *packet.Packet)
 }
 
 // TreeEnforcer is the composition contract for hierarchical policy

@@ -385,7 +385,7 @@ func (p *PQP) SetOnEvent(fn func(Event)) { p.cfg.OnEvent = fn }
 // Submit-only. Probe/Commit implement two-phase admission for cascaded
 // (multi-level) rate limits: probe every level, commit only if all accept,
 // so no phantom copy is ever enqueued for a packet another level drops.
-func (p *PQP) Probe(now time.Duration, pkt packet.Packet) bool {
+func (p *PQP) Probe(now time.Duration, pkt *packet.Packet) bool {
 	if !p.started {
 		p.started = true
 		p.lastDrain = now
@@ -404,7 +404,7 @@ func (p *PQP) Probe(now time.Duration, pkt packet.Packet) bool {
 // Commit admits a packet previously accepted by Probe: the phantom copy is
 // enqueued and burst-control accounting runs. The pair (Probe → all levels
 // accept → Commit) must happen at the same virtual time.
-func (p *PQP) Commit(now time.Duration, pkt packet.Packet) {
+func (p *PQP) Commit(now time.Duration, pkt *packet.Packet) {
 	class := pkt.ClassIn(p.cfg.Queues)
 	q := &p.queues[class]
 	size := int64(pkt.Size)

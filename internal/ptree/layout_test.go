@@ -94,12 +94,17 @@ func TestWholeBurstDropKeepsRefillClock(t *testing.T) {
 	}
 }
 
-// TestSubmitAllocs: neither submission path allocates.
+// TestSubmitAllocs: no submission path allocates — node-addressed or
+// class-routed, one packet or a burst, including a burst that mixes leaves.
 func TestSubmitAllocs(t *testing.T) {
 	tr := tenantPlanSub()
 	burst := make([]packet.Packet, 32)
 	for i := range burst {
 		burst[i] = pkt(i, 400)
+	}
+	mixed := make([]packet.Packet, 32)
+	for i := range mixed {
+		mixed[i] = pkt(i/3%4, 400) // runs of three, cycling over the four leaves
 	}
 	verdicts := make([]enforcer.Verdict, len(burst))
 	now := time.Duration(0)
@@ -108,6 +113,7 @@ func TestSubmitAllocs(t *testing.T) {
 		tr.SubmitBatchAt(now, 4, burst, verdicts)
 		tr.SubmitAt(now, 5, burst[0])
 		tr.Submit(now, burst[1])
+		tr.SubmitBatch(now, mixed, verdicts)
 	}); avg != 0 {
 		t.Errorf("submission allocates %.1f times per round, want 0", avg)
 	}

@@ -31,12 +31,15 @@
 // leaf). SubmitBatchAt resolves the node → root path once per burst into a
 // scratch array of record pointers and ceiling interfaces, sized at build
 // time to the deepest path, and every packet of the burst works through
-// that: zero allocations, no per-packet index arithmetic. Assured buckets
-// are refilled once per burst, by the first packet that passes every
-// ceiling probe — the moment the per-packet code would have. Refilling
-// eagerly on entry would move the refill clock of a burst dropped whole at
-// a ceiling, splitting one r·(d₁+d₂) refill into r·d₁ + r·d₂, which differs
-// in the last bit and shows up in verdicts and snapshots.
+// that: zero allocations, no per-packet index arithmetic. The burst is
+// admitted in place and each ceiling receives &pkts[i], never a copy of the
+// 72-byte packet; SubmitAt's single packet goes through a one-slot scratch
+// the tree owns. Assured buckets are refilled once per burst, by the first
+// packet that passes every ceiling probe — the moment the per-packet code
+// would have. Refilling eagerly on entry would move the refill clock of a
+// burst dropped whole at a ceiling, splitting one r·(d₁+d₂) refill into
+// r·d₁ + r·d₂, which differs in the last bit and shows up in verdicts and
+// snapshots.
 //
 // Specs are given in topological order (every parent precedes its
 // children), which makes cycles unrepresentable at build time; the snapshot
@@ -91,6 +94,7 @@ import (
 	"time"
 
 	"bcpqp/internal/enforcer"
+	"bcpqp/internal/packet"
 	"bcpqp/internal/units"
 )
 
@@ -206,7 +210,8 @@ type Tree struct {
 
 	stats enforcer.Stats
 
-	path []hop // node → root scratch, cap = the deepest path; reused per burst
+	path []hop            // node → root scratch, cap = the deepest path; reused per burst
+	one  [1]packet.Packet // SubmitAt's one-packet burst: a stack array would escape
 }
 
 // New builds a policy tree from a topologically ordered spec: spec[0] is

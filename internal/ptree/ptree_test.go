@@ -310,36 +310,88 @@ func TestChainUpperBoundsProperty(t *testing.T) {
 	}
 }
 
-// TestBatchEquivalence: SubmitBatchAt verdicts are byte-identical to
-// per-packet SubmitAt calls on an identically configured tree.
+// TestBatchEquivalence: both burst paths are byte-identical to per-packet
+// submission on an identically configured tree — SubmitBatchAt to SubmitAt
+// at one leaf, and whole-aggregate SubmitBatch to Submit on bursts whose
+// packets route to different leaves.
 func TestBatchEquivalence(t *testing.T) {
-	mkTree := func() *Tree { return tenantPlanSub() }
-	one, batch := mkTree(), mkTree()
-	r := rng.New(42)
-	now := time.Duration(0)
-	leaves := one.Leaves()
-	pkts := make([]packet.Packet, 0, 64)
-	verdicts := make([]enforcer.Verdict, 64)
-	for b := 0; b < 300; b++ {
-		now += time.Duration(r.IntN(int(5 * time.Millisecond)))
-		leaf := leaves[r.IntN(len(leaves))]
-		pkts = pkts[:0]
-		np := 1 + r.IntN(48)
-		for k := 0; k < np; k++ {
-			size := 64 + r.IntN(units.MSS-64)
-			pkts = append(pkts, pkt(k%4, size))
-		}
-		batch.SubmitBatchAt(now, leaf, pkts, verdicts)
-		for k := range pkts {
-			want := one.SubmitAt(now, leaf, pkts[k])
-			if verdicts[k] != want {
-				t.Fatalf("burst %d pkt %d at leaf %d: batch %v, single %v",
-					b, k, leaf, verdicts[k], want)
+	t.Run("leaf", func(t *testing.T) {
+		one, batch := tenantPlanSub(), tenantPlanSub()
+		r := rng.New(42)
+		now := time.Duration(0)
+		leaves := one.Leaves()
+		pkts := make([]packet.Packet, 0, 64)
+		verdicts := make([]enforcer.Verdict, 64)
+		for b := 0; b < 300; b++ {
+			now += time.Duration(r.IntN(int(5 * time.Millisecond)))
+			leaf := leaves[r.IntN(len(leaves))]
+			pkts = pkts[:0]
+			np := 1 + r.IntN(48)
+			for k := 0; k < np; k++ {
+				size := 64 + r.IntN(units.MSS-64)
+				pkts = append(pkts, pkt(k%4, size))
+			}
+			batch.SubmitBatchAt(now, leaf, pkts, verdicts)
+			for k := range pkts {
+				want := one.SubmitAt(now, leaf, pkts[k])
+				if verdicts[k] != want {
+					t.Fatalf("burst %d pkt %d at leaf %d: batch %v, single %v",
+						b, k, leaf, verdicts[k], want)
+				}
 			}
 		}
-	}
-	if s1, s2 := one.EnforcerStats(), batch.EnforcerStats(); s1 != s2 {
+		sameStats(t, one, batch)
+	})
+	t.Run("mixed", func(t *testing.T) {
+		one, batch := tenantPlanSub(), tenantPlanSub()
+		r := rng.New(43)
+		now := time.Duration(0)
+		pkts := make([]packet.Packet, 0, 64)
+		verdicts := make([]enforcer.Verdict, 64)
+		for b := 0; b < 400; b++ {
+			now += time.Duration(r.IntN(int(3 * time.Millisecond)))
+			// Runs of 1–8 packets of one class; a run may repeat the class
+			// before it, and some runs route by flow-key hash instead.
+			pkts = pkts[:0]
+			for np := 1 + r.IntN(64); len(pkts) < np; {
+				class := r.IntN(5)
+				for run := 1 + r.IntN(8); run > 0 && len(pkts) < np; run-- {
+					p := pkt(class, 64+r.IntN(units.MSS-64))
+					if class == 4 {
+						p.Class = packet.NoClass
+					}
+					pkts = append(pkts, p)
+				}
+			}
+			batch.SubmitBatch(now, pkts, verdicts)
+			for k := range pkts {
+				if want := one.Submit(now, pkts[k]); verdicts[k] != want {
+					t.Fatalf("burst %d pkt %d (class %d): batch %v, single %v",
+						b, k, pkts[k].Class, verdicts[k], want)
+				}
+			}
+		}
+		sameStats(t, one, batch)
+	})
+}
+
+// sameStats fails unless two trees agree on their verdict accounting and on
+// every node's own.
+func sameStats(t *testing.T, one, batch *Tree) {
+	t.Helper()
+	s1, s2 := one.EnforcerStats(), batch.EnforcerStats()
+	if s1 != s2 {
 		t.Errorf("stats diverged: single %+v, batch %+v", s1, s2)
+	}
+	if s1.AcceptedPackets == 0 || s1.DroppedPackets == 0 {
+		t.Errorf("degenerate traffic: %+v", s1)
+	}
+	for i := 0; i < one.NumNodes(); i++ {
+		n1, _ := one.NodeStats(enforcer.NodeID(i))
+		n2, _ := batch.NodeStats(enforcer.NodeID(i))
+		if n1 != n2 {
+			t.Errorf("node %d stats diverged: single %+v, batch %+v", i, n1, n2)
+		}
 	}
 }
 

@@ -58,14 +58,14 @@ func newRefChain(stages []enforcer.Stage) *refChain {
 
 func (c *refChain) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
 	for i, s := range c.stages {
-		if !s.Probe(now, pkt) {
+		if !s.Probe(now, &pkt) {
 			c.droppedAt[i]++
 			c.stats.Reject(pkt.Size)
 			return enforcer.Drop
 		}
 	}
 	for _, s := range c.stages {
-		s.Commit(now, pkt)
+		s.Commit(now, &pkt)
 	}
 	c.stats.Accept(pkt.Size)
 	return enforcer.Transmit
@@ -212,7 +212,7 @@ func (t *refTree) refillNode(n int32, now time.Duration) {
 
 func (t *refTree) admit(now time.Duration, path []int32, pkt packet.Packet) enforcer.Verdict {
 	for _, n := range path {
-		if s := t.stages[n]; s != nil && !s.Probe(now, pkt) {
+		if s := t.stages[n]; s != nil && !s.Probe(now, &pkt) {
 			t.drpPkts[n]++
 			t.drpBytes[n] += int64(pkt.Size)
 			t.stats.Reject(pkt.Size)
@@ -244,7 +244,7 @@ func (t *refTree) admit(now time.Duration, path []int32, pkt packet.Packet) enfo
 	}
 	for _, n := range path {
 		if s := t.stages[n]; s != nil {
-			s.Commit(now, pkt)
+			s.Commit(now, &pkt)
 		}
 		if t.effRate[n] > 0 {
 			t.tokens[n] -= float64(pkt.Size)

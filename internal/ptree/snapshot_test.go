@@ -213,8 +213,8 @@ func TestSnapshotCeilingMismatch(t *testing.T) {
 // refuses to snapshot with the typed sentinel.
 type opaqueStage struct{}
 
-func (opaqueStage) Probe(time.Duration, packet.Packet) bool { return true }
-func (opaqueStage) Commit(time.Duration, packet.Packet)     {}
+func (opaqueStage) Probe(time.Duration, *packet.Packet) bool { return true }
+func (opaqueStage) Commit(time.Duration, *packet.Packet)     {}
 
 func TestSnapshotErrNotSnapshottable(t *testing.T) {
 	tr := MustNew([]NodeSpec{{Parent: -1, Stage: opaqueStage{}}})

@@ -35,7 +35,8 @@ func (t *Tree) reject(idx int32, size int) {
 // the two admission layers along path (node → root), packet by packet. On
 // drop, the rejection is attributed to the responsible node's counters; on
 // accept, every path node's accounting and every assured bucket on the path
-// is charged.
+// is charged. Ceilings are handed &pkts[i], so pkts escapes: callers pass
+// the caller's own burst or the tree's scratch, never a stack array.
 func (t *Tree) admit(now time.Duration, path []hop, pkts []packet.Packet, verdicts []enforcer.Verdict) {
 	// Within one burst now does not move, so the path's assured buckets
 	// need bringing to now once: by the first packet to reach the borrow
@@ -50,7 +51,7 @@ packets:
 		// but no admission state, so a later borrow-layer rejection cannot
 		// corrupt any ceiling's Theorem 1 accounting.
 		for k := range path {
-			if h := &path[k]; h.stage != nil && !h.stage.Probe(now, *pkt) {
+			if h := &path[k]; h.stage != nil && !h.stage.Probe(now, pkt) {
 				t.reject(h.idx, pkt.Size)
 				verdicts[i] = enforcer.Drop
 				continue packets
@@ -118,7 +119,7 @@ packets:
 		for k := range path {
 			h := &path[k]
 			if h.stage != nil {
-				h.stage.Commit(now, *pkt)
+				h.stage.Commit(now, pkt)
 			}
 			n := h.n
 			if n.effRate > 0 {
@@ -142,8 +143,10 @@ func (t *Tree) SubmitAt(now time.Duration, node enforcer.NodeID, pkt packet.Pack
 		t.stats.Reject(pkt.Size)
 		return enforcer.Drop
 	}
-	pkts, verdicts := [1]packet.Packet{pkt}, [1]enforcer.Verdict{}
-	t.admit(now, t.fillPath(node), pkts[:], verdicts[:])
+	t.one[0] = pkt
+	var verdicts [1]enforcer.Verdict
+	t.admit(now, t.fillPath(node), t.one[:], verdicts[:])
+	t.one[0] = packet.Packet{} // hold no reference to the caller's payload
 	return verdicts[0]
 }
 
@@ -173,12 +176,20 @@ func (t *Tree) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
 }
 
 // SubmitBatch implements enforcer.BatchSubmitter. Packets in a mixed burst
-// may route to different leaves, so each is path-resolved individually;
-// the path scratch is reused and nothing allocates.
+// may route to different leaves, so the burst is admitted in place one run
+// of consecutive same-leaf packets at a time, each run's path resolved
+// once; nothing is copied and nothing allocates.
 func (t *Tree) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []enforcer.Verdict) {
 	verdicts = verdicts[:len(pkts)]
-	for i := range pkts {
-		verdicts[i] = t.Submit(now, pkts[i])
+	n := len(t.leaves)
+	for i := 0; i < len(pkts); {
+		class := pkts[i].ClassIn(n)
+		j := i + 1
+		for j < len(pkts) && pkts[j].ClassIn(n) == class {
+			j++
+		}
+		t.admit(now, t.fillPath(t.leaves[class]), pkts[i:j], verdicts[i:j])
+		i = j
 	}
 }
 

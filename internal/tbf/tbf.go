@@ -121,13 +121,13 @@ func (p *Policer) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts 
 
 // Probe reports whether a packet would be admitted at now without
 // consuming tokens (two-phase admission for cascaded rate limits).
-func (p *Policer) Probe(now time.Duration, pkt packet.Packet) bool {
+func (p *Policer) Probe(now time.Duration, pkt *packet.Packet) bool {
 	p.refill(now)
 	return p.tokens >= float64(pkt.Size)
 }
 
 // Commit consumes the tokens for a packet previously accepted by Probe.
-func (p *Policer) Commit(now time.Duration, pkt packet.Packet) {
+func (p *Policer) Commit(now time.Duration, pkt *packet.Packet) {
 	p.refill(now)
 	p.tokens -= float64(pkt.Size)
 	if p.tokens < 0 {

@@ -186,9 +186,9 @@ func TestProbeCommitEquivalence(t *testing.T) {
 		now += 900 * time.Microsecond
 		p := pkt(units.MSS)
 		a := plain.Submit(now, p) == enforcer.Transmit
-		b := staged.Probe(now, p)
+		b := staged.Probe(now, &p)
 		if b {
-			staged.Commit(now, p)
+			staged.Commit(now, &p)
 		}
 		if a != b {
 			t.Fatalf("packet %d: plain=%v staged=%v", i, a, b)

@@ -172,6 +172,8 @@ type StatsReader = enforcer.StatsReader
 
 // CascadeStage is an enforcer supporting two-phase (probe/commit)
 // admission, the capability a PolicyTree node ceiling needs; PQP/BC-PQP and
-// token-bucket policers implement it. It keeps the name of a cascade that is
-// gone because the benchmark harness (bench/) uses it.
+// token-bucket policers implement it. Probe and Commit receive the caller's
+// packet by reference, valid only for the call: a stage must neither retain
+// nor modify it. It keeps the name of a cascade that is gone because the
+// benchmark harness (bench/) uses it.
 type CascadeStage = enforcer.Stage
