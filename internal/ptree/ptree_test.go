@@ -348,20 +348,30 @@ func TestBatchEquivalence(t *testing.T) {
 		now := time.Duration(0)
 		pkts := make([]packet.Packet, 0, 64)
 		verdicts := make([]enforcer.Verdict, 64)
+		nleaves := len(one.Leaves())
+		split := 0 // bursts whose hash-routed packets reach more than one leaf
 		for b := 0; b < 400; b++ {
 			now += time.Duration(r.IntN(int(3 * time.Millisecond)))
 			// Runs of 1–8 packets of one class; a run may repeat the class
-			// before it, and some runs route by flow-key hash instead.
+			// before it. Some runs carry no class and a random source port
+			// each, the proxy's traffic shape, so the flow-key hash spreads
+			// them over the leaves inside one burst.
 			pkts = pkts[:0]
+			var hashed uint
 			for np := 1 + r.IntN(64); len(pkts) < np; {
 				class := r.IntN(5)
 				for run := 1 + r.IntN(8); run > 0 && len(pkts) < np; run-- {
 					p := pkt(class, 64+r.IntN(units.MSS-64))
 					if class == 4 {
 						p.Class = packet.NoClass
+						p.Key.SrcPort = uint16(r.IntN(1 << 16))
+						hashed |= 1 << p.ClassIn(nleaves)
 					}
 					pkts = append(pkts, p)
 				}
+			}
+			if hashed&(hashed-1) != 0 {
+				split++
 			}
 			batch.SubmitBatch(now, pkts, verdicts)
 			for k := range pkts {
@@ -370,6 +380,9 @@ func TestBatchEquivalence(t *testing.T) {
 						b, k, pkts[k].Class, verdicts[k], want)
 				}
 			}
+		}
+		if split == 0 {
+			t.Error("no burst split its hash-routed packets across leaves")
 		}
 		sameStats(t, one, batch)
 	})

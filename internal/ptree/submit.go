@@ -176,20 +176,13 @@ func (t *Tree) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
 }
 
 // SubmitBatch implements enforcer.BatchSubmitter. Packets in a mixed burst
-// may route to different leaves, so the burst is admitted in place one run
-// of consecutive same-leaf packets at a time, each run's path resolved
-// once; nothing is copied and nothing allocates.
+// may route to different leaves, so each is routed and path-resolved on its
+// own, then admitted in place: nothing is copied and nothing allocates.
 func (t *Tree) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []enforcer.Verdict) {
 	verdicts = verdicts[:len(pkts)]
-	n := len(t.leaves)
-	for i := 0; i < len(pkts); {
-		class := pkts[i].ClassIn(n)
-		j := i + 1
-		for j < len(pkts) && pkts[j].ClassIn(n) == class {
-			j++
-		}
-		t.admit(now, t.fillPath(t.leaves[class]), pkts[i:j], verdicts[i:j])
-		i = j
+	for i := range pkts {
+		leaf := t.leaves[pkts[i].ClassIn(len(t.leaves))]
+		t.admit(now, t.fillPath(leaf), pkts[i:i+1], verdicts[i:i+1])
 	}
 }
 
