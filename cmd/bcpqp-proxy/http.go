@@ -22,9 +22,8 @@
 //	  "shards": [{"shard","state","queue_depth","queue_cap",
 //	              "heartbeat_age","processed","panics","shed_packets"}],
 //	  "overload": {           // omitted when the overload plane is disabled
-//	    "active": bool, "pressure": 0..1, "ring_pressure", "table_fill",
-//	    "shed_rate_pps", "priority_shed_packets", "admission_evictions",
-//	    "transitions"},
+//	    "active": bool, "pressure": 0..1, "ring_pressure",
+//	    "shed_rate_pps", "priority_shed_packets", "transitions"},
 //	  "cluster": {            // omitted when cluster mode is off
 //	    "degraded": bool,     // any shared aggregate on its fallback floor
 //	    "fallback_aggregates": [ids],  // omitted when empty
@@ -146,14 +145,12 @@ func newAdminMux(mb *bcpqp.Middlebox, node *bcpqp.ClusterNode, ids []string) *ht
 			Shed         int64  `json:"shed_packets"`
 		}
 		type overloadz struct {
-			Active             bool    `json:"active"`
-			Pressure           float64 `json:"pressure"`
-			RingPressure       float64 `json:"ring_pressure"`
-			TableFill          float64 `json:"table_fill"`
-			ShedRatePPS        float64 `json:"shed_rate_pps"`
-			PriorityShed       int64   `json:"priority_shed_packets"`
-			AdmissionEvictions int64   `json:"admission_evictions"`
-			Transitions        int64   `json:"transitions"`
+			Active       bool    `json:"active"`
+			Pressure     float64 `json:"pressure"`
+			RingPressure float64 `json:"ring_pressure"`
+			ShedRatePPS  float64 `json:"shed_rate_pps"`
+			PriorityShed int64   `json:"priority_shed_packets"`
+			Transitions  int64   `json:"transitions"`
 		}
 		type clusterz struct {
 			Degraded           bool     `json:"degraded"`
@@ -191,14 +188,12 @@ func newAdminMux(mb *bcpqp.Middlebox, node *bcpqp.ClusterNode, ids []string) *ht
 		}
 		if h.Overload.Enabled {
 			body.Overload = &overloadz{
-				Active:             h.Overload.Active,
-				Pressure:           h.Overload.Pressure,
-				RingPressure:       h.Overload.Ring,
-				TableFill:          h.Overload.TableFill,
-				ShedRatePPS:        h.Overload.ShedRate,
-				PriorityShed:       h.Overload.PriorityShed,
-				AdmissionEvictions: h.Overload.AdmissionEvictions,
-				Transitions:        h.Overload.Transitions,
+				Active:       h.Overload.Active,
+				Pressure:     h.Overload.Pressure,
+				RingPressure: h.Overload.Ring,
+				ShedRatePPS:  h.Overload.ShedRate,
+				PriorityShed: h.Overload.PriorityShed,
+				Transitions:  h.Overload.Transitions,
 			}
 		}
 		for _, s := range h.Shards {
@@ -414,8 +409,8 @@ func startAdmin(ln net.Listener, mb *bcpqp.Middlebox, node *bcpqp.ClusterNode, i
 // faultLog emits one structured line per noteworthy fault-plane event,
 // rate-limited so a crash-looping enforcer cannot flood the log: the first
 // occurrence always logs, then every faultLogEvery-th. It is called from
-// shard goroutines (Config.OnFault/OnEvict contract: fast, non-blocking, no
-// calls back into the engine), so it only bumps an atomic and writes stderr.
+// shard goroutines (Config.OnFault contract: fast, non-blocking, no calls
+// back into the engine), so it only bumps an atomic and writes stderr.
 type faultLog struct {
 	faults sync.Map // aggregate id -> *faultCount
 }

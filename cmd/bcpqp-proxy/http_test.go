@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -135,7 +137,9 @@ func TestAdminEndpointsEndToEnd(t *testing.T) {
 // lowest-priority traffic to survive a flood) reports degraded=true on
 // /healthz but keeps answering 200 — evicting a shedding node would hand
 // the flood to a healthier-looking peer and take that one down too. Only a
-// wedged shard (watchdog: has work, no progress) turns /healthz 503.
+// wedged shard (watchdog: has work, no progress) turns /healthz 503. The
+// overload block's key set is pinned exactly: the plane reports its pressure
+// and sheds, and nothing about table fill or evictions.
 func TestHealthzOverloadDegradedBut200(t *testing.T) {
 	gate := make(chan struct{})
 	mb := bcpqp.NewMiddlebox(bcpqp.MiddleboxConfig{
@@ -182,6 +186,10 @@ func TestHealthzOverloadDegradedBut200(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/healthz during overload = %d, want 200 (degraded, not down)", resp.StatusCode)
 	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var body struct {
 		Healthy  bool `json:"healthy"`
 		Degraded bool `json:"degraded"`
@@ -191,8 +199,23 @@ func TestHealthzOverloadDegradedBut200(t *testing.T) {
 			PriorityShed int64   `json:"priority_shed_packets"`
 		} `json:"overload"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	var keys struct {
+		Overload map[string]json.RawMessage `json:"overload"`
+	}
+	if err := json.Unmarshal(raw, &body); err != nil {
 		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for k := range keys.Overload {
+		got = append(got, k)
+	}
+	slices.Sort(got)
+	want := []string{"active", "pressure", "priority_shed_packets", "ring_pressure", "shed_rate_pps", "transitions"}
+	if !slices.Equal(got, want) {
+		t.Errorf("/healthz overload keys = %q, want %q", got, want)
 	}
 	if !body.Degraded {
 		t.Error("degraded=false while the overload plane is active, want true")

@@ -57,6 +57,7 @@ import (
 
 	"bcpqp"
 	"bcpqp/internal/netio"
+	"bcpqp/internal/tbf"
 )
 
 func main() {
@@ -74,7 +75,7 @@ func main() {
 		clListen = flag.String("cluster-listen", "", "UDP address the budget exchange listens on (e.g. :7400)")
 		clKey    = flag.String("cluster-key", "", "shared secret authenticating budget-exchange frames (HMAC-SHA256); all peers must agree. Empty sends frames unauthenticated — only safe on a trusted network")
 		sharedFl = flag.Bool("shared", false, "enforce -rate as the CLUSTER-WIDE bound for the proxy aggregate: start at the static r/N share and let the budget exchange reclaim idle peers' headroom")
-		overload = flag.Bool("overload", false, "enable the engine's overload plane. The proxy sets no table cap, idle TTL or shed class, so the plane only tracks pressure: /healthz reports it, and an active plane as degraded (still 200)")
+		overload = flag.Bool("overload", false, "enable the engine's overload plane. The proxy sets no shed class, so the plane only tracks pressure: /healthz reports it, and an active plane as degraded (still 200)")
 		coresFl  = flag.Int("cores", 1, "datapath workers, each with its own SO_REUSEPORT socket and 1/cores of the plan (0 = GOMAXPROCS)")
 		drain    = flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain deadline on SIGTERM/SIGINT")
 		selftest = flag.Bool("selftest", false, "run the loopback demonstration and exit")
@@ -184,8 +185,8 @@ type proxyOpts struct {
 	// shared set, enforces the plan rate cluster-wide).
 	cluster clusterOpts
 	// overload enables the engine's overload-control plane. With every
-	// aggregate in class 0 and no MaxAggregates or IdleTTL it sheds and
-	// evicts nothing: it tracks pressure for /healthz and /metrics.
+	// aggregate in class 0 it sheds nothing: it tracks pressure for /healthz
+	// and /metrics.
 	overload bool
 	// forceSingle selects netio's portable single-datagram backend (tests
 	// run both on any platform); it cannot share a port, so: one core.
@@ -200,13 +201,14 @@ const maxRTT = 100 * time.Millisecond
 
 // auditEnvelope sizes the plan-rate conformance envelope for a scheme: the
 // plan rate plus a burst term covering the scheme's worst-case buffering
-// (phantom capacity or bucket depth) with 2× slop, so a correct enforcer
-// can never trip it while real over-admission — which grows without bound —
-// still does. Returns burst 0 (audit off) for unknown schemes. A policy tree
-// is not audited at all: the proxy arms no envelope on it. An envelope armed
-// with ArmNodeAudit on a leaf or interior ceiling would record nothing, since
-// the relay feeds the tree through the handle AddPinned returns and a burst
-// through that handle credits only the root's (see Middlebox.ArmNodeAudit).
+// (phantom capacity, or the bucket buildEnforcer gives it) with 2× slop, so a
+// correct enforcer can never trip it while real over-admission — which grows
+// without bound — still does. Returns burst 0 (audit off) for unknown
+// schemes. A policy tree is not audited at all: the proxy arms no envelope on
+// it. An envelope armed with ArmNodeAudit on a leaf or interior ceiling would
+// record nothing, since the relay feeds the tree through the handle AddPinned
+// returns and a burst through that handle credits only the root's (see
+// Middlebox.ArmNodeAudit).
 func auditEnvelope(name string, rate bcpqp.Rate, queues int) int64 {
 	scheme, err := bcpqp.ParseScheme(name)
 	if err != nil {
@@ -218,12 +220,7 @@ func auditEnvelope(name string, rate bcpqp.Rate, queues int) int64 {
 	case bcpqp.SchemePQP:
 		return 2 * int64(queues) * bcpqp.RenoQueueRequirement(rate, maxRTT)
 	case bcpqp.SchemePolicer, bcpqp.SchemePolicerPlus, bcpqp.SchemeFairPolicer:
-		bdp := int64(float64(rate) / 8 * maxRTT.Seconds())
-		reno := bcpqp.RenoQueueRequirement(rate, maxRTT)
-		if reno > bdp {
-			bdp = reno
-		}
-		return 2 * (bdp + int64(bcpqp.MSS))
+		return 2 * (policerBucket(scheme, rate) + int64(bcpqp.MSS))
 	default:
 		return 0
 	}
@@ -561,14 +558,25 @@ func buildEnforcer(name string, rate bcpqp.Rate, queues int) (bcpqp.Enforcer, er
 	case bcpqp.SchemePQP:
 		return bcpqp.NewPQP(rate, queues, nil, 0, maxRTT)
 	case bcpqp.SchemePolicer, bcpqp.SchemePolicerPlus:
-		return bcpqp.NewPolicer(rate, 0, maxRTT)
+		return bcpqp.NewPolicer(rate, policerBucket(scheme, rate), maxRTT)
 	case bcpqp.SchemeFairPolicer:
 		return bcpqp.NewFairPolicer(bcpqp.FairPolicerConfig{
-			Rate: rate, Bucket: bcpqp.RenoQueueRequirement(rate, maxRTT), Flows: queues,
+			Rate: rate, Bucket: policerBucket(scheme, rate), Flows: queues,
 		})
 	default:
 		return nil, fmt.Errorf("scheme %v buffers packets and cannot run as a bufferless relay", scheme)
 	}
+}
+
+// policerBucket is the token bucket buildEnforcer gives a policer-family
+// scheme: one BDP for policer; for policer+ and fairpolicer the paper's §6.1
+// sizing, the larger of the Reno and Cubic requirements (tbf.PlusBucket),
+// as the simulator sizes them.
+func policerBucket(scheme bcpqp.Scheme, rate bcpqp.Rate) int64 {
+	if scheme == bcpqp.SchemePolicer {
+		return tbf.BDPBucket(rate, maxRTT)
+	}
+	return tbf.PlusBucket(rate, maxRTT)
 }
 
 // runSelfTest demonstrates live enforcement over loopback: two senders — a

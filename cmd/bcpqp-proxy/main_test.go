@@ -18,24 +18,72 @@ import (
 
 	"bcpqp"
 	"bcpqp/internal/netio"
+	"bcpqp/internal/tbf"
 )
 
+// TestBuildEnforcer builds every bufferless scheme and pins how much each
+// may buffer: policer+ and fairpolicer get the paper's §6.1 bucket
+// (tbf.PlusBucket, as the simulator sizes them), which policer's one-BDP
+// bucket is not, and every scheme's audit envelope is at least twice what
+// the enforcer admits in one instant, so a correct enforcer cannot trip it.
 func TestBuildEnforcer(t *testing.T) {
+	const rate, queues = 5 * bcpqp.Mbps, 8
+	built := map[string]bcpqp.Enforcer{}
 	for _, name := range []string{"policer", "policer+", "fairpolicer", "pqp", "bc-pqp"} {
-		enf, err := buildEnforcer(name, 5*bcpqp.Mbps, 8)
+		enf, err := buildEnforcer(name, rate, queues)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
 		if enf == nil {
 			t.Errorf("%s: nil enforcer", name)
+			continue
 		}
+		built[name] = enf
 	}
-	if _, err := buildEnforcer("shaper", 5*bcpqp.Mbps, 8); err == nil {
+	if _, err := buildEnforcer("shaper", rate, queues); err == nil {
 		t.Error("buffering scheme accepted for a bufferless relay")
 	}
-	if _, err := buildEnforcer("nope", 5*bcpqp.Mbps, 8); err == nil {
+	if _, err := buildEnforcer("nope", rate, queues); err == nil {
 		t.Error("unknown scheme accepted")
+	}
+
+	plus := tbf.PlusBucket(rate, maxRTT)
+	policer, _ := built["policer"].(*bcpqp.Policer)
+	policerPlus, _ := built["policer+"].(*bcpqp.Policer)
+	fair, _ := built["fairpolicer"].(*bcpqp.FairPolicer)
+	if policer == nil || policerPlus == nil || fair == nil {
+		t.Fatalf("policer family built as %T, %T, %T", built["policer"], built["policer+"], built["fairpolicer"])
+	}
+	if got := policerPlus.Bucket(); got != plus {
+		t.Errorf("policer+ bucket = %d bytes, want tbf.PlusBucket = %d", got, plus)
+	}
+	if policerPlus.Bucket() == policer.Bucket() {
+		t.Errorf("policer+ and policer share a %d-byte bucket", policer.Bucket())
+	}
+	if got := fair.MainTokens(); got != float64(plus) {
+		t.Errorf("fairpolicer bucket = %v bytes, want tbf.PlusBucket = %d", got, plus)
+	}
+
+	// What each enforcer admits at one instant — its bucket, or its phantom
+	// queues' capacity: MSS packets round-robin over the classes until every
+	// class has dropped in a row.
+	for name, enf := range built {
+		var admitted int64
+		for i, drops := 0, 0; drops < 2*queues; i++ {
+			if i == 100_000 {
+				t.Fatalf("%s: still admitting after %d packets at one instant", name, i)
+			}
+			if enf.Submit(0, bcpqp.Packet{Size: bcpqp.MSS, Class: i % queues}) == bcpqp.Drop {
+				drops++
+				continue
+			}
+			drops = 0
+			admitted += bcpqp.MSS
+		}
+		if burst := auditEnvelope(name, rate, queues); burst < 2*admitted {
+			t.Errorf("%s: audit envelope burst %d bytes < 2 × the %d bytes it admits at once", name, burst, admitted)
+		}
 	}
 }
 

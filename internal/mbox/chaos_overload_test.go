@@ -10,9 +10,10 @@ package mbox
 //      load — floods that ignore drops, slow-start ramps, mixed-RTT swarms.
 //   2. No shard leaves Healthy permanently: shards may degrade while
 //      shedding, but once the storm stops every shard reclassifies Healthy.
-//   3. Memory stays bounded: the registry never exceeds its cap, the slot
-//      high-water mark is capped, and (for the flash-crowd churn) the heap
-//      is stable across repeated waves.
+//   3. Memory stays bounded: the registry never holds more aggregates than
+//      the scenario keeps live, the slot high-water mark stays there too,
+//      and (for the flash-crowd churn) the heap is stable across repeated
+//      waves.
 //   4. Close stays deadline-bounded.
 //
 // Every scenario is open-loop — the generators' offered load is exact
@@ -20,8 +21,7 @@ package mbox
 // offered == enforcer-seen + ring-full shed + priority shed.
 //
 // When BCPQP_CHAOS_OUT is set, each scenario appends one JSON line of its
-// shed/eviction counters; the CI overload-chaos job uploads that file as an
-// artifact.
+// shed counters; the CI overload-chaos job uploads that file as an artifact.
 
 import (
 	"encoding/json"
@@ -30,7 +30,6 @@ import (
 	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,7 +43,7 @@ import (
 	"bcpqp/internal/workload"
 )
 
-// dumpChaosCounters appends one JSON record of the engine's shed/eviction
+// dumpChaosCounters appends one JSON record of the engine's shed
 // counters to $BCPQP_CHAOS_OUT (no-op when unset). CI uploads the file as
 // the overload-chaos job's artifact.
 func dumpChaosCounters(t *testing.T, e *Engine, scenario string) {
@@ -55,14 +54,12 @@ func dumpChaosCounters(t *testing.T, e *Engine, scenario string) {
 	}
 	h := e.Health()
 	rec := map[string]any{
-		"scenario":            scenario,
-		"overloaded":          h.Overloaded,
-		"priority_shed":       h.Overload.PriorityShed,
-		"evicted":             e.Evicted.Load(),
-		"admission_evictions": h.Overload.AdmissionEvictions,
-		"transitions":         h.Overload.Transitions,
-		"pressure":            h.Overload.Pressure,
-		"panics":              h.Panics,
+		"scenario":      scenario,
+		"overloaded":    h.Overloaded,
+		"priority_shed": h.Overload.PriorityShed,
+		"transitions":   h.Overload.Transitions,
+		"pressure":      h.Overload.Pressure,
+		"panics":        h.Panics,
 	}
 	b, err := json.Marshal(rec)
 	if err != nil {
@@ -249,34 +246,26 @@ func TestChaosFloodOverload(t *testing.T) {
 	}
 }
 
-// TestChaosFlashCrowdLifecycle is the satellite lifecycle test: three waves
-// of 10k aggregate arrivals (each inside a 1 s generator window) against a
-// 256-slot table with Add-path eviction on. Each arrival goes quiet after
-// its hello burst: the test backdates its activity stamp past the admission
-// TTL (idleFor) rather than waiting the TTL out. Asserted exactly: every
-// successful Add beyond capacity evicted exactly one victim (engine
-// counters == OnEvict callback count, all with zero Stats), evicted handles
-// fail ErrStale with no verdict bleed into recycled slots, the registry and
-// slot high-water mark never exceed the cap, and the heap is stable across
-// waves.
+// TestChaosFlashCrowdLifecycle is the lifecycle test: three waves of 10k
+// aggregate arrivals (each inside a 1 s generator window), each with its
+// hello burst, under operator churn that keeps at most 256 aggregates live —
+// before every Add the oldest live aggregate is removed. Each arrival's
+// token bucket holds 1–4 MSS, so its 4-packet hello burst has a known
+// split. Asserted exactly: every Remove returns its hello burst's accepted
+// and dropped counts, sampled removed handles fail ErrStale (never reaching
+// a recycled slot's next occupant), Len and the slot high-water mark never
+// exceed 256, the heap is stable across waves, and Close is clean.
 func TestChaosFlashCrowdLifecycle(t *testing.T) {
 	const (
-		maxAggs      = 256
+		maxLive      = 256
 		perWave      = 10_000
 		waves        = 3
 		closeTimeout = 10 * time.Second
 	)
-	var evictCalls, evictNonZero atomic.Int64
 	e := New(Config{
-		Shards: 4, MaxAggregates: maxAggs,
+		Shards:       4,
 		CloseTimeout: closeTimeout,
-		OnEvict: func(id string, final enforcer.Stats) {
-			evictCalls.Add(1)
-			if p, b := final.Totals(); p != 0 || b != 0 {
-				evictNonZero.Add(1)
-			}
-		},
-		Overload: true,
+		Overload:     true,
 	})
 	closed := false
 	defer func() {
@@ -285,60 +274,78 @@ func TestChaosFlashCrowdLifecycle(t *testing.T) {
 		}
 	}()
 
-	var successes, tableFull int64
-	heap := make([]uint64, waves)
-	var buf [8]packet.Packet
+	type live struct {
+		id                string
+		h                 Handle
+		accepted, dropped int64
+	}
+	var (
+		fifo    []live // live aggregates, oldest first
+		removed int64
+		heap    = make([]uint64, waves)
+		buf     [8]packet.Packet
+	)
 	for wave := 0; wave < waves; wave++ {
 		crowd := workload.NewFlashCrowd(rng.New(uint64(1000+wave)), workload.FlashCrowdConfig{
 			Aggregates: perWave,
 			Window:     time.Second,
 			Prefix:     fmt.Sprintf("w%d", wave),
 		})
-		type added struct {
-			id string
-			h  Handle
-		}
-		var recent []added
+		staleChecked := 0
 		for {
 			a, ok := crowd.NextArrival()
 			if !ok {
 				break
 			}
-			h, err := e.Add(a.ID, tbf.MustNew(8*units.Mbps, 10*units.MSS), nil)
-			switch {
-			case err == nil:
-				successes++
-				recent = append(recent, added{a.ID, h})
-				n := crowd.HelloBurst(a.Index, buf[:])
-				if err := e.SubmitBatch(h, buf[:n]); err != nil {
-					t.Fatalf("hello burst for %s: %v", a.ID, err)
+			if len(fifo) == maxLive {
+				old := fifo[0]
+				fifo = fifo[1:]
+				st, err := e.Remove(old.id)
+				if err != nil {
+					t.Fatalf("Remove(%s): %v", old.id, err)
 				}
-				idleFor(t, e, a.ID, time.Second)
-			case errors.Is(err, ErrTableFull):
-				tableFull++
-			default:
+				if st.AcceptedPackets != old.accepted || st.DroppedPackets != old.dropped {
+					t.Fatalf("Remove(%s) = %d accepted / %d dropped, want its hello burst's %d / %d",
+						old.id, st.AcceptedPackets, st.DroppedPackets, old.accepted, old.dropped)
+				}
+				// Stale-handle discipline: a removed aggregate's handle
+				// fails ErrStale — it never reaches the slot's next
+				// occupant, which the Add below may be.
+				if removed%97 == 0 && staleChecked < 200 {
+					staleChecked++
+					if err := e.SubmitBatch(old.h, buf[:1]); !errors.Is(err, ErrStale) {
+						t.Fatalf("removed handle for %s returned %v, want ErrStale", old.id, err)
+					}
+				}
+				removed++
+			}
+			bucket := int64(1+a.Index%4) * units.MSS
+			h, err := e.Add(a.ID, tbf.MustNew(8*units.Mbps, bucket), nil)
+			if err != nil {
 				t.Fatalf("Add(%s): %v", a.ID, err)
 			}
-			// The registry never exceeds its cap mid-churn.
-			if l := e.Len(); l > maxAggs {
-				t.Fatalf("registry grew to %d > MaxAggregates %d", l, maxAggs)
+			n := crowd.HelloBurst(a.Index, buf[:])
+			if err := e.SubmitBatch(h, buf[:n]); err != nil {
+				t.Fatalf("hello burst for %s: %v", a.ID, err)
+			}
+			// A full bucket admits the burst's first bucket/MSS packets.
+			acc := min(int64(n), bucket/units.MSS)
+			fifo = append(fifo, live{a.ID, h, acc, int64(n) - acc})
+			if l := e.Len(); l > maxLive {
+				t.Fatalf("registry grew to %d > %d live", l, maxLive)
 			}
 		}
-		// Stale-handle discipline: handles from early in the wave whose
-		// aggregates have since been evicted must fail ErrStale — never
-		// reach the slot's next occupant.
-		staleChecked := 0
-		for i := 0; i < len(recent) && staleChecked < 200; i += 97 {
-			if _, err := e.Lookup(recent[i].id); err == nil {
-				continue // still registered
-			}
-			staleChecked++
-			if err := e.SubmitBatch(recent[i].h, buf[:1]); !errors.Is(err, ErrStale) {
-				t.Fatalf("evicted handle for %s returned %v, want ErrStale", recent[i].id, err)
-			}
+		if staleChecked == 0 {
+			t.Error("no removed handle checked for staleness")
 		}
-		if wave > 0 && staleChecked == 0 {
-			t.Error("no evicted handle found to verify staleness against")
+		// The slot table's high-water mark only grows, so reading it once
+		// a wave shows it never passed the live bound: churn recycles
+		// slots, it does not grow the table.
+		e.mu.Lock()
+		hw := len(e.slotGen)
+		e.mu.Unlock()
+		if hw > maxLive {
+			t.Fatalf("wave %d: slot high-water mark %d > %d live", wave, hw, maxLive)
 		}
 		// Heap after each identical wave, with transient garbage collected.
 		runtime.GC()
@@ -347,35 +354,11 @@ func TestChaosFlashCrowdLifecycle(t *testing.T) {
 		heap[wave] = ms.HeapAlloc
 	}
 
-	if got := successes + tableFull; got != int64(perWave*waves) {
-		t.Errorf("adds accounted %d, want %d", got, perWave*waves)
+	if want := int64(perWave*waves - maxLive); removed != want {
+		t.Errorf("removed %d aggregates, want %d", removed, want)
 	}
-	// Every success beyond the table's capacity required exactly one
-	// admission eviction.
-	wantEvict := successes - maxAggs
-	if got := e.AdmissionEvictions.Load(); got != wantEvict {
-		t.Errorf("AdmissionEvictions = %d, want %d (successes %d − cap %d)",
-			got, wantEvict, successes, maxAggs)
-	}
-	if got := e.Evicted.Load(); got != wantEvict {
-		t.Errorf("Evicted = %d, want %d", got, wantEvict)
-	}
-	if got := evictCalls.Load(); got != wantEvict {
-		t.Errorf("OnEvict fired %d times, want %d", got, wantEvict)
-	}
-	if got := evictNonZero.Load(); got != 0 {
-		t.Errorf("%d admission evictions reported non-zero final Stats, want 0", got)
-	}
-	if e.Len() != maxAggs {
-		t.Errorf("final registry size %d, want %d", e.Len(), maxAggs)
-	}
-	// The slot table's high-water mark is capped by MaxAggregates: churn
-	// recycles slots, it does not grow the table.
-	e.mu.Lock()
-	hw := len(e.slotGen)
-	e.mu.Unlock()
-	if hw > maxAggs {
-		t.Errorf("slot high-water mark %d > MaxAggregates %d", hw, maxAggs)
+	if e.Len() != maxLive {
+		t.Errorf("final registry size %d, want %d", e.Len(), maxLive)
 	}
 	// Heap stability: wave 3 retains no more than wave 1 plus slack (the
 	// waves are identical workloads; growth would be a lifecycle leak).

@@ -1,10 +1,10 @@
 package mbox
 
 // Lifecycle and control-plane tests: bounded-memory aggregate churn,
-// capacity caps, idle-TTL eviction, final-stats drain semantics, in-band
-// hot reconfiguration (with the piecewise Theorem-1 bound across a rate
-// change), warm-restart snapshots with byte-identical replay, and a -race
-// churn test proving generation tags prevent cross-aggregate verdict bleed.
+// final-stats drain semantics, in-band hot reconfiguration (with the
+// piecewise Theorem-1 bound across a rate change), warm-restart snapshots
+// with byte-identical replay, and a -race churn test proving generation tags
+// prevent cross-aggregate verdict bleed.
 
 import (
 	"bytes"
@@ -33,7 +33,7 @@ import (
 // recycled through the free list, the table's high-water mark stays at the
 // peak live count, and the heap is stable.
 func TestChurnBoundedRegistry(t *testing.T) {
-	e := New(Config{Shards: 2, MaxAggregates: 64})
+	e := New(Config{Shards: 2})
 	defer e.Close()
 
 	if _, err := e.Add("stable", tbf.MustNew(8*units.Mbps, 64*units.MSS), nil); err != nil {
@@ -90,7 +90,7 @@ func TestChurnBoundedRegistry(t *testing.T) {
 	e.mu.Unlock()
 	// Only one churn aggregate is ever live at a time on top of the
 	// stable one and the 8-way warmup, so the high-water mark must stay
-	// tiny — far below the cycle count and below the configured cap.
+	// tiny — far below the cycle count.
 	if hwm > 16 {
 		t.Errorf("slot high-water mark = %d after %d cycles, want <= 16 (registry must not grow)", hwm, cycles)
 	}
@@ -101,26 +101,6 @@ func TestChurnBoundedRegistry(t *testing.T) {
 	// Allow generous slack for GC noise and pooled buffers.
 	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 8<<20 {
 		t.Errorf("heap grew %d bytes across %d churn cycles (leak)", grew, cycles)
-	}
-}
-
-func TestAddTableFull(t *testing.T) {
-	e := New(Config{Shards: 1, MaxAggregates: 2})
-	defer e.Close()
-	for i := 0; i < 2; i++ {
-		if _, err := e.Add(fmt.Sprintf("a%d", i), tbf.MustNew(units.Mbps, 10*units.MSS), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.Add("overflow", tbf.MustNew(units.Mbps, 10*units.MSS), nil); !errors.Is(err, ErrTableFull) {
-		t.Fatalf("Add over capacity: err = %v, want ErrTableFull", err)
-	}
-	if _, err := e.Remove("a0"); err != nil {
-		t.Fatal(err)
-	}
-	// Capacity is live count, not high-water mark: a freed slot is usable.
-	if _, err := e.Add("again", tbf.MustNew(units.Mbps, 10*units.MSS), nil); err != nil {
-		t.Fatalf("Add after Remove under cap: %v", err)
 	}
 }
 
@@ -163,101 +143,6 @@ func TestRemoveReturnsFinalStats(t *testing.T) {
 	}
 	if _, err := e.Lookup("mute"); err == nil {
 		t.Error("stats-less aggregate still registered after Remove")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Idle-TTL eviction.
-
-type eviction struct {
-	id    string
-	final enforcer.Stats
-}
-
-func TestIdleTTLEviction(t *testing.T) {
-	evicted := make(chan eviction, 16)
-	for ttl, want := range map[time.Duration]time.Duration{
-		40 * time.Millisecond: 10 * time.Millisecond, // IdleTTL/4
-		time.Millisecond:      time.Millisecond,      // floored
-		time.Minute:           time.Second,           // capped
-	} {
-		if got := sweepInterval(ttl); got != want {
-			t.Errorf("sweepInterval(%v) = %v, want %v", ttl, got, want)
-		}
-	}
-	e := New(Config{
-		Shards:  1,
-		IdleTTL: 40 * time.Millisecond,
-		OnEvict: func(id string, final enforcer.Stats) { evicted <- eviction{id, final} },
-	})
-	defer e.Close()
-
-	hIdle, err := e.Add("idle", tbf.MustNew(50*units.Mbps, 1000*units.MSS), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hBusy, err := e.Add("busy", tbf.MustNew(50*units.Mbps, 1000*units.MSS), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Give the idle aggregate some history, then let it go quiet while
-	// the busy one keeps receiving traffic.
-	const idlePkts = 7
-	if err := e.SubmitBatch(hIdle, burstOf(idlePkts, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Stats("idle"); err != nil { // barrier: history processed
-		t.Fatal(err)
-	}
-
-	deadline := time.After(5 * time.Second)
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
-	var ev eviction
-wait:
-	for {
-		select {
-		case <-tick.C:
-			_ = e.SubmitBatch(hBusy, []packet.Packet{pkt(1)}) // keep "busy" alive
-		case ev = <-evicted:
-			break wait
-		case <-deadline:
-			t.Fatal("idle aggregate never evicted")
-		}
-	}
-
-	if ev.id != "idle" {
-		t.Fatalf("evicted %q, want %q", ev.id, "idle")
-	}
-	if ev.final.AcceptedPackets != idlePkts {
-		t.Errorf("eviction final stats = %+v, want %d accepted packets", ev.final, idlePkts)
-	}
-	if got := e.Evicted.Load(); got != 1 {
-		t.Errorf("Evicted = %d, want 1", got)
-	}
-	if err := e.SubmitBatch(hIdle, []packet.Packet{pkt(0)}); !errors.Is(err, ErrStale) {
-		t.Errorf("submit to evicted aggregate: err = %v, want ErrStale", err)
-	}
-	if _, err := e.Lookup("busy"); err != nil {
-		t.Errorf("active aggregate evicted: %v", err)
-	}
-	// An Update counts as activity: it stamps "busy" active, and a sweep
-	// right after it keeps the aggregate.
-	busy, err := e.aggByID("busy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := time.Now().UnixNano()
-	if err := e.SetRate("busy", enforcer.Root, 10*units.Mbps); err != nil {
-		t.Fatal(err)
-	}
-	if got := busy.lastActive.Load(); got < before {
-		t.Errorf("Update left the activity stamp %v before the call", time.Duration(before-got))
-	}
-	e.sweep()
-	if _, err := e.Lookup("busy"); err != nil {
-		t.Errorf("aggregate evicted right after Update: %v", err)
 	}
 }
 

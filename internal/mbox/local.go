@@ -151,8 +151,7 @@ func (l *LocalSubmitter) Shard() int { return l.s.idx }
 // body behind): same overload shed gate, same panic barrier and
 // quarantine/degrade handling, same verdict tallies and trace sampling, same
 // one-clock-read-per-burst arrival stamping — so a core that only ever
-// submits inline still reads as alive to the watchdog, and its aggregates as
-// active to the idle-TTL sweeper. Verdicts reach the aggregate's emit hook
+// submits inline still reads as alive to the watchdog. Verdicts reach the aggregate's emit hook
 // before SubmitBatch returns.
 //
 // A live holder of the word — a slow emit hook, a Flush fn, a shard

@@ -339,7 +339,7 @@ func TestWatchdogSeesWedgedInlineBurst(t *testing.T) {
 
 // TestInlineBurstReadsNoWallClock pins what the inline path's speed rests on,
 // as counts: observed or not, a burst reads the wall clock zero times (its
-// heartbeat and idle-TTL stamps are the wall ticker's coarse reading), and an
+// heartbeat stamps are the wall ticker's coarse reading), and an
 // observed burst reads the monotonic clock exactly twice, for the
 // burst-latency digest. The only other wall-clock reader is the wall ticker,
 // once per coarseWallInterval at most (a ticker never queues more than one

@@ -27,13 +27,12 @@
 // levels) survives the change, preserving the Theorem 1 bound piecewise
 // across it.
 //
-// The aggregate table has a bounded-memory lifecycle: slots freed by
-// Remove are recycled through a free list, handles carry generation tags so
-// a stale handle reports ErrStale rather than ever touching a recycled
-// slot's new occupant, MaxAggregates caps admission with ErrTableFull, and
-// an optional idle-TTL sweeper evicts quiescent aggregates (reporting their
-// final stats through OnEvict). Snapshot/Restore serialize per-aggregate
-// enforcer state for warm restarts.
+// An aggregate lives from Add to Remove (or Close); nothing else takes it
+// out of the table. Slots freed by Remove are recycled through a free list,
+// so the table is bounded by the most aggregates ever live at once under any
+// Add/Remove churn, and handles carry generation tags so a stale handle
+// reports ErrStale rather than ever touching a recycled slot's new occupant.
+// Snapshot/Restore serialize per-aggregate enforcer state for warm restarts.
 //
 // The runtime is fault-tolerant: every enforcement run and control item
 // executes inside a panic barrier, a panicking enforcer is quarantined by a
@@ -73,9 +72,8 @@ type Emit func(pkt packet.Packet)
 // its policy tree its bursts enter at. Add, AddPinned and Lookup return a
 // handle at NoNode — the aggregate's own routing (a tree routes each packet
 // to a leaf by class) — and Leaf re-addresses one at a tree node. Handles are
-// valid until the aggregate is removed or evicted, which invalidates every
-// handle of the aggregate, whatever its node, at once. The zero Handle is
-// invalid.
+// valid until the aggregate is removed, which invalidates every handle of the
+// aggregate, whatever its node, at once. The zero Handle is invalid.
 type Handle struct {
 	ref  aggRef
 	node enforcer.NodeID
@@ -112,17 +110,11 @@ func packRef(slot int, gen uint32) aggRef {
 // errors.Is.
 var ErrNoStats = enforcer.ErrNoStats
 
-// ErrStale reports a handle whose aggregate has been removed or evicted.
+// ErrStale reports a handle whose aggregate has been removed.
 // The slot may since have been recycled for a different aggregate; the
 // generation tag guarantees the stale handle never reaches it. Test with
 // errors.Is.
 var ErrStale = errors.New("stale handle")
-
-// ErrTableFull reports that Add was refused because the engine already
-// hosts Config.MaxAggregates aggregates — admission control for the
-// registry itself, so a churn storm degrades to rejected adds instead of
-// unbounded memory growth. Test with errors.Is.
-var ErrTableFull = errors.New("aggregate table full")
 
 // ErrNotReconfigurable reports that an aggregate's enforcer does not
 // implement enforcer.Reconfigurer. It is the shared
@@ -228,27 +220,6 @@ type Config struct {
 	// not call back into the Engine.
 	OnFault func(id string, recovered any, stack []byte)
 
-	// MaxAggregates caps the number of registered aggregates; Add reports
-	// ErrTableFull beyond it. Zero means unlimited. Together with slot
-	// recycling this bounds registry memory under arbitrary churn.
-	MaxAggregates int
-	// IdleTTL, when positive, enables the eviction sweeper: an aggregate
-	// whose datapath has been quiet for longer than this (no bursts
-	// processed, no Update) is evicted as if Removed, counted in Evicted,
-	// and reported through OnEvict. Activity is stamped once per
-	// enforced burst — no per-packet atomics, and no clock read: the stamp
-	// is the wall ticker's coarse reading (coarseWall) — so an aggregate can
-	// look up to 500µs idler than it is. The
-	// sweeper scans every IdleTTL/4, clamped to [1ms, 1s] (sweepInterval),
-	// so eviction lags idleness by up to IdleTTL plus that.
-	IdleTTL time.Duration
-	// OnEvict, when non-nil, observes every idle eviction with the
-	// aggregate's id and final enforcement statistics (zero Stats when
-	// the enforcer exposes none or the shard was saturated). It runs on
-	// the sweeper goroutine, after the aggregate has been unpublished and
-	// its queued bursts drained; it must not block for long.
-	OnEvict func(id string, final enforcer.Stats)
-
 	// Observer, when non-nil, attaches the observability layer: per-shard
 	// flight-recorder rings fed by datapath and fault events, per-burst
 	// enforcement-latency histograms, and per-aggregate traffic counters
@@ -257,15 +228,13 @@ type Config struct {
 	// packets have reached the emit hook, a handful of atomic adds from the
 	// run's verdict tally — no per-packet atomics, no allocation — plus one
 	// sampled trace event per Options.SampleEvery runs; rare events (panics,
-	// quarantine, shed, evict, reconfiguration) are always recorded. Read it
+	// quarantine, shed, reconfiguration) are always recorded. Read it
 	// back through Engine.TraceDump and Engine.Metrics.
 	Observer *obs.Collector
 
-	// Overload turns on the overload-control plane: pressure tracking, the
-	// priority-aware (harmonic) shed policy, and — with IdleTTL and
-	// MaxAggregates set — pressure-tightened idle-TTL and Add-path
-	// admission eviction. Its parameters are constants (overload.go). Off
-	// by default: ring-full shedding only.
+	// Overload turns on the overload-control plane: pressure tracking and
+	// the priority-aware (harmonic) shed policy. Its parameters are
+	// constants (overload.go). Off by default: ring-full shedding only.
 	Overload bool
 }
 
@@ -290,15 +259,10 @@ type Engine struct {
 	// enforcer) coerced to Drop, whether or not the aggregate has an emit
 	// hook.
 	BadVerdicts atomic.Int64
-	// Evicted counts aggregates removed by the idle-TTL sweeper.
-	Evicted atomic.Int64
 	// OverloadShed counts packets shed proactively by the overload
 	// plane's priority policy — before they reached a ring, as opposed to
 	// Overloaded's ring-full sheds.
 	OverloadShed atomic.Int64
-	// AdmissionEvictions counts aggregates evicted on the Add path to
-	// admit new ones against a full table (also counted in Evicted).
-	AdmissionEvictions atomic.Int64
 	// InlineBursts counts bursts enforced through the ring-bypass fast
 	// path (LocalSubmitter.SubmitBatch) — run to completion on the
 	// submitting goroutine, no shard-ring hop.
@@ -323,8 +287,8 @@ type Engine struct {
 
 	// Slot lifecycle, guarded by mu. slotGen[s] is the generation of the
 	// aggregate currently (or most recently) occupying slot s; freeSlots
-	// holds recyclable slots. len(slotGen) is the table's high-water mark
-	// and, with MaxAggregates set, is bounded by it.
+	// holds recyclable slots. len(slotGen) is the table's high-water mark:
+	// the most aggregates ever registered at once.
 	slotGen   []uint32
 	freeSlots []int
 
@@ -345,10 +309,9 @@ type Engine struct {
 	// wall and mono are wallClock and monoClock as they stood at New.
 	// coarseWall is wall's reading at New or at the wall ticker's last
 	// wake-up, coarseWallInterval (plus the ticker's scheduling delay) old at
-	// most: what every burst and control item stamps the shard heartbeat and
-	// the idle-TTL activity with, read at millisecond-to-second granularity
-	// (wedgeTimeout, IdleTTL), so heartbeat ages and idle times read up to
-	// coarseWallInterval high.
+	// most: what every burst and control item stamps the shard heartbeat
+	// with, read at second granularity (wedgeTimeout), so heartbeat ages read
+	// up to coarseWallInterval high.
 	wall       func() int64
 	mono       func() time.Duration
 	coarseWall atomic.Int64
@@ -358,7 +321,7 @@ type Engine struct {
 	// × 72 B ≈ 2.36 MB a shard) whether or not anything ever queues; the
 	// pool holds what queuing has needed lately (DESIGN.md §5).
 	pool        sync.Pool     // *burst
-	stop        chan struct{} // closed by Close: stops the wall ticker, watchdog and sweeper
+	stop        chan struct{} // closed by Close: stops the wall ticker and watchdog
 	dead        chan struct{} // closed once Close finished (shards exited or abandoned)
 	closeReport CloseReport   // stored by the first Close, returned by later ones
 }
@@ -445,13 +408,6 @@ type aggregate struct {
 	// Config.Overload.
 	shedClass atomic.Int32
 	shed      atomic.Int64
-
-	// lastActive is the idle-TTL activity stamp (wall nanos): set at Add
-	// and on Update from the clock, and once per enforced burst from the
-	// stamp the shard heartbeat gets (Engine.coarseWall) — no clock call and
-	// no per-packet atomics. The sweeper evicts aggregates whose stamp is
-	// older than IdleTTL.
-	lastActive atomic.Int64
 
 	// obs is the per-aggregate metrics block (nil without an Observer).
 	// It lives on the aggregate, not in slot-indexed collector storage, so
@@ -575,7 +531,7 @@ func New(cfg Config) *Engine {
 		dead: make(chan struct{}),
 	}
 	if cfg.Overload {
-		e.overload = newOverloadPlane(cfg.IdleTTL, cfg.QueueDepth)
+		e.overload = newOverloadPlane(cfg.QueueDepth)
 	}
 	if cfg.Observer != nil {
 		e.obsSample = cfg.Observer.Options().SampleEvery
@@ -605,9 +561,6 @@ func New(cfg Config) *Engine {
 	e.InlineFallbacks = shardSum{e.shards, func(s *shard) *atomic.Int64 { return &s.inlineFallbacks }}
 	go e.wallTicker()
 	go e.watchdog()
-	if cfg.IdleTTL > 0 {
-		go e.sweeper()
-	}
 	return e
 }
 
@@ -644,16 +597,13 @@ func (e *Engine) process(s *shard, it item) bool {
 
 // serve enforces one burst on behalf of whoever holds the shard's occupancy
 // word: the shard goroutine for a queued item, the submitting goroutine for
-// one it claimed the shard for. The heartbeat and the idle-TTL activity stamp
-// are the coarse wall reading (coarseWall), so a burst reads no wall clock; an
-// observed shard times every burst for the latency digest with two monotonic
-// reads. The engine clock is read once per burst, not once per packet: every
+// one it claimed the shard for. The heartbeat stamps are the coarse wall
+// reading (coarseWall), so a burst reads no wall clock; an observed shard
+// times every burst for the latency digest with two monotonic reads. The engine clock is read once per burst, not once per packet: every
 // packet in the burst is enforced at the same virtual arrival time, the
 // granularity a burst-polling middlebox actually observes.
 func (e *Engine) serve(s *shard, agg *aggregate, node enforcer.NodeID, pkts []packet.Packet) {
-	wall := e.coarseWall.Load()
-	s.heartbeat.Store(wall)
-	agg.lastActive.Store(wall)
+	s.heartbeat.Store(e.coarseWall.Load())
 	var start time.Duration
 	if s.obs != nil {
 		start = e.mono()
@@ -1024,15 +974,10 @@ func (e *Engine) shardFor(id string) *shard {
 // on whichever goroutine holds it). emit
 // receives transmitted packets and may be nil.
 //
-// Slots freed by Remove or eviction are recycled (the table never grows
-// past its high-water mark, itself capped by Config.MaxAggregates), with a
-// fresh generation tag so handles to the slot's previous occupant fail with
-// ErrStale. When the table is at MaxAggregates, Add reports ErrTableFull —
-// unless the overload plane's admission eviction finds an aggregate idle
-// past its admission TTL, in which case that victim is evicted
-// (barrier-free, zero Stats through OnEvict) and the Add proceeds. Either
-// way an Add storm against a full table stays O(table scan) per call and
-// never serializes on the shards' rings.
+// Slots freed by Remove are recycled (the table never grows past its
+// high-water mark), with a fresh generation tag so handles to the slot's
+// previous occupant fail with ErrStale. The aggregate stays registered until
+// Remove or Close: the engine never drops one on its own.
 func (e *Engine) Add(id string, enf enforcer.Enforcer, emit Emit) (Handle, error) {
 	return e.add(id, enf, emit, nil)
 }
@@ -1059,15 +1004,6 @@ func (e *Engine) add(id string, enf enforcer.Enforcer, emit Emit, pinned *shard)
 		return NoHandle, fmt.Errorf("mbox: nil enforcer for %q", id)
 	}
 	e.mu.Lock()
-	// OnEvict for an admission eviction fires after mu is released (LIFO
-	// defers: unlock first, then the callback), so the hook may call back
-	// into the engine.
-	var evictedID string
-	defer func() {
-		if evictedID != "" && e.cfg.OnEvict != nil {
-			e.cfg.OnEvict(evictedID, zeroStats)
-		}
-	}()
 	defer e.mu.Unlock()
 	t := e.table.Load()
 	if t.closed {
@@ -1076,14 +1012,6 @@ func (e *Engine) add(id string, enf enforcer.Enforcer, emit Emit, pinned *shard)
 	// mu excludes every writer of ids, so reading it here needs no idMu.
 	if _, dup := e.ids[id]; dup {
 		return NoHandle, fmt.Errorf("mbox: aggregate %q already registered", id)
-	}
-	if e.cfg.MaxAggregates > 0 && len(e.ids) >= e.cfg.MaxAggregates {
-		victim := e.evictForAdmissionLocked(t, time.Now().UnixNano())
-		if victim == nil {
-			return NoHandle, fmt.Errorf("mbox: aggregate %q: %w (%d registered)",
-				id, ErrTableFull, len(e.ids))
-		}
-		evictedID = victim.id
 	}
 	// Pick a slot: recycle from the free list, else extend the table.
 	var slot int
@@ -1107,7 +1035,6 @@ func (e *Engine) add(id string, enf enforcer.Enforcer, emit Emit, pinned *shard)
 	}
 	agg := &aggregate{id: id, h: r, enf: enf, emit: emit, shard: owner}
 	agg.tree, _ = enf.(enforcer.TreeEnforcer)
-	agg.lastActive.Store(time.Now().UnixNano())
 	if e.cfg.Observer != nil {
 		agg.obs = e.cfg.Observer.NewAggObs()
 	}
@@ -1146,26 +1073,21 @@ func (e *Engine) add(id string, enf enforcer.Enforcer, emit Emit, pinned *shard)
 // is recycled with a new generation, so the old handle reports ErrStale
 // forever.
 func (e *Engine) Remove(id string) (enforcer.Stats, error) {
-	agg, err := e.unpublish(id, nil)
+	agg, err := e.unpublish(id)
 	if err != nil {
 		return enforcer.Stats{}, err
 	}
 	e.record(nil, obs.Event{Kind: obs.KindRemove, Agg: int64(agg.h), Node: -1})
-	return e.finalStats(agg)
+	// The in-band barrier on its shard: every burst queued before
+	// unpublication is enforced before the read.
+	return e.readStats(agg, agg.ownStats)
 }
 
-// unpublish removes id from the registry (when cond, if non-nil, approves
-// the currently registered aggregate) and recycles its slot. It returns the
-// unpublished aggregate.
-func (e *Engine) unpublish(id string, cond func(*aggregate) bool) (*aggregate, error) {
+// unpublish removes id from the registry and recycles its slot. It returns
+// the unpublished aggregate.
+func (e *Engine) unpublish(id string) (*aggregate, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.unpublishLocked(id, cond)
-}
-
-// unpublishLocked is unpublish with e.mu already held — the form the Add
-// path's admission eviction needs, since Add itself holds the lock.
-func (e *Engine) unpublishLocked(id string, cond func(*aggregate) bool) (*aggregate, error) {
 	t := e.table.Load()
 	if t.closed {
 		return nil, fmt.Errorf("mbox: engine closed")
@@ -1175,25 +1097,12 @@ func (e *Engine) unpublishLocked(id string, cond func(*aggregate) bool) (*aggreg
 		return nil, fmt.Errorf("mbox: unknown aggregate %q", id)
 	}
 	agg := t.slots[h.slot()].Load()
-	if cond != nil && !cond(agg) {
-		return nil, errEvictSkipped
-	}
 	t.slots[h.slot()].Store(nil)
 	e.idMu.Lock()
 	delete(e.ids, id)
 	e.idMu.Unlock()
 	e.freeSlots = append(e.freeSlots, h.slot())
 	return agg, nil
-}
-
-// errEvictSkipped is unpublish's internal "condition declined" signal.
-var errEvictSkipped = errors.New("mbox: eviction condition not met")
-
-// finalStats reads an unpublished aggregate's statistics through an in-band
-// control barrier on its shard, so every burst queued before unpublication
-// has been enforced first.
-func (e *Engine) finalStats(agg *aggregate) (enforcer.Stats, error) {
-	return e.readStats(agg, agg.ownStats)
 }
 
 // readStats runs read while holding agg's shard, behind every burst submitted
@@ -1349,7 +1258,7 @@ func (e *Engine) control(id string, fn func(enforcer.Enforcer)) error {
 
 // controlAgg runs fn for an already-resolved aggregate under its shard's
 // occupancy word and waits for it. It works on unpublished aggregates too,
-// which is how Remove and the eviction sweeper collect final statistics.
+// which is how Remove collects final statistics.
 //
 // On an idle shard the caller claims the word and runs fn itself. Otherwise
 // the control item joins the shard's ring behind everything queued before
@@ -1416,9 +1325,6 @@ func (e *Engine) update(id string, fn func(now time.Duration, agg *aggregate) er
 	if err != nil {
 		return err
 	}
-	// A reconfiguration is activity: a subscriber changing their rate
-	// plan mid-quiet-period should not be evicted under them.
-	agg.lastActive.Store(time.Now().UnixNano())
 	var uerr error
 	if cerr := e.controlAgg(agg, func(enforcer.Enforcer) {
 		uerr = fn(e.cfg.Clock(), agg)
@@ -1426,72 +1332,6 @@ func (e *Engine) update(id string, fn func(now time.Duration, agg *aggregate) er
 		return cerr
 	}
 	return uerr
-}
-
-// sweepInterval is how often the sweeper scans for idle aggregates: a
-// quarter of the TTL, clamped to [1ms, 1s].
-func sweepInterval(idleTTL time.Duration) time.Duration {
-	return min(max(idleTTL/4, time.Millisecond), time.Second)
-}
-
-// sweeper is the idle-TTL eviction loop: every sweepInterval it scans the
-// registry snapshot for aggregates whose last activity stamp is older than
-// IdleTTL and evicts them exactly as Remove would (unpublish, recycle the
-// slot, drain queued bursts through the final-stats barrier), counting them
-// in Evicted and reporting id + final stats through OnEvict. The idle check
-// is re-verified under mu against the registered aggregate, so a sweep
-// racing a Remove+Add of the same id never evicts the fresh incarnation.
-// Idleness is overestimated by at most coarseWallInterval (coarseWall).
-func (e *Engine) sweeper() {
-	t := time.NewTicker(sweepInterval(e.cfg.IdleTTL))
-	defer t.Stop()
-	for {
-		select {
-		case <-e.stop:
-			return
-		case <-t.C:
-			e.sweep()
-		}
-	}
-}
-
-// sweep performs one eviction scan. The TTL it applies is the
-// pressure-tightened effective TTL: as the table fills past half of
-// MaxAggregates, the overload plane shrinks it toward IdleTTL/8 so a flash
-// crowd recycles quiescent aggregates before the table pins at its cap.
-// While the overload plane is active the final-stats barrier is skipped
-// (zero Stats through OnEvict): an engine shedding load must not also
-// serialize its sweeper on saturated shard rings.
-func (e *Engine) sweep() {
-	t := e.table.Load()
-	if t.closed {
-		return
-	}
-	ttl := int64(e.effectiveTTL())
-	for i := range t.slots {
-		agg := t.slots[i].Load()
-		if agg == nil {
-			continue
-		}
-		if time.Now().UnixNano()-agg.lastActive.Load() <= ttl {
-			continue
-		}
-		evicted, err := e.unpublish(agg.id, func(cur *aggregate) bool {
-			return cur == agg && time.Now().UnixNano()-cur.lastActive.Load() > ttl
-		})
-		if err != nil {
-			continue // removed/re-added/woke up concurrently, or engine closed
-		}
-		var final enforcer.Stats
-		if p := e.overload; p == nil || !p.active.Load() {
-			final, _ = e.finalStats(evicted) // zero Stats when unobtainable
-		}
-		e.Evicted.Add(1)
-		e.record(nil, obs.Event{Kind: obs.KindEvict, Agg: int64(evicted.h), Node: -1})
-		if e.cfg.OnEvict != nil {
-			e.cfg.OnEvict(evicted.id, final)
-		}
-	}
 }
 
 // aggByID resolves a live aggregate from the current registry snapshot.

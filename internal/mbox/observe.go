@@ -15,7 +15,7 @@ type TraceEvent struct {
 	obs.Event
 	// AggID is the aggregate's id when its handle still resolves against
 	// the current registry; empty for engine-level events and for
-	// aggregates removed or evicted since the event was recorded.
+	// aggregates removed since the event was recorded.
 	AggID string
 	// NodePath is the root→node label path ("tenant/plan/sub") of the
 	// event's tree node when the event is node-attributed (Node >= 0) and
@@ -95,7 +95,6 @@ func (e *Engine) Metrics() obs.Snapshot {
 	counter("bcpqp_degraded_passes_total", "packets passed unenforced for quarantined fail-open aggregates", float64(e.DegradedPasses.Load()))
 	counter("bcpqp_bad_verdicts_total", "out-of-range verdicts coerced to drop", float64(e.BadVerdicts.Load()))
 	counter("bcpqp_overloaded_packets_total", "packets shed at full shard rings", float64(e.Overloaded.Load()))
-	counter("bcpqp_evicted_total", "aggregates evicted by the idle-TTL sweeper", float64(e.Evicted.Load()))
 	counter("bcpqp_inline_bursts_total", "bursts enforced through the ring-bypass fast path", float64(e.InlineBursts.Load()))
 	counter("bcpqp_inline_fallbacks_total", "ring-bypass submissions that fell back to shedding on a wedged shard", float64(e.InlineFallbacks.Load()))
 
@@ -104,13 +103,11 @@ func (e *Engine) Metrics() obs.Snapshot {
 		if p.active.Load() {
 			active = 1
 		}
-		gauge("bcpqp_overload_pressure", "composite overload pressure: max of ring occupancy, table fill and shed-rate components", float64(p.pressureMilli.Load())/1000)
+		gauge("bcpqp_overload_pressure", "composite overload pressure: max of ring occupancy and shed-rate components", float64(p.pressureMilli.Load())/1000)
 		gauge("bcpqp_overload_active", "1 while the overload shed plane is engaged", active)
 		gauge("bcpqp_overload_ring_pressure", "worst shard ring occupancy fraction", float64(p.ringMilli.Load())/1000)
-		gauge("bcpqp_overload_table_fill", "aggregate table fill fraction of MaxAggregates", float64(p.fillMilli.Load())/1000)
 		gauge("bcpqp_overload_shed_rate_pps", "shed-rate EWMA over the 250ms window, packets/sec", float64(p.shedRate.Load()))
 		counter("bcpqp_overload_shed_packets_total", "packets shed proactively by the priority shed policy", float64(e.OverloadShed.Load()))
-		counter("bcpqp_overload_admission_evictions_total", "aggregates evicted on the Add path to admit new ones", float64(e.AdmissionEvictions.Load()))
 		counter("bcpqp_overload_transitions_total", "overload plane activation and deactivation edges", float64(p.transitions.Load()))
 	}
 

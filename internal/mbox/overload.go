@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bcpqp/internal/enforcer"
 	"bcpqp/internal/obs"
 )
 
@@ -19,9 +18,9 @@ import (
 // plane layered here makes shedding deliberate:
 //
 //   - A composite pressure signal in [0,1] — the worst shard-ring occupancy
-//     fraction, the aggregate-table fill fraction, and a shed-rate EWMA on
-//     the paper's 250 ms control window — is maintained by the watchdog and
-//     drives an active/inactive flag with hysteresis.
+//     fraction and a shed-rate EWMA on the paper's 250 ms control window — is
+//     maintained by the watchdog and drives an active/inactive flag with
+//     hysteresis.
 //   - While active, a priority-aware shed policy takes over: each aggregate
 //     carries a shed class, and class c's traffic is admitted to a shard
 //     ring only while the ring's occupancy is below a per-class ceiling.
@@ -33,22 +32,9 @@ import (
 //     victim is ever starved outright. Class 0 ("shed last") has ceiling 1.0
 //     and is never shed proactively, which also makes the plane a strict
 //     no-op for engines that never assign classes.
-//   - Table pressure tightens the idle-TTL: as the registry fills past half
-//     of MaxAggregates the sweeper's TTL shrinks linearly toward minIdleTTL,
-//     so a flash crowd recycles quiescent aggregates instead of pinning the
-//     table at its cap.
-//   - An Add storm against a full table degrades instead of wedging: Add
-//     evicts the least-recently-active aggregate (when it has been idle past
-//     admissionTTL) without the in-band final-stats barrier — the barrier
-//     waits behind everything queued on the victim's shard, for as long as
-//     the shard is alive, so under a storm it would serialize Add behind
-//     the shard rings. Such evictions report
-//     zero Stats through OnEvict, which the OnEvict contract already allows
-//     for saturated shards. When no victim is idle enough, Add fails fast
-//     with ErrTableFull.
 //
 // Config.Overload only switches the plane on; every parameter below is a
-// constant or follows from IdleTTL. Everything the plane does is visible:
+// constant. Everything the plane does is visible:
 // Health().Overload, KindOverload / KindShed trace events, and the
 // bcpqp_overload_* metric families.
 
@@ -75,12 +61,6 @@ const (
 // the watchdog goroutine; everything else is atomics read by the datapath,
 // Health, and Metrics.
 type overloadPlane struct {
-	// minIdleTTL is the floor the sweeper's idle-TTL is tightened toward
-	// as the aggregate table fills: IdleTTL/8, at least 1ms; zero without
-	// an IdleTTL. admissionTTL is the idleness past which an aggregate may
-	// be evicted on the Add path: minIdleTTL, or 10ms without an IdleTTL.
-	minIdleTTL, admissionTTL time.Duration
-
 	// levels[c] is class c's ring-occupancy ceiling in bursts (harmonic
 	// split of QueueDepth); levels[0] is 0, the "never shed" sentinel.
 	// thresh mirrors levels while the plane is active and is all-zero
@@ -92,7 +72,6 @@ type overloadPlane struct {
 	transitions   atomic.Int64
 	pressureMilli atomic.Int64 // composite pressure × 1000
 	ringMilli     atomic.Int64 // worst ring occupancy fraction × 1000
-	fillMilli     atomic.Int64 // table fill fraction × 1000
 	shedRate      atomic.Int64 // shed-rate EWMA, packets/sec
 
 	// Watchdog-goroutine-local EWMA state (no atomics needed).
@@ -101,16 +80,10 @@ type overloadPlane struct {
 	ewma     float64
 }
 
-// newOverloadPlane derives the plane's TTLs from the engine's IdleTTL and
-// precomputes the harmonic per-class ceilings for a ring of queueDepth
-// bursts.
-func newOverloadPlane(idleTTL time.Duration, queueDepth int) *overloadPlane {
-	p := &overloadPlane{admissionTTL: 10 * time.Millisecond, levels: harmonicLevels(shedClasses, queueDepth)}
-	if idleTTL > 0 {
-		p.minIdleTTL = max(idleTTL/8, time.Millisecond)
-		p.admissionTTL = p.minIdleTTL
-	}
-	return p
+// newOverloadPlane precomputes the harmonic per-class ceilings for a ring of
+// queueDepth bursts.
+func newOverloadPlane(queueDepth int) *overloadPlane {
+	return &overloadPlane{levels: harmonicLevels(shedClasses, queueDepth)}
 }
 
 // harmonicLevels computes the per-class ring ceilings. With H = Σ_{j=1}^{C}
@@ -206,10 +179,6 @@ func (e *Engine) updatePressure(now int64) {
 			ring = f
 		}
 	}
-	var fill float64
-	if e.cfg.MaxAggregates > 0 {
-		fill = float64(e.Len()) / float64(e.cfg.MaxAggregates)
-	}
 	// Shed-rate EWMA on the paper's 250 ms window: both ring-full and
 	// proactive sheds count — sustained shedding is overload regardless
 	// of which mechanism did it.
@@ -229,15 +198,8 @@ func (e *Engine) updatePressure(now int64) {
 	if shedFrac > 1 {
 		shedFrac = 1
 	}
-	pressure := ring
-	if fill > pressure {
-		pressure = fill
-	}
-	if shedFrac > pressure {
-		pressure = shedFrac
-	}
+	pressure := max(ring, shedFrac)
 	p.ringMilli.Store(int64(ring * 1000))
-	p.fillMilli.Store(int64(fill * 1000))
 	p.shedRate.Store(int64(p.ewma))
 	p.pressureMilli.Store(int64(pressure * 1000))
 
@@ -264,88 +226,23 @@ func (e *Engine) updatePressure(now int64) {
 	}
 }
 
-// effectiveTTL is the sweeper's idle-TTL after pressure tightening: IdleTTL
-// below 50% table fill, then linearly down to minIdleTTL at 100%. Without
-// the plane (or without MaxAggregates) it is IdleTTL unchanged.
-func (e *Engine) effectiveTTL() time.Duration {
-	ttl := e.cfg.IdleTTL
-	p := e.overload
-	if p == nil || e.cfg.MaxAggregates <= 0 || p.minIdleTTL <= 0 || p.minIdleTTL >= ttl {
-		return ttl
-	}
-	fill := float64(e.Len()) / float64(e.cfg.MaxAggregates)
-	if fill <= 0.5 {
-		return ttl
-	}
-	f := (fill - 0.5) * 2
-	if f > 1 {
-		f = 1
-	}
-	return ttl - time.Duration(f*float64(ttl-p.minIdleTTL))
-}
-
-// evictForAdmissionLocked finds and unpublishes the least-recently-active
-// aggregate that has been idle past admissionTTL, making room for an Add
-// against a full table. The caller holds e.mu and is responsible for calling
-// OnEvict (with zero Stats — deliberately no final-stats barrier, see the
-// package comment) after releasing it. Returns nil when the plane is off or
-// nothing is idle enough — the Add then degrades to ErrTableFull.
-func (e *Engine) evictForAdmissionLocked(t *registry, now int64) *aggregate {
-	p := e.overload
-	if p == nil {
-		return nil
-	}
-	minIdle := int64(p.admissionTTL)
-	var victim *aggregate
-	var oldest int64
-	for i := range t.slots {
-		agg := t.slots[i].Load()
-		if agg == nil {
-			continue
-		}
-		la := agg.lastActive.Load()
-		if now-la <= minIdle {
-			continue
-		}
-		if victim == nil || la < oldest {
-			victim, oldest = agg, la
-		}
-	}
-	if victim == nil {
-		return nil
-	}
-	if _, err := e.unpublishLocked(victim.id, func(cur *aggregate) bool { return cur == victim }); err != nil {
-		return nil
-	}
-	e.Evicted.Add(1)
-	e.AdmissionEvictions.Add(1)
-	e.record(nil, obs.Event{Kind: obs.KindEvict, Agg: int64(victim.h), Node: -1, B: 1})
-	return victim
-}
-
-// OverloadHealth is the overload plane's slice of a Health snapshot. What
-// moves depends on the engine's configuration: TableFill and
-// AdmissionEvictions stay zero without MaxAggregates, and PriorityShed stays
-// zero until SetShedClass moves some aggregate off class 0.
+// OverloadHealth is the overload plane's slice of a Health snapshot.
+// PriorityShed stays zero until SetShedClass moves some aggregate off class 0.
 type OverloadHealth struct {
 	// Enabled mirrors Config.Overload.
 	Enabled bool
 	// Active reports whether the shed plane is currently engaged
 	// (pressure reached 0.75 and has not yet fallen to 0.5).
 	Active bool
-	// Pressure is the composite signal in [0,1]; Ring/TableFill are its
-	// occupancy components and ShedRate its EWMA component (packets/sec,
-	// un-normalized; 100k/s reads as pressure 1).
-	Pressure  float64
-	Ring      float64
-	TableFill float64
-	ShedRate  float64
+	// Pressure is the composite signal in [0,1], the larger of its two
+	// components: Ring, the worst shard-ring occupancy, and ShedRate, the
+	// shed-rate EWMA (packets/sec, un-normalized; 100k/s reads as pressure 1).
+	Pressure float64
+	Ring     float64
+	ShedRate float64
 	// PriorityShed counts packets shed proactively by class policy
 	// (ring-full sheds stay in Health.Overloaded).
 	PriorityShed int64
-	// AdmissionEvictions counts aggregates evicted on the Add path to
-	// admit new ones against a full table.
-	AdmissionEvictions int64
 	// Transitions counts activation+deactivation edges.
 	Transitions int64
 }
@@ -357,17 +254,12 @@ func (e *Engine) overloadHealth() OverloadHealth {
 		return OverloadHealth{}
 	}
 	return OverloadHealth{
-		Enabled:            true,
-		Active:             p.active.Load(),
-		Pressure:           float64(p.pressureMilli.Load()) / 1000,
-		Ring:               float64(p.ringMilli.Load()) / 1000,
-		TableFill:          float64(p.fillMilli.Load()) / 1000,
-		ShedRate:           float64(p.shedRate.Load()),
-		PriorityShed:       e.OverloadShed.Load(),
-		AdmissionEvictions: e.AdmissionEvictions.Load(),
-		Transitions:        p.transitions.Load(),
+		Enabled:      true,
+		Active:       p.active.Load(),
+		Pressure:     float64(p.pressureMilli.Load()) / 1000,
+		Ring:         float64(p.ringMilli.Load()) / 1000,
+		ShedRate:     float64(p.shedRate.Load()),
+		PriorityShed: e.OverloadShed.Load(),
+		Transitions:  p.transitions.Load(),
 	}
 }
-
-// zeroStats is the OnEvict payload for barrier-free evictions.
-var zeroStats enforcer.Stats

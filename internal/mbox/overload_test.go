@@ -1,7 +1,6 @@
 package mbox
 
 import (
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -59,36 +58,14 @@ func TestHarmonicLevels(t *testing.T) {
 	}
 }
 
-// idleFor backdates id's activity stamp by d: the aggregate reads as idle d
-// longer than it has been, with no clock waited on.
-func idleFor(t testing.TB, e *Engine, id string, d time.Duration) {
-	t.Helper()
-	agg, err := e.aggByID(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg.lastActive.Add(-int64(d))
-}
-
-// TestOverloadConfigDefaults pins what Config.Overload switches on: the
-// plane's fixed parameters, and the TTLs it derives from IdleTTL.
+// TestOverloadConfigDefaults pins the fixed parameters of what
+// Config.Overload switches on.
 func TestOverloadConfigDefaults(t *testing.T) {
 	if shedClasses != 4 || pressureLo >= pressureHi || pressureLo <= 0 || pressureHi > 1 {
 		t.Errorf("classes %d, hysteresis band [%v, %v] malformed", shedClasses, pressureLo, pressureHi)
 	}
 	if pressureWindow != 250*time.Millisecond {
 		t.Errorf("window = %v, want the paper's 250ms", pressureWindow)
-	}
-	for _, tc := range []struct{ idleTTL, minIdle, admission time.Duration }{
-		{800 * time.Millisecond, 100 * time.Millisecond, 100 * time.Millisecond}, // IdleTTL/8
-		{4 * time.Millisecond, time.Millisecond, time.Millisecond},               // floored at 1ms
-		{0, 0, 10 * time.Millisecond},                                            // no sweeper
-	} {
-		p := newOverloadPlane(tc.idleTTL, 1024)
-		if p.minIdleTTL != tc.minIdle || p.admissionTTL != tc.admission {
-			t.Errorf("IdleTTL %v: minIdleTTL %v, admissionTTL %v; want %v, %v",
-				tc.idleTTL, p.minIdleTTL, p.admissionTTL, tc.minIdle, tc.admission)
-		}
 	}
 }
 
@@ -273,116 +250,10 @@ func TestPriorityShedUnderPressure(t *testing.T) {
 	}
 }
 
-// TestAddEvictsIdleWhenFull drives the Add path against a full table: with
-// the plane on, the least-recently-active aggregate makes room (zero-Stats
-// OnEvict, stale old handle); without an idle-enough victim Add degrades to
-// ErrTableFull.
-func TestAddEvictsIdleWhenFull(t *testing.T) {
-	var mu sync.Mutex
-	evicted := map[string]enforcer.Stats{}
-	e := New(Config{
-		Shards: 1, MaxAggregates: 3,
-		OnEvict: func(id string, final enforcer.Stats) {
-			mu.Lock()
-			evicted[id] = final
-			mu.Unlock()
-		},
-		Overload: true,
-	})
-	defer e.Close()
-
-	mk := func() enforcer.Enforcer { return tbf.MustNew(units.Mbps, 10*units.MSS) }
-	h0, err := e.Add("a0", mk(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idleFor(t, e, "a0", time.Second) // a0 is now the LRU, idle past the 10ms admission TTL
-	if _, err := e.Add("a1", mk(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Add("a2", mk(), nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Table full; a1/a2 are fresh. Only a0 is idle enough — it is evicted
-	// and the Add succeeds.
-	h3, err := e.Add("a3", mk(), nil)
-	if err != nil {
-		t.Fatalf("Add against full table with idle victim: %v", err)
-	}
-	if e.Len() != 3 {
-		t.Errorf("Len = %d, want 3", e.Len())
-	}
-	if got := e.AdmissionEvictions.Load(); got != 1 {
-		t.Errorf("AdmissionEvictions = %d, want 1", got)
-	}
-	if got := e.Evicted.Load(); got != 1 {
-		t.Errorf("Evicted = %d, want 1", got)
-	}
-	mu.Lock()
-	final, ok := evicted["a0"]
-	mu.Unlock()
-	if !ok {
-		t.Fatal("OnEvict never saw a0")
-	}
-	if p, b := final.Totals(); p != 0 || b != 0 {
-		t.Errorf("admission eviction reported non-zero Stats (%d pkts, %d bytes)", p, b)
-	}
-	// The victim's handle is stale; the new aggregate's works.
-	if err := e.SubmitBatch(h0, burstOf(1, 0)); !errors.Is(err, ErrStale) {
-		t.Errorf("evicted handle error = %v, want ErrStale", err)
-	}
-	if err := e.SubmitBatch(h3, burstOf(1, 0)); err != nil {
-		t.Errorf("fresh handle error = %v", err)
-	}
-
-	// Everything now current (< admission TTL idle): the next Add degrades
-	// to ErrTableFull — fast, no ring traffic.
-	for _, id := range []string{"a1", "a2", "a3"} {
-		if err := e.Update(id, func(time.Duration, enforcer.Enforcer) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.Add("a4", mk(), nil); !errors.Is(err, ErrTableFull) {
-		t.Errorf("Add with no idle victim = %v, want ErrTableFull", err)
-	}
-}
-
-// TestEffectiveTTLTightens checks the pressure→TTL curve: IdleTTL until 50%
-// fill, then linear down to IdleTTL/8 at 100%. The TTL is long enough that
-// the sweeper (every second) finds nothing to evict while the test runs.
-func TestEffectiveTTLTightens(t *testing.T) {
-	e := New(Config{
-		Shards: 1, MaxAggregates: 10,
-		IdleTTL:  8 * time.Second,
-		Overload: true,
-	})
-	defer e.Close()
-	add := func(n int) {
-		for i := e.Len(); i < n; i++ {
-			id := string(rune('a' + i))
-			if _, err := e.Add(id, tbf.MustNew(units.Mbps, 10*units.MSS), nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	add(5) // fill 0.5: untightened
-	if got := e.effectiveTTL(); got != 8*time.Second {
-		t.Errorf("effectiveTTL at 50%% fill = %v, want 8s", got)
-	}
-	add(8) // fill 0.8: 8s - 0.6·7s = 3.8s
-	if got := e.effectiveTTL(); got != 3800*time.Millisecond {
-		t.Errorf("effectiveTTL at 80%% fill = %v, want 3.8s", got)
-	}
-	add(10) // fill 1.0: the floor, IdleTTL/8
-	if got := e.effectiveTTL(); got != time.Second {
-		t.Errorf("effectiveTTL at 100%% fill = %v, want 1s", got)
-	}
-}
-
 // TestOverloadMetricsExposition: the bcpqp_overload_* families are present
-// exactly when the plane is enabled, and the per-aggregate shed counter is
-// exported alongside the other fault families.
+// exactly when the plane is enabled, the per-aggregate shed counter is
+// exported alongside the other fault families, and no family of the removed
+// eviction lifecycle is exported.
 func TestOverloadMetricsExposition(t *testing.T) {
 	names := func(e *Engine) map[string]bool {
 		out := map[string]bool{}
@@ -405,13 +276,20 @@ func TestOverloadMetricsExposition(t *testing.T) {
 	got := names(e)
 	for _, want := range []string{
 		"bcpqp_overload_pressure", "bcpqp_overload_active",
-		"bcpqp_overload_ring_pressure", "bcpqp_overload_table_fill",
-		"bcpqp_overload_shed_rate_pps", "bcpqp_overload_shed_packets_total",
-		"bcpqp_overload_admission_evictions_total", "bcpqp_overload_transitions_total",
+		"bcpqp_overload_ring_pressure", "bcpqp_overload_shed_rate_pps",
+		"bcpqp_overload_shed_packets_total", "bcpqp_overload_transitions_total",
 		"bcpqp_aggregate_shed_packets_total",
 	} {
 		if !got[want] {
 			t.Errorf("metric family %q missing", want)
+		}
+	}
+	for _, gone := range []string{
+		"bcpqp_evicted_total", "bcpqp_overload_table_fill",
+		"bcpqp_overload_admission_evictions_total",
+	} {
+		if got[gone] {
+			t.Errorf("metric family %q exported, want it absent", gone)
 		}
 	}
 }

@@ -15,7 +15,9 @@ import (
 // what some caller outside the tests sets, or feature switches. Everything
 // else is a constant: see overload.go, wedgeTimeout (the one reason any
 // waiter gives up on a shard) and reofferInterval; the circuit breaker trips
-// on the first panic.
+// on the first panic. An aggregate leaves the table only through Remove (or
+// Close), so OverloadHealth reports the plane's pressure and sheds, in
+// declaration order, and nothing about table fill or evictions.
 func TestEngineSurface(t *testing.T) {
 	methods := func(v any) (out []string) {
 		typ := reflect.TypeOf(v)
@@ -24,11 +26,14 @@ func TestEngineSurface(t *testing.T) {
 		}
 		return out // reflect lists exported methods, sorted by name
 	}
-	var fields []string
-	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
-		fields = append(fields, f.Name)
+	fields := func(v any) (out []string) {
+		for _, f := range reflect.VisibleFields(reflect.TypeOf(v)) {
+			out = append(out, f.Name)
+		}
+		return out // in declaration order
 	}
-	slices.Sort(fields)
+	config := fields(Config{})
+	slices.Sort(config)
 	if k := reflect.TypeOf(Config{}.Overload).Kind(); k != reflect.Bool {
 		t.Errorf("Config.Overload is a %v, want a bool: the plane's parameters are constants", k)
 	}
@@ -47,10 +52,13 @@ func TestEngineSurface(t *testing.T) {
 		}},
 		{"*LocalSubmitter methods", methods(&LocalSubmitter{}), []string{"Shard", "SubmitBatch"}},
 		{"Handle methods", methods(Handle{}), []string{"TraceAgg"}},
-		{"Config fields", fields, []string{
-			"Clock", "CloseTimeout", "IdleTTL", "MaxAggregates", "Observer",
-			"OnEvict", "OnFault", "Overload", "QueueDepth", "Shards",
-			"WatchdogInterval",
+		{"Config fields", config, []string{
+			"Clock", "CloseTimeout", "Observer", "OnFault", "Overload",
+			"QueueDepth", "Shards", "WatchdogInterval",
+		}},
+		{"OverloadHealth fields", fields(OverloadHealth{}), []string{
+			"Enabled", "Active", "Pressure", "Ring", "ShedRate", "PriorityShed",
+			"Transitions",
 		}},
 	} {
 		if !slices.Equal(tc.got, tc.want) {

@@ -16,10 +16,10 @@ import (
 // a ptree policy tree; Add detects it) hosts a namespace of node addresses
 // under its one registry slot: a Handle carries a node next to the
 // aggregate's reference, and Leaf mints one. The registry itself stays flat —
-// one slot, one generation tag, one idle-TTL stamp, one quarantine breaker
-// per tree — so a million-leaf tree costs the table exactly one entry, and
-// removing or evicting the aggregate invalidates every handle of the tree at
-// once through the generation tag.
+// one slot, one generation tag, one quarantine breaker per tree — so a
+// million-leaf tree costs the table exactly one entry, and removing the
+// aggregate invalidates every handle of the tree at once through the
+// generation tag.
 //
 // A flat single-enforcer aggregate is the one-node tree: node 0, Root,
 // addresses the enforcer itself, so SetRate, SetPolicy, NodeStats and Leaf

@@ -392,7 +392,7 @@ func TestWatchedSteadyStateAllocs(t *testing.T) {
 	if windows := (clk.read() - start) / (250 * time.Millisecond); windows < 200 {
 		t.Fatalf("measured only %d meter windows, want ≥ 200", windows)
 	}
-	// The process is not quiet (watchdog and sweeper tickers run), so allow
+	// The process is not quiet (watchdog and wall tickers run), so allow
 	// a handful; one allocation per window, let alone per burst, is ≥ 200.
 	if objects > 20 {
 		t.Errorf("%d observed + audited bursts allocated %d objects, want none", rounds*len(handles), objects)

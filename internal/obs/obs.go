@@ -19,8 +19,7 @@
 // adds stamped once per burst rather than once per packet, and per-burst
 // trace events are sampled (Options.SampleEvery). Rare events — drops with
 // reasons, magic fill/reclaim, rate and policy updates, quarantine,
-// eviction, shed bursts, panics — are always
-// recorded.
+// removal, shed bursts, panics — are always recorded.
 //
 // The package is deliberately dependency-light (internal/metrics for the
 // paper's window constant and internal/units only); internal/mbox threads it through the engine and
@@ -35,8 +34,8 @@ import (
 // Kind identifies a trace event in the flight recorder. The taxonomy
 // covers the datapath (burst verdict summaries, per-packet drops with
 // reason, ECN marks, §5.2 magic-byte churn) and the control plane
-// (rate/policy updates, quarantine, reinstatement, removal, idle eviction,
-// shed bursts, recovered panics).
+// (rate/policy updates, quarantine, reinstatement, removal, shed bursts,
+// recovered panics).
 type Kind uint8
 
 const (
@@ -67,9 +66,6 @@ const (
 	KindReinstate
 	// KindRemove is an explicit aggregate removal.
 	KindRemove
-	// KindEvict is an idle-TTL eviction: A = final accepted packets,
-	// B = final dropped packets.
-	KindEvict
 	// KindShed is a burst shed at a full shard ring: A = packets shed.
 	KindShed
 	// KindPanic is a recovered enforcer/emit panic: A = the aggregate's
@@ -120,8 +116,6 @@ func (k Kind) String() string {
 		return "reinstate"
 	case KindRemove:
 		return "remove"
-	case KindEvict:
-		return "evict"
 	case KindShed:
 		return "shed"
 	case KindPanic:

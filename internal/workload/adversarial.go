@@ -174,9 +174,8 @@ type Arrival struct {
 
 // FlashCrowd is an aggregate-arrival source: Aggregates new aggregates
 // land uniformly inside Window, each with a small initial burst. It
-// exercises the registry lifecycle — MaxAggregates admission, idle-TTL
-// eviction, handle recycling — under pressure, rather than the enforcers
-// themselves.
+// exercises the registry lifecycle — Add and Remove churn, slot and handle
+// recycling — under pressure, rather than the enforcers themselves.
 type FlashCrowd struct {
 	counted
 	cfg  FlashCrowdConfig

@@ -48,13 +48,9 @@ var ErrNoStats = mbox.ErrNoStats
 var ErrShardSaturated = mbox.ErrSaturated
 
 // ErrStaleHandle reports a submission through a handle whose aggregate has
-// been removed or evicted (the slot may already host a new aggregate under
+// been removed (the slot may already host a new aggregate under
 // a different generation). Test with errors.Is.
 var ErrStaleHandle = mbox.ErrStale
-
-// ErrAggregateTableFull reports an Add beyond MiddleboxConfig.MaxAggregates.
-// Test with errors.Is.
-var ErrAggregateTableFull = mbox.ErrTableFull
 
 // ErrWrongShard reports a ring-bypass submission against an aggregate owned
 // by a different shard than the submitter's. Pin the aggregate to that shard
@@ -131,12 +127,12 @@ type MiddleboxHealth = mbox.Health
 type ShardHealth = mbox.ShardHealth
 
 // OverloadHealth is the overload plane's slice of a MiddleboxHealth
-// snapshot: the composite pressure signal, its components, and the plane's
-// shed/eviction counters. MiddleboxConfig.Overload switches the plane on:
-// pressure tracking always, the priority-aware harmonic shed policy once
-// SetShedClass puts aggregates above class 0, and pressure-tightened
-// idle-TTL and Add-path admission eviction with IdleTTL and MaxAggregates
-// set. Its thresholds are constants (DESIGN.md, "Overload control").
+// snapshot: the composite pressure signal, its two components (ring
+// occupancy and shed rate), and the plane's shed counters.
+// MiddleboxConfig.Overload switches the plane on: pressure tracking always,
+// and the priority-aware harmonic shed policy once SetShedClass puts
+// aggregates above class 0. Its thresholds are constants (DESIGN.md,
+// "Overload control").
 type OverloadHealth = mbox.OverloadHealth
 
 // AggregateFaults reports one aggregate's fault record: panics observed,

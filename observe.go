@@ -61,10 +61,8 @@ const (
 	// breaker opened (A=panic count) or was closed again.
 	TraceQuarantine = obs.KindQuarantine
 	TraceReinstate  = obs.KindReinstate
-	// TraceRemove / TraceEvict: an aggregate left the registry by Remove
-	// or by the idle-TTL sweeper.
+	// TraceRemove: an aggregate left the registry by Remove.
 	TraceRemove = obs.KindRemove
-	TraceEvict  = obs.KindEvict
 	// TraceShed: a full shard ring shed a burst (A=packets).
 	TraceShed = obs.KindShed
 	// TracePanic: a recovered enforcer/emit panic.
