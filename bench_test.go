@@ -501,7 +501,7 @@ func BenchmarkMiddleboxSubmitBatchAudited(b *testing.B) {
 
 // BenchmarkMiddleboxDegradedBatch measures the quarantine fast path: the
 // cost per packet of a burst belonging to an aggregate whose enforcer has
-// been quarantined by the circuit breaker (FailClosed: count-and-drop
+// been quarantined by the circuit breaker (count-and-drop
 // without touching the enforcer). This bounds the blast radius of a
 // crash-looping enforcer — degraded traffic must be cheaper than enforced
 // traffic, not dearer. One iteration is one packet, comparable to

@@ -16,7 +16,9 @@
 //	{
 //	  "healthy":  bool,       // no shard wedged — mirrors the HTTP status
 //	  "degraded": bool,       // serving, but on a conservative posture:
-//	                          // cluster fallback share and/or overload shedding
+//	                          // cluster fallback share, overload shedding,
+//	                          // and/or a quarantined aggregate (its traffic
+//	                          // dropped until Remove or restart)
 //	  "panics": int, "overloaded_packets": int,
 //	  "quarantined": [ids],   // omitted when empty
 //	  "shards": [{"shard","state","queue_depth","queue_cap",
@@ -129,8 +131,10 @@ func newAdminMux(mb *bcpqp.Middlebox, node *bcpqp.ClusterNode, ids []string) *ht
 		// The same logic applies to an active overload plane: a shedding
 		// engine is doing its job (surviving an attack by dropping the
 		// lowest-priority traffic), and evicting it would hand the flood
-		// to a healthier-looking peer and take that one down too.
-		degraded := (node != nil && node.Degraded()) || h.Overload.Active
+		// to a healthier-looking peer and take that one down too. A
+		// quarantined core drops its share of sources until the process
+		// restarts, which is degraded too, while the other cores serve.
+		degraded := (node != nil && node.Degraded()) || h.Overload.Active || len(h.Quarantined) > 0
 		if h.Wedged() {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"bcpqp"
+	"bcpqp/internal/faultinject"
 )
 
 // TestAdminEndpointsEndToEnd runs the full proxy (serve, engine datapath,
@@ -225,6 +226,52 @@ func TestHealthzOverloadDegradedBut200(t *testing.T) {
 	}
 	if body.Overload != nil && body.Overload.Pressure <= 0 {
 		t.Errorf("overload pressure %v, want > 0 under a packed ring", body.Overload.Pressure)
+	}
+}
+
+// TestHealthzQuarantineDegradedBut200 pins /healthz for a quarantined core: a
+// core whose enforcer panicked drops its share of sources until the process
+// restarts, so the body says degraded=true and names it, while the status
+// stays 200 because no shard is wedged and the other cores serve.
+func TestHealthzQuarantineDegradedBut200(t *testing.T) {
+	mb := bcpqp.NewMiddlebox(bcpqp.MiddleboxConfig{Shards: 1})
+	defer mb.Close()
+	enf, err := buildEnforcer("bc-pqp", bcpqp.Mbps, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := mb.Add("proxy/core0", faultinject.New(enf, faultinject.Plan{Seed: 1, Panic: 1}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := [1]bcpqp.Packet{{Key: bcpqp.FlowKey{SrcIP: 1, Proto: 17}, Size: bcpqp.MSS}}
+	if err := mb.SubmitBatch(h, pkt[:]); err != nil {
+		t.Fatal(err)
+	}
+	if q := mb.Health().Quarantined; !slices.Equal(q, []string{"proxy/core0"}) {
+		t.Fatalf("quarantined = %q after an injected panic, want [proxy/core0]", q)
+	}
+
+	srv := httptest.NewServer(newAdminMux(mb, nil, nil))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz with a quarantined core = %d, want 200 (degraded, not down)", resp.StatusCode)
+	}
+	var body struct {
+		Healthy     bool     `json:"healthy"`
+		Degraded    bool     `json:"degraded"`
+		Quarantined []string `json:"quarantined"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if !body.Healthy || !body.Degraded || !slices.Equal(body.Quarantined, []string{"proxy/core0"}) {
+		t.Errorf("/healthz = %+v, want healthy, degraded and quarantined [proxy/core0]", body)
 	}
 }
 

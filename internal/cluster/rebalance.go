@@ -37,8 +37,8 @@
 // Liveness degrades safely: silence, corruption (rejected frames), or
 // partition stop the freshness clock, every grant dies within one window
 // of the first missed exchange, and each node is back at the conservative
-// static floor r/N — the FailClosed posture — while its own held grants
-// expire after holdTicks windows.
+// static floor r/N — a posture that can under-admit but never over-admits —
+// while its own held grants expire after holdTicks windows.
 package cluster
 
 import "bcpqp/internal/units"

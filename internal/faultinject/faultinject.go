@@ -57,7 +57,8 @@ type Plan struct {
 	Panic float64
 	// MaxPanics bounds the total number of injected panics (0 = no
 	// bound). A bound of 1 models a transient crash: after it fires the
-	// enforcer behaves again, so tests can exercise Reinstate.
+	// enforcer behaves again, so tests can show that the engine's quarantine
+	// holds until Remove whatever the enforcer does next.
 	MaxPanics int64
 
 	// Corrupt is the per-call probability of overwriting one verdict of

@@ -209,17 +209,6 @@ func (agg *aggregate) rebaseAudits(now time.Duration, node enforcer.NodeID, rate
 	}
 }
 
-// DisarmAudit removes every auditor from the aggregate.
-func (e *Engine) DisarmAudit(id string) error {
-	agg, err := e.aggByID(id)
-	if err != nil {
-		return err
-	}
-	return e.controlAgg(agg, func(enforcer.Enforcer) {
-		agg.audit.Store(nil)
-	})
-}
-
 // auditRun checks one enforced run against every armed envelope on its
 // ingress path: the armed nodes from the ingress rootward, then the whole
 // aggregate. Runs under the shard's occupancy word right after the verdict tally;

@@ -8,13 +8,14 @@ package mbox
 //     aggregates on the same shard keep enforcing within Theorem 1 bounds,
 //   - the control plane keeps answering Stats with bounded latency,
 //   - Close returns within its deadline even with wedged shards, and
-//   - panic/quarantine/degrade counters reconcile exactly with the faults
-//     the injectors report having injected.
+//   - panic/quarantine/degraded-drop counters reconcile exactly with the
+//     faults the injectors report having injected.
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,7 +40,7 @@ func burstOf(n, flow int) []packet.Packet {
 // TestChaosPanicQuarantineDeterministic is the deterministic core of the
 // fault story on a single shard: a victim enforcer that always panics is
 // quarantined by the circuit breaker on its first panic,
-// its traffic degrades FailClosed, a healthy aggregate sharing the shard is
+// its traffic is dropped, a healthy aggregate sharing the shard is
 // untouched, and every counter reconciles exactly with the injected faults.
 func TestChaosPanicQuarantineDeterministic(t *testing.T) {
 	clock := &fakeClock{step: 100 * time.Microsecond}
@@ -95,13 +96,13 @@ func TestChaosPanicQuarantineDeterministic(t *testing.T) {
 		t.Errorf("DegradedDrops = %d, want %d (every victim packet)", got, bursts*burstLen)
 	}
 	if victimEmitted.Load() != 0 {
-		t.Errorf("FailClosed victim emitted %d packets, want 0", victimEmitted.Load())
+		t.Errorf("quarantined victim emitted %d packets, want 0", victimEmitted.Load())
 	}
 	fr, err := e.Faults("victim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fr.Quarantined || fr.Panics != 1 || fr.Mode != FailClosed || fr.DegradedDrops != bursts*burstLen {
+	if !fr.Quarantined || fr.Panics != 1 || fr.DegradedDrops != bursts*burstLen {
 		t.Errorf("victim fault record = %+v", fr)
 	}
 	if f, err := e.Faults("healthy"); err != nil || f.Quarantined {
@@ -116,132 +117,145 @@ func TestChaosPanicQuarantineDeterministic(t *testing.T) {
 	}
 }
 
-// TestChaosReinstateAfterTransientFault exercises the breaker re-arm: an
-// enforcer that crashes exactly once (MaxPanics 1) is quarantined, then
-// Reinstate restores full enforcement.
-func TestChaosReinstateAfterTransientFault(t *testing.T) {
+// TestChaosQuarantineHoldsUntilRemove pins what "until Remove" means. An
+// enforcer that crashes exactly once (MaxPanics 1) and behaves afterwards
+// stays quarantined: every later packet is a counted drop that neither the
+// emit hook, the enforcer nor an armed audit envelope sees. Only Remove and
+// Add under the same id bring the id back under enforcement, with a clean
+// fault record.
+func TestChaosQuarantineHoldsUntilRemove(t *testing.T) {
 	clock := &fakeClock{step: 100 * time.Microsecond}
 	e := New(Config{Shards: 1, Clock: clock.now, QueueDepth: 1 << 12})
 	defer e.Close()
 
 	flaky := faultinject.New(tbf.MustNew(8*units.Mbps, 64*units.MSS),
 		faultinject.Plan{Seed: 9, Panic: 1, MaxPanics: 1})
-	h, err := e.Add("flaky", flaky, nil)
+	var emitted atomic.Int64
+	emit := func(packet.Packet) { emitted.Add(1) }
+	h, err := e.Add("flaky", flaky, emit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const burstLen = 8
+	if err := e.ArmAudit("flaky", 8*units.Mbps, int64(64*units.MSS)); err != nil {
+		t.Fatal(err)
+	}
+	const bursts, burstLen = 5, 8
 	if err := e.SubmitBatch(h, burstOf(burstLen, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Stats("flaky"); err != nil { // barrier
-		t.Fatal(err)
+	if f, err := e.Faults("flaky"); err != nil || !f.Quarantined || f.Panics != 1 {
+		t.Fatalf("Faults(flaky) = %+v, %v after the crash; want quarantined with 1 panic", f, err)
 	}
-	if f, _ := e.Faults("flaky"); !f.Quarantined {
-		t.Fatal("transient crash did not quarantine")
+	for i := 1; i <= bursts; i++ {
+		if err := e.SubmitBatch(h, burstOf(burstLen, i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Traffic during quarantine is degraded, not enforced.
-	if err := e.SubmitBatch(h, burstOf(burstLen, 1)); err != nil {
-		t.Fatal(err)
-	}
-	st, err := e.Stats("flaky")
+	st, err := e.Stats("flaky") // barrier
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p, _ := st.Totals(); p != 0 {
 		t.Errorf("quarantined enforcer saw %d packets, want 0", p)
 	}
-
-	if err := e.Reinstate("flaky"); err != nil {
-		t.Fatal(err)
+	if got := emitted.Load(); got != 0 {
+		t.Errorf("quarantined aggregate emitted %d packets, want 0", got)
 	}
-	if f, _ := e.Faults("flaky"); f.Quarantined {
-		t.Fatal("still quarantined after Reinstate")
-	}
-	if err := e.SubmitBatch(h, burstOf(burstLen, 2)); err != nil {
-		t.Fatal(err)
-	}
-	st, err = e.Stats("flaky")
+	fr, err := e.Faults("flaky")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, _ := st.Totals(); p != burstLen {
-		t.Errorf("reinstated enforcer saw %d packets, want %d", p, burstLen)
+	if !fr.Quarantined || fr.Panics != 1 || fr.DegradedDrops != (bursts+1)*burstLen {
+		t.Errorf("fault record = %+v, want quarantined, 1 panic, %d degraded drops", fr, (bursts+1)*burstLen)
 	}
-	if got := e.Panics.Load(); got != 1 {
-		t.Errorf("engine panics = %d, want 1 (transient fault fired once)", got)
+	if got := flaky.Panics.Load(); got != 1 {
+		t.Errorf("injector fired %d panics, want 1", got)
 	}
-	// Reinstate on a healthy aggregate is idempotent; unknown ids error.
-	if err := e.Reinstate("flaky"); err != nil {
-		t.Errorf("idempotent Reinstate: %v", err)
+	if rep := e.AuditReport(); len(rep) != 1 || rep[0].Counters.AcceptedBytes != 0 {
+		t.Errorf("audit report = %+v, want one envelope with 0 accepted bytes", rep)
 	}
-	if err := e.Reinstate("nope"); err == nil {
-		t.Error("Reinstate of unknown aggregate accepted")
+	if _, err := e.Faults("nope"); err == nil {
+		t.Error("Faults of an unknown aggregate accepted")
 	}
-}
 
-// TestChaosFailOpenDegrade verifies the availability-over-enforcement
-// degrade mode: a quarantined FailOpen aggregate's packets are forwarded
-// unenforced and counted, and SetDegradeMode can flip modes live.
-func TestChaosFailOpenDegrade(t *testing.T) {
-	clock := &fakeClock{step: 100 * time.Microsecond}
-	e := New(Config{Shards: 1, Clock: clock.now, QueueDepth: 1 << 12})
-	defer e.Close()
-
-	broken := faultinject.New(tbf.MustNew(units.Mbps, 10*units.MSS),
-		faultinject.Plan{Seed: 4, Panic: 1})
-	var emitted atomic.Int64
-	h, err := e.Add("x", broken, func(packet.Packet) { emitted.Add(1) })
+	if _, err := e.Remove("flaky"); err != nil {
+		t.Fatal(err)
+	}
+	h, err = e.Add("flaky", tbf.MustNew(8*units.Mbps, 64*units.MSS), emit)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if f, _ := e.Faults("x"); f.Mode != FailClosed {
-		t.Errorf("a new aggregate degrades %v, want fail-closed", f.Mode)
-	}
-	if err := e.SetDegradeMode("x", FailOpen); err != nil {
-		t.Fatal(err)
-	}
-	const bursts, burstLen = 5, 8
-	for i := 0; i < bursts; i++ {
-		if err := e.SubmitBatch(h, burstOf(burstLen, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.Stats("x"); err != nil { // barrier
-		t.Fatal(err)
-	}
-	if got := emitted.Load(); got != bursts*burstLen {
-		t.Errorf("FailOpen forwarded %d packets, want all %d", got, bursts*burstLen)
-	}
-	if got := e.DegradedPasses.Load(); got != bursts*burstLen {
-		t.Errorf("DegradedPasses = %d, want %d", got, bursts*burstLen)
-	}
-	fr, _ := e.Faults("x")
-	if fr.Mode != FailOpen || fr.DegradedPasses != bursts*burstLen {
-		t.Errorf("fault record = %+v", fr)
-	}
-
-	// Flip to FailClosed live: subsequent traffic drops instead.
-	if err := e.SetDegradeMode("x", FailClosed); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.SubmitBatch(h, burstOf(burstLen, 99)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Stats("x"); err != nil { // barrier
+	if st, err = e.Stats("flaky"); err != nil {
 		t.Fatal(err)
 	}
-	if got := emitted.Load(); got != bursts*burstLen {
-		t.Errorf("FailClosed still forwarded: emitted %d, want %d", got, bursts*burstLen)
+	if p, _ := st.Totals(); p != burstLen {
+		t.Errorf("re-added enforcer saw %d packets, want %d", p, burstLen)
 	}
-	if got := e.DegradedDrops.Load(); got != burstLen {
-		t.Errorf("DegradedDrops = %d, want %d", got, burstLen)
+	if got := emitted.Load(); got != burstLen {
+		t.Errorf("re-added aggregate emitted %d packets, want %d", got, burstLen)
 	}
-	if err := e.SetDegradeMode("x", DegradeMode(7)); err == nil {
-		t.Error("invalid degrade mode accepted")
+	if f, err := e.Faults("flaky"); err != nil || f != (FaultRecord{}) {
+		t.Errorf("Faults(flaky) after Remove+Add = %+v, %v; want zero", f, err)
 	}
-	if err := e.SetDegradeMode("nope", FailOpen); err == nil {
-		t.Error("SetDegradeMode on unknown aggregate accepted")
+}
+
+// statsBombEnforcer transmits everything and panics when its statistics
+// are read.
+type statsBombEnforcer struct{ countingEnforcer }
+
+func (*statsBombEnforcer) EnforcerStats() enforcer.Stats { panic("stats: injected fault") }
+
+// TestControlPanicReportsError: a control call whose closure panics reports
+// an error naming its aggregate, never success, whether the caller found the
+// shard idle and ran the closure itself or queued it behind a held shard.
+// Stats and Remove read a panicking EnforcerStats; Update's own closure
+// panics (SetRate, SetPolicy and ApplyShare run through the same path).
+func TestControlPanicReportsError(t *testing.T) {
+	for _, queued := range []bool{false, true} {
+		t.Run(map[bool]string{false: "claimed", true: "queued"}[queued], func(t *testing.T) {
+			e := New(Config{Shards: 1})
+			defer e.Close()
+			for _, id := range []string{"hold", "stats", "update", "remove"} {
+				if _, err := e.Add(id, &statsBombEnforcer{}, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, c := range []struct {
+				id   string
+				call func() error
+			}{
+				{"stats", func() error { _, err := e.Stats("stats"); return err }},
+				{"update", func() error {
+					return e.Update("update", func(time.Duration, enforcer.Enforcer) error { panic("update: injected fault") })
+				}},
+				{"remove", func() error { _, err := e.Remove("remove"); return err }},
+			} {
+				errc := make(chan error, 1)
+				if queued {
+					release := holdShard(t, e, "hold")
+					go func() { errc <- c.call() }()
+					if !waitFor(10*time.Second, func() bool { return e.shards[0].pending.Load() == 1 }) {
+						t.Fatalf("%s: control call never queued", c.id)
+					}
+					release()
+				} else {
+					errc <- c.call()
+				}
+				err := <-errc
+				if !errors.Is(err, errControlPanicked) || !strings.Contains(err.Error(), fmt.Sprintf("%q", c.id)) {
+					t.Errorf("%s: a panicking control call returned %v, want an error naming it", c.id, err)
+				}
+			}
+			if got := e.Panics.Load(); got != 3 {
+				t.Errorf("engine recovered %d panics, want 3", got)
+			}
+			if _, err := e.Lookup("remove"); err == nil {
+				t.Error("Remove whose stats read panicked left the aggregate registered")
+			}
+		})
 	}
 }
 
@@ -446,10 +460,10 @@ func TestChaosStorm(t *testing.T) {
 			fr, _ := e.Faults(id)
 			st := finalStats[id]
 			p, _ := st.Totals()
-			total := p + fr.DegradedDrops + fr.DegradedPasses
+			total := p + fr.DegradedDrops
 			if total != bursts*burstLen {
-				t.Errorf("%s: enforced %d + degraded %d+%d = %d, want %d submitted",
-					id, p, fr.DegradedDrops, fr.DegradedPasses, total, bursts*burstLen)
+				t.Errorf("%s: enforced %d + degraded %d = %d, want %d submitted",
+					id, p, fr.DegradedDrops, total, bursts*burstLen)
 			}
 		}
 		for i := 0; i < healthy; i++ {

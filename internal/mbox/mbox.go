@@ -36,11 +36,11 @@
 //
 // The runtime is fault-tolerant: every enforcement run and control item
 // executes inside a panic barrier, a panicking enforcer is quarantined by a
-// per-aggregate circuit breaker (its traffic degrades to FailClosed drops or
-// FailOpen unenforced passes instead of killing the shard goroutine), a
-// watchdog classifies shards Healthy/Degraded/Wedged from heartbeat age,
-// ring depth and fault counters (Engine.Health), and Close is bounded by a
-// deadline that force-abandons wedged shards rather than hanging.
+// per-aggregate circuit breaker instead of killing the shard goroutine (its
+// traffic is dropped and counted until Remove), a watchdog classifies shards
+// Healthy/Degraded/Wedged from heartbeat age, ring depth and fault counters
+// (Engine.Health), and Close is bounded by a deadline that force-abandons
+// wedged shards rather than hanging.
 package mbox
 
 import (
@@ -136,33 +136,9 @@ var ErrBadNode = enforcer.ErrBadNode
 // never will. Test with errors.Is.
 var ErrSaturated = errors.New("shard saturated")
 
-// DegradeMode selects what happens to traffic for a quarantined aggregate
-// (one whose enforcer tripped the panic circuit breaker).
-type DegradeMode int32
-
-const (
-	// FailClosed drops a quarantined aggregate's packets (counted in
-	// DegradedDrops). The safe default: a broken enforcer cannot be
-	// trusted to police, so its traffic is not forwarded.
-	FailClosed DegradeMode = iota
-	// FailOpen transmits a quarantined aggregate's packets unenforced
-	// (counted in DegradedPasses) — availability over enforcement, for
-	// deployments where dropping a subscriber outright is worse than
-	// temporarily not policing them.
-	FailOpen
-)
-
-// String names the degrade mode for logs and health dumps.
-func (m DegradeMode) String() string {
-	switch m {
-	case FailClosed:
-		return "fail-closed"
-	case FailOpen:
-		return "fail-open"
-	default:
-		return fmt.Sprintf("degrade-mode(%d)", int32(m))
-	}
-}
+// errControlPanicked reports a control call whose closure panicked: the panic
+// was recovered and attributed to the aggregate, and the call did not finish.
+var errControlPanicked = errors.New("control call panicked")
 
 // ShardState is the watchdog's classification of one shard.
 type ShardState int32
@@ -249,12 +225,9 @@ type Engine struct {
 	// organic panic is recovered and counted exactly once).
 	Panics atomic.Int64
 	// DegradedDrops counts packets dropped because their aggregate was
-	// quarantined in FailClosed mode (including the packets of the run
-	// that tripped the breaker).
+	// quarantined (including the packets of the run that tripped the
+	// breaker).
 	DegradedDrops atomic.Int64
-	// DegradedPasses counts packets transmitted unenforced because their
-	// aggregate was quarantined in FailOpen mode.
-	DegradedPasses atomic.Int64
 	// BadVerdicts counts out-of-range verdicts (a corrupted or buggy
 	// enforcer) coerced to Drop, whether or not the aggregate has an emit
 	// hook.
@@ -395,12 +368,11 @@ type aggregate struct {
 	tree enforcer.TreeEnforcer
 
 	// Fault state. quarantined is the circuit breaker: once set, the
-	// datapath never calls the enforcer again until Reinstate.
-	quarantined    atomic.Bool
-	panics         atomic.Int64
-	degradedDrops  atomic.Int64
-	degradedPasses atomic.Int64
-	mode           atomic.Int32 // DegradeMode; zero is FailClosed
+	// datapath never calls the enforcer again, and the aggregate's packets
+	// are dropped until Remove.
+	quarantined   atomic.Bool
+	panics        atomic.Int64
+	degradedDrops atomic.Int64
 
 	// shedClass is the overload plane's priority class (0 = shed last,
 	// never proactively, where every aggregate starts); shed counts this
@@ -436,9 +408,10 @@ type item struct {
 	agg *aggregate
 
 	// control runs on agg's enforcer, and agg attributes a control panic
-	// to its aggregate. done is nil when the caller runs the item itself.
+	// to its aggregate. done receives whether control returned (false when
+	// it panicked); it is nil when the caller runs the item itself.
 	control func(enforcer.Enforcer)
-	done    chan struct{}
+	done    chan bool
 	node    enforcer.NodeID
 	stop    bool
 }
@@ -617,21 +590,24 @@ func (e *Engine) serve(s *shard, agg *aggregate, node enforcer.NodeID, pkts []pa
 }
 
 // serveControl runs one control item on behalf of whoever holds the shard's
-// occupancy word, between two heartbeat stamps.
-func (e *Engine) serveControl(s *shard, it item) {
+// occupancy word, between two heartbeat stamps, and reports whether its
+// closure returned.
+func (e *Engine) serveControl(s *shard, it item) bool {
 	s.heartbeat.Store(e.coarseWall.Load())
-	e.runControl(s, it)
+	ok := e.runControl(s, it)
 	s.processed.Add(1)
 	s.heartbeat.Store(e.coarseWall.Load())
+	return ok
 }
 
-// runControl executes one control item inside a panic barrier. done is
-// closed even when fn panics, so a control waiter can never be leaked by a
-// faulty enforcer; the panic is attributed to the item's aggregate.
-func (e *Engine) runControl(s *shard, it item) {
+// runControl executes one control item inside a panic barrier and reports
+// whether its closure returned. done is answered even when fn panics, so a
+// control waiter can never be leaked by a faulty enforcer; the panic is
+// attributed to the item's aggregate.
+func (e *Engine) runControl(s *shard, it item) (ok bool) {
 	defer func() {
 		if it.done != nil {
-			close(it.done)
+			it.done <- ok
 		}
 	}()
 	defer func() {
@@ -640,21 +616,21 @@ func (e *Engine) runControl(s *shard, it item) {
 		}
 	}()
 	it.control(it.agg.enf)
+	return true
 }
 
 // runBatch pushes one single-aggregate run through the enforcer's batch
 // path inside a panic barrier. A quarantined aggregate's run never touches
-// the enforcer: it degrades immediately (drop or pass-through per the
-// aggregate's DegradeMode). A run that panics mid-flight quarantines the
-// aggregate and degrades the unhandled remainder of the run, and the shard
-// goroutine survives.
+// the enforcer: it is dropped at once. A run that panics mid-flight
+// quarantines the aggregate and drops the unhandled remainder of the run,
+// and the shard goroutine survives.
 func (e *Engine) runBatch(s *shard, now time.Duration, agg *aggregate, node enforcer.NodeID, pkts []packet.Packet) {
 	if agg.quarantined.Load() {
-		e.degrade(s, agg, pkts)
+		e.degrade(agg, pkts)
 		return
 	}
 	if rest, faulted := e.enforceRun(s, now, agg, node, pkts); faulted {
-		e.degrade(s, agg, rest)
+		e.degrade(agg, rest)
 	}
 }
 
@@ -826,38 +802,12 @@ func (e *Engine) recordControl(id string, node enforcer.NodeID, ev obs.Event) {
 	e.cfg.Observer.Record(ev)
 }
 
-// degrade applies an aggregate's DegradeMode to packets that cannot be
-// enforced (quarantined aggregate, or the remainder of a faulted run).
-func (e *Engine) degrade(s *shard, agg *aggregate, pkts []packet.Packet) {
-	if len(pkts) == 0 {
-		return
-	}
+// degrade drops packets that cannot be enforced (quarantined aggregate, or
+// the remainder of a faulted run) and counts them in DegradedDrops.
+func (e *Engine) degrade(agg *aggregate, pkts []packet.Packet) {
 	n := int64(len(pkts))
-	if DegradeMode(agg.mode.Load()) == FailOpen {
-		agg.degradedPasses.Add(n)
-		e.DegradedPasses.Add(n)
-		e.emitUnenforced(s, agg, pkts)
-		return
-	}
 	agg.degradedDrops.Add(n)
 	e.DegradedDrops.Add(n)
-}
-
-// emitUnenforced forwards a FailOpen aggregate's packets around its broken
-// enforcer, with its own panic barrier (the emit hook may be the broken
-// part).
-func (e *Engine) emitUnenforced(s *shard, agg *aggregate, pkts []packet.Packet) {
-	if agg.emit == nil {
-		return
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			e.notePanic(s, agg, r)
-		}
-	}()
-	for _, p := range pkts {
-		agg.emit(p)
-	}
 }
 
 // notePanic records one recovered panic, trips the aggregate's circuit
@@ -1269,15 +1219,22 @@ func (e *Engine) control(id string, fn func(enforcer.Enforcer)) error {
 // goroutine kept off the CPU for a few scheduler slices is not wedged — and
 // checks every reofferInterval whether the shard is wedged by the watchdog's
 // test (shard.wedged). If it is, ErrSaturated is reported and fn never runs.
+// An fn that panics is recovered by runControl and reported as an error
+// wrapping errControlPanicked, never as success.
 func (e *Engine) controlAgg(agg *aggregate, fn func(enforcer.Enforcer)) error {
 	s := agg.shard
 	it := item{control: fn, agg: agg}
-	if s.claimIdle() {
-		defer s.release()
-		e.serveControl(s, it)
+	finished := func(ok bool) error {
+		if !ok {
+			return fmt.Errorf("mbox: aggregate %q: %w", agg.id, errControlPanicked)
+		}
 		return nil
 	}
-	it.done = make(chan struct{})
+	if s.claimIdle() {
+		defer s.release()
+		return finished(e.serveControl(s, it))
+	}
+	it.done = make(chan bool, 1) // runControl never waits to answer
 	s.pending.Add(1)
 	for !sendUntil(s.in, it, time.Now().Add(reofferInterval)) {
 		if s.wedged(time.Now().UnixNano()) {
@@ -1286,14 +1243,14 @@ func (e *Engine) controlAgg(agg *aggregate, fn func(enforcer.Enforcer)) error {
 		}
 	}
 	select {
-	case <-it.done:
-		return nil
+	case ok := <-it.done:
+		return finished(ok)
 	case <-e.dead:
 		// The engine closed while the item was in flight; it may still
 		// have been processed during the drain.
 		select {
-		case <-it.done:
-			return nil
+		case ok := <-it.done:
+			return finished(ok)
 		default:
 			return fmt.Errorf("mbox: engine closed")
 		}
@@ -1357,14 +1314,12 @@ type FaultRecord struct {
 	// aggregate's enforcer or emit hook.
 	Panics int64
 	// Quarantined reports whether the circuit breaker is open: the
-	// enforcer is bypassed and traffic degrades per Mode.
+	// enforcer is bypassed and the aggregate's traffic is dropped until
+	// Remove.
 	Quarantined bool
-	// DegradedDrops / DegradedPasses count this aggregate's packets
-	// dropped (FailClosed) or forwarded unenforced (FailOpen).
-	DegradedDrops  int64
-	DegradedPasses int64
-	// Mode is the aggregate's current degrade mode.
-	Mode DegradeMode
+	// DegradedDrops counts this aggregate's packets dropped while it was
+	// quarantined, the run that tripped the breaker included.
+	DegradedDrops int64
 }
 
 // Faults reports an aggregate's fault-plane state.
@@ -1374,44 +1329,10 @@ func (e *Engine) Faults(id string) (FaultRecord, error) {
 		return FaultRecord{}, err
 	}
 	return FaultRecord{
-		Panics:         agg.panics.Load(),
-		Quarantined:    agg.quarantined.Load(),
-		DegradedDrops:  agg.degradedDrops.Load(),
-		DegradedPasses: agg.degradedPasses.Load(),
-		Mode:           DegradeMode(agg.mode.Load()),
+		Panics:        agg.panics.Load(),
+		Quarantined:   agg.quarantined.Load(),
+		DegradedDrops: agg.degradedDrops.Load(),
 	}, nil
-}
-
-// SetDegradeMode sets one aggregate's degrade mode (FailClosed until set).
-// It may be called at any time, including while the aggregate is
-// quarantined; in-flight runs observe the change on their next burst.
-func (e *Engine) SetDegradeMode(id string, m DegradeMode) error {
-	if m != FailClosed && m != FailOpen {
-		return fmt.Errorf("mbox: invalid degrade mode %v", m)
-	}
-	agg, err := e.aggByID(id)
-	if err != nil {
-		return err
-	}
-	agg.mode.Store(int32(m))
-	return nil
-}
-
-// Reinstate closes an aggregate's circuit breaker after a quarantine: the
-// panic count resets and the datapath resumes calling the enforcer. The
-// caller owns the backoff policy (reinstating a still-broken enforcer just
-// trips the breaker again on its next panic). Reinstating a healthy
-// aggregate is harmless and idempotent.
-func (e *Engine) Reinstate(id string) error {
-	agg, err := e.aggByID(id)
-	if err != nil {
-		return err
-	}
-	agg.panics.Store(0)
-	if agg.quarantined.Swap(false) {
-		e.record(nil, obs.Event{Kind: obs.KindReinstate, Agg: int64(agg.h), Node: -1})
-	}
-	return nil
 }
 
 // ShardHealth is the watchdog's view of one shard.
@@ -1439,11 +1360,10 @@ type Health struct {
 	Shards      []ShardHealth
 	Quarantined []string // ids of quarantined aggregates
 
-	Panics         int64
-	DegradedDrops  int64
-	DegradedPasses int64
-	BadVerdicts    int64
-	Overloaded     int64
+	Panics        int64
+	DegradedDrops int64
+	BadVerdicts   int64
+	Overloaded    int64
 
 	// Overload is the overload plane's state (zero value when the plane
 	// is disabled).
@@ -1467,12 +1387,11 @@ func (h Health) Wedged() bool {
 func (e *Engine) Health() Health {
 	now := time.Now().UnixNano()
 	h := Health{
-		Panics:         e.Panics.Load(),
-		DegradedDrops:  e.DegradedDrops.Load(),
-		DegradedPasses: e.DegradedPasses.Load(),
-		BadVerdicts:    e.BadVerdicts.Load(),
-		Overloaded:     e.Overloaded.Load(),
-		Overload:       e.overloadHealth(),
+		Panics:        e.Panics.Load(),
+		DegradedDrops: e.DegradedDrops.Load(),
+		BadVerdicts:   e.BadVerdicts.Load(),
+		Overloaded:    e.Overloaded.Load(),
+		Overload:      e.overloadHealth(),
 	}
 	h.Shards = make([]ShardHealth, len(e.shards))
 	for i, s := range e.shards {

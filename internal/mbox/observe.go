@@ -91,8 +91,7 @@ func (e *Engine) Metrics() obs.Snapshot {
 	t := e.table.Load()
 	gauge("bcpqp_aggregates", "registered aggregates", float64(e.Len()))
 	counter("bcpqp_panics_total", "recovered enforcer/emit panics", float64(e.Panics.Load()))
-	counter("bcpqp_degraded_drops_total", "packets dropped for quarantined fail-closed aggregates", float64(e.DegradedDrops.Load()))
-	counter("bcpqp_degraded_passes_total", "packets passed unenforced for quarantined fail-open aggregates", float64(e.DegradedPasses.Load()))
+	counter("bcpqp_degraded_drops_total", "packets dropped for quarantined aggregates", float64(e.DegradedDrops.Load()))
 	counter("bcpqp_bad_verdicts_total", "out-of-range verdicts coerced to drop", float64(e.BadVerdicts.Load()))
 	counter("bcpqp_overloaded_packets_total", "packets shed at full shard rings", float64(e.Overloaded.Load()))
 	counter("bcpqp_inline_bursts_total", "bursts enforced through the ring-bypass fast path", float64(e.InlineBursts.Load()))

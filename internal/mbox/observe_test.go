@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -122,9 +123,6 @@ func TestTraceDumpLifecycleKinds(t *testing.T) {
 	if f, err := e.Faults("victim"); err != nil || !f.Quarantined {
 		t.Fatalf("victim not quarantined after its burst: %+v, %v", f, err)
 	}
-	if err := e.Reinstate("victim"); err != nil {
-		t.Fatal(err)
-	}
 
 	if _, err := e.Add("plan", tbf.MustNew(units.Mbps, 10*units.MSS), nil); err != nil {
 		t.Fatal(err)
@@ -139,7 +137,6 @@ func TestTraceDumpLifecycleKinds(t *testing.T) {
 	want := map[obs.Kind]bool{
 		obs.KindPanic:      false,
 		obs.KindQuarantine: false,
-		obs.KindReinstate:  false,
 		obs.KindRateUpdate: false,
 		obs.KindRemove:     false,
 	}
@@ -201,6 +198,17 @@ func TestMetricsPrometheusExport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
+	}
+	// A quarantined aggregate's traffic is dropped, never passed unenforced:
+	// drops are the only degraded family.
+	var degraded []string
+	for _, f := range e.Metrics().Families {
+		if strings.HasPrefix(f.Name, "bcpqp_degraded_") {
+			degraded = append(degraded, f.Name)
+		}
+	}
+	if !slices.Equal(degraded, []string{"bcpqp_degraded_drops_total"}) {
+		t.Errorf("degraded families = %q, want only bcpqp_degraded_drops_total", degraded)
 	}
 }
 

@@ -132,18 +132,6 @@ func (e *Engine) SetShedClass(id string, class int) error {
 	return nil
 }
 
-// ShedClass reports an aggregate's shed class.
-func (e *Engine) ShedClass(id string) (int, error) {
-	if e.overload == nil {
-		return 0, errOverloadDisabled
-	}
-	agg, err := e.aggByID(id)
-	if err != nil {
-		return 0, err
-	}
-	return int(agg.shedClass.Load()), nil
-}
-
 // shedGate reports whether the overload plane sheds a submission for agg at
 // its shard's current ring occupancy: true only while the plane is active
 // AND the aggregate's class ceiling is exceeded. The fast path is two atomic

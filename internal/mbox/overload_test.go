@@ -88,13 +88,17 @@ func TestShedClassAPI(t *testing.T) {
 	if _, err := e.Add("a", tbf.MustNew(units.Mbps, 10*units.MSS), nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := e.ShedClass("a"); got != 0 {
+	agg, err := e.aggByID("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := agg.shedClass.Load(); got != 0 {
 		t.Errorf("starting shed class = %d, want 0 (shed last)", got)
 	}
 	if err := e.SetShedClass("a", 3); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := e.ShedClass("a"); got != 3 {
+	if got := agg.shedClass.Load(); got != 3 {
 		t.Errorf("shed class = %d after SetShedClass(3)", got)
 	}
 	if err := e.SetShedClass("a", 4); err == nil {

@@ -17,7 +17,9 @@ import (
 // waiter gives up on a shard) and reofferInterval; the circuit breaker trips
 // on the first panic. An aggregate leaves the table only through Remove (or
 // Close), so OverloadHealth reports the plane's pressure and sheds, in
-// declaration order, and nothing about table fill or evictions.
+// declaration order, and nothing about table fill or evictions. The fault
+// plane has one policy, so FaultRecord and Health count drops and carry no
+// mode: a quarantined aggregate's traffic is dropped until Remove.
 func TestEngineSurface(t *testing.T) {
 	methods := func(v any) (out []string) {
 		typ := reflect.TypeOf(v)
@@ -44,17 +46,21 @@ func TestEngineSurface(t *testing.T) {
 		{"*Engine methods", methods(&Engine{}), []string{
 			"Add", "AddPinned", "ApplyShare", "ArmAudit", "ArmNodeAudit",
 			"AttachMetricSource", "AuditReport", "AuditViolations", "BurstLatency",
-			"Close", "DisarmAudit", "Faults", "Flush", "Health", "Leaf", "Len",
+			"Close", "Faults", "Flush", "Health", "Leaf", "Len",
 			"LocalShard", "Lookup", "Metrics", "NodeMetrics", "NodeStats",
-			"Reinstate", "Remove", "Restore", "SetDegradeMode", "SetPolicy",
-			"SetRate", "SetShedClass", "ShedClass", "Snapshot", "Stats",
-			"SubmitBatch", "TraceDump", "Update",
+			"Remove", "Restore", "SetPolicy", "SetRate", "SetShedClass",
+			"Snapshot", "Stats", "SubmitBatch", "TraceDump", "Update",
 		}},
 		{"*LocalSubmitter methods", methods(&LocalSubmitter{}), []string{"Shard", "SubmitBatch"}},
 		{"Handle methods", methods(Handle{}), []string{"TraceAgg"}},
 		{"Config fields", config, []string{
 			"Clock", "CloseTimeout", "Observer", "OnFault", "Overload",
 			"QueueDepth", "Shards", "WatchdogInterval",
+		}},
+		{"FaultRecord fields", fields(FaultRecord{}), []string{"Panics", "Quarantined", "DegradedDrops"}},
+		{"Health fields", fields(Health{}), []string{
+			"Shards", "Quarantined", "Panics", "DegradedDrops", "BadVerdicts",
+			"Overloaded", "Overload",
 		}},
 		{"OverloadHealth fields", fields(OverloadHealth{}), []string{
 			"Enabled", "Active", "Pressure", "Ring", "ShedRate", "PriorityShed",

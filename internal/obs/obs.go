@@ -34,8 +34,8 @@ import (
 // Kind identifies a trace event in the flight recorder. The taxonomy
 // covers the datapath (burst verdict summaries, per-packet drops with
 // reason, ECN marks, §5.2 magic-byte churn) and the control plane
-// (rate/policy updates, quarantine, reinstatement, removal, shed bursts,
-// recovered panics).
+// (rate/policy updates, quarantine, removal, shed bursts, recovered
+// panics).
 type Kind uint8
 
 const (
@@ -62,8 +62,6 @@ const (
 	KindPolicyUpdate
 	// KindQuarantine marks a circuit breaker tripping: A = panic count.
 	KindQuarantine
-	// KindReinstate marks a quarantined aggregate's breaker re-closing.
-	KindReinstate
 	// KindRemove is an explicit aggregate removal.
 	KindRemove
 	// KindShed is a burst shed at a full shard ring: A = packets shed.
@@ -112,8 +110,6 @@ func (k Kind) String() string {
 		return "policy-update"
 	case KindQuarantine:
 		return "quarantine"
-	case KindReinstate:
-		return "reinstate"
 	case KindRemove:
 		return "remove"
 	case KindShed:

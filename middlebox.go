@@ -95,18 +95,6 @@ type EmitFunc = mbox.Emit
 // NewMiddlebox starts a middlebox engine.
 func NewMiddlebox(cfg MiddleboxConfig) *Middlebox { return mbox.New(cfg) }
 
-// DegradeMode selects what a middlebox does with traffic belonging to a
-// quarantined (crash-looping) aggregate: FailClosed drops it (the safe
-// default for a rate enforcer), FailOpen transmits it unenforced. Both
-// count every affected packet.
-type DegradeMode = mbox.DegradeMode
-
-// Degrade modes for quarantined aggregates.
-const (
-	FailClosed = mbox.FailClosed
-	FailOpen   = mbox.FailOpen
-)
-
 // ShardState classifies a middlebox shard's health: Healthy, Degraded
 // (recent faults, shedding, or a near-full queue), or Wedged (has work but
 // its goroutine has not made progress within the wedge timeout).
@@ -136,8 +124,9 @@ type ShardHealth = mbox.ShardHealth
 type OverloadHealth = mbox.OverloadHealth
 
 // AggregateFaults reports one aggregate's fault record: panics observed,
-// quarantine state, and packets dropped or passed unenforced while
-// degraded.
+// quarantine state, and packets dropped while quarantined. The first panic
+// quarantines an aggregate, and its traffic is dropped until Remove; Remove
+// and Add again bring it back under enforcement.
 type AggregateFaults = mbox.FaultRecord
 
 // MiddleboxCloseReport summarizes a deadline-bounded Middlebox.Close:

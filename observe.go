@@ -57,10 +57,9 @@ const (
 	// applied in-band.
 	TraceRateUpdate   = obs.KindRateUpdate
 	TracePolicyUpdate = obs.KindPolicyUpdate
-	// TraceQuarantine / TraceReinstate: an aggregate's panic circuit
-	// breaker opened (A=panic count) or was closed again.
+	// TraceQuarantine: an aggregate's panic circuit breaker opened
+	// (A=panic count); its traffic is dropped until Remove.
 	TraceQuarantine = obs.KindQuarantine
-	TraceReinstate  = obs.KindReinstate
 	// TraceRemove: an aggregate left the registry by Remove.
 	TraceRemove = obs.KindRemove
 	// TraceShed: a full shard ring shed a burst (A=packets).
