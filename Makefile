@@ -53,7 +53,7 @@ govulncheck:
 # quarantine, watchdog, deadline-bounded Close, and the cluster
 # budget-exchange invariant under injected network faults) plus the
 # adversarial-overload suite (UDP floods, flash crowds, mixed-RTT swarms,
-# short-flow storms against the load-shed plane) and the conformance-audit
+# short-flow storms against ring-full shedding) and the conformance-audit
 # suite (exact reconciliation against injected over-admission) repeated
 # under the race detector. Seeded draws make every repetition identical,
 # so -count=3 checks the engine, not the dice. The two tests of the

@@ -559,81 +559,6 @@ func BenchmarkMiddleboxDegradedBatch(b *testing.B) {
 	b.ReportMetric(pps, "pkts/sec")
 }
 
-// BenchmarkMiddleboxSubmitBatchOverloaded measures the priority-shed fast
-// path: the per-packet cost of SubmitBatch against a shed-eligible
-// aggregate while the overload plane is active and its shard's ring is
-// over the aggregate's class threshold. This is the cost the engine pays
-// per packet of victim traffic DURING an overload — it must be far below
-// the enforced cost (the whole point of load shedding) and allocation-free
-// (an overloaded engine must not also be fighting its own garbage).
-//
-// Rig: a single shard is wedged by a plug aggregate whose emit blocks on a
-// gate, so the ring sits full and pressure pins at 1.0; the plane activates
-// and publishes the harmonic thresholds; the benchmark then drives bursts
-// at a lowest-priority (highest class) victim, every packet of which takes
-// the two-atomic-load shed gate. One iteration is one packet, comparable to
-// BenchmarkMiddleboxSubmitBatch.
-func BenchmarkMiddleboxSubmitBatchOverloaded(b *testing.B) {
-	var ticks atomic.Int64
-	eng := NewMiddlebox(MiddleboxConfig{
-		Shards:     1,
-		QueueDepth: 64,
-		Clock: func() time.Duration {
-			return time.Duration(ticks.Add(1)) * 10 * time.Microsecond
-		},
-		WatchdogInterval: time.Millisecond,
-		CloseTimeout:     5 * time.Second,
-		Overload:         true,
-	})
-	defer eng.Close()
-	gate := make(chan struct{})
-	defer close(gate)
-	plugEnf, err := NewBCPQP(BCPQPConfig{Rate: 1000 * Mbps, Queues: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	plug, err := eng.Add("plug", plugEnf, func(pkt Packet) { <-gate })
-	if err != nil {
-		b.Fatal(err)
-	}
-	victimEnf, err := NewBCPQP(BCPQPConfig{Rate: 20 * Mbps, Queues: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	victim, err := eng.Add("victim", victimEnf, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.SetShedClass("victim", 3); err != nil {
-		b.Fatal(err)
-	}
-	// Wedge the shard: the first burst blocks in emit, the rest pack the
-	// ring to full occupancy. The emit blocks whoever serves the burst, and
-	// on an idle shard that is the submitter: wedge from a helper goroutine.
-	trip := [1]Packet{{Key: FlowKey{SrcIP: 1, Proto: 6}, Size: MSS}}
-	go func(first [1]Packet) { eng.SubmitBatch(plug, first[:]) }(trip)
-	deadline := time.Now().Add(5 * time.Second)
-	for !eng.Health().Shards[0].Busy {
-		if time.Now().After(deadline) {
-			b.Fatal("the blocked emit never held the shard")
-		}
-		runtime.Gosched()
-	}
-	for i := 1; i < 80; i++ {
-		eng.SubmitBatch(plug, trip[:])
-	}
-	for !eng.Health().Overload.Active {
-		if time.Now().After(deadline) {
-			b.Fatal("overload plane never activated")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	runBatchBench(b, eng, []AggregateHandle{victim})
-	if eng.Health().Overload.PriorityShed == 0 {
-		b.Fatal("benchmark did not exercise the priority-shed path")
-	}
-}
-
 // BenchmarkMiddleboxChurn measures the aggregate lifecycle: one iteration
 // is one full Add (with a fresh BC-PQP enforcer), one burst of traffic, and
 // one Remove with its final-stats drain barrier. This is the control-plane

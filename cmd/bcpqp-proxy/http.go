@@ -16,16 +16,16 @@
 //	{
 //	  "healthy":  bool,       // no shard wedged — mirrors the HTTP status
 //	  "degraded": bool,       // serving, but on a conservative posture:
-//	                          // cluster fallback share, overload shedding,
-//	                          // and/or a quarantined aggregate (its traffic
-//	                          // dropped until Remove or restart)
+//	                          // cluster fallback share and/or a quarantined
+//	                          // aggregate (its traffic dropped until Remove
+//	                          // or restart)
 //	  "panics": int, "overloaded_packets": int,
 //	  "quarantined": [ids],   // omitted when empty
-//	  "shards": [{"shard","state","queue_depth","queue_cap",
+//	  "shards": [{"shard",
+//	              "state",    // "healthy", "degraded" (recent panic or shed,
+//	                          // or ring ≥ 3/4 full) or "wedged"
+//	              "queue_depth","queue_cap",
 //	              "heartbeat_age","processed","panics","shed_packets"}],
-//	  "overload": {           // omitted when the overload plane is disabled
-//	    "active": bool, "pressure": 0..1, "ring_pressure",
-//	    "shed_rate_pps", "priority_shed_packets", "transitions"},
 //	  "cluster": {            // omitted when cluster mode is off
 //	    "degraded": bool,     // any shared aggregate on its fallback floor
 //	    "fallback_aggregates": [ids],  // omitted when empty
@@ -127,14 +127,12 @@ func newAdminMux(mb *bcpqp.Middlebox, node *bcpqp.ClusterNode, ids []string) *ht
 		// Cluster fallback shares are DEGRADED, not down: the node is
 		// enforcing its conservative static r/N share, which is safe and
 		// serving traffic — a 503 here would make load balancers evict
-		// exactly the nodes that are behaving correctly under partition.
-		// The same logic applies to an active overload plane: a shedding
-		// engine is doing its job (surviving an attack by dropping the
-		// lowest-priority traffic), and evicting it would hand the flood
-		// to a healthier-looking peer and take that one down too. A
+		// exactly the nodes that are behaving correctly under partition. A
 		// quarantined core drops its share of sources until the process
-		// restarts, which is degraded too, while the other cores serve.
-		degraded := (node != nil && node.Degraded()) || h.Overload.Active || len(h.Quarantined) > 0
+		// restarts, which is degraded too, while the other cores serve. A
+		// shard under load reports itself in its own state ("degraded" on
+		// a packed ring or a shed, "wedged" past the watchdog's timeout).
+		degraded := (node != nil && node.Degraded()) || len(h.Quarantined) > 0
 		if h.Wedged() {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
@@ -148,28 +146,19 @@ func newAdminMux(mb *bcpqp.Middlebox, node *bcpqp.ClusterNode, ids []string) *ht
 			Panics       int64  `json:"panics"`
 			Shed         int64  `json:"shed_packets"`
 		}
-		type overloadz struct {
-			Active       bool    `json:"active"`
-			Pressure     float64 `json:"pressure"`
-			RingPressure float64 `json:"ring_pressure"`
-			ShedRatePPS  float64 `json:"shed_rate_pps"`
-			PriorityShed int64   `json:"priority_shed_packets"`
-			Transitions  int64   `json:"transitions"`
-		}
 		type clusterz struct {
 			Degraded           bool     `json:"degraded"`
 			FallbackAggregates []string `json:"fallback_aggregates,omitempty"`
 			MaxReportAge       string   `json:"max_report_age"`
 		}
 		body := struct {
-			Healthy     bool       `json:"healthy"`
-			Degraded    bool       `json:"degraded"`
-			Shards      []shardz   `json:"shards"`
-			Quarantined []string   `json:"quarantined,omitempty"`
-			Panics      int64      `json:"panics"`
-			Overloaded  int64      `json:"overloaded_packets"`
-			Overload    *overloadz `json:"overload,omitempty"`
-			Cluster     *clusterz  `json:"cluster,omitempty"`
+			Healthy     bool      `json:"healthy"`
+			Degraded    bool      `json:"degraded"`
+			Shards      []shardz  `json:"shards"`
+			Quarantined []string  `json:"quarantined,omitempty"`
+			Panics      int64     `json:"panics"`
+			Overloaded  int64     `json:"overloaded_packets"`
+			Cluster     *clusterz `json:"cluster,omitempty"`
 		}{
 			Healthy:     !h.Wedged(),
 			Degraded:    degraded,
@@ -189,16 +178,6 @@ func newAdminMux(mb *bcpqp.Middlebox, node *bcpqp.ClusterNode, ids []string) *ht
 				}
 			}
 			body.Cluster = cz
-		}
-		if h.Overload.Enabled {
-			body.Overload = &overloadz{
-				Active:       h.Overload.Active,
-				Pressure:     h.Overload.Pressure,
-				RingPressure: h.Overload.Ring,
-				ShedRatePPS:  h.Overload.ShedRate,
-				PriorityShed: h.Overload.PriorityShed,
-				Transitions:  h.Overload.Transitions,
-			}
 		}
 		for _, s := range h.Shards {
 			body.Shards = append(body.Shards, shardz{

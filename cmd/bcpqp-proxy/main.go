@@ -75,7 +75,6 @@ func main() {
 		clListen = flag.String("cluster-listen", "", "UDP address the budget exchange listens on (e.g. :7400)")
 		clKey    = flag.String("cluster-key", "", "shared secret authenticating budget-exchange frames (HMAC-SHA256); all peers must agree. Empty sends frames unauthenticated — only safe on a trusted network")
 		sharedFl = flag.Bool("shared", false, "enforce -rate as the CLUSTER-WIDE bound for the proxy aggregate: start at the static r/N share and let the budget exchange reclaim idle peers' headroom")
-		overload = flag.Bool("overload", false, "enable the engine's overload plane. The proxy sets no shed class, so the plane only tracks pressure: /healthz reports it, and an active plane as degraded (still 200)")
 		coresFl  = flag.Int("cores", 1, "datapath workers, each with its own SO_REUSEPORT socket and 1/cores of the plan (0 = GOMAXPROCS)")
 		drain    = flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain deadline on SIGTERM/SIGINT")
 		selftest = flag.Bool("selftest", false, "run the loopback demonstration and exit")
@@ -139,7 +138,6 @@ func main() {
 		sig:          sigc,
 		admin:        admin,
 		cluster:      clOpts,
-		overload:     *overload,
 	}))
 }
 
@@ -184,10 +182,6 @@ type proxyOpts struct {
 	// cluster, when enabled, joins the peer budget exchange (and, with
 	// shared set, enforces the plan rate cluster-wide).
 	cluster clusterOpts
-	// overload enables the engine's overload-control plane. With every
-	// aggregate in class 0 it sheds nothing: it tracks pressure for /healthz
-	// and /metrics.
-	overload bool
 	// forceSingle selects netio's portable single-datagram backend (tests
 	// run both on any platform); it cannot share a port, so: one core.
 	forceSingle bool
@@ -262,7 +256,6 @@ func serve(opts proxyOpts) int {
 	cfg := bcpqp.MiddleboxConfig{
 		Shards:       cores,
 		CloseTimeout: opts.drainTimeout,
-		Overload:     opts.overload,
 		OnFault: func(id string, recovered any, _ []byte) {
 			if id == "" {
 				id = "(unattributed)"

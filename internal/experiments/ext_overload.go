@@ -20,10 +20,9 @@ import (
 // does not negotiate. This experiment replays the four adversarial
 // families from internal/workload — a constant-rate UDP flood, a hard
 // on/off bursty flood, a mixed-RTT swarm and a short-flow storm — against
-// an engine with the overload-control plane enabled, and reports how the
-// load was disposed of: enforced (accepted/dropped by Theorem-1
-// admission), ring-shed, or priority-shed, and whether the engine ended
-// the storm healthy.
+// the engine, and reports how the load was disposed of: enforced
+// (accepted/dropped by Theorem-1 admission) or shed at a full shard ring,
+// and whether the engine ended the storm healthy.
 //
 // Every generator is open-loop and seeded, so the offered column is
 // identical per seed and the disposition columns sum exactly to it.
@@ -76,8 +75,8 @@ func ExtOverload(scale Scale, seed uint64) (*Report, error) {
 			Notes: []string{
 				"offered = accepted + dropped + shed exactly (open-loop generators);",
 				"accepted stays within the Theorem-1 bound r·Δt + B per aggregate no",
-				"matter the offered multiple; shed counts both full-ring and",
-				"priority (overload-plane) sheds; the engine's capacity during a",
+				"matter the offered multiple; shed counts packets shed at a full",
+				"shard ring, the engine's one overload response; its capacity during a",
 				"storm is pinned at one burst enforced per eight offered, through",
 				"the injected clock, so the overdrive does not depend on the host;",
 				"bursts are submitted by shards+1 feeder goroutines, not the generator:",
@@ -107,9 +106,9 @@ type overloadRow struct {
 // enforce one burst for every serviceEvery offered.
 const serviceEvery = 8
 
-// runOverloadScenario drives one adversarial source through a fresh
-// overload-enabled engine (8 tbf aggregates spanning all four shed
-// classes, deliberately shallow rings) and reconciles the disposition.
+// runOverloadScenario drives one adversarial source through a fresh engine
+// (8 tbf aggregates, deliberately shallow rings) and reconciles the
+// disposition.
 //
 // How far a producer outruns the shard goroutines depends on the host and
 // on GOMAXPROCS, so the overdrive is made explicit instead. Whoever serves a
@@ -148,7 +147,6 @@ func runOverloadScenario(src workload.Source) (overloadRow, error) {
 		},
 		WatchdogInterval: time.Millisecond,
 		CloseTimeout:     10 * time.Second,
-		Overload:         true,
 	})
 	defer e.Close()
 	defer endStorm() // before Close, on every path: a gated shard cannot exit
@@ -158,9 +156,6 @@ func runOverloadScenario(src workload.Source) (overloadRow, error) {
 		ids[i] = fmt.Sprintf("adv-%d", i)
 		h, err := e.Add(ids[i], tbf.MustNew(rate, bucket), nil)
 		if err != nil {
-			return overloadRow{}, err
-		}
-		if err := e.SetShedClass(ids[i], i%4); err != nil {
 			return overloadRow{}, err
 		}
 		handles[i] = h
@@ -249,8 +244,7 @@ func runOverloadScenario(src workload.Source) (overloadRow, error) {
 		row.accepted += st.AcceptedPackets
 		row.dropped += st.DroppedPackets
 	}
-	h := e.Health()
-	row.shed = h.Overloaded + h.Overload.PriorityShed
+	row.shed = e.Health().Overloaded
 	if got := row.accepted + row.dropped + row.shed; got != row.offered {
 		return overloadRow{}, fmt.Errorf("disposition %d != offered %d", got, row.offered)
 	}

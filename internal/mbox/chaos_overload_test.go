@@ -1,9 +1,9 @@
 package mbox
 
 // Overload chaos: the four adversarial workload families from
-// internal/workload driven against the engine with the overload plane
-// enabled, under -race (the chaos job adds -count=3). Each scenario asserts
-// the same four invariants the ROADMAP demands:
+// internal/workload driven against the engine, whose one overload response
+// is to shed at full rings, under -race (make chaos adds -count=3). Each
+// scenario asserts the same four invariants the ROADMAP demands:
 //
 //   1. Theorem-1 admission bounds hold: every aggregate's accepted bytes
 //      stay ≤ r·Δt + B (+1 MSS slack), no matter how hostile the offered
@@ -18,16 +18,11 @@ package mbox
 //
 // Every scenario is open-loop — the generators' offered load is exact
 // ground truth — so packet conservation is asserted exactly:
-// offered == enforcer-seen + ring-full shed + priority shed.
-//
-// When BCPQP_CHAOS_OUT is set, each scenario appends one JSON line of its
-// shed counters; the CI overload-chaos job uploads that file as an artifact.
+// offered == enforcer-seen + ring-full shed.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -43,38 +38,16 @@ import (
 	"bcpqp/internal/workload"
 )
 
-// dumpChaosCounters appends one JSON record of the engine's shed
-// counters to $BCPQP_CHAOS_OUT (no-op when unset). CI uploads the file as
-// the overload-chaos job's artifact.
-func dumpChaosCounters(t *testing.T, e *Engine, scenario string) {
-	t.Helper()
-	path := os.Getenv("BCPQP_CHAOS_OUT")
-	if path == "" {
-		return
+// waitFor polls cond up to timeout; false on deadline.
+func waitFor(timeout time.Duration, cond func() bool) bool {
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return true
+		}
+		time.Sleep(time.Millisecond)
 	}
-	h := e.Health()
-	rec := map[string]any{
-		"scenario":      scenario,
-		"overloaded":    h.Overloaded,
-		"priority_shed": h.Overload.PriorityShed,
-		"transitions":   h.Overload.Transitions,
-		"pressure":      h.Overload.Pressure,
-		"panics":        h.Panics,
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		t.Logf("chaos counters: %v", err)
-		return
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Logf("chaos counters: %v", err)
-		return
-	}
-	defer f.Close()
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		t.Logf("chaos counters: %v", err)
-	}
+	return cond()
 }
 
 // drainAndSettle waits for every shard ring to empty and every shard to
@@ -130,7 +103,7 @@ func conserve(t *testing.T, e *Engine, ids []string, offered int64) {
 		p, _ := st.Totals()
 		seen += p
 	}
-	shed := e.Overloaded.Load() + e.OverloadShed.Load()
+	shed := e.Overloaded.Load()
 	if seen+shed != offered {
 		t.Errorf("conservation broken: enforcers saw %d + shed %d = %d, offered %d",
 			seen, shed, seen+shed, offered)
@@ -139,9 +112,8 @@ func conserve(t *testing.T, e *Engine, ids []string, offered int64) {
 
 // TestChaosFloodOverload drives non-congestion-controlled UDP floods — one
 // constant-rate, one hard on/off bursty — at ~25× the enforced rate into
-// tbf aggregates across all four shed classes. Floods never back off, so
-// admission is pure Theorem 1: accepted ≤ r·Δt + B regardless of the
-// offered 25×.
+// four tbf aggregates. Floods never back off, so admission is pure
+// Theorem 1: accepted ≤ r·Δt + B regardless of the offered 25×.
 func TestChaosFloodOverload(t *testing.T) {
 	clock := &fakeClock{step: 50 * time.Microsecond}
 	const (
@@ -151,13 +123,12 @@ func TestChaosFloodOverload(t *testing.T) {
 		closeTimeout = 10 * time.Second
 	)
 	// A deliberately shallow ring (8 bursts/shard): the flood MUST
-	// overwhelm ingress so the shed paths, not just the enforcers, carry
-	// the overload.
+	// overwhelm ingress so the ring-full shed, not just the enforcers,
+	// carries the overload.
 	e := New(Config{
 		Shards: 2, QueueDepth: 8, Clock: clock.now,
 		CloseTimeout:     closeTimeout,
 		WatchdogInterval: time.Millisecond,
-		Overload:         true,
 	})
 	closed := false
 	defer func() {
@@ -171,9 +142,6 @@ func TestChaosFloodOverload(t *testing.T) {
 		ids[i] = fmt.Sprintf("flood-%d", i)
 		h, err := e.Add(ids[i], tbf.MustNew(rate, bucket), nil)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.SetShedClass(ids[i], i%4); err != nil {
 			t.Fatal(err)
 		}
 		handles[i] = h
@@ -200,7 +168,7 @@ func TestChaosFloodOverload(t *testing.T) {
 				if !ok {
 					return
 				}
-				h := handles[(fi*2+i)%aggs] // spread across classes
+				h := handles[(fi*2+i)%aggs] // spread across aggregates
 				if err := e.SubmitBatch(h, buf[:n]); err != nil {
 					t.Error(err)
 					return
@@ -238,7 +206,6 @@ func TestChaosFloodOverload(t *testing.T) {
 	if e.Len() != aggs {
 		t.Errorf("registry size %d changed under flood, want %d", e.Len(), aggs)
 	}
-	dumpChaosCounters(t, e, "flood")
 	rep := closeBounded(t, e, closeTimeout)
 	closed = true
 	if rep.AbandonedShards != 0 {
@@ -265,7 +232,6 @@ func TestChaosFlashCrowdLifecycle(t *testing.T) {
 	e := New(Config{
 		Shards:       4,
 		CloseTimeout: closeTimeout,
-		Overload:     true,
 	})
 	closed := false
 	defer func() {
@@ -367,7 +333,6 @@ func TestChaosFlashCrowdLifecycle(t *testing.T) {
 		t.Errorf("heap grew across identical waves: %d → %d bytes", heap[0], heap[waves-1])
 	}
 	drainAndSettle(t, e)
-	dumpChaosCounters(t, e, "flash-crowd")
 	rep := closeBounded(t, e, closeTimeout)
 	closed = true
 	if !rep.Clean {
@@ -376,10 +341,9 @@ func TestChaosFlashCrowdLifecycle(t *testing.T) {
 }
 
 // TestChaosMixedRTTSwarmOverload drives two mixed-RTT swarms (RTTs spread
-// across the full 2–50 ms range, windows 2–32 packets) into 8 aggregates
-// spanning all shed classes. Short-RTT flows hammer with frequent small
-// bursts while long-RTT flows clump — admission must stay within Theorem 1
-// for every aggregate.
+// across the full 2–50 ms range, windows 2–32 packets) into 8 aggregates.
+// Short-RTT flows hammer with frequent small bursts while long-RTT flows
+// clump — admission must stay within Theorem 1 for every aggregate.
 func TestChaosMixedRTTSwarmOverload(t *testing.T) {
 	clock := &fakeClock{step: 50 * time.Microsecond}
 	const (
@@ -391,7 +355,6 @@ func TestChaosMixedRTTSwarmOverload(t *testing.T) {
 	e := New(Config{
 		Shards: 4, QueueDepth: 512, Clock: clock.now,
 		CloseTimeout: closeTimeout,
-		Overload:     true,
 	})
 	closed := false
 	defer func() {
@@ -405,9 +368,6 @@ func TestChaosMixedRTTSwarmOverload(t *testing.T) {
 		ids[i] = fmt.Sprintf("swarm-%d", i)
 		h, err := e.Add(ids[i], tbf.MustNew(rate, bucket), nil)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.SetShedClass(ids[i], i%4); err != nil {
 			t.Fatal(err)
 		}
 		handles[i] = h
@@ -466,7 +426,6 @@ func TestChaosMixedRTTSwarmOverload(t *testing.T) {
 	if e.Len() != aggs {
 		t.Errorf("registry size %d changed under swarm, want %d", e.Len(), aggs)
 	}
-	dumpChaosCounters(t, e, "mixed-rtt-swarm")
 	closeBounded(t, e, closeTimeout)
 	closed = true
 }
@@ -488,7 +447,6 @@ func TestChaosShortFlowStormOverload(t *testing.T) {
 	e := New(Config{
 		Shards: 2, QueueDepth: 512, Clock: clock.now,
 		CloseTimeout: closeTimeout,
-		Overload:     true,
 	})
 	closed := false
 	defer func() {
@@ -508,9 +466,6 @@ func TestChaosShortFlowStormOverload(t *testing.T) {
 		})
 		h, err := e.Add(ids[i], enf, nil)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.SetShedClass(ids[i], i%4); err != nil {
 			t.Fatal(err)
 		}
 		handles[i] = h
@@ -555,20 +510,19 @@ func TestChaosShortFlowStormOverload(t *testing.T) {
 	if e.Len() != aggs {
 		t.Errorf("registry size %d changed under storm, want %d", e.Len(), aggs)
 	}
-	dumpChaosCounters(t, e, "short-flow-storm")
 	closeBounded(t, e, closeTimeout)
 	closed = true
 }
 
 // TestChaosPlanesTogether arms every plane at once on one shard, driven from
 // one goroutine on an injected clock with the watchdog off: a policy tree fed
-// through two leaf handles beside a flat BC-PQP aggregate in shed class 3,
-// both observed and audited (whole-aggregate envelopes on both, a node
-// envelope on one leaf); a cluster share that halves the tree's root rate and
-// then restores it; and a priority-shed episode, engaged and released by
-// running the pressure update at chosen readings while holdShard keeps the
-// ring filled. No envelope may be breached, and each aggregate's offered
-// packets must equal accepted + dropped + priority-shed exactly.
+// through two leaf handles beside a flat BC-PQP aggregate, both observed and
+// audited (whole-aggregate envelopes on both, a node envelope on one leaf); a
+// cluster share that halves the tree's root rate and then restores it; and a
+// ring-full episode, in which holdShard keeps the shard while tree bursts
+// fill its ring and flat bursts shed behind them. No envelope may be
+// breached, the tree's offered packets must equal accepted + dropped, and
+// flat's accepted + dropped + the episode's ring-full shed, exactly.
 func TestChaosPlanesTogether(t *testing.T) {
 	const (
 		treeRate  = 20 * units.Mbps
@@ -586,7 +540,6 @@ func TestChaosPlanesTogether(t *testing.T) {
 		Shards: 1, QueueDepth: depth, Clock: clock.now,
 		WatchdogInterval: time.Hour,
 		Observer:         c,
-		Overload:         true,
 	})
 	defer e.Close()
 
@@ -604,9 +557,6 @@ func TestChaosPlanesTogether(t *testing.T) {
 		Rate: flatRate, Queues: queues, QueueSize: queueSize, BurstControl: true,
 	}), nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetShedClass("flat", 3); err != nil {
 		t.Fatal(err)
 	}
 	// Each envelope is one the enforcer cannot exceed: the tree admits no
@@ -643,29 +593,29 @@ func TestChaosPlanesTogether(t *testing.T) {
 	}
 	traffic()
 
-	// Priority shed: with the shard held, tree bursts queue until the ring
-	// reads 14/16 full — short of full, so nothing sheds at the ring — and
-	// the pressure update engages the plane, which sheds every class-3 burst.
-	now := time.Now().UnixNano()
+	// Ring-full shed: with the shard held, the shard goroutine pops one tree
+	// burst and parks on the occupancy word; the next depth tree bursts fill
+	// the ring exactly, and every flat burst behind them sheds.
 	release := holdShard(t, e, "tree")
-	for i := 0; i < depth-2; i++ {
+	submit(leaves[0], 0, &offeredTree)
+	if !waitFor(10*time.Second, func() bool { return len(e.shards[0].in) == 0 }) {
+		t.Fatal("shard goroutine never took the first queued burst")
+	}
+	for i := 0; i < depth; i++ {
 		submit(leaves[i%2], i, &offeredTree)
 	}
-	e.updatePressure(now)
-	if h := e.Health().Overload; !h.Active {
-		t.Fatalf("plane did not engage on a %d/%d ring: %+v", depth-2, depth, h)
-	}
 	const shedBursts = 20
+	over0 := e.Overloaded.Load()
 	for i := 0; i < shedBursts; i++ {
 		submit(flat, i, &offeredFlat)
+	}
+	shed := e.Overloaded.Load() - over0
+	if shed != shedBursts*burstLen {
+		t.Errorf("Overloaded grew %d behind a full ring, want %d", shed, shedBursts*burstLen)
 	}
 	release()
 	if err := e.Flush("tree", func(enforcer.Enforcer) {}); err != nil { // behind the queued bursts
 		t.Fatal(err)
-	}
-	e.updatePressure(now + int64(10*time.Second))
-	if h := e.Health().Overload; h.Active {
-		t.Fatalf("plane did not disengage on a drained ring: %+v", h)
 	}
 
 	if err := e.ApplyShare("tree", treeRate, false); err != nil {
@@ -685,29 +635,22 @@ func TestChaosPlanesTogether(t *testing.T) {
 			t.Errorf("envelope %s/%d audited no bytes", a.Aggregate, a.Node)
 		}
 	}
-	if got := e.Overloaded.Load(); got != 0 {
-		t.Errorf("Overloaded = %d, want 0: the ring never filled", got)
-	}
-	if got := e.OverloadShed.Load(); got != shedBursts*burstLen {
-		t.Errorf("OverloadShed = %d, want %d", got, shedBursts*burstLen)
+	if got := e.Overloaded.Load(); got != shed {
+		t.Errorf("Overloaded = %d, want the episode's %d: the ring filled only then", got, shed)
 	}
 	snap := e.Metrics()
 	for _, a := range []struct {
 		id      string
 		offered int64
-	}{{"tree", offeredTree}, {"flat", offeredFlat}} {
+		shed    int64
+	}{{"tree", offeredTree, 0}, {"flat", offeredFlat, shed}} {
 		st, err := e.Stats(a.id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		agg, err := e.aggByID(a.id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shed := agg.shed.Load()
-		if got := st.AcceptedPackets + st.DroppedPackets + shed; got != a.offered {
-			t.Errorf("%s: accepted %d + dropped %d + priority-shed %d = %d, offered %d",
-				a.id, st.AcceptedPackets, st.DroppedPackets, shed, got, a.offered)
+		if got := st.AcceptedPackets + st.DroppedPackets + a.shed; got != a.offered {
+			t.Errorf("%s: accepted %d + dropped %d + ring-shed %d = %d, offered %d",
+				a.id, st.AcceptedPackets, st.DroppedPackets, a.shed, got, a.offered)
 		}
 		if st.DroppedPackets == 0 {
 			t.Errorf("%s: nothing dropped; the workload should saturate it", a.id)

@@ -148,11 +148,11 @@ func (l *LocalSubmitter) Shard() int { return l.s.idx }
 // immediately, which is what makes a zero-copy rx→enforce→tx loop possible.
 //
 // The run is the ring path's (the same admit gate in front, the same serve
-// body behind): same overload shed gate, same panic barrier and
-// quarantine/degrade handling, same verdict tallies and trace sampling, same
-// one-clock-read-per-burst arrival stamping — so a core that only ever
-// submits inline still reads as alive to the watchdog. Verdicts reach the aggregate's emit hook
-// before SubmitBatch returns.
+// body behind): same panic barrier and quarantine/degrade handling, same
+// verdict tallies and trace sampling, same one-clock-read-per-burst arrival
+// stamping — so a core that only ever submits inline still reads as alive to
+// the watchdog. Verdicts reach the aggregate's emit hook before SubmitBatch
+// returns.
 //
 // A live holder of the word — a slow emit hook, a Flush fn, a shard
 // goroutine kept off the CPU — is waited out, however long it takes.

@@ -207,11 +207,6 @@ type Config struct {
 	// quarantine, shed, reconfiguration) are always recorded. Read it
 	// back through Engine.TraceDump and Engine.Metrics.
 	Observer *obs.Collector
-
-	// Overload turns on the overload-control plane: pressure tracking and
-	// the priority-aware (harmonic) shed policy. Its parameters are
-	// constants (overload.go). Off by default: ring-full shedding only.
-	Overload bool
 }
 
 // Engine hosts many enforcers behind a concurrent burst-submit API.
@@ -232,9 +227,10 @@ type Engine struct {
 	// enforcer) coerced to Drop, whether or not the aggregate has an emit
 	// hook.
 	BadVerdicts atomic.Int64
-	// OverloadShed counts packets shed proactively by the overload
-	// plane's priority policy — before they reached a ring, as opposed to
-	// Overloaded's ring-full sheds.
+	// OverloadShed is always zero: the engine sheds only at full rings,
+	// and counts that in Overloaded.
+	//
+	// Deprecated: kept only because bench/engine.go reads it.
 	OverloadShed atomic.Int64
 	// InlineBursts counts bursts enforced through the ring-bypass fast
 	// path (LocalSubmitter.SubmitBatch) — run to completion on the
@@ -268,10 +264,6 @@ type Engine struct {
 	// obsSample caches Observer.Options().SampleEvery for the shed-event
 	// coalescing in recordShed (0 without an Observer).
 	obsSample int
-
-	// overload is the overload-control plane; nil unless Config.Overload,
-	// and a single nil check is the entire datapath cost when disabled.
-	overload *overloadPlane
 
 	// extraMetrics holds metric-family sources attached by subsystems
 	// layered above the engine (e.g. the cluster budget exchange), guarded
@@ -373,13 +365,6 @@ type aggregate struct {
 	quarantined   atomic.Bool
 	panics        atomic.Int64
 	degradedDrops atomic.Int64
-
-	// shedClass is the overload plane's priority class (0 = shed last,
-	// never proactively, where every aggregate starts); shed counts this
-	// aggregate's proactively shed packets. Both are dead weight unless
-	// Config.Overload.
-	shedClass atomic.Int32
-	shed      atomic.Int64
 
 	// obs is the per-aggregate metrics block (nil without an Observer).
 	// It lives on the aggregate, not in slot-indexed collector storage, so
@@ -502,9 +487,6 @@ func New(cfg Config) *Engine {
 		mono: monoClock,
 		stop: make(chan struct{}),
 		dead: make(chan struct{}),
-	}
-	if cfg.Overload {
-		e.overload = newOverloadPlane(cfg.QueueDepth)
 	}
 	if cfg.Observer != nil {
 		e.obsSample = cfg.Observer.Options().SampleEvery
@@ -872,15 +854,15 @@ func (e *Engine) enqueue(s *shard, it item) {
 	n := int64(len(it.b.pkts))
 	e.Overloaded.Add(n)
 	s.shed.Add(n)
-	e.recordShed(s, n, obs.Event{Kind: obs.KindShed, Agg: -1, Node: -1})
+	e.recordShed(s, n)
 	e.putBurst(it.b)
 }
 
 // recordShed coalesces KindShed trace events for n shed packets (see
-// shard.shedTick): ev, with the accumulated packet count in A, is recorded
-// on the first shed and then once per obsSample sheds. No-op without an
-// Observer.
-func (e *Engine) recordShed(s *shard, n int64, ev obs.Event) {
+// shard.shedTick): one event, with the accumulated packet count in A, is
+// recorded on the first shed and then once per obsSample sheds. No-op
+// without an Observer.
+func (e *Engine) recordShed(s *shard, n int64) {
 	if s.obs == nil {
 		return
 	}
@@ -888,8 +870,7 @@ func (e *Engine) recordShed(s *shard, n int64, ev obs.Event) {
 	s.shedAccum += n
 	if s.shedTick--; s.shedTick <= 0 {
 		s.shedTick = e.obsSample
-		ev.A = s.shedAccum
-		s.obs.Record(ev)
+		s.obs.Record(obs.Event{Kind: obs.KindShed, Agg: -1, Node: -1, A: s.shedAccum})
 		s.shedAccum = 0
 	}
 	s.mu.Unlock()
@@ -1116,11 +1097,8 @@ func (e *Engine) resolve(h Handle) (*aggregate, error) {
 
 // admit is the one gate every submission passes, ring or inline (inline
 // names the submitter's shard; nil for the ring): handle resolution, shard
-// ownership for an inline submitter, the empty burst, and the overload
-// plane's shed gate — bursts whose aggregate's shed class exceeds its
-// ring-occupancy ceiling are shed proactively and counted in OverloadShed
-// before any buffer or occupancy word is taken. A nil aggregate with a nil
-// error means there is nothing left to serve.
+// ownership for an inline submitter, and the empty burst. A nil aggregate
+// with a nil error means there is nothing left to serve.
 func (e *Engine) admit(h Handle, n int, inline *shard) (*aggregate, error) {
 	agg, err := e.resolve(h)
 	if err != nil {
@@ -1130,10 +1108,6 @@ func (e *Engine) admit(h Handle, n int, inline *shard) (*aggregate, error) {
 		return nil, fmt.Errorf("mbox: aggregate %q on shard %d: %w", agg.id, agg.shard.idx, ErrWrongShard)
 	}
 	if n == 0 {
-		return nil, nil
-	}
-	if p := e.overload; p != nil && p.shedGate(agg.shard, agg) {
-		e.shedPriority(agg.shard, agg, n)
 		return nil, nil
 	}
 	return agg, nil
@@ -1149,10 +1123,9 @@ func (e *Engine) admit(h Handle, n int, inline *shard) (*aggregate, error) {
 // hook that blocks blocks its own caller. Otherwise the packets are copied into an engine-owned pooled buffer
 // and handed to the shard's goroutine in one ring operation, behind
 // everything queued before them; when the ring is full the burst is shed and
-// counted in Overloaded, and with the overload plane active a burst can be
-// shed before that (see admit). Either way the caller may reuse pkts on
-// return, and steady-state submission performs no allocation. Invalid handles
-// report an error (misrouted traffic should be visible).
+// counted in Overloaded. Either way the caller may reuse pkts on return, and
+// steady-state submission performs no allocation. Invalid handles report an
+// error (misrouted traffic should be visible).
 func (e *Engine) SubmitBatch(h Handle, pkts []packet.Packet) error {
 	agg, err := e.admit(h, len(pkts), nil)
 	if agg == nil {
@@ -1364,10 +1337,6 @@ type Health struct {
 	DegradedDrops int64
 	BadVerdicts   int64
 	Overloaded    int64
-
-	// Overload is the overload plane's state (zero value when the plane
-	// is disabled).
-	Overload OverloadHealth
 }
 
 // Wedged reports whether any shard is currently classified Wedged.
@@ -1391,7 +1360,6 @@ func (e *Engine) Health() Health {
 		DegradedDrops: e.DegradedDrops.Load(),
 		BadVerdicts:   e.BadVerdicts.Load(),
 		Overloaded:    e.Overloaded.Load(),
-		Overload:      e.overloadHealth(),
 	}
 	h.Shards = make([]ShardHealth, len(e.shards))
 	for i, s := range e.shards {
@@ -1433,9 +1401,6 @@ func (e *Engine) watchdog() {
 			now := time.Now().UnixNano()
 			for i, s := range e.shards {
 				s.state.Store(int32(e.classify(s, now, &lastPanics[i], &lastShed[i])))
-			}
-			if e.overload != nil {
-				e.updatePressure(now)
 			}
 		}
 	}

@@ -97,19 +97,6 @@ func (e *Engine) Metrics() obs.Snapshot {
 	counter("bcpqp_inline_bursts_total", "bursts enforced through the ring-bypass fast path", float64(e.InlineBursts.Load()))
 	counter("bcpqp_inline_fallbacks_total", "ring-bypass submissions that fell back to shedding on a wedged shard", float64(e.InlineFallbacks.Load()))
 
-	if p := e.overload; p != nil {
-		active := 0.0
-		if p.active.Load() {
-			active = 1
-		}
-		gauge("bcpqp_overload_pressure", "composite overload pressure: max of ring occupancy and shed-rate components", float64(p.pressureMilli.Load())/1000)
-		gauge("bcpqp_overload_active", "1 while the overload shed plane is engaged", active)
-		gauge("bcpqp_overload_ring_pressure", "worst shard ring occupancy fraction", float64(p.ringMilli.Load())/1000)
-		gauge("bcpqp_overload_shed_rate_pps", "shed-rate EWMA over the 250ms window, packets/sec", float64(p.shedRate.Load()))
-		counter("bcpqp_overload_shed_packets_total", "packets shed proactively by the priority shed policy", float64(e.OverloadShed.Load()))
-		counter("bcpqp_overload_transitions_total", "overload plane activation and deactivation edges", float64(p.transitions.Load()))
-	}
-
 	// The heartbeat age reads up to 500µs high (coarseWall).
 	now := time.Now().UnixNano()
 	shardFams := []obs.Family{
@@ -148,14 +135,13 @@ func (e *Engine) Metrics() obs.Snapshot {
 	aggFams := []obs.Family{
 		{Name: "bcpqp_aggregate_quarantined", Help: "1 when the aggregate's circuit breaker is open", Type: "gauge"},
 		{Name: "bcpqp_aggregate_panics_total", Help: "recovered panics attributed to the aggregate", Type: "counter"},
-		{Name: "bcpqp_aggregate_shed_packets_total", Help: "packets shed proactively from the aggregate by the overload plane", Type: "counter"},
 		{Name: "bcpqp_aggregate_accepted_packets_total", Help: "packets the enforcer admitted", Type: "counter"},
 		{Name: "bcpqp_aggregate_accepted_bytes_total", Help: "bytes the enforcer admitted", Type: "counter"},
 		{Name: "bcpqp_aggregate_dropped_packets_total", Help: "packets the enforcer rejected", Type: "counter"},
 		{Name: "bcpqp_aggregate_dropped_bytes_total", Help: "bytes the enforcer rejected", Type: "counter"},
 		{Name: "bcpqp_aggregate_rate_bps", Help: "accepted throughput over the last measurement window", Type: "gauge"},
 	}
-	const nFault = 3 // families exported even without per-aggregate obs
+	const nFault = 2 // families exported even without per-aggregate obs
 	for i := range t.slots {
 		agg := t.slots[i].Load()
 		if agg == nil {
@@ -166,7 +152,7 @@ func (e *Engine) Metrics() obs.Snapshot {
 		if agg.quarantined.Load() {
 			q = 1
 		}
-		vals := []float64{q, float64(agg.panics.Load()), float64(agg.shed.Load())}
+		vals := []float64{q, float64(agg.panics.Load())}
 		if agg.obs != nil {
 			s := agg.obs.Snapshot()
 			vals = append(vals,

@@ -3,7 +3,12 @@ package mbox
 import (
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
+
+	"bcpqp/internal/obs"
+	"bcpqp/internal/tbf"
+	"bcpqp/internal/units"
 )
 
 // TestEngineSurface pins the engine's exported surface, so that adding to it
@@ -12,14 +17,14 @@ import (
 // serve body, both entering at the node their Handle carries, one
 // reconfiguration body behind SetRate and SetPolicy, each addressed by
 // (id, node) with Root for the root, one snapshot pair, and as Config only
-// what some caller outside the tests sets, or feature switches. Everything
-// else is a constant: see overload.go, wedgeTimeout (the one reason any
-// waiter gives up on a shard) and reofferInterval; the circuit breaker trips
-// on the first panic. An aggregate leaves the table only through Remove (or
-// Close), so OverloadHealth reports the plane's pressure and sheds, in
-// declaration order, and nothing about table fill or evictions. The fault
-// plane has one policy, so FaultRecord and Health count drops and carry no
-// mode: a quarantined aggregate's traffic is dropped until Remove.
+// what some caller outside the tests sets. Everything else is a constant:
+// wedgeTimeout (the one reason any waiter gives up on a shard) and
+// reofferInterval; the circuit breaker trips on the first panic. An
+// aggregate leaves the table only through Remove (or Close), and the one
+// overload response is the ring-full shed the watchdog reports, so Health
+// says nothing about table fill, evictions or shed classes. The fault plane
+// has one policy, so FaultRecord and Health count drops and carry no mode: a
+// quarantined aggregate's traffic is dropped until Remove.
 func TestEngineSurface(t *testing.T) {
 	methods := func(v any) (out []string) {
 		typ := reflect.TypeOf(v)
@@ -36,9 +41,6 @@ func TestEngineSurface(t *testing.T) {
 	}
 	config := fields(Config{})
 	slices.Sort(config)
-	if k := reflect.TypeOf(Config{}.Overload).Kind(); k != reflect.Bool {
-		t.Errorf("Config.Overload is a %v, want a bool: the plane's parameters are constants", k)
-	}
 	for _, tc := range []struct {
 		what      string
 		got, want []string
@@ -48,27 +50,39 @@ func TestEngineSurface(t *testing.T) {
 			"AttachMetricSource", "AuditReport", "AuditViolations", "BurstLatency",
 			"Close", "Faults", "Flush", "Health", "Leaf", "Len",
 			"LocalShard", "Lookup", "Metrics", "NodeMetrics", "NodeStats",
-			"Remove", "Restore", "SetPolicy", "SetRate", "SetShedClass",
+			"Remove", "Restore", "SetPolicy", "SetRate",
 			"Snapshot", "Stats", "SubmitBatch", "TraceDump", "Update",
 		}},
 		{"*LocalSubmitter methods", methods(&LocalSubmitter{}), []string{"Shard", "SubmitBatch"}},
 		{"Handle methods", methods(Handle{}), []string{"TraceAgg"}},
 		{"Config fields", config, []string{
-			"Clock", "CloseTimeout", "Observer", "OnFault", "Overload",
+			"Clock", "CloseTimeout", "Observer", "OnFault",
 			"QueueDepth", "Shards", "WatchdogInterval",
 		}},
 		{"FaultRecord fields", fields(FaultRecord{}), []string{"Panics", "Quarantined", "DegradedDrops"}},
 		{"Health fields", fields(Health{}), []string{
 			"Shards", "Quarantined", "Panics", "DegradedDrops", "BadVerdicts",
-			"Overloaded", "Overload",
-		}},
-		{"OverloadHealth fields", fields(OverloadHealth{}), []string{
-			"Enabled", "Active", "Pressure", "Ring", "ShedRate", "PriorityShed",
-			"Transitions",
+			"Overloaded",
 		}},
 	} {
 		if !slices.Equal(tc.got, tc.want) {
 			t.Errorf("%s changed:\n got %q\nwant %q", tc.what, tc.got, tc.want)
 		}
+	}
+
+	// Nor do the metrics: no family of the removed eviction lifecycle or
+	// overload plane is exported, observed or not.
+	for _, cfg := range []Config{{Shards: 1}, {Shards: 1, Observer: obs.NewCollector(obs.Options{})}} {
+		e := New(cfg)
+		if _, err := e.Add("a", tbf.MustNew(units.Mbps, 10*units.MSS), nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range e.Metrics().Families {
+			if strings.HasPrefix(f.Name, "bcpqp_overload_") || f.Name == "bcpqp_evicted_total" ||
+				f.Name == "bcpqp_aggregate_shed_packets_total" {
+				t.Errorf("metric family %q exported, want it gone", f.Name)
+			}
+		}
+		e.Close()
 	}
 }

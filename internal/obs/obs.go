@@ -78,10 +78,6 @@ const (
 	// B = 1 when the share is the conservative fallback (r/N floor under
 	// degraded exchange), 0 when grant-adjusted.
 	KindShareApply
-	// KindOverload is an overload-plane transition: A = 1 on activation
-	// and 0 on deactivation, B = the composite pressure in milli-units,
-	// C = the shed-rate EWMA in packets/sec at the transition.
-	KindOverload
 	// KindViolation is a conformance-audit envelope breach: the audited
 	// aggregate (or tree node, when Node ≥ 0) accepted more bytes than the
 	// Theorem-1 bound r·Δt + B allows. A = the deficit in bytes, B = the
@@ -120,8 +116,6 @@ func (k Kind) String() string {
 		return "peer-state"
 	case KindShareApply:
 		return "share-apply"
-	case KindOverload:
-		return "overload"
 	case KindViolation:
 		return "violation"
 	default:

@@ -114,15 +114,6 @@ type MiddleboxHealth = mbox.Health
 // ShardHealth is one shard's entry in a MiddleboxHealth snapshot.
 type ShardHealth = mbox.ShardHealth
 
-// OverloadHealth is the overload plane's slice of a MiddleboxHealth
-// snapshot: the composite pressure signal, its two components (ring
-// occupancy and shed rate), and the plane's shed counters.
-// MiddleboxConfig.Overload switches the plane on: pressure tracking always,
-// and the priority-aware harmonic shed policy once SetShedClass puts
-// aggregates above class 0. Its thresholds are constants (DESIGN.md,
-// "Overload control").
-type OverloadHealth = mbox.OverloadHealth
-
 // AggregateFaults reports one aggregate's fault record: panics observed,
 // quarantine state, and packets dropped while quarantined. The first panic
 // quarantines an aggregate, and its traffic is dropped until Remove; Remove

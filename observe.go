@@ -72,10 +72,6 @@ const (
 	// TraceShareApply: a cluster rebalance applied a per-node share via
 	// the in-band rate-update lane (A=share bits/sec, B=1 on fallback).
 	TraceShareApply = obs.KindShareApply
-	// TraceOverload: the overload plane engaged (A=1) or disengaged
-	// (A=0); B=composite pressure in milli-units, C=shed-rate EWMA in
-	// packets/sec.
-	TraceOverload = obs.KindOverload
 	// TraceViolation: an armed conformance auditor caught accepted bytes
 	// exceeding the declared r·Δt + B envelope (A=deficit bytes,
 	// B=envelope rate in bits/sec, C=cumulative accepted bytes).

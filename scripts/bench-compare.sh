@@ -24,7 +24,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-BENCH="${BENCH:-^(BenchmarkMiddleboxSubmitBatch|BenchmarkMiddleboxSubmitBatchOverloaded|BenchmarkMiddleboxSubmitBatchLocal|BenchmarkMiddleboxSubmitBatchObserved|BenchmarkClusterRebalance)\$}"
+BENCH="${BENCH:-^(BenchmarkMiddleboxSubmitBatch|BenchmarkMiddleboxSubmitBatchLocal|BenchmarkMiddleboxSubmitBatchObserved|BenchmarkClusterRebalance)\$}"
 COUNT="${COUNT:-6}"
 BUDGET="${BUDGET:-10}"
 
