@@ -10,11 +10,13 @@ build:
 # netio is three builds in one directory (linux amd64, linux arm64, the rest)
 # and an amd64 Linux runner only ever compiles the first: every change to
 # mmsg_linux.go's types has to be mirrored in mmsg_other.go and the arm64
-# syscall numbers. Both cross-builds need only the standard library.
+# syscall numbers. The darwin build covers the whole module, so the proxy and
+# everything else still compile on the portable fallback backend. Both
+# cross-builds need only the standard library.
 vet:
 	$(GO) vet ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/netio
-	GOOS=darwin GOARCH=arm64 $(GO) build ./internal/netio
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -51,22 +53,24 @@ govulncheck:
 
 # Chaos gate: the seeded fault-injection suite (panic isolation,
 # quarantine, watchdog, deadline-bounded Close, and the cluster
-# budget-exchange invariant under injected network faults) plus the
+# budget-exchange invariant under injected network faults), the
 # adversarial-overload suite (UDP floods, flash crowds, mixed-RTT swarms,
-# short-flow storms against ring-full shedding) and the conformance-audit
-# suite (exact reconciliation against injected over-admission) repeated
-# under the race detector. Seeded draws make every repetition identical,
-# so -count=3 checks the engine, not the dice. The two tests of the
-# who-serves-the-shard rule run twenty times: the window they guard (an item
-# popped off the ring but not yet under the occupancy word) is a few
-# instructions wide, and three repetitions do not find it. So do the two
-# tests of the one give-up rule, whose outcome turns on scheduling: a wedged
-# shard refuses a control call or an inline submit, a live one — flooded, or
-# held by a slow Flush — always takes it. With fewer cores than its busy
-# goroutines the flood test takes seconds a run (about 4.5 min for this line
-# on two vCPUs), hence the longer timeout.
+# short-flow storms against ring-full shedding), the conformance-audit suites
+# of mbox and obs (exact reconciliation against injected over-admission), and
+# the engine's reference model (FuzzEngineModel's seed corpus: every engine
+# operation, faults and warm restarts included, checked against a sequential
+# model), repeated under the race detector. Seeded draws make every
+# repetition identical, so -count=3 checks the engine, not the dice. The two
+# tests of the who-serves-the-shard rule run twenty times: the window they
+# guard (an item popped off the ring but not yet under the occupancy word) is
+# a few instructions wide, and three repetitions do not find it. So do the
+# two tests of the one give-up rule, whose outcome turns on scheduling: a
+# wedged shard refuses a control call or an inline submit, a live one —
+# flooded, or held by a slow Flush — always takes it. With fewer cores than
+# its busy goroutines the flood test takes seconds a run (about 4.5 min for
+# this line on two vCPUs), hence the longer timeout.
 chaos:
-	$(GO) test -race -count=3 -run 'Chaos|Fault|Control|Overload|Storm|Flood|Flash|Audit' ./internal/mbox/ ./internal/faultinject/ ./internal/cluster/ ./internal/workload/
+	$(GO) test -race -count=3 -run 'Chaos|Fault|Control|Overload|Storm|Flood|Flash|Audit|Model' ./internal/mbox/ ./internal/faultinject/ ./internal/cluster/ ./internal/workload/ ./internal/obs/
 	$(GO) test -race -count=20 -timeout 30m -run 'TestClaimKeepsSubmissionOrder|TestClaimedEqualsQueued|TestControlEscalationDeterministic|TestControlThroughFloodedRing|TestLocalSubmitWaitsOutLiveHolder|TestLocalSubmitSaturatedOnWedgedShard' ./internal/mbox/
 
 # Ten-second smoke run of every fuzz target (seed corpus + a short burst of

@@ -273,6 +273,53 @@ func TestBatchSingleEquivalence(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoreAtShiftedClock is warm restart as a restarted process
+// sees it: every snapshottable enforcer runs half the traffic, is snapshotted,
+// and the blob is restored into a fresh twin whose clock reads zero at that
+// moment. Fed the rest of the traffic on its shifted clock, the twin must
+// answer every packet as the uninterrupted enforcer does on the old one, end
+// with the same statistics, and snapshot to the same bytes: a blob holds ages,
+// never the old process's instants.
+func TestSnapshotRestoreAtShiftedClock(t *testing.T) {
+	for _, sc := range equivalenceSchemes() {
+		t.Run(sc.name, func(t *testing.T) {
+			traffic := equivalenceTraffic(0x5EED, 400)
+			split := len(traffic) / 2
+			shift := traffic[split-1].now // the twin's clock reads 0 here
+			warm, cold := sc.build(), sc.build()
+			verdicts := make([]enforcer.Verdict, enforcer.DefaultBurst*2)
+			twin := make([]enforcer.Verdict, enforcer.DefaultBurst*2)
+			for _, b := range traffic[:split] {
+				enforcer.SubmitBatch(warm, b.now, b.pkts, verdicts[:len(b.pkts)])
+			}
+			blob, err := warm.(enforcer.Snapshotter).SnapshotState(shift)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cold.(enforcer.Snapshotter).RestoreState(0, blob); err != nil {
+				t.Fatal(err)
+			}
+			for bi, b := range traffic[split:] {
+				n := len(b.pkts)
+				enforcer.SubmitBatch(warm, b.now, b.pkts, verdicts[:n])
+				enforcer.SubmitBatch(cold, b.now-shift, b.pkts, twin[:n])
+				if !slices.Equal(verdicts[:n], twin[:n]) {
+					t.Fatalf("burst %d after the restore: restored %v, uninterrupted %v", split+bi, twin[:n], verdicts[:n])
+				}
+			}
+			if w, c := warm.(enforcer.StatsReader).EnforcerStats(), cold.(enforcer.StatsReader).EnforcerStats(); w != c {
+				t.Fatalf("stats diverged: restored %+v, uninterrupted %+v", c, w)
+			}
+			end := traffic[len(traffic)-1].now
+			wb, _ := warm.(enforcer.Snapshotter).SnapshotState(end)
+			cb, _ := cold.(enforcer.Snapshotter).SnapshotState(end - shift)
+			if !slices.Equal(wb, cb) {
+				t.Fatalf("final snapshots differ:\nrestored      %x\nuninterrupted %x", cb, wb)
+			}
+		})
+	}
+}
+
 // TestBatchedFallbackWrapper proves the generic loop wrapper is transparent:
 // wrapping a batch-unaware enforcer yields the same verdicts as driving it
 // directly, and Batched returns native implementations unchanged.

@@ -27,6 +27,21 @@ import (
 //
 //   - The first byte of every blob is the enforcer's own format version.
 //     RestoreState must reject versions it does not understand.
+//   - Blobs are clock-relative. Both calls take the caller's virtual time
+//     now, and every instant the enforcer keeps (a drain clock, a window
+//     start, a refill clock) is stored as its age, now − t (Enc.Age), and
+//     rebuilt against the receiver's now (Dec.Instant). A restarted process
+//     whose clock starts again at zero therefore resumes with the same
+//     elapsed times, not with instants from the old process's uptime that
+//     would freeze every drain and refill until its new clock caught up. A
+//     rebuilt instant may be negative (an age older than the new clock),
+//     and an age may be negative (the clock stepped back before the
+//     snapshot); both are legal, and only an age whose instant overflows is
+//     rejected. An instant that is not set is written as age 0, so an
+//     enforcer's blob depends on its state, not on where its clock started.
+//     For a clock that does not run back (the Enforcer contract), restoring
+//     at now + d and continuing at every later reading shifted by d is
+//     byte-for-byte the uninterrupted run.
 //   - Blobs are configuration-free: they capture run state only, and
 //     RestoreState validates the blob against the receiver's configuration
 //     (queue counts, bucket sizes). Restoring into a different
@@ -39,12 +54,14 @@ import (
 // Snapshotting is NOT safe concurrently with Submit; callers serialize it
 // onto the enforcer's execution domain exactly as they do reconfiguration.
 type Snapshotter interface {
-	// SnapshotState serializes the enforcer's admission state.
-	SnapshotState() ([]byte, error)
-	// RestoreState loads a blob produced by SnapshotState on an enforcer
-	// with the same configuration. On error the receiver's state is
-	// unspecified but structurally intact (safe to discard or reuse).
-	RestoreState(data []byte) error
+	// SnapshotState serializes the enforcer's admission state at virtual
+	// time now.
+	SnapshotState(now time.Duration) ([]byte, error)
+	// RestoreState loads, at the receiver's virtual time now, a blob
+	// produced by SnapshotState on an enforcer with the same configuration.
+	// On error the receiver's state is unspecified but structurally intact
+	// (safe to discard or reuse).
+	RestoreState(now time.Duration, data []byte) error
 }
 
 // ErrNoPolicy reports that an enforcer has no intra-aggregate rate-sharing
@@ -98,6 +115,19 @@ func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 
 // Dur appends a time.Duration as nanoseconds.
 func (e *Enc) Dur(d time.Duration) { e.I64(int64(d)) }
+
+// Age appends instant t as its age at now, now − t: the clock-relative form
+// every Snapshotter stores instants in (Dec.Instant reads it back). An
+// instant that is not set — a clock not started yet, a closed window, a
+// refill clock under a full bucket — means nothing, and is written as age 0
+// so that two enforcers in the same state write the same bytes whatever
+// their clocks read.
+func (e *Enc) Age(now, t time.Duration, set bool) {
+	if !set {
+		t = now
+	}
+	e.Dur(now - t)
+}
 
 // Bytes appends a u32 length prefix followed by the raw bytes.
 func (e *Enc) Bytes(b []byte) {
@@ -200,6 +230,20 @@ func (d *Dec) F64() float64 {
 
 // Dur reads a time.Duration.
 func (d *Dec) Dur() time.Duration { return time.Duration(d.I64()) }
+
+// Instant reads an age written by Enc.Age and returns the instant it names
+// at the receiver's now, now − age. Either sign of age, and a negative
+// instant, are legal; an age whose instant does not fit a Duration is an
+// error.
+func (d *Dec) Instant(now time.Duration) time.Duration {
+	age := d.Dur()
+	t := now - age
+	if (age > 0 && t > now) || (age < 0 && t < now) {
+		d.Fail("enforcer: snapshot age %v overflows at %v", age, now)
+		return now
+	}
+	return t
+}
 
 // Bytes reads a u32-length-prefixed byte slice. The returned slice aliases
 // the input buffer. Lengths beyond the remaining input fail immediately, so

@@ -10,7 +10,7 @@ import (
 )
 
 // snapVersion is the format version of FairPolicer snapshot blobs.
-const snapVersion = 1
+const snapVersion = 2
 
 // SetRate implements enforcer.Reconfigurer: flow buckets, the shared main
 // bucket and statistics survive the change. Token generation for the time
@@ -55,21 +55,22 @@ func (f *FairPolicer) SetPolicy(now time.Duration, policy *sched.Policy) error {
 
 // SnapshotState implements enforcer.Snapshotter.
 //
-// Layout: u8 version, bool started, i64 last (ns), f64 main, stats,
-// u32 flow count, then per flow: f64 tokens, i64 lastSeen (ns), bool
-// active, 4×i64 counters.
-func (f *FairPolicer) SnapshotState() ([]byte, error) {
+// Layout: u8 version (=2), bool started, i64 generation-clock age at now
+// (ns; 0 until started), f64 main, stats, u32 flow count, then per flow: f64
+// tokens, i64 lastSeen age at now (ns; 0 while inactive), bool active, 4×i64
+// counters.
+func (f *FairPolicer) SnapshotState(now time.Duration) ([]byte, error) {
 	var e enforcer.Enc
 	e.U8(snapVersion)
 	e.Bool(f.started)
-	e.Dur(f.last)
+	e.Age(now, f.last, f.started)
 	e.F64(f.main)
 	e.Stats(f.stats)
 	e.U32(uint32(len(f.flows)))
 	for i := range f.flows {
 		fb := &f.flows[i]
 		e.F64(fb.tokens)
-		e.Dur(fb.lastSeen)
+		e.Age(now, fb.lastSeen, fb.active)
 		e.Bool(fb.active)
 		e.I64(fb.acceptedPackets)
 		e.I64(fb.acceptedBytes)
@@ -83,13 +84,13 @@ func (f *FairPolicer) SnapshotState() ([]byte, error) {
 // non-negative and their total must fit the configured bucket (the same
 // invariant generateExpireCap maintains), so a forged blob cannot grant an
 // over-budget token supply.
-func (f *FairPolicer) RestoreState(data []byte) error {
+func (f *FairPolicer) RestoreState(now time.Duration, data []byte) error {
 	d := enforcer.NewDec(data)
 	if v := d.U8(); d.Err() == nil && v != snapVersion {
 		d.Fail("fairpolicer: unsupported snapshot version %d (want %d)", v, snapVersion)
 	}
 	started := d.Bool()
-	last := d.Dur()
+	last := d.Instant(now)
 	main := d.F64()
 	if d.Err() == nil && main < 0 {
 		d.Fail("fairpolicer: negative main bucket %v", main)
@@ -106,7 +107,7 @@ func (f *FairPolicer) RestoreState(data []byte) error {
 	for i := range flows {
 		fb := &flows[i]
 		fb.tokens = d.F64()
-		fb.lastSeen = d.Dur()
+		fb.lastSeen = d.Instant(now)
 		fb.active = d.Bool()
 		fb.acceptedPackets = d.I64()
 		fb.acceptedBytes = d.I64()

@@ -37,171 +37,6 @@ func burstOf(n, flow int) []packet.Packet {
 	return pkts
 }
 
-// TestChaosPanicQuarantineDeterministic is the deterministic core of the
-// fault story on a single shard: a victim enforcer that always panics is
-// quarantined by the circuit breaker on its first panic,
-// its traffic is dropped, a healthy aggregate sharing the shard is
-// untouched, and every counter reconciles exactly with the injected faults.
-func TestChaosPanicQuarantineDeterministic(t *testing.T) {
-	clock := &fakeClock{step: 100 * time.Microsecond}
-	e := New(Config{Shards: 1, Clock: clock.now, QueueDepth: 1 << 12})
-	defer e.Close()
-
-	victim := faultinject.New(tbf.MustNew(8*units.Mbps, 10*units.MSS),
-		faultinject.Plan{Seed: 1, Panic: 1})
-	var victimEmitted, healthyEmitted atomic.Int64
-	hv, err := e.Add("victim", victim, func(packet.Packet) { victimEmitted.Add(1) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	hh, err := e.Add("healthy", tbf.MustNew(8*units.Mbps, 64*units.MSS),
-		func(packet.Packet) { healthyEmitted.Add(1) })
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const bursts, burstLen = 10, 8
-	for i := 0; i < bursts; i++ {
-		if err := e.SubmitBatch(hv, burstOf(burstLen, i)); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.SubmitBatch(hh, burstOf(burstLen, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Stats is a barrier: it rides the ordered ring behind every burst.
-	st, err := e.Stats("healthy")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The healthy aggregate saw everything and was actually enforced.
-	if p, _ := st.Totals(); p != bursts*burstLen {
-		t.Errorf("healthy aggregate saw %d packets, want %d", p, bursts*burstLen)
-	}
-	if healthyEmitted.Load() == 0 {
-		t.Error("healthy aggregate emitted nothing next to a panicking neighbour")
-	}
-
-	// First victim run panicked, which quarantines it; the enforcer
-	// is bypassed afterwards, so exactly one panic was injected and every
-	// victim packet degraded to a counted drop.
-	if got := victim.Panics.Load(); got != 1 {
-		t.Errorf("injector recorded %d panics, want 1 (quarantine must bypass the enforcer)", got)
-	}
-	if got := e.Panics.Load(); got != victim.Panics.Load() {
-		t.Errorf("engine recovered %d panics, injector injected %d", got, victim.Panics.Load())
-	}
-	if got := e.DegradedDrops.Load(); got != bursts*burstLen {
-		t.Errorf("DegradedDrops = %d, want %d (every victim packet)", got, bursts*burstLen)
-	}
-	if victimEmitted.Load() != 0 {
-		t.Errorf("quarantined victim emitted %d packets, want 0", victimEmitted.Load())
-	}
-	fr, err := e.Faults("victim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fr.Quarantined || fr.Panics != 1 || fr.DegradedDrops != bursts*burstLen {
-		t.Errorf("victim fault record = %+v", fr)
-	}
-	if f, err := e.Faults("healthy"); err != nil || f.Quarantined {
-		t.Errorf("Faults(healthy) = %+v, %v; want not quarantined", f, err)
-	}
-	health := e.Health()
-	if len(health.Quarantined) != 1 || health.Quarantined[0] != "victim" {
-		t.Errorf("health.Quarantined = %v, want [victim]", health.Quarantined)
-	}
-	if health.Shards[0].Panics != 1 {
-		t.Errorf("shard recorded %d panics, want 1", health.Shards[0].Panics)
-	}
-}
-
-// TestChaosQuarantineHoldsUntilRemove pins what "until Remove" means. An
-// enforcer that crashes exactly once (MaxPanics 1) and behaves afterwards
-// stays quarantined: every later packet is a counted drop that neither the
-// emit hook, the enforcer nor an armed audit envelope sees. Only Remove and
-// Add under the same id bring the id back under enforcement, with a clean
-// fault record.
-func TestChaosQuarantineHoldsUntilRemove(t *testing.T) {
-	clock := &fakeClock{step: 100 * time.Microsecond}
-	e := New(Config{Shards: 1, Clock: clock.now, QueueDepth: 1 << 12})
-	defer e.Close()
-
-	flaky := faultinject.New(tbf.MustNew(8*units.Mbps, 64*units.MSS),
-		faultinject.Plan{Seed: 9, Panic: 1, MaxPanics: 1})
-	var emitted atomic.Int64
-	emit := func(packet.Packet) { emitted.Add(1) }
-	h, err := e.Add("flaky", flaky, emit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ArmAudit("flaky", 8*units.Mbps, int64(64*units.MSS)); err != nil {
-		t.Fatal(err)
-	}
-	const bursts, burstLen = 5, 8
-	if err := e.SubmitBatch(h, burstOf(burstLen, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if f, err := e.Faults("flaky"); err != nil || !f.Quarantined || f.Panics != 1 {
-		t.Fatalf("Faults(flaky) = %+v, %v after the crash; want quarantined with 1 panic", f, err)
-	}
-	for i := 1; i <= bursts; i++ {
-		if err := e.SubmitBatch(h, burstOf(burstLen, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := e.Stats("flaky") // barrier
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := st.Totals(); p != 0 {
-		t.Errorf("quarantined enforcer saw %d packets, want 0", p)
-	}
-	if got := emitted.Load(); got != 0 {
-		t.Errorf("quarantined aggregate emitted %d packets, want 0", got)
-	}
-	fr, err := e.Faults("flaky")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fr.Quarantined || fr.Panics != 1 || fr.DegradedDrops != (bursts+1)*burstLen {
-		t.Errorf("fault record = %+v, want quarantined, 1 panic, %d degraded drops", fr, (bursts+1)*burstLen)
-	}
-	if got := flaky.Panics.Load(); got != 1 {
-		t.Errorf("injector fired %d panics, want 1", got)
-	}
-	if rep := e.AuditReport(); len(rep) != 1 || rep[0].Counters.AcceptedBytes != 0 {
-		t.Errorf("audit report = %+v, want one envelope with 0 accepted bytes", rep)
-	}
-	if _, err := e.Faults("nope"); err == nil {
-		t.Error("Faults of an unknown aggregate accepted")
-	}
-
-	if _, err := e.Remove("flaky"); err != nil {
-		t.Fatal(err)
-	}
-	h, err = e.Add("flaky", tbf.MustNew(8*units.Mbps, 64*units.MSS), emit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SubmitBatch(h, burstOf(burstLen, 99)); err != nil {
-		t.Fatal(err)
-	}
-	if st, err = e.Stats("flaky"); err != nil {
-		t.Fatal(err)
-	}
-	if p, _ := st.Totals(); p != burstLen {
-		t.Errorf("re-added enforcer saw %d packets, want %d", p, burstLen)
-	}
-	if got := emitted.Load(); got != burstLen {
-		t.Errorf("re-added aggregate emitted %d packets, want %d", got, burstLen)
-	}
-	if f, err := e.Faults("flaky"); err != nil || f != (FaultRecord{}) {
-		t.Errorf("Faults(flaky) after Remove+Add = %+v, %v; want zero", f, err)
-	}
-}
-
 // statsBombEnforcer transmits everything and panics when its statistics
 // are read.
 type statsBombEnforcer struct{ countingEnforcer }

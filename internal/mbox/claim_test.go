@@ -2,6 +2,7 @@ package mbox
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -15,6 +16,35 @@ import (
 	"bcpqp/internal/phantom"
 	"bcpqp/internal/units"
 )
+
+// seededBursts regenerates the same randomized burst schedule from a seed:
+// variable burst lengths, 8 flows, variable sizes.
+func seededBursts(seed int64, bursts int) [][]packet.Packet {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([][]packet.Packet, bursts)
+	var seq int64
+	for b := range out {
+		n := 1 + rng.Intn(32)
+		pkts := make([]packet.Packet, n)
+		for i := range pkts {
+			pkts[i] = packet.Packet{
+				Key:  packet.FlowKey{SrcIP: uint32(0x0a000000 + rng.Intn(8)), SrcPort: 7000, Proto: 17},
+				Size: 64 + rng.Intn(1400),
+				Seq:  seq,
+			}
+			seq++
+		}
+		out[b] = pkts
+	}
+	return out
+}
+
+// TestLocalSubmitEquivalentToRing runs the identical seeded workload through
+// the ring path and the inline path on otherwise-identical engines and
+// demands the same emitted sequence (order, sizes, CE marks), the same final
+// enforcer and per-node stats, and that the inline run really bypassed the
+// ring. Two thirds of the bursts feed a tree aggregate at its leaves 1 and 2,
+// through handles that carry the node, so both ingresses enter a tree at a
 
 // wedgeShard runs block — a SubmitBatch, LocalSubmitter burst or control call
 // whose hook parks on a gate the test holds — on a helper goroutine, and

@@ -1,10 +1,11 @@
 package mbox
 
-// Lifecycle and control-plane tests: bounded-memory aggregate churn,
-// final-stats drain semantics, in-band hot reconfiguration (with the
-// piecewise Theorem-1 bound across a rate change), warm-restart snapshots
-// with byte-identical replay, and a -race churn test proving generation tags
-// prevent cross-aggregate verdict bleed.
+// Lifecycle tests: bounded-memory aggregate churn, a warm restart into an
+// engine whose clock starts at zero, the snapshot wire format, a -race churn
+// test proving generation tags prevent cross-aggregate verdict bleed, and
+// the registry growing under a live submitter. The single-goroutine
+// lifecycle — Remove's final stats, reconfiguration, restarts — is the
+// reference model's (model_test.go).
 
 import (
 	"bytes"
@@ -18,7 +19,6 @@ import (
 	"time"
 
 	"bcpqp/internal/enforcer"
-	"bcpqp/internal/faultinject"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/phantom"
 	"bcpqp/internal/tbf"
@@ -105,241 +105,58 @@ func TestChurnBoundedRegistry(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Final stats on removal: drain semantics.
-
-// TestRemoveReturnsFinalStats proves Remove's documented drain semantics:
-// bursts submitted (successfully) before Remove are still enforced, and the
-// returned Stats are the aggregate's complete final accounting.
-func TestRemoveReturnsFinalStats(t *testing.T) {
-	e := New(Config{Shards: 1, QueueDepth: 1 << 12})
-	defer e.Close()
-	h, err := e.Add("x", tbf.MustNew(50*units.Mbps, 1000*units.MSS), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 100
-	if err := e.SubmitBatch(h, burstOf(n, 0)); err != nil {
-		t.Fatal(err)
-	}
-	// No barrier before Remove: the burst may still be queued. Remove's
-	// final-stats read rides the ordered ring behind it.
-	st, err := e.Remove("x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.AcceptedPackets != n || st.AcceptedBytes != int64(n*units.MSS) {
-		t.Errorf("final stats = %+v, want %d accepted packets / %d bytes", st, n, n*units.MSS)
-	}
-	if st.DroppedPackets != 0 {
-		t.Errorf("final stats dropped %d packets, want 0 (bucket was deep)", st.DroppedPackets)
-	}
-	// Removal stands even when the enforcer exposes no stats; the error
-	// qualifies the Stats, not the removal.
-	if _, err := e.Add("mute", statlessEnforcer{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Remove("mute"); !errors.Is(err, ErrNoStats) {
-		t.Errorf("Remove of stats-less enforcer: err = %v, want ErrNoStats", err)
-	}
-	if _, err := e.Lookup("mute"); err == nil {
-		t.Error("stats-less aggregate still registered after Remove")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Hot reconfiguration error paths.
-
-func TestUpdateErrors(t *testing.T) {
-	e := New(Config{Shards: 1})
-	defer e.Close()
-	if _, err := e.Add("mute", statlessEnforcer{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Add("tb", tbf.MustNew(units.Mbps, 10*units.MSS), nil); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := e.SetRate("mute", enforcer.Root, units.Mbps); !errors.Is(err, ErrNotReconfigurable) {
-		t.Errorf("SetRate on plain enforcer: err = %v, want ErrNotReconfigurable", err)
-	}
-	if err := e.SetPolicy("tb", enforcer.Root, nil); !errors.Is(err, enforcer.ErrNoPolicy) {
-		t.Errorf("SetPolicy on token bucket: err = %v, want enforcer.ErrNoPolicy", err)
-	}
-	if err := e.SetRate("nope", enforcer.Root, units.Mbps); err == nil {
-		t.Error("SetRate on unknown aggregate accepted")
-	}
-	if err := e.SetRate("tb", enforcer.Root, -units.Mbps); err == nil {
-		t.Error("negative rate accepted")
-	}
-	// Update propagates fn's error verbatim.
-	sentinel := errors.New("boom")
-	if err := e.Update("tb", func(time.Duration, enforcer.Enforcer) error { return sentinel }); !errors.Is(err, sentinel) {
-		t.Errorf("Update error = %v, want sentinel", err)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Piecewise Theorem-1 bound across an in-band rate change.
-
-// TestChaosRateChangePiecewiseTBF drives a saturating load through a token
-// bucket, changes its rate in-band mid-trace, and asserts the admitted
-// bytes obey the piecewise Theorem-1 bound
-//
-//	accepted <= B + r1·t_b + r2·(T - t_b) + slack
-//
-// with a SINGLE bucket B across the change. An implementation that tears
-// the enforcer down and recreates it (or refills the bucket) would admit an
-// extra ~B at the boundary and blow the bound — the load depletes the
-// bucket before the switch precisely to make that visible. A seeded
-// always-panicking neighbour shares the shard so the bound is proven under
-// fault-isolation pressure, not just in a quiet engine.
-func TestChaosRateChangePiecewiseTBF(t *testing.T) {
-	const step = 100 * time.Microsecond
-	clock := &fakeClock{step: step}
-	e := New(Config{Shards: 1, Clock: clock.now, QueueDepth: 1 << 14})
-	defer e.Close()
-
-	const (
-		r1     = 16 * units.Mbps
-		r2     = 4 * units.Mbps
-		bucket = 64 * units.MSS
-	)
-	h, err := e.Add("sub", tbf.MustNew(r1, bucket), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := faultinject.New(tbf.MustNew(8*units.Mbps, 10*units.MSS),
-		faultinject.Plan{Seed: 7, Panic: 1})
-	hv, err := e.Add("victim", victim, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const bursts, burstLen = 400, 32
-	submit := func() {
-		for i := 0; i < bursts; i++ {
-			if err := e.SubmitBatch(h, burstOf(burstLen, i)); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.SubmitBatch(hv, burstOf(4, i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := e.Stats("sub"); err != nil { // barrier, reads no clock
-			t.Fatal(err)
-		}
-	}
-
-	submit() // phase 1 at r1: saturating, bucket depleted
-	// SetRate reads the clock exactly once, in-band on the shard; the
-	// boundary time is that reading.
-	tBoundary := time.Duration(clock.ticks.Load()+1) * step
-	if err := e.SetRate("sub", enforcer.Root, r2); err != nil {
-		t.Fatal(err)
-	}
-	submit() // phase 2 at r2
-	st, err := e.Stats("sub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := time.Duration(clock.ticks.Load()) * step
-
-	if e.Overloaded.Load() != 0 {
-		t.Fatalf("ring shed %d packets; bound accounting needs a lossless run", e.Overloaded.Load())
-	}
-	refilled := r1.Bytes(tBoundary) + r2.Bytes(final-tBoundary)
-	upper := int64(refilled) + bucket + 2*units.MSS
-	lower := int64(refilled) + bucket - 2*units.MSS
-	if st.AcceptedBytes > upper {
-		t.Errorf("accepted %d bytes > piecewise bound %d (rate change leaked a bucket refill?)",
-			st.AcceptedBytes, upper)
-	}
-	if st.AcceptedBytes < lower {
-		t.Errorf("accepted %d bytes < %d under saturating load (rate change lost admission state?)",
-			st.AcceptedBytes, lower)
-	}
-	// The panicking neighbour was quarantined, not fatal, and did not
-	// perturb the measured aggregate's accounting.
-	if f, err := e.Faults("victim"); err != nil || !f.Quarantined {
-		t.Errorf("Faults(victim) = %+v, %v; want quarantined", f, err)
-	}
-}
-
-// TestChaosRateChangePreservesPhantomOccupancy is the phantom-queue variant:
-// with the simulated queue FULL at the moment of an in-band SetRate, the
-// bytes admitted afterwards are bounded by the new drain rate — the queue's
-// occupancy survived the change. A reset (empty queue) would instantly
-// re-admit ~QueueSize bytes, an order of magnitude above the bound.
-func TestChaosRateChangePreservesPhantomOccupancy(t *testing.T) {
-	const step = 100 * time.Microsecond
-	clock := &fakeClock{step: step}
-	e := New(Config{Shards: 1, Clock: clock.now, QueueDepth: 1 << 14})
-	defer e.Close()
-
-	const (
-		r1    = 100 * units.Mbps
-		r2    = 20 * units.Mbps
-		qsize = 256 * units.MSS
-	)
-	pqp := phantom.MustNew(phantom.Config{Rate: r1, Queues: 1, QueueSize: qsize})
-	h, err := e.Add("sub", pqp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	burst := make([]packet.Packet, 32)
-	for i := range burst {
-		p := pkt(0)
-		p.Class = 0
-		burst[i] = p
-	}
-	run := func(n int) {
-		for i := 0; i < n; i++ {
-			if err := e.SubmitBatch(h, burst); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := e.Stats("sub"); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	run(400) // fill the phantom queue at r1 (offered load >> r1)
-	before, err := e.Stats("sub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tBoundary := time.Duration(clock.ticks.Load()+1) * step
-	if err := e.SetRate("sub", enforcer.Root, r2); err != nil {
-		t.Fatal(err)
-	}
-	run(800) // saturate at r2
-	after, err := e.Stats("sub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := time.Duration(clock.ticks.Load()) * step
-
-	if e.Overloaded.Load() != 0 {
-		t.Fatalf("ring shed %d packets; bound accounting needs a lossless run", e.Overloaded.Load())
-	}
-	admitted := after.AcceptedBytes - before.AcceptedBytes
-	// Admissions after the change are bounded by what the (still full)
-	// queue drained at r2, plus drain batching and packet rounding slack.
-	slack := int64(8 * units.MSS)
-	upper := int64(r2.Bytes(final-tBoundary)) + slack
-	if admitted > upper {
-		t.Errorf("admitted %d bytes after SetRate > bound %d (phantom occupancy reset would admit ~%d)",
-			admitted, upper, qsize)
-	}
-	if lower := int64(r2.Bytes(final-tBoundary)) - slack; admitted < lower {
-		t.Errorf("admitted %d bytes after SetRate < %d (drains stalled across the change?)",
-			admitted, lower)
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Warm-restart snapshots.
+
+// TestWarmRestartAtClockZero is a restarted proxy: a BC-PQP aggregate at
+// 10 Mbps runs 60 s under twice its rate, is snapshotted, and is restored
+// into an engine whose clock starts again at zero, as a new process's does.
+// Over the next 5 s of the same load it must accept r·Δt ± B. A blob holding
+// the old process's instants freezes every drain until the new clock catches
+// up with them, and accepts nothing.
+func TestWarmRestartAtClockZero(t *testing.T) {
+	const rate = 10 * units.Mbps
+	const b = 4 * 64 * units.MSS // four queues of 64 MSS
+	clk := &manualClock{}
+	start := func() (*Engine, Handle) {
+		e := New(Config{Shards: 1, Clock: clk.read})
+		h, err := e.Add("sub", phantom.MustNew(phantom.Config{
+			Rate: rate, Queues: 4, QueueSize: 64 * units.MSS, BurstControl: true}), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, h
+	}
+	// offer runs d of 2·r: five MSS packets every 3 ms.
+	offer := func(e *Engine, h Handle, d time.Duration) int64 {
+		before, _ := e.Stats("sub")
+		for end := clk.read() + d; clk.read() < end; {
+			clk.add(3 * time.Millisecond)
+			if err := e.SubmitBatch(h, burstOf(5, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after, _ := e.Stats("sub")
+		return after.AcceptedBytes - before.AcceptedBytes
+	}
+	old, h := start()
+	offer(old, h, 60*time.Second)
+	snap, err := old.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.Close()
+
+	clk.set(0)
+	e, h := start()
+	defer e.Close()
+	if err := e.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(rate.Bytes(5 * time.Second))
+	if got := offer(e, h, 5*time.Second); got < want-b || got > want+b {
+		t.Fatalf("accepted %d B in the 5 s after a restart at clock 0, want %d ± %d", got, want, b)
+	}
+}
 
 func TestEngineSnapshotMarshalRoundTrip(t *testing.T) {
 	in := &Snapshot{Aggregates: []AggregateSnapshot{
@@ -386,201 +203,6 @@ func TestEngineSnapshotMarshalRoundTrip(t *testing.T) {
 	var s Snapshot
 	if err := s.UnmarshalBinary(dblob); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("duplicate id: err = %v, want ErrBadSnapshot", err)
-	}
-}
-
-// seqRecorder records the Seq of every emitted packet, in emission order.
-type seqRecorder struct {
-	mu   sync.Mutex
-	seqs []int64
-}
-
-func (r *seqRecorder) emit(p packet.Packet) {
-	r.mu.Lock()
-	r.seqs = append(r.seqs, p.Seq)
-	r.mu.Unlock()
-}
-
-func (r *seqRecorder) snapshot() []int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]int64(nil), r.seqs...)
-}
-
-// TestSnapshotRestoreReplayByteIdentical is the warm-restart acceptance
-// test: a BC-PQP aggregate processes a deterministic trace; a second engine
-// processes the first half, snapshots (through the full MarshalBinary wire
-// format), and a THIRD engine restores the snapshot and processes the
-// second half. The third engine's emissions, final statistics and final
-// enforcer state must be byte-identical to the uninterrupted run — the
-// restored proxy resumes exactly where the snapshot was taken, with no
-// re-admitted burst.
-func TestSnapshotRestoreReplayByteIdentical(t *testing.T) {
-	const (
-		step     = 100 * time.Microsecond
-		bursts   = 600
-		splitAt  = 250
-		burstLen = 24
-		id       = "sub"
-	)
-	newEnf := func() *phantom.PQP {
-		return phantom.MustNew(phantom.Config{
-			Rate:         30 * units.Mbps,
-			Queues:       4,
-			QueueSize:    64 * units.MSS,
-			BurstControl: true,
-			Window:       5 * time.Millisecond,
-		})
-	}
-	trace := func(i int) []packet.Packet {
-		b := make([]packet.Packet, burstLen)
-		for j := range b {
-			p := pkt((i*7 + j) % 5)
-			p.Class = (i + j) % 4
-			p.Seq = int64(i*burstLen + j)
-			b[j] = p
-		}
-		return b
-	}
-	start := func(ticks int64) (*Engine, Handle, *seqRecorder, *fakeClock) {
-		clock := &fakeClock{step: step}
-		clock.ticks.Store(ticks)
-		e := New(Config{Shards: 1, Clock: clock.now, QueueDepth: 1 << 14})
-		rec := &seqRecorder{}
-		h, err := e.Add(id, newEnf(), rec.emit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, h, rec, clock
-	}
-	feed := func(e *Engine, h Handle, from, to int) {
-		for i := from; i < to; i++ {
-			if err := e.SubmitBatch(h, trace(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := e.Stats(id); err != nil { // barrier, reads no clock
-			t.Fatal(err)
-		}
-	}
-	state := func(e *Engine) []byte {
-		snap, err := e.Snapshot(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(snap.Aggregates) != 1 || snap.Aggregates[0].ID != id {
-			t.Fatalf("Snapshot(%q) = %+v, want exactly that aggregate", id, snap.Aggregates)
-		}
-		return snap.Aggregates[0].State
-	}
-
-	// Run A: uninterrupted reference.
-	eA, hA, recA, _ := start(0)
-	feed(eA, hA, 0, bursts)
-	statsA, err := eA.Stats(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blobA := state(eA)
-	eA.Close()
-
-	// Run B: first half, then snapshot through the wire format.
-	eB, hB, recB, _ := start(0)
-	feed(eB, hB, 0, splitAt)
-	snap, err := eB.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire, err := snap.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eB.Close()
-
-	// Run C: fresh engine, clock pre-advanced to the split point (run B
-	// consumed exactly one clock reading per burst), restore, second half.
-	var decoded Snapshot
-	if err := decoded.UnmarshalBinary(wire); err != nil {
-		t.Fatal(err)
-	}
-	eC, hC, recC, _ := start(splitAt)
-	if err := eC.Restore(&decoded); err != nil {
-		t.Fatal(err)
-	}
-	feed(eC, hC, splitAt, bursts)
-	statsC, err := eC.Stats(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blobC := state(eC)
-	eC.Close()
-
-	// Emissions: A's trace must equal B's prefix followed by C's suffix,
-	// element for element.
-	a, b, c := recA.snapshot(), recB.snapshot(), recC.snapshot()
-	if len(a) != len(b)+len(c) {
-		t.Fatalf("emission counts: uninterrupted %d != %d (pre) + %d (post)", len(a), len(b), len(c))
-	}
-	for i, seq := range a {
-		var got int64
-		if i < len(b) {
-			got = b[i]
-		} else {
-			got = c[i-len(b)]
-		}
-		if got != seq {
-			t.Fatalf("emission %d: restored run emitted seq %d, uninterrupted %d", i, got, seq)
-		}
-	}
-	// Final statistics and final serialized enforcer state are identical:
-	// the restore reproduced occupancy, window and counter state exactly.
-	// (Run C's enforcer counts only post-split packets, so compare the
-	// uninterrupted totals against snapshot-time + post-split deltas via
-	// the serialized state instead: the blobs embed the full counters.)
-	if !bytes.Equal(blobA, blobC) {
-		t.Errorf("final enforcer state diverged after restore:\nA: %x\nC: %x", blobA, blobC)
-	}
-	if statsA != statsC {
-		t.Errorf("final stats diverged: uninterrupted %+v, restored %+v", statsA, statsC)
-	}
-
-	// Restoring into a mismatched receiver fails cleanly.
-	eD := New(Config{Shards: 1})
-	defer eD.Close()
-	if _, err := eD.Add(id, tbf.MustNew(units.Mbps, 10*units.MSS), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := eD.Restore(&decoded); err == nil {
-		t.Error("restore into a differently-configured aggregate succeeded")
-	}
-	if err := eD.Restore(&Snapshot{Aggregates: []AggregateSnapshot{{ID: "ghost"}}}); err == nil {
-		t.Error("restore into unregistered aggregate succeeded")
-	}
-	if _, err := eD.Snapshot("ghost"); err == nil {
-		t.Error("snapshot of an unregistered aggregate succeeded")
-	}
-}
-
-func TestSnapshotErrNoSnapshot(t *testing.T) {
-	e := New(Config{Shards: 1})
-	defer e.Close()
-	if _, err := e.Add("mute", statlessEnforcer{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Snapshot("mute"); !errors.Is(err, ErrNoSnapshot) {
-		t.Errorf("Snapshot(mute): err = %v, want ErrNoSnapshot", err)
-	}
-	mute := &Snapshot{Aggregates: []AggregateSnapshot{{ID: "mute", State: []byte{1}}}}
-	if err := e.Restore(mute); !errors.Is(err, ErrNoSnapshot) {
-		t.Errorf("Restore into mute: err = %v, want ErrNoSnapshot", err)
-	}
-	// A snapshot of everything skips it instead of failing.
-	snap, err := e.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Aggregates) != 0 {
-		t.Errorf("snapshot contains %d aggregates, want 0 (non-snapshottable skipped)", len(snap.Aggregates))
 	}
 }
 

@@ -1,197 +1,22 @@
 package mbox
 
-// Ring-bypass fast-path tests: the LocalSubmitter must be byte-identical to
-// the ring path on the same seeded workload, refuse cross-shard handles,
-// wait out a live holder of the occupancy word, and degrade to a counted
-// ErrSaturated only when the shard is wedged.
+// Ring-bypass fast-path tests: the LocalSubmitter must wait out a live holder
+// of the occupancy word and degrade to a counted ErrSaturated only when the
+// shard is wedged, and an inline burst reads no wall clock. That it is
+// byte-identical to the ring path and refuses cross-shard and stale handles
+// is the reference model's to check (model_test.go).
 
 import (
 	"errors"
-	"math/rand"
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"bcpqp/internal/enforcer"
 	"bcpqp/internal/obs"
 	"bcpqp/internal/packet"
-	"bcpqp/internal/ptree"
 	"bcpqp/internal/tbf"
 	"bcpqp/internal/units"
 )
-
-// emitRec captures what an emit hook can observe about one relayed packet.
-type emitRec struct {
-	Seq  int64
-	Size int
-	CE   bool
-}
-
-// seededBursts regenerates the same randomized burst schedule from a seed:
-// variable burst lengths, 8 flows, variable sizes.
-func seededBursts(seed int64, bursts int) [][]packet.Packet {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([][]packet.Packet, bursts)
-	var seq int64
-	for b := range out {
-		n := 1 + rng.Intn(32)
-		pkts := make([]packet.Packet, n)
-		for i := range pkts {
-			pkts[i] = packet.Packet{
-				Key:  packet.FlowKey{SrcIP: uint32(0x0a000000 + rng.Intn(8)), SrcPort: 7000, Proto: 17},
-				Size: 64 + rng.Intn(1400),
-				Seq:  seq,
-			}
-			seq++
-		}
-		out[b] = pkts
-	}
-	return out
-}
-
-// TestLocalSubmitEquivalentToRing runs the identical seeded workload through
-// the ring path and the inline path on otherwise-identical engines and
-// demands the same emitted sequence (order, sizes, CE marks), the same final
-// enforcer and per-node stats, and that the inline run really bypassed the
-// ring. Two thirds of the bursts feed a tree aggregate at its leaves 1 and 2,
-// through handles that carry the node, so both ingresses enter a tree at a
-// node the same way.
-func TestLocalSubmitEquivalentToRing(t *testing.T) {
-	const bursts = 300
-	type outcome struct {
-		recs    []emitRec
-		st      enforcer.Stats
-		nodes   [3]enforcer.Stats
-		treeSt  enforcer.Stats
-		inlined int64
-	}
-	run := func(local bool) (out outcome) {
-		clock := &fakeClock{step: 50 * time.Microsecond}
-		e := New(Config{Shards: 2, QueueDepth: 1 << 12, Clock: clock.now})
-		defer e.Close()
-		record := func(p packet.Packet) { out.recs = append(out.recs, emitRec{p.Seq, p.Size, p.CE}) }
-		h, err := e.AddPinned("agg", 1, tbf.MustNew(4*units.Mbps, 20*units.MSS), record)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree, err := e.AddPinned("tree", 1, ptree.MustNew([]ptree.NodeSpec{
-			{Parent: -1, Stage: tbf.MustNew(6*units.Mbps, 20*units.MSS)},
-			{Parent: 0, Assured: 2 * units.Mbps},
-			{Parent: 0, Stage: tbf.MustNew(units.Mbps, 10*units.MSS)},
-		}), record)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var handles [3]Handle
-		handles[0] = h
-		for node := 1; node <= 2; node++ {
-			if handles[node], err = e.Leaf(tree, enforcer.NodeID(node)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		submit := e.SubmitBatch
-		if local {
-			ls, err := e.LocalShard(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ls.Shard() != 1 {
-				t.Fatalf("LocalShard(1) is bound to shard %d", ls.Shard())
-			}
-			submit = ls.SubmitBatch
-		}
-		for i, b := range seededBursts(7, bursts) {
-			if err := submit(handles[i%3], b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Stats is an in-band barrier on the ring path and trivially
-		// ordered on the inline path — either way recs is final after it.
-		if out.st, err = e.Stats("agg"); err != nil {
-			t.Fatal(err)
-		}
-		if out.treeSt, err = e.Stats("tree"); err != nil {
-			t.Fatal(err)
-		}
-		for node := range out.nodes {
-			if out.nodes[node], err = e.NodeStats("tree", enforcer.NodeID(node)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		out.inlined = e.InlineBursts.Load()
-		return out
-	}
-
-	ring, local := run(false), run(true)
-
-	if ring.inlined != 0 {
-		t.Errorf("ring run counted %d inline bursts, want 0", ring.inlined)
-	}
-	if local.inlined != bursts {
-		t.Errorf("local run counted %d inline bursts, want %d", local.inlined, bursts)
-	}
-	if ring.st != local.st || ring.treeSt != local.treeSt {
-		t.Errorf("final stats diverge: ring %+v / tree %+v, local %+v / tree %+v",
-			ring.st, ring.treeSt, local.st, local.treeSt)
-	}
-	if ring.nodes != local.nodes {
-		t.Errorf("node stats diverge: ring %+v, local %+v", ring.nodes, local.nodes)
-	}
-	for node := 1; node <= 2; node++ {
-		if st := local.nodes[node]; st.AcceptedPackets == 0 || st.DroppedPackets == 0 {
-			t.Errorf("leaf %d stats %+v: the workload should both admit and drop there", node, st)
-		}
-	}
-	if len(ring.recs) == 0 {
-		t.Fatal("ring path emitted nothing — workload too small to compare")
-	}
-	if !reflect.DeepEqual(ring.recs, local.recs) {
-		t.Fatalf("emitted sequences diverge at index %d (ring %d recs, local %d recs)",
-			divergeAt(ring.recs, local.recs), len(ring.recs), len(local.recs))
-	}
-}
-
-func TestLocalSubmitWrongShard(t *testing.T) {
-	e := New(Config{Shards: 2, QueueDepth: 64})
-	defer e.Close()
-	h, err := e.AddPinned("a", 0, tbf.MustNew(units.Mbps, 10*units.MSS), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls, err := e.LocalShard(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ls.SubmitBatch(h, burstOf(4, 0)); !errors.Is(err, ErrWrongShard) {
-		t.Fatalf("cross-shard submit = %v, want ErrWrongShard", err)
-	}
-	if _, err := e.LocalShard(2); err == nil {
-		t.Fatal("LocalShard(2) on a 2-shard engine succeeded")
-	}
-	if _, err := e.AddPinned("b", 9, tbf.MustNew(units.Mbps, 10*units.MSS), nil); err == nil {
-		t.Fatal("AddPinned to an out-of-range shard succeeded")
-	}
-}
-
-func TestLocalSubmitStaleHandle(t *testing.T) {
-	e := New(Config{Shards: 1, QueueDepth: 64})
-	defer e.Close()
-	h, err := e.Add("a", tbf.MustNew(units.Mbps, 10*units.MSS), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls, err := e.LocalShard(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Remove("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ls.SubmitBatch(h, burstOf(4, 0)); !errors.Is(err, ErrStale) {
-		t.Fatalf("stale submit = %v, want ErrStale", err)
-	}
-}
 
 // TestLocalSubmitWaitsOutLiveHolder: a Flush fn holding the occupancy word for
 // 30 ms is a live holder, not a wedge, so an inline submitter on the same

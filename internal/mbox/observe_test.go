@@ -39,64 +39,6 @@ func metricValue(t *testing.T, snap obs.Snapshot, name, labelVal string) float64
 	return 0
 }
 
-func TestObserveVerdictTally(t *testing.T) {
-	c := obs.NewCollector(obs.Options{SampleEvery: 1})
-	// Frozen clock: the bucket never refills, so of a 4-packet burst
-	// exactly bucket/MSS packets pass and the rest drop.
-	e := New(Config{Shards: 1, Observer: c, Clock: func() time.Duration { return 0 }})
-	defer e.Close()
-	h, err := e.Add("a", tbf.MustNew(units.Mbps, 2*units.MSS), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SubmitBatch(h, []packet.Packet{pkt(0), pkt(1), pkt(2), pkt(3)}); err != nil {
-		t.Fatal(err)
-	}
-	// Stats rides the ordered ring behind the burst: once it returns, the
-	// burst has been enforced and tallied.
-	st, err := e.Stats("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := e.Metrics()
-	acc := metricValue(t, snap, "bcpqp_aggregate_accepted_packets_total", "a")
-	drp := metricValue(t, snap, "bcpqp_aggregate_dropped_packets_total", "a")
-	if int64(acc) != st.AcceptedPackets || int64(drp) != st.DroppedPackets {
-		t.Errorf("tally (acc=%g, drp=%g) disagrees with enforcer stats %+v", acc, drp, st)
-	}
-	if acc+drp != 4 {
-		t.Errorf("tally covers %g packets, want 4", acc+drp)
-	}
-	if drp == 0 {
-		t.Error("tiny frozen bucket dropped nothing")
-	}
-	accB := metricValue(t, snap, "bcpqp_aggregate_accepted_bytes_total", "a")
-	if int64(accB) != int64(acc)*int64(units.MSS) {
-		t.Errorf("accepted bytes = %g, want %g×MSS", accB, acc)
-	}
-
-	// The sampled (SampleEvery=1) KindBurst event carries the same tally.
-	var burst *TraceEvent
-	for i, ev := range e.TraceDump() {
-		if ev.Kind == obs.KindBurst {
-			burst = &e.TraceDump()[i]
-			break
-		}
-	}
-	if burst == nil {
-		t.Fatal("no KindBurst event in trace with SampleEvery=1")
-	}
-	if burst.AggID != "a" {
-		t.Errorf("burst event AggID = %q, want %q", burst.AggID, "a")
-	}
-	if burst.A != int64(acc) || burst.B != int64(drp) {
-		t.Errorf("burst event tally A=%d B=%d, want %g/%g", burst.A, burst.B, acc, drp)
-	}
-	if hs := c.BurstHist(); hs.Count == 0 {
-		t.Error("burst latency histogram is empty after an enforced burst")
-	}
-}
-
 // bombEnforcer panics on every Submit.
 type bombEnforcer struct{}
 

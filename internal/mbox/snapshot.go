@@ -4,8 +4,12 @@
 // loads the blobs into an engine whose aggregates were registered under the
 // same ids, such as a restarted process. A restarted proxy that restores
 // its snapshot resumes enforcement with the phantom occupancy, burst-control
-// windows and token levels it had at snapshot time — instead of starting empty and re-admitting a slow-start
-// burst storm, restart-synchronized across every subscriber at once.
+// windows and token levels it had at snapshot time — instead of starting
+// empty and re-admitting a slow-start burst storm, restart-synchronized
+// across every subscriber at once. Both calls read the engine clock in-band
+// and hand it to the enforcer, whose blob stores every instant as its age
+// (enforcer.Snapshotter): the restoring engine's clock may start again at
+// zero, as a restarted process's does.
 package mbox
 
 import (
@@ -146,7 +150,7 @@ func (e *Engine) Snapshot(ids ...string) (*Snapshot, error) {
 	for _, agg := range aggs {
 		var blob []byte
 		snapErr := e.snapshotter(agg, func(sn enforcer.Snapshotter) (err error) {
-			blob, err = sn.SnapshotState()
+			blob, err = sn.SnapshotState(e.cfg.Clock())
 			return err
 		})
 		if snapErr != nil {
@@ -168,7 +172,7 @@ func (e *Engine) Restore(s *Snapshot) error {
 	for _, a := range s.Aggregates {
 		agg, err := e.aggByID(a.ID)
 		if err == nil {
-			err = e.snapshotter(agg, func(sn enforcer.Snapshotter) error { return sn.RestoreState(a.State) })
+			err = e.snapshotter(agg, func(sn enforcer.Snapshotter) error { return sn.RestoreState(e.cfg.Clock(), a.State) })
 		}
 		if err != nil {
 			return err

@@ -175,15 +175,15 @@ func (d *layoutDiff) nextPolicy() {
 // snapshot; the reference carries on untouched.
 func (d *layoutDiff) roundTrip() {
 	d.flush()
-	blob, err := d.p.SnapshotState()
+	blob, err := d.p.SnapshotState(d.now)
 	if err != nil {
 		d.t.Fatal(err)
 	}
 	twin := d.build()
-	if err := twin.RestoreState(blob); err != nil {
+	if err := twin.RestoreState(d.now, blob); err != nil {
 		d.t.Fatalf("t=%v: twin rejected snapshot: %v", d.now, err)
 	}
-	again, err := twin.SnapshotState()
+	again, err := twin.SnapshotState(d.now)
 	if err != nil {
 		d.t.Fatal(err)
 	}
@@ -583,7 +583,7 @@ func TestBurstShortcuts(t *testing.T) {
 				{"SetRate", func(d *layoutDiff) { d.now += 12 * time.Millisecond; d.setRate(8 * units.Mbps) }},
 				{"SetPolicy", func(d *layoutDiff) { d.now += 12 * time.Millisecond; d.nextPolicy() }},
 				{"SnapshotState", func(d *layoutDiff) {
-					if _, err := d.p.SnapshotState(); err != nil {
+					if _, err := d.p.SnapshotState(d.now); err != nil {
 						t.Fatal(err)
 					}
 				}},

@@ -1,19 +1,23 @@
 package phantom
 
 import (
+	"time"
+
 	"bcpqp/internal/enforcer"
 )
 
 // snapVersion is the format version of PQP snapshot blobs. Bump it whenever
 // the layout below changes; RestoreState rejects unknown versions.
-const snapVersion = 1
+const snapVersion = 2
 
 // SnapshotState implements enforcer.Snapshotter. The blob captures the full
 // admission state of the policer — phantom-queue FIFO segments (real and
 // magic, in order, so a later magic reclaim removes exactly the not-yet-
 // drained magic bytes), burst-control windows, the lazy-drain clock and
 // fractional credit, per-class counters, aggregate statistics, and RED
-// averages when the AQM extension is enabled.
+// averages when the AQM extension is enabled. The drain clock and window
+// starts are stored as their ages at now (enforcer.Enc.Age), so the blob
+// restores into a process whose clock reads anything.
 //
 // Configuration is deliberately NOT captured: blobs restore only into an
 // enforcer constructed with the same Config, and RestoreState validates the
@@ -22,14 +26,14 @@ const snapVersion = 1
 //
 // Layout (little-endian, see enforcer.Enc):
 //
-//	u8   version (=1)
+//	u8   version (=2)
 //	bool started
-//	i64  lastDrain (ns)
+//	i64  lastDrain age (ns; 0 until started)
 //	f64  drainCredit
 //	stats (4×i64)
 //	u32  queue count (must equal cfg.Queues)
 //	per queue:
-//	    bool windowOpen, i64 windowStart (ns), i64 accepted
+//	    bool windowOpen, i64 windowStart age (ns; 0 while closed), i64 accepted
 //	    4×i64 class counters
 //	    u32 segment count; per segment: i64 bytes (>0), bool magic
 //	bool RED present (must match cfg.RED != nil)
@@ -40,18 +44,18 @@ const snapVersion = 1
 // inconsistent occupancy. Writing the segments brings every queue's FIFO up
 // to date first, which changes what the queues store though not what they
 // mean: a snapshot is the owning goroutine's to take.
-func (p *PQP) SnapshotState() ([]byte, error) {
+func (p *PQP) SnapshotState(now time.Duration) ([]byte, error) {
 	var e enforcer.Enc
 	e.U8(snapVersion)
 	e.Bool(p.started)
-	e.Dur(p.lastDrain)
+	e.Age(now, p.lastDrain, p.started)
 	e.F64(p.drainCredit)
 	e.Stats(p.stats)
 	e.U32(uint32(len(p.queues)))
 	for i := range p.queues {
 		q := &p.queues[i]
 		e.Bool(q.open)
-		e.Dur(q.windowStart)
+		e.Age(now, q.windowStart, q.open)
 		e.I64(q.accepted)
 		e.I64(q.acceptedPackets)
 		e.I64(q.acceptedBytes)
@@ -80,13 +84,13 @@ func (p *PQP) SnapshotState() ([]byte, error) {
 // mismatches (queue count, occupancy exceeding the simulated buffer, RED
 // presence) are errors. On error the receiver is structurally intact but
 // its partial state is unspecified — discard it.
-func (p *PQP) RestoreState(data []byte) error {
+func (p *PQP) RestoreState(now time.Duration, data []byte) error {
 	d := enforcer.NewDec(data)
 	if v := d.U8(); d.Err() == nil && v != snapVersion {
 		d.Fail("phantom: unsupported snapshot version %d (want %d)", v, snapVersion)
 	}
 	started := d.Bool()
-	lastDrain := d.Dur()
+	lastDrain := d.Instant(now)
 	drainCredit := d.F64()
 	if d.Err() == nil && (drainCredit < 0 || drainCredit >= 1) {
 		d.Fail("phantom: drain credit %v outside [0,1)", drainCredit)
@@ -103,7 +107,7 @@ func (p *PQP) RestoreState(data []byte) error {
 	for i := range restored.queues {
 		q := &restored.queues[i]
 		q.open = d.Bool()
-		q.windowStart = d.Dur()
+		q.windowStart = d.Instant(now)
 		q.accepted = d.I64()
 		q.acceptedPackets = d.I64()
 		q.acceptedBytes = d.I64()

@@ -36,7 +36,7 @@ func FuzzRestoreState(f *testing.F) {
 			Size:  units.MSS,
 		})
 		if i%60 == 0 {
-			blob, err := seedSrc.SnapshotState()
+			blob, err := seedSrc.SnapshotState(now)
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -48,7 +48,8 @@ func FuzzRestoreState(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q := mk()
-		if err := q.RestoreState(data); err != nil {
+		at := 10 * time.Second
+		if err := q.RestoreState(at, data); err != nil {
 			return // rejection is the expected path for hostile input
 		}
 		// Accepted state must respect the receiver's structural bounds...
@@ -59,17 +60,16 @@ func FuzzRestoreState(f *testing.F) {
 			}
 		}
 		// ...still enforce without panicking...
-		at := 10 * time.Second
 		for i := 0; i < 50; i++ {
 			at += 100 * time.Microsecond
 			q.Submit(at, packet.Packet{Class: i % 3, Size: units.MSS})
 		}
 		// ...and snapshot its own state into a blob a twin accepts.
-		blob, err := q.SnapshotState()
+		blob, err := q.SnapshotState(at)
 		if err != nil {
 			t.Fatalf("snapshot after accepted restore failed: %v", err)
 		}
-		if err := mk().RestoreState(blob); err != nil {
+		if err := mk().RestoreState(at, blob); err != nil {
 			t.Fatalf("twin rejected re-snapshot of accepted state: %v", err)
 		}
 	})

@@ -16,12 +16,12 @@ func FuzzTreeSnapshotDecode(f *testing.F) {
 	// from deep inside the versioned framing rather than at the version
 	// check, plus degenerate prefixes.
 	cold := tenantPlanSub()
-	if blob, err := cold.SnapshotState(); err == nil {
+	if blob, err := cold.SnapshotState(0); err == nil {
 		f.Add(blob)
 	}
 	warm := tenantPlanSub()
 	runTraffic(warm, 11, time.Second)
-	if blob, err := warm.SnapshotState(); err == nil {
+	if blob, err := warm.SnapshotState(time.Second); err == nil {
 		f.Add(blob)
 	}
 	f.Add([]byte{})
@@ -29,17 +29,17 @@ func FuzzTreeSnapshotDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := tenantPlanSub()
-		if err := tr.RestoreState(data); err != nil {
+		if err := tr.RestoreState(time.Second, data); err != nil {
 			return // rejected is fine; panicking is not
 		}
 		// Accepted input restored real state: the tree must remain fully
 		// serviceable — its own snapshot re-applies, and traffic flows.
-		re, err := tr.SnapshotState()
+		re, err := tr.SnapshotState(time.Second)
 		if err != nil {
 			t.Fatalf("re-snapshot of accepted state failed: %v", err)
 		}
 		tr2 := tenantPlanSub()
-		if err := tr2.RestoreState(re); err != nil {
+		if err := tr2.RestoreState(time.Second, re); err != nil {
 			t.Fatalf("re-decode of own encoding failed: %v", err)
 		}
 		if s1, s2 := tr.EnforcerStats(), tr2.EnforcerStats(); s1 != s2 {

@@ -134,10 +134,10 @@ func TestSnapshotStagesNothing(t *testing.T) {
 	}
 	var blob []byte
 	var err error
-	if got := allocated(func() { blob, err = warm.SnapshotState() }); err != nil || got > int64(len(blob))+256<<10 {
+	if got := allocated(func() { blob, err = warm.SnapshotState(0) }); err != nil || got > int64(len(blob))+256<<10 {
 		t.Errorf("SnapshotState allocated %d bytes for a %d-byte blob (err %v)", got, len(blob), err)
 	}
-	if got := allocated(func() { err = cold.RestoreState(blob) }); err != nil || got > int64(len(spec)) {
+	if got := allocated(func() { err = cold.RestoreState(0, blob) }); err != nil || got > int64(len(spec)) {
 		t.Errorf("RestoreState allocated %d bytes for %d nodes, want under a byte per node (err %v)", got, len(spec), err)
 	}
 }
@@ -269,15 +269,15 @@ func (d *layoutDiff) compare(after string) {
 // snapshot compares the two blobs and restores each tree from the other's.
 func (d *layoutDiff) snapshot() {
 	d.t.Helper()
-	got, err := d.tr.SnapshotState()
-	want, refErr := d.ref.SnapshotState()
+	got, err := d.tr.SnapshotState(d.now)
+	want, refErr := d.ref.SnapshotState(d.now)
 	if err != nil || refErr != nil {
 		d.t.Fatalf("snapshot: %v, reference %v", err, refErr)
 	}
 	if !bytes.Equal(got, want) {
 		d.t.Fatalf("snapshot differs from the reference's:\n got %x\nwant %x", got, want)
 	}
-	err, refErr = d.tr.RestoreState(want), d.ref.RestoreState(got)
+	err, refErr = d.tr.RestoreState(d.now, want), d.ref.RestoreState(d.now, got)
 	if (err != nil) != (refErr != nil) {
 		d.t.Fatalf("restore: %v, reference %v", err, refErr)
 	}

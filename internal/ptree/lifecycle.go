@@ -11,7 +11,7 @@ import (
 )
 
 // treeSnapVersion is the format version of Tree snapshot blobs.
-const treeSnapVersion = 1
+const treeSnapVersion = 2
 
 // NodeReconfigurer implements enforcer.TreeEnforcer, exposing the node's
 // ceiling stage for in-place rate/policy changes.
@@ -137,13 +137,14 @@ func (t *Tree) NodeSnapshotter(node enforcer.NodeID) (enforcer.Snapshotter, erro
 // accounting plus every node's borrow-layer state, counters and ceiling
 // blob, in index order.
 //
-// Layout: u8 version, stats, u32 node count, then per node: u32 index,
-// i64 parent, f64 tokens, dur lastFill, i64 ×4 (accepted pkts/bytes,
-// dropped pkts/bytes), length-prefixed ceiling blob (empty for stageless
-// nodes). The index and parent fields are config echo: they let the
-// decoder structurally validate an untrusted blob — ordering, duplicate
-// nodes, cycles — before trusting any of it.
-func (t *Tree) SnapshotState() ([]byte, error) {
+// Layout: u8 version (=2), stats, u32 node count, then per node: u32
+// index, i64 parent, f64 tokens, dur lastFill age at now (0 under a full
+// bucket, where refill ignores it), i64 ×4 (accepted pkts/bytes, dropped
+// pkts/bytes), length-prefixed ceiling blob taken at the same now (empty
+// for stageless nodes). The index and parent fields are config echo: they
+// let the decoder structurally validate an untrusted blob — ordering,
+// duplicate nodes, cycles — before trusting any of it.
+func (t *Tree) SnapshotState(now time.Duration) ([]byte, error) {
 	// Ceiling blobs first: with their lengths the encoder is sized exactly
 	// and never regrown.
 	blobs := make([][]byte, len(t.ceilings))
@@ -158,7 +159,7 @@ func (t *Tree) SnapshotState() ([]byte, error) {
 			return nil, fmt.Errorf("ptree: node %d (%T): %w", i, t.ceilings[c], enforcer.ErrNotSnapshottable)
 		}
 		var err error
-		if blobs[c], err = snap.SnapshotState(); err != nil {
+		if blobs[c], err = snap.SnapshotState(now); err != nil {
 			return nil, fmt.Errorf("ptree: snapshotting node %d: %w", i, err)
 		}
 		size += len(blobs[c])
@@ -173,7 +174,7 @@ func (t *Tree) SnapshotState() ([]byte, error) {
 		e.U32(uint32(i))
 		e.I64(int64(n.parent))
 		e.F64(n.tokens)
-		e.Dur(n.lastFill)
+		e.Age(now, n.lastFill, n.tokens < n.burst)
 		e.I64(n.accPkts)
 		e.I64(n.accBytes)
 		e.I64(t.drpPkts[i])
@@ -218,17 +219,19 @@ func (t *Tree) snapHeader(d *enforcer.Dec) enforcer.Stats {
 	return stats
 }
 
-// snapNode decodes entry i and checks it: against the blob's own framing
-// (index order, a parent that precedes its child — a blob whose parents all
-// do cannot hold a cycle or a second root), against the receiver's topology
-// and ceilings, and against the ranges node i's state can take.
-func (t *Tree) snapNode(d *enforcer.Dec, i int) snapEntry {
+// snapNode decodes entry i at the receiver's now and checks it: against the
+// blob's own framing (index order, a parent that precedes its child — a blob
+// whose parents all do cannot hold a cycle or a second root), against the
+// receiver's topology and ceilings, and against the ranges node i's state
+// can take. The refill clock is an age (enforcer.Dec.Instant): a negative
+// rebuilt clock is legal, an age whose clock overflows is not.
+func (t *Tree) snapNode(d *enforcer.Dec, now time.Duration, i int) snapEntry {
 	idx := d.U32()
 	if d.Err() == nil && int(idx) != i {
 		d.Fail("ptree: node entry %d carries index %d (duplicate, out-of-order, or out-of-range node)", i, idx)
 	}
 	e := snapEntry{
-		parent: d.I64(), tokens: d.F64(), lastFill: d.Dur(),
+		parent: d.I64(), tokens: d.F64(), lastFill: d.Instant(now),
 		accPkts: d.I64(), accBytes: d.I64(), drpPkts: d.I64(), drpBytes: d.I64(),
 		blob: d.Bytes(),
 	}
@@ -255,8 +258,6 @@ func (t *Tree) snapNode(d *enforcer.Dec, i int) snapEntry {
 		d.Fail("ptree: node %d negative tokens %g on a non-pool node", i, e.tokens)
 	case e.tokens < n.floor():
 		d.Fail("ptree: node %d tokens %g below the pool debt floor %g", i, e.tokens, n.floor())
-	case e.lastFill < 0:
-		d.Fail("ptree: node %d negative refill clock %v", i, e.lastFill)
 	case e.accPkts < 0 || e.accBytes < 0 || e.drpPkts < 0 || e.drpBytes < 0:
 		d.Fail("ptree: node %d negative counters", i)
 	case n.ceiling < 0:
@@ -277,14 +278,15 @@ func (t *Tree) snapNode(d *enforcer.Dec, i int) snapEntry {
 // over the same topology and per-node configuration. The blob is decoded
 // twice and nothing n-sized is staged: a first pass validates all of it —
 // node ordering, duplicates, parent range, multiple roots, cycles, the
-// receiver's topology, token ranges — before any receiver state is touched,
-// and a second applies it; only per-node ceiling blob errors can interrupt
-// that (after which, like every Snapshotter, the receiver is discardable).
-func (t *Tree) RestoreState(data []byte) error {
+// receiver's topology, token ranges, refill-clock ages — before any receiver
+// state is touched, and a second applies it; only per-node ceiling blob
+// errors can interrupt that (after which, like every Snapshotter, the
+// receiver is discardable).
+func (t *Tree) RestoreState(now time.Duration, data []byte) error {
 	d := enforcer.NewDec(data)
 	t.snapHeader(d)
 	for i := 0; i < len(t.nodes) && d.Err() == nil; i++ {
-		t.snapNode(d, i)
+		t.snapNode(d, now, i)
 	}
 	if err := d.Finish(); err != nil {
 		return err
@@ -293,10 +295,10 @@ func (t *Tree) RestoreState(data []byte) error {
 	d = enforcer.NewDec(data)
 	stats := t.snapHeader(d)
 	for i := range t.nodes {
-		e := t.snapNode(d, i)
+		e := t.snapNode(d, now, i)
 		n := &t.nodes[i]
 		if n.ceiling >= 0 {
-			if err := t.ceilings[n.ceiling].(enforcer.Snapshotter).RestoreState(e.blob); err != nil {
+			if err := t.ceilings[n.ceiling].(enforcer.Snapshotter).RestoreState(now, e.blob); err != nil {
 				return fmt.Errorf("ptree: restoring node %d: %w", i, err)
 			}
 		}

@@ -361,7 +361,7 @@ func (t *refTree) SetNodeAssured(now time.Duration, node enforcer.NodeID, rate u
 	return nil
 }
 
-func (t *refTree) SnapshotState() ([]byte, error) {
+func (t *refTree) SnapshotState(now time.Duration) ([]byte, error) {
 	var e enforcer.Enc
 	e.U8(treeSnapVersion)
 	e.Stats(t.stats)
@@ -374,14 +374,14 @@ func (t *refTree) SnapshotState() ([]byte, error) {
 				return nil, fmt.Errorf("ptree: node %d (%T): %w", i, s, enforcer.ErrNotSnapshottable)
 			}
 			var err error
-			if blob, err = snap.SnapshotState(); err != nil {
+			if blob, err = snap.SnapshotState(now); err != nil {
 				return nil, fmt.Errorf("ptree: snapshotting node %d: %w", i, err)
 			}
 		}
 		e.U32(uint32(i))
 		e.I64(int64(t.parent[i]))
 		e.F64(t.tokens[i])
-		e.Dur(t.lastFill[i])
+		e.Age(now, t.lastFill[i], t.tokens[i] < t.burst[i])
 		e.I64(t.accPkts[i])
 		e.I64(t.accBytes[i])
 		e.I64(t.drpPkts[i])
@@ -391,7 +391,7 @@ func (t *refTree) SnapshotState() ([]byte, error) {
 	return e.Out(), nil
 }
 
-func (t *refTree) RestoreState(data []byte) error {
+func (t *refTree) RestoreState(now time.Duration, data []byte) error {
 	d := enforcer.NewDec(data)
 	if v := d.U8(); d.Err() == nil && v != treeSnapVersion {
 		d.Fail("ptree: unsupported snapshot version %d (want %d)", v, treeSnapVersion)
@@ -416,7 +416,7 @@ func (t *refTree) RestoreState(data []byte) error {
 		}
 		parents[i] = d.I64()
 		tokens[i] = d.F64()
-		lastFill[i] = d.Dur()
+		lastFill[i] = d.Instant(now)
 		for k := 0; k < 4; k++ {
 			counters[i][k] = d.I64()
 		}
@@ -439,8 +439,6 @@ func (t *refTree) RestoreState(data []byte) error {
 			d.Fail("ptree: node %d negative tokens %g on a non-pool node", i, tokens[i])
 		case tokens[i] < t.floor[i]:
 			d.Fail("ptree: node %d tokens %g below the pool debt floor %g", i, tokens[i], t.floor[i])
-		case lastFill[i] < 0:
-			d.Fail("ptree: node %d negative refill clock %v", i, lastFill[i])
 		case counters[i][0] < 0 || counters[i][1] < 0 || counters[i][2] < 0 || counters[i][3] < 0:
 			d.Fail("ptree: node %d negative counters", i)
 		}
@@ -480,7 +478,7 @@ func (t *refTree) RestoreState(data []byte) error {
 		if snap == nil {
 			continue
 		}
-		if err := snap.RestoreState(blobs[i]); err != nil {
+		if err := snap.RestoreState(now, blobs[i]); err != nil {
 			return fmt.Errorf("ptree: restoring node %d: %w", i, err)
 		}
 	}

@@ -11,14 +11,16 @@ import (
 	"bcpqp/internal/units"
 )
 
-// goldenBlob is SnapshotState of goldenTree after goldenTrace(0, goldenSteps),
-// written by the commit before node state moved into one record per node
-// (fourteen parallel slices, stored floor and ownAssured arrays). goldenAfter
-// is what that commit's tree answered to the next 300 steps, which re-rate
-// two nodes several times.
+// goldenBlob is SnapshotState of goldenTree after goldenTrace(0, goldenSteps)
+// in the clock-relative version-2 layout, regenerated once from the version-1
+// blob the commit before node state moved into one record per node (fourteen
+// parallel slices, stored floor and ownAssured arrays) wrote: the same state
+// with every refill clock and ceiling instant as an age (0 where unset).
+// goldenAfter is what that commit's tree answered to the next 300 steps,
+// which re-rate two nodes several times.
 const (
 	goldenSteps = 900
-	goldenBlob  = "011905000000000000862e100000000000b103000000000000e2590e00000000000a00000000000000ffffffffffffffff00000000002bb740c8c1de19000000001905000000000000862e10000000000000000000000000000000000000000000320000000101c8c1de19000000000000000096c413411905000000000000862e1000000000000000000000000000000000000000000001000000000000000000000000000000dc7ffd40789fd819000000002202000000000000f90b07000000000000000000000000000000000000000000b30000000101409c00000000000000000000000000002202000000000000f90b070000000000000000000000000000000000000000000200000001706c47180000000039440000000000003c01000000000000502504000000000000000000000000000000000000000000010000005025040000000000000180925c18000000008431000000000000e600000000000000a9e60200000000000000000000000000000000000000000001000000a9e6020000000000000002000000000000000000000000000000804ff2c0c8c1de1900000000f7020000000000008d22090000000000e50200000000000037500b00000000003200000001011021e219000000000000000000698940f7020000000000008d2209000000000000000000000000000000000000000000030000000100000000000000000000000000934028efbf19000000002c01000000000000650504000000000000000000000000000000000000000000000000000400000001000000000000000000000040aedb40789fd81900000000f6000000000000009406030000000000cc00000000000000ab09030000000000320000000101789fd819000000000000000000d58240f6000000000000009406030000000000000000000000000000000000000000000500000002000000000000000000000098a4e140c8c1de1900000000b3000000000000001d13020000000000000000000000000000000000000000000000000006000000020000000000000000000000000000000000000000000000d600000000000000d993020000000000000000000000000000000000000000000000000007000000020000000000000000000000e85cd1c020bacf19000000006e01000000000000977b04000000000000000000000000000000000000000000000000000800000007000000000000000000000060b3c540e0baa0190000000095000000000000003ee00100000000000000000000000000000000000000000000000000090000000700000000000000000000000000000020bacf1900000000d900000000000000599b0200000000000000000000000000000000000000000000000000"
+	goldenBlob  = "021905000000000000862e100000000000b103000000000000e2590e00000000000a00000000000000ffffffffffffffff00000000002bb740485f0300000000001905000000000000862e10000000000000000000000000000000000000000000320000000201485f0300000000000000000096c413411905000000000000862e1000000000000000000000000000000000000000000001000000000000000000000000000000dc7ffd4098810900000000002202000000000000f90b07000000000000000000000000000000000000000000b30000000201d084e1190000000000000000000000002202000000000000f90b070000000000000000000000000000000000000000000200000001a0b49a010000000039440000000000003c010000000000005025040000000000000000000000000000000000000000000100000050250400000000000001908e8501000000008431000000000000e600000000000000a9e60200000000000000000000000000000000000000000001000000a9e6020000000000000002000000000000000000000000000000804ff2c0485f030000000000f7020000000000008d22090000000000e50200000000000037500b000000000032000000020100000000000000000000000000698940f7020000000000008d22090000000000000000000000000000000000000000000300000001000000000000000000000000009340e8312200000000002c01000000000000650504000000000000000000000000000000000000000000000000000400000001000000000000000000000040aedb409881090000000000f6000000000000009406030000000000cc00000000000000ab0903000000000032000000020198810900000000000000000000d58240f6000000000000009406030000000000000000000000000000000000000000000500000002000000000000000000000098a4e140485f030000000000b3000000000000001d13020000000000000000000000000000000000000000000000000006000000020000000000000000000000000000000000000000000000d600000000000000d993020000000000000000000000000000000000000000000000000007000000020000000000000000000000e85cd1c0f0661200000000006e01000000000000977b04000000000000000000000000000000000000000000000000000800000007000000000000000000000060b3c540306641000000000095000000000000003ee001000000000000000000000000000000000000000000000000000900000007000000000000000000000000000000f066120000000000d900000000000000599b0200000000000000000000000000000000000000000000000000"
 	goldenAfter = "010001111111100011111110011100001000111111100000000000000100100000111111110010110100000100010010110111100010111110011000000000111111100000000000000000000000011111110000011110001000010000001011100001011110000100000000111111101000000001011100000001111111100000000111001100010000111111100000101110001100000001111111100000000001111100000111111111100000000011010100001011111111100000000010111100011001111111100000000001011100000111111111100000000010001000011011111111100000000010111110011000111111100000000001011100000111111111100000000011001100001101101111100100111110111110011001110111100000000001011100000111111111100000000010010100001110110111100010111110111110011011011111100000000001011100000111111111100000000010001000001011111011100001011111111110"
 )
 
@@ -83,10 +85,9 @@ func goldenTrace(tr *Tree, now *time.Duration, i0, n int) string {
 	return string(out)
 }
 
-// TestTreeSnapshotGolden checks the wire format against the previous layout
-// in both directions: this layout writes, byte for byte, the snapshot the old
-// one wrote for the same trace, and a snapshot the old one wrote restores
-// here into a tree that carries on exactly as the old one did.
+// TestTreeSnapshotGolden pins the wire format in both directions: this layout
+// writes the golden blob byte for byte for the same trace, and the golden
+// blob restores into a tree that carries on exactly as the old one did.
 func TestTreeSnapshotGolden(t *testing.T) {
 	want, err := hex.DecodeString(goldenBlob)
 	if err != nil {
@@ -95,7 +96,7 @@ func TestTreeSnapshotGolden(t *testing.T) {
 	tr := goldenTree()
 	var now time.Duration
 	goldenTrace(tr, &now, 0, goldenSteps)
-	got, err := tr.SnapshotState()
+	got, err := tr.SnapshotState(now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +105,10 @@ func TestTreeSnapshotGolden(t *testing.T) {
 	}
 
 	restored := goldenTree()
-	if err := restored.RestoreState(want); err != nil {
+	if err := restored.RestoreState(now, want); err != nil {
 		t.Fatalf("previous layout's snapshot rejected: %v", err)
 	}
-	if again, _ := restored.SnapshotState(); !bytes.Equal(again, want) {
+	if again, _ := restored.SnapshotState(now); !bytes.Equal(again, want) {
 		t.Fatal("restored tree re-snapshots differently")
 	}
 	if got := goldenTrace(restored, &now, goldenSteps, 300); got != goldenAfter {

@@ -1,6 +1,8 @@
 package ptree
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -27,15 +29,18 @@ func runTraffic(tr *Tree, seed uint64, horizon time.Duration) {
 }
 
 // TestSnapshotRoundTrip: a warm tree's state moves onto an identically
-// configured cold tree, which then produces byte-identical verdicts.
+// configured cold tree whose clock starts again at zero, as a restarted
+// process's does, and which then produces byte-identical verdicts and
+// snapshots to the warm tree carrying on along its own timeline.
 func TestSnapshotRoundTrip(t *testing.T) {
+	const shift = 2 * time.Second // the warm tree's clock minus the cold one's
 	warm, cold := tenantPlanSub(), tenantPlanSub()
 	runTraffic(warm, 99, 2*time.Second)
-	blob, err := warm.SnapshotState()
+	blob, err := warm.SnapshotState(shift)
 	if err != nil {
 		t.Fatalf("SnapshotState: %v", err)
 	}
-	if err := cold.RestoreState(blob); err != nil {
+	if err := cold.RestoreState(0, blob); err != nil {
 		t.Fatalf("RestoreState: %v", err)
 	}
 	if ws, cs := warm.EnforcerStats(), cold.EnforcerStats(); ws != cs {
@@ -48,16 +53,23 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("node %d restored stats %+v, want %+v", i, cs, ws)
 		}
 	}
-	// Post-restore the two trees are the same machine: identical verdicts
-	// on identical continued traffic.
+	// Post-restore the two trees are the same machine on clocks shift
+	// apart: identical verdicts on identical continued traffic, and
+	// identical snapshots at the end.
 	r := rng.New(7)
 	leaves := warm.Leaves()
-	for now := 2 * time.Second; now < 3*time.Second; now += time.Duration(r.IntN(int(time.Millisecond))) {
+	now := shift
+	for ; now < 3*time.Second; now += time.Duration(r.IntN(int(time.Millisecond))) {
 		leaf := leaves[r.IntN(len(leaves))]
 		p := pkt(int(leaf), 64+r.IntN(units.MSS-64))
-		if vw, vc := warm.SubmitAt(now, leaf, p), cold.SubmitAt(now, leaf, p); vw != vc {
+		if vw, vc := warm.SubmitAt(now, leaf, p), cold.SubmitAt(now-shift, leaf, p); vw != vc {
 			t.Fatalf("post-restore divergence at %v: warm %v, cold %v", now, vw, vc)
 		}
+	}
+	wb, _ := warm.SnapshotState(now)
+	cb, _ := cold.SnapshotState(now - shift)
+	if !bytes.Equal(wb, cb) {
+		t.Fatalf("snapshots diverged after the shifted restore:\nwarm %x\ncold %x", wb, cb)
 	}
 }
 
@@ -73,7 +85,7 @@ func mutateAt(blob []byte, off int, b byte) []byte {
 func TestSnapshotRejection(t *testing.T) {
 	warm := tenantPlanSub()
 	runTraffic(warm, 5, time.Second)
-	blob, err := warm.SnapshotState()
+	blob, err := warm.SnapshotState(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +93,12 @@ func TestSnapshotRejection(t *testing.T) {
 	check := func(name string, bad []byte) {
 		t.Helper()
 		cold := tenantPlanSub()
-		before, _ := cold.SnapshotState()
-		if err := cold.RestoreState(bad); err == nil {
+		before, _ := cold.SnapshotState(time.Second)
+		if err := cold.RestoreState(time.Second, bad); err == nil {
 			t.Errorf("%s: accepted", name)
 			return
 		}
-		after, _ := cold.SnapshotState()
+		after, _ := cold.SnapshotState(time.Second)
 		if string(before) != string(after) {
 			t.Errorf("%s: rejected blob still mutated the receiver", name)
 		}
@@ -105,13 +117,18 @@ func TestSnapshotRejection(t *testing.T) {
 	// parent by decoding offsets is brittle — instead flip entry 0's parent
 	// from -1 to 0 (self-parent ⇒ cycle/second-root class rejections).
 	check("root with parent", mutateAt(blob, 1+32+4+4, 0x00))
+	// Entry 0's refill clock, an age after its index, parent and tokens: the
+	// most negative one names an instant past the end of time.
+	overflow := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint64(overflow[1+32+4+4+8+8:], 1<<63)
+	check("refill-clock age overflows", overflow)
 
 	// Wrong shape: a snapshot of a different topology never applies.
 	other := MustNew([]NodeSpec{
 		{Name: "root", Parent: -1, Stage: newTBF(20 * units.Mbps)},
 		{Name: "leaf", Parent: 0, Assured: 5 * units.Mbps},
 	})
-	oblob, err := other.SnapshotState()
+	oblob, err := other.SnapshotState(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +159,12 @@ func TestSnapshotPoolDebt(t *testing.T) {
 	if warm.nodes[0].tokens >= 0 {
 		t.Fatalf("expected root pool in debt, tokens = %g", warm.nodes[0].tokens)
 	}
-	blob, err := warm.SnapshotState()
+	blob, err := warm.SnapshotState(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cold := mk()
-	if err := cold.RestoreState(blob); err != nil {
+	if err := cold.RestoreState(time.Second, blob); err != nil {
 		t.Fatalf("RestoreState rejected legitimate pool debt: %v", err)
 	}
 	if cold.nodes[0].tokens != warm.nodes[0].tokens {
@@ -161,7 +178,7 @@ func TestSnapshotPoolDebt(t *testing.T) {
 		{Name: "x", Parent: 0, Assured: 5 * units.Mbps},
 		{Name: "y", Parent: 0, Assured: 5 * units.Mbps},
 	})
-	if err := guarded.RestoreState(blob); err != nil {
+	if err := guarded.RestoreState(time.Second, blob); err != nil {
 		t.Errorf("RestoreState rejected pool debt on an own-assured interior node: %v", err)
 	}
 
@@ -169,20 +186,20 @@ func TestSnapshotPoolDebt(t *testing.T) {
 	// leaf guarantee bucket in debt and a below-floor ledger are both
 	// rejected before any state is touched.
 	warm.nodes[1].tokens = -100
-	leafDebt, err := warm.SnapshotState()
+	leafDebt, err := warm.SnapshotState(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mk().RestoreState(leafDebt); err == nil {
+	if err := mk().RestoreState(time.Second, leafDebt); err == nil {
 		t.Error("negative tokens accepted on a leaf guarantee bucket")
 	}
 	warm.nodes[1].tokens = 0
 	warm.nodes[0].tokens = warm.nodes[0].floor() - 1
-	deepDebt, err := warm.SnapshotState()
+	deepDebt, err := warm.SnapshotState(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mk().RestoreState(deepDebt); err == nil {
+	if err := mk().RestoreState(time.Second, deepDebt); err == nil {
 		t.Error("tokens below the -burst debt floor accepted")
 	}
 }
@@ -191,7 +208,7 @@ func TestSnapshotPoolDebt(t *testing.T) {
 // that actually carry a ceiling.
 func TestSnapshotCeilingMismatch(t *testing.T) {
 	warm := tenantPlanSub()
-	blob, err := warm.SnapshotState()
+	blob, err := warm.SnapshotState(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +221,7 @@ func TestSnapshotCeilingMismatch(t *testing.T) {
 		{Name: "b1", Parent: 2, Assured: 4 * units.Mbps},
 		{Name: "b2", Parent: 2, Assured: 4 * units.Mbps},
 	})
-	if err := bare.RestoreState(blob); err == nil {
+	if err := bare.RestoreState(time.Second, blob); err == nil {
 		t.Error("ceiling blob accepted by a ceiling-less node")
 	}
 }
@@ -218,7 +235,7 @@ func (opaqueStage) Commit(time.Duration, *packet.Packet)     {}
 
 func TestSnapshotErrNotSnapshottable(t *testing.T) {
 	tr := MustNew([]NodeSpec{{Parent: -1, Stage: opaqueStage{}}})
-	if _, err := tr.SnapshotState(); !errors.Is(err, enforcer.ErrNotSnapshottable) {
+	if _, err := tr.SnapshotState(time.Second); !errors.Is(err, enforcer.ErrNotSnapshottable) {
 		t.Errorf("SnapshotState: %v, want ErrNotSnapshottable", err)
 	}
 	if _, err := tr.NodeSnapshotter(0); !errors.Is(err, enforcer.ErrNotSnapshottable) {

@@ -10,7 +10,7 @@ import (
 )
 
 // snapVersion is the format version of Policer snapshot blobs.
-const snapVersion = 1
+const snapVersion = 2
 
 // SetRate implements enforcer.Reconfigurer: the token level, refill clock
 // and statistics survive the change. Tokens accrued before the change are
@@ -35,12 +35,13 @@ func (p *Policer) SetPolicy(now time.Duration, policy *sched.Policy) error {
 
 // SnapshotState implements enforcer.Snapshotter.
 //
-// Layout: u8 version, bool started, i64 last (ns), f64 tokens, stats.
-func (p *Policer) SnapshotState() ([]byte, error) {
+// Layout: u8 version (=2), bool started, i64 refill-clock age at now (ns; 0
+// until started), f64 tokens, stats.
+func (p *Policer) SnapshotState(now time.Duration) ([]byte, error) {
 	var e enforcer.Enc
 	e.U8(snapVersion)
 	e.Bool(p.started)
-	e.Dur(p.last)
+	e.Age(now, p.last, p.started)
 	e.F64(p.tokens)
 	e.Stats(p.stats)
 	return e.Out(), nil
@@ -49,13 +50,13 @@ func (p *Policer) SnapshotState() ([]byte, error) {
 // RestoreState implements enforcer.Snapshotter. The token level must fit
 // the receiver's bucket: restoring into a differently sized policer is a
 // configuration mismatch, not a truncation.
-func (p *Policer) RestoreState(data []byte) error {
+func (p *Policer) RestoreState(now time.Duration, data []byte) error {
 	d := enforcer.NewDec(data)
 	if v := d.U8(); d.Err() == nil && v != snapVersion {
 		d.Fail("tbf: unsupported snapshot version %d (want %d)", v, snapVersion)
 	}
 	started := d.Bool()
-	last := d.Dur()
+	last := d.Instant(now)
 	tokens := d.F64()
 	if d.Err() == nil && (tokens < 0 || tokens > p.bucket) {
 		d.Fail("tbf: token level %v outside bucket [0,%v]", tokens, p.bucket)
