@@ -11,8 +11,9 @@ import (
 // it runs inline) is the only writer; scrapes and the final report read
 // concurrently, hence atomics.
 // Busy time is split into the three phases of a burst — waiting in the
-// receive call, enforcing inline, flushing the transmit queue — so that
-// rx-wait + enforce + flush accounts for the worker's wall time.
+// receive call, enforcing inline, flushing the transmit queue — by one clock
+// reading per phase boundary, so rx-wait + enforce + flush is the worker's
+// wall time in relayLoop (TestRelayPhasesSumToRunTime).
 type coreStats struct {
 	recvCalls  atomic.Int64 // receive syscalls that returned datagrams
 	recvPkts   atomic.Int64 // datagrams they returned

@@ -28,14 +28,28 @@ import (
 // forward socket refuses (see transientNetErr) is shed and counted in
 // st.writeDropped, never retried: the relay degrades, it does not exit or
 // stall the bursts behind it.
+//
+// The clock is read three times a burst: each reading ends one phase in st —
+// rx-wait, enforce, flush — and starts the next, so the three sum to the
+// loop's wall time. The read deadline is re-armed 100 ms out only once less
+// than 50 ms of it remain, not on every burst.
 func relayLoop(rx, tx *netio.Conn, ls *bcpqp.LocalSubmitter, h bcpqp.AggregateHandle, st *coreStats, stop *atomic.Bool) error {
 	pkts := make([]bcpqp.Packet, rx.Batch())
 	segmenting := tx.SegmentOffload()
+	var deadline time.Time
+	t := time.Now() // the end of the last phase
+	lap := func(phase *atomic.Int64) {
+		now := time.Now()
+		phase.Add(now.Sub(t).Nanoseconds())
+		t = now
+	}
 	for !stop.Load() {
-		t0 := time.Now()
-		rx.SetReadDeadline(t0.Add(100 * time.Millisecond))
+		if deadline.Sub(t) < 50*time.Millisecond {
+			deadline = t.Add(100 * time.Millisecond)
+			rx.SetReadDeadline(deadline)
+		}
 		n, err := rx.RecvBatch()
-		st.rxWaitNs.Add(time.Since(t0).Nanoseconds())
+		lap(&st.rxWaitNs)
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
@@ -68,9 +82,8 @@ func relayLoop(rx, tx *netio.Conn, ls *bcpqp.LocalSubmitter, h bcpqp.AggregateHa
 			}
 		}
 
-		t1 := time.Now()
 		err = ls.SubmitBatch(h, pkts[:m])
-		st.enforceNs.Add(time.Since(t1).Nanoseconds())
+		lap(&st.enforceNs)
 		if errors.Is(err, bcpqp.ErrShardSaturated) {
 			st.shed.Add(int64(m))
 			continue
@@ -80,9 +93,8 @@ func relayLoop(rx, tx *netio.Conn, ls *bcpqp.LocalSubmitter, h bcpqp.AggregateHa
 		}
 
 		queued := tx.QueuedTx()
-		t2 := time.Now()
 		err = tx.FlushTx()
-		st.flushNs.Add(time.Since(t2).Nanoseconds())
+		lap(&st.flushNs)
 		failed := tx.FailedTx()
 		st.writeDropped.Add(int64(failed))
 		if sent := queued - failed; sent > 0 {

@@ -1,9 +1,10 @@
 package mbox
 
-// The latency digest times every burst, whoever serves it. The rest of the
-// accounting — forward first, account after, every enforced run accounted
-// once, out-of-range verdicts counted whatever the emit hook — is the
-// reference model's to check (model_test.go).
+// The burst count sees every burst, whoever serves it, and the latency
+// digest times one in SampleEvery. The rest of the accounting — forward
+// first, every watched run tallied in its emit loop and accounted once,
+// out-of-range verdicts counted whatever the emit hook — is the reference
+// model's to check (model_test.go).
 
 import (
 	"testing"
@@ -17,8 +18,9 @@ import (
 
 // TestLatencyDigestTimesEveryBurst: whoever serves a burst — its submitter,
 // the shard goroutine behind a held shard, a LocalSubmitter — and whether it
-// is enforced or degraded, the latency digest times it, so after N bursts its
-// count is Collector.Bursts() and both are N.
+// is enforced or degraded, Collector.Bursts() counts it, so after N bursts it
+// reads N; the latency digest times the first burst of every SampleEvery on
+// the shard, whichever path served it, so it holds ⌈N / SampleEvery⌉.
 func TestLatencyDigestTimesEveryBurst(t *testing.T) {
 	const perPath = 25
 	c := obs.NewCollector(obs.Options{})
@@ -57,8 +59,9 @@ func TestLatencyDigestTimesEveryBurst(t *testing.T) {
 	if got := c.Bursts(); got != want {
 		t.Errorf("Collector.Bursts = %d, want %d", got, want)
 	}
-	if got := c.BurstLatencyDigest().Total(); got != want {
-		t.Errorf("latency digest holds %d bursts, want %d", got, want)
+	every := uint64(c.Options().SampleEvery)
+	if got, timed := c.BurstLatencyDigest().Total(), (want+every-1)/every; got != timed {
+		t.Errorf("latency digest holds %d bursts, want %d", got, timed)
 	}
 	if sh := e.Health().Shards[0]; sh.Queued != perPath {
 		t.Errorf("shard goroutine served %d bursts, want %d", sh.Queued, perPath)

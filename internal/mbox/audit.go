@@ -328,8 +328,8 @@ func (e *Engine) AuditViolations() int64 {
 }
 
 // BurstLatency returns the engine's burst-enforcement-latency quantile
-// digest (nanoseconds, merged across shards); an empty snapshot without an
-// Observer.
+// digest (nanoseconds, merged across shards) over the timed bursts, one in
+// Options.SampleEvery per shard; an empty snapshot without an Observer.
 func (e *Engine) BurstLatency() obs.DigestSnapshot {
 	if e.cfg.Observer == nil {
 		return obs.DigestSnapshot{}

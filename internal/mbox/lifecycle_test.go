@@ -158,6 +158,9 @@ func TestWarmRestartAtClockZero(t *testing.T) {
 	}
 }
 
+// TestEngineSnapshotMarshalRoundTrip: a snapshot of odd ids and states
+// survives MarshalBinary then UnmarshalBinary. What UnmarshalBinary must
+// reject is in FuzzSnapshotDecode's seeds.
 func TestEngineSnapshotMarshalRoundTrip(t *testing.T) {
 	in := &Snapshot{Aggregates: []AggregateSnapshot{
 		{ID: "a", State: []byte{1, 2, 3}},
@@ -180,29 +183,6 @@ func TestEngineSnapshotMarshalRoundTrip(t *testing.T) {
 			!bytes.Equal(out.Aggregates[i].State, in.Aggregates[i].State) {
 			t.Errorf("aggregate %d mismatch: %+v != %+v", i, out.Aggregates[i], in.Aggregates[i])
 		}
-	}
-
-	for name, corrupt := range map[string][]byte{
-		"empty":     {},
-		"bad magic": append([]byte("NOPE"), blob[4:]...),
-		"truncated": blob[:len(blob)-3],
-		"trailing":  append(append([]byte{}, blob...), 0),
-		"version":   append([]byte(snapshotMagic), 0xff, 0xff, 0xff, 0xff),
-	} {
-		var s Snapshot
-		if err := s.UnmarshalBinary(corrupt); !errors.Is(err, ErrBadSnapshot) {
-			t.Errorf("%s: err = %v, want ErrBadSnapshot", name, err)
-		}
-	}
-	// Duplicate aggregate ids are rejected.
-	dup := &Snapshot{Aggregates: []AggregateSnapshot{{ID: "x"}, {ID: "x"}}}
-	dblob, err := dup.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s Snapshot
-	if err := s.UnmarshalBinary(dblob); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("duplicate id: err = %v, want ErrBadSnapshot", err)
 	}
 }
 

@@ -164,11 +164,12 @@ func TestWatchdogSeesWedgedInlineBurst(t *testing.T) {
 
 // TestInlineBurstReadsNoWallClock pins what the inline path's speed rests on,
 // as counts: observed or not, a burst reads the wall clock zero times (its
-// heartbeat stamps are the wall ticker's coarse reading), and an
-// observed burst reads the monotonic clock exactly twice, for the
-// burst-latency digest. The only other wall-clock reader is the wall ticker,
-// once per coarseWallInterval at most (a ticker never queues more than one
-// tick), so its share is bounded by the time the bursts took.
+// heartbeat stamps are the wall ticker's coarse reading), and an observed
+// shard reads the monotonic clock twice per timed burst, one in SampleEvery,
+// for the burst-latency digest: 2 × ⌈bursts / SampleEvery⌉ in all. The only
+// other wall-clock reader is the wall ticker, once per coarseWallInterval at
+// most (a ticker never queues more than one tick), so its share is bounded
+// by the time the bursts took.
 func TestInlineBurstReadsNoWallClock(t *testing.T) {
 	const bursts = 10000
 	var reads, monoReads atomic.Int64
@@ -183,7 +184,7 @@ func TestInlineBurstReadsNoWallClock(t *testing.T) {
 		wantMono int64
 	}{
 		{"unobserved", nil, 0},
-		{"observed", obs.NewCollector(obs.Options{}), 2 * bursts},
+		{"observed", obs.NewCollector(obs.Options{}), 2 * ((bursts + 15) / 16)},
 	} {
 		e := New(Config{Shards: 1, Observer: tc.observer})
 		h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), nil)

@@ -197,12 +197,14 @@ type Config struct {
 	OnFault func(id string, recovered any, stack []byte)
 
 	// Observer, when non-nil, attaches the observability layer: per-shard
-	// flight-recorder rings fed by datapath and fault events, per-burst
-	// enforcement-latency histograms, and per-aggregate traffic counters
-	// with windowed rate meters. The hot-path cost is two monotonic clock
-	// reads per burst for the latency digest, and per enforced run, once its
-	// packets have reached the emit hook, a handful of atomic adds from the
-	// run's verdict tally — no per-packet atomics, no allocation — plus one
+	// flight-recorder rings fed by datapath and fault events, per-shard
+	// burst counts and enforcement-latency digests, and per-aggregate
+	// traffic counters with windowed rate meters. The hot-path cost is,
+	// per burst, one atomic add for the count and, on one burst in
+	// Options.SampleEvery, two monotonic clock reads for the latency digest;
+	// per enforced run, a verdict tally taken in the emit loop's own pass
+	// and, once the run's packets have reached the emit hook, a handful of
+	// atomic adds from it — no per-packet atomics, no allocation — plus one
 	// sampled trace event per Options.SampleEvery runs; rare events (panics,
 	// quarantine, shed, reconfiguration) are always recorded. Read it
 	// back through Engine.TraceDump and Engine.Metrics.
@@ -261,8 +263,9 @@ type Engine struct {
 	slotGen   []uint32
 	freeSlots []int
 
-	// obsSample caches Observer.Options().SampleEvery for the shed-event
-	// coalescing in recordShed (0 without an Observer).
+	// obsSample caches Observer.Options().SampleEvery for the burst timing
+	// in serve and the shed-event coalescing in recordShed (0 without an
+	// Observer).
 	obsSample int
 
 	// extraMetrics holds metric-family sources attached by subsystems
@@ -439,7 +442,9 @@ type shard struct {
 	claimed      atomic.Int64
 	queued       atomic.Int64
 	inlineBursts atomic.Int64
-	_            [8]byte
+	// timeTick counts down the bursts until the next one the latency digest
+	// times (one in Options.SampleEvery; see serve).
+	timeTick int
 
 	// pending counts the items offered to in and not yet completed:
 	// raised before the channel send, lowered under the word once the item
@@ -553,19 +558,26 @@ func (e *Engine) process(s *shard, it item) bool {
 // serve enforces one burst on behalf of whoever holds the shard's occupancy
 // word: the shard goroutine for a queued item, the submitting goroutine for
 // one it claimed the shard for. The heartbeat stamps are the coarse wall
-// reading (coarseWall), so a burst reads no wall clock; an observed shard
-// times every burst for the latency digest with two monotonic reads. The engine clock is read once per burst, not once per packet: every
-// packet in the burst is enforced at the same virtual arrival time, the
-// granularity a burst-polling middlebox actually observes.
+// reading (coarseWall), so a burst reads no wall clock. An observed shard
+// counts every burst and times one in Options.SampleEvery, the first of each
+// stretch, for the latency digest, with two monotonic reads. The engine
+// clock is read once per burst, not once per packet: every packet in the
+// burst is enforced at the same virtual arrival time, the granularity a
+// burst-polling middlebox actually observes.
 func (e *Engine) serve(s *shard, agg *aggregate, node enforcer.NodeID, pkts []packet.Packet) {
 	s.heartbeat.Store(e.coarseWall.Load())
+	timed := false
 	var start time.Duration
 	if s.obs != nil {
-		start = e.mono()
+		if s.timeTick--; s.timeTick <= 0 {
+			s.timeTick, timed, start = e.obsSample, true, e.mono()
+		}
 	}
 	e.runBatch(s, e.cfg.Clock(), agg, node, pkts)
-	if s.obs != nil {
+	if timed {
 		s.obs.ObserveBurst(int64(e.mono() - start))
+	} else if s.obs != nil {
+		s.obs.ObserveBurst(-1)
 	}
 	s.heartbeat.Store(e.coarseWall.Load())
 	s.processed.Add(1)
@@ -617,14 +629,17 @@ func (e *Engine) runBatch(s *shard, now time.Duration, agg *aggregate, node enfo
 }
 
 // enforceRun enforces, emits and accounts one run under a recover barrier.
-// Forward first, account after: the emit loop runs as soon as the verdicts
-// are written, and only then is the run tallied (accountRun). On panic it
-// reports faulted=true and the packets that were not fully handled: the
-// whole run when the enforcer itself panicked (no verdicts are trustworthy),
-// or the un-emitted tail when the emit hook panicked (the packet in flight at
-// the panic is indeterminate and is skipped). A run whose verdicts were
-// written is accounted exactly once either way: the barrier accounts an
-// emit-faulted run in full before its tail degrades.
+// Forward first: each packet reaches the emit hook as soon as the verdicts
+// are written. A watched run (an Observer block or an armed audit) is tallied
+// in that same pass over the verdicts (emitWatched) and accounted once the
+// loop ends; an unwatched run is tallied only when its loop met an
+// out-of-range verdict, for the count. On panic it reports faulted=true and
+// the packets that were not fully handled: the whole run when the enforcer
+// itself panicked (no verdicts are trustworthy), or the un-emitted tail when
+// the emit hook panicked (the packet in flight at the panic is indeterminate
+// and is skipped). A run whose verdicts were written is accounted exactly
+// once either way: the barrier drops the loop's partial tally and accounts
+// an emit-faulted run in full before its tail degrades.
 func (e *Engine) enforceRun(s *shard, now time.Duration, agg *aggregate, node enforcer.NodeID, pkts []packet.Packet) (rest []packet.Packet, faulted bool) {
 	var v []enforcer.Verdict
 	enforced, emitting := false, -1
@@ -638,7 +653,7 @@ func (e *Engine) enforceRun(s *shard, now time.Duration, agg *aggregate, node en
 		if !enforced {
 			rest = pkts
 		} else if emitting >= 0 {
-			e.accountRun(s, now, agg, node, pkts, v, false)
+			e.accountRun(s, now, agg, node, pkts, v)
 			rest = pkts[emitting+1:]
 		}
 	}()
@@ -655,25 +670,69 @@ func (e *Engine) enforceRun(s *shard, now time.Duration, agg *aggregate, node en
 		enforcer.SubmitBatch(agg.enf, now, pkts, v)
 	}
 	enforced = true
-	sound := agg.emit != nil // until the emit loop meets an out-of-range verdict
-	if agg.emit != nil {
-		for i, verdict := range v {
-			emitting = i
-			switch verdict {
-			case enforcer.Transmit:
-				agg.emit(pkts[i])
-			case enforcer.TransmitCE:
-				pkts[i].CE = true
-				agg.emit(pkts[i])
-			case enforcer.Drop, enforcer.Queued:
-			default:
-				sound = false
-			}
-		}
-		emitting = -1
+	if agg.emit == nil {
+		e.accountRun(s, now, agg, node, pkts, v)
+		return nil, false
 	}
-	e.accountRun(s, now, agg, node, pkts, v, sound)
+	if au := agg.audit.Load(); agg.obs != nil || au != nil {
+		e.emitWatched(s, now, agg, au, node, pkts, v, &emitting)
+		return nil, false
+	}
+	sound := true // until the emit loop meets an out-of-range verdict
+	for i, verdict := range v {
+		emitting = i
+		switch verdict {
+		case enforcer.Transmit:
+			agg.emit(pkts[i])
+		case enforcer.TransmitCE:
+			pkts[i].CE = true
+			agg.emit(pkts[i])
+		case enforcer.Drop, enforcer.Queued:
+		default:
+			sound = false
+		}
+	}
+	emitting = -1
+	if !sound {
+		e.accountRun(s, now, agg, node, pkts, v)
+	}
 	return nil, false
+}
+
+// emitWatched is enforceRun's emit loop for a watched run (au is its armed
+// audit, if any): the loop that hands each admitted packet to the emit hook
+// tallies the verdicts as it goes, and the tally is accounted once the loop
+// ends. emitting is enforceRun's note of the packet in flight, for its
+// recover barrier.
+func (e *Engine) emitWatched(s *shard, now time.Duration, agg *aggregate, au *aggAudit, node enforcer.NodeID, pkts []packet.Packet, v []enforcer.Verdict, emitting *int) {
+	t := runTally{pkts: int64(len(v))}
+	for i, verdict := range v {
+		*emitting = i
+		sz := int64(pkts[i].Size)
+		t.bytes += sz
+		switch verdict {
+		case enforcer.Transmit:
+			t.accPkts++
+			t.accBytes += sz
+			agg.emit(pkts[i])
+		case enforcer.TransmitCE:
+			t.accPkts++
+			t.accBytes += sz
+			pkts[i].CE = true
+			agg.emit(pkts[i])
+		case enforcer.Queued:
+			t.accPkts++
+			t.accBytes += sz
+		case enforcer.Drop:
+		default:
+			t.bad++
+		}
+	}
+	*emitting = -1
+	if t.bad != 0 {
+		e.BadVerdicts.Add(t.bad)
+	}
+	e.observeRun(s, now, agg, au, node, t)
 }
 
 // acceptMask has bit v set for each verdict v that admits its packet, and
@@ -708,23 +767,17 @@ func tallyRun(pkts []packet.Packet, v []enforcer.Verdict) (t runTally) {
 	return t
 }
 
-// accountRun counts one enforced run after its emit loop: out-of-range
-// verdicts into BadVerdicts, whatever the emit hook, and — on an observed or
-// audited aggregate — the tally, taken in the same pass, into observeRun.
-// sound says the whole emit loop ran and met no out-of-range verdict, which
-// is all an unwatched run needs to know: only an unwatched run without an
-// emit hook, or with a bad verdict, is tallied for the count alone.
-func (e *Engine) accountRun(s *shard, now time.Duration, agg *aggregate, node enforcer.NodeID, pkts []packet.Packet, v []enforcer.Verdict, sound bool) {
-	au := agg.audit.Load()
-	watched := agg.obs != nil || au != nil
-	if sound && !watched {
-		return
-	}
+// accountRun tallies and accounts a run no emit loop tallied: a hookless
+// run, an unwatched run whose loop met an out-of-range verdict, or one whose
+// emit hook panicked (the recover barrier accounts the whole run). The
+// tally's out-of-range verdicts go into BadVerdicts, whatever the emit hook,
+// and on an observed or audited aggregate the tally goes into observeRun.
+func (e *Engine) accountRun(s *shard, now time.Duration, agg *aggregate, node enforcer.NodeID, pkts []packet.Packet, v []enforcer.Verdict) {
 	t := tallyRun(pkts, v)
 	if t.bad != 0 {
 		e.BadVerdicts.Add(t.bad)
 	}
-	if watched {
+	if au := agg.audit.Load(); agg.obs != nil || au != nil {
 		e.observeRun(s, now, agg, au, node, t)
 	}
 }

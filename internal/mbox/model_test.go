@@ -232,7 +232,17 @@ type modelAgg struct {
 	offered, acc, accB, drp, drpB, panics, degraded, tail int64
 }
 
-type modelShard struct{ processed, claimed, panics int64 }
+type modelShard struct {
+	processed, claimed, panics int64
+	// On an observed engine: bursts served, which pace the latency
+	// digest's timing, and enforced runs observed, which pace the sampled
+	// burst events; both cadences are one in modelSampleEvery per shard.
+	bursts, runs int64
+}
+
+// modelSampleEvery is the observed engine's Options.SampleEvery: above 1, so
+// the model predicts which bursts are timed and which runs are traced.
+const modelSampleEvery = 3
 
 type modelEngine struct {
 	t        *testing.T
@@ -258,8 +268,8 @@ type modelEngine struct {
 	panics, degraded, bad, inline, bursts int64
 	// The most magic bytes a Flush found, and the last Flush's count.
 	magicSeen, magicLast int64
-	// Per shard, the trace event its last enforced run must have left
-	// (every run is sampled); exported says the export reads still match.
+	// Per shard, the trace event its last sampled run must have left;
+	// exported says the export reads still match.
 	lastBurst []obs.Event
 	exported  bool
 	runs      int64 // bursts submitted, for the emit hook's once-a-run check
@@ -303,7 +313,7 @@ func (m *modelEngine) start() {
 	m.base = m.now
 	cfg := Config{Shards: m.shards, Clock: m.clock, WatchdogInterval: time.Hour}
 	if m.observed {
-		m.coll = obs.NewCollector(obs.Options{SampleEvery: 1, RingDepth: 16})
+		m.coll = obs.NewCollector(obs.Options{SampleEvery: modelSampleEvery, RingDepth: 16})
 		cfg.Observer = m.coll
 	}
 	m.e = New(cfg)
@@ -483,6 +493,7 @@ func (m *modelEngine) serve(a *modelAgg, node enforcer.NodeID, pkts []packet.Pac
 	}
 	if m.observed {
 		m.bursts, m.exported = m.bursts+1, false
+		m.sh[a.shard].bursts++
 	}
 	n := int64(len(pkts))
 	a.offered += n
@@ -526,8 +537,12 @@ func (m *modelEngine) serve(a *modelAgg, node enforcer.NodeID, pkts []packet.Pac
 	if m.observed {
 		a.acc, a.accB = a.acc+accPkts, a.accB+accBytes
 		a.drp, a.drpB = a.drp+n-accPkts, a.drpB+bytes-accBytes
-		m.lastBurst[a.shard] = obs.Event{VT: int64(m.clock()), Kind: obs.KindBurst, Shard: int32(a.shard),
-			Agg: int64(a.ref), Node: int32(node), A: accPkts, B: n - accPkts, C: bytes}
+		sh := &m.sh[a.shard]
+		if sh.runs%modelSampleEvery == 0 {
+			m.lastBurst[a.shard] = obs.Event{VT: int64(m.clock()), Kind: obs.KindBurst, Shard: int32(a.shard),
+				Agg: int64(a.ref), Node: int32(node), A: accPkts, B: n - accPkts, C: bytes}
+		}
+		sh.runs++
 	}
 	if a.audit != nil {
 		for _, au := range a.audit.chain(node) {
@@ -1036,12 +1051,17 @@ func (m *modelEngine) check() {
 	}
 }
 
-// checkExport compares what an observed engine exports: the burst count and
-// latency histogram, each shard's last sampled burst event, and every
-// aggregate's traffic families.
+// checkExport compares what an observed engine exports: the burst count,
+// the latency histogram's count of timed bursts (the first of every
+// modelSampleEvery on each shard), each shard's last sampled burst event, and
+// every aggregate's traffic families.
 func (m *modelEngine) checkExport() {
-	if n := m.coll.Bursts(); n != m.bursts || m.coll.BurstHist().Count != uint64(n) {
-		m.fail("Collector.Bursts = %d, latency histogram %d, want %d", n, m.coll.BurstHist().Count, m.bursts)
+	var timed uint64
+	for _, sh := range m.sh {
+		timed += uint64((sh.bursts + modelSampleEvery - 1) / modelSampleEvery)
+	}
+	if n, h := m.coll.Bursts(), m.coll.BurstHist().Count; n != m.bursts || h != timed {
+		m.fail("Collector.Bursts = %d, latency histogram %d, want %d and %d", n, h, m.bursts, timed)
 	}
 	if m.exported {
 		return

@@ -181,12 +181,12 @@ func (e *Engine) Metrics() obs.Snapshot {
 		h := c.BurstHist()
 		fams = append(fams, obs.Family{
 			Name:    "bcpqp_burst_enforce_seconds",
-			Help:    "per-burst enforcement latency, whichever goroutine served the burst",
+			Help:    "enforcement latency of one burst in SampleEvery per shard, whichever goroutine served the burst",
 			Type:    "histogram",
 			Samples: []obs.Sample{{Hist: &h}},
 		}, obs.Family{
 			Name:    "bcpqp_burst_enforce_latency_digest_seconds",
-			Help:    "per-burst enforcement latency as a mergeable relative-error quantile digest",
+			Help:    "enforcement latency of one burst in SampleEvery per shard as a mergeable relative-error quantile digest",
 			Type:    "histogram",
 			Samples: []obs.Sample{{Hist: &h}},
 		})

@@ -114,8 +114,12 @@ func goldenWatchRun(t *testing.T) string {
 			ent.Aggregate, ent.Node, ent.NodeLabel, ent.Counters, ent.Slack.Encode(), ent.RateErr.Encode())
 	}
 	fmt.Fprintf(&out, "violations %d\n", e.AuditViolations())
-	if lat := e.BurstLatency(); lat.Total() != 1500 {
-		t.Errorf("burst latency digest counted %d bursts, want 1500", lat.Total())
+	if n := c.Bursts(); n != 1500 {
+		t.Errorf("Collector.Bursts = %d, want 1500", n)
+	}
+	// One burst in SampleEvery (16) is timed, the first of each stretch.
+	if lat := e.BurstLatency(); lat.Total() != (1500+15)/16 {
+		t.Errorf("burst latency digest counted %d bursts, want %d", lat.Total(), (1500+15)/16)
 	}
 	return out.String()
 }

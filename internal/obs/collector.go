@@ -17,12 +17,13 @@ type Options struct {
 	// cannot evict rare control-plane history.
 	RingDepth int
 	// SampleEvery records one KindBurst trace event per N enforced runs
-	// per shard (default 16; 1 traces every run), and coalesces KindShed
+	// per shard (default 16; 1 traces every run), times one burst in N
+	// per shard for the burst-latency digest, and coalesces KindShed
 	// events at the same cadence under sustained overload (the first shed
 	// always records). Other rare events (panics, quarantine,
-	// lifecycle) are never sampled. Sampling only thins the flight
-	// recorder — metric counters and meters see every burst and every
-	// shed packet.
+	// lifecycle) are never sampled. Beyond the latency digest, sampling
+	// only thins the flight recorder — the burst count, the metric
+	// counters and the meters see every burst and every shed packet.
 	SampleEvery int
 	// MeterWindow is the windowed-rate meter granularity (default the
 	// paper's 250 ms measurement window).
@@ -116,7 +117,8 @@ func (c *Collector) Events() []Event {
 }
 
 // BurstHist returns the burst-enforcement latency as an exportable
-// histogram in seconds: BurstLatencyDigest in Prometheus form.
+// histogram in seconds: BurstLatencyDigest in Prometheus form. It counts the
+// timed bursts, one in Options.SampleEvery.
 func (c *Collector) BurstHist() HistSnapshot {
 	return c.BurstLatencyDigest().Hist(1e-9)
 }
@@ -192,11 +194,14 @@ func (s *ShardObs) SampleBurst() bool {
 	return false
 }
 
-// ObserveBurst records one processed burst's enforcement latency in
-// nanoseconds.
+// ObserveBurst counts one processed burst and adds its enforcement latency
+// in nanoseconds to the shard's digest. A negative elapsed counts a burst
+// that was not timed: the engine times one burst in Options.SampleEvery.
 func (s *ShardObs) ObserveBurst(elapsed int64) {
 	s.bursts.Add(1)
-	s.lat.Observe(elapsed)
+	if elapsed >= 0 {
+		s.lat.Observe(elapsed)
+	}
 }
 
 // AggObs is one aggregate's metric block: monotonic accept/drop counters

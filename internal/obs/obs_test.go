@@ -174,16 +174,20 @@ func TestAggObsCount(t *testing.T) {
 	}
 }
 
+// TestCollectorBurstHistMerge: the burst count sums every shard's bursts,
+// untimed ones (a negative elapsed) included; the merged histogram holds
+// the timed ones.
 func TestCollectorBurstHistMerge(t *testing.T) {
 	c := NewCollector(Options{})
 	c.Shard(0).ObserveBurst(1000)
 	c.Shard(1).ObserveBurst(2000)
 	c.Shard(1).ObserveBurst(3000)
-	if got := c.Bursts(); got != 3 {
-		t.Errorf("Bursts = %d", got)
+	c.Shard(1).ObserveBurst(-1)
+	if got := c.Bursts(); got != 4 {
+		t.Errorf("Bursts = %d, want 4", got)
 	}
 	if s := c.BurstHist(); s.Count != 3 {
-		t.Errorf("merged hist Count = %d", s.Count)
+		t.Errorf("merged hist Count = %d, want 3", s.Count)
 	}
 }
 

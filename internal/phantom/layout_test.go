@@ -360,6 +360,10 @@ func FuzzLayoutEquivalence(f *testing.F) {
 		255, 15, 3, 1, 0, 182, 1, 11, 0, 255, 15, 40, 1, 0, 100, 1, 11, 0, 1, 0, 100, 200, 15, 1, 1, 0, 50, 0, 12, 0, 1, 0, 50))
 	f.Add(byte(1), byte(flagLazy|1), []byte{
 		1, 0, 182, 1, 1, 182, 255, 15, 100, 1, 0, 100, 1, 0, 100, 100, 15, 1, 1, 0, 100, 1, 1, 100, 0, 12, 0, 255, 15, 100, 1, 1, 7})
+	// ECT packets flooding a full queue under RED with ECN marking: a mark
+	// must not exempt a packet from drop-tail, one at a time or in a burst.
+	f.Add(byte(0), byte(4|8), ectFlood(400))
+	f.Add(byte(0), byte(flagBatched|4|8), ectFlood(400))
 	f.Fuzz(func(t *testing.T, policy, flags byte, ops []byte) {
 		d := newLayoutDiff(t, diffConfig(flags), int(policy))
 		d.batched, d.hashed, d.lazy = flags&flagBatched != 0, flags&flagHashed != 0, flags&flagLazy != 0
@@ -379,6 +383,17 @@ func alternation(rounds int) []byte {
 	for r := 0; r < rounds; r++ {
 		ops = append(ops, 84, 0, 100) // 3.1 ms drains 1.5 kB; 840 B refill it
 		ops = append(ops, 0, 0, 100)
+	}
+	return ops
+}
+
+// ectFlood is an op stream of n ECT packets of 2080 B for class 0 at one
+// instant: the queue fills within the first thirty, and the rest arrive at a
+// full queue while RED's slow average climbs into its marking band.
+func ectFlood(n int) []byte {
+	var ops []byte
+	for i := 0; i < n; i++ {
+		ops = append(ops, 0, 0, 255)
 	}
 	return ops
 }

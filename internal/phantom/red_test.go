@@ -196,3 +196,62 @@ func TestArrivalFilter(t *testing.T) {
 		t.Errorf("filtered drop not accounted: %d", dp)
 	}
 }
+
+// TestECNMarkNeverOverAdmits: a RED mark only turns an early drop into a CE
+// mark, it does not exempt the packet from drop-tail. ECT packets offered at
+// one instant to a queue whose RED average tracks its occupancy (weight 1,
+// every arrival past MaxBytes marked) are marked once the queue passes
+// MaxBytes, and dropped once it is full, through Submit and SubmitBatch
+// alike: the queue never holds more than B (Theorem 1).
+func TestECNMarkNeverOverAdmits(t *testing.T) {
+	const B = 10 * units.MSS
+	cfg := Config{
+		Rate: units.Mbps, Queues: 1, QueueSize: B,
+		RED: &REDConfig{MinBytes: units.MSS, MaxBytes: 2 * units.MSS, MaxProb: 1, Weight: 1, MarkECN: true, Seed: 7},
+	}
+	const offered = 3 * B / units.MSS
+	arrivals := make([]packet.Packet, offered)
+	for i := range arrivals {
+		arrivals[i] = pkt(0, units.MSS)
+		arrivals[i].ECT = true
+	}
+	for _, tc := range []struct {
+		name   string
+		submit func(q *PQP, v []enforcer.Verdict)
+	}{
+		{"Submit", func(q *PQP, v []enforcer.Verdict) {
+			for i, p := range arrivals {
+				v[i] = q.Submit(time.Millisecond, p)
+			}
+		}},
+		{"SubmitBatch", func(q *PQP, v []enforcer.Verdict) {
+			q.SubmitBatch(time.Millisecond, arrivals, v)
+		}},
+	} {
+		q := MustNew(cfg)
+		v := make([]enforcer.Verdict, offered)
+		tc.submit(q, v)
+		var accepted, marked int64
+		over := -1 // the first arrival admitted past a full queue
+		for i, verdict := range v {
+			if verdict != enforcer.Transmit && verdict != enforcer.TransmitCE {
+				continue
+			}
+			if accepted += units.MSS; accepted > B && over < 0 {
+				over = i
+			}
+			if verdict == enforcer.TransmitCE {
+				marked++
+			}
+		}
+		if over >= 0 {
+			t.Errorf("%s: arrival %d admitted (%v) past the full queue", tc.name, over, v[over])
+		}
+		if accepted != B || marked == 0 {
+			t.Errorf("%s: %d B accepted, %d marked; want B = %d accepted, some marked", tc.name, accepted, marked, B)
+		}
+		if got := q.QueueLength(0); got > B {
+			t.Errorf("%s: queue holds %d B, more than B = %d", tc.name, got, B)
+		}
+	}
+}

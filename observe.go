@@ -13,7 +13,7 @@ import (
 )
 
 // Collector is the observability hub a Middlebox reports into: per-shard
-// flight-recorder rings of trace events, a per-burst enforcement-latency
+// flight-recorder rings of trace events, a sampled burst-enforcement-latency
 // digest, and per-aggregate traffic counters with windowed rate meters. Attach one with Observe before NewMiddlebox; read it back
 // through Middlebox.TraceDump and Middlebox.Metrics. All recording paths
 // are lock-free and allocation-free — SubmitBatch with observability
@@ -21,9 +21,10 @@ import (
 type Collector = obs.Collector
 
 // ObserveOptions sizes the observability layer: flight-recorder ring
-// depth, KindBurst trace sampling cadence, and the rate-meter window.
-// The zero value applies defaults (1024-event rings, 1-in-16 burst
-// sampling, the paper's 250 ms measurement window).
+// depth, the sampling cadence of KindBurst trace events and of the bursts
+// the latency digest times, and the rate-meter window. The zero value
+// applies defaults (1024-event rings, 1-in-16 burst sampling, the paper's
+// 250 ms measurement window).
 type ObserveOptions = obs.Options
 
 // TraceRecorder consumes trace events; the Collector's rings implement it.
