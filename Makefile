@@ -93,11 +93,14 @@ examples:
 bench:
 	bash bench/run.sh -workload all
 
-# Base-vs-head datapath benchmark comparison in a throwaway worktree;
-# fails on a >10% mean pkts/sec regression. benchstat adds a statistical
-# summary when installed — nothing is downloaded here.
+# A/B of the benchmark: the working tree against BASE, in interleaved pairs
+# on fresh seeds, with a resolved/regressed/unresolved verdict per metric;
+# fails when a metric regressed. PAIRS and SECS in the environment shorten it.
+# BASE defaults to the branch's merge base with main, or HEAD~1 on main.
+BASE ?= $(shell b=$$(git merge-base main HEAD 2>/dev/null); \
+	if [ -n "$$b" ] && [ "$$b" != "$$(git rev-parse HEAD)" ]; then echo $$b; else echo HEAD~1; fi)
 bench-compare:
-	scripts/bench-compare.sh
+	scripts/bench-ab.sh $(BASE)
 
 # The gate CI runs: ignore check + build + vet + staticcheck + govulncheck +
 # race-enabled tests + chaos suite + fuzz smoke + the examples.

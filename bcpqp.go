@@ -41,6 +41,7 @@ import (
 
 	"bcpqp/internal/enforcer"
 	"bcpqp/internal/fairpolicer"
+	"bcpqp/internal/harness"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/phantom"
 	"bcpqp/internal/shaper"
@@ -160,7 +161,7 @@ func NewPQP(rate Rate, queues int, policy *Policy, queueSize int64, maxRTT time.
 		maxRTT = 100 * time.Millisecond
 	}
 	if queueSize == 0 {
-		queueSize = units.RenoPhantomRequirement(rate, maxRTT)
+		queueSize = harness.Buffer(harness.SchemePQP, rate, maxRTT)
 	}
 	return phantom.New(phantom.Config{
 		Rate:      rate,
@@ -181,7 +182,7 @@ func NewPhantom(cfg PhantomConfig) (*PQP, error) { return phantom.New(cfg) }
 // BC-PQP: ten times the largest (New Reno vs Cubic) bucket requirement for
 // correct average-rate enforcement at the worst-case RTT.
 func RecommendedQueueSize(rate Rate, maxRTT time.Duration) int64 {
-	return 10 * tbf.PlusBucket(rate, maxRTT)
+	return harness.Buffer(harness.SchemeBCPQP, rate, maxRTT)
 }
 
 // RenoQueueRequirement returns the Appendix A minimum phantom queue size
@@ -200,7 +201,7 @@ func NewPolicer(rate Rate, bucketBytes int64, maxRTT time.Duration) (*Policer, e
 		if maxRTT <= 0 {
 			maxRTT = 100 * time.Millisecond
 		}
-		bucketBytes = tbf.BDPBucket(rate, maxRTT)
+		bucketBytes = harness.Buffer(harness.SchemePolicer, rate, maxRTT)
 	}
 	return tbf.New(rate, bucketBytes)
 }

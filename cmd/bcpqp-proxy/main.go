@@ -56,8 +56,8 @@ import (
 	"time"
 
 	"bcpqp"
+	"bcpqp/internal/harness"
 	"bcpqp/internal/netio"
-	"bcpqp/internal/tbf"
 )
 
 func main() {
@@ -194,27 +194,26 @@ type proxyOpts struct {
 const maxRTT = 100 * time.Millisecond
 
 // auditEnvelope sizes the plan-rate conformance envelope for a scheme: the
-// plan rate plus a burst term covering the scheme's worst-case buffering
-// (phantom capacity, or the bucket buildEnforcer gives it) with 2× slop, so a
-// correct enforcer can never trip it while real over-admission — which grows
-// without bound — still does. Returns burst 0 (audit off) for unknown
-// schemes. A policy tree is not audited at all: the proxy arms no envelope on
-// it. An envelope armed with ArmNodeAudit on a leaf or interior ceiling would
-// record nothing, since the relay feeds the tree through the handle AddPinned
-// returns and a burst through that handle credits only the root's (see
-// Middlebox.ArmNodeAudit).
+// plan rate plus a burst term of 2× the scheme's worst-case buffering — every
+// phantom queue full, or the token bucket and one packet — from the scheme
+// table (harness.Buffer) at maxRTT, so a correct enforcer can never trip it
+// while real over-admission, which grows without bound, still does. Returns
+// burst 0 (audit off) for unknown schemes. A policy tree is not audited at
+// all: the proxy arms no envelope on it. An envelope armed with ArmNodeAudit
+// on a leaf or interior ceiling would record nothing, since the relay feeds
+// the tree through the handle AddPinned returns and a burst through that
+// handle credits only the root's (see Middlebox.ArmNodeAudit).
 func auditEnvelope(name string, rate bcpqp.Rate, queues int) int64 {
 	scheme, err := bcpqp.ParseScheme(name)
 	if err != nil {
 		return 0
 	}
+	buf := harness.Buffer(scheme, rate, maxRTT)
 	switch scheme {
-	case bcpqp.SchemeBCPQP:
-		return 2 * int64(queues) * bcpqp.RecommendedQueueSize(rate, maxRTT)
-	case bcpqp.SchemePQP:
-		return 2 * int64(queues) * bcpqp.RenoQueueRequirement(rate, maxRTT)
+	case bcpqp.SchemeBCPQP, bcpqp.SchemePQP:
+		return 2 * int64(queues) * buf
 	case bcpqp.SchemePolicer, bcpqp.SchemePolicerPlus, bcpqp.SchemeFairPolicer:
-		return 2 * (policerBucket(scheme, rate) + int64(bcpqp.MSS))
+		return 2 * (buf + bcpqp.MSS)
 	default:
 		return 0
 	}
@@ -539,37 +538,17 @@ func restoreSnapshot(mb *bcpqp.Middlebox, path string) error {
 	return mb.Restore(&snap)
 }
 
-// buildEnforcer constructs a bufferless enforcer for live traffic.
+// buildEnforcer constructs a bufferless enforcer for live traffic from the
+// scheme table (harness.BuildEnforcer), sized at maxRTT.
 func buildEnforcer(name string, rate bcpqp.Rate, queues int) (bcpqp.Enforcer, error) {
 	scheme, err := bcpqp.ParseScheme(name)
 	if err != nil {
 		return nil, err
 	}
-	switch scheme {
-	case bcpqp.SchemeBCPQP:
-		return bcpqp.NewBCPQP(bcpqp.BCPQPConfig{Rate: rate, Queues: queues, MaxRTT: maxRTT})
-	case bcpqp.SchemePQP:
-		return bcpqp.NewPQP(rate, queues, nil, 0, maxRTT)
-	case bcpqp.SchemePolicer, bcpqp.SchemePolicerPlus:
-		return bcpqp.NewPolicer(rate, policerBucket(scheme, rate), maxRTT)
-	case bcpqp.SchemeFairPolicer:
-		return bcpqp.NewFairPolicer(bcpqp.FairPolicerConfig{
-			Rate: rate, Bucket: policerBucket(scheme, rate), Flows: queues,
-		})
-	default:
+	if scheme == bcpqp.SchemeShaper || scheme == bcpqp.SchemeSingleShaper {
 		return nil, fmt.Errorf("scheme %v buffers packets and cannot run as a bufferless relay", scheme)
 	}
-}
-
-// policerBucket is the token bucket buildEnforcer gives a policer-family
-// scheme: one BDP for policer; for policer+ and fairpolicer the paper's §6.1
-// sizing, the larger of the Reno and Cubic requirements (tbf.PlusBucket),
-// as the simulator sizes them.
-func policerBucket(scheme bcpqp.Scheme, rate bcpqp.Rate) int64 {
-	if scheme == bcpqp.SchemePolicer {
-		return tbf.BDPBucket(rate, maxRTT)
-	}
-	return tbf.PlusBucket(rate, maxRTT)
+	return harness.BuildEnforcer(harness.Config{Scheme: scheme, Rate: rate, MaxRTT: maxRTT, Queues: queues}, nil, nil)
 }
 
 // runSelfTest demonstrates live enforcement over loopback: two senders — a

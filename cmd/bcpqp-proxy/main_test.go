@@ -87,6 +87,26 @@ func TestBuildEnforcer(t *testing.T) {
 	}
 }
 
+// TestAuditEnvelopeSizes pins auditEnvelope to the byte at two plan rates (8
+// queues, maxRTT 100 ms): 2 × (bucket + MSS) for the policer family, 2 ×
+// queues × queue size for the phantom queues, and 0 (audit off) for a
+// buffering or unknown scheme.
+func TestAuditEnvelopeSizes(t *testing.T) {
+	want := map[bcpqp.Rate]map[string]int64{
+		bcpqp.Mbps: {"policer": 28000, "policer+": 25386, "fairpolicer": 25386,
+			"pqp": 108000, "bc-pqp": 1790880, "shaper": 0, "nope": 0},
+		50 * bcpqp.Mbps: {"policer": 1253000, "policer+": 28984500, "fairpolicer": 28984500,
+			"pqp": 231852000, "bc-pqp": 2318520000, "shaper": 0, "nope": 0},
+	}
+	for rate, byName := range want {
+		for name, burst := range byName {
+			if got := auditEnvelope(name, rate, 8); got != burst {
+				t.Errorf("auditEnvelope(%q, %v, 8) = %d, want %d", name, rate, got, burst)
+			}
+		}
+	}
+}
+
 // TestSelfTestLoopback runs the full live datapath (sink, proxy, two
 // senders) over loopback for a short real-time window.
 func TestSelfTestLoopback(t *testing.T) {

@@ -6,13 +6,10 @@ import (
 	"time"
 
 	"bcpqp/internal/enforcer"
-	"bcpqp/internal/fairpolicer"
 	"bcpqp/internal/harness"
 	"bcpqp/internal/metrics"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/phantom"
-	"bcpqp/internal/shaper"
-	"bcpqp/internal/tbf"
 	"bcpqp/internal/units"
 	"bcpqp/internal/workload"
 )
@@ -179,46 +176,16 @@ func ExtMem(scale Scale, seed uint64) (*Report, error) {
 	maxRTT := 50 * time.Millisecond
 	const queues = 16
 
-	type build struct {
-		name string
-		make func(sink enforcer.Sink, sched shaper.Scheduler) (enforcer.Enforcer, error)
-	}
-	builds := []build{
-		{"shaper", func(sink enforcer.Sink, sc shaper.Scheduler) (enforcer.Enforcer, error) {
-			qsize := units.BDPBytes(rate, maxRTT)
-			if qsize < 16*units.MSS {
-				qsize = 16 * units.MSS
-			}
-			return shaper.New(shaper.Config{
-				Rate: rate, Queues: queues, QueueSize: qsize,
-				Scheduler: sc, Sink: sink,
-			})
-		}},
-		{"policer", func(enforcer.Sink, shaper.Scheduler) (enforcer.Enforcer, error) {
-			return tbf.New(rate, tbf.BDPBucket(rate, maxRTT))
-		}},
-		{"fairpolicer", func(enforcer.Sink, shaper.Scheduler) (enforcer.Enforcer, error) {
-			return fairpolicer.New(fairpolicer.Config{
-				Rate: rate, Bucket: tbf.PlusBucket(rate, maxRTT), Flows: queues,
-			})
-		}},
-		{"bc-pqp", func(enforcer.Sink, shaper.Scheduler) (enforcer.Enforcer, error) {
-			return phantom.New(phantom.Config{
-				Rate: rate, Queues: queues,
-				QueueSize:    10 * tbf.PlusBucket(rate, maxRTT),
-				BurstControl: true,
-			})
-		}},
-	}
-
 	table := &Table{Columns: []string{"scheme",
 		fmt.Sprintf("KB held / aggregate (n=%d)", aggregates)}}
-	for _, b := range builds {
-		perAgg, err := measureHeldMemory(b.make, aggregates, packetsPer, rate)
+	for _, scheme := range []harness.Scheme{harness.SchemeShaper,
+		harness.SchemePolicer, harness.SchemeFairPolicer, harness.SchemeBCPQP} {
+		cfg := harness.Config{Scheme: scheme, Rate: rate, MaxRTT: maxRTT, Queues: queues}
+		perAgg, err := measureHeldMemory(cfg, aggregates, packetsPer)
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(b.name, f1(perAgg/1000))
+		table.AddRow(scheme.String(), f1(perAgg/1000))
 	}
 	return &Report{
 		ID:    "ext-mem",
@@ -234,14 +201,11 @@ func ExtMem(scale Scale, seed uint64) (*Report, error) {
 	}, nil
 }
 
-// measureHeldMemory loads n enforcers with traffic (freshly allocated
-// payload per packet so buffering is visible to the heap) and returns the
-// live bytes per enforcer after GC, with everything still reachable.
-func measureHeldMemory(
-	build func(enforcer.Sink, shaper.Scheduler) (enforcer.Enforcer, error),
-	n, packets int,
-	rate units.Rate,
-) (float64, error) {
+// measureHeldMemory loads n enforcers built from cfg with traffic (freshly
+// allocated payload per packet so buffering is visible to the heap) and
+// returns the live bytes per enforcer after GC, with everything still
+// reachable.
+func measureHeldMemory(cfg harness.Config, n, packets int) (float64, error) {
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -250,7 +214,7 @@ func measureHeldMemory(
 	timers := make([]*pendingTimers, 0, n)
 	for i := 0; i < n; i++ {
 		pt := &pendingTimers{}
-		enf, err := build(func(time.Duration, packet.Packet) {}, pt)
+		enf, err := harness.BuildEnforcer(cfg, pt, func(time.Duration, packet.Packet) {})
 		if err != nil {
 			return 0, err
 		}
@@ -258,7 +222,7 @@ func measureHeldMemory(
 		timers = append(timers, pt)
 	}
 	// Drive each enforcer to steady occupancy at 1.3× its rate.
-	gap := time.Duration(float64(rate.DurationForBytes(units.MSS)) / 1.3)
+	gap := time.Duration(float64(cfg.Rate.DurationForBytes(units.MSS)) / 1.3)
 	for i, enf := range enfs {
 		now := time.Duration(0)
 		for p := 0; p < packets; p++ {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"bcpqp/internal/harness"
-	"bcpqp/internal/tbf"
 	"bcpqp/internal/units"
 	"bcpqp/internal/workload"
 )
@@ -26,7 +25,7 @@ func Fig3(scale Scale, seed uint64) (*Report, error) {
 	agg := workload.Backlogged(rate, ccs,
 		[]time.Duration{40 * time.Millisecond}, 4, 10*time.Millisecond)
 
-	largeB := 10 * tbf.PlusBucket(rate, 50*time.Millisecond)
+	largeB := harness.Buffer(harness.SchemeBCPQP, rate, 50*time.Millisecond)
 
 	type variant struct {
 		name string

@@ -5,13 +5,10 @@ import (
 	"time"
 
 	"bcpqp/internal/enforcer"
-	"bcpqp/internal/fairpolicer"
 	"bcpqp/internal/harness"
 	"bcpqp/internal/packet"
-	"bcpqp/internal/phantom"
 	"bcpqp/internal/rng"
 	"bcpqp/internal/shaper"
-	"bcpqp/internal/tbf"
 	"bcpqp/internal/timerwheel"
 	"bcpqp/internal/units"
 )
@@ -83,51 +80,22 @@ func NewEfficiencyRig(scheme harness.Scheme) *EfficiencyRig {
 		})
 	}
 
-	switch scheme {
-	case harness.SchemeShaper, harness.SchemeSingleShaper:
-		queues := rigFlows
-		if scheme == harness.SchemeSingleShaper {
-			queues = 1
-		}
-		qsize := units.BDPBytes(rigRate, rigMaxRTT)
-		wheel := timerwheel.MustNew(50*time.Microsecond, 1024)
+	// The shaper's dequeues run off a timing wheel advanced with the
+	// virtual clock; the bufferless schemes ignore both arguments.
+	wheel := timerwheel.MustNew(50*time.Microsecond, 1024)
+	enf, err := harness.BuildEnforcer(harness.Config{
+		Scheme: scheme, Rate: rigRate, MaxRTT: rigMaxRTT, Queues: rigFlows,
+	}, shaper.SchedulerFunc(func(at time.Duration, fn func()) {
+		wheel.Schedule(at, fn)
+	}), func(now time.Duration, p packet.Packet) {
+		rig.Sunk += int64(p.Size)
+	})
+	if err != nil {
+		panic("experiments: efficiency rig: " + err.Error())
+	}
+	rig.enf = enf
+	if _, ok := enf.(*shaper.Shaper); ok {
 		rig.wheel = wheel
-		rig.enf = shaper.MustNew(shaper.Config{
-			Rate:      rigRate,
-			Queues:    queues,
-			QueueSize: qsize,
-			Scheduler: shaper.SchedulerFunc(func(at time.Duration, fn func()) {
-				wheel.Schedule(at, fn)
-			}),
-			Sink: func(now time.Duration, p packet.Packet) {
-				rig.Sunk += int64(p.Size)
-			},
-		})
-	case harness.SchemePolicer:
-		rig.enf = tbf.MustNew(rigRate, tbf.BDPBucket(rigRate, rigMaxRTT))
-	case harness.SchemePolicerPlus:
-		rig.enf = tbf.MustNew(rigRate, tbf.PlusBucket(rigRate, rigMaxRTT))
-	case harness.SchemeFairPolicer:
-		rig.enf = fairpolicer.MustNew(fairpolicer.Config{
-			Rate:   rigRate,
-			Bucket: tbf.PlusBucket(rigRate, rigMaxRTT),
-			Flows:  rigFlows,
-		})
-	case harness.SchemePQP:
-		rig.enf = phantom.MustNew(phantom.Config{
-			Rate:      rigRate,
-			Queues:    rigFlows,
-			QueueSize: units.RenoPhantomRequirement(rigRate, rigMaxRTT),
-		})
-	case harness.SchemeBCPQP:
-		rig.enf = phantom.MustNew(phantom.Config{
-			Rate:         rigRate,
-			Queues:       rigFlows,
-			QueueSize:    10 * tbf.PlusBucket(rigRate, rigMaxRTT),
-			BurstControl: true,
-		})
-	default:
-		panic("experiments: unknown scheme for efficiency rig")
 	}
 	return rig
 }

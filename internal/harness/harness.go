@@ -7,93 +7,19 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"bcpqp/internal/cc"
 	"bcpqp/internal/enforcer"
-	"bcpqp/internal/fairpolicer"
 	"bcpqp/internal/netem"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/phantom"
 	"bcpqp/internal/sched"
 	"bcpqp/internal/shaper"
 	"bcpqp/internal/sim"
-	"bcpqp/internal/tbf"
 	"bcpqp/internal/tcp"
 	"bcpqp/internal/units"
 )
-
-// Scheme selects a rate-enforcement mechanism.
-type Scheme int
-
-const (
-	// SchemeShaper is the multi-queue buffering shaper (DRR/priority).
-	SchemeShaper Scheme = iota
-	// SchemeSingleShaper is a single-FIFO shaper (status-quo baseline of
-	// §6.4).
-	SchemeSingleShaper
-	// SchemePolicer is a token-bucket policer sized at one max BDP.
-	SchemePolicer
-	// SchemePolicerPlus is a token-bucket policer with the FairPolicer
-	// sizing (max of New Reno and Cubic requirements).
-	SchemePolicerPlus
-	// SchemeFairPolicer is the FairPolicer baseline.
-	SchemeFairPolicer
-	// SchemePQP is the phantom-queue policer without burst control (§3).
-	SchemePQP
-	// SchemeBCPQP is the burst-controlled phantom-queue policer (§4).
-	SchemeBCPQP
-)
-
-// String implements fmt.Stringer.
-func (s Scheme) String() string {
-	switch s {
-	case SchemeShaper:
-		return "shaper"
-	case SchemeSingleShaper:
-		return "shaper-1q"
-	case SchemePolicer:
-		return "policer"
-	case SchemePolicerPlus:
-		return "policer+"
-	case SchemeFairPolicer:
-		return "fairpolicer"
-	case SchemePQP:
-		return "pqp"
-	case SchemeBCPQP:
-		return "bc-pqp"
-	default:
-		return fmt.Sprintf("scheme(%d)", int(s))
-	}
-}
-
-// ParseScheme maps a name to a Scheme.
-func ParseScheme(name string) (Scheme, error) {
-	switch strings.ToLower(name) {
-	case "shaper", "drr-shaper":
-		return SchemeShaper, nil
-	case "shaper-1q", "singleshaper", "fifo":
-		return SchemeSingleShaper, nil
-	case "policer", "tbf":
-		return SchemePolicer, nil
-	case "policer+", "policerplus":
-		return SchemePolicerPlus, nil
-	case "fairpolicer", "fp":
-		return SchemeFairPolicer, nil
-	case "pqp":
-		return SchemePQP, nil
-	case "bc-pqp", "bcpqp":
-		return SchemeBCPQP, nil
-	}
-	return 0, fmt.Errorf("harness: unknown scheme %q", name)
-}
-
-// AllSchemes lists every scheme, in the paper's comparison order.
-func AllSchemes() []Scheme {
-	return []Scheme{SchemeShaper, SchemePolicer, SchemePolicerPlus,
-		SchemeFairPolicer, SchemePQP, SchemeBCPQP}
-}
 
 // Config configures one enforcement point (one traffic aggregate).
 type Config struct {
@@ -120,8 +46,8 @@ type Config struct {
 	// Secondary, if non-zero, inserts a FIFO bottleneck of this rate
 	// after the enforcer (Fig 3's downstream RAN-like hop).
 	Secondary units.Rate
-	// SecondaryBuf is the secondary bottleneck's buffer; zero selects
-	// one BDP of the secondary rate at MaxRTT.
+	// SecondaryBuf is the secondary bottleneck's buffer; zero sizes it as
+	// a shaper queue at the secondary rate and MaxRTT (see Buffer).
 	SecondaryBuf int64
 	// TickInterval drives periodic enforcer maintenance (burst-control
 	// window rollover on idle aggregates). Zero selects 25 ms.
@@ -173,16 +99,15 @@ func NewOnLoop(loop *sim.Loop, cfg Config) (*Harness, error) {
 	if cfg.Secondary > 0 {
 		buf := cfg.SecondaryBuf
 		if buf <= 0 {
-			buf = units.BDPBytes(cfg.Secondary, cfg.MaxRTT)
-			if buf < 16*units.MSS {
-				buf = 16 * units.MSS
-			}
+			buf = Buffer(SchemeShaper, cfg.Secondary, cfg.MaxRTT)
 		}
 		h.secondary = netem.NewBottleneck(loop, cfg.Secondary, buf, egress)
 		egress = h.secondary.Forward
 	}
 
-	enf, err := buildEnforcer(loop, cfg, egress)
+	enf, err := BuildEnforcer(cfg, shaper.SchedulerFunc(func(at time.Duration, fn func()) {
+		loop.At(at, fn)
+	}), enforcer.Sink(egress))
 	if err != nil {
 		return nil, err
 	}
@@ -196,71 +121,6 @@ func NewOnLoop(loop *sim.Loop, cfg Config) (*Harness, error) {
 		h.scheduleTick(cfg.TickInterval)
 	}
 	return h, nil
-}
-
-// buildEnforcer instantiates the configured scheme with the sizing rules of
-// §6.1.
-func buildEnforcer(loop *sim.Loop, cfg Config, egress netem.Forward) (enforcer.Enforcer, error) {
-	policy := cfg.Policy
-	switch cfg.Scheme {
-	case SchemeShaper, SchemeSingleShaper:
-		queues := cfg.Queues
-		if cfg.Scheme == SchemeSingleShaper {
-			queues = 1
-			policy = nil
-		}
-		qsize := units.BDPBytes(cfg.Rate, cfg.MaxRTT)
-		if qsize < 16*units.MSS {
-			qsize = 16 * units.MSS
-		}
-		return shaper.New(shaper.Config{
-			Rate:      cfg.Rate,
-			Queues:    queues,
-			QueueSize: qsize,
-			Policy:    policy,
-			Scheduler: shaper.SchedulerFunc(func(at time.Duration, fn func()) {
-				loop.At(at, func() { fn() })
-			}),
-			Sink: enforcer.Sink(egress),
-		})
-	case SchemePolicer:
-		return tbf.New(cfg.Rate, tbf.BDPBucket(cfg.Rate, cfg.MaxRTT))
-	case SchemePolicerPlus:
-		return tbf.New(cfg.Rate, tbf.PlusBucket(cfg.Rate, cfg.MaxRTT))
-	case SchemeFairPolicer:
-		return fairpolicer.New(fairpolicer.Config{
-			Rate:    cfg.Rate,
-			Bucket:  tbf.PlusBucket(cfg.Rate, cfg.MaxRTT),
-			Flows:   cfg.Queues,
-			Weights: cfg.FPWeights,
-		})
-	case SchemePQP:
-		size := cfg.PhantomQueueSize
-		if size == 0 {
-			size = units.RenoPhantomRequirement(cfg.Rate, cfg.MaxRTT)
-		}
-		return phantom.New(phantom.Config{
-			Rate:      cfg.Rate,
-			Queues:    cfg.Queues,
-			QueueSize: size,
-			Policy:    policy,
-			RED:       cfg.PhantomRED,
-		})
-	case SchemeBCPQP:
-		size := cfg.PhantomQueueSize
-		if size == 0 {
-			size = 10 * tbf.PlusBucket(cfg.Rate, cfg.MaxRTT)
-		}
-		return phantom.New(phantom.Config{
-			Rate:         cfg.Rate,
-			Queues:       cfg.Queues,
-			QueueSize:    size,
-			Policy:       policy,
-			BurstControl: true,
-			RED:          cfg.PhantomRED,
-		})
-	}
-	return nil, fmt.Errorf("harness: unknown scheme %v", cfg.Scheme)
 }
 
 // scheduleTick pumps phantom-queue maintenance so burst-control windows
