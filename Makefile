@@ -12,11 +12,13 @@ build:
 # mmsg_linux.go's types has to be mirrored in mmsg_other.go and the arm64
 # syscall numbers. The darwin build covers the whole module, so the proxy and
 # everything else still compile on the portable fallback backend. Both
-# cross-builds need only the standard library.
+# cross-builds need only the standard library. Last, every test, fuzz target
+# and benchmark the docs, build files and sources cite by name must exist.
 vet:
 	$(GO) vet ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/netio
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	scripts/check-test-names.sh
 
 test:
 	$(GO) test ./...

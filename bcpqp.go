@@ -133,8 +133,8 @@ type BCPQPConfig struct {
 }
 
 // NewBCPQP builds the paper's contribution: a burst-controlled
-// phantom-queue policer with the default θ⁺=1.5, θ⁻=0.5, T=100 ms
-// parameters.
+// phantom-queue policer. Burst control runs with the paper's θ⁺ = 1.5,
+// θ⁻ = 0.5 and T = 100 ms (§4), which are constants, not options.
 func NewBCPQP(cfg BCPQPConfig) (*PQP, error) {
 	maxRTT := cfg.MaxRTT
 	if maxRTT <= 0 {
@@ -170,13 +170,6 @@ func NewPQP(rate Rate, queues int, policy *Policy, queueSize int64, maxRTT time.
 		Policy:    policy,
 	})
 }
-
-// PhantomConfig exposes the full phantom-queue configuration surface
-// (burst-control thresholds, window, drain batching) for advanced use.
-type PhantomConfig = phantom.Config
-
-// NewPhantom builds a PQP/BC-PQP from the full configuration.
-func NewPhantom(cfg PhantomConfig) (*PQP, error) { return phantom.New(cfg) }
 
 // RecommendedQueueSize returns the paper's default phantom queue size for
 // BC-PQP: ten times the largest (New Reno vs Cubic) bucket requirement for

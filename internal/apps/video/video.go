@@ -20,8 +20,8 @@ import (
 	"bcpqp/internal/units"
 )
 
-// DefaultLadder is a YouTube-like bitrate ladder (144p…1080p).
-var DefaultLadder = []units.Rate{
+// ladder is a YouTube-like bitrate ladder (144p…1080p).
+var ladder = []units.Rate{
 	300 * units.Kbps,
 	500 * units.Kbps,
 	750 * units.Kbps,
@@ -32,6 +32,7 @@ var DefaultLadder = []units.Rate{
 
 // ABR tuning constants.
 const (
+	chunkDuration = 4 * time.Second  // media chunk length
 	safetyFactor  = 0.8              // fraction of estimated throughput to spend
 	lowBufferMark = 4 * time.Second  // panic-to-lowest threshold
 	maxBuffer     = 30 * time.Second // stop requesting above this level
@@ -54,10 +55,6 @@ type Config struct {
 	Start time.Duration
 	// PlayDuration is how much video to stream.
 	PlayDuration time.Duration
-	// ChunkDuration is the media chunk length (default 4 s).
-	ChunkDuration time.Duration
-	// Ladder is the bitrate ladder (default DefaultLadder).
-	Ladder []units.Rate
 	// OnDeliver, if set, receives receiver-side byte arrivals for
 	// throughput metering.
 	OnDeliver func(now time.Duration, bytes int)
@@ -95,18 +92,12 @@ func Start(cfg Config) (*Client, error) {
 	if cfg.Harness == nil {
 		return nil, fmt.Errorf("video: nil harness")
 	}
-	if cfg.ChunkDuration <= 0 {
-		cfg.ChunkDuration = 4 * time.Second
-	}
-	if len(cfg.Ladder) == 0 {
-		cfg.Ladder = DefaultLadder
-	}
 	if cfg.PlayDuration <= 0 {
 		cfg.PlayDuration = time.Minute
 	}
 	c := &Client{
 		cfg:         cfg,
-		totalChunks: int((cfg.PlayDuration + cfg.ChunkDuration - 1) / cfg.ChunkDuration),
+		totalChunks: int((cfg.PlayDuration + chunkDuration - 1) / chunkDuration),
 	}
 
 	first := c.chunkSize(c.pickQuality())
@@ -132,7 +123,6 @@ func Start(cfg Config) (*Client, error) {
 
 // pickQuality runs the ABR rule for the next chunk.
 func (c *Client) pickQuality() units.Rate {
-	ladder := c.cfg.Ladder
 	q := ladder[0]
 	if c.started && c.buffer < lowBufferMark {
 		// Low buffer: take the safe lowest rung.
@@ -160,7 +150,7 @@ func (c *Client) recordQuality(q units.Rate) {
 
 // chunkSize converts a bitrate choice into chunk bytes.
 func (c *Client) chunkSize(q units.Rate) int64 {
-	b := int64(q.Bytes(c.cfg.ChunkDuration))
+	b := int64(q.Bytes(chunkDuration))
 	if b < units.MSS {
 		b = units.MSS
 	}
@@ -172,7 +162,7 @@ func (c *Client) chunkSize(q units.Rate) int64 {
 func (c *Client) onChunkDone(now time.Duration) {
 	c.advancePlayback(now)
 	c.started = true
-	c.buffer += c.cfg.ChunkDuration
+	c.buffer += chunkDuration
 
 	// Throughput sample from the completed fetch.
 	if dt := now - c.fetchStart; dt > 0 {
@@ -192,7 +182,7 @@ func (c *Client) onChunkDone(now time.Duration) {
 
 	if c.buffer >= maxBuffer {
 		// Buffer full: wait until it drains below the high mark.
-		wait := c.buffer - maxBuffer + c.cfg.ChunkDuration
+		wait := c.buffer - maxBuffer + chunkDuration
 		c.cfg.Harness.Loop.After(wait, func() { c.requestNext(c.cfg.Harness.Loop.Now()) })
 		return
 	}

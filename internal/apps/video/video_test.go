@@ -96,7 +96,7 @@ func TestQualityLadderRespected(t *testing.T) {
 	}
 	h.Run(60 * time.Second)
 	valid := map[units.Rate]bool{}
-	for _, r := range DefaultLadder {
+	for _, r := range ladder {
 		valid[r] = true
 	}
 	for i, q := range c.Qualities {
@@ -123,7 +123,7 @@ func TestBufferCapsRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Run(20 * time.Second)
-	if c.Buffer() > maxBuffer+2*c.cfg.ChunkDuration {
+	if c.Buffer() > maxBuffer+2*chunkDuration {
 		t.Errorf("buffer %v far exceeds the %v cap", c.Buffer(), maxBuffer)
 	}
 	if c.DoneAt != 0 {

@@ -15,8 +15,12 @@ import (
 	"bcpqp/internal/rng"
 )
 
-// Browser-like fetch parallelism (connections per page).
-const defaultConcurrency = 6
+// A page is 4 to objectsPerPage objects, fetched over at most concurrency
+// parallel connections, as a browser does.
+const (
+	objectsPerPage = 16
+	concurrency    = 6
+)
 
 // Config describes a sequential page-load session.
 type Config struct {
@@ -32,11 +36,6 @@ type Config struct {
 	RTT time.Duration
 	// Pages is the number of pages to load (the paper uses 50).
 	Pages int
-	// ObjectsPerPage bounds the object fan-out; objects are drawn
-	// uniformly in [4, ObjectsPerPage]. Zero selects 16.
-	ObjectsPerPage int
-	// Concurrency is the parallel connection limit (default 6).
-	Concurrency int
 	// ThinkTime is the gap between a page finishing and the next
 	// starting (default 500 ms).
 	ThinkTime time.Duration
@@ -77,12 +76,6 @@ func Start(cfg Config) (*Session, error) {
 	if cfg.Pages <= 0 {
 		return nil, fmt.Errorf("web: no pages")
 	}
-	if cfg.ObjectsPerPage <= 0 {
-		cfg.ObjectsPerPage = 16
-	}
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = defaultConcurrency
-	}
 	if cfg.ThinkTime <= 0 {
 		cfg.ThinkTime = 500 * time.Millisecond
 	}
@@ -98,7 +91,7 @@ func Start(cfg Config) (*Session, error) {
 // wave of fetches.
 func (s *Session) startPage(now time.Duration) {
 	r := s.cfg.Rand
-	n := 4 + r.IntN(s.cfg.ObjectsPerPage-3)
+	n := 4 + r.IntN(objectsPerPage-3)
 	s.pageStart = now
 	s.pending = n
 	s.queue = s.queue[:0]
@@ -117,7 +110,7 @@ func (s *Session) startPage(now time.Duration) {
 
 // fill launches queued objects up to the concurrency limit.
 func (s *Session) fill(now time.Duration) {
-	for s.inFlight < s.cfg.Concurrency && len(s.queue) > 0 {
+	for s.inFlight < concurrency && len(s.queue) > 0 {
 		size := s.queue[0]
 		s.queue = s.queue[1:]
 		s.fetch(now, size, func(done time.Duration) {

@@ -173,7 +173,7 @@ func Fig9(scale Scale, seed uint64) (*Report, error) {
 			return nil, err
 		}
 		var series []Series
-		for key, name := range map[int]string{0: "video", 1: "other"} {
+		for key, name := range []string{"video", "other"} {
 			rates := res.videoMeter.Series(key)
 			x := make([]float64, len(rates))
 			y := make([]float64, len(rates))

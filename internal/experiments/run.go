@@ -31,8 +31,6 @@ type RunOpts struct {
 	FPWeights []float64
 	// Secondary inserts a downstream bottleneck of this rate.
 	Secondary units.Rate
-	// SecondaryBuf overrides the secondary bottleneck's buffer.
-	SecondaryBuf int64
 	// PhantomQueueSize overrides B for PQP/BC-PQP.
 	PhantomQueueSize int64
 	// PhantomRED enables the RED AQM extension on PQP/BC-PQP.
@@ -88,7 +86,6 @@ func RunAggregate(agg workload.Aggregate, opts RunOpts) (*AggResult, error) {
 		PhantomQueueSize: opts.PhantomQueueSize,
 		PhantomRED:       opts.PhantomRED,
 		Secondary:        opts.Secondary,
-		SecondaryBuf:     opts.SecondaryBuf,
 	})
 	if err != nil {
 		return nil, err

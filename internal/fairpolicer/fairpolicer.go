@@ -42,10 +42,11 @@ type Config struct {
 	// Weights optionally assigns per-bucket weights for the weighted
 	// variant of §6.3.2. Nil means equal weights (the original design).
 	Weights []float64
-	// IdleTimeout is how long a flow bucket stays "active" after its last
-	// arrival; inactive flows stop receiving tokens. Zero selects 100 ms.
-	IdleTimeout time.Duration
 }
+
+// idleTimeout is how long a flow bucket stays "active" after its last
+// arrival; inactive flows stop receiving tokens.
+const idleTimeout = 100 * time.Millisecond
 
 // FairPolicer enforces an aggregate rate with approximate per-flow fairness.
 // It is not safe for concurrent use.
@@ -89,9 +90,6 @@ func New(cfg Config) (*FairPolicer, error) {
 		if w <= 0 {
 			return nil, fmt.Errorf("fairpolicer: non-positive weight %v", w)
 		}
-	}
-	if cfg.IdleTimeout == 0 {
-		cfg.IdleTimeout = 100 * time.Millisecond
 	}
 	return &FairPolicer{
 		cfg:   cfg,
@@ -164,7 +162,7 @@ func (f *FairPolicer) generateExpireCap(now time.Duration) {
 	// departed flow's share is reusable.
 	for i := range f.flows {
 		fb := &f.flows[i]
-		if fb.active && now-fb.lastSeen > f.cfg.IdleTimeout {
+		if fb.active && now-fb.lastSeen > idleTimeout {
 			fb.active = false
 			f.main += fb.tokens
 			fb.tokens = 0

@@ -148,8 +148,7 @@ func TestWeightedAllocationFails(t *testing.T) {
 
 func TestIdleFlowTokensReturned(t *testing.T) {
 	rate := 8 * units.Mbps
-	f := MustNew(Config{Rate: rate, Bucket: 50 * units.MSS, Flows: 2,
-		IdleTimeout: 50 * time.Millisecond})
+	f := MustNew(Config{Rate: rate, Bucket: 50 * units.MSS, Flows: 2})
 	now := time.Millisecond
 	// Flow 1 appears once, then goes idle.
 	f.Submit(now, pkt(1, units.MSS))

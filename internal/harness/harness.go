@@ -44,15 +44,15 @@ type Config struct {
 	// PhantomRED enables the RED AQM extension on PQP/BC-PQP queues.
 	PhantomRED *phantom.REDConfig
 	// Secondary, if non-zero, inserts a FIFO bottleneck of this rate
-	// after the enforcer (Fig 3's downstream RAN-like hop).
+	// after the enforcer (Fig 3's downstream RAN-like hop), its buffer
+	// sized as a shaper queue at the secondary rate and MaxRTT (see
+	// Buffer).
 	Secondary units.Rate
-	// SecondaryBuf is the secondary bottleneck's buffer; zero sizes it as
-	// a shaper queue at the secondary rate and MaxRTT (see Buffer).
-	SecondaryBuf int64
-	// TickInterval drives periodic enforcer maintenance (burst-control
-	// window rollover on idle aggregates). Zero selects 25 ms.
-	TickInterval time.Duration
 }
+
+// tickInterval paces the phantom-queue maintenance Tick, so burst-control
+// windows roll over on idle aggregates: a quarter of the window T, 25 ms.
+const tickInterval = phantom.Window / 4
 
 // Harness is a runnable enforcement point with attached flows.
 type Harness struct {
@@ -88,19 +88,13 @@ func NewOnLoop(loop *sim.Loop, cfg Config) (*Harness, error) {
 	if cfg.Queues <= 0 {
 		cfg.Queues = 16
 	}
-	if cfg.TickInterval <= 0 {
-		cfg.TickInterval = 25 * time.Millisecond
-	}
 	h := &Harness{Loop: loop, cfg: cfg, routes: make(map[packet.FlowKey]netem.Forward)}
 
 	// The egress side of the enforcer: optional secondary bottleneck,
 	// then per-flow routing (propagation + receiver).
 	egress := netem.Forward(h.route)
 	if cfg.Secondary > 0 {
-		buf := cfg.SecondaryBuf
-		if buf <= 0 {
-			buf = Buffer(SchemeShaper, cfg.Secondary, cfg.MaxRTT)
-		}
+		buf := Buffer(SchemeShaper, cfg.Secondary, cfg.MaxRTT)
 		h.secondary = netem.NewBottleneck(loop, cfg.Secondary, buf, egress)
 		egress = h.secondary.Forward
 	}
@@ -118,20 +112,20 @@ func NewOnLoop(loop *sim.Loop, cfg Config) (*Harness, error) {
 	}
 	if p, ok := enf.(*phantom.PQP); ok {
 		h.pqp = p
-		h.scheduleTick(cfg.TickInterval)
+		h.scheduleTick()
 	}
 	return h, nil
 }
 
 // scheduleTick pumps phantom-queue maintenance so burst-control windows
 // roll over even when no packets arrive.
-func (h *Harness) scheduleTick(interval time.Duration) {
+func (h *Harness) scheduleTick() {
 	var tick func()
 	tick = func() {
 		h.pqp.Tick(h.Loop.Now())
-		h.Loop.After(interval, tick)
+		h.Loop.After(tickInterval, tick)
 	}
-	h.Loop.After(interval, tick)
+	h.Loop.After(tickInterval, tick)
 }
 
 // route delivers post-enforcement packets to their flow's receiver path.

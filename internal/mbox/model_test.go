@@ -143,7 +143,7 @@ var modelCeilings = map[byte]map[enforcer.NodeID]ceiling{
 
 func modelPQP(rate units.Rate, size int64, red *phantom.REDConfig) *phantom.PQP {
 	return phantom.MustNew(phantom.Config{Rate: rate, Queues: 4, QueueSize: size,
-		BurstControl: red == nil, Window: 5 * time.Millisecond, RED: red})
+		BurstControl: red == nil, RED: red})
 }
 
 // build makes one enforcer of the spec; the engine and the twin each get one.
@@ -1221,6 +1221,8 @@ const (
 var (
 	ms1  = op(opClock, 99, 0, 0)  // 1 ms
 	ms5  = op(opClock, 124, 2, 0) // 5 ms
+	ms10 = op(opClock, 249, 2, 0) // 10 ms
+	ms80 = op(opClock, 249, 5, 0) // 80 ms
 	long = op(opClock, 255, 11, 0)
 )
 
@@ -1237,12 +1239,13 @@ var modelScenarios = map[string][]byte{
 	"HandlesNotReused": script(oneShard, add(0, kTBF, 0), op(opRemove, 0, 0, 0), add(1, kTBF, 0),
 		submit(0, 0, 1), submit(1, 0, 1)),
 	// Six BC-PQP aggregates over three shards under load far above their
-	// rate, each audited against its Theorem-1 envelope.
+	// rate, each audited against its Theorem-1 envelope. The lightest, at
+	// six times its rate, crosses θ⁺ about two thirds of the way through.
 	"PerAggregateRateEnforcement": script(2|observed, add(0, kBCPQP, hook), add(1, kBCPQP, hook),
 		add(2, kBCPQP, hook), add(3, kBCPQP, hook), add(4, kBCPQP, hook), add(5, kBCPQP, hook),
 		op(opArmAudit, 0, 0, 0), op(opArmAudit, 1, 0, 0), op(opArmAudit, 2, 0, 0), op(opArmAudit, 3, 0, 0),
 		op(opArmAudit, 4, 0, 0), op(opArmAudit, 5, 0, 0),
-		times(34, ms1, submit(0, 0, 32), submit(1, 0, 4), submit(2, 0, 32), submit(3, 0, 6), submit(4, 0, 32), submit(5, 0, 8))),
+		times(34, ms1, submit(0, 0, 32), submit(1, 0, 8), submit(2, 0, 32), submit(3, 0, 12), submit(4, 0, 32), submit(5, 0, 16))),
 	"StatsOnShardGoroutine": script(twoShards, add(0, kTBF, hook), times(10, submit(0, 0, 1))),
 	"StatsErrNoStats":       script(oneShard, add(0, kMute, hook), submit(0, 0, 4), op(opRemove, 0, 0, 0)),
 	// One aggregate fed the same load as bursts of 32 and of one.
@@ -1250,9 +1253,11 @@ var modelScenarios = map[string][]byte{
 		times(6, ms1, submit(0, 0, 32), ms1, times(32, submit(0, 0, 1)))),
 	"FlushRunsMaintenance": script(oneShard, add(0, kBCPQP, 0), add(1, kTree, 0), add(2, kTBF|fPanic, 0),
 		op(opFlush, 0, 0, 0), op(opFlush, 1, 0, 0), op(opFlush, 2, 0, 0), op(opFlush, 3, 0, 0)),
-	// A burst magic-fills, and Ticks through Flush reclaim it.
-	"FlushDrivesPhantomMaintenance": script(oneShard, add(0, kBCPQP, hook), times(12, submit(0, 0, 32)),
-		op(opFlush, 0, 0, 0), times(20, op(opClock, 249, 1, 0), op(opFlush, 0, 0, 0))),
+	// A burst opens every queue's window, a flood late in it magic-fills,
+	// and Ticks through Flush close the window busy and then, a quiet window
+	// later, reclaim the magic before the drain reaches it.
+	"FlushDrivesPhantomMaintenance": script(oneShard, add(0, kBCPQP, hook), submit(0, 0, 32), ms80, ms10,
+		times(12, submit(0, 0, 32)), op(opFlush, 0, 0, 0), times(20, ms10, op(opFlush, 0, 0, 0))),
 	"CloseIdempotentAndRejects": script(twoShards, add(0, kTBF, 0), add(1, kTree, 0), submit(0, 0, 4),
 		op(opClose, 0, 0, 0)),
 	// Final stats with drops, of a tree, and of an enforcer without stats.

@@ -18,18 +18,18 @@ import (
 //   - One drain-credit probe. At a fixed now the batched lazy drain
 //     (advance) can fire at most once: after it runs, lastDrain == now and
 //     the fractional carried credit is below one byte (always under
-//     DrainBatch ≥ MSS); if it did not fire, the credit cannot grow without
+//     drainBatch ≥ MSS); if it did not fire, the credit cannot grow without
 //     time passing. Either way every later per-packet re-check is a
 //     guaranteed no-op, so the batch path evaluates the credit condition
 //     only the first time a packet finds its queue (apparently) full.
 //
 //   - One started/lastDrain initialization, and one read of the
-//     configuration the loop tests (queue array and size, burst control and
-//     its window, filter, RED, whether events are wanted): nothing a burst
-//     can run changes them.
+//     configuration the loop tests (queue array and size, burst control,
+//     filter, RED, whether events are wanted): nothing a burst can run
+//     changes them.
 //
 //   - One update of the aggregate statistics, counted in locals meanwhile.
-//     Only a Filter or OnEvent hook could see (or, panicking, strand) the
+//     Only a Filter or SetOnEvent hook could see (or, panicking, strand) the
 //     difference, so with either installed each count is written through
 //     before a hook can run.
 //
@@ -54,10 +54,9 @@ func (p *PQP) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []en
 		queues       = p.queues
 		queueSize    = p.cfg.QueueSize
 		burstControl = p.cfg.BurstControl
-		window       = p.cfg.Window
 		filter       = p.cfg.Filter
 		red          = p.red
-		traced       = p.cfg.OnEvent != nil
+		traced       = p.onEvent != nil
 		hooks        = traced || filter != nil
 		drainProbed  = false
 		st           enforcer.Stats // counted, not yet in p.stats; empty when a hook runs
@@ -77,14 +76,14 @@ func (p *PQP) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []en
 			continue
 		}
 
-		if burstControl && q.windowDue(now, window) {
+		if burstControl && q.windowDue(now) {
 			p.closeWindow(now, class, q)
 		}
 
 		if q.length+size > queueSize || red != nil {
 			if !drainProbed {
 				drainProbed = true
-				if p.drainCredit+p.cfg.Rate.Bytes(now-p.lastDrain) >= float64(p.cfg.DrainBatch) {
+				if p.drainCredit+p.cfg.Rate.Bytes(now-p.lastDrain) >= float64(p.drainBatch) {
 					p.advance(now)
 				}
 			}

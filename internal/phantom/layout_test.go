@@ -30,10 +30,10 @@ func TestQueueLayout(t *testing.T) {
 	if ringCap&(ringCap-1) != 0 {
 		t.Fatalf("ringCap %d is not a power of two", ringCap)
 	}
-	// 320 B is a malloc size class; a byte more and every subscriber (and
-	// every relay-table entry) pays for 352.
-	if got := unsafe.Sizeof(PQP{}); got > 320 {
-		t.Fatalf("PQP is %d bytes, want ≤ 320", got)
+	// 288 B is a malloc size class; a byte more and every subscriber (and
+	// every relay-table entry) pays for 320.
+	if got := unsafe.Sizeof(PQP{}); got > 288 {
+		t.Fatalf("PQP is %d bytes, want ≤ 288", got)
 	}
 }
 
@@ -61,6 +61,7 @@ type layoutDiff struct {
 	p        *PQP
 	ref      *refPQP
 	now      time.Duration
+	hook     func(Event) // attached to p and to every twin a round trip builds
 
 	// batched sends arrivals through SubmitBatch: a packet with no gap
 	// joins the burst the previous one started, and anything else — a gap,
@@ -90,7 +91,16 @@ func (d *layoutDiff) build() *PQP {
 	cfg := d.cfg
 	cfg.Rate = d.rate
 	cfg.Policy = d.policies[d.policy]()
-	return MustNew(cfg)
+	p := MustNew(cfg)
+	p.SetOnEvent(d.hook)
+	return p
+}
+
+// watch attaches hook to the enforcer under test, now and after every round
+// trip.
+func (d *layoutDiff) watch(hook func(Event)) {
+	d.hook = hook
+	d.p.SetOnEvent(hook)
 }
 
 func (d *layoutDiff) submit(gap time.Duration, class, size int, ect bool) {
@@ -267,14 +277,16 @@ const (
 	flagLazy    = 64 // FIFOs checked at round trips and at the end only
 )
 
-// diffConfig decodes the fuzzers' flag byte.
+// diffConfig decodes the fuzzers' flag byte. The differential was written
+// for a 10 ms window at 4 Mbps; it runs at a tenth of that rate, and every
+// clock step in it is ten times as long, so at T = 100 ms r·T and the drain
+// between two arrivals are the bytes they were.
 func diffConfig(flags byte) Config {
 	cfg := Config{
-		Rate:         4 * units.Mbps,
+		Rate:         400 * units.Kbps,
 		Queues:       4,
 		QueueSize:    40 * units.MSS,
 		BurstControl: flags&1 == 0,
-		Window:       10 * time.Millisecond,
 	}
 	if flags&2 != 0 {
 		// Runs of 2 GiB and more do not fit a ring slot.
@@ -289,13 +301,13 @@ func diffConfig(flags byte) Config {
 // run interprets ops as (gap, op, arg) triples.
 func (d *layoutDiff) run(ops []byte) {
 	for i := 0; i+2 < len(ops); i += 3 {
-		gap := time.Duration(ops[i]) * 37 * time.Microsecond
+		gap := time.Duration(ops[i]) * 370 * time.Microsecond
 		op, arg := ops[i+1], ops[i+2]
 		switch op % 16 {
 		case 15:
-			d.tick(gap + time.Duration(arg)*time.Millisecond)
+			d.tick(gap + time.Duration(arg)*10*time.Millisecond)
 		case 14:
-			d.setRate(units.Rate(1+int(arg)%32) * units.Mbps)
+			d.setRate(units.Rate(1+int(arg)%32) * 100 * units.Kbps)
 		case 13:
 			d.nextPolicy()
 		case 12:
@@ -381,7 +393,7 @@ func alternation(rounds int) []byte {
 		ops = append(ops, 1, 0, 182) // MSS-sized
 	}
 	for r := 0; r < rounds; r++ {
-		ops = append(ops, 84, 0, 100) // 3.1 ms drains 1.5 kB; 840 B refill it
+		ops = append(ops, 84, 0, 100) // 31 ms drains 1.5 kB; 840 B refill it
 		ops = append(ops, 0, 0, 100)
 	}
 	return ops
@@ -398,16 +410,38 @@ func ectFlood(n int) []byte {
 	return ops
 }
 
+// altConfig is diffConfig(0) at 2 Mbps, where r·T is 25 kB: a flood of
+// sixty MSS packets crosses θ⁺ at its twenty-sixth and leaves a real run and
+// a magic one, and the window holds sixteen of alternate's rounds.
+func altConfig() Config {
+	cfg := diffConfig(0)
+	cfg.Rate = 2 * units.Mbps
+	return cfg
+}
+
+// alternate does what alternation does for the fuzzers, inside the window of
+// an altConfig differential: class 0 floods until burst control fills it
+// with magic, then each round a Tick 6 ms on drains 1.5 kB, an 840 B packet
+// takes part of the room and magic the rest, and a second one is dropped,
+// leaving a real and a magic run behind. The Tick spends the drain budget
+// whatever the drain batch; a drain on arrival waits for 6 kB of it.
+func alternate(d *layoutDiff, rounds int) {
+	for i := 0; i < 60; i++ {
+		d.submit(10*time.Microsecond, 0, units.MSS, false)
+	}
+	for r := 0; r < rounds; r++ {
+		d.tick(6 * time.Millisecond)
+		d.submit(0, 0, 840, false)
+		d.submit(0, 0, 840, false)
+	}
+}
+
 // TestRingSpillAndReturn drives a queue's FIFO past the inline ring and
 // back, checking against the reference at every step and that the heap
 // deque is held only while it is needed.
 func TestRingSpillAndReturn(t *testing.T) {
-	cfg := diffConfig(0)
-	// A window long enough to hold a dozen drain-and-refill rounds, and a
-	// drain batch small enough for each round to drain.
-	cfg.Window, cfg.DrainBatch = 50*time.Millisecond, units.MSS
-	d := newLayoutDiff(t, cfg, 0)
-	d.run(alternation(14))
+	d := newLayoutDiff(t, altConfig(), 0)
+	alternate(d, 14)
 	q := &d.p.queues[0]
 	if !q.spilled || d.p.numRuns(0) <= ringCap {
 		t.Fatalf("alternation left %d runs (spilled %v); the test no longer exercises the spill", d.p.numRuns(0), q.spilled)
@@ -426,14 +460,14 @@ func TestRingSpillAndReturn(t *testing.T) {
 	// brings the FIFO back.
 	d = newLayoutDiff(t, diffConfig(2), 0)
 	for i := 0; i < 400; i++ {
-		d.submit(time.Microsecond, 0, units.MSS, false)
+		d.submit(10*time.Microsecond, 0, units.MSS, false)
 	}
 	q = &d.p.queues[0]
 	if !q.spilled || d.p.MagicBytes(0) < 2<<30 {
 		t.Fatalf("no wide magic run: spilled %v, magic %d", q.spilled, d.p.MagicBytes(0))
 	}
-	d.tick(time.Second) // closes the flood's window
-	d.tick(time.Second) // closes a quiet one: reclaim
+	d.tick(10 * time.Second) // closes the flood's window
+	d.tick(10 * time.Second) // closes a quiet one: reclaim
 	if q.spilled || d.p.spills[0] != nil || d.p.MagicBytes(0) != 0 {
 		t.Fatalf("after reclaim: spilled %v, magic %d", q.spilled, d.p.MagicBytes(0))
 	}
@@ -465,15 +499,14 @@ func TestBurstShortcuts(t *testing.T) {
 		// class 0 three times — closes it under θ⁻ and reclaims. Closing it
 		// again for the second packet would zero the bytes the first added.
 		{"one roll per class per burst", func(t *testing.T, hook func(Event)) {
-			cfg := diffConfig(0)
-			cfg.OnEvent = hook
-			d := newLayoutDiff(t, cfg, 0, fair)
-			d.burst(time.Microsecond, mss(0, 60)...)
-			d.burst(12*time.Millisecond, mss(0, 1)...)
+			d := newLayoutDiff(t, diffConfig(0), 0, fair)
+			d.watch(hook)
+			d.burst(10*time.Microsecond, mss(0, 60)...)
+			d.burst(120*time.Millisecond, mss(0, 1)...)
 			if d.p.MagicBytes(0) == 0 {
 				t.Fatal("the flood left no magic to reclaim")
 			}
-			d.burst(12*time.Millisecond, mss(0, 3)...)
+			d.burst(120*time.Millisecond, mss(0, 3)...)
 			q := &d.p.queues[0]
 			if d.p.MagicBytes(0) != 0 || !q.open || q.windowStart != d.now || q.accepted != 3*units.MSS {
 				t.Fatalf("after the quiet window: magic %d, window open %v at %v holding %d B; want a reclaim and one restart at %v holding three packets",
@@ -489,11 +522,10 @@ func TestBurstShortcuts(t *testing.T) {
 				weights []float64
 				q1      int
 			}{{[]float64{1, 1, 1, 1}, 120}, {[]float64{1, 1, 2, 2}, 80}} {
-				cfg := diffConfig(1)
-				cfg.OnEvent = hook
-				d := newLayoutDiff(t, cfg, 0, func() *sched.Policy { return sched.WeightedFair(tc.weights...) })
-				d.burst(time.Microsecond, sized(0, 40), sized(1, tc.q1), sized(2, 2*units.MSS), sized(3, 2*units.MSS))
-				d.tick(time.Millisecond) // 500 B of budget
+				d := newLayoutDiff(t, diffConfig(1), 0, func() *sched.Policy { return sched.WeightedFair(tc.weights...) })
+				d.watch(hook)
+				d.burst(10*time.Microsecond, sized(0, 40), sized(1, tc.q1), sized(2, 2*units.MSS), sized(3, 2*units.MSS))
+				d.tick(10 * time.Millisecond) // 500 B of budget
 				if q := d.p.queues; q[0].length != 0 || q[2].length == 0 || q[2].length == 2*units.MSS {
 					t.Fatalf("weights %v: queues 0 and 2 hold %d and %d B; want 0 emptied by pass 1 and 2 part-drained by pass 2",
 						tc.weights, q[0].length, q[2].length)
@@ -501,42 +533,38 @@ func TestBurstShortcuts(t *testing.T) {
 			}
 		}},
 		// r_i*·T is remembered per occupied set and must not outlive a
-		// rate change, a policy change or a restore. At 4 Mbps the second
-		// burst would cross θ⁺ and fill; at 32 Mbps it must not.
+		// rate change, a policy change or a restore. At 400 kbps the second
+		// burst would cross θ⁺ and fill; at 3.2 Mbps it must not.
 		{"share memo across reconfiguration", func(t *testing.T, hook func(Event)) {
-			cfg := diffConfig(0)
-			cfg.OnEvent = hook
-			d := newLayoutDiff(t, cfg, 0)
-			d.burst(time.Microsecond, mss(0, 3)...)
-			d.setRate(32 * units.Mbps)
-			d.burst(time.Microsecond, mss(0, 8)...)
+			d := newLayoutDiff(t, diffConfig(0), 0)
+			d.watch(hook)
+			d.burst(10*time.Microsecond, mss(0, 3)...)
+			d.setRate(3200 * units.Kbps)
+			d.burst(10*time.Microsecond, mss(0, 8)...)
 			if m := d.p.MagicBytes(0); m != 0 {
 				t.Fatalf("%d magic bytes: the burst after SetRate was held to the old rate's θ⁺", m)
 			}
 			d.nextPolicy()
-			d.burst(time.Microsecond, append(mss(1, 4), mss(0, 4)...)...)
+			d.burst(10*time.Microsecond, append(mss(1, 4), mss(0, 4)...)...)
 			d.roundTrip()
-			d.burst(time.Microsecond, append(mss(1, 4), mss(3, 4)...)...)
-			d.setRate(units.Mbps)
-			d.burst(time.Microsecond, append(mss(1, 4), mss(3, 4)...)...)
+			d.burst(10*time.Microsecond, append(mss(1, 4), mss(3, 4)...)...)
+			d.setRate(100 * units.Kbps)
+			d.burst(10*time.Microsecond, append(mss(1, 4), mss(3, 4)...)...)
 		}},
 		// The ring fast paths hand over to the spill path: a real tail run
 		// that would pass 2 GiB, a packet that is itself past it, and a
 		// seventeenth run.
 		{"fast paths give way to the spill", func(t *testing.T, hook func(Event)) {
-			cfg := diffConfig(1 | 2)
-			cfg.OnEvent = hook
-			d := newLayoutDiff(t, cfg, 0, fair)
-			d.burst(time.Microsecond, sized(0, 1<<30), sized(0, 1<<30), sized(1, 1<<31), sized(0, 1<<30), sized(0, units.MSS))
+			d := newLayoutDiff(t, diffConfig(1|2), 0, fair)
+			d.watch(hook)
+			d.burst(10*time.Microsecond, sized(0, 1<<30), sized(0, 1<<30), sized(1, 1<<31), sized(0, 1<<30), sized(0, units.MSS))
 			if q := d.p.queues; !q[0].spilled || !q[1].spilled || q[0].length != 3<<30 {
 				t.Fatalf("queue 0 spilled %v holding %d B, queue 1 spilled %v; want both on the heap and queue 0 full", q[0].spilled, q[0].length, q[1].spilled)
 			}
-			cfg = diffConfig(0)
-			cfg.OnEvent = hook
-			cfg.Window, cfg.DrainBatch = 50*time.Millisecond, units.MSS
-			d = newLayoutDiff(t, cfg, 0, fair)
+			d = newLayoutDiff(t, altConfig(), 0, fair)
+			d.watch(hook)
 			d.batched = true
-			d.run(alternation(14))
+			alternate(d, 14)
 			if !d.p.queues[0].spilled || d.p.numRuns(0) <= ringCap {
 				t.Fatalf("alternation left %d runs (spilled %v); it no longer reaches a seventeenth", d.p.numRuns(0), d.p.queues[0].spilled)
 			}
@@ -545,38 +573,36 @@ func TestBurstShortcuts(t *testing.T) {
 		// class in without it being occupied, and behind a magic tail) and
 		// packets classified by flow key, unset or out of range.
 		{"zero-size and hash-classified packets", func(t *testing.T, hook func(Event)) {
-			cfg := diffConfig(0)
-			cfg.OnEvent = hook
-			d := newLayoutDiff(t, cfg, 0, fair)
+			d := newLayoutDiff(t, diffConfig(0), 0, fair)
+			d.watch(hook)
 			keyed := func(class, port, size int) packet.Packet {
 				return packet.Packet{Key: packet.FlowKey{SrcPort: uint16(port)}, Class: class, Size: size}
 			}
-			d.burst(time.Microsecond, sized(0, 0), sized(0, 0), sized(1, units.MSS), sized(2, 0),
+			d.burst(10*time.Microsecond, sized(0, 0), sized(0, 0), sized(1, units.MSS), sized(2, 0),
 				keyed(packet.NoClass, 7, units.MSS), keyed(4, 8, units.MSS), keyed(-7, 9, 0), keyed(99, 10, units.MSS))
-			d.burst(time.Microsecond, mss(1, 60)...)
+			d.burst(10*time.Microsecond, mss(1, 60)...)
 			if d.p.MagicBytes(1) == 0 {
 				t.Fatal("the flood left no magic tail")
 			}
-			d.burst(12*time.Millisecond, sized(1, 0), sized(1, 0), keyed(packet.NoClass, 7, 0), sized(1, units.MSS))
+			d.burst(120*time.Millisecond, sized(1, 0), sized(1, 0), keyed(packet.NoClass, 7, 0), sized(1, units.MSS))
 		}},
 		// The lazy FIFO, with no sync but the enforcer's own. A queue that
 		// empties forgets its stored runs and its tail at once, the refill
 		// accumulates in a fresh tail, and a drain takes its front off late.
 		{"empty and refill between syncs", func(t *testing.T, hook func(Event)) {
-			cfg := diffConfig(1)
-			cfg.OnEvent = hook
-			d := newLayoutDiff(t, cfg, 0, fair)
+			d := newLayoutDiff(t, diffConfig(1), 0, fair)
+			d.watch(hook)
 			d.lazy = true
-			d.burst(time.Microsecond, mss(0, 5)...)
+			d.burst(10*time.Microsecond, mss(0, 5)...)
 			d.fifo("the first burst")
-			d.burst(time.Microsecond, mss(0, 2)...)
-			d.tick(50 * time.Millisecond)
+			d.burst(10*time.Microsecond, mss(0, 2)...)
+			d.tick(500 * time.Millisecond)
 			if q := &d.p.queues[0]; q.length != 0 || q.n != 0 || q.tail != 0 {
 				t.Fatalf("emptied queue: length %d, %d stored runs, tail %d; want all forgotten", q.length, q.n, q.tail)
 			}
-			d.burst(time.Microsecond, mss(0, 3)...)
-			d.tick(2 * time.Millisecond)
-			d.burst(time.Microsecond, mss(0, 2)...)
+			d.burst(10*time.Microsecond, mss(0, 3)...)
+			d.tick(20 * time.Millisecond)
+			d.burst(10*time.Microsecond, mss(0, 2)...)
 			if q := &d.p.queues[0]; q.n != 0 || q.tail != 5*units.MSS || q.length >= 5*units.MSS {
 				t.Fatalf("refilled queue: %d stored runs, tail %d, length %d; want the refill in the tail and a drain pending", q.n, q.tail, q.length)
 			}
@@ -592,11 +618,11 @@ func TestBurstShortcuts(t *testing.T) {
 				name string
 				pull func(d *layoutDiff)
 			}{
-				{"fill", func(d *layoutDiff) { d.burst(time.Microsecond, mss(0, 5)...) }},
-				{"reclaim on arrival", func(d *layoutDiff) { d.burst(12*time.Millisecond, sized(0, 0)) }},
-				{"Tick", func(d *layoutDiff) { d.tick(12 * time.Millisecond) }},
-				{"SetRate", func(d *layoutDiff) { d.now += 12 * time.Millisecond; d.setRate(8 * units.Mbps) }},
-				{"SetPolicy", func(d *layoutDiff) { d.now += 12 * time.Millisecond; d.nextPolicy() }},
+				{"fill", func(d *layoutDiff) { d.burst(10*time.Microsecond, mss(0, 5)...) }},
+				{"reclaim on arrival", func(d *layoutDiff) { d.burst(120*time.Millisecond, sized(0, 0)) }},
+				{"Tick", func(d *layoutDiff) { d.tick(120 * time.Millisecond) }},
+				{"SetRate", func(d *layoutDiff) { d.now += 120 * time.Millisecond; d.setRate(800 * units.Kbps) }},
+				{"SetPolicy", func(d *layoutDiff) { d.now += 120 * time.Millisecond; d.nextPolicy() }},
 				{"SnapshotState", func(d *layoutDiff) {
 					if _, err := d.p.SnapshotState(d.now); err != nil {
 						t.Fatal(err)
@@ -605,13 +631,12 @@ func TestBurstShortcuts(t *testing.T) {
 				{"MagicBytes", func(d *layoutDiff) { d.p.MagicBytes(0) }},
 			}
 			for _, tr := range triggers {
-				cfg := diffConfig(0)
-				cfg.OnEvent = hook
-				d := newLayoutDiff(t, cfg, 0, fair, fair)
+				d := newLayoutDiff(t, diffConfig(0), 0, fair, fair)
+				d.watch(hook)
 				d.lazy = true
-				d.burst(time.Microsecond, mss(0, 10)...)
-				d.tick(20 * time.Millisecond)
-				d.burst(time.Millisecond, mss(0, 1)...)
+				d.burst(10*time.Microsecond, mss(0, 10)...)
+				d.tick(200 * time.Millisecond)
+				d.burst(10*time.Millisecond, mss(0, 1)...)
 				if q := &d.p.queues[0]; upToDate(d.p, 0) || q.tail != units.MSS || q.n != 2 {
 					t.Fatalf("%s: set-up left %d stored runs and a tail of %d; want the flood's two, a drain pending and a packet waiting", tr.name, q.n, q.tail)
 				}
@@ -627,16 +652,15 @@ func TestBurstShortcuts(t *testing.T) {
 		// straight to the back; and the real run that grows past a ring slot
 		// when the tail lands on it spills.
 		{"the tail hands over at 2 GiB", func(t *testing.T, hook func(Event)) {
-			cfg := diffConfig(1 | 2)
-			cfg.OnEvent = hook
-			d := newLayoutDiff(t, cfg, 0, fair)
+			d := newLayoutDiff(t, diffConfig(1|2), 0, fair)
+			d.watch(hook)
 			d.lazy = true
-			d.burst(time.Microsecond, sized(0, 1<<30), sized(0, 1<<30))
+			d.burst(10*time.Microsecond, sized(0, 1<<30), sized(0, 1<<30))
 			if q := &d.p.queues[0]; q.spilled || q.n != 1 || q.ring[0] != 1<<30 || q.tail != 1<<30 {
 				t.Fatalf("after 2 GiB: spilled %v, %d stored runs, tail %d; want the first GiB handed over and the second waiting", q.spilled, q.n, q.tail)
 			}
-			d.tick(time.Second) // 500 kB off the front, pending
-			d.burst(time.Microsecond, sized(0, 1<<30), sized(1, 1<<31), sized(1, units.MSS))
+			d.tick(10 * time.Second) // 500 kB off the front, pending
+			d.burst(10*time.Microsecond, sized(0, 1<<30), sized(1, 1<<31), sized(1, units.MSS))
 			if q := d.p.queues; q[0].spilled || q[0].n != 1 || q[0].tail != 1<<30 || !q[1].spilled || q[1].tail != 0 {
 				t.Fatalf("queue 0 spilled %v with %d runs and tail %d, queue 1 spilled %v with tail %d; want queue 0 in its ring after a second hand-over and queue 1 eager on the heap",
 					q[0].spilled, q[0].n, q[0].tail, q[1].spilled, q[1].tail)
@@ -652,11 +676,10 @@ func TestBurstShortcuts(t *testing.T) {
 		// finds no slot for it. Quiet then drains the FIFO back into the
 		// ring.
 		{"a seventeenth run at sync time", func(t *testing.T, hook func(Event)) {
-			cfg := diffConfig(0)
-			cfg.OnEvent = hook
-			cfg.Window, cfg.DrainBatch = 50*time.Millisecond, units.MSS
+			cfg := altConfig()
 			d := newLayoutDiff(t, cfg, 0, fair)
-			d.run(alternation(7))
+			d.watch(hook)
+			alternate(d, 7)
 			if q := &d.p.queues[0]; q.spilled || q.n != ringCap || d.p.run(0, ringCap-1) >= 0 {
 				t.Fatalf("alternation left %d runs (spilled %v); want a full ring ending in magic", d.p.numRuns(0), q.spilled)
 			}
@@ -709,25 +732,31 @@ func upToDate(p *PQP, c int) bool {
 // drains eat through the stored real run, into the magic behind it and
 // finally past it; the ring bytes stay as the last sync left them, and the
 // FIFO they imply is the reference's whenever it is looked at.
+//
+// The flood runs at 8 Mbps, where θ⁺·r_i*·T is 37.5 kB: each queue fills
+// with magic at its twenty-sixth packet and holds 39 kB real, 21 kB magic.
+// The flood's window closes at 400 kbps, so the queues are still all but
+// full when the bursts begin at 4 Mbps: a window of them then accepts about
+// r_i*·T, between θ⁻ and θ⁺ of it, and neither fills nor reclaims.
 func TestDrainLeavesFIFOLineUntouched(t *testing.T) {
 	// Where the front of the FIFO stands after so many bursts: in the real
 	// run, in the magic run, past every stored run.
 	for _, tc := range []struct {
 		bursts int
 		front  string
-	}{{10, "real"}, {25, "magic"}, {60, "tail"}} {
+	}{{10, "real"}, {30, "magic"}, {60, "tail"}} {
 		var fills, reclaims int
 		cfg := diffConfig(0)
-		cfg.Window, cfg.ThetaHi = 100*time.Millisecond, 3
-		cfg.OnEvent = func(e Event) {
+		cfg.Rate = 8 * units.Mbps
+		d := newLayoutDiff(t, cfg, 0, func() *sched.Policy { return nil })
+		d.watch(func(e Event) {
 			switch e.Kind {
 			case EventMagicFill:
 				fills++
 			case EventMagicReclaim:
 				reclaims++
 			}
-		}
-		d := newLayoutDiff(t, cfg, 0, func() *sched.Policy { return nil })
+		})
 		d.lazy = true
 		var flood, pairs []packet.Packet
 		for i := 0; i < 160; i++ {
@@ -736,8 +765,10 @@ func TestDrainLeavesFIFOLineUntouched(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			pairs = append(pairs, packet.Packet{Class: i % 4, Size: units.MSS})
 		}
-		d.burst(time.Microsecond, flood...)
+		d.burst(10*time.Microsecond, flood...)
+		d.setRate(400 * units.Kbps)
 		d.tick(101 * time.Millisecond) // closes the flood's window, busy: no reclaim
+		d.setRate(4 * units.Mbps)
 		d.fifo("the flood")
 		if fills != 4 || reclaims != 0 {
 			t.Fatalf("%d fills and %d reclaims after the flood, want one fill per queue", fills, reclaims)
@@ -785,22 +816,22 @@ func TestZeroSizeAcceptSnapshotRestores(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		d := newLayoutDiff(t, diffConfig(0), 0)
 		d.lazy = lazy
-		d.submit(time.Millisecond, 1, 0, false)
+		d.submit(10*time.Millisecond, 1, 0, false)
 		d.roundTrip()
 		for i := 0; i < 60; i++ {
-			d.submit(time.Microsecond, 1, units.MSS, false)
+			d.submit(10*time.Microsecond, 1, units.MSS, false)
 		}
-		d.submit(time.Microsecond, 1, 0, false)
+		d.submit(10*time.Microsecond, 1, 0, false)
 		if q := &d.ref.queues[1]; q.segs[len(q.segs)-1] != (refSegment{}) || !q.segs[len(q.segs)-2].magic {
 			t.Fatalf("the reference's queue ends in %+v; want a zero-byte run behind a magic one", q.segs[q.head:])
 		}
 		d.roundTrip()
-		d.submit(12*time.Millisecond, 1, units.MSS, false)
+		d.submit(120*time.Millisecond, 1, units.MSS, false)
 	}
 }
 
 // TestBurstStatsVisibleToHooks: a burst counts its aggregate statistics in
-// locals, except that whatever a Filter or OnEvent hook can see is already
+// locals, except that whatever a Filter or SetOnEvent hook can see is already
 // in EnforcerStats when the hook runs — every earlier packet for the filter,
 // the event's own packet too for the event.
 func TestBurstStatsVisibleToHooks(t *testing.T) {
@@ -818,7 +849,8 @@ func TestBurstStatsVisibleToHooks(t *testing.T) {
 		filtered++
 		return pkt.Size != 99
 	}
-	cfg.OnEvent = func(e Event) {
+	p = MustNew(cfg)
+	p.SetOnEvent(func(e Event) {
 		switch e.Kind {
 		case EventAccept, EventDrop, EventMark:
 			decided++
@@ -826,8 +858,7 @@ func TestBurstStatsVisibleToHooks(t *testing.T) {
 				t.Fatalf("event %d (%v) sees %d packets counted", decided, e.Kind, got)
 			}
 		}
-	}
-	p = MustNew(cfg)
+	})
 	pkts := make([]packet.Packet, 64)
 	for i := range pkts {
 		pkts[i] = packet.Packet{Class: i % 2, Size: units.MSS}
@@ -837,7 +868,7 @@ func TestBurstStatsVisibleToHooks(t *testing.T) {
 	}
 	verdicts := make([]enforcer.Verdict, len(pkts))
 	for b := 0; b < 3; b++ {
-		p.SubmitBatch(time.Duration(b)*12*time.Millisecond, pkts, verdicts)
+		p.SubmitBatch(time.Duration(b)*120*time.Millisecond, pkts, verdicts)
 	}
 	if st := p.EnforcerStats(); filtered != 3*64 || decided != filtered || st.DroppedPackets == 0 || st.AcceptedPackets == 0 {
 		t.Fatalf("%d filter calls, %d decisions, stats %+v", filtered, decided, st)
@@ -865,12 +896,12 @@ func TestManyQueuesEquivalence(t *testing.T) {
 		if step%5 == 0 {
 			class = step / 5 % 3 * 64 // the first queue of each mask word
 		}
-		d.submit(time.Duration(step%29)*31*time.Microsecond, class, 100+step*613%1400, false)
+		d.submit(time.Duration(step%29)*310*time.Microsecond, class, 100+step*613%1400, false)
 		switch {
 		case step%997 == 996:
 			d.nextPolicy()
 		case step%401 == 400:
-			d.tick(time.Duration(step%50) * time.Millisecond)
+			d.tick(time.Duration(step%50) * 10 * time.Millisecond)
 		case step%211 == 210:
 			// A burst through SubmitBatch, checked against the reference
 			// packet by packet.
@@ -889,13 +920,14 @@ func TestManyQueuesEquivalence(t *testing.T) {
 // plan over sixteen queues at the recommended queue size (ten times the Reno
 // requirement at 100 ms).
 func benchSubscriber(onEvent func(Event)) *PQP {
-	return MustNew(Config{
+	p := MustNew(Config{
 		Rate:         20 * units.Mbps,
 		Queues:       16,
 		QueueSize:    10 * units.RenoPhantomRequirement(20*units.Mbps, 100*time.Millisecond),
 		BurstControl: true,
-		OnEvent:      onEvent,
 	})
+	p.SetOnEvent(onEvent)
+	return p
 }
 
 // TestBytesPerSubscriber pins the memory a warmed-up subscriber holds. The
@@ -903,7 +935,7 @@ func benchSubscriber(onEvent func(Event)) *PQP {
 // sixteen flows offering 1×, 1.2×, … 4× a fair share (2.5× the plan in
 // all), sixteen bursts — one burst-control window and a half, during which
 // every queue above θ⁺ is filled with magic and then collects a real and a
-// sub-MSS magic run per drain. The budget is 2,048 B of queues, 320 B of
+// sub-MSS magic run per drain. The budget is 2,048 B of queues, 288 B of
 // PQP, 8 B of mask and what the few queues past sixteen runs spill.
 func TestBytesPerSubscriber(t *testing.T) {
 	const subs, bursts, burstLen = 1024, 16, 32
@@ -986,7 +1018,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		// Quiet for three windows: the second closes under θ⁻ and
 		// reclaims.
 		for w := 0; w < 3; w++ {
-			now += DefaultWindow
+			now += Window
 			p.Tick(now)
 		}
 	}

@@ -106,7 +106,7 @@ func NewRecorder(n int) *Recorder {
 	return &Recorder{buf: make([]Event, 0, n)}
 }
 
-// Record stores an event; pass it as Config.OnEvent.
+// Record stores an event; pass it to PQP.SetOnEvent.
 func (r *Recorder) Record(e Event) {
 	r.total++
 	if len(r.buf) < cap(r.buf) {

@@ -27,9 +27,9 @@ func TestObserverSeesLifecycle(t *testing.T) {
 	rec := NewRecorder(4096)
 	q := MustNew(Config{
 		Rate: 8 * units.Mbps, Queues: 1, QueueSize: 400 * units.MSS,
-		BurstControl: true, Window: 50 * time.Millisecond,
-		OnEvent: rec.Record,
+		BurstControl: true,
 	})
+	q.SetOnEvent(rec.Record)
 	now := time.Millisecond
 	// Burst far beyond θ⁺X: accepts, then a magic fill, then drops.
 	for i := 0; i < 300; i++ {
@@ -73,8 +73,8 @@ func TestObserverSeesMarks(t *testing.T) {
 			MinBytes: B / 10, MaxBytes: B, MaxProb: 0.5,
 			Weight: 0.2, Seed: 1, MarkECN: true,
 		},
-		OnEvent: rec.Record,
 	})
+	q.SetOnEvent(rec.Record)
 	now := time.Duration(0)
 	for i := 0; i < 500; i++ {
 		now += 500 * time.Microsecond // 3× overload

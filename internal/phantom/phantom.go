@@ -19,16 +19,18 @@
 // steady state without the giant slow-start burst an O(BDP²) queue would
 // otherwise admit. When the accept rate falls below θ⁻·r_i*·T the remaining
 // magic bytes are reclaimed so a departing flow frees its rate share
-// immediately.
+// immediately. θ⁺, θ⁻ and T are the paper's constants (ThetaHi, ThetaLo,
+// Window), not options: a Config carries only what a deployment chooses —
+// rate, queues, buffer size, policy, and the §3.3 extensions.
 //
 // # Layout
 //
 // The paper's pitch is that a subscriber costs counters, not objects, and
 // the state is laid out to keep that true at table scale. A PQP is three
-// allocations, none of them made after New: the PQP itself (320 bytes, a
+// allocations, none of them made after New: the PQP itself (288 bytes, a
 // malloc size class: configuration, aggregate statistics, the drain clock,
 // the share cache), the queue array, and one mask word per 64 queues (which
-// queues are occupied). A 16-queue subscriber is 2,376 bytes.
+// queues are occupied). A 16-queue subscriber is 2,344 bytes.
 //
 // A queue is 128 bytes, two cache lines, and holds no pointers, so the
 // collector never scans the array. The first line is what an admission
@@ -80,14 +82,17 @@ import (
 	"bcpqp/internal/units"
 )
 
-// Default burst-control parameters from §4 of the paper: θ⁺ and θ⁻ bound
-// New Reno's steady-state rate oscillation (4/3·r and 2/3·r, applied with
-// margin as 1.5 and 0.5), and T approximates a p99 WAN RTT.
+// The burst-control parameters of §4: θ⁺ and θ⁻ bound New Reno's
+// steady-state rate oscillation (4/3·r and 2/3·r, applied with margin as 1.5
+// and 0.5), and T approximates a p99 WAN RTT.
 const (
-	DefaultThetaHi = 1.5
-	DefaultThetaLo = 0.5
-	DefaultWindow  = 100 * time.Millisecond
+	ThetaHi = 1.5
+	ThetaLo = 0.5
+	Window  = 100 * time.Millisecond
 )
+
+// windowSec is Window in seconds, the T of X_i = r_i*·T.
+const windowSec = float64(Window) / float64(time.Second)
 
 // Config configures a PQP or BC-PQP enforcer for one traffic aggregate.
 type Config struct {
@@ -105,20 +110,10 @@ type Config struct {
 	// Policy is the rate-sharing policy across queues. Nil means per-flow
 	// fairness (equal-weight sharing over Queues classes).
 	Policy *sched.Policy
-	// BurstControl enables the BC-PQP mechanism. When false the enforcer
-	// is plain PQP.
+	// BurstControl enables the BC-PQP mechanism with the paper's θ⁺,
+	// θ⁻ and T (ThetaHi, ThetaLo, Window). When false the enforcer is
+	// plain PQP.
 	BurstControl bool
-	// ThetaHi, ThetaLo, Window are the burst-control parameters θ⁺, θ⁻
-	// and T. Zero values select the paper defaults.
-	ThetaHi float64
-	ThetaLo float64
-	Window  time.Duration
-	// DrainBatch is the minimum accumulated drain budget (bytes) before
-	// a full-queue arrival triggers the batched phantom dequeue. Larger
-	// values amortize dequeue work over more packets at the cost of up
-	// to DrainBatch bytes of extra admission burstiness (negligible
-	// next to B). Zero selects 4 MSS.
-	DrainBatch int64
 	// RED optionally enables RED-style early drops on the simulated
 	// occupancy (the §3.3 active-queue-management extension).
 	RED *REDConfig
@@ -126,11 +121,6 @@ type Config struct {
 	// criteria before any queue accounting (the §3.3 access-control
 	// extension). Returning false drops the packet.
 	Filter func(pkt packet.Packet) bool
-	// OnEvent, when set, observes every queue transition (accepts,
-	// drops, marks, magic fills and reclaims) synchronously — the hook
-	// production deployments use for flight recording and debugging.
-	// Handlers must be fast and must not call back into the enforcer.
-	OnEvent func(Event)
 }
 
 // PQP is a phantom-queue policer (optionally burst-controlled) for a single
@@ -142,13 +132,22 @@ type PQP struct {
 	// let go.
 	cfg   Config
 	stats enforcer.Stats
+	// onEvent is the observability hook SetOnEvent installs; nil when
+	// nothing watches.
+	onEvent func(Event)
 
 	// All per-queue state (see queue).
 	queueTable
 
 	lastDrain   time.Duration
 	drainCredit float64 // fractional bytes of drain budget carried over
-	windowSec   float64 // cfg.Window in seconds
+	// drainBatch is the drain budget (bytes) that must accrue before a
+	// full-queue arrival runs the batched phantom dequeue: 4 MSS, capped
+	// at a quarter of the queue so tiny queues still free space at
+	// per-packet granularity, and never below one MSS. It amortizes
+	// dequeue work over several packets at the cost of at most drainBatch
+	// bytes of extra admission burstiness, negligible next to B.
+	drainBatch int64
 
 	// weights is the whole policy when it is single-level weighted (fair,
 	// weighted fair): r_i* = rate·w_i/Σ_occupied w and the GPS drain are
@@ -185,38 +184,10 @@ func New(cfg Config) (*PQP, error) {
 		return nil, fmt.Errorf("phantom: policy covers %d classes but enforcer has %d queues",
 			cfg.Policy.NumClasses(), cfg.Queues)
 	}
-	if cfg.ThetaHi == 0 {
-		cfg.ThetaHi = DefaultThetaHi
-	}
-	if cfg.ThetaLo == 0 {
-		cfg.ThetaLo = DefaultThetaLo
-	}
-	if cfg.Window == 0 {
-		cfg.Window = DefaultWindow
-	}
-	if cfg.BurstControl {
-		if cfg.ThetaHi <= cfg.ThetaLo {
-			return nil, fmt.Errorf("phantom: θ+ (%v) must exceed θ- (%v)", cfg.ThetaHi, cfg.ThetaLo)
-		}
-		if cfg.Window <= 0 {
-			return nil, fmt.Errorf("phantom: non-positive window %v", cfg.Window)
-		}
-	}
-	if cfg.DrainBatch <= 0 {
-		cfg.DrainBatch = 4 * units.MSS
-	}
-	// Keep the batch a small fraction of the queue so tiny queues still
-	// free space at per-packet granularity.
-	if maxBatch := cfg.QueueSize / 4; cfg.DrainBatch > maxBatch {
-		cfg.DrainBatch = maxBatch
-		if cfg.DrainBatch < units.MSS {
-			cfg.DrainBatch = units.MSS
-		}
-	}
 	p := &PQP{
 		cfg:        cfg,
 		queueTable: newQueueTable(cfg.Queues),
-		windowSec:  cfg.Window.Seconds(),
+		drainBatch: max(min(4*units.MSS, cfg.QueueSize/4), units.MSS),
 	}
 	p.installPolicy(cfg.Policy)
 	if cfg.RED != nil {
@@ -287,17 +258,17 @@ func (p *PQP) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
 		return enforcer.Drop
 	}
 
-	if p.cfg.BurstControl && q.windowDue(now, p.cfg.Window) {
+	if p.cfg.BurstControl && q.windowDue(now) {
 		p.closeWindow(now, class, q)
 	}
 
 	// Drop-tail admission on the simulated buffer, with batched lazy
 	// dequeues applied only when the stale occupancy looks full AND at
-	// least DrainBatch bytes of drain budget have accrued (amortizing
+	// least drainBatch bytes of drain budget have accrued (amortizing
 	// dequeue work over several packets; unapplied budget is never
 	// lost, so the long-term rate is exact).
 	if q.length+size > p.cfg.QueueSize || p.red != nil {
-		if p.drainCredit+p.cfg.Rate.Bytes(now-p.lastDrain) >= float64(p.cfg.DrainBatch) {
+		if p.drainCredit+p.cfg.Rate.Bytes(now-p.lastDrain) >= float64(p.drainBatch) {
 			p.advance(now)
 		}
 	}
@@ -352,7 +323,7 @@ func (p *PQP) accept(now time.Duration, class int, q *queue, size int64) {
 		// High-threshold check: if this queue accepted more than
 		// θ⁺·r_i*·T in the current window, fill it with magic bytes.
 		x := p.expectedWindowBytes(class)
-		if x > 0 && float64(q.accepted) > p.cfg.ThetaHi*x {
+		if x > 0 && float64(q.accepted) > ThetaHi*x {
 			p.fillMagic(now, class, q)
 		}
 	}
@@ -360,23 +331,27 @@ func (p *PQP) accept(now time.Duration, class int, q *queue, size int64) {
 
 // emit publishes an observability event when a handler is attached.
 func (p *PQP) emit(now time.Duration, class int, kind EventKind, bytes, qlen int64) {
-	if p.cfg.OnEvent != nil {
-		p.cfg.OnEvent(Event{Time: now, Class: class, Kind: kind, Bytes: bytes, QueueLen: qlen})
+	if p.onEvent != nil {
+		p.onEvent(Event{Time: now, Class: class, Kind: kind, Bytes: bytes, QueueLen: qlen})
 	}
 }
 
 // emitDrop publishes an EventDrop qualified with its reason.
 func (p *PQP) emitDrop(now time.Duration, class int, size, qlen int64, reason DropReason) {
-	if p.cfg.OnEvent != nil {
-		p.cfg.OnEvent(Event{Time: now, Class: class, Kind: EventDrop, Bytes: size, QueueLen: qlen, Reason: reason})
+	if p.onEvent != nil {
+		p.onEvent(Event{Time: now, Class: class, Kind: EventDrop, Bytes: size, QueueLen: qlen, Reason: reason})
 	}
 }
 
-// SetOnEvent installs or replaces the observability hook. It mutates
-// enforcer state: call it only from the goroutine that owns the enforcer
-// (under mbox, via Engine.Update so it runs on the owning shard), never
-// concurrently with Submit or Tick. A nil fn detaches the hook.
-func (p *PQP) SetOnEvent(fn func(Event)) { p.cfg.OnEvent = fn }
+// SetOnEvent installs or replaces the observability hook, which observes
+// every queue transition (accepts, drops, marks, magic fills and reclaims)
+// synchronously — the hook production deployments use for flight recording
+// and debugging. Handlers must be fast and must not call back into the
+// enforcer. SetOnEvent mutates enforcer state: call it only from the
+// goroutine that owns the enforcer (under mbox, via Engine.Update so it runs
+// on the owning shard), never concurrently with Submit or Tick. A nil fn
+// detaches the hook.
+func (p *PQP) SetOnEvent(fn func(Event)) { p.onEvent = fn }
 
 // Probe reports whether a packet would be admitted at now, applying the
 // same batched lazy drains as Submit but changing no admission state. It
@@ -394,7 +369,7 @@ func (p *PQP) Probe(now time.Duration, pkt *packet.Packet) bool {
 	q := &p.queues[class]
 	size := int64(pkt.Size)
 	if q.length+size > p.cfg.QueueSize {
-		if p.drainCredit+p.cfg.Rate.Bytes(now-p.lastDrain) >= float64(p.cfg.DrainBatch) {
+		if p.drainCredit+p.cfg.Rate.Bytes(now-p.lastDrain) >= float64(p.drainBatch) {
 			p.advance(now)
 		}
 	}
@@ -408,7 +383,7 @@ func (p *PQP) Commit(now time.Duration, pkt *packet.Packet) {
 	class := pkt.ClassIn(p.cfg.Queues)
 	q := &p.queues[class]
 	size := int64(pkt.Size)
-	if p.cfg.BurstControl && q.windowDue(now, p.cfg.Window) {
+	if p.cfg.BurstControl && q.windowDue(now) {
 		p.closeWindow(now, class, q)
 	}
 	p.stats.Accept(pkt.Size)
@@ -424,7 +399,7 @@ func (p *PQP) Tick(now time.Duration) {
 	p.advance(now)
 	if p.cfg.BurstControl {
 		for i := range p.queues {
-			if q := &p.queues[i]; q.windowDue(now, p.cfg.Window) {
+			if q := &p.queues[i]; q.windowDue(now) {
 				p.closeWindow(now, i, q)
 			}
 		}
@@ -544,8 +519,8 @@ func (p *PQP) sumWeights() float64 {
 // windowDue reports whether q has a burst-control window open that has run
 // its length by now: the guard in front of every closeWindow, false again as
 // soon as that has run (the window is gone or restarted at now < now + T).
-func (q *queue) windowDue(now, window time.Duration) bool {
-	return q.open && now >= q.windowStart+window
+func (q *queue) windowDue(now time.Duration) bool {
+	return q.open && now >= q.windowStart+Window
 }
 
 // closeWindow closes queue class's expired burst-control window (windowDue):
@@ -555,7 +530,7 @@ func (q *queue) windowDue(now, window time.Duration) bool {
 func (p *PQP) closeWindow(now time.Duration, class int, q *queue) {
 	// An empty queue holds no magic, so r_i* is only worked out for
 	// queues that might reclaim.
-	if q.length > 0 && float64(q.accepted) < p.cfg.ThetaLo*p.expectedWindowBytes(class) {
+	if q.length > 0 && float64(q.accepted) < ThetaLo*p.expectedWindowBytes(class) {
 		if reclaimed := p.reclaimMagic(class); reclaimed > 0 {
 			p.emit(now, class, EventMagicReclaim, reclaimed, q.length)
 		}
@@ -583,11 +558,11 @@ func (p *PQP) expectedWindowBytes(class int) float64 {
 			*p.occupiedWord(class) |= bit
 			wsum := p.sumWeights()
 			*p.occupiedWord(class) &^= bit
-			return rate * w[class] / wsum * p.windowSec
+			return rate * w[class] / wsum * windowSec
 		}
 		wsum := p.occupiedWeight()
 		if c := p.memoClass; c < 0 || w[c] != w[class] {
-			p.memoClass, p.memoBytes = int32(class), rate*w[class]/wsum*p.windowSec
+			p.memoClass, p.memoBytes = int32(class), rate*w[class]/wsum*windowSec
 		}
 		return p.memoBytes
 	}
@@ -597,7 +572,7 @@ func (p *PQP) expectedWindowBytes(class int) float64 {
 			p.shares)
 		p.sharesValid = p.queues[class].length > 0
 	}
-	return p.shares[class] * p.windowSec
+	return p.shares[class] * windowSec
 }
 
 // fillMagic vacuously fills q to capacity with magic bytes.

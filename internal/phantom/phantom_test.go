@@ -25,8 +25,6 @@ func TestValidation(t *testing.T) {
 		{"no queues", Config{Rate: units.Mbps, QueueSize: 10 * units.MSS}, false},
 		{"tiny queue", Config{Rate: units.Mbps, Queues: 1, QueueSize: 10}, false},
 		{"ok", Config{Rate: units.Mbps, Queues: 2, QueueSize: 10 * units.MSS}, true},
-		{"bad thetas", Config{Rate: units.Mbps, Queues: 1, QueueSize: 10 * units.MSS,
-			BurstControl: true, ThetaHi: 0.4, ThetaLo: 0.5}, false},
 		{"policy mismatch", Config{Rate: units.Mbps, Queues: 1, QueueSize: 10 * units.MSS,
 			Policy: sched.Fair(4)}, false},
 	}
@@ -45,8 +43,9 @@ func TestSingleQueueMatchesTokenBucket(t *testing.T) {
 	const B = 20 * units.MSS
 	rate := 8 * units.Mbps // 1 MB/s
 
-	// DrainBatch 1 byte = eager dequeues, the exact §3.1 equivalence.
-	q := MustNew(Config{Rate: rate, Queues: 1, QueueSize: B, DrainBatch: 1})
+	// A Tick before every Submit spends all accrued drain budget: eager
+	// dequeues, the exact §3.1 equivalence.
+	q := MustNew(Config{Rate: rate, Queues: 1, QueueSize: B})
 
 	// Token-bucket reference, starting full.
 	tokens := float64(B)
@@ -71,6 +70,7 @@ func TestSingleQueueMatchesTokenBucket(t *testing.T) {
 			refAccepted++
 		}
 
+		q.Tick(now)
 		if q.Submit(now, p) == enforcer.Transmit {
 			accepted++
 		}
@@ -86,14 +86,15 @@ func TestSingleQueueMatchesTokenBucket(t *testing.T) {
 func TestBatchedDrainStaysNearEagerDrain(t *testing.T) {
 	const B = 40 * units.MSS
 	rate := 8 * units.Mbps
-	eager := MustNew(Config{Rate: rate, Queues: 1, QueueSize: B, DrainBatch: 1})
-	batched := MustNew(Config{Rate: rate, Queues: 1, QueueSize: B}) // default batch
+	eager := MustNew(Config{Rate: rate, Queues: 1, QueueSize: B}) // Tick before each Submit
+	batched := MustNew(Config{Rate: rate, Queues: 1, QueueSize: B})
 
 	now := time.Duration(0)
 	var accEager, accBatched int64
 	for i := 0; i < 20000; i++ {
 		now += 900 * time.Microsecond // ~1.7 MB/s offered vs 1 MB/s drained
 		p := pkt(0, units.MSS)
+		eager.Tick(now)
 		if eager.Submit(now, p) == enforcer.Transmit {
 			accEager++
 		}
@@ -257,7 +258,7 @@ func TestMagicFillOnBurst(t *testing.T) {
 	rate := 8 * units.Mbps // 1 MB/s
 	q := MustNew(Config{
 		Rate: rate, Queues: 1, QueueSize: 1000 * units.MSS,
-		BurstControl: true, Window: 100 * time.Millisecond,
+		BurstControl: true,
 	})
 	// X = 100 KB per window; θ⁺X = 150 KB = 100 packets.
 	now := time.Millisecond
@@ -286,7 +287,7 @@ func TestNoMagicFillAtModestRate(t *testing.T) {
 	rate := 8 * units.Mbps
 	q := MustNew(Config{
 		Rate: rate, Queues: 1, QueueSize: 1000 * units.MSS,
-		BurstControl: true, Window: 100 * time.Millisecond,
+		BurstControl: true,
 	})
 	// Offer exactly r: 1 MSS per 1.5 ms.
 	now := time.Duration(0)
@@ -306,7 +307,7 @@ func TestMagicReclaimOnIdle(t *testing.T) {
 	rate := 8 * units.Mbps
 	q := MustNew(Config{
 		Rate: rate, Queues: 1, QueueSize: 1000 * units.MSS,
-		BurstControl: true, Window: 100 * time.Millisecond,
+		BurstControl: true,
 	})
 	now := time.Millisecond
 	for i := 0; i < 150; i++ {
@@ -333,7 +334,7 @@ func TestMagicDoesNotCorruptRealBytes(t *testing.T) {
 	rate := 8 * units.Mbps
 	q := MustNew(Config{
 		Rate: rate, Queues: 1, QueueSize: 500 * units.MSS,
-		BurstControl: true, Window: 50 * time.Millisecond,
+		BurstControl: true,
 	})
 	now := time.Millisecond
 	var accepted int64
@@ -361,7 +362,7 @@ func TestBurstControlAutotunesShare(t *testing.T) {
 	rate := 8 * units.Mbps
 	q := MustNew(Config{
 		Rate: rate, Queues: 2, QueueSize: 1000 * units.MSS,
-		BurstControl: true, Window: 100 * time.Millisecond,
+		BurstControl: true,
 	})
 	now := time.Millisecond
 	// Make queue 1 active with a small backlog.
@@ -414,13 +415,15 @@ func TestHashClassification(t *testing.T) {
 // nothing goes negative, and length never exceeds B.
 func TestSegmentInvariants(t *testing.T) {
 	f := func(ops []uint16, burstControl bool) bool {
+		// A fifth of the rate and five times the clock steps of a 20 ms
+		// window's run: at T = 100 ms every byte count is the same.
 		q := MustNew(Config{
-			Rate: 8 * units.Mbps, Queues: 4, QueueSize: 50 * units.MSS,
-			BurstControl: burstControl, Window: 20 * time.Millisecond,
+			Rate: 1600 * units.Kbps, Queues: 4, QueueSize: 50 * units.MSS,
+			BurstControl: burstControl,
 		})
 		now := time.Duration(0)
 		for _, op := range ops {
-			now += time.Duration(op%5000) * time.Microsecond
+			now += time.Duration(op%5000) * 5 * time.Microsecond
 			class := int(op % 4)
 			size := 100 + int(op%3)*700
 			q.Submit(now, pkt(class, size))
@@ -431,7 +434,7 @@ func TestSegmentInvariants(t *testing.T) {
 				}
 			}
 			if op%7 == 0 {
-				now += time.Duration(op%100) * time.Millisecond
+				now += time.Duration(op%100) * 5 * time.Millisecond
 				q.Tick(now)
 			}
 		}

@@ -77,7 +77,7 @@ type queueTable struct {
 	// sets it when it caches something computed from that set. started and
 	// memoClass are the PQP's alone (its drain clock is set; the class its
 	// r_i* memo is for) and live in this word's padding, which is what
-	// keeps a PQP inside the 320-byte size class.
+	// keeps a PQP inside the 288-byte size class.
 	sharesValid bool
 	started     bool
 	memoClass   int32

@@ -13,7 +13,7 @@ import (
 // flattened, kept as the reference the differential tests compare against:
 // one segment deque per queue, a maintained magic counter, every share read
 // from the policy tree through closures. It is the old Submit path verbatim
-// minus events, filters and batching, and takes an already validated Config.
+// minus events, filters and batching, and mirrors an already built PQP.
 
 type refSegment struct {
 	bytes int64
@@ -102,16 +102,18 @@ type refPQP struct {
 	flatWeights []float64
 	red         []redState
 	started     bool
+	drainBatch  int64
 }
 
-// newRef mirrors p, which New has validated and filled with defaults; policy
-// is the tree p was configured with (nil for the default).
+// newRef mirrors p, which New has validated and sized the drain batch of;
+// policy is the tree p was configured with (nil for the default).
 func newRef(p *PQP, policy *sched.Policy) *refPQP {
 	r := &refPQP{
-		cfg:    p.cfg,
-		queues: make([]refQueue, p.cfg.Queues),
-		shares: make([]float64, p.cfg.Queues),
-		red:    append([]redState(nil), p.red...),
+		cfg:        p.cfg,
+		drainBatch: p.drainBatch,
+		queues:     make([]refQueue, p.cfg.Queues),
+		shares:     make([]float64, p.cfg.Queues),
+		red:        append([]redState(nil), p.red...),
 	}
 	r.setPolicy(policy)
 	return r
@@ -137,7 +139,7 @@ func (r *refPQP) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
 		r.rollWindow(now, class)
 	}
 	if q.length+size > r.cfg.QueueSize || r.red != nil {
-		if r.drainCredit+r.cfg.Rate.Bytes(now-r.lastDrain) >= float64(r.cfg.DrainBatch) {
+		if r.drainCredit+r.cfg.Rate.Bytes(now-r.lastDrain) >= float64(r.drainBatch) {
 			r.advance(now)
 		}
 	}
@@ -170,7 +172,7 @@ func (r *refPQP) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
 			q.windowOpen, q.windowStart, q.accepted = true, now, 0
 		}
 		q.accepted += size
-		if x := r.expectedWindowBytes(class); x > 0 && float64(q.accepted) > r.cfg.ThetaHi*x {
+		if x := r.expectedWindowBytes(class); x > 0 && float64(q.accepted) > ThetaHi*x {
 			if m := r.cfg.QueueSize - q.length; m > 0 {
 				q.segs = append(q.segs, refSegment{bytes: m, magic: true})
 				q.magic += m
@@ -298,11 +300,11 @@ func (r *refPQP) flatDrain(budget int64) {
 
 func (r *refPQP) rollWindow(now time.Duration, class int) {
 	q := &r.queues[class]
-	if !q.windowOpen || now < q.windowStart+r.cfg.Window {
+	if !q.windowOpen || now < q.windowStart+Window {
 		return
 	}
 	x := r.expectedWindowBytes(class)
-	if float64(q.accepted) < r.cfg.ThetaLo*x && q.magic > 0 {
+	if float64(q.accepted) < ThetaLo*x && q.magic > 0 {
 		q.reclaimMagic()
 		if q.length == 0 {
 			r.sharesValid = false
@@ -322,5 +324,5 @@ func (r *refPQP) expectedWindowBytes(class int) float64 {
 			r.shares)
 		r.sharesValid = r.queues[class].length > 0
 	}
-	return r.shares[class] * r.cfg.Window.Seconds()
+	return r.shares[class] * Window.Seconds()
 }

@@ -12,15 +12,17 @@ import (
 // fed to RestoreState must either be rejected with an error or produce a
 // fully functional enforcer whose invariants hold and whose own snapshot
 // round-trips. It must never panic, and a hostile blob must never
-// materialize state exceeding the receiver's configured queue bounds.
+// materialize state exceeding the receiver's configured queue bounds. Rate
+// and clock steps are a twentieth and twenty times those of the 5 ms window
+// the seeds were first traced under, so at T = 100 ms they hold the same
+// bytes.
 func FuzzRestoreState(f *testing.F) {
 	mk := func() *PQP {
 		return MustNew(Config{
-			Rate:         8 * units.Mbps,
+			Rate:         400 * units.Kbps,
 			Queues:       3,
 			QueueSize:    30 * units.MSS,
 			BurstControl: true,
-			Window:       5 * time.Millisecond,
 		})
 	}
 
@@ -29,7 +31,7 @@ func FuzzRestoreState(f *testing.F) {
 	seedSrc := mk()
 	now := time.Duration(0)
 	for i := 0; i < 200; i++ {
-		now += 50 * time.Microsecond
+		now += time.Millisecond
 		seedSrc.Submit(now, packet.Packet{
 			Key:   packet.FlowKey{SrcPort: uint16(i % 5)},
 			Class: i % 3,
@@ -61,7 +63,7 @@ func FuzzRestoreState(f *testing.F) {
 		}
 		// ...still enforce without panicking...
 		for i := 0; i < 50; i++ {
-			at += 100 * time.Microsecond
+			at += 2 * time.Millisecond
 			q.Submit(at, packet.Packet{Class: i % 3, Size: units.MSS})
 		}
 		// ...and snapshot its own state into a blob a twin accepts.

@@ -238,7 +238,8 @@ func TestReorderingToleratedByDupThresh(t *testing.T) {
 	}
 }
 
-// TestAddDataOnBackloggedIsNoop and other small API edges.
+// TestAddDataEdges: AddData is a no-op on a backlogged flow and ignores a
+// negative count on a finite one.
 func TestAddDataEdges(t *testing.T) {
 	loop, flow, _ := fixedRig(t, 10, 0, nil) // backlogged
 	flow.AddData(1000)                       // no-op on backlogged flows

@@ -48,6 +48,9 @@ func (c *counted) count(n, size int) {
 	c.bytes += int64(n) * int64(size)
 }
 
+// pktSize is every generator's packet size: full-MSS segments.
+const pktSize = units.MSS
+
 // fillBurst writes n flood packets for flow into buf.
 func fillBurst(buf []packet.Packet, n int, key packet.FlowKey, size, class int) {
 	for i := 0; i < n; i++ {
@@ -62,11 +65,6 @@ type FloodConfig struct {
 	Rate units.Rate
 	// Duration is the schedule length.
 	Duration time.Duration
-	// PktSize is the packet size in bytes (default units.MSS).
-	PktSize int
-	// Burst is the packets per emitted burst (default 32, the rx_burst
-	// shape the engine ingests).
-	Burst int
 	// Period and Duty make the flood bursty: traffic is sent only during
 	// the first Duty fraction of each Period, at Rate/Duty, so the
 	// average offered rate stays Rate but arrives in hard on/off slabs.
@@ -80,6 +78,10 @@ type FloodConfig struct {
 	SrcIP uint32
 }
 
+// floodBurst is the packets per emitted flood burst: the rx_burst shape the
+// engine ingests.
+const floodBurst = 32
+
 // Flood is a UDP-flood source: constant-rate or bursty, and entirely
 // drop-blind. This is the case policers exist for (§1): traffic that does
 // not respond to congestion signals must be rate-enforced, not persuaded.
@@ -90,15 +92,9 @@ type Flood struct {
 	flow int
 }
 
-// NewFlood builds a flood schedule. The zero-value niceties: PktSize
-// defaults to MSS, Burst to 32, Flows to 1; Duty is clamped to (0, 1].
+// NewFlood builds a flood schedule. The zero-value niceties: Flows
+// defaults to 1; Duty is clamped to (0, 1].
 func NewFlood(cfg FloodConfig) *Flood {
-	if cfg.PktSize <= 0 {
-		cfg.PktSize = units.MSS
-	}
-	if cfg.Burst <= 0 {
-		cfg.Burst = 32
-	}
 	if cfg.Flows <= 0 {
 		cfg.Flows = 1
 	}
@@ -123,7 +119,7 @@ func (f *Flood) Next(buf []packet.Packet) (time.Duration, int, bool) {
 	if f.t >= cfg.Duration {
 		return 0, 0, false
 	}
-	n := cfg.Burst
+	n := floodBurst
 	if n > len(buf) {
 		n = len(buf)
 	}
@@ -132,15 +128,15 @@ func (f *Flood) Next(buf []packet.Packet) (time.Duration, int, bool) {
 	}
 	key := packet.FlowKey{SrcIP: cfg.SrcIP + 1, DstIP: 0xC0A80001,
 		SrcPort: uint16(f.flow%cfg.Flows + 1), DstPort: 9, Proto: 17}
-	fillBurst(buf, n, key, cfg.PktSize, f.flow%16)
+	fillBurst(buf, n, key, pktSize, f.flow%16)
 	f.flow++
 	at := f.t
 	peak := cfg.Rate
 	if bursty {
 		peak = units.Rate(float64(cfg.Rate) / cfg.Duty)
 	}
-	f.t += peak.DurationForBytes(int64(n) * int64(cfg.PktSize))
-	f.count(n, cfg.PktSize)
+	f.t += peak.DurationForBytes(int64(n) * pktSize)
+	f.count(n, pktSize)
 	return at, n, true
 }
 
@@ -152,11 +148,6 @@ type FlashCrowdConfig struct {
 	// Window is the interval the arrivals land in (the ROADMAP scenario
 	// uses 1 s).
 	Window time.Duration
-	// BurstPkts is the size of each new aggregate's initial burst
-	// (default 4 — a request, not a bulk transfer).
-	BurstPkts int
-	// PktSize is the packet size in bytes (default units.MSS).
-	PktSize int
 	// Prefix namespaces the generated aggregate ids (default "crowd").
 	Prefix string
 }
@@ -172,6 +163,10 @@ type Arrival struct {
 	Index int
 }
 
+// helloPkts is the size of each flash-crowd arrival's initial burst: a
+// request, not a bulk transfer.
+const helloPkts = 4
+
 // FlashCrowd is an aggregate-arrival source: Aggregates new aggregates
 // land uniformly inside Window, each with a small initial burst. It
 // exercises the registry lifecycle — Add and Remove churn, slot and handle
@@ -186,12 +181,6 @@ type FlashCrowd struct {
 // NewFlashCrowd draws the arrival schedule from src (deterministic per
 // seed) and sorts it.
 func NewFlashCrowd(src *rng.Source, cfg FlashCrowdConfig) *FlashCrowd {
-	if cfg.BurstPkts <= 0 {
-		cfg.BurstPkts = 4
-	}
-	if cfg.PktSize <= 0 {
-		cfg.PktSize = units.MSS
-	}
 	if cfg.Prefix == "" {
 		cfg.Prefix = "crowd"
 	}
@@ -230,14 +219,14 @@ func (c *FlashCrowd) NextArrival() (Arrival, bool) {
 // HelloBurst fills buf with arrival i's initial burst and counts it as
 // offered load.
 func (c *FlashCrowd) HelloBurst(i int, buf []packet.Packet) int {
-	n := c.cfg.BurstPkts
+	n := helloPkts
 	if n > len(buf) {
 		n = len(buf)
 	}
 	key := packet.FlowKey{SrcIP: uint32(i + 1), DstIP: 0xC0A80001,
 		SrcPort: uint16(i%65535 + 1), DstPort: 443, Proto: 6}
-	fillBurst(buf, n, key, c.cfg.PktSize, i%16)
-	c.count(n, c.cfg.PktSize)
+	fillBurst(buf, n, key, pktSize, i%16)
+	c.count(n, pktSize)
 	return n
 }
 
@@ -250,14 +239,6 @@ type SwarmConfig struct {
 	Flows int
 	// Duration is the schedule length.
 	Duration time.Duration
-	// MinRTT/MaxRTT bound the per-flow pacing interval, drawn uniformly
-	// (defaults: the paper's 2–50 ms netem range).
-	MinRTT, MaxRTT time.Duration
-	// MinWin/MaxWin bound the per-flow window in packets sent each RTT
-	// (defaults 2 and 32).
-	MinWin, MaxWin int
-	// PktSize is the packet size in bytes (default units.MSS).
-	PktSize int
 	// SrcIP namespaces the swarm's flow keys.
 	SrcIP uint32
 }
@@ -272,6 +253,13 @@ type swarmFlow struct {
 	left   int64 // bytes remaining (storms); <0 means unbounded (swarms)
 	class  int
 }
+
+// A swarm flow's pacing interval is drawn uniformly from the paper's 2–50 ms
+// netem range, and its window, the packets it sends each RTT, from 2–32.
+const (
+	swarmMinRTT, swarmMaxRTT = 2 * time.Millisecond, 50 * time.Millisecond
+	swarmMinWin, swarmMaxWin = 2, 32
+)
 
 // Swarm is a mixed-RTT swarm: Flows open-loop senders, each pacing a fixed
 // window of packets once per RTT, with RTTs spread across the full netem
@@ -289,31 +277,16 @@ func NewSwarm(src *rng.Source, cfg SwarmConfig) *Swarm {
 	if cfg.Flows <= 0 {
 		cfg.Flows = 64
 	}
-	if cfg.MinRTT <= 0 {
-		cfg.MinRTT = 2 * time.Millisecond
-	}
-	if cfg.MaxRTT <= 0 {
-		cfg.MaxRTT = 50 * time.Millisecond
-	}
-	if cfg.MinWin <= 0 {
-		cfg.MinWin = 2
-	}
-	if cfg.MaxWin <= 0 {
-		cfg.MaxWin = 32
-	}
-	if cfg.PktSize <= 0 {
-		cfg.PktSize = units.MSS
-	}
 	s := &Swarm{cfg: cfg}
 	s.flows = make([]swarmFlow, cfg.Flows)
 	for i := range s.flows {
 		r := src.Split(uint64(i))
-		rtt := time.Duration(r.Range(float64(cfg.MinRTT), float64(cfg.MaxRTT)))
+		rtt := time.Duration(r.Range(float64(swarmMinRTT), float64(swarmMaxRTT)))
 		s.flows[i] = swarmFlow{
 			key: packet.FlowKey{SrcIP: cfg.SrcIP + 1, DstIP: 0xC0A80001,
 				SrcPort: uint16(i + 1), DstPort: 443, Proto: 6},
 			rtt:    rtt,
-			win:    cfg.MinWin + r.IntN(cfg.MaxWin-cfg.MinWin+1),
+			win:    swarmMinWin + r.IntN(swarmMaxWin-swarmMinWin+1),
 			nextAt: time.Duration(r.Float64() * float64(rtt)),
 			left:   -1,
 			class:  i % 16,
@@ -339,10 +312,10 @@ func (s *Swarm) Next(buf []packet.Packet) (time.Duration, int, bool) {
 	if n == 0 {
 		return 0, 0, false
 	}
-	fillBurst(buf, n, f.key, s.cfg.PktSize, f.class)
+	fillBurst(buf, n, f.key, pktSize, f.class)
 	at := f.nextAt
 	f.nextAt += f.rtt
-	s.count(n, s.cfg.PktSize)
+	s.count(n, pktSize)
 	return at, n, true
 }
 
@@ -373,20 +346,20 @@ type StormConfig struct {
 	// Duration is the schedule length.
 	Duration time.Duration
 	// MinSize/MaxSize bound flow sizes, drawn log-uniformly (defaults
-	// 10 KB and 500 KB — web-object sized, slow-start dominated).
+	// 10 KB and max(500 KB, MinSize) — web-object sized, slow-start
+	// dominated). A MaxSize below MinSize is raised to MinSize.
 	MinSize, MaxSize int64
-	// RTT is the slow-start round interval (default 10 ms).
-	RTT time.Duration
-	// InitialWindow is the first round's burst in packets (default 4).
-	InitialWindow int
-	// Think is the idle gap between a flow completing and its slot
-	// starting the next flow (default one RTT).
-	Think time.Duration
-	// PktSize is the packet size in bytes (default units.MSS).
-	PktSize int
 	// SrcIP namespaces the storm's flow keys.
 	SrcIP uint32
 }
+
+// A storm flow's slow-start round lasts stormRTT, its first round is
+// stormIW packets, and a completed flow's slot thinks for one round before
+// the next flow starts.
+const (
+	stormRTT = 10 * time.Millisecond
+	stormIW  = 4
+)
 
 // Storm is a short-flow storm: every flow is slow-start dominated — its
 // per-round burst doubles (IW, 2·IW, 4·IW, …) until the flow's bytes run
@@ -412,21 +385,10 @@ func NewStorm(src *rng.Source, cfg StormConfig) *Storm {
 	if cfg.MinSize <= 0 {
 		cfg.MinSize = 10 * units.KB
 	}
-	if cfg.MaxSize <= cfg.MinSize {
+	if cfg.MaxSize <= 0 {
 		cfg.MaxSize = 500 * units.KB
 	}
-	if cfg.RTT <= 0 {
-		cfg.RTT = 10 * time.Millisecond
-	}
-	if cfg.InitialWindow <= 0 {
-		cfg.InitialWindow = 4
-	}
-	if cfg.Think <= 0 {
-		cfg.Think = cfg.RTT
-	}
-	if cfg.PktSize <= 0 {
-		cfg.PktSize = units.MSS
-	}
+	cfg.MaxSize = max(cfg.MaxSize, cfg.MinSize)
 	s := &Storm{cfg: cfg, src: src}
 	s.flows = make([]swarmFlow, cfg.Concurrency)
 	s.born = make([]int, cfg.Concurrency)
@@ -434,8 +396,8 @@ func NewStorm(src *rng.Source, cfg StormConfig) *Storm {
 	for i := range s.flows {
 		r := src.Split(uint64(i))
 		s.flows[i] = swarmFlow{
-			rtt:    cfg.RTT,
-			nextAt: time.Duration(r.Float64() * float64(cfg.RTT)),
+			rtt:    stormRTT,
+			nextAt: time.Duration(r.Float64() * float64(stormRTT)),
 			class:  i % 16,
 		}
 		s.startFlow(i, r)
@@ -452,7 +414,7 @@ func (s *Storm) startFlow(i int, r *rng.Source) {
 		SrcPort: uint16(i + 1), DstPort: uint16(s.born[i]%65535 + 1), Proto: 6}
 	lo, hi := float64(s.cfg.MinSize), float64(s.cfg.MaxSize)
 	f.left = int64(lo * math.Pow(hi/lo, r.Float64()))
-	s.win[i] = s.cfg.InitialWindow
+	s.win[i] = stormIW
 }
 
 // Next emits the earliest pending slot's slow-start round.
@@ -466,7 +428,7 @@ func (s *Storm) Next(buf []packet.Packet) (time.Duration, int, bool) {
 		return 0, 0, false
 	}
 	n := s.win[i]
-	if left := int(f.left / int64(s.cfg.PktSize)); n > left {
+	if left := int(f.left / pktSize); n > left {
 		n = left
 	}
 	if n < 1 {
@@ -475,17 +437,17 @@ func (s *Storm) Next(buf []packet.Packet) (time.Duration, int, bool) {
 	if n > len(buf) {
 		n = len(buf)
 	}
-	fillBurst(buf, n, f.key, s.cfg.PktSize, f.class)
+	fillBurst(buf, n, f.key, pktSize, f.class)
 	at := f.nextAt
-	f.left -= int64(n) * int64(s.cfg.PktSize)
+	f.left -= int64(n) * pktSize
 	if f.left <= 0 {
 		// Flow complete: think, then a fresh flow ramps from IW again.
-		f.nextAt += s.cfg.Think
+		f.nextAt += stormRTT
 		s.startFlow(i, s.src.Split(uint64(s.born[i])<<16|uint64(i)))
 	} else {
 		f.nextAt += f.rtt
 		s.win[i] *= 2 // slow start: the next round doubles
 	}
-	s.count(n, s.cfg.PktSize)
+	s.count(n, pktSize)
 	return at, n, true
 }

@@ -243,6 +243,52 @@ func TestStormFlowTurnover(t *testing.T) {
 	}
 }
 
+func TestStormFlowSizesWithinRange(t *testing.T) {
+	// Every flow a storm starts is sized inside [MinSize, MaxSize] as the
+	// config resolves them: an unset MaxSize is max(500 KB, MinSize), and a
+	// MaxSize below MinSize is raised to it.
+	for _, tc := range []struct {
+		name     string
+		cfg      StormConfig
+		min, max int64
+	}{
+		{"defaults", StormConfig{}, 10 * units.KB, 500 * units.KB},
+		{"set range", StormConfig{MinSize: 6 * units.MSS, MaxSize: 12 * units.MSS}, 6 * units.MSS, 12 * units.MSS},
+		{"min above default max", StormConfig{MinSize: units.MB}, units.MB, units.MB},
+		{"max below min", StormConfig{MinSize: units.MB, MaxSize: 600 * units.KB}, units.MB, units.MB},
+	} {
+		cfg := tc.cfg
+		cfg.Concurrency, cfg.Duration = 4, time.Second
+		s := NewStorm(rng.New(11), cfg)
+		check := func(i int) {
+			if left := s.flows[i].left; left < tc.min || left > tc.max {
+				t.Fatalf("%s: slot %d flow %d sized %d, want within [%d, %d]",
+					tc.name, i, s.born[i], left, tc.min, tc.max)
+			}
+		}
+		for i := range s.flows {
+			check(i)
+		}
+		var buf [64]packet.Packet
+		started := 0
+		for {
+			born := append([]int(nil), s.born...)
+			if _, _, ok := s.Next(buf[:]); !ok {
+				break
+			}
+			for i := range born {
+				if s.born[i] != born[i] {
+					check(i)
+					started++
+				}
+			}
+		}
+		if started == 0 {
+			t.Fatalf("%s: no flow completed in %v, so no restarted flow was checked", tc.name, cfg.Duration)
+		}
+	}
+}
+
 func TestSourcesOfferedMatchesEmitted(t *testing.T) {
 	srcs := []Source{
 		NewFlood(FloodConfig{Rate: 40 * units.Mbps, Duration: 100 * time.Millisecond}),

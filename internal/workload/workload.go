@@ -81,19 +81,17 @@ type Section61Config struct {
 	Aggregates int
 	// Rate is the enforced rate for every aggregate.
 	Rate units.Rate
-	// FlowsPerAggregate bounds the member-flow count; flows are drawn
-	// uniformly in [2, FlowsPerAggregate]. Zero selects 6.
-	FlowsPerAggregate int
 	// Duration is the run length; start times spread over its first
 	// quarter.
 	Duration time.Duration
 }
 
+// flowsPerAggregate bounds a §6.1 aggregate's member-flow count: flows are
+// drawn uniformly in [2, flowsPerAggregate].
+const flowsPerAggregate = 6
+
 // Section61 builds the §6.1 aggregate mix deterministically from src.
 func Section61(src *rng.Source, cfg Section61Config) []Aggregate {
-	if cfg.FlowsPerAggregate <= 0 {
-		cfg.FlowsPerAggregate = 6
-	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 20 * time.Second
 	}
@@ -119,7 +117,7 @@ func Section61(src *rng.Source, cfg Section61Config) []Aggregate {
 			Rate:  cfg.Rate,
 		}
 
-		n := 2 + r.IntN(cfg.FlowsPerAggregate-1)
+		n := 2 + r.IntN(flowsPerAggregate-1)
 		sharedCC := ccNames[r.IntN(len(ccNames))]
 		sharedRTT := randomRTT(r)
 		for j := 0; j < n; j++ {
