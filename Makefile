@@ -12,12 +12,15 @@ build:
 # mmsg_linux.go's types has to be mirrored in mmsg_other.go and the arm64
 # syscall numbers. The darwin build covers the whole module, so the proxy and
 # everything else still compile on the portable fallback backend. Both
-# cross-builds need only the standard library. Last, every test, fuzz target
-# and benchmark the docs, build files and sources cite by name must exist.
+# cross-builds need only the standard library. The datapath packages'
+# arm64 assembly must show no fused multiply-add, so every architecture
+# computes the same float bits. Last, every test, fuzz target and benchmark
+# the docs, build files and sources cite by name must exist.
 vet:
 	$(GO) vet ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/netio
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	scripts/check-fma.sh
 	scripts/check-test-names.sh
 
 test:

@@ -21,7 +21,9 @@ const DefaultBurst = 32
 // it is an out-parameter so steady-state burst processing performs no
 // allocation). The verdicts are byte-identical to calling Submit(now, pkt)
 // for each packet in order at the same now — batching is an efficiency
-// transformation, never a semantic one.
+// transformation, never a semantic one. An enforcer with a native burst path
+// has one admission loop, and its Submit is a burst of one through it, so
+// the contract reads "a burst of N decides as N bursts of one".
 type BatchSubmitter interface {
 	SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []Verdict)
 }

@@ -58,13 +58,6 @@ type Enforcer interface {
 	Submit(now time.Duration, pkt packet.Packet) Verdict
 }
 
-// Flusher is implemented by enforcers that hold internal state which should
-// be advanced to a given virtual time at the end of a run (e.g. the shaper
-// draining its queues).
-type Flusher interface {
-	Flush(now time.Duration)
-}
-
 // Stats accumulates per-enforcer packet accounting. Enforcers embed it and
 // update it on every Submit, so experiments can read drop rates uniformly.
 type Stats struct {

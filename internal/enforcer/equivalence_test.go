@@ -25,6 +25,17 @@ import (
 // every enforcer with the same randomized burst-structured traffic — one
 // through the per-packet path, one through the burst path — and demand
 // exact agreement.
+//
+// In phantom, tbf and fairpolicer, per-packet Submit is a burst of one
+// through SubmitBatch: each enforcer has one admission loop. The tests keep
+// their power to catch batching errors, because a burst of N must still
+// match N bursts of one, and a burst of one probes the drain, refills the
+// bucket, rolls the windows and adds the statistics once per packet, where a
+// burst of N does each once. refPQP (internal/phantom/reference_test.go)
+// stays phantom's independent per-packet reference. A burst of one costs no
+// allocation only while escape analysis keeps its one-element arrays on the
+// stack, so TestBatchSingleEquivalence also pins per-packet Submit at zero
+// allocations.
 
 const (
 	eqRate   = 20 * units.Mbps
@@ -267,6 +278,10 @@ func TestBatchSingleEquivalence(t *testing.T) {
 					if s, b := ss.EnforcerStats(), bs.EnforcerStats(); s != b {
 						t.Fatalf("stats diverge: single=%+v batch=%+v", s, b)
 					}
+				}
+				last := traffic[len(traffic)-1]
+				if a := testing.AllocsPerRun(100, func() { batch.Submit(last.now, last.pkts[0]) }); a != 0 {
+					t.Fatalf("per-packet Submit allocates %v times a call", a)
 				}
 			})
 		}

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Runner regenerates one figure/table of the paper.
@@ -52,20 +52,22 @@ func Lookup(id string) (Runner, error) {
 	return r, nil
 }
 
-// IDs lists the canonical set of figure IDs, deduplicated and sorted.
+// figureOrder lists the canonical figure IDs in figure order; the registry's
+// other keys are aliases for sections of these runs.
+var figureOrder = []string{"1a", "1b", "2", "3", "4", "5", "6a", "6bc", "6d",
+	"7a", "7b", "8", "9", "ext-aqm", "ext-audit", "ext-ecn", "ext-mem", "ext-overload"}
+
+// IDs lists the canonical set of figure IDs, sorted.
 func IDs() []string {
-	canonical := []string{"1a", "1b", "2", "3", "4", "5", "6a", "6bc", "6d",
-		"7a", "7b", "8", "9", "ext-aqm", "ext-audit", "ext-ecn", "ext-mem", "ext-overload"}
-	sort.Strings(canonical)
-	return canonical
+	ids := slices.Clone(figureOrder)
+	slices.Sort(ids)
+	return ids
 }
 
 // All runs every experiment at the given scale, in figure order.
 func All(scale Scale, seed uint64) ([]*Report, error) {
-	order := []string{"1a", "1b", "2", "3", "4", "5", "6a", "6bc", "6d",
-		"7a", "7b", "8", "9", "ext-aqm", "ext-audit", "ext-ecn", "ext-mem", "ext-overload"}
 	var out []*Report
-	for _, id := range order {
+	for _, id := range figureOrder {
 		r, err := registry[id](scale, seed)
 		if err != nil {
 			return nil, fmt.Errorf("fig%s: %w", id, err)

@@ -107,40 +107,12 @@ func MustNew(cfg Config) *FairPolicer {
 	return f
 }
 
-// Submit implements enforcer.Enforcer.
+// Submit implements enforcer.Enforcer: a burst of one through SubmitBatch.
 func (f *FairPolicer) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
-	idx := pkt.ClassIn(f.cfg.Flows)
-	fb := &f.flows[idx]
-	fb.lastSeen = now
-	fb.active = true
-
-	// Token generation and distribution happen on every enqueue — the
-	// per-packet cost the paper's efficiency comparison (Fig 5) charges
-	// FairPolicer for.
-	f.distribute(now)
-
-	s := float64(pkt.Size)
-	if fb.tokens >= s {
-		fb.tokens -= s
-		fb.acceptedPackets++
-		fb.acceptedBytes += int64(pkt.Size)
-		f.stats.Accept(pkt.Size)
-		return enforcer.Transmit
-	}
-	fb.droppedPackets++
-	fb.droppedBytes += int64(pkt.Size)
-	f.stats.Reject(pkt.Size)
-	return enforcer.Drop
-}
-
-// distribute generates tokens for the elapsed time and allocates them (plus
-// any unallocated main-bucket tokens) to active flow buckets in proportion
-// to their weights, capping each flow bucket at the dynamic threshold equal
-// to the main bucket's remaining tokens. Tokens that do not fit return to
-// the main bucket; the total never exceeds B.
-func (f *FairPolicer) distribute(now time.Duration) {
-	f.generateExpireCap(now)
-	f.allocate()
+	pkts := [1]packet.Packet{pkt}
+	var v [1]enforcer.Verdict
+	f.SubmitBatch(now, pkts[:], v[:])
+	return v[0]
 }
 
 // generateExpireCap is the time-driven half of token distribution: token
@@ -186,9 +158,9 @@ func (f *FairPolicer) generateExpireCap(now time.Duration) {
 // allocate distributes the main bucket's unallocated tokens to active flow
 // buckets by weight under the dynamic threshold. Unlike generateExpireCap it
 // is NOT idempotent (leftover tokens re-distribute each round, and newly
-// activated flows join the next round), so both the per-packet and the
-// burst path run it per packet — this is the per-enqueue distribution cost
-// the paper charges FairPolicer for.
+// activated flows join the next round), so SubmitBatch runs it per packet —
+// this is the per-enqueue distribution cost the paper charges FairPolicer
+// for.
 func (f *FairPolicer) allocate() {
 	var wsum float64
 	for i := range f.flows {
@@ -232,13 +204,19 @@ func (f *FairPolicer) weight(i int) float64 {
 	return f.cfg.Weights[i]
 }
 
-// SubmitBatch implements enforcer.BatchSubmitter. The time-driven token
-// work (generation, idle expiry, the B cap — each an O(flows) pass) runs
-// once per burst instead of once per packet; the allocation round stays
-// per-packet because it is not idempotent (leftover tokens re-distribute,
-// and a flow activated mid-burst joins the next round), exactly as in the
-// per-packet path. Verdicts and statistics are byte-identical to calling
-// Submit for each packet in order at the same now.
+// SubmitBatch implements enforcer.BatchSubmitter, and is FairPolicer's one
+// admission loop: Submit is a burst of one. Token distribution generates
+// tokens for the elapsed time and allocates them (plus any unallocated
+// main-bucket tokens) to active flow buckets in proportion to their
+// weights, capping each flow bucket at the dynamic threshold equal to the
+// main bucket's remaining tokens; tokens that do not fit return to the main
+// bucket, and the total never exceeds B. The time-driven half (generation,
+// idle expiry, the B cap — each an O(flows) pass) runs once per burst. The
+// allocate call stays per packet: it is not idempotent (leftover tokens
+// re-distribute, and a flow activated mid-burst joins the next round), and
+// per-packet token distribution is the cost Fig 5 charges FairPolicer. A
+// burst leaves byte-identical verdicts and statistics to the same packets
+// submitted as bursts of one at the same now.
 func (f *FairPolicer) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []enforcer.Verdict) {
 	verdicts = verdicts[:len(pkts)]
 	for i := range pkts {

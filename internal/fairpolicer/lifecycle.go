@@ -119,8 +119,9 @@ func (f *FairPolicer) RestoreState(now time.Duration, data []byte) error {
 		}
 		total += fb.tokens
 	}
-	// Tolerate a hair of float accumulation slack above B, nothing more.
-	if d.Err() == nil && total > float64(f.cfg.Bucket)*(1+1e-9)+1 {
+	// Tolerate a hair of float accumulation slack above B, nothing more. The
+	// product is rounded, never fused.
+	if d.Err() == nil && total > float64(float64(f.cfg.Bucket)*(1+1e-9))+1 {
 		d.Fail("fairpolicer: snapshot token total %v exceeds bucket %d", total, f.cfg.Bucket)
 	}
 	if err := d.Finish(); err != nil {

@@ -129,11 +129,6 @@ func New(inner enforcer.Enforcer, plan Plan) *Injector {
 	}
 }
 
-// Injected returns the total number of faults injected so far.
-func (f *Injector) Injected() int64 {
-	return f.Panics.Load() + f.Corruptions.Load() + f.Stalls.Load() + f.Skews.Load() + f.OverAdmits.Load()
-}
-
 // Submit enforces one packet through the wrapped enforcer with faults
 // applied per the plan.
 func (f *Injector) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {

@@ -47,10 +47,6 @@ func newRing(n int) *Ring {
 // Cap returns the ring capacity in events.
 func (r *Ring) Cap() int { return len(r.slots) }
 
-// Recorded returns how many events were ever recorded (including
-// overwritten ones).
-func (r *Ring) Recorded() uint64 { return r.head.Load() }
-
 // record publishes one event; e.Seq must already be nonzero (the
 // collector's global sequence). Claiming the slot index with a single
 // atomic add makes the ring multi-producer safe: two producers write the

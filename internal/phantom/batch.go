@@ -9,19 +9,28 @@ import (
 
 // SubmitBatch implements enforcer.BatchSubmitter: it submits a burst of
 // packets all arriving at virtual time now and writes one verdict per
-// packet into verdicts, producing byte-identical verdicts, statistics and
-// queue state to calling Submit for each packet in order at the same now.
+// packet into verdicts. It is PQP's one admission loop: Submit is a burst of
+// one. A burst must leave byte-identical verdicts, statistics and queue
+// state to the same packets submitted as bursts of one at the same now,
+// which the cross-scheme equivalence tests enforce.
+//
+// Each packet passes, in order: the access-control filter, which rejects on
+// arrival by arbitrary criteria before any queue accounting (§3.3); a
+// burst-control window roll; the batched lazy drain (advance); RED's early
+// signal on the averaged simulated occupancy, a drop or, for an ECN-capable
+// packet, a congestion-experienced mark (§3.3 AQM); and drop-tail admission
+// on the simulated buffer.
 //
 // What a burst pays once instead of per packet, each proved equivalent to
-// the per-packet path:
+// bursts of one:
 //
 //   - One drain-credit probe. At a fixed now the batched lazy drain
 //     (advance) can fire at most once: after it runs, lastDrain == now and
 //     the fractional carried credit is below one byte (always under
 //     drainBatch ≥ MSS); if it did not fire, the credit cannot grow without
 //     time passing. Either way every later per-packet re-check is a
-//     guaranteed no-op, so the batch path evaluates the credit condition
-//     only the first time a packet finds its queue (apparently) full.
+//     guaranteed no-op, so the loop evaluates the credit condition only the
+//     first time a packet finds its queue (apparently) full.
 //
 //   - One started/lastDrain initialization, and one read of the
 //     configuration the loop tests (queue array and size, burst control,
@@ -37,10 +46,6 @@ import (
 // restarted at now, so for the rest of the burst windowDue — two loads and a
 // compare on the queue line the decision reads anyway — is false, which is
 // cheaper than remembering which classes have been looked at.
-//
-// The per-packet decision logic (RED, filter, drop-tail admission,
-// accept/window accounting) is unchanged — it is identical statement-for-
-// statement with Submit, which the cross-scheme equivalence tests enforce.
 func (p *PQP) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []enforcer.Verdict) {
 	verdicts = verdicts[:len(pkts)]
 	if len(pkts) == 0 {

@@ -231,81 +231,17 @@ func (p *PQP) installPolicy(policy *sched.Policy) {
 	}
 }
 
-// Submit implements enforcer.Enforcer. Virtual time must be non-decreasing.
-//
-// The fast path performs no phantom dequeues: drains are batched and only
-// applied when the target queue appears full (§3.1's "phantom dequeues can
-// be batched and done only when the phantom queue becomes full"). Stale
-// occupancy only ever overestimates, so admission decisions after the
-// batched drain are identical to eagerly-drained ones.
+// Submit implements enforcer.Enforcer: a burst of one through SubmitBatch.
+// Virtual time must be non-decreasing.
 func (p *PQP) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
-	if !p.started {
-		p.started = true
-		p.lastDrain = now
-	}
-
-	class := pkt.ClassIn(p.cfg.Queues)
-	q := &p.queues[class]
-	size := int64(pkt.Size)
-
-	// Access-control filter: reject on arrival by arbitrary criteria,
-	// before any queue accounting (§3.3).
-	if p.cfg.Filter != nil && !p.cfg.Filter(pkt) {
-		q.droppedPackets++
-		q.droppedBytes += size
-		p.stats.Reject(pkt.Size)
-		p.emitDrop(now, class, size, q.length, DropFilter)
-		return enforcer.Drop
-	}
-
-	if p.cfg.BurstControl && q.windowDue(now) {
-		p.closeWindow(now, class, q)
-	}
-
-	// Drop-tail admission on the simulated buffer, with batched lazy
-	// dequeues applied only when the stale occupancy looks full AND at
-	// least drainBatch bytes of drain budget have accrued (amortizing
-	// dequeue work over several packets; unapplied budget is never
-	// lost, so the long-term rate is exact).
-	if q.length+size > p.cfg.QueueSize || p.red != nil {
-		if p.drainCredit+p.cfg.Rate.Bytes(now-p.lastDrain) >= float64(p.drainBatch) {
-			p.advance(now)
-		}
-	}
-	// RED early signal on the averaged simulated occupancy (§3.3 AQM):
-	// drop, or an ECN congestion-experienced mark for capable packets.
-	markCE := false
-	if p.red != nil && p.red[class].early(p.cfg.RED, q.length) {
-		if p.cfg.RED.MarkECN && pkt.ECT {
-			markCE = true
-		} else {
-			q.droppedPackets++
-			q.droppedBytes += size
-			p.stats.Reject(pkt.Size)
-			p.emitDrop(now, class, size, q.length, DropRED)
-			return enforcer.Drop
-		}
-	}
-	if q.length+size > p.cfg.QueueSize {
-		q.droppedPackets++
-		q.droppedBytes += size
-		p.stats.Reject(pkt.Size)
-		p.emitDrop(now, class, size, q.length, DropQueueFull)
-		return enforcer.Drop
-	}
-
-	p.stats.Accept(pkt.Size)
-	p.accept(now, class, q, size)
-	if markCE {
-		p.emit(now, class, EventMark, size, q.length)
-		return enforcer.TransmitCE
-	}
-	p.emit(now, class, EventAccept, size, q.length)
-	return enforcer.Transmit
+	pkts := [1]packet.Packet{pkt}
+	var v [1]enforcer.Verdict
+	p.SubmitBatch(now, pkts[:], v[:])
+	return v[0]
 }
 
-// accept performs the admission bookkeeping shared by Submit, SubmitBatch
-// and Commit: the phantom enqueue, the class counters, and burst-control
+// accept performs the admission bookkeeping shared by SubmitBatch and
+// Commit: the phantom enqueue, the class counters, and burst-control
 // window accounting (including the θ⁺ magic fill). The aggregate statistics
 // are the caller's, counted before the call so that a fill event sees them.
 func (p *PQP) accept(now time.Duration, class int, q *queue, size int64) {
@@ -409,6 +345,15 @@ func (p *PQP) Tick(now time.Duration) {
 // advance performs the batched lazy phantom dequeues: it distributes the
 // drain budget accumulated since the last advance across occupied queues
 // according to the policy, exactly as the analogous shaper would serve them.
+//
+// Admission performs no phantom dequeue of its own: SubmitBatch and Probe
+// call advance only when the target queue's stale occupancy looks full (or
+// RED needs a fresh average) AND at least drainBatch bytes of drain budget
+// have accrued, amortizing dequeue work over several packets (§3.1's
+// "phantom dequeues can be batched and done only when the phantom queue
+// becomes full"). Stale occupancy only ever overestimates, so admission
+// after the batched drain decides as an eagerly drained queue would, and
+// unapplied budget is never lost, so the long-term rate is exact.
 func (p *PQP) advance(now time.Duration) {
 	if !p.started {
 		p.started = true

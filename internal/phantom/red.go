@@ -72,7 +72,7 @@ type redState struct {
 // simulated occupancy. Magic bytes count toward occupancy: a magic-filled
 // queue is semantically full.
 func (r *redState) early(cfg *REDConfig, occupancy int64) bool {
-	r.avg += cfg.Weight * (float64(occupancy) - r.avg)
+	r.avg += float64(cfg.Weight * (float64(occupancy) - r.avg)) // rounded: never fused
 	switch {
 	case r.avg < float64(cfg.MinBytes):
 		r.count = 0
@@ -86,7 +86,7 @@ func (r *redState) early(cfg *REDConfig, occupancy int64) bool {
 	pb := cfg.MaxProb * (r.avg - float64(cfg.MinBytes)) /
 		float64(cfg.MaxBytes-cfg.MinBytes)
 	r.count++
-	pa := pb / (1 - float64(r.count)*pb)
+	pa := pb / (1 - float64(float64(r.count)*pb)) // rounded: never fused
 	if pa < 0 || pa >= 1 {
 		r.count = 0
 		return true

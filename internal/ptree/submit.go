@@ -17,7 +17,7 @@ func (n *node) refill(now time.Duration) {
 		return
 	}
 	n.lastFill = now
-	tok := n.tokens + n.effRate*(now-last).Seconds()
+	tok := n.tokens + float64(n.effRate*(now-last).Seconds()) // rounded: never fused
 	if tok > n.burst {
 		tok = n.burst
 	}

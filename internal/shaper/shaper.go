@@ -124,15 +124,6 @@ func New(cfg Config) (*Shaper, error) {
 	}, nil
 }
 
-// MustNew is New that panics on error.
-func MustNew(cfg Config) *Shaper {
-	s, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Submit implements enforcer.Enforcer: enqueue into the class queue,
 // drop-tail on overflow, and arm the service timer.
 func (s *Shaper) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
@@ -262,4 +253,3 @@ func (s *Shaper) EnforcerStats() enforcer.Stats { return s.stats }
 
 var _ enforcer.Enforcer = (*Shaper)(nil)
 var _ enforcer.StatsReader = (*Shaper)(nil)
-var _ enforcer.Flusher = (*Shaper)(nil)

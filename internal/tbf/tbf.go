@@ -82,24 +82,20 @@ func PlusBucket(rate units.Rate, maxRTT time.Duration) int64 {
 	return reno
 }
 
-// Submit implements enforcer.Enforcer.
+// Submit implements enforcer.Enforcer: a burst of one through SubmitBatch.
 func (p *Policer) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
-	p.refill(now)
-	s := float64(pkt.Size)
-	if p.tokens >= s {
-		p.tokens -= s
-		p.stats.Accept(pkt.Size)
-		return enforcer.Transmit
-	}
-	p.stats.Reject(pkt.Size)
-	return enforcer.Drop
+	pkts := [1]packet.Packet{pkt}
+	var v [1]enforcer.Verdict
+	p.SubmitBatch(now, pkts[:], v[:])
+	return v[0]
 }
 
-// SubmitBatch implements enforcer.BatchSubmitter: one token-refill
-// computation covers the whole burst. Equivalence with the per-packet path
-// is exact — refill is a no-op when virtual time has not advanced, so the
-// per-packet path's repeated refills at a fixed now do nothing after the
-// first; everything else is pure token arithmetic in packet order.
+// SubmitBatch implements enforcer.BatchSubmitter, and is the policer's one
+// admission loop: Submit is a burst of one. One token-refill computation
+// covers the whole burst. A burst decides exactly as the same packets
+// submitted as bursts of one: refill is a no-op when virtual time has not
+// advanced, so repeated refills at a fixed now do nothing after the first;
+// everything else is pure token arithmetic in packet order.
 func (p *Policer) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []enforcer.Verdict) {
 	verdicts = verdicts[:len(pkts)]
 	if len(pkts) == 0 {
@@ -152,9 +148,6 @@ func (p *Policer) refill(now time.Duration) {
 		p.tokens = p.bucket
 	}
 }
-
-// Tokens returns the current token level in bytes (after the last refill).
-func (p *Policer) Tokens() float64 { return p.tokens }
 
 // Bucket returns the configured bucket size in bytes.
 func (p *Policer) Bucket() int64 { return int64(p.bucket) }

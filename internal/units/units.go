@@ -23,10 +23,6 @@ const MSS = 1500
 const (
 	KB int64 = 1000
 	MB int64 = 1000 * KB
-	GB int64 = 1000 * MB
-
-	KiB int64 = 1024
-	MiB int64 = 1024 * KiB
 )
 
 // Rate is a traffic rate in bits per second.
@@ -53,9 +49,11 @@ func (r Rate) BytesPerSecond() float64 { return float64(r) / 8 }
 func (r Rate) Mbps() float64 { return float64(r) / float64(Mbps) }
 
 // Bytes returns the (fractional) number of bytes transferred at rate r over
-// duration d.
+// duration d. The conversion rounds the product, so no compiler fuses it
+// into the caller's add: the datapath's float arithmetic gives the same bits
+// on every architecture (scripts/check-fma.sh).
 func (r Rate) Bytes(d time.Duration) float64 {
-	return r.BytesPerSecond() * d.Seconds()
+	return float64(r.BytesPerSecond() * d.Seconds())
 }
 
 // DurationForBytes returns the time needed to transfer n bytes at rate r.
@@ -175,7 +173,7 @@ func cubicPhantomRequirement(r Rate, rtt time.Duration) int64 {
 		var sum, above float64
 		var steps int
 		for t := 0.0; ; t += rttSec {
-			w := c*(t-k)*(t-k)*(t-k) + wmax
+			w := float64(c*(t-k)*(t-k)*(t-k)) + wmax // rounded: never fused
 			if w > wmax && t > 0 {
 				break
 			}
@@ -197,7 +195,7 @@ func cubicPhantomRequirement(r Rate, rtt time.Duration) int64 {
 	// Binary-search wmax so the epoch's average window equals BDP.
 	lo, hi := bdp, 8*bdp
 	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
+		mid := float64((lo + hi) / 2) // rounded: /2 is a multiply, never fused into w
 		avg, _ := cycle(mid)
 		if avg < bdp {
 			lo = mid
