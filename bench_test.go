@@ -648,18 +648,23 @@ func BenchmarkExtECN(b *testing.B) { benchFig(b, experiments.ExtECN) }
 // from a thousand to a million leaves. Bursts of 32 MSS packets enter at a
 // pseudo-randomly rotating leaf, so every admission walks the full
 // three-level path (two ceiling probes/commits plus the borrow layer) with
-// a cold-ish leaf. One benchmark iteration is one packet; steady state
-// must report 0 allocs/op at every size. CI runs it once as a smoke pass;
+// a cold-ish leaf. The routed case runs the thousand-leaf tree through
+// PolicyTree.SubmitBatch, the proxy's path, with each packet's class drawn
+// over the leaves, so nearly every packet is a run of its own. One
+// benchmark iteration is one packet; steady state must report 0 allocs/op
+// in every case. CI runs it once as a smoke pass and gates its allocations;
 // the numbers to compare across commits are bench/'s tree_deep workload and
 // its ptree.* rows.
 func BenchmarkPolicyTreeSubmitBatch(b *testing.B) {
 	shapes := []struct {
 		name             string
 		pools, leavesPer int
+		routed           bool
 	}{
-		{"1k-leaves", 10, 100},
-		{"100k-leaves", 100, 1000},
-		{"1M-leaves", 1000, 1000},
+		{"1k-leaves", 10, 100, false},
+		{"100k-leaves", 100, 1000, false},
+		{"1M-leaves", 1000, 1000, false},
+		{"routed", 10, 100, true},
 	}
 	for _, sh := range shapes {
 		sh := sh
@@ -682,14 +687,28 @@ func BenchmarkPolicyTreeSubmitBatch(b *testing.B) {
 			}
 			tree := MustNewPolicyTree(spec)
 			const burst = 32
+			// Cheap inline LCG: leaf selection must not allocate or
+			// dominate the measured datapath.
+			var x uint64 = 0x9e3779b97f4a7c15
+			lcg := func() uint64 {
+				x = x*6364136223846793005 + 1442695040888963407
+				return x
+			}
+			// The routed case slides a 32-packet window over a ring of
+			// packets whose classes were drawn up front.
 			pkts := make([]Packet, burst)
-			verdicts := make([]Verdict, burst)
+			if sh.routed {
+				pkts = make([]Packet, 1024+burst)
+			}
 			for i := range pkts {
 				pkts[i] = Packet{Key: FlowKey{SrcIP: uint32(i + 1), DstIP: 9, Proto: 6}, Size: MSS}
+				if sh.routed {
+					pkts[i].Class = int(lcg() >> 33 % uint64(nLeaves))
+				}
 			}
+			verdicts := make([]Verdict, burst)
 			leafBase := 1 + sh.pools
 			now := time.Duration(0)
-			var x uint64 = 0x9e3779b97f4a7c15
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i += burst {
@@ -697,11 +716,13 @@ func BenchmarkPolicyTreeSubmitBatch(b *testing.B) {
 				if n > burst {
 					n = burst
 				}
-				// Cheap inline LCG: leaf selection must not allocate or
-				// dominate the measured datapath.
-				x = x*6364136223846793005 + 1442695040888963407
-				leaf := NodeID(leafBase + int(x%uint64(nLeaves)))
 				now += 10 * time.Microsecond
+				if sh.routed {
+					off := (i / burst * 7) % 1024
+					tree.SubmitBatch(now, pkts[off:off+n], verdicts[:n])
+					continue
+				}
+				leaf := NodeID(leafBase + int(lcg()%uint64(nLeaves)))
 				tree.SubmitBatchAt(now, leaf, pkts[:n], verdicts[:n])
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/sec")

@@ -49,6 +49,13 @@ var ErrNoStats = errors.New("enforcer: no stats")
 // pkt is the caller's packet, passed by reference so that a tree burst does
 // not copy it into every call. It is valid only for the duration of the
 // call: a stage must neither retain nor modify it.
+//
+// A *tbf.Policer ceiling is not called through this interface inside a
+// policy-tree burst: it lends the tree its bucket (tbf.Loan) for the burst,
+// which the tree tests and charges as a plain float64 with the arithmetic
+// of the policer's own Probe and Commit, and hands back at the end of the
+// burst. Every other Stage, a phantom queue among them, is called per
+// packet.
 type Stage interface {
 	// Probe reports whether the packet would be admitted at now, without
 	// changing admission state (time-driven work — lazy drains, token

@@ -94,6 +94,155 @@ func TestWholeBurstDropKeepsRefillClock(t *testing.T) {
 	}
 }
 
+// panicStage is a ceiling that passes packets through to a token bucket
+// behind enforcer.Stage, so the tree calls it rather than borrowing the
+// bucket, and panics at its n-th Probe or Commit (0: never), remembering the
+// packet it was handed.
+type panicStage struct {
+	inner    *tbf.Policer
+	onCommit bool
+	n        int
+	inFlight packet.Packet
+}
+
+func (s *panicStage) call(pkt *packet.Packet) {
+	if s.n--; s.n == 0 {
+		s.inFlight = *pkt
+		panic("ceiling failed")
+	}
+}
+
+func (s *panicStage) Probe(now time.Duration, pkt *packet.Packet) bool {
+	if !s.onCommit {
+		s.call(pkt)
+	}
+	return s.inner.Probe(now, pkt)
+}
+
+func (s *panicStage) Commit(now time.Duration, pkt *packet.Packet) {
+	if s.onCommit {
+		s.call(pkt)
+	}
+	s.inner.Commit(now, pkt)
+}
+
+// TestStagePanicMidBurst pins what a ceiling Stage that panics mid-burst
+// leaves behind: every lent bucket written back, and the counters, stats,
+// assured buckets and loans of exactly the packets whose admission
+// completed — the state of a twin tree offered only those packets. The
+// panicking Stage sits between two token buckets, so one loan is open below
+// it and one above.
+func TestStagePanicMidBurst(t *testing.T) {
+	type tree struct {
+		tr         *Tree
+		root, leaf *tbf.Policer
+		mid        *panicStage
+	}
+	build := func(onCommit bool, n int) tree {
+		x := tree{
+			root: tbf.MustNew(20*units.Mbps, 8*units.MSS),
+			leaf: tbf.MustNew(30*units.Mbps, 10*units.MSS),
+			mid:  &panicStage{inner: tbf.MustNew(10*units.Mbps, 6*units.MSS), onCommit: onCommit, n: n},
+		}
+		x.tr = MustNew([]NodeSpec{
+			{Parent: -1, Stage: x.root},
+			{Parent: 0, Stage: x.mid, Assured: 4 * units.Mbps},
+			{Parent: 1, Stage: x.leaf, Assured: 3 * units.Mbps},
+			{Parent: 1, Assured: units.Mbps},
+		})
+		return x
+	}
+	// Each packet's class is its index, so the routed case alternates
+	// leaves; sizes vary so that the burst outruns the middle ceiling.
+	burst := make([]packet.Packet, 16)
+	for i := range burst {
+		burst[i] = pkt(i, 300+(i*577)%1200)
+		burst[i].Class = i
+	}
+	submit := func(tr *Tree, routed bool, now time.Duration, pkts []packet.Packet) []enforcer.Verdict {
+		v := make([]enforcer.Verdict, len(pkts))
+		if routed {
+			tr.SubmitBatch(now, pkts, v)
+		} else {
+			tr.SubmitBatchAt(now, 2, pkts, v)
+		}
+		return v
+	}
+	const at = 5 * time.Millisecond
+	for _, tc := range []struct {
+		name     string
+		onCommit bool
+		n        int
+		routed   bool
+	}{
+		{"probe", false, 7, false},
+		{"commit", true, 4, false},
+		{"routed probe", false, 5, true},
+		{"routed commit", true, 3, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			failing := build(tc.onCommit, tc.n)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("the ceiling never panicked")
+					}
+				}()
+				submit(failing.tr, tc.routed, at, burst)
+			}()
+			done := failing.mid.inFlight.Class // packets before it completed
+			if done == 0 {
+				t.Fatal("the first packet panicked: nothing to compare")
+			}
+			twin := build(false, 0)
+			submit(twin.tr, tc.routed, at, burst[:done])
+
+			if len(failing.tr.touched) != 0 {
+				t.Errorf("%d ceilings still hold burst state after the panic", len(failing.tr.touched))
+			}
+			for i := range failing.tr.ceilings {
+				c := &failing.tr.ceilings[i]
+				if c.open || c.accPkts != 0 || c.drpPkts != 0 {
+					t.Errorf("ceiling %d not written back: %+v", i, *c)
+				}
+			}
+			compareTrees(t, failing.tr, twin.tr)
+			for name, pair := range map[string][2]*tbf.Policer{
+				"root": {failing.root, twin.root}, "leaf": {failing.leaf, twin.leaf}, "middle": {failing.mid.inner, twin.mid.inner},
+			} {
+				got, _ := pair[0].SnapshotState(at)
+				want, _ := pair[1].SnapshotState(at)
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s bucket: %x, twin %x", name, got, want)
+				}
+			}
+			// Both carry on alike.
+			later := at + 3*time.Millisecond
+			if got, want := submit(failing.tr, tc.routed, later, burst), submit(twin.tr, tc.routed, later, burst); !reflect.DeepEqual(got, want) {
+				t.Errorf("after the panic: %v, twin %v", got, want)
+			}
+			compareTrees(t, failing.tr, twin.tr)
+		})
+	}
+}
+
+// compareTrees fails unless two trees agree on their stats, every node's
+// counters, token level and refill clock.
+func compareTrees(t *testing.T, got, want *Tree) {
+	t.Helper()
+	if g, w := got.EnforcerStats(), want.EnforcerStats(); g != w {
+		t.Errorf("stats %+v, twin %+v", g, w)
+	}
+	for i := range got.nodes {
+		g, _ := got.NodeStats(enforcer.NodeID(i))
+		w, _ := want.NodeStats(enforcer.NodeID(i))
+		gn, wn := &got.nodes[i], &want.nodes[i]
+		if g != w || gn.tokens != wn.tokens || gn.lastFill != wn.lastFill {
+			t.Errorf("node %d: %+v tokens %v filled %v, twin %+v %v %v", i, g, gn.tokens, gn.lastFill, w, wn.tokens, wn.lastFill)
+		}
+	}
+}
+
 // TestSubmitAllocs: no submission path allocates — node-addressed or
 // class-routed, one packet or a burst, including a burst that mixes leaves.
 func TestSubmitAllocs(t *testing.T) {
@@ -157,9 +306,10 @@ type layoutDiff struct {
 
 // diffSpec draws a topology from shape: 1–25 nodes at most 1–6 deep;
 // token-bucket and phantom ceilings with buckets small enough to drop whole
-// bursts, on any node including leaves; own-assured, pooled and unassured
-// nodes; explicit bursts. Ceilings hold state, so each tree gets its own
-// spec from the same shape.
+// bursts, on any node including leaves; one token bucket shared by a node
+// and one of its ancestors; own-assured, pooled and unassured nodes;
+// explicit bursts. Ceilings hold state, so each tree gets its own spec from
+// the same shape.
 func diffSpec(shape uint64) []NodeSpec {
 	r := rng.New(shape)
 	n := 1 + r.IntN(25)
@@ -202,7 +352,41 @@ func diffSpec(shape uint64) []NodeSpec {
 		spec = append(spec, s)
 		depth = append(depth, d)
 	}
+	// One Stage at two nodes of one path: a descendant takes an ancestor's
+	// token bucket, which a burst through both borrows as one loan. (A
+	// phantom queue committed twice per packet can overfill past what its
+	// own snapshot decoder accepts.)
+	if len(spec) > 1 && r.IntN(3) == 0 {
+		c := 1 + r.IntN(len(spec)-1)
+		a := spec[c].Parent
+		for k := r.IntN(depth[c] - 1); k > 0; k-- {
+			a = spec[a].Parent
+		}
+		if _, ok := spec[a].Stage.(*tbf.Policer); ok {
+			spec[c].Stage = spec[a].Stage
+		}
+	}
+	// And one token bucket at two nodes neither of which is the other's
+	// ancestor, such as two sibling pools: a burst through the second
+	// charges the loan held at the first's slot, off its own path.
+	if len(spec) > 2 && r.IntN(3) == 0 {
+		a, b := r.IntN(len(spec)), r.IntN(len(spec))
+		if a != b && !ancestor(spec, a, b) && !ancestor(spec, b, a) {
+			stage := tbf.MustNew(units.Rate(1+r.IntN(20))*units.Mbps, int64(1+r.IntN(6))*units.MSS)
+			spec[a].Stage, spec[b].Stage = stage, stage
+		}
+	}
 	return spec
+}
+
+// ancestor reports whether node a is on node b's path to the root.
+func ancestor(spec []NodeSpec, a, b int) bool {
+	for ; b >= 0; b = spec[b].Parent {
+		if b == a {
+			return true
+		}
+	}
+	return false
 }
 
 func newLayoutDiff(t *testing.T, shape uint64) *layoutDiff {
@@ -219,8 +403,8 @@ func newLayoutDiff(t *testing.T, shape uint64) *layoutDiff {
 	if !reflect.DeepEqual(tr.Leaves(), ref.leaves) {
 		t.Fatalf("leaves %v, reference %v", tr.Leaves(), ref.leaves)
 	}
-	if cap(tr.path) != ref.maxDepth {
-		t.Fatalf("path scratch holds %d hops, the deepest path has %d", cap(tr.path), ref.maxDepth)
+	if cap(tr.plan.buckets) != ref.maxDepth {
+		t.Fatalf("plan scratch holds %d buckets, the deepest path has %d nodes", cap(tr.plan.buckets), ref.maxDepth)
 	}
 	for i := 0; i < d.n; i++ {
 		id := enforcer.NodeID(i)
@@ -324,10 +508,20 @@ func (d *layoutDiff) run(ops []byte) {
 				d.t.Fatalf("Submit(%v, class %d) = %v, reference %v", d.now, p.Class, got, want)
 			}
 		case 6:
-			rate := units.Rate(b&15) * units.Mbps / 2 // 0 takes the node out of the layer
-			err, refErr := d.tr.SetNodeAssured(d.now, node, rate), d.ref.SetNodeAssured(d.now, node, rate)
-			if (err != nil) != (refErr != nil) {
-				d.t.Fatalf("SetNodeAssured(%d, %v): %v, reference %v", node, rate, err, refErr)
+			// Routed by class, a burst at a time: runs of 1–4 packets bound
+			// for one leaf, the leaf changing from run to run.
+			burst := d.pkts[:1+b%len(d.pkts)]
+			for k, run := 0, 0; k < len(burst); run++ {
+				for n := 1 + (a+run)%4; n > 0 && k < len(burst); n-- {
+					burst[k] = pkt(a+run, 64+((b+k*7)&15)*96)
+					k++
+				}
+			}
+			d.tr.SubmitBatch(d.now, burst, d.got)
+			d.ref.SubmitBatch(d.now, burst, d.exp)
+			if !reflect.DeepEqual(d.got[:len(burst)], d.exp[:len(burst)]) {
+				d.t.Fatalf("SubmitBatch(%v, %d pkts) = %v, reference %v",
+					d.now, len(burst), d.got[:len(burst)], d.exp[:len(burst)])
 			}
 		case 7:
 			if b&1 == 1 {
@@ -356,12 +550,34 @@ func wholeBurstDrops(node byte, rounds int) []byte {
 	return ops
 }
 
+// emptyMidBurst is an op stream of twelve-packet bursts at one node, the
+// clock stepping 0.26–1.4 ms between them, each burst followed by a single
+// packet at the root: a small token bucket at that node runs dry part-way
+// through a burst, and lets the next one start again.
+func emptyMidBurst(node byte, rounds int) []byte {
+	var ops []byte
+	for i := 0; i < rounds; i++ {
+		ops = append(ops, 2, node, byte(35+(i%4)*48), 0, 0, byte(i%16))
+	}
+	return ops
+}
+
+// routedRuns is an op stream of class-routed bursts of 4–12 packets whose
+// leaf changes every 1–4 packets.
+func routedRuns(rounds int) []byte {
+	var ops []byte
+	for i := 0; i < rounds; i++ {
+		ops = append(ops, 6, byte(i*5), byte(3+(i%3)*4+(i%5)*16))
+	}
+	return ops
+}
+
 // FuzzTreeLayoutEquivalence is the record layout's differential: arbitrary
 // topologies and arbitrary single, burst and class-routed submissions at any
-// node, clock steps in both directions, assured-rate and ceiling-rate
-// changes and snapshot round trips must leave the tree and the
-// struct-of-arrays reference agreeing on every verdict, counter, rate,
-// token level, refill clock and snapshot byte.
+// node, clock steps in both directions, ceiling-rate changes and snapshot
+// round trips must leave the tree and the struct-of-arrays reference
+// agreeing on every verdict, counter, rate, token level, refill clock and
+// snapshot byte.
 func FuzzTreeLayoutEquivalence(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 1, 40, 2, 3, 200, 5, 0, 17, 6, 2, 3, 7, 0, 1, 131, 4, 250})
 	// Shapes whose ceilings turn these bursts away whole: an eager refill
@@ -369,6 +585,18 @@ func FuzzTreeLayoutEquivalence(f *testing.F) {
 	f.Add(uint64(1), wholeBurstDrops(12, 40))
 	f.Add(uint64(4), wholeBurstDrops(6, 40))
 	f.Add(uint64(12), []byte{6, 0, 0, 6, 1, 0, 2, 5, 255, 6, 1, 9, 129, 1, 255, 3, 5, 75, 7, 0, 1})
+	// Shape 1's leaves 2 and 5 hold token buckets under a phantom root: the
+	// buckets empty mid-burst while the root keeps admitting.
+	f.Add(uint64(1), emptyMidBurst(2, 40))
+	f.Add(uint64(1), emptyMidBurst(5, 40))
+	// Routed bursts alternating leaves, over shape 1 and over shapes 21 and
+	// 25, where one token bucket caps a node and one of its ancestors, and
+	// shape 26, where one caps sibling leaves 7 and 10 (shape 21 also
+	// shares one between its leaves 1 and 3).
+	f.Add(uint64(1), routedRuns(60))
+	f.Add(uint64(21), routedRuns(60))
+	f.Add(uint64(26), routedRuns(60))
+	f.Add(uint64(25), append(routedRuns(40), emptyMidBurst(4, 20)...))
 	f.Fuzz(func(t *testing.T, shape uint64, ops []byte) {
 		if d := newLayoutDiff(t, shape); d != nil {
 			d.run(ops)
@@ -389,6 +617,7 @@ func TestTreeLayoutEquivalence(t *testing.T) {
 		if d := newLayoutDiff(t, shape); d != nil {
 			d.run(ops)
 			d.run(wholeBurstDrops(byte(shape), 30))
+			d.run(routedRuns(30))
 		}
 	}
 }

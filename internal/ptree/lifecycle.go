@@ -27,74 +27,6 @@ func (t *Tree) NodeReconfigurer(node enforcer.NodeID) (enforcer.Reconfigurer, er
 	return r, nil
 }
 
-// setEffRate retargets one node's effective refill rate, settling accrued
-// income at the old rate first (the same settle-then-switch discipline as
-// tbf.SetRate). A node joining the assured layer gets a fresh full default
-// bucket; one leaving it drops its bucket entirely.
-func (n *node) setEffRate(now time.Duration, eff float64) {
-	if eff == n.effRate {
-		return
-	}
-	if n.effRate > 0 {
-		n.refill(now)
-	}
-	n.effRate = eff
-	switch {
-	case eff == 0:
-		n.burst, n.tokens = 0, 0
-	case n.burst == 0:
-		n.burst = defaultBurst(eff)
-		n.tokens = n.burst
-		n.lastFill = now
-	}
-	if floor := n.floor(); n.tokens < floor {
-		n.tokens = floor
-	}
-}
-
-// childEffSum is an interior node's lend rate: the sum of its children's
-// effective rates, in index order.
-func (t *Tree) childEffSum(n int32) float64 {
-	var s float64
-	for c := t.firstChild[n]; c >= 0; c = t.nodes[c].next {
-		s += t.nodes[c].effRate
-	}
-	return s
-}
-
-// SetNodeAssured changes one node's assured rate in place and re-derives
-// the lend rates of every ancestor pool that inherits from its children
-// (propagation stops at the first ancestor with its own assured rate).
-// Every touched bucket settles income at its old rate before switching, so
-// borrow-layer admission obeys the same piecewise bound as ceiling
-// reconfiguration. Zero removes the node from the assured layer.
-func (t *Tree) SetNodeAssured(now time.Duration, node enforcer.NodeID, rate units.Rate) error {
-	if !t.inRange(node) {
-		return t.errBadNode(node)
-	}
-	if rate < 0 {
-		return fmt.Errorf("ptree: node %d: negative assured rate %v", node, rate)
-	}
-	n := &t.nodes[node]
-	eff := rate.BytesPerSecond()
-	if eff > 0 {
-		n.flags |= flagOwn
-	} else {
-		n.flags &^= flagOwn
-		eff = t.childEffSum(int32(node))
-	}
-	n.setEffRate(now, eff)
-	for p := n.parent; p >= 0; {
-		pool := &t.nodes[p]
-		if pool.own() {
-			break
-		}
-		pool.setEffRate(now, t.childEffSum(p))
-		p = pool.parent
-	}
-	return nil
-}
-
 // SetRate implements enforcer.Reconfigurer by forwarding to the root
 // ceiling — retargeting the whole tree's aggregate limit, the operation a
 // link-capacity change maps to. Any node's ceiling, the root's included,
@@ -154,9 +86,9 @@ func (t *Tree) SnapshotState(now time.Duration) ([]byte, error) {
 		if c < 0 {
 			continue
 		}
-		snap, ok := t.ceilings[c].(enforcer.Snapshotter)
+		snap, ok := t.ceilings[c].stage.(enforcer.Snapshotter)
 		if !ok {
-			return nil, fmt.Errorf("ptree: node %d (%T): %w", i, t.ceilings[c], enforcer.ErrNotSnapshottable)
+			return nil, fmt.Errorf("ptree: node %d (%T): %w", i, t.ceilings[c].stage, enforcer.ErrNotSnapshottable)
 		}
 		var err error
 		if blobs[c], err = snap.SnapshotState(now); err != nil {
@@ -267,8 +199,8 @@ func (t *Tree) snapNode(d *enforcer.Dec, now time.Duration, i int) snapEntry {
 	default:
 		// Every ceiling must be snapshottable before any is restored, so a
 		// structural mismatch cannot leave the tree half-restored.
-		if _, ok := t.ceilings[n.ceiling].(enforcer.Snapshotter); !ok {
-			d.Fail("ptree: node %d (%T): %w", i, t.ceilings[n.ceiling], enforcer.ErrNotSnapshottable)
+		if _, ok := t.ceilings[n.ceiling].stage.(enforcer.Snapshotter); !ok {
+			d.Fail("ptree: node %d (%T): %w", i, t.ceilings[n.ceiling].stage, enforcer.ErrNotSnapshottable)
 		}
 	}
 	return e
@@ -298,7 +230,7 @@ func (t *Tree) RestoreState(now time.Duration, data []byte) error {
 		e := t.snapNode(d, now, i)
 		n := &t.nodes[i]
 		if n.ceiling >= 0 {
-			if err := t.ceilings[n.ceiling].(enforcer.Snapshotter).RestoreState(now, e.blob); err != nil {
+			if err := t.ceilings[n.ceiling].stage.(enforcer.Snapshotter).RestoreState(now, e.blob); err != nil {
 				return fmt.Errorf("ptree: restoring node %d: %w", i, err)
 			}
 		}

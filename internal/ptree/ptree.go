@@ -7,39 +7,72 @@
 // # Layout
 //
 // Everything the datapath touches at a node is one 64-byte, pointer-free
-// record — parent and next-sibling indices, the index of the node's ceiling
-// (-1 for none), two flag bits, and the assured layer's refill rate,
-// capacity, token level, refill clock and accepted counters — in one []node
-// indexed by NodeID. A burst at a random leaf of a million-leaf tree
-// therefore misses the cache once per level, not once per field, and the
-// array holds nothing for the garbage collector to scan. What the record
-// leaves out is either derived or cold:
+// record — the parent index, the index of the node's ceiling (-1 for none)
+// and of the first ceiling on its path to the root, three flag bits, and
+// the assured layer's refill rate, capacity, token level, refill clock and
+// accepted counters — in one []node indexed by NodeID. A
+// burst at a random leaf of a million-leaf tree therefore misses the cache
+// once per level, not once per field, and the array holds nothing for the
+// garbage collector to scan. What the record leaves out is either derived
+// or cold:
 //
 //   - The token floor (0 for a leaf's guarantee bucket, -burst for an
 //     interior ledger) and the configured assured rate (0 or the effective
 //     rate) are the interior and own-assured flag bits, recomputed where
 //     read.
-//   - Ceilings live in a short []enforcer.Stage that has a slot only for
-//     nodes that have one; names in a sorted index/name pair that has an
-//     entry only for named nodes.
-//   - Side arrays, n long, hold what the accept path never reads: the drop
-//     counters (written by the drop path, read by NodeStats and snapshots)
-//     and first-child links (control plane only: SetNodeAssured re-deriving
-//     a pool's lend rate). Leaves is exactly sized.
+//   - Ceilings live in a short slice that has a slot only for nodes that
+//     have one; names in a sorted index/name pair that has an entry only for
+//     named nodes.
+//   - The drop counters, written once per burst and read by NodeStats and
+//     snapshots, are two n-long side arrays. Leaves is exactly sized.
 //
-// That is 88 B per node of a million-leaf tree (64 + 16 + 4, and 4 per
-// leaf). SubmitBatchAt resolves the node → root path once per burst into a
-// scratch array of record pointers and ceiling interfaces, sized at build
-// time to the deepest path, and every packet of the burst works through
-// that: zero allocations, no per-packet index arithmetic. The burst is
-// admitted in place and each ceiling receives &pkts[i], never a copy of the
-// 72-byte packet; SubmitAt's single packet goes through a one-slot scratch
-// the tree owns. Assured buckets are refilled once per burst, by the first
-// packet that passes every ceiling probe — the moment the per-packet code
-// would have. Refilling eagerly on entry would move the refill clock of a
-// burst dropped whole at a ceiling, splitting one r·(d₁+d₂) refill into
-// r·d₁ + r·d₂, which differs in the last bit and shows up in verdicts and
-// snapshots.
+// That is 84 B per node of a million-leaf tree (64 + 16, and 4 per leaf).
+//
+// A burst pays for its path once. New links each path's ceilings leaf →
+// root (a node records the first ceiling on its path, a ceiling slot the
+// next one up) and flags the nodes whose path has a ceiling that is not a
+// token bucket, so a burst walks its ceilings without resolving them.
+// SubmitBatchAt resolves the rest of the node → root path into a plan: the
+// assured buckets it charges, each with its floor, in scratch the tree
+// sizes at build time to the deepest path. The burst is admitted in place
+// against the plan (each Stage ceiling receives &pkts[i], never a copy of
+// the 72-byte packet; SubmitAt's single packet goes through a one-slot
+// scratch the tree owns), with zero allocations and no per-packet index
+// arithmetic. Every node on
+// the path counts the same accepted packets, so the burst's accepted packets
+// and bytes are tallied once, and its drops per ceiling; one flush at the
+// end of the burst writes the node counters, the drop side arrays and the
+// tree's stats. Class-routed SubmitBatch resolves one plan per run of
+// packets bound for one leaf, and its runs share the burst's loans and
+// flush.
+//
+// A token-bucket ceiling (*tbf.Policer) lends the tree its bucket for the
+// burst (tbf.Loan), held in the ceiling's slot: the tree opens the loan,
+// which refills the bucket, at the first packet that reaches that ceiling,
+// tests and charges it as a plain float64 through methods that inline, and
+// repays it in the flush with the packets it accepted. A policer that sits
+// at two nodes, on one path or not, has one loan, held at the first node's
+// slot, which every hop through it charges. Other ceilings are called
+// through enforcer.Stage per packet. A ceiling slot is 88 B: it carries the
+// loan and the burst's drops between flushes, and the flush writes back
+// each slot a burst opened or dropped at once, from a list New sizes to the
+// number of slots.
+//
+// Nothing is refilled before a packet reaches it. A ceiling's loan opens at
+// first reach, and the path's assured buckets are resolved and refilled
+// once, by the first packet that passes every ceiling probe — the moments
+// the per-packet code would have. Refilling eagerly on entry would move the
+// refill clock of a burst dropped whole below it, splitting one r·(d₁+d₂)
+// refill into r·d₁ + r·d₂, which differs in the last bit and shows up in
+// verdicts and snapshots.
+//
+// Every entry point defers the flush, so a ceiling Stage that panics
+// mid-burst leaves the tree consistent: every open loan is repaid, and the
+// counters, the drop arrays, the tree's stats, the assured buckets and the
+// loans count exactly the packets whose verdict was written. The packet in
+// flight is in none of them; only the Stages it was committed to before the
+// one that panicked (a packet's Stage commits run before its loans and
+// buckets are charged) may have counted it.
 //
 // Specs are given in topological order (every parent precedes its
 // children), which makes cycles unrepresentable at build time; the snapshot
@@ -55,7 +88,13 @@
 // no admission state changes) and is committed to all of them or none. No
 // level is charged for a packet another level drops, and packet i's commit
 // is visible to packet i+1's probes, so every level's Theorem 1 bound
-// (accepted ≤ r·Δt + B) holds exactly per interior node.
+// (accepted ≤ r·Δt + B) holds exactly per interior node. Packet-major
+// order holds inside the burst's plan too: a lent bucket is charged before
+// the next packet tests it, and the plan's one tally changes only where the
+// per-packet counters are summed (integers, so the sums are exact), which
+// keeps verdicts, counters, token levels, refill clocks and snapshot bytes
+// identical to admitting the burst one packet at a time, and the same
+// holds for class-routed SubmitBatch, whose runs share one burst.
 //
 // # Borrowing
 //
@@ -95,6 +134,7 @@ import (
 
 	"bcpqp/internal/enforcer"
 	"bcpqp/internal/packet"
+	"bcpqp/internal/tbf"
 	"bcpqp/internal/units"
 )
 
@@ -132,9 +172,9 @@ type NodeSpec struct {
 // the node, in one cache line with no pointers.
 type node struct {
 	parent  int32 // -1 = root
-	next    int32 // next sibling, -1 = last; control plane only
 	ceiling int32 // index into Tree.ceilings, -1 = no ceiling
 	flags   uint32
+	above   int32 // the first ceiling on the node → root path (its own, if any), -1 = none
 
 	// Assured/borrow layer. effRate is the node's effective refill rate in
 	// bytes/sec: its own assured rate if flagOwn is set, else the sum of
@@ -160,10 +200,14 @@ const (
 	// flagOwn marks a node whose assured rate is configured rather than
 	// pooled from its children: the configured rate is then effRate.
 	flagOwn
+	// flagStages marks a node whose path to the root has a ceiling that is
+	// not a token bucket, so admission calls it through enforcer.Stage.
+	flagStages
 )
 
 func (n *node) interior() bool { return n.flags&flagInterior != 0 }
 func (n *node) own() bool      { return n.flags&flagOwn != 0 }
+func (n *node) stages() bool   { return n.flags&flagStages != 0 }
 
 // floor is the lowest token level a commit may leave behind.
 func (n *node) floor() float64 {
@@ -179,12 +223,20 @@ func defaultBurst(effRate float64) float64 {
 	return max(effRate*DefaultBurstWindow.Seconds(), units.MSS)
 }
 
-// hop is one step of a resolved node → root path: what admission needs from
-// the tree at that node, looked up once per burst.
-type hop struct {
-	n     *node
-	stage enforcer.Stage // the node's ceiling, nil = none
-	idx   int32          // the node's index, for the drop counters
+// ceiling is one node's ceiling: the Stage, and what a burst has tallied at
+// it, written back and zeroed when the burst ends (see flush).
+type ceiling struct {
+	stage  enforcer.Stage
+	lender *tbf.Policer // stage, when it is a token bucket that lends its bucket
+	loan   *ceiling     // the slot holding lender's loan: the first with that policer
+	node   int32        // the node it caps, which owns its drops
+	up     int32        // the next ceiling on the path to the root, -1 = none
+
+	open   bool     // loan slots: the loan is out
+	tokens tbf.Loan // loan slots: the lent bucket
+	// Packets charged to the loan (loan slots), and drops here.
+	accPkts, accBytes int64
+	drpPkts, drpBytes int64
 }
 
 // Tree is a policy-tree enforcer. It implements enforcer.TreeEnforcer,
@@ -193,14 +245,13 @@ type hop struct {
 // enforcer.Snapshotter. Not safe for concurrent use.
 type Tree struct {
 	nodes    []node
-	ceilings []enforcer.Stage // only the nodes that have one; see node.ceiling
+	ceilings []ceiling // only the nodes that have one; see node.ceiling
 
-	// Side arrays, n long: what the accept path never reads. Drops are
-	// attributed to the rejecting node (the first ceiling that refused, or
-	// the entry node for borrow-layer rejections).
-	drpPkts    []int64
-	drpBytes   []int64
-	firstChild []int32 // -1 = leaf; the head of the node.next chain
+	// Side arrays, n long, written once per burst. Drops are attributed to
+	// the rejecting node (the first ceiling that refused, or the entry node
+	// for borrow-layer rejections).
+	drpPkts  []int64
+	drpBytes []int64
 
 	leaves []enforcer.NodeID
 
@@ -210,8 +261,9 @@ type Tree struct {
 
 	stats enforcer.Stats
 
-	path []hop            // node → root scratch, cap = the deepest path; reused per burst
-	one  [1]packet.Packet // SubmitAt's one-packet burst: a stack array would escape
+	plan    plan             // the run's resolved path; its buckets' cap is the deepest path
+	touched []*ceiling       // the ceilings a burst has opened or dropped at, each once, for flush
+	one     [1]packet.Packet // SubmitAt's one-packet burst: a stack array would escape
 }
 
 // New builds a policy tree from a topologically ordered spec: spec[0] is
@@ -226,10 +278,9 @@ func New(spec []NodeSpec) (*Tree, error) {
 		return nil, fmt.Errorf("ptree: spec[0] must be the root (Parent -1, got %d)", spec[0].Parent)
 	}
 	t := &Tree{
-		nodes:      make([]node, n),
-		drpPkts:    make([]int64, n),
-		drpBytes:   make([]int64, n),
-		firstChild: make([]int32, n),
+		nodes:    make([]node, n),
+		drpPkts:  make([]int64, n),
+		drpBytes: make([]int64, n),
 	}
 	// Forward pass, parents before children: validate, write each record's
 	// configuration, mark parents interior, and measure depth.
@@ -250,13 +301,21 @@ func New(spec []NodeSpec) (*Tree, error) {
 		if s.Burst > 0 && s.Burst < units.MSS {
 			return nil, fmt.Errorf("ptree: node %d: burst %d below one MSS", i, s.Burst)
 		}
-		nd := node{parent: int32(s.Parent), next: -1, ceiling: -1}
+		nd := node{parent: int32(s.Parent), ceiling: -1, above: -1}
+		if i > 0 {
+			nd.above = t.nodes[s.Parent].above
+		}
 		if own := s.Assured.BytesPerSecond(); own > 0 {
 			nd.effRate, nd.flags = own, flagOwn
 		}
 		if s.Stage != nil {
 			nd.ceiling = int32(len(t.ceilings))
-			t.ceilings = append(t.ceilings, s.Stage)
+			lender, _ := s.Stage.(*tbf.Policer)
+			t.ceilings = append(t.ceilings, ceiling{stage: s.Stage, lender: lender, node: int32(i), up: nd.above})
+			nd.above = nd.ceiling
+			if lender == nil {
+				nd.flags |= flagStages
+			}
 		}
 		if s.Name != "" {
 			t.namedIdx = append(t.namedIdx, int32(i))
@@ -270,16 +329,16 @@ func New(spec []NodeSpec) (*Tree, error) {
 				interiors++
 			}
 			depth[i] = depth[s.Parent] + 1
+			nd.flags |= p.flags & flagStages
 		}
 		maxDepth = max(maxDepth, depth[i])
 		t.nodes[i] = nd
-		t.firstChild[i] = -1
 	}
-	// Reverse pass, children before parents. Prepending while descending
-	// leaves every child list in ascending order; a node's effective rate
-	// is final when the pass reaches it (its own, or what its children
-	// have pooled into it), so its bucket can be sized — configured, or
-	// the default at that rate — and filled, as deployed policers start.
+	// Reverse pass, children before parents: a node's effective rate is
+	// final when the pass reaches it (its own, or what its children have
+	// pooled into it, in descending index order), so its bucket can be
+	// sized — configured, or the default at that rate — and filled, as
+	// deployed policers start.
 	t.leaves = make([]enforcer.NodeID, n-interiors)
 	leaf := len(t.leaves)
 	for i := n - 1; i >= 0; i-- {
@@ -298,14 +357,28 @@ func New(spec []NodeSpec) (*Tree, error) {
 			t.leaves[leaf] = enforcer.NodeID(i)
 		}
 		if nd.parent >= 0 {
-			nd.next = t.firstChild[nd.parent]
-			t.firstChild[nd.parent] = int32(i)
 			if p := &t.nodes[nd.parent]; !p.own() {
 				p.effRate += nd.effRate
 			}
 		}
 	}
-	t.path = make([]hop, 0, maxDepth)
+	// A policer at several nodes lends one loan, held by its first slot.
+	var loans map[*tbf.Policer]*ceiling
+	for k := range t.ceilings {
+		c := &t.ceilings[k]
+		if c.lender == nil {
+			continue
+		}
+		if loans == nil {
+			loans = make(map[*tbf.Policer]*ceiling)
+		}
+		if c.loan = loans[c.lender]; c.loan == nil {
+			c.loan = c
+			loans[c.lender] = c
+		}
+	}
+	t.plan.buckets = make([]charge, 0, maxDepth)
+	t.touched = make([]*ceiling, 0, len(t.ceilings))
 	return t, nil
 }
 
@@ -365,7 +438,7 @@ func (t *Tree) ceiling(n *node) enforcer.Stage {
 	if n.ceiling < 0 {
 		return nil
 	}
-	return t.ceilings[n.ceiling]
+	return t.ceilings[n.ceiling].stage
 }
 
 // AssuredRate returns a node's configured assured rate (zero when the
@@ -401,18 +474,6 @@ func (t *Tree) NodeStats(node enforcer.NodeID) (enforcer.Stats, error) {
 // EnforcerStats implements enforcer.StatsReader with the tree-level
 // (root-subtree) verdict accounting.
 func (t *Tree) EnforcerStats() enforcer.Stats { return t.stats }
-
-// fillPath resolves the node → root path into the tree's scratch buffer
-// (preallocated to the deepest path: no allocation) and returns it.
-func (t *Tree) fillPath(node enforcer.NodeID) []hop {
-	p := t.path[:0]
-	for v := int32(node); v >= 0; {
-		n := &t.nodes[v]
-		p = append(p, hop{n: n, stage: t.ceiling(n), idx: v})
-		v = n.parent
-	}
-	return p
-}
 
 var _ enforcer.TreeEnforcer = (*Tree)(nil)
 var _ enforcer.StatsReader = (*Tree)(nil)

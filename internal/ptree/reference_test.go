@@ -11,19 +11,20 @@ import (
 )
 
 // refTree is the tree as it was before node state moved into one record per
-// node: fourteen parallel n-long slices, floor and ownAssured stored rather
-// than derived, the path re-walked and every assured bucket re-refilled for
-// each packet. It is kept, logic untouched, as the reference model that
+// node: parallel n-long slices, floor and ownAssured stored rather than
+// derived, the path re-walked, every ceiling called through its Stage and
+// every assured bucket re-refilled and every counter written for each
+// packet. It is kept, logic untouched, as the reference model that
 // FuzzTreeLayoutEquivalence compares Tree against; only what the comparison
 // never calls (labels, per-node reconfigurer/snapshotter access, the root
-// Reconfigurer forwarding) is gone.
+// Reconfigurer forwarding, and the assured-rate changes Tree no longer
+// offers) is gone, and its SubmitBatch is Submit packet by packet.
 type refTree struct {
-	parent      []int32
-	firstChild  []int32 // -1 = leaf
-	nextSibling []int32 // -1 = last sibling
-	stages      []enforcer.Stage
-	leaves      []enforcer.NodeID
-	maxDepth    int
+	parent     []int32
+	firstChild []int32 // -1 = leaf
+	stages     []enforcer.Stage
+	leaves     []enforcer.NodeID
+	maxDepth   int
 
 	ownAssured []float64 // configured, bytes/sec
 	effRate    []float64 // effective refill, bytes/sec
@@ -80,20 +81,19 @@ func newRefTree(spec []NodeSpec) (*refTree, error) {
 		return nil, fmt.Errorf("ptree: spec[0] must be the root (Parent -1, got %d)", spec[0].Parent)
 	}
 	t := &refTree{
-		parent:      make([]int32, n),
-		firstChild:  make([]int32, n),
-		nextSibling: make([]int32, n),
-		stages:      make([]enforcer.Stage, n),
-		ownAssured:  make([]float64, n),
-		effRate:     make([]float64, n),
-		burst:       make([]float64, n),
-		floor:       make([]float64, n),
-		tokens:      make([]float64, n),
-		lastFill:    make([]time.Duration, n),
-		accPkts:     make([]int64, n),
-		accBytes:    make([]int64, n),
-		drpPkts:     make([]int64, n),
-		drpBytes:    make([]int64, n),
+		parent:     make([]int32, n),
+		firstChild: make([]int32, n),
+		stages:     make([]enforcer.Stage, n),
+		ownAssured: make([]float64, n),
+		effRate:    make([]float64, n),
+		burst:      make([]float64, n),
+		floor:      make([]float64, n),
+		tokens:     make([]float64, n),
+		lastFill:   make([]time.Duration, n),
+		accPkts:    make([]int64, n),
+		accBytes:   make([]int64, n),
+		drpPkts:    make([]int64, n),
+		drpBytes:   make([]int64, n),
 	}
 	for i, s := range spec {
 		if i > 0 && (s.Parent < 0 || s.Parent >= i) {
@@ -111,15 +111,12 @@ func newRefTree(spec []NodeSpec) (*refTree, error) {
 		}
 		t.parent[i] = int32(s.Parent)
 		t.firstChild[i] = -1
-		t.nextSibling[i] = -1
 		t.stages[i] = s.Stage
 		t.ownAssured[i] = s.Assured.BytesPerSecond()
 	}
 	t.parent[0] = -1
 	for i := n - 1; i >= 1; i-- {
-		p := t.parent[i]
-		t.nextSibling[i] = t.firstChild[p]
-		t.firstChild[p] = int32(i)
+		t.firstChild[t.parent[i]] = int32(i)
 	}
 	for i := n - 1; i >= 0; i-- {
 		if t.ownAssured[i] > 0 {
@@ -286,6 +283,12 @@ func (t *refTree) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict 
 	return t.SubmitAt(now, t.leaves[pkt.ClassIn(len(t.leaves))], pkt)
 }
 
+func (t *refTree) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []enforcer.Verdict) {
+	for i := range pkts {
+		verdicts[i] = t.Submit(now, pkts[i])
+	}
+}
+
 // setRateAt changes one node's ceiling rate, as Tree.NodeReconfigurer(node)
 // then SetRate does.
 func (t *refTree) setRateAt(now time.Duration, node enforcer.NodeID, rate units.Rate) error {
@@ -299,66 +302,6 @@ func (t *refTree) setRateAt(now time.Duration, node enforcer.NodeID, rate units.
 			node, t.stages[node], enforcer.ErrNotReconfigurable)
 	}
 	return r.SetRate(now, rate)
-}
-
-func (t *refTree) setEffRate(now time.Duration, n int32, eff float64) {
-	if eff == t.effRate[n] {
-		return
-	}
-	if t.effRate[n] > 0 {
-		t.refillNode(n, now)
-	}
-	t.effRate[n] = eff
-	switch {
-	case eff == 0:
-		t.burst[n], t.tokens[n] = 0, 0
-	case t.burst[n] == 0:
-		b := eff * DefaultBurstWindow.Seconds()
-		if b < units.MSS {
-			b = units.MSS
-		}
-		t.burst[n], t.tokens[n] = b, b
-		t.lastFill[n] = now
-	}
-	t.floor[n] = 0
-	if t.firstChild[n] != -1 {
-		t.floor[n] = -t.burst[n]
-	}
-	if t.tokens[n] < t.floor[n] {
-		t.tokens[n] = t.floor[n]
-	}
-}
-
-func (t *refTree) childEffSum(n int32) float64 {
-	var s float64
-	for c := t.firstChild[n]; c >= 0; c = t.nextSibling[c] {
-		s += t.effRate[c]
-	}
-	return s
-}
-
-func (t *refTree) SetNodeAssured(now time.Duration, node enforcer.NodeID, rate units.Rate) error {
-	if int(node) < 0 || int(node) >= len(t.parent) {
-		return fmt.Errorf("ptree: node %d out of range [0,%d): %w",
-			node, len(t.parent), enforcer.ErrBadNode)
-	}
-	if rate < 0 {
-		return fmt.Errorf("ptree: node %d: negative assured rate %v", node, rate)
-	}
-	n := int32(node)
-	t.ownAssured[n] = rate.BytesPerSecond()
-	eff := t.ownAssured[n]
-	if eff == 0 {
-		eff = t.childEffSum(n)
-	}
-	t.setEffRate(now, n, eff)
-	for p := t.parent[n]; p >= 0; p = t.parent[p] {
-		if t.ownAssured[p] > 0 {
-			break
-		}
-		t.setEffRate(now, p, t.childEffSum(p))
-	}
-	return nil
 }
 
 func (t *refTree) SnapshotState(now time.Duration) ([]byte, error) {

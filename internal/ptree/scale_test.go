@@ -26,7 +26,7 @@ func millionLeafSpec(leavesPerPool, pools int) []NodeSpec {
 }
 
 // TestMillionLeafScale is the scaling acceptance test: a million-leaf,
-// depth-3 policy tree builds in bounded memory (a 64-byte record plus 24 B of
+// depth-3 policy tree builds in bounded memory (a 64-byte record plus 20 B of
 // side arrays per node), steady-state batch submission performs zero
 // allocations, and both
 // Theorem 1 per interior ceiling and the assured-layer conservation bound
@@ -41,8 +41,8 @@ func TestMillionLeafScale(t *testing.T) {
 		t.Fatalf("NumNodes = %d, want 1001001", n)
 	}
 	perNode := float64(heap) / float64(n)
-	// 64 B of record, 16 of drop counters, 4 of first-child link and 4 of
-	// leaf list: 88 B, plus the thousand interior ceilings. The bound
+	// 64 B of record, 16 of drop counters and 4 of leaf list: 84 B, plus
+	// the thousand interior ceilings. The bound
 	// leaves room for one more side array of int64, not for a return to a
 	// slot per node for names (16 B) or ceilings (16 B) on top of it.
 	if perNode > 96 {
@@ -100,8 +100,10 @@ func TestMillionLeafScale(t *testing.T) {
 		// plus banked capital even when its leaves overdrive 30x.
 		if node != 0 {
 			var capital float64
-			for c := tr.firstChild[node]; c >= 0; c = tr.nodes[c].next {
-				capital += tr.nodes[c].burst
+			for c := range tr.nodes {
+				if tr.nodes[c].parent == int32(node) {
+					capital += tr.nodes[c].burst
+				}
 			}
 			capital += tr.nodes[node].burst
 			if f := float64(st.AcceptedBytes); f > eff.Bytes(elapsed)+capital+units.MSS {

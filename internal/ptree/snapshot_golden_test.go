@@ -60,9 +60,7 @@ func goldenTrace(tr *Tree, now *time.Duration, i0, n int) string {
 		switch {
 		case i < goldenSteps:
 		case i%97 == 50:
-			if err := tr.SetNodeAssured(*now, 5, units.Rate(2+i%5)*units.Mbps); err != nil {
-				panic(err)
-			}
+			reassure(tr, *now, 5, units.Rate(2+i%5)*units.Mbps)
 		case i%97 == 75:
 			if err := setRateAt(tr, *now, 2, units.Rate(10+i%7)*units.Mbps); err != nil {
 				panic(err)
@@ -83,6 +81,30 @@ func goldenTrace(tr *Tree, now *time.Duration, i0, n int) string {
 		}
 	}
 	return string(out)
+}
+
+// reassure re-rates an assured leaf and the lend rate of every pool above it
+// that pools its children's (summed in index order), each bucket settling
+// its income at the old rate first: the assured-rate change the golden trace
+// was recorded with, when the tree still offered one. It covers only what
+// the trace does, a leaf under pools that all stay in the assured layer.
+func reassure(tr *Tree, now time.Duration, leaf int32, rate units.Rate) {
+	set := func(v int32, eff float64) {
+		if n := &tr.nodes[v]; eff != n.effRate {
+			n.refill(now)
+			n.effRate = eff
+		}
+	}
+	set(leaf, rate.BytesPerSecond())
+	for v := tr.nodes[leaf].parent; v >= 0 && !tr.nodes[v].own(); v = tr.nodes[v].parent {
+		var lend float64
+		for c := range tr.nodes {
+			if tr.nodes[c].parent == v {
+				lend += tr.nodes[c].effRate
+			}
+		}
+		set(v, lend)
+	}
 }
 
 // TestTreeSnapshotGolden pins the wire format in both directions: this layout

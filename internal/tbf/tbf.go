@@ -7,6 +7,12 @@
 // (computed from elapsed virtual time on each arrival), matching the paper's
 // observation that policers batch token generation.
 //
+// A policer can also lend its bucket out for a burst (Loan), which is how a
+// policy tree holds a token-bucket ceiling: the tree tests and charges the
+// lent level through methods that inline rather than two interface calls
+// per packet. Probe, Commit and SubmitBatch are loans too, so the bucket
+// arithmetic lives in Loan alone.
+//
 // The package also provides the two bucket-sizing rules used in the paper's
 // evaluation: "Policer" (one BDP) and "Policer+" (the FairPolicer sizing —
 // the maximum of the New Reno and Cubic requirements at the worst-case RTT).
@@ -91,45 +97,83 @@ func (p *Policer) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict 
 }
 
 // SubmitBatch implements enforcer.BatchSubmitter, and is the policer's one
-// admission loop: Submit is a burst of one. One token-refill computation
-// covers the whole burst. A burst decides exactly as the same packets
-// submitted as bursts of one: refill is a no-op when virtual time has not
-// advanced, so repeated refills at a fixed now do nothing after the first;
-// everything else is pure token arithmetic in packet order.
+// admission loop: Submit is a burst of one. The burst is one loan of the
+// bucket, so one token-refill computation covers it. A burst decides
+// exactly as the same packets submitted as bursts of one: refill is a no-op
+// when virtual time has not advanced, so repeated refills at a fixed now do
+// nothing after the first; everything else is pure token arithmetic in
+// packet order.
 func (p *Policer) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []enforcer.Verdict) {
 	verdicts = verdicts[:len(pkts)]
 	if len(pkts) == 0 {
 		return
 	}
-	p.refill(now)
+	l := p.Lend(now)
+	var accPkts, accBytes int64
 	for i := range pkts {
-		s := float64(pkts[i].Size)
-		if p.tokens >= s {
-			p.tokens -= s
-			p.stats.Accept(pkts[i].Size)
+		if size := pkts[i].Size; l.Admits(size) {
+			l.Take(size)
+			accPkts++
+			accBytes += int64(size)
 			verdicts[i] = enforcer.Transmit
 		} else {
-			p.stats.Reject(pkts[i].Size)
+			p.stats.Reject(size)
 			verdicts[i] = enforcer.Drop
 		}
 	}
+	p.Repay(l, accPkts, accBytes)
 }
 
 // Probe reports whether a packet would be admitted at now without
-// consuming tokens (two-phase admission for cascaded rate limits).
+// consuming tokens (two-phase admission for cascaded rate limits): a loan
+// of the bucket that is tested and never repaid.
 func (p *Policer) Probe(now time.Duration, pkt *packet.Packet) bool {
-	p.refill(now)
-	return p.tokens >= float64(pkt.Size)
+	l := p.Lend(now)
+	return l.Admits(pkt.Size)
 }
 
-// Commit consumes the tokens for a packet previously accepted by Probe.
+// Commit consumes the tokens for a packet previously accepted by Probe: a
+// loan of the bucket charged once and repaid.
 func (p *Policer) Commit(now time.Duration, pkt *packet.Packet) {
+	l := p.Lend(now)
+	l.Take(pkt.Size)
+	p.Repay(l, 1, int64(pkt.Size))
+}
+
+// Loan is a policer's token level lent out for a burst at one instant, so
+// that a caller holding several ceilings (a policy tree) can test and charge
+// it as a plain float64 through methods that inline, instead of two
+// interface calls per packet. Lend refills the bucket to now and opens the
+// loan; Repay writes the level back with the packets the loan accepted.
+// Nothing else may touch the policer while a loan is open. Probe and Commit
+// are loans of one packet, so the bucket arithmetic lives here only.
+type Loan struct {
+	tokens float64
+}
+
+// Lend refills the bucket to now and lends out its token level.
+func (p *Policer) Lend(now time.Duration) Loan {
 	p.refill(now)
-	p.tokens -= float64(pkt.Size)
-	if p.tokens < 0 {
-		p.tokens = 0
+	return Loan{tokens: p.tokens}
+}
+
+// Admits reports whether the lent bucket holds size bytes of tokens.
+func (l *Loan) Admits(size int) bool { return l.tokens >= float64(size) }
+
+// Take charges size bytes to the lent bucket, which never goes below empty.
+func (l *Loan) Take(size int) {
+	l.tokens -= float64(size)
+	if l.tokens < 0 {
+		l.tokens = 0
 	}
-	p.stats.Accept(pkt.Size)
+}
+
+// Repay closes a loan: the bucket takes the loan's token level, and the
+// policer's statistics count pkts accepted packets of bytes in total.
+func (p *Policer) Repay(l Loan, pkts, bytes int64) {
+	p.tokens = l.tokens
+	p.stats.AcceptedPackets += pkts
+	p.stats.AcceptedBytes += bytes
 }
 
 // refill adds tokens for the elapsed virtual time, capped at the bucket.

@@ -10,8 +10,8 @@ import (
 // subscriber — with per-node ceilings (phantom queues or token buckets)
 // enforced top to bottom and an HTB-style assured-rate layer that lets an
 // active subscriber borrow an idle sibling's unused share. A node is one
-// 64-byte pointer-free record plus 24 B of side arrays (88 B per node
-// measured, no per-node heap objects), so a million-leaf tree is 88 MB in a
+// 64-byte pointer-free record plus 20 B of side arrays (84 B per node
+// measured, no per-node heap objects), so a million-leaf tree is 84 MB in a
 // handful of contiguous slices and steady-state batch submission performs
 // zero allocations. See internal/ptree for the layout and the admission
 // semantics.
