@@ -349,13 +349,22 @@ func benchContended(b *testing.B, closed bool) {
 // isolation: bursts enforced inline through LocalSubmitter.SubmitBatch with
 // BC-PQP aggregates pinned across shards — no channel send, no cross-core
 // handoff. One iteration is one packet, directly comparable to
-// BenchmarkMiddleboxSubmitBatch (the ring path on the same workload). It is
-// the inline path's allocation pin: 0 allocs/op in steady state.
+// BenchmarkMiddleboxSubmitBatch (the ring path on the same workload). The
+// tree case is the proxy's -tree datapath: one policy tree per shard,
+// routing each packet of a burst to a leaf by its flow hash. It is the
+// inline path's allocation pin: 0 allocs/op in steady state.
 func BenchmarkMiddleboxSubmitBatchLocal(b *testing.B) {
-	for _, aggs := range []int{16, 256} {
-		aggs := aggs
-		b.Run(fmt.Sprintf("aggregates=%d", aggs), func(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		aggs int // 0: one policy tree per shard
+	}{{"aggregates=16", 16}, {"aggregates=256", 256}, {"tree", 0}} {
+		tc := tc
+		b.Run(tc.name, func(b *testing.B) {
 			shards := runtime.GOMAXPROCS(0)
+			aggs := tc.aggs
+			if aggs == 0 {
+				aggs = shards
+			}
 			if shards > aggs {
 				shards = aggs
 			}
@@ -370,7 +379,13 @@ func BenchmarkMiddleboxSubmitBatchLocal(b *testing.B) {
 			defer eng.Close()
 			handles := make([]AggregateHandle, aggs)
 			for i := range handles {
-				enf, err := NewBCPQP(BCPQPConfig{Rate: 20 * Mbps, Queues: 16})
+				var enf Enforcer
+				var err error
+				if tc.aggs == 0 {
+					enf, err = benchRoutedTree(4, 64)
+				} else {
+					enf, err = NewBCPQP(BCPQPConfig{Rate: 20 * Mbps, Queues: 16})
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -379,6 +394,16 @@ func BenchmarkMiddleboxSubmitBatchLocal(b *testing.B) {
 					b.Fatal(err)
 				}
 				handles[i] = h
+			}
+			// The packets a burst is cut from: classes for the flat
+			// aggregates, distinct flows a tree hashes to leaves.
+			const flows = 1024
+			ring := make([]Packet, flows+DefaultBurst)
+			for i := range ring {
+				ring[i] = Packet{Key: FlowKey{SrcIP: 1, Proto: 6}, Size: MSS, Class: i & 15}
+				if tc.aggs == 0 {
+					ring[i].Key, ring[i].Class = FlowKey{SrcIP: uint32(i%flows + 1), DstIP: 9, SrcPort: 443, Proto: 17}, NoClass
+				}
 			}
 			var next atomic.Int64
 			b.ReportAllocs()
@@ -397,9 +422,7 @@ func BenchmarkMiddleboxSubmitBatchLocal(b *testing.B) {
 					mine = append(mine, handles[i])
 				}
 				var burst [DefaultBurst]Packet
-				for i := range burst {
-					burst[i] = Packet{Key: FlowKey{SrcIP: 1, Proto: 6}, Size: MSS, Class: i & 15}
-				}
+				copy(burst[:], ring)
 				i, fill := 0, 0
 				for pb.Next() {
 					// One iteration = one packet; flush every DefaultBurst.
@@ -410,6 +433,10 @@ func BenchmarkMiddleboxSubmitBatchLocal(b *testing.B) {
 							return
 						}
 						i++
+						if tc.aggs == 0 {
+							off := i * 7 % flows
+							copy(burst[:], ring[off:off+DefaultBurst])
+						}
 					}
 				}
 				if fill > 0 {
@@ -420,6 +447,26 @@ func BenchmarkMiddleboxSubmitBatchLocal(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/sec")
 		})
 	}
+}
+
+// benchRoutedTree builds a 20 Mb/s policy tree of pools × leavesPer
+// assured leaves under token-bucket ceilings, fed by class routing.
+func benchRoutedTree(pools, leavesPer int) (*PolicyTree, error) {
+	ceil := func(r Rate) CascadeStage {
+		c, err := NewPolicer(r, 0, 100*time.Millisecond)
+		if err != nil {
+			panic(err)
+		}
+		return c
+	}
+	spec := []PolicyTreeNode{{Name: "root", Parent: -1, Stage: ceil(20 * Mbps)}}
+	for p := 0; p < pools; p++ {
+		spec = append(spec, PolicyTreeNode{Parent: 0, Stage: ceil(20 * Mbps / Rate(pools))})
+	}
+	for l := 0; l < pools*leavesPer; l++ {
+		spec = append(spec, PolicyTreeNode{Parent: 1 + l/leavesPer, Assured: 20 * Mbps / Rate(pools*leavesPer)})
+	}
+	return NewPolicyTree(spec)
 }
 
 // BenchmarkMiddleboxSubmitBatchObserved is BenchmarkMiddleboxSubmitBatch
@@ -533,8 +580,8 @@ func BenchmarkMiddleboxDegradedBatch(b *testing.B) {
 	if _, err := eng.Stats("victim"); err != nil {
 		b.Fatal(err)
 	}
-	if f, err := eng.Faults("victim"); err != nil || !f.Quarantined {
-		b.Fatalf("aggregate not quarantined before timing (faults=%+v err=%v)", f, err)
+	if q := eng.Health().Quarantined; len(q) != 1 || q[0] != "victim" {
+		b.Fatalf("aggregate not quarantined before timing (quarantined=%v)", q)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -604,7 +651,7 @@ func BenchmarkMiddleboxSetRate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := eng.SetRate("agg-0", Root, Rate(10+i%10)*Mbps); err != nil {
+		if err := eng.SetRate("agg-0", Rate(10+i%10)*Mbps); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -282,8 +282,6 @@ func newAdminMux(mb *bcpqp.Middlebox, node *bcpqp.ClusterNode, ids []string) *ht
 		}
 		type auditz struct {
 			Aggregate     string   `json:"aggregate"`
-			Node          int32    `json:"node"` // -1 = whole-aggregate envelope
-			NodeLabel     string   `json:"node_label,omitempty"`
 			EnvelopeBps   int64    `json:"envelope_bps"`
 			BurstBytes    int64    `json:"burst_bytes"`
 			AllowedBytes  int64    `json:"allowed_bytes"`
@@ -310,8 +308,7 @@ func newAdminMux(mb *bcpqp.Middlebox, node *bcpqp.ClusterNode, ids []string) *ht
 		for _, e := range rep {
 			c := e.Counters
 			body.Audits = append(body.Audits, auditz{
-				Aggregate: e.Aggregate, Node: int32(e.Node), NodeLabel: e.NodeLabel,
-				EnvelopeBps: c.RateBps, BurstBytes: c.BurstBytes,
+				Aggregate: e.Aggregate, EnvelopeBps: c.RateBps, BurstBytes: c.BurstBytes,
 				AllowedBytes: c.AllowedBytes, AcceptedBytes: c.AcceptedBytes,
 				SlackBytes: c.SlackBytes, MinSlackBytes: c.MinSlackBytes,
 				MaxDeficit: c.MaxDeficit, Violations: c.Violations, Windows: c.Windows,

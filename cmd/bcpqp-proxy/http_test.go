@@ -337,7 +337,6 @@ func TestDebugAuditEndpoint(t *testing.T) {
 		} `json:"burst_enforce_latency_ns"`
 		Audits []struct {
 			Aggregate     string `json:"aggregate"`
-			Node          int32  `json:"node"`
 			EnvelopeBps   int64  `json:"envelope_bps"`
 			AcceptedBytes int64  `json:"accepted_bytes"`
 			Violations    int64  `json:"violations"`
@@ -350,8 +349,8 @@ func TestDebugAuditEndpoint(t *testing.T) {
 		t.Fatalf("armed=%d audits=%d, want 1/1", body.Armed, len(body.Audits))
 	}
 	a := body.Audits[0]
-	if a.Aggregate != "audited" || a.Node != -1 || a.EnvelopeBps != 1000 {
-		t.Errorf("audit row %+v, want whole-aggregate envelope at 1000 bps", a)
+	if a.Aggregate != "audited" || a.EnvelopeBps != 1000 {
+		t.Errorf("audit row %+v, want the aggregate's envelope at 1000 bps", a)
 	}
 	if a.Violations == 0 || body.ViolationsTotal != a.Violations {
 		t.Errorf("violations=%d total=%d, want nonzero and equal", a.Violations, body.ViolationsTotal)

@@ -198,11 +198,9 @@ const maxRTT = 100 * time.Millisecond
 // phantom queue full, or the token bucket and one packet — from the scheme
 // table (harness.Buffer) at maxRTT, so a correct enforcer can never trip it
 // while real over-admission, which grows without bound, still does. Returns
-// burst 0 (audit off) for unknown schemes. A policy tree is not audited at
-// all: the proxy arms no envelope on it. An envelope armed with ArmNodeAudit
-// on a leaf or interior ceiling would record nothing, since the relay feeds
-// the tree through the handle AddPinned returns and a burst through that
-// handle credits only the root's (see Middlebox.ArmNodeAudit).
+// burst 0 (audit off) for unknown schemes. A policy tree is not audited: the
+// proxy arms no envelope on it. Its per-node limits are the tree's own, and
+// /metrics/tree exports what each node admitted and dropped.
 func auditEnvelope(name string, rate bcpqp.Rate, queues int) int64 {
 	scheme, err := bcpqp.ParseScheme(name)
 	if err != nil {
@@ -327,9 +325,9 @@ func serve(opts proxyOpts) int {
 				st.writeDropped.Add(1)
 			}
 		}
-		// AddPinned registers a policy tree node-addressable (per-node
-		// stats, in-band node reconfiguration, the /metrics/tree export); a
-		// flat enforcer is the one-node tree.
+		// A policy tree is one aggregate like any enforcer: it routes each
+		// packet to a leaf itself, and /metrics/tree exports its per-node
+		// counters (a flat enforcer exports as node 0).
 		if c.h, err = mb.AddPinned(id, i, enf, emit); err != nil {
 			return fail(err)
 		}

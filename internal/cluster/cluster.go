@@ -393,7 +393,7 @@ func (n *Node) Rebalance(now time.Duration) {
 			fb = 1
 		}
 		if rec != nil {
-			rec.Record(obs.Event{Kind: obs.KindShareApply, Shard: -1, Agg: -1, Node: -1,
+			rec.Record(obs.Event{Kind: obs.KindShareApply, Shard: -1, Agg: -1,
 				VT: int64(now), A: int64(op.share), B: fb})
 		}
 		// Apply errors are not fatal to the exchange: the engine keeps its
@@ -404,7 +404,7 @@ func (n *Node) Rebalance(now time.Duration) {
 
 // recordPeerState traces one liveness transition as KindPeerState.
 func recordPeerState(rec obs.Recorder, now time.Duration, t transition) {
-	rec.Record(obs.Event{Kind: obs.KindPeerState, Shard: -1, Agg: -1, Node: -1,
+	rec.Record(obs.Event{Kind: obs.KindPeerState, Shard: -1, Agg: -1,
 		VT: int64(now), A: int64(t.from), B: int64(t.to), C: int64(t.index)})
 }
 

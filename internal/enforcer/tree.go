@@ -18,13 +18,11 @@ type NodeID int32
 // node 0.
 const NoNode NodeID = -1
 
-// Root is node 0, the root of every TreeEnforcer — and of a flat enforcer,
-// the one-node tree whose only node is the enforcer itself.
+// Root is node 0, the root of every TreeEnforcer.
 const Root NodeID = 0
 
 // ErrBadNode reports a node identifier outside a tree enforcer's node
-// range (or one that is structurally invalid for the operation, e.g.
-// addressing node 1 of a flat single-node aggregate). Test with errors.Is.
+// range. Test with errors.Is.
 var ErrBadNode = errors.New("enforcer: no such node")
 
 // ErrNotReconfigurable reports a reconfiguration against a node (or whole
@@ -66,22 +64,20 @@ type Stage interface {
 	Commit(now time.Duration, pkt *packet.Packet)
 }
 
-// TreeEnforcer is the composition contract for hierarchical policy
-// enforcement: one enforcer object covering a whole rooted tree of rate
-// limits (tenant → plan → subscriber), addressed per node.
+// TreeEnforcer is what an engine reads of a hierarchical policy enforcer,
+// one enforcer object covering a whole rooted tree of rate limits (tenant →
+// plan → subscriber): its topology and per-node accounting. Traffic reaches
+// the tree through its Enforcer methods, which route each packet to a leaf;
+// the tree itself (*ptree.Tree) also offers submission at a chosen node.
 //
-// Traffic enters at a node — normally a leaf — and must be admitted by that
-// node and every ancestor up to the root. Submitting at an interior node is
-// allowed and enforces only the path from that node upward (traffic already
-// aggregated at, say, the plan level). Node 0 is the root (Root); Parent is
-// the source of truth for the rest of the topology.
+// Node 0 is the root (Root); Parent is the source of truth for the rest of
+// the topology. The contract is implemented by *ptree.Tree (the flat-array
+// policy tree), whose constructor rejects any spec whose node 0 is not the
+// root.
 //
-// The contract is implemented by *ptree.Tree (the flat-array policy tree),
-// whose constructor rejects any spec whose node 0 is not the root.
-//
-// Like Enforcer, a TreeEnforcer is single-threaded: all Submit*At calls and
-// all per-node control operations must be serialized onto one execution
-// domain (the mbox engine runs them on the owning shard goroutine).
+// Like Enforcer, a TreeEnforcer is single-threaded: NodeStats must be
+// serialized with submission onto one execution domain (the mbox engine
+// runs it under the owning shard's occupancy word).
 type TreeEnforcer interface {
 	// NumNodes returns the node count; valid NodeIDs are [0, NumNodes).
 	NumNodes() int
@@ -92,30 +88,11 @@ type TreeEnforcer interface {
 	// point); false for out-of-range nodes.
 	IsLeaf(node NodeID) bool
 	// NodeLabel returns a stable human-readable name for the node, for
-	// metrics labels and trace dumps. It may allocate; control plane only.
+	// metrics labels. It may allocate; control plane only.
 	NodeLabel(node NodeID) string
-
-	// SubmitAt enforces one packet along the path node → root at virtual
-	// time now. An out-of-range node fails closed: the packet is dropped
-	// and counted, never passed unenforced.
-	SubmitAt(now time.Duration, node NodeID, pkt packet.Packet) Verdict
-	// SubmitBatchAt is the burst path of SubmitAt: all packets enter at
-	// the same node and virtual time, verdicts is the out-parameter (at
-	// least len(pkts) capacity). Verdicts are byte-identical to calling
-	// SubmitAt per packet in order.
-	SubmitBatchAt(now time.Duration, node NodeID, pkts []packet.Packet, verdicts []Verdict)
-
 	// NodeStats returns one node's own accounting. For interior nodes
 	// this covers the node's whole subtree (every packet admitted along a
 	// path through it). ErrBadNode for out-of-range nodes, ErrNoStats
 	// when the node keeps none.
 	NodeStats(node NodeID) (Stats, error)
-	// NodeReconfigurer returns the live-reconfiguration surface of one
-	// node. ErrBadNode for out-of-range nodes, ErrNotReconfigurable when
-	// the node's mechanism cannot be reconfigured in place.
-	NodeReconfigurer(node NodeID) (Reconfigurer, error)
-	// NodeSnapshotter returns the warm-restart surface of one node.
-	// ErrBadNode for out-of-range nodes, ErrNotSnapshottable when the
-	// node's mechanism cannot serialize its state.
-	NodeSnapshotter(node NodeID) (Snapshotter, error)
 }

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bcpqp/internal/enforcer"
 	"bcpqp/internal/mbox"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/tbf"
@@ -139,7 +138,7 @@ func runAuditScenario(envelope units.Rate, burst, bucket int64, rate units.Rate,
 			// SetRate rebases the audit envelope in-band at the same clock
 			// reading the enforcer adopts the new rate, so churn alone can
 			// never manufacture a violation.
-			if err := e.SetRate(id, enforcer.Root, churnRates[(i/32)%2]); err != nil {
+			if err := e.SetRate(id, churnRates[(i/32)%2]); err != nil {
 				return auditRow{}, err
 			}
 		}
@@ -154,7 +153,7 @@ func runAuditScenario(envelope units.Rate, burst, bucket int64, rate units.Rate,
 	var row auditRow
 	row.offered, _ = src.Offered()
 	for _, ent := range e.AuditReport() {
-		if ent.Aggregate != id || ent.Node >= 0 {
+		if ent.Aggregate != id {
 			continue
 		}
 		c := ent.Counters

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"bcpqp/internal/enforcer"
 	"bcpqp/internal/faultinject"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/tbf"
@@ -133,7 +132,7 @@ func TestAuditChurnReconciliation(t *testing.T) {
 		defer producers.Done()
 		rates := []units.Rate{4 * units.Mbps, 12 * units.Mbps, 8 * units.Mbps}
 		for i := 0; i < 60; i++ {
-			if err := e.SetRate("racy", enforcer.Root, rates[i%len(rates)]); err != nil {
+			if err := e.SetRate("racy", rates[i%len(rates)]); err != nil {
 				return
 			}
 		}

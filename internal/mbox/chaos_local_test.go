@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"bcpqp/internal/enforcer"
 	"bcpqp/internal/faultinject"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/tbf"
@@ -129,7 +128,7 @@ func TestChaosLocalRunToCompletionChurn(t *testing.T) {
 				return
 			default:
 			}
-			if err := e.SetRate("inline-clean", enforcer.Root, rate+units.Rate(i%5)*units.Mbps); err != nil && !errors.Is(err, ErrSaturated) {
+			if err := e.SetRate("inline-clean", rate+units.Rate(i%5)*units.Mbps); err != nil && !errors.Is(err, ErrSaturated) {
 				t.Errorf("SetRate during churn: %v", err)
 				return
 			}
@@ -159,9 +158,9 @@ func TestChaosLocalRunToCompletionChurn(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Stats(%s): %v", id, err)
 		}
-		fr, err := e.Faults(id)
+		fr, err := faults(e, id)
 		if err != nil {
-			t.Fatalf("Faults(%s): %v", id, err)
+			t.Fatalf("faults(%s): %v", id, err)
 		}
 		// The injector panics before the wrapped enforcer runs and a
 		// quarantined aggregate never reaches it, so every submitted
@@ -188,7 +187,7 @@ func TestChaosLocalRunToCompletionChurn(t *testing.T) {
 	}
 	if injPanics == 0 {
 		t.Errorf("injector panicked only %d times — chaos too tame to prove the inline panic barrier", injPanics)
-	} else if fr, err := e.Faults("inline-faulty"); err != nil || !fr.Quarantined {
+	} else if fr, err := faults(e, "inline-faulty"); err != nil || !fr.Quarantined {
 		t.Errorf("inline-faulty quarantine = %+v, %v; want quarantined via inline panics", fr, err)
 	}
 

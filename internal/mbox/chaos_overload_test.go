@@ -515,10 +515,9 @@ func TestChaosShortFlowStormOverload(t *testing.T) {
 }
 
 // TestChaosPlanesTogether arms every plane at once on one shard, driven from
-// one goroutine on an injected clock with the watchdog off: a policy tree fed
-// through two leaf handles beside a flat BC-PQP aggregate, both observed and
-// audited (whole-aggregate envelopes on both, a node envelope on one leaf); a
-// cluster share that halves the tree's root rate and then restores it; and a
+// one goroutine on an injected clock with the watchdog off: a policy tree,
+// routing mixed-class bursts to its two leaves, beside a flat BC-PQP
+// aggregate, both observed and audited; a cluster share that halves the tree's root rate and then restores it; and a
 // ring-full episode, in which holdShard keeps the shard while tree bursts
 // fill its ring and flat bursts shed behind them. No envelope may be
 // breached, the tree's offered packets must equal accepted + dropped, and
@@ -547,12 +546,6 @@ func TestChaosPlanesTogether(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var leaves [2]Handle
-	for i := range leaves {
-		if leaves[i], err = e.Leaf(tree, enforcer.NodeID(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
 	flat, err := e.Add("flat", phantom.MustNew(phantom.Config{
 		Rate: flatRate, Queues: queues, QueueSize: queueSize, BurstControl: true,
 	}), nil)
@@ -560,12 +553,9 @@ func TestChaosPlanesTogether(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each envelope is one the enforcer cannot exceed: the tree admits no
-	// more than its root's token bucket, a leaf no more than the tree, and
-	// BC-PQP no more than r·Δt plus what its phantom queues can hold.
+	// more than its root's token bucket, and BC-PQP no more than r·Δt plus
+	// what its phantom queues can hold.
 	if err := e.ArmAudit("tree", treeRate, treeBurst); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ArmNodeAudit("tree", 1, treeRate, treeBurst); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.ArmAudit("flat", flatRate, queues*queueSize); err != nil {
@@ -582,7 +572,7 @@ func TestChaosPlanesTogether(t *testing.T) {
 	}
 	traffic := func() {
 		for i := 0; i < rounds; i++ {
-			submit(leaves[i%2], i, &offeredTree)
+			submit(tree, i, &offeredTree)
 			submit(flat, i, &offeredFlat)
 		}
 	}
@@ -597,12 +587,12 @@ func TestChaosPlanesTogether(t *testing.T) {
 	// burst and parks on the occupancy word; the next depth tree bursts fill
 	// the ring exactly, and every flat burst behind them sheds.
 	release := holdShard(t, e, "tree")
-	submit(leaves[0], 0, &offeredTree)
+	submit(tree, 0, &offeredTree)
 	if !waitFor(10*time.Second, func() bool { return len(e.shards[0].in) == 0 }) {
 		t.Fatal("shard goroutine never took the first queued burst")
 	}
 	for i := 0; i < depth; i++ {
-		submit(leaves[i%2], i, &offeredTree)
+		submit(tree, i, &offeredTree)
 	}
 	const shedBursts = 20
 	over0 := e.Overloaded.Load()
@@ -627,12 +617,12 @@ func TestChaosPlanesTogether(t *testing.T) {
 		t.Errorf("%d audit violations with every plane armed", v)
 	}
 	rep := e.AuditReport()
-	if len(rep) != 3 {
-		t.Fatalf("AuditReport has %d entries, want 3: %+v", len(rep), rep)
+	if len(rep) != 2 {
+		t.Fatalf("AuditReport has %d entries, want 2: %+v", len(rep), rep)
 	}
 	for _, a := range rep {
 		if a.Counters.AcceptedBytes == 0 {
-			t.Errorf("envelope %s/%d audited no bytes", a.Aggregate, a.Node)
+			t.Errorf("envelope %s audited no bytes", a.Aggregate)
 		}
 	}
 	if got := e.Overloaded.Load(); got != shed {

@@ -271,7 +271,7 @@ func TestChaosStorm(t *testing.T) {
 	}
 	for i, inj := range injectors {
 		id := fmt.Sprintf("faulty-%d", i)
-		fr, err := e.Faults(id)
+		fr, err := faults(e, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestChaosStorm(t *testing.T) {
 	} else {
 		for i := 0; i < faulty; i++ {
 			id := fmt.Sprintf("faulty-%d", i)
-			fr, _ := e.Faults(id)
+			fr, _ := faults(e, id)
 			st := finalStats[id]
 			p, _ := st.Totals()
 			total := p + fr.DegradedDrops
@@ -633,7 +633,7 @@ func TestControlThroughFloodedRing(t *testing.T) {
 		if i%2 == 0 {
 			err = e.Flush("x", func(enforcer.Enforcer) { flushed++ })
 		} else {
-			err = e.SetRate("x", enforcer.Root, units.Rate(1+i%7)*units.Mbps)
+			err = e.SetRate("x", units.Rate(1+i%7)*units.Mbps)
 		}
 		if err != nil {
 			t.Fatalf("control op %d on a flooded live shard: %v", i, err)

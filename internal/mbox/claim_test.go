@@ -173,7 +173,7 @@ func TestClaimedEqualsQueued(t *testing.T) {
 	type outcome struct {
 		emits           []emitRec
 		flat, tree      enforcer.Stats
-		leafA, leafB    enforcer.Stats
+		nodes           obs.Snapshot
 		audits          []AuditEntry
 		claimed, queued int64
 	}
@@ -195,19 +195,10 @@ func TestClaimedEqualsQueued(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		leaves := [2]Handle{}
-		for i := range leaves {
-			if leaves[i], err = e.Leaf(tree, enforcer.NodeID(i+1)); err != nil {
-				t.Fatal(err)
-			}
-		}
 		for _, id := range []string{"flat", "tree"} {
 			if err := e.ArmAudit(id, 8*units.Mbps, 30*units.MSS); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := e.ArmNodeAudit("tree", 1, 5*units.Mbps, 30*units.MSS); err != nil {
-			t.Fatal(err)
 		}
 
 		release := func() {}
@@ -215,13 +206,11 @@ func TestClaimedEqualsQueued(t *testing.T) {
 			release = holdShard(t, e, "flat")
 		}
 		for i, b := range seededBursts(11, bursts) {
-			switch i % 3 {
-			case 0:
-				err = e.SubmitBatch(flat, b)
-			default:
-				err = e.SubmitBatch(leaves[i%3-1], b)
+			h := tree
+			if i%3 == 0 {
+				h = flat
 			}
-			if err != nil {
+			if err := e.SubmitBatch(h, b); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -233,10 +222,7 @@ func TestClaimedEqualsQueued(t *testing.T) {
 		if out.tree, err = e.Stats("tree"); err != nil {
 			t.Fatal(err)
 		}
-		if out.leafA, err = e.NodeStats("tree", 1); err != nil {
-			t.Fatal(err)
-		}
-		if out.leafB, err = e.NodeStats("tree", 2); err != nil {
+		if out.nodes, err = e.NodeMetrics("tree"); err != nil {
 			t.Fatal(err)
 		}
 		out.audits = e.AuditReport()

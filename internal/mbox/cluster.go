@@ -10,24 +10,23 @@
 package mbox
 
 import (
-	"bcpqp/internal/enforcer"
 	"bcpqp/internal/obs"
 	"bcpqp/internal/units"
 )
 
-// ApplyShare applies a cluster-rebalanced share to aggregate id's root via
-// the in-band SetRate lane and records a KindShareApply trace event (A = the
+// ApplyShare applies a cluster-rebalanced share to aggregate id via the
+// in-band SetRate lane and records a KindShareApply trace event (A = the
 // share in bits/sec, B = 1 when it is the conservative fallback floor).
 // Errors are SetRate's: unknown aggregate, ErrNotReconfigurable,
 // ErrSaturated.
 func (e *Engine) ApplyShare(id string, share units.Rate, fallback bool) error {
-	if err := e.SetRate(id, enforcer.Root, share); err != nil {
+	if err := e.SetRate(id, share); err != nil {
 		return err
 	}
 	ev := obs.Event{Kind: obs.KindShareApply, A: int64(share)}
 	if fallback {
 		ev.B = 1
 	}
-	e.recordControl(id, enforcer.Root, ev)
+	e.recordControl(id, ev)
 	return nil
 }

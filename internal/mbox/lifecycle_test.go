@@ -288,7 +288,7 @@ func TestChurnRaceNoVerdictBleed(t *testing.T) {
 			default:
 			}
 			time.Sleep(25 * time.Microsecond)
-			_ = e.SetRate("ag", enforcer.Root, (1+units.Rate(rng.Intn(8)))*units.Mbps) // may miss between incarnations
+			_ = e.SetRate("ag", (1+units.Rate(rng.Intn(8)))*units.Mbps) // may miss between incarnations
 		}
 	}()
 

@@ -141,9 +141,8 @@ func (e *Engine) LocalShard(shard int) (*LocalSubmitter, error) {
 // Shard reports the index of the shard this submitter is bound to.
 func (l *LocalSubmitter) Shard() int { return l.s.idx }
 
-// SubmitBatch enforces one burst for h inline on the calling goroutine,
-// entering the aggregate's policy tree at h's node as Engine.SubmitBatch
-// does — no ring, no handoff, no copy: the engine never retains pkts (or
+// SubmitBatch enforces one burst for h inline on the calling goroutine —
+// no ring, no handoff, no copy: the engine never retains pkts (or
 // their payloads) past the call, so the caller may reuse the backing buffers
 // immediately, which is what makes a zero-copy rx→enforce→tx loop possible.
 //
@@ -176,7 +175,7 @@ func (l *LocalSubmitter) SubmitBatch(h Handle, pkts []packet.Packet) error {
 		return fmt.Errorf("mbox: aggregate %q: %w", agg.id, ErrSaturated)
 	}
 	defer s.release()
-	e.serve(s, agg, h.node, pkts)
+	e.serve(s, agg, pkts)
 	s.inlineBursts.Add(1)
 	return nil
 }

@@ -55,6 +55,7 @@ import (
 	"bcpqp/internal/enforcer"
 	"bcpqp/internal/obs"
 	"bcpqp/internal/packet"
+	"bcpqp/internal/units"
 )
 
 // Emit is called for every transmitted packet. CE-marked transmissions (AQM
@@ -68,23 +69,20 @@ import (
 // first few microseconds at most once a millisecond (tryAcquire).
 type Emit func(pkt packet.Packet)
 
-// Handle addresses a registered aggregate on the datapath, and the node of
-// its policy tree its bursts enter at. Add, AddPinned and Lookup return a
-// handle at NoNode — the aggregate's own routing (a tree routes each packet
-// to a leaf by class) — and Leaf re-addresses one at a tree node. Handles are
-// valid until the aggregate is removed, which invalidates every handle of the
-// aggregate, whatever its node, at once. The zero Handle is invalid.
+// Handle addresses a registered aggregate on the datapath: one address per
+// aggregate, whatever its enforcer. A policy tree routes each packet of a
+// burst to a leaf by class itself. Handles are valid until the aggregate is
+// removed. The zero Handle is invalid.
 type Handle struct {
-	ref  aggRef
-	node enforcer.NodeID
+	ref aggRef
 }
 
 // NoHandle is the invalid handle returned alongside errors.
-var NoHandle = Handle{ref: -1, node: enforcer.NoNode}
+var NoHandle = Handle{ref: -1}
 
-// TraceAgg returns what trace events carry in Agg for h's aggregate, whatever
-// h's node: how a source outside the engine attributes its events so that
-// TraceDump resolves them to the aggregate's id.
+// TraceAgg returns what trace events carry in Agg for h's aggregate: how a
+// source outside the engine attributes its events so that TraceDump resolves
+// them to the aggregate's id.
 func (h Handle) TraceAgg() int64 { return int64(h.ref) }
 
 // aggRef is the one-word reference the registry, the id map and trace events
@@ -105,9 +103,8 @@ func packRef(slot int, gen uint32) aggRef {
 }
 
 // ErrNoStats reports that an aggregate's enforcer does not implement
-// enforcer.StatsReader. It is the shared enforcer.ErrNoStats sentinel, so
-// engine-level and node-level stats errors test identically. Test with
-// errors.Is.
+// enforcer.StatsReader. It is the shared enforcer.ErrNoStats sentinel. Test
+// with errors.Is.
 var ErrNoStats = enforcer.ErrNoStats
 
 // ErrStale reports a handle whose aggregate has been removed.
@@ -118,15 +115,8 @@ var ErrStale = errors.New("stale handle")
 
 // ErrNotReconfigurable reports that an aggregate's enforcer does not
 // implement enforcer.Reconfigurer. It is the shared
-// enforcer.ErrNotReconfigurable sentinel, so engine-level and node-level
-// reconfiguration errors test identically. Test with errors.Is.
+// enforcer.ErrNotReconfigurable sentinel. Test with errors.Is.
 var ErrNotReconfigurable = enforcer.ErrNotReconfigurable
-
-// ErrBadNode reports a node-addressed operation against a node the
-// aggregate does not have (out of tree range, or any node other than the
-// root of a flat single-enforcer aggregate). It is the shared
-// enforcer.ErrBadNode sentinel. Test with errors.Is.
-var ErrBadNode = enforcer.ErrBadNode
 
 // ErrSaturated reports that an operation waiting on its shard — a control
 // call for a slot on the full ring, a LocalSubmitter for the occupancy word —
@@ -355,11 +345,9 @@ type aggregate struct {
 	emit  Emit
 	shard *shard
 
-	// tree is set when the enforcer is node-addressable
-	// (enforcer.TreeEnforcer), i.e. a policy tree: bursts through a handle
-	// at a node enter the tree there, and node-addressed control (SetRate,
-	// NodeStats, …) routes through it. Nil for flat single-enforcer
-	// aggregates, whose only node is 0, the enforcer itself.
+	// tree is set when the enforcer is a policy tree
+	// (enforcer.TreeEnforcer), for NodeMetrics' per-node export. Bursts
+	// never enter through it: a tree routes them itself, as any enforcer.
 	tree enforcer.TreeEnforcer
 
 	// Fault state. quarantined is the circuit breaker: once set, the
@@ -387,10 +375,8 @@ type burst struct {
 	pkts []packet.Packet
 }
 
-// item is one unit of shard work, for agg: a burst (b, entering agg's tree
-// at node — NoNode means whole-aggregate submission), a control call, or the
-// stop Close sends. node sits beside stop so an item, and a ring slot, stays
-// five words.
+// item is one unit of shard work, for agg: a burst (b), a control call, or
+// the stop Close sends.
 type item struct {
 	b   *burst
 	agg *aggregate
@@ -400,7 +386,6 @@ type item struct {
 	// it panicked); it is nil when the caller runs the item itself.
 	control func(enforcer.Enforcer)
 	done    chan bool
-	node    enforcer.NodeID
 	stop    bool
 }
 
@@ -549,7 +534,7 @@ func (e *Engine) process(s *shard, it item) bool {
 		e.serveControl(s, it)
 		return false
 	}
-	e.serve(s, it.agg, it.node, it.b.pkts)
+	e.serve(s, it.agg, it.b.pkts)
 	s.queued.Add(1)
 	e.putBurst(it.b)
 	return false
@@ -564,7 +549,7 @@ func (e *Engine) process(s *shard, it item) bool {
 // clock is read once per burst, not once per packet: every packet in the
 // burst is enforced at the same virtual arrival time, the granularity a
 // burst-polling middlebox actually observes.
-func (e *Engine) serve(s *shard, agg *aggregate, node enforcer.NodeID, pkts []packet.Packet) {
+func (e *Engine) serve(s *shard, agg *aggregate, pkts []packet.Packet) {
 	s.heartbeat.Store(e.coarseWall.Load())
 	timed := false
 	var start time.Duration
@@ -573,7 +558,7 @@ func (e *Engine) serve(s *shard, agg *aggregate, node enforcer.NodeID, pkts []pa
 			s.timeTick, timed, start = e.obsSample, true, e.mono()
 		}
 	}
-	e.runBatch(s, e.cfg.Clock(), agg, node, pkts)
+	e.runBatch(s, e.cfg.Clock(), agg, pkts)
 	if timed {
 		s.obs.ObserveBurst(int64(e.mono() - start))
 	} else if s.obs != nil {
@@ -618,12 +603,12 @@ func (e *Engine) runControl(s *shard, it item) (ok bool) {
 // the enforcer: it is dropped at once. A run that panics mid-flight
 // quarantines the aggregate and drops the unhandled remainder of the run,
 // and the shard goroutine survives.
-func (e *Engine) runBatch(s *shard, now time.Duration, agg *aggregate, node enforcer.NodeID, pkts []packet.Packet) {
+func (e *Engine) runBatch(s *shard, now time.Duration, agg *aggregate, pkts []packet.Packet) {
 	if agg.quarantined.Load() {
 		e.degrade(agg, pkts)
 		return
 	}
-	if rest, faulted := e.enforceRun(s, now, agg, node, pkts); faulted {
+	if rest, faulted := e.enforceRun(s, now, agg, pkts); faulted {
 		e.degrade(agg, rest)
 	}
 }
@@ -640,7 +625,7 @@ func (e *Engine) runBatch(s *shard, now time.Duration, agg *aggregate, node enfo
 // and is skipped). A run whose verdicts were written is accounted exactly
 // once either way: the barrier drops the loop's partial tally and accounts
 // an emit-faulted run in full before its tail degrades.
-func (e *Engine) enforceRun(s *shard, now time.Duration, agg *aggregate, node enforcer.NodeID, pkts []packet.Packet) (rest []packet.Packet, faulted bool) {
+func (e *Engine) enforceRun(s *shard, now time.Duration, agg *aggregate, pkts []packet.Packet) (rest []packet.Packet, faulted bool) {
 	var v []enforcer.Verdict
 	enforced, emitting := false, -1
 	defer func() {
@@ -653,7 +638,7 @@ func (e *Engine) enforceRun(s *shard, now time.Duration, agg *aggregate, node en
 		if !enforced {
 			rest = pkts
 		} else if emitting >= 0 {
-			e.accountRun(s, now, agg, node, pkts, v)
+			e.accountRun(s, now, agg, pkts, v)
 			rest = pkts[emitting+1:]
 		}
 	}()
@@ -661,21 +646,14 @@ func (e *Engine) enforceRun(s *shard, now time.Duration, agg *aggregate, node en
 		s.verdicts = make([]enforcer.Verdict, len(pkts))
 	}
 	v = s.verdicts[:len(pkts)]
-	if agg.tree != nil && node != enforcer.NoNode {
-		// Node-addressed run: enter the aggregate's tree at the leaf the
-		// handle resolved to. NoNode means whole-aggregate submission,
-		// which routes through the tree's own Enforcer implementation.
-		agg.tree.SubmitBatchAt(now, node, pkts, v)
-	} else {
-		enforcer.SubmitBatch(agg.enf, now, pkts, v)
-	}
+	enforcer.SubmitBatch(agg.enf, now, pkts, v)
 	enforced = true
 	if agg.emit == nil {
-		e.accountRun(s, now, agg, node, pkts, v)
+		e.accountRun(s, now, agg, pkts, v)
 		return nil, false
 	}
 	if au := agg.audit.Load(); agg.obs != nil || au != nil {
-		e.emitWatched(s, now, agg, au, node, pkts, v, &emitting)
+		e.emitWatched(s, now, agg, au, pkts, v, &emitting)
 		return nil, false
 	}
 	sound := true // until the emit loop meets an out-of-range verdict
@@ -694,7 +672,7 @@ func (e *Engine) enforceRun(s *shard, now time.Duration, agg *aggregate, node en
 	}
 	emitting = -1
 	if !sound {
-		e.accountRun(s, now, agg, node, pkts, v)
+		e.accountRun(s, now, agg, pkts, v)
 	}
 	return nil, false
 }
@@ -704,7 +682,7 @@ func (e *Engine) enforceRun(s *shard, now time.Duration, agg *aggregate, node en
 // tallies the verdicts as it goes, and the tally is accounted once the loop
 // ends. emitting is enforceRun's note of the packet in flight, for its
 // recover barrier.
-func (e *Engine) emitWatched(s *shard, now time.Duration, agg *aggregate, au *aggAudit, node enforcer.NodeID, pkts []packet.Packet, v []enforcer.Verdict, emitting *int) {
+func (e *Engine) emitWatched(s *shard, now time.Duration, agg *aggregate, au *aggAudit, pkts []packet.Packet, v []enforcer.Verdict, emitting *int) {
 	t := runTally{pkts: int64(len(v))}
 	for i, verdict := range v {
 		*emitting = i
@@ -732,7 +710,7 @@ func (e *Engine) emitWatched(s *shard, now time.Duration, agg *aggregate, au *ag
 	if t.bad != 0 {
 		e.BadVerdicts.Add(t.bad)
 	}
-	e.observeRun(s, now, agg, au, node, t)
+	e.observeRun(s, now, agg, au, t)
 }
 
 // acceptMask has bit v set for each verdict v that admits its packet, and
@@ -772,36 +750,35 @@ func tallyRun(pkts []packet.Packet, v []enforcer.Verdict) (t runTally) {
 // emit hook panicked (the recover barrier accounts the whole run). The
 // tally's out-of-range verdicts go into BadVerdicts, whatever the emit hook,
 // and on an observed or audited aggregate the tally goes into observeRun.
-func (e *Engine) accountRun(s *shard, now time.Duration, agg *aggregate, node enforcer.NodeID, pkts []packet.Packet, v []enforcer.Verdict) {
+func (e *Engine) accountRun(s *shard, now time.Duration, agg *aggregate, pkts []packet.Packet, v []enforcer.Verdict) {
 	t := tallyRun(pkts, v)
 	if t.bad != 0 {
 		e.BadVerdicts.Add(t.bad)
 	}
 	if au := agg.audit.Load(); agg.obs != nil || au != nil {
-		e.observeRun(s, now, agg, au, node, t)
+		e.observeRun(s, now, agg, au, t)
 	}
 }
 
 // observeRun moves one enforced run's tally into the aggregate's metrics
-// block and meter, checks it against any armed conformance auditors (au,
+// block and meter, checks it against the armed conformance envelope (au,
 // pre-loaded by the caller), and, on the sampling cadence, records a
 // KindBurst trace event. It runs under the shard's occupancy word, inside
 // enforceRun's panic barrier, once the run's packets have reached the emit
 // hook: a handful of atomic adds — no per-packet atomics, no interface calls,
 // no allocation.
-func (e *Engine) observeRun(s *shard, now time.Duration, agg *aggregate, au *aggAudit, node enforcer.NodeID, t runTally) {
+func (e *Engine) observeRun(s *shard, now time.Duration, agg *aggregate, au *aggAudit, t runTally) {
 	if agg.obs != nil {
 		agg.obs.Count(t.accPkts, t.accBytes, t.pkts-t.accPkts, t.bytes-t.accBytes, now)
 	}
 	if au != nil {
-		e.auditRun(s, now, agg, au, node, t.accBytes)
+		e.auditRun(s, now, agg, au, t.accBytes)
 	}
 	if s.obs != nil && s.obs.SampleBurst() {
 		s.obs.Record(obs.Event{
 			Kind: obs.KindBurst,
 			VT:   int64(now),
 			Agg:  int64(agg.h),
-			Node: int32(node),
 			A:    t.accPkts,
 			B:    t.pkts - t.accPkts,
 			C:    t.bytes,
@@ -824,13 +801,13 @@ func (e *Engine) record(s *shard, ev obs.Event) {
 }
 
 // recordControl publishes a control-plane trace event attributed to an
-// aggregate id — resolving its handle when still registered — and to node
-// (-1 for a whole-aggregate operation). No-op without an Observer.
-func (e *Engine) recordControl(id string, node enforcer.NodeID, ev obs.Event) {
+// aggregate id, resolving its handle when still registered. No-op without an
+// Observer.
+func (e *Engine) recordControl(id string, ev obs.Event) {
 	if e.cfg.Observer == nil {
 		return
 	}
-	ev.Shard, ev.Agg, ev.Node = -1, -1, int32(node)
+	ev.Shard, ev.Agg = -1, -1
 	if agg, err := e.aggByID(id); err == nil {
 		ev.Agg = int64(agg.h)
 	}
@@ -863,9 +840,9 @@ func (e *Engine) notePanic(s *shard, agg *aggregate, recovered any) {
 		// under racing panics.
 		quarantined = !agg.quarantined.Swap(true)
 	}
-	e.record(s, obs.Event{Kind: obs.KindPanic, Agg: aggH, Node: -1})
+	e.record(s, obs.Event{Kind: obs.KindPanic, Agg: aggH})
 	if quarantined {
-		e.record(s, obs.Event{Kind: obs.KindQuarantine, Agg: aggH, Node: -1, A: agg.panics.Load()})
+		e.record(s, obs.Event{Kind: obs.KindQuarantine, Agg: aggH, A: agg.panics.Load()})
 	}
 	if e.cfg.OnFault != nil {
 		e.cfg.OnFault(id, recovered, debug.Stack())
@@ -923,7 +900,7 @@ func (e *Engine) recordShed(s *shard, n int64) {
 	s.shedAccum += n
 	if s.shedTick--; s.shedTick <= 0 {
 		s.shedTick = e.obsSample
-		s.obs.Record(obs.Event{Kind: obs.KindShed, Agg: -1, Node: -1, A: s.shedAccum})
+		s.obs.Record(obs.Event{Kind: obs.KindShed, Agg: -1, A: s.shedAccum})
 		s.shedAccum = 0
 	}
 	s.mu.Unlock()
@@ -1036,7 +1013,7 @@ func (e *Engine) add(id string, enf enforcer.Enforcer, emit Emit, pinned *shard)
 	e.idMu.Lock()
 	e.ids[id] = r
 	e.idMu.Unlock()
-	return Handle{ref: r, node: enforcer.NoNode}, nil
+	return Handle{ref: r}, nil
 }
 
 // Remove unregisters an aggregate and returns its final enforcement
@@ -1061,7 +1038,7 @@ func (e *Engine) Remove(id string) (enforcer.Stats, error) {
 	if err != nil {
 		return enforcer.Stats{}, err
 	}
-	e.record(nil, obs.Event{Kind: obs.KindRemove, Agg: int64(agg.h), Node: -1})
+	e.record(nil, obs.Event{Kind: obs.KindRemove, Agg: int64(agg.h)})
 	// The in-band barrier on its shard: every burst queued before
 	// unpublication is enforced before the read.
 	return e.readStats(agg, agg.ownStats)
@@ -1101,9 +1078,8 @@ func (e *Engine) readStats(agg *aggregate, read func() (enforcer.Stats, error)) 
 	return out, statErr
 }
 
-// ownStats is the flat-aggregate statistics read: the enforcer's own
-// counters — for a tree, its whole-tree totals. Must run under the shard's
-// occupancy word.
+// ownStats is the statistics read: the enforcer's own counters — for a
+// tree, its whole-tree totals. Must run under the shard's occupancy word.
 func (agg *aggregate) ownStats() (enforcer.Stats, error) {
 	if sr, ok := agg.enf.(enforcer.StatsReader); ok {
 		return sr.EnforcerStats(), nil
@@ -1111,13 +1087,13 @@ func (agg *aggregate) ownStats() (enforcer.Stats, error) {
 	return enforcer.Stats{}, fmt.Errorf("mbox: aggregate %q: %w", agg.id, ErrNoStats)
 }
 
-// Lookup resolves an aggregate ID to its datapath handle, at NoNode.
+// Lookup resolves an aggregate ID to its datapath handle.
 func (e *Engine) Lookup(id string) (Handle, error) {
 	r, ok := e.refOf(id)
 	if !ok {
 		return NoHandle, fmt.Errorf("mbox: unknown aggregate %q", id)
 	}
-	return Handle{ref: r, node: enforcer.NoNode}, nil
+	return Handle{ref: r}, nil
 }
 
 // Len returns the number of registered aggregates.
@@ -1166,9 +1142,9 @@ func (e *Engine) admit(h Handle, n int, inline *shard) (*aggregate, error) {
 	return agg, nil
 }
 
-// SubmitBatch submits a whole burst for one aggregate, entering its policy
-// tree at h's node (see Leaf; at NoNode the aggregate routes each packet
-// itself). It never waits behind another submitter's work. On an idle shard
+// SubmitBatch submits a whole burst for one aggregate (a policy tree routes
+// each packet to a leaf itself). It never waits behind another submitter's
+// work. On an idle shard
 // — nobody holds it, nothing is queued — the burst is enforced on the
 // calling goroutine before SubmitBatch returns: enforcer, observation, audit
 // and emit hook run in place on pkts (a TransmitCE verdict sets CE on the
@@ -1187,21 +1163,19 @@ func (e *Engine) SubmitBatch(h Handle, pkts []packet.Packet) error {
 	s := agg.shard
 	if s.claimIdle() {
 		defer s.release()
-		e.serve(s, agg, h.node, pkts)
+		e.serve(s, agg, pkts)
 		s.claimed.Add(1)
 		return nil
 	}
 	b := e.pool.Get().(*burst)
 	b.pkts = append(b.pkts, pkts...)
-	e.enqueue(s, item{b: b, agg: agg, node: h.node})
+	e.enqueue(s, item{b: b, agg: agg})
 	return nil
 }
 
 // Stats reads an aggregate's enforcement statistics: the whole enforcer's
-// totals, which for a tree count every drop, at whichever node, and the
-// packets rejected at an out-of-range node before they reached any.
-// NodeStats(id, Root) is a different read, the root's own drop attribution:
-// every accepted packet, but only the drops the root made. The read executes
+// totals, which for a tree count every drop, at whichever node (NodeMetrics
+// has the per-node split). The read executes
 // under the owning shard's occupancy word, so it is safe during traffic. An
 // enforcer that does not implement enforcer.StatsReader reports ErrNoStats
 // instead of silently returning zeros.
@@ -1302,7 +1276,34 @@ func (e *Engine) Update(id string, fn func(now time.Duration, enf enforcer.Enfor
 	return e.update(id, func(now time.Duration, agg *aggregate) error { return fn(now, agg.enf) })
 }
 
-// update is the in-band closure behind Update and reconfigure.
+// SetRate changes an aggregate's rate in-band, preserving its admission
+// state (see Update) — the Theorem 1 bound holds piecewise across the
+// change. A policy tree's rate is its root ceiling's: the tree's own
+// Reconfigurer forwards there. An armed conformance envelope is rebased to
+// the new rate atomically with the change (same in-band closure, same
+// virtual time), so it stays the piecewise bound and never flags the
+// reconfiguration itself, and a successful change records a KindRateUpdate
+// trace event. The enforcer must implement enforcer.Reconfigurer;
+// ErrNotReconfigurable otherwise.
+func (e *Engine) SetRate(id string, rate units.Rate) error {
+	err := e.update(id, func(now time.Duration, agg *aggregate) error {
+		r, ok := agg.enf.(enforcer.Reconfigurer)
+		if !ok {
+			return fmt.Errorf("mbox: aggregate %q (%T): %w", agg.id, agg.enf, ErrNotReconfigurable)
+		}
+		if err := r.SetRate(now, rate); err != nil {
+			return err
+		}
+		agg.rebaseAudit(now, rate)
+		return nil
+	})
+	if err == nil {
+		e.recordControl(id, obs.Event{Kind: obs.KindRateUpdate})
+	}
+	return err
+}
+
+// update is the in-band closure behind Update and SetRate.
 func (e *Engine) update(id string, fn func(now time.Duration, agg *aggregate) error) error {
 	agg, err := e.aggByID(id)
 	if err != nil {
@@ -1332,33 +1333,6 @@ func (e *Engine) aggByID(id string) (*aggregate, error) {
 		return nil, fmt.Errorf("mbox: unknown aggregate %q", id)
 	}
 	return agg, nil
-}
-
-// FaultRecord is one aggregate's fault-plane state.
-type FaultRecord struct {
-	// Panics is the number of recovered panics attributed to this
-	// aggregate's enforcer or emit hook.
-	Panics int64
-	// Quarantined reports whether the circuit breaker is open: the
-	// enforcer is bypassed and the aggregate's traffic is dropped until
-	// Remove.
-	Quarantined bool
-	// DegradedDrops counts this aggregate's packets dropped while it was
-	// quarantined, the run that tripped the breaker included.
-	DegradedDrops int64
-}
-
-// Faults reports an aggregate's fault-plane state.
-func (e *Engine) Faults(id string) (FaultRecord, error) {
-	agg, err := e.aggByID(id)
-	if err != nil {
-		return FaultRecord{}, err
-	}
-	return FaultRecord{
-		Panics:        agg.panics.Load(),
-		Quarantined:   agg.quarantined.Load(),
-		DegradedDrops: agg.degradedDrops.Load(),
-	}, nil
 }
 
 // ShardHealth is the watchdog's view of one shard.

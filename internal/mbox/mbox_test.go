@@ -34,6 +34,22 @@ func pkt(flow int) packet.Packet {
 	}
 }
 
+// faultRecord is one aggregate's fault state as its record holds it.
+type faultRecord struct {
+	Panics        int64
+	Quarantined   bool
+	DegradedDrops int64
+}
+
+// faults reads id's fault counters straight off its aggregate record.
+func faults(e *Engine, id string) (faultRecord, error) {
+	agg, err := e.aggByID(id)
+	if err != nil {
+		return faultRecord{}, err
+	}
+	return faultRecord{agg.panics.Load(), agg.quarantined.Load(), agg.degradedDrops.Load()}, nil
+}
+
 // TestAggregateLayout pins the aggregate's size class: 112 bytes, exactly
 // one malloc size class. Field order is not pinned: a hot prefix moved
 // nothing measurable on engine_inline (DESIGN.md, "Lines touched per burst").

@@ -3,13 +3,13 @@ package mbox
 // One sequential reference model of the engine. modelEngine holds, per
 // aggregate id, a twin enforcer built from the same spec and fed the same
 // (now, packets) calls the engine's enforcer gets, the quarantine flag, the
-// counters the engine keeps for it, and an audit ledger (watch_test.go's
-// refAudit with its own obs.Audit envelopes). FuzzEngineModel decodes bytes
-// into engine operations; after every one the engine and the model must
-// agree on the verdict stream (emitted packets and the CE marks left in the
-// caller's slice), on every read (Len, Lookup, Stats, NodeStats, Faults,
-// AuditReport, Health, and with an Observer the per-aggregate counters,
-// Metrics and each shard's last burst event), audits armed with an honest
+// counters the engine keeps for it, and an audit ledger (its own obs.Audit
+// envelope). FuzzEngineModel decodes bytes into engine operations; after
+// every one the engine and the model must agree on the verdict stream
+// (emitted packets and the CE marks left in the caller's slice), on every
+// read (Len, Lookup, Stats, NodeMetrics, the fault record, AuditReport,
+// Health, and with an Observer the per-aggregate counters, Metrics and each
+// shard's last burst event), audits armed with an honest
 // envelope must hold zero violations, and every packet offered to an
 // aggregate must be accepted, dropped or degraded unenforced exactly once
 // (the tail an emit fault leaves un-emitted keeps its verdict and is counted
@@ -39,30 +39,31 @@ import (
 	"bcpqp/internal/packet"
 	"bcpqp/internal/phantom"
 	"bcpqp/internal/ptree"
-	"bcpqp/internal/sched"
 	"bcpqp/internal/tbf"
 	"bcpqp/internal/units"
 )
 
 // A script is a header byte (shards = 1 + h%3; h&4 attaches an Observer)
 // and then four-byte ops, [code, a, b, c]. An id argument names aggregate
-// a%modelIDs, and a node argument byte n node n%8 − 1, so 0 is NoNode.
+// a%modelIDs. Codes keep their numbers when an operation retires, so old
+// scripts still decode: a retired code runs its neighbour (opLookup was
+// Leaf, opSetRate2 SetPolicy, opArmAudit2 ArmNodeAudit).
 const (
-	opAdd          = iota // a id, b spec (kind | fault | emit panic), c flags (hook | pin | shard<<2)
-	opRemove              // a id
-	opLeaf                // a, b handle (see handle), c node
-	opSubmit              // a, b handle, c packets | 2<<6 LocalSubmitter, 3<<6 on another shard
-	opSetRate             // a id, b node, c rate in 64 kb/s (0: negative)
-	opSetPolicy           // a id, b node, c policy (see modelPolicy)
-	opApplyShare          // a id, b&1 fallback, c rate
-	opArmAudit            // a id, b&1 tight envelope, b&0x80 negative burst
-	opArmNodeAudit        // a id, b node, c as ArmAudit's b
-	opFlush               // a id, b&1 the closure panics
-	opUpdate              // a id, b&1 the closure fails
-	opClock               // the clock moves (a+1)·10µs << b%12, backwards when c&1
-	opSnapshot            // a id, a&0x80 every aggregate
-	opRestore             // a source id, b destination id
-	opRestart             // Snapshot, Close, a fresh engine at clock 0, re-Add, Restore
+	opAdd        = iota // a id, b spec (kind | fault | emit panic), c flags (hook | pin | shard<<2)
+	opRemove            // a id
+	opLookup            // a id
+	opSubmit            // a, b handle (see handle), c packets | 2<<6 LocalSubmitter, 3<<6 on another shard
+	opSetRate           // a id, c rate in 64 kb/s (0: negative)
+	opSetRate2          // as opSetRate
+	opApplyShare        // a id, b&1 fallback, c rate
+	opArmAudit          // a id, b&1 tight envelope, b&0x80 negative burst
+	opArmAudit2         // a id, c as ArmAudit's b
+	opFlush             // a id, b&1 the closure panics
+	opUpdate            // a id, b&1 the closure fails
+	opClock             // the clock moves (a+1)·10µs << b%12, backwards when c&1
+	opSnapshot          // a id, a&0x80 every aggregate
+	opRestore           // a source id, b destination id
+	opRestart           // Snapshot, Close, a fresh engine at clock 0, re-Add, Restore
 	opClose
 	numOps
 )
@@ -125,20 +126,21 @@ type emitRec struct {
 	CE   bool
 }
 
-// ceiling is one node's rate limit as built, and the burst allowance B of
-// the Theorem-1 envelope an honest audit arms over it: a bucket's depth, or
-// the four phantom queues' size plus drain rounding.
+// ceiling is an aggregate's rate limit as built (a tree's root ceiling),
+// and the burst allowance B of the Theorem-1 envelope an honest audit arms
+// over it: a bucket's depth, or the four phantom queues' size plus drain
+// rounding.
 type ceiling struct {
 	rate  units.Rate
 	burst int64
 }
 
-var modelCeilings = map[byte]map[enforcer.NodeID]ceiling{
-	kTBF:   {0: {8 * units.Mbps, 16 * units.MSS}},
-	kBCPQP: {0: {8 * units.Mbps, 130 * units.MSS}},
-	kRED:   {0: {8 * units.Mbps, 130 * units.MSS}},
-	kFair:  {0: {8 * units.Mbps, 16 * units.MSS}},
-	kTree:  {0: {12 * units.Mbps, 24 * units.MSS}, 1: {6 * units.Mbps, 98 * units.MSS}, 3: {3 * units.Mbps, 8 * units.MSS}},
+var modelCeilings = map[byte]ceiling{
+	kTBF:   {8 * units.Mbps, 16 * units.MSS},
+	kBCPQP: {8 * units.Mbps, 130 * units.MSS},
+	kRED:   {8 * units.Mbps, 130 * units.MSS},
+	kFair:  {8 * units.Mbps, 16 * units.MSS},
+	kTree:  {12 * units.Mbps, 24 * units.MSS},
 }
 
 func modelPQP(rate units.Rate, size int64, red *phantom.REDConfig) *phantom.PQP {
@@ -185,17 +187,6 @@ func (s aggSpec) build() enforcer.Enforcer {
 	return enf
 }
 
-// modelPolicy is SetPolicy's menu; Fair(2) fits no four-class enforcer.
-func modelPolicy(c byte) *sched.Policy {
-	return [...]func() *sched.Policy{
-		func() *sched.Policy { return nil },
-		func() *sched.Policy { return sched.Fair(4) },
-		func() *sched.Policy { return sched.WeightedFair(1, 2, 3, 4) },
-		func() *sched.Policy { return sched.StrictPriority(4) },
-		func() *sched.Policy { return sched.Fair(2) },
-	}[c%5]()
-}
-
 type aggSpec struct {
 	kind, fault byte
 	emitPanic   int // the emit hook's call that panics, 1-based; 0 never
@@ -203,28 +194,20 @@ type aggSpec struct {
 	shard       int
 }
 
-// reconfig is one successful SetRate (policy < 0) or SetPolicy, replayed on
-// the fresh enforcer a restart registers: snapshots carry no configuration.
-type reconfig struct {
-	node   enforcer.NodeID
-	rate   units.Rate
-	policy int
-}
-
 type modelAgg struct {
-	id         string
-	spec       aggSpec
-	enf, twin  enforcer.Enforcer // the engine's enforcer and the model's
-	shard      int
-	ref        aggRef
-	handles    []Handle // [0] is Add's; Leaf appends
-	rates      map[enforcer.NodeID]units.Rate
-	reconfigs  []reconfig
-	audit      *refAudit
-	clean      map[*obs.Audit]bool // honest envelopes over a conformant twin
-	got        []emitRec           // what the engine's emit hook saw
-	emitted    []emitRec           // what the model predicts it saw
-	emits      int                 // emit hook calls this incarnation
+	id        string
+	spec      aggSpec
+	enf, twin enforcer.Enforcer // the engine's enforcer and the model's
+	shard     int
+	ref       aggRef
+	// rates are the successful SetRates, replayed on the fresh enforcer a
+	// restart registers: snapshots carry no configuration.
+	rates      []units.Rate
+	audit      *obs.Audit
+	clean      bool      // the audit is an honest envelope over a conformant twin
+	got        []emitRec // what the engine's emit hook saw
+	emitted    []emitRec // what the model predicts it saw
+	emits      int       // emit hook calls this incarnation
 	quarantine bool
 	// Since the aggregate was added or the engine restarted: offered
 	// packets, the observed verdict tally, panics, degraded drops and the
@@ -284,8 +267,8 @@ func sameErr(got, want error) bool {
 	if (got == nil) != (want == nil) {
 		return false
 	}
-	for _, s := range []error{ErrStale, ErrBadNode, ErrNotReconfigurable, ErrNoStats, ErrNoSnapshot,
-		ErrWrongShard, enforcer.ErrNoPolicy, errControlPanicked, errModelUpdate} {
+	for _, s := range []error{ErrStale, ErrNotReconfigurable, ErrNoStats, ErrNoSnapshot,
+		ErrWrongShard, errControlPanicked, errModelUpdate} {
 		if errors.Is(got, s) != errors.Is(want, s) {
 			return false
 		}
@@ -338,11 +321,10 @@ func (m *modelEngine) register(a *modelAgg, h Handle, err error) {
 		m.tableLen = max(minSlots, 2*m.tableLen)
 	}
 	a.ref, m.slots[slot], m.exported = packRef(slot, m.gens[slot]), a, false
-	a.handles = []Handle{{ref: a.ref, node: enforcer.NoNode}}
-	if err != nil || h != a.handles[0] {
-		m.fail("Add(%s) = %+v, %v; want %+v", a.id, h, err, a.handles[0])
+	if err != nil || h != a.handle() {
+		m.fail("Add(%s) = %+v, %v; want %+v", a.id, h, err, a.handle())
 	}
-	a.quarantine, a.emits, a.audit, a.clean = false, 0, nil, nil
+	a.quarantine, a.emits, a.audit, a.clean = false, 0, nil, false
 	a.offered, a.acc, a.accB, a.drp, a.drpB, a.panics, a.degraded, a.tail = 0, 0, 0, 0, 0, 0, 0, 0
 }
 
@@ -372,16 +354,13 @@ func (m *modelEngine) add(a *modelAgg) (Handle, error) {
 	return m.e.Add(a.id, a.enf, emit)
 }
 
-// fresh builds a spec's enforcer with a's reconfigurations replayed at now.
+func (a *modelAgg) handle() Handle { return Handle{ref: a.ref} }
+
+// fresh builds a spec's enforcer with a's rate changes replayed at now.
 func (a *modelAgg) fresh(now time.Duration) enforcer.Enforcer {
 	enf := a.spec.build()
-	for _, rc := range a.reconfigs {
-		r, _ := nodeReconf(enf, rc.node)
-		if rc.policy < 0 {
-			r.SetRate(now, rc.rate)
-		} else {
-			r.SetPolicy(now, modelPolicy(byte(rc.policy)))
-		}
+	for _, rate := range a.rates {
+		enf.(enforcer.Reconfigurer).SetRate(now, rate)
 	}
 	return enf
 }
@@ -407,11 +386,11 @@ func (m *modelEngine) degrade(a *modelAgg, n int64) {
 	m.degraded += n
 }
 
-// handle picks a handle: a live one of aggregate a%modelIDs (index b), or,
-// when that id is vacant or a ≥ 0xf0, a stale or a bogus one.
+// handle picks a handle: the live one of aggregate a%modelIDs, or, when
+// that id is vacant or a ≥ 0xf0, a stale (index b) or a bogus one.
 func (m *modelEngine) handle(a, b byte) Handle {
 	if ag := m.aggs[int(a)%modelIDs]; a < 0xf0 && ag != nil {
-		return ag.handles[int(b)%len(ag.handles)]
+		return ag.handle()
 	}
 	if len(m.stale) > 0 && a&1 == 0 {
 		return m.stale[int(b)%len(m.stale)]
@@ -432,21 +411,6 @@ func (m *modelEngine) resolve(h Handle) (*modelAgg, error) {
 	return nil, ErrStale
 }
 
-// nodeReconf resolves the Reconfigurer behind (enf, node), as the engine
-// does for an aggregate.
-func nodeReconf(enf enforcer.Enforcer, node enforcer.NodeID) (enforcer.Reconfigurer, error) {
-	if tr, ok := enf.(enforcer.TreeEnforcer); ok {
-		return tr.NodeReconfigurer(node)
-	}
-	if node != enforcer.Root {
-		return nil, ErrBadNode
-	}
-	if r, ok := enf.(enforcer.Reconfigurer); ok {
-		return r, nil
-	}
-	return nil, ErrNotReconfigurable
-}
-
 func ownStats(enf enforcer.Enforcer) (enforcer.Stats, error) {
 	if sr, ok := enf.(enforcer.StatsReader); ok {
 		return sr.EnforcerStats(), nil
@@ -454,21 +418,51 @@ func ownStats(enf enforcer.Enforcer) (enforcer.Stats, error) {
 	return enforcer.Stats{}, ErrNoStats
 }
 
-func nodeStats(enf enforcer.Enforcer, node enforcer.NodeID) (enforcer.Stats, error) {
+// nodeRows predicts NodeMetrics' per-node counters, keyed by node index: a
+// tree's every node, a flat enforcer's stats as node 0, nothing for an
+// enforcer without stats.
+func nodeRows(enf enforcer.Enforcer) map[string]enforcer.Stats {
+	rows := map[string]enforcer.Stats{}
 	if tr, ok := enf.(enforcer.TreeEnforcer); ok {
-		return tr.NodeStats(node)
+		for n := 0; n < tr.NumNodes(); n++ {
+			rows[fmt.Sprint(n)], _ = tr.NodeStats(enforcer.NodeID(n))
+		}
+	} else if st, err := ownStats(enf); err == nil {
+		rows["0"] = st
 	}
-	if node != enforcer.Root {
-		return enforcer.Stats{}, ErrBadNode
-	}
-	return ownStats(enf)
+	return rows
 }
 
-func nodeCount(enf enforcer.Enforcer) int {
-	if tr, ok := enf.(enforcer.TreeEnforcer); ok {
-		return tr.NumNodes()
+// exportedRows reads the per-node counters back out of a NodeMetrics
+// snapshot, keyed by the node label.
+func exportedRows(snap obs.Snapshot) map[string]enforcer.Stats {
+	rows := map[string]enforcer.Stats{}
+	for _, f := range snap.Families {
+		for _, sm := range f.Samples {
+			var node string
+			for _, l := range sm.Labels {
+				if l.Name == "node" {
+					node = l.Value
+				}
+			}
+			if node == "" {
+				continue
+			}
+			st := rows[node]
+			switch v := int64(sm.Value); f.Name {
+			case "bcpqp_node_accepted_packets_total":
+				st.AcceptedPackets = v
+			case "bcpqp_node_accepted_bytes_total":
+				st.AcceptedBytes = v
+			case "bcpqp_node_dropped_packets_total":
+				st.DroppedPackets = v
+			case "bcpqp_node_dropped_bytes_total":
+				st.DroppedBytes = v
+			}
+			rows[node] = st
+		}
 	}
-	return 1
+	return rows
 }
 
 func (m *modelEngine) packets(n int) []packet.Packet {
@@ -482,9 +476,9 @@ func (m *modelEngine) packets(n int) []packet.Packet {
 	return pkts
 }
 
-// serve is one burst the engine serves for a entering at node: it returns
-// the CE marks the engine leaves in the caller's slice.
-func (m *modelEngine) serve(a *modelAgg, node enforcer.NodeID, pkts []packet.Packet, inline bool) []bool {
+// serve is one burst the engine serves for a: it returns the CE marks the
+// engine leaves in the caller's slice.
+func (m *modelEngine) serve(a *modelAgg, pkts []packet.Packet, inline bool) []bool {
 	m.control(a)
 	if inline {
 		m.inline++
@@ -503,7 +497,7 @@ func (m *modelEngine) serve(a *modelAgg, node enforcer.NodeID, pkts []packet.Pac
 		return marks
 	}
 	v := make([]enforcer.Verdict, n)
-	if !m.enforce(a, node, pkts, v) {
+	if !m.enforce(a, pkts, v) {
 		m.fault(a)
 		m.degrade(a, n)
 		return marks
@@ -540,40 +534,34 @@ func (m *modelEngine) serve(a *modelAgg, node enforcer.NodeID, pkts []packet.Pac
 		sh := &m.sh[a.shard]
 		if sh.runs%modelSampleEvery == 0 {
 			m.lastBurst[a.shard] = obs.Event{VT: int64(m.clock()), Kind: obs.KindBurst, Shard: int32(a.shard),
-				Agg: int64(a.ref), Node: int32(node), A: accPkts, B: n - accPkts, C: bytes}
+				Agg: int64(a.ref), A: accPkts, B: n - accPkts, C: bytes}
 		}
 		sh.runs++
 	}
 	if a.audit != nil {
-		for _, au := range a.audit.chain(node) {
-			au.Observe(m.clock(), accBytes)
-		}
+		a.audit.Observe(m.clock(), accBytes)
 	}
 	m.degrade(a, rest)
 	return marks
 }
 
 // enforce runs the twin; false means it panicked.
-func (m *modelEngine) enforce(a *modelAgg, node enforcer.NodeID, pkts []packet.Packet, v []enforcer.Verdict) (ok bool) {
+func (m *modelEngine) enforce(a *modelAgg, pkts []packet.Packet, v []enforcer.Verdict) (ok bool) {
 	defer func() { _ = recover() }()
-	if tr, isTree := a.twin.(enforcer.TreeEnforcer); isTree && node != enforcer.NoNode {
-		tr.SubmitBatchAt(m.now, node, pkts, v)
-	} else {
-		enforcer.SubmitBatch(a.twin, m.now, pkts, v)
-	}
+	enforcer.SubmitBatch(a.twin, m.now, pkts, v)
 	return true
 }
 
-// envelope is what an audit over node arms with: honest, the ceiling's
-// current rate and its B (unbounded where no ceiling is); tight, a quarter
-// of that rate and one packet.
-func (a *modelAgg) envelope(node enforcer.NodeID, tight bool) (units.Rate, int64) {
-	c, ok := modelCeilings[a.spec.kind][node]
-	if !ok || a.spec.fault != 0 && node != enforcer.Root {
+// envelope is what an audit arms with: honest, the ceiling's current rate
+// and its B (unbounded where no ceiling is); tight, a quarter of that rate
+// and one packet.
+func (a *modelAgg) envelope(tight bool) (units.Rate, int64) {
+	c, ok := modelCeilings[a.spec.kind]
+	if !ok {
 		c = ceiling{unbounded, 1 << 50}
 	}
-	if r, ok := a.rates[node]; ok {
-		c.rate = r
+	if n := len(a.rates); n > 0 {
+		c.rate = a.rates[n-1]
 	}
 	if tight {
 		return c.rate / 4, units.MSS
@@ -581,36 +569,17 @@ func (a *modelAgg) envelope(node enforcer.NodeID, tight bool) (units.Rate, int64
 	return c.rate, c.burst
 }
 
-// arm predicts ArmAudit (node NoNode) and ArmNodeAudit.
-func (m *modelEngine) arm(a *modelAgg, node enforcer.NodeID, rate units.Rate, burst int64, honest bool) {
-	if a.audit == nil {
-		tr, _ := a.twin.(enforcer.TreeEnforcer)
-		a.audit = &refAudit{tree: tr, nodes: make([]*obs.Audit, nodeCount(a.twin))}
-		a.clean = map[*obs.Audit]bool{}
-	}
-	au := obs.NewAudit(m.clock(), int64(rate), burst, 0)
-	if node == enforcer.NoNode {
-		a.audit.whole = au
-	} else {
-		a.audit.nodes[node] = au
-	}
-	a.clean[au] = honest && a.spec.fault != fOverAdmit
-	a.audit.rebuild()
+// arm predicts ArmAudit.
+func (m *modelEngine) arm(a *modelAgg, rate units.Rate, burst int64, honest bool) {
+	a.audit = obs.NewAudit(m.clock(), int64(rate), burst, 0)
+	a.clean = honest && a.spec.fault != fOverAdmit
 }
 
-// rateChanged predicts a successful SetRate's rebase: node's own envelope,
-// and the whole-aggregate one at the root.
-func (m *modelEngine) rateChanged(a *modelAgg, node enforcer.NodeID, rate units.Rate) {
-	a.rates[node] = rate
-	a.reconfigs = append(a.reconfigs, reconfig{node: node, rate: rate, policy: -1})
-	if a.audit == nil {
-		return
-	}
-	if au := a.audit.nodes[node]; au != nil {
-		au.Rebase(m.clock(), int64(rate))
-	}
-	if a.audit.whole != nil && node == enforcer.Root {
-		a.audit.whole.Rebase(m.clock(), int64(rate))
+// rateChanged predicts a successful SetRate's rebase of the envelope.
+func (m *modelEngine) rateChanged(a *modelAgg, rate units.Rate) {
+	a.rates = append(a.rates, rate)
+	if a.audit != nil {
+		a.audit.Rebase(m.clock(), int64(rate))
 	}
 }
 
@@ -676,13 +645,12 @@ func (m *modelEngine) restart() {
 func (m *modelEngine) step(code, a, b, c byte) {
 	id := int(a) % modelIDs
 	ag, name := m.aggs[id], modelID(id)
-	node := enforcer.NodeID(int(b%8) - 1)
 	m.op = fmt.Sprintf("op %d %d %d %d", code, a, b, c)
 	switch code % numOps {
 	case opAdd:
 		spec := aggSpec{kind: b & 7, fault: b & (3 << 3), emitPanic: int(b >> 5),
 			hook: c&hook != 0, pin: c&pin != 0, shard: int(c>>2) % (m.shards + 1)}
-		na := &modelAgg{id: name, spec: spec, rates: map[enforcer.NodeID]units.Rate{}}
+		na := &modelAgg{id: name, spec: spec}
 		na.enf, na.twin = spec.build(), spec.build()
 		h, err := m.add(na)
 		if ag != nil || na.enf == nil || spec.pin && spec.shard >= m.shards {
@@ -705,80 +673,50 @@ func (m *modelEngine) step(code, a, b, c byte) {
 		if m.expect("Remove", err, werr); st != want {
 			m.fail("Remove(%s) stats %+v, want %+v", name, st, want)
 		}
-		m.stale = append(m.stale, ag.handles...)
+		m.stale = append(m.stale, ag.handle())
 		slot := ag.ref.slot()
 		m.slots[slot], m.free, m.aggs[id] = nil, append(m.free, slot), nil
-	case opLeaf:
-		h := m.handle(a, b)
-		node = enforcer.NodeID(int(c%8) - 1)
-		got, err := m.e.Leaf(h, node)
-		la, werr := m.resolve(h)
-		want := Handle{ref: h.ref, node: node}
-		if werr == nil {
-			if node < 0 || int(node) >= nodeCount(la.twin) {
-				werr = ErrBadNode
-			} else if _, tree := la.twin.(enforcer.TreeEnforcer); !tree {
-				want.node = enforcer.NoNode
-			}
-		}
-		if m.expect("Leaf", err, werr); werr == nil {
-			if got != want {
-				m.fail("Leaf = %+v, want %+v", got, want)
-			}
-			if len(la.handles) < 8 {
-				la.handles = append(la.handles, got)
-			}
+	case opLookup:
+		h, err := m.e.Lookup(name)
+		if ag == nil {
+			m.expect("Lookup", err, errAny)
+		} else if err != nil || h != ag.handle() {
+			m.fail("Lookup(%s) = %+v, %v; want %+v", name, h, err, ag.handle())
 		}
 	case opSubmit:
 		m.submit(m.handle(a, b), int(c&63), c>>6)
-	case opSetRate, opApplyShare:
+	case opSetRate, opSetRate2, opApplyShare:
 		rate := units.Rate(c) * 64 * units.Kbps
 		if rate == 0 {
 			rate = -units.Mbps
 		}
 		var err error
-		if code%numOps == opSetRate {
-			err = m.e.SetRate(name, node, rate)
-		} else {
-			node = enforcer.Root
+		if code%numOps == opApplyShare {
 			err = m.e.ApplyShare(name, rate, b&1 != 0)
+		} else {
+			err = m.e.SetRate(name, rate)
 		}
-		m.reconfigure(ag, "SetRate", err, node, func(r enforcer.Reconfigurer) error {
-			return r.SetRate(m.now, rate)
-		}, func() { m.rateChanged(ag, node, rate) })
-	case opSetPolicy:
-		err := m.e.SetPolicy(name, node, modelPolicy(c))
-		m.reconfigure(ag, "SetPolicy", err, node, func(r enforcer.Reconfigurer) error {
-			return r.SetPolicy(m.now, modelPolicy(c))
-		}, func() { ag.reconfigs = append(ag.reconfigs, reconfig{node: node, policy: int(c)}) })
-	case opArmAudit, opArmNodeAudit:
-		whole, mode := code%numOps == opArmAudit, c
-		if whole {
-			node, mode = enforcer.NoNode, b
+		m.setRate(ag, err, rate)
+	case opArmAudit, opArmAudit2:
+		mode := b
+		if code%numOps == opArmAudit2 {
+			mode = c
 		}
 		rate, burst := unbounded, int64(1<<50)
 		if ag != nil {
-			rate, burst = ag.envelope(max(node, enforcer.Root), mode&1 != 0)
+			rate, burst = ag.envelope(mode&1 != 0)
 		}
 		if mode&0x80 != 0 {
 			burst = -1
 		}
-		var err error
-		if whole {
-			err = m.e.ArmAudit(name, rate, burst)
-		} else {
-			err = m.e.ArmNodeAudit(name, node, rate, burst)
-		}
-		switch {
-		case burst < 0 || ag == nil:
+		err := m.e.ArmAudit(name, rate, burst)
+		if burst < 0 || ag == nil {
 			m.expect("ArmAudit", err, errAny)
-		case !whole && (node < 0 || int(node) >= nodeCount(ag.twin)):
-			m.expect("ArmNodeAudit", err, ErrBadNode)
-		default:
-			m.control(ag)
-			m.expect("ArmAudit", err, nil)
-			m.arm(ag, node, rate, burst, mode&1 == 0)
+			return
 		}
+		m.control(ag)
+		m.expect("ArmAudit", err, nil)
+		m.arm(ag, rate, burst, mode&1 == 0)
 	case opFlush:
 		m.flush(ag, name, b&1 != 0)
 	case opUpdate:
@@ -876,7 +814,7 @@ func (m *modelEngine) submit(h Handle, n int, mode byte) {
 	if m.expect("SubmitBatch", err, werr); werr != nil || n == 0 {
 		return
 	}
-	marks := m.serve(a, h.node, twin, mode >= 2)
+	marks := m.serve(a, twin, mode >= 2)
 	for i := range pkts {
 		if pkts[i].CE != marks[i] {
 			m.fail("packet %d of the burst left with CE %v, want %v", i, pkts[i].CE, marks[i])
@@ -884,21 +822,20 @@ func (m *modelEngine) submit(h Handle, n int, mode byte) {
 	}
 }
 
-// reconfigure checks one SetRate/SetPolicy/ApplyShare error against the
-// twin's and, on success, applies the model's side effects.
-func (m *modelEngine) reconfigure(a *modelAgg, what string, err error, node enforcer.NodeID,
-	apply func(enforcer.Reconfigurer) error, done func()) {
+// setRate checks one SetRate/ApplyShare error against the twin's and, on
+// success, applies the model's side effects.
+func (m *modelEngine) setRate(a *modelAgg, err error, rate units.Rate) {
 	if a == nil {
-		m.expect(what, err, errAny)
+		m.expect("SetRate", err, errAny)
 		return
 	}
 	m.control(a)
-	r, werr := nodeReconf(a.twin, node)
-	if werr == nil {
-		werr = apply(r)
+	werr := error(ErrNotReconfigurable)
+	if r, ok := a.twin.(enforcer.Reconfigurer); ok {
+		werr = r.SetRate(m.now, rate)
 	}
-	if m.expect(what, err, werr); werr == nil {
-		done()
+	if m.expect("SetRate", err, werr); werr == nil {
+		m.rateChanged(a, rate)
 	}
 }
 
@@ -985,7 +922,7 @@ func (m *modelEngine) close() {
 		if a == nil {
 			continue
 		}
-		if err := m.e.SubmitBatch(a.handles[0], m.packets(1)); err == nil {
+		if err := m.e.SubmitBatch(a.handle(), m.packets(1)); err == nil {
 			m.fail("SubmitBatch after Close succeeded")
 		}
 		if _, err := m.e.Stats(a.id); err == nil {
@@ -1004,13 +941,13 @@ func (m *modelEngine) check() {
 			m.expect("Lookup", err, errAny)
 			_, err = m.e.Stats(id)
 			m.expect("Stats", err, errAny)
-			_, err = m.e.Faults(id)
-			m.expect("Faults", err, errAny)
+			_, err = m.e.NodeMetrics(id)
+			m.expect("NodeMetrics", err, errAny)
 			continue
 		}
 		live++
-		if err != nil || h != a.handles[0] {
-			m.fail("Lookup(%s) = %+v, %v; want %+v", id, h, err, a.handles[0])
+		if err != nil || h != a.handle() {
+			m.fail("Lookup(%s) = %+v, %v; want %+v", id, h, err, a.handle())
 		}
 		m.control(a)
 		st, err := m.e.Stats(id)
@@ -1018,17 +955,14 @@ func (m *modelEngine) check() {
 		if m.expect("Stats", err, werr); st != want {
 			m.fail("Stats(%s) = %+v, want %+v", id, st, want)
 		}
-		for node := 0; node <= nodeCount(a.twin); node++ {
-			m.control(a)
-			st, err := m.e.NodeStats(id, enforcer.NodeID(node))
-			want, werr := nodeStats(a.twin, enforcer.NodeID(node))
-			if m.expect("NodeStats", err, werr); st != want {
-				m.fail("NodeStats(%s, %d) = %+v, want %+v", id, node, st, want)
-			}
+		m.control(a)
+		snap, err := m.e.NodeMetrics(id)
+		if got, want := exportedRows(snap), nodeRows(a.twin); err != nil || !reflect.DeepEqual(got, want) {
+			m.fail("NodeMetrics(%s) = %v, %v; want %v", id, got, err, want)
 		}
-		f, err := m.e.Faults(id)
-		if want := (FaultRecord{a.panics, a.quarantine, a.degraded}); err != nil || f != want {
-			m.fail("Faults(%s) = %+v, %v; want %+v", id, f, err, want)
+		f, err := faults(m.e, id)
+		if want := (faultRecord{a.panics, a.quarantine, a.degraded}); err != nil || f != want {
+			m.fail("fault record of %s = %+v, %v; want %+v", id, f, err, want)
 		}
 		if !slices.Equal(a.got, a.emitted) {
 			m.fail("%s emitted %d packets %v, want %d %v", id, len(a.got), a.got, len(a.emitted), a.emitted)
@@ -1129,30 +1063,17 @@ func (m *modelEngine) checkAudits() {
 		if a == nil || a.audit == nil {
 			continue
 		}
-		entry := func(node enforcer.NodeID, au *obs.Audit) {
-			ent := AuditEntry{Aggregate: a.id, Node: node, Counters: au.Snapshot(),
-				Slack: au.SlackDigest(), RateErr: au.RateErrDigest()}
-			if tr := a.audit.tree; tr != nil && node != enforcer.NoNode {
-				ent.NodeLabel = tr.NodeLabel(node)
-			}
-			if a.clean[au] && ent.Counters.Violations != 0 {
-				m.fail("%s node %d: an honest envelope over a conformant enforcer saw %+v", a.id, node, ent.Counters)
-			}
-			want = append(want, ent)
+		ent := AuditEntry{Aggregate: a.id, Counters: a.audit.Snapshot(),
+			Slack: a.audit.SlackDigest(), RateErr: a.audit.RateErrDigest()}
+		if a.clean && ent.Counters.Violations != 0 {
+			m.fail("%s: an honest envelope over a conformant enforcer saw %+v", a.id, ent.Counters)
 		}
-		if a.audit.whole != nil {
-			entry(enforcer.NoNode, a.audit.whole)
-		}
-		for node, au := range a.audit.nodes {
-			if au != nil {
-				entry(enforcer.NodeID(node), au)
-			}
-		}
+		want = append(want, ent)
 	}
 	got := m.e.AuditReport()
 	if !slices.EqualFunc(got, want, func(g, w AuditEntry) bool {
-		return g.Aggregate == w.Aggregate && g.Node == w.Node && g.NodeLabel == w.NodeLabel &&
-			g.Counters == w.Counters && sameDigest(g.Slack, w.Slack) && sameDigest(g.RateErr, w.RateErr)
+		return g.Aggregate == w.Aggregate && g.Counters == w.Counters &&
+			sameDigest(g.Slack, w.Slack) && sameDigest(g.RateErr, w.RateErr)
 	}) {
 		m.fail("AuditReport = %+v,\nwant %+v", got, want)
 	}
@@ -1198,17 +1119,15 @@ func FuzzEngineModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) { runModel(t, script) })
 }
 
-// Script helpers: node arguments take the node itself.
-func op(code int, a, b, c byte) []byte { return []byte{byte(code), a, b, c} }
-func add(id, spec, flags byte) []byte  { return op(opAdd, id, spec, flags) }
-func submit(id, h, n byte) []byte      { return op(opSubmit, id, h, n) }
-func local(id, h, n byte) []byte       { return op(opSubmit, id, h, n|2<<6) }
-func leaf(id, h byte, node int) []byte {
-	return op(opLeaf, id, h, byte(node+1))
-}
-func nodeOp(code int, id byte, node int, c byte) []byte { return op(code, id, byte(node+1), c) }
-func onShard(s byte) byte                               { return pin | s<<2 }
-func times(n int, ops ...[]byte) []byte                 { return bytes.Repeat(slices.Concat(ops...), n) }
+// Script helpers.
+func op(code int, a, b, c byte) []byte  { return []byte{byte(code), a, b, c} }
+func add(id, spec, flags byte) []byte   { return op(opAdd, id, spec, flags) }
+func submit(id, h, n byte) []byte       { return op(opSubmit, id, h, n) }
+func local(id, h, n byte) []byte        { return op(opSubmit, id, h, n|2<<6) }
+func setRate(id, c byte) []byte         { return op(opSetRate, id, 0, c) }
+func arm(id, mode byte) []byte          { return op(opArmAudit, id, mode, 0) }
+func onShard(s byte) byte               { return pin | s<<2 }
+func times(n int, ops ...[]byte) []byte { return bytes.Repeat(slices.Concat(ops...), n) }
 func script(cfg byte, ops ...[]byte) []byte {
 	return slices.Concat(append([][]byte{{cfg}}, ops...)...)
 }
@@ -1230,11 +1149,11 @@ var (
 // them by name. Entries name what each checks beyond what every script gets.
 var modelScenarios = map[string][]byte{
 	// Add, a duplicate id, a nil enforcer, Remove twice; the removed handle,
-	// NoHandle and an out-of-range handle on both ingresses, and Leaf of the
-	// removed handle.
+	// NoHandle and an out-of-range handle on both ingresses, and Lookup of
+	// the removed id.
 	"AddRemove": script(oneShard, add(0, kTBF, 0), add(0, kTBF, 0), add(1, kNil, 0), submit(0, 0, 1),
 		op(opRemove, 0, 0, 0), op(opRemove, 0, 0, 0), submit(0, 0, 1), local(0, 0, 1),
-		submit(0xf1, 0, 1), submit(0xf1, 1, 1), leaf(0, 0, 0)),
+		submit(0xf1, 0, 1), submit(0xf1, 1, 1), op(opLookup, 0, 0, 0)),
 	// The freed slot comes back under a new generation.
 	"HandlesNotReused": script(oneShard, add(0, kTBF, 0), op(opRemove, 0, 0, 0), add(1, kTBF, 0),
 		submit(0, 0, 1), submit(1, 0, 1)),
@@ -1264,23 +1183,23 @@ var modelScenarios = map[string][]byte{
 	"RemoveReturnsFinalStats": script(oneShard, add(0, kTBF, hook), submit(0, 0, 40), op(opRemove, 0, 0, 0),
 		add(1, kMute, 0), submit(1, 0, 3), op(opRemove, 1, 0, 0),
 		add(2, kTree, hook), submit(2, 0, 40), op(opRemove, 2, 0, 0)),
-	// ErrNotReconfigurable, ErrNoPolicy, an unknown id, a negative rate, and
-	// Update's closure error.
+	// ErrNotReconfigurable, an unknown id, a negative rate, and Update's
+	// closure error.
 	"UpdateErrors": script(oneShard, add(0, kMute, 0), add(1, kTBF, 0),
-		nodeOp(opSetRate, 0, 0, 125), nodeOp(opSetPolicy, 1, 0, 1), nodeOp(opSetRate, 5, 0, 125),
-		nodeOp(opSetRate, 1, 0, 0), op(opUpdate, 1, 1, 0), op(opUpdate, 1, 0, 0), op(opUpdate, 5, 0, 0)),
+		setRate(0, 125), setRate(5, 125), setRate(1, 0), op(opUpdate, 1, 1, 0), op(opUpdate, 1, 0, 0),
+		op(opUpdate, 5, 0, 0)),
 	// A saturated bucket re-rated in-band next to a panicking neighbour: the
 	// rebased honest envelope stays clean, and the twin re-rated in place
 	// agrees packet for packet.
 	"ChaosRateChangePiecewiseTBF": script(oneShard, add(0, kTBF, hook), add(1, kTBF|fPanic, hook),
 		op(opArmAudit, 0, 0, 0), times(30, ms1, submit(0, 0, 32), submit(1, 0, 4)),
-		nodeOp(opSetRate, 0, 0, 31), times(30, ms1, submit(0, 0, 32), submit(1, 0, 4))),
+		setRate(0, 31), times(30, ms1, submit(0, 0, 32), submit(1, 0, 4))),
 	"ChaosRateChangePreservesPhantomOccupancy": script(oneShard, add(0, kBCPQP, hook), op(opArmAudit, 0, 0, 0),
-		times(40, ms1, submit(0, 0, 32)), nodeOp(opSetRate, 0, 0, 31), times(60, ms1, submit(0, 0, 32))),
+		times(40, ms1, submit(0, 0, 32)), setRate(0, 31), times(60, ms1, submit(0, 0, 32))),
 	// Every snapshottable kind restarts seconds into the run, then a snapshot
 	// of everything, a restore across kinds, into a vacant id and in place.
 	"SnapshotRestoreReplayByteIdentical": script(observed, add(0, kBCPQP, hook), add(1, kTBF, hook),
-		add(2, kFair, hook), add(3, kRED, hook), add(4, kTree, hook), leaf(4, 0, 3),
+		add(2, kFair, hook), add(3, kRED, hook), add(4, kTree, hook),
 		times(19, ms1, submit(0, 0, 24), submit(1, 0, 24), submit(2, 0, 24), submit(3, 0, 24), submit(4, 1, 8)),
 		long, op(opRestart, 0, 0, 0),
 		times(19, ms1, submit(0, 0, 24), submit(1, 0, 24), submit(2, 0, 24), submit(3, 0, 24), submit(4, 1, 8)),
@@ -1288,35 +1207,36 @@ var modelScenarios = map[string][]byte{
 	"SnapshotErrNoSnapshot": script(oneShard, add(0, kMute, 0), add(1, kTBF|fPanic, 0), op(opSnapshot, 0, 0, 0),
 		op(opSnapshot, 1, 0, 0), op(opRestore, 2, 0, 0), op(opSnapshot, 0x80, 0, 0), op(opRestart, 0, 0, 0),
 		submit(0, 0, 4)),
-	"TreeSnapshotThroughEngine": script(oneShard, add(0, kTree, hook), leaf(0, 0, 2), leaf(0, 0, 3),
-		times(30, ms1, submit(0, 1, 6), submit(0, 2, 6), submit(0, 0, 4)), long, op(opRestart, 0, 0, 0),
-		times(30, ms1, submit(0, 1, 6), submit(0, 2, 6), submit(0, 0, 4))),
+	"TreeSnapshotThroughEngine": script(oneShard, add(0, kTree, hook),
+		times(30, ms1, submit(0, 0, 6), submit(0, 0, 6), submit(0, 0, 4)), long, op(opRestart, 0, 0, 0),
+		times(30, ms1, submit(0, 0, 6), submit(0, 0, 6), submit(0, 0, 4))),
 	// Ring and inline bursts interleaved on one shard, into a flat aggregate
-	// and a tree entered at its leaves.
+	// and a tree routing them to its leaves.
 	"LocalSubmitEquivalentToRing": script(twoShards, add(0, kTBF, hook|onShard(1)), add(1, kTree, hook|onShard(1)),
-		leaf(1, 0, 1), leaf(1, 0, 2),
-		times(40, ms1, submit(0, 0, 9), local(0, 0, 9), submit(1, 1, 7), local(1, 2, 7), local(1, 0, 5))),
+		times(40, ms1, submit(0, 0, 9), local(0, 0, 9), submit(1, 0, 7), local(1, 0, 7), local(1, 0, 5))),
 	// A LocalSubmitter on the wrong shard, on an out-of-range one, and
 	// AddPinned out of range.
 	"LocalSubmitWrongShard": script(twoShards, add(0, kTBF, onShard(0)), add(1, kTBF, onShard(1)),
 		add(2, kTBF, onShard(2)), op(opSubmit, 0, 0, 4|3<<6), op(opSubmit, 1, 0, 4|3<<6), local(0, 0, 4)),
 	"LocalSubmitStaleHandle": script(oneShard, add(0, kTBF, 0), op(opRemove, 0, 0, 0), local(0, 0, 4)),
-	// Leaf of Leaf, nodes out of range, NoNode at the root, a flat
-	// aggregate's node 0; Remove and re-Add revive no handle on either
-	// ingress.
-	"AddTreeAndLeafResolution": script(oneShard, add(0, kTree, 0), leaf(0, 0, 1), leaf(0, 1, 2), leaf(0, 0, 6),
-		leaf(0, 0, -1), add(1, kTBF, 0), leaf(1, 0, 0), leaf(1, 0, 1),
-		nodeOp(opSetRate, 0, -1, 125), nodeOp(opSetRate, 1, -1, 125), nodeOp(opSetPolicy, 0, -1, 1),
-		nodeOp(opSetPolicy, 1, -1, 1), op(opRemove, 0, 0, 0), add(0, kTree, 0),
+	// A tree and a flat aggregate are addressed alike: Lookup gives Add's
+	// handle, SetRate takes the id (a tree's root ceiling, and one wrapped
+	// in a fault injector that forwards no reconfiguration), and Remove and
+	// re-Add revive no handle on either ingress.
+	"AddTreeAndLeafResolution": script(oneShard, add(0, kTree, 0), op(opLookup, 0, 0, 0), add(1, kTBF, 0),
+		op(opLookup, 1, 0, 0), add(2, kTree|fPanic, 0), setRate(0, 125), setRate(1, 125), setRate(2, 125),
+		op(opRemove, 0, 0, 0), add(0, kTree, 0), op(opLookup, 0, 0, 0),
 		submit(0xf0, 0, 1), submit(0xf0, 1, 1), local(0xf0, 1, 1), local(0xf0, 2, 1), submit(0, 0, 1)),
-	// Bursts at two leaves land on their nodes; SetRate at a node without
-	// a ceiling is ErrNotReconfigurable.
-	"LeafSubmissionRoutesToNodes": script(oneShard, add(0, kTree, hook), leaf(0, 0, 2), leaf(0, 0, 4),
-		times(50, op(opClock, 49, 0, 0), submit(0, 1, 8), submit(0, 2, 1), submit(0, 2, 1)),
-		nodeOp(opSetRate, 0, 2, 125)),
-	"SetRateAtNodeInBand": script(oneShard, add(0, kTree, hook), leaf(0, 0, 3), op(opArmAudit, 0, 0, 0),
-		nodeOp(opArmNodeAudit, 0, 0, 0), nodeOp(opArmNodeAudit, 0, 3, 0), nodeOp(opSetRate, 0, 0, 31),
-		times(100, ms1, submit(0, 1, 4))),
+	// A tree fed through Engine.SubmitBatch and through a LocalSubmitter
+	// routes each packet to its leaf exactly as its twin's own SubmitBatch
+	// does at the same clock: verdicts, emits, Stats and every node's
+	// counters agree.
+	"LeafSubmissionRoutesToNodes": script(twoShards, add(0, kTree, hook|onShard(1)),
+		times(50, op(opClock, 49, 0, 0), submit(0, 0, 8), local(0, 0, 1), submit(0, 0, 3), local(0, 0, 9))),
+	// SetRate on a tree retargets its root ceiling in-band, below every leaf
+	// ceiling, and rebases the honest envelope armed at the old rate.
+	"SetRateAtNodeInBand": script(oneShard, add(0, kTree, hook), op(opArmAudit, 0, 0, 0),
+		times(20, ms1, submit(0, 0, 16)), setRate(0, 31), times(100, ms1, submit(0, 0, 16))),
 	// A frozen clock: of one burst the bucket passes some and drops the rest.
 	"ObserveVerdictTally": script(observed, add(0, kTBF, 0), submit(0, 0, 40)),
 	// Every verdict, out-of-range ones on both sides included, tallied.
@@ -1341,31 +1261,28 @@ var modelScenarios = map[string][]byte{
 	"AuditInjectedOverAdmissionExact": script(oneShard, add(0, kTBF|fOverAdmit, 0), op(opArmAudit, 0, 0, 0),
 		times(100, ms1, submit(0, 0, 48))),
 	"AuditRebaseNoFalsePositives": script(oneShard, add(0, kTBF, 0), op(opArmAudit, 0, 0, 0),
-		times(5, times(10, op(opClock, 199, 0, 0), submit(0, 0, 48)), nodeOp(opSetRate, 0, 0, 31),
-			times(10, op(opClock, 199, 0, 0), submit(0, 0, 48)), nodeOp(opSetRate, 0, 0, 250))),
+		times(5, times(10, op(opClock, 199, 0, 0), submit(0, 0, 48)), setRate(0, 31),
+			times(10, op(opClock, 199, 0, 0), submit(0, 0, 48)), setRate(0, 250))),
 	"RateChangeRebasesEveryEnvelope/flat/SetRate": script(oneShard, add(0, kTBF, 0), op(opArmAudit, 0, 0, 0),
-		nodeOp(opArmNodeAudit, 0, 0, 0), nodeOp(opSetRate, 0, 0, 160), times(100, ms1, submit(0, 0, 7))),
+		setRate(0, 160), times(100, ms1, submit(0, 0, 7))),
 	"RateChangeRebasesEveryEnvelope/flat/ApplyShare": script(oneShard, add(0, kTBF, 0), op(opArmAudit, 0, 0, 0),
-		nodeOp(opArmNodeAudit, 0, 0, 0), op(opApplyShare, 0, 0, 160), times(100, ms1, submit(0, 0, 7))),
-	"RateChangeRebasesEveryEnvelope/tree/root/SetRate": script(oneShard, add(0, kTree, 0), leaf(0, 0, 3),
-		op(opArmAudit, 0, 0, 0), nodeOp(opArmNodeAudit, 0, 0, 0), nodeOp(opArmNodeAudit, 0, 3, 0),
-		nodeOp(opSetRate, 0, 0, 250), times(80, ms1, submit(0, 0, 6), submit(0, 1, 3))),
-	"RateChangeRebasesEveryEnvelope/tree/root/ApplyShare": script(oneShard, add(0, kTree, 0), leaf(0, 0, 3),
-		op(opArmAudit, 0, 0, 0), nodeOp(opArmNodeAudit, 0, 0, 0), nodeOp(opArmNodeAudit, 0, 3, 0),
-		op(opApplyShare, 0, 1, 250), times(80, ms1, submit(0, 0, 6), submit(0, 1, 3))),
-	"RateChangeRebasesEveryEnvelope/tree/leaf/SetRate": script(oneShard, add(0, kTree, 0), leaf(0, 0, 3),
-		op(opArmAudit, 0, 0, 0), nodeOp(opArmNodeAudit, 0, 0, 0), nodeOp(opArmNodeAudit, 0, 3, 0),
-		nodeOp(opSetRate, 0, 3, 160), times(80, ms1, submit(0, 0, 6), submit(0, 1, 3))),
-	// A tight envelope on an interior node breaches while the honest ones
-	// on its leaf and on the ceiling below stay clean.
-	"AuditTreeRollup": script(oneShard, add(0, kTree, 0), leaf(0, 0, 2), leaf(0, 0, 3),
-		nodeOp(opArmNodeAudit, 0, 1, 1), nodeOp(opArmNodeAudit, 0, 2, 0), nodeOp(opArmNodeAudit, 0, 3, 0),
-		times(60, ms1, submit(0, 1, 6), submit(0, 2, 6))),
-	// Runs through Add's handle credit the root and the whole envelope only;
-	// runs at a leaf credit it and its armed ancestors.
-	"NodeAuditCreditedAtOrBelowIngress": script(oneShard, add(0, kTree, 0), leaf(0, 0, 2), leaf(0, 0, 4),
-		op(opArmAudit, 0, 0, 0), nodeOp(opArmNodeAudit, 0, 1, 0), nodeOp(opArmNodeAudit, 0, 2, 0),
-		nodeOp(opArmNodeAudit, 0, 4, 0), times(40, ms1, submit(0, 0, 6), submit(0, 1, 6), submit(0, 2, 6))),
+		op(opApplyShare, 0, 0, 160), times(100, ms1, submit(0, 0, 7))),
+	"RateChangeRebasesEveryEnvelope/tree/root/SetRate": script(oneShard, add(0, kTree, 0),
+		op(opArmAudit, 0, 0, 0), setRate(0, 250), times(80, ms1, submit(0, 0, 6), submit(0, 0, 3))),
+	"RateChangeRebasesEveryEnvelope/tree/root/ApplyShare": script(oneShard, add(0, kTree, 0),
+		op(opArmAudit, 0, 0, 0), op(opApplyShare, 0, 1, 250), times(80, ms1, submit(0, 0, 6), submit(0, 0, 3))),
+	// The root re-rated below every leaf ceiling, so that the root binds
+	// where the leaves did.
+	"RateChangeRebasesEveryEnvelope/tree/leaf/SetRate": script(oneShard, add(0, kTree, 0),
+		op(opArmAudit, 0, 0, 0), setRate(0, 30), times(80, ms1, submit(0, 0, 6), submit(0, 0, 3))),
+	// A tight envelope on one tree breaches while the honest one on its twin
+	// stays clean.
+	"AuditTreeRollup": script(oneShard, add(0, kTree, 0), add(1, kTree, 0), arm(0, 1), arm(1, 0),
+		times(60, ms1, submit(0, 0, 6), submit(1, 0, 6))),
+	// A tree's envelope is credited by every burst the tree routes, through
+	// the ring and inline alike.
+	"NodeAuditCreditedAtOrBelowIngress": script(twoShards, add(0, kTree, onShard(0)), arm(0, 0),
+		times(40, ms1, submit(0, 0, 6), local(0, 0, 6), submit(0, 0, 1))),
 	"ChaosPanicQuarantineDeterministic": script(oneShard, add(0, kTBF|fPanic, hook), add(1, kTBF, hook),
 		times(20, ms1, submit(0, 0, 8), submit(1, 0, 8))),
 	// Quarantined until Remove: nothing emitted or audited after the crash;
@@ -1377,11 +1294,11 @@ var modelScenarios = map[string][]byte{
 		op(opFlush, 0, 1, 0), submit(0, 0, 4), op(opFlush, 1, 0, 0), submit(1, 0, 9), op(opRestart, 0, 0, 0),
 		submit(0, 0, 4)),
 	"mix": script(2|observed, add(0, kBCPQP, hook|onShard(2)), add(1, kTree, hook), add(2, kRED, hook),
-		add(3, kFair|fCorrupt, hook), add(4, kCycle, hook), leaf(1, 0, 2), leaf(1, 0, 4),
-		op(opArmAudit, 0, 0, 0), nodeOp(opArmNodeAudit, 1, 1, 0), nodeOp(opArmNodeAudit, 1, 4, 1),
-		times(8, ms1, submit(0, 0, 20), local(0, 0, 12), submit(1, 1, 9), local(1, 2, 5), submit(2, 0, 16),
+		add(3, kFair|fCorrupt, hook), add(4, kCycle, hook),
+		op(opArmAudit, 0, 0, 0), arm(1, 1),
+		times(8, ms1, submit(0, 0, 20), local(0, 0, 12), submit(1, 0, 9), local(1, 0, 5), submit(2, 0, 16),
 			submit(3, 0, 8), submit(4, 0, 5)),
-		nodeOp(opSetPolicy, 0, 0, 2), nodeOp(opSetPolicy, 3, 0, 2), nodeOp(opSetRate, 1, 1, 60),
+		setRate(0, 2), setRate(3, 2), setRate(1, 60),
 		op(opApplyShare, 0, 1, 90), op(opClock, 50, 3, 1), op(opSnapshot, 0x80, 0, 0), long,
 		op(opRestart, 0, 0, 0), op(opArmAudit, 1, 0, 0), op(opRestore, 0, 2, 0),
 		times(8, ms1, submit(0, 0, 20), submit(1, 0, 9), submit(2, 0, 16), submit(3, 0, 8)),
@@ -1411,10 +1328,33 @@ func TestLocalSubmitStaleHandle(t *testing.T) { runModel(t, modelScenarios["Loca
 func TestAddTreeAndLeafResolution(t *testing.T) {
 	runModel(t, modelScenarios["AddTreeAndLeafResolution"])
 }
+
+// TestLeafSubmissionRoutesToNodes also demands both ingresses, and traffic
+// at more than one leaf.
 func TestLeafSubmissionRoutesToNodes(t *testing.T) {
-	runModel(t, modelScenarios["LeafSubmissionRoutesToNodes"])
+	m := runModel(t, modelScenarios["LeafSubmissionRoutesToNodes"])
+	tr, busy := m.aggs[0].twin.(*ptree.Tree), 0
+	for _, leaf := range tr.Leaves() {
+		if st, _ := tr.NodeStats(leaf); st.AcceptedPackets > 0 {
+			busy++
+		}
+	}
+	if m.inline == 0 || m.sh[1].claimed == 0 || busy < 2 {
+		t.Fatalf("%d inline and %d ring bursts, %d leaves admitting: want both ingresses and several leaves",
+			m.inline, m.sh[1].claimed, busy)
+	}
 }
-func TestSetRateAtNodeInBand(t *testing.T) { runModel(t, modelScenarios["SetRateAtNodeInBand"]) }
+
+// TestSetRateAtNodeInBand also holds the envelope to the new rate: the root
+// ceiling it rebased to admitted traffic under it, with no violation (an
+// honest envelope is checked clean after every op).
+func TestSetRateAtNodeInBand(t *testing.T) {
+	m := runModel(t, modelScenarios["SetRateAtNodeInBand"])
+	if c := m.aggs[0].audit.Snapshot(); c.RateBps != int64(31*64*units.Kbps) || c.AcceptedBytes == 0 {
+		t.Fatalf("envelope %+v: want it rebased to %d b/s and crediting traffic", c, int64(31*64*units.Kbps))
+	}
+}
+
 func TestTallyCountsVerdicts(t *testing.T) { runModel(t, modelScenarios["TallyCountsVerdicts"]) }
 func TestObserveVerdictTally(t *testing.T) {
 	if m := runModel(t, modelScenarios["ObserveVerdictTally"]); m.aggs[0].acc == 0 || m.aggs[0].drp == 0 {
@@ -1427,8 +1367,15 @@ func TestAuditCleanRunZero(t *testing.T)      { runModel(t, modelScenarios["Audi
 func TestAuditRebaseNoFalsePositives(t *testing.T) {
 	runModel(t, modelScenarios["AuditRebaseNoFalsePositives"])
 }
+
+// TestNodeAuditCreditedAtOrBelowIngress also demands that the envelope,
+// armed before any traffic, credited every byte the tree accepted.
 func TestNodeAuditCreditedAtOrBelowIngress(t *testing.T) {
-	runModel(t, modelScenarios["NodeAuditCreditedAtOrBelowIngress"])
+	m := runModel(t, modelScenarios["NodeAuditCreditedAtOrBelowIngress"])
+	a := m.aggs[0]
+	if got, want := a.audit.Snapshot().AcceptedBytes, a.twin.(*ptree.Tree).EnforcerStats().AcceptedBytes; got != want || got == 0 {
+		t.Fatalf("envelope credited %d bytes, the tree accepted %d", got, want)
+	}
 }
 
 // TestChaosRateChangePiecewiseTBF also holds the bucket to the piecewise
@@ -1479,7 +1426,7 @@ func TestFlushDrivesPhantomMaintenance(t *testing.T) {
 }
 
 func TestAuditInjectedOverAdmissionExact(t *testing.T) {
-	if m := runModel(t, modelScenarios["AuditInjectedOverAdmissionExact"]); m.aggs[0].audit.whole.Snapshot().Violations == 0 {
+	if m := runModel(t, modelScenarios["AuditInjectedOverAdmissionExact"]); m.aggs[0].audit.Snapshot().Violations == 0 {
 		t.Fatal("over-admission produced no violation")
 	}
 }
@@ -1491,8 +1438,8 @@ func TestRateChangeRebasesEveryEnvelope(t *testing.T) {
 }
 
 func TestAuditTreeRollup(t *testing.T) {
-	if m := runModel(t, modelScenarios["AuditTreeRollup"]); m.aggs[0].audit.nodes[1].Snapshot().Violations == 0 {
-		t.Fatal("the tight interior envelope saw no violation")
+	if m := runModel(t, modelScenarios["AuditTreeRollup"]); m.aggs[0].audit.Snapshot().Violations == 0 {
+		t.Fatal("the tight tree envelope saw no violation")
 	}
 }
 

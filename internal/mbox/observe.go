@@ -17,14 +17,11 @@ type TraceEvent struct {
 	// the current registry; empty for engine-level events and for
 	// aggregates removed since the event was recorded.
 	AggID string
-	// NodePath is the root→node label path ("tenant/plan/sub") of the
-	// event's tree node when the event is node-attributed (Node >= 0) and
-	// the aggregate still resolves to a tree; empty otherwise.
-	NodePath string
 }
 
-// nodePath renders the root→node label path. Topology accessors are
-// immutable after construction, so this is safe against a live tree.
+// nodePath renders the root→node label path ("tenant/plan/sub"), NodeMetrics'
+// path label. Topology accessors are immutable after construction, so this
+// is safe against a live tree.
 func nodePath(tree enforcer.TreeEnforcer, node enforcer.NodeID) string {
 	if int(node) < 0 || int(node) >= tree.NumNodes() {
 		return ""
@@ -57,9 +54,6 @@ func (e *Engine) TraceDump() []TraceEvent {
 		if r := aggRef(ev.Agg); r > 0 && r.slot() < len(t.slots) {
 			if agg := t.slots[r.slot()].Load(); agg != nil && agg.h == r {
 				te.AggID = agg.id
-				if agg.tree != nil && ev.Node >= 0 {
-					te.NodePath = nodePath(agg.tree, enforcer.NodeID(ev.Node))
-				}
 			}
 		}
 		out[i] = te
@@ -202,8 +196,7 @@ func (e *Engine) Metrics() obs.Snapshot {
 }
 
 // auditFamilies builds the conformance-audit metric families: one sample
-// per armed auditor (whole-aggregate envelopes labelled {aggregate},
-// per-node envelopes {aggregate,node,path}) plus the slack and rate-error
+// per armed auditor, labelled {aggregate}, plus the slack and rate-error
 // quantile digests merged across every armed auditor. Empty when nothing
 // is armed, so unaudited deployments pay nothing in exposition size.
 func (e *Engine) auditFamilies(t *registry) []obs.Family {
@@ -219,15 +212,9 @@ func (e *Engine) auditFamilies(t *registry) []obs.Family {
 	}
 	var slackAcc, errAcc obs.Digest
 	armed := 0
-	e.eachAudit(t, func(agg *aggregate, node enforcer.NodeID, a *obs.Audit) {
+	e.eachAudit(t, func(agg *aggregate, a *obs.Audit) {
 		armed++
 		lbl := []obs.Label{{Name: "aggregate", Value: agg.id}}
-		if node != enforcer.NoNode {
-			lbl = append(lbl, obs.Label{Name: "node", Value: strconv.Itoa(int(node))})
-			if agg.tree != nil {
-				lbl = append(lbl, obs.Label{Name: "path", Value: nodePath(agg.tree, node)})
-			}
-		}
 		c := a.Snapshot()
 		a.MergeSlack(&slackAcc)
 		a.MergeRateErr(&errAcc)

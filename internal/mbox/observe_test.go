@@ -62,14 +62,14 @@ func TestTraceDumpLifecycleKinds(t *testing.T) {
 	if err := e.Flush("victim", func(enforcer.Enforcer) {}); err != nil {
 		t.Fatal(err)
 	}
-	if f, err := e.Faults("victim"); err != nil || !f.Quarantined {
+	if f, err := faults(e, "victim"); err != nil || !f.Quarantined {
 		t.Fatalf("victim not quarantined after its burst: %+v, %v", f, err)
 	}
 
 	if _, err := e.Add("plan", tbf.MustNew(units.Mbps, 10*units.MSS), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SetRate("plan", enforcer.Root, 2*units.Mbps); err != nil {
+	if err := e.SetRate("plan", 2*units.Mbps); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Remove("plan"); err != nil {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"bcpqp/internal/enforcer"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/tbf"
 	"bcpqp/internal/units"
@@ -102,7 +101,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 			h, err := e.Add(id, tbf.MustNew(units.Mbps, 50*units.MSS), nil)
 			if err == nil {
 				_ = e.SubmitBatch(h, []packet.Packet{pkt(i)})
-				_ = e.SetRate(id, enforcer.Root, (1+units.Rate(i%4))*units.Mbps)
+				_ = e.SetRate(id, (1+units.Rate(i%4))*units.Mbps)
 				_, _ = e.Remove(id)
 			}
 			churned.Add(1)

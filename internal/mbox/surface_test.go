@@ -6,28 +6,33 @@ import (
 	"strings"
 	"testing"
 
+	"bcpqp/internal/enforcer"
 	"bcpqp/internal/obs"
 	"bcpqp/internal/tbf"
 	"bcpqp/internal/units"
 )
 
 // TestEngineSurface pins the engine's exported surface, so that adding to it
-// is a reviewed diff to these lists rather than one more method: two ways in
-// (Engine.SubmitBatch, LocalSubmitter.SubmitBatch) over one gate and one
-// serve body, both entering at the node their Handle carries, one
-// reconfiguration body behind SetRate and SetPolicy, each addressed by
-// (id, node) with Root for the root, one snapshot pair, and as Config only
-// what some caller outside the tests sets. Everything else is a constant:
+// is a reviewed diff to these lists rather than one more method: one address
+// per aggregate, whatever its enforcer (a policy tree routes its own
+// packets), two ways in (Engine.SubmitBatch, LocalSubmitter.SubmitBatch) over
+// one gate and one serve body, SetRate and Update as the reconfiguration
+// lanes, one audit envelope per aggregate, one snapshot pair, only the
+// topology and per-node counters of a tree that NodeMetrics exports, and as
+// Config only what some caller outside the tests sets. Everything else is a constant:
 // wedgeTimeout (the one reason any waiter gives up on a shard) and
 // reofferInterval; the circuit breaker trips on the first panic. An
 // aggregate leaves the table only through Remove (or Close), and the one
 // overload response is the ring-full shed the watchdog reports, so Health
 // says nothing about table fill, evictions or shed classes. The fault plane
-// has one policy, so FaultRecord and Health count drops and carry no mode: a
-// quarantined aggregate's traffic is dropped until Remove.
+// has one policy, so Health counts drops and carries no mode: a quarantined
+// aggregate's traffic is dropped until Remove.
 func TestEngineSurface(t *testing.T) {
 	methods := func(v any) (out []string) {
 		typ := reflect.TypeOf(v)
+		if typ.Kind() == reflect.Pointer && typ.Elem().Kind() == reflect.Interface {
+			typ = typ.Elem()
+		}
 		for i := 0; i < typ.NumMethod(); i++ {
 			out = append(out, typ.Method(i).Name)
 		}
@@ -46,12 +51,15 @@ func TestEngineSurface(t *testing.T) {
 		got, want []string
 	}{
 		{"*Engine methods", methods(&Engine{}), []string{
-			"Add", "AddPinned", "ApplyShare", "ArmAudit", "ArmNodeAudit",
+			"Add", "AddPinned", "ApplyShare", "ArmAudit",
 			"AttachMetricSource", "AuditReport", "AuditViolations", "BurstLatency",
-			"Close", "Faults", "Flush", "Health", "Leaf", "Len",
-			"LocalShard", "Lookup", "Metrics", "NodeMetrics", "NodeStats",
-			"Remove", "Restore", "SetPolicy", "SetRate",
+			"Close", "Flush", "Health", "Len",
+			"LocalShard", "Lookup", "Metrics", "NodeMetrics",
+			"Remove", "Restore", "SetRate",
 			"Snapshot", "Stats", "SubmitBatch", "TraceDump", "Update",
+		}},
+		{"enforcer.TreeEnforcer methods", methods((*enforcer.TreeEnforcer)(nil)), []string{
+			"IsLeaf", "NodeLabel", "NodeStats", "NumNodes", "Parent",
 		}},
 		{"*LocalSubmitter methods", methods(&LocalSubmitter{}), []string{"Shard", "SubmitBatch"}},
 		{"Handle methods", methods(Handle{}), []string{"TraceAgg"}},
@@ -59,7 +67,7 @@ func TestEngineSurface(t *testing.T) {
 			"Clock", "CloseTimeout", "Observer", "OnFault",
 			"QueueDepth", "Shards", "WatchdogInterval",
 		}},
-		{"FaultRecord fields", fields(FaultRecord{}), []string{"Panics", "Quarantined", "DegradedDrops"}},
+		{"AuditEntry fields", fields(AuditEntry{}), []string{"Aggregate", "Counters", "Slack", "RateErr"}},
 		{"Health fields", fields(Health{}), []string{
 			"Shards", "Quarantined", "Panics", "DegradedDrops", "BadVerdicts",
 			"Overloaded",

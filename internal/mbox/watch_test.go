@@ -3,12 +3,10 @@ package mbox
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 	"unsafe"
 
-	"bcpqp/internal/enforcer"
 	"bcpqp/internal/obs"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/ptree"
@@ -17,132 +15,39 @@ import (
 	"bcpqp/internal/units"
 )
 
-// refAudit is the armed set as it was stored before per-node storage went
-// sparse — a slot per tree node and a precomputed chain per ingress — with
-// its rebuild kept verbatim (agg.tree became the tree field). It is the
-// reference nodeAudits.chain is checked against.
-type refAudit struct {
-	tree   enforcer.TreeEnforcer
-	whole  *obs.Audit
-	nodes  []*obs.Audit
-	chains [][]*obs.Audit
-}
-
-func (au *refAudit) rebuild() {
-	n := len(au.nodes)
-	au.chains = make([][]*obs.Audit, n+1)
-	for node := 0; node < n; node++ {
-		var c []*obs.Audit
-		if au.tree != nil {
-			for cur := enforcer.NodeID(node); cur != enforcer.NoNode; cur = au.tree.Parent(cur) {
-				if a := au.nodes[cur]; a != nil {
-					c = append(c, a)
-				}
-			}
-		} else if a := au.nodes[node]; a != nil {
-			c = append(c, a)
-		}
-		if au.whole != nil {
-			c = append(c, au.whole)
-		}
-		au.chains[node+1] = c
-	}
-	var c0 []*obs.Audit
-	if au.tree != nil {
-		for i := 0; i < n; i++ {
-			if au.tree.Parent(enforcer.NodeID(i)) == enforcer.NoNode {
-				if a := au.nodes[i]; a != nil {
-					c0 = append(c0, a)
-				}
-				break
-			}
-		}
-	} else if a := au.nodes[0]; a != nil {
-		c0 = append(c0, a)
-	}
-	if au.whole != nil {
-		c0 = append(c0, au.whole)
-	}
-	au.chains[0] = c0
-}
-
-// chain is the old auditRun's lookup.
-func (au *refAudit) chain(node enforcer.NodeID) []*obs.Audit {
-	idx := int(node) + 1
-	if idx < 0 || idx >= len(au.chains) {
-		idx = 0
-	}
-	return au.chains[idx]
-}
-
-// topology is a TreeEnforcer that answers only the two topology questions
-// audit attribution asks.
-type topology struct {
-	enforcer.TreeEnforcer
-	parents []enforcer.NodeID
-}
-
-func (t topology) NumNodes() int { return len(t.parents) }
-func (t topology) Parent(n enforcer.NodeID) enforcer.NodeID {
-	if int(n) < 0 || int(n) >= len(t.parents) {
-		return enforcer.NoNode
-	}
-	return t.parents[n]
-}
-
-// TestAuditChainsMatchReference: for drawn topologies — node 0 the root, as
-// enforcer.TreeEnforcer requires, and flat — and drawn arm / re-arm
-// sequences, the sparse set attributes every ingress (each node, NoNode, out
-// of range) to exactly the audits, in exactly the order, of the old
-// slot-per-node rebuild: node chain → root → whole.
+// TestAuditChainsMatchReference: for drawn scripts over flat aggregates and
+// policy trees — arms and re-arms with honest and tight envelopes, rate
+// changes and cluster shares, bursts through the ring and inline, clock
+// steps — each aggregate's one envelope credits exactly what the model's
+// ledger credits, run for run, whichever leaves a tree routed the run to,
+// and an honest envelope over a conformant enforcer never breaches:
+// runModel checks both after every op.
 func TestAuditChainsMatchReference(t *testing.T) {
 	r := rng.New(16)
-	for round := 0; round < 300; round++ {
-		n := 1 + r.IntN(40)
-		var tree enforcer.TreeEnforcer
-		switch round % 2 {
-		case 0: // parents before children
-			p := make([]enforcer.NodeID, n)
-			p[0] = enforcer.NoNode
-			for i := 1; i < n; i++ {
-				p[i] = enforcer.NodeID(r.IntN(i))
-			}
-			tree = topology{parents: p}
-		default:
-			n = 1 // flat: node 0 is the enforcer itself
+	kinds := []byte{kTBF, kBCPQP, kTree, kTree | fOverAdmit}
+	for round := 0; round < 100; round++ {
+		sc := []byte{byte(r.IntN(3))}
+		for id := byte(0); id < 3; id++ {
+			sc = append(sc, add(id, kinds[r.IntN(len(kinds))], hook)...)
 		}
-		ref := &refAudit{tree: tree, nodes: make([]*obs.Audit, n)}
-		var na *nodeAudits
-		var whole *obs.Audit
-		for step, steps := 0, 1+r.IntN(12); step < steps; step++ {
-			a := obs.NewAudit(0, int64(step+1), 0, 0)
-			if r.IntN(4) == 0 {
-				whole, ref.whole = a, a
-			} else {
-				node := enforcer.NodeID(r.IntN(n))
-				na = na.with(tree, node, a)
-				ref.nodes[node] = a
-			}
-			ref.rebuild()
-			for node := enforcer.NodeID(-3); int(node) < n+3; node++ {
-				var got []*obs.Audit
-				if na != nil {
-					got = slices.Clone(na.chain(tree, node))
-				}
-				if whole != nil {
-					got = append(got, whole)
-				}
-				if want := ref.chain(node); !slices.Equal(got, want) {
-					t.Fatalf("round %d step %d, %d nodes, ingress %d: credits %d audits %v, reference %d %v",
-						round, step, n, node, len(got), got, len(want), want)
-				}
-			}
-			for node := 0; node < n; node++ {
-				if got := na.audit(enforcer.NodeID(node)); got != ref.nodes[node] {
-					t.Fatalf("round %d step %d: node %d's own audit differs from the reference slot", round, step, node)
-				}
+		for step := 0; step < 40; step++ {
+			id, n := byte(r.IntN(3)), byte(1+r.IntN(32))
+			switch r.IntN(6) {
+			case 0:
+				sc = append(sc, arm(id, byte(r.IntN(2)))...)
+			case 1:
+				sc = append(sc, setRate(id, byte(1+r.IntN(250)))...)
+			case 2:
+				sc = append(sc, op(opApplyShare, id, byte(r.IntN(2)), byte(1+r.IntN(250)))...)
+			case 3:
+				sc = append(sc, local(id, 0, n)...)
+			case 4:
+				sc = append(sc, op(opClock, byte(r.IntN(256)), byte(r.IntN(6)), 0)...)
+			default:
+				sc = append(sc, submit(id, 0, n)...)
 			}
 		}
+		runModel(t, sc)
 	}
 }
 
@@ -158,10 +63,10 @@ func allocatedBy(fn func()) (bytes, objects uint64) {
 }
 
 // TestArmAuditIsNotTreeSized is the regression test for arming being O(tree
-// size): on a 100,101-node tree, arming the whole-aggregate envelope
-// allocates under 4 KB (it used to allocate a slot and a chain per node,
-// ≈ 4 MB and 100 k objects, on every arm and re-arm), and arming three
-// nodes costs their depth, not the tree.
+// size): on a 100,101-node tree, arming the envelope allocates under 4 KB (it
+// once allocated a slot and a chain per node, ≈ 4 MB and 100 k objects, on
+// every arm and re-arm). The envelope is credited by the bursts the tree
+// routes, every accepted byte once.
 func TestArmAuditIsNotTreeSized(t *testing.T) {
 	const pools, leaves = 100, 1000
 	spec := []ptree.NodeSpec{{Parent: -1, Stage: tbf.MustNew(10*units.Gbps, 1<<20)}}
@@ -186,46 +91,24 @@ func TestArmAuditIsNotTreeSized(t *testing.T) {
 			}
 		})
 		if bytes >= 4096 {
-			t.Errorf("whole-only ArmAudit on a %d-node tree allocated %d bytes in %d objects, want < 4 KB", len(spec), bytes, objects)
+			t.Errorf("ArmAudit on a %d-node tree allocated %d bytes in %d objects, want < 4 KB", len(spec), bytes, objects)
 		}
-	}
-	leaf := enforcer.NodeID(1 + 57*(leaves+1) + 123) // a leaf of pool 57
-	pool := enforcer.NodeID(1 + 57*(leaves+1))
-	bytes, objects := allocatedBy(func() {
-		for _, node := range []enforcer.NodeID{leaf, pool, 0} {
-			if err := e.ArmNodeAudit("big", node, units.Gbps, 1<<20); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	if bytes >= 3*4096 {
-		t.Errorf("arming three nodes allocated %d bytes in %d objects, want < 12 KB", bytes, objects)
 	}
 
-	// The three envelopes and the whole one are credited by a run entering
-	// at the leaf; a sibling pool's leaf credits the root and the whole.
-	batch := []packet.Packet{pkt(0), pkt(1)}
-	for _, ingress := range []enforcer.NodeID{leaf, pool + leaves + 2} {
-		lh, err := e.Leaf(h, ingress)
-		if err != nil {
-			t.Fatal(err)
-		}
+	batch := []packet.Packet{pkt(0), pkt(1), pkt(57), pkt(123456)}
+	for i := 0; i < 2; i++ {
 		clk.add(time.Millisecond)
-		if err := e.SubmitBatch(lh, batch); err != nil {
+		if err := e.SubmitBatch(h, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.Stats("big"); err != nil {
+	st, err := e.Stats("big")
+	if err != nil {
 		t.Fatal(err)
 	}
-	got := map[enforcer.NodeID]int64{}
-	for _, ent := range e.AuditReport() {
-		got[ent.Node] = ent.Counters.AcceptedBytes
-	}
-	one := int64(2 * units.MSS)
-	want := map[enforcer.NodeID]int64{enforcer.NoNode: 2 * one, 0: 2 * one, pool: one, leaf: one}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("audited bytes by node %v, want %v", got, want)
+	rep := e.AuditReport()
+	if len(rep) != 1 || st.AcceptedBytes == 0 || rep[0].Counters.AcceptedBytes != st.AcceptedBytes {
+		t.Errorf("audit report %+v for a tree that accepted %d bytes: want one envelope crediting them all", rep, st.AcceptedBytes)
 	}
 }
 

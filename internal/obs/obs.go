@@ -79,7 +79,7 @@ const (
 	// degraded exchange), 0 when grant-adjusted.
 	KindShareApply
 	// KindViolation is a conformance-audit envelope breach: the audited
-	// aggregate (or tree node, when Node ≥ 0) accepted more bytes than the
+	// aggregate accepted more bytes than the
 	// Theorem-1 bound r·Δt + B allows. A = the deficit in bytes, B = the
 	// audited envelope rate in bits per second, C = cumulative accepted
 	// bytes at the breach. Coalesced at the burst-sampling cadence under a
@@ -143,19 +143,15 @@ type Event struct {
 	Shard int32
 	// Agg is the aggregate's engine handle, -1 when unattributed.
 	Agg int64
-	// Node is the policy-tree node the event is attributed to within the
-	// aggregate, -1 when unattributed (flat aggregates, whole-aggregate
-	// events). Producers must set -1 explicitly: node 0 is a valid node.
-	Node int32
 	// A, B, C are the kind-specific arguments.
 	A, B, C int64
 }
 
 // String renders the event as one structured key=value trace line.
 func (e Event) String() string {
-	return fmt.Sprintf("seq=%d wall=%s vt=%s kind=%s shard=%d agg=%d node=%d a=%d b=%d c=%d",
+	return fmt.Sprintf("seq=%d wall=%s vt=%s kind=%s shard=%d agg=%d a=%d b=%d c=%d",
 		e.Seq, time.Unix(0, e.Wall).UTC().Format(time.RFC3339Nano),
-		time.Duration(e.VT), e.Kind, e.Shard, e.Agg, e.Node, e.A, e.B, e.C)
+		time.Duration(e.VT), e.Kind, e.Shard, e.Agg, e.A, e.B, e.C)
 }
 
 // Recorder consumes trace events. Collector and ShardObs implement it; the

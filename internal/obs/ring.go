@@ -28,7 +28,6 @@ type ringSlot struct {
 	vt   atomic.Int64
 	meta atomic.Uint64 // kind in bits 0-7, shard+1 in bits 8-39
 	agg  atomic.Int64
-	node atomic.Int32
 	a    atomic.Int64
 	b    atomic.Int64
 	c    atomic.Int64
@@ -59,7 +58,6 @@ func (r *Ring) record(e Event) {
 	s.vt.Store(e.VT)
 	s.meta.Store(packMeta(e.Kind, e.Shard))
 	s.agg.Store(e.Agg)
-	s.node.Store(e.Node)
 	s.a.Store(e.A)
 	s.b.Store(e.B)
 	s.c.Store(e.C)
@@ -90,7 +88,6 @@ func (r *Ring) snapshot(out []Event) []Event {
 				Wall: s.wall.Load(),
 				VT:   s.vt.Load(),
 				Agg:  s.agg.Load(),
-				Node: s.node.Load(),
 				A:    s.a.Load(),
 				B:    s.b.Load(),
 				C:    s.c.Load(),

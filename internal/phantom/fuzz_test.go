@@ -12,11 +12,14 @@ import (
 )
 
 // FuzzSubmitInvariants feeds arbitrary byte strings as (gap, op, size)
-// operation streams into a burst-controlled PQP with a nested policy. An op
-// byte of 0xF0 or more changes the rate (odd doubles it, even halves it,
-// within 64× of where it started); any other submits a packet of class
-// op % 4. A gap that is a multiple of 11 is followed by a Tick that many
-// tens of milliseconds later. After every operation it checks the
+// operation streams into a burst-controlled PQP with a nested policy. Op
+// bytes 0xF2–0xF4 switch the policy in place (SetPolicy) to the nested one,
+// Fair(4) or StrictPriority(4); 0xF5 steps the clock back by size × 370 µs
+// (not below zero), a clock an enforcer must survive although it is
+// promised non-decreasing time; any other op of 0xF0 or more changes the
+// rate (odd doubles it, even halves it, within 64× of where it started);
+// any other submits a packet of class op % 4. A gap that is a multiple of
+// 11 is followed by a Tick that many tens of milliseconds later. After every operation it checks the
 // structural invariants: non-negative lengths, magic ≤ length, length ≤ B,
 // and drop/accept accounting that sums to the submitted totals. Over the
 // whole stream it checks two more properties:
@@ -28,6 +31,8 @@ import (
 //     envelope r·Δt + N·B, rebased at each rate change, with the two MSS of
 //     drain rounding FuzzEngineModel's honest envelope allows. It must see
 //     no violation; a drain faster than r breaks it and nothing above does.
+//     The audit, like the drain, counts no time while the clock is behind
+//     the latest reading it has seen.
 //
 // Rate and clock steps are a tenth and ten times those of the 10 ms window
 // the stream was first written for, so at T = 100 ms every byte count of
@@ -38,6 +43,7 @@ func FuzzSubmitInvariants(f *testing.F) {
 	f.Add([]byte{255, 254, 253, 252, 251, 250, 249, 248})
 	f.Add([]byte{7, 0, 7, 0, 7, 0, 200, 200, 200})
 	f.Add(saturation())
+	f.Add(churn())
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const (
@@ -45,15 +51,24 @@ func FuzzSubmitInvariants(f *testing.F) {
 			base     = 400 * units.Kbps
 			envelope = 4*B + 2*units.MSS
 		)
-		mk := func() *PQP {
-			return MustNew(Config{
-				Rate:      base,
-				Queues:    4,
-				QueueSize: B,
-				Policy: sched.MustNew(sched.Priority(
+		// policies are what SetPolicy switches among; each call builds a
+		// fresh one, since an enforcer owns its policy.
+		policies := [...]func() *sched.Policy{
+			func() *sched.Policy {
+				return sched.MustNew(sched.Priority(
 					sched.Weighted(sched.Leaf(0).WithWeight(2), sched.Leaf(1)),
 					sched.Weighted(sched.Leaf(2), sched.Leaf(3)),
-				)),
+				))
+			},
+			func() *sched.Policy { return sched.Fair(4) },
+			func() *sched.Policy { return sched.StrictPriority(4) },
+		}
+		mk := func() *PQP {
+			return MustNew(Config{
+				Rate:         base,
+				Queues:       4,
+				QueueSize:    B,
+				Policy:       policies[0](),
 				BurstControl: true,
 			})
 		}
@@ -92,7 +107,18 @@ func FuzzSubmitInvariants(f *testing.F) {
 				flush()
 			}
 			now += gap
-			if op := ops[i+1]; op >= 0xF0 {
+			switch op := ops[i+1]; {
+			case op >= 0xF2 && op <= 0xF4:
+				flush()
+				for _, p := range []*PQP{q, twin} {
+					if err := p.SetPolicy(now, policies[op-0xF2]()); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case op == 0xF5:
+				flush()
+				now = max(now-time.Duration(ops[i+2])*370*time.Microsecond, 0)
+			case op >= 0xF0:
 				flush()
 				if op&1 != 0 && rate < 64*base {
 					rate *= 2
@@ -106,7 +132,7 @@ func FuzzSubmitInvariants(f *testing.F) {
 					t.Fatal(err)
 				}
 				audit.Rebase(now, int64(rate))
-			} else {
+			default:
 				class := int(op) % 4
 				pkt := packet.Packet{
 					Key:   packet.FlowKey{SrcPort: uint16(class)},
@@ -164,6 +190,23 @@ func FuzzSubmitInvariants(f *testing.F) {
 			t.Fatalf("audit counted %d violations", c.Violations)
 		}
 	})
+}
+
+// churn is saturation's load for three seconds with the policy switched
+// every 40 rounds, cycling through all three, and the clock stepped back
+// by 37 ms every 25 rounds, into the middle of a burst-control window.
+func churn() []byte {
+	var ops []byte
+	for i := 0; i < 400; i++ {
+		ops = append(ops, 20, 0, 255, 0, 1, 255, 0, 2, 255, 0, 3, 255)
+		if i%40 == 39 {
+			ops = append(ops, 0, byte(0xF2+i/40%3), 0)
+		}
+		if i%25 == 24 {
+			ops = append(ops, 0, 0xF5, 100)
+		}
+	}
+	return ops
 }
 
 // saturation is an op stream that keeps every queue full for six seconds:

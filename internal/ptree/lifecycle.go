@@ -13,9 +13,9 @@ import (
 // treeSnapVersion is the format version of Tree snapshot blobs.
 const treeSnapVersion = 2
 
-// NodeReconfigurer implements enforcer.TreeEnforcer, exposing the node's
-// ceiling stage for in-place rate/policy changes.
-func (t *Tree) NodeReconfigurer(node enforcer.NodeID) (enforcer.Reconfigurer, error) {
+// nodeReconfigurer returns the node's ceiling stage as a Reconfigurer, for
+// in-place rate/policy changes.
+func (t *Tree) nodeReconfigurer(node enforcer.NodeID) (enforcer.Reconfigurer, error) {
 	if !t.inRange(node) {
 		return nil, t.errBadNode(node)
 	}
@@ -29,12 +29,11 @@ func (t *Tree) NodeReconfigurer(node enforcer.NodeID) (enforcer.Reconfigurer, er
 
 // SetRate implements enforcer.Reconfigurer by forwarding to the root
 // ceiling — retargeting the whole tree's aggregate limit, the operation a
-// link-capacity change maps to. Any node's ceiling, the root's included,
-// changes through NodeReconfigurer(node). Like every Reconfigurer, the old
+// link-capacity change maps to. Like every Reconfigurer, the old
 // rate's accounting is settled first, so acceptance over any
 // reconfiguration obeys the piecewise bound r₁·Δt₁ + r₂·Δt₂ + B.
 func (t *Tree) SetRate(now time.Duration, rate units.Rate) error {
-	r, err := t.NodeReconfigurer(enforcer.Root)
+	r, err := t.nodeReconfigurer(enforcer.Root)
 	if err != nil {
 		return err
 	}
@@ -44,25 +43,11 @@ func (t *Tree) SetRate(now time.Duration, rate units.Rate) error {
 // SetPolicy implements enforcer.Reconfigurer by forwarding to the root
 // ceiling (see SetRate for why).
 func (t *Tree) SetPolicy(now time.Duration, policy *sched.Policy) error {
-	r, err := t.NodeReconfigurer(enforcer.Root)
+	r, err := t.nodeReconfigurer(enforcer.Root)
 	if err != nil {
 		return err
 	}
 	return r.SetPolicy(now, policy)
-}
-
-// NodeSnapshotter implements enforcer.TreeEnforcer, exposing the node's
-// ceiling stage for per-node state capture.
-func (t *Tree) NodeSnapshotter(node enforcer.NodeID) (enforcer.Snapshotter, error) {
-	if !t.inRange(node) {
-		return nil, t.errBadNode(node)
-	}
-	stage := t.ceiling(&t.nodes[node])
-	snap, ok := stage.(enforcer.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("ptree: node %d (%T): %w", node, stage, enforcer.ErrNotSnapshottable)
-	}
-	return snap, nil
 }
 
 // SnapshotState implements enforcer.Snapshotter: the tree's verdict

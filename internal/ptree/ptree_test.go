@@ -409,10 +409,9 @@ func sameStats(t *testing.T, one, batch *Tree) {
 	}
 }
 
-// setRateAt changes one node's ceiling rate through its Reconfigurer, the
-// way an engine's node-addressed SetRate does.
+// setRateAt changes one node's ceiling rate through its Reconfigurer.
 func setRateAt(tr *Tree, now time.Duration, node enforcer.NodeID, rate units.Rate) error {
-	r, err := tr.NodeReconfigurer(node)
+	r, err := tr.nodeReconfigurer(node)
 	if err != nil {
 		return err
 	}
@@ -728,15 +727,12 @@ func TestNodeErrors(t *testing.T) {
 	if _, err := tr.NodeStats(99); !errors.Is(err, enforcer.ErrBadNode) {
 		t.Errorf("NodeStats(99): %v, want ErrBadNode", err)
 	}
-	if _, err := tr.NodeReconfigurer(99); !errors.Is(err, enforcer.ErrBadNode) {
-		t.Errorf("NodeReconfigurer(99): %v, want ErrBadNode", err)
+	if _, err := tr.nodeReconfigurer(99); !errors.Is(err, enforcer.ErrBadNode) {
+		t.Errorf("nodeReconfigurer(99): %v, want ErrBadNode", err)
 	}
 	// Node 3 is a stageless assured leaf: no ceiling to reconfigure.
-	if _, err := tr.NodeReconfigurer(3); !errors.Is(err, enforcer.ErrNotReconfigurable) {
-		t.Errorf("NodeReconfigurer(leaf): %v, want ErrNotReconfigurable", err)
-	}
-	if _, err := tr.NodeSnapshotter(3); !errors.Is(err, enforcer.ErrNotSnapshottable) {
-		t.Errorf("NodeSnapshotter(leaf): %v, want ErrNotSnapshottable", err)
+	if _, err := tr.nodeReconfigurer(3); !errors.Is(err, enforcer.ErrNotReconfigurable) {
+		t.Errorf("nodeReconfigurer(leaf): %v, want ErrNotReconfigurable", err)
 	}
 }
 

@@ -289,7 +289,7 @@ func (t *refTree) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts 
 	}
 }
 
-// setRateAt changes one node's ceiling rate, as Tree.NodeReconfigurer(node)
+// setRateAt changes one node's ceiling rate, as Tree.nodeReconfigurer(node)
 // then SetRate does.
 func (t *refTree) setRateAt(now time.Duration, node enforcer.NodeID, rate units.Rate) error {
 	if int(node) < 0 || int(node) >= len(t.parent) {

@@ -238,7 +238,4 @@ func TestSnapshotErrNotSnapshottable(t *testing.T) {
 	if _, err := tr.SnapshotState(time.Second); !errors.Is(err, enforcer.ErrNotSnapshottable) {
 		t.Errorf("SnapshotState: %v, want ErrNotSnapshottable", err)
 	}
-	if _, err := tr.NodeSnapshotter(0); !errors.Is(err, enforcer.ErrNotSnapshottable) {
-		t.Errorf("NodeSnapshotter: %v, want ErrNotSnapshottable", err)
-	}
 }

@@ -235,8 +235,10 @@ packets:
 	}
 }
 
-// SubmitAt implements enforcer.TreeEnforcer: enforce one packet along the
-// path node → root. An out-of-range node fails closed.
+// SubmitAt enforces one packet along the path node → root: submission at a
+// chosen node, normally a leaf (an interior node enforces only its path
+// upward, for traffic already aggregated there). An out-of-range node fails
+// closed: the packet is dropped and counted, never passed unenforced.
 func (t *Tree) SubmitAt(now time.Duration, node enforcer.NodeID, pkt packet.Packet) enforcer.Verdict {
 	if !t.inRange(node) {
 		t.stats.Reject(pkt.Size)
@@ -250,7 +252,7 @@ func (t *Tree) SubmitAt(now time.Duration, node enforcer.NodeID, pkt packet.Pack
 	return verdicts[0]
 }
 
-// SubmitBatchAt implements enforcer.TreeEnforcer: the whole burst enters at
+// SubmitBatchAt is the burst path of SubmitAt: the whole burst enters at
 // one node and virtual time, so the node → root path is resolved once and
 // the loop touches only that path's records — zero allocations. Verdicts
 // are byte-identical to per-packet SubmitAt calls in order.
@@ -271,7 +273,8 @@ func (t *Tree) SubmitBatchAt(now time.Duration, node enforcer.NodeID, pkts []pac
 // its class (explicit Class if set, else the flow-key hash), exactly how a
 // flat aggregate spreads flows over queues. This is what lets a whole tree
 // stand wherever a single enforcer does — one mbox aggregate, the facade,
-// the proxy — with leaf-addressed submission layered on top.
+// the proxy — with node-addressed submission (SubmitAt, SubmitBatchAt)
+// alongside.
 func (t *Tree) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
 	return t.SubmitAt(now, t.leaves[pkt.ClassIn(len(t.leaves))], pkt)
 }

@@ -17,17 +17,16 @@ import (
 // queued for the shard's goroutine in one ring operation (SubmitBatch).
 // Aggregates are hashed across shards that serve one burst at a time, so
 // enforcers stay lock-free on the datapath; a full shard ring sheds bursts
-// rather than blocking. Root and node share one address: a handle carries
-// its node, and SetRate, SetPolicy and NodeStats take (id, node).
+// rather than blocking. An aggregate has one address, whatever its
+// enforcer: a PolicyTree aggregate routes each packet to a leaf itself, and
+// SetRate, ArmAudit and Stats address the whole aggregate by id.
 type Middlebox = mbox.Engine
 
 // MiddleboxConfig configures NewMiddlebox.
 type MiddleboxConfig = mbox.Config
 
 // AggregateHandle addresses a registered aggregate on the middlebox
-// datapath, and the node of its policy tree its bursts enter at. Add and
-// Lookup return one at NoNode (the aggregate routes each packet itself);
-// Middlebox.Leaf re-addresses it at a node. Handles carry a generation tag,
+// datapath; Add, AddPinned and Lookup return it. Handles carry a generation tag,
 // so although table slots are recycled under churn (bounded registry
 // memory), a stale handle can never alias a later aggregate — it reports
 // ErrStaleHandle instead.
@@ -66,8 +65,8 @@ var ErrWrongShard = mbox.ErrWrongShard
 // ordering contract.
 type LocalSubmitter = mbox.LocalSubmitter
 
-// ErrNotReconfigurable reports a Middlebox.SetRate/SetPolicy against an
-// enforcer that does not implement Reconfigurer. Test with errors.Is.
+// ErrNotReconfigurable reports a Middlebox.SetRate against an enforcer that
+// does not implement Reconfigurer. Test with errors.Is.
 var ErrNotReconfigurable = mbox.ErrNotReconfigurable
 
 // ErrNoSnapshot reports a snapshot operation against an enforcer that does
@@ -113,12 +112,6 @@ type MiddleboxHealth = mbox.Health
 
 // ShardHealth is one shard's entry in a MiddleboxHealth snapshot.
 type ShardHealth = mbox.ShardHealth
-
-// AggregateFaults reports one aggregate's fault record: panics observed,
-// quarantine state, and packets dropped while quarantined. The first panic
-// quarantines an aggregate, and its traffic is dropped until Remove; Remove
-// and Add again bring it back under enforcement.
-type AggregateFaults = mbox.FaultRecord
 
 // MiddleboxCloseReport summarizes a deadline-bounded Middlebox.Close:
 // whether shutdown was clean, how many wedged shards were force-abandoned,

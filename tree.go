@@ -28,22 +28,22 @@ func NewPolicyTree(spec []PolicyTreeNode) (*PolicyTree, error) { return ptree.Ne
 // MustNewPolicyTree is NewPolicyTree that panics on error.
 func MustNewPolicyTree(spec []PolicyTreeNode) *PolicyTree { return ptree.MustNew(spec) }
 
-// TreeEnforcer is the node-addressed enforcement contract implemented by
-// *PolicyTree: packet submission at a chosen node, and per-node stats,
-// reconfiguration and snapshot access. A Middlebox aggregate whose enforcer
-// implements it (Middlebox.Add detects this) exposes all of it through the
-// same calls as a flat aggregate, a one-node tree: handles at a node
-// (Middlebox.Leaf) and (id, node) control calls.
+// TreeEnforcer is what a Middlebox reads of a *PolicyTree aggregate: its
+// topology (NumNodes, Parent, IsLeaf, NodeLabel) and per-node accounting
+// (NodeStats), for Middlebox.NodeMetrics. Traffic reaches the tree through
+// its Enforcer methods, which route each packet to a leaf by class;
+// PolicyTree.SubmitAt and SubmitBatchAt submit at a chosen node outside an
+// engine.
 type TreeEnforcer = enforcer.TreeEnforcer
 
 // NodeID addresses one node of a TreeEnforcer; nodes are dense indices
 // assigned in spec order.
 type NodeID = enforcer.NodeID
 
-// Root is node 0, the root of every tree — and a flat aggregate's only node.
+// Root is node 0, the root of every tree.
 const Root = enforcer.Root
 
-// NoNode is the invalid NodeID; a handle at NoNode leaves routing to the aggregate.
+// NoNode is the invalid NodeID: PolicyTree.Parent's answer for the root.
 const NoNode = enforcer.NoNode
 
 // ErrBadNode reports a node address outside the tree. Test with errors.Is.
