@@ -67,10 +67,10 @@ type (
 
 // Reconfigurer is the hot-reconfiguration capability: enforcers that
 // implement it (PQP/BC-PQP, Policer, FairPolicer, PolicyTree) change their
-// enforced rate or rate-sharing policy in place, preserving admission state
-// (phantom occupancy, burst-control windows, token levels) so the Theorem 1
-// bound holds piecewise across the change. Middlebox.SetRate/SetPolicy
-// apply it in-band on the owning shard.
+// enforced rate in place, preserving admission state (phantom occupancy,
+// burst-control windows, token levels) so the Theorem 1 bound holds
+// piecewise across the change. Middlebox.SetRate applies it in-band on the
+// owning shard.
 type Reconfigurer = enforcer.Reconfigurer
 
 // Snapshotter is the warm-restart capability: enforcers that implement it
@@ -78,10 +78,6 @@ type Reconfigurer = enforcer.Reconfigurer
 // an identically configured instance. Middlebox.Snapshot/Restore build on
 // it.
 type Snapshotter = enforcer.Snapshotter
-
-// ErrNoPolicy reports SetPolicy on an enforcer without a policy dimension
-// (e.g. a token bucket). Test with errors.Is.
-var ErrNoPolicy = enforcer.ErrNoPolicy
 
 // Verdicts.
 const (

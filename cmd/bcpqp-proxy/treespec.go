@@ -19,7 +19,8 @@
 // -1 on the first node. "ceiling" is optional per node, as is
 // "assured_mbps" (it enables HTB-style borrowing at that node) and
 // "burst_bytes" (assured bucket capacity). Ceiling schemes are the proxy's
-// bufferless set: policer, policer+, fairpolicer, pqp, bc-pqp.
+// bufferless set less fairpolicer, whose per-flow buckets do not make a
+// tree stage: policer, policer+, pqp, bc-pqp.
 package main
 
 import (

@@ -49,18 +49,22 @@ func TestParseTreeSpec(t *testing.T) {
 		t.Errorf("tenant lend rate on one of four cores = %v, want 4 Mbps", eff)
 	}
 
-	bad := []struct{ name, spec string }{
-		{"not json", `{`},
-		{"empty", `[]`},
-		{"unknown scheme", `[{"name": "r", "ceiling": {"scheme": "nope", "rate_mbps": 5}}]`},
-		{"buffering scheme", `[{"name": "r", "ceiling": {"scheme": "shaper", "rate_mbps": 5}}]`},
-		{"root with parent", `[{"name": "r", "parent": 3}]`},
-		{"forward parent", `[{"name": "r"}, {"name": "c", "parent": 2}, {"name": "d", "parent": 1}]`},
-		{"negative assured", `[{"name": "r", "assured_mbps": -1}]`},
+	bad := []struct{ name, spec, want string }{ // want: a substring of the error, if pinned
+		{"not json", `{`, ""},
+		{"empty", `[]`, ""},
+		{"unknown scheme", `[{"name": "r", "ceiling": {"scheme": "nope", "rate_mbps": 5}}]`, ""},
+		{"buffering scheme", `[{"name": "r", "ceiling": {"scheme": "shaper", "rate_mbps": 5}}]`, ""},
+		{"fairpolicer ceiling", `[{"name": "r", "ceiling": {"scheme": "fairpolicer", "rate_mbps": 5}}]`,
+			"cannot serve as a tree ceiling"},
+		{"root with parent", `[{"name": "r", "parent": 3}]`, ""},
+		{"forward parent", `[{"name": "r"}, {"name": "c", "parent": 2}, {"name": "d", "parent": 1}]`, ""},
+		{"negative assured", `[{"name": "r", "assured_mbps": -1}]`, ""},
 	}
 	for _, tc := range bad {
 		if _, err := parseTreeSpec([]byte(tc.spec), 16, 1); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -80,9 +80,6 @@ func NewByName(name string) (Factory, bool) {
 	}
 }
 
-// Names lists the supported congestion control algorithms.
-func Names() []string { return []string{"reno", "cubic", "bbr", "vegas"} }
-
 // Common window constants (bytes).
 const (
 	initialWindow = 10 * units.MSS // RFC 6928 IW10

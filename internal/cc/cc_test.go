@@ -7,8 +7,11 @@ import (
 	"bcpqp/internal/units"
 )
 
+// names lists the supported congestion control algorithms.
+var names = []string{"reno", "cubic", "bbr", "vegas"}
+
 func TestNewByName(t *testing.T) {
-	for _, name := range append(Names(), "newreno") {
+	for _, name := range append(names, "newreno") {
 		factory, ok := NewByName(name)
 		if !ok {
 			t.Errorf("NewByName(%q) not found", name)
@@ -282,7 +285,7 @@ func TestVegasSlowStartExit(t *testing.T) {
 }
 
 func TestControllersImplementInterface(t *testing.T) {
-	for _, name := range Names() {
+	for _, name := range names {
 		factory, _ := NewByName(name)
 		c := factory()
 		if c.Name() == "" {

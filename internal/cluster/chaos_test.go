@@ -18,6 +18,7 @@ package cluster
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -334,4 +335,21 @@ func TestChaosClusterAcceptedBytes(t *testing.T) {
 		}
 		m.engine.Close()
 	}
+}
+
+// hash64 is FNV-1a over the key with a splitmix64 finalizer: a stable,
+// platform-independent 64-bit seed from an ID. Raw FNV-1a of short IDs that
+// differ in one trailing character disperses poorly; the finalizer's
+// avalanche fixes that, so the fault streams of neighbouring links do not
+// correlate.
+func hash64(key string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	z := h.Sum64()
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	z ^= z >> 31
+	return z
 }

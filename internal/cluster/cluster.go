@@ -15,30 +15,27 @@
 //
 // The package deliberately depends only on internal/enforcer (wire codec
 // helpers), internal/metrics (the default window), internal/obs (trace
-// events), internal/rng (retry jitter) and internal/units; engines plug in
-// through the SharedAggregate callbacks, so cluster logic is testable
-// without a datapath.
+// events) and internal/units; engines plug in through the SharedAggregate
+// callbacks, so cluster logic is testable without a datapath.
 package cluster
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"time"
 
 	"bcpqp/internal/metrics"
 	"bcpqp/internal/obs"
-	"bcpqp/internal/rng"
 	"bcpqp/internal/units"
 )
 
 // Transport delivers an encoded frame to a peer by node ID. Send may be
 // called concurrently and must not retain the frame. A transport is dumb on
-// purpose: retries, liveness and validation all live in the Node, so a UDP
-// socket, a TCP dialer and an in-memory fault-injected bus are
-// interchangeable.
+// purpose: liveness and validation live in the Node, and a failed send is
+// left to the next tick, so a UDP socket, a TCP dialer and an in-memory
+// fault-injected bus are interchangeable.
 type Transport interface {
 	Send(peer string, frame []byte) error
 }
@@ -62,7 +59,8 @@ type SharedAggregate struct {
 }
 
 // Config configures a Node. The peer ladder's thresholds (suspectAfter,
-// deadAfter) and the send retry policy (retryMax, retryBase) are constants.
+// deadAfter) are constants. A send that fails is not retried: the next
+// tick's report is the retry, as it is for a frame lost on the wire.
 type Config struct {
 	// Self is this node's ID; Peers are the OTHER members (Self excluded,
 	// though its presence is tolerated). The peer set is fixed for the
@@ -144,7 +142,6 @@ type Node struct {
 	shared    map[string]*shared
 	sharedIDs []string // sorted, for deterministic reports
 	badFrames int64    // undecodable or unattributable frames
-	jitter    *rng.Source
 	started   time.Time
 
 	// Scratch reused every tick so rebalancing allocates nothing.
@@ -186,7 +183,6 @@ func New(cfg Config, aggs []SharedAggregate) (*Node, error) {
 		epoch:   cfg.Epoch,
 		peers:   make(map[string]*peer),
 		shared:  make(map[string]*shared),
-		jitter:  rng.New(hash64(cfg.Self)),
 		started: time.Now(),
 		done:    make(chan struct{}),
 	}
@@ -408,8 +404,11 @@ func recordPeerState(rec obs.Recorder, now time.Duration, t transition) {
 		VT: int64(now), A: int64(t.from), B: int64(t.to), C: int64(t.index)})
 }
 
-// broadcast encodes this node's report and sends it to every peer, with a
-// bounded jittered-exponential retry loop per peer on transport errors.
+// broadcast encodes this node's report and sends it once to every peer. A
+// transport error is dropped like a frame lost on the wire: the next tick's
+// report supersedes this one, and since peers honour a report for 1.5
+// windows, a receiver that misses one spends at most one tick on its safe
+// floor before it hears the next.
 func (n *Node) broadcast(now time.Duration) {
 	n.mu.Lock()
 	n.echoes = n.echoes[:0]
@@ -429,61 +428,8 @@ func (n *Node) broadcast(now time.Duration) {
 	n.mu.Unlock()
 
 	for _, id := range n.peerIDs {
-		n.sendWithRetry(id, frame)
+		_ = n.cfg.Transport.Send(id, frame)
 	}
-}
-
-// retryMax and retryBase bound the jittered exponential backoff used when
-// Transport.Send fails: at most retryMax further attempts, the first after
-// about retryBase. At most one retry loop runs per peer at a time; the tick
-// cadence is the outer retry.
-const (
-	retryMax  = 3
-	retryBase = 10 * time.Millisecond
-)
-
-// sendWithRetry sends one frame; on a transport error it starts (at most
-// one per peer) a background retry loop with jittered exponential backoff.
-// The next tick's report supersedes this frame anyway, so retries are a
-// bounded best effort, not a delivery guarantee — the protocol tolerates
-// loss by design.
-func (n *Node) sendWithRetry(peerID string, frame []byte) {
-	if n.cfg.Transport.Send(peerID, frame) == nil {
-		return
-	}
-	n.mu.Lock()
-	p := n.peers[peerID]
-	if p == nil || p.retrying {
-		n.mu.Unlock()
-		return
-	}
-	p.retrying = true
-	src := n.jitter.Split(hash64(peerID))
-	n.mu.Unlock()
-
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		defer func() {
-			n.mu.Lock()
-			p.retrying = false
-			n.mu.Unlock()
-		}()
-		backoff := retryBase
-		for attempt := 0; attempt < retryMax; attempt++ {
-			// Full jitter: sleep in [backoff/2, backoff).
-			d := backoff/2 + time.Duration(src.Int64N(int64(backoff/2)+1))
-			select {
-			case <-n.done:
-				return
-			case <-time.After(d):
-			}
-			if n.cfg.Transport.Send(peerID, frame) == nil {
-				return
-			}
-			backoff *= 2
-		}
-	}()
 }
 
 // Deliver ingests one frame from the transport. Unauthenticated (when a
@@ -613,7 +559,7 @@ func (n *Node) Run() {
 	}()
 }
 
-// Close stops the exchange loop and retry goroutines. Idempotent.
+// Close stops the exchange loop. Idempotent.
 func (n *Node) Close() {
 	n.closeOnce.Do(func() { close(n.done) })
 	n.wg.Wait()
@@ -630,21 +576,4 @@ func (n *Node) Degraded() bool {
 		}
 	}
 	return false
-}
-
-// hash64 is FNV-1a over the key with a splitmix64 finalizer: a stable,
-// platform-independent 64-bit seed from an ID. Raw FNV-1a of short IDs that
-// differ in one trailing character disperses poorly; the finalizer's
-// avalanche fixes that, so per-node and per-peer jitter streams do not
-// correlate.
-func hash64(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	z := h.Sum64()
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
 }

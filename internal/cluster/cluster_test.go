@@ -431,62 +431,53 @@ type transportFunc func(peer string, frame []byte) error
 
 func (f transportFunc) Send(peer string, frame []byte) error { return f(peer, frame) }
 
-// TestClusterSendRetryBackoff: a transport that fails transiently is
-// retried with backoff until it succeeds, and a permanently dead transport
-// sees exactly 1 + retryMax sends for one broadcast, after which the retry
-// loop has ended on its own and Close returns.
+// TestClusterSendRetryBackoff: a failed send is not retried out of band.
+// Under the fake clock a transport that fails gets exactly one send per peer
+// per Tick, the next Tick being the retry, and the first Tick after it heals
+// delivers; a transport that never heals costs one send per Tick and no
+// more. Nothing runs between Ticks, so Close has nothing to wait for.
 func TestClusterSendRetryBackoff(t *testing.T) {
+	const ticks = 6
 	for _, tc := range []struct {
-		name             string
-		fails, wantSends int
+		name  string
+		fails int // sends that fail before the transport heals; -1 never
 	}{
-		{"transient", 2, 3},
-		{"dead", -1, 1 + retryMax},
+		{"transient", 2},
+		{"dead", -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var mu sync.Mutex
-			sends := 0
-			tr := transportFunc(func(peer string, frame []byte) error {
-				mu.Lock()
-				defer mu.Unlock()
-				sends++
-				if tc.fails < 0 || sends <= tc.fails {
-					return errors.New("send failed")
-				}
-				return nil
-			})
-			n, err := New(Config{Self: "a", Peers: []string{"b"}, Transport: tr,
-				Clock: func() time.Duration { return 0 }}, nil)
+			var now time.Duration
+			clock := func() time.Duration { return now }
+			b, err := New(Config{Self: "b", Peers: []string{"a"}, Clock: clock,
+				Transport: transportFunc(func(string, []byte) error { return nil })}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			n.Tick(0) // the broadcast fails, so a retry loop starts
-			retrying := func() bool {
-				n.mu.Lock()
-				defer n.mu.Unlock()
-				return n.peers["b"].retrying
-			}
-			// The backoff sleeps sum to at most retryBase·(2^retryMax − 1).
-			deadline := time.Now().Add(2 * time.Second)
-			for retrying() {
-				if time.Now().After(deadline) {
-					t.Fatal("retry loop still running after 2 s")
+			sends := 0
+			tr := transportFunc(func(peer string, frame []byte) error {
+				if sends++; tc.fails < 0 || sends <= tc.fails {
+					return errors.New("send failed")
 				}
-				time.Sleep(time.Millisecond)
+				return b.Deliver(frame)
+			})
+			a, err := New(Config{Self: "a", Peers: []string{"b"}, Transport: tr, Clock: clock}, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			mu.Lock()
-			got := sends
-			mu.Unlock()
-			if got != tc.wantSends {
-				t.Fatalf("%d sends, want %d", got, tc.wantSends)
+			for tick := 1; tick <= ticks; tick++ {
+				now += a.cfg.Window
+				a.Tick(now)
+				want := 0
+				if tc.fails >= 0 {
+					want = max(tick-tc.fails, 0)
+				}
+				if heard := b.Status().Peers[0].Reports; sends != tick || heard != int64(want) {
+					t.Fatalf("after tick %d: %d sends and %d reports delivered, want %d and %d",
+						tick, sends, heard, tick, want)
+				}
 			}
-			closed := make(chan struct{})
-			go func() { n.Close(); close(closed) }()
-			select {
-			case <-closed:
-			case <-time.After(time.Second):
-				t.Fatal("Close did not return")
-			}
+			a.Close()
+			b.Close()
 		})
 	}
 }

@@ -24,8 +24,8 @@ const (
 	// PeerAlive: a valid report arrived within the last 3 windows.
 	PeerAlive PeerState = iota
 	// PeerSuspect: silent for 3 windows — grants from this peer have
-	// already died (they are honored for 1.5 windows); we keep retrying
-	// sends.
+	// already died (they are honored for 1.5 windows); we keep sending
+	// every tick.
 	PeerSuspect
 	// PeerDead: silent for 10 windows. Still retried at the tick cadence —
 	// a healed partition resurrects the peer on its next valid report.
@@ -71,8 +71,6 @@ type peer struct {
 	reports   int64 // valid reports accepted
 	stale     int64 // duplicate / out-of-order reports dropped by seq
 	badFrames int64 // frames from this peer that failed validation
-
-	retrying bool // a retry goroutine is in flight for this peer
 }
 
 // classify maps silence duration to a state on the ladder of an exchange

@@ -10,8 +10,8 @@ import (
 // is a reviewed diff to these lists rather than one more knob: one
 // mechanism, the budget exchange, configured only with what some caller
 // outside the tests sets. The peer ladder's thresholds (suspectAfter,
-// deadAfter) and the retry policy (retryMax, retryBase) are constants, and
-// retry jitter is seeded from Self.
+// deadAfter) are constants, and a failed send has no retry policy to
+// configure: the next tick is the retry.
 func TestNodeSurface(t *testing.T) {
 	fields := func(v any) (out []string) {
 		for _, f := range reflect.VisibleFields(reflect.TypeOf(v)) {

@@ -64,10 +64,6 @@ type Snapshotter interface {
 	RestoreState(now time.Duration, data []byte) error
 }
 
-// ErrNoPolicy reports that an enforcer has no intra-aggregate rate-sharing
-// policy dimension to reconfigure (e.g. a plain token bucket).
-var ErrNoPolicy = errors.New("enforcer: no intra-aggregate policy dimension")
-
 // ErrSnapshotTooShort reports a truncated snapshot blob.
 var ErrSnapshotTooShort = errors.New("enforcer: snapshot truncated")
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"bcpqp/internal/enforcer"
-	"bcpqp/internal/sched"
 	"bcpqp/internal/units"
 )
 
@@ -23,33 +22,6 @@ func (f *FairPolicer) SetRate(now time.Duration, rate units.Rate) error {
 	}
 	f.generateExpireCap(now) // settle elapsed time at the old rate
 	f.cfg.Rate = rate
-	return nil
-}
-
-// SetPolicy implements enforcer.Reconfigurer. FairPolicer's policy
-// dimension is per-flow weights, so only single-level weighted (flat)
-// policies translate: the policy's per-class weights become the per-bucket
-// weights. Hierarchical or priority policies have no FairPolicer analogue
-// and are rejected — which is itself one of the baseline's documented
-// limitations. Nil restores the original equal-weight design. Token levels
-// are untouched; the next allocation round distributes under the new
-// weights.
-func (f *FairPolicer) SetPolicy(now time.Duration, policy *sched.Policy) error {
-	if policy == nil {
-		f.generateExpireCap(now)
-		f.cfg.Weights = nil
-		return nil
-	}
-	if policy.NumClasses() != f.cfg.Flows {
-		return fmt.Errorf("fairpolicer: policy covers %d classes but enforcer has %d flow buckets",
-			policy.NumClasses(), f.cfg.Flows)
-	}
-	ws := policy.FlatWeighted()
-	if ws == nil {
-		return fmt.Errorf("fairpolicer: hierarchical policies are not expressible as per-flow weights")
-	}
-	f.generateExpireCap(now)
-	f.cfg.Weights = ws
 	return nil
 }
 

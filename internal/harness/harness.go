@@ -63,11 +63,8 @@ type Harness struct {
 	ingress netem.Forward // entry point for data packets
 	routes  map[packet.FlowKey]netem.Forward
 
-	secondary *netem.Bottleneck
-	shp       *shaper.Shaper
-	pqp       *phantom.PQP
-
-	flows []*tcp.Flow
+	shp *shaper.Shaper
+	pqp *phantom.PQP
 }
 
 // New builds a harness for cfg on a fresh event loop.
@@ -95,8 +92,7 @@ func NewOnLoop(loop *sim.Loop, cfg Config) (*Harness, error) {
 	egress := netem.Forward(h.route)
 	if cfg.Secondary > 0 {
 		buf := Buffer(SchemeShaper, cfg.Secondary, cfg.MaxRTT)
-		h.secondary = netem.NewBottleneck(loop, cfg.Secondary, buf, egress)
-		egress = h.secondary.Forward
+		egress = netem.NewBottleneck(loop, cfg.Secondary, buf, egress).Forward
 	}
 
 	enf, err := BuildEnforcer(cfg, shaper.SchedulerFunc(func(at time.Duration, fn func()) {
@@ -186,7 +182,6 @@ func (h *Harness) AttachFlow(spec FlowSpec) (*tcp.Flow, error) {
 	}
 	h.routes[spec.Key] = netem.Delay(h.Loop, spec.RTT/2, flow.Deliver)
 	h.Loop.At(spec.Start, flow.Start)
-	h.flows = append(h.flows, flow)
 	return flow, nil
 }
 
@@ -206,12 +201,6 @@ func (h *Harness) Shaper() *shaper.Shaper { return h.shp }
 
 // PQP returns the phantom-queue policer, if the scheme is PQP/BC-PQP.
 func (h *Harness) PQP() *phantom.PQP { return h.pqp }
-
-// Secondary returns the secondary bottleneck, if configured.
-func (h *Harness) Secondary() *netem.Bottleneck { return h.secondary }
-
-// Flows returns the attached flows in attachment order.
-func (h *Harness) Flows() []*tcp.Flow { return h.flows }
 
 // Run advances the shared loop to the given virtual time.
 func (h *Harness) Run(until time.Duration) {

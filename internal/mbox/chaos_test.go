@@ -38,16 +38,18 @@ func burstOf(n, flow int) []packet.Packet {
 }
 
 // statsBombEnforcer transmits everything and panics when its statistics
-// are read.
+// are read or its rate is changed.
 type statsBombEnforcer struct{ countingEnforcer }
 
 func (*statsBombEnforcer) EnforcerStats() enforcer.Stats { panic("stats: injected fault") }
 
+func (*statsBombEnforcer) SetRate(time.Duration, units.Rate) error { panic("update: injected fault") }
+
 // TestControlPanicReportsError: a control call whose closure panics reports
 // an error naming its aggregate, never success, whether the caller found the
 // shard idle and ran the closure itself or queued it behind a held shard.
-// Stats and Remove read a panicking EnforcerStats; Update's own closure
-// panics (SetRate, SetPolicy and ApplyShare run through the same path).
+// Stats and Remove read a panicking EnforcerStats; SetRate's closure calls a
+// panicking SetRate (ApplyShare runs through the same path).
 func TestControlPanicReportsError(t *testing.T) {
 	for _, queued := range []bool{false, true} {
 		t.Run(map[bool]string{false: "claimed", true: "queued"}[queued], func(t *testing.T) {
@@ -63,9 +65,7 @@ func TestControlPanicReportsError(t *testing.T) {
 				call func() error
 			}{
 				{"stats", func() error { _, err := e.Stats("stats"); return err }},
-				{"update", func() error {
-					return e.Update("update", func(time.Duration, enforcer.Enforcer) error { panic("update: injected fault") })
-				}},
+				{"update", func() error { return e.SetRate("update", units.Mbps) }},
 				{"remove", func() error { _, err := e.Remove("remove"); return err }},
 			} {
 				errc := make(chan error, 1)

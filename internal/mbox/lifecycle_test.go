@@ -214,7 +214,7 @@ func (c *incEnforcer) EnforcerStats() enforcer.Stats {
 
 // TestChurnRaceNoVerdictBleed re-creates ONE aggregate id over and over
 // while producers hammer it with batches tagged with the incarnation they
-// resolved, and concurrent Updates reconfigure whatever incarnation is
+// resolved, and concurrent SetRates reconfigure whatever incarnation is
 // live. Invariants, checked exactly after a clean drain:
 //
 //   - no enforcer ever sees a packet tagged for a different incarnation

@@ -138,9 +138,6 @@ func (e *Engine) LocalShard(shard int) (*LocalSubmitter, error) {
 	return &LocalSubmitter{e: e, s: e.shards[shard]}, nil
 }
 
-// Shard reports the index of the shard this submitter is bound to.
-func (l *LocalSubmitter) Shard() int { return l.s.idx }
-
 // SubmitBatch enforces one burst for h inline on the calling goroutine —
 // no ring, no handoff, no copy: the engine never retains pkts (or
 // their payloads) past the call, so the caller may reuse the backing buffers

@@ -22,10 +22,9 @@
 // same rule and ride the same ring, serialized with the shard's bursts, so
 // they are safe during full-rate traffic; one that waits for a ring slot on a
 // wedged shard reports ErrSaturated instead of stalling the control plane.
-// Update applies rate-plan and policy changes in-band and in
-// place — admission state (phantom occupancy, burst-control windows, token
-// levels) survives the change, preserving the Theorem 1 bound piecewise
-// across it.
+// SetRate applies rate-plan changes in-band and in place — admission state
+// (phantom occupancy, burst-control windows, token levels) survives the
+// change, preserving the Theorem 1 bound piecewise across it.
 //
 // An aggregate lives from Add to Remove (or Close); nothing else takes it
 // out of the table. Slots freed by Remove are recycled through a free list,
@@ -241,7 +240,7 @@ type Engine struct {
 	mu    sync.Mutex
 
 	// ids is the string-keyed view of the table for the control plane
-	// (Lookup, Stats, Update, …); the datapath resolves handles through
+	// (Lookup, Stats, SetRate, …); the datapath resolves handles through
 	// slots alone and never takes idMu. Writers hold mu, then idMu.
 	idMu sync.RWMutex
 	ids  map[string]aggRef
@@ -1190,21 +1189,16 @@ func (e *Engine) Stats(id string) (enforcer.Stats, error) {
 // Flush runs fn for aggregate id while holding its shard — the hook for
 // periodic maintenance such as phantom Tick calls, executed race-free.
 func (e *Engine) Flush(id string, fn func(enf enforcer.Enforcer)) error {
-	return e.control(id, fn)
-}
-
-// reofferInterval is how long a control call parked on a full ring waits for
-// a slot before it asks again whether the shard is wedged.
-const reofferInterval = 10 * time.Millisecond
-
-// control runs fn under the aggregate's shard and waits for it.
-func (e *Engine) control(id string, fn func(enforcer.Enforcer)) error {
 	agg, err := e.aggByID(id)
 	if err != nil {
 		return err
 	}
 	return e.controlAgg(agg, fn)
 }
+
+// reofferInterval is how long a control call parked on a full ring waits for
+// a slot before it asks again whether the shard is wedged.
+const reofferInterval = 10 * time.Millisecond
 
 // controlAgg runs fn for an already-resolved aggregate under its shard's
 // occupancy word and waits for it. It works on unpublished aggregates too,
@@ -1257,65 +1251,47 @@ func (e *Engine) controlAgg(agg *aggregate, fn func(enforcer.Enforcer)) error {
 	}
 }
 
-// Update applies a live reconfiguration to an aggregate's enforcer, in
-// place and in-band: fn runs under the owning shard's occupancy word with
-// the engine's clock read there, serialized against the aggregate's bursts
-// and behind any still queued on the shard's ring. A concurrently running
-// batch therefore never observes a partially applied configuration, fn
-// observes every packet submitted before the call, and — because enforcers
-// reconfigure in place (see enforcer.Reconfigurer) — admission state
-// survives: no phantom occupancy reset, no refilled token bucket, no
-// re-admitted slow-start burst. The Theorem 1 bound holds piecewise across
-// the change.
+// SetRate changes an aggregate's rate, in place and in-band: the change
+// runs under the owning shard's occupancy word with the engine's clock read
+// there, serialized against the aggregate's bursts and behind any still
+// queued on the shard's ring. A concurrently running batch therefore never
+// observes a partially applied rate, the change observes every packet
+// submitted before the call, and — because enforcers reconfigure in place
+// (see enforcer.Reconfigurer) — admission state survives: no phantom
+// occupancy reset, no refilled token bucket, no re-admitted slow-start
+// burst. The Theorem 1 bound holds piecewise across the change.
 //
-// fn's error is reported but does not retract anything fn already mutated;
-// enforcer Reconfigurers validate before mutating. Like all control
-// operations, Update reports ErrSaturated, without running fn, when its
-// shard's ring is full and the shard wedged.
-func (e *Engine) Update(id string, fn func(now time.Duration, enf enforcer.Enforcer) error) error {
-	return e.update(id, func(now time.Duration, agg *aggregate) error { return fn(now, agg.enf) })
-}
-
-// SetRate changes an aggregate's rate in-band, preserving its admission
-// state (see Update) — the Theorem 1 bound holds piecewise across the
-// change. A policy tree's rate is its root ceiling's: the tree's own
-// Reconfigurer forwards there. An armed conformance envelope is rebased to
-// the new rate atomically with the change (same in-band closure, same
-// virtual time), so it stays the piecewise bound and never flags the
-// reconfiguration itself, and a successful change records a KindRateUpdate
-// trace event. The enforcer must implement enforcer.Reconfigurer;
-// ErrNotReconfigurable otherwise.
+// A policy tree's rate is its root ceiling's: the tree's own Reconfigurer
+// forwards there. An armed conformance envelope is rebased to the new rate
+// atomically with the change (same in-band closure, same virtual time), so
+// it stays the piecewise bound and never flags the reconfiguration itself,
+// and a successful change records a KindRateUpdate trace event. The
+// enforcer must implement enforcer.Reconfigurer; ErrNotReconfigurable
+// otherwise. Like all control operations, SetRate reports ErrSaturated,
+// without changing anything, when its shard's ring is full and the shard
+// wedged.
 func (e *Engine) SetRate(id string, rate units.Rate) error {
-	err := e.update(id, func(now time.Duration, agg *aggregate) error {
-		r, ok := agg.enf.(enforcer.Reconfigurer)
-		if !ok {
-			return fmt.Errorf("mbox: aggregate %q (%T): %w", agg.id, agg.enf, ErrNotReconfigurable)
-		}
-		if err := r.SetRate(now, rate); err != nil {
-			return err
-		}
-		agg.rebaseAudit(now, rate)
-		return nil
-	})
-	if err == nil {
-		e.recordControl(id, obs.Event{Kind: obs.KindRateUpdate})
-	}
-	return err
-}
-
-// update is the in-band closure behind Update and SetRate.
-func (e *Engine) update(id string, fn func(now time.Duration, agg *aggregate) error) error {
 	agg, err := e.aggByID(id)
 	if err != nil {
 		return err
 	}
-	var uerr error
 	if cerr := e.controlAgg(agg, func(enforcer.Enforcer) {
-		uerr = fn(e.cfg.Clock(), agg)
+		r, ok := agg.enf.(enforcer.Reconfigurer)
+		if !ok {
+			err = fmt.Errorf("mbox: aggregate %q (%T): %w", agg.id, agg.enf, ErrNotReconfigurable)
+			return
+		}
+		now := e.cfg.Clock()
+		if err = r.SetRate(now, rate); err == nil {
+			agg.rebaseAudit(now, rate)
+		}
 	}); cerr != nil {
 		return cerr
 	}
-	return uerr
+	if err == nil {
+		e.recordControl(id, obs.Event{Kind: obs.KindRateUpdate})
+	}
+	return err
 }
 
 // aggByID resolves a live aggregate from the current registry snapshot.

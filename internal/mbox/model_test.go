@@ -47,7 +47,7 @@ import (
 // and then four-byte ops, [code, a, b, c]. An id argument names aggregate
 // a%modelIDs. Codes keep their numbers when an operation retires, so old
 // scripts still decode: a retired code runs its neighbour (opLookup was
-// Leaf, opSetRate2 SetPolicy, opArmAudit2 ArmNodeAudit).
+// Leaf, opSetRate2 SetPolicy, opArmAudit2 ArmNodeAudit, opFlush2 Update).
 const (
 	opAdd        = iota // a id, b spec (kind | fault | emit panic), c flags (hook | pin | shard<<2)
 	opRemove            // a id
@@ -59,7 +59,7 @@ const (
 	opArmAudit          // a id, b&1 tight envelope, b&0x80 negative burst
 	opArmAudit2         // a id, c as ArmAudit's b
 	opFlush             // a id, b&1 the closure panics
-	opUpdate            // a id, b&1 the closure fails
+	opFlush2            // as opFlush
 	opClock             // the clock moves (a+1)·10µs << b%12, backwards when c&1
 	opSnapshot          // a id, a&0x80 every aggregate
 	opRestore           // a source id, b destination id
@@ -259,7 +259,6 @@ type modelEngine struct {
 }
 
 var errAny = errors.New("some error") // a predicted error of no particular kind
-var errModelUpdate = errors.New("model: update refused")
 
 // sameErr compares a returned error with a predicted one: both nil, or both
 // set and wrapping the same sentinels.
@@ -268,7 +267,7 @@ func sameErr(got, want error) bool {
 		return false
 	}
 	for _, s := range []error{ErrStale, ErrNotReconfigurable, ErrNoStats, ErrNoSnapshot,
-		ErrWrongShard, errControlPanicked, errModelUpdate} {
+		ErrWrongShard, errControlPanicked} {
 		if errors.Is(got, s) != errors.Is(want, s) {
 			return false
 		}
@@ -717,29 +716,8 @@ func (m *modelEngine) step(code, a, b, c byte) {
 		m.control(ag)
 		m.expect("ArmAudit", err, nil)
 		m.arm(ag, rate, burst, mode&1 == 0)
-	case opFlush:
+	case opFlush, opFlush2:
 		m.flush(ag, name, b&1 != 0)
-	case opUpdate:
-		saw := time.Duration(-1)
-		err := m.e.Update(name, func(now time.Duration, _ enforcer.Enforcer) error {
-			if saw = now; b&1 != 0 {
-				return errModelUpdate
-			}
-			return nil
-		})
-		switch {
-		case ag == nil:
-			m.expect("Update", err, errAny)
-		case b&1 != 0:
-			m.expect("Update", err, errModelUpdate)
-		default:
-			m.expect("Update", err, nil)
-		}
-		if ag != nil {
-			if m.control(ag); saw != m.clock() {
-				m.fail("Update's closure saw now = %v, want %v", saw, m.clock())
-			}
-		}
 	case opClock:
 		// Enforcers are promised non-decreasing time (enforcer.Enforcer);
 		// a step back is the engine's to pass on faithfully, but never past
@@ -1183,11 +1161,10 @@ var modelScenarios = map[string][]byte{
 	"RemoveReturnsFinalStats": script(oneShard, add(0, kTBF, hook), submit(0, 0, 40), op(opRemove, 0, 0, 0),
 		add(1, kMute, 0), submit(1, 0, 3), op(opRemove, 1, 0, 0),
 		add(2, kTree, hook), submit(2, 0, 40), op(opRemove, 2, 0, 0)),
-	// ErrNotReconfigurable, an unknown id, a negative rate, and Update's
-	// closure error.
+	// ErrNotReconfigurable, an unknown id, a negative rate, and a rate
+	// change that takes.
 	"UpdateErrors": script(oneShard, add(0, kMute, 0), add(1, kTBF, 0),
-		setRate(0, 125), setRate(5, 125), setRate(1, 0), op(opUpdate, 1, 1, 0), op(opUpdate, 1, 0, 0),
-		op(opUpdate, 5, 0, 0)),
+		setRate(0, 125), setRate(5, 125), setRate(1, 0), setRate(1, 125)),
 	// A saturated bucket re-rated in-band next to a panicking neighbour: the
 	// rebased honest envelope stays clean, and the twin re-rated in place
 	// agrees packet for packet.
@@ -1302,8 +1279,8 @@ var modelScenarios = map[string][]byte{
 		op(opApplyShare, 0, 1, 90), op(opClock, 50, 3, 1), op(opSnapshot, 0x80, 0, 0), long,
 		op(opRestart, 0, 0, 0), op(opArmAudit, 1, 0, 0), op(opRestore, 0, 2, 0),
 		times(8, ms1, submit(0, 0, 20), submit(1, 0, 9), submit(2, 0, 16), submit(3, 0, 8)),
-		op(opRemove, 4, 0, 0), add(4, kTree|fPanic, 0), submit(4, 0, 8), op(opUpdate, 2, 0, 0),
-		op(opFlush, 2, 0, 0), op(opClose, 0, 0, 0)),
+		op(opRemove, 4, 0, 0), add(4, kTree|fPanic, 0), submit(4, 0, 8), op(opFlush, 2, 0, 0),
+		op(opClose, 0, 0, 0)),
 }
 
 func TestAddRemove(t *testing.T)             { runModel(t, modelScenarios["AddRemove"]) }

@@ -16,8 +16,8 @@ import (
 // is a reviewed diff to these lists rather than one more method: one address
 // per aggregate, whatever its enforcer (a policy tree routes its own
 // packets), two ways in (Engine.SubmitBatch, LocalSubmitter.SubmitBatch) over
-// one gate and one serve body, SetRate and Update as the reconfiguration
-// lanes, one audit envelope per aggregate, one snapshot pair, only the
+// one gate and one serve body, SetRate as the one live reconfiguration and
+// Flush as the one in-band closure, one audit envelope per aggregate, one snapshot pair, only the
 // topology and per-node counters of a tree that NodeMetrics exports, and as
 // Config only what some caller outside the tests sets. Everything else is a constant:
 // wedgeTimeout (the one reason any waiter gives up on a shard) and
@@ -56,12 +56,12 @@ func TestEngineSurface(t *testing.T) {
 			"Close", "Flush", "Health", "Len",
 			"LocalShard", "Lookup", "Metrics", "NodeMetrics",
 			"Remove", "Restore", "SetRate",
-			"Snapshot", "Stats", "SubmitBatch", "TraceDump", "Update",
+			"Snapshot", "Stats", "SubmitBatch", "TraceDump",
 		}},
 		{"enforcer.TreeEnforcer methods", methods((*enforcer.TreeEnforcer)(nil)), []string{
 			"IsLeaf", "NodeLabel", "NodeStats", "NumNodes", "Parent",
 		}},
-		{"*LocalSubmitter methods", methods(&LocalSubmitter{}), []string{"Shard", "SubmitBatch"}},
+		{"*LocalSubmitter methods", methods(&LocalSubmitter{}), []string{"SubmitBatch"}},
 		{"Handle methods", methods(Handle{}), []string{"TraceAgg"}},
 		{"Config fields", config, []string{
 			"Clock", "CloseTimeout", "Observer", "OnFault",

@@ -258,7 +258,7 @@ func FuzzRateMeterEquivalence(f *testing.F) {
 	f.Add(uint16(250), bytes.Repeat([]byte{255, 255, 128, 3}, 50))
 	f.Fuzz(func(t *testing.T, windowMs uint16, steps []byte) {
 		window := time.Duration(windowMs%1000+1) * time.Millisecond
-		live := NewRateMeter(window)
+		live := newRateMeter(window)
 		whole := newRefRateMeter(window, 1<<30)
 		shipped := newRefRateMeter(window, 64)
 		if live.Rate() != 0 {

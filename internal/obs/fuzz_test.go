@@ -20,8 +20,8 @@ func FuzzPromExposition(f *testing.F) {
 		if hv != 0 {
 			hs = latencyHist(hv)
 		}
-		empty := NewRateMeter(0) // never Added: Rate must be 0, not NaN
-		m := NewRateMeter(time.Millisecond)
+		empty := newRateMeter(0) // never Added: Rate must be 0, not NaN
+		m := newRateMeter(time.Millisecond)
 		if hv > 0 {
 			m.Add(time.Duration(hv%int64(time.Second)), int(v)%65536)
 		}

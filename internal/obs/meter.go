@@ -25,14 +25,7 @@ type RateMeter struct {
 	prev   atomic.Int64 // bytes in window win−1; −1 until a window has closed
 }
 
-// NewRateMeter returns a meter with the given window (0 selects the
-// paper's 250 ms default).
-func NewRateMeter(window time.Duration) *RateMeter {
-	r := new(RateMeter)
-	r.init(window)
-	return r
-}
-
+// init sets the meter's window (0 selects the paper's 250 ms default).
 func (r *RateMeter) init(window time.Duration) {
 	if window <= 0 {
 		window = metrics.DefaultWindow

@@ -58,8 +58,6 @@ const (
 	// KindRateUpdate is a live rate reconfiguration: A = new rate in
 	// bits per second.
 	KindRateUpdate
-	// KindPolicyUpdate is a live rate-sharing policy swap.
-	KindPolicyUpdate
 	// KindQuarantine marks a circuit breaker tripping: A = panic count.
 	KindQuarantine
 	// KindRemove is an explicit aggregate removal.
@@ -102,8 +100,6 @@ func (k Kind) String() string {
 		return "magic-reclaim"
 	case KindRateUpdate:
 		return "rate-update"
-	case KindPolicyUpdate:
-		return "policy-update"
 	case KindQuarantine:
 		return "quarantine"
 	case KindRemove:

@@ -119,8 +119,16 @@ func TestHistQuantile(t *testing.T) {
 	}
 }
 
+// newRateMeter returns a meter with the given window, as a collector sets
+// one up for each aggregate.
+func newRateMeter(window time.Duration) *RateMeter {
+	r := new(RateMeter)
+	r.init(window)
+	return r
+}
+
 func TestRateMeter(t *testing.T) {
-	m := NewRateMeter(100 * time.Millisecond)
+	m := newRateMeter(100 * time.Millisecond)
 	if r := m.Rate(); r != 0 {
 		t.Errorf("empty meter Rate = %v, want 0", r)
 	}
@@ -144,7 +152,7 @@ func TestRateMeter(t *testing.T) {
 // TestRateMeterLongRun walks far past where the old meter rebased: two
 // windows of state keep working, at the same size, for ever.
 func TestRateMeterLongRun(t *testing.T) {
-	m := NewRateMeter(time.Millisecond)
+	m := newRateMeter(time.Millisecond)
 	for i := 0; i < 10_000; i++ {
 		m.Add(time.Duration(i)*time.Millisecond, 125)
 		if i > 0 && m.Rate() != 1e6 {

@@ -13,12 +13,11 @@ import (
 
 // FuzzSubmitInvariants feeds arbitrary byte strings as (gap, op, size)
 // operation streams into a burst-controlled PQP with a nested policy. Op
-// bytes 0xF2–0xF4 switch the policy in place (SetPolicy) to the nested one,
-// Fair(4) or StrictPriority(4); 0xF5 steps the clock back by size × 370 µs
-// (not below zero), a clock an enforcer must survive although it is
-// promised non-decreasing time; any other op of 0xF0 or more changes the
-// rate (odd doubles it, even halves it, within 64× of where it started);
-// any other submits a packet of class op % 4. A gap that is a multiple of
+// byte 0xF5 steps the clock back by size × 370 µs (not below zero), a clock
+// an enforcer must survive although it is promised non-decreasing time; any
+// other op of 0xF0 or more changes the rate (odd doubles it, even halves it,
+// within 64× of where it started); any other submits a packet of class
+// op % 4. A gap that is a multiple of
 // 11 is followed by a Tick that many tens of milliseconds later. After every operation it checks the
 // structural invariants: non-negative lengths, magic ≤ length, length ≤ B,
 // and drop/accept accounting that sums to the submitted totals. Over the
@@ -51,24 +50,16 @@ func FuzzSubmitInvariants(f *testing.F) {
 			base     = 400 * units.Kbps
 			envelope = 4*B + 2*units.MSS
 		)
-		// policies are what SetPolicy switches among; each call builds a
-		// fresh one, since an enforcer owns its policy.
-		policies := [...]func() *sched.Policy{
-			func() *sched.Policy {
-				return sched.MustNew(sched.Priority(
-					sched.Weighted(sched.Leaf(0).WithWeight(2), sched.Leaf(1)),
-					sched.Weighted(sched.Leaf(2), sched.Leaf(3)),
-				))
-			},
-			func() *sched.Policy { return sched.Fair(4) },
-			func() *sched.Policy { return sched.StrictPriority(4) },
-		}
+		// Each enforcer builds its own policy: an enforcer owns it.
 		mk := func() *PQP {
 			return MustNew(Config{
-				Rate:         base,
-				Queues:       4,
-				QueueSize:    B,
-				Policy:       policies[0](),
+				Rate:      base,
+				Queues:    4,
+				QueueSize: B,
+				Policy: sched.MustNew(sched.Priority(
+					sched.Weighted(sched.Leaf(0).WithWeight(2), sched.Leaf(1)),
+					sched.Weighted(sched.Leaf(2), sched.Leaf(3)),
+				)),
 				BurstControl: true,
 			})
 		}
@@ -108,13 +99,6 @@ func FuzzSubmitInvariants(f *testing.F) {
 			}
 			now += gap
 			switch op := ops[i+1]; {
-			case op >= 0xF2 && op <= 0xF4:
-				flush()
-				for _, p := range []*PQP{q, twin} {
-					if err := p.SetPolicy(now, policies[op-0xF2]()); err != nil {
-						t.Fatal(err)
-					}
-				}
 			case op == 0xF5:
 				flush()
 				now = max(now-time.Duration(ops[i+2])*370*time.Microsecond, 0)
@@ -192,9 +176,10 @@ func FuzzSubmitInvariants(f *testing.F) {
 	})
 }
 
-// churn is saturation's load for three seconds with the policy switched
-// every 40 rounds, cycling through all three, and the clock stepped back
-// by 37 ms every 25 rounds, into the middle of a burst-control window.
+// churn is saturation's load for three seconds with the rate halved,
+// doubled and halved in turn every 40 rounds (op bytes 0xF2–0xF4, which
+// once switched the policy), and the clock stepped back by 37 ms every 25
+// rounds, into the middle of a burst-control window.
 func churn() []byte {
 	var ops []byte
 	for i := 0; i < 400; i++ {

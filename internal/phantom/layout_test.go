@@ -37,8 +37,8 @@ func TestQueueLayout(t *testing.T) {
 	}
 }
 
-// diffPolicies are the rate-sharing policies the differential cycles
-// through; each call builds a fresh tree, since policies carry scratch.
+// diffPolicies are the rate-sharing policies the differential's fuzzer picks
+// from; each call builds a fresh tree, since policies carry scratch.
 var diffPolicies = []func() *sched.Policy{
 	func() *sched.Policy { return nil },
 	func() *sched.Policy { return sched.WeightedFair(1, 2, 3, 0.5) },
@@ -53,15 +53,14 @@ var diffPolicies = []func() *sched.Policy{
 
 // layoutDiff drives the flat layout and the reference side by side.
 type layoutDiff struct {
-	t        *testing.T
-	cfg      Config // as given to New; Policy is set per construction
-	policies []func() *sched.Policy
-	policy   int // index into policies
-	rate     units.Rate
-	p        *PQP
-	ref      *refPQP
-	now      time.Duration
-	hook     func(Event) // attached to p and to every twin a round trip builds
+	t      *testing.T
+	cfg    Config               // as given to New; Policy is set per construction
+	policy func() *sched.Policy // builds each construction's policy; nil is per-flow fairness
+	rate   units.Rate
+	p      *PQP
+	ref    *refPQP
+	now    time.Duration
+	hook   func(Event) // attached to p and to every twin a round trip builds
 
 	// batched sends arrivals through SubmitBatch: a packet with no gap
 	// joins the burst the previous one started, and anything else — a gap,
@@ -76,21 +75,25 @@ type layoutDiff struct {
 	verdicts              []enforcer.Verdict
 }
 
-func newLayoutDiff(t *testing.T, cfg Config, policy int, policies ...func() *sched.Policy) *layoutDiff {
-	if policies == nil {
-		policies = diffPolicies
-	}
-	d := &layoutDiff{t: t, cfg: cfg, policies: policies, policy: policy % len(policies), rate: cfg.Rate}
+func newLayoutDiff(t *testing.T, cfg Config, policy func() *sched.Policy) *layoutDiff {
+	d := &layoutDiff{t: t, cfg: cfg, policy: policy, rate: cfg.Rate}
 	d.p = d.build()
-	d.ref = newRef(d.p, policies[d.policy]())
+	d.ref = newRef(d.p, d.newPolicy())
 	return d
 }
 
-// build makes a fresh PQP under the current rate and policy.
+func (d *layoutDiff) newPolicy() *sched.Policy {
+	if d.policy == nil {
+		return nil
+	}
+	return d.policy()
+}
+
+// build makes a fresh PQP under the current rate and the policy.
 func (d *layoutDiff) build() *PQP {
 	cfg := d.cfg
 	cfg.Rate = d.rate
-	cfg.Policy = d.policies[d.policy]()
+	cfg.Policy = d.newPolicy()
 	p := MustNew(cfg)
 	p.SetOnEvent(d.hook)
 	return p
@@ -169,16 +172,6 @@ func (d *layoutDiff) setRate(rate units.Rate) {
 	}
 	d.ref.SetRate(d.now, rate)
 	d.compare("set-rate")
-}
-
-func (d *layoutDiff) nextPolicy() {
-	d.flush()
-	d.policy = (d.policy + 1) % len(d.policies)
-	if err := d.p.SetPolicy(d.now, d.policies[d.policy]()); err != nil {
-		d.t.Fatal(err)
-	}
-	d.ref.SetPolicy(d.now, d.policies[d.policy]())
-	d.compare("set-policy")
 }
 
 // roundTrip replaces the flat-layout enforcer with a twin restored from its
@@ -308,9 +301,7 @@ func (d *layoutDiff) run(ops []byte) {
 			d.tick(gap + time.Duration(arg)*10*time.Millisecond)
 		case 14:
 			d.setRate(units.Rate(1+int(arg)%32) * 100 * units.Kbps)
-		case 13:
-			d.nextPolicy()
-		case 12:
+		case 13, 12: // 13 once swapped the policy
 			d.roundTrip()
 		case 11:
 			d.submit(gap, int(arg)%4, 0, false)
@@ -323,7 +314,7 @@ func (d *layoutDiff) run(ops []byte) {
 }
 
 // FuzzLayoutEquivalence is the flat layout's differential: arbitrary
-// arrivals, ticks, rate and policy changes and snapshot round trips, with
+// arrivals, ticks, rate changes and snapshot round trips, with
 // RED, ECN marking, burst control and huge queues switched by the input,
 // must leave the flat layout and the segment-deque reference agreeing on
 // every verdict, counter, window and FIFO run.
@@ -350,7 +341,7 @@ func FuzzLayoutEquivalence(f *testing.F) {
 	f.Add(byte(1), byte(flagBatched|1), []byte{
 		0, 0, 0, 0, 1, 182, 0, 1, 182, 0, 2, 182, 0, 2, 182, 0, 3, 182, 0, 3, 182,
 		27, 15, 0, 0, 0, 0, 0, 1, 182, 27, 15, 1})
-	// Rate, policy and snapshot round trips between bursts: r_i* is
+	// Rate changes and snapshot round trips between bursts: r_i* is
 	// memoised per occupied set and must not outlive any of them.
 	f.Add(byte(0), byte(flagBatched), []byte{
 		1, 0, 182, 0, 0, 182, 0, 1, 182, 0, 14, 31, 9, 0, 182, 0, 0, 182, 0, 0, 182, 0, 0, 182, 0, 0, 182, 0, 0, 182,
@@ -377,7 +368,7 @@ func FuzzLayoutEquivalence(f *testing.F) {
 	f.Add(byte(0), byte(4|8), ectFlood(400))
 	f.Add(byte(0), byte(flagBatched|4|8), ectFlood(400))
 	f.Fuzz(func(t *testing.T, policy, flags byte, ops []byte) {
-		d := newLayoutDiff(t, diffConfig(flags), int(policy))
+		d := newLayoutDiff(t, diffConfig(flags), diffPolicies[int(policy)%len(diffPolicies)])
 		d.batched, d.hashed, d.lazy = flags&flagBatched != 0, flags&flagHashed != 0, flags&flagLazy != 0
 		d.run(ops)
 	})
@@ -440,7 +431,7 @@ func alternate(d *layoutDiff, rounds int) {
 // back, checking against the reference at every step and that the heap
 // deque is held only while it is needed.
 func TestRingSpillAndReturn(t *testing.T) {
-	d := newLayoutDiff(t, altConfig(), 0)
+	d := newLayoutDiff(t, altConfig(), nil)
 	alternate(d, 14)
 	q := &d.p.queues[0]
 	if !q.spilled || d.p.numRuns(0) <= ringCap {
@@ -458,7 +449,7 @@ func TestRingSpillAndReturn(t *testing.T) {
 	}
 	// A run of 2 GiB spills whatever the run count, and reclaiming it
 	// brings the FIFO back.
-	d = newLayoutDiff(t, diffConfig(2), 0)
+	d = newLayoutDiff(t, diffConfig(2), nil)
 	for i := 0; i < 400; i++ {
 		d.submit(10*time.Microsecond, 0, units.MSS, false)
 	}
@@ -487,7 +478,6 @@ func TestBurstShortcuts(t *testing.T) {
 		return pkts
 	}
 	sized := func(class, size int) packet.Packet { return packet.Packet{Class: class, Size: size} }
-	fair := func() *sched.Policy { return nil }
 
 	scenarios := []struct {
 		name string
@@ -499,7 +489,7 @@ func TestBurstShortcuts(t *testing.T) {
 		// class 0 three times — closes it under θ⁻ and reclaims. Closing it
 		// again for the second packet would zero the bytes the first added.
 		{"one roll per class per burst", func(t *testing.T, hook func(Event)) {
-			d := newLayoutDiff(t, diffConfig(0), 0, fair)
+			d := newLayoutDiff(t, diffConfig(0), nil)
 			d.watch(hook)
 			d.burst(10*time.Microsecond, mss(0, 60)...)
 			d.burst(120*time.Millisecond, mss(0, 1)...)
@@ -522,7 +512,7 @@ func TestBurstShortcuts(t *testing.T) {
 				weights []float64
 				q1      int
 			}{{[]float64{1, 1, 1, 1}, 120}, {[]float64{1, 1, 2, 2}, 80}} {
-				d := newLayoutDiff(t, diffConfig(1), 0, func() *sched.Policy { return sched.WeightedFair(tc.weights...) })
+				d := newLayoutDiff(t, diffConfig(1), func() *sched.Policy { return sched.WeightedFair(tc.weights...) })
 				d.watch(hook)
 				d.burst(10*time.Microsecond, sized(0, 40), sized(1, tc.q1), sized(2, 2*units.MSS), sized(3, 2*units.MSS))
 				d.tick(10 * time.Millisecond) // 500 B of budget
@@ -533,10 +523,10 @@ func TestBurstShortcuts(t *testing.T) {
 			}
 		}},
 		// r_i*·T is remembered per occupied set and must not outlive a
-		// rate change, a policy change or a restore. At 400 kbps the second
+		// rate change or a restore. At 400 kbps the second
 		// burst would cross θ⁺ and fill; at 3.2 Mbps it must not.
 		{"share memo across reconfiguration", func(t *testing.T, hook func(Event)) {
-			d := newLayoutDiff(t, diffConfig(0), 0)
+			d := newLayoutDiff(t, diffConfig(0), nil)
 			d.watch(hook)
 			d.burst(10*time.Microsecond, mss(0, 3)...)
 			d.setRate(3200 * units.Kbps)
@@ -544,7 +534,6 @@ func TestBurstShortcuts(t *testing.T) {
 			if m := d.p.MagicBytes(0); m != 0 {
 				t.Fatalf("%d magic bytes: the burst after SetRate was held to the old rate's θ⁺", m)
 			}
-			d.nextPolicy()
 			d.burst(10*time.Microsecond, append(mss(1, 4), mss(0, 4)...)...)
 			d.roundTrip()
 			d.burst(10*time.Microsecond, append(mss(1, 4), mss(3, 4)...)...)
@@ -555,13 +544,13 @@ func TestBurstShortcuts(t *testing.T) {
 		// that would pass 2 GiB, a packet that is itself past it, and a
 		// seventeenth run.
 		{"fast paths give way to the spill", func(t *testing.T, hook func(Event)) {
-			d := newLayoutDiff(t, diffConfig(1|2), 0, fair)
+			d := newLayoutDiff(t, diffConfig(1|2), nil)
 			d.watch(hook)
 			d.burst(10*time.Microsecond, sized(0, 1<<30), sized(0, 1<<30), sized(1, 1<<31), sized(0, 1<<30), sized(0, units.MSS))
 			if q := d.p.queues; !q[0].spilled || !q[1].spilled || q[0].length != 3<<30 {
 				t.Fatalf("queue 0 spilled %v holding %d B, queue 1 spilled %v; want both on the heap and queue 0 full", q[0].spilled, q[0].length, q[1].spilled)
 			}
-			d = newLayoutDiff(t, altConfig(), 0, fair)
+			d = newLayoutDiff(t, altConfig(), nil)
 			d.watch(hook)
 			d.batched = true
 			alternate(d, 14)
@@ -573,7 +562,7 @@ func TestBurstShortcuts(t *testing.T) {
 		// class in without it being occupied, and behind a magic tail) and
 		// packets classified by flow key, unset or out of range.
 		{"zero-size and hash-classified packets", func(t *testing.T, hook func(Event)) {
-			d := newLayoutDiff(t, diffConfig(0), 0, fair)
+			d := newLayoutDiff(t, diffConfig(0), nil)
 			d.watch(hook)
 			keyed := func(class, port, size int) packet.Packet {
 				return packet.Packet{Key: packet.FlowKey{SrcPort: uint16(port)}, Class: class, Size: size}
@@ -590,7 +579,7 @@ func TestBurstShortcuts(t *testing.T) {
 		// empties forgets its stored runs and its tail at once, the refill
 		// accumulates in a fresh tail, and a drain takes its front off late.
 		{"empty and refill between syncs", func(t *testing.T, hook func(Event)) {
-			d := newLayoutDiff(t, diffConfig(1), 0, fair)
+			d := newLayoutDiff(t, diffConfig(1), nil)
 			d.watch(hook)
 			d.lazy = true
 			d.burst(10*time.Microsecond, mss(0, 5)...)
@@ -611,8 +600,7 @@ func TestBurstShortcuts(t *testing.T) {
 		// first. A flood leaves [real, magic]; two windows later a drain is
 		// pending over both and a packet waits in the tail, and then the
 		// sync comes from a magic fill, from a reclaim reached by an arrival,
-		// by Tick, by SetRate and by SetPolicy, from a snapshot, and from
-		// MagicBytes.
+		// by Tick and by SetRate, from a snapshot, and from MagicBytes.
 		{"every reader of runs syncs first", func(t *testing.T, hook func(Event)) {
 			triggers := []struct {
 				name string
@@ -622,7 +610,6 @@ func TestBurstShortcuts(t *testing.T) {
 				{"reclaim on arrival", func(d *layoutDiff) { d.burst(120*time.Millisecond, sized(0, 0)) }},
 				{"Tick", func(d *layoutDiff) { d.tick(120 * time.Millisecond) }},
 				{"SetRate", func(d *layoutDiff) { d.now += 120 * time.Millisecond; d.setRate(800 * units.Kbps) }},
-				{"SetPolicy", func(d *layoutDiff) { d.now += 120 * time.Millisecond; d.nextPolicy() }},
 				{"SnapshotState", func(d *layoutDiff) {
 					if _, err := d.p.SnapshotState(d.now); err != nil {
 						t.Fatal(err)
@@ -631,7 +618,7 @@ func TestBurstShortcuts(t *testing.T) {
 				{"MagicBytes", func(d *layoutDiff) { d.p.MagicBytes(0) }},
 			}
 			for _, tr := range triggers {
-				d := newLayoutDiff(t, diffConfig(0), 0, fair, fair)
+				d := newLayoutDiff(t, diffConfig(0), nil)
 				d.watch(hook)
 				d.lazy = true
 				d.burst(10*time.Microsecond, mss(0, 10)...)
@@ -652,7 +639,7 @@ func TestBurstShortcuts(t *testing.T) {
 		// straight to the back; and the real run that grows past a ring slot
 		// when the tail lands on it spills.
 		{"the tail hands over at 2 GiB", func(t *testing.T, hook func(Event)) {
-			d := newLayoutDiff(t, diffConfig(1|2), 0, fair)
+			d := newLayoutDiff(t, diffConfig(1|2), nil)
 			d.watch(hook)
 			d.lazy = true
 			d.burst(10*time.Microsecond, sized(0, 1<<30), sized(0, 1<<30))
@@ -677,7 +664,7 @@ func TestBurstShortcuts(t *testing.T) {
 		// ring.
 		{"a seventeenth run at sync time", func(t *testing.T, hook func(Event)) {
 			cfg := altConfig()
-			d := newLayoutDiff(t, cfg, 0, fair)
+			d := newLayoutDiff(t, cfg, nil)
 			d.watch(hook)
 			alternate(d, 7)
 			if q := &d.p.queues[0]; q.spilled || q.n != ringCap || d.p.run(0, ringCap-1) >= 0 {
@@ -748,7 +735,7 @@ func TestDrainLeavesFIFOLineUntouched(t *testing.T) {
 		var fills, reclaims int
 		cfg := diffConfig(0)
 		cfg.Rate = 8 * units.Mbps
-		d := newLayoutDiff(t, cfg, 0, func() *sched.Policy { return nil })
+		d := newLayoutDiff(t, cfg, nil)
 		d.watch(func(e Event) {
 			switch e.Kind {
 			case EventMagicFill:
@@ -814,7 +801,7 @@ func TestDrainLeavesFIFOLineUntouched(t *testing.T) {
 // and RestoreState to refuse.
 func TestZeroSizeAcceptSnapshotRestores(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
-		d := newLayoutDiff(t, diffConfig(0), 0)
+		d := newLayoutDiff(t, diffConfig(0), nil)
 		d.lazy = lazy
 		d.submit(10*time.Millisecond, 1, 0, false)
 		d.roundTrip()
@@ -876,8 +863,8 @@ func TestBurstStatsVisibleToHooks(t *testing.T) {
 }
 
 // TestManyQueuesEquivalence runs the differential over 130 queues, so the
-// occupied mask spans three words, under a fair, a weighted and a priority
-// policy.
+// occupied mask spans three words, once under each of a fair, a weighted and
+// a priority policy.
 func TestManyQueuesEquivalence(t *testing.T) {
 	const queues = 130
 	weights := make([]float64, queues)
@@ -886,33 +873,34 @@ func TestManyQueuesEquivalence(t *testing.T) {
 	}
 	cfg := diffConfig(0)
 	cfg.Queues = queues
-	d := newLayoutDiff(t, cfg, 0,
-		func() *sched.Policy { return nil },
+	for _, policy := range []func() *sched.Policy{
+		nil,
 		func() *sched.Policy { return sched.WeightedFair(weights...) },
-		func() *sched.Policy { return sched.StrictPriority(queues) })
-	pkts := make([]packet.Packet, 32)
-	for step := 0; step < 6000; step++ {
-		class := step * 37 % queues
-		if step%5 == 0 {
-			class = step / 5 % 3 * 64 // the first queue of each mask word
-		}
-		d.submit(time.Duration(step%29)*310*time.Microsecond, class, 100+step*613%1400, false)
-		switch {
-		case step%997 == 996:
-			d.nextPolicy()
-		case step%401 == 400:
-			d.tick(time.Duration(step%50) * 10 * time.Millisecond)
-		case step%211 == 210:
-			// A burst through SubmitBatch, checked against the reference
-			// packet by packet.
-			for i := range pkts {
-				pkts[i] = packet.Packet{Class: (step + i*41) % queues, Size: units.MSS}
+		func() *sched.Policy { return sched.StrictPriority(queues) },
+	} {
+		d := newLayoutDiff(t, cfg, policy)
+		pkts := make([]packet.Packet, 32)
+		for step := 0; step < 6000; step++ {
+			class := step * 37 % queues
+			if step%5 == 0 {
+				class = step / 5 % 3 * 64 // the first queue of each mask word
 			}
-			d.burst(0, pkts...)
+			d.submit(time.Duration(step%29)*310*time.Microsecond, class, 100+step*613%1400, false)
+			switch {
+			case step%401 == 400:
+				d.tick(time.Duration(step%50) * 10 * time.Millisecond)
+			case step%211 == 210:
+				// A burst through SubmitBatch, checked against the reference
+				// packet by packet.
+				for i := range pkts {
+					pkts[i] = packet.Packet{Class: (step + i*41) % queues, Size: units.MSS}
+				}
+				d.burst(0, pkts...)
+			}
 		}
-	}
-	if d.p.EnforcerStats().DroppedPackets == 0 || d.ref.stats.AcceptedPackets == 0 {
-		t.Fatalf("trace did not both accept and drop: %+v", d.ref.stats)
+		if d.p.EnforcerStats().DroppedPackets == 0 || d.ref.stats.AcceptedPackets == 0 {
+			t.Fatalf("trace did not both accept and drop: %+v", d.ref.stats)
+		}
 	}
 }
 

@@ -284,7 +284,7 @@ func (p *PQP) emitDrop(now time.Duration, class int, size, qlen int64, reason Dr
 // synchronously — the hook production deployments use for flight recording
 // and debugging. Handlers must be fast and must not call back into the
 // enforcer. SetOnEvent mutates enforcer state: call it only from the
-// goroutine that owns the enforcer (under mbox, via Engine.Update so it runs
+// goroutine that owns the enforcer (under mbox, via Engine.Flush so it runs
 // on the owning shard), never concurrently with Submit or Tick. A nil fn
 // detaches the hook.
 func (p *PQP) SetOnEvent(fn func(Event)) { p.onEvent = fn }

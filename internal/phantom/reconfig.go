@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"bcpqp/internal/enforcer"
-	"bcpqp/internal/sched"
 	"bcpqp/internal/units"
 )
 
@@ -28,23 +27,6 @@ func (p *PQP) SetRate(now time.Duration, rate units.Rate) error {
 	p.Tick(now) // settle drains and windows at the old rate
 	p.cfg.Rate = rate
 	p.sharesValid = false // r_i* shares scale with the aggregate rate
-	return nil
-}
-
-// SetPolicy implements enforcer.Reconfigurer: it swaps the intra-aggregate
-// rate-sharing policy in place. The new policy must cover exactly the
-// configured number of queues; nil selects per-flow fairness. Queue
-// occupancy is untouched — bytes already admitted under the old policy
-// drain under the new one, exactly as a shaper's queued packets would be
-// served by a reconfigured scheduler. The enforcer takes ownership of the
-// policy object (policies carry scratch state and are not concurrency-safe).
-func (p *PQP) SetPolicy(now time.Duration, policy *sched.Policy) error {
-	if policy != nil && policy.NumClasses() != p.cfg.Queues {
-		return fmt.Errorf("phantom: policy covers %d classes but enforcer has %d queues",
-			policy.NumClasses(), p.cfg.Queues)
-	}
-	p.Tick(now) // settle drains and windows under the old policy
-	p.installPolicy(policy)
 	return nil
 }
 

@@ -108,24 +108,19 @@ type refPQP struct {
 // newRef mirrors p, which New has validated and sized the drain batch of;
 // policy is the tree p was configured with (nil for the default).
 func newRef(p *PQP, policy *sched.Policy) *refPQP {
-	r := &refPQP{
-		cfg:        p.cfg,
-		drainBatch: p.drainBatch,
-		queues:     make([]refQueue, p.cfg.Queues),
-		shares:     make([]float64, p.cfg.Queues),
-		red:        append([]redState(nil), p.red...),
-	}
-	r.setPolicy(policy)
-	return r
-}
-
-func (r *refPQP) setPolicy(policy *sched.Policy) {
 	if policy == nil {
-		policy = sched.Fair(r.cfg.Queues)
+		policy = sched.Fair(p.cfg.Queues)
 	}
-	r.cfg.Policy = policy
-	r.flatWeights = policy.FlatWeighted()
-	r.sharesValid = false
+	cfg := p.cfg
+	cfg.Policy = policy
+	return &refPQP{
+		cfg:         cfg,
+		drainBatch:  p.drainBatch,
+		queues:      make([]refQueue, p.cfg.Queues),
+		shares:      make([]float64, p.cfg.Queues),
+		flatWeights: policy.FlatWeighted(),
+		red:         append([]redState(nil), p.red...),
+	}
 }
 
 func (r *refPQP) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
@@ -199,11 +194,6 @@ func (r *refPQP) SetRate(now time.Duration, rate units.Rate) {
 	r.Tick(now)
 	r.cfg.Rate = rate
 	r.sharesValid = false
-}
-
-func (r *refPQP) SetPolicy(now time.Duration, policy *sched.Policy) {
-	r.Tick(now)
-	r.setPolicy(policy)
 }
 
 func (r *refPQP) advance(now time.Duration) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bcpqp/internal/enforcer"
-	"bcpqp/internal/sched"
 	"bcpqp/internal/units"
 )
 
@@ -14,7 +13,7 @@ import (
 const treeSnapVersion = 2
 
 // nodeReconfigurer returns the node's ceiling stage as a Reconfigurer, for
-// in-place rate/policy changes.
+// in-place rate changes.
 func (t *Tree) nodeReconfigurer(node enforcer.NodeID) (enforcer.Reconfigurer, error) {
 	if !t.inRange(node) {
 		return nil, t.errBadNode(node)
@@ -38,16 +37,6 @@ func (t *Tree) SetRate(now time.Duration, rate units.Rate) error {
 		return err
 	}
 	return r.SetRate(now, rate)
-}
-
-// SetPolicy implements enforcer.Reconfigurer by forwarding to the root
-// ceiling (see SetRate for why).
-func (t *Tree) SetPolicy(now time.Duration, policy *sched.Policy) error {
-	r, err := t.nodeReconfigurer(enforcer.Root)
-	if err != nil {
-		return err
-	}
-	return r.SetPolicy(now, policy)
 }
 
 // SnapshotState implements enforcer.Snapshotter: the tree's verdict

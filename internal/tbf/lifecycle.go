@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"bcpqp/internal/enforcer"
-	"bcpqp/internal/sched"
 	"bcpqp/internal/units"
 )
 
@@ -25,12 +24,6 @@ func (p *Policer) SetRate(now time.Duration, rate units.Rate) error {
 	p.refill(now) // settle elapsed time at the old rate
 	p.rate = rate
 	return nil
-}
-
-// SetPolicy implements enforcer.Reconfigurer. A token bucket polices the
-// aggregate only; it has no intra-aggregate rate-sharing dimension.
-func (p *Policer) SetPolicy(now time.Duration, policy *sched.Policy) error {
-	return enforcer.ErrNoPolicy
 }
 
 // SnapshotState implements enforcer.Snapshotter.

@@ -51,7 +51,7 @@ func fixedRig(t *testing.T, windowSegs int64, size int64, drop func(arrival int)
 		}
 		loop.At(now+rtt/2, func() { flow.Deliver(now+rtt/2, pkt) })
 	}
-	flow = MustNewFlow(Config{
+	flow = mustNewFlow(Config{
 		Loop: loop,
 		Key:  packet.FlowKey{SrcPort: 9},
 		CC:   ctrl,
@@ -119,7 +119,7 @@ func TestPRRLimitsRecoveryBurst(t *testing.T) {
 		}
 		loop.At(now+rtt/2, func() { flow.Deliver(now+rtt/2, pkt) })
 	}
-	flow = MustNewFlow(Config{
+	flow = mustNewFlow(Config{
 		Loop: loop,
 		Key:  packet.FlowKey{SrcPort: 9},
 		CC:   ctrl,
@@ -220,7 +220,7 @@ func TestReorderingToleratedByDupThresh(t *testing.T) {
 			held = nil
 		}
 	}
-	flow = MustNewFlow(Config{
+	flow = mustNewFlow(Config{
 		Loop: loop,
 		Key:  packet.FlowKey{SrcPort: 9},
 		CC:   ctrl,

@@ -178,15 +178,6 @@ func NewFlow(cfg Config) (*Flow, error) {
 	return f, nil
 }
 
-// MustNewFlow is NewFlow that panics on error.
-func MustNewFlow(cfg Config) *Flow {
-	f, err := NewFlow(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // Start begins transmission at the loop's current time.
 func (f *Flow) Start() {
 	if f.started {

@@ -17,6 +17,15 @@ type rig struct {
 	flow *Flow
 }
 
+// mustNewFlow is NewFlow that panics on error.
+func mustNewFlow(cfg Config) *Flow {
+	f, err := NewFlow(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
 // lossyPath drops the packets whose (0-based) arrival index is in drop.
 func newRig(t *testing.T, ccName string, size int64, rtt time.Duration, drop map[int]bool) *rig {
 	t.Helper()
@@ -244,7 +253,7 @@ func TestBBRPacesSmoothly(t *testing.T) {
 		arrivalTimes = append(arrivalTimes, now)
 		bn.Forward(now, pkt)
 	}
-	flow = MustNewFlow(Config{
+	flow = mustNewFlow(Config{
 		Loop: loop,
 		Key:  packet.FlowKey{SrcPort: 1},
 		CC:   factory(),
@@ -311,7 +320,7 @@ func TestRTOBackoffBounded(t *testing.T) {
 	// Total blackout forever: timeouts must back off but keep firing.
 	loop := sim.NewLoop()
 	factory, _ := cc.NewByName("reno")
-	flow := MustNewFlow(Config{
+	flow := mustNewFlow(Config{
 		Loop: loop,
 		Key:  packet.FlowKey{SrcPort: 1},
 		CC:   factory(),
@@ -341,7 +350,7 @@ func TestDelayedAcksHalveAckTraffic(t *testing.T) {
 		path := func(now time.Duration, pkt packet.Packet) {
 			loop.At(now+rtt/2, func() { f.Deliver(now+rtt/2, pkt) })
 		}
-		f = MustNewFlow(Config{
+		f = mustNewFlow(Config{
 			Loop:        loop,
 			Key:         packet.FlowKey{SrcPort: 1},
 			CC:          factory(),

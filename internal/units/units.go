@@ -36,12 +36,6 @@ const (
 	Gbps              = 1000 * Mbps
 )
 
-// KbpsRate returns a Rate of v kilobits per second.
-func KbpsRate(v float64) Rate { return Rate(v) * Kbps }
-
-// MbpsRate returns a Rate of v megabits per second.
-func MbpsRate(v float64) Rate { return Rate(v) * Mbps }
-
 // BytesPerSecond returns the rate expressed in bytes per second.
 func (r Rate) BytesPerSecond() float64 { return float64(r) / 8 }
 

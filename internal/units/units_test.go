@@ -8,14 +8,14 @@ import (
 )
 
 func TestRateConversions(t *testing.T) {
-	r := MbpsRate(8)
+	r := 8 * Mbps
 	if got := r.BytesPerSecond(); got != 1e6 {
 		t.Errorf("8 Mbps = %v bytes/s, want 1e6", got)
 	}
 	if got := r.Mbps(); got != 8 {
 		t.Errorf("Mbps() = %v, want 8", got)
 	}
-	if got := KbpsRate(1000); got != 1*Mbps {
+	if got := 1000 * Kbps; got != 1*Mbps {
 		t.Errorf("1000 Kbps = %v, want 1 Mbps", got)
 	}
 }
@@ -53,7 +53,7 @@ func TestDurationForBytes(t *testing.T) {
 
 func TestBytesDurationRoundTrip(t *testing.T) {
 	f := func(mbps uint16, kb uint16) bool {
-		r := MbpsRate(float64(mbps%1000) + 1)
+		r := Rate(mbps%1000+1) * Mbps
 		n := int64(kb)*KB + 1
 		d := r.DurationForBytes(n)
 		back := r.Bytes(d)
@@ -71,7 +71,7 @@ func TestRateString(t *testing.T) {
 	}{
 		{500 * BitPerSecond, "500bps"},
 		{2 * Kbps, "2.00Kbps"},
-		{MbpsRate(7.5), "7.50Mbps"},
+		{7.5 * Mbps, "7.50Mbps"},
 		{2 * Gbps, "2.00Gbps"},
 	}
 	for _, tc := range cases {

@@ -5,7 +5,6 @@ import (
 	"expvar"
 	"fmt"
 	"io"
-	"time"
 
 	"bcpqp/internal/mbox"
 	"bcpqp/internal/obs"
@@ -54,10 +53,8 @@ const (
 	// reclaimed magic bytes (A=magic bytes, B=queue occupancy).
 	TraceMagicFill    = obs.KindMagicFill
 	TraceMagicReclaim = obs.KindMagicReclaim
-	// TraceRateUpdate / TracePolicyUpdate: a live reconfiguration was
-	// applied in-band.
-	TraceRateUpdate   = obs.KindRateUpdate
-	TracePolicyUpdate = obs.KindPolicyUpdate
+	// TraceRateUpdate: a live rate change was applied in-band.
+	TraceRateUpdate = obs.KindRateUpdate
 	// TraceQuarantine: an aggregate's panic circuit breaker opened
 	// (A=panic count); its traffic is dropped until Remove.
 	TraceQuarantine = obs.KindQuarantine
@@ -110,8 +107,8 @@ type (
 )
 
 // AuditEntry is one armed conformance auditor's state from
-// Middlebox.AuditReport: identity (aggregate, node, label), exact envelope
-// counters, and the slack / rate-error distributions.
+// Middlebox.AuditReport: the aggregate it audits, exact envelope counters,
+// and the slack / rate-error distributions.
 type AuditEntry = mbox.AuditEntry
 
 // AuditCounters is the exact counter block of one conformance auditor —
@@ -157,10 +154,11 @@ func ObserveAggregate(mb *Middlebox, id string, c *Collector) error {
 		return err
 	}
 	agg := h.TraceAgg()
-	return mb.Update(id, func(now time.Duration, enf Enforcer) error {
+	ferr := mb.Flush(id, func(enf Enforcer) {
 		pq, ok := enf.(*phantom.PQP)
 		if !ok {
-			return fmt.Errorf("bcpqp: aggregate %q (%T): %w", id, enf, ErrNotObservable)
+			err = fmt.Errorf("bcpqp: aggregate %q (%T): %w", id, enf, ErrNotObservable)
+			return
 		}
 		pq.SetOnEvent(func(ev phantom.Event) {
 			var kind TraceKind
@@ -186,8 +184,11 @@ func ObserveAggregate(mb *Middlebox, id string, c *Collector) error {
 				C:     int64(ev.Reason),
 			})
 		})
-		return nil
 	})
+	if ferr != nil {
+		return ferr
+	}
+	return err
 }
 
 // ErrNotObservable reports an ObserveAggregate call against an enforcer
