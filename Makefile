@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet check-ignore staticcheck govulncheck race chaos fuzz-smoke examples bench bench-compare verify
+.PHONY: all build test vet check-ignore staticcheck govulncheck race chaos fuzz-smoke examples bench bench-compare test-list verify
 
 all: verify
 
@@ -106,6 +106,11 @@ BASE ?= $(shell b=$$(git merge-base main HEAD 2>/dev/null); \
 	if [ -n "$$b" ] && [ "$$b" != "$$(git rev-parse HEAD)" ]; then echo $$b; else echo HEAD~1; fi)
 bench-compare:
 	scripts/bench-ab.sh $(BASE)
+
+# Every test, fuzz target and benchmark BASE lists is still listed, under
+# the same package (about 20 s: `go test -list` on both sides).
+test-list:
+	scripts/check-test-list.sh $(BASE)
 
 # The gate CI runs: ignore check + build + vet + staticcheck + govulncheck +
 # race-enabled tests + chaos suite + fuzz smoke + the examples.

@@ -61,22 +61,20 @@ var publishMetricsVar = func() func(mb *bcpqp.Middlebox) {
 		current = mb
 		mu.Unlock()
 		once.Do(func() {
-			expvar.Publish("bcpqp", expvar.Func(func() any {
+			expvar.Publish("bcpqp", jsonVar(func() string {
 				mu.Lock()
 				mb := current
 				mu.Unlock()
-				if mb == nil {
-					return nil
-				}
-				var v any
-				if err := json.Unmarshal([]byte(bcpqp.MetricsVar(mb).String()), &v); err != nil {
-					return nil
-				}
-				return v
+				return bcpqp.MetricsVar(mb).String()
 			}))
 		})
 	}
 }()
+
+// jsonVar is an expvar.Var whose function already renders JSON.
+type jsonVar func() string
+
+func (f jsonVar) String() string { return f() }
 
 // newAdminMux builds the admin endpoint set for one engine. node is the
 // cluster exchange node, or nil when the proxy runs standalone; ids are the

@@ -229,9 +229,3 @@ func (c *Client) AvgQuality() units.Rate {
 	}
 	return sum / units.Rate(len(c.Qualities))
 }
-
-// Buffer returns the current playback buffer level (for tests).
-func (c *Client) Buffer() time.Duration { return c.buffer }
-
-// Chunks returns how many chunks have completed.
-func (c *Client) Chunks() int { return c.chunkIdx }

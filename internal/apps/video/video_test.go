@@ -45,7 +45,7 @@ func TestStreamCompletesAtHighQualityWithHeadroom(t *testing.T) {
 	}
 	h.Run(90 * time.Second)
 	if c.DoneAt == 0 {
-		t.Fatalf("stream incomplete: %d/%d chunks", c.Chunks(), c.totalChunks)
+		t.Fatalf("stream incomplete: %d/%d chunks", c.chunkIdx, c.totalChunks)
 	}
 	if got := c.AvgQuality(); got < 1500*units.Kbps {
 		t.Errorf("avg quality %v with 10 Mbps headroom, want ≥1.5 Mbps", got)
@@ -72,8 +72,8 @@ func TestStreamAdaptsDownUnderTightRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Run(120 * time.Second)
-	if c.Chunks() < 3 {
-		t.Fatalf("only %d chunks fetched", c.Chunks())
+	if c.chunkIdx < 3 {
+		t.Fatalf("only %d chunks fetched", c.chunkIdx)
 	}
 	if got := c.AvgQuality(); got > 900*units.Kbps {
 		t.Errorf("avg quality %v through a 1 Mbps cap, want below 0.9 Mbps", got)
@@ -123,8 +123,8 @@ func TestBufferCapsRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Run(20 * time.Second)
-	if c.Buffer() > maxBuffer+2*chunkDuration {
-		t.Errorf("buffer %v far exceeds the %v cap", c.Buffer(), maxBuffer)
+	if c.buffer > maxBuffer+2*chunkDuration {
+		t.Errorf("buffer %v far exceeds the %v cap", c.buffer, maxBuffer)
 	}
 	if c.DoneAt != 0 {
 		t.Error("2-minute stream finished in 20 s of virtual time; pacing broken")
@@ -147,7 +147,7 @@ func TestRebufferAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Run(2 * time.Minute)
-	if c.Chunks() >= 2 && c.Rebuffering == 0 {
+	if c.chunkIdx >= 2 && c.Rebuffering == 0 {
 		t.Error("starved stream reported zero rebuffering")
 	}
 }

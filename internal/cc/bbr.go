@@ -6,7 +6,7 @@ import (
 	"bcpqp/internal/units"
 )
 
-// BBR implements a faithful simplification of BBR v1 (Cardwell et al. 2016):
+// bbr implements a faithful simplification of BBR v1 (Cardwell et al. 2016):
 // a model-based algorithm that estimates the bottleneck bandwidth (windowed
 // max of delivery-rate samples) and the round-trip propagation delay
 // (windowed min of RTT samples) and paces at gain-cycled multiples of the
@@ -15,7 +15,7 @@ import (
 //
 // BBR v1 does not reduce its window on packet loss — the property that makes
 // it dominate loss-based flows through policers in §6.4 and Appendix B.
-type BBR struct {
+type bbr struct {
 	mode bbrMode
 
 	btlBw    maxRateFilter
@@ -58,9 +58,9 @@ const (
 
 var bbrCycleGains = [8]float64{1.25, 0.75, 1, 1, 1, 1, 1, 1}
 
-// NewBBR returns a BBR controller.
-func NewBBR() *BBR {
-	return &BBR{
+// newBBR returns a BBR controller.
+func newBBR() *bbr {
+	return &bbr{
 		mode:       bbrStartup,
 		pacingGain: bbrHighGain,
 		cwndGain:   bbrHighGain,
@@ -69,10 +69,10 @@ func NewBBR() *BBR {
 }
 
 // Name implements Controller.
-func (b *BBR) Name() string { return "bbr" }
+func (b *bbr) Name() string { return "bbr" }
 
 // OnAck implements Controller.
-func (b *BBR) OnAck(a Ack) {
+func (b *bbr) OnAck(a Ack) {
 	b.inflightLatest = a.Inflight
 
 	if a.RTT > 0 {
@@ -112,7 +112,7 @@ func (b *BBR) OnAck(a Ack) {
 
 // checkFullPipe detects the STARTUP bandwidth plateau: three rounds without
 // ≥25% bandwidth growth.
-func (b *BBR) checkFullPipe() {
+func (b *bbr) checkFullPipe() {
 	if b.mode != bbrStartup {
 		return
 	}
@@ -130,7 +130,7 @@ func (b *BBR) checkFullPipe() {
 	}
 }
 
-func (b *BBR) enterProbeBW(now time.Duration) {
+func (b *bbr) enterProbeBW(now time.Duration) {
 	b.mode = bbrProbeBW
 	b.cwndGain = bbrCwndGain
 	b.cycleIndex = 0
@@ -139,7 +139,7 @@ func (b *BBR) enterProbeBW(now time.Duration) {
 }
 
 // advanceCycle rotates the PROBE_BW pacing-gain cycle once per min-RTT.
-func (b *BBR) advanceCycle(now time.Duration) {
+func (b *bbr) advanceCycle(now time.Duration) {
 	interval := b.rtProp
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
@@ -158,7 +158,7 @@ func (b *BBR) advanceCycle(now time.Duration) {
 
 // maybeEnterProbeRTT dips the window to drain the queue and re-measure the
 // propagation delay when the min-RTT estimate has gone stale.
-func (b *BBR) maybeEnterProbeRTT(now time.Duration) {
+func (b *bbr) maybeEnterProbeRTT(now time.Duration) {
 	if b.rtProp == 0 || now-b.rtPropAt < bbrMinRTTWindow {
 		return
 	}
@@ -167,7 +167,7 @@ func (b *BBR) maybeEnterProbeRTT(now time.Duration) {
 }
 
 // bdp returns gain × estimated bandwidth-delay product in bytes.
-func (b *BBR) bdp(gain float64) int64 {
+func (b *bbr) bdp(gain float64) int64 {
 	bw := b.btlBw.get()
 	if bw == 0 || b.rtProp == 0 {
 		return initialWindow
@@ -177,22 +177,22 @@ func (b *BBR) bdp(gain float64) int64 {
 
 // OnLoss implements Controller. BBR v1 does not reduce its rate model on
 // individual losses.
-func (b *BBR) OnLoss(time.Duration) {}
+func (b *bbr) OnLoss(time.Duration) {}
 
 // OnECN implements Controller. BBR v1 does not react to ECN marks (its
 // model is rate-based); marks still spare it the retransmissions that
 // drops would cost.
-func (b *BBR) OnECN(time.Duration) {}
+func (b *bbr) OnECN(time.Duration) {}
 
 // OnTimeout implements Controller: a full timeout resets the model
 // conservatively.
-func (b *BBR) OnTimeout(time.Duration) {
+func (b *bbr) OnTimeout(time.Duration) {
 	b.fullBw = 0
 	b.fullBwCount = 0
 }
 
 // CongestionWindow implements Controller.
-func (b *BBR) CongestionWindow() int64 {
+func (b *bbr) CongestionWindow() int64 {
 	if b.mode == bbrProbeRTT {
 		return 4 * units.MSS
 	}
@@ -204,32 +204,12 @@ func (b *BBR) CongestionWindow() int64 {
 }
 
 // PacingRate implements Controller.
-func (b *BBR) PacingRate() (units.Rate, bool) {
+func (b *bbr) PacingRate() (units.Rate, bool) {
 	bw := b.btlBw.get()
 	if bw == 0 {
 		return 0, false
 	}
 	return units.Rate(b.pacingGain * float64(bw)), true
-}
-
-// Mode exposes the current phase for tests.
-func (b *BBR) Mode() string {
-	switch b.mode {
-	case bbrStartup:
-		return "startup"
-	case bbrDrain:
-		return "drain"
-	case bbrProbeBW:
-		return "probe_bw"
-	case bbrProbeRTT:
-		return "probe_rtt"
-	}
-	return "unknown"
-}
-
-// DebugState exposes internals for tests and diagnostics.
-func (b *BBR) DebugState() (mode string, btlBw units.Rate, rtProp time.Duration, round, cycleIdx int) {
-	return b.Mode(), b.btlBw.get(), b.rtProp, b.round, b.cycleIndex
 }
 
 // maxRateFilter is a windowed-max filter over rounds (the btlbw filter).
@@ -270,4 +250,4 @@ func (f *maxRateFilter) get() units.Rate {
 	return f.samples[0].rate
 }
 
-var _ Controller = (*BBR)(nil)
+var _ Controller = (*bbr)(nil)

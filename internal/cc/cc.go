@@ -68,13 +68,13 @@ type Factory func() Controller
 func NewByName(name string) (Factory, bool) {
 	switch name {
 	case "reno", "newreno":
-		return func() Controller { return NewReno() }, true
+		return func() Controller { return newReno() }, true
 	case "cubic":
-		return func() Controller { return NewCubic() }, true
+		return func() Controller { return newCubic() }, true
 	case "bbr":
-		return func() Controller { return NewBBR() }, true
+		return func() Controller { return newBBR() }, true
 	case "vegas":
-		return func() Controller { return NewVegas() }, true
+		return func() Controller { return newVegas() }, true
 	default:
 		return nil, false
 	}

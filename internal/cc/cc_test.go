@@ -47,7 +47,7 @@ func ackRTT(c Controller, now time.Duration, rtt time.Duration) time.Duration {
 }
 
 func TestRenoSlowStartDoubles(t *testing.T) {
-	r := NewReno()
+	r := newReno()
 	now := time.Duration(0)
 	w0 := r.CongestionWindow()
 	now = ackRTT(r, now, 100*time.Millisecond)
@@ -57,7 +57,7 @@ func TestRenoSlowStartDoubles(t *testing.T) {
 }
 
 func TestRenoCongestionAvoidanceLinear(t *testing.T) {
-	r := NewReno()
+	r := newReno()
 	now := time.Duration(0)
 	r.OnLoss(now) // exit slow start
 	w := r.CongestionWindow()
@@ -68,7 +68,7 @@ func TestRenoCongestionAvoidanceLinear(t *testing.T) {
 }
 
 func TestRenoHalvesOnLoss(t *testing.T) {
-	r := NewReno()
+	r := newReno()
 	now := time.Duration(0)
 	for i := 0; i < 5; i++ {
 		now = ackRTT(r, now, 100*time.Millisecond)
@@ -81,7 +81,7 @@ func TestRenoHalvesOnLoss(t *testing.T) {
 }
 
 func TestRenoTimeoutCollapses(t *testing.T) {
-	r := NewReno()
+	r := newReno()
 	now := ackRTT(r, 0, 100*time.Millisecond)
 	r.OnTimeout(now)
 	if got := r.CongestionWindow(); got != units.MSS {
@@ -90,7 +90,7 @@ func TestRenoTimeoutCollapses(t *testing.T) {
 }
 
 func TestRenoFloor(t *testing.T) {
-	r := NewReno()
+	r := newReno()
 	for i := 0; i < 30; i++ {
 		r.OnLoss(0)
 	}
@@ -100,7 +100,7 @@ func TestRenoFloor(t *testing.T) {
 }
 
 func TestCubicSlowStartThenGrowth(t *testing.T) {
-	c := NewCubic()
+	c := newCubic()
 	now := time.Duration(0)
 	w0 := c.CongestionWindow()
 	now = ackRTT(c, now, 50*time.Millisecond)
@@ -119,7 +119,7 @@ func TestCubicSlowStartThenGrowth(t *testing.T) {
 }
 
 func TestCubicBetaDecrease(t *testing.T) {
-	c := NewCubic()
+	c := newCubic()
 	now := time.Duration(0)
 	for i := 0; i < 6; i++ {
 		now = ackRTT(c, now, 50*time.Millisecond)
@@ -133,7 +133,7 @@ func TestCubicBetaDecrease(t *testing.T) {
 }
 
 func TestCubicPlateausNearWMax(t *testing.T) {
-	c := NewCubic()
+	c := newCubic()
 	now := time.Duration(0)
 	for i := 0; i < 6; i++ {
 		now = ackRTT(c, now, 50*time.Millisecond)
@@ -152,7 +152,7 @@ func TestCubicPlateausNearWMax(t *testing.T) {
 }
 
 func TestBBRStartupToProbeBW(t *testing.T) {
-	b := NewBBR()
+	b := newBBR()
 	now := time.Duration(0)
 	rtt := 40 * time.Millisecond
 	// Feed constant bandwidth samples: startup should detect the
@@ -162,8 +162,8 @@ func TestBBRStartupToProbeBW(t *testing.T) {
 		b.OnAck(Ack{Now: now, RTT: rtt, Acked: units.MSS,
 			Inflight: 4 * units.MSS, BandwidthSample: 10 * units.Mbps})
 	}
-	if b.Mode() != "probe_bw" {
-		t.Errorf("mode = %s after sustained flat bandwidth, want probe_bw", b.Mode())
+	if b.mode != bbrProbeBW {
+		t.Errorf("mode = %d after sustained flat bandwidth, want probe_bw", b.mode)
 	}
 	rate, ok := b.PacingRate()
 	if !ok {
@@ -176,7 +176,7 @@ func TestBBRStartupToProbeBW(t *testing.T) {
 }
 
 func TestBBRCwndTracksBDP(t *testing.T) {
-	b := NewBBR()
+	b := newBBR()
 	now := time.Duration(0)
 	rtt := 40 * time.Millisecond
 	for i := 0; i < 600; i++ {
@@ -192,7 +192,7 @@ func TestBBRCwndTracksBDP(t *testing.T) {
 }
 
 func TestBBRIgnoresLoss(t *testing.T) {
-	b := NewBBR()
+	b := newBBR()
 	now := time.Duration(0)
 	for i := 0; i < 600; i++ {
 		now += time.Millisecond
@@ -207,7 +207,7 @@ func TestBBRIgnoresLoss(t *testing.T) {
 }
 
 func TestBBRMinRTTFilterPrefersSmaller(t *testing.T) {
-	b := NewBBR()
+	b := newBBR()
 	now := time.Duration(0)
 	b.OnAck(Ack{Now: now, RTT: 50 * time.Millisecond, Acked: units.MSS,
 		BandwidthSample: units.Mbps})
@@ -215,7 +215,7 @@ func TestBBRMinRTTFilterPrefersSmaller(t *testing.T) {
 		Acked: units.MSS, BandwidthSample: units.Mbps})
 	b.OnAck(Ack{Now: now + 2*time.Millisecond, RTT: 60 * time.Millisecond,
 		Acked: units.MSS, BandwidthSample: units.Mbps})
-	_, _, rtp, _, _ := b.DebugState()
+	rtp := b.rtProp
 	if rtp != 30*time.Millisecond {
 		t.Errorf("rtProp = %v, want 30ms (windowed min)", rtp)
 	}
@@ -236,7 +236,7 @@ func TestBBRBandwidthFilterWindowedMax(t *testing.T) {
 }
 
 func TestVegasIncreasesWhenNoQueueing(t *testing.T) {
-	v := NewVegas()
+	v := newVegas()
 	now := time.Duration(0)
 	rtt := 50 * time.Millisecond
 	v.OnTimeout(0) // force out of slow start via ssthresh? use OnLoss
@@ -252,7 +252,7 @@ func TestVegasIncreasesWhenNoQueueing(t *testing.T) {
 }
 
 func TestVegasBacksOffOnQueueing(t *testing.T) {
-	v := NewVegas()
+	v := newVegas()
 	now := time.Duration(0)
 	v.OnLoss(0) // exit slow start
 	// Establish baseRTT = 50 ms.
@@ -270,7 +270,7 @@ func TestVegasBacksOffOnQueueing(t *testing.T) {
 }
 
 func TestVegasSlowStartExit(t *testing.T) {
-	v := NewVegas()
+	v := newVegas()
 	now := time.Duration(0)
 	// Base RTT 50 ms, then inflated RTTs should cap slow start quickly.
 	now = ackRTT(v, now, 50*time.Millisecond)
@@ -323,7 +323,7 @@ func TestOnECNMatchesLossResponse(t *testing.T) {
 				byECN.CongestionWindow(), byLoss.CongestionWindow())
 		}
 	}
-	b := NewBBR()
+	b := newBBR()
 	w := b.CongestionWindow()
 	b.OnECN(time.Second)
 	if b.CongestionWindow() != w {
@@ -332,7 +332,7 @@ func TestOnECNMatchesLossResponse(t *testing.T) {
 }
 
 func TestBBRProbeRTTDipsWindow(t *testing.T) {
-	b := NewBBR()
+	b := newBBR()
 	now := time.Duration(0)
 	rtt := 40 * time.Millisecond
 	// Converge into probe_bw, then feed only larger RTT samples so the
@@ -342,18 +342,18 @@ func TestBBRProbeRTTDipsWindow(t *testing.T) {
 		b.OnAck(Ack{Now: now, RTT: rtt, Acked: units.MSS,
 			Inflight: 4 * units.MSS, BandwidthSample: 10 * units.Mbps})
 	}
-	if b.Mode() != "probe_bw" {
-		t.Fatalf("mode = %s, want probe_bw", b.Mode())
+	if b.mode != bbrProbeBW {
+		t.Fatalf("mode = %d, want probe_bw", b.mode)
 	}
 	for i := 0; i < 11000; i++ {
 		now += time.Millisecond
 		b.OnAck(Ack{Now: now, RTT: rtt + 10*time.Millisecond, Acked: units.MSS,
 			Inflight: 4 * units.MSS, BandwidthSample: 10 * units.Mbps})
-		if b.Mode() == "probe_rtt" {
+		if b.mode == bbrProbeRTT {
 			break
 		}
 	}
-	if b.Mode() != "probe_rtt" {
+	if b.mode != bbrProbeRTT {
 		t.Fatalf("never entered probe_rtt after min-RTT staleness")
 	}
 	if got := b.CongestionWindow(); got != 4*units.MSS {
@@ -365,7 +365,7 @@ func TestBBRProbeRTTDipsWindow(t *testing.T) {
 		b.OnAck(Ack{Now: now, RTT: rtt + 10*time.Millisecond, Acked: units.MSS,
 			Inflight: 2 * units.MSS, BandwidthSample: 10 * units.Mbps})
 	}
-	if b.Mode() != "probe_bw" {
-		t.Errorf("mode after probe_rtt dwell = %s, want probe_bw", b.Mode())
+	if b.mode != bbrProbeBW {
+		t.Errorf("mode after probe_rtt dwell = %d, want probe_bw", b.mode)
 	}
 }

@@ -7,11 +7,11 @@ import (
 	"bcpqp/internal/units"
 )
 
-// Cubic implements TCP Cubic (Ha, Rhee, Xu 2008; RFC 8312): window growth
+// cubic implements TCP Cubic (Ha, Rhee, Xu 2008; RFC 8312): window growth
 // follows W(t) = C(t−K)³ + Wmax between loss events, with a TCP-friendly
 // region matching Reno's throughput at small BDPs, multiplicative decrease
 // by β = 0.7, and fast convergence.
-type Cubic struct {
+type cubic struct {
 	cwnd     int64
 	ssthresh int64
 
@@ -33,16 +33,16 @@ const (
 	cubicBeta = 0.7
 )
 
-// NewCubic returns a Cubic controller with the standard initial window.
-func NewCubic() *Cubic {
-	return &Cubic{cwnd: initialWindow, ssthresh: 1 << 62}
+// newCubic returns a Cubic controller with the standard initial window.
+func newCubic() *cubic {
+	return &cubic{cwnd: initialWindow, ssthresh: 1 << 62}
 }
 
 // Name implements Controller.
-func (c *Cubic) Name() string { return "cubic" }
+func (c *cubic) Name() string { return "cubic" }
 
 // OnAck implements Controller.
-func (c *Cubic) OnAck(a Ack) {
+func (c *cubic) OnAck(a Ack) {
 	if a.RTT > 0 {
 		c.lastRTT = a.RTT
 	}
@@ -57,7 +57,7 @@ func (c *Cubic) OnAck(a Ack) {
 }
 
 // update advances the cubic function and grows cwnd toward its target.
-func (c *Cubic) update(now time.Duration, acked int64) {
+func (c *cubic) update(now time.Duration, acked int64) {
 	cwndPkts := float64(c.cwnd) / units.MSS
 	if !c.epochSet {
 		c.epochSet = true
@@ -106,7 +106,7 @@ func (c *Cubic) update(now time.Duration, acked int64) {
 
 // OnLoss implements Controller: multiplicative decrease with fast
 // convergence.
-func (c *Cubic) OnLoss(time.Duration) {
+func (c *cubic) OnLoss(time.Duration) {
 	cwndPkts := float64(c.cwnd) / units.MSS
 	if cwndPkts < c.wMax {
 		// Fast convergence: release bandwidth faster when a flow's
@@ -124,18 +124,18 @@ func (c *Cubic) OnLoss(time.Duration) {
 }
 
 // OnECN implements Controller: RFC 3168 — respond as to loss.
-func (c *Cubic) OnECN(now time.Duration) { c.OnLoss(now) }
+func (c *cubic) OnECN(now time.Duration) { c.OnLoss(now) }
 
 // OnTimeout implements Controller.
-func (c *Cubic) OnTimeout(time.Duration) {
+func (c *cubic) OnTimeout(time.Duration) {
 	c.OnLoss(0)
 	c.cwnd = units.MSS
 }
 
 // CongestionWindow implements Controller.
-func (c *Cubic) CongestionWindow() int64 { return c.cwnd }
+func (c *cubic) CongestionWindow() int64 { return c.cwnd }
 
 // PacingRate implements Controller; Cubic is ack-clocked here.
-func (c *Cubic) PacingRate() (units.Rate, bool) { return 0, false }
+func (c *cubic) PacingRate() (units.Rate, bool) { return 0, false }
 
-var _ Controller = (*Cubic)(nil)
+var _ Controller = (*cubic)(nil)

@@ -6,14 +6,14 @@ import (
 	"bcpqp/internal/units"
 )
 
-// Reno implements TCP New Reno congestion control (RFC 5681/6582 core
+// reno implements TCP New Reno congestion control (RFC 5681/6582 core
 // behaviour): slow start doubling per RTT, additive increase of one MSS per
 // RTT in congestion avoidance, and multiplicative decrease to half on loss.
 //
 // The paper's Appendix A analysis of phantom-queue sizing is written against
 // this algorithm: in steady state against a phantom queue drained at rate r,
 // Reno's instantaneous rate oscillates between 2r/3 and 4r/3.
-type Reno struct {
+type reno struct {
 	cwnd     int64
 	ssthresh int64
 	// acc accumulates acked bytes in congestion avoidance; each time it
@@ -22,16 +22,16 @@ type Reno struct {
 	acc int64
 }
 
-// NewReno returns a New Reno controller with the standard initial window.
-func NewReno() *Reno {
-	return &Reno{cwnd: initialWindow, ssthresh: 1 << 62}
+// newReno returns a New Reno controller with the standard initial window.
+func newReno() *reno {
+	return &reno{cwnd: initialWindow, ssthresh: 1 << 62}
 }
 
 // Name implements Controller.
-func (r *Reno) Name() string { return "reno" }
+func (r *reno) Name() string { return "reno" }
 
 // OnAck implements Controller.
-func (r *Reno) OnAck(a Ack) {
+func (r *reno) OnAck(a Ack) {
 	if r.cwnd < r.ssthresh {
 		// Slow start: grow by the acked bytes (doubles per RTT).
 		r.cwnd += a.Acked
@@ -51,7 +51,7 @@ func (r *Reno) OnAck(a Ack) {
 // OnLoss implements Controller: halve the window (New Reno fast recovery
 // sets cwnd to ssthresh on recovery; the transport signals loss once per
 // window).
-func (r *Reno) OnLoss(time.Duration) {
+func (r *reno) OnLoss(time.Duration) {
 	r.ssthresh = r.cwnd / 2
 	if r.ssthresh < minWindow {
 		r.ssthresh = minWindow
@@ -61,11 +61,11 @@ func (r *Reno) OnLoss(time.Duration) {
 }
 
 // OnECN implements Controller: RFC 3168 — respond as to loss.
-func (r *Reno) OnECN(now time.Duration) { r.OnLoss(now) }
+func (r *reno) OnECN(now time.Duration) { r.OnLoss(now) }
 
 // OnTimeout implements Controller: collapse to one segment and re-enter
 // slow start.
-func (r *Reno) OnTimeout(time.Duration) {
+func (r *reno) OnTimeout(time.Duration) {
 	r.ssthresh = r.cwnd / 2
 	if r.ssthresh < minWindow {
 		r.ssthresh = minWindow
@@ -75,9 +75,9 @@ func (r *Reno) OnTimeout(time.Duration) {
 }
 
 // CongestionWindow implements Controller.
-func (r *Reno) CongestionWindow() int64 { return r.cwnd }
+func (r *reno) CongestionWindow() int64 { return r.cwnd }
 
 // PacingRate implements Controller; Reno is purely ack-clocked.
-func (r *Reno) PacingRate() (units.Rate, bool) { return 0, false }
+func (r *reno) PacingRate() (units.Rate, bool) { return 0, false }
 
-var _ Controller = (*Reno)(nil)
+var _ Controller = (*reno)(nil)

@@ -6,7 +6,7 @@ import (
 	"bcpqp/internal/units"
 )
 
-// Vegas implements TCP Vegas (Brakmo & Peterson 1994): a delay-based
+// vegas implements TCP Vegas (Brakmo & Peterson 1994): a delay-based
 // algorithm that keeps between alpha and beta segments queued at the
 // bottleneck by comparing expected (cwnd/baseRTT) and actual (cwnd/RTT)
 // throughput once per round trip.
@@ -15,7 +15,7 @@ import (
 // through a buffering shaper it is the least aggressive competitor, while
 // the bufferless phantom-queue policer adds no delay and lets it keep its
 // fair share.
-type Vegas struct {
+type vegas struct {
 	cwnd     int64
 	ssthresh int64
 
@@ -33,16 +33,16 @@ const (
 	vegasGamma = 1
 )
 
-// NewVegas returns a Vegas controller.
-func NewVegas() *Vegas {
-	return &Vegas{cwnd: initialWindow, ssthresh: 1 << 62}
+// newVegas returns a Vegas controller.
+func newVegas() *vegas {
+	return &vegas{cwnd: initialWindow, ssthresh: 1 << 62}
 }
 
 // Name implements Controller.
-func (v *Vegas) Name() string { return "vegas" }
+func (v *vegas) Name() string { return "vegas" }
 
 // OnAck implements Controller.
-func (v *Vegas) OnAck(a Ack) {
+func (v *vegas) OnAck(a Ack) {
 	if a.RTT > 0 {
 		v.lastRTT = a.RTT
 		if v.baseRTT == 0 || a.RTT < v.baseRTT {
@@ -99,7 +99,7 @@ func (v *Vegas) OnAck(a Ack) {
 
 // OnLoss implements Controller: Vegas falls back to Reno-style halving on
 // packet loss.
-func (v *Vegas) OnLoss(time.Duration) {
+func (v *vegas) OnLoss(time.Duration) {
 	v.cwnd /= 2
 	if v.cwnd < minWindow {
 		v.cwnd = minWindow
@@ -108,10 +108,10 @@ func (v *Vegas) OnLoss(time.Duration) {
 }
 
 // OnECN implements Controller: RFC 3168 — respond as to loss.
-func (v *Vegas) OnECN(now time.Duration) { v.OnLoss(now) }
+func (v *vegas) OnECN(now time.Duration) { v.OnLoss(now) }
 
 // OnTimeout implements Controller.
-func (v *Vegas) OnTimeout(time.Duration) {
+func (v *vegas) OnTimeout(time.Duration) {
 	v.ssthresh = v.cwnd / 2
 	if v.ssthresh < minWindow {
 		v.ssthresh = minWindow
@@ -120,9 +120,9 @@ func (v *Vegas) OnTimeout(time.Duration) {
 }
 
 // CongestionWindow implements Controller.
-func (v *Vegas) CongestionWindow() int64 { return v.cwnd }
+func (v *vegas) CongestionWindow() int64 { return v.cwnd }
 
 // PacingRate implements Controller; Vegas is ack-clocked.
-func (v *Vegas) PacingRate() (units.Rate, bool) { return 0, false }
+func (v *vegas) PacingRate() (units.Rate, bool) { return 0, false }
 
-var _ Controller = (*Vegas)(nil)
+var _ Controller = (*vegas)(nil)

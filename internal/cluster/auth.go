@@ -38,20 +38,20 @@ func sealFrame(key, frame []byte) []byte {
 }
 
 // openFrame verifies and strips the tag from a sealed frame. With an empty
-// key it is the identity. Verification failures wrap ErrBadFrame so the
+// key it is the identity. Verification failures wrap errBadFrame so the
 // receive path counts them with every other malformation.
 func openFrame(key, data []byte) ([]byte, error) {
 	if len(key) == 0 {
 		return data, nil
 	}
 	if len(data) <= macLen {
-		return nil, fmt.Errorf("%w: sealed frame of %d bytes", ErrBadFrame, len(data))
+		return nil, fmt.Errorf("%w: sealed frame of %d bytes", errBadFrame, len(data))
 	}
 	body, tag := data[:len(data)-macLen], data[len(data)-macLen:]
 	m := hmac.New(sha256.New, key)
 	m.Write(body)
 	if !hmac.Equal(tag, m.Sum(nil)[:macLen]) {
-		return nil, fmt.Errorf("%w: frame authentication failed", ErrBadFrame)
+		return nil, fmt.Errorf("%w: frame authentication failed", errBadFrame)
 	}
 	return body, nil
 }

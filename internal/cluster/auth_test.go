@@ -12,7 +12,7 @@ import (
 // keys, and unsealed frames.
 func TestSealOpenRoundtrip(t *testing.T) {
 	key := []byte("cluster-secret")
-	frame := EncodeReport("b", 1, 1, nil, nil)
+	frame := encodeReport("b", 1, 1, nil, nil)
 
 	sealed := sealFrame(key, frame)
 	if len(sealed) != len(frame)+macLen {
@@ -40,11 +40,11 @@ func TestSealOpenRoundtrip(t *testing.T) {
 			return c
 		}(),
 	} {
-		if _, err := openFrame(key, data); !errors.Is(err, ErrBadFrame) {
+		if _, err := openFrame(key, data); !errors.Is(err, errBadFrame) {
 			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
 		}
 	}
-	if _, err := openFrame([]byte("other-key"), sealed); !errors.Is(err, ErrBadFrame) {
+	if _, err := openFrame([]byte("other-key"), sealed); !errors.Is(err, errBadFrame) {
 		t.Errorf("wrong key accepted: %v", err)
 	}
 
@@ -84,8 +84,8 @@ func TestClusterAuthEndToEnd(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 
-	a.Tick(now)
-	b.Tick(now)
+	a.tick(now)
+	b.tick(now)
 	for _, n := range []*Node{a, b} {
 		if st := n.Status(); st.Peers[0].Reports != 1 {
 			t.Fatalf("%s accepted %d reports after one exchange, want 1", st.Self, st.Peers[0].Reports)
@@ -94,13 +94,13 @@ func TestClusterAuthEndToEnd(t *testing.T) {
 
 	// Forgery 1: a plain (unsealed) frame claiming to be b, with grants an
 	// attacker would use to inflate a's share.
-	forged := EncodeReport("b", 1, 50, nil, []AggReport{{ID: "x", Grants: []Grant{{To: "a", Bps: 1e12}}}})
+	forged := encodeReport("b", 1, 50, nil, []aggReport{{ID: "x", Grants: []grant{{To: "a", Bps: 1e12}}}})
 	if err := a.Deliver(forged); err == nil {
 		t.Fatal("unauthenticated forged frame accepted")
 	}
 	// Forgery 2: the mute attack — Seq = 2^64-1 would permanently shadow
 	// every future legitimate report via the stale-drop path.
-	if err := a.Deliver(EncodeReport("b", 1, ^uint64(0), nil, nil)); err == nil {
+	if err := a.Deliver(encodeReport("b", 1, ^uint64(0), nil, nil)); err == nil {
 		t.Fatal("unauthenticated max-seq frame accepted")
 	}
 	st := a.Status()
@@ -113,8 +113,8 @@ func TestClusterAuthEndToEnd(t *testing.T) {
 
 	// The legitimate peer still gets through afterwards.
 	now += simWindow
-	a.Tick(now)
-	b.Tick(now)
+	a.tick(now)
+	b.tick(now)
 	if st := a.Status(); st.Peers[0].Reports != 2 || st.Peers[0].LastSeq != 2 {
 		t.Fatalf("legitimate exchange broken after forgeries: %+v", st.Peers[0])
 	}

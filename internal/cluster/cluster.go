@@ -114,7 +114,7 @@ type shared struct {
 	grantedIn units.Rate // honored inbound at last rebalance
 
 	grantOut []units.Rate // [peer][holdTicks] hold ring
-	grants   []Grant      // wire scratch for this tick's outbound grants
+	grants   []grant      // wire scratch for this tick's outbound grants
 
 	// Conformance roll-up (ISSUE: cluster-wide audit). All updated inside
 	// Rebalance under the node lock, alloc-free.
@@ -146,8 +146,8 @@ type Node struct {
 
 	// Scratch reused every tick so rebalancing allocates nothing.
 	demand   []peerDemand
-	echoes   []Echo
-	aggRpts  []AggReport
+	echoes   []echo
+	aggRpts  []aggReport
 	applyOps []applyOp
 	transits []transition
 
@@ -221,7 +221,7 @@ func New(cfg Config, aggs []SharedAggregate) (*Node, error) {
 			cfg:       a,
 			floor:     a.Rate / units.Rate(nFloor),
 			grantOut:  make([]units.Rate, len(n.peerIDs)*holdTicks),
-			grants:    make([]Grant, 0, len(n.peerIDs)),
+			grants:    make([]grant, 0, len(n.peerIDs)),
 			prevGrant: make([]units.Rate, len(n.peerIDs)),
 			convD:     obs.NewDigest(),
 		}
@@ -232,18 +232,18 @@ func New(cfg Config, aggs []SharedAggregate) (*Node, error) {
 	}
 	sort.Strings(n.sharedIDs)
 	n.demand = make([]peerDemand, len(n.peerIDs))
-	n.echoes = make([]Echo, 0, len(n.peerIDs))
-	n.aggRpts = make([]AggReport, 0, len(n.sharedIDs))
+	n.echoes = make([]echo, 0, len(n.peerIDs))
+	n.aggRpts = make([]aggReport, 0, len(n.sharedIDs))
 	n.applyOps = make([]applyOp, 0, len(n.sharedIDs))
 	n.transits = make([]transition, 0, len(n.peerIDs))
 	return n, nil
 }
 
-// Tick runs one full exchange round at virtual time now: sample observed
+// tick runs one full exchange round at virtual time now: sample observed
 // rates, rebalance shares, apply them, and broadcast this node's report.
 // Run calls it on the window cadence; tests call it directly under a
 // virtual clock.
-func (n *Node) Tick(now time.Duration) {
+func (n *Node) tick(now time.Duration) {
 	n.observe(now)
 	n.Rebalance(now)
 	n.broadcast(now)
@@ -371,7 +371,7 @@ func (n *Node) Rebalance(now time.Duration) {
 		s.grants = s.grants[:0]
 		for k, pid := range n.peerIDs {
 			if g := s.grantOut[k*holdTicks+n.tickIdx]; g > 0 {
-				s.grants = append(s.grants, Grant{To: pid, Bps: g})
+				s.grants = append(s.grants, grant{To: pid, Bps: g})
 			}
 		}
 	}
@@ -414,17 +414,17 @@ func (n *Node) broadcast(now time.Duration) {
 	n.echoes = n.echoes[:0]
 	for _, p := range n.peerList {
 		if p.everHeard {
-			n.echoes = append(n.echoes, Echo{Peer: p.id, Epoch: p.epoch, Seq: p.lastSeq})
+			n.echoes = append(n.echoes, echo{Peer: p.id, Epoch: p.epoch, Seq: p.lastSeq})
 		}
 	}
 	n.aggRpts = n.aggRpts[:0]
 	for _, id := range n.sharedIDs {
 		s := n.shared[id]
-		n.aggRpts = append(n.aggRpts, AggReport{
+		n.aggRpts = append(n.aggRpts, aggReport{
 			ID: id, Observed: s.observed, Applied: s.applied, Grants: s.grants,
 		})
 	}
-	frame := sealFrame(n.cfg.Key, EncodeReport(n.cfg.Self, n.epoch, n.seq, n.echoes, n.aggRpts))
+	frame := sealFrame(n.cfg.Key, encodeReport(n.cfg.Self, n.epoch, n.seq, n.echoes, n.aggRpts))
 	n.mu.Unlock()
 
 	for _, id := range n.peerIDs {
@@ -445,7 +445,7 @@ func (n *Node) Deliver(frame []byte) error {
 		n.mu.Unlock()
 		return err
 	}
-	f, err := DecodeFrame(body)
+	f, err := decodeFrame(body)
 	if err != nil {
 		n.mu.Lock()
 		n.badFrames++
@@ -455,7 +455,7 @@ func (n *Node) Deliver(frame []byte) error {
 	return n.deliverReport(f, n.cfg.Clock())
 }
 
-func (n *Node) deliverReport(f *Frame, now time.Duration) error {
+func (n *Node) deliverReport(f *frame, now time.Duration) error {
 	n.mu.Lock()
 	p := n.peers[f.Sender]
 	if p == nil {
@@ -542,7 +542,7 @@ func (n *Node) deliverReport(f *Frame, now time.Duration) error {
 // window during which the engine would still enforce whatever rate it was
 // built with (up to N·r cluster-wide).
 func (n *Node) Run() {
-	n.Tick(n.cfg.Clock())
+	n.tick(n.cfg.Clock())
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
@@ -553,7 +553,7 @@ func (n *Node) Run() {
 			case <-n.done:
 				return
 			case <-t.C:
-				n.Tick(n.cfg.Clock())
+				n.tick(n.cfg.Clock())
 			}
 		}
 	}()

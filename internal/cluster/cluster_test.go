@@ -178,7 +178,7 @@ func (s *clusterSim) step() {
 	}
 	for _, id := range s.ids {
 		if sn := s.nodes[id]; !sn.down {
-			sn.node.Tick(s.now)
+			sn.node.tick(s.now)
 		}
 	}
 }
@@ -337,7 +337,7 @@ func TestClusterSilentPeerDegradeLadder(t *testing.T) {
 			sn.accepted += float64(rate) / 8 * simWindow.Seconds()
 		}
 		sim.now += simWindow
-		sim.nodes["node-0"].node.Tick(sim.now)
+		sim.nodes["node-0"].node.tick(sim.now)
 		silent++
 		st = sim.nodes["node-0"].node.Status()
 		state := st.Peers[0].State
@@ -355,7 +355,7 @@ func TestClusterSilentPeerDegradeLadder(t *testing.T) {
 	}
 
 	// Resurrection: one tick from the silent peer revives it.
-	sim.nodes["node-1"].node.Tick(sim.now)
+	sim.nodes["node-1"].node.tick(sim.now)
 	st = sim.nodes["node-0"].node.Status()
 	if st.Peers[0].State != PeerAlive {
 		t.Fatalf("peer not resurrected by a valid report: %v", st.Peers[0].State)
@@ -375,7 +375,7 @@ func TestClusterStaleAndCorruptFrames(t *testing.T) {
 	n0 := sim.nodes["node-0"].node
 
 	// Replay node-1's current report twice by hand.
-	frame := EncodeReport("node-1", 1, 3, nil, nil) // seq 3 < current (5): stale
+	frame := encodeReport("node-1", 1, 3, nil, nil) // seq 3 < current (5): stale
 	if err := n0.Deliver(frame); err != nil {
 		t.Fatalf("stale frame returned delivery error: %v", err)
 	}
@@ -387,7 +387,7 @@ func TestClusterStaleAndCorruptFrames(t *testing.T) {
 	// A frame from a PREVIOUS incarnation is stale no matter how high its
 	// seq: epoch 0 predates node-1's current boot (epoch 1).
 	staleBefore := st.Peers[0].Stale
-	if err := n0.Deliver(EncodeReport("node-1", 0, 999, nil, nil)); err != nil {
+	if err := n0.Deliver(encodeReport("node-1", 0, 999, nil, nil)); err != nil {
 		t.Fatalf("old-incarnation frame returned delivery error: %v", err)
 	}
 	st = n0.Status()
@@ -401,7 +401,7 @@ func TestClusterStaleAndCorruptFrames(t *testing.T) {
 	if err := n0.Deliver([]byte("garbage-not-a-frame")); err == nil {
 		t.Fatal("garbage frame accepted")
 	}
-	if err := n0.Deliver(EncodeReport("node-9", 1, 99, nil, nil)); err == nil {
+	if err := n0.Deliver(encodeReport("node-9", 1, 99, nil, nil)); err == nil {
 		t.Fatal("unknown-sender frame accepted")
 	}
 	st = n0.Status()
@@ -409,7 +409,7 @@ func TestClusterStaleAndCorruptFrames(t *testing.T) {
 		t.Fatalf("BadFrames = %d, want 2", st.BadFrames)
 	}
 
-	if err := n0.Deliver(handoffFrame("node-1")); !errors.Is(err, ErrBadFrame) {
+	if err := n0.Deliver(handoffFrame("node-1")); !errors.Is(err, errBadFrame) {
 		t.Fatalf("handoff frame: Deliver error %v, want ErrBadFrame", err)
 	}
 	after := n0.Status()
@@ -466,7 +466,7 @@ func TestClusterSendRetryBackoff(t *testing.T) {
 			}
 			for tick := 1; tick <= ticks; tick++ {
 				now += a.cfg.Window
-				a.Tick(now)
+				a.tick(now)
 				want := 0
 				if tc.fails >= 0 {
 					want = max(tick-tc.fails, 0)
@@ -631,17 +631,17 @@ func TestClusterOmittedAggregateRevokesGrant(t *testing.T) {
 		defer mu.Unlock()
 		return applied
 	}
-	deliver := func(seq uint64, aggs []AggReport) {
-		echo := []Echo{{Peer: "a", Epoch: 7, Seq: a.Status().Seq}}
-		if err := a.Deliver(EncodeReport("b", 5, seq, echo, aggs)); err != nil {
+	deliver := func(seq uint64, aggs []aggReport) {
+		echo := []echo{{Peer: "a", Epoch: 7, Seq: a.Status().Seq}}
+		if err := a.Deliver(encodeReport("b", 5, seq, echo, aggs)); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	a.Tick(now) // seq 1
-	deliver(1, []AggReport{{ID: simAgg, Grants: []Grant{{To: "a", Bps: 10e6}}}})
+	a.tick(now) // seq 1
+	deliver(1, []aggReport{{ID: simAgg, Grants: []grant{{To: "a", Bps: 10e6}}}})
 	now += simWindow
-	a.Tick(now)
+	a.tick(now)
 	if want := floor + 10e6; got() != want {
 		t.Fatalf("granted share %.0f, want %.0f", float64(got()), float64(want))
 	}
@@ -649,7 +649,7 @@ func TestClusterOmittedAggregateRevokesGrant(t *testing.T) {
 	// b's next report is fresh and echo-valid but omits the aggregate.
 	deliver(2, nil)
 	now += simWindow
-	a.Tick(now)
+	a.tick(now)
 	if got() > floor {
 		t.Fatalf("share %.0f still honors the revoked grant (floor %.0f)", float64(got()), float64(floor))
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzDecodeFrame hardens the budget-exchange wire decoder against hostile
-// and corrupted input: DecodeFrame must never panic, never allocate
+// and corrupted input: decodeFrame must never panic, never allocate
 // proportionally to a lying length prefix, and anything it accepts must
 // re-encode to a frame that decodes to the same value (the canonical
 // roundtrip property). Rejection is always fine — the protocol treats a
@@ -19,25 +19,25 @@ func FuzzDecodeFrame(f *testing.F) {
 	// format rather than dying at the magic check, two of them at the
 	// decoder's edges: every ID at maxIDLen, and rates at the finite limits
 	// (one bit flip from +Inf or a negative rate).
-	f.Add(EncodeReport("node-a", 1, 1, nil, nil))
-	f.Add(EncodeReport("node-a", 1700, 42,
-		[]Echo{{Peer: "node-b", Epoch: 9, Seq: 41}, {Peer: "node-c", Epoch: 8, Seq: 40}},
-		[]AggReport{
+	f.Add(encodeReport("node-a", 1, 1, nil, nil))
+	f.Add(encodeReport("node-a", 1700, 42,
+		[]echo{{Peer: "node-b", Epoch: 9, Seq: 41}, {Peer: "node-c", Epoch: 8, Seq: 40}},
+		[]aggReport{
 			{ID: "tenant-1", Observed: 80e6, Applied: 90e6,
-				Grants: []Grant{{To: "node-b", Bps: 5e6}}},
+				Grants: []grant{{To: "node-b", Bps: 5e6}}},
 			{ID: "tenant-2", Observed: 1, Applied: 2},
 		}))
 	long := strings.Repeat("x", maxIDLen)
-	f.Add(EncodeReport(long, 1, 2, []Echo{{Peer: long, Epoch: 3, Seq: 4}},
-		[]AggReport{{ID: long, Grants: []Grant{{To: long, Bps: 1}}}}))
-	f.Add(EncodeReport("node-a", math.MaxUint64, math.MaxUint64, nil,
-		[]AggReport{{ID: "t", Observed: math.MaxFloat64, Applied: 0,
-			Grants: []Grant{{To: "node-b", Bps: math.SmallestNonzeroFloat64}}}}))
+	f.Add(encodeReport(long, 1, 2, []echo{{Peer: long, Epoch: 3, Seq: 4}},
+		[]aggReport{{ID: long, Grants: []grant{{To: long, Bps: 1}}}}))
+	f.Add(encodeReport("node-a", math.MaxUint64, math.MaxUint64, nil,
+		[]aggReport{{ID: "t", Observed: math.MaxFloat64, Applied: 0,
+			Grants: []grant{{To: "node-b", Bps: math.SmallestNonzeroFloat64}}}}))
 	f.Add([]byte(frameMagic))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := DecodeFrame(data)
+		fr, err := decodeFrame(data)
 		if err != nil {
 			if fr != nil {
 				t.Fatal("non-nil frame alongside an error")
@@ -65,7 +65,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if fr.Type != typeReport {
 			t.Fatalf("accepted unknown type %d", fr.Type)
 		}
-		fr2, err := DecodeFrame(EncodeReport(fr.Sender, fr.Epoch, fr.Seq, fr.Echoes, fr.Aggs))
+		fr2, err := decodeFrame(encodeReport(fr.Sender, fr.Epoch, fr.Seq, fr.Echoes, fr.Aggs))
 		if err != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)
 		}
@@ -75,7 +75,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-func framesEqual(a, b *Frame) bool {
+func framesEqual(a, b *frame) bool {
 	if a.Type != b.Type || a.Sender != b.Sender || a.Epoch != b.Epoch || a.Seq != b.Seq ||
 		len(a.Echoes) != len(b.Echoes) || len(a.Aggs) != len(b.Aggs) {
 		return false

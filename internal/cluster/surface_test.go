@@ -34,7 +34,7 @@ func TestNodeSurface(t *testing.T) {
 		}},
 		{"SharedAggregate fields", fields(SharedAggregate{}), []string{"Apply", "ID", "Observed", "Rate"}},
 		{"*Node methods", methods, []string{
-			"Close", "Degraded", "Deliver", "MetricFamilies", "Rebalance", "Run", "Status", "Tick",
+			"Close", "Degraded", "Deliver", "MetricFamilies", "Rebalance", "Run", "Status",
 		}},
 	} {
 		if !slices.Equal(tc.got, tc.want) {

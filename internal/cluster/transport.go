@@ -50,9 +50,6 @@ func NewUDPTransport(listen string, peers map[string]string) (*UDPTransport, err
 	return t, nil
 }
 
-// Addr returns the bound local address (useful with ":0" listeners).
-func (t *UDPTransport) Addr() net.Addr { return t.conn.LocalAddr() }
-
 // Send transmits one frame to the named peer.
 func (t *UDPTransport) Send(peer string, frame []byte) error {
 	addr := t.peers[peer]

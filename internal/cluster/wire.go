@@ -9,7 +9,7 @@
 //
 // Robustness contract, enforced here and proven by FuzzDecodeFrame:
 //
-//   - DecodeFrame never panics on any input.
+//   - decodeFrame never panics on any input.
 //   - Unknown magic, unknown version, unknown type (including the handoff
 //     frame, type 2, of the same version's earlier two-type wire),
 //     truncation, trailing bytes, NaN rates, negative rates, oversized
@@ -41,58 +41,58 @@ const (
 	maxGrants   = 255 // one per peer per aggregate; u8 count
 )
 
-// ErrBadFrame tags every decode rejection; errors.Is(err, ErrBadFrame)
+// errBadFrame tags every decode rejection; errors.Is(err, errBadFrame)
 // holds for any malformed input.
-var ErrBadFrame = errors.New("cluster: bad frame")
+var errBadFrame = errors.New("cluster: bad frame")
 
-// Echo acknowledges the latest report sequence number heard from one peer.
+// echo acknowledges the latest report sequence number heard from one peer.
 // Echoes make freshness symmetric: I honor your grant only while your
 // report proves you have recently heard ME, which defeats one-way
 // partitions and arbitrarily delayed replays (a stale echo ages out even
 // though the frame itself is intact). Epoch pins the acknowledgement to
 // one incarnation of the peer: sequence numbers restart at zero on reboot,
 // so an echo of a pre-restart seq must not look current to the new boot.
-type Echo struct {
+type echo struct {
 	Peer  string
 	Epoch uint64
 	Seq   uint64
 }
 
-// Grant cedes part of the sender's budget for one aggregate to one peer.
+// grant cedes part of the sender's budget for one aggregate to one peer.
 // The sender holds the ceded amount out of its own share for longer than
 // the grant can possibly be honored, so the global bound survives any
 // delivery schedule.
-type Grant struct {
+type grant struct {
 	To  string
 	Bps units.Rate
 }
 
-// AggReport is one shared aggregate's entry in a report: the sender's
+// aggReport is one shared aggregate's entry in a report: the sender's
 // observed accept rate, the share it is currently enforcing, and the
 // budget it cedes to needier peers.
-type AggReport struct {
+type aggReport struct {
 	ID       string
 	Observed units.Rate // accept rate over the last window, bits/sec
 	Applied  units.Rate // share currently enforced, bits/sec
-	Grants   []Grant
+	Grants   []grant
 }
 
-// Frame is one decoded budget-exchange message. Epoch identifies the
+// frame is one decoded budget-exchange message. Epoch identifies the
 // sender's boot: a restart resets Seq to zero under a fresh (higher)
 // epoch, so receivers can distinguish a rebooted peer from a replay.
-type Frame struct {
+type frame struct {
 	Type   uint8 // typeReport
 	Sender string
 	Epoch  uint64
 	Seq    uint64
-	Echoes []Echo
-	Aggs   []AggReport
+	Echoes []echo
+	Aggs   []aggReport
 }
 
-// EncodeReport builds a report frame. Callers keep Echoes/Aggs within the
+// encodeReport builds a report frame. Callers keep Echoes/Aggs within the
 // wire caps; oversized inputs are truncated rather than generating an
 // undecodable frame.
-func EncodeReport(sender string, epoch, seq uint64, echoes []Echo, aggs []AggReport) []byte {
+func encodeReport(sender string, epoch, seq uint64, echoes []echo, aggs []aggReport) []byte {
 	var e enforcer.Enc
 	e.Bytes([]byte(frameMagic))
 	e.U8(wireVersion)
@@ -130,20 +130,20 @@ func EncodeReport(sender string, epoch, seq uint64, echoes []Echo, aggs []AggRep
 	return e.Out()
 }
 
-// DecodeFrame parses one frame. Any malformation returns an error wrapping
-// ErrBadFrame; the returned Frame is nil on error. Decoded IDs are copied,
+// decodeFrame parses one frame. Any malformation returns an error wrapping
+// errBadFrame; the returned frame is nil on error. Decoded IDs are copied,
 // so the caller's buffer may be recycled.
-func DecodeFrame(data []byte) (*Frame, error) {
+func decodeFrame(data []byte) (*frame, error) {
 	d := enforcer.NewDec(data)
 	if magic := d.Bytes(); string(magic) != frameMagic {
-		return nil, fmt.Errorf("%w: magic %q", ErrBadFrame, magic)
+		return nil, fmt.Errorf("%w: magic %q", errBadFrame, magic)
 	}
 	if v := d.U8(); v != wireVersion {
-		return nil, fmt.Errorf("%w: version %d (want %d)", ErrBadFrame, v, wireVersion)
+		return nil, fmt.Errorf("%w: version %d (want %d)", errBadFrame, v, wireVersion)
 	}
-	f := &Frame{Type: d.U8()}
+	f := &frame{Type: d.U8()}
 	if f.Type != typeReport {
-		return nil, fmt.Errorf("%w: type %d", ErrBadFrame, f.Type)
+		return nil, fmt.Errorf("%w: type %d", errBadFrame, f.Type)
 	}
 	var err error
 	if f.Sender, err = decodeID(d, "sender"); err != nil {
@@ -155,48 +155,48 @@ func DecodeFrame(data []byte) (*Frame, error) {
 		return nil, err
 	}
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		return nil, fmt.Errorf("%w: %v", errBadFrame, err)
 	}
 	return f, nil
 }
 
-func decodeReport(d *enforcer.Dec, f *Frame) error {
+func decodeReport(d *enforcer.Dec, f *frame) error {
 	nEchoes := int(d.U8())
 	if nEchoes > 0 {
-		f.Echoes = make([]Echo, 0, nEchoes)
+		f.Echoes = make([]echo, 0, nEchoes)
 	}
 	for i := 0; i < nEchoes; i++ {
 		peer, err := decodeID(d, "echo peer")
 		if err != nil {
 			return err
 		}
-		f.Echoes = append(f.Echoes, Echo{Peer: peer, Epoch: d.U64(), Seq: d.U64()})
+		f.Echoes = append(f.Echoes, echo{Peer: peer, Epoch: d.U64(), Seq: d.U64()})
 	}
 	nAggs := int(d.U8())
 	if nAggs > 0 {
-		f.Aggs = make([]AggReport, 0, nAggs)
+		f.Aggs = make([]aggReport, 0, nAggs)
 	}
 	for i := 0; i < nAggs; i++ {
 		id, err := decodeID(d, "aggregate")
 		if err != nil {
 			return err
 		}
-		a := AggReport{ID: id, Observed: units.Rate(d.F64()), Applied: units.Rate(d.F64())}
+		a := aggReport{ID: id, Observed: units.Rate(d.F64()), Applied: units.Rate(d.F64())}
 		if d.Err() == nil && !(finiteRate(a.Observed) && finiteRate(a.Applied)) {
-			return fmt.Errorf("%w: non-finite or negative rate for %q", ErrBadFrame, id)
+			return fmt.Errorf("%w: non-finite or negative rate for %q", errBadFrame, id)
 		}
 		nGrants := int(d.U8())
 		if nGrants > 0 {
-			a.Grants = make([]Grant, 0, nGrants)
+			a.Grants = make([]grant, 0, nGrants)
 		}
 		for j := 0; j < nGrants; j++ {
 			to, err := decodeID(d, "grant peer")
 			if err != nil {
 				return err
 			}
-			g := Grant{To: to, Bps: units.Rate(d.F64())}
+			g := grant{To: to, Bps: units.Rate(d.F64())}
 			if d.Err() == nil && !finiteRate(g.Bps) {
-				return fmt.Errorf("%w: non-finite or negative grant to %q", ErrBadFrame, to)
+				return fmt.Errorf("%w: non-finite or negative grant to %q", errBadFrame, to)
 			}
 			a.Grants = append(a.Grants, g)
 		}
@@ -211,13 +211,13 @@ func decodeReport(d *enforcer.Dec, f *Frame) error {
 func decodeID(d *enforcer.Dec, what string) (string, error) {
 	b := d.Bytes()
 	if err := d.Err(); err != nil {
-		return "", fmt.Errorf("%w: %s: %v", ErrBadFrame, what, err)
+		return "", fmt.Errorf("%w: %s: %v", errBadFrame, what, err)
 	}
 	if len(b) == 0 {
-		return "", fmt.Errorf("%w: empty %s id", ErrBadFrame, what)
+		return "", fmt.Errorf("%w: empty %s id", errBadFrame, what)
 	}
 	if len(b) > maxIDLen {
-		return "", fmt.Errorf("%w: %s id %d bytes exceeds %d", ErrBadFrame, what, len(b), maxIDLen)
+		return "", fmt.Errorf("%w: %s id %d bytes exceeds %d", errBadFrame, what, len(b), maxIDLen)
 	}
 	return string(b), nil
 }

@@ -38,7 +38,7 @@ func TestWireReportGolden(t *testing.T) {
 	if wireVersion != 2 {
 		t.Fatalf("wireVersion = %d, want 2: the golden's version byte", wireVersion)
 	}
-	f, err := DecodeFrame(want)
+	f, err := decodeFrame(want)
 	if err != nil {
 		t.Fatalf("golden report rejected: %v", err)
 	}

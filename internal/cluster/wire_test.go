@@ -26,27 +26,27 @@ func handoffFrame(sender string) []byte {
 }
 
 func sampleReport() ([]byte, string, uint64) {
-	echoes := []Echo{{Peer: "node-b", Epoch: 1700, Seq: 41}, {Peer: "node-c", Epoch: 1701, Seq: 39}}
-	aggs := []AggReport{
-		{ID: "tenant-1", Observed: 80e6, Applied: 90e6, Grants: []Grant{
+	echoes := []echo{{Peer: "node-b", Epoch: 1700, Seq: 41}, {Peer: "node-c", Epoch: 1701, Seq: 39}}
+	aggs := []aggReport{
+		{ID: "tenant-1", Observed: 80e6, Applied: 90e6, Grants: []grant{
 			{To: "node-b", Bps: 5e6}, {To: "node-c", Bps: 2.5e6},
 		}},
 		{ID: "tenant-2", Observed: 0, Applied: 33.3e6},
 	}
-	return EncodeReport("node-a", 1699, 42, echoes, aggs), "node-a", 42
+	return encodeReport("node-a", 1699, 42, echoes, aggs), "node-a", 42
 }
 
 // TestWireReportRoundtrip: encode → decode is lossless.
 func TestWireReportRoundtrip(t *testing.T) {
 	frame, sender, seq := sampleReport()
-	f, err := DecodeFrame(frame)
+	f, err := decodeFrame(frame)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if f.Sender != sender || f.Epoch != 1699 || f.Seq != seq || f.Type != typeReport {
 		t.Fatalf("header mismatch: %+v", f)
 	}
-	if len(f.Echoes) != 2 || f.Echoes[0] != (Echo{Peer: "node-b", Epoch: 1700, Seq: 41}) {
+	if len(f.Echoes) != 2 || f.Echoes[0] != (echo{Peer: "node-b", Epoch: 1700, Seq: 41}) {
 		t.Fatalf("echoes: %+v", f.Echoes)
 	}
 	if len(f.Aggs) != 2 {
@@ -54,7 +54,7 @@ func TestWireReportRoundtrip(t *testing.T) {
 	}
 	a := f.Aggs[0]
 	if a.ID != "tenant-1" || a.Observed != 80e6 || a.Applied != 90e6 ||
-		len(a.Grants) != 2 || a.Grants[1] != (Grant{To: "node-c", Bps: 2.5e6}) {
+		len(a.Grants) != 2 || a.Grants[1] != (grant{To: "node-c", Bps: 2.5e6}) {
 		t.Fatalf("agg 0: %+v", a)
 	}
 	if f.Aggs[1].Observed != 0 || len(f.Aggs[1].Grants) != 0 {
@@ -62,7 +62,7 @@ func TestWireReportRoundtrip(t *testing.T) {
 	}
 }
 
-// TestWireRejections: every malformation class rejects with ErrBadFrame
+// TestWireRejections: every malformation class rejects with errBadFrame
 // and a nil frame — corruption must degrade to the silence path.
 func TestWireRejections(t *testing.T) {
 	good, _, _ := sampleReport()
@@ -87,7 +87,7 @@ func TestWireRejections(t *testing.T) {
 		{"truncated mid-agg", good[:len(good)-5]},
 		{"trailing bytes", append(append([]byte(nil), good...), 0xde, 0xad)},
 		{"oversized id", func() []byte {
-			// Hand-rolled: EncodeReport clamps IDs, so build a frame whose
+			// Hand-rolled: encodeReport clamps IDs, so build a frame whose
 			// sender id exceeds the cap directly.
 			var e enforcer.Enc
 			e.Bytes([]byte(frameMagic))
@@ -103,11 +103,11 @@ func TestWireRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f, err := DecodeFrame(tc.frame)
+			f, err := decodeFrame(tc.frame)
 			if err == nil {
 				t.Fatalf("decoded successfully: %+v", f)
 			}
-			if !errors.Is(err, ErrBadFrame) {
+			if !errors.Is(err, errBadFrame) {
 				t.Fatalf("error %v does not wrap ErrBadFrame", err)
 			}
 			if f != nil {
@@ -120,16 +120,16 @@ func TestWireRejections(t *testing.T) {
 // TestWireRejectsNegativeAndNaNRates: decodable frames with semantically
 // poisonous values (negative shares, NaN) must also reject.
 func TestWireRejectsNegativeAndNaNRates(t *testing.T) {
-	neg := EncodeReport("a", 1, 1, nil, []AggReport{{ID: "t", Observed: -5, Applied: 1}})
-	if _, err := DecodeFrame(neg); !errors.Is(err, ErrBadFrame) {
+	neg := encodeReport("a", 1, 1, nil, []aggReport{{ID: "t", Observed: -5, Applied: 1}})
+	if _, err := decodeFrame(neg); !errors.Is(err, errBadFrame) {
 		t.Fatalf("negative observed accepted: %v", err)
 	}
-	negGrant := EncodeReport("a", 1, 1, nil, []AggReport{{ID: "t", Grants: []Grant{{To: "b", Bps: -1}}}})
-	if _, err := DecodeFrame(negGrant); !errors.Is(err, ErrBadFrame) {
+	negGrant := encodeReport("a", 1, 1, nil, []aggReport{{ID: "t", Grants: []grant{{To: "b", Bps: -1}}}})
+	if _, err := decodeFrame(negGrant); !errors.Is(err, errBadFrame) {
 		t.Fatalf("negative grant accepted: %v", err)
 	}
-	nan := EncodeReport("a", 1, 1, nil, []AggReport{{ID: "t", Observed: units.Rate(nanRate())}})
-	if _, err := DecodeFrame(nan); err == nil {
+	nan := encodeReport("a", 1, 1, nil, []aggReport{{ID: "t", Observed: units.Rate(nanRate())}})
+	if _, err := decodeFrame(nan); err == nil {
 		t.Fatal("NaN rate accepted")
 	}
 }
@@ -141,7 +141,7 @@ func nanRate() float64 {
 
 // TestWireEmptySenderRejected: an ID-free frame cannot attribute state.
 func TestWireEmptySenderRejected(t *testing.T) {
-	if _, err := DecodeFrame(EncodeReport("", 1, 1, nil, nil)); !errors.Is(err, ErrBadFrame) {
+	if _, err := decodeFrame(encodeReport("", 1, 1, nil, nil)); !errors.Is(err, errBadFrame) {
 		t.Fatalf("empty sender accepted: %v", err)
 	}
 }

@@ -64,12 +64,12 @@ type Snapshotter interface {
 	RestoreState(now time.Duration, data []byte) error
 }
 
-// ErrSnapshotTooShort reports a truncated snapshot blob.
-var ErrSnapshotTooShort = errors.New("enforcer: snapshot truncated")
+// errSnapshotTooShort reports a truncated snapshot blob.
+var errSnapshotTooShort = errors.New("enforcer: snapshot truncated")
 
-// ErrSnapshotTrailing reports unconsumed bytes after a complete decode —
+// errSnapshotTrailing reports unconsumed bytes after a complete decode —
 // almost always a version- or configuration-mismatch symptom.
-var ErrSnapshotTrailing = errors.New("enforcer: trailing bytes after snapshot")
+var errSnapshotTrailing = errors.New("enforcer: trailing bytes after snapshot")
 
 // Enc builds a little-endian binary snapshot blob. The zero value is ready
 // to use. Enc never fails; errors surface on the decode side.
@@ -109,8 +109,8 @@ func (e *Enc) I64(v int64) { e.U64(uint64(v)) }
 // F64 appends a float64 as its IEEE-754 bits.
 func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 
-// Dur appends a time.Duration as nanoseconds.
-func (e *Enc) Dur(d time.Duration) { e.I64(int64(d)) }
+// dur appends a time.Duration as nanoseconds.
+func (e *Enc) dur(d time.Duration) { e.I64(int64(d)) }
 
 // Age appends instant t as its age at now, now − t: the clock-relative form
 // every Snapshotter stores instants in (Dec.Instant reads it back). An
@@ -122,7 +122,7 @@ func (e *Enc) Age(now, t time.Duration, set bool) {
 	if !set {
 		t = now
 	}
-	e.Dur(now - t)
+	e.dur(now - t)
 }
 
 // Bytes appends a u32 length prefix followed by the raw bytes.
@@ -161,7 +161,7 @@ func (d *Dec) take(n int) []byte {
 	}
 	if d.off+n > len(d.buf) {
 		d.err = fmt.Errorf("%w: need %d bytes at offset %d of %d",
-			ErrSnapshotTooShort, n, d.off, len(d.buf))
+			errSnapshotTooShort, n, d.off, len(d.buf))
 		return nil
 	}
 	b := d.buf[d.off : d.off+n]
@@ -224,15 +224,15 @@ func (d *Dec) F64() float64 {
 	return v
 }
 
-// Dur reads a time.Duration.
-func (d *Dec) Dur() time.Duration { return time.Duration(d.I64()) }
+// dur reads a time.Duration.
+func (d *Dec) dur() time.Duration { return time.Duration(d.I64()) }
 
 // Instant reads an age written by Enc.Age and returns the instant it names
 // at the receiver's now, now − age. Either sign of age, and a negative
 // instant, are legal; an age whose instant does not fit a Duration is an
 // error.
 func (d *Dec) Instant(now time.Duration) time.Duration {
-	age := d.Dur()
+	age := d.dur()
 	t := now - age
 	if (age > 0 && t > now) || (age < 0 && t < now) {
 		d.Fail("enforcer: snapshot age %v overflows at %v", age, now)
@@ -248,7 +248,7 @@ func (d *Dec) Bytes() []byte {
 	n := d.U32()
 	if d.err == nil && int(n) > len(d.buf)-d.off {
 		d.err = fmt.Errorf("%w: length prefix %d exceeds remaining %d",
-			ErrSnapshotTooShort, n, len(d.buf)-d.off)
+			errSnapshotTooShort, n, len(d.buf)-d.off)
 		return nil
 	}
 	return d.take(int(n))
@@ -280,14 +280,14 @@ func (d *Dec) Fail(format string, args ...any) {
 	}
 }
 
-// Finish returns the first decode error, or ErrSnapshotTrailing when the
+// Finish returns the first decode error, or errSnapshotTrailing when the
 // blob was not fully consumed.
 func (d *Dec) Finish() error {
 	if d.err != nil {
 		return d.err
 	}
 	if d.off != len(d.buf) {
-		return fmt.Errorf("%w: %d of %d bytes unread", ErrSnapshotTrailing, len(d.buf)-d.off, len(d.buf))
+		return fmt.Errorf("%w: %d of %d bytes unread", errSnapshotTrailing, len(d.buf)-d.off, len(d.buf))
 	}
 	return nil
 }

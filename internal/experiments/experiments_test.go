@@ -14,7 +14,7 @@ import (
 func TestRunAggregateBasics(t *testing.T) {
 	agg := workload.Backlogged(5*units.Mbps, []string{"reno"},
 		[]time.Duration{20 * time.Millisecond}, 2, 10*time.Millisecond)
-	res, err := RunAggregate(agg, RunOpts{
+	res, err := runAggregate(agg, RunOpts{
 		Scheme:   harness.SchemeBCPQP,
 		Duration: 5 * time.Second,
 	})
@@ -29,7 +29,7 @@ func TestRunAggregateBasics(t *testing.T) {
 	if float64(total) < 0.7*want || float64(total) > 1.3*want {
 		t.Errorf("delivered %d bytes, want ≈%.0f", total, want)
 	}
-	samples := res.NormalizedAggSamples()
+	samples := res.normalizedAggSamples()
 	if len(samples) == 0 {
 		t.Fatal("no normalized samples")
 	}
@@ -50,7 +50,7 @@ func TestRunAggregateOnOff(t *testing.T) {
 			Class: 0,
 		}},
 	}
-	res, err := RunAggregate(agg, RunOpts{
+	res, err := runAggregate(agg, RunOpts{
 		Scheme:   harness.SchemeBCPQP,
 		Duration: 10 * time.Second,
 	})
@@ -65,10 +65,10 @@ func TestRunAggregateOnOff(t *testing.T) {
 func TestRunAggregateValidation(t *testing.T) {
 	agg := workload.Backlogged(units.Mbps, []string{"reno"},
 		[]time.Duration{time.Millisecond}, 1, 0)
-	if _, err := RunAggregate(agg, RunOpts{Scheme: harness.SchemeBCPQP}); err == nil {
+	if _, err := runAggregate(agg, RunOpts{Scheme: harness.SchemeBCPQP}); err == nil {
 		t.Error("zero duration accepted")
 	}
-	if _, err := RunAggregate(workload.Aggregate{Rate: units.Mbps},
+	if _, err := runAggregate(workload.Aggregate{Rate: units.Mbps},
 		RunOpts{Scheme: harness.SchemeBCPQP, Duration: time.Second}); err == nil {
 		t.Error("empty aggregate accepted")
 	}
@@ -79,14 +79,14 @@ func TestJainPerWindowCountsStarvedFlows(t *testing.T) {
 	// (never delivers); Jain must reflect the starvation, not ignore it.
 	agg := workload.Backlogged(2*units.Mbps, []string{"cubic", "vegas"},
 		[]time.Duration{10 * time.Millisecond}, 2, 10*time.Millisecond)
-	res, err := RunAggregate(agg, RunOpts{
+	res, err := runAggregate(agg, RunOpts{
 		Scheme:   harness.SchemeBCPQP,
 		Duration: 4 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jains := res.JainPerWindow()
+	jains := res.jainPerWindow()
 	if len(jains) == 0 {
 		t.Fatal("no Jain samples despite two backlogged flows")
 	}
@@ -94,7 +94,7 @@ func TestJainPerWindowCountsStarvedFlows(t *testing.T) {
 
 func TestTableRendering(t *testing.T) {
 	tab := &Table{Columns: []string{"a", "bbbb"}}
-	tab.AddRow("x", "y")
+	tab.addRow("x", "y")
 	out := tab.String()
 	if !strings.Contains(out, "a") || !strings.Contains(out, "bbbb") || !strings.Contains(out, "x") {
 		t.Errorf("table render missing content:\n%s", out)
@@ -134,7 +134,7 @@ func TestParseScale(t *testing.T) {
 	if s, err := ParseScale(""); err != nil || s != Quick {
 		t.Error("empty scale should be Quick")
 	}
-	if s, err := ParseScale("full"); err != nil || s != Full {
+	if s, err := ParseScale("full"); err != nil || s != full {
 		t.Error("full scale parse failed")
 	}
 	if _, err := ParseScale("xl"); err == nil {
@@ -223,7 +223,7 @@ func TestFig5Shape(t *testing.T) {
 	var best [len(runs)]float64
 	for round := 0; round < 25; round++ {
 		for k, r := range runs {
-			if ns := MeasureEfficiency(r.scheme, r.packets).NsPerPacket; round == 0 || ns < best[k] {
+			if ns := measureEfficiency(r.scheme, r.packets).NsPerPacket; round == 0 || ns < best[k] {
 				best[k] = ns
 			}
 		}
@@ -274,7 +274,7 @@ func TestReportCSV(t *testing.T) {
 }
 
 func TestPlotRendersAllSeries(t *testing.T) {
-	out := Plot([]Series{
+	out := plot([]Series{
 		{Name: "a", XLabel: "t", YLabel: "Mbps", X: []float64{0, 1, 2}, Y: []float64{1, 2, 3}},
 		{Name: "b", X: []float64{0, 1, 2}, Y: []float64{3, 2, 1}},
 	})
@@ -286,14 +286,14 @@ func TestPlotRendersAllSeries(t *testing.T) {
 }
 
 func TestPlotEmptyAndDegenerate(t *testing.T) {
-	if Plot(nil) != "" {
+	if plot(nil) != "" {
 		t.Error("empty plot should render nothing")
 	}
-	if Plot([]Series{{Name: "e"}}) != "" {
+	if plot([]Series{{Name: "e"}}) != "" {
 		t.Error("pointless series should render nothing")
 	}
 	// A flat series must not divide by zero.
-	out := Plot([]Series{{Name: "flat", X: []float64{0, 1}, Y: []float64{5, 5}}})
+	out := plot([]Series{{Name: "flat", X: []float64{0, 1}, Y: []float64{5, 5}}})
 	if !strings.Contains(out, "flat") {
 		t.Error("flat series did not render")
 	}
@@ -359,7 +359,7 @@ func TestFig6bcShape(t *testing.T) {
 // shards healthy. The name matches the chaos regex, so `make chaos` runs
 // this under the race detector too.
 func TestExtOverloadShape(t *testing.T) {
-	r, err := ExtOverload(Quick, 1)
+	r, err := extOverload(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestExtMemShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates heavily")
 	}
-	r, err := ExtMem(Quick, 1)
+	r, err := extMem(Quick, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func ExtAQM(scale Scale, seed uint64) (*Report, error) {
 	rate := 10 * units.Mbps
 	rtt := 50 * time.Millisecond
 	dur := 30 * time.Second
-	if scale == Full {
+	if scale == full {
 		dur = 60 * time.Second
 	}
 	req := units.RenoPhantomRequirement(rate, rtt)
@@ -54,7 +54,7 @@ func ExtAQM(scale Scale, seed uint64) (*Report, error) {
 		}},
 	}
 	for _, v := range variants {
-		res, err := RunAggregate(agg, RunOpts{
+		res, err := runAggregate(agg, RunOpts{
 			Scheme:           harness.SchemePQP,
 			PhantomQueueSize: B,
 			PhantomRED:       v.red,
@@ -64,8 +64,8 @@ func ExtAQM(scale Scale, seed uint64) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		samples := res.NormalizedAggSamples()
-		table.AddRow(v.name,
+		samples := res.normalizedAggSamples()
+		table.addRow(v.name,
 			f3(mean(secondHalf(samples))),
 			f2(metrics.NewDist(samples).Max()),
 			f3(res.Stats.DropRate()),
@@ -95,7 +95,7 @@ func ExtECN(scale Scale, seed uint64) (*Report, error) {
 	rate := 10 * units.Mbps
 	rtt := 50 * time.Millisecond
 	dur := 30 * time.Second
-	if scale == Full {
+	if scale == full {
 		dur = 60 * time.Second
 	}
 	req := units.RenoPhantomRequirement(rate, rtt)
@@ -129,7 +129,7 @@ func ExtECN(scale Scale, seed uint64) (*Report, error) {
 		aggV := agg
 		aggV.Flows = append([]workload.FlowSpec(nil), agg.Flows...)
 		aggV.Flows[0].ECN = v.ecn
-		res, err := RunAggregate(aggV, RunOpts{
+		res, err := runAggregate(aggV, RunOpts{
 			Scheme:           harness.SchemePQP,
 			PhantomQueueSize: B,
 			PhantomRED:       v.red,
@@ -139,8 +139,8 @@ func ExtECN(scale Scale, seed uint64) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		samples := res.NormalizedAggSamples()
-		table.AddRow(v.name,
+		samples := res.normalizedAggSamples()
+		table.addRow(v.name,
 			f3(mean(secondHalf(samples))),
 			f3(res.Stats.DropRate()),
 			fmt.Sprintf("%d", res.Flows[0].Rtx),
@@ -161,14 +161,14 @@ func ExtECN(scale Scale, seed uint64) (*Report, error) {
 	}, nil
 }
 
-// ExtMem is an extension experiment quantifying the §2.1 motivation: the
+// extMem is an extension experiment quantifying the §2.1 motivation: the
 // memory a shaper must hold for buffered packets versus the counters a
 // phantom-queue policer keeps, measured as live heap per operating
 // aggregate while both are under 1.3× offered load.
-func ExtMem(scale Scale, seed uint64) (*Report, error) {
+func extMem(scale Scale, seed uint64) (*Report, error) {
 	aggregates := 100
 	packetsPer := 4000
-	if scale == Full {
+	if scale == full {
 		aggregates = 1000
 		packetsPer = 8000
 	}
@@ -185,7 +185,7 @@ func ExtMem(scale Scale, seed uint64) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(scheme.String(), f1(perAgg/1000))
+		table.addRow(scheme.String(), f1(perAgg/1000))
 	}
 	return &Report{
 		ID:    "ext-mem",

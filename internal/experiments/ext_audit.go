@@ -12,7 +12,7 @@ import (
 	"bcpqp/internal/workload"
 )
 
-// ExtAudit is an extension experiment beyond the paper's figures: the
+// extAudit is an extension experiment beyond the paper's figures: the
 // conformance-audit summary. Theorem 1 bounds every aggregate's accepted
 // bytes by the piecewise envelope r·Δt + B; the always-on auditor tracks
 // that envelope exactly (128-bit accrual, rebased in-band on every rate
@@ -23,9 +23,9 @@ import (
 // zero violations no matter the offered multiple or churn cadence. The
 // third row arms a deliberately understated envelope (r/8) to prove the
 // detector is live: it must flag violations with a positive worst deficit.
-func ExtAudit(scale Scale, seed uint64) (*Report, error) {
+func extAudit(scale Scale, seed uint64) (*Report, error) {
 	dur := 300 * time.Millisecond
-	if scale == Full {
+	if scale == full {
 		dur = 2 * time.Second
 	}
 
@@ -65,7 +65,7 @@ func ExtAudit(scale Scale, seed uint64) (*Report, error) {
 			return nil, fmt.Errorf("%s: %d violations, want violations=%v",
 				sc.name, row.violations, sc.wantVio)
 		}
-		table.AddRow(sc.name,
+		table.addRow(sc.name,
 			fmt.Sprintf("%d", row.offered),
 			fmt.Sprintf("%d", row.accepted),
 			fmt.Sprintf("%d", row.allowed),

@@ -14,7 +14,7 @@ import (
 	"bcpqp/internal/workload"
 )
 
-// ExtOverload is an extension experiment beyond the paper's figures: the
+// extOverload is an extension experiment beyond the paper's figures: the
 // overload-survival summary. The paper's §6 evaluation drives
 // congestion-controlled mixes; production policers also meet traffic that
 // does not negotiate. This experiment replays the four adversarial
@@ -26,9 +26,9 @@ import (
 //
 // Every generator is open-loop and seeded, so the offered column is
 // identical per seed and the disposition columns sum exactly to it.
-func ExtOverload(scale Scale, seed uint64) (*Report, error) {
+func extOverload(scale Scale, seed uint64) (*Report, error) {
 	dur := 300 * time.Millisecond
-	if scale == Full {
+	if scale == full {
 		dur = 2 * time.Second
 	}
 
@@ -59,7 +59,7 @@ func ExtOverload(scale Scale, seed uint64) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sc.name, err)
 		}
-		table.AddRow(sc.name,
+		table.addRow(sc.name,
 			fmt.Sprintf("%d", row.offered),
 			fmt.Sprintf("%d", row.accepted),
 			fmt.Sprintf("%d", row.dropped),

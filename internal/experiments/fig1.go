@@ -17,7 +17,7 @@ import (
 func Fig1a(scale Scale, seed uint64) (*Report, error) {
 	dur := 12 * time.Second
 	flows := 8
-	if scale == Full {
+	if scale == full {
 		dur = 30 * time.Second
 	}
 	agg := workload.Backlogged(
@@ -28,13 +28,13 @@ func Fig1a(scale Scale, seed uint64) (*Report, error) {
 
 	table := &Table{Columns: []string{"scheme", "avg Jain index", "ns/packet", "allocs/packet"}}
 	for _, scheme := range []harness.Scheme{harness.SchemeShaper, harness.SchemePolicer} {
-		res, err := RunAggregate(agg, RunOpts{Scheme: scheme, Duration: dur})
+		res, err := runAggregate(agg, RunOpts{Scheme: scheme, Duration: dur})
 		if err != nil {
 			return nil, err
 		}
-		jain := mean(secondHalf(res.JainPerWindow()))
-		eff := MeasureEfficiency(scheme, efficiencyPackets(scale))
-		table.AddRow(scheme.String(), f3(jain), f1(eff.NsPerPacket), f2(eff.AllocsPerPacket))
+		jain := mean(secondHalf(res.jainPerWindow()))
+		eff := measureEfficiency(scheme, efficiencyPackets(scale))
+		table.addRow(scheme.String(), f3(jain), f1(eff.NsPerPacket), f2(eff.AllocsPerPacket))
 	}
 	return &Report{
 		ID:    "fig1a",
@@ -55,7 +55,7 @@ func Fig1b(scale Scale, seed uint64) (*Report, error) {
 	rate := 10 * units.Mbps
 	rtt := 100 * time.Millisecond
 	dur := 20 * time.Second
-	if scale == Full {
+	if scale == full {
 		dur = 40 * time.Second
 	}
 	bdp := units.BDPBytes(rate, rtt)
@@ -67,7 +67,7 @@ func Fig1b(scale Scale, seed uint64) (*Report, error) {
 	table := &Table{Columns: []string{"bucket (KB)", "bucket (BDP)",
 		"steady rate / r", "peak 250ms window / r", "drop rate"}}
 	for _, b := range buckets {
-		res, err := RunAggregate(agg, RunOpts{
+		res, err := runAggregate(agg, RunOpts{
 			Scheme:           harness.SchemePQP, // single phantom queue ≡ TBF with bucket B
 			PhantomQueueSize: b,
 			Queues:           1,
@@ -76,10 +76,10 @@ func Fig1b(scale Scale, seed uint64) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		samples := res.NormalizedAggSamples()
+		samples := res.normalizedAggSamples()
 		steady := mean(secondHalf(samples))
 		peak := metrics.NewDist(samples).Max()
-		table.AddRow(
+		table.addRow(
 			f1(float64(b)/1000),
 			f2(float64(b)/float64(bdp)),
 			f3(steady),

@@ -18,7 +18,7 @@ func Fig2(scale Scale, seed uint64) (*Report, error) {
 	rate := 10 * units.Mbps
 	rtt := 100 * time.Millisecond
 	dur := 30 * time.Second
-	if scale == Full {
+	if scale == full {
 		dur = 60 * time.Second
 	}
 	req := units.RenoPhantomRequirement(rate, rtt)
@@ -31,7 +31,7 @@ func Fig2(scale Scale, seed uint64) (*Report, error) {
 		"steady rate / r", "peak window / r", "drop rate"}}
 	var series []Series
 	for _, b := range sizes {
-		res, err := RunAggregate(agg, RunOpts{
+		res, err := runAggregate(agg, RunOpts{
 			Scheme:           harness.SchemePQP,
 			PhantomQueueSize: b,
 			Queues:           1,
@@ -41,10 +41,10 @@ func Fig2(scale Scale, seed uint64) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		samples := res.NormalizedAggSamples()
+		samples := res.normalizedAggSamples()
 		steady := mean(secondHalf(samples))
 		peak := metrics.NewDist(samples).Max()
-		table.AddRow(
+		table.addRow(
 			f1(float64(b)/1000),
 			f2(float64(b)/float64(req)),
 			f3(steady),

@@ -18,7 +18,7 @@ func Fig3(scale Scale, seed uint64) (*Report, error) {
 	rate := units.Rate(7.5 * units.Mbps)
 	secondary := units.Rate(8.5 * units.Mbps)
 	dur := 30 * time.Second
-	if scale == Full {
+	if scale == full {
 		dur = 60 * time.Second
 	}
 	ccs := []string{"reno", "cubic", "bbr", "vegas"}
@@ -50,7 +50,7 @@ func Fig3(scale Scale, seed uint64) (*Report, error) {
 		Title: "Fair sharing of 7.5 Mbps across 4 CC algorithms with an 8.5 Mbps secondary bottleneck",
 	}
 	for _, v := range variants {
-		res, err := RunAggregate(agg, v.opts)
+		res, err := runAggregate(agg, v.opts)
 		if err != nil {
 			return nil, err
 		}
@@ -67,9 +67,9 @@ func Fig3(scale Scale, seed uint64) (*Report, error) {
 			if total > 0 {
 				share = totals[i] / total
 			}
-			table.AddRow(fmt.Sprintf("%d", i), cc, f2(mbps), f3(share))
+			table.addRow(fmt.Sprintf("%d", i), cc, f2(mbps), f3(share))
 		}
-		jains := res.JainPerWindow()
+		jains := res.jainPerWindow()
 		var series []Series
 		for i, cc := range ccs {
 			rates := res.Meter.Series(i)

@@ -42,7 +42,7 @@ func runFig4(scale Scale, seed uint64) (*fig4Run, error) {
 	}
 	aggregates := 6
 	dur := 10 * time.Second
-	if scale == Full {
+	if scale == full {
 		rates = append(rates, 50*units.Mbps, 100*units.Mbps)
 		aggregates = 100
 		dur = 30 * time.Second
@@ -69,7 +69,7 @@ func runFig4(scale Scale, seed uint64) (*fig4Run, error) {
 		for _, scheme := range run.schemes {
 			var dropped, total int64
 			for ai, agg := range aggs {
-				res, err := RunAggregate(agg, RunOpts{
+				res, err := runAggregate(agg, RunOpts{
 					Scheme:   scheme,
 					Duration: dur,
 					SrcIP:    uint32(ai),
@@ -78,8 +78,8 @@ func runFig4(scale Scale, seed uint64) (*fig4Run, error) {
 					return nil, err
 				}
 				run.normalized[scheme][rate] = append(
-					run.normalized[scheme][rate], res.NormalizedAggSamples()...)
-				run.jain[scheme] = append(run.jain[scheme], res.JainPerWindow()...)
+					run.normalized[scheme][rate], res.normalizedAggSamples()...)
+				run.jain[scheme] = append(run.jain[scheme], res.jainPerWindow()...)
 				dropped += res.Stats.DroppedPackets
 				p, _ := res.Stats.Totals()
 				total += p
@@ -112,7 +112,7 @@ func Fig4(scale Scale, seed uint64) (*Report, error) {
 			pooled = append(pooled, run.normalized[s][r]...)
 		}
 		d := metrics.NewDist(pooled)
-		body.AddRow(s.String(), f3(d.Quantile(0.10)), f3(d.Quantile(0.25)),
+		body.addRow(s.String(), f3(d.Quantile(0.10)), f3(d.Quantile(0.25)),
 			f3(d.Quantile(0.50)), f3(d.Quantile(0.75)), f3(d.Quantile(0.90)))
 	}
 	report.Sections = append(report.Sections, Section{
@@ -129,7 +129,7 @@ func Fig4(scale Scale, seed uint64) (*Report, error) {
 			pooled = append(pooled, run.normalized[s][r]...)
 		}
 		d := metrics.NewDist(pooled)
-		tail.AddRow(s.String(), f2(d.Quantile(0.99)), f2(d.Quantile(0.999)), f2(d.Max()))
+		tail.addRow(s.String(), f2(d.Quantile(0.99)), f2(d.Quantile(0.999)), f2(d.Max()))
 	}
 	report.Sections = append(report.Sections, Section{
 		Heading: "fig4b: tail of normalized aggregate throughput (burst)",
@@ -144,7 +144,7 @@ func Fig4(scale Scale, seed uint64) (*Report, error) {
 		for _, r := range run.rates {
 			row = append(row, f3(meanNonZero(run.normalized[s][r])))
 		}
-		meanTable.AddRow(row...)
+		meanTable.addRow(row...)
 	}
 	report.Sections = append(report.Sections, Section{
 		Heading: "fig4c: mean normalized aggregate throughput (non-zero windows)",
@@ -159,7 +159,7 @@ func Fig4(scale Scale, seed uint64) (*Report, error) {
 		for _, r := range run.rates {
 			row = append(row, f3(run.dropRate[s][r]))
 		}
-		dropTable.AddRow(row...)
+		dropTable.addRow(row...)
 	}
 	report.Sections = append(report.Sections, Section{
 		Heading: "fig4d: packet drop rate",
@@ -181,7 +181,7 @@ func Fig6a(scale Scale, seed uint64) (*Report, error) {
 	var series []Series
 	for _, s := range run.schemes {
 		d := metrics.NewDist(run.jain[s])
-		table.AddRow(s.String(), f3(d.Quantile(0.10)), f3(d.Quantile(0.25)),
+		table.addRow(s.String(), f3(d.Quantile(0.10)), f3(d.Quantile(0.25)),
 			f3(d.Quantile(0.50)), f3(d.Mean()))
 		vals, fracs := d.CDF(40)
 		series = append(series, Series{

@@ -137,16 +137,16 @@ func (r *EfficiencyRig) SubmitBurst(i, n int) {
 	}
 }
 
-// Stats exposes the enforcer's accounting.
-func (r *EfficiencyRig) Stats() enforcer.Stats {
+// stats exposes the enforcer's accounting.
+func (r *EfficiencyRig) stats() enforcer.Stats {
 	if sr, ok := r.enf.(enforcer.StatsReader); ok {
 		return sr.EnforcerStats()
 	}
 	return enforcer.Stats{}
 }
 
-// Efficiency is one scheme's measured datapath cost.
-type Efficiency struct {
+// efficiency is one scheme's measured datapath cost.
+type efficiency struct {
 	Scheme          harness.Scheme
 	NsPerPacket     float64
 	AllocsPerPacket float64
@@ -155,14 +155,14 @@ type Efficiency struct {
 
 // efficiencyPackets scales the measurement length.
 func efficiencyPackets(scale Scale) int {
-	if scale == Full {
+	if scale == full {
 		return 3_000_000
 	}
 	return 500_000
 }
 
-// MeasureEfficiency times n packets through the scheme's datapath.
-func MeasureEfficiency(scheme harness.Scheme, n int) Efficiency {
+// measureEfficiency times n packets through the scheme's datapath.
+func measureEfficiency(scheme harness.Scheme, n int) efficiency {
 	rig := NewEfficiencyRig(scheme)
 	// Warm up caches and steady-state token/queue levels.
 	for i := 0; i < n/10+1; i++ {
@@ -177,8 +177,8 @@ func MeasureEfficiency(scheme harness.Scheme, n int) Efficiency {
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
-	stats := rig.Stats()
-	return Efficiency{
+	stats := rig.stats()
+	return efficiency{
 		Scheme:          scheme,
 		NsPerPacket:     float64(elapsed.Nanoseconds()) / float64(n),
 		AllocsPerPacket: float64(after.Mallocs-before.Mallocs) / float64(n),
@@ -192,9 +192,9 @@ func Fig5(scale Scale, seed uint64) (*Report, error) {
 	table := &Table{Columns: []string{"scheme", "ns/packet", "allocs/packet",
 		"relative to policer", "drop rate"}}
 	var policerNs float64
-	results := make([]Efficiency, 0, len(harness.AllSchemes()))
+	results := make([]efficiency, 0, len(harness.AllSchemes()))
 	for _, s := range harness.AllSchemes() {
-		e := MeasureEfficiency(s, n)
+		e := measureEfficiency(s, n)
 		results = append(results, e)
 		if s == harness.SchemePolicer {
 			policerNs = e.NsPerPacket
@@ -205,7 +205,7 @@ func Fig5(scale Scale, seed uint64) (*Report, error) {
 		if policerNs > 0 {
 			rel = f2(e.NsPerPacket / policerNs)
 		}
-		table.AddRow(e.Scheme.String(), f1(e.NsPerPacket), f2(e.AllocsPerPacket),
+		table.addRow(e.Scheme.String(), f1(e.NsPerPacket), f2(e.AllocsPerPacket),
 			rel, f3(e.DropRate))
 	}
 	return &Report{

@@ -21,7 +21,7 @@ func Fig6bc(scale Scale, seed uint64) (*Report, error) {
 	rtt := 20 * time.Millisecond
 	// Total transfer ≈ rate × target; flow i carries weight/(Σw) of it.
 	target := 16 * time.Second
-	if scale == Full {
+	if scale == full {
 		target = 30 * time.Second
 	}
 	totalBytes := rate.Bytes(target)
@@ -65,7 +65,7 @@ func Fig6bc(scale Scale, seed uint64) (*Report, error) {
 		}},
 	}
 	for _, v := range variants {
-		res, err := RunAggregate(agg, v.opts)
+		res, err := runAggregate(agg, v.opts)
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +79,7 @@ func Fig6bc(scale Scale, seed uint64) (*Report, error) {
 			}
 			start := f.Spec.Start.Seconds()
 			avg := float64(f.Spec.Size) * 8 / (done - start) / 1e6
-			table.AddRow(
+			table.addRow(
 				fmt.Sprintf("%d", i),
 				f1(weights[i]),
 				f1(float64(f.Spec.Size)/1e6),
@@ -114,7 +114,7 @@ func Fig6d(scale Scale, seed uint64) (*Report, error) {
 	rate := 10 * units.Mbps
 	rtt := 20 * time.Millisecond
 	dur := 24 * time.Second
-	if scale == Full {
+	if scale == full {
 		dur = 60 * time.Second
 	}
 
@@ -149,7 +149,7 @@ func Fig6d(scale Scale, seed uint64) (*Report, error) {
 		Class: 3,
 	})
 
-	res, err := RunAggregate(agg, RunOpts{
+	res, err := runAggregate(agg, RunOpts{
 		Scheme:   harness.SchemeBCPQP,
 		Policy:   policy,
 		Duration: dur,

@@ -122,7 +122,7 @@ func videoRun(scheme harness.Scheme, cc string, dur time.Duration, seed uint64) 
 // ("Netflix") video service.
 func Fig7a(scale Scale, seed uint64) (*Report, error) {
 	dur := 40 * time.Second
-	if scale == Full {
+	if scale == full {
 		dur = 90 * time.Second
 	}
 	table := &Table{Columns: []string{"scheme", "service (cc)",
@@ -136,7 +136,7 @@ func Fig7a(scale Scale, seed uint64) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			table.AddRow(scheme.String(),
+			table.addRow(scheme.String(),
 				fmt.Sprintf("%s (%s)", svc.name, svc.cc),
 				f2(res.avgQuality.Mbps()),
 				f2(res.rebuffer.Seconds()),
@@ -160,7 +160,7 @@ func Fig7a(scale Scale, seed uint64) (*Report, error) {
 // against the rest of the traffic under each scheme (BBR video).
 func Fig9(scale Scale, seed uint64) (*Report, error) {
 	dur := 40 * time.Second
-	if scale == Full {
+	if scale == full {
 		dur = 90 * time.Second
 	}
 	report := &Report{
@@ -198,7 +198,7 @@ func Fig9(scale Scale, seed uint64) (*Report, error) {
 // express one), reporting the PLT distribution.
 func Fig7b(scale Scale, seed uint64) (*Report, error) {
 	pages := 20
-	if scale == Full {
+	if scale == full {
 		pages = 50
 	}
 	rate := 3 * units.Mbps
@@ -258,7 +258,7 @@ func Fig7b(scale Scale, seed uint64) (*Report, error) {
 			plts = append(plts, p.Seconds())
 		}
 		d := metrics.NewDist(plts)
-		table.AddRow(scheme.String(), f2(d.Quantile(0.25)), f2(d.Quantile(0.5)),
+		table.addRow(scheme.String(), f2(d.Quantile(0.25)), f2(d.Quantile(0.5)),
 			f2(d.Quantile(0.75)), f2(d.Quantile(0.95)),
 			fmt.Sprintf("%d/%d", len(sess.PLTs), pages))
 	}

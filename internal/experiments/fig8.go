@@ -27,7 +27,7 @@ func Fig8(scale Scale, seed uint64) (*Report, error) {
 		{20 * units.Mbps, 100 * time.Millisecond},
 	}
 	dur := 30 * time.Second
-	if scale == Full {
+	if scale == full {
 		dur = 60 * time.Second
 		grid = append(grid, point{40 * units.Mbps, 100 * time.Millisecond})
 	}
@@ -39,8 +39,8 @@ func Fig8(scale Scale, seed uint64) (*Report, error) {
 		agg := workload.Backlogged(p.rate, []string{"reno"},
 			[]time.Duration{p.rtt}, 1, 10*time.Millisecond)
 
-		run := func(b int64) (*AggResult, error) {
-			return RunAggregate(agg, RunOpts{
+		run := func(b int64) (*aggResult, error) {
+			return runAggregate(agg, RunOpts{
 				Scheme:           harness.SchemePQP,
 				PhantomQueueSize: b,
 				Queues:           1,
@@ -58,13 +58,13 @@ func Fig8(scale Scale, seed uint64) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		steady := secondHalf(full.NormalizedAggSamples())
+		steady := secondHalf(full.normalizedAggSamples())
 		d := metrics.NewDist(steady)
-		table.AddRow(
+		table.addRow(
 			p.rate.String(),
 			f1(float64(p.rtt.Milliseconds())),
 			f3(mean(steady)),
-			f3(mean(secondHalf(quarter.NormalizedAggSamples()))),
+			f3(mean(secondHalf(quarter.normalizedAggSamples()))),
 			f2(d.Quantile(0.02)),
 			f2(d.Quantile(0.98)),
 		)

@@ -12,10 +12,10 @@ const (
 	plotHeight = 14
 )
 
-// Plot renders a group of series as one ASCII chart (shared axes), giving
+// plot renders a group of series as one ASCII chart (shared axes), giving
 // the text reports actual figure shapes. Each series draws with its own
 // glyph; a legend follows the chart.
-func Plot(series []Series) string {
+func plot(series []Series) string {
 	if len(series) == 0 {
 		return ""
 	}

@@ -33,10 +33,10 @@ var registry = map[string]Runner{
 	"9":   Fig9,
 	// Extensions beyond the paper's figures.
 	"ext-aqm":      ExtAQM,
-	"ext-audit":    ExtAudit,
+	"ext-audit":    extAudit,
 	"ext-ecn":      ExtECN,
-	"ext-mem":      ExtMem,
-	"ext-overload": ExtOverload,
+	"ext-mem":      extMem,
+	"ext-overload": extOverload,
 }
 
 // Lookup resolves a figure ID (with or without a "fig" prefix).

@@ -33,8 +33,8 @@ type Table struct {
 	Rows    [][]string
 }
 
-// AddRow appends a row of stringified cells.
-func (t *Table) AddRow(cells ...string) {
+// addRow appends a row of stringified cells.
+func (t *Table) addRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
@@ -59,7 +59,7 @@ func (r *Report) String() string {
 			b.WriteString(s.Table.String())
 		}
 		if len(s.Series) > 0 {
-			b.WriteString(Plot(s.Series))
+			b.WriteString(plot(s.Series))
 		}
 		for _, ser := range s.Series {
 			b.WriteString(ser.String())
@@ -130,15 +130,15 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 
 // Scale selects experiment sizing: Quick keeps every shape visible at a
-// fraction of the paper's scale so the full suite runs in minutes; Full
+// fraction of the paper's scale so the full suite runs in minutes; full
 // approaches the paper's parameters.
 type Scale int
 
 const (
 	// Quick is the default CI-friendly scale.
 	Quick Scale = iota
-	// Full approaches the paper's evaluation scale.
-	Full
+	// full approaches the paper's evaluation scale.
+	full
 )
 
 // ParseScale maps a name to a Scale.
@@ -147,7 +147,7 @@ func ParseScale(name string) (Scale, error) {
 	case "", "quick":
 		return Quick, nil
 	case "full":
-		return Full, nil
+		return full, nil
 	}
 	return 0, fmt.Errorf("experiments: unknown scale %q", name)
 }

@@ -39,8 +39,8 @@ type RunOpts struct {
 	SrcIP uint32
 }
 
-// FlowOutcome summarizes one flow after a run.
-type FlowOutcome struct {
+// flowOutcome summarizes one flow after a run.
+type flowOutcome struct {
 	Spec        workload.FlowSpec
 	Completed   time.Duration // last completion (0 = backlogged/incomplete)
 	Delivered   int64         // receiver-side bytes (any order)
@@ -54,17 +54,17 @@ type FlowOutcome struct {
 	CEMarks    int64
 }
 
-// AggResult is the outcome of one aggregate run.
-type AggResult struct {
+// aggResult is the outcome of one aggregate run.
+type aggResult struct {
 	Rate     units.Rate
 	Duration time.Duration
 	Meter    *metrics.Meter // keyed by flow index
-	Flows    []FlowOutcome
+	Flows    []flowOutcome
 	Stats    enforcer.Stats
 }
 
-// RunAggregate simulates one aggregate through one enforcement scheme.
-func RunAggregate(agg workload.Aggregate, opts RunOpts) (*AggResult, error) {
+// runAggregate simulates one aggregate through one enforcement scheme.
+func runAggregate(agg workload.Aggregate, opts RunOpts) (*aggResult, error) {
 	if opts.Duration <= 0 {
 		return nil, fmt.Errorf("experiments: non-positive duration")
 	}
@@ -91,11 +91,11 @@ func RunAggregate(agg workload.Aggregate, opts RunOpts) (*AggResult, error) {
 		return nil, err
 	}
 
-	res := &AggResult{
+	res := &aggResult{
 		Rate:     agg.Rate,
 		Duration: opts.Duration,
 		Meter:    metrics.NewMeter(opts.Window),
-		Flows:    make([]FlowOutcome, len(agg.Flows)),
+		Flows:    make([]flowOutcome, len(agg.Flows)),
 	}
 
 	flows := make([]*tcpFlowRef, len(agg.Flows))
@@ -161,9 +161,9 @@ type tcpFlowRef struct {
 	flow *tcp.Flow
 }
 
-// AggregateWindowBytes sums per-flow window bytes into the aggregate's
+// aggregateWindowBytes sums per-flow window bytes into the aggregate's
 // per-window series.
-func (r *AggResult) AggregateWindowBytes() []int64 {
+func (r *aggResult) aggregateWindowBytes() []int64 {
 	var out []int64
 	for i := range r.Flows {
 		wb := r.Meter.WindowBytes(i)
@@ -179,10 +179,10 @@ func (r *AggResult) AggregateWindowBytes() []int64 {
 	return out
 }
 
-// NormalizedAggSamples returns the aggregate's per-window throughput divided
+// normalizedAggSamples returns the aggregate's per-window throughput divided
 // by the enforced rate, skipping windows before any flow started.
-func (r *AggResult) NormalizedAggSamples() []float64 {
-	wb := r.AggregateWindowBytes()
+func (r *aggResult) normalizedAggSamples() []float64 {
+	wb := r.aggregateWindowBytes()
 	window := r.Meter.Window()
 	firstStart := time.Duration(1<<62 - 1)
 	for _, f := range r.Flows {
@@ -199,10 +199,10 @@ func (r *AggResult) NormalizedAggSamples() []float64 {
 	return out
 }
 
-// JainPerWindow computes Jain's index across flows for every window in
+// jainPerWindow computes Jain's index across flows for every window in
 // which at least one flow was active. A flow counts as active in a window
 // if it delivered bytes, or if it is backlogged and had started.
-func (r *AggResult) JainPerWindow() []float64 {
+func (r *aggResult) jainPerWindow() []float64 {
 	window := r.Meter.Window()
 	n := r.Meter.Windows()
 	perFlow := make([][]int64, len(r.Flows))

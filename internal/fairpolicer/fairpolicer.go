@@ -247,17 +247,8 @@ func (f *FairPolicer) SubmitBatch(now time.Duration, pkts []packet.Packet, verdi
 	}
 }
 
-// FlowTokens returns the token level of flow bucket i.
-func (f *FairPolicer) FlowTokens(i int) float64 { return f.flows[i].tokens }
-
 // MainTokens returns the unallocated tokens in the main bucket.
 func (f *FairPolicer) MainTokens() float64 { return f.main }
-
-// FlowStats returns accepted/dropped counters for flow bucket i.
-func (f *FairPolicer) FlowStats(i int) (acceptedPkts, acceptedBytes, droppedPkts, droppedBytes int64) {
-	fb := &f.flows[i]
-	return fb.acceptedPackets, fb.acceptedBytes, fb.droppedPackets, fb.droppedBytes
-}
 
 // EnforcerStats implements enforcer.StatsReader.
 func (f *FairPolicer) EnforcerStats() enforcer.Stats { return f.stats }

@@ -179,7 +179,7 @@ func TestTotalTokensBounded(t *testing.T) {
 		f.Submit(now, pkt(i%3, units.MSS))
 		total := f.MainTokens()
 		for fl := 0; fl < 3; fl++ {
-			total += f.FlowTokens(fl)
+			total += f.flows[fl].tokens
 		}
 		if total > float64(bucket)+1 {
 			t.Fatalf("total tokens %v exceed bucket %d", total, bucket)
@@ -192,7 +192,8 @@ func TestFlowStats(t *testing.T) {
 	now := time.Millisecond
 	f.Submit(now, pkt(0, units.MSS))
 	f.Submit(now, pkt(0, 10*units.MSS)) // too big, dropped
-	ap, ab, dp, db := f.FlowStats(0)
+	fb := &f.flows[0]
+	ap, ab, dp, db := fb.acceptedPackets, fb.acceptedBytes, fb.droppedPackets, fb.droppedBytes
 	if ap != 1 || ab != units.MSS || dp != 1 || db != 10*units.MSS {
 		t.Errorf("flow stats = %d/%d/%d/%d", ap, ab, dp, db)
 	}

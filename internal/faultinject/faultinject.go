@@ -35,10 +35,10 @@ import (
 	"bcpqp/internal/rng"
 )
 
-// ErrInjectedPanic is the value injected panics carry, so recovery sites
+// errInjectedPanic is the value injected panics carry, so recovery sites
 // and chaos tests can tell an injected fault from an organic bug. Test
 // with errors.Is on the recovered value.
-var ErrInjectedPanic = errors.New("faultinject: injected panic")
+var errInjectedPanic = errors.New("faultinject: injected panic")
 
 // CorruptVerdict is the out-of-range verdict injected by verdict
 // corruption — far outside the defined enforcer.Verdict range, as a buggy
@@ -53,7 +53,7 @@ type Plan struct {
 	Seed uint64
 
 	// Panic is the per-call probability of panicking with
-	// ErrInjectedPanic before the wrapped enforcer runs.
+	// errInjectedPanic before the wrapped enforcer runs.
 	Panic float64
 	// MaxPanics bounds the total number of injected panics (0 = no
 	// bound). A bound of 1 models a transient crash: after it fires the
@@ -194,7 +194,7 @@ func (f *Injector) preFaults(now time.Duration) time.Duration {
 	if f.plan.Panic > 0 && f.src.Float64() < f.plan.Panic {
 		if f.plan.MaxPanics <= 0 || f.Panics.Load() < f.plan.MaxPanics {
 			f.Panics.Add(1)
-			panic(ErrInjectedPanic)
+			panic(errInjectedPanic)
 		}
 	}
 	return now

@@ -40,7 +40,7 @@ func run(t *testing.T, inj *Injector, n int) []bool {
 			defer func() {
 				if r := recover(); r != nil {
 					err, ok := r.(error)
-					if !ok || !errors.Is(err, ErrInjectedPanic) {
+					if !ok || !errors.Is(err, errInjectedPanic) {
 						t.Fatalf("unexpected panic value: %v", r)
 					}
 					panicked[i] = true

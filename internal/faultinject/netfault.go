@@ -178,17 +178,17 @@ func (l *NetLink) Advance(now time.Duration) {
 	l.mu.Unlock()
 }
 
-// Flush delivers everything still parked (reorder holds first, then delayed
+// flush delivers everything still parked (reorder holds first, then delayed
 // frames in due order) regardless of time — the end-of-test drain.
-func (l *NetLink) Flush() {
+func (l *NetLink) flush() {
 	l.Advance(1 << 62)
 	l.mu.Lock()
 	l.flushHeldLocked()
 	l.mu.Unlock()
 }
 
-// Pending reports how many frames are parked (reorder holds + delayed).
-func (l *NetLink) Pending() int {
+// pending reports how many frames are parked (reorder holds + delayed).
+func (l *NetLink) pending() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.held) + len(l.delayed)

@@ -68,7 +68,7 @@ func TestNetFaultDeterministic(t *testing.T) {
 			l.Send(now, f)
 			l.Advance(now)
 		}
-		l.Flush()
+		l.flush()
 		return *got, [5]int64{
 			l.Dropped.Load(), l.Duplicated.Load(), l.Delayed.Load(),
 			l.Reordered.Load(), l.CutDropped.Load(),
@@ -137,8 +137,8 @@ func TestNetFaultDelay(t *testing.T) {
 	if len(*got) != 0 {
 		t.Fatalf("delayed frames delivered early: %d", len(*got))
 	}
-	if l.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", l.Pending())
+	if l.pending() != 2 {
+		t.Fatalf("Pending = %d, want 2", l.pending())
 	}
 	l.Advance(9 * time.Millisecond)
 	if len(*got) != 0 {
@@ -165,7 +165,7 @@ func TestNetFaultReorder(t *testing.T) {
 		l, got := collect(NetPlan{Seed: seed, Reorder: 0.5})
 		l.Send(0, []byte("first"))
 		l.Send(0, []byte("second"))
-		l.Flush()
+		l.flush()
 		if l.Reordered.Load() == 1 && len(*got) == 2 &&
 			bytes.Equal((*got)[0], []byte("second")) && bytes.Equal((*got)[1], []byte("first")) {
 			return // observed a genuine inversion
@@ -201,9 +201,9 @@ func TestNetFaultFlush(t *testing.T) {
 	for i, f := range frames(n) {
 		l.Send(time.Duration(i)*time.Millisecond, f)
 	}
-	l.Flush()
-	if l.Pending() != 0 {
-		t.Fatalf("Pending = %d after Flush", l.Pending())
+	l.flush()
+	if l.pending() != 0 {
+		t.Fatalf("Pending = %d after Flush", l.pending())
 	}
 	if int64(len(*got)) != n+l.Duplicated.Load()-l.Dropped.Load() {
 		t.Fatalf("delivered %d of %d after Flush (dup %d, drop %d)",

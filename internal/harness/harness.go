@@ -63,19 +63,11 @@ type Harness struct {
 	ingress netem.Forward // entry point for data packets
 	routes  map[packet.FlowKey]netem.Forward
 
-	shp *shaper.Shaper
 	pqp *phantom.PQP
 }
 
 // New builds a harness for cfg on a fresh event loop.
 func New(cfg Config) (*Harness, error) {
-	loop := sim.NewLoop()
-	return NewOnLoop(loop, cfg)
-}
-
-// NewOnLoop builds a harness for cfg on an existing loop, so several
-// aggregates can share one virtual clock.
-func NewOnLoop(loop *sim.Loop, cfg Config) (*Harness, error) {
 	if cfg.Rate <= 0 {
 		return nil, fmt.Errorf("harness: non-positive rate %v", cfg.Rate)
 	}
@@ -85,6 +77,7 @@ func NewOnLoop(loop *sim.Loop, cfg Config) (*Harness, error) {
 	if cfg.Queues <= 0 {
 		cfg.Queues = 16
 	}
+	loop := sim.NewLoop()
 	h := &Harness{Loop: loop, cfg: cfg, routes: make(map[packet.FlowKey]netem.Forward)}
 
 	// The egress side of the enforcer: optional secondary bottleneck,
@@ -103,9 +96,6 @@ func NewOnLoop(loop *sim.Loop, cfg Config) (*Harness, error) {
 	}
 	h.enf = enf
 	h.ingress = netem.Enforce(enf, egress)
-	if s, ok := enf.(*shaper.Shaper); ok {
-		h.shp = s
-	}
 	if p, ok := enf.(*phantom.PQP); ok {
 		h.pqp = p
 		h.scheduleTick()
@@ -185,9 +175,6 @@ func (h *Harness) AttachFlow(spec FlowSpec) (*tcp.Flow, error) {
 	return flow, nil
 }
 
-// Enforcer returns the underlying enforcer.
-func (h *Harness) Enforcer() enforcer.Enforcer { return h.enf }
-
 // Stats returns the enforcer's accept/drop statistics.
 func (h *Harness) Stats() enforcer.Stats {
 	if sr, ok := h.enf.(enforcer.StatsReader); ok {
@@ -196,13 +183,7 @@ func (h *Harness) Stats() enforcer.Stats {
 	return enforcer.Stats{}
 }
 
-// Shaper returns the shaper instance, if the scheme is a shaper.
-func (h *Harness) Shaper() *shaper.Shaper { return h.shp }
-
-// PQP returns the phantom-queue policer, if the scheme is PQP/BC-PQP.
-func (h *Harness) PQP() *phantom.PQP { return h.pqp }
-
-// Run advances the shared loop to the given virtual time.
+// Run advances the harness's loop to the given virtual time.
 func (h *Harness) Run(until time.Duration) {
 	h.Loop.Run(until)
 }

@@ -7,6 +7,7 @@ import (
 	"bcpqp/internal/metrics"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/sched"
+	"bcpqp/internal/shaper"
 	"bcpqp/internal/units"
 )
 
@@ -235,7 +236,7 @@ func TestShaperAddsQueueingDelayBCPQPDoesNot(t *testing.T) {
 	m := metrics.NewMeter(0)
 	attach(t, h, m, 0, 0, "cubic", 30*time.Millisecond, 10*time.Millisecond, 0)
 	h.Run(10 * time.Second)
-	if d := h.Shaper().AvgQueueingDelay(); d < 5*time.Millisecond {
+	if d := h.enf.(*shaper.Shaper).AvgQueueingDelay(); d < 5*time.Millisecond {
 		t.Errorf("shaper avg queueing delay %v; a backlogged flow should keep its queue busy", d)
 	}
 }
@@ -252,14 +253,14 @@ func TestSchemesProduceDistinctEnforcers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
-		if h.Enforcer() == nil {
+		if h.enf == nil {
 			t.Fatalf("%v: nil enforcer", s)
 		}
-		if (s == SchemePQP || s == SchemeBCPQP) && h.PQP() == nil {
-			t.Errorf("%v: PQP accessor nil", s)
+		if (s == SchemePQP || s == SchemeBCPQP) && h.pqp == nil {
+			t.Errorf("%v: no phantom queue ticked", s)
 		}
-		if (s == SchemeShaper || s == SchemeSingleShaper) && h.Shaper() == nil {
-			t.Errorf("%v: shaper accessor nil", s)
+		if _, ok := h.enf.(*shaper.Shaper); (s == SchemeShaper || s == SchemeSingleShaper) && !ok {
+			t.Errorf("%v: enforcer is %T, not a shaper", s, h.enf)
 		}
 	}
 }

@@ -170,17 +170,10 @@ func (e *Engine) Metrics() obs.Snapshot {
 	if c := e.cfg.Observer; c != nil {
 		counter("bcpqp_trace_events_total", "flight-recorder events recorded (including overwritten)", float64(c.EventsRecorded()))
 		counter("bcpqp_bursts_enforced_total", "enforced bursts observed across all shards", float64(c.Bursts()))
-		// Both latency families are the one per-shard digest: the first
-		// name predates it and dashboards still ask for it.
 		h := c.BurstHist()
 		fams = append(fams, obs.Family{
 			Name:    "bcpqp_burst_enforce_seconds",
 			Help:    "enforcement latency of one burst in SampleEvery per shard, whichever goroutine served the burst",
-			Type:    "histogram",
-			Samples: []obs.Sample{{Hist: &h}},
-		}, obs.Family{
-			Name:    "bcpqp_burst_enforce_latency_digest_seconds",
-			Help:    "enforcement latency of one burst in SampleEvery per shard as a mergeable relative-error quantile digest",
 			Type:    "histogram",
 			Samples: []obs.Sample{{Hist: &h}},
 		})

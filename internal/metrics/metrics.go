@@ -56,8 +56,8 @@ func (m *Meter) Add(now time.Duration, key int, bytes int) {
 // Window returns the meter's window size.
 func (m *Meter) Window() time.Duration { return m.window }
 
-// Keys returns the metered keys in ascending order.
-func (m *Meter) Keys() []int {
+// keys returns the metered keys in ascending order.
+func (m *Meter) keys() []int {
 	keys := make([]int, 0, len(m.counts))
 	for k := range m.counts {
 		keys = append(keys, k)
@@ -121,9 +121,9 @@ func Jain(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sumSq)
 }
 
-// WeightedJain computes Jain's index over weight-normalized allocations
+// weightedJain computes Jain's index over weight-normalized allocations
 // x_i/w_i, measuring how close shares are to the configured weights.
-func WeightedJain(xs, ws []float64) float64 {
+func weightedJain(xs, ws []float64) float64 {
 	norm := make([]float64, len(xs))
 	for i := range xs {
 		if ws[i] > 0 {
@@ -145,9 +145,6 @@ func NewDist(samples []float64) Dist {
 	sort.Float64s(s)
 	return Dist{sorted: s}
 }
-
-// N returns the sample count.
-func (d Dist) N() int { return len(d.sorted) }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) by linear interpolation.
 func (d Dist) Quantile(q float64) float64 {
@@ -188,14 +185,6 @@ func (d Dist) Max() float64 {
 		return math.NaN()
 	}
 	return d.sorted[len(d.sorted)-1]
-}
-
-// Min returns the smallest sample.
-func (d Dist) Min() float64 {
-	if len(d.sorted) == 0 {
-		return math.NaN()
-	}
-	return d.sorted[0]
 }
 
 // CDF returns (value, cumulative fraction) pairs at up to points samples,

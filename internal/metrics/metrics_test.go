@@ -103,7 +103,7 @@ func TestMeterKeys(t *testing.T) {
 	m.Add(0, 3, 1)
 	m.Add(0, 1, 1)
 	m.Add(0, 2, 1)
-	keys := m.Keys()
+	keys := m.keys()
 	if len(keys) != 3 || keys[0] != 1 || keys[1] != 2 || keys[2] != 3 {
 		t.Errorf("keys = %v", keys)
 	}
@@ -147,22 +147,22 @@ func TestJainBoundsProperty(t *testing.T) {
 
 func TestWeightedJain(t *testing.T) {
 	// Perfect weighted shares → index 1.
-	if got := WeightedJain([]float64{30, 20, 10}, []float64{3, 2, 1}); math.Abs(got-1) > 1e-9 {
+	if got := weightedJain([]float64{30, 20, 10}, []float64{3, 2, 1}); math.Abs(got-1) > 1e-9 {
 		t.Errorf("weighted jain = %v, want 1", got)
 	}
 	// Equal shares under unequal weights → below 1.
-	if got := WeightedJain([]float64{20, 20, 20}, []float64{3, 2, 1}); got > 0.95 {
+	if got := weightedJain([]float64{20, 20, 20}, []float64{3, 2, 1}); got > 0.95 {
 		t.Errorf("weighted jain for equal split = %v, want <0.95", got)
 	}
 }
 
 func TestDistQuantiles(t *testing.T) {
 	d := NewDist([]float64{5, 1, 3, 2, 4})
-	if d.N() != 5 {
-		t.Errorf("N = %d", d.N())
+	if len(d.sorted) != 5 {
+		t.Errorf("N = %d", len(d.sorted))
 	}
-	if d.Min() != 1 || d.Max() != 5 {
-		t.Errorf("min/max = %v/%v", d.Min(), d.Max())
+	if d.sorted[0] != 1 || d.Max() != 5 {
+		t.Errorf("min/max = %v/%v", d.sorted[0], d.Max())
 	}
 	if got := d.Quantile(0.5); got != 3 {
 		t.Errorf("median = %v, want 3", got)

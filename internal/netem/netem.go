@@ -68,14 +68,11 @@ func (b *Bottleneck) Forward(now time.Duration, pkt packet.Packet) {
 	})
 }
 
-// QueuedBytes returns the bytes currently held by the link.
-func (b *Bottleneck) QueuedBytes() int64 { return b.queued }
-
 // Enforce places a bufferless enforcer on the path: Transmit forwards
 // immediately, TransmitCE forwards with the ECN congestion-experienced
 // mark applied, Drop discards. Buffering enforcers (the shaper) must
 // instead be constructed with their sink pointing at the next hop and
-// wired with EnforceQueued.
+// wired with enforceQueued.
 func Enforce(e enforcer.Enforcer, next Forward) Forward {
 	return func(now time.Duration, pkt packet.Packet) {
 		switch e.Submit(now, pkt) {
@@ -88,9 +85,9 @@ func Enforce(e enforcer.Enforcer, next Forward) Forward {
 	}
 }
 
-// EnforceQueued submits packets to a buffering enforcer whose sink already
+// enforceQueued submits packets to a buffering enforcer whose sink already
 // forwards to the next hop; only the submission side is wired here.
-func EnforceQueued(e enforcer.Enforcer) Forward {
+func enforceQueued(e enforcer.Enforcer) Forward {
 	return func(now time.Duration, pkt packet.Packet) {
 		e.Submit(now, pkt)
 	}

@@ -90,13 +90,13 @@ func TestBottleneckQueueTracksBytes(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			bn.Forward(loop.Now(), pkt(1500))
 		}
-		if bn.QueuedBytes() != 5*1500 {
-			t.Errorf("queued = %d, want %d", bn.QueuedBytes(), 5*1500)
+		if bn.queued != 5*1500 {
+			t.Errorf("queued = %d, want %d", bn.queued, 5*1500)
 		}
 	})
 	loop.RunAll()
-	if bn.QueuedBytes() != 0 {
-		t.Errorf("queued = %d after drain, want 0", bn.QueuedBytes())
+	if bn.queued != 0 {
+		t.Errorf("queued = %d after drain, want 0", bn.queued)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestEnforceQueuedSubmitsOnly(t *testing.T) {
 		calls++
 		return enforcer.Queued
 	})
-	hop := EnforceQueued(fake)
+	hop := enforceQueued(fake)
 	hop(time.Millisecond, pkt(1500))
 	if calls != 1 {
 		t.Errorf("submit calls = %d", calls)

@@ -39,9 +39,9 @@ import (
 // engine's enforcement burst (enforcer.DefaultBurst).
 const DefaultBatch = 32
 
-// DefaultBufBytes is the per-slot receive buffer size. 2048 covers any
+// defaultBufBytes is the per-slot receive buffer size. 2048 covers any
 // non-jumbo datagram; raise it for jumbo or fragmented-reassembly loads.
-const DefaultBufBytes = 2048
+const defaultBufBytes = 2048
 
 // Config parameterizes a Conn.
 type Config struct {
@@ -49,7 +49,7 @@ type Config struct {
 	// DefaultBatch).
 	Batch int
 	// BufBytes is each receive slot's buffer size (default
-	// DefaultBufBytes). Datagrams longer than this are truncated by the
+	// defaultBufBytes). Datagrams longer than this are truncated by the
 	// kernel, as with any undersized recv buffer, and flagged (IsTruncated,
 	// Truncated); 65,536 holds any UDP datagram whole.
 	BufBytes int
@@ -69,7 +69,7 @@ func (c Config) withDefaults() Config {
 		c.Batch = DefaultBatch
 	}
 	if c.BufBytes <= 0 {
-		c.BufBytes = DefaultBufBytes
+		c.BufBytes = defaultBufBytes
 	}
 	return c
 }

@@ -318,8 +318,8 @@ func TestTruncationCounted(t *testing.T) {
 				lens, trunc = append(lens, len(rx.Payload(i))), append(trunc, rx.IsTruncated(i))
 			}
 		}
-		if lens[0] != DefaultBufBytes || !trunc[0] || lens[1] != 3 || trunc[1] {
-			t.Errorf("force=%v: got lengths %v truncated %v, want [%d 3] [true false]", force, lens, trunc, DefaultBufBytes)
+		if lens[0] != defaultBufBytes || !trunc[0] || lens[1] != 3 || trunc[1] {
+			t.Errorf("force=%v: got lengths %v truncated %v, want [%d 3] [true false]", force, lens, trunc, defaultBufBytes)
 		}
 		if got := rx.Truncated(); got != 1 {
 			t.Errorf("force=%v: Truncated() = %d, want 1", force, got)

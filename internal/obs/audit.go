@@ -272,5 +272,5 @@ func (a *Audit) RateErrDigest() DigestSnapshot { return a.errD.Snapshot() }
 
 // MergeSlack / MergeRateErr fold this auditor's digests into acc for
 // engine-wide roll-ups.
-func (a *Audit) MergeSlack(acc *Digest)   { acc.Merge(&a.slackD) }
-func (a *Audit) MergeRateErr(acc *Digest) { acc.Merge(&a.errD) }
+func (a *Audit) MergeSlack(acc *Digest)   { acc.merge(&a.slackD) }
+func (a *Audit) MergeRateErr(acc *Digest) { acc.merge(&a.errD) }

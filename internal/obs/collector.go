@@ -51,7 +51,7 @@ func (o Options) withDefaults() Options {
 type Collector struct {
 	opts Options
 	seq  atomic.Uint64
-	aux  *Ring
+	aux  *ring
 
 	mu     sync.Mutex
 	shards []*ShardObs
@@ -107,7 +107,7 @@ func (c *Collector) Events() []Event {
 	c.mu.Lock()
 	shards := append([]*ShardObs(nil), c.shards...)
 	c.mu.Unlock()
-	out := make([]Event, 0, (len(shards)+1)*c.aux.Cap())
+	out := make([]Event, 0, (len(shards)+1)*c.aux.cap())
 	out = c.aux.snapshot(out)
 	for _, s := range shards {
 		out = s.ring.snapshot(out)
@@ -132,7 +132,7 @@ func (c *Collector) BurstLatencyDigest() DigestSnapshot {
 	c.mu.Unlock()
 	var merged Digest
 	for _, s := range shards {
-		merged.Merge(&s.lat)
+		merged.merge(&s.lat)
 	}
 	return merged.Snapshot()
 }
@@ -165,7 +165,7 @@ func (c *Collector) NewAggObs() *AggObs {
 type ShardObs struct {
 	c     *Collector
 	shard int32
-	ring  *Ring
+	ring  *ring
 	lat   Digest
 
 	bursts atomic.Int64
@@ -213,7 +213,7 @@ type AggObs struct {
 	acceptedBytes   atomic.Int64
 	droppedPackets  atomic.Int64
 	droppedBytes    atomic.Int64
-	meter           RateMeter
+	meter           rateMeter
 }
 
 // Count folds one enforced run's verdict tallies into the block at virtual
@@ -228,7 +228,7 @@ func (a *AggObs) Count(accPkts, accBytes, drpPkts, drpBytes int64, now time.Dura
 		a.droppedBytes.Add(drpBytes)
 	}
 	if accBytes != 0 {
-		a.meter.Add(now, int(accBytes))
+		a.meter.add(now, int(accBytes))
 	}
 }
 
@@ -249,6 +249,6 @@ func (a *AggObs) Snapshot() AggCounters {
 		AcceptedBytes:   a.acceptedBytes.Load(),
 		DroppedPackets:  a.droppedPackets.Load(),
 		DroppedBytes:    a.droppedBytes.Load(),
-		Rate:            float64(a.meter.Rate()),
+		Rate:            float64(a.meter.rate()),
 	}
 }

@@ -23,7 +23,7 @@ import (
 // 64 bytes and a rate-error digest spread over fifty at 512, where the
 // dense array cost 3.9 KB each.
 //
-// Concurrency contract: one writer at a time (Observe and Merge into d),
+// Concurrency contract: one writer at a time (Observe and merge into d),
 // any number of readers. The writer's path is lock-free and, between
 // growths, allocation-free: one bucket index via bits.Len64, one pointer
 // load and two atomic adds. A reader that races a growth reads the span
@@ -223,8 +223,8 @@ func (d *Digest) Observe(v int64) {
 	d.sum.Add(v)
 }
 
-// Merge adds other's counts into d, walking only other's populated span.
-func (d *Digest) Merge(other *Digest) {
+// merge adds other's counts into d, walking only other's populated span.
+func (d *Digest) merge(other *Digest) {
 	if other == nil {
 		return
 	}
@@ -373,12 +373,12 @@ func (s DigestSnapshot) Encode() []byte {
 	return out
 }
 
-// DecodeDigest parses a BQAD frame. Every structural violation — bad
+// decodeDigest parses a BQAD frame. Every structural violation — bad
 // magic or version, truncated or oversized frame, out-of-range or
 // non-increasing bucket indices, zero counts, a total that overflows —
 // is rejected with an error; the allocation is bounded by the fixed
 // bucket count regardless of input.
-func DecodeDigest(b []byte) (DigestSnapshot, error) {
+func decodeDigest(b []byte) (DigestSnapshot, error) {
 	const header = len(digestMagic) + 1 + 8 + 2
 	if len(b) < header {
 		return DigestSnapshot{}, fmt.Errorf("obs: digest frame too short (%d bytes)", len(b))

@@ -115,11 +115,11 @@ func TestDigestMergeAssociativity(t *testing.T) {
 		}
 	}
 	// Merging through the wire form is the same as merging in memory.
-	da, err := DecodeDigest(a.Encode())
+	da, err := decodeDigest(a.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := DecodeDigest(b.Encode())
+	db, err := decodeDigest(b.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +128,14 @@ func TestDigestMergeAssociativity(t *testing.T) {
 	if wire.Sum != mem.Sum || wire.Total() != mem.Total() {
 		t.Fatalf("wire-form merge diverged: %d/%d vs %d/%d", wire.Sum, wire.Total(), mem.Sum, mem.Total())
 	}
-	// Live Digest.Merge matches snapshot merge.
+	// Live Digest.merge matches snapshot Merge.
 	d1, d2 := NewDigest(), NewDigest()
 	for i := int64(0); i < 1000; i++ {
 		d1.Observe(i * 3)
 		d2.Observe(i * 7)
 	}
 	s1, s2 := d1.Snapshot(), d2.Snapshot()
-	d1.Merge(d2)
+	d1.merge(d2)
 	live := d1.Snapshot()
 	want := s1.Merge(s2)
 	if live.Sum != want.Sum || live.Total() != want.Total() {
@@ -153,7 +153,7 @@ func TestDigestCodecRoundTrip(t *testing.T) {
 	}
 	s := d.Snapshot()
 	enc := s.Encode()
-	got, err := DecodeDigest(enc)
+	got, err := decodeDigest(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestDigestCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// Empty digest roundtrips too.
-	if _, err := DecodeDigest(DigestSnapshot{Counts: make([]uint64, digestBuckets)}.Encode()); err != nil {
+	if _, err := decodeDigest(DigestSnapshot{Counts: make([]uint64, digestBuckets)}.Encode()); err != nil {
 		t.Fatalf("empty roundtrip: %v", err)
 	}
 
@@ -180,7 +180,7 @@ func TestDigestCodecRoundTrip(t *testing.T) {
 		mutate(enc, 13, 0xFF), mutate(enc, 14, 0xFF), // absurd pair count
 	}
 	for i, b := range bad {
-		if _, err := DecodeDigest(b); err == nil {
+		if _, err := decodeDigest(b); err == nil {
 			t.Fatalf("bad frame %d decoded without error", i)
 		}
 	}
@@ -206,14 +206,14 @@ func FuzzAuditDigestDecode(f *testing.F) {
 	f.Add([]byte("BQAD"))
 	f.Add([]byte("BQAD\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01"))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		s, err := DecodeDigest(b)
+		s, err := decodeDigest(b)
 		if err != nil {
 			return
 		}
 		if len(s.Counts) != digestBuckets {
 			t.Fatalf("accepted frame has %d buckets", len(s.Counts))
 		}
-		re, err := DecodeDigest(s.Encode())
+		re, err := decodeDigest(s.Encode())
 		if err != nil {
 			t.Fatalf("re-decode of accepted frame failed: %v", err)
 		}

@@ -29,7 +29,7 @@ func sameDigest(t *testing.T, what string, live *Digest, ref *refDigest) {
 	if !bytes.Equal(enc, want.Encode()) {
 		t.Fatalf("%s: BQAD frame differs:\n got %x\nwant %x", what, enc, want.Encode())
 	}
-	back, err := DecodeDigest(enc)
+	back, err := decodeDigest(enc)
 	if err != nil || !slices.Equal(back.Counts, want.Counts) || back.Sum != want.Sum {
 		t.Fatalf("%s: frame does not decode back to the snapshot (err %v)", what, err)
 	}
@@ -59,7 +59,7 @@ func fuzzValue(a, b byte) int64 {
 }
 
 // FuzzDigestEquivalence runs an arbitrary sequence of Observe, Merge,
-// Snapshot and Encode/DecodeDigest over three span digests and three dense
+// Snapshot and Encode/decodeDigest over three span digests and three dense
 // reference digests in lockstep; after every step that reads, and at the
 // end for all three, everything exported must be identical.
 func FuzzDigestEquivalence(f *testing.F) {
@@ -78,10 +78,10 @@ func FuzzDigestEquivalence(f *testing.F) {
 				if j == k {
 					j = (j + 1) % 3
 				}
-				live[k].Merge(&live[j])
+				live[k].merge(&live[j])
 				ref[k].Merge(&ref[j])
 			case 1: // merge a decoded frame's worth: a digest rebuilt off the wire
-				s, err := DecodeDigest(live[k].Snapshot().Encode())
+				s, err := decodeDigest(live[k].Snapshot().Encode())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -104,7 +104,7 @@ func FuzzDigestEquivalence(f *testing.F) {
 		for k := range live {
 			sameDigest(t, "final", &live[k], &ref[k])
 		}
-		live[0].Merge(nil)
+		live[0].merge(nil)
 	})
 }
 
@@ -207,7 +207,7 @@ func TestDigestGrowthRace(t *testing.T) {
 			var prev uint64
 			for !done.Load() {
 				var acc Digest
-				acc.Merge(&d)
+				acc.merge(&d)
 				s := d.Snapshot()
 				total := s.Total()
 				if total < prev {
@@ -261,8 +261,8 @@ func FuzzRateMeterEquivalence(f *testing.F) {
 		live := newRateMeter(window)
 		whole := newRefRateMeter(window, 1<<30)
 		shipped := newRefRateMeter(window, 64)
-		if live.Rate() != 0 {
-			t.Fatalf("unused meter reads %v", live.Rate())
+		if live.rate() != 0 {
+			t.Fatalf("unused meter reads %v", live.rate())
 		}
 		var now time.Duration
 		for i := 0; i+1 < len(steps) && i < 600; i += 2 {
@@ -274,14 +274,14 @@ func FuzzRateMeterEquivalence(f *testing.F) {
 			}
 			now += dt
 			n := int(steps[i+1]) * 97
-			live.Add(now, n)
+			live.add(now, n)
 			whole.Add(now, n)
 			shipped.Add(now, n)
-			if g, w := live.Rate(), whole.Rate(); g != w {
+			if g, w := live.rate(), whole.Rate(); g != w {
 				t.Fatalf("step %d at %v: Rate %v, reference without a horizon %v", i/2, now, g, w)
 			}
 			if rebased := shipped.partial() && !whole.partial(); !rebased {
-				if g, w := live.Rate(), shipped.Rate(); g != w {
+				if g, w := live.rate(), shipped.Rate(); g != w {
 					t.Fatalf("step %d at %v: Rate %v, shipped reference %v away from a rebase", i/2, now, g, w)
 				}
 			}

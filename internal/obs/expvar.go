@@ -37,8 +37,8 @@ func (f varFunc) String() string {
 				m[key] = map[string]any{
 					"count": sm.Hist.Count,
 					"sum":   finite(sm.Hist.Sum),
-					"p50":   finite(sm.Hist.Quantile(0.50)),
-					"p99":   finite(sm.Hist.Quantile(0.99)),
+					"p50":   finite(sm.Hist.quantile(0.50)),
+					"p99":   finite(sm.Hist.quantile(0.99)),
 				}
 				continue
 			}

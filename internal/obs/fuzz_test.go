@@ -23,15 +23,15 @@ func FuzzPromExposition(f *testing.F) {
 		empty := newRateMeter(0) // never Added: Rate must be 0, not NaN
 		m := newRateMeter(time.Millisecond)
 		if hv > 0 {
-			m.Add(time.Duration(hv%int64(time.Second)), int(v)%65536)
+			m.add(time.Duration(hv%int64(time.Second)), int(v)%65536)
 		}
 		snap := Snapshot{Families: []Family{
 			{Name: "bcpqp_fuzz_counter", Help: "fuzzed \\ counter\nhelp", Type: "counter",
 				Samples: []Sample{{Labels: []Label{{lname, lval}}, Value: v}}},
 			{Name: lname, Type: "gauge",
 				Samples: []Sample{
-					{Value: float64(empty.Rate())},
-					{Value: float64(m.Rate())},
+					{Value: float64(empty.rate())},
+					{Value: float64(m.rate())},
 					{Labels: []Label{{"a", lval}, {"b", lval + `\`}}, Value: v * v},
 				}},
 			{Name: "bcpqp_fuzz_hist", Type: "histogram",

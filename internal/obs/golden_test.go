@@ -36,7 +36,7 @@ func goldenDigest() *Digest {
 	}
 	other.Observe(math.MaxInt64)
 	d.Observe(math.MaxInt64 - 1)
-	d.Merge(other)
+	d.merge(other)
 	return d
 }
 
@@ -64,7 +64,7 @@ func TestDigestGoldenBQAD(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("BQAD frame differs from the dense digest's:\n got %x\nwant %x", got, want)
 	}
-	back, err := DecodeDigest(want)
+	back, err := decodeDigest(want)
 	if err != nil {
 		t.Fatalf("the dense digest's frame is rejected: %v", err)
 	}

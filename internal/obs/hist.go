@@ -11,9 +11,9 @@ type HistSnapshot struct {
 	Count  uint64
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from bucket upper
+// quantile estimates the q-quantile (0 ≤ q ≤ 1) from bucket upper
 // bounds; it returns 0 for an empty histogram.
-func (s HistSnapshot) Quantile(q float64) float64 {
+func (s HistSnapshot) quantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0
 	}

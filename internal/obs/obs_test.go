@@ -103,7 +103,7 @@ func TestSampleBurst(t *testing.T) {
 }
 
 func TestHistQuantile(t *testing.T) {
-	if q := latencyHist().Quantile(0.5); q != 0 {
+	if q := latencyHist().quantile(0.5); q != 0 {
 		t.Errorf("empty hist quantile = %g, want 0", q)
 	}
 	ns := make([]int64, 1000)
@@ -111,7 +111,7 @@ func TestHistQuantile(t *testing.T) {
 		ns[i] = 1000 // 1 µs
 	}
 	s := latencyHist(ns...)
-	if q := s.Quantile(0.5); q < 0.9e-6 || q > 1.2e-6 {
+	if q := s.quantile(0.5); q < 0.9e-6 || q > 1.2e-6 {
 		t.Errorf("p50 of 1µs = %g s", q)
 	}
 	if s.Count != 1000 || s.Sum < 0.999e-3 || s.Sum > 1.001e-3 {
@@ -121,30 +121,30 @@ func TestHistQuantile(t *testing.T) {
 
 // newRateMeter returns a meter with the given window, as a collector sets
 // one up for each aggregate.
-func newRateMeter(window time.Duration) *RateMeter {
-	r := new(RateMeter)
+func newRateMeter(window time.Duration) *rateMeter {
+	r := new(rateMeter)
 	r.init(window)
 	return r
 }
 
 func TestRateMeter(t *testing.T) {
 	m := newRateMeter(100 * time.Millisecond)
-	if r := m.Rate(); r != 0 {
+	if r := m.rate(); r != 0 {
 		t.Errorf("empty meter Rate = %v, want 0", r)
 	}
 	// 12500 bytes into the first window = 1 Mbps at 100 ms windows: read
 	// off the partial window while it is the only one, off the completed
 	// window once the next has begun.
-	m.Add(10*time.Millisecond, 12500)
-	if r := float64(m.Rate()); r != 1e6 {
+	m.add(10*time.Millisecond, 12500)
+	if r := float64(m.rate()); r != 1e6 {
 		t.Errorf("partial first window Rate = %g bps, want 1e6", r)
 	}
-	m.Add(150*time.Millisecond, 1) // advance into window 1
-	if r := float64(m.Rate()); r != 1e6 {
+	m.add(150*time.Millisecond, 1) // advance into window 1
+	if r := float64(m.rate()); r != 1e6 {
 		t.Errorf("Rate = %g bps, want 1e6", r)
 	}
-	m.Add(460*time.Millisecond, 1) // windows 2 and 3 saw nothing
-	if r := m.Rate(); r != 0 {
+	m.add(460*time.Millisecond, 1) // windows 2 and 3 saw nothing
+	if r := m.rate(); r != 0 {
 		t.Errorf("Rate after an idle gap = %v, want 0", r)
 	}
 }
@@ -154,18 +154,18 @@ func TestRateMeter(t *testing.T) {
 func TestRateMeterLongRun(t *testing.T) {
 	m := newRateMeter(time.Millisecond)
 	for i := 0; i < 10_000; i++ {
-		m.Add(time.Duration(i)*time.Millisecond, 125)
-		if i > 0 && m.Rate() != 1e6 {
-			t.Fatalf("steady 1 Mbps reads %v bps at window %d", m.Rate(), i)
+		m.add(time.Duration(i)*time.Millisecond, 125)
+		if i > 0 && m.rate() != 1e6 {
+			t.Fatalf("steady 1 Mbps reads %v bps at window %d", m.rate(), i)
 		}
 	}
 	// Time regression counts into the current window instead of panicking.
-	m.Add(0, 10)
-	m.Add(10_000*time.Millisecond, 1)
-	if r := float64(m.Rate()); r != 135*8e3 {
+	m.add(0, 10)
+	m.add(10_000*time.Millisecond, 1)
+	if r := float64(m.rate()); r != 135*8e3 {
 		t.Errorf("Rate = %g, want the regressed bytes counted into the last window", r)
 	}
-	if n := testing.AllocsPerRun(100, func() { m.Add(20_000*time.Millisecond, 1); _ = m.Rate() }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { m.add(20_000*time.Millisecond, 1); _ = m.rate() }); n != 0 {
 		t.Errorf("Add+Rate allocates %v times", n)
 	}
 }

@@ -75,10 +75,10 @@ func (d *refDigest) Snapshot() DigestSnapshot {
 // kept verbatim as the reference for FuzzRateMeterEquivalence. What follows
 // is its original comment.
 //
-// RateMeter adapts internal/metrics.Meter — the paper's §6.1 windowed
+// rateMeter adapts internal/metrics.Meter — the paper's §6.1 windowed
 // throughput meter — to a long-running monotonic clock. metrics.Meter
 // indexes windows from virtual time zero and grows its window slice
-// forever; RateMeter rebases onto a fresh Meter every `horizon` windows so
+// forever; rateMeter rebases onto a fresh Meter every `horizon` windows so
 // memory stays bounded over an unbounded run, at the cost of forgetting
 // history older than the horizon (which is exactly what a runtime gauge
 // wants).

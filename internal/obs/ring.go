@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// Ring is a fixed-capacity, lock-free flight-recorder ring. Writers claim
+// ring is a fixed-capacity, lock-free flight-recorder ring. Writers claim
 // slots with one atomic increment and publish events with word-wise atomic
 // stores behind a per-slot seqlock; readers snapshot without stopping
 // writers, discarding any slot caught mid-write. The ring never allocates
@@ -14,7 +14,7 @@ import (
 // Each slot's fields are individually atomic, so a concurrent snapshot is
 // free of data races (including under the race detector) and the seq
 // re-check discards torn events rather than returning them.
-type Ring struct {
+type ring struct {
 	mask  uint64
 	head  atomic.Uint64 // next claim index
 	slots []ringSlot
@@ -35,23 +35,23 @@ type ringSlot struct {
 
 // newRing returns a ring holding the most recent n events (rounded up to a
 // power of two, minimum 16).
-func newRing(n int) *Ring {
+func newRing(n int) *ring {
 	capacity := 16
 	for capacity < n {
 		capacity <<= 1
 	}
-	return &Ring{mask: uint64(capacity - 1), slots: make([]ringSlot, capacity)}
+	return &ring{mask: uint64(capacity - 1), slots: make([]ringSlot, capacity)}
 }
 
-// Cap returns the ring capacity in events.
-func (r *Ring) Cap() int { return len(r.slots) }
+// cap returns the ring capacity in events.
+func (r *ring) cap() int { return len(r.slots) }
 
 // record publishes one event; e.Seq must already be nonzero (the
 // collector's global sequence). Claiming the slot index with a single
 // atomic add makes the ring multi-producer safe: two producers write the
 // same slot only after a full ring wrap between claim and publish, and the
 // seqlock discards such a slot from snapshots rather than tearing it.
-func (r *Ring) record(e Event) {
+func (r *ring) record(e Event) {
 	s := &r.slots[(r.head.Add(1)-1)&r.mask]
 	s.seq.Store(0)
 	s.wall.Store(e.Wall)
@@ -75,7 +75,7 @@ func unpackMeta(m uint64) (Kind, int32) {
 // snapshot appends the ring's published events to out. Slots caught
 // mid-write are retried a few times and then skipped; the result is not
 // ordered (merge and sort across rings with sortEvents).
-func (r *Ring) snapshot(out []Event) []Event {
+func (r *ring) snapshot(out []Event) []Event {
 	for i := range r.slots {
 		s := &r.slots[i]
 		for attempt := 0; attempt < 3; attempt++ {

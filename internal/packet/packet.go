@@ -22,10 +22,10 @@ func (k FlowKey) String() string {
 	return fmt.Sprintf("%d:%d->%d:%d/%d", k.SrcIP, k.SrcPort, k.DstIP, k.DstPort, k.Proto)
 }
 
-// Hash returns a 64-bit FNV-1a hash of the flow key. The hash drives
+// hash returns a 64-bit FNV-1a hash of the flow key. The hash drives
 // classification of flows into one of N queues when no explicit class is
 // assigned (§3.2: "hash of source-destination addresses").
-func (k FlowKey) Hash() uint64 {
+func (k FlowKey) hash() uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -56,7 +56,7 @@ func (k FlowKey) Class(n int) int {
 	if n <= 1 {
 		return 0
 	}
-	return int(k.Hash() % uint64(n))
+	return int(k.hash() % uint64(n))
 }
 
 // NoClass marks a packet whose class should be derived from its flow key.

@@ -7,7 +7,7 @@ import (
 
 func TestHashDeterministic(t *testing.T) {
 	k := FlowKey{SrcIP: 0x0a000001, DstIP: 0x0a000002, SrcPort: 1234, DstPort: 80, Proto: 6}
-	if k.Hash() != k.Hash() {
+	if k.hash() != k.hash() {
 		t.Error("hash not deterministic")
 	}
 }
@@ -21,9 +21,9 @@ func TestHashSensitivity(t *testing.T) {
 		{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 5, Proto: 5},
 		{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6},
 	}
-	h := base.Hash()
+	h := base.hash()
 	for i, v := range variants {
-		if v.Hash() == h {
+		if v.hash() == h {
 			t.Errorf("variant %d collides with base", i)
 		}
 	}

@@ -135,7 +135,7 @@ func (p *PQP) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []en
 			continue
 		}
 		if traced {
-			p.emit(now, class, EventAccept, size, q.length)
+			p.emit(now, class, eventAccept, size, q.length)
 		}
 		verdicts[i] = enforcer.Transmit
 	}

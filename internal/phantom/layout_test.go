@@ -839,7 +839,7 @@ func TestBurstStatsVisibleToHooks(t *testing.T) {
 	p = MustNew(cfg)
 	p.SetOnEvent(func(e Event) {
 		switch e.Kind {
-		case EventAccept, EventDrop, EventMark:
+		case eventAccept, EventDrop, EventMark:
 			decided++
 			if got := total(); got != decided {
 				t.Fatalf("event %d (%v) sees %d packets counted", decided, e.Kind, got)

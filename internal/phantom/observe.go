@@ -8,8 +8,8 @@ import (
 type EventKind int
 
 const (
-	// EventAccept: a packet was admitted and its phantom copy enqueued.
-	EventAccept EventKind = iota
+	// eventAccept: a packet was admitted and its phantom copy enqueued.
+	eventAccept EventKind = iota
 	// EventDrop: a packet was rejected (full queue, RED, or filter).
 	EventDrop
 	// EventMark: a packet was admitted with an ECN CE mark.
@@ -23,7 +23,7 @@ const (
 // String names the event kind.
 func (k EventKind) String() string {
 	switch k {
-	case EventAccept:
+	case eventAccept:
 		return "accept"
 	case EventDrop:
 		return "drop"
@@ -88,26 +88,26 @@ type Event struct {
 	Reason DropReason
 }
 
-// Recorder is a fixed-capacity ring of recent events — a flight recorder
-// for debugging enforcement behaviour in production. The zero value is
-// unusable; construct with NewRecorder. Not safe for concurrent use (attach
+// recorder is a fixed-capacity ring of recent events — a flight recorder
+// for debugging enforcement behaviour. The zero value is
+// unusable; construct with newRecorder. Not safe for concurrent use (attach
 // one per enforcer, which is itself single-goroutine).
-type Recorder struct {
+type recorder struct {
 	buf   []Event
 	next  int
 	total int64
 }
 
-// NewRecorder returns a ring holding the most recent n events.
-func NewRecorder(n int) *Recorder {
+// newRecorder returns a ring holding the most recent n events.
+func newRecorder(n int) *recorder {
 	if n < 1 {
 		n = 1
 	}
-	return &Recorder{buf: make([]Event, 0, n)}
+	return &recorder{buf: make([]Event, 0, n)}
 }
 
-// Record stores an event; pass it to PQP.SetOnEvent.
-func (r *Recorder) Record(e Event) {
+// record stores an event; pass it to PQP.SetOnEvent.
+func (r *recorder) record(e Event) {
 	r.total++
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, e)
@@ -117,13 +117,10 @@ func (r *Recorder) Record(e Event) {
 	r.next = (r.next + 1) % cap(r.buf)
 }
 
-// Events returns the recorded events, oldest first.
-func (r *Recorder) Events() []Event {
+// events returns the recorded events, oldest first.
+func (r *recorder) events() []Event {
 	out := make([]Event, 0, len(r.buf))
 	out = append(out, r.buf[r.next:]...)
 	out = append(out, r.buf[:r.next]...)
 	return out
 }
-
-// Total returns how many events were recorded overall (including evicted).
-func (r *Recorder) Total() int64 { return r.total }

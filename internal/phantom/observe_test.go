@@ -10,7 +10,7 @@ import (
 
 func TestEventKindString(t *testing.T) {
 	for k, want := range map[EventKind]string{
-		EventAccept:       "accept",
+		eventAccept:       "accept",
 		EventDrop:         "drop",
 		EventMark:         "mark",
 		EventMagicFill:    "magic-fill",
@@ -24,12 +24,12 @@ func TestEventKindString(t *testing.T) {
 }
 
 func TestObserverSeesLifecycle(t *testing.T) {
-	rec := NewRecorder(4096)
+	rec := newRecorder(4096)
 	q := MustNew(Config{
 		Rate: 8 * units.Mbps, Queues: 1, QueueSize: 400 * units.MSS,
 		BurstControl: true,
 	})
-	q.SetOnEvent(rec.Record)
+	q.SetOnEvent(rec.record)
 	now := time.Millisecond
 	// Burst far beyond θ⁺X: accepts, then a magic fill, then drops.
 	for i := 0; i < 300; i++ {
@@ -42,13 +42,13 @@ func TestObserverSeesLifecycle(t *testing.T) {
 	q.Tick(now)
 
 	counts := map[EventKind]int64{}
-	for _, e := range rec.Events() {
+	for _, e := range rec.events() {
 		counts[e.Kind]++
 		if e.QueueLen < 0 || e.QueueLen > 400*units.MSS {
 			t.Fatalf("event reports impossible occupancy %d", e.QueueLen)
 		}
 	}
-	if counts[EventAccept] == 0 || counts[EventDrop] == 0 {
+	if counts[eventAccept] == 0 || counts[EventDrop] == 0 {
 		t.Errorf("missing accept/drop events: %v", counts)
 	}
 	if counts[EventMagicFill] != 1 {
@@ -59,13 +59,13 @@ func TestObserverSeesLifecycle(t *testing.T) {
 	}
 	// Accounting cross-check: events match enforcer statistics.
 	st := q.EnforcerStats()
-	if counts[EventAccept] != st.AcceptedPackets || counts[EventDrop] != st.DroppedPackets {
+	if counts[eventAccept] != st.AcceptedPackets || counts[EventDrop] != st.DroppedPackets {
 		t.Errorf("events %v vs stats %+v", counts, st)
 	}
 }
 
 func TestObserverSeesMarks(t *testing.T) {
-	rec := NewRecorder(1024)
+	rec := newRecorder(1024)
 	const B = 100 * units.MSS
 	q := MustNew(Config{
 		Rate: 8 * units.Mbps, Queues: 1, QueueSize: B,
@@ -74,7 +74,7 @@ func TestObserverSeesMarks(t *testing.T) {
 			Weight: 0.2, Seed: 1, MarkECN: true,
 		},
 	})
-	q.SetOnEvent(rec.Record)
+	q.SetOnEvent(rec.record)
 	now := time.Duration(0)
 	for i := 0; i < 500; i++ {
 		now += 500 * time.Microsecond // 3× overload
@@ -83,7 +83,7 @@ func TestObserverSeesMarks(t *testing.T) {
 		q.Submit(now, p)
 	}
 	var marks int
-	for _, e := range rec.Events() {
+	for _, e := range rec.events() {
 		if e.Kind == EventMark {
 			marks++
 		}
@@ -94,11 +94,11 @@ func TestObserverSeesMarks(t *testing.T) {
 }
 
 func TestRecorderRing(t *testing.T) {
-	rec := NewRecorder(3)
+	rec := newRecorder(3)
 	for i := 0; i < 5; i++ {
-		rec.Record(Event{Class: i})
+		rec.record(Event{Class: i})
 	}
-	events := rec.Events()
+	events := rec.events()
 	if len(events) != 3 {
 		t.Fatalf("ring holds %d, want 3", len(events))
 	}
@@ -108,16 +108,16 @@ func TestRecorderRing(t *testing.T) {
 			t.Fatalf("ring order wrong: %v", events)
 		}
 	}
-	if rec.Total() != 5 {
-		t.Errorf("total = %d, want 5", rec.Total())
+	if rec.total != 5 {
+		t.Errorf("total = %d, want 5", rec.total)
 	}
 }
 
 func TestRecorderPartialFill(t *testing.T) {
-	rec := NewRecorder(10)
-	rec.Record(Event{Class: 0})
-	rec.Record(Event{Class: 1})
-	events := rec.Events()
+	rec := newRecorder(10)
+	rec.record(Event{Class: 0})
+	rec.record(Event{Class: 1})
+	events := rec.events()
 	if len(events) != 2 || events[0].Class != 0 || events[1].Class != 1 {
 		t.Errorf("partial ring events = %v", events)
 	}

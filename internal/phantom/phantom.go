@@ -19,7 +19,7 @@
 // steady state without the giant slow-start burst an O(BDP²) queue would
 // otherwise admit. When the accept rate falls below θ⁻·r_i*·T the remaining
 // magic bytes are reclaimed so a departing flow frees its rate share
-// immediately. θ⁺, θ⁻ and T are the paper's constants (ThetaHi, ThetaLo,
+// immediately. θ⁺, θ⁻ and T are the paper's constants (thetaHi, thetaLo,
 // Window), not options: a Config carries only what a deployment chooses —
 // rate, queues, buffer size, policy, and the §3.3 extensions.
 //
@@ -86,8 +86,8 @@ import (
 // steady-state rate oscillation (4/3·r and 2/3·r, applied with margin as 1.5
 // and 0.5), and T approximates a p99 WAN RTT.
 const (
-	ThetaHi = 1.5
-	ThetaLo = 0.5
+	thetaHi = 1.5
+	thetaLo = 0.5
 	Window  = 100 * time.Millisecond
 )
 
@@ -111,7 +111,7 @@ type Config struct {
 	// fairness (equal-weight sharing over Queues classes).
 	Policy *sched.Policy
 	// BurstControl enables the BC-PQP mechanism with the paper's θ⁺,
-	// θ⁻ and T (ThetaHi, ThetaLo, Window). When false the enforcer is
+	// θ⁻ and T (thetaHi, thetaLo, Window). When false the enforcer is
 	// plain PQP.
 	BurstControl bool
 	// RED optionally enables RED-style early drops on the simulated
@@ -259,7 +259,7 @@ func (p *PQP) accept(now time.Duration, class int, q *queue, size int64) {
 		// High-threshold check: if this queue accepted more than
 		// θ⁺·r_i*·T in the current window, fill it with magic bytes.
 		x := p.expectedWindowBytes(class)
-		if x > 0 && float64(q.accepted) > ThetaHi*x {
+		if x > 0 && float64(q.accepted) > thetaHi*x {
 			p.fillMagic(now, class, q)
 		}
 	}
@@ -324,7 +324,7 @@ func (p *PQP) Commit(now time.Duration, pkt *packet.Packet) {
 	}
 	p.stats.Accept(pkt.Size)
 	p.accept(now, class, q, size)
-	p.emit(now, class, EventAccept, size, q.length)
+	p.emit(now, class, eventAccept, size, q.length)
 }
 
 // Tick advances phantom drains and burst-control windows to now without
@@ -475,7 +475,7 @@ func (q *queue) windowDue(now time.Duration) bool {
 func (p *PQP) closeWindow(now time.Duration, class int, q *queue) {
 	// An empty queue holds no magic, so r_i* is only worked out for
 	// queues that might reclaim.
-	if q.length > 0 && float64(q.accepted) < ThetaLo*p.expectedWindowBytes(class) {
+	if q.length > 0 && float64(q.accepted) < thetaLo*p.expectedWindowBytes(class) {
 		if reclaimed := p.reclaimMagic(class); reclaimed > 0 {
 			p.emit(now, class, EventMagicReclaim, reclaimed, q.length)
 		}
@@ -550,9 +550,6 @@ func (p *PQP) ClassStats(class int) (acceptedPkts, acceptedBytes, droppedPkts, d
 
 // NumQueues returns the configured number of phantom queues.
 func (p *PQP) NumQueues() int { return p.cfg.Queues }
-
-// Rate returns the configured aggregate rate.
-func (p *PQP) Rate() units.Rate { return p.cfg.Rate }
 
 var _ enforcer.Enforcer = (*PQP)(nil)
 var _ enforcer.StatsReader = (*PQP)(nil)

@@ -472,7 +472,7 @@ func TestAccessors(t *testing.T) {
 	if q.NumQueues() != 5 {
 		t.Errorf("NumQueues = %d", q.NumQueues())
 	}
-	if q.Rate() != 3*units.Mbps {
-		t.Errorf("Rate = %v", q.Rate())
+	if q.cfg.Rate != 3*units.Mbps {
+		t.Errorf("Rate = %v", q.cfg.Rate)
 	}
 }

@@ -167,7 +167,7 @@ func (r *refPQP) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
 			q.windowOpen, q.windowStart, q.accepted = true, now, 0
 		}
 		q.accepted += size
-		if x := r.expectedWindowBytes(class); x > 0 && float64(q.accepted) > ThetaHi*x {
+		if x := r.expectedWindowBytes(class); x > 0 && float64(q.accepted) > thetaHi*x {
 			if m := r.cfg.QueueSize - q.length; m > 0 {
 				q.segs = append(q.segs, refSegment{bytes: m, magic: true})
 				q.magic += m
@@ -294,7 +294,7 @@ func (r *refPQP) rollWindow(now time.Duration, class int) {
 		return
 	}
 	x := r.expectedWindowBytes(class)
-	if float64(q.accepted) < ThetaLo*x && q.magic > 0 {
+	if float64(q.accepted) < thetaLo*x && q.magic > 0 {
 		q.reclaimMagic()
 		if q.length == 0 {
 			r.sharesValid = false

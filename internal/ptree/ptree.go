@@ -138,10 +138,10 @@ import (
 	"bcpqp/internal/units"
 )
 
-// DefaultBurstWindow sizes a defaulted assured bucket or borrow pool: the
+// defaultBurstWindow sizes a defaulted assured bucket or borrow pool: the
 // bucket holds this much time at the node's refill rate (with a one-MSS
 // floor), the classic "rate × small window" policer sizing.
-const DefaultBurstWindow = 100 * time.Millisecond
+const defaultBurstWindow = 100 * time.Millisecond
 
 // NodeSpec describes one node of a policy tree.
 type NodeSpec struct {
@@ -162,7 +162,7 @@ type NodeSpec struct {
 	// (an interior node still pools its children's assured rates).
 	Assured units.Rate
 	// Burst is the assured bucket (leaf) or borrow pool (interior)
-	// capacity in bytes; 0 selects DefaultBurstWindow at the node's
+	// capacity in bytes; 0 selects defaultBurstWindow at the node's
 	// refill rate. Only meaningful on nodes participating in the assured
 	// layer.
 	Burst int64
@@ -217,10 +217,10 @@ func (n *node) floor() float64 {
 	return 0
 }
 
-// defaultBurst sizes a bucket whose spec gave none: DefaultBurstWindow at
+// defaultBurst sizes a bucket whose spec gave none: defaultBurstWindow at
 // the refill rate, and never less than one MSS.
 func defaultBurst(effRate float64) float64 {
-	return max(effRate*DefaultBurstWindow.Seconds(), units.MSS)
+	return max(effRate*defaultBurstWindow.Seconds(), units.MSS)
 }
 
 // ceiling is one node's ceiling: the Stage, and what a burst has tallied at

@@ -137,7 +137,7 @@ func newRefTree(spec []NodeSpec) (*refTree, error) {
 		if spec[i].Burst > 0 {
 			t.burst[i] = float64(spec[i].Burst)
 		} else {
-			t.burst[i] = t.effRate[i] * DefaultBurstWindow.Seconds()
+			t.burst[i] = t.effRate[i] * defaultBurstWindow.Seconds()
 			if t.burst[i] < units.MSS {
 				t.burst[i] = units.MSS
 			}

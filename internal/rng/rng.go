@@ -47,20 +47,17 @@ func (s *Source) Float64() float64 { return s.r.Float64() }
 // IntN returns a uniform int in [0, n).
 func (s *Source) IntN(n int) int { return s.r.IntN(n) }
 
-// Int64N returns a uniform int64 in [0, n).
-func (s *Source) Int64N(n int64) int64 { return s.r.Int64N(n) }
-
 // Uint64 returns a uniform 64-bit value.
 func (s *Source) Uint64() uint64 { return s.r.Uint64() }
 
-// Exp returns an exponentially distributed float64 with mean 1.
-func (s *Source) Exp() float64 { return s.r.ExpFloat64() }
+// exp returns an exponentially distributed float64 with mean 1.
+func (s *Source) exp() float64 { return s.r.ExpFloat64() }
 
-// Norm returns a normally distributed float64 with mean 0 and stddev 1.
-func (s *Source) Norm() float64 { return s.r.NormFloat64() }
+// norm returns a normally distributed float64 with mean 0 and stddev 1.
+func (s *Source) norm() float64 { return s.r.NormFloat64() }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
+// perm returns a pseudo-random permutation of [0, n).
+func (s *Source) perm(n int) []int { return s.r.Perm(n) }
 
 // Range returns a uniform float64 in [lo, hi).
 func (s *Source) Range(lo, hi float64) float64 {
@@ -70,5 +67,5 @@ func (s *Source) Range(lo, hi float64) float64 {
 // LogNormal returns a log-normally distributed value with the given
 // parameters of the underlying normal distribution.
 func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*s.Norm())
+	return math.Exp(mu + sigma*s.norm())
 }

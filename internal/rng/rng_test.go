@@ -102,7 +102,7 @@ func TestExpMeanRoughlyOne(t *testing.T) {
 	var sum float64
 	const n = 20000
 	for i := 0; i < n; i++ {
-		sum += s.Exp()
+		sum += s.exp()
 	}
 	mean := sum / n
 	if mean < 0.95 || mean > 1.05 {
@@ -112,7 +112,7 @@ func TestExpMeanRoughlyOne(t *testing.T) {
 
 func TestPerm(t *testing.T) {
 	s := New(17)
-	p := s.Perm(10)
+	p := s.perm(10)
 	seen := make([]bool, 10)
 	for _, v := range p {
 		if v < 0 || v >= 10 || seen[v] {

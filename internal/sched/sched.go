@@ -21,22 +21,22 @@ import (
 	"sync/atomic"
 )
 
-// Kind discriminates policy tree nodes.
-type Kind int
+// kind discriminates policy tree nodes.
+type kind int
 
 const (
-	// KindLeaf is a terminal node bound to a traffic class.
-	KindLeaf Kind = iota
-	// KindWeighted shares the parent rate among children by weight.
-	KindWeighted
-	// KindPriority serves children in strict priority order.
-	KindPriority
+	// kindLeaf is a terminal node bound to a traffic class.
+	kindLeaf kind = iota
+	// kindWeighted shares the parent rate among children by weight.
+	kindWeighted
+	// kindPriority serves children in strict priority order.
+	kindPriority
 )
 
 // Node is one vertex of a policy tree. Build trees with Leaf, Weighted and
 // Priority, then wrap the root with New.
 type Node struct {
-	kind     Kind
+	kind     kind
 	class    int
 	weight   float64
 	children []*Node
@@ -50,7 +50,7 @@ type Node struct {
 
 // Leaf returns a terminal node for the given traffic class with weight 1.
 func Leaf(class int) *Node {
-	return &Node{kind: KindLeaf, class: class, weight: 1}
+	return &Node{kind: kindLeaf, class: class, weight: 1}
 }
 
 // WithWeight sets the node's weight within its (weighted) parent and returns
@@ -63,13 +63,13 @@ func (n *Node) WithWeight(w float64) *Node {
 // Weighted returns a node whose children share the parent's rate in
 // proportion to their weights. With equal weights this is fair sharing.
 func Weighted(children ...*Node) *Node {
-	return &Node{kind: KindWeighted, weight: 1, children: children}
+	return &Node{kind: kindWeighted, weight: 1, children: children}
 }
 
 // Priority returns a node whose children are served in strict priority
 // order: children[0] is the highest priority.
 func Priority(children ...*Node) *Node {
-	return &Node{kind: KindPriority, weight: 1, children: children}
+	return &Node{kind: kindPriority, weight: 1, children: children}
 }
 
 // Policy is a validated policy tree over classes [0, NumClasses).
@@ -92,7 +92,7 @@ func New(root *Node) (*Policy, error) {
 			return fmt.Errorf("sched: non-positive weight %v", n.weight)
 		}
 		switch n.kind {
-		case KindLeaf:
+		case kindLeaf:
 			if n.class < 0 {
 				return fmt.Errorf("sched: negative class %d", n.class)
 			}
@@ -104,11 +104,11 @@ func New(root *Node) (*Policy, error) {
 				maxClass = n.class
 			}
 			return nil
-		case KindWeighted, KindPriority:
+		case kindWeighted, kindPriority:
 			if len(n.children) == 0 {
 				return fmt.Errorf("sched: internal node with no children")
 			}
-			if n.kind == KindWeighted {
+			if n.kind == kindWeighted {
 				n.pend = make([]int64, len(n.children))
 				n.allocs = make([]int64, len(n.children))
 			}
@@ -184,16 +184,16 @@ func (p *Policy) NumClasses() int { return p.n }
 // since its own weight has no sibling to be relative to.
 func (p *Policy) FlatWeighted() []float64 {
 	root := p.root
-	if root.kind == KindLeaf {
+	if root.kind == kindLeaf {
 		return EqualWeights(1)
 	}
-	if root.kind != KindWeighted {
+	if root.kind != kindWeighted {
 		return nil
 	}
 	out := make([]float64, p.n)
 	equal := true
 	for _, c := range root.children {
-		if c.kind != KindLeaf {
+		if c.kind != kindLeaf {
 			return nil
 		}
 		out[c.class] = c.weight
@@ -239,11 +239,11 @@ func (p *Policy) Shares(rate float64, active func(int) bool, out []float64) {
 
 func (p *Policy) shares(n *Node, rate float64, active func(int) bool, out []float64) {
 	switch n.kind {
-	case KindLeaf:
+	case kindLeaf:
 		if n.class < len(out) {
 			out[n.class] = rate
 		}
-	case KindWeighted:
+	case kindWeighted:
 		var sum float64
 		for _, c := range n.children {
 			if p.anyActive(c, active) {
@@ -258,7 +258,7 @@ func (p *Policy) shares(n *Node, rate float64, active func(int) bool, out []floa
 				p.shares(c, rate*c.weight/sum, active, out)
 			}
 		}
-	case KindPriority:
+	case kindPriority:
 		for _, c := range n.children {
 			if p.anyActive(c, active) {
 				p.shares(c, rate, active, out)
@@ -269,7 +269,7 @@ func (p *Policy) shares(n *Node, rate float64, active func(int) bool, out []floa
 }
 
 func (p *Policy) anyActive(n *Node, active func(int) bool) bool {
-	if n.kind == KindLeaf {
+	if n.kind == kindLeaf {
 		return active(n.class)
 	}
 	for _, c := range n.children {
@@ -297,7 +297,7 @@ func (p *Policy) Drain(budget int64, length func(int) int64, drain func(int, int
 // drainNode consumes exactly min(budget, pending(n)) bytes from n's subtree.
 func (p *Policy) drainNode(n *Node, budget int64, length func(int) int64, drain func(int, int64)) int64 {
 	switch n.kind {
-	case KindLeaf:
+	case kindLeaf:
 		d := length(n.class)
 		if d > budget {
 			d = budget
@@ -306,7 +306,7 @@ func (p *Policy) drainNode(n *Node, budget int64, length func(int) int64, drain 
 			drain(n.class, d)
 		}
 		return d
-	case KindPriority:
+	case kindPriority:
 		var total int64
 		for _, c := range n.children {
 			if budget <= 0 {
@@ -317,7 +317,7 @@ func (p *Policy) drainNode(n *Node, budget int64, length func(int) int64, drain 
 			total += d
 		}
 		return total
-	case KindWeighted:
+	case kindWeighted:
 		return p.drainWeighted(n, budget, length, drain)
 	}
 	return 0
@@ -403,7 +403,7 @@ func (p *Policy) drainWeighted(n *Node, budget int64, length func(int) int64, dr
 
 // pending returns the bytes queued in a subtree.
 func (p *Policy) pending(n *Node, length func(int) int64) int64 {
-	if n.kind == KindLeaf {
+	if n.kind == kindLeaf {
 		return length(n.class)
 	}
 	var sum int64

@@ -217,10 +217,10 @@ func (s *Shaper) serve(now time.Duration, class int, n int64) {
 	}
 }
 
-// Flush drains all remaining buffered packets as if served until now plus
+// flush drains all remaining buffered packets as if served until now plus
 // however long full service takes. Experiments call it at the end of a run
 // so in-flight packets are accounted for.
-func (s *Shaper) Flush(now time.Duration) {
+func (s *Shaper) flush(now time.Duration) {
 	for s.backlog > 0 {
 		quantum := s.cfg.Rate.DurationForBytes(units.MSS)
 		now += quantum
@@ -236,9 +236,6 @@ func (s *Shaper) Flush(now time.Duration) {
 
 // QueuedBytes returns the bytes buffered in queue class.
 func (s *Shaper) QueuedBytes(class int) int64 { return s.queues[class].bytes }
-
-// Backlog returns the total number of buffered packets.
-func (s *Shaper) Backlog() int { return s.backlog }
 
 // AvgQueueingDelay returns the mean time packets spent buffered.
 func (s *Shaper) AvgQueueingDelay() time.Duration {

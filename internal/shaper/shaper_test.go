@@ -253,9 +253,9 @@ func TestFlushDrainsEverything(t *testing.T) {
 		}
 	})
 	rig.loop.Run(10 * time.Millisecond)
-	rig.s.Flush(rig.loop.Now())
-	if rig.s.Backlog() != 0 {
-		t.Errorf("backlog %d after flush", rig.s.Backlog())
+	rig.s.flush(rig.loop.Now())
+	if rig.s.backlog != 0 {
+		t.Errorf("backlog %d after flush", rig.s.backlog)
 	}
 	if len(rig.out) != 25 {
 		t.Errorf("emitted %d of 25 after flush", len(rig.out))

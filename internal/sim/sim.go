@@ -71,8 +71,8 @@ func (l *Loop) Cancel(e *Event) {
 	e.fn = nil
 }
 
-// Step fires the next pending event. It returns false if no events remain.
-func (l *Loop) Step() bool {
+// step fires the next pending event. It returns false if no events remain.
+func (l *Loop) step() bool {
 	if len(l.events) == 0 {
 		return false
 	}
@@ -93,7 +93,7 @@ func (l *Loop) Run(until time.Duration) {
 		if l.events[0].at > until {
 			break
 		}
-		l.Step()
+		l.step()
 	}
 	if l.now < until {
 		l.now = until
@@ -103,12 +103,9 @@ func (l *Loop) Run(until time.Duration) {
 // RunAll fires events until none remain. Use only in workloads that are
 // guaranteed to quiesce.
 func (l *Loop) RunAll() {
-	for l.Step() {
+	for l.step() {
 	}
 }
-
-// Pending returns the number of scheduled events.
-func (l *Loop) Pending() int { return len(l.events) }
 
 // eventHeap orders events by (timestamp, sequence).
 type eventHeap []*Event

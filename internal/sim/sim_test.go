@@ -48,8 +48,8 @@ func TestRunStopsAtDeadline(t *testing.T) {
 	if l.Now() != 2*time.Second {
 		t.Errorf("clock = %v, want 2s", l.Now())
 	}
-	if l.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", l.Pending())
+	if len(l.events) != 1 {
+		t.Errorf("pending = %d, want 1", len(l.events))
 	}
 	l.Run(4 * time.Second)
 	if fired != 2 {
@@ -175,14 +175,14 @@ func TestHeapPropertyRandomOrder(t *testing.T) {
 
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	l := NewLoop()
-	if l.Step() {
+	if l.step() {
 		t.Error("Step on empty loop returned true")
 	}
 	l.At(0, func() {})
-	if !l.Step() {
+	if !l.step() {
 		t.Error("Step with pending event returned false")
 	}
-	if l.Step() {
+	if l.step() {
 		t.Error("Step after draining returned true")
 	}
 }

@@ -71,7 +71,7 @@ func TestOneLossSignalPerWindow(t *testing.T) {
 		return i >= 5 && i < 10
 	})
 	loop.Run(5 * time.Second)
-	if !flow.Finished() {
+	if !flow.finished {
 		t.Fatal("flow incomplete")
 	}
 	if ctrl.losses != 1 {
@@ -87,7 +87,7 @@ func TestRACKMarksWholeTail(t *testing.T) {
 		return i >= 40 && i < 55 // 15 consecutive, incl. window tail
 	})
 	loop.Run(10 * time.Second)
-	if !flow.Finished() {
+	if !flow.finished {
 		t.Fatal("flow incomplete")
 	}
 	// Recovery via per-RTO crawling would need ≥15 timeouts; RACK after
@@ -129,7 +129,7 @@ func TestPRRLimitsRecoveryBurst(t *testing.T) {
 	})
 	loop.At(time.Millisecond, flow.Start)
 	loop.Run(10 * time.Second)
-	if !flow.Finished() {
+	if !flow.finished {
 		t.Fatal("flow incomplete")
 	}
 	// Inspect the send pattern after loss detection: in any 1 ms bucket
@@ -167,7 +167,7 @@ func TestTLPFiresOnAckSilence(t *testing.T) {
 		return i >= 17 && i < 20
 	})
 	loop.Run(5 * time.Second)
-	if !flow.Finished() {
+	if !flow.finished {
 		t.Fatal("flow incomplete")
 	}
 	if flow.TLPProbes == 0 {
@@ -180,7 +180,7 @@ func TestTLPFiresOnAckSilence(t *testing.T) {
 func TestNoSpuriousRetransmissionsOnCleanPath(t *testing.T) {
 	loop, flow, ctrl := fixedRig(t, 40, 2000*units.MSS, nil)
 	loop.Run(60 * time.Second)
-	if !flow.Finished() {
+	if !flow.finished {
 		t.Fatal("flow incomplete")
 	}
 	if flow.RtxSegments != 0 || flow.TLPProbes != 0 || flow.Timeouts != 0 {
@@ -230,7 +230,7 @@ func TestReorderingToleratedByDupThresh(t *testing.T) {
 	})
 	loop.At(time.Millisecond, flow.Start)
 	loop.Run(30 * time.Second)
-	if !flow.Finished() {
+	if !flow.finished {
 		t.Fatal("flow incomplete")
 	}
 	if ctrl.losses != 0 {
@@ -244,26 +244,27 @@ func TestAddDataEdges(t *testing.T) {
 	loop, flow, _ := fixedRig(t, 10, 0, nil) // backlogged
 	flow.AddData(1000)                       // no-op on backlogged flows
 	loop.Run(100 * time.Millisecond)
-	if flow.Finished() {
+	if flow.finished {
 		t.Error("backlogged flow finished")
 	}
 
 	loop2, flow2, _ := fixedRig(t, 10, 10*units.MSS, nil)
 	flow2.AddData(-5) // ignored
 	loop2.Run(5 * time.Second)
-	if !flow2.Finished() {
+	if !flow2.finished {
 		t.Error("finite flow incomplete")
 	}
-	if flow2.AckedBytes() != 10*units.MSS {
-		t.Errorf("acked %d, want %d", flow2.AckedBytes(), 10*units.MSS)
+	if acked := flow2.sndUna * units.MSS; acked != 10*units.MSS {
+		t.Errorf("acked %d, want %d", acked, 10*units.MSS)
 	}
 }
 
-// TestControllerAccessor covers the inspection hook used by experiments.
+// TestControllerAccessor: a flow drives the controller it was configured
+// with.
 func TestControllerAccessor(t *testing.T) {
 	_, flow, ctrl := fixedRig(t, 10, 10*units.MSS, nil)
-	if flow.Controller() != cc.Controller(ctrl) {
-		t.Error("Controller() does not return the configured controller")
+	if flow.cfg.CC != cc.Controller(ctrl) {
+		t.Error("the flow does not hold the configured controller")
 	}
 }
 
@@ -275,8 +276,14 @@ func TestDebugStateConsistency(t *testing.T) {
 	})
 	for i := 0; i < 50; i++ {
 		loop.Run(time.Duration(i+1) * 100 * time.Millisecond)
-		pipe, recount, _, _, _ := flow.DebugState()
-		if pipe != recount {
+		var recount int64
+		for s := flow.sndUna; s < flow.sndNxt; s++ {
+			st, ok := flow.board.get(s)
+			if ok && st.sent && !st.acked && !st.lost {
+				recount++
+			}
+		}
+		if pipe := flow.pipeSegs; pipe != recount {
 			t.Fatalf("t=%v: pipe=%d recount=%d", loop.Now(), pipe, recount)
 		}
 	}

@@ -201,29 +201,6 @@ func (f *Flow) AddData(n int64) {
 	}
 }
 
-// Finished reports whether a finite flow has delivered and acknowledged all
-// its data.
-func (f *Flow) Finished() bool { return f.finished }
-
-// Controller returns the flow's congestion controller (for inspection).
-func (f *Flow) Controller() cc.Controller { return f.cfg.CC }
-
-// DebugState exposes sender internals for tests and diagnostics: the pipe
-// estimate, an independent recount from the scoreboard, the congestion
-// window, the retransmission queue length, and the pacing gate.
-func (f *Flow) DebugState() (pipe, recount, cwnd int64, rtxq int, nextSendAt time.Duration) {
-	for s := f.sndUna; s < f.sndNxt; s++ {
-		st, ok := f.board.get(s)
-		if ok && st.sent && !st.acked && !st.lost {
-			recount++
-		}
-	}
-	return f.pipeSegs, recount, f.cfg.CC.CongestionWindow(), len(f.rtx), f.nextSendAt
-}
-
-// AckedBytes returns the cumulatively acknowledged (prefix) byte count.
-func (f *Flow) AckedBytes() int64 { return f.sndUna * units.MSS }
-
 // pipeBytes returns the congestion-accounted bytes in flight.
 func (f *Flow) pipeBytes() int64 { return f.pipeSegs * units.MSS }
 

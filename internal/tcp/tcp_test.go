@@ -88,7 +88,7 @@ func TestLosslessTransferCompletes(t *testing.T) {
 	var completedAt time.Duration
 	r.flow.cfg.OnComplete = func(now time.Duration) { completedAt = now }
 	r.loop.Run(30 * time.Second)
-	if !r.flow.Finished() {
+	if !r.flow.finished {
 		t.Fatal("flow never completed")
 	}
 	if completedAt == 0 {
@@ -97,8 +97,8 @@ func TestLosslessTransferCompletes(t *testing.T) {
 	if r.flow.RtxSegments != 0 {
 		t.Errorf("lossless path caused %d retransmissions", r.flow.RtxSegments)
 	}
-	if r.flow.AckedBytes() < size {
-		t.Errorf("acked %d < size %d", r.flow.AckedBytes(), size)
+	if acked := r.flow.sndUna * units.MSS; acked < size {
+		t.Errorf("acked %d < size %d", acked, size)
 	}
 }
 
@@ -121,7 +121,7 @@ func TestSingleLossFastRetransmit(t *testing.T) {
 	// retransmit (no RTO) and complete promptly.
 	r := newRig(t, "reno", 300*1500, 20*time.Millisecond, map[int]bool{15: true})
 	r.loop.Run(30 * time.Second)
-	if !r.flow.Finished() {
+	if !r.flow.finished {
 		t.Fatal("flow never completed")
 	}
 	if r.flow.RtxSegments == 0 {
@@ -140,7 +140,7 @@ func TestBurstLossRecovers(t *testing.T) {
 	}
 	r := newRig(t, "reno", 500*1500, 20*time.Millisecond, drop)
 	r.loop.Run(60 * time.Second)
-	if !r.flow.Finished() {
+	if !r.flow.finished {
 		t.Fatalf("flow never completed after burst loss (rtx=%d timeouts=%d)",
 			r.flow.RtxSegments, r.flow.Timeouts)
 	}
@@ -152,7 +152,7 @@ func TestTailLossRecovers(t *testing.T) {
 	drop := map[int]bool{45: true, 46: true, 47: true, 48: true, 49: true}
 	r := newRig(t, "reno", 50*1500, 20*time.Millisecond, drop)
 	r.loop.Run(60 * time.Second)
-	if !r.flow.Finished() {
+	if !r.flow.finished {
 		t.Fatal("tail loss never recovered")
 	}
 	if r.flow.TLPProbes == 0 && r.flow.Timeouts == 0 {
@@ -171,7 +171,7 @@ func TestEverythingDroppedThenRecovered(t *testing.T) {
 	}
 	r := newRig(t, "reno", 100*1500, 20*time.Millisecond, drop)
 	r.loop.Run(120 * time.Second)
-	if !r.flow.Finished() {
+	if !r.flow.finished {
 		t.Fatalf("flow never completed (timeouts=%d)", r.flow.Timeouts)
 	}
 	if r.flow.Timeouts == 0 {
@@ -188,7 +188,7 @@ func TestBackloggedNeverFinishes(t *testing.T) {
 	}
 	r := newRig(t, "reno", 0, 20*time.Millisecond, drop)
 	r.loop.Run(5 * time.Second)
-	if r.flow.Finished() {
+	if r.flow.finished {
 		t.Error("backlogged flow reported finished")
 	}
 	if r.flow.SentSegments < 1000 {
@@ -209,8 +209,8 @@ func TestAddDataResumes(t *testing.T) {
 	if completions != 2 {
 		t.Errorf("completions = %d, want 2 (AddData must resume)", completions)
 	}
-	if r.flow.AckedBytes() != 20*1500 {
-		t.Errorf("acked %d, want %d", r.flow.AckedBytes(), 20*1500)
+	if acked := r.flow.sndUna * units.MSS; acked != 20*1500 {
+		t.Errorf("acked %d, want %d", acked, 20*1500)
 	}
 }
 
@@ -333,7 +333,7 @@ func TestRTOBackoffBounded(t *testing.T) {
 	if flow.Timeouts < 3 {
 		t.Errorf("only %d timeouts against a black hole", flow.Timeouts)
 	}
-	if flow.Finished() {
+	if flow.finished {
 		t.Error("flow completed through a black hole")
 	}
 }
@@ -373,7 +373,7 @@ func TestDelayedAcksHalveAckTraffic(t *testing.T) {
 	}
 	immediateAcks, f1 := run(false)
 	delayedAcks, f2 := run(true)
-	if !f1.Finished() || !f2.Finished() {
+	if !f1.finished || !f2.finished {
 		t.Fatal("transfers incomplete")
 	}
 	if f2.RtxSegments != 0 || f2.Timeouts != 0 {

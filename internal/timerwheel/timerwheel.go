@@ -22,9 +22,6 @@ type Timer struct {
 	index  int // position within slot; -1 when fired/cancelled
 }
 
-// Fired reports whether the timer fired or was cancelled.
-func (t *Timer) Fired() bool { return t.index < 0 }
-
 // Wheel is a single-level hashed timing wheel over virtual time.
 type Wheel struct {
 	tick    time.Duration
@@ -83,8 +80,8 @@ func (w *Wheel) Schedule(at time.Duration, fn func()) *Timer {
 	return t
 }
 
-// Cancel removes a pending timer; cancelling a fired timer is a no-op.
-func (w *Wheel) Cancel(t *Timer) {
+// cancel removes a pending timer; cancelling a fired timer is a no-op.
+func (w *Wheel) cancel(t *Timer) {
 	if t == nil || t.index < 0 {
 		return
 	}
@@ -137,12 +134,3 @@ func (w *Wheel) fireSlot() {
 		fn()
 	}
 }
-
-// Pending returns the number of scheduled timers.
-func (w *Wheel) Pending() int { return w.pending }
-
-// Horizon returns the virtual time processed so far.
-func (w *Wheel) Horizon() time.Duration { return w.horizon }
-
-// Tick returns the wheel's tick granularity.
-func (w *Wheel) Tick() time.Duration { return w.tick }

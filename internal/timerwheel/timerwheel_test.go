@@ -21,7 +21,7 @@ func TestValidation(t *testing.T) {
 func TestFiresAtOrAfterDue(t *testing.T) {
 	w := MustNew(time.Millisecond, 32)
 	var firedAt time.Duration
-	w.Schedule(10*time.Millisecond, func() { firedAt = w.Horizon() })
+	w.Schedule(10*time.Millisecond, func() { firedAt = w.horizon })
 	w.Advance(9 * time.Millisecond)
 	if firedAt != 0 {
 		t.Fatal("fired before due")
@@ -53,18 +53,18 @@ func TestCancel(t *testing.T) {
 	w := MustNew(time.Millisecond, 8)
 	fired := false
 	tm := w.Schedule(5*time.Millisecond, func() { fired = true })
-	w.Cancel(tm)
+	w.cancel(tm)
 	w.Advance(10 * time.Millisecond)
 	if fired {
 		t.Error("cancelled timer fired")
 	}
-	if !tm.Fired() {
-		t.Error("cancelled timer does not report done")
+	if tm.index >= 0 {
+		t.Error("cancelled timer still holds its slot")
 	}
-	w.Cancel(tm) // double cancel is a no-op
-	w.Cancel(nil)
-	if w.Pending() != 0 {
-		t.Errorf("pending = %d, want 0", w.Pending())
+	w.cancel(tm) // double cancel is a no-op
+	w.cancel(nil)
+	if w.pending != 0 {
+		t.Errorf("pending = %d, want 0", w.pending)
 	}
 }
 
@@ -77,7 +77,7 @@ func TestCancelOneKeepsOthers(t *testing.T) {
 		// All in the same slot.
 		timers[i] = w.Schedule(5*time.Millisecond, func() { fired = append(fired, i) })
 	}
-	w.Cancel(timers[1])
+	w.cancel(timers[1])
 	w.Advance(10 * time.Millisecond)
 	if len(fired) != 3 {
 		t.Fatalf("fired %v, want 3 of 4", fired)
@@ -96,7 +96,7 @@ func TestScheduleDuringFire(t *testing.T) {
 	reschedule = func() {
 		chain++
 		if chain < 5 {
-			w.Schedule(w.Horizon()+time.Millisecond, reschedule)
+			w.Schedule(w.horizon+time.Millisecond, reschedule)
 		}
 	}
 	w.Schedule(time.Millisecond, reschedule)
@@ -127,7 +127,7 @@ func TestManyTimersProperty(t *testing.T) {
 			due := time.Duration(d%5000) * time.Microsecond
 			w.Schedule(due, func() {
 				fired++
-				recs = append(recs, rec{due: due, at: w.Horizon()})
+				recs = append(recs, rec{due: due, at: w.horizon})
 			})
 		}
 		w.Advance(time.Second)
@@ -136,7 +136,7 @@ func TestManyTimersProperty(t *testing.T) {
 		}
 		for _, r := range recs {
 			// Never early; never more than one tick late.
-			if r.at < r.due-w.Tick() || r.at > r.due+w.Tick() {
+			if r.at < r.due-w.tick || r.at > r.due+w.tick {
 				return false
 			}
 		}
@@ -152,15 +152,15 @@ func TestPendingCount(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		w.Schedule(time.Duration(i+1)*time.Millisecond, func() {})
 	}
-	if w.Pending() != 5 {
-		t.Errorf("pending = %d, want 5", w.Pending())
+	if w.pending != 5 {
+		t.Errorf("pending = %d, want 5", w.pending)
 	}
 	w.Advance(3 * time.Millisecond)
-	if w.Pending() != 2 {
-		t.Errorf("pending after partial advance = %d, want 2", w.Pending())
+	if w.pending != 2 {
+		t.Errorf("pending after partial advance = %d, want 2", w.pending)
 	}
 	w.Advance(5 * time.Millisecond)
-	if w.Pending() != 0 {
-		t.Errorf("pending after full advance = %d, want 0", w.Pending())
+	if w.pending != 0 {
+		t.Errorf("pending after full advance = %d, want 0", w.pending)
 	}
 }

@@ -30,8 +30,8 @@ type Rate float64
 
 // Rate constructors.
 const (
-	BitPerSecond Rate = 1
-	Kbps              = 1000 * BitPerSecond
+	bitPerSecond Rate = 1
+	Kbps              = 1000 * bitPerSecond
 	Mbps              = 1000 * Kbps
 	Gbps              = 1000 * Mbps
 )
@@ -80,9 +80,9 @@ func BDPBytes(r Rate, rtt time.Duration) int64 {
 	return int64(r.Bytes(rtt))
 }
 
-// BDPPackets returns the bandwidth-delay product in MSS-sized packets,
+// bdpPackets returns the bandwidth-delay product in MSS-sized packets,
 // rounded up so a one-packet BDP never truncates to zero.
-func BDPPackets(r Rate, rtt time.Duration) int64 {
+func bdpPackets(r Rate, rtt time.Duration) int64 {
 	b := BDPBytes(r, rtt)
 	return (b + MSS - 1) / MSS
 }
@@ -92,7 +92,7 @@ func BDPPackets(r Rate, rtt time.Duration) int64 {
 // paper's Appendix A result: B ≥ BDP²/18 × MSS bytes, with BDP measured in
 // packets. A floor of 4 MSS keeps tiny-BDP configurations usable.
 func RenoPhantomRequirement(r Rate, rtt time.Duration) int64 {
-	bdp := float64(BDPPackets(r, rtt))
+	bdp := float64(bdpPackets(r, rtt))
 	b := int64(bdp * bdp / 18 * MSS)
 	if b < 4*MSS {
 		b = 4 * MSS
@@ -151,7 +151,7 @@ func cubicPhantomRequirement(r Rate, rtt time.Duration) int64 {
 		c    = 0.4 // Cubic's C constant (packets/sec³ scaling)
 		beta = 0.7 // multiplicative decrease factor
 	)
-	bdp := float64(BDPPackets(r, rtt))
+	bdp := float64(bdpPackets(r, rtt))
 	if bdp < 2 {
 		bdp = 2
 	}

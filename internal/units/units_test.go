@@ -69,7 +69,7 @@ func TestRateString(t *testing.T) {
 		r    Rate
 		want string
 	}{
-		{500 * BitPerSecond, "500bps"},
+		{500 * bitPerSecond, "500bps"},
 		{2 * Kbps, "2.00Kbps"},
 		{7.5 * Mbps, "7.50Mbps"},
 		{2 * Gbps, "2.00Gbps"},
@@ -88,7 +88,7 @@ func TestBDP(t *testing.T) {
 	if got := BDPBytes(r, rtt); got != 125000 {
 		t.Errorf("BDPBytes = %d, want 125000", got)
 	}
-	if got := BDPPackets(r, rtt); got != 84 { // ceil(125000/1500)
+	if got := bdpPackets(r, rtt); got != 84 { // ceil(125000/1500)
 		t.Errorf("BDPPackets = %d, want 84", got)
 	}
 }

@@ -230,9 +230,6 @@ func (c *FlashCrowd) HelloBurst(i int, buf []packet.Packet) int {
 	return n
 }
 
-// Remaining reports how many arrivals are left.
-func (c *FlashCrowd) Remaining() int { return len(c.at) - c.next }
-
 // SwarmConfig parameterizes a mixed-RTT swarm.
 type SwarmConfig struct {
 	// Flows is the number of concurrent flows (default 64).

@@ -126,8 +126,8 @@ func TestFlashCrowdSchedule(t *testing.T) {
 	if n != 1000 {
 		t.Fatalf("arrivals = %d, want 1000", n)
 	}
-	if c.Remaining() != 0 {
-		t.Fatalf("Remaining = %d after drain", c.Remaining())
+	if left := len(c.at) - c.next; left != 0 {
+		t.Fatalf("%d arrivals left after drain", left)
 	}
 	pkts, _ := c.Offered()
 	if pkts != 4000 {

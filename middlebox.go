@@ -1,8 +1,6 @@
 package bcpqp
 
 import (
-	"time"
-
 	"bcpqp/internal/enforcer"
 	"bcpqp/internal/mbox"
 )
@@ -123,14 +121,6 @@ type MiddleboxCloseReport = mbox.CloseReport
 // implement it natively, amortizing clock handling, lazy drains, token
 // refills, and burst-control window checks across a whole burst.
 type BatchSubmitter = enforcer.BatchSubmitter
-
-// SubmitBatch drives any Enforcer over a burst arriving at virtual time
-// now, writing one verdict per packet into verdicts (len(pkts) required):
-// natively for BatchSubmitters, via a per-packet fallback loop otherwise.
-// Verdicts are byte-identical to per-packet Submit calls at the same time.
-func SubmitBatch(enf Enforcer, now time.Duration, pkts []Packet, verdicts []Verdict) {
-	enforcer.SubmitBatch(enf, now, pkts, verdicts)
-}
 
 // Batched adapts any Enforcer to BatchSubmitter, returning native
 // implementations unchanged and wrapping the rest in a Submit loop.

@@ -18,12 +18,12 @@ import (
 // configurations, so that adding a knob is a reviewed diff to these lists
 // rather than one more field. The rule: a value no caller outside the tests
 // sets is a constant, not an option. So θ⁺, θ⁻ and T are the paper's
-// constants (phantom.ThetaHi, ThetaLo, Window), the drain batch follows from
-// the queue size, the harness ticks every 25 ms and sizes the secondary hop
-// like a shaper, FairPolicer forgets a flow after 100 ms idle, and every
-// generator sends MSS packets at its own fixed shape. Kept on purpose, though
-// a caller outside the tests may not set them: phantom's Filter (the §3.3
-// access-control behaviour, with its own test), the storm's MinSize and
+// constants (phantom's thetaHi, thetaLo and Window), the drain batch follows
+// from the queue size, the harness ticks every 25 ms and sizes the secondary
+// hop like a shaper, FairPolicer forgets a flow after 100 ms idle, and every
+// generator sends MSS packets at its own fixed shape. Kept on purpose,
+// though a caller outside the tests may not set them: phantom's Filter (the
+// §3.3 access-control behaviour, with its own test), the storm's MinSize and
 // MaxSize and the flash crowd's Aggregates, Window and Prefix (their tests
 // need values the defaults cannot reach). Kept on purpose outside these
 // structs: obs.Options (the benchmark names it), netio.Config.Batch (the

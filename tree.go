@@ -28,15 +28,7 @@ func NewPolicyTree(spec []PolicyTreeNode) (*PolicyTree, error) { return ptree.Ne
 // MustNewPolicyTree is NewPolicyTree that panics on error.
 func MustNewPolicyTree(spec []PolicyTreeNode) *PolicyTree { return ptree.MustNew(spec) }
 
-// TreeEnforcer is what a Middlebox reads of a *PolicyTree aggregate: its
-// topology (NumNodes, Parent, IsLeaf, NodeLabel) and per-node accounting
-// (NodeStats), for Middlebox.NodeMetrics. Traffic reaches the tree through
-// its Enforcer methods, which route each packet to a leaf by class;
-// PolicyTree.SubmitAt and SubmitBatchAt submit at a chosen node outside an
-// engine.
-type TreeEnforcer = enforcer.TreeEnforcer
-
-// NodeID addresses one node of a TreeEnforcer; nodes are dense indices
+// NodeID addresses one node of a PolicyTree; nodes are dense indices
 // assigned in spec order.
 type NodeID = enforcer.NodeID
 
