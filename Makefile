@@ -71,9 +71,10 @@ govulncheck:
 # a few instructions wide, and three repetitions do not find it. So do the
 # two tests of the one give-up rule, whose outcome turns on scheduling: a
 # wedged shard refuses a control call or an inline submit, a live one —
-# flooded, or held by a slow Flush — always takes it. With fewer cores than
-# its busy goroutines the flood test takes seconds a run (about 4.5 min for
-# this line on two vCPUs), hence the longer timeout.
+# flooded, or held by a slow Flush — always takes it. The flood test is
+# scripted (gated emit hooks hold the shard, no producer spins), so it takes
+# milliseconds a run; the line takes about half a minute on two vCPUs, most
+# of it TestClaimKeepsSubmissionOrder under the race detector.
 chaos:
 	$(GO) test -race -count=3 -run 'Chaos|Fault|Control|Overload|Storm|Flood|Flash|Audit|Model' ./internal/mbox/ ./internal/faultinject/ ./internal/cluster/ ./internal/workload/ ./internal/obs/
 	$(GO) test -race -count=20 -timeout 30m -run 'TestClaimKeepsSubmissionOrder|TestClaimedEqualsQueued|TestControlEscalationDeterministic|TestControlThroughFloodedRing|TestLocalSubmitWaitsOutLiveHolder|TestLocalSubmitSaturatedOnWedgedShard' ./internal/mbox/

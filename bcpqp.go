@@ -6,9 +6,11 @@
 //
 // # The datapath API
 //
-// An Enforcer polices one traffic aggregate: Submit hands it a packet at a
-// (virtual or real) timestamp and returns Transmit, Drop, or Queued. The
-// flagship constructor is NewBCPQP:
+// An Enforcer polices one traffic aggregate: SubmitBatch hands it a burst of
+// packets sharing one (virtual or real) timestamp and writes one verdict per
+// packet — Transmit, Drop, or Queued — and a burst of N decides as N bursts
+// of one. The flagship constructor is NewBCPQP, whose PQP also takes one
+// packet at a time through Submit, a burst of one:
 //
 //	enf, err := bcpqp.NewBCPQP(bcpqp.BCPQPConfig{
 //		Rate:   15 * bcpqp.Mbps,

@@ -70,11 +70,12 @@ func TestBuildEnforcer(t *testing.T) {
 	// class has dropped in a row.
 	for name, enf := range built {
 		var admitted int64
+		var v [1]bcpqp.Verdict
 		for i, drops := 0, 0; drops < 2*queues; i++ {
 			if i == 100_000 {
 				t.Fatalf("%s: still admitting after %d packets at one instant", name, i)
 			}
-			if enf.Submit(0, bcpqp.Packet{Size: bcpqp.MSS, Class: i % queues}) == bcpqp.Drop {
+			if enf.SubmitBatch(0, []bcpqp.Packet{{Size: bcpqp.MSS, Class: i % queues}}, v[:]); v[0] == bcpqp.Drop {
 				drops++
 				continue
 			}

@@ -88,10 +88,17 @@ func goList(t *testing.T, args ...string) []listedPackage {
 //	    also passes when a name that another package sees exposes it,
 //	    through its signature, exported fields or exported methods.
 //
-// A method also passes both when its receiver implements an interface that
-// a non-test file uses (names, takes as a parameter or spells out) and that
-// interface declares the method, as String, Error or enforcer.Enforcer's
-// methods do. A method's receiver and a declaration do not count as uses.
+// and every other top-level name and method that a non-test file under
+// internal/ or cmd/ declares (the unexported ones, and all of cmd/'s) to a
+// third, which has no allowlist:
+//
+//	(C) some non-test file of the module refers to it.
+//
+// A method also passes all three when its receiver implements an interface
+// that a non-test file uses (names, takes as a parameter or spells out) and
+// that interface declares the method, as String, Error, enforcer.Enforcer's
+// methods or an unexported interface's methods do. A method's receiver and
+// a declaration do not count as uses.
 // An allowlist entry that gains a program caller, names nothing, or names no
 // test outside its package fails too. Module packages are checked from
 // source, the standard library from the export data `go list -export`
@@ -218,24 +225,33 @@ func TestEveryExportHasACaller(t *testing.T) {
 		}
 	}
 
-	// The exported names non-test files under internal/ declare, and where.
-	internal := module + "/internal/"
+	// The names non-test files under internal/ and cmd/ declare, and where:
+	// internal/'s exported names for rules (A) and (B), the rest for (C).
+	internal, cmd := module+"/internal/", module+"/cmd/"
 	declared := map[types.Object]string{} // object → pkg.Name or pkg.Type.Method
+	private := map[types.Object]string{}
 	for _, f := range files {
-		if f.test || !strings.HasPrefix(f.home, internal) {
+		inInternal := strings.HasPrefix(f.home, internal)
+		if f.test || !inInternal && !strings.HasPrefix(f.home, cmd) {
 			continue
 		}
-		short := strings.TrimPrefix(f.home, internal)
-		short = short[strings.LastIndex(short, "/")+1:]
+		short := f.home[strings.LastIndex(f.home, "/")+1:]
 		add := func(id *ast.Ident, name string) {
-			if id.IsExported() {
+			switch {
+			case id.Name == "_":
+			case inInternal && id.IsExported():
 				declared[info.Defs[id]] = name
+			default:
+				private[info.Defs[id]] = name
 			}
 		}
 		for _, decl := range f.ast.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
 				if d.Recv == nil {
+					if name := d.Name.Name; name == "init" || name == "main" && f.ast.Name.Name == "main" {
+						continue
+					}
 					add(d.Name, short+"."+d.Name.Name)
 				} else {
 					recv := info.Defs[d.Name].Type().(*types.Signature).Recv().Type()
@@ -348,7 +364,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 					continue
 				}
 				for i := 0; i < iface.NumMethods(); i++ {
-					m, _, _ := types.LookupFieldOrMethod(ptr, true, nil, iface.Method(i).Name())
+					m, _, _ := types.LookupFieldOrMethod(ptr, true, tn.Pkg(), iface.Method(i).Name())
 					if m != nil {
 						viaIface[m] = true
 					}
@@ -500,20 +516,30 @@ func TestEveryExportHasACaller(t *testing.T) {
 			ownOnly = append(ownOnly, where)
 		}
 	}
+	var unused []string
+	for obj, name := range private {
+		if !program[obj] && !viaIface[obj] {
+			unused = append(unused, name+" ("+fset.Position(obj.Pos()).String()+")")
+		}
+	}
 	sort.Strings(noCaller)
 	sort.Strings(ownOnly)
+	sort.Strings(unused)
 	for _, w := range noCaller {
 		t.Errorf("(A) %s: exported, and no non-test file refers to it", w)
 	}
 	for _, w := range ownOnly {
 		t.Errorf("(B) %s: exported, and only its own package refers to it; unexport it", w)
 	}
+	for _, w := range unused {
+		t.Errorf("(C) %s: no non-test file refers to it; move it into a _test.go file or delete it", w)
+	}
 	for entry := range exportAllowlist {
 		if _, ok := byName[entry]; ok && !allowed[entry] {
 			t.Errorf("%s: on exportAllowlist but has a non-test caller; drop the entry", entry)
 		}
 	}
-	t.Logf("%d exported declarations under internal/", len(declared))
+	t.Logf("%d exported declarations under internal/, %d other declarations under internal/ and cmd/", len(declared), len(private))
 }
 
 // importerFunc adapts a function to types.Importer.

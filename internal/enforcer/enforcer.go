@@ -1,10 +1,14 @@
 // Package enforcer defines the interface every rate-limiting mechanism in
 // this repository implements (BC-PQP, PQP, token-bucket policer, FairPolicer,
-// shaper), the verdicts they return, and shared statistics accounting.
+// shaper, policy tree), the verdicts they return, and shared statistics
+// accounting.
 //
+// An Enforcer decides a burst: the packets of one rx_burst share an arrival
+// time, and one call decides them all. A single packet is a burst of one.
 // The same Enforcer objects are driven by the discrete-event simulator in
-// experiments and by testing.B benchmarks for the efficiency evaluation, so
-// the datapath under measurement is identical in both settings.
+// experiments, by the engine in internal/mbox and by testing.B benchmarks
+// for the efficiency evaluation, so the datapath under measurement is
+// identical in every setting.
 package enforcer
 
 import (
@@ -48,18 +52,34 @@ func (v Verdict) String() string {
 // Sink receives packets released by a buffering enforcer.
 type Sink func(now time.Duration, pkt packet.Packet)
 
+// DefaultBurst is the burst size the datapath is tuned for: the rx_burst
+// size of a DPDK-style middlebox (packets arrive from the NIC 32 at a
+// time, not one channel send at a time). Callers may use any burst size;
+// this is the recommended amortization window.
+const DefaultBurst = 32
+
 // Enforcer is a rate limiter for one traffic aggregate.
 //
-// Submit hands the enforcer a packet at virtual time now. Virtual time must
-// be non-decreasing across calls. Bufferless enforcers return Transmit or
-// Drop; the shaper returns Queued (or Drop on a full buffer) and emits
-// packets through its sink as they are served.
+// SubmitBatch hands the enforcer a burst of packets, all arriving at
+// virtual time now, and writes one verdict per packet into verdicts, which
+// must have at least len(pkts) elements (an out-parameter, so steady-state
+// burst processing allocates nothing). Virtual time must be non-decreasing
+// across calls. Bufferless enforcers answer Transmit, TransmitCE or Drop;
+// the shaper answers Queued (or Drop on a full buffer) and emits packets
+// through its sink as they are served.
+//
+// Batching is an efficiency transformation, never a semantic one: a burst
+// of N decides as N bursts of one at the same now, with byte-identical
+// verdicts, statistics and state. An enforcer amortizes per-packet work
+// (clock handling, lazy drains, token refills, burst-control window checks)
+// across the burst; a caller with one packet passes a one-element burst.
 type Enforcer interface {
-	Submit(now time.Duration, pkt packet.Packet) Verdict
+	SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []Verdict)
 }
 
 // Stats accumulates per-enforcer packet accounting. Enforcers embed it and
-// update it on every Submit, so experiments can read drop rates uniformly.
+// update it for every packet they decide, so experiments can read drop
+// rates uniformly.
 type Stats struct {
 	AcceptedPackets int64
 	AcceptedBytes   int64

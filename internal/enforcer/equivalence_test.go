@@ -14,28 +14,27 @@ import (
 	"bcpqp/internal/phantom"
 	"bcpqp/internal/ptree"
 	"bcpqp/internal/rng"
+	"bcpqp/internal/shaper"
 	"bcpqp/internal/tbf"
+	"bcpqp/internal/timerwheel"
 	"bcpqp/internal/units"
 )
 
 // The batch datapath is an efficiency transformation, never a semantic one:
 // SubmitBatch(now, pkts) must return byte-identical verdicts and leave
-// byte-identical statistics to submitting the same packets one at a time at
-// the same virtual time. These tests drive two freshly-built instances of
-// every enforcer with the same randomized burst-structured traffic — one
-// through the per-packet path, one through the burst path — and demand
-// exact agreement.
+// byte-identical statistics to submitting the same packets as bursts of one
+// at the same virtual time. These tests drive two freshly-built instances of
+// every enforcer with the same randomized burst-structured traffic — one a
+// packet at a time, one a burst at a time — and demand exact agreement.
 //
-// In phantom, tbf and fairpolicer, per-packet Submit is a burst of one
-// through SubmitBatch: each enforcer has one admission loop. The tests keep
-// their power to catch batching errors, because a burst of N must still
-// match N bursts of one, and a burst of one probes the drain, refills the
-// bucket, rolls the windows and adds the statistics once per packet, where a
-// burst of N does each once. refPQP (internal/phantom/reference_test.go)
-// stays phantom's independent per-packet reference. A burst of one costs no
-// allocation only while escape analysis keeps its one-element arrays on the
-// stack, so TestBatchSingleEquivalence also pins per-packet Submit at zero
-// allocations.
+// Each enforcer has one admission loop, so the tests keep their power to
+// catch batching errors because a burst of N must still match N bursts of
+// one: a burst of one probes the drain, refills the bucket, rolls the
+// windows and adds the statistics once per packet, where a burst of N does
+// each once. refPQP (internal/phantom/reference_test.go) stays phantom's
+// independent per-packet reference. TestBatchSingleEquivalence also pins a
+// reused one-element burst through the interface, and PQP's and Policer's
+// per-packet Submit (a burst of one in a stack array), at zero allocations.
 
 const (
 	eqRate   = 20 * units.Mbps
@@ -59,15 +58,21 @@ type refChain struct {
 	stats  enforcer.Stats
 }
 
-func (c *refChain) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
+func (c *refChain) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []enforcer.Verdict) {
+	for i := range pkts {
+		verdicts[i] = c.submit(now, &pkts[i])
+	}
+}
+
+func (c *refChain) submit(now time.Duration, pkt *packet.Packet) enforcer.Verdict {
 	for _, s := range c.stages {
-		if !s.Probe(now, &pkt) {
+		if !s.Probe(now, pkt) {
 			c.stats.Reject(pkt.Size)
 			return enforcer.Drop
 		}
 	}
 	for _, s := range c.stages {
-		s.Commit(now, &pkt)
+		s.Commit(now, pkt)
 	}
 	c.stats.Accept(pkt.Size)
 	return enforcer.Transmit
@@ -248,15 +253,16 @@ func TestBatchSingleEquivalence(t *testing.T) {
 				if sc.ref != nil {
 					single = sc.ref()
 				}
-				if _, ok := batch.(enforcer.BatchSubmitter); !ok {
-					t.Fatalf("%s does not implement BatchSubmitter", sc.name)
-				}
 				verdicts := make([]enforcer.Verdict, enforcer.DefaultBurst*2)
+				var one [1]packet.Packet
+				var v1 [1]enforcer.Verdict
 				drops, accepts := 0, 0
 				for bi, b := range traffic {
-					enforcer.SubmitBatch(batch, b.now, b.pkts, verdicts[:len(b.pkts)])
+					batch.SubmitBatch(b.now, b.pkts, verdicts[:len(b.pkts)])
 					for k, p := range b.pkts {
-						want := single.Submit(b.now, p)
+						one[0] = p
+						single.SubmitBatch(b.now, one[:], v1[:])
+						want := v1[0]
 						if verdicts[k] != want {
 							t.Fatalf("burst %d pkt %d (t=%v class=%d size=%d): batch=%v single=%v",
 								bi, k, b.now, p.Class, p.Size, verdicts[k], want)
@@ -280,8 +286,18 @@ func TestBatchSingleEquivalence(t *testing.T) {
 					}
 				}
 				last := traffic[len(traffic)-1]
-				if a := testing.AllocsPerRun(100, func() { batch.Submit(last.now, last.pkts[0]) }); a != 0 {
-					t.Fatalf("per-packet Submit allocates %v times a call", a)
+				one[0] = last.pkts[0]
+				if a := testing.AllocsPerRun(100, func() { batch.SubmitBatch(last.now, one[:], v1[:]) }); a != 0 {
+					t.Fatalf("a burst of one allocates %v times a call", a)
+				}
+				// PQP and Policer keep a per-packet Submit for callers with
+				// one packet in hand: a burst of one in a stack array.
+				if sub, ok := batch.(interface {
+					Submit(time.Duration, packet.Packet) enforcer.Verdict
+				}); ok {
+					if a := testing.AllocsPerRun(100, func() { sub.Submit(last.now, last.pkts[0]) }); a != 0 {
+						t.Fatalf("per-packet Submit allocates %v times a call", a)
+					}
 				}
 			})
 		}
@@ -305,7 +321,7 @@ func TestSnapshotRestoreAtShiftedClock(t *testing.T) {
 			verdicts := make([]enforcer.Verdict, enforcer.DefaultBurst*2)
 			twin := make([]enforcer.Verdict, enforcer.DefaultBurst*2)
 			for _, b := range traffic[:split] {
-				enforcer.SubmitBatch(warm, b.now, b.pkts, verdicts[:len(b.pkts)])
+				warm.SubmitBatch(b.now, b.pkts, verdicts[:len(b.pkts)])
 			}
 			blob, err := warm.(enforcer.Snapshotter).SnapshotState(shift)
 			if err != nil {
@@ -316,8 +332,8 @@ func TestSnapshotRestoreAtShiftedClock(t *testing.T) {
 			}
 			for bi, b := range traffic[split:] {
 				n := len(b.pkts)
-				enforcer.SubmitBatch(warm, b.now, b.pkts, verdicts[:n])
-				enforcer.SubmitBatch(cold, b.now-shift, b.pkts, twin[:n])
+				warm.SubmitBatch(b.now, b.pkts, verdicts[:n])
+				cold.SubmitBatch(b.now-shift, b.pkts, twin[:n])
 				if !slices.Equal(verdicts[:n], twin[:n]) {
 					t.Fatalf("burst %d after the restore: restored %v, uninterrupted %v", split+bi, twin[:n], verdicts[:n])
 				}
@@ -335,33 +351,67 @@ func TestSnapshotRestoreAtShiftedClock(t *testing.T) {
 	}
 }
 
-// TestBatchedFallbackWrapper proves the generic loop wrapper is transparent:
-// wrapping a batch-unaware enforcer yields the same verdicts as driving it
-// directly, and Batched returns native implementations unchanged.
+// TestBatchedFallbackWrapper holds the shaper, the one enforcer whose burst
+// is its per-packet step in a loop, to the burst contract: a shaper on a
+// timing wheel fed the traffic in bursts of N and its twin fed the same
+// packets as bursts of one answer the same verdicts, emit the same packets
+// at the same times through their sinks, and end with the same statistics.
 func TestBatchedFallbackWrapper(t *testing.T) {
-	native := tbf.MustNew(eqRate, tbf.PlusBucket(eqRate, eqMaxRTT))
-	if got := enforcer.Batched(native); got != enforcer.BatchSubmitter(native) {
-		t.Error("Batched re-wrapped a native BatchSubmitter")
+	type emission struct {
+		at  time.Duration
+		pkt packet.Packet
 	}
-
-	direct := submitOnly{tbf.MustNew(eqRate, tbf.PlusBucket(eqRate, eqMaxRTT))}
-	wrapped := enforcer.Batched(submitOnly{tbf.MustNew(eqRate, tbf.PlusBucket(eqRate, eqMaxRTT))})
-	traffic := equivalenceTraffic(7, 100)
+	type rig struct {
+		s     *shaper.Shaper
+		wheel *timerwheel.Wheel
+		out   []emission
+	}
+	build := func() *rig {
+		r := &rig{wheel: timerwheel.MustNew(50*time.Microsecond, 1024)}
+		s, err := shaper.New(shaper.Config{
+			Rate:      eqRate,
+			Queues:    eqFlows,
+			QueueSize: 20 * units.MSS,
+			Scheduler: shaper.SchedulerFunc(func(at time.Duration, fn func()) { r.wheel.Schedule(at, fn) }),
+			Sink: func(now time.Duration, p packet.Packet) {
+				r.out = append(r.out, emission{now, p})
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.s = s
+		return r
+	}
+	bursts, singles := build(), build()
+	traffic := equivalenceTraffic(7, 400)
 	verdicts := make([]enforcer.Verdict, enforcer.DefaultBurst*2)
+	var one [1]packet.Packet
+	var v1 [1]enforcer.Verdict
+	counts := map[enforcer.Verdict]int{}
 	for bi, b := range traffic {
-		wrapped.SubmitBatch(b.now, b.pkts, verdicts[:len(b.pkts)])
+		bursts.wheel.Advance(b.now)
+		singles.wheel.Advance(b.now)
+		bursts.s.SubmitBatch(b.now, b.pkts, verdicts[:len(b.pkts)])
 		for k, p := range b.pkts {
-			if want := direct.Submit(b.now, p); verdicts[k] != want {
-				t.Fatalf("burst %d pkt %d: wrapper=%v direct=%v", bi, k, verdicts[k], want)
+			one[0] = p
+			singles.s.SubmitBatch(b.now, one[:], v1[:])
+			if verdicts[k] != v1[0] {
+				t.Fatalf("burst %d pkt %d: burst of %d %v, burst of one %v", bi, k, len(b.pkts), verdicts[k], v1[0])
 			}
+			counts[v1[0]]++
 		}
 	}
-}
-
-// submitOnly hides every capability interface of the wrapped enforcer so
-// Batched must take the fallback path.
-type submitOnly struct{ e enforcer.Enforcer }
-
-func (s submitOnly) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
-	return s.e.Submit(now, pkt)
+	end := traffic[len(traffic)-1].now + time.Second
+	bursts.wheel.Advance(end)
+	singles.wheel.Advance(end)
+	if counts[enforcer.Queued] == 0 || counts[enforcer.Drop] == 0 || len(singles.out) == 0 {
+		t.Fatalf("degenerate traffic: verdicts %v, %d emissions", counts, len(singles.out))
+	}
+	if !reflect.DeepEqual(bursts.out, singles.out) {
+		t.Fatalf("emissions diverge: %d from bursts, %d from bursts of one", len(bursts.out), len(singles.out))
+	}
+	if b, o := bursts.s.EnforcerStats(), singles.s.EnforcerStats(); b != o {
+		t.Fatalf("stats diverge: bursts %+v, bursts of one %+v", b, o)
+	}
 }

@@ -24,7 +24,7 @@ import (
 // Theorem 1 admission bound hold piecewise across a change — accepted bytes
 // over [t0, t2] with a change at t1 stay within r1·(t1−t0) + r2·(t2−t1) + B.
 //
-// Reconfiguration is NOT safe concurrently with Submit: callers must
+// Reconfiguration is NOT safe concurrently with SubmitBatch: callers must
 // serialize it onto the enforcer's execution domain, exactly as the mbox
 // engine's SetRate does (the change rides the shard ring in-band, so no
 // partially applied configuration is ever visible to a running batch).

@@ -51,8 +51,9 @@ import (
 //     simulated buffer, token levels within the bucket) are checked and
 //     violations reported as errors with the receiver left usable.
 //
-// Snapshotting is NOT safe concurrently with Submit; callers serialize it
-// onto the enforcer's execution domain exactly as they do reconfiguration.
+// Snapshotting is NOT safe concurrently with SubmitBatch; callers
+// serialize it onto the enforcer's execution domain exactly as they do
+// reconfiguration.
 type Snapshotter interface {
 	// SnapshotState serializes the enforcer's admission state at virtual
 	// time now.

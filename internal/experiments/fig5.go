@@ -34,10 +34,11 @@ type EfficiencyRig struct {
 	pkts    []packet.Packet
 	now     time.Duration
 
-	// burstBuf/burstVerdicts are reusable scratch for SubmitBurst, so the
-	// batch measurement loop performs no allocation.
+	// burstBuf/burstVerdicts are reusable scratch for SubmitBurst, and
+	// verdict for Submit, so neither measurement loop allocates.
 	burstBuf      []packet.Packet
 	burstVerdicts []enforcer.Verdict
+	verdict       [1]enforcer.Verdict
 
 	// Sunk prevents the sink from being optimized away.
 	Sunk int64
@@ -101,25 +102,24 @@ func NewEfficiencyRig(scheme harness.Scheme) *EfficiencyRig {
 }
 
 // Submit pushes the i-th packet of the (wrapping) pattern through the
-// datapath, advancing the virtual clock and, for the shaper, the timing
-// wheel.
+// datapath as a burst of one, advancing the virtual clock and, for the
+// shaper, the timing wheel. The burst is the pattern's own one-element
+// window, so nothing is copied and no payload is held past the call.
 func (r *EfficiencyRig) Submit(i int) enforcer.Verdict {
 	idx := i & (len(r.gaps) - 1)
 	r.now += r.gaps[idx]
-	v := r.enf.Submit(r.now, r.pkts[idx])
+	r.enf.SubmitBatch(r.now, r.pkts[idx:idx+1], r.verdict[:])
 	if r.wheel != nil {
 		r.wheel.Advance(r.now)
 	}
-	return v
+	return r.verdict[0]
 }
 
 // SubmitBurst pushes the n pattern packets starting at index i through the
 // enforcer's batch datapath in one call. Virtual time advances by the
 // burst's total inter-arrival gap and every packet in the burst is
 // enforced at the burst arrival time — the granularity a burst-polling
-// (DPDK-style) middlebox actually observes. Native batch implementations
-// are used when the enforcer provides one, the generic Submit loop
-// otherwise.
+// (DPDK-style) middlebox actually observes.
 func (r *EfficiencyRig) SubmitBurst(i, n int) {
 	if cap(r.burstBuf) < n {
 		r.burstBuf = make([]packet.Packet, n)
@@ -131,7 +131,7 @@ func (r *EfficiencyRig) SubmitBurst(i, n int) {
 		r.now += r.gaps[idx]
 		buf[k] = r.pkts[idx]
 	}
-	enforcer.SubmitBatch(r.enf, r.now, buf, r.burstVerdicts[:n])
+	r.enf.SubmitBatch(r.now, buf, r.burstVerdicts[:n])
 	if r.wheel != nil {
 		r.wheel.Advance(r.now)
 	}

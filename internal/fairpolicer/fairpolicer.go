@@ -107,14 +107,6 @@ func MustNew(cfg Config) *FairPolicer {
 	return f
 }
 
-// Submit implements enforcer.Enforcer: a burst of one through SubmitBatch.
-func (f *FairPolicer) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
-	pkts := [1]packet.Packet{pkt}
-	var v [1]enforcer.Verdict
-	f.SubmitBatch(now, pkts[:], v[:])
-	return v[0]
-}
-
 // generateExpireCap is the time-driven half of token distribution: token
 // generation for the elapsed virtual time, idle-flow expiry, and the
 // total-tokens-at-B cap. At a fixed now every part is idempotent (no time
@@ -204,13 +196,12 @@ func (f *FairPolicer) weight(i int) float64 {
 	return f.cfg.Weights[i]
 }
 
-// SubmitBatch implements enforcer.BatchSubmitter, and is FairPolicer's one
-// admission loop: Submit is a burst of one. Token distribution generates
-// tokens for the elapsed time and allocates them (plus any unallocated
-// main-bucket tokens) to active flow buckets in proportion to their
-// weights, capping each flow bucket at the dynamic threshold equal to the
-// main bucket's remaining tokens; tokens that do not fit return to the main
-// bucket, and the total never exceeds B. The time-driven half (generation,
+// SubmitBatch implements enforcer.Enforcer, and is FairPolicer's one
+// admission loop. Token distribution generates tokens for the elapsed time
+// and allocates them (plus any unallocated main-bucket tokens) to active
+// flow buckets in proportion to their weights, capping each flow bucket at
+// the dynamic threshold equal to the main bucket's remaining tokens; tokens
+// that do not fit return to the main bucket, and the total never exceeds B. The time-driven half (generation,
 // idle expiry, the B cap — each an O(flows) pass) runs once per burst. The
 // allocate call stays per packet: it is not idempotent (leftover tokens
 // re-distribute, and a flow activated mid-burst joins the next round), and
@@ -254,5 +245,4 @@ func (f *FairPolicer) MainTokens() float64 { return f.main }
 func (f *FairPolicer) EnforcerStats() enforcer.Stats { return f.stats }
 
 var _ enforcer.Enforcer = (*FairPolicer)(nil)
-var _ enforcer.BatchSubmitter = (*FairPolicer)(nil)
 var _ enforcer.StatsReader = (*FairPolicer)(nil)

@@ -9,6 +9,13 @@ import (
 	"bcpqp/internal/units"
 )
 
+// submitOne decides one packet as a burst of one.
+func submitOne(f *FairPolicer, now time.Duration, p packet.Packet) enforcer.Verdict {
+	var v [1]enforcer.Verdict
+	f.SubmitBatch(now, []packet.Packet{p}, v[:])
+	return v[0]
+}
+
 func pkt(flow, size int) packet.Packet {
 	return packet.Packet{Key: packet.FlowKey{SrcPort: uint16(flow + 1)}, Class: flow, Size: size}
 }
@@ -53,7 +60,7 @@ func TestLongTermRate(t *testing.T) {
 	// Two flows each offering 2× the total rate.
 	for i := 0; i < 20000; i++ {
 		now += 375 * time.Microsecond
-		if f.Submit(now, pkt(i%2, units.MSS)) == enforcer.Transmit {
+		if submitOne(f, now, pkt(i%2, units.MSS)) == enforcer.Transmit {
 			accepted += units.MSS
 		}
 	}
@@ -74,11 +81,11 @@ func TestFairSplitBetweenAggressiveFlows(t *testing.T) {
 		now += 250 * time.Microsecond
 		// Flow 0 sends every step (6 Mbps×8 = 48 Mbps offered),
 		// flow 1 every 5th step.
-		if f.Submit(now, pkt(0, units.MSS)) == enforcer.Transmit {
+		if submitOne(f, now, pkt(0, units.MSS)) == enforcer.Transmit {
 			acc[0] += units.MSS
 		}
 		if i%5 == 0 {
-			if f.Submit(now, pkt(1, units.MSS)) == enforcer.Transmit {
+			if submitOne(f, now, pkt(1, units.MSS)) == enforcer.Transmit {
 				acc[1] += units.MSS
 			}
 		}
@@ -98,11 +105,11 @@ func TestUnfairWithoutDistribution(t *testing.T) {
 	var acc [2]int64
 	for i := 0; i < 40000; i++ {
 		now += 250 * time.Microsecond
-		if f.Submit(now, pkt(0, units.MSS)) == enforcer.Transmit {
+		if submitOne(f, now, pkt(0, units.MSS)) == enforcer.Transmit {
 			acc[0] += units.MSS
 		}
 		if i%5 == 0 {
-			if f.Submit(now, pkt(0, units.MSS)) == enforcer.Transmit {
+			if submitOne(f, now, pkt(0, units.MSS)) == enforcer.Transmit {
 				acc[1] += units.MSS
 			}
 		}
@@ -131,7 +138,7 @@ func TestWeightedAllocationFails(t *testing.T) {
 	for i := 0; i < 40000; i++ {
 		now += 250 * time.Microsecond
 		for fl := 0; fl < 2; fl++ {
-			if f.Submit(now, pkt(fl, units.MSS)) == enforcer.Transmit {
+			if submitOne(f, now, pkt(fl, units.MSS)) == enforcer.Transmit {
 				acc[fl] += units.MSS
 			}
 		}
@@ -151,13 +158,13 @@ func TestIdleFlowTokensReturned(t *testing.T) {
 	f := MustNew(Config{Rate: rate, Bucket: 50 * units.MSS, Flows: 2})
 	now := time.Millisecond
 	// Flow 1 appears once, then goes idle.
-	f.Submit(now, pkt(1, units.MSS))
+	submitOne(f, now, pkt(1, units.MSS))
 	// Flow 0 keeps sending; after flow 1 expires, flow 0 should receive
 	// the full token rate again.
 	var acceptedLate int64
 	for i := 0; i < 8000; i++ {
 		now += 250 * time.Microsecond
-		v := f.Submit(now, pkt(0, units.MSS))
+		v := submitOne(f, now, pkt(0, units.MSS))
 		if i > 4000 && v == enforcer.Transmit {
 			acceptedLate += units.MSS
 		}
@@ -176,7 +183,7 @@ func TestTotalTokensBounded(t *testing.T) {
 	now := time.Millisecond
 	for i := 0; i < 1000; i++ {
 		now += time.Duration(i%50) * time.Millisecond
-		f.Submit(now, pkt(i%3, units.MSS))
+		submitOne(f, now, pkt(i%3, units.MSS))
 		total := f.MainTokens()
 		for fl := 0; fl < 3; fl++ {
 			total += f.flows[fl].tokens
@@ -190,8 +197,8 @@ func TestTotalTokensBounded(t *testing.T) {
 func TestFlowStats(t *testing.T) {
 	f := MustNew(Config{Rate: units.Mbps, Bucket: 2 * units.MSS, Flows: 2})
 	now := time.Millisecond
-	f.Submit(now, pkt(0, units.MSS))
-	f.Submit(now, pkt(0, 10*units.MSS)) // too big, dropped
+	submitOne(f, now, pkt(0, units.MSS))
+	submitOne(f, now, pkt(0, 10*units.MSS)) // too big, dropped
 	fb := &f.flows[0]
 	ap, ab, dp, db := fb.acceptedPackets, fb.acceptedBytes, fb.droppedPackets, fb.droppedBytes
 	if ap != 1 || ab != units.MSS || dp != 1 || db != 10*units.MSS {

@@ -21,8 +21,8 @@
 //
 // An Injector is driven from a single goroutine at a time, exactly the
 // discipline the mbox shard datapath guarantees; it is not safe for
-// concurrent Submit calls (the fault counters, read from other goroutines,
-// are atomics).
+// concurrent SubmitBatch calls (the fault counters, read from other
+// goroutines, are atomics).
 package faultinject
 
 import (
@@ -46,8 +46,8 @@ var errInjectedPanic = errors.New("faultinject: injected panic")
 const CorruptVerdict = enforcer.Verdict(0xBAD)
 
 // Plan configures which faults an Injector injects and how often. All
-// probabilities are per enforcement call (one Submit or one SubmitBatch),
-// drawn independently in a fixed order.
+// probabilities are per enforcement call (one SubmitBatch, whatever the
+// burst's length), drawn independently in a fixed order.
 type Plan struct {
 	// Seed selects the deterministic fault stream.
 	Seed uint64
@@ -91,9 +91,9 @@ type Plan struct {
 }
 
 // Injector wraps an enforcer with seeded fault injection. It implements
-// enforcer.Enforcer, enforcer.BatchSubmitter, and enforcer.StatsReader
-// (delegating to the wrapped enforcer when it implements StatsReader, zero
-// stats otherwise).
+// enforcer.Enforcer, drawing its faults once per burst, and
+// enforcer.StatsReader (delegating to the wrapped enforcer when it
+// implements StatsReader, zero stats otherwise).
 type Injector struct {
 	inner enforcer.Enforcer
 	src   *rng.Source
@@ -129,32 +129,13 @@ func New(inner enforcer.Enforcer, plan Plan) *Injector {
 	}
 }
 
-// Submit enforces one packet through the wrapped enforcer with faults
-// applied per the plan.
-func (f *Injector) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
-	now = f.preFaults(now)
-	v := f.inner.Submit(now, pkt)
-	if f.plan.Corrupt > 0 && f.src.Float64() < f.plan.Corrupt {
-		f.Corruptions.Add(1)
-		v = CorruptVerdict
-	}
-	if f.plan.OverAdmit > 0 && f.src.Float64() < f.plan.OverAdmit {
-		f.OverAdmits.Add(1)
-		if v == enforcer.Drop {
-			f.OverAdmittedPackets.Add(1)
-			f.OverAdmittedBytes.Add(int64(pkt.Size))
-			v = enforcer.Transmit
-		}
-	}
-	return v
-}
-
-// SubmitBatch enforces a burst through the wrapped enforcer's batch path
-// with faults applied per the plan. Verdict corruption overwrites one
-// uniformly chosen verdict of the burst.
+// SubmitBatch enforces a burst through the wrapped enforcer with faults
+// applied per the plan. Verdict corruption overwrites one uniformly chosen
+// verdict of the burst.
 func (f *Injector) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []enforcer.Verdict) {
+	verdicts = verdicts[:len(pkts)]
 	now = f.preFaults(now)
-	enforcer.SubmitBatch(f.inner, now, pkts, verdicts)
+	f.inner.SubmitBatch(now, pkts, verdicts)
 	if f.plan.Corrupt > 0 && len(verdicts) > 0 && f.src.Float64() < f.plan.Corrupt {
 		f.Corruptions.Add(1)
 		verdicts[f.src.IntN(len(verdicts))] = CorruptVerdict
@@ -162,7 +143,7 @@ func (f *Injector) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts
 	if f.plan.OverAdmit > 0 && len(verdicts) > 0 && f.src.Float64() < f.plan.OverAdmit {
 		f.OverAdmits.Add(1)
 		var pktsFlipped, bytesFlipped int64
-		for i := range verdicts[:len(pkts)] {
+		for i := range verdicts {
 			if verdicts[i] == enforcer.Drop {
 				verdicts[i] = enforcer.Transmit
 				pktsFlipped++

@@ -24,9 +24,16 @@ type recording struct {
 	times []time.Duration
 }
 
-func (r *recording) Submit(now time.Duration, p packet.Packet) enforcer.Verdict {
+func (r *recording) SubmitBatch(now time.Duration, pkts []packet.Packet, v []enforcer.Verdict) {
 	r.times = append(r.times, now)
-	return r.inner.Submit(now, p)
+	r.inner.SubmitBatch(now, pkts, v)
+}
+
+// submitOne decides one packet as a burst of one.
+func submitOne(inj *Injector, now time.Duration, p packet.Packet) enforcer.Verdict {
+	var v [1]enforcer.Verdict
+	inj.SubmitBatch(now, []packet.Packet{p}, v[:])
+	return v[0]
 }
 
 // run drives an injector over n bursts, recovering injected panics, and
@@ -99,7 +106,7 @@ func TestSkewStaysMonotone(t *testing.T) {
 	rec := &recording{inner: tbf.MustNew(units.Mbps, 10*units.MSS)}
 	inj := New(rec, Plan{Seed: 11, Skew: 0.5, SkewBy: 50 * time.Millisecond})
 	for i := 0; i < 200; i++ {
-		inj.Submit(time.Duration(i)*time.Millisecond, pkt(i))
+		submitOne(inj, time.Duration(i)*time.Millisecond, pkt(i))
 	}
 	if inj.Skews.Load() == 0 {
 		t.Fatal("skew probability 0.5 over 200 calls injected nothing")
@@ -128,7 +135,7 @@ func TestCorruptionProducesOutOfRangeVerdict(t *testing.T) {
 	if !found {
 		t.Errorf("no corrupted verdict in %v", verdicts)
 	}
-	if v := inj.Submit(0, pkt(0)); v != CorruptVerdict {
+	if v := submitOne(inj, 0, pkt(0)); v != CorruptVerdict {
 		t.Errorf("single-submit corruption: verdict %v, want %v", v, CorruptVerdict)
 	}
 }
@@ -136,7 +143,7 @@ func TestCorruptionProducesOutOfRangeVerdict(t *testing.T) {
 func TestStallInjection(t *testing.T) {
 	inj := New(tbf.MustNew(units.Mbps, 10*units.MSS), Plan{Seed: 5, Stall: 1, StallFor: 2 * time.Millisecond})
 	start := time.Now()
-	inj.Submit(0, pkt(0))
+	submitOne(inj, 0, pkt(0))
 	if elapsed := time.Since(start); elapsed < 2*time.Millisecond {
 		t.Errorf("stall of 2ms took only %v", elapsed)
 	}
@@ -148,7 +155,7 @@ func TestStallInjection(t *testing.T) {
 func TestStatsDelegation(t *testing.T) {
 	inner := tbf.MustNew(units.Mbps, 10*units.MSS)
 	inj := New(inner, Plan{Seed: 1})
-	inj.Submit(0, pkt(0))
+	submitOne(inj, 0, pkt(0))
 	st := inj.EnforcerStats()
 	if p, _ := st.Totals(); p != 1 {
 		t.Errorf("delegated stats saw %d packets, want 1", p)

@@ -178,22 +178,6 @@ func (l *NetLink) Advance(now time.Duration) {
 	l.mu.Unlock()
 }
 
-// flush delivers everything still parked (reorder holds first, then delayed
-// frames in due order) regardless of time — the end-of-test drain.
-func (l *NetLink) flush() {
-	l.Advance(1 << 62)
-	l.mu.Lock()
-	l.flushHeldLocked()
-	l.mu.Unlock()
-}
-
-// pending reports how many frames are parked (reorder holds + delayed).
-func (l *NetLink) pending() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.held) + len(l.delayed)
-}
-
 // InjectedNet returns the total number of injected network faults so far.
 func (l *NetLink) InjectedNet() int64 {
 	return l.Dropped.Load() + l.Duplicated.Load() + l.Delayed.Load() +

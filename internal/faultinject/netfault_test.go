@@ -210,3 +210,19 @@ func TestNetFaultFlush(t *testing.T) {
 			len(*got), n, l.Duplicated.Load(), l.Dropped.Load())
 	}
 }
+
+// flush delivers everything still parked (reorder holds first, then delayed
+// frames in due order) regardless of time — the end-of-test drain.
+func (l *NetLink) flush() {
+	l.Advance(1 << 62)
+	l.mu.Lock()
+	l.flushHeldLocked()
+	l.mu.Unlock()
+}
+
+// pending reports how many frames are parked (reorder holds + delayed).
+func (l *NetLink) pending() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.held) + len(l.delayed)
+}

@@ -57,7 +57,7 @@ func TestSchemeSizing(t *testing.T) {
 			// Queue 0 is full: a packet of another class finds a queue of
 			// its own in the shaper, and none in the single shaper.
 			if scheme == SchemeShaper || scheme == SchemeSingleShaper {
-				dropped := enf.Submit(0, packet.Packet{Size: units.MSS, Class: 1}) == enforcer.Drop
+				dropped := submitOne(enf, packet.Packet{Size: units.MSS, Class: 1}) == enforcer.Drop
 				if dropped != (scheme == SchemeSingleShaper) {
 					t.Errorf("%v: second class dropped = %v behind a full first class", scheme, dropped)
 				}
@@ -81,7 +81,7 @@ func built(t *testing.T, enf enforcer.Enforcer) (size int64, whole bool) {
 	case *fairpolicer.FairPolicer:
 		return int64(e.MainTokens()), false
 	}
-	for enf.Submit(0, packet.Packet{Size: units.MSS, Class: 0}) != enforcer.Drop {
+	for submitOne(enf, packet.Packet{Size: units.MSS, Class: 0}) != enforcer.Drop {
 	}
 	switch e := enf.(type) {
 	case *shaper.Shaper:
@@ -92,4 +92,11 @@ func built(t *testing.T, enf enforcer.Enforcer) (size int64, whole bool) {
 		t.Fatalf("unexpected enforcer %T", enf)
 	}
 	return size, true
+}
+
+// submitOne decides one packet at time zero as a burst of one.
+func submitOne(enf enforcer.Enforcer, p packet.Packet) enforcer.Verdict {
+	var v [1]enforcer.Verdict
+	enf.SubmitBatch(0, []packet.Packet{p}, v[:])
+	return v[0]
 }

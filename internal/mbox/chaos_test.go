@@ -578,84 +578,190 @@ func TestControlEscalationDeterministic(t *testing.T) {
 }
 
 // TestControlThroughFloodedRing is why a shard needs no second queue for
-// control: two open-loop producers keep a two-slot ring full, and every
-// control call still gets a slot — a sender parked on a full channel is
-// handed the next slot the shard frees, ahead of producers that shed rather
-// than wait. None reports ErrSaturated, every Flush's fn runs exactly once,
-// and the books balance: offered = enforced + Overloaded.
-//
-// The producers never yield, so on a host with fewer cores than busy
-// goroutines the shard goroutine is often kept off the CPU for a whole
-// reofferInterval (10 ms), mid-item: on two vCPUs most calls wait longer than
-// that, and the test takes half a minute. That is not a wedge, and controlAgg
-// must keep waiting through it (measured on two vCPUs: a call that gave up
-// after one 10 ms wait was refused within the first three).
+// control: a control call that finds the shard's two-slot ring full parks on
+// it and is handed the next slot the shard frees, ahead of producers, which
+// shed rather than wait. The flood is scripted, not spun: the shard goroutine
+// is held inside gated emit hooks, so the ring holds exactly what the test
+// put there, and one slot frees when the test opens one gate. The call waits
+// on a ring that is full when it arrives and when a producer arrives, with
+// the producer arriving before the call or after it; every call succeeds and
+// every Flush fn runs once. A shard that wedges while a call waits refuses it
+// with ErrSaturated, and its fn never runs. Either way the books balance:
+// offered = enforced + Overloaded.
 func TestControlThroughFloodedRing(t *testing.T) {
+	for _, order := range []string{"control-first", "producer-first", "wedged"} {
+		t.Run(order, func(t *testing.T) { floodedRingControl(t, order) })
+	}
+}
+
+// floodedRingControl runs one arrival order of TestControlThroughFloodedRing.
+func floodedRingControl(t *testing.T, order string) {
 	e := New(Config{Shards: 1, QueueDepth: 2})
 	defer e.Close()
 	h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stop atomic.Bool
-	var offered atomic.Int64
-	var wg sync.WaitGroup
-	halt := func() { stop.Store(true); wg.Wait() }
-	defer halt()
-	for p := 0; p < 2; p++ {
-		wg.Add(1)
-		go func(b []packet.Packet) {
-			defer wg.Done()
-			for !stop.Load() {
-				if err := e.SubmitBatch(h, b); err != nil {
-					t.Error(err)
-					return
-				}
-				offered.Add(int64(len(b)))
+	// Burst k of aggregate "gate" is one packet with Seq k, whose emit hook
+	// reports it on entered and then holds the shard goroutine until gate k
+	// opens.
+	entered := make(chan int64, 2)
+	gates := map[int64]chan struct{}{1: make(chan struct{}), 2: make(chan struct{})}
+	defer func() {
+		for _, g := range gates {
+			select {
+			case <-g:
+			default:
+				close(g)
 			}
-		}(burstOf(8, 8*p))
+		}
+	}()
+	hGate, err := e.Add("gate", &countingEnforcer{}, func(p packet.Packet) {
+		entered <- p.Seq
+		<-gates[p.Seq]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gateBurst := func(k int64) {
+		t.Helper()
+		if err := e.SubmitBatch(hGate, []packet.Packet{{Size: units.MSS, Seq: k}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const patience = 10 * time.Second // a failure guard; no step waits on a clock
+	awaitEntered := func(k int64) {
+		t.Helper()
+		select {
+		case got := <-entered:
+			if got != k {
+				t.Fatalf("gate burst %d entered its hook, want %d", got, k)
+			}
+		case <-time.After(patience):
+			t.Fatalf("gate burst %d never reached its hook", k)
+		}
+	}
+	var offered int64
+	produce := func(wantShed bool) {
+		t.Helper()
+		before := e.Overloaded.Load()
+		b := burstOf(8, int(offered))
+		if err := e.SubmitBatch(h, b); err != nil {
+			t.Fatal(err)
+		}
+		offered += int64(len(b))
+		want := int64(0)
+		if wantShed {
+			want = int64(len(b))
+		}
+		if shed := e.Overloaded.Load() - before; shed != want {
+			t.Fatalf("a producer's burst of %d shed %d packets, want %d", len(b), shed, want)
+		}
+	}
+	ring := e.shards[0].in
+
+	// Hold the shard goroutine in gate burst 1's hook, then fill the ring:
+	// gate burst 2, then a producer's burst.
+	release := holdShard(t, e, "x")
+	gateBurst(1)
+	release()
+	awaitEntered(1)
+	gateBurst(2)
+	produce(false)
+	if len(ring) != cap(ring) {
+		t.Fatalf("ring holds %d of %d items", len(ring), cap(ring))
 	}
 
-	const ops = 1000
-	flushed, slow := 0, 0
-	ring := e.shards[0].in
-	deadline := time.Now().Add(time.Minute)
-	for i := 0; i < ops; i++ {
-		// Each call is made against a ring that reads full.
-		for len(ring) < cap(ring) {
-			if time.Now().After(deadline) {
-				t.Fatalf("the producers stopped filling the ring after %d control ops", i)
+	flushed := 0
+	result := make(chan error, 1)
+	call := func() {
+		go func() { result <- e.Flush("x", func(enforcer.Enforcer) { flushed++ }) }()
+		waitParked(t, 1)
+	}
+	if order == "producer-first" {
+		produce(true)
+		call()
+	} else {
+		call()
+		produce(true)
+	}
+
+	if order == "wedged" {
+		e.shards[0].heartbeat.Add(-int64(wedgeTimeout))
+		select {
+		case err := <-result:
+			if !errors.Is(err, ErrSaturated) {
+				t.Fatalf("Flush on a shard wedged while it waited = %v, want ErrSaturated", err)
 			}
-			runtime.Gosched()
+		case <-time.After(patience):
+			t.Fatal("Flush on a wedged shard never gave up")
 		}
-		start := time.Now()
-		var err error
-		if i%2 == 0 {
-			err = e.Flush("x", func(enforcer.Enforcer) { flushed++ })
-		} else {
-			err = e.SetRate("x", units.Rate(1+i%7)*units.Mbps)
+		close(gates[1])
+		awaitEntered(2)
+		close(gates[2])
+	} else {
+		// Free one slot: the shard goroutine finishes gate burst 1 and pops
+		// gate burst 2, whose hook holds it again. The parked call is handed
+		// the slot in the same ring operation, so the ring is full again
+		// before any producer can look, and the next producer sheds.
+		close(gates[1])
+		awaitEntered(2)
+		produce(true)
+		if len(ring) != cap(ring) {
+			t.Fatalf("after one slot freed the ring holds %d of %d items: the control call did not take the slot", len(ring), cap(ring))
 		}
-		if err != nil {
-			t.Fatalf("control op %d on a flooded live shard: %v", i, err)
-		}
-		if time.Since(start) > reofferInterval {
-			slow++
+		close(gates[2])
+		select {
+		case err := <-result:
+			if err != nil {
+				t.Fatalf("control call on a flooded live shard: %v", err)
+			}
+		case <-time.After(patience):
+			t.Fatal("control call on a flooded live shard never returned")
 		}
 	}
-	halt()
-	t.Logf("%d of %d control calls waited longer than reofferInterval (%v)", slow, ops, reofferInterval)
 
 	st, err := e.Stats("x") // behind every queued burst
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flushed != ops/2 {
-		t.Errorf("%d Flush fns ran for %d calls", flushed, ops/2)
+	want := 1
+	if order == "wedged" {
+		want = 0
+	}
+	if flushed != want {
+		t.Errorf("the Flush fn ran %d times, want %d", flushed, want)
 	}
 	enforced, _ := st.Totals()
-	shed := e.Overloaded.Load()
-	if got := offered.Load(); got != enforced+shed {
-		t.Errorf("offered %d != enforced %d + shed %d", got, enforced, shed)
+	if shed := e.Overloaded.Load(); offered != enforced+shed {
+		t.Errorf("offered %d != enforced %d + shed %d", offered, enforced, shed)
+	}
+}
+
+// waitParked waits until n goroutines are parked in sendUntil: control calls
+// waiting on a full ring for a slot, first in line for the next one freed.
+// A parked call leaves the ring's queue of senders for a few instructions
+// every reofferInterval, to ask whether its shard is wedged; a slot freed in
+// that moment goes to whoever offers first (500 runs of each live order on
+// two vCPUs saw none).
+func waitParked(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		parked := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, " [select") && strings.Contains(g, "mbox.sendUntil(") {
+				parked++
+			}
+		}
+		if parked == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines parked on the ring, want %d", parked, n)
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -663,9 +769,11 @@ func TestControlThroughFloodedRing(t *testing.T) {
 // ground truth for overload accounting.
 type countingEnforcer struct{ n atomic.Int64 }
 
-func (c *countingEnforcer) Submit(time.Duration, packet.Packet) enforcer.Verdict {
-	c.n.Add(1)
-	return enforcer.Transmit
+func (c *countingEnforcer) SubmitBatch(_ time.Duration, pkts []packet.Packet, v []enforcer.Verdict) {
+	c.n.Add(int64(len(pkts)))
+	for i := range pkts {
+		v[i] = enforcer.Transmit
+	}
 }
 
 // TestOverloadedAccountingExact forces shedding with a one-deep ring and a

@@ -199,12 +199,14 @@ type incEnforcer struct {
 	bleed atomic.Int64
 }
 
-func (c *incEnforcer) Submit(_ time.Duration, p packet.Packet) enforcer.Verdict {
-	if p.Seq != c.inc {
-		c.bleed.Add(1)
+func (c *incEnforcer) SubmitBatch(_ time.Duration, pkts []packet.Packet, v []enforcer.Verdict) {
+	for i := range pkts {
+		if pkts[i].Seq != c.inc {
+			c.bleed.Add(1)
+		}
+		c.seen.Add(1)
+		v[i] = enforcer.Transmit
 	}
-	c.seen.Add(1)
-	return enforcer.Transmit
 }
 
 func (c *incEnforcer) EnforcerStats() enforcer.Stats {

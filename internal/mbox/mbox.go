@@ -95,8 +95,7 @@ type aggRef int64
 
 const genMask = 0x7fffffff
 
-func (r aggRef) slot() int   { return int(uint32(r)) }
-func (r aggRef) gen() uint32 { return uint32(uint64(r)>>32) & genMask }
+func (r aggRef) slot() int { return int(uint32(r)) }
 func packRef(slot int, gen uint32) aggRef {
 	return aggRef(uint64(gen)<<32 | uint64(uint32(slot)))
 }
@@ -645,7 +644,7 @@ func (e *Engine) enforceRun(s *shard, now time.Duration, agg *aggregate, pkts []
 		s.verdicts = make([]enforcer.Verdict, len(pkts))
 	}
 	v = s.verdicts[:len(pkts)]
-	enforcer.SubmitBatch(agg.enf, now, pkts, v)
+	agg.enf.SubmitBatch(now, pkts, v)
 	enforced = true
 	if agg.emit == nil {
 		e.accountRun(s, now, agg, pkts, v)

@@ -106,17 +106,20 @@ type cycleEnforcer struct {
 	i  int
 }
 
-func (c *cycleEnforcer) Submit(time.Duration, packet.Packet) enforcer.Verdict {
-	v := c.vs[c.i%len(c.vs)]
-	c.i++
-	return v
+func (c *cycleEnforcer) SubmitBatch(_ time.Duration, pkts []packet.Packet, v []enforcer.Verdict) {
+	for i := range pkts {
+		v[i] = c.vs[c.i%len(c.vs)]
+		c.i++
+	}
 }
 
 // statlessEnforcer implements Enforcer but not StatsReader.
 type statlessEnforcer struct{}
 
-func (statlessEnforcer) Submit(time.Duration, packet.Packet) enforcer.Verdict {
-	return enforcer.Transmit
+func (statlessEnforcer) SubmitBatch(_ time.Duration, pkts []packet.Packet, v []enforcer.Verdict) {
+	for i := range pkts {
+		v[i] = enforcer.Transmit
+	}
 }
 
 // emitRec captures what an emit hook can observe about one relayed packet.
@@ -547,7 +550,7 @@ func (m *modelEngine) serve(a *modelAgg, pkts []packet.Packet, inline bool) []bo
 // enforce runs the twin; false means it panicked.
 func (m *modelEngine) enforce(a *modelAgg, pkts []packet.Packet, v []enforcer.Verdict) (ok bool) {
 	defer func() { _ = recover() }()
-	enforcer.SubmitBatch(a.twin, m.now, pkts, v)
+	a.twin.SubmitBatch(m.now, pkts, v)
 	return true
 }
 

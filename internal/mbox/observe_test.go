@@ -39,10 +39,10 @@ func metricValue(t *testing.T, snap obs.Snapshot, name, labelVal string) float64
 	return 0
 }
 
-// bombEnforcer panics on every Submit.
+// bombEnforcer panics on every burst.
 type bombEnforcer struct{}
 
-func (bombEnforcer) Submit(time.Duration, packet.Packet) enforcer.Verdict {
+func (bombEnforcer) SubmitBatch(time.Duration, []packet.Packet, []enforcer.Verdict) {
 	panic("observe: injected fault")
 }
 

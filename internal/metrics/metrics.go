@@ -56,16 +56,6 @@ func (m *Meter) Add(now time.Duration, key int, bytes int) {
 // Window returns the meter's window size.
 func (m *Meter) Window() time.Duration { return m.window }
 
-// keys returns the metered keys in ascending order.
-func (m *Meter) keys() []int {
-	keys := make([]int, 0, len(m.counts))
-	for k := range m.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
 // Series returns the per-window throughput for key as rates, padded with
 // zeros to the meter's full horizon.
 func (m *Meter) Series(key int) []units.Rate {
@@ -119,18 +109,6 @@ func Jain(xs []float64) float64 {
 		return 1
 	}
 	return sum * sum / (float64(len(xs)) * sumSq)
-}
-
-// weightedJain computes Jain's index over weight-normalized allocations
-// x_i/w_i, measuring how close shares are to the configured weights.
-func weightedJain(xs, ws []float64) float64 {
-	norm := make([]float64, len(xs))
-	for i := range xs {
-		if ws[i] > 0 {
-			norm[i] = xs[i] / ws[i]
-		}
-	}
-	return Jain(norm)
 }
 
 // Dist is an immutable sorted sample set supporting quantile queries.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -250,4 +251,26 @@ func TestMeterRateRoundTrip(t *testing.T) {
 			t.Errorf("window %d rate %v, want %v", i, r, rate)
 		}
 	}
+}
+
+// keys returns the metered keys in ascending order.
+func (m *Meter) keys() []int {
+	keys := make([]int, 0, len(m.counts))
+	for k := range m.counts {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
+}
+
+// weightedJain computes Jain's index over weight-normalized allocations
+// x_i/w_i, measuring how close shares are to the configured weights.
+func weightedJain(xs, ws []float64) float64 {
+	norm := make([]float64, len(xs))
+	for i := range xs {
+		if ws[i] > 0 {
+			norm[i] = xs[i] / ws[i]
+		}
+	}
+	return Jain(norm)
 }

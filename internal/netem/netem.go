@@ -68,27 +68,25 @@ func (b *Bottleneck) Forward(now time.Duration, pkt packet.Packet) {
 	})
 }
 
-// Enforce places a bufferless enforcer on the path: Transmit forwards
-// immediately, TransmitCE forwards with the ECN congestion-experienced
-// mark applied, Drop discards. Buffering enforcers (the shaper) must
-// instead be constructed with their sink pointing at the next hop and
-// wired with enforceQueued.
+// Enforce places an enforcer on the path: Transmit forwards immediately,
+// TransmitCE forwards with the ECN congestion-experienced mark applied,
+// Drop discards. A buffering enforcer (the shaper) answers Queued, and
+// Enforce forwards nothing: it is built with its sink pointing at the next
+// hop. Each packet is a burst of one through one reused one-element burst,
+// so the hop allocates nothing per packet.
 func Enforce(e enforcer.Enforcer, next Forward) Forward {
+	var one [1]packet.Packet
+	var v [1]enforcer.Verdict
 	return func(now time.Duration, pkt packet.Packet) {
-		switch e.Submit(now, pkt) {
+		one[0] = pkt
+		e.SubmitBatch(now, one[:], v[:])
+		one[0] = packet.Packet{} // hold no reference to the payload
+		switch v[0] {
 		case enforcer.Transmit:
 			next(now, pkt)
 		case enforcer.TransmitCE:
 			pkt.CE = true
 			next(now, pkt)
 		}
-	}
-}
-
-// enforceQueued submits packets to a buffering enforcer whose sink already
-// forwards to the next hop; only the submission side is wired here.
-func enforceQueued(e enforcer.Enforcer) Forward {
-	return func(now time.Duration, pkt packet.Packet) {
-		e.Submit(now, pkt)
 	}
 }

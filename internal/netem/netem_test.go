@@ -6,6 +6,8 @@ import (
 
 	"bcpqp/internal/enforcer"
 	"bcpqp/internal/packet"
+	"bcpqp/internal/phantom"
+	"bcpqp/internal/shaper"
 	"bcpqp/internal/sim"
 	"bcpqp/internal/tbf"
 	"bcpqp/internal/units"
@@ -116,21 +118,70 @@ func TestEnforceHop(t *testing.T) {
 	}
 }
 
+// TestEnforceQueuedSubmitsOnly: a buffering enforcer's Queued verdict makes
+// the hop submit the packet once and forward nothing; its sink forwards.
 func TestEnforceQueuedSubmitsOnly(t *testing.T) {
-	calls := 0
+	calls, forwarded := 0, 0
 	fake := enforcerFunc(func(now time.Duration, p packet.Packet) enforcer.Verdict {
 		calls++
 		return enforcer.Queued
 	})
-	hop := enforceQueued(fake)
+	hop := Enforce(fake, func(time.Duration, packet.Packet) { forwarded++ })
 	hop(time.Millisecond, pkt(1500))
-	if calls != 1 {
-		t.Errorf("submit calls = %d", calls)
+	if calls != 1 || forwarded != 0 {
+		t.Errorf("submit calls = %d, forwarded = %d; want 1, 0", calls, forwarded)
+	}
+}
+
+// TestEnforceAllocs pins the simulator's per-packet path at zero
+// allocations: the Forward that Enforce returns hands each packet to the
+// enforcer as a reused one-element burst. The shaper allocates when it arms
+// its service timer, once per busy period, so its run keeps a backlog (the
+// timer armed) in queues already grown to hold it.
+func TestEnforceAllocs(t *testing.T) {
+	const rate = 10 * units.Mbps
+	gap := rate.DurationForBytes(units.MSS) / 2 // 2× the rate: phantom drops some
+	noop := func(time.Duration, packet.Packet) {}
+
+	pqp := phantom.MustNew(phantom.Config{Rate: rate, Queues: 4, QueueSize: 20 * units.MSS, BurstControl: true})
+	var timer func() // the shaper's one pending service callback, never run
+	shp, err := shaper.New(shaper.Config{
+		Rate: rate, Queues: 1, QueueSize: 1000 * units.MSS,
+		Scheduler: shaper.SchedulerFunc(func(_ time.Duration, fn func()) { timer = fn }),
+		Sink:      noop,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		enf  enforcer.Enforcer
+		warm int // packets before the pin: grows the shaper's queue
+	}{{"phantom", pqp, 100}, {"shaper", shp, 300}} {
+		hop := Enforce(c.enf, noop)
+		now := time.Duration(0)
+		p := pkt(units.MSS)
+		for i := 0; i < c.warm; i++ {
+			now += gap
+			hop(now, p)
+		}
+		if a := testing.AllocsPerRun(200, func() { now += gap; hop(now, p) }); a != 0 {
+			t.Errorf("%s: the Enforce hop allocates %v times a packet", c.name, a)
+		}
+	}
+	if timer == nil || shp.EnforcerStats().DroppedPackets != 0 {
+		t.Fatalf("shaper: armed %v, dropped %d; the pin needs an armed timer and no drops",
+			timer != nil, shp.EnforcerStats().DroppedPackets)
+	}
+	if st := pqp.EnforcerStats(); st.DroppedPackets == 0 || st.AcceptedPackets == 0 {
+		t.Fatalf("phantom: %+v; the pin needs both verdicts", st)
 	}
 }
 
 type enforcerFunc func(time.Duration, packet.Packet) enforcer.Verdict
 
-func (f enforcerFunc) Submit(now time.Duration, p packet.Packet) enforcer.Verdict {
-	return f(now, p)
+func (f enforcerFunc) SubmitBatch(now time.Duration, pkts []packet.Packet, v []enforcer.Verdict) {
+	for i := range pkts {
+		v[i] = f(now, pkts[i])
+	}
 }

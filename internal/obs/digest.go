@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/bits"
 	"sync/atomic"
 )
@@ -371,54 +370,4 @@ func (s DigestSnapshot) Encode() []byte {
 		out = binary.BigEndian.AppendUint64(out, c)
 	}
 	return out
-}
-
-// decodeDigest parses a BQAD frame. Every structural violation — bad
-// magic or version, truncated or oversized frame, out-of-range or
-// non-increasing bucket indices, zero counts, a total that overflows —
-// is rejected with an error; the allocation is bounded by the fixed
-// bucket count regardless of input.
-func decodeDigest(b []byte) (DigestSnapshot, error) {
-	const header = len(digestMagic) + 1 + 8 + 2
-	if len(b) < header {
-		return DigestSnapshot{}, fmt.Errorf("obs: digest frame too short (%d bytes)", len(b))
-	}
-	if string(b[:len(digestMagic)]) != digestMagic {
-		return DigestSnapshot{}, fmt.Errorf("obs: bad digest magic %q", b[:len(digestMagic)])
-	}
-	if v := b[len(digestMagic)]; v != digestVersion {
-		return DigestSnapshot{}, fmt.Errorf("obs: unsupported digest version %d", v)
-	}
-	sum := int64(binary.BigEndian.Uint64(b[len(digestMagic)+1:]))
-	pairs := int(binary.BigEndian.Uint16(b[len(digestMagic)+9:]))
-	if pairs > digestBuckets {
-		return DigestSnapshot{}, fmt.Errorf("obs: digest frame claims %d buckets (max %d)", pairs, digestBuckets)
-	}
-	if len(b) != header+pairs*10 {
-		return DigestSnapshot{}, fmt.Errorf("obs: digest frame length %d, want %d", len(b), header+pairs*10)
-	}
-	s := DigestSnapshot{Counts: make([]uint64, digestBuckets), Sum: sum}
-	prev := -1
-	var total uint64
-	for p := 0; p < pairs; p++ {
-		off := header + p*10
-		idx := int(binary.BigEndian.Uint16(b[off:]))
-		c := binary.BigEndian.Uint64(b[off+2:])
-		if idx >= digestBuckets {
-			return DigestSnapshot{}, fmt.Errorf("obs: digest bucket index %d out of range", idx)
-		}
-		if idx <= prev {
-			return DigestSnapshot{}, fmt.Errorf("obs: digest bucket index %d not increasing", idx)
-		}
-		if c == 0 {
-			return DigestSnapshot{}, fmt.Errorf("obs: digest bucket %d has zero count", idx)
-		}
-		if total+c < total {
-			return DigestSnapshot{}, fmt.Errorf("obs: digest total overflows")
-		}
-		total += c
-		prev = idx
-		s.Counts[idx] = c
-	}
-	return s, nil
 }

@@ -7,7 +7,7 @@ import (
 	"bcpqp/internal/packet"
 )
 
-// SubmitBatch implements enforcer.BatchSubmitter: it submits a burst of
+// SubmitBatch implements enforcer.Enforcer: it submits a burst of
 // packets all arriving at virtual time now and writes one verdict per
 // packet into verdicts. It is PQP's one admission loop: Submit is a burst of
 // one. A burst must leave byte-identical verdicts, statistics and queue
@@ -151,5 +151,3 @@ func (p *PQP) addStats(st enforcer.Stats) enforcer.Stats {
 	p.stats.DroppedBytes += st.DroppedBytes
 	return enforcer.Stats{}
 }
-
-var _ enforcer.BatchSubmitter = (*PQP)(nil)

@@ -131,3 +131,40 @@ func TestNilObserverCostsNothing(t *testing.T) {
 		q.Submit(now, packet.Packet{Key: packet.FlowKey{SrcPort: 1}, Size: units.MSS, Class: 0})
 	}
 }
+
+// recorder is a fixed-capacity ring of recent events — a flight recorder
+// for debugging enforcement behaviour. The zero value is
+// unusable; construct with newRecorder. Not safe for concurrent use (attach
+// one per enforcer, which is itself single-goroutine).
+type recorder struct {
+	buf   []Event
+	next  int
+	total int64
+}
+
+// newRecorder returns a ring holding the most recent n events.
+func newRecorder(n int) *recorder {
+	if n < 1 {
+		n = 1
+	}
+	return &recorder{buf: make([]Event, 0, n)}
+}
+
+// record stores an event; pass it to PQP.SetOnEvent.
+func (r *recorder) record(e Event) {
+	r.total++
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, e)
+		return
+	}
+	r.buf[r.next] = e
+	r.next = (r.next + 1) % cap(r.buf)
+}
+
+// events returns the recorded events, oldest first.
+func (r *recorder) events() []Event {
+	out := make([]Event, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	out = append(out, r.buf[:r.next]...)
+	return out
+}

@@ -231,8 +231,8 @@ func (p *PQP) installPolicy(policy *sched.Policy) {
 	}
 }
 
-// Submit implements enforcer.Enforcer: a burst of one through SubmitBatch.
-// Virtual time must be non-decreasing.
+// Submit enforces one packet: a burst of one through SubmitBatch. Virtual
+// time must be non-decreasing.
 func (p *PQP) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
 	pkts := [1]packet.Packet{pkt}
 	var v [1]enforcer.Verdict

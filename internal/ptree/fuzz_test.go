@@ -52,6 +52,6 @@ func FuzzTreeSnapshotDecode(f *testing.F) {
 				t.Fatalf("round trip changed node %d counters: %+v != %+v", i, n1, n2)
 			}
 		}
-		tr.Submit(time.Hour, pkt(0, 1500))
+		submitOne(tr, time.Hour, pkt(0, 1500))
 	})
 }

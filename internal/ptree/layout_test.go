@@ -261,7 +261,7 @@ func TestSubmitAllocs(t *testing.T) {
 		now += time.Millisecond
 		tr.SubmitBatchAt(now, 4, burst, verdicts)
 		tr.SubmitAt(now, 5, burst[0])
-		tr.Submit(now, burst[1])
+		tr.SubmitBatch(now, burst[1:2], verdicts[:1])
 		tr.SubmitBatch(now, mixed, verdicts)
 	}); avg != 0 {
 		t.Errorf("submission allocates %.1f times per round, want 0", avg)
@@ -504,7 +504,7 @@ func (d *layoutDiff) run(ops []byte) {
 			if a&1 == 1 {
 				p.Class = packet.NoClass
 			}
-			if got, want := d.tr.Submit(d.now, p), d.ref.Submit(d.now, p); got != want {
+			if got, want := submitOne(d.tr, d.now, p), d.ref.Submit(d.now, p); got != want {
 				d.t.Fatalf("Submit(%v, class %d) = %v, reference %v", d.now, p.Class, got, want)
 			}
 		case 6:

@@ -240,9 +240,9 @@ type ceiling struct {
 }
 
 // Tree is a policy-tree enforcer. It implements enforcer.TreeEnforcer,
-// enforcer.Enforcer (leaf-routing by packet class), enforcer.BatchSubmitter,
-// enforcer.StatsReader, enforcer.Reconfigurer (targeting the root) and
-// enforcer.Snapshotter. Not safe for concurrent use.
+// enforcer.Enforcer (leaf-routing by packet class), enforcer.StatsReader,
+// enforcer.Reconfigurer (targeting the root) and enforcer.Snapshotter. Not
+// safe for concurrent use.
 type Tree struct {
 	nodes    []node
 	ceilings []ceiling // only the nodes that have one; see node.ceiling

@@ -16,6 +16,13 @@ import (
 	"bcpqp/internal/units"
 )
 
+// submitOne routes and decides one packet as a burst of one.
+func submitOne(tr *Tree, now time.Duration, p packet.Packet) enforcer.Verdict {
+	var v [1]enforcer.Verdict
+	tr.SubmitBatch(now, []packet.Packet{p}, v[:])
+	return v[0]
+}
+
 func pkt(class, size int) packet.Packet {
 	return packet.Packet{
 		Key:   packet.FlowKey{SrcIP: 10, DstIP: 20, SrcPort: uint16(class + 1), DstPort: 443, Proto: 6},
@@ -376,7 +383,7 @@ func TestBatchEquivalence(t *testing.T) {
 			}
 			batch.SubmitBatch(now, pkts, verdicts)
 			for k := range pkts {
-				if want := one.Submit(now, pkts[k]); verdicts[k] != want {
+				if want := submitOne(one, now, pkts[k]); verdicts[k] != want {
 					t.Fatalf("burst %d pkt %d (class %d): batch %v, single %v",
 						b, k, pkts[k].Class, verdicts[k], want)
 				}

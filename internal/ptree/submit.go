@@ -269,22 +269,17 @@ func (t *Tree) SubmitBatchAt(now time.Duration, node enforcer.NodeID, pkts []pac
 	t.admit(now, node, pkts, verdicts)
 }
 
-// Submit implements enforcer.Enforcer by routing the packet to a leaf by
-// its class (explicit Class if set, else the flow-key hash), exactly how a
-// flat aggregate spreads flows over queues. This is what lets a whole tree
-// stand wherever a single enforcer does — one mbox aggregate, the facade,
-// the proxy — with node-addressed submission (SubmitAt, SubmitBatchAt)
-// alongside.
-func (t *Tree) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
-	return t.SubmitAt(now, t.leaves[pkt.ClassIn(len(t.leaves))], pkt)
-}
-
-// SubmitBatch implements enforcer.BatchSubmitter. Packets in a mixed burst
-// may route to different leaves, so each run of consecutive packets bound
-// for one leaf is admitted in place as one run at that leaf, and the runs
-// share one burst: a token bucket's loan opens once for all of them, and
-// one flush ends them. Nothing is copied and nothing allocates. Verdicts
-// are byte-identical to per-packet Submit calls in order.
+// SubmitBatch implements enforcer.Enforcer by routing each packet to a
+// leaf by its class (explicit Class if set, else the flow-key hash), exactly
+// how a flat aggregate spreads flows over queues. This is what lets a whole
+// tree stand wherever a single enforcer does — one mbox aggregate, the
+// facade, the proxy — with node-addressed submission (SubmitAt,
+// SubmitBatchAt) alongside. Packets in a mixed burst may route to different
+// leaves, so each run of consecutive packets bound for one leaf is admitted
+// in place as one run at that leaf, and the runs share one burst: a token
+// bucket's loan opens once for all of them, and one flush ends them.
+// Nothing is copied and nothing allocates. Verdicts are byte-identical to
+// the same packets submitted as bursts of one, in order.
 func (t *Tree) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []enforcer.Verdict) {
 	verdicts = verdicts[:len(pkts)]
 	if len(pkts) == 0 {
@@ -306,4 +301,3 @@ func (t *Tree) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []e
 }
 
 var _ enforcer.Enforcer = (*Tree)(nil)
-var _ enforcer.BatchSubmitter = (*Tree)(nil)

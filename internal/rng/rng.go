@@ -50,14 +50,8 @@ func (s *Source) IntN(n int) int { return s.r.IntN(n) }
 // Uint64 returns a uniform 64-bit value.
 func (s *Source) Uint64() uint64 { return s.r.Uint64() }
 
-// exp returns an exponentially distributed float64 with mean 1.
-func (s *Source) exp() float64 { return s.r.ExpFloat64() }
-
 // norm returns a normally distributed float64 with mean 0 and stddev 1.
 func (s *Source) norm() float64 { return s.r.NormFloat64() }
-
-// perm returns a pseudo-random permutation of [0, n).
-func (s *Source) perm(n int) []int { return s.r.Perm(n) }
 
 // Range returns a uniform float64 in [lo, hi).
 func (s *Source) Range(lo, hi float64) float64 {

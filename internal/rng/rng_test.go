@@ -121,3 +121,9 @@ func TestPerm(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+// exp returns an exponentially distributed float64 with mean 1.
+func (s *Source) exp() float64 { return s.r.ExpFloat64() }
+
+// perm returns a pseudo-random permutation of [0, n).
+func (s *Source) perm(n int) []int { return s.r.Perm(n) }

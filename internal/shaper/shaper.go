@@ -124,26 +124,33 @@ func New(cfg Config) (*Shaper, error) {
 	}, nil
 }
 
-// Submit implements enforcer.Enforcer: enqueue into the class queue,
-// drop-tail on overflow, and arm the service timer.
-func (s *Shaper) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
-	if !s.started {
-		s.started = true
-		s.lastService = now
+// SubmitBatch implements enforcer.Enforcer: each packet in turn is enqueued
+// into its class queue, or dropped on overflow (drop-tail), and the service
+// timer is armed. The shaper has no per-burst work to amortize, so a burst
+// is the per-packet step in a loop.
+func (s *Shaper) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []enforcer.Verdict) {
+	verdicts = verdicts[:len(pkts)]
+	for i := range pkts {
+		pkt := &pkts[i]
+		if !s.started {
+			s.started = true
+			s.lastService = now
+		}
+		class := pkt.ClassIn(s.cfg.Queues)
+		q := &s.queues[class]
+		if q.bytes+int64(pkt.Size) > s.cfg.QueueSize {
+			q.dropped++
+			s.stats.Reject(pkt.Size)
+			verdicts[i] = enforcer.Drop
+			continue
+		}
+		q.pkts = append(q.pkts, queuedPacket{pkt: *pkt, enqueued: now})
+		q.bytes += int64(pkt.Size)
+		s.backlog++
+		s.stats.Accept(pkt.Size)
+		s.armService(now)
+		verdicts[i] = enforcer.Queued
 	}
-	class := pkt.ClassIn(s.cfg.Queues)
-	q := &s.queues[class]
-	if q.bytes+int64(pkt.Size) > s.cfg.QueueSize {
-		q.dropped++
-		s.stats.Reject(pkt.Size)
-		return enforcer.Drop
-	}
-	q.pkts = append(q.pkts, queuedPacket{pkt: pkt, enqueued: now})
-	q.bytes += int64(pkt.Size)
-	s.backlog++
-	s.stats.Accept(pkt.Size)
-	s.armService(now)
-	return enforcer.Queued
 }
 
 // armService schedules the next dequeue callback MSS/r ahead, the cadence
@@ -215,23 +222,6 @@ func (s *Shaper) serve(now time.Duration, class int, n int64) {
 		q.pkts = q.pkts[:m]
 		q.head = 0
 	}
-}
-
-// flush drains all remaining buffered packets as if served until now plus
-// however long full service takes. Experiments call it at the end of a run
-// so in-flight packets are accounted for.
-func (s *Shaper) flush(now time.Duration) {
-	for s.backlog > 0 {
-		quantum := s.cfg.Rate.DurationForBytes(units.MSS)
-		now += quantum
-		budget := s.svcCredit + s.cfg.Rate.Bytes(quantum)
-		whole := int64(budget)
-		s.svcCredit = budget - float64(whole)
-		s.cfg.Policy.Drain(whole,
-			func(class int) int64 { return s.queues[class].bytes - s.credit[class] },
-			func(class int, n int64) { s.serve(now, class, n) })
-	}
-	s.lastService = now
 }
 
 // QueuedBytes returns the bytes buffered in queue class.

@@ -11,6 +11,13 @@ import (
 	"bcpqp/internal/units"
 )
 
+// submitOne decides one packet as a burst of one.
+func submitOne(s *Shaper, now time.Duration, p packet.Packet) enforcer.Verdict {
+	var v [1]enforcer.Verdict
+	s.SubmitBatch(now, []packet.Packet{p}, v[:])
+	return v[0]
+}
+
 func pkt(class, size int) packet.Packet {
 	return packet.Packet{Key: packet.FlowKey{SrcPort: uint16(class + 1)}, Class: class, Size: size}
 }
@@ -74,7 +81,7 @@ func TestServiceAtRate(t *testing.T) {
 	// 10 packets arrive at once.
 	rig.loop.At(time.Millisecond, func() {
 		for i := 0; i < 10; i++ {
-			rig.s.Submit(rig.loop.Now(), pkt(0, units.MSS))
+			submitOne(rig.s, rig.loop.Now(), pkt(0, units.MSS))
 		}
 	})
 	rig.loop.Run(time.Second)
@@ -100,7 +107,7 @@ func TestDropTail(t *testing.T) {
 	verdicts := make([]enforcer.Verdict, 4)
 	rig.loop.At(now, func() {
 		for i := range verdicts {
-			verdicts[i] = rig.s.Submit(now, pkt(0, units.MSS))
+			verdicts[i] = submitOne(rig.s, now, pkt(0, units.MSS))
 		}
 	})
 	rig.loop.Run(2 * now)
@@ -119,8 +126,8 @@ func TestDRRFairness(t *testing.T) {
 	rig := newRig(t, Config{Rate: rate, Queues: 2, QueueSize: 1000 * units.MSS})
 	rig.loop.At(time.Millisecond, func() {
 		for i := 0; i < 100; i++ {
-			rig.s.Submit(rig.loop.Now(), pkt(0, units.MSS))
-			rig.s.Submit(rig.loop.Now(), pkt(1, units.MSS))
+			submitOne(rig.s, rig.loop.Now(), pkt(0, units.MSS))
+			submitOne(rig.s, rig.loop.Now(), pkt(1, units.MSS))
 		}
 	})
 	// Run long enough to serve ~100 packets (150 ms).
@@ -142,8 +149,8 @@ func TestWeightedService(t *testing.T) {
 	})
 	rig.loop.At(time.Millisecond, func() {
 		for i := 0; i < 200; i++ {
-			rig.s.Submit(rig.loop.Now(), pkt(0, units.MSS))
-			rig.s.Submit(rig.loop.Now(), pkt(1, units.MSS))
+			submitOne(rig.s, rig.loop.Now(), pkt(0, units.MSS))
+			submitOne(rig.s, rig.loop.Now(), pkt(1, units.MSS))
 		}
 	})
 	rig.loop.Run(200 * time.Millisecond)
@@ -165,8 +172,8 @@ func TestPriorityService(t *testing.T) {
 	})
 	rig.loop.At(time.Millisecond, func() {
 		for i := 0; i < 20; i++ {
-			rig.s.Submit(rig.loop.Now(), pkt(1, units.MSS)) // low first
-			rig.s.Submit(rig.loop.Now(), pkt(0, units.MSS))
+			submitOne(rig.s, rig.loop.Now(), pkt(1, units.MSS)) // low first
+			submitOne(rig.s, rig.loop.Now(), pkt(0, units.MSS))
 		}
 	})
 	rig.loop.Run(time.Second)
@@ -186,7 +193,7 @@ func TestWorkConservingAcrossQueues(t *testing.T) {
 	rig.loop.At(time.Millisecond, func() {
 		// Only queue 1 has traffic; it should get the full rate.
 		for i := 0; i < 20; i++ {
-			rig.s.Submit(rig.loop.Now(), pkt(1, units.MSS))
+			submitOne(rig.s, rig.loop.Now(), pkt(1, units.MSS))
 		}
 	})
 	rig.loop.Run(40 * time.Millisecond)
@@ -201,7 +208,7 @@ func TestFIFOOrderWithinQueue(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			p := pkt(0, units.MSS)
 			p.Seq = int64(i)
-			rig.s.Submit(rig.loop.Now(), p)
+			submitOne(rig.s, rig.loop.Now(), p)
 		}
 	})
 	rig.loop.Run(2 * time.Second)
@@ -215,10 +222,10 @@ func TestFIFOOrderWithinQueue(t *testing.T) {
 func TestIdleRestart(t *testing.T) {
 	rate := 8 * units.Mbps
 	rig := newRig(t, Config{Rate: rate, Queues: 1, QueueSize: 100 * units.MSS})
-	rig.loop.At(time.Millisecond, func() { rig.s.Submit(rig.loop.Now(), pkt(0, units.MSS)) })
+	rig.loop.At(time.Millisecond, func() { submitOne(rig.s, rig.loop.Now(), pkt(0, units.MSS)) })
 	// Long idle gap, then another packet; it must not be served
 	// instantly at an accumulated credit burst.
-	rig.loop.At(500*time.Millisecond, func() { rig.s.Submit(rig.loop.Now(), pkt(0, units.MSS)) })
+	rig.loop.At(500*time.Millisecond, func() { submitOne(rig.s, rig.loop.Now(), pkt(0, units.MSS)) })
 	rig.loop.Run(time.Second)
 	if len(rig.out) != 2 {
 		t.Fatalf("emitted %d, want 2", len(rig.out))
@@ -234,7 +241,7 @@ func TestQueueingDelayAccounting(t *testing.T) {
 	rig := newRig(t, Config{Rate: rate, Queues: 1, QueueSize: 100 * units.MSS})
 	rig.loop.At(time.Millisecond, func() {
 		for i := 0; i < 10; i++ {
-			rig.s.Submit(rig.loop.Now(), pkt(0, units.MSS))
+			submitOne(rig.s, rig.loop.Now(), pkt(0, units.MSS))
 		}
 	})
 	rig.loop.Run(time.Second)
@@ -249,7 +256,7 @@ func TestFlushDrainsEverything(t *testing.T) {
 	rig := newRig(t, Config{Rate: units.Kbps, Queues: 2, QueueSize: 1000 * units.MSS})
 	rig.loop.At(time.Millisecond, func() {
 		for i := 0; i < 25; i++ {
-			rig.s.Submit(rig.loop.Now(), pkt(i%2, units.MSS))
+			submitOne(rig.s, rig.loop.Now(), pkt(i%2, units.MSS))
 		}
 	})
 	rig.loop.Run(10 * time.Millisecond)
@@ -268,7 +275,7 @@ func TestPayloadCopyOnDequeue(t *testing.T) {
 	payload[0] = 0xAB
 	p := pkt(0, units.MSS)
 	p.Payload = payload
-	rig.loop.At(time.Millisecond, func() { rig.s.Submit(rig.loop.Now(), p) })
+	rig.loop.At(time.Millisecond, func() { submitOne(rig.s, rig.loop.Now(), p) })
 	rig.loop.Run(time.Second)
 	if len(rig.out) != 1 || rig.out[0].pkt.Payload[0] != 0xAB {
 		t.Fatal("payload not preserved through the queue")
@@ -279,7 +286,7 @@ func TestStats(t *testing.T) {
 	rig := newRig(t, Config{Rate: units.Mbps, Queues: 1, QueueSize: 2 * units.MSS})
 	rig.loop.At(time.Millisecond, func() {
 		for i := 0; i < 4; i++ {
-			rig.s.Submit(rig.loop.Now(), pkt(0, units.MSS))
+			submitOne(rig.s, rig.loop.Now(), pkt(0, units.MSS))
 		}
 	})
 	rig.loop.Run(2 * time.Millisecond)
@@ -303,9 +310,9 @@ func TestNestedPolicyService(t *testing.T) {
 	})
 	rig.loop.At(time.Millisecond, func() {
 		for i := 0; i < 200; i++ {
-			rig.s.Submit(rig.loop.Now(), pkt(0, units.MSS))
-			rig.s.Submit(rig.loop.Now(), pkt(1, units.MSS))
-			rig.s.Submit(rig.loop.Now(), pkt(2, units.MSS))
+			submitOne(rig.s, rig.loop.Now(), pkt(0, units.MSS))
+			submitOne(rig.s, rig.loop.Now(), pkt(1, units.MSS))
+			submitOne(rig.s, rig.loop.Now(), pkt(2, units.MSS))
 		}
 	})
 	rig.loop.Run(300 * time.Millisecond)
@@ -320,4 +327,20 @@ func TestNestedPolicyService(t *testing.T) {
 	if ratio < 2.5 || ratio > 3.5 {
 		t.Errorf("high-group split %.2f, want ≈3 (%v)", ratio, counts)
 	}
+}
+
+// flush drains all remaining buffered packets as if served until now plus
+// however long full service takes.
+func (s *Shaper) flush(now time.Duration) {
+	for s.backlog > 0 {
+		quantum := s.cfg.Rate.DurationForBytes(units.MSS)
+		now += quantum
+		budget := s.svcCredit + s.cfg.Rate.Bytes(quantum)
+		whole := int64(budget)
+		s.svcCredit = budget - float64(whole)
+		s.cfg.Policy.Drain(whole,
+			func(class int) int64 { return s.queues[class].bytes - s.credit[class] },
+			func(class int, n int64) { s.serve(now, class, n) })
+	}
+	s.lastService = now
 }

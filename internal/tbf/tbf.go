@@ -88,7 +88,7 @@ func PlusBucket(rate units.Rate, maxRTT time.Duration) int64 {
 	return reno
 }
 
-// Submit implements enforcer.Enforcer: a burst of one through SubmitBatch.
+// Submit enforces one packet: a burst of one through SubmitBatch.
 func (p *Policer) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict {
 	pkts := [1]packet.Packet{pkt}
 	var v [1]enforcer.Verdict
@@ -96,7 +96,7 @@ func (p *Policer) Submit(now time.Duration, pkt packet.Packet) enforcer.Verdict 
 	return v[0]
 }
 
-// SubmitBatch implements enforcer.BatchSubmitter, and is the policer's one
+// SubmitBatch implements enforcer.Enforcer, and is the policer's one
 // admission loop: Submit is a burst of one. The burst is one loan of the
 // bucket, so one token-refill computation covers it. A burst decides
 // exactly as the same packets submitted as bursts of one: refill is a no-op
@@ -200,5 +200,4 @@ func (p *Policer) Bucket() int64 { return int64(p.bucket) }
 func (p *Policer) EnforcerStats() enforcer.Stats { return p.stats }
 
 var _ enforcer.Enforcer = (*Policer)(nil)
-var _ enforcer.BatchSubmitter = (*Policer)(nil)
 var _ enforcer.StatsReader = (*Policer)(nil)

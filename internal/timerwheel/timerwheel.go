@@ -4,8 +4,8 @@
 //
 // Timers hash into a fixed ring of slots by expiry tick; each slot holds an
 // unordered list with a rounds counter for expiries beyond one wheel
-// revolution. Scheduling and cancelling are O(1); advancing does O(1)
-// amortized work per elapsed tick plus O(1) per fired timer.
+// revolution. Scheduling is O(1); advancing does O(1) amortized work per
+// elapsed tick plus O(1) per fired timer.
 package timerwheel
 
 import (
@@ -78,21 +78,6 @@ func (w *Wheel) Schedule(at time.Duration, fn func()) *Timer {
 	w.slots[t.slot] = append(w.slots[t.slot], t)
 	w.pending++
 	return t
-}
-
-// cancel removes a pending timer; cancelling a fired timer is a no-op.
-func (w *Wheel) cancel(t *Timer) {
-	if t == nil || t.index < 0 {
-		return
-	}
-	slot := w.slots[t.slot]
-	last := len(slot) - 1
-	slot[t.index] = slot[last]
-	slot[t.index].index = t.index
-	w.slots[t.slot] = slot[:last]
-	t.index = -1
-	t.fn = nil
-	w.pending--
 }
 
 // Advance processes all ticks up to virtual time now, firing due timers.

@@ -164,3 +164,18 @@ func TestPendingCount(t *testing.T) {
 		t.Errorf("pending after full advance = %d, want 0", w.pending)
 	}
 }
+
+// cancel removes a pending timer; cancelling a fired timer is a no-op.
+func (w *Wheel) cancel(t *Timer) {
+	if t == nil || t.index < 0 {
+		return
+	}
+	slot := w.slots[t.slot]
+	last := len(slot) - 1
+	slot[t.index] = slot[last]
+	slot[t.index].index = t.index
+	w.slots[t.slot] = slot[:last]
+	t.index = -1
+	t.fn = nil
+	w.pending--
+}

@@ -116,15 +116,13 @@ type ShardHealth = mbox.ShardHealth
 // and how many queued packets were shed in the process.
 type MiddleboxCloseReport = mbox.CloseReport
 
-// BatchSubmitter is the burst-oriented enforcement capability: all
-// enforcers in this module (PQP/BC-PQP, Policer, FairPolicer, PolicyTree)
-// implement it natively, amortizing clock handling, lazy drains, token
-// refills, and burst-control window checks across a whole burst.
-type BatchSubmitter = enforcer.BatchSubmitter
+// BatchSubmitter is Enforcer, whose one method decides a burst. Kept for
+// bench/, which spells it; it goes with bench/'s next change.
+type BatchSubmitter = Enforcer
 
-// Batched adapts any Enforcer to BatchSubmitter, returning native
-// implementations unchanged and wrapping the rest in a Submit loop.
-func Batched(enf Enforcer) BatchSubmitter { return enforcer.Batched(enf) }
+// Batched returns enf: every Enforcer decides bursts. Kept for bench/, which
+// spells it; it goes with bench/'s next change.
+func Batched(enf Enforcer) BatchSubmitter { return enf }
 
 // StatsReader is implemented by every enforcer in this module.
 type StatsReader = enforcer.StatsReader
