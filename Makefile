@@ -57,7 +57,7 @@ govulncheck:
 	fi
 
 # Chaos gate: the seeded fault-injection suite (panic isolation,
-# quarantine, watchdog, deadline-bounded Close, and the cluster
+# quarantine, read-time shard health, deadline-bounded Close, and the cluster
 # budget-exchange invariant under injected network faults), the
 # adversarial-overload suite (UDP floods, flash crowds, mixed-RTT swarms,
 # short-flow storms against ring-full shedding), the conformance-audit suites
@@ -76,7 +76,7 @@ govulncheck:
 # milliseconds a run; the line takes about half a minute on two vCPUs, most
 # of it TestClaimKeepsSubmissionOrder under the race detector.
 chaos:
-	$(GO) test -race -count=3 -run 'Chaos|Fault|Control|Overload|Storm|Flood|Flash|Audit|Model' ./internal/mbox/ ./internal/faultinject/ ./internal/cluster/ ./internal/workload/ ./internal/obs/
+	$(GO) test -race -count=3 -run 'Chaos|Fault|Control|Overload|Storm|Flood|Flash|Audit|Model|Watchdog|Health' ./internal/mbox/ ./internal/faultinject/ ./internal/cluster/ ./internal/workload/ ./internal/obs/
 	$(GO) test -race -count=20 -timeout 30m -run 'TestClaimKeepsSubmissionOrder|TestClaimedEqualsQueued|TestControlEscalationDeterministic|TestControlThroughFloodedRing|TestLocalSubmitWaitsOutLiveHolder|TestLocalSubmitSaturatedOnWedgedShard' ./internal/mbox/
 
 # Ten-second smoke run of every fuzz target (seed corpus + a short burst of

@@ -129,7 +129,7 @@ func newAdminMux(mb *bcpqp.Middlebox, node *bcpqp.ClusterNode, ids []string) *ht
 		// quarantined core drops its share of sources until the process
 		// restarts, which is degraded too, while the other cores serve. A
 		// shard under load reports itself in its own state ("degraded" on
-		// a packed ring or a shed, "wedged" past the watchdog's timeout).
+		// a packed ring or a recent shed, "wedged" past the 1 s wedge timeout).
 		degraded := (node != nil && node.Degraded()) || len(h.Quarantined) > 0
 		if h.Wedged() {
 			w.WriteHeader(http.StatusServiceUnavailable)

@@ -145,8 +145,7 @@ func runOverloadScenario(src workload.Source) (overloadRow, error) {
 			<-tokens
 			return time.Duration(ticks.Add(1)) * 10 * time.Microsecond
 		},
-		WatchdogInterval: time.Millisecond,
-		CloseTimeout:     10 * time.Second,
+		CloseTimeout: 10 * time.Second,
 	})
 	defer e.Close()
 	defer endStorm() // before Close, on every path: a gated shard cannot exit

@@ -36,12 +36,11 @@ func Fig6bc(scale Scale, seed uint64) (*Report, error) {
 	agg := workload.Aggregate{Label: "weighted", Rate: rate}
 	for i := 0; i < flows; i++ {
 		agg.Flows = append(agg.Flows, workload.FlowSpec{
-			CC:     "cubic",
-			RTT:    rtt,
-			Size:   int64(totalBytes * weights[i] / wsum),
-			Start:  10 * time.Millisecond,
-			Class:  i,
-			Weight: weights[i],
+			CC:    "cubic",
+			RTT:   rtt,
+			Size:  int64(totalBytes * weights[i] / wsum),
+			Start: 10 * time.Millisecond,
+			Class: i,
 		})
 	}
 

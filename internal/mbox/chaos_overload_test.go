@@ -50,9 +50,10 @@ func waitFor(timeout time.Duration, cond func() bool) bool {
 	return cond()
 }
 
-// drainAndSettle waits for every shard ring to empty and every shard to
-// reclassify Healthy — invariant 2. Call after the producers stop and
-// before Close (the watchdog dies with Close).
+// drainAndSettle waits for every shard ring to empty, then checks that every
+// shard reclassifies Healthy once degradedFor has passed since its last shed —
+// invariant 2 — by classifying at that reading of the clock rather than
+// waiting it out. Call after the producers stop and before Close.
 func drainAndSettle(t *testing.T, e *Engine) {
 	t.Helper()
 	if !waitFor(10*time.Second, func() bool {
@@ -65,15 +66,12 @@ func drainAndSettle(t *testing.T, e *Engine) {
 	}) {
 		t.Fatalf("shard rings never drained: %+v", e.Health().Shards)
 	}
-	if !waitFor(10*time.Second, func() bool {
-		for _, sh := range e.Health().Shards {
-			if sh.State != ShardHealthy {
-				return false
-			}
+	later := time.Now().UnixNano() + int64(degradedFor)
+	for _, s := range e.shards {
+		if st := classify(s, later); st != ShardHealthy {
+			t.Errorf("shard %d is %v %v after the storm, want healthy: %+v",
+				s.idx, st, degradedFor, e.Health().Shards[s.idx])
 		}
-		return true
-	}) {
-		t.Errorf("shards did not return to Healthy after the storm: %+v", e.Health().Shards)
 	}
 }
 
@@ -127,8 +125,7 @@ func TestChaosFloodOverload(t *testing.T) {
 	// carries the overload.
 	e := New(Config{
 		Shards: 2, QueueDepth: 8, Clock: clock.now,
-		CloseTimeout:     closeTimeout,
-		WatchdogInterval: time.Millisecond,
+		CloseTimeout: closeTimeout,
 	})
 	closed := false
 	defer func() {
@@ -515,7 +512,7 @@ func TestChaosShortFlowStormOverload(t *testing.T) {
 }
 
 // TestChaosPlanesTogether arms every plane at once on one shard, driven from
-// one goroutine on an injected clock with the watchdog off: a policy tree,
+// one goroutine on an injected clock: a policy tree,
 // routing mixed-class bursts to its two leaves, beside a flat BC-PQP
 // aggregate, both observed and audited; a cluster share that halves the tree's root rate and then restores it; and a
 // ring-full episode, in which holdShard keeps the shard while tree bursts
@@ -537,8 +534,7 @@ func TestChaosPlanesTogether(t *testing.T) {
 	c := obs.NewCollector(obs.Options{SampleEvery: 1})
 	e := New(Config{
 		Shards: 1, QueueDepth: depth, Clock: clock.now,
-		WatchdogInterval: time.Hour,
-		Observer:         c,
+		Observer: c,
 	})
 	defer e.Close()
 

@@ -430,10 +430,11 @@ func TestChaosCloseDeadlineForceAbandonsWedgedShard(t *testing.T) {
 }
 
 // TestChaosWatchdogClassifiesWedgedShard drives the shard goroutine into a
-// blocked emit and moves it Healthy → Wedged → Healthy the way the watchdog
-// does, by classifying it at chosen heartbeat ages — nothing here waits out
-// the 1s wedge timeout. TestWatchdogSeesWedgedInlineBurst is the same for a
-// burst its submitter serves.
+// blocked emit and moves it Healthy → Wedged → Healthy, by classifying it at
+// chosen heartbeat ages and, for Health, by backdating the heartbeat of the
+// blocked shard — nothing here waits out the 1s wedge timeout.
+// TestWatchdogSeesWedgedInlineBurst is the same for a burst its submitter
+// serves.
 func TestChaosWatchdogClassifiesWedgedShard(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
@@ -442,8 +443,7 @@ func TestChaosWatchdogClassifiesWedgedShard(t *testing.T) {
 
 	e := New(Config{
 		Shards: 1, QueueDepth: 8,
-		WatchdogInterval: time.Hour,
-		CloseTimeout:     500 * time.Millisecond,
+		CloseTimeout: 500 * time.Millisecond,
 	})
 	defer e.Close()
 	started := make(chan struct{}, 1)
@@ -458,13 +458,10 @@ func TestChaosWatchdogClassifiesWedgedShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := e.shards[0]
-	var panics, shed int64
-	classify := func(age time.Duration) ShardState {
-		st := e.classify(s, s.heartbeat.Load()+int64(age), &panics, &shed)
-		s.state.Store(int32(st))
-		return st
+	stateAt := func(age time.Duration) ShardState {
+		return classify(s, s.heartbeat.Load()+int64(age))
 	}
-	if got := classify(10 * wedgeTimeout); got != ShardHealthy {
+	if got := stateAt(10 * wedgeTimeout); got != ShardHealthy {
 		t.Fatalf("idle shard with a stale heartbeat is %v, want healthy", got)
 	}
 
@@ -476,12 +473,15 @@ func TestChaosWatchdogClassifiesWedgedShard(t *testing.T) {
 	}
 	release()
 	<-started
-	if got := classify(wedgeTimeout / 2); got != ShardHealthy {
+	if got := stateAt(wedgeTimeout / 2); got != ShardHealthy {
 		t.Errorf("shard blocked for half the wedge timeout: %v, want healthy", got)
 	}
-	if got := classify(wedgeTimeout + 1); got != ShardWedged {
+	if got := stateAt(wedgeTimeout + 1); got != ShardWedged {
 		t.Fatalf("shard blocked past the wedge timeout: %v, want wedged", got)
 	}
+	// The shard stamps its heartbeat only around the item it is blocked in,
+	// so the backdated stamp holds until the gate opens.
+	s.heartbeat.Add(-int64(wedgeTimeout + time.Millisecond))
 	if !e.Health().Wedged() {
 		t.Error("Health.Wedged() false while a shard is wedged")
 	}
@@ -489,7 +489,7 @@ func TestChaosWatchdogClassifiesWedgedShard(t *testing.T) {
 	if err := e.Flush("x", func(enforcer.Enforcer) {}); err != nil { // the blocked burst has finished
 		t.Fatal(err)
 	}
-	if got := classify(10 * wedgeTimeout); got != ShardHealthy {
+	if got := stateAt(10 * wedgeTimeout); got != ShardHealthy {
 		t.Fatalf("released shard with a stale heartbeat is %v, want healthy", got)
 	}
 	if e.Health().Wedged() {

@@ -14,7 +14,7 @@ import (
 // Safety comes from a single CAS-guarded occupancy word per shard: whoever
 // holds it has exclusive use of the shard's enforcement state (enforcers,
 // verdict scratch, trace sampling state), and the CAS/Store pair carries the
-// happens-before edge, so bursts, control operations, watchdog reads and
+// happens-before edge, so bursts, control operations, health reads and
 // Close interleave race-free whichever goroutine runs them. Three kinds of
 // holder take it, all through claim:
 //
@@ -147,7 +147,7 @@ func (e *Engine) LocalShard(shard int) (*LocalSubmitter, error) {
 // body behind): same panic barrier and quarantine/degrade handling, same
 // verdict tallies and trace sampling, same one-clock-read-per-burst arrival
 // stamping — so a core that only ever submits inline still reads as alive to
-// the watchdog. Verdicts reach the aggregate's emit hook before SubmitBatch
+// Engine.Health. Verdicts reach the aggregate's emit hook before SubmitBatch
 // returns.
 //
 // A live holder of the word — a slow emit hook, a Flush fn, a shard
@@ -165,9 +165,8 @@ func (l *LocalSubmitter) SubmitBatch(h Handle, pkts []packet.Packet) error {
 		return err
 	}
 	if !s.tryAcquire(occLocal, s.wedged) {
-		n := int64(len(pkts))
-		e.Overloaded.Add(n)
-		s.shed.Add(n)
+		s.shed.Add(int64(len(pkts)))
+		s.lastFault.Store(e.coarseWall.Load())
 		s.inlineFallbacks.Add(1)
 		return fmt.Errorf("mbox: aggregate %q: %w", agg.id, ErrSaturated)
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"bcpqp/internal/enforcer"
 	"bcpqp/internal/obs"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/tbf"
@@ -113,13 +114,13 @@ func TestLocalSubmitSaturatedOnWedgedShard(t *testing.T) {
 }
 
 // TestWatchdogSeesWedgedInlineBurst: an inline burst stuck in an emit hook
-// holds the shard's occupancy word, and that is in-flight work to the
-// watchdog — it used to look only at the ring and at ring items. classify is
-// called with chosen readings of now, so nothing here waits on a timer.
+// holds the shard's occupancy word, and that is in-flight work to classify —
+// it used to look only at the ring and at ring items. classify is called with
+// chosen readings of now, so nothing here waits on a timer.
 func TestWatchdogSeesWedgedInlineBurst(t *testing.T) {
 	const wedge = wedgeTimeout
 	entered, gate := make(chan struct{}), make(chan struct{})
-	e := New(Config{Shards: 1, WatchdogInterval: time.Hour})
+	e := New(Config{Shards: 1})
 	defer e.Close()
 	h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), func(packet.Packet) {
 		close(entered)
@@ -133,12 +134,11 @@ func TestWatchdogSeesWedgedInlineBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := e.shards[0]
-	var panics, shed int64
-	classify := func(age time.Duration) ShardState {
-		return e.classify(s, s.heartbeat.Load()+int64(age), &panics, &shed)
+	stateAt := func(age time.Duration) ShardState {
+		return classify(s, s.heartbeat.Load()+int64(age))
 	}
 
-	if got := classify(10 * wedge); got != ShardHealthy {
+	if got := stateAt(10 * wedge); got != ShardHealthy {
 		t.Fatalf("idle shard with a stale heartbeat is %v, want healthy", got)
 	}
 	done := make(chan error, 1)
@@ -147,19 +147,90 @@ func TestWatchdogSeesWedgedInlineBurst(t *testing.T) {
 	if !e.Health().Shards[0].Busy {
 		t.Error("Health reports the shard idle while an inline burst is in flight")
 	}
-	if got := classify(wedge / 2); got != ShardHealthy {
+	if got := stateAt(wedge / 2); got != ShardHealthy {
 		t.Errorf("inline burst in flight for half the wedge timeout: %v, want healthy", got)
 	}
-	if got := classify(wedge + 1); got != ShardWedged {
+	if got := stateAt(wedge + 1); got != ShardWedged {
 		t.Errorf("inline burst blocked past the wedge timeout: %v, want wedged", got)
 	}
 	close(gate)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if got := classify(10 * wedge); got != ShardHealthy {
+	if got := stateAt(10 * wedge); got != ShardHealthy {
 		t.Errorf("released shard with a stale heartbeat is %v, want healthy", got)
 	}
+}
+
+// TestHealthClassifiesOnRead: Health and Metrics classify a shard as they
+// read it, so each state shows on the first read after its cause. The test
+// holds the shard's occupancy word itself and backdates stamps rather than
+// waiting them out, so nothing here sleeps or waits on another goroutine.
+func TestHealthClassifiesOnRead(t *testing.T) {
+	const depth = 8 // ¾ full is 6 queued
+	e := New(Config{Shards: 1, QueueDepth: depth})
+	defer e.Close()
+	h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := e.LocalShard(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.shards[0]
+	check := func(what string, want ShardState) {
+		t.Helper()
+		if got := e.Health().Shards[0].State; got != want {
+			t.Errorf("%s: Health reads %v, want %v", what, got, want)
+		}
+		if got := metricValue(t, e.Metrics(), "bcpqp_shard_state", "0"); got != float64(want) {
+			t.Errorf("%s: bcpqp_shard_state = %v, want %d", what, got, want)
+		}
+	}
+	check("idle shard", ShardHealthy)
+
+	// Work in flight (the word held) and a heartbeat older than wedgeTimeout.
+	if !s.claim(occLocal) {
+		t.Fatal("idle shard's occupancy word is taken")
+	}
+	s.heartbeat.Add(-int64(wedgeTimeout + time.Millisecond))
+	check("held shard with a stale heartbeat", ShardWedged)
+
+	// A LocalSubmitter gives up on the wedged shard and sheds its burst.
+	if err := ls.SubmitBatch(h, burstOf(3, 0)); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("inline burst on a wedged shard: %v, want ErrSaturated", err)
+	}
+	if n := e.Overloaded.Load(); n != 3 {
+		t.Errorf("Overloaded = %d, want the 3 shed packets", n)
+	}
+	s.release()
+	if got := classify(s, s.lastFault.Load()); got != ShardDegraded {
+		t.Errorf("idle shard at its shed's stamp is %v, want degraded", got)
+	}
+	s.lastFault.Add(-int64(degradedFor))
+	check("shed older than degradedFor", ShardHealthy)
+
+	// An idle shard serves this Flush on the caller, stamping the heartbeat.
+	if err := e.Flush("x", func(enforcer.Enforcer) {}); err != nil {
+		t.Fatal(err)
+	}
+	// Behind the held word every burst queues; the shard goroutine may pop
+	// one and park on the word, so depth-1 bursts leave 6 or 7 queued and
+	// none sheds.
+	if !s.claim(occLocal) {
+		t.Fatal("idle shard's occupancy word is taken")
+	}
+	defer s.release()
+	for i := 0; i < depth-1; i++ {
+		if err := e.SubmitBatch(h, burstOf(1, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := e.Overloaded.Load(); n != 3 {
+		t.Fatalf("Overloaded = %d, want 3: the packed ring shed", n)
+	}
+	check("ring packed to ¾", ShardDegraded)
 }
 
 // TestInlineBurstReadsNoWallClock pins what the inline path's speed rests on,

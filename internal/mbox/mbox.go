@@ -36,10 +36,10 @@
 // The runtime is fault-tolerant: every enforcement run and control item
 // executes inside a panic barrier, a panicking enforcer is quarantined by a
 // per-aggregate circuit breaker instead of killing the shard goroutine (its
-// traffic is dropped and counted until Remove), a watchdog classifies shards
-// Healthy/Degraded/Wedged from heartbeat age, ring depth and fault counters
-// (Engine.Health), and Close is bounded by a deadline that force-abandons
-// wedged shards rather than hanging.
+// traffic is dropped and counted until Remove), each read of Engine.Health
+// or Engine.Metrics classifies every shard Healthy/Degraded/Wedged from its
+// heartbeat age, ring depth and last fault, and Close is bounded by a
+// deadline that force-abandons wedged shards rather than hanging.
 package mbox
 
 import (
@@ -128,14 +128,14 @@ var ErrSaturated = errors.New("shard saturated")
 // was recovered and attributed to the aggregate, and the call did not finish.
 var errControlPanicked = errors.New("control call panicked")
 
-// ShardState is the watchdog's classification of one shard.
+// ShardState is one shard's classification, made when it is read (classify).
 type ShardState int32
 
 const (
 	// ShardHealthy: the shard is idle or making progress.
 	ShardHealthy ShardState = iota
-	// ShardDegraded: the shard is alive but under duress — it recently
-	// recovered a panic, shed load, or its ring is nearly full.
+	// ShardDegraded: the shard is alive but under duress — it recovered a
+	// panic or shed load within degradedFor (50ms), or its ring is ≥ 3/4 full.
 	ShardDegraded
 	// ShardWedged: the shard has queued or in-flight work but its
 	// heartbeat has not advanced within wedgeTimeout (1s) — typically a
@@ -174,9 +174,6 @@ type Config struct {
 	// drained within this deadline are force-abandoned and their queued
 	// packets counted as shed (default 5s).
 	CloseTimeout time.Duration
-	// WatchdogInterval is how often the watchdog reclassifies shard
-	// health (default 25ms).
-	WatchdogInterval time.Duration
 	// OnFault, when non-nil, is called once per recovered panic with the
 	// aggregate id (empty when unattributable), the recovered value, and
 	// the stack of the panicking goroutine. It runs on the goroutine that
@@ -204,11 +201,14 @@ type Engine struct {
 	cfg    Config
 	shards []*shard
 
-	// Overloaded counts packets shed because a shard ring was full.
-	Overloaded atomic.Int64
+	// Overloaded counts packets shed: at a full shard ring, or by a
+	// LocalSubmitter that found its shard wedged. It sums the shards' shed
+	// words.
+	Overloaded shardSum
 	// Panics counts recovered enforcer/emit panics (each injected or
-	// organic panic is recovered and counted exactly once).
-	Panics atomic.Int64
+	// organic panic is recovered and counted exactly once, on the shard
+	// that recovered it).
+	Panics shardSum
 	// DegradedDrops counts packets dropped because their aggregate was
 	// quarantined (including the packets of the run that tripped the
 	// breaker).
@@ -277,7 +277,7 @@ type Engine struct {
 	// × 72 B ≈ 2.36 MB a shard) whether or not anything ever queues; the
 	// pool holds what queuing has needed lately (DESIGN.md §5).
 	pool        sync.Pool     // *burst
-	stop        chan struct{} // closed by Close: stops the wall ticker and watchdog
+	stop        chan struct{} // closed by Close: stops the wall ticker
 	dead        chan struct{} // closed once Close finished (shards exited or abandoned)
 	closeReport CloseReport   // stored by the first Close, returned by later ones
 }
@@ -410,12 +410,11 @@ type shard struct {
 	// it around every run of their own, so exactly one goroutine at a time
 	// uses the shard's enforcement state (enforcers, verdicts scratch,
 	// trace sampling). See local.go.
-	occ   atomic.Int32
-	state atomic.Int32 // ShardState, maintained by the watchdog
+	occ atomic.Int32
 	// Health plane. heartbeat is stamped (wall nanos, Engine.coarseWall) around
-	// every ring item and inline burst; that one is in flight — how the
-	// watchdog tells a shard wedged mid-item (ring may be empty) from an
-	// idle one — is the occupancy word above (inFlight).
+	// every ring item and inline burst; that one is in flight — how classify
+	// tells a shard wedged mid-item (ring may be empty) from an idle one — is
+	// the occupancy word above (inFlight).
 	heartbeat atomic.Int64
 	processed atomic.Int64 // items completed
 	panics    atomic.Int64 // panics recovered on this shard
@@ -436,8 +435,12 @@ type shard struct {
 	pending atomic.Int32
 	_       [60]byte
 
-	shed            atomic.Int64 // packets shed at this shard's ring
+	shed            atomic.Int64 // packets shed at this shard (Engine.Overloaded sums them)
 	inlineFallbacks atomic.Int64 // LocalSubmitter bursts refused (Engine.InlineFallbacks sums them)
+	// lastFault is the coarse wall reading (Engine.coarseWall) at the
+	// shard's last shed or recovered panic: classify reads the shard
+	// degraded for degradedFor after it.
+	lastFault atomic.Int64
 	// shedTick/shedAccum coalesce KindShed trace events: under sustained
 	// overload every enqueue sheds, and recording each one would hammer
 	// the collector's global sequence from every producer. The first shed
@@ -448,7 +451,7 @@ type shard struct {
 	mu        sync.Mutex
 	shedTick  int
 	shedAccum int64
-	_         [24]byte
+	_         [16]byte
 }
 
 // New starts an Engine.
@@ -465,9 +468,6 @@ func New(cfg Config) *Engine {
 	}
 	if cfg.CloseTimeout <= 0 {
 		cfg.CloseTimeout = 5 * time.Second
-	}
-	if cfg.WatchdogInterval <= 0 {
-		cfg.WatchdogInterval = 25 * time.Millisecond
 	}
 	e := &Engine{
 		cfg:  cfg,
@@ -500,10 +500,11 @@ func New(cfg Config) *Engine {
 		e.shards = append(e.shards, s)
 		go e.run(s)
 	}
+	e.Overloaded = shardSum{e.shards, func(s *shard) *atomic.Int64 { return &s.shed }}
+	e.Panics = shardSum{e.shards, func(s *shard) *atomic.Int64 { return &s.panics }}
 	e.InlineBursts = shardSum{e.shards, func(s *shard) *atomic.Int64 { return &s.inlineBursts }}
 	e.InlineFallbacks = shardSum{e.shards, func(s *shard) *atomic.Int64 { return &s.inlineFallbacks }}
 	go e.wallTicker()
-	go e.watchdog()
 	return e
 }
 
@@ -518,7 +519,7 @@ func (e *Engine) run(s *shard) {
 
 // process executes one queued item on the shard goroutine; true means stop.
 // The item runs under the shard's occupancy word, which serializes it against
-// submitters serving their own work (see local.go) and tells the watchdog
+// submitters serving their own work (see local.go) and tells classify
 // that work is in flight, and stops counting as pending only once it has run;
 // stop items skip both — they touch no enforcement state.
 func (e *Engine) process(s *shard, it item) bool {
@@ -820,13 +821,11 @@ func (e *Engine) degrade(agg *aggregate, pkts []packet.Packet) {
 	e.DegradedDrops.Add(n)
 }
 
-// notePanic records one recovered panic, trips the aggregate's circuit
+// notePanic records one panic recovered on s, trips the aggregate's circuit
 // breaker — the first panic quarantines it — and fires the OnFault hook.
 func (e *Engine) notePanic(s *shard, agg *aggregate, recovered any) {
-	e.Panics.Add(1)
-	if s != nil {
-		s.panics.Add(1)
-	}
+	s.panics.Add(1)
+	s.lastFault.Store(e.coarseWall.Load())
 	id := ""
 	aggH := int64(-1)
 	quarantined := false
@@ -880,8 +879,8 @@ func (e *Engine) enqueue(s *shard, it item) {
 		}
 	}
 	n := int64(len(it.b.pkts))
-	e.Overloaded.Add(n)
 	s.shed.Add(n)
+	s.lastFault.Store(e.coarseWall.Load())
 	e.recordShed(s, n)
 	e.putBurst(it.b)
 }
@@ -1210,8 +1209,8 @@ const reofferInterval = 10 * time.Millisecond
 // frees, ahead of producers that would shed rather than wait. It keeps
 // waiting while the shard is alive, however slowly it drains — a shard
 // goroutine kept off the CPU for a few scheduler slices is not wedged — and
-// checks every reofferInterval whether the shard is wedged by the watchdog's
-// test (shard.wedged). If it is, ErrSaturated is reported and fn never runs.
+// checks every reofferInterval whether the shard is wedged (shard.wedged).
+// If it is, ErrSaturated is reported and fn never runs.
 // An fn that panics is recovered by runControl and reported as an error
 // wrapping errControlPanicked, never as success.
 func (e *Engine) controlAgg(agg *aggregate, fn func(enforcer.Enforcer)) error {
@@ -1310,7 +1309,7 @@ func (e *Engine) aggByID(id string) (*aggregate, error) {
 	return agg, nil
 }
 
-// ShardHealth is the watchdog's view of one shard.
+// ShardHealth is one shard's health as read by Engine.Health.
 type ShardHealth struct {
 	Shard      int
 	State      ShardState
@@ -1322,7 +1321,7 @@ type ShardHealth struct {
 	Busy         bool  // somebody holds the shard: a burst or control item is in flight
 	Processed    int64 // items completed
 	Panics       int64 // panics recovered on this shard
-	Shed         int64 // packets shed at this shard's ring
+	Shed         int64 // packets shed at this shard (its part of Overloaded)
 	// Claimed / Queued split the Engine.SubmitBatch bursts served so far by
 	// who served them: the submitter, having found the shard idle, or the
 	// shard goroutine, from the ring.
@@ -1351,10 +1350,10 @@ func (h Health) Wedged() bool {
 	return false
 }
 
-// Health snapshots the engine's fault plane: per-shard watchdog state and
-// the engine-wide fault counters. It reads only atomics and the registry
-// snapshot, so it is safe (and cheap) to call at any rate from any
-// goroutine, including while the engine is saturated or closing.
+// Health snapshots the engine's fault plane: each shard's state, classified
+// as of this read, and the engine-wide fault counters. It reads only atomics
+// and the registry snapshot, so it is safe (and cheap) to call at any rate
+// from any goroutine, including while the engine is saturated or closing.
 func (e *Engine) Health() Health {
 	now := time.Now().UnixNano()
 	h := Health{
@@ -1367,7 +1366,7 @@ func (e *Engine) Health() Health {
 	for i, s := range e.shards {
 		h.Shards[i] = ShardHealth{
 			Shard:        i,
-			State:        ShardState(s.state.Load()),
+			State:        classify(s, now),
 			QueueDepth:   len(s.in),
 			QueueCap:     cap(s.in),
 			HeartbeatAge: time.Duration(now - s.heartbeat.Load()),
@@ -1386,26 +1385,6 @@ func (e *Engine) Health() Health {
 		}
 	}
 	return h
-}
-
-// watchdog periodically reclassifies every shard from its heartbeat age,
-// ring depth, and fault-counter deltas. It exits at Close.
-func (e *Engine) watchdog() {
-	t := time.NewTicker(e.cfg.WatchdogInterval)
-	defer t.Stop()
-	lastPanics := make([]int64, len(e.shards))
-	lastShed := make([]int64, len(e.shards))
-	for {
-		select {
-		case <-e.stop:
-			return
-		case <-t.C:
-			now := time.Now().UnixNano()
-			for i, s := range e.shards {
-				s.state.Store(int32(e.classify(s, now, &lastPanics[i], &lastShed[i])))
-			}
-		}
-	}
 }
 
 // inFlight reports whether a ring item or an inline burst holds the shard's
@@ -1428,17 +1407,18 @@ func (s *shard) wedged(now int64) bool {
 	return working && time.Duration(now-s.heartbeat.Load()) > wedgeTimeout
 }
 
-// classify derives one shard's state: Wedged when s.wedged, Degraded when it
-// recovered a panic or shed load since the last check, or its ring is ≥3/4
-// full.
-func (e *Engine) classify(s *shard, now int64, lastPanics, lastShed *int64) ShardState {
-	p, sh := s.panics.Load(), s.shed.Load()
-	panicked, shed := p > *lastPanics, sh > *lastShed
-	*lastPanics, *lastShed = p, sh
+// degradedFor is how long a shed or a recovered panic keeps its shard
+// Degraded (shard.lastFault).
+const degradedFor = 50 * time.Millisecond
+
+// classify derives s's state at now (wall nanos) from atomics alone: Wedged
+// when s.wedged, Degraded when it shed load or recovered a panic within
+// degradedFor or its ring is ≥3/4 full.
+func classify(s *shard, now int64) ShardState {
 	switch {
 	case s.wedged(now):
 		return ShardWedged
-	case panicked || shed || len(s.in) >= cap(s.in)-cap(s.in)/4:
+	case time.Duration(now-s.lastFault.Load()) < degradedFor || len(s.in) >= cap(s.in)-cap(s.in)/4:
 		return ShardDegraded
 	default:
 		return ShardHealthy
@@ -1535,8 +1515,9 @@ func (e *Engine) Close() CloseReport {
 	return rep
 }
 
-// drainRing empties a shard's ring without enforcing: bursts are
-// counted as shed and pooled; control items are discarded un-run (their
+// drainRing empties a shard's ring without enforcing: bursts are pooled and
+// their packets returned, for CloseReport.ShedPackets alone (Overloaded
+// counts what full rings and wedged shards refused); control items are discarded un-run (their
 // waiters are released by e.dead with an engine-closed error, never a
 // false completion). Safe to run concurrently with a zombie consumer —
 // both are channel receivers.
@@ -1550,7 +1531,6 @@ func (e *Engine) drainRing(s *shard) int64 {
 			}
 			if it.b != nil {
 				pkts += int64(len(it.b.pkts))
-				s.shed.Add(int64(len(it.b.pkts)))
 				e.putBurst(it.b)
 			}
 		default:

@@ -15,12 +15,12 @@ package mbox
 // (the tail an emit fault leaves un-emitted keeps its verdict and is counted
 // degraded too).
 //
-// One goroutine drives the engine with the watchdog effectively off, so it
-// finds every shard idle and serves each burst and control call itself (the
-// claim rule, local.go): the run is deterministic, and a failing input
-// replays exactly. The model restarts the engine too — Snapshot, Close, a
-// fresh engine whose clock reads zero, re-Add, Restore — while its twins run
-// on along the old timeline, so a restart must be invisible.
+// One goroutine drives the engine, so it finds every shard idle and serves
+// each burst and control call itself (the claim rule, local.go): the run is
+// deterministic, and a failing input replays exactly. The model restarts the
+// engine too — Snapshot, Close, a fresh engine whose clock reads zero,
+// re-Add, Restore — while its twins run on along the old timeline, so a
+// restart must be invisible.
 
 import (
 	"bytes"
@@ -220,6 +220,11 @@ type modelAgg struct {
 
 type modelShard struct {
 	processed, claimed, panics int64
+	// faultSeen is the wall time of the first Health check to see the
+	// shard's latest panic (checked is the panic count it saw): the shard's
+	// fault stamp is no later, so from degradedFor after it the shard must
+	// read Healthy again.
+	faultSeen, checked int64
 	// On an observed engine: bursts served, which pace the latency
 	// digest's timing, and enforced runs observed, which pace the sampled
 	// burst events; both cadences are one in modelSampleEvery per shard.
@@ -296,7 +301,7 @@ func (m *modelEngine) clock() time.Duration { return m.now - m.base }
 // start brings up a fresh engine whose clock reads zero now.
 func (m *modelEngine) start() {
 	m.base = m.now
-	cfg := Config{Shards: m.shards, Clock: m.clock, WatchdogInterval: time.Hour}
+	cfg := Config{Shards: m.shards, Clock: m.clock}
 	if m.observed {
 		m.coll = obs.NewCollector(obs.Options{SampleEvery: modelSampleEvery, RingDepth: 16})
 		cfg.Observer = m.coll
@@ -1020,7 +1025,11 @@ func (m *modelEngine) checkObserved(a *modelAgg) bool {
 	return true
 }
 
+// checkHealth compares Health with the model. A shard that recovered a panic
+// less than degradedFor ago may read Degraded or, on a fault stamp the coarse
+// wall clock left old, Healthy; every other shard reads Healthy.
 func (m *modelEngine) checkHealth() {
+	now := time.Now().UnixNano()
 	h := m.e.Health()
 	want := Health{Panics: m.panics, DegradedDrops: m.degraded, BadVerdicts: m.bad}
 	for _, a := range m.slots {
@@ -1028,9 +1037,17 @@ func (m *modelEngine) checkHealth() {
 			want.Quarantined = append(want.Quarantined, a.id)
 		}
 	}
-	for i, s := range m.sh {
+	for i := range m.sh {
+		s := &m.sh[i]
+		if s.checked != s.panics {
+			s.checked, s.faultSeen = s.panics, now
+		}
+		state := ShardHealthy
+		if s.panics > 0 && time.Duration(now-s.faultSeen) < degradedFor && h.Shards[i].State == ShardDegraded {
+			state = ShardDegraded
+		}
 		h.Shards[i].HeartbeatAge = 0
-		want.Shards = append(want.Shards, ShardHealth{Shard: i, QueueCap: 1024,
+		want.Shards = append(want.Shards, ShardHealth{Shard: i, State: state, QueueCap: 1024,
 			Processed: s.processed, Panics: s.panics, Claimed: s.claimed})
 	}
 	if !reflect.DeepEqual(h, want) {

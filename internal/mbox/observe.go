@@ -104,7 +104,7 @@ func (e *Engine) Metrics() obs.Snapshot {
 	for i, s := range e.shards {
 		lbl := []obs.Label{{Name: "shard", Value: strconv.Itoa(i)}}
 		vals := []float64{
-			float64(s.state.Load()),
+			float64(classify(s, now)),
 			float64(len(s.in)),
 			float64(now-s.heartbeat.Load()) / 1e9,
 			float64(s.processed.Load()),

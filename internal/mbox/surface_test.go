@@ -23,7 +23,7 @@ import (
 // wedgeTimeout (the one reason any waiter gives up on a shard) and
 // reofferInterval; the circuit breaker trips on the first panic. An
 // aggregate leaves the table only through Remove (or Close), and the one
-// overload response is the ring-full shed the watchdog reports, so Health
+// overload response is the ring-full shed Health classifies, so Health
 // says nothing about table fill, evictions or shed classes. The fault plane
 // has one policy, so Health counts drops and carries no mode: a quarantined
 // aggregate's traffic is dropped until Remove.
@@ -65,7 +65,7 @@ func TestEngineSurface(t *testing.T) {
 		{"Handle methods", methods(Handle{}), []string{"TraceAgg"}},
 		{"Config fields", config, []string{
 			"Clock", "CloseTimeout", "Observer", "OnFault",
-			"QueueDepth", "Shards", "WatchdogInterval",
+			"QueueDepth", "Shards",
 		}},
 		{"AuditEntry fields", fields(AuditEntry{}), []string{"Aggregate", "Counters", "Slack", "RateErr"}},
 		{"Health fields", fields(Health{}), []string{

@@ -68,6 +68,8 @@ type Shaper struct {
 	backlog int     // total buffered packets
 
 	serviceArmed bool
+	serviceAt    time.Duration // due time of the armed service event
+	serviceFn    func()        // the service callback, built once: service(serviceAt)
 	lastService  time.Duration
 	svcCredit    float64 // fractional service bytes carried between events
 	started      bool
@@ -116,12 +118,14 @@ func New(cfg Config) (*Shaper, error) {
 		return nil, fmt.Errorf("shaper: policy covers %d classes but only %d queues",
 			cfg.Policy.NumClasses(), cfg.Queues)
 	}
-	return &Shaper{
+	s := &Shaper{
 		cfg:     cfg,
 		queues:  make([]pktQueue, cfg.Queues),
 		credit:  make([]int64, cfg.Queues),
 		scratch: make([]byte, 2*units.MSS),
-	}, nil
+	}
+	s.serviceFn = func() { s.service(s.serviceAt) }
+	return s, nil
 }
 
 // SubmitBatch implements enforcer.Enforcer: each packet in turn is enqueued
@@ -159,11 +163,16 @@ func (s *Shaper) armService(now time.Duration) {
 	if s.serviceArmed || s.backlog == 0 {
 		return
 	}
-	s.serviceArmed = true
 	s.lastService = now
 	s.svcCredit = 0
-	quantum := s.cfg.Rate.DurationForBytes(units.MSS)
-	s.cfg.Scheduler.Schedule(now+quantum, func() { s.service(now + quantum) })
+	s.schedule(now)
+}
+
+// schedule arms the service callback one quantum, MSS/r, after now.
+func (s *Shaper) schedule(now time.Duration) {
+	s.serviceArmed = true
+	s.serviceAt = now + s.cfg.Rate.DurationForBytes(units.MSS)
+	s.cfg.Scheduler.Schedule(s.serviceAt, s.serviceFn)
 }
 
 // service runs one dequeue round: it converts elapsed time into a byte
@@ -181,9 +190,7 @@ func (s *Shaper) service(now time.Duration) {
 			func(class int, n int64) { s.serve(now, class, n) })
 	}
 	if s.backlog > 0 {
-		s.serviceArmed = true
-		quantum := s.cfg.Rate.DurationForBytes(units.MSS)
-		s.cfg.Scheduler.Schedule(now+quantum, func() { s.service(now + quantum) })
+		s.schedule(now)
 	}
 }
 

@@ -13,22 +13,22 @@ import (
 	"time"
 )
 
-// Timer is a handle to a scheduled callback.
-type Timer struct {
-	due    time.Duration
+// timer is one scheduled callback, stored by value in its slot: the slot and
+// the wheel revolutions still to pass (rounds) are its expiry.
+type timer struct {
 	rounds int
 	fn     func()
-	slot   int
-	index  int // position within slot; -1 when fired/cancelled
 }
 
 // Wheel is a single-level hashed timing wheel over virtual time.
 type Wheel struct {
 	tick    time.Duration
-	slots   [][]*Timer
+	slots   [][]timer
 	cursor  int           // slot whose timers fire next
 	horizon time.Duration // virtual time already processed
-	pending int
+	// firing is the spare list fireSlot moves a slot's due timers to; it
+	// is kept between ticks so that firing allocates nothing.
+	firing []timer
 }
 
 // New returns a wheel with the given tick granularity and slot count.
@@ -41,7 +41,7 @@ func New(tick time.Duration, numSlots int) (*Wheel, error) {
 	}
 	return &Wheel{
 		tick:  tick,
-		slots: make([][]*Timer, numSlots),
+		slots: make([][]timer, numSlots),
 	}, nil
 }
 
@@ -56,7 +56,7 @@ func MustNew(tick time.Duration, numSlots int) *Wheel {
 
 // Schedule registers fn to fire when Advance passes virtual time at. Times
 // earlier than the processed horizon fire on the next Advance.
-func (w *Wheel) Schedule(at time.Duration, fn func()) *Timer {
+func (w *Wheel) Schedule(at time.Duration, fn func()) {
 	if at < w.horizon {
 		at = w.horizon
 	}
@@ -68,16 +68,8 @@ func (w *Wheel) Schedule(at time.Duration, fn func()) *Timer {
 		ticksAhead = 1
 	}
 	n := len(w.slots)
-	t := &Timer{
-		due:    at,
-		rounds: ticksAhead / n,
-		fn:     fn,
-		slot:   (w.cursor + ticksAhead) % n,
-	}
-	t.index = len(w.slots[t.slot])
-	w.slots[t.slot] = append(w.slots[t.slot], t)
-	w.pending++
-	return t
+	slot := (w.cursor + ticksAhead) % n
+	w.slots[slot] = append(w.slots[slot], timer{rounds: ticksAhead / n, fn: fn})
 }
 
 // Advance processes all ticks up to virtual time now, firing due timers.
@@ -93,12 +85,13 @@ func (w *Wheel) Advance(now time.Duration) {
 	}
 }
 
-// fireSlot fires round-zero timers in the cursor slot and decrements the
-// rest.
+// fireSlot fires round-zero timers in the cursor slot, in slot order, and
+// decrements the rest. The due timers move to the spare list first, so a
+// callback that schedules into the cursor slot appends behind the kept ones;
+// a callback that advances the wheel finds no spare and fires from a new one.
 func (w *Wheel) fireSlot() {
 	slot := w.slots[w.cursor]
-	keep := slot[:0]
-	var fire []*Timer
+	keep, fire := slot[:0], w.firing[:0]
 	for _, t := range slot {
 		if t.rounds > 0 {
 			t.rounds--
@@ -107,15 +100,12 @@ func (w *Wheel) fireSlot() {
 		}
 		fire = append(fire, t)
 	}
-	for i := range keep {
-		keep[i].index = i
-	}
+	clear(slot[len(keep):]) // drop the fired callbacks
 	w.slots[w.cursor] = keep
+	w.firing = nil
 	for _, t := range fire {
-		t.index = -1
-		fn := t.fn
-		t.fn = nil
-		w.pending--
-		fn()
+		t.fn()
 	}
+	clear(fire)
+	w.firing = fire[:0]
 }

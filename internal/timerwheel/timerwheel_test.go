@@ -49,46 +49,6 @@ func TestMultipleRevolutions(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	w := MustNew(time.Millisecond, 8)
-	fired := false
-	tm := w.Schedule(5*time.Millisecond, func() { fired = true })
-	w.cancel(tm)
-	w.Advance(10 * time.Millisecond)
-	if fired {
-		t.Error("cancelled timer fired")
-	}
-	if tm.index >= 0 {
-		t.Error("cancelled timer still holds its slot")
-	}
-	w.cancel(tm) // double cancel is a no-op
-	w.cancel(nil)
-	if w.pending != 0 {
-		t.Errorf("pending = %d, want 0", w.pending)
-	}
-}
-
-func TestCancelOneKeepsOthers(t *testing.T) {
-	w := MustNew(time.Millisecond, 8)
-	var fired []int
-	timers := make([]*Timer, 4)
-	for i := 0; i < 4; i++ {
-		i := i
-		// All in the same slot.
-		timers[i] = w.Schedule(5*time.Millisecond, func() { fired = append(fired, i) })
-	}
-	w.cancel(timers[1])
-	w.Advance(10 * time.Millisecond)
-	if len(fired) != 3 {
-		t.Fatalf("fired %v, want 3 of 4", fired)
-	}
-	for _, v := range fired {
-		if v == 1 {
-			t.Error("cancelled timer fired")
-		}
-	}
-}
-
 func TestScheduleDuringFire(t *testing.T) {
 	w := MustNew(time.Millisecond, 8)
 	var chain int
@@ -147,35 +107,29 @@ func TestManyTimersProperty(t *testing.T) {
 	}
 }
 
+// pending counts the timers still in the wheel's slots.
+func pending(w *Wheel) int {
+	n := 0
+	for _, slot := range w.slots {
+		n += len(slot)
+	}
+	return n
+}
+
 func TestPendingCount(t *testing.T) {
 	w := MustNew(time.Millisecond, 8)
 	for i := 0; i < 5; i++ {
 		w.Schedule(time.Duration(i+1)*time.Millisecond, func() {})
 	}
-	if w.pending != 5 {
-		t.Errorf("pending = %d, want 5", w.pending)
+	if n := pending(w); n != 5 {
+		t.Errorf("pending = %d, want 5", n)
 	}
 	w.Advance(3 * time.Millisecond)
-	if w.pending != 2 {
-		t.Errorf("pending after partial advance = %d, want 2", w.pending)
+	if n := pending(w); n != 2 {
+		t.Errorf("pending after partial advance = %d, want 2", n)
 	}
 	w.Advance(5 * time.Millisecond)
-	if w.pending != 0 {
-		t.Errorf("pending after full advance = %d, want 0", w.pending)
+	if n := pending(w); n != 0 {
+		t.Errorf("pending after full advance = %d, want 0", n)
 	}
-}
-
-// cancel removes a pending timer; cancelling a fired timer is a no-op.
-func (w *Wheel) cancel(t *Timer) {
-	if t == nil || t.index < 0 {
-		return
-	}
-	slot := w.slots[t.slot]
-	last := len(slot) - 1
-	slot[t.index] = slot[last]
-	slot[t.index].index = t.index
-	w.slots[t.slot] = slot[:last]
-	t.index = -1
-	t.fn = nil
-	w.pending--
 }

@@ -42,9 +42,6 @@ type FlowSpec struct {
 	OnOff *OnOff
 	// Class pins the flow to an enforcer queue; packet.NoClass hashes.
 	Class int
-	// Weight is the flow's share weight (informational; policies are
-	// built by the experiment from these).
-	Weight float64
 	// ECN marks the flow ECN-capable (for AQM-marking experiments).
 	ECN bool
 }
@@ -122,11 +119,10 @@ func Section61(src *rng.Source, cfg Section61Config) []Aggregate {
 		sharedRTT := randomRTT(r)
 		for j := 0; j < n; j++ {
 			fs := FlowSpec{
-				CC:     sharedCC,
-				RTT:    sharedRTT,
-				Class:  j,
-				Weight: 1,
-				Start:  time.Duration(r.Float64() * float64(cfg.Duration/4)),
+				CC:    sharedCC,
+				RTT:   sharedRTT,
+				Class: j,
+				Start: time.Duration(r.Float64() * float64(cfg.Duration/4)),
 			}
 			if !homogeneous {
 				fs.CC = ccNames[r.IntN(len(ccNames))]
@@ -185,11 +181,10 @@ func Backlogged(rate units.Rate, ccs []string, rtts []time.Duration, n int, star
 	agg := Aggregate{Label: "backlogged", Rate: rate}
 	for i := 0; i < n; i++ {
 		agg.Flows = append(agg.Flows, FlowSpec{
-			CC:     ccs[i%len(ccs)],
-			RTT:    rtts[i%len(rtts)],
-			Class:  i,
-			Weight: 1,
-			Start:  start,
+			CC:    ccs[i%len(ccs)],
+			RTT:   rtts[i%len(rtts)],
+			Class: i,
+			Start: start,
 		})
 	}
 	return agg
