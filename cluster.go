@@ -23,8 +23,9 @@ package bcpqp
 
 import "bcpqp/internal/cluster"
 
-// ClusterNode runs the budget exchange for one middlebox: peer liveness and
-// share rebalancing through the in-band Middlebox.ApplyShare lane.
+// ClusterNode runs the budget exchange for one middlebox: which peers'
+// grants it honors, and share rebalancing through the in-band
+// Middlebox.ApplyShare lane.
 type ClusterNode = cluster.Node
 
 // ClusterConfig configures a ClusterNode (self/peer IDs, the exchange
@@ -40,23 +41,13 @@ type SharedAggregate = cluster.SharedAggregate
 // (served as JSON on the proxy's /cluster endpoint).
 type ClusterStatus = cluster.Status
 
-// ClusterPeerStatus is one peer's liveness and exchange hygiene.
+// ClusterPeerStatus is one peer's exchange view and hygiene: whether the
+// last rebalance honored its grants (its newest report was fresh and
+// echoed a recent sequence number of ours), and its report counters.
 type ClusterPeerStatus = cluster.PeerStatus
 
 // ClusterAggStatus is one shared aggregate's exchange state.
 type ClusterAggStatus = cluster.AggStatus
-
-// PeerState is one rung of the peer liveness ladder.
-type PeerState = cluster.PeerState
-
-// Peer liveness states: a valid report within 3 exchange windows keeps a
-// peer alive; silence degrades it to suspect, then after 10 windows to dead,
-// and any valid report resurrects it.
-const (
-	PeerAlive   = cluster.PeerAlive
-	PeerSuspect = cluster.PeerSuspect
-	PeerDead    = cluster.PeerDead
-)
 
 // ClusterTransport delivers budget-exchange frames between nodes.
 type ClusterTransport = cluster.Transport

@@ -12,7 +12,7 @@ type nopTransport struct{}
 func (nopTransport) Send(string, []byte) error { return nil }
 
 // BenchmarkClusterRebalance measures one budget-exchange rebalance tick on
-// the cluster node: peer-ladder classification, grant planning into the
+// the cluster node: the per-peer honor test, grant planning into the
 // hold ring, hold accounting and share computation for every shared
 // aggregate. This path runs once per 250 ms window off the SubmitBatch hot
 // path, but it shares the engine's discipline: 0 allocs/op, so a node with

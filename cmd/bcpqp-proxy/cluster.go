@@ -9,8 +9,8 @@
 //	    -node-id a -cluster-listen :7400 \
 //	    -peers b=10.0.0.2:7400,c=10.0.0.3:7400
 //
-// The admin listener (-http) then serves /cluster with peer liveness and
-// per-aggregate shares, /healthz reports degraded:true (still 200) while
+// The admin listener (-http) then serves /cluster with whether each peer's
+// grants are honored and per-aggregate shares, /healthz reports degraded:true (still 200) while
 // the exchange is on fallback shares, and /metrics carries the
 // bcpqp_peer_* / bcpqp_cluster_* families.
 package main

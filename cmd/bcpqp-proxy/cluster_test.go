@@ -123,7 +123,7 @@ func TestSnapshotBlobRestoresEnforcement(t *testing.T) {
 // degraded on its conservative share — r/N, split evenly over its cores —
 // report that on /healthz with a 200 (degraded, not down), establish the
 // exchange once the peer speaks, take the idle peer's grant (again split
-// evenly over its cores), expose peer state on /cluster and the cluster
+// evenly over its cores), show the peer honored on /cluster and the cluster
 // metric families on /metrics, and still drain to exit 0 on SIGTERM.
 func TestClusterProxyEndToEnd(t *testing.T) {
 	for _, cores := range []int{1, 2} {
@@ -210,8 +210,8 @@ func clusterProxyEndToEnd(t *testing.T, cores int) {
 		Self     string `json:"self"`
 		Degraded bool   `json:"degraded"`
 		Peers    []struct {
-			ID    string `json:"id"`
-			State string `json:"state"`
+			ID      string `json:"id"`
+			Honored bool   `json:"honored"`
 		} `json:"peers"`
 		Shared []struct {
 			ID         string  `json:"id"`
@@ -290,7 +290,7 @@ func clusterProxyEndToEnd(t *testing.T, cores int) {
 		if err := json.Unmarshal(body, &cl); err != nil {
 			t.Fatalf("/cluster body: %v", err)
 		}
-		if !cl.Degraded && cl.Peers[0].State == "alive" && cl.Shared[0].AppliedBps > cl.Shared[0].FloorBps {
+		if !cl.Degraded && cl.Peers[0].Honored && cl.Shared[0].AppliedBps > cl.Shared[0].FloorBps {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -315,7 +315,7 @@ func clusterProxyEndToEnd(t *testing.T, cores int) {
 
 	// The engine /metrics exposition now carries the cluster families.
 	_, body = get("/metrics")
-	for _, fam := range []string{"bcpqp_peer_state", "bcpqp_cluster_share_bps", "bcpqp_cluster_fallback"} {
+	for _, fam := range []string{"bcpqp_peer_honored", "bcpqp_cluster_share_bps", "bcpqp_cluster_fallback"} {
 		if !strings.Contains(string(body), fam) {
 			t.Errorf("/metrics missing %s", fam)
 		}

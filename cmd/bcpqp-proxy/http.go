@@ -130,7 +130,6 @@ func newAdminMux(mb *bcpqp.Middlebox, node *bcpqp.ClusterNode, ids []string) *ht
 		// restarts, which is degraded too, while the other cores serve. A
 		// shard under load reports itself in its own state ("degraded" on
 		// a packed ring or a recent shed, "wedged" past the 1 s wedge timeout).
-		degraded := (node != nil && node.Degraded()) || len(h.Quarantined) > 0
 		if h.Wedged() {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
@@ -159,13 +158,14 @@ func newAdminMux(mb *bcpqp.Middlebox, node *bcpqp.ClusterNode, ids []string) *ht
 			Cluster     *clusterz `json:"cluster,omitempty"`
 		}{
 			Healthy:     !h.Wedged(),
-			Degraded:    degraded,
+			Degraded:    len(h.Quarantined) > 0,
 			Panics:      h.Panics,
 			Overloaded:  h.Overloaded,
 			Quarantined: h.Quarantined,
 		}
 		if node != nil {
 			st := node.Status()
+			body.Degraded = body.Degraded || st.Degraded // one read: both fields agree
 			cz := &clusterz{Degraded: st.Degraded, MaxReportAge: "never"}
 			if st.MaxReportAge >= 0 {
 				cz.MaxReportAge = st.MaxReportAge.String()
@@ -202,7 +202,7 @@ func newAdminMux(mb *bcpqp.Middlebox, node *bcpqp.ClusterNode, ids []string) *ht
 		st := node.Status()
 		type peerz struct {
 			ID              string `json:"id"`
-			State           string `json:"state"`
+			Honored         bool   `json:"honored"`
 			LastExchangeAge string `json:"last_exchange_age"`
 			LastSeq         uint64 `json:"last_seq"`
 			Reports         int64  `json:"reports"`
@@ -236,7 +236,7 @@ func newAdminMux(mb *bcpqp.Middlebox, node *bcpqp.ClusterNode, ids []string) *ht
 				age = p.LastExchangeAge.String()
 			}
 			body.Peers = append(body.Peers, peerz{
-				ID: p.ID, State: p.State.String(), LastExchangeAge: age,
+				ID: p.ID, Honored: p.Honored, LastExchangeAge: age,
 				LastSeq: p.LastSeq, Reports: p.Reports, Stale: p.Stale,
 			})
 		}

@@ -253,7 +253,7 @@ func serve(opts proxyOpts) int {
 	cfg := bcpqp.MiddleboxConfig{
 		Shards:       cores,
 		CloseTimeout: opts.drainTimeout,
-		OnFault: func(id string, recovered any, _ []byte) {
+		OnFault: func(id string, recovered any) {
 			if id == "" {
 				id = "(unattributed)"
 			}

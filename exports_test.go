@@ -94,6 +94,13 @@ func goList(t *testing.T, args ...string) []listedPackage {
 //
 //	(C) some non-test file of the module refers to it.
 //
+// Every struct field that a non-test file under internal/ or cmd/ declares,
+// blank padding aside, is held to a fourth, with no allowlist either:
+//
+//	(D) some non-test file refers to it: by a selector (a promoted selector
+//	    counts for each embedded field on its path), as a key of a keyed
+//	    composite literal, or by position in an unkeyed one.
+//
 // A method also passes all three when its receiver implements an interface
 // that a non-test file uses (names, takes as a parameter or spells out) and
 // that interface declares the method, as String, Error, enforcer.Enforcer's
@@ -176,6 +183,8 @@ func TestEveryExportHasACaller(t *testing.T) {
 		Defs:  map[*ast.Ident]types.Object{},
 		Uses:  map[*ast.Ident]types.Object{},
 		Types: map[ast.Expr]types.TypeAndValue{},
+
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	// A file is a test file or not, and belongs to the package it tests:
 	// an external _test package counts as its own package's tests.
@@ -516,6 +525,77 @@ func TestEveryExportHasACaller(t *testing.T) {
 			ownOnly = append(ownOnly, where)
 		}
 	}
+	// (D): the struct fields non-test files under internal/ and cmd/
+	// declare, and every field a non-test file refers to.
+	fields := map[*types.Var]string{} // field → pkg.Type.Field, pkg.struct.Field when anonymous
+	fieldUsed := map[*types.Var]bool{}
+	useField := func(v *types.Var) { fieldUsed[v.Origin()] = true }
+	for _, f := range files {
+		if f.test {
+			continue
+		}
+		short := f.home[strings.LastIndex(f.home, "/")+1:]
+		declares := strings.HasPrefix(f.home, internal) || strings.HasPrefix(f.home, cmd)
+		typeName := map[*ast.StructType]string{}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok {
+					typeName[st] = n.Name.Name
+				}
+			case *ast.StructType:
+				if !declares {
+					return true
+				}
+				owner, ok := typeName[n]
+				if !ok {
+					owner = "struct"
+				}
+				st := info.Types[n].Type.(*types.Struct)
+				for i := 0; i < st.NumFields(); i++ {
+					if v := st.Field(i); v.Name() != "_" {
+						fields[v] = short + "." + owner + "." + v.Name()
+					}
+				}
+			case *ast.Ident:
+				if v, ok := info.Uses[n].(*types.Var); ok && v.IsField() {
+					useField(v)
+				}
+			case *ast.SelectorExpr:
+				// A promoted selector passes through embedded fields that
+				// it never names.
+				if sel := info.Selections[n]; sel != nil {
+					typ, path := sel.Recv(), sel.Index()
+					for _, i := range path[:len(path)-1] {
+						if p, ok := typ.Underlying().(*types.Pointer); ok {
+							typ = p.Elem()
+						}
+						v := typ.Underlying().(*types.Struct).Field(i)
+						useField(v)
+						typ = v.Type()
+					}
+				}
+			case *ast.CompositeLit:
+				st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+				if !ok || len(n.Elts) == 0 {
+					return true
+				}
+				if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+					for i := range n.Elts {
+						useField(st.Field(i))
+					}
+				}
+			}
+			return true
+		})
+	}
+	var deadFields []string
+	for v, name := range fields {
+		if !fieldUsed[v] {
+			deadFields = append(deadFields, name+" ("+fset.Position(v.Pos()).String()+")")
+		}
+	}
+
 	var unused []string
 	for obj, name := range private {
 		if !program[obj] && !viaIface[obj] {
@@ -525,6 +605,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 	sort.Strings(noCaller)
 	sort.Strings(ownOnly)
 	sort.Strings(unused)
+	sort.Strings(deadFields)
 	for _, w := range noCaller {
 		t.Errorf("(A) %s: exported, and no non-test file refers to it", w)
 	}
@@ -534,12 +615,16 @@ func TestEveryExportHasACaller(t *testing.T) {
 	for _, w := range unused {
 		t.Errorf("(C) %s: no non-test file refers to it; move it into a _test.go file or delete it", w)
 	}
+	for _, w := range deadFields {
+		t.Errorf("(D) %s: no non-test file reads or writes this field; delete it", w)
+	}
 	for entry := range exportAllowlist {
 		if _, ok := byName[entry]; ok && !allowed[entry] {
 			t.Errorf("%s: on exportAllowlist but has a non-test caller; drop the entry", entry)
 		}
 	}
-	t.Logf("%d exported declarations under internal/, %d other declarations under internal/ and cmd/", len(declared), len(private))
+	t.Logf("%d exported declarations under internal/, %d other declarations and %d struct fields under internal/ and cmd/",
+		len(declared), len(private), len(fields))
 }
 
 // importerFunc adapts a function to types.Importer.

@@ -32,9 +32,6 @@ type bbr struct {
 	cycleIndex     int
 	cycleStart     time.Duration
 	probeRTTDone   time.Duration
-	priorCwnd      int64
-	minRTTExpiry   time.Duration
-	lastNow        time.Duration
 	inflightLatest int64
 }
 

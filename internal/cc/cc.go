@@ -33,8 +33,6 @@ type Ack struct {
 	// BandwidthSample is the delivery-rate sample for the acked segment
 	// (0 if unavailable).
 	BandwidthSample units.Rate
-	// RoundStart reports that this ack begins a new round trip.
-	RoundStart bool
 }
 
 // Controller is a congestion control algorithm. Implementations are driven

@@ -9,9 +9,9 @@
 // argument.
 //
 // One Node runs per engine, over a static peer set: it runs the exchange,
-// tracks peer liveness, and drives the engine's in-band rate-update lane
-// through the SharedAggregate.Apply callback — the cluster layer never
-// touches the datapath directly.
+// decides which peers' grants it honors, and drives the engine's in-band
+// rate-update lane through the SharedAggregate.Apply callback — the
+// cluster layer never touches the datapath directly.
 //
 // The package deliberately depends only on internal/enforcer (wire codec
 // helpers), internal/metrics (the default window), internal/obs (trace
@@ -58,8 +58,7 @@ type SharedAggregate struct {
 	Apply func(share units.Rate, fallback bool) error
 }
 
-// Config configures a Node. The peer ladder's thresholds (suspectAfter,
-// deadAfter) are constants. A send that fails is not retried: the next
+// Config configures a Node. A send that fails is not retried: the next
 // tick's report is the retry, as it is for a frame lost on the wire.
 type Config struct {
 	// Self is this node's ID; Peers are the OTHER members (Self excluded,
@@ -78,8 +77,8 @@ type Config struct {
 	// drive a fake clock for deterministic chaos runs.
 	Clock func() time.Duration
 
-	// Recorder receives KindPeerState / KindShareApply trace events
-	// (e.g. the engine's obs.Collector). Optional.
+	// Recorder receives KindShareApply trace events (e.g. the engine's
+	// obs.Collector). Optional.
 	Recorder obs.Recorder
 
 	// Key, when non-empty, seals every frame with a truncated HMAC-SHA256
@@ -149,7 +148,6 @@ type Node struct {
 	echoes   []echo
 	aggRpts  []aggReport
 	applyOps []applyOp
-	transits []transition
 
 	done      chan struct{}
 	closeOnce sync.Once
@@ -160,11 +158,6 @@ type applyOp struct {
 	fn       func(share units.Rate, fallback bool) error
 	share    units.Rate
 	fallback bool
-}
-
-type transition struct {
-	index    int
-	from, to PeerState
 }
 
 // New builds a Node. The shared aggregate set is fixed at construction.
@@ -201,8 +194,8 @@ func New(cfg Config, aggs []SharedAggregate) (*Node, error) {
 		n.peerIDs = append(n.peerIDs, id)
 	}
 	sort.Strings(n.peerIDs)
-	for i, id := range n.peerIDs {
-		p := &peer{id: id, index: i, state: PeerSuspect, aggs: make(map[string]*peerAgg)}
+	for _, id := range n.peerIDs {
+		p := &peer{id: id, aggs: make(map[string]*peerAgg)}
 		n.peers[id] = p
 		n.peerList = append(n.peerList, p)
 	}
@@ -235,7 +228,6 @@ func New(cfg Config, aggs []SharedAggregate) (*Node, error) {
 	n.echoes = make([]echo, 0, len(n.peerIDs))
 	n.aggRpts = make([]aggReport, 0, len(n.sharedIDs))
 	n.applyOps = make([]applyOp, 0, len(n.sharedIDs))
-	n.transits = make([]transition, 0, len(n.peerIDs))
 	return n, nil
 }
 
@@ -276,43 +268,33 @@ func (n *Node) observe(now time.Duration) {
 	}
 }
 
-// Rebalance advances the exchange one tick: classifies peers, recomputes
-// every shared aggregate's share from the grant calculus, and applies
-// changed shares through the Apply callbacks. It allocates nothing on the
-// recompute path (BenchmarkClusterRebalance holds it to 0 allocs/op);
-// callbacks and trace recording run after the lock is dropped.
+// Rebalance advances the exchange one tick: decides which peers it honors,
+// recomputes every shared aggregate's share from the grant calculus, and
+// applies changed shares through the Apply callbacks. It allocates nothing
+// on the recompute path (BenchmarkClusterRebalance holds it to 0
+// allocs/op); callbacks and trace recording run after the lock is dropped.
 func (n *Node) Rebalance(now time.Duration) {
 	n.mu.Lock()
 	n.seq++
 	n.tickIdx = int(n.seq % holdTicks)
 	mySeq := n.seq
 
-	// Peer liveness ladder.
-	n.transits = n.transits[:0]
+	// The one liveness test: a peer's grants count this tick only while its
+	// newest report is fresh and echo-valid. Status reports this view.
+	allHonored := true
 	for _, p := range n.peerList {
-		last := p.lastHeard
-		if !p.everHeard {
-			last = 0
-		}
-		next := classify(now-last, n.cfg.Window)
-		if next != p.state {
-			n.transits = append(n.transits, transition{index: p.index, from: p.state, to: next})
-			p.state = next
-		}
+		p.honored = p.fresh(now, n.cfg.Window, mySeq)
+		allHonored = allHonored && p.honored
 	}
 
 	// Per-aggregate share calculus.
 	n.applyOps = n.applyOps[:0]
 	for _, id := range n.sharedIDs {
 		s := n.shared[id]
-		allFresh := true
 		var honoredIn, peerApplied units.Rate
 		for k, p := range n.peerList {
 			d := &n.demand[k]
-			d.honored = p.fresh(now, n.cfg.Window, mySeq)
-			if !d.honored {
-				allFresh = false
-			}
+			d.honored = p.honored
 			d.observed = 0
 			if pa := p.aggs[id]; pa != nil {
 				d.observed = pa.observed
@@ -336,7 +318,7 @@ func (n *Node) Rebalance(now time.Duration) {
 		}
 		held := heldOut(s.grantOut, len(n.peerList))
 		share := applyBound(s.floor, held, honoredIn, s.cfg.Rate)
-		fallback := !allFresh && len(n.peerList) > 0
+		fallback := !allHonored
 		s.grantedIn = honoredIn
 		// Conformance: cluster-wide Σ applied vs the global bound r. Peer
 		// applied values are the newest reported (one exchange window old at
@@ -378,11 +360,6 @@ func (n *Node) Rebalance(now time.Duration) {
 	rec := n.cfg.Recorder
 	n.mu.Unlock()
 
-	if rec != nil {
-		for _, t := range n.transits {
-			recordPeerState(rec, now, t)
-		}
-	}
 	for _, op := range n.applyOps {
 		fb := int64(0)
 		if op.fallback {
@@ -396,12 +373,6 @@ func (n *Node) Rebalance(now time.Duration) {
 		// previous (never larger-sum) share and the next tick retries.
 		_ = op.fn(op.share, op.fallback)
 	}
-}
-
-// recordPeerState traces one liveness transition as KindPeerState.
-func recordPeerState(rec obs.Recorder, now time.Duration, t transition) {
-	rec.Record(obs.Event{Kind: obs.KindPeerState, Shard: -1, Agg: -1,
-		VT: int64(now), A: int64(t.from), B: int64(t.to), C: int64(t.index)})
 }
 
 // broadcast encodes this node's report and sends it once to every peer. A
@@ -524,14 +495,7 @@ func (n *Node) deliverReport(f *frame, now time.Duration) error {
 			pa.grantToMe = 0
 		}
 	}
-	t := transition{index: p.index, from: p.state, to: PeerAlive}
-	p.state = PeerAlive
-	rec := n.cfg.Recorder
 	n.mu.Unlock()
-
-	if rec != nil && t.from != PeerAlive {
-		recordPeerState(rec, now, t)
-	}
 	return nil
 }
 
@@ -563,17 +527,4 @@ func (n *Node) Run() {
 func (n *Node) Close() {
 	n.closeOnce.Do(func() { close(n.done) })
 	n.wg.Wait()
-}
-
-// Degraded reports whether any shared aggregate is currently enforcing its
-// conservative fallback share because the exchange is impaired.
-func (n *Node) Degraded() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, id := range n.sharedIDs {
-		if n.shared[id].fallback {
-			return true
-		}
-	}
-	return false
 }

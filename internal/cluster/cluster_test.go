@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"bcpqp/internal/faultinject"
+	"bcpqp/internal/obs"
 	"bcpqp/internal/units"
 )
 
@@ -34,7 +35,8 @@ type simNode struct {
 	demand   units.Rate // offered load
 	applied  units.Rate // share the exchange last applied
 	fallback bool
-	accepted float64 // cumulative accepted bytes (fluid)
+	accepted float64      // cumulative accepted bytes (fluid)
+	rec      obs.Recorder // the node's Config.Recorder; nil in most tests
 }
 
 // memTransport routes frames from one sender through per-direction
@@ -122,6 +124,7 @@ func (s *clusterSim) makeNode(id string, sn *simNode) *Node {
 		Transport: &memTransport{from: id, sim: s},
 		Clock:     func() time.Duration { return s.now },
 		Epoch:     sn.epoch,
+		Recorder:  sn.rec,
 	}, []SharedAggregate{{
 		ID:   simAgg,
 		Rate: simRate,
@@ -312,22 +315,60 @@ func TestClusterFallbackWithinOneWindow(t *testing.T) {
 	}
 }
 
-// TestClusterSilentPeerDegradeLadder: a peer that stops ticking walks
-// alive → suspect → dead after 3 and 10 silent windows, and its state is
-// visible in Status.
+// TestClusterSilentPeerDegradeLadder: a peer that stops ticking is honored
+// until the first tick past the 1.5-window honor horizon, then not honored
+// and the node degraded, and honored again on the tick after it sends an
+// echo-valid report. Status shows exactly the view the applied share came
+// from, and the flight recorder sees the node enter and leave its floor as
+// a KindShareApply event with B = 1 and B = 0.
 func TestClusterSilentPeerDegradeLadder(t *testing.T) {
 	sim := newClusterSim(t, 2, nil)
-	for i := 0; i < 3; i++ {
-		sim.step()
+	sn := sim.nodes["node-0"]
+	rec := &eventLog{}
+	sn.rec = rec
+	sn.node.Close()
+	sn.node = sim.makeNode("node-0", sn)
+
+	// check runs after every tick of node-0: Status agrees with the applied
+	// share, and the tick recorded a KindShareApply event exactly when the
+	// share or the fallback flag changed, carrying the new ones.
+	check := func(what string, wantHonored bool, prevApplied units.Rate, prevFallback bool) {
+		t.Helper()
+		st := sn.node.Status()
+		if got := st.Peers[0].Honored; got != wantHonored {
+			t.Fatalf("%s: Honored = %v, want %v", what, got, wantHonored)
+		}
+		if st.Degraded != !wantHonored || st.Shared[0].Fallback != !wantHonored || sn.fallback != !wantHonored {
+			t.Fatalf("%s: Degraded %v, Fallback %v, applied fallback %v with Honored %v",
+				what, st.Degraded, st.Shared[0].Fallback, sn.fallback, wantHonored)
+		}
+		evs := rec.take()
+		if sn.applied == prevApplied && sn.fallback == prevFallback {
+			if len(evs) != 0 {
+				t.Fatalf("%s: %d trace events on an unchanged share: %+v", what, len(evs), evs)
+			}
+			return
+		}
+		fb := int64(0)
+		if sn.fallback {
+			fb = 1
+		}
+		if len(evs) != 1 || evs[0].Kind != obs.KindShareApply || evs[0].A != int64(sn.applied) || evs[0].B != fb {
+			t.Fatalf("%s: trace %+v, want one share-apply A=%d B=%d", what, evs, int64(sn.applied), fb)
+		}
 	}
-	st := sim.nodes["node-0"].node.Status()
-	if st.Peers[0].State != PeerAlive {
-		t.Fatalf("peer state %v after clean exchange, want alive", st.Peers[0].State)
+
+	for i := 0; i < 3; i++ {
+		prevApplied, prevFallback := sn.applied, sn.fallback
+		sim.step()
+		// node-0 ticks before node-1 in a step, so its first tick has heard
+		// nothing yet and starts on the floor.
+		check(fmt.Sprintf("clean step %d", i), i > 0, prevApplied, prevFallback)
 	}
 
 	// Silence node-1: it stops ticking (no reports) but node-0 keeps going.
-	silent := 0
-	for i := 0; i < 12; i++ {
+	horizon := simWindow * freshForNum / freshForDen
+	for silent := 1; silent <= 12; silent++ {
 		for _, id := range sim.ids {
 			sn := sim.nodes[id]
 			rate := sn.demand
@@ -336,30 +377,34 @@ func TestClusterSilentPeerDegradeLadder(t *testing.T) {
 			}
 			sn.accepted += float64(rate) / 8 * simWindow.Seconds()
 		}
+		prevApplied, prevFallback := sn.applied, sn.fallback
 		sim.now += simWindow
-		sim.nodes["node-0"].node.tick(sim.now)
-		silent++
-		st = sim.nodes["node-0"].node.Status()
-		state := st.Peers[0].State
+		sn.node.tick(sim.now)
 		age := time.Duration(silent) * simWindow
-		want := classify(age, simWindow)
-		if state != want {
-			t.Fatalf("after %d silent windows: state %v, want %v", silent, state, want)
-		}
-	}
-	if st.Peers[0].State != PeerDead {
-		t.Fatalf("peer never reached dead: %v", st.Peers[0].State)
-	}
-	if !st.Degraded {
-		t.Fatal("node not degraded with a dead peer")
+		check(fmt.Sprintf("after %d silent windows", silent), age <= horizon, prevApplied, prevFallback)
 	}
 
-	// Resurrection: one tick from the silent peer revives it.
+	// The silent peer reports once. Status is the view of the last
+	// Rebalance, so it still reads not honored until node-0's next tick.
 	sim.nodes["node-1"].node.tick(sim.now)
-	st = sim.nodes["node-0"].node.Status()
-	if st.Peers[0].State != PeerAlive {
-		t.Fatalf("peer not resurrected by a valid report: %v", st.Peers[0].State)
+	if sn.node.Status().Peers[0].Honored {
+		t.Fatal("peer honored before a Rebalance saw its report")
 	}
+	prevApplied, prevFallback := sn.applied, sn.fallback
+	sim.now += simWindow
+	sn.node.tick(sim.now)
+	check("the tick after the peer's report", true, prevApplied, prevFallback)
+}
+
+// eventLog is an obs.Recorder that keeps every event until take.
+type eventLog struct{ evs []obs.Event }
+
+func (l *eventLog) Record(ev obs.Event) { l.evs = append(l.evs, ev) }
+
+func (l *eventLog) take() []obs.Event {
+	evs := l.evs
+	l.evs = nil
+	return evs
 }
 
 // TestClusterStaleAndCorruptFrames: duplicates are dropped by sequence
@@ -495,7 +540,7 @@ func TestClusterMetricsFamilies(t *testing.T) {
 		byName[f.Name] = len(f.Samples)
 	}
 	for name, want := range map[string]int{
-		"bcpqp_peer_state":                     2,
+		"bcpqp_peer_honored":                   2,
 		"bcpqp_peer_last_exchange_age_seconds": 2,
 		"bcpqp_peer_reports_total":             2,
 		"bcpqp_cluster_share_bps":              1,
@@ -572,8 +617,8 @@ func TestClusterPeerRestartResync(t *testing.T) {
 		if p.ID != "node-1" {
 			continue
 		}
-		if p.State != PeerAlive {
-			t.Fatalf("restarted peer is %v on node-0, want alive", p.State)
+		if !p.Honored {
+			t.Fatal("restarted peer is not honored on node-0")
 		}
 		if p.Epoch != 2 {
 			t.Fatalf("node-0 tracks node-1 epoch %d, want 2", p.Epoch)

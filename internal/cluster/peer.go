@@ -1,7 +1,9 @@
-// Peer state machine: per-peer liveness tracking driven by report arrival
-// and the tick clock, with the timeout → suspect → dead ladder the ISSUE's
-// degrade ladder is built on. All transitions are functions of (last valid
-// report time, now), so they are deterministic under a virtual clock.
+// Per-peer exchange state: the newest report heard from each peer and the
+// one liveness test the exchange applies to it. A peer is honored while its
+// newest report is fresh (received within 1.5 windows) and echoes a recent
+// sequence number of ours; only then do its grants count. The test is a
+// function of (newest report time, echoed seq, now), so it is deterministic
+// under a virtual clock.
 package cluster
 
 import (
@@ -9,42 +11,6 @@ import (
 
 	"bcpqp/internal/units"
 )
-
-// suspectAfter and deadAfter are the ladder's silence thresholds, in
-// exchange windows.
-const (
-	suspectAfter = 3
-	deadAfter    = 10
-)
-
-// PeerState is one rung of the liveness ladder.
-type PeerState uint8
-
-const (
-	// PeerAlive: a valid report arrived within the last 3 windows.
-	PeerAlive PeerState = iota
-	// PeerSuspect: silent for 3 windows — grants from this peer have
-	// already died (they are honored for 1.5 windows); we keep sending
-	// every tick.
-	PeerSuspect
-	// PeerDead: silent for 10 windows. Still retried at the tick cadence —
-	// a healed partition resurrects the peer on its next valid report.
-	PeerDead
-)
-
-// String names the state for logs, metrics and the /cluster endpoint.
-func (s PeerState) String() string {
-	switch s {
-	case PeerAlive:
-		return "alive"
-	case PeerSuspect:
-		return "suspect"
-	case PeerDead:
-		return "dead"
-	default:
-		return "unknown"
-	}
-}
 
 // peerAgg is the newest per-aggregate data heard from one peer.
 type peerAgg struct {
@@ -56,10 +22,9 @@ type peerAgg struct {
 
 // peer is the node's view of one cluster peer. Guarded by Node.mu.
 type peer struct {
-	id    string
-	index int // position in the node's sorted peer list (stable label)
+	id string
 
-	state     PeerState
+	honored   bool // fresh as of the last Rebalance: its grants count
 	everHeard bool
 	lastHeard time.Duration // virtual receive time of the newest valid report
 	epoch     uint64        // boot incarnation of the newest accepted report
@@ -68,22 +33,8 @@ type peer struct {
 	aggs      map[string]*peerAgg
 
 	// Wire hygiene counters (exported via Status/metrics).
-	reports   int64 // valid reports accepted
-	stale     int64 // duplicate / out-of-order reports dropped by seq
-	badFrames int64 // frames from this peer that failed validation
-}
-
-// classify maps silence duration to a state on the ladder of an exchange
-// with the given window. Pure function — the caller records transitions.
-func classify(silence, window time.Duration) PeerState {
-	switch {
-	case silence >= deadAfter*window:
-		return PeerDead
-	case silence >= suspectAfter*window:
-		return PeerSuspect
-	default:
-		return PeerAlive
-	}
+	reports int64 // valid reports accepted
+	stale   int64 // duplicate / out-of-order reports dropped by seq
 }
 
 // fresh reports whether the peer's newest report may still be honored at

@@ -1,5 +1,5 @@
 // Operational surface: structured cluster status for the proxy's /cluster
-// endpoint and Prometheus metric families (per-peer state gauge,
+// endpoint and Prometheus metric families (per-peer honored gauge,
 // last-exchange age, exchange hygiene counters, per-aggregate shares) for
 // appending to the engine's /metrics exposition.
 package cluster
@@ -11,10 +11,14 @@ import (
 	"bcpqp/internal/units"
 )
 
-// PeerStatus is one peer's liveness and exchange hygiene.
+// PeerStatus is one peer's exchange view and hygiene.
 type PeerStatus struct {
-	ID              string
-	State           PeerState
+	ID string
+	// Honored is whether the last Rebalance counted this peer's grants: its
+	// newest report was fresh (within 1.5 windows) and echoed a recent
+	// sequence number of ours. Any shared aggregate is on its fallback
+	// floor exactly while some peer is not honored.
+	Honored         bool
 	LastExchangeAge time.Duration // -1 until the first valid report
 	Epoch           uint64        // boot incarnation of the newest report
 	LastSeq         uint64
@@ -78,7 +82,7 @@ func (n *Node) Status() Status {
 			st.MaxReportAge = age
 		}
 		st.Peers = append(st.Peers, PeerStatus{
-			ID: p.id, State: p.state, LastExchangeAge: age,
+			ID: p.id, Honored: p.honored, LastExchangeAge: age,
 			Epoch: p.epoch, LastSeq: p.lastSeq, Reports: p.reports, Stale: p.stale,
 		})
 	}
@@ -104,9 +108,9 @@ func (n *Node) Status() Status {
 // /metrics scrape covers datapath and cluster alike.
 func (n *Node) MetricFamilies() []obs.Family {
 	st := n.Status()
-	peerState := obs.Family{
-		Name: "bcpqp_peer_state", Type: "gauge",
-		Help: "Cluster peer liveness (0=alive 1=suspect 2=dead).",
+	peerHonored := obs.Family{
+		Name: "bcpqp_peer_honored", Type: "gauge",
+		Help: "1 while the peer's budget grants are honored (its newest report is fresh and echo-valid); grants count only while it reads 1.",
 	}
 	peerAge := obs.Family{
 		Name: "bcpqp_peer_last_exchange_age_seconds", Type: "gauge",
@@ -122,7 +126,11 @@ func (n *Node) MetricFamilies() []obs.Family {
 	}
 	for _, p := range st.Peers {
 		lbl := []obs.Label{{Name: "peer", Value: p.ID}}
-		peerState.Samples = append(peerState.Samples, obs.Sample{Labels: lbl, Value: float64(p.State)})
+		honored := 0.0
+		if p.Honored {
+			honored = 1
+		}
+		peerHonored.Samples = append(peerHonored.Samples, obs.Sample{Labels: lbl, Value: honored})
 		peerAge.Samples = append(peerAge.Samples, obs.Sample{Labels: lbl, Value: p.LastExchangeAge.Seconds()})
 		peerReports.Samples = append(peerReports.Samples, obs.Sample{Labels: lbl, Value: float64(p.Reports)})
 		peerStale.Samples = append(peerStale.Samples, obs.Sample{Labels: lbl, Value: float64(p.Stale)})
@@ -197,7 +205,7 @@ func (n *Node) MetricFamilies() []obs.Family {
 		Help:    "Frames rejected by the wire decoder or from unknown senders.",
 		Samples: []obs.Sample{{Value: float64(st.BadFrames)}},
 	}
-	return []obs.Family{peerState, peerAge, peerReports, peerStale,
+	return []obs.Family{peerHonored, peerAge, peerReports, peerStale,
 		share, fallback, grantedIn, grantedOut,
 		sumApplied, bound, headroom, overcommit, churn, reportAge, convergence,
 		hygiene}

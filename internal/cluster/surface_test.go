@@ -9,9 +9,9 @@ import (
 // TestNodeSurface pins the cluster's exported surface, so that adding to it
 // is a reviewed diff to these lists rather than one more knob: one
 // mechanism, the budget exchange, configured only with what some caller
-// outside the tests sets. The peer ladder's thresholds (suspectAfter,
-// deadAfter) are constants, and a failed send has no retry policy to
-// configure: the next tick is the retry.
+// outside the tests sets. The honor test's horizons (freshFor, echoSlack)
+// are constants, and a failed send has no retry policy to configure: the
+// next tick is the retry.
 func TestNodeSurface(t *testing.T) {
 	fields := func(v any) (out []string) {
 		for _, f := range reflect.VisibleFields(reflect.TypeOf(v)) {
@@ -34,7 +34,7 @@ func TestNodeSurface(t *testing.T) {
 		}},
 		{"SharedAggregate fields", fields(SharedAggregate{}), []string{"Apply", "ID", "Observed", "Rate"}},
 		{"*Node methods", methods, []string{
-			"Close", "Degraded", "Deliver", "MetricFamilies", "Rebalance", "Run", "Status",
+			"Close", "Deliver", "MetricFamilies", "Rebalance", "Run", "Status",
 		}},
 	} {
 		if !slices.Equal(tc.got, tc.want) {

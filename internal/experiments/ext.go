@@ -10,6 +10,8 @@ import (
 	"bcpqp/internal/metrics"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/phantom"
+	"bcpqp/internal/shaper"
+	"bcpqp/internal/sim"
 	"bcpqp/internal/units"
 	"bcpqp/internal/workload"
 )
@@ -214,16 +216,20 @@ func measureHeldMemory(cfg harness.Config, n, packets int) (float64, error) {
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 
+	// Each aggregate's shaper runs its service events on its own loop, as
+	// the harness drives its shaper.
 	enfs := make([]enforcer.Enforcer, 0, n)
-	timers := make([]*pendingTimers, 0, n)
+	loops := make([]*sim.Loop, 0, n)
 	for i := 0; i < n; i++ {
-		pt := &pendingTimers{}
-		enf, err := harness.BuildEnforcer(cfg, pt, func(time.Duration, packet.Packet) {})
+		loop := sim.NewLoop()
+		enf, err := harness.BuildEnforcer(cfg, shaper.SchedulerFunc(func(at time.Duration, fn func()) {
+			loop.At(at, fn)
+		}), func(time.Duration, packet.Packet) {})
 		if err != nil {
 			return 0, err
 		}
 		enfs = append(enfs, enf)
-		timers = append(timers, pt)
+		loops = append(loops, loop)
 	}
 	// Drive each enforcer to steady occupancy at 1.3× its rate.
 	gap := time.Duration(float64(cfg.Rate.DurationForBytes(units.MSS)) / 1.3)
@@ -241,7 +247,7 @@ func measureHeldMemory(cfg harness.Config, n, packets int) (float64, error) {
 			}
 			enf.SubmitBatch(now, one[:], v[:])
 			one[0] = packet.Packet{}
-			timers[i].advance(now)
+			loops[i].Run(now)
 		}
 	}
 
@@ -252,37 +258,6 @@ func measureHeldMemory(cfg harness.Config, n, packets int) (float64, error) {
 
 	// Keep everything reachable until after the measurement.
 	runtime.KeepAlive(enfs)
-	runtime.KeepAlive(timers)
+	runtime.KeepAlive(loops)
 	return perAgg, nil
-}
-
-// pendingTimers is a minimal in-line scheduler for the shaper during the
-// memory measurement: service callbacks run when the virtual clock passes
-// their due time.
-type pendingTimers struct {
-	due []timerEntry
-}
-
-type timerEntry struct {
-	at time.Duration
-	fn func()
-}
-
-// Schedule implements shaper.Scheduler.
-func (p *pendingTimers) Schedule(at time.Duration, fn func()) {
-	p.due = append(p.due, timerEntry{at: at, fn: fn})
-}
-
-func (p *pendingTimers) advance(now time.Duration) {
-	for i := 0; i < len(p.due); {
-		if p.due[i].at <= now {
-			fn := p.due[i].fn
-			p.due[i] = p.due[len(p.due)-1]
-			p.due = p.due[:len(p.due)-1]
-			fn()
-			i = 0 // callbacks may schedule more
-			continue
-		}
-		i++
-	}
 }

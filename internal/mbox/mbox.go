@@ -46,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -175,11 +174,10 @@ type Config struct {
 	// packets counted as shed (default 5s).
 	CloseTimeout time.Duration
 	// OnFault, when non-nil, is called once per recovered panic with the
-	// aggregate id (empty when unattributable), the recovered value, and
-	// the stack of the panicking goroutine. It runs on the goroutine that
-	// holds the shard (see Emit): it must be fast, must not block, and must
-	// not call back into the Engine.
-	OnFault func(id string, recovered any, stack []byte)
+	// aggregate id (empty when unattributable) and the recovered value. It
+	// runs on the goroutine that holds the shard (see Emit): it must be
+	// fast, must not block, and must not call back into the Engine.
+	OnFault func(id string, recovered any)
 
 	// Observer, when non-nil, attaches the observability layer: per-shard
 	// flight-recorder rings fed by datapath and fault events, per-shard
@@ -842,7 +840,7 @@ func (e *Engine) notePanic(s *shard, agg *aggregate, recovered any) {
 		e.record(s, obs.Event{Kind: obs.KindQuarantine, Agg: aggH, A: agg.panics.Load()})
 	}
 	if e.cfg.OnFault != nil {
-		e.cfg.OnFault(id, recovered, debug.Stack())
+		e.cfg.OnFault(id, recovered)
 	}
 }
 

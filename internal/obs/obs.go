@@ -67,10 +67,6 @@ const (
 	// KindPanic is a recovered enforcer/emit panic: A = the aggregate's
 	// cumulative panic count.
 	KindPanic
-	// KindPeerState is a cluster peer health transition: A = the previous
-	// state, B = the new state (cluster.PeerState values), C = the peer's
-	// index in the node's sorted peer list.
-	KindPeerState
 	// KindShareApply is a cluster rebalance applying a per-node share via
 	// the in-band rate-update lane: A = the share in bits per second,
 	// B = 1 when the share is the conservative fallback (r/N floor under
@@ -108,8 +104,6 @@ func (k Kind) String() string {
 		return "shed"
 	case KindPanic:
 		return "panic"
-	case KindPeerState:
-		return "peer-state"
 	case KindShareApply:
 		return "share-apply"
 	case KindViolation:

@@ -64,9 +64,6 @@ const (
 	TraceShed = obs.KindShed
 	// TracePanic: a recovered enforcer/emit panic.
 	TracePanic = obs.KindPanic
-	// TracePeerState: a cluster peer moved on the liveness ladder
-	// (A=previous state, B=new state, C=peer index).
-	TracePeerState = obs.KindPeerState
 	// TraceShareApply: a cluster rebalance applied a per-node share via
 	// the in-band rate-update lane (A=share bits/sec, B=1 on fallback).
 	TraceShareApply = obs.KindShareApply
