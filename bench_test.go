@@ -697,8 +697,10 @@ func BenchmarkExtECN(b *testing.B) { benchFig(b, experiments.ExtECN) }
 // three-level path (two ceiling probes/commits plus the borrow layer) with
 // a cold-ish leaf. The routed case runs the thousand-leaf tree through
 // PolicyTree.SubmitBatch, the proxy's path, with each packet's class drawn
-// over the leaves, so nearly every packet is a run of its own. One
-// benchmark iteration is one packet; steady state must report 0 allocs/op
+// over the leaves, so nearly every packet is a run of its own. The
+// mixed-sizes case runs the million-leaf tree with each packet's size drawn
+// from 64, 576 and 1500 bytes, so a run's packets are not all the same
+// size. One benchmark iteration is one packet; steady state must report 0 allocs/op
 // in every case. CI runs it once as a smoke pass and gates its allocations;
 // the numbers to compare across commits are bench/'s tree_deep workload and
 // its ptree.* rows.
@@ -706,12 +708,13 @@ func BenchmarkPolicyTreeSubmitBatch(b *testing.B) {
 	shapes := []struct {
 		name             string
 		pools, leavesPer int
-		routed           bool
+		routed, mixed    bool
 	}{
-		{"1k-leaves", 10, 100, false},
-		{"100k-leaves", 100, 1000, false},
-		{"1M-leaves", 1000, 1000, false},
-		{"routed", 10, 100, true},
+		{"1k-leaves", 10, 100, false, false},
+		{"100k-leaves", 100, 1000, false, false},
+		{"1M-leaves", 1000, 1000, false, false},
+		{"routed", 10, 100, true, false},
+		{"mixed-sizes", 1000, 1000, false, true},
 	}
 	for _, sh := range shapes {
 		sh := sh
@@ -741,16 +744,20 @@ func BenchmarkPolicyTreeSubmitBatch(b *testing.B) {
 				x = x*6364136223846793005 + 1442695040888963407
 				return x
 			}
-			// The routed case slides a 32-packet window over a ring of
-			// packets whose classes were drawn up front.
+			// The routed and mixed-sizes cases slide a 32-packet window
+			// over a ring of packets whose classes or sizes were drawn up
+			// front.
 			pkts := make([]Packet, burst)
-			if sh.routed {
+			if sh.routed || sh.mixed {
 				pkts = make([]Packet, 1024+burst)
 			}
 			for i := range pkts {
 				pkts[i] = Packet{Key: FlowKey{SrcIP: uint32(i + 1), DstIP: 9, Proto: 6}, Size: MSS}
 				if sh.routed {
 					pkts[i].Class = int(lcg() >> 33 % uint64(nLeaves))
+				}
+				if sh.mixed {
+					pkts[i].Size = [...]int{64, 576, 1500}[lcg()>>33%3]
 				}
 			}
 			verdicts := make([]Verdict, burst)
@@ -764,13 +771,16 @@ func BenchmarkPolicyTreeSubmitBatch(b *testing.B) {
 					n = burst
 				}
 				now += 10 * time.Microsecond
+				off := 0
+				if sh.routed || sh.mixed {
+					off = (i / burst * 7) % 1024
+				}
 				if sh.routed {
-					off := (i / burst * 7) % 1024
 					tree.SubmitBatch(now, pkts[off:off+n], verdicts[:n])
 					continue
 				}
 				leaf := NodeID(leafBase + int(lcg()%uint64(nLeaves)))
-				tree.SubmitBatchAt(now, leaf, pkts[:n], verdicts[:n])
+				tree.SubmitBatchAt(now, leaf, pkts[off:off+n], verdicts[:n])
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/sec")
 		})

@@ -212,24 +212,29 @@ func measureHeldMemory(cfg harness.Config, n, packets int) (float64, error) {
 	// payload into the measurement.
 	var one [1]packet.Packet
 	var v [1]enforcer.Verdict
+	// Each aggregate's shaper runs its service events on its own loop, as
+	// the harness drives its shaper. The loops, the schedulers that capture
+	// them and the list of enforcers are the rig's, built before the first
+	// heap reading, so only what a scheme keeps is counted; a bufferless
+	// scheme never schedules.
+	enfs := make([]enforcer.Enforcer, 0, n)
+	loops := make([]*sim.Loop, n)
+	scheds := make([]shaper.SchedulerFunc, n)
+	for i := range loops {
+		loop := sim.NewLoop()
+		loops[i] = loop
+		scheds[i] = func(at time.Duration, fn func()) { loop.At(at, fn) }
+	}
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 
-	// Each aggregate's shaper runs its service events on its own loop, as
-	// the harness drives its shaper.
-	enfs := make([]enforcer.Enforcer, 0, n)
-	loops := make([]*sim.Loop, 0, n)
 	for i := 0; i < n; i++ {
-		loop := sim.NewLoop()
-		enf, err := harness.BuildEnforcer(cfg, shaper.SchedulerFunc(func(at time.Duration, fn func()) {
-			loop.At(at, fn)
-		}), func(time.Duration, packet.Packet) {})
+		enf, err := harness.BuildEnforcer(cfg, scheds[i], func(time.Duration, packet.Packet) {})
 		if err != nil {
 			return 0, err
 		}
 		enfs = append(enfs, enf)
-		loops = append(loops, loop)
 	}
 	// Drive each enforcer to steady occupancy at 1.3× its rate.
 	gap := time.Duration(float64(cfg.Rate.DurationForBytes(units.MSS)) / 1.3)
@@ -259,5 +264,6 @@ func measureHeldMemory(cfg harness.Config, n, packets int) (float64, error) {
 	// Keep everything reachable until after the measurement.
 	runtime.KeepAlive(enfs)
 	runtime.KeepAlive(loops)
+	runtime.KeepAlive(scheds)
 	return perAgg, nil
 }

@@ -468,6 +468,43 @@ func (d *layoutDiff) snapshot() {
 	d.compare("restore")
 }
 
+// Op bits beside the operation (op%8) and the clock's direction (op ≥ 128):
+// an op with both opShaped bits set, one random op in four, shapes its
+// packets' sizes by bits 4–5. The step-down and alternating shapes apply to
+// a node-addressed burst, whose sizes otherwise step through the size table
+// seven entries at a time.
+const (
+	opShaped       = 0x48            // bits 3 and 6
+	opTiny         = opShaped        // sizes 0–60 B in steps of 4, not 64–1504 B in steps of 96
+	opStepDown     = opShaped | 0x10 // the burst is one size, but its last packet a quarter of it
+	opAlternate    = opShaped | 0x20 // the burst alternates between one size and a quarter of it
+	opTinyStepDown = opShaped | 0x30 // opStepDown over opTiny's sizes
+)
+
+// opShape reads an op's size shape.
+func opShape(op byte) (tiny, stepDown, alternate bool) {
+	if op&opShaped != opShaped {
+		return false, false, false
+	}
+	switch op & 0x30 {
+	case 0x00:
+		return true, false, false
+	case 0x10:
+		return false, true, false
+	case 0x20:
+		return false, false, true
+	}
+	return true, true, false
+}
+
+// opSize draws a packet size from x's low nibble.
+func opSize(op byte, x int) int {
+	if tiny, _, _ := opShape(op); tiny {
+		return (x & 15) * 4
+	}
+	return 64 + (x&15)*96
+}
+
 // run interprets ops three bytes at a time: an operation, a target and an
 // argument whose high nibble also moves the clock — backwards for odd
 // operations in the upper half.
@@ -480,7 +517,7 @@ func (d *layoutDiff) run(ops []byte) {
 			d.now += dt
 		}
 		node := enforcer.NodeID(a % (d.n + 1)) // d.n itself is out of range: fails closed
-		size := 64 + (b&15)*96
+		size := opSize(op, b)
 		switch op % 8 {
 		case 0, 1:
 			p := pkt(a%5, size)
@@ -489,8 +526,15 @@ func (d *layoutDiff) run(ops []byte) {
 			}
 		case 2, 3, 4:
 			burst := d.pkts[:1+b%len(d.pkts)]
+			_, stepDown, alternate := opShape(op)
 			for k := range burst {
-				burst[k] = pkt((a+k)%5, 64+((b+k*7)&15)*96)
+				burst[k] = pkt((a+k)%5, opSize(op, b+k*7))
+				switch {
+				case stepDown && k == len(burst)-1, alternate && k%2 == 1:
+					burst[k].Size = size / 4
+				case stepDown || alternate:
+					burst[k].Size = size
+				}
 			}
 			d.tr.SubmitBatchAt(d.now, node, burst, d.got)
 			d.ref.SubmitBatchAt(d.now, node, burst, d.exp)
@@ -513,7 +557,7 @@ func (d *layoutDiff) run(ops []byte) {
 			burst := d.pkts[:1+b%len(d.pkts)]
 			for k, run := 0, 0; k < len(burst); run++ {
 				for n := 1 + (a+run)%4; n > 0 && k < len(burst); n-- {
-					burst[k] = pkt(a+run, 64+((b+k*7)&15)*96)
+					burst[k] = pkt(a+run, opSize(op, b+k*7))
 					k++
 				}
 			}
@@ -572,6 +616,88 @@ func routedRuns(rounds int) []byte {
 	return ops
 }
 
+// equalThenSmaller is an op stream of bursts at one node, each twelve
+// 1504 B packets but for a last one of 376 B, the clock stepping 0.26–1.04
+// ms between them: a token bucket runs dry part-way through the equal
+// sizes, and the smaller last packet may still fit what is left.
+func equalThenSmaller(node byte, rounds int) []byte {
+	var ops []byte
+	for i := 0; i < rounds; i++ {
+		ops = append(ops, 2|opStepDown, node, byte(0x2F+(i%3)*0x30))
+	}
+	return ops
+}
+
+// zeroBytes is an op stream at one node of a burst that drains its token
+// buckets, then at the same instant a burst of 0–60 B packets with one of
+// zero bytes among them, and 130 µs later five zero-byte packets: a packet
+// of no bytes fits an empty bucket.
+func zeroBytes(node byte, rounds int) []byte {
+	var ops []byte
+	for i := 0; i < rounds; i++ {
+		ops = append(ops, 2|opStepDown, node, byte(0x2F+(i%3)*0x30), 2|opTiny, node, 11, 2|opTinyStepDown, node, 0x10)
+	}
+	return ops
+}
+
+// ownerMoves is an op stream that drains the root's ceiling with bursts at
+// the root, then offers a burst alternating 1312 B and 328 B packets at one
+// node, so that a large packet refused high on the path can be followed by
+// a small one that passes and a large one refused lower down, where the
+// small one left too little.
+func ownerMoves(node byte, rounds int) []byte {
+	var ops []byte
+	for i := 0; i < rounds; i++ {
+		ops = append(ops, 2, 0, byte(0x1F+(i%4)*0x10), 2|opAlternate, node, byte(0x2D+(i%2)*0x30))
+	}
+	return ops
+}
+
+// layoutSeeds are the differential's named op streams: the fuzz target's
+// seed corpus, and the first thing TestTreeLayoutEquivalence runs.
+var layoutSeeds = []struct {
+	name  string
+	shape uint64
+	ops   []byte
+}{
+	{"mixed", 1, []byte{0, 1, 40, 2, 3, 200, 5, 0, 17, 6, 2, 3, 7, 0, 1, 131, 4, 250}},
+	// Shapes whose ceilings turn these bursts away whole: an eager refill
+	// on entry fails both.
+	{"whole-burst-drops", 1, wholeBurstDrops(12, 40)},
+	{"whole-burst-drops-4", 4, wholeBurstDrops(6, 40)},
+	{"routed-12", 12, []byte{6, 0, 0, 6, 1, 0, 2, 5, 255, 6, 1, 9, 129, 1, 255, 3, 5, 75, 7, 0, 1}},
+	// Shape 1's leaves 2 and 5 hold token buckets under a phantom root: the
+	// buckets empty mid-burst while the root keeps admitting.
+	{"empty-mid-burst-2", 1, emptyMidBurst(2, 40)},
+	{"empty-mid-burst-5", 1, emptyMidBurst(5, 40)},
+	// Routed bursts alternating leaves, over shape 1 and over shapes 21 and
+	// 25, where one token bucket caps a node and one of its ancestors, and
+	// shape 26, where one caps sibling leaves 7 and 10 (shape 21 also
+	// shares one between its leaves 1 and 3).
+	{"routed-runs", 1, routedRuns(60)},
+	{"routed-runs-21", 21, routedRuns(60)},
+	{"routed-runs-26", 26, routedRuns(60)},
+	{"routed-then-empty-25", 25, append(routedRuns(40), emptyMidBurst(4, 20)...)},
+	// The run's headroom at its edges. Shape 23 is one node under a 4500 B
+	// bucket: two 1504 B packets fit, the next ten are refused at the
+	// bucket, and the 376 B one after them fits.
+	{"equal-then-smaller", 23, equalThenSmaller(0, 30)},
+	// Shape 72's leaf 2 sits under one 9000 B bucket.
+	{"zero-bytes", 72, zeroBytes(2, 30)},
+	// Shape 71's leaf 2 and its parent hold one 6000 B bucket, so a packet
+	// through both charges it twice: the second 1504 B packet leaves it
+	// clamped at empty, where only zero-byte packets still fit.
+	{"repeat-clamp", 71, append(equalThenSmaller(2, 20), zeroBytes(2, 20)...)},
+	// Shape 8's leaf 2 sits under a 1500 B bucket at node 1 and a 6000 B one
+	// at the root.
+	{"owner-moves", 8, ownerMoves(2, 40)},
+	// Phantom queues below token buckets: shape 22's leaf 2 (a phantom
+	// queue under the root's bucket) and shape 30's node 9 (one under two
+	// buckets), where which ceiling owns a drop depends on path order.
+	{"phantom-below-bucket-22", 22, append(wholeBurstDrops(2, 40), equalThenSmaller(2, 20)...)},
+	{"phantom-below-buckets-30", 30, append(emptyMidBurst(9, 40), equalThenSmaller(9, 20)...)},
+}
+
 // FuzzTreeLayoutEquivalence is the record layout's differential: arbitrary
 // topologies and arbitrary single, burst and class-routed submissions at any
 // node, clock steps in both directions, ceiling-rate changes and snapshot
@@ -579,24 +705,9 @@ func routedRuns(rounds int) []byte {
 // agreeing on every verdict, counter, rate, token level, refill clock and
 // snapshot byte.
 func FuzzTreeLayoutEquivalence(f *testing.F) {
-	f.Add(uint64(1), []byte{0, 1, 40, 2, 3, 200, 5, 0, 17, 6, 2, 3, 7, 0, 1, 131, 4, 250})
-	// Shapes whose ceilings turn these bursts away whole: an eager refill
-	// on entry fails both.
-	f.Add(uint64(1), wholeBurstDrops(12, 40))
-	f.Add(uint64(4), wholeBurstDrops(6, 40))
-	f.Add(uint64(12), []byte{6, 0, 0, 6, 1, 0, 2, 5, 255, 6, 1, 9, 129, 1, 255, 3, 5, 75, 7, 0, 1})
-	// Shape 1's leaves 2 and 5 hold token buckets under a phantom root: the
-	// buckets empty mid-burst while the root keeps admitting.
-	f.Add(uint64(1), emptyMidBurst(2, 40))
-	f.Add(uint64(1), emptyMidBurst(5, 40))
-	// Routed bursts alternating leaves, over shape 1 and over shapes 21 and
-	// 25, where one token bucket caps a node and one of its ancestors, and
-	// shape 26, where one caps sibling leaves 7 and 10 (shape 21 also
-	// shares one between its leaves 1 and 3).
-	f.Add(uint64(1), routedRuns(60))
-	f.Add(uint64(21), routedRuns(60))
-	f.Add(uint64(26), routedRuns(60))
-	f.Add(uint64(25), append(routedRuns(40), emptyMidBurst(4, 20)...))
+	for _, seed := range layoutSeeds {
+		f.Add(seed.shape, seed.ops)
+	}
 	f.Fuzz(func(t *testing.T, shape uint64, ops []byte) {
 		if d := newLayoutDiff(t, shape); d != nil {
 			d.run(ops)
@@ -604,10 +715,17 @@ func FuzzTreeLayoutEquivalence(f *testing.F) {
 	})
 }
 
-// TestTreeLayoutEquivalence runs the differential over a few hundred drawn
-// topologies with long random op streams, so plain `go test` covers what the
-// fuzz target's seed corpus only samples.
+// TestTreeLayoutEquivalence runs the differential's named seeds, then a few
+// hundred drawn topologies with long random op streams, so plain `go test`
+// covers what the fuzz target's seed corpus only samples.
 func TestTreeLayoutEquivalence(t *testing.T) {
+	for _, seed := range layoutSeeds {
+		t.Run(seed.name, func(t *testing.T) {
+			if d := newLayoutDiff(t, seed.shape); d != nil {
+				d.run(seed.ops)
+			}
+		})
+	}
 	r := rng.New(2024)
 	ops := make([]byte, 3*400)
 	for shape := uint64(0); shape < 300; shape++ {

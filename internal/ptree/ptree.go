@@ -31,25 +31,26 @@
 // A burst pays for its path once. New links each path's ceilings leaf →
 // root (a node records the first ceiling on its path, a ceiling slot the
 // next one up) and flags the nodes whose path has a ceiling that is not a
-// token bucket, so a burst walks its ceilings without resolving them.
-// SubmitBatchAt resolves the rest of the node → root path into a plan: the
-// assured buckets it charges, each with its floor, in scratch the tree
-// sizes at build time to the deepest path. The burst is admitted in place
-// against the plan (each Stage ceiling receives &pkts[i], never a copy of
-// the 72-byte packet; SubmitAt's single packet goes through a one-slot
-// scratch the tree owns), with zero allocations and no per-packet index
-// arithmetic. Every node on
-// the path counts the same accepted packets, so the burst's accepted packets
-// and bytes are tallied once, and its drops per ceiling; one flush at the
-// end of the burst writes the node counters, the drop side arrays and the
-// tree's stats. Class-routed SubmitBatch resolves one plan per run of
-// packets bound for one leaf, and its runs share the burst's loans and
-// flush.
+// token bucket, and those whose path holds one token bucket twice, so a
+// burst walks its ceilings without resolving them. SubmitBatchAt resolves
+// the rest of the node → root path into a plan: the assured buckets it
+// charges, each with its floor, in scratch the tree sizes at build time to
+// the deepest path. The burst is admitted in place against the plan (each
+// Stage ceiling receives &pkts[i], never a copy of the 72-byte packet;
+// SubmitAt's single packet goes through a one-slot scratch the tree owns),
+// with zero allocations and no per-packet index arithmetic. Every node on
+// the path counts the same accepted packets, so a run's accepted packets
+// and bytes are tallied once and written to each node when the run
+// settles, and its drops per ceiling; one flush at the end of the burst
+// writes the loans back, the drop side arrays and the tree's stats.
+// Class-routed SubmitBatch finds its runs of packets bound for one leaf in
+// the same call that admits them, resolving one plan per run, and its runs
+// share the burst's loans and flush.
 //
 // A token-bucket ceiling (*tbf.Policer) lends the tree its bucket for the
 // burst (tbf.Loan), held in the ceiling's slot: the tree opens the loan,
 // which refills the bucket, at the first packet that reaches that ceiling,
-// tests and charges it as a plain float64 through methods that inline, and
+// reads and charges it as a plain float64 through methods that inline, and
 // repays it in the flush with the packets it accepted. A policer that sits
 // at two nodes, on one path or not, has one loan, held at the first node's
 // slot, which every hop through it charges. Other ceilings are called
@@ -57,6 +58,31 @@
 // loan and the burst's drops between flushes, and the flush writes back
 // each slot a burst opened or dropped at once, from a list New sizes to the
 // number of slots.
+//
+// A run admits against its headroom: the lowest lent level on its path,
+// less what the run owes its loans. Within one run at one instant a lent
+// level only falls, and every accepted packet takes the same bytes from
+// every loan on the path, so a packet passes every loan iff its size is at
+// most the headroom — one compare — and is then owed to them: the headroom
+// falls by its size, and the run charges its loans the owed bytes once,
+// when it settles. Any other packet walks the path in order, opening each
+// loan it reaches, and tests each lent level less what the run owes: the
+// first ceiling short of it owns the drop. The headroom is unknown until a
+// packet that walked is accepted; that packet is charged to every loan on
+// the path at once, and the lowest level it leaves is the headroom, exact
+// from then on, so the run's later walks are refusals finding their owner.
+// A one-packet run, as most of a class-routed burst's are, thus walks and
+// charges its packet as a per-packet loop would. All of it is exact: a
+// packet is charged only where it fitted, so the clamp at empty never
+// fires, and whole bytes taken from a level at least that large (below
+// 2^53) subtract exactly in any order, so one charge of the owed total
+// leaves the bits a charge per packet would. A drop is memoised with its
+// size until the next accept, since nothing it depends on moves, so a run
+// of equal refused packets costs one compare each; a borrow-layer drop is
+// memoised the same way. On a path with a Stage ceiling, and on one that
+// holds a policer at two slots (which a packet charges twice, so it may
+// clamp at empty), every packet walks and is charged at once, and nothing
+// is memoised.
 //
 // Nothing is refilled before a packet reaches it. A ceiling's loan opens at
 // first reach, and the path's assured buckets are resolved and refilled
@@ -67,12 +93,13 @@
 // verdicts and snapshots.
 //
 // Every entry point defers the flush, so a ceiling Stage that panics
-// mid-burst leaves the tree consistent: every open loan is repaid, and the
-// counters, the drop arrays, the tree's stats, the assured buckets and the
-// loans count exactly the packets whose verdict was written. The packet in
-// flight is in none of them; only the Stages it was committed to before the
-// one that panicked (a packet's Stage commits run before its loans and
-// buckets are charged) may have counted it.
+// mid-burst leaves the tree consistent: the run in progress settles, every
+// open loan is repaid, and the counters, the drop arrays, the tree's stats,
+// the assured buckets and the loans count exactly the packets whose verdict
+// was written. The packet in flight is in none of them; only the Stages it
+// was committed to before the one that panicked (a packet's Stage commits
+// run before its buckets and loans are charged and it is tallied) may have
+// counted it.
 //
 // Specs are given in topological order (every parent precedes its
 // children), which makes cycles unrepresentable at build time; the snapshot
@@ -89,12 +116,13 @@
 // level is charged for a packet another level drops, and packet i's commit
 // is visible to packet i+1's probes, so every level's Theorem 1 bound
 // (accepted ≤ r·Δt + B) holds exactly per interior node. Packet-major
-// order holds inside the burst's plan too: a lent bucket is charged before
-// the next packet tests it, and the plan's one tally changes only where the
-// per-packet counters are summed (integers, so the sums are exact), which
-// keeps verdicts, counters, token levels, refill clocks and snapshot bytes
-// identical to admitting the burst one packet at a time, and the same
-// holds for class-routed SubmitBatch, whose runs share one burst.
+// order holds inside the burst's plan too: packet i's charge to a lent
+// bucket is in the headroom packet i+1 is tested against, and the plan's
+// one tally changes only where the per-packet counters and charges are
+// summed (whole bytes, so the sums are exact), which keeps verdicts,
+// counters, token levels, refill clocks and snapshot bytes identical to
+// admitting the burst one packet at a time, and the same holds for
+// class-routed SubmitBatch, whose runs share one burst.
 //
 // # Borrowing
 //
@@ -203,11 +231,14 @@ const (
 	// flagStages marks a node whose path to the root has a ceiling that is
 	// not a token bucket, so admission calls it through enforcer.Stage.
 	flagStages
+	// flagRepeats marks a node whose path to the root holds one token
+	// bucket at two of its ceilings, so a packet charges that loan twice
+	// and a run's headroom does not fall by its size alone.
+	flagRepeats
 )
 
 func (n *node) interior() bool { return n.flags&flagInterior != 0 }
 func (n *node) own() bool      { return n.flags&flagOwn != 0 }
-func (n *node) stages() bool   { return n.flags&flagStages != 0 }
 
 // floor is the lowest token level a commit may leave behind.
 func (n *node) floor() float64 {
@@ -229,8 +260,8 @@ type ceiling struct {
 	stage  enforcer.Stage
 	lender *tbf.Policer // stage, when it is a token bucket that lends its bucket
 	loan   *ceiling     // the slot holding lender's loan: the first with that policer
+	up     *ceiling     // the next ceiling on the path to the root, nil = none
 	node   int32        // the node it caps, which owns its drops
-	up     int32        // the next ceiling on the path to the root, -1 = none
 
 	open   bool     // loan slots: the loan is out
 	tokens tbf.Loan // loan slots: the lent bucket
@@ -286,6 +317,8 @@ func New(spec []NodeSpec) (*Tree, error) {
 	// configuration, mark parents interior, and measure depth.
 	depth := make([]int32, n) // build-time scratch
 	maxDepth, interiors := int32(0), 0
+	var holders map[*tbf.Policer]int32 // each policer's first slot, which holds its loan
+	var ups []int32                    // each ceiling's next one up, -1 = none
 	for i := range spec {
 		s := &spec[i]
 		if i > 0 && (s.Parent < 0 || s.Parent >= i) {
@@ -309,13 +342,29 @@ func New(spec []NodeSpec) (*Tree, error) {
 			nd.effRate, nd.flags = own, flagOwn
 		}
 		if s.Stage != nil {
-			nd.ceiling = int32(len(t.ceilings))
-			lender, _ := s.Stage.(*tbf.Policer)
-			t.ceilings = append(t.ceilings, ceiling{stage: s.Stage, lender: lender, node: int32(i), up: nd.above})
-			nd.above = nd.ceiling
-			if lender == nil {
+			c := ceiling{stage: s.Stage, node: int32(i)}
+			if lender, _ := s.Stage.(*tbf.Policer); lender != nil {
+				c.lender = lender
+				if _, seen := holders[lender]; seen {
+					for k := nd.above; k >= 0; k = ups[k] {
+						if t.ceilings[k].lender == lender {
+							nd.flags |= flagRepeats
+							break
+						}
+					}
+				} else {
+					if holders == nil {
+						holders = make(map[*tbf.Policer]int32)
+					}
+					holders[lender] = int32(len(t.ceilings))
+				}
+			} else {
 				nd.flags |= flagStages
 			}
+			nd.ceiling = int32(len(t.ceilings))
+			t.ceilings = append(t.ceilings, c)
+			ups = append(ups, nd.above)
+			nd.above = nd.ceiling
 		}
 		if s.Name != "" {
 			t.namedIdx = append(t.namedIdx, int32(i))
@@ -329,7 +378,7 @@ func New(spec []NodeSpec) (*Tree, error) {
 				interiors++
 			}
 			depth[i] = depth[s.Parent] + 1
-			nd.flags |= p.flags & flagStages
+			nd.flags |= p.flags & (flagStages | flagRepeats)
 		}
 		maxDepth = max(maxDepth, depth[i])
 		t.nodes[i] = nd
@@ -362,22 +411,18 @@ func New(spec []NodeSpec) (*Tree, error) {
 			}
 		}
 	}
-	// A policer at several nodes lends one loan, held by its first slot.
-	var loans map[*tbf.Policer]*ceiling
+	// Link each ceiling to the next one up; a policer at several nodes
+	// lends one loan, held by its first slot.
 	for k := range t.ceilings {
 		c := &t.ceilings[k]
-		if c.lender == nil {
-			continue
+		if u := ups[k]; u >= 0 {
+			c.up = &t.ceilings[u]
 		}
-		if loans == nil {
-			loans = make(map[*tbf.Policer]*ceiling)
-		}
-		if c.loan = loans[c.lender]; c.loan == nil {
-			c.loan = c
-			loans[c.lender] = c
+		if c.lender != nil {
+			c.loan = &t.ceilings[holders[c.lender]]
 		}
 	}
-	t.plan.buckets = make([]charge, 0, maxDepth)
+	t.plan.buckets = make([]charge, maxDepth)
 	t.touched = make([]*ceiling, 0, len(t.ceilings))
 	return t, nil
 }

@@ -1,6 +1,7 @@
 package ptree
 
 import (
+	"math"
 	"time"
 
 	"bcpqp/internal/enforcer"
@@ -31,26 +32,47 @@ type charge struct {
 	floor float64
 }
 
-// plan is one run's node → root path and what the run has tallied. The
-// path's ceilings need no list: New links them leaf → root (node.above,
-// ceiling.up). Its assured buckets, node → root, each with its floor, are
-// resolved by the first packet to pass every ceiling, the moment they are
-// refilled, so a run turned away whole at a ceiling never looks for them;
-// buckets is scratch sized at New to the deepest path.
+// plan is one run's node → root path, what the run has tallied, and what it
+// knows of its ceilings. The path's ceilings need no list: New links them
+// leaf → root (node.above, ceiling.up). Its assured buckets, node → root,
+// each with its floor, are resolved by the first packet to pass every
+// ceiling, the moment they are refilled, so a run turned away whole at a
+// ceiling never looks for them; buckets is scratch sized at New to the
+// deepest path. The run's state lives here rather than in admit's locals,
+// which the calls in admit's loop would spill on every packet.
 type plan struct {
 	buckets []charge
-	entry   int32 // the entry node: owns the borrow layer's drops
+	nb      int      // the buckets resolved, -1 = not yet
+	entry   int32    // the entry node: owns the borrow layer's drops
+	first   *ceiling // the entry node's first ceiling, nil = none
 
 	// The run's tally: accepted packets and bytes (the same for every node
-	// on the path), and the borrow layer's drops at the entry node.
+	// on the path), those of them not yet charged to the path's loans, and
+	// the borrow layer's drops at the entry node.
 	accPkts, accBytes int64
+	owePkts, oweBytes int64
 	drpPkts, drpBytes int64
+
+	// headroom is the lowest lent level on the path less the bytes the run
+	// owes its loans: a packet no larger passes every loan. It is -Inf until
+	// a packet that walked the path is accepted, and stays -Inf on a path
+	// every packet walks. A packet of memoSize bytes is dropped at memoOwner
+	// (nil: the borrow layer) until the next accept.
+	headroom  float64
+	memoSize  int
+	memoOwner *ceiling
 }
 
+// noMemo is the empty drop memo: no packet is this size.
+const noMemo = math.MinInt32
+
+// routed, as admit's node, enters each packet at the leaf its class names.
+const routed enforcer.NodeID = -1
+
 // settle writes a run's tally back and zeroes it: the accepted counts to
-// every node on its path and to the tree's stats, the borrow layer's drops
-// to the entry node and the tree's stats. (A loan counts the packets
-// charged to it as it goes, once per hop that holds it.)
+// every node on its path and to the tree's stats, the bytes the run owes
+// its loans to every loan on its path (once per slot that holds it), and
+// the borrow layer's drops to the entry node and the tree's stats.
 func (t *Tree) settle(p *plan) {
 	if p.accPkts > 0 {
 		for v := p.entry; v >= 0; {
@@ -62,13 +84,22 @@ func (t *Tree) settle(p *plan) {
 		t.stats.AcceptedPackets += p.accPkts
 		t.stats.AcceptedBytes += p.accBytes
 	}
+	if p.owePkts > 0 {
+		for c := p.first; c != nil; c = c.up {
+			if l := c.loan; l != nil {
+				l.tokens.Take(p.oweBytes)
+				l.accPkts += p.owePkts
+				l.accBytes += p.oweBytes
+			}
+		}
+	}
 	if p.drpPkts > 0 {
 		t.drpPkts[p.entry] += p.drpPkts
 		t.drpBytes[p.entry] += p.drpBytes
 		t.stats.DroppedPackets += p.drpPkts
 		t.stats.DroppedBytes += p.drpBytes
 	}
-	p.accPkts, p.accBytes, p.drpPkts, p.drpBytes = 0, 0, 0, 0
+	p.accPkts, p.accBytes, p.owePkts, p.oweBytes, p.drpPkts, p.drpBytes = 0, 0, 0, 0, 0, 0
 }
 
 // flush ends a burst. It settles the run in progress, repays every open loan
@@ -94,144 +125,221 @@ func (t *Tree) flush() {
 	t.touched = t.touched[:0]
 }
 
-// admit runs one run of a burst, all entering at node at virtual time now,
-// through the two admission layers along its path, packet by packet,
-// against the run's plan. A drop is tallied at the ceiling that refused or
-// in the plan; an accepted packet charges every ceiling and every assured
+// refuse tallies a dropped packet at its owner: ceiling c, or the borrow
+// layer at the run's entry node when c is nil.
+func (t *Tree) refuse(p *plan, c *ceiling, size int) {
+	if c == nil {
+		p.drpPkts++
+		p.drpBytes += int64(size)
+		return
+	}
+	if !c.open && c.drpPkts == 0 {
+		t.touched = append(t.touched, c) // first drop; an open loan is listed already
+	}
+	c.drpPkts++
+	c.drpBytes += int64(size)
+}
+
+// admit runs a burst at virtual time now through the two admission layers,
+// packet by packet. Every packet enters at node, or, when node is routed, at
+// the leaf its class names; each run of consecutive packets that enter at
+// one node is admitted along that node's path against one plan, and settled
+// when it ends. A drop is tallied at the ceiling that refused or in the
+// plan; an accepted packet charges every Stage ceiling and every assured
 // bucket on the path and is tallied once for all of its nodes. The caller
 // defers flush. Ceilings are handed &pkts[i], so pkts escapes: callers pass
 // the caller's own burst or the tree's scratch, never a stack array.
 func (t *Tree) admit(now time.Duration, node enforcer.NodeID, pkts []packet.Packet, verdicts []enforcer.Verdict) {
 	p := &t.plan
-	entry := &t.nodes[node]
-	first, stages := entry.above, entry.stages()
-	p.entry = int32(node)
-	buckets, refilled := p.buckets[:0], false
-packets:
-	for i := range pkts {
-		size := pkts[i].Size
-		// Layer 1: ceilings, two-phase. Probe every ceiling on the path; the
-		// first to refuse owns the drop. Probes advance lazy drains/refills
-		// but no admission state, so a later borrow-layer rejection cannot
-		// corrupt any ceiling's Theorem 1 accounting. A token bucket's loan
-		// opens — its bucket refills — when the first packet reaches it, and
-		// stays open until flush.
-		for k := first; k >= 0; {
-			c := &t.ceilings[k]
-			k = c.up
-			if l := c.loan; l != nil {
-				if !l.open {
-					l.tokens, l.open = l.lender.Lend(now), true
-					t.touched = append(t.touched, l) // a slot joins once: within cap
-				}
-				if l.tokens.Admits(size) {
-					continue
-				}
-			} else if c.stage.Probe(now, &pkts[i]) {
-				continue
-			}
-			if !c.open && c.drpPkts == 0 {
-				t.touched = append(t.touched, c) // first drop; an open loan is listed already
-			}
-			c.drpPkts++
-			c.drpBytes += int64(size)
-			verdicts[i] = enforcer.Drop
-			continue packets
-		}
-		// Layer 2: assured/borrow. The packet must be covered cumulatively by
-		// the buckets along its path, nearest first: own assured tokens, then
-		// ancestor pool tokens (idle siblings' released bandwidth). Within one
-		// burst now does not move, so the buckets are resolved and brought to
-		// now once, by the first packet to get here — every one of them, even
-		// past the one that covers it: income must not be deferred past the
-		// bucket cap. A pool ledger in debt (negative tokens, see the commit
-		// below) contributes nothing until its income repays the debt.
-		if !refilled {
-			refilled = true
-			for n := entry; ; n = &t.nodes[n.parent] {
-				if n.effRate > 0 {
-					n.refill(now)
-					buckets = append(buckets, charge{n: n, floor: n.floor()})
-				}
-				if n.parent < 0 {
+	class := -1
+	if node == routed && len(pkts) > 0 {
+		class = pkts[0].ClassIn(len(t.leaves))
+	}
+	for start, end := 0, len(pkts); start < len(pkts); start = end {
+		at := node
+		if node == routed {
+			at = t.leaves[class]
+			for end = start + 1; end < len(pkts); end++ {
+				if next := pkts[end].ClassIn(len(t.leaves)); next != class {
+					class = next
 					break
 				}
 			}
 		}
-		if len(buckets) > 0 {
-			need := float64(size)
-			for k := range buckets {
-				if tok := buckets[k].n.tokens; tok > 0 {
-					if tok >= need {
-						need = 0
-						break
-					}
-					need -= tok
-				}
-			}
-			if need > 0 {
-				// Over assured rate and no borrowable pool tokens. The entry
-				// node owns the drop: the subtree that burst past its share.
-				p.drpPkts++
-				p.drpBytes += int64(size)
-				verdicts[i] = enforcer.Drop
+		run, rv := pkts[:end], verdicts[:end]
+		entry := &t.nodes[at]
+		flags := entry.flags
+		stages, walk := flags&flagStages != 0, flags&(flagStages|flagRepeats) != 0
+		p.entry, p.first, p.nb = int32(at), nil, -1
+		if entry.above >= 0 {
+			p.first = &t.ceilings[entry.above]
+		}
+		p.headroom, p.memoSize = math.Inf(-1), noMemo
+	packets:
+		for i := start; i < len(run); i++ {
+			size := run[i].Size
+			// Within a run at one instant, levels move only when a packet is
+			// accepted: until then a packet of the last dropped size is
+			// dropped where that one was. A path every packet walks never
+			// memoises: a Stage's probe reads more of a packet than its size.
+			if size == p.memoSize {
+				t.refuse(p, p.memoOwner, size)
+				rv[i] = enforcer.Drop
 				continue
 			}
-		}
-		// Commit: charge every ceiling — Stages first, so that a Stage that
-		// panics finds no loan or bucket charged for this packet — and charge
-		// every assured node on the path the full packet size. The two bucket
-		// roles charge differently:
-		//
-		//   - A leaf guarantee bucket clamps at zero. Its refill income can
-		//     then never be pre-spent, so traffic within the leaf's assured
-		//     rate always finds cover there — the guarantee.
-		//
-		//   - An interior pool is a debt ledger, floored at -burst. A child
-		//     spending its own guarantee still charges the pool (whose lend
-		//     income already counts that child's rate), so the pool's level
-		//     tracks pooled income minus subtree consumption: it is positive
-		//     — lendable — only while some descendant underuses its share,
-		//     which is precisely the HTB borrowing condition. Without the
-		//     ledger a lone busy child would double-dip, spending its own
-		//     bucket while the pool's trickle (fed partly by that same
-		//     child's rate) covers the rest; and clamping would compound
-		//     level to level, so interior nodes with their own assured rate
-		//     are ledgers too. The -burst floor keeps a pool bypassed by
-		//     upper-level borrowing (its subtree drawing a higher pool's
-		//     surplus past this pool's own lend rate) from sinking so deep
-		//     it can never lend again once demand recedes.
-		if stages {
-			for k := first; k >= 0; {
-				c := &t.ceilings[k]
-				if c.loan == nil {
-					c.stage.Commit(now, &pkts[i])
+			// Layer 1: ceilings, two-phase. A packet no larger than the
+			// headroom passes every loan. Any other packet walks the ceilings
+			// in path order: the first to refuse (a lent bucket short of the
+			// packet, or a Stage's probe) owns the drop. Probes advance lazy
+			// drains/refills but no admission state, so a later borrow-layer
+			// rejection cannot corrupt any ceiling's Theorem 1 accounting. A
+			// token bucket's loan opens — its bucket refills — when the first
+			// packet reaches it, and stays open until flush, so nothing above
+			// the refusing ceiling is reached.
+			if float64(size) > p.headroom {
+				// A loan charged to date holds L; the run owes it oweBytes
+				// more, so it fits the packet iff L ≥ size + oweBytes. Whole
+				// bytes: both sides are exact.
+				need := float64(int64(size) + p.oweBytes)
+				for c := p.first; c != nil; c = c.up {
+					if l := c.loan; l != nil {
+						if !l.open {
+							l.tokens, l.open = l.lender.Lend(now), true
+							t.touched = append(t.touched, l) // a slot joins once: within cap
+						}
+						if l.tokens.Level() >= need {
+							continue
+						}
+					} else if c.stage.Probe(now, &run[i]) {
+						continue
+					}
+					t.refuse(p, c, size)
+					rv[i] = enforcer.Drop
+					if !walk {
+						p.memoSize, p.memoOwner = size, c
+					}
+					continue packets
 				}
-				k = c.up
 			}
-		}
-		for k := first; k >= 0; {
-			c := &t.ceilings[k]
-			if l := c.loan; l != nil {
-				l.tokens.Take(size)
-				l.accPkts++
-				l.accBytes += int64(size)
+			// Layer 2: assured/borrow. The packet must be covered
+			// cumulatively by the buckets along its path, nearest first: own
+			// assured tokens, then ancestor pool tokens (idle siblings'
+			// released bandwidth). Within one burst now does not move, so the
+			// buckets are resolved and brought to now once, by the first
+			// packet to get here — every one of them, even past the one that
+			// covers it: income must not be deferred past the bucket cap. A
+			// pool ledger in debt (negative tokens, see the commit below)
+			// contributes nothing until its income repays the debt.
+			if p.nb < 0 {
+				p.nb = 0
+				for n := entry; ; n = &t.nodes[n.parent] {
+					if n.effRate > 0 {
+						n.refill(now)
+						p.buckets[p.nb] = charge{n: n, floor: n.floor()}
+						p.nb++
+					}
+					if n.parent < 0 {
+						break
+					}
+				}
 			}
-			k = c.up
-		}
-		for k := range buckets {
-			b := &buckets[k]
-			b.n.tokens -= float64(size)
-			if b.n.tokens < b.floor {
-				b.n.tokens = b.floor
+			buckets := p.buckets[:p.nb]
+			if len(buckets) > 0 {
+				need := float64(size)
+				for k := range buckets {
+					if tok := buckets[k].n.tokens; tok > 0 {
+						if tok >= need {
+							need = 0
+							break
+						}
+						need -= tok
+					}
+				}
+				if need > 0 {
+					// Over assured rate and no borrowable pool tokens. The
+					// entry node owns the drop: the subtree that burst past
+					// its share.
+					t.refuse(p, nil, size)
+					rv[i] = enforcer.Drop
+					if !walk {
+						p.memoSize, p.memoOwner = size, nil
+					}
+					continue
+				}
 			}
+			// Commit: charge every Stage ceiling — first, so that a Stage
+			// that panics finds nothing charged and nothing tallied for this
+			// packet — then every assured node on the path the full packet
+			// size, then the loans. The two bucket roles charge differently:
+			//
+			//   - A leaf guarantee bucket clamps at zero. Its refill income
+			//     can then never be pre-spent, so traffic within the leaf's
+			//     assured rate always finds cover there — the guarantee.
+			//
+			//   - An interior pool is a debt ledger, floored at -burst. A
+			//     child spending its own guarantee still charges the pool
+			//     (whose lend income already counts that child's rate), so
+			//     the pool's level tracks pooled income minus subtree
+			//     consumption: it is positive — lendable — only while some
+			//     descendant underuses its share, which is precisely the HTB
+			//     borrowing condition. Without the ledger a lone busy child
+			//     would double-dip, spending its own bucket while the pool's
+			//     trickle (fed partly by that same child's rate) covers the
+			//     rest; and clamping would compound level to level, so
+			//     interior nodes with their own assured rate are ledgers too.
+			//     The -burst floor keeps a pool bypassed by upper-level
+			//     borrowing (its subtree drawing a higher pool's surplus past
+			//     this pool's own lend rate) from sinking so deep it can
+			//     never lend again once demand recedes.
+			if stages {
+				for c := p.first; c != nil; c = c.up {
+					if c.loan == nil {
+						c.stage.Commit(now, &run[i])
+					}
+				}
+			}
+			for k := range buckets {
+				b := &buckets[k]
+				b.n.tokens -= float64(size)
+				if b.n.tokens < b.floor {
+					b.n.tokens = b.floor
+				}
+			}
+			// A packet that walked the path is charged to every loan on it
+			// now (once per slot that holds one), and the lowest level it
+			// leaves is the headroom. Once known the headroom is exact, so a
+			// packet that walks is refused: unless every packet walks, only a
+			// run's first accept walks, and the run owes nothing then. A
+			// packet within the headroom is owed: the run charges its loans
+			// once, when it settles, and the headroom falls by its size.
+			if float64(size) > p.headroom {
+				low := math.Inf(1)
+				for c := p.first; c != nil; c = c.up {
+					if l := c.loan; l != nil {
+						l.tokens.Take(int64(size))
+						l.accPkts++
+						l.accBytes += int64(size)
+						if lv := l.tokens.Level(); lv < low {
+							low = lv
+						}
+					}
+				}
+				if !walk {
+					p.headroom = low
+				}
+			} else {
+				p.owePkts++
+				p.oweBytes += int64(size)
+				p.headroom -= float64(size)
+			}
+			p.accPkts++
+			p.accBytes += int64(size)
+			p.memoSize = noMemo
+			rv[i] = enforcer.Transmit
 		}
-		p.accPkts++
-		p.accBytes += int64(size)
-		verdicts[i] = enforcer.Transmit
-	}
-	if p.accPkts|p.drpPkts != 0 {
-		t.settle(p)
+		if p.accPkts|p.drpPkts != 0 {
+			t.settle(p)
+		}
 	}
 }
 
@@ -282,22 +390,8 @@ func (t *Tree) SubmitBatchAt(now time.Duration, node enforcer.NodeID, pkts []pac
 // the same packets submitted as bursts of one, in order.
 func (t *Tree) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []enforcer.Verdict) {
 	verdicts = verdicts[:len(pkts)]
-	if len(pkts) == 0 {
-		return
-	}
 	defer t.flush()
-	n := len(t.leaves)
-	start, leaf := 0, pkts[0].ClassIn(n)
-	for i := 1; i <= len(pkts); i++ {
-		next := -1
-		if i < len(pkts) {
-			next = pkts[i].ClassIn(n)
-		}
-		if next != leaf {
-			t.admit(now, t.leaves[leaf], pkts[start:i], verdicts[start:i])
-			start, leaf = i, next
-		}
-	}
+	t.admit(now, routed, pkts, verdicts)
 }
 
 var _ enforcer.Enforcer = (*Tree)(nil)

@@ -8,7 +8,7 @@
 // observation that policers batch token generation.
 //
 // A policer can also lend its bucket out for a burst (Loan), which is how a
-// policy tree holds a token-bucket ceiling: the tree tests and charges the
+// policy tree holds a token-bucket ceiling: the tree reads and charges the
 // lent level through methods that inline rather than two interface calls
 // per packet. Probe, Commit and SubmitBatch are loans too, so the bucket
 // arithmetic lives in Loan alone.
@@ -111,8 +111,8 @@ func (p *Policer) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts 
 	l := p.Lend(now)
 	var accPkts, accBytes int64
 	for i := range pkts {
-		if size := pkts[i].Size; l.Admits(size) {
-			l.Take(size)
+		if size := pkts[i].Size; l.admits(size) {
+			l.Take(int64(size))
 			accPkts++
 			accBytes += int64(size)
 			verdicts[i] = enforcer.Transmit
@@ -129,19 +129,19 @@ func (p *Policer) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts 
 // of the bucket that is tested and never repaid.
 func (p *Policer) Probe(now time.Duration, pkt *packet.Packet) bool {
 	l := p.Lend(now)
-	return l.Admits(pkt.Size)
+	return l.admits(pkt.Size)
 }
 
 // Commit consumes the tokens for a packet previously accepted by Probe: a
 // loan of the bucket charged once and repaid.
 func (p *Policer) Commit(now time.Duration, pkt *packet.Packet) {
 	l := p.Lend(now)
-	l.Take(pkt.Size)
+	l.Take(int64(pkt.Size))
 	p.Repay(l, 1, int64(pkt.Size))
 }
 
 // Loan is a policer's token level lent out for a burst at one instant, so
-// that a caller holding several ceilings (a policy tree) can test and charge
+// that a caller holding several ceilings (a policy tree) can read and charge
 // it as a plain float64 through methods that inline, instead of two
 // interface calls per packet. Lend refills the bucket to now and opens the
 // loan; Repay writes the level back with the packets the loan accepted.
@@ -157,12 +157,19 @@ func (p *Policer) Lend(now time.Duration) Loan {
 	return Loan{tokens: p.tokens}
 }
 
-// Admits reports whether the lent bucket holds size bytes of tokens.
-func (l *Loan) Admits(size int) bool { return l.tokens >= float64(size) }
+// admits reports whether the lent bucket holds size bytes of tokens.
+func (l *Loan) admits(size int) bool { return l.tokens >= float64(size) }
 
-// Take charges size bytes to the lent bucket, which never goes below empty.
-func (l *Loan) Take(size int) {
-	l.tokens -= float64(size)
+// Level returns the lent bucket's token level in bytes.
+func (l *Loan) Level() float64 { return l.tokens }
+
+// Take charges bytes to the lent bucket, which never goes below empty. A
+// caller may charge a run of packets, each of which found its size in the
+// level, as one Take of their total: a whole number of bytes taken from a
+// level at least that large (and below 2^53) is an exact subtraction, so
+// one Take leaves the bits a Take per packet would.
+func (l *Loan) Take(bytes int64) {
+	l.tokens -= float64(bytes)
 	if l.tokens < 0 {
 		l.tokens = 0
 	}
