@@ -700,21 +700,26 @@ func BenchmarkExtECN(b *testing.B) { benchFig(b, experiments.ExtECN) }
 // over the leaves, so nearly every packet is a run of its own. The
 // mixed-sizes case runs the million-leaf tree with each packet's size drawn
 // from 64, 576 and 1500 bytes, so a run's packets are not all the same
-// size. One benchmark iteration is one packet; steady state must report 0 allocs/op
-// in every case. CI runs it once as a smoke pass and gates its allocations;
-// the numbers to compare across commits are bench/'s tree_deep workload and
-// its ptree.* rows.
+// size. The borrowing case offers every burst to one leaf in ten of a
+// 10k-leaf tree, each then far above its assured rate: a run spends the
+// guarantee its leaf refilled since its last burst in its first few packets
+// and borrows the rest from its pool, which the nine idle siblings' shares
+// keep full. One benchmark iteration is one packet; steady state must report
+// 0 allocs/op in every case. CI runs it once as a smoke pass and gates its
+// allocations; the numbers to compare across commits are bench/'s tree_deep
+// workload and its ptree.* rows.
 func BenchmarkPolicyTreeSubmitBatch(b *testing.B) {
 	shapes := []struct {
-		name             string
-		pools, leavesPer int
-		routed, mixed    bool
+		name                     string
+		pools, leavesPer         int
+		routed, mixed, borrowing bool
 	}{
-		{"1k-leaves", 10, 100, false, false},
-		{"100k-leaves", 100, 1000, false, false},
-		{"1M-leaves", 1000, 1000, false, false},
-		{"routed", 10, 100, true, false},
-		{"mixed-sizes", 1000, 1000, false, true},
+		{"1k-leaves", 10, 100, false, false, false},
+		{"100k-leaves", 100, 1000, false, false, false},
+		{"1M-leaves", 1000, 1000, false, false, false},
+		{"routed", 10, 100, true, false, false},
+		{"mixed-sizes", 1000, 1000, false, true, false},
+		{"borrowing", 100, 100, false, false, true},
 	}
 	for _, sh := range shapes {
 		sh := sh
@@ -779,7 +784,11 @@ func BenchmarkPolicyTreeSubmitBatch(b *testing.B) {
 					tree.SubmitBatch(now, pkts[off:off+n], verdicts[:n])
 					continue
 				}
-				leaf := NodeID(leafBase + int(lcg()%uint64(nLeaves)))
+				k := int(lcg() % uint64(nLeaves))
+				if sh.borrowing {
+					k -= k % 10
+				}
+				leaf := NodeID(leafBase + k)
 				tree.SubmitBatchAt(now, leaf, pkts[off:off+n], verdicts[:n])
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/sec")

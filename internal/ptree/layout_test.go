@@ -306,8 +306,8 @@ type layoutDiff struct {
 
 // diffSpec draws a topology from shape: 1–25 nodes at most 1–6 deep;
 // token-bucket and phantom ceilings with buckets small enough to drop whole
-// bursts, on any node including leaves; one token bucket shared by a node
-// and one of its ancestors; own-assured, pooled and unassured nodes;
+// bursts, on any node including leaves; one token bucket shared by two
+// nodes on different paths; own-assured, pooled and unassured nodes;
 // explicit bursts. Ceilings hold state, so each tree gets its own spec from
 // the same shape.
 func diffSpec(shape uint64) []NodeSpec {
@@ -352,21 +352,13 @@ func diffSpec(shape uint64) []NodeSpec {
 		spec = append(spec, s)
 		depth = append(depth, d)
 	}
-	// One Stage at two nodes of one path: a descendant takes an ancestor's
-	// token bucket, which a burst through both borrows as one loan. (A
-	// phantom queue committed twice per packet can overfill past what its
-	// own snapshot decoder accepts.)
+	// New refuses one token bucket at two nodes of one path, which these
+	// draws once built; they stay, unused, so that every shape keeps the
+	// topology and ceilings the named seeds were chosen for.
 	if len(spec) > 1 && r.IntN(3) == 0 {
-		c := 1 + r.IntN(len(spec)-1)
-		a := spec[c].Parent
-		for k := r.IntN(depth[c] - 1); k > 0; k-- {
-			a = spec[a].Parent
-		}
-		if _, ok := spec[a].Stage.(*tbf.Policer); ok {
-			spec[c].Stage = spec[a].Stage
-		}
+		r.IntN(depth[1+r.IntN(len(spec)-1)] - 1)
 	}
-	// And one token bucket at two nodes neither of which is the other's
+	// One token bucket at two nodes neither of which is the other's
 	// ancestor, such as two sibling pools: a burst through the second
 	// charges the loan held at the first's slot, off its own path.
 	if len(spec) > 2 && r.IntN(3) == 0 {
@@ -653,6 +645,24 @@ func ownerMoves(node byte, rounds int) []byte {
 	return ops
 }
 
+// drawDown is an op stream of rounds of twelve-packet bursts, 1504 B but
+// for a last one of 376 B, one burst at each of nodes 260 µs apart, then
+// gap ops that each move the clock 1.95 ms with a packet at node idle, which
+// is out of the tree's range and fails closed: between rounds the nodes'
+// guarantees refill by gap·1.95 ms of their assured rates.
+func drawDown(nodes []byte, idle byte, gap, rounds int) []byte {
+	var ops []byte
+	for i := 0; i < rounds; i++ {
+		for _, n := range nodes {
+			ops = append(ops, 2|opStepDown, n, 0x2F)
+		}
+		for k := 0; k < gap; k++ {
+			ops = append(ops, 0, idle, 0xF0)
+		}
+	}
+	return ops
+}
+
 // layoutSeeds are the differential's named op streams: the fuzz target's
 // seed corpus, and the first thing TestTreeLayoutEquivalence runs.
 var layoutSeeds = []struct {
@@ -684,10 +694,6 @@ var layoutSeeds = []struct {
 	{"equal-then-smaller", 23, equalThenSmaller(0, 30)},
 	// Shape 72's leaf 2 sits under one 9000 B bucket.
 	{"zero-bytes", 72, zeroBytes(2, 30)},
-	// Shape 71's leaf 2 and its parent hold one 6000 B bucket, so a packet
-	// through both charges it twice: the second 1504 B packet leaves it
-	// clamped at empty, where only zero-byte packets still fit.
-	{"repeat-clamp", 71, append(equalThenSmaller(2, 20), zeroBytes(2, 20)...)},
 	// Shape 8's leaf 2 sits under a 1500 B bucket at node 1 and a 6000 B one
 	// at the root.
 	{"owner-moves", 8, ownerMoves(2, 40)},
@@ -696,6 +702,19 @@ var layoutSeeds = []struct {
 	// buckets), where which ceiling owns a drop depends on path order.
 	{"phantom-below-bucket-22", 22, append(wholeBurstDrops(2, 40), equalThenSmaller(2, 20)...)},
 	{"phantom-below-buckets-30", 30, append(emptyMidBurst(9, 40), equalThenSmaller(9, 20)...)},
+	// Shape 335's leaves 2 and 6 hold 33375 and 8333 B guarantees under a
+	// 62.5 KB root pool that their idle siblings feed too. At one instant,
+	// leaf 2's bursts draw the pool down to within a packet of leaf 6's
+	// guarantee, and leaf 6's run then spends both: a packet that walks
+	// after the run's fast-path accepts finds less in the two than its
+	// size. After that, each run at leaf 6 begins within its guarantee,
+	// runs it dry part-way, and borrows the rest from the pool.
+	{"borrow-mid-run", 335, append(append(bytes.Repeat([]byte{2, 2, 15}, 14), 2|opStepDown, 6, 0x0B),
+		drawDown([]byte{6, 2}, 7, 40, 8)...)},
+	// Shape 357's root has its own 333 kbit/s, far below its leaves' 8.67
+	// Mbit/s, and a 4167 B pool beside leaf 1's 62.5 KB guarantee: the pool
+	// goes into debt, down to its floor, while the leaf still covers.
+	{"pool-in-debt", 357, drawDown([]byte{1}, 3, 3, 40)},
 }
 
 // FuzzTreeLayoutEquivalence is the record layout's differential: arbitrary

@@ -31,11 +31,10 @@
 // A burst pays for its path once. New links each path's ceilings leaf →
 // root (a node records the first ceiling on its path, a ceiling slot the
 // next one up) and flags the nodes whose path has a ceiling that is not a
-// token bucket, and those whose path holds one token bucket twice, so a
-// burst walks its ceilings without resolving them. SubmitBatchAt resolves
-// the rest of the node → root path into a plan: the assured buckets it
-// charges, each with its floor, in scratch the tree sizes at build time to
-// the deepest path. The burst is admitted in place against the plan (each
+// token bucket, so a burst walks its ceilings without resolving them.
+// SubmitBatchAt resolves the rest of the node → root path into a plan: the
+// assured buckets it charges, each with its floor, in scratch the tree
+// sizes at build time to the deepest path. The burst is admitted in place against the plan (each
 // Stage ceiling receives &pkts[i], never a copy of the 72-byte packet;
 // SubmitAt's single packet goes through a one-slot scratch the tree owns),
 // with zero allocations and no per-packet index arithmetic. Every node on
@@ -51,38 +50,46 @@
 // burst (tbf.Loan), held in the ceiling's slot: the tree opens the loan,
 // which refills the bucket, at the first packet that reaches that ceiling,
 // reads and charges it as a plain float64 through methods that inline, and
-// repays it in the flush with the packets it accepted. A policer that sits
-// at two nodes, on one path or not, has one loan, held at the first node's
-// slot, which every hop through it charges. Other ceilings are called
+// repays it in the flush with the packets it accepted. A policer may cap
+// several nodes, but no two on one path (New refuses that: a packet through
+// both would be charged twice); it has one loan, held at the first node's
+// slot, which a run through any of them charges. Other ceilings are called
 // through enforcer.Stage per packet. A ceiling slot is 88 B: it carries the
 // loan and the burst's drops between flushes, and the flush writes back
 // each slot a burst opened or dropped at once, from a list New sizes to the
 // number of slots.
 //
-// A run admits against its headroom: the lowest lent level on its path,
-// less what the run owes its loans. Within one run at one instant a lent
-// level only falls, and every accepted packet takes the same bytes from
-// every loan on the path, so a packet passes every loan iff its size is at
-// most the headroom — one compare — and is then owed to them: the headroom
-// falls by its size, and the run charges its loans the owed bytes once,
-// when it settles. Any other packet walks the path in order, opening each
-// loan it reaches, and tests each lent level less what the run owes: the
-// first ceiling short of it owns the drop. The headroom is unknown until a
-// packet that walked is accepted; that packet is charged to every loan on
-// the path at once, and the lowest level it leaves is the headroom, exact
-// from then on, so the run's later walks are refusals finding their owner.
-// A one-packet run, as most of a class-routed burst's are, thus walks and
-// charges its packet as a per-packet loop would. All of it is exact: a
-// packet is charged only where it fitted, so the clamp at empty never
-// fires, and whole bytes taken from a level at least that large (below
-// 2^53) subtract exactly in any order, so one charge of the owed total
-// leaves the bits a charge per packet would. A drop is memoised with its
-// size until the next accept, since nothing it depends on moves, so a run
-// of equal refused packets costs one compare each; a borrow-layer drop is
-// memoised the same way. On a path with a Stage ceiling, and on one that
-// holds a policer at two slots (which a packet charges twice, so it may
-// clamp at empty), every packet walks and is charged at once, and nothing
-// is memoised.
+// A run admits against its headroom, which covers both admission layers:
+// the lowest of the lent levels on its path less the bytes the run has
+// accepted, and of the path's assured-bucket levels less the bytes the run
+// owes them. Within one run at one instant a level moves only when a packet
+// is accepted, and every accepted packet takes the same bytes from every
+// loan and every bucket on the path, so a packet no larger than the
+// headroom passes every loan and is covered by its nearest bucket, leaving
+// every bucket above its floor — one compare. It is accepted and owed: the
+// headroom falls by its size, the run charges its loans the bytes it
+// accepted once, when it settles, and pays its buckets what it owes them
+// then or when a packet next walks. Any other packet walks the path. It
+// tests the loans, unless it fits the lowest lent level less what the run
+// has accepted (the lent levels hold until the run settles), in path order,
+// opening each loan it reaches: the first ceiling short of it owns the
+// drop. It then pays the buckets what the run owes them, so that its cover
+// test and commit read their levels, and an accepted walk commits to each
+// bucket per packet, with the floor clamps that make borrowing and a pool's
+// debt exact, and sets the headroom from the levels it leaves. The headroom
+// is unknown until a walk is accepted, and one that borrows leaves it at
+// most zero (its leaf bucket is empty; a pool in debt puts it below zero),
+// so a run that borrows walks from then on, and a one-packet run, as most
+// of a class-routed burst's are, walks and commits its packet as a
+// per-packet loop would. All of it is exact: a packet is owed only where it
+// fitted, so neither a loan's clamp at empty nor a bucket's floor would
+// have fired for it, and whole bytes taken from a level at least that large
+// (below 2^53) subtract exactly in any order, so one charge of the owed
+// total leaves the bits a charge per packet would. A drop is memoised with
+// its size until the next accept, since nothing it depends on moves, so a
+// run of equal refused packets costs one compare each; a borrow-layer drop
+// is memoised the same way. On a path with a Stage ceiling every packet
+// walks, its loans are tested every time, and nothing is memoised.
 //
 // Nothing is refilled before a packet reaches it. A ceiling's loan opens at
 // first reach, and the path's assured buckets are resolved and refilled
@@ -117,12 +124,12 @@
 // is visible to packet i+1's probes, so every level's Theorem 1 bound
 // (accepted ≤ r·Δt + B) holds exactly per interior node. Packet-major
 // order holds inside the burst's plan too: packet i's charge to a lent
-// bucket is in the headroom packet i+1 is tested against, and the plan's
-// one tally changes only where the per-packet counters and charges are
-// summed (whole bytes, so the sums are exact), which keeps verdicts,
-// counters, token levels, refill clocks and snapshot bytes identical to
-// admitting the burst one packet at a time, and the same holds for
-// class-routed SubmitBatch, whose runs share one burst.
+// bucket or an assured bucket is in the headroom packet i+1 is tested
+// against, and the plan's one tally changes only where the per-packet
+// counters and charges are summed (whole bytes, so the sums are exact),
+// which keeps verdicts, counters, token levels, refill clocks and snapshot
+// bytes identical to admitting the burst one packet at a time, and the
+// same holds for class-routed SubmitBatch, whose runs share one burst.
 //
 // # Borrowing
 //
@@ -153,6 +160,13 @@
 // lending until demand recedes and its income repays the debt. Ceilings
 // always bind above the borrow layer, so borrowing never lets a subtree
 // exceed any ancestor's ceiling.
+//
+// Within a run, a packet that every bucket on its path holds is neither
+// tested nor clamped: it is within the run's headroom (see "Layout"), and
+// the run pays the buckets for it later, in one charge. Only a packet that
+// must borrow (its leaf bucket short of it), or that meets a pool in debt,
+// walks the layer and is charged with the clamps, packet by packet, so
+// the borrowing and debt above are exact.
 package ptree
 
 import (
@@ -182,7 +196,8 @@ type NodeSpec struct {
 	Parent int
 	// Stage is the node's ceiling — the hard cap on its subtree's rate
 	// (a *phantom.PQP, *tbf.Policer, or any enforcer.Stage). Nil means no
-	// ceiling at this node.
+	// ceiling at this node. One *tbf.Policer may cap several nodes, but
+	// not two on one path: New refuses that.
 	Stage enforcer.Stage
 	// Assured enables the borrowing layer at this node: the rate its
 	// subtree is guaranteed even when siblings are backlogged, and the
@@ -231,10 +246,6 @@ const (
 	// flagStages marks a node whose path to the root has a ceiling that is
 	// not a token bucket, so admission calls it through enforcer.Stage.
 	flagStages
-	// flagRepeats marks a node whose path to the root holds one token
-	// bucket at two of its ceilings, so a packet charges that loan twice
-	// and a run's headroom does not fall by its size alone.
-	flagRepeats
 )
 
 func (n *node) interior() bool { return n.flags&flagInterior != 0 }
@@ -347,9 +358,8 @@ func New(spec []NodeSpec) (*Tree, error) {
 				c.lender = lender
 				if _, seen := holders[lender]; seen {
 					for k := nd.above; k >= 0; k = ups[k] {
-						if t.ceilings[k].lender == lender {
-							nd.flags |= flagRepeats
-							break
+						if up := &t.ceilings[k]; up.lender == lender {
+							return nil, fmt.Errorf("ptree: node %d: token bucket already caps node %d on its path", i, up.node)
 						}
 					}
 				} else {
@@ -378,7 +388,7 @@ func New(spec []NodeSpec) (*Tree, error) {
 				interiors++
 			}
 			depth[i] = depth[s.Parent] + 1
-			nd.flags |= p.flags & (flagStages | flagRepeats)
+			nd.flags |= p.flags & flagStages
 		}
 		maxDepth = max(maxDepth, depth[i])
 		t.nodes[i] = nd

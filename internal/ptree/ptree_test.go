@@ -59,6 +59,9 @@ func tenantPlanSub() *Tree {
 }
 
 func TestValidation(t *testing.T) {
+	// A token bucket caps any number of nodes, but at most one on a path:
+	// a packet through two of them would be charged twice.
+	shared := newTBF(units.Mbps)
 	cases := []struct {
 		name string
 		spec []NodeSpec
@@ -71,6 +74,9 @@ func TestValidation(t *testing.T) {
 		{"negative assured", []NodeSpec{{Parent: -1, Assured: -units.Mbps}}},
 		{"sub-MSS burst", []NodeSpec{{Parent: -1, Assured: units.Mbps, Burst: units.MSS - 1}}},
 		{"burst without assured", []NodeSpec{{Parent: -1, Burst: 10 * units.MSS}}},
+		{"token bucket twice on a path", []NodeSpec{
+			{Parent: -1, Stage: shared}, {Parent: 0, Stage: newTBF(units.Mbps)}, {Parent: 1, Stage: shared},
+		}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.spec); err == nil {
@@ -79,6 +85,9 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := New([]NodeSpec{{Parent: -1, Stage: newTBF(units.Mbps)}}); err != nil {
 		t.Errorf("single ceiling node rejected: %v", err)
+	}
+	if _, err := New([]NodeSpec{{Parent: -1}, {Parent: 0, Stage: shared}, {Parent: 0, Stage: shared}}); err != nil {
+		t.Errorf("token bucket shared by siblings rejected: %v", err)
 	}
 }
 

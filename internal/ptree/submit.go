@@ -47,20 +47,38 @@ type plan struct {
 	first   *ceiling // the entry node's first ceiling, nil = none
 
 	// The run's tally: accepted packets and bytes (the same for every node
-	// on the path), those of them not yet charged to the path's loans, and
-	// the borrow layer's drops at the entry node.
+	// on the path, and owed to every loan on it until the run settles), the
+	// bytes owed to the path's assured buckets since a walk last paid them,
+	// and the borrow layer's drops at the entry node.
 	accPkts, accBytes int64
-	owePkts, oweBytes int64
+	dueBytes          int64
 	drpPkts, drpBytes int64
 
-	// headroom is the lowest lent level on the path less the bytes the run
-	// owes its loans: a packet no larger passes every loan. It is -Inf until
-	// a packet that walked the path is accepted, and stays -Inf on a path
-	// every packet walks. A packet of memoSize bytes is dropped at memoOwner
-	// (nil: the borrow layer) until the next accept.
-	headroom  float64
-	memoSize  int
-	memoOwner *ceiling
+	// lent is the lowest lent level on the path, known once a packet has
+	// passed every loan: the run charges its loans only when it settles, so
+	// the levels hold until then. headroom is the lowest of lent less the
+	// run's accepted bytes and each assured bucket's level less the bytes
+	// owed to it: a packet no larger passes every loan and is covered by
+	// every bucket without reaching its floor. Both are -Inf until known and
+	// stay -Inf on a path with a Stage ceiling, every packet of which walks.
+	// A packet of memoSize bytes is dropped at memoOwner (nil: the borrow
+	// layer) until the next accept.
+	lent, headroom float64
+	memoSize       int
+	memoOwner      *ceiling
+}
+
+// pay charges the path's assured buckets the bytes the run owes them. Each
+// owed packet found its size in every bucket's level less what was owed
+// before it, so every partial sum stays within the level and one whole-byte
+// subtraction (below 2^53) leaves the bits a charge per packet would.
+func (p *plan) pay() {
+	if p.dueBytes != 0 {
+		for k := range p.buckets[:p.nb] {
+			p.buckets[k].n.tokens -= float64(p.dueBytes)
+		}
+		p.dueBytes = 0
+	}
 }
 
 // noMemo is the empty drop memo: no packet is this size.
@@ -70,9 +88,10 @@ const noMemo = math.MinInt32
 const routed enforcer.NodeID = -1
 
 // settle writes a run's tally back and zeroes it: the accepted counts to
-// every node on its path and to the tree's stats, the bytes the run owes
-// its loans to every loan on its path (once per slot that holds it), and
-// the borrow layer's drops to the entry node and the tree's stats.
+// every node on its path and to the tree's stats, the accepted bytes to
+// every loan on its path (once per slot that holds it) and what the path's
+// assured buckets are owed to them, and the borrow layer's drops to the
+// entry node and the tree's stats.
 func (t *Tree) settle(p *plan) {
 	if p.accPkts > 0 {
 		for v := p.entry; v >= 0; {
@@ -83,15 +102,14 @@ func (t *Tree) settle(p *plan) {
 		}
 		t.stats.AcceptedPackets += p.accPkts
 		t.stats.AcceptedBytes += p.accBytes
-	}
-	if p.owePkts > 0 {
 		for c := p.first; c != nil; c = c.up {
 			if l := c.loan; l != nil {
-				l.tokens.Take(p.oweBytes)
-				l.accPkts += p.owePkts
-				l.accBytes += p.oweBytes
+				l.tokens.Take(p.accBytes)
+				l.accPkts += p.accPkts
+				l.accBytes += p.accBytes
 			}
 		}
+		p.pay()
 	}
 	if p.drpPkts > 0 {
 		t.drpPkts[p.entry] += p.drpPkts
@@ -99,7 +117,7 @@ func (t *Tree) settle(p *plan) {
 		t.stats.DroppedPackets += p.drpPkts
 		t.stats.DroppedBytes += p.drpBytes
 	}
-	p.accPkts, p.accBytes, p.owePkts, p.oweBytes, p.drpPkts, p.drpBytes = 0, 0, 0, 0, 0, 0
+	p.accPkts, p.accBytes, p.drpPkts, p.drpBytes = 0, 0, 0, 0
 }
 
 // flush ends a burst. It settles the run in progress, repays every open loan
@@ -145,10 +163,12 @@ func (t *Tree) refuse(p *plan, c *ceiling, size int) {
 // the leaf its class names; each run of consecutive packets that enter at
 // one node is admitted along that node's path against one plan, and settled
 // when it ends. A drop is tallied at the ceiling that refused or in the
-// plan; an accepted packet charges every Stage ceiling and every assured
-// bucket on the path and is tallied once for all of its nodes. The caller
-// defers flush. Ceilings are handed &pkts[i], so pkts escapes: callers pass
-// the caller's own burst or the tree's scratch, never a stack array.
+// plan; an accepted packet is tallied once for all of its nodes and loans
+// and charges every Stage ceiling and every assured bucket on the path, at
+// once if it walked the path and when the run settles or a later packet
+// walks if it did not. The caller defers flush. Ceilings are handed
+// &pkts[i], so pkts escapes: callers pass the caller's own burst or the
+// tree's scratch, never a stack array.
 func (t *Tree) admit(now time.Duration, node enforcer.NodeID, pkts []packet.Packet, verdicts []enforcer.Verdict) {
 	p := &t.plan
 	class := -1
@@ -168,46 +188,60 @@ func (t *Tree) admit(now time.Duration, node enforcer.NodeID, pkts []packet.Pack
 		}
 		run, rv := pkts[:end], verdicts[:end]
 		entry := &t.nodes[at]
-		flags := entry.flags
-		stages, walk := flags&flagStages != 0, flags&(flagStages|flagRepeats) != 0
+		stages := entry.flags&flagStages != 0
 		p.entry, p.first, p.nb = int32(at), nil, -1
 		if entry.above >= 0 {
 			p.first = &t.ceilings[entry.above]
 		}
-		p.headroom, p.memoSize = math.Inf(-1), noMemo
+		p.lent, p.headroom, p.memoSize = math.Inf(-1), math.Inf(-1), noMemo
 	packets:
 		for i := start; i < len(run); i++ {
 			size := run[i].Size
-			// Within a run at one instant, levels move only when a packet is
-			// accepted: until then a packet of the last dropped size is
-			// dropped where that one was. A path every packet walks never
-			// memoises: a Stage's probe reads more of a packet than its size.
+			// A packet no larger than the headroom passes both layers: it is
+			// accepted with one compare and owed to the loans and buckets.
+			if float64(size) <= p.headroom {
+				p.accPkts++
+				p.accBytes += int64(size)
+				p.dueBytes += int64(size)
+				p.headroom -= float64(size)
+				p.memoSize = noMemo
+				rv[i] = enforcer.Transmit
+				continue
+			}
+			// Any other packet walks the path. Within a run at one instant,
+			// levels move only when a packet is accepted: until then a
+			// packet of the last dropped size is dropped where that one was.
+			// A path every packet walks never memoises: a Stage's probe
+			// reads more of a packet than its size.
 			if size == p.memoSize {
 				t.refuse(p, p.memoOwner, size)
 				rv[i] = enforcer.Drop
 				continue
 			}
-			// Layer 1: ceilings, two-phase. A packet no larger than the
-			// headroom passes every loan. Any other packet walks the ceilings
-			// in path order: the first to refuse (a lent bucket short of the
-			// packet, or a Stage's probe) owns the drop. Probes advance lazy
-			// drains/refills but no admission state, so a later borrow-layer
-			// rejection cannot corrupt any ceiling's Theorem 1 accounting. A
-			// token bucket's loan opens — its bucket refills — when the first
-			// packet reaches it, and stays open until flush, so nothing above
-			// the refusing ceiling is reached.
-			if float64(size) > p.headroom {
-				// A loan charged to date holds L; the run owes it oweBytes
-				// more, so it fits the packet iff L ≥ size + oweBytes. Whole
-				// bytes: both sides are exact.
-				need := float64(int64(size) + p.oweBytes)
+			// Layer 1: ceilings, two-phase. A loan charged to date holds L;
+			// the run owes it accBytes more, so it fits the packet iff
+			// L ≥ size + accBytes (whole bytes: both sides are exact), and a
+			// packet that fits lent, the lowest, fits them all unwalked. Any
+			// other packet walks the ceilings in path order: the first to
+			// refuse (a lent bucket short of the packet, or a Stage's probe)
+			// owns the drop.
+			// Probes advance lazy drains/refills but no admission state, so
+			// a later borrow-layer rejection cannot corrupt any ceiling's
+			// Theorem 1 accounting. A token bucket's loan opens — its bucket
+			// refills — when the first packet reaches it, and stays open
+			// until flush, so nothing above the refusing ceiling is reached.
+			if need := float64(int64(size) + p.accBytes); need > p.lent {
+				low := math.Inf(1)
 				for c := p.first; c != nil; c = c.up {
 					if l := c.loan; l != nil {
 						if !l.open {
 							l.tokens, l.open = l.lender.Lend(now), true
 							t.touched = append(t.touched, l) // a slot joins once: within cap
 						}
-						if l.tokens.Level() >= need {
+						if lv := l.tokens.Level(); lv >= need {
+							if lv < low {
+								low = lv
+							}
 							continue
 						}
 					} else if c.stage.Probe(now, &run[i]) {
@@ -215,10 +249,13 @@ func (t *Tree) admit(now time.Duration, node enforcer.NodeID, pkts []packet.Pack
 					}
 					t.refuse(p, c, size)
 					rv[i] = enforcer.Drop
-					if !walk {
+					if !stages {
 						p.memoSize, p.memoOwner = size, c
 					}
 					continue packets
+				}
+				if !stages {
+					p.lent = low
 				}
 			}
 			// Layer 2: assured/borrow. The packet must be covered
@@ -228,8 +265,10 @@ func (t *Tree) admit(now time.Duration, node enforcer.NodeID, pkts []packet.Pack
 			// buckets are resolved and brought to now once, by the first
 			// packet to get here — every one of them, even past the one that
 			// covers it: income must not be deferred past the bucket cap. A
-			// pool ledger in debt (negative tokens, see the commit below)
-			// contributes nothing until its income repays the debt.
+			// walk pays the buckets what the run owes them first, so that
+			// the test reads their levels. A pool ledger in debt (negative
+			// tokens, see the commit below) contributes nothing until its
+			// income repays the debt.
 			if p.nb < 0 {
 				p.nb = 0
 				for n := entry; ; n = &t.nodes[n.parent] {
@@ -243,6 +282,7 @@ func (t *Tree) admit(now time.Duration, node enforcer.NodeID, pkts []packet.Pack
 					}
 				}
 			}
+			p.pay()
 			buckets := p.buckets[:p.nb]
 			if len(buckets) > 0 {
 				need := float64(size)
@@ -261,7 +301,7 @@ func (t *Tree) admit(now time.Duration, node enforcer.NodeID, pkts []packet.Pack
 					// its share.
 					t.refuse(p, nil, size)
 					rv[i] = enforcer.Drop
-					if !walk {
+					if !stages {
 						p.memoSize, p.memoOwner = size, nil
 					}
 					continue
@@ -270,7 +310,8 @@ func (t *Tree) admit(now time.Duration, node enforcer.NodeID, pkts []packet.Pack
 			// Commit: charge every Stage ceiling — first, so that a Stage
 			// that panics finds nothing charged and nothing tallied for this
 			// packet — then every assured node on the path the full packet
-			// size, then the loans. The two bucket roles charge differently:
+			// size; the loans are charged when the run settles. The two
+			// bucket roles charge differently:
 			//
 			//   - A leaf guarantee bucket clamps at zero. Its refill income
 			//     can then never be pre-spent, so traffic within the leaf's
@@ -291,6 +332,9 @@ func (t *Tree) admit(now time.Duration, node enforcer.NodeID, pkts []packet.Pack
 			//     borrowing (its subtree drawing a higher pool's surplus past
 			//     this pool's own lend rate) from sinking so deep it can
 			//     never lend again once demand recedes.
+			//
+			// The lowest level the commit leaves, and the lowest lent level
+			// less the run's accepted bytes, are the headroom.
 			if stages {
 				for c := p.first; c != nil; c = c.up {
 					if c.loan == nil {
@@ -298,42 +342,21 @@ func (t *Tree) admit(now time.Duration, node enforcer.NodeID, pkts []packet.Pack
 					}
 				}
 			}
-			for k := range buckets {
-				b := &buckets[k]
-				b.n.tokens -= float64(size)
-				if b.n.tokens < b.floor {
-					b.n.tokens = b.floor
-				}
-			}
-			// A packet that walked the path is charged to every loan on it
-			// now (once per slot that holds one), and the lowest level it
-			// leaves is the headroom. Once known the headroom is exact, so a
-			// packet that walks is refused: unless every packet walks, only a
-			// run's first accept walks, and the run owes nothing then. A
-			// packet within the headroom is owed: the run charges its loans
-			// once, when it settles, and the headroom falls by its size.
-			if float64(size) > p.headroom {
-				low := math.Inf(1)
-				for c := p.first; c != nil; c = c.up {
-					if l := c.loan; l != nil {
-						l.tokens.Take(int64(size))
-						l.accPkts++
-						l.accBytes += int64(size)
-						if lv := l.tokens.Level(); lv < low {
-							low = lv
-						}
-					}
-				}
-				if !walk {
-					p.headroom = low
-				}
-			} else {
-				p.owePkts++
-				p.oweBytes += int64(size)
-				p.headroom -= float64(size)
-			}
 			p.accPkts++
 			p.accBytes += int64(size)
+			low := p.lent - float64(p.accBytes)
+			for k := range buckets {
+				b := &buckets[k]
+				tok := b.n.tokens - float64(size)
+				if tok < b.floor {
+					tok = b.floor
+				}
+				b.n.tokens = tok
+				if tok < low {
+					low = tok
+				}
+			}
+			p.headroom = low
 			p.memoSize = noMemo
 			rv[i] = enforcer.Transmit
 		}
