@@ -14,14 +14,18 @@ build:
 # everything else still compile on the portable fallback backend. Both
 # cross-builds need only the standard library. The datapath packages'
 # arm64 assembly must show no fused multiply-add, so every architecture
-# computes the same float bits, and the policy-tree datapath (ptree, tbf,
-# phantom) must move nothing to the heap. Last, every test, fuzz target and
-# benchmark the docs, build files and sources cite by name must exist.
+# computes the same float bits; the five enforcers must turn elapsed time
+# into bytes only through units.Clock (check-accrual: no call to
+# Duration.Seconds or Rate.Bytes of their own); and the policy-tree datapath
+# (ptree, tbf, phantom) must move nothing to the heap. Last, every test,
+# fuzz target and benchmark the docs, build files and sources cite by name
+# must exist.
 vet:
 	$(GO) vet ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/netio
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	scripts/check-fma.sh
+	scripts/check-accrual.sh
 	scripts/check-escapes.sh
 	scripts/check-test-names.sh
 

@@ -2,6 +2,7 @@ package enforcer_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -346,6 +347,76 @@ func TestSnapshotRestoreAtShiftedClock(t *testing.T) {
 			cb, _ := cold.(enforcer.Snapshotter).SnapshotState(end - shift)
 			if !slices.Equal(wb, cb) {
 				t.Fatalf("final snapshots differ:\nrestored      %x\nuninterrupted %x", cb, wb)
+			}
+		})
+	}
+}
+
+// TestRestoreAtOverflowingAge: RestoreState takes any clock age whose
+// instant fits a Duration (enforcer.Dec.Instant). A blob written near the
+// end of a Duration and restored at clock 0 leaves each clock near −2⁶³, at
+// its old instant less 2⁶³ − 2, so once the clock passes the old instants the
+// next read's elapsed time, now − last, overflows int64. Every enforcer must
+// read that gap as the long idle it is, a full refill or drain, not as a
+// negative one. So its state stays valid: a fresh twin's RestoreState, which
+// checks tokens in [0, B], occupancy within the simulated buffer and drain
+// credit in [0, 1), takes its snapshot. And offered twice its rate, it
+// admits in each of the next two spans of `worth`, the time the largest
+// bucket or queue here takes to fill at eqRate. Only half the classes
+// return, so the other half keep their restored instants (a flow's last
+// arrival, a burst-control window's start) into that snapshot.
+func TestRestoreAtOverflowingAge(t *testing.T) {
+	worth := eqRate.DurationForBytes(10 * tbf.PlusBucket(eqRate, eqMaxRTT)) // bc-pqp's queue
+	schemes := append(equivalenceSchemes(), eqScheme{name: "ptree-assured", build: func() enforcer.Enforcer {
+		return ptree.MustNew([]ptree.NodeSpec{
+			{Parent: -1},
+			{Parent: 0, Assured: eqRate / 2},
+			{Parent: 0, Assured: eqRate / 2},
+		})
+	}})
+	for _, sc := range schemes {
+		t.Run(sc.name, func(t *testing.T) {
+			warm, cold := sc.build(), sc.build()
+			verdicts := make([]enforcer.Verdict, enforcer.DefaultBurst*2)
+			traffic := equivalenceTraffic(0xA6E, 200)
+			for _, b := range traffic {
+				warm.SubmitBatch(b.now, b.pkts, verdicts[:len(b.pkts)])
+			}
+			blob, err := warm.(enforcer.Snapshotter).SnapshotState(math.MaxInt64 - 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cold.(enforcer.Snapshotter).RestoreState(0, blob); err != nil {
+				t.Fatal(err)
+			}
+			// Offer 2·eqRate from 1 ms past the old instants: a packet for
+			// each of half the classes every gap.
+			burst := make([]packet.Packet, eqFlows/2)
+			gap := eqRate.DurationForBytes(int64(len(burst))*units.MSS) / 2
+			for class := range burst {
+				burst[class] = packet.Packet{Key: packet.FlowKey{SrcPort: uint16(class + 1)}, Class: class, Size: units.MSS}
+			}
+			now := traffic[len(traffic)-1].now + time.Millisecond
+			for span := 0; span < 2; span++ {
+				var accepted int
+				for end := now + worth; now < end; now += gap {
+					cold.SubmitBatch(now, burst, verdicts[:len(burst)])
+					for _, v := range verdicts[:len(burst)] {
+						if v != enforcer.Drop {
+							accepted++
+						}
+					}
+				}
+				if accepted == 0 {
+					t.Fatalf("span %d of %v after the restore admitted nothing", span, worth)
+				}
+			}
+			after, err := cold.(enforcer.Snapshotter).SnapshotState(now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sc.build().(enforcer.Snapshotter).RestoreState(now, after); err != nil {
+				t.Fatalf("state after the overflowing gap: %v", err)
 			}
 		})
 	}

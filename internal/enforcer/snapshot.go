@@ -118,12 +118,17 @@ func (e *Enc) dur(d time.Duration) { e.I64(int64(d)) }
 // instant that is not set — a clock not started yet, a closed window, a
 // refill clock under a full bucket — means nothing, and is written as age 0
 // so that two enforcers in the same state write the same bytes whatever
-// their clocks read.
+// their clocks read. An instant older than a Duration spans (now − t
+// overflows, as after a restore from a very old blob) is written as the
+// longest age.
 func (e *Enc) Age(now, t time.Duration, set bool) {
+	age := now - t
 	if !set {
-		t = now
+		age = 0
+	} else if t < now && age < 0 {
+		age = math.MaxInt64
 	}
-	e.dur(now - t)
+	e.dur(age)
 }
 
 // Bytes appends a u32 length prefix followed by the raw bytes.

@@ -54,11 +54,9 @@ type FairPolicer struct {
 	cfg   Config
 	stats enforcer.Stats
 
-	main  float64 // unallocated tokens in the shared main bucket
+	main  float64     // unallocated tokens in the shared main bucket
+	clock units.Clock // the token-generation clock
 	flows []flowBucket
-
-	last    time.Duration
-	started bool
 }
 
 type flowBucket struct {
@@ -113,20 +111,13 @@ func MustNew(cfg Config) *FairPolicer {
 // elapses, expiry conditions cannot newly trigger, and the token total only
 // shrinks), so the burst path runs it once per burst.
 func (f *FairPolicer) generateExpireCap(now time.Duration) {
-	if !f.started {
-		f.started = true
-		f.last = now
-	}
-	if now > f.last {
-		f.main += f.cfg.Rate.Bytes(now - f.last)
-		f.last = now
-	}
+	f.main += f.clock.Bytes(now, f.cfg.Rate)
 
 	// Expire idle flows, returning their tokens to the main bucket so a
 	// departed flow's share is reusable.
 	for i := range f.flows {
 		fb := &f.flows[i]
-		if fb.active && now-fb.lastSeen > idleTimeout {
+		if fb.active && fb.lastSeen < now-idleTimeout { // now − lastSeen may overflow
 			fb.active = false
 			f.main += fb.tokens
 			fb.tokens = 0

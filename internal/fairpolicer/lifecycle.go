@@ -34,8 +34,9 @@ func (f *FairPolicer) SetRate(now time.Duration, rate units.Rate) error {
 func (f *FairPolicer) SnapshotState(now time.Duration) ([]byte, error) {
 	var e enforcer.Enc
 	e.U8(snapVersion)
-	e.Bool(f.started)
-	e.Age(now, f.last, f.started)
+	last, started := f.clock.Last()
+	e.Bool(started)
+	e.Age(now, last, started)
 	e.F64(f.main)
 	e.Stats(f.stats)
 	e.U32(uint32(len(f.flows)))
@@ -99,8 +100,7 @@ func (f *FairPolicer) RestoreState(now time.Duration, data []byte) error {
 	if err := d.Finish(); err != nil {
 		return err
 	}
-	f.started = started
-	f.last = last
+	f.clock.Set(last, started)
 	f.main = main
 	f.stats = stats
 	f.flows = flows

@@ -25,17 +25,16 @@ import (
 // bursts of one:
 //
 //   - One drain-credit probe. At a fixed now the batched lazy drain
-//     (advance) can fire at most once: after it runs, lastDrain == now and
-//     the fractional carried credit is below one byte (always under
+//     (advance) can fire at most once: after it runs, the drain clock reads
+//     now and the fractional carried credit is below one byte (always under
 //     drainBatch ≥ MSS); if it did not fire, the credit cannot grow without
 //     time passing. Either way every later per-packet re-check is a
 //     guaranteed no-op, so the loop evaluates the credit condition only the
 //     first time a packet finds its queue (apparently) full.
 //
-//   - One started/lastDrain initialization, and one read of the
-//     configuration the loop tests (queue array and size, burst control,
-//     filter, RED, whether events are wanted): nothing a burst can run
-//     changes them.
+//   - One drain-clock start, and one read of the configuration the loop
+//     tests (queue array and size, burst control, filter, RED, whether
+//     events are wanted): nothing a burst can run changes them.
 //
 //   - One update of the aggregate statistics, counted in locals meanwhile.
 //     Only a Filter or SetOnEvent hook could see (or, panicking, strand) the
@@ -51,9 +50,10 @@ func (p *PQP) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []en
 	if len(pkts) == 0 {
 		return
 	}
-	if !p.started {
-		p.started = true
-		p.lastDrain = now
+	// The drain accrues from the first arrival, not from the first drain,
+	// which may come much later.
+	if _, started := p.drainClock.Last(); !started {
+		p.drainClock.Start(now)
 	}
 	var (
 		queues       = p.queues
@@ -88,7 +88,7 @@ func (p *PQP) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts []en
 		if q.length+size > queueSize || red != nil {
 			if !drainProbed {
 				drainProbed = true
-				if p.drainCredit+p.cfg.Rate.Bytes(now-p.lastDrain) >= float64(p.drainBatch) {
+				if p.drainClock.Peek(now, p.cfg.Rate, p.drainCredit) >= float64(p.drainBatch) {
 					p.advance(now)
 				}
 			}

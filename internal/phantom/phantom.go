@@ -139,7 +139,7 @@ type PQP struct {
 	// All per-queue state (see queue).
 	queueTable
 
-	lastDrain   time.Duration
+	drainClock  units.Clock
 	drainCredit float64 // fractional bytes of drain budget carried over
 	// drainBatch is the drain budget (bytes) that must accrue before a
 	// full-queue arrival runs the batched phantom dequeue: 4 MSS, capped
@@ -297,17 +297,15 @@ func (p *PQP) SetOnEvent(fn func(Event)) { p.onEvent = fn }
 // (multi-level) rate limits: probe every level, commit only if all accept,
 // so no phantom copy is ever enqueued for a packet another level drops.
 func (p *PQP) Probe(now time.Duration, pkt *packet.Packet) bool {
-	if !p.started {
-		p.started = true
-		p.lastDrain = now
+	if _, started := p.drainClock.Last(); !started {
+		p.drainClock.Start(now) // as SubmitBatch does
 	}
 	class := pkt.ClassIn(p.cfg.Queues)
 	q := &p.queues[class]
 	size := int64(pkt.Size)
-	if q.length+size > p.cfg.QueueSize {
-		if p.drainCredit+p.cfg.Rate.Bytes(now-p.lastDrain) >= float64(p.drainBatch) {
-			p.advance(now)
-		}
+	if q.length+size > p.cfg.QueueSize &&
+		p.drainClock.Peek(now, p.cfg.Rate, p.drainCredit) >= float64(p.drainBatch) {
+		p.advance(now)
 	}
 	return q.length+size <= p.cfg.QueueSize
 }
@@ -355,18 +353,7 @@ func (p *PQP) Tick(now time.Duration) {
 // after the batched drain decides as an eagerly drained queue would, and
 // unapplied budget is never lost, so the long-term rate is exact.
 func (p *PQP) advance(now time.Duration) {
-	if !p.started {
-		p.started = true
-		p.lastDrain = now
-		return
-	}
-	if now <= p.lastDrain {
-		return
-	}
-	budget := p.drainCredit + p.cfg.Rate.Bytes(now-p.lastDrain)
-	p.lastDrain = now
-	whole := int64(budget)
-	p.drainCredit = budget - float64(whole)
+	whole := p.drainClock.Whole(now, p.cfg.Rate, &p.drainCredit)
 	if whole <= 0 {
 		return
 	}

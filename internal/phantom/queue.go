@@ -74,12 +74,11 @@ type queueTable struct {
 	masks []uint64
 
 	// sharesValid is cleared whenever the occupied set changes; the PQP
-	// sets it when it caches something computed from that set. started and
-	// memoClass are the PQP's alone (its drain clock is set; the class its
-	// r_i* memo is for) and live in this word's padding, which is what
-	// keeps a PQP inside the 288-byte size class.
+	// sets it when it caches something computed from that set. memoClass is
+	// the PQP's alone (the class its r_i* memo is for) and lives in this
+	// word's padding, which is what keeps a PQP inside the 288-byte size
+	// class.
 	sharesValid bool
-	started     bool
 	memoClass   int32
 }
 

@@ -14,10 +14,10 @@ import (
 //
 // Order matters for the Theorem 1 piecewise bound: all lazy time-driven
 // state is settled at the OLD rate first — the batched phantom drain
-// consumes the budget accrued since lastDrain at the rate that was in force
-// while that time elapsed, and any expired burst-control windows are rolled
-// against the old r_i*. Only then does the new rate take effect, so
-// accepted bytes over an interval spanning the change stay within
+// consumes the budget accrued since the drain clock's last read at the rate
+// that was in force while that time elapsed, and any expired burst-control
+// windows are rolled against the old r_i*. Only then does the new rate take
+// effect, so accepted bytes over an interval spanning the change stay within
 // r_old·Δt_old + r_new·Δt_new + B. Resetting the queues instead (the
 // teardown-and-re-add alternative) would re-admit up to B bytes instantly.
 func (p *PQP) SetRate(now time.Duration, rate units.Rate) error {

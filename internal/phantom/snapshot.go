@@ -27,8 +27,8 @@ const snapVersion = 2
 // Layout (little-endian, see enforcer.Enc):
 //
 //	u8   version (=2)
-//	bool started
-//	i64  lastDrain age (ns; 0 until started)
+//	bool drain clock started
+//	i64  drain clock age (ns; 0 until started)
 //	f64  drainCredit
 //	stats (4×i64)
 //	u32  queue count (must equal cfg.Queues)
@@ -47,8 +47,9 @@ const snapVersion = 2
 func (p *PQP) SnapshotState(now time.Duration) ([]byte, error) {
 	var e enforcer.Enc
 	e.U8(snapVersion)
-	e.Bool(p.started)
-	e.Age(now, p.lastDrain, p.started)
+	lastDrain, started := p.drainClock.Last()
+	e.Bool(started)
+	e.Age(now, lastDrain, started)
 	e.F64(p.drainCredit)
 	e.Stats(p.stats)
 	e.U32(uint32(len(p.queues)))
@@ -157,9 +158,8 @@ func (p *PQP) RestoreState(now time.Duration, data []byte) error {
 		return err
 	}
 
-	restored.started = started
 	p.queueTable = restored
-	p.lastDrain = lastDrain
+	p.drainClock.Set(lastDrain, started)
 	p.drainCredit = drainCredit
 	p.stats = stats
 	if p.red != nil {

@@ -77,8 +77,8 @@ func TestWholeBurstDropKeepsRefillClock(t *testing.T) {
 	}
 	verdicts := make([]enforcer.Verdict, len(burst))
 	tr.SubmitBatchAt(time.Millisecond, 1, burst, verdicts) // empties the ceiling
-	if tr.nodes[1].lastFill != time.Millisecond {
-		t.Fatalf("first burst left the refill clock at %v", tr.nodes[1].lastFill)
+	if last, _ := tr.nodes[1].clock.Last(); last != time.Millisecond {
+		t.Fatalf("first burst left the refill clock at %v", last)
 	}
 	tr.SubmitBatchAt(1300*time.Microsecond, 1, burst, verdicts)
 	for i, v := range verdicts {
@@ -86,10 +86,10 @@ func TestWholeBurstDropKeepsRefillClock(t *testing.T) {
 			t.Fatalf("packet %d of the second burst passed a drained ceiling", i)
 		}
 	}
-	if got := tr.nodes[1].lastFill; got != time.Millisecond {
+	if got, _ := tr.nodes[1].clock.Last(); got != time.Millisecond {
 		t.Errorf("a burst dropped whole at the ceiling moved the leaf's refill clock to %v", got)
 	}
-	if got := tr.nodes[0].lastFill; got != time.Millisecond {
+	if got, _ := tr.nodes[0].clock.Last(); got != time.Millisecond {
 		t.Errorf("a burst dropped whole at the ceiling moved the pool's refill clock to %v", got)
 	}
 }
@@ -237,8 +237,10 @@ func compareTrees(t *testing.T, got, want *Tree) {
 		g, _ := got.NodeStats(enforcer.NodeID(i))
 		w, _ := want.NodeStats(enforcer.NodeID(i))
 		gn, wn := &got.nodes[i], &want.nodes[i]
-		if g != w || gn.tokens != wn.tokens || gn.lastFill != wn.lastFill {
-			t.Errorf("node %d: %+v tokens %v filled %v, twin %+v %v %v", i, g, gn.tokens, gn.lastFill, w, wn.tokens, wn.lastFill)
+		if g != w || gn.tokens != wn.tokens || gn.clock != wn.clock {
+			gl, _ := gn.clock.Last()
+			wl, _ := wn.clock.Last()
+			t.Errorf("node %d: %+v tokens %v filled %v, twin %+v %v %v", i, g, gn.tokens, gl, w, wn.tokens, wl)
 		}
 	}
 }
@@ -430,9 +432,9 @@ func (d *layoutDiff) compare(after string) {
 		}
 		n := &d.tr.nodes[i]
 		same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-		if !same(n.tokens, d.ref.tokens[i]) || !same(n.burst, d.ref.burst[i]) || n.lastFill != d.ref.lastFill[i] {
+		if last, _ := n.clock.Last(); !same(n.tokens, d.ref.tokens[i]) || !same(n.burst, d.ref.burst[i]) || last != d.ref.lastFill[i] {
 			d.t.Fatalf("after %s: node %d tokens %v burst %v filled %v, reference %v %v %v", after, i,
-				n.tokens, n.burst, n.lastFill, d.ref.tokens[i], d.ref.burst[i], d.ref.lastFill[i])
+				n.tokens, n.burst, last, d.ref.tokens[i], d.ref.burst[i], d.ref.lastFill[i])
 		}
 		// The reference stores -0 as an emptied pool's floor where the
 		// record derives it; the two are one floor.

@@ -44,7 +44,7 @@ func (t *Tree) SetRate(now time.Duration, rate units.Rate) error {
 // blob, in index order.
 //
 // Layout: u8 version (=2), stats, u32 node count, then per node: u32
-// index, i64 parent, f64 tokens, dur lastFill age at now (0 under a full
+// index, i64 parent, f64 tokens, dur refill-clock age at now (0 under a full
 // bucket, where refill ignores it), i64 ×4 (accepted pkts/bytes, dropped
 // pkts/bytes), length-prefixed ceiling blob taken at the same now (empty
 // for stageless nodes). The index and parent fields are config echo: they
@@ -80,7 +80,8 @@ func (t *Tree) SnapshotState(now time.Duration) ([]byte, error) {
 		e.U32(uint32(i))
 		e.I64(int64(n.parent))
 		e.F64(n.tokens)
-		e.Age(now, n.lastFill, n.tokens < n.burst)
+		last, _ := n.clock.Last()
+		e.Age(now, last, n.tokens < n.burst)
 		e.I64(n.accPkts)
 		e.I64(n.accBytes)
 		e.I64(t.drpPkts[i])
@@ -208,7 +209,8 @@ func (t *Tree) RestoreState(now time.Duration, data []byte) error {
 				return fmt.Errorf("ptree: restoring node %d: %w", i, err)
 			}
 		}
-		n.tokens, n.lastFill = e.tokens, e.lastFill
+		n.tokens = e.tokens
+		n.clock.Start(e.lastFill)
 		n.accPkts, n.accBytes = e.accPkts, e.accBytes
 		t.drpPkts[i], t.drpBytes[i] = e.drpPkts, e.drpBytes
 	}

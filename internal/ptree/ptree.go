@@ -224,10 +224,10 @@ type node struct {
 	// its children's effective rates (the lend rate of an interior pool).
 	// effRate == 0 means the node does not participate, and then burst and
 	// tokens are 0 too.
-	effRate  float64
-	burst    float64 // bucket/pool capacity, bytes
-	tokens   float64
-	lastFill time.Duration
+	effRate float64
+	burst   float64 // bucket/pool capacity, bytes
+	tokens  float64
+	clock   units.Clock // the refill clock
 
 	// Admitted traffic: interior nodes see their whole subtree's (every
 	// packet on a path through them).
@@ -257,12 +257,6 @@ func (n *node) floor() float64 {
 		return -n.burst
 	}
 	return 0
-}
-
-// defaultBurst sizes a bucket whose spec gave none: defaultBurstWindow at
-// the refill rate, and never less than one MSS.
-func defaultBurst(effRate float64) float64 {
-	return max(effRate*defaultBurstWindow.Seconds(), units.MSS)
 }
 
 // ceiling is one node's ceiling: the Stage, and what a burst has tallied at
@@ -396,19 +390,21 @@ func New(spec []NodeSpec) (*Tree, error) {
 	// Reverse pass, children before parents: a node's effective rate is
 	// final when the pass reaches it (its own, or what its children have
 	// pooled into it, in descending index order), so its bucket can be
-	// sized — configured, or the default at that rate — and filled, as
-	// deployed policers start.
+	// sized — configured, or what the rate accrues over defaultBurstWindow
+	// on the refill clock, which starts at 0 — and filled, as deployed
+	// policers start.
 	t.leaves = make([]enforcer.NodeID, n-interiors)
 	leaf := len(t.leaves)
 	for i := n - 1; i >= 0; i-- {
 		nd := &t.nodes[i]
+		nd.clock.Start(0)
 		if b := spec[i].Burst; b > 0 {
 			if nd.effRate == 0 {
 				return nil, fmt.Errorf("ptree: node %d: burst %d without an assured rate in its subtree", i, b)
 			}
 			nd.burst = float64(b)
 		} else if nd.effRate > 0 {
-			nd.burst = defaultBurst(nd.effRate)
+			nd.burst = max(nd.clock.Peek(defaultBurstWindow, units.Rate(8*nd.effRate), 0), units.MSS)
 		}
 		nd.tokens = nd.burst
 		if !nd.interior() {

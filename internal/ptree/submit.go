@@ -6,23 +6,16 @@ import (
 
 	"bcpqp/internal/enforcer"
 	"bcpqp/internal/packet"
+	"bcpqp/internal/units"
 )
 
 // refill advances one assured bucket/borrow pool to now: continuous refill
-// at the node's effective rate, capped at its capacity. Buckets start full,
-// so no started flag is needed; refill never runs time backwards (now <=
-// lastFill is a no-op, matching tbf).
+// at the node's effective rate, capped at its capacity. Buckets start full
+// and their clocks at 0 (New), and a refill never runs time backwards.
+// effRate is in bytes/s, and ×8 here and ÷8 in the clock's read are exact,
+// so the refill has the bits effRate·Δt would.
 func (n *node) refill(now time.Duration) {
-	last := n.lastFill
-	if now <= last {
-		return
-	}
-	n.lastFill = now
-	tok := n.tokens + float64(n.effRate*(now-last).Seconds()) // rounded: never fused
-	if tok > n.burst {
-		tok = n.burst
-	}
-	n.tokens = tok
+	n.tokens = min(n.tokens+n.clock.Bytes(now, units.Rate(8*n.effRate)), n.burst)
 }
 
 // charge is one assured bucket on the path, with the floor a commit may

@@ -70,9 +70,8 @@ type Shaper struct {
 	serviceArmed bool
 	serviceAt    time.Duration // due time of the armed service event
 	serviceFn    func()        // the service callback, built once: service(serviceAt)
-	lastService  time.Duration
-	svcCredit    float64 // fractional service bytes carried between events
-	started      bool
+	clock        units.Clock   // the service clock, started when service is armed
+	svcCredit    float64       // fractional service bytes carried between events
 
 	scratch []byte // dequeue copy buffer modeling the memory trip to the NIC
 
@@ -136,10 +135,6 @@ func (s *Shaper) SubmitBatch(now time.Duration, pkts []packet.Packet, verdicts [
 	verdicts = verdicts[:len(pkts)]
 	for i := range pkts {
 		pkt := &pkts[i]
-		if !s.started {
-			s.started = true
-			s.lastService = now
-		}
 		class := pkt.ClassIn(s.cfg.Queues)
 		q := &s.queues[class]
 		if q.bytes+int64(pkt.Size) > s.cfg.QueueSize {
@@ -163,7 +158,7 @@ func (s *Shaper) armService(now time.Duration) {
 	if s.serviceArmed || s.backlog == 0 {
 		return
 	}
-	s.lastService = now
+	s.clock.Start(now)
 	s.svcCredit = 0
 	s.schedule(now)
 }
@@ -180,11 +175,7 @@ func (s *Shaper) schedule(now time.Duration) {
 // every packet whose accumulated per-class credit covers it.
 func (s *Shaper) service(now time.Duration) {
 	s.serviceArmed = false
-	budget := s.svcCredit + s.cfg.Rate.Bytes(now-s.lastService)
-	s.lastService = now
-	whole := int64(budget)
-	s.svcCredit = budget - float64(whole)
-	if whole > 0 {
+	if whole := s.clock.Whole(now, s.cfg.Rate, &s.svcCredit); whole > 0 {
 		s.cfg.Policy.Drain(whole,
 			func(class int) int64 { return s.queues[class].bytes - s.credit[class] },
 			func(class int, n int64) { s.serve(now, class, n) })

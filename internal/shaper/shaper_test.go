@@ -333,17 +333,14 @@ func TestNestedPolicyService(t *testing.T) {
 // flush drains all remaining buffered packets as if served until now plus
 // however long full service takes.
 func (s *Shaper) flush(now time.Duration) {
+	s.clock.Start(now)
 	for s.backlog > 0 {
-		quantum := s.cfg.Rate.DurationForBytes(units.MSS)
-		now += quantum
-		budget := s.svcCredit + s.cfg.Rate.Bytes(quantum)
-		whole := int64(budget)
-		s.svcCredit = budget - float64(whole)
+		now += s.cfg.Rate.DurationForBytes(units.MSS)
+		whole := s.clock.Whole(now, s.cfg.Rate, &s.svcCredit)
 		s.cfg.Policy.Drain(whole,
 			func(class int) int64 { return s.queues[class].bytes - s.credit[class] },
 			func(class int, n int64) { s.serve(now, class, n) })
 	}
-	s.lastService = now
 }
 
 // TestBackloggedShaperAllocs pins the shaper's service path on a timing wheel

@@ -33,8 +33,9 @@ func (p *Policer) SetRate(now time.Duration, rate units.Rate) error {
 func (p *Policer) SnapshotState(now time.Duration) ([]byte, error) {
 	var e enforcer.Enc
 	e.U8(snapVersion)
-	e.Bool(p.started)
-	e.Age(now, p.last, p.started)
+	last, started := p.clock.Last()
+	e.Bool(started)
+	e.Age(now, last, started)
 	e.F64(p.tokens)
 	e.Stats(p.stats)
 	return e.Out(), nil
@@ -58,8 +59,7 @@ func (p *Policer) RestoreState(now time.Duration, data []byte) error {
 	if err := d.Finish(); err != nil {
 		return err
 	}
-	p.started = started
-	p.last = last
+	p.clock.Set(last, started)
 	p.tokens = tokens
 	p.stats = stats
 	return nil

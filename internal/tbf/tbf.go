@@ -33,9 +33,7 @@ type Policer struct {
 	rate   units.Rate
 	bucket float64 // capacity B in bytes
 	tokens float64
-
-	last    time.Duration
-	started bool
+	clock  units.Clock // the refill clock
 
 	stats enforcer.Stats
 }
@@ -185,19 +183,7 @@ func (p *Policer) Repay(l Loan, pkts, bytes int64) {
 
 // refill adds tokens for the elapsed virtual time, capped at the bucket.
 func (p *Policer) refill(now time.Duration) {
-	if !p.started {
-		p.started = true
-		p.last = now
-		return
-	}
-	if now <= p.last {
-		return
-	}
-	p.tokens += p.rate.Bytes(now - p.last)
-	p.last = now
-	if p.tokens > p.bucket {
-		p.tokens = p.bucket
-	}
+	p.tokens = min(p.tokens+p.clock.Bytes(now, p.rate), p.bucket)
 }
 
 // Bucket returns the configured bucket size in bytes.

@@ -6,6 +6,16 @@
 // simulation time. Conversions between the three live here so that rounding
 // conventions are consistent across enforcers, congestion control, and
 // metrics.
+//
+// r·Δt, the bytes a rate accrues over elapsed time and the quantity Theorem 1
+// bounds every enforcer by, is computed for the five enforcers (tbf, ptree,
+// phantom, fairpolicer, shaper) by Clock's reads alone, and all three reads
+// take it from one function, Clock.Bytes: the accrual's product is rounded
+// against fusion (scripts/check-fma.sh) there, and
+// scripts/check-accrual.sh keeps the enforcers from computing r·Δt
+// themselves. Rate.Bytes gives the same bits for sizing rules and tests.
+// obs.Audit keeps its own exact integer accrual on purpose: a referee shares
+// no arithmetic with what it checks.
 package units
 
 import (
