@@ -190,7 +190,6 @@ func benchEngine(b *testing.B, aggs int) (*Middlebox, []AggregateHandle) {
 	b.Helper()
 	var ticks atomic.Int64
 	eng := NewMiddlebox(MiddleboxConfig{
-		QueueDepth: 1 << 14,
 		Clock: func() time.Duration {
 			return time.Duration(ticks.Add(1)) * 10 * time.Microsecond
 		},
@@ -257,22 +256,15 @@ func runBatchBench(b *testing.B, eng *Middlebox, handles []AggregateHandle) {
 }
 
 // BenchmarkMiddleboxSubmitBatchContended is the burst ingress path with two
-// producers on ONE shard, the shape in which SubmitBatch cannot always find
-// its shard idle: a burst that meets the other producer's, or anything still
-// pending behind it, is copied and queued for the shard goroutine.
+// producers on ONE shard: a burst that meets the other producer's waits for
+// the shard's occupancy word, and every burst is enforced by its submitter.
 //
 //   - loop=closed: each producer waits at a Flush barrier every 256 bursts, as
-//     bench/'s engine_ring producer does, so the 16 Ki ring never fills and
-//     every packet is enforced (a shed fails the benchmark). Who serves a
-//     burst is whatever the collisions make it.
-//   - loop=open: no barrier but the last. Producers enqueue faster than one
-//     goroutine serves, so after the first collision something is always
-//     pending and every burst queues, or is shed at a full ring: the queued
-//     path under two-producer pressure, and nothing else.
+//     bench/'s engine_ring producer does.
+//   - loop=open: no barrier but the last.
 //
-// pkts/sec counts enforced packets only, drain included; caller-share is the
-// fraction of enforced bursts their own submitter served, shed-share the
-// fraction of offered packets shed.
+// No shard wedges, so every packet is enforced (a refusal fails the
+// benchmark); pkts/sec counts them, final barrier included.
 func BenchmarkMiddleboxSubmitBatchContended(b *testing.B) {
 	for _, closed := range []bool{true, false} {
 		name := "loop=open"
@@ -287,8 +279,7 @@ func benchContended(b *testing.B, closed bool) {
 	const producers, aggs, window = 2, 16, 256
 	var ticks atomic.Int64
 	eng := NewMiddlebox(MiddleboxConfig{
-		Shards:     1,
-		QueueDepth: 1 << 14,
+		Shards: 1,
 		Clock: func() time.Duration {
 			return time.Duration(ticks.Add(1)) * 10 * time.Microsecond
 		},
@@ -335,21 +326,17 @@ func benchContended(b *testing.B, closed bool) {
 	}
 	wg.Wait()
 	b.StopTimer()
-	sh := eng.Health().Shards[0]
-	if closed && sh.Shed != 0 {
-		b.Fatalf("%d packets shed: the ring must hold a window from each producer", sh.Shed)
+	if n := eng.Overloaded.Load(); n != 0 {
+		b.Fatalf("%d packets refused: no shard may wedge", n)
 	}
-	offered := int64(bursts) * DefaultBurst
-	b.ReportMetric(float64(offered-sh.Shed)/b.Elapsed().Seconds(), "pkts/sec")
-	b.ReportMetric(float64(sh.Shed)/float64(offered), "shed-share")
-	b.ReportMetric(float64(sh.Claimed)/float64(sh.Claimed+sh.Queued), "caller-share")
+	b.ReportMetric(float64(bursts*DefaultBurst)/b.Elapsed().Seconds(), "pkts/sec")
 }
 
-// BenchmarkMiddleboxSubmitBatchLocal measures the ring-bypass fast path in
-// isolation: bursts enforced inline through LocalSubmitter.SubmitBatch with
-// BC-PQP aggregates pinned across shards — no channel send, no cross-core
-// handoff. One iteration is one packet, directly comparable to
-// BenchmarkMiddleboxSubmitBatch (the ring path on the same workload). The
+// BenchmarkMiddleboxSubmitBatchLocal measures LocalSubmitter.SubmitBatch in
+// isolation: bursts enforced inline with BC-PQP aggregates pinned across
+// shards, one submitter per shard, so no burst waits for a word. One
+// iteration is one packet, directly comparable to
+// BenchmarkMiddleboxSubmitBatch (Engine.SubmitBatch on the same workload). The
 // tree case is the proxy's -tree datapath: one policy tree per shard,
 // routing each packet of a burst to a leaf by its flow hash. It is the
 // inline path's allocation pin: 0 allocs/op in steady state.
@@ -370,8 +357,7 @@ func BenchmarkMiddleboxSubmitBatchLocal(b *testing.B) {
 			}
 			var ticks atomic.Int64
 			eng := NewMiddlebox(MiddleboxConfig{
-				Shards:     shards,
-				QueueDepth: 1 << 14,
+				Shards: shards,
 				Clock: func() time.Duration {
 					return time.Duration(ticks.Add(1)) * 10 * time.Microsecond
 				},
@@ -480,7 +466,6 @@ func BenchmarkMiddleboxSubmitBatchObserved(b *testing.B) {
 		b.Run(fmt.Sprintf("aggregates=%d", aggs), func(b *testing.B) {
 			var ticks atomic.Int64
 			cfg := MiddleboxConfig{
-				QueueDepth: 1 << 14,
 				Clock: func() time.Duration {
 					return time.Duration(ticks.Add(1)) * 10 * time.Microsecond
 				},
@@ -507,8 +492,8 @@ func BenchmarkMiddleboxSubmitBatchObserved(b *testing.B) {
 
 // BenchmarkMiddleboxSubmitBatchAudited is the Observed benchmark with a
 // conformance auditor additionally armed on every aggregate: each enforced
-// burst is checked against the declared r·Δt + B envelope inline on the
-// shard goroutine. CI gates it on 0 allocs/op; what auditing costs in time
+// burst is checked against the declared r·Δt + B envelope inline, under the
+// shard's occupancy word. CI gates it on 0 allocs/op; what auditing costs in time
 // and bytes is measured by bench/ (engine_ring, obs.audit_ns_per_pkt), at
 // 4,096 aggregates rather than this benchmark's cache-resident 16 or 256.
 func BenchmarkMiddleboxSubmitBatchAudited(b *testing.B) {
@@ -517,7 +502,6 @@ func BenchmarkMiddleboxSubmitBatchAudited(b *testing.B) {
 		b.Run(fmt.Sprintf("aggregates=%d", aggs), func(b *testing.B) {
 			var ticks atomic.Int64
 			cfg := MiddleboxConfig{
-				QueueDepth: 1 << 14,
 				Clock: func() time.Duration {
 					return time.Duration(ticks.Add(1)) * 10 * time.Microsecond
 				},
@@ -556,7 +540,6 @@ func BenchmarkMiddleboxSubmitBatchAudited(b *testing.B) {
 func BenchmarkMiddleboxDegradedBatch(b *testing.B) {
 	var ticks atomic.Int64
 	eng := NewMiddlebox(MiddleboxConfig{
-		QueueDepth: 1 << 14,
 		Clock: func() time.Duration {
 			return time.Duration(ticks.Add(1)) * 10 * time.Microsecond
 		},
@@ -642,9 +625,9 @@ func BenchmarkMiddleboxChurn(b *testing.B) {
 }
 
 // BenchmarkMiddleboxSetRate measures one in-band hot reconfiguration: the
-// cost of a subscriber's rate-plan change applied on the shard ring while
-// the engine is live (barrier round-trip plus the enforcer's in-place
-// settle-and-retarget).
+// cost of a subscriber's rate-plan change applied in-band, under the
+// shard's occupancy word, while the engine is live (the wait for the word
+// plus the enforcer's in-place settle-and-retarget).
 func BenchmarkMiddleboxSetRate(b *testing.B) {
 	eng, _ := benchEngine(b, 16)
 	defer eng.Close()

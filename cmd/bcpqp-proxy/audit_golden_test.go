@@ -24,8 +24,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata goldens (run at 
 func TestDebugAuditGolden(t *testing.T) {
 	var clk atomic.Int64
 	mb := bcpqp.NewMiddlebox(bcpqp.MiddleboxConfig{
-		Shards: 1, QueueDepth: 256,
-		Clock: func() time.Duration { return time.Duration(clk.Load()) },
+		Shards: 1,
+		Clock:  func() time.Duration { return time.Duration(clk.Load()) },
 	})
 	defer mb.Close()
 	must := func(err error) {

@@ -22,9 +22,8 @@
 //	  "panics": int, "overloaded_packets": int,
 //	  "quarantined": [ids],   // omitted when empty
 //	  "shards": [{"shard",
-//	              "state",    // "healthy", "degraded" (recent panic or shed,
-//	                          // or ring ≥ 3/4 full) or "wedged"
-//	              "queue_depth","queue_cap",
+//	              "state",    // "healthy", "degraded" (a recent panic, or a
+//	                          // burst refused while wedged) or "wedged"
 //	              "heartbeat_age","processed","panics","shed_packets"}],
 //	  "cluster": {            // omitted when cluster mode is off
 //	    "degraded": bool,     // any shared aggregate on its fallback floor
@@ -128,16 +127,14 @@ func newAdminMux(mb *bcpqp.Middlebox, node *bcpqp.ClusterNode, ids []string) *ht
 		// exactly the nodes that are behaving correctly under partition. A
 		// quarantined core drops its share of sources until the process
 		// restarts, which is degraded too, while the other cores serve. A
-		// shard under load reports itself in its own state ("degraded" on
-		// a packed ring or a recent shed, "wedged" past the 1 s wedge timeout).
+		// shard in trouble reports itself in its own state ("degraded" after
+		// a recent refusal or panic, "wedged" past the 1 s wedge timeout).
 		if h.Wedged() {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
 		type shardz struct {
 			Shard        int    `json:"shard"`
 			State        string `json:"state"`
-			QueueDepth   int    `json:"queue_depth"`
-			QueueCap     int    `json:"queue_cap"`
 			HeartbeatAge string `json:"heartbeat_age"`
 			Processed    int64  `json:"processed"`
 			Panics       int64  `json:"panics"`
@@ -181,8 +178,6 @@ func newAdminMux(mb *bcpqp.Middlebox, node *bcpqp.ClusterNode, ids []string) *ht
 			body.Shards = append(body.Shards, shardz{
 				Shard:        s.Shard,
 				State:        s.State.String(),
-				QueueDepth:   s.QueueDepth,
-				QueueCap:     s.QueueCap,
 				HeartbeatAge: s.HeartbeatAge.String(),
 				Processed:    s.Processed,
 				Panics:       s.Panics,
@@ -386,9 +381,9 @@ func startAdmin(ln net.Listener, mb *bcpqp.Middlebox, node *bcpqp.ClusterNode, i
 
 // faultLog emits one structured line per noteworthy fault-plane event,
 // rate-limited so a crash-looping enforcer cannot flood the log: the first
-// occurrence always logs, then every faultLogEvery-th. It is called from
-// shard goroutines (Config.OnFault contract: fast, non-blocking, no calls
-// back into the engine), so it only bumps an atomic and writes stderr.
+// occurrence always logs, then every faultLogEvery-th. It is called by
+// whoever holds a shard (Config.OnFault contract: fast, non-blocking, no
+// calls back into the engine), so it only bumps an atomic and writes stderr.
 type faultLog struct {
 	faults sync.Map // aggregate id -> *faultCount
 }

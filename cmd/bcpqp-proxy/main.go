@@ -233,8 +233,7 @@ type core struct {
 // package comment has the protocol), then drains: the workers finish the
 // burst they hold, the cores' final stats are summed and logged with the
 // deadline-bounded Close's report, and the exit code is nonzero when a
-// worker failed or the shutdown was unclean (wedged shards abandoned or
-// queued packets shed).
+// worker failed or the shutdown was unclean (wedged shards abandoned).
 func serve(opts proxyOpts) int {
 	cores := opts.cores
 	if cores <= 0 {
@@ -484,8 +483,8 @@ func serve(opts proxyOpts) int {
 		fmt.Fprintf(os.Stderr, "bcpqp-proxy: reconciliation: kernel dropped %d datagrams before the datapath (engine saw offered minus exactly these)\n",
 			kernelDrops)
 	}
-	fmt.Fprintf(os.Stderr, "bcpqp-proxy: close report: clean=%v abandoned-shards=%d shed-packets=%d\n",
-		rep.Clean, rep.AbandonedShards, rep.ShedPackets)
+	fmt.Fprintf(os.Stderr, "bcpqp-proxy: close report: clean=%v abandoned-shards=%d\n",
+		rep.Clean, rep.AbandonedShards)
 	if failed.Load() || !rep.Clean {
 		return 1
 	}

@@ -16,7 +16,7 @@ import (
 // relayLoop is the proxy's one datapath: a run-to-completion loop that owns
 // a burst from the wire to the wire, the proxy-speed analogue of the DPDK
 // deployment the paper benchmarks. recvmmsg fills rx's pinned buffers, the
-// ring-bypass LocalSubmitter enforces inline (h's emit hook has queued the
+// LocalSubmitter enforces inline (h's emit hook has queued the
 // accepted payloads on tx, by reference, when SubmitBatch returns), and one
 // sendmmsg flushes them before the buffers are reused: no copy, no handoff,
 // no allocation. A datagram that arrived longer than rx's receive slots is

@@ -31,7 +31,10 @@ var exportAllowlist = map[string]string{
 	"faultinject.NetLink":                   "cluster's chaos test cuts, heals and counts its links: TestChaosClusterAcceptedBytes",
 	"workload.NewFlashCrowd":                "mbox replays a flash crowd: TestChaosFlashCrowdLifecycle",
 	"workload.FlashCrowd":                   "mbox replays a flash crowd: TestChaosFlashCrowdLifecycle",
-	"phantom.MustNew":                       "enforcer's and mbox's tests build phantom queues: TestStageLeavesPacketAlone, TestClaimedEqualsQueued",
+	"phantom.MustNew":                       "enforcer's and mbox's tests build phantom queues: TestStageLeavesPacketAlone, TestClaimedPathAllocatesNothing",
+	"workload.NewSwarm":                     "mbox replays mixed-RTT swarms: TestChaosMixedRTTSwarmOverload",
+	"workload.NewStorm":                     "mbox replays a short-flow storm: TestChaosShortFlowStormOverload",
+	"workload.Source":                       "mbox's flood and swarm tests feed the engine from any generator: TestChaosFloodOverload, TestChaosMixedRTTSwarmOverload",
 	"fairpolicer.MustNew":                   "mbox's model and enforcer's equivalence test build FairPolicers: FuzzEngineModel, TestBatchSingleEquivalence",
 	"obs.NewAudit":                          "mbox's model and phantom's fuzz target audit against their own envelopes: FuzzEngineModel, FuzzSubmitInvariants",
 	"experiments.EfficiencyRig.SubmitBurst": "the root benchmark times each scheme's datapath: BenchmarkEnforcersBatch",

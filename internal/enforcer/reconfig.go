@@ -26,8 +26,9 @@ import (
 //
 // Reconfiguration is NOT safe concurrently with SubmitBatch: callers must
 // serialize it onto the enforcer's execution domain, exactly as the mbox
-// engine's SetRate does (the change rides the shard ring in-band, so no
-// partially applied configuration is ever visible to a running batch).
+// engine's SetRate does (the change runs in-band under the shard's
+// occupancy word, so no partially applied configuration is ever visible to a
+// running batch).
 type Reconfigurer interface {
 	// SetRate changes the enforced aggregate rate at virtual time now.
 	// The rate must be positive.

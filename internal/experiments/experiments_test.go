@@ -352,42 +352,6 @@ func TestFig6bcShape(t *testing.T) {
 
 // TestExtMemShape asserts the §2.1 memory argument: the shaper holds orders
 // of magnitude more memory per aggregate than BC-PQP.
-// TestExtOverloadShape pins the survival table's qualitative shape: every
-// adversarial row disposes of its full offered load (the runner errors on a
-// conservation mismatch), the floods genuinely overdrive the engine (most
-// of the offered load shed, not enforced), and every scenario ends with the
-// shards healthy. The name matches the chaos regex, so `make chaos` runs
-// this under the race detector too.
-func TestExtOverloadShape(t *testing.T) {
-	r, err := extOverload(Quick, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := r.Sections[0].Table.Rows
-	if len(rows) != 4 {
-		t.Fatalf("got %d scenario rows, want 4", len(rows))
-	}
-	for _, row := range rows {
-		var offered, accepted, dropped, shed int64
-		fmt.Sscan(row[1], &offered)
-		fmt.Sscan(row[2], &accepted)
-		fmt.Sscan(row[3], &dropped)
-		fmt.Sscan(row[4], &shed)
-		if offered == 0 || accepted == 0 {
-			t.Errorf("%s: offered %d accepted %d, want both > 0", row[0], offered, accepted)
-		}
-		if accepted+dropped+shed != offered {
-			t.Errorf("%s: disposition %d != offered %d", row[0], accepted+dropped+shed, offered)
-		}
-		if shed < offered/2 {
-			t.Errorf("%s: shed %d of %d — the adversarial load did not overdrive the engine", row[0], shed, offered)
-		}
-		if row[5] != "true" {
-			t.Errorf("%s: shards not healthy after the storm", row[0])
-		}
-	}
-}
-
 func TestExtMemShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates heavily")

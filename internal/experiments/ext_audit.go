@@ -107,7 +107,7 @@ func runAuditScenario(envelope units.Rate, burst, bucket int64, rate units.Rate,
 	dur time.Duration, churn bool, seed uint64) (auditRow, error) {
 	var ticks atomic.Int64
 	e := mbox.New(mbox.Config{
-		Shards: 1, QueueDepth: 256,
+		Shards: 1,
 		Clock: func() time.Duration {
 			return time.Duration(ticks.Add(1)) * 10 * time.Microsecond
 		},

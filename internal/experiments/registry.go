@@ -32,11 +32,10 @@ var registry = map[string]Runner{
 	"8":   Fig8,
 	"9":   Fig9,
 	// Extensions beyond the paper's figures.
-	"ext-aqm":      ExtAQM,
-	"ext-audit":    extAudit,
-	"ext-ecn":      ExtECN,
-	"ext-mem":      extMem,
-	"ext-overload": extOverload,
+	"ext-aqm":   ExtAQM,
+	"ext-audit": extAudit,
+	"ext-ecn":   ExtECN,
+	"ext-mem":   extMem,
 }
 
 // Lookup resolves a figure ID (with or without a "fig" prefix).
@@ -55,7 +54,7 @@ func Lookup(id string) (Runner, error) {
 // figureOrder lists the canonical figure IDs in figure order; the registry's
 // other keys are aliases for sections of these runs.
 var figureOrder = []string{"1a", "1b", "2", "3", "4", "5", "6a", "6bc", "6d",
-	"7a", "7b", "8", "9", "ext-aqm", "ext-audit", "ext-ecn", "ext-mem", "ext-overload"}
+	"7a", "7b", "8", "9", "ext-aqm", "ext-audit", "ext-ecn", "ext-mem"}
 
 // IDs lists the canonical set of figure IDs, sorted.
 func IDs() []string {

@@ -7,7 +7,7 @@
 //   - panics (the wrapped enforcer "crashes" mid-burst),
 //   - verdict corruption (an out-of-range verdict, as a memory-corrupting
 //     or buggy enforcer would produce),
-//   - processing stalls (the enforcer blocks the shard goroutine),
+//   - processing stalls (the enforcer blocks whoever holds the shard),
 //   - clock skew (the enforcer observes a jumped-forward arrival time;
 //     skew is clamped monotone so the Enforcer contract's non-decreasing
 //     virtual time still holds and only genuinely injected faults fire), and

@@ -1,6 +1,6 @@
 package mbox
 
-// The burst count sees every burst, whoever serves it, and the latency
+// The burst count sees every burst, whichever way it came in, and the latency
 // digest times one in SampleEvery. The rest of the accounting — forward
 // first, every watched run tallied in its emit loop and accounted once,
 // out-of-range verdicts counted whatever the emit hook — is the reference
@@ -9,18 +9,18 @@ package mbox
 import (
 	"testing"
 
-	"bcpqp/internal/enforcer"
 	"bcpqp/internal/obs"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/tbf"
 	"bcpqp/internal/units"
 )
 
-// TestLatencyDigestTimesEveryBurst: whoever serves a burst — its submitter,
-// the shard goroutine behind a held shard, a LocalSubmitter — and whether it
-// is enforced or degraded, Collector.Bursts() counts it, so after N bursts it
-// reads N; the latency digest times the first burst of every SampleEvery on
-// the shard, whichever path served it, so it holds ⌈N / SampleEvery⌉.
+// TestLatencyDigestTimesEveryBurst: however a burst comes in —
+// Engine.SubmitBatch on an idle shard or after waiting out a holder, a
+// LocalSubmitter — and whether it is enforced or degraded,
+// Collector.Bursts() counts it, so after N bursts it reads N; the latency
+// digest times the first burst of every SampleEvery on the shard, whichever
+// path served it, so it holds ⌈N / SampleEvery⌉.
 func TestLatencyDigestTimesEveryBurst(t *testing.T) {
 	const perPath = 25
 	c := obs.NewCollector(obs.Options{})
@@ -46,13 +46,22 @@ func TestLatencyDigestTimesEveryBurst(t *testing.T) {
 			}
 		}
 	}
-	submit(e.SubmitBatch, h)     // served by the caller
-	submit(ls.SubmitBatch, h)    // inline
+	submit(e.SubmitBatch, h)     // on an idle shard
+	submit(ls.SubmitBatch, h)    // through a LocalSubmitter
 	submit(e.SubmitBatch, hBomb) // one panics, the rest degrade
 	release := holdShard(t, e, "a")
-	submit(e.SubmitBatch, h) // queued for the shard goroutine
+	waited := make(chan error, 1)
+	go func() { // behind a held shard: the first burst waits for the word
+		for i := 0; i < perPath; i++ {
+			if err := e.SubmitBatch(h, burstOf(4, i)); err != nil {
+				waited <- err
+				return
+			}
+		}
+		waited <- nil
+	}()
 	release()
-	if err := e.Flush("a", func(enforcer.Enforcer) {}); err != nil {
+	if err := <-waited; err != nil {
 		t.Fatal(err)
 	}
 	const want = 4 * perPath
@@ -62,8 +71,5 @@ func TestLatencyDigestTimesEveryBurst(t *testing.T) {
 	every := uint64(c.Options().SampleEvery)
 	if got, timed := c.BurstLatencyDigest().Total(), (want+every-1)/every; got != timed {
 		t.Errorf("latency digest holds %d bursts, want %d", got, timed)
-	}
-	if sh := e.Health().Shards[0]; sh.Queued != perPath {
-		t.Errorf("shard goroutine served %d bursts, want %d", sh.Queued, perPath)
 	}
 }

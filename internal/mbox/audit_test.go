@@ -23,10 +23,10 @@ func (c *manualClock) set(d time.Duration) { c.ns.Store(int64(d)) }
 func (c *manualClock) add(d time.Duration) { c.ns.Add(int64(d)) }
 
 // TestAuditMetricsExport: armed auditors surface in Metrics() — the
-// conformance families plus the always-on inline ring-bypass counters.
+// conformance families plus the always-on LocalSubmitter counters.
 func TestAuditMetricsExport(t *testing.T) {
 	clk := &manualClock{}
-	e := New(Config{Shards: 1, Clock: clk.read, QueueDepth: 1 << 12})
+	e := New(Config{Shards: 1, Clock: clk.read})
 	defer e.Close()
 	h, err := e.Add("m", tbf.MustNew(units.Mbps, 4*units.MSS), nil)
 	if err != nil {
@@ -94,7 +94,7 @@ func TestAuditMetricsExport(t *testing.T) {
 // counted under concurrency).
 func TestAuditChurnReconciliation(t *testing.T) {
 	clk := &fakeClock{step: 10 * time.Microsecond}
-	e := New(Config{Shards: 2, Clock: clk.now, QueueDepth: 1 << 14})
+	e := New(Config{Shards: 2, Clock: clk.now})
 	defer e.Close()
 
 	const rate = 8 * units.Mbps
@@ -154,7 +154,7 @@ func TestAuditChurnReconciliation(t *testing.T) {
 	close(stop)
 	scraper.Wait()
 
-	st, err := e.Stats("racy") // barrier: every queued burst audited
+	st, err := e.Stats("racy") // barrier: every burst submitted before it audited
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package mbox
 
-// Chaos coverage for the ring-bypass fast path: inline submitters must
-// interleave race-free with the ring path on the same shard, in-band
+// Chaos coverage for LocalSubmitter: inline submitters must interleave
+// race-free with Engine.SubmitBatch on the same shard, in-band
 // control churn (SetRate / Stats / Add / Remove), injected enforcer panics
 // and quarantine, and a bounded Close — with every counter reconciling
 // exactly against what was submitted and what the injector reports.
@@ -25,7 +25,6 @@ func TestChaosLocalRunToCompletionChurn(t *testing.T) {
 	clock := &fakeClock{step: 20 * time.Microsecond}
 	e := New(Config{
 		Shards:       2,
-		QueueDepth:   1 << 12, // deep enough that the ring never sheds: conservation stays exact
 		Clock:        clock.now,
 		CloseTimeout: 10 * time.Second,
 	})
@@ -44,8 +43,8 @@ func TestChaosLocalRunToCompletionChurn(t *testing.T) {
 	)
 
 	// Shard 0 carries the contended mix: two inline submitters (one clean,
-	// one panicking) and a ring producer. Shard 1 proves inline submitters
-	// on distinct shards run independently.
+	// one panicking) and an Engine.SubmitBatch producer. Shard 1 proves
+	// inline submitters on distinct shards run independently.
 	inj := faultinject.New(tbf.MustNew(rate, bucket), faultinject.Plan{Seed: 11, Panic: 0.02})
 	hClean, err := e.AddPinned("inline-clean", 0, tbf.MustNew(rate, bucket), func(packet.Packet) {})
 	if err != nil {
@@ -109,7 +108,7 @@ func TestChaosLocalRunToCompletionChurn(t *testing.T) {
 		defer wg.Done()
 		for b := 0; b < bursts; b++ {
 			if err := e.SubmitBatch(hRing, burstOf(burstLen, b)); err != nil {
-				t.Errorf("ring submit: %v", err)
+				t.Errorf("Engine.SubmitBatch: %v", err)
 				return
 			}
 			ringSubmitted.Add(burstLen)

@@ -1,15 +1,17 @@
 package mbox
 
 // Overload chaos: the four adversarial workload families from
-// internal/workload driven against the engine, whose one overload response
-// is to shed at full rings, under -race (make chaos adds -count=3). Each
+// internal/workload driven against the engine under -race (make chaos adds
+// -count=3). A producer that finds its shard busy waits for the occupancy
+// word, so however hostile the offered load, a live shard refuses nothing:
+// the engine's one overload response is the refusal at a wedged shard. Each
 // scenario asserts the same four invariants the ROADMAP demands:
 //
 //   1. Theorem-1 admission bounds hold: every aggregate's accepted bytes
 //      stay ≤ r·Δt + B (+1 MSS slack), no matter how hostile the offered
 //      load — floods that ignore drops, slow-start ramps, mixed-RTT swarms.
-//   2. No shard leaves Healthy permanently: shards may degrade while
-//      shedding, but once the storm stops every shard reclassifies Healthy.
+//   2. No shard leaves Healthy: no burst is refused (Overloaded stays 0),
+//      and once the storm stops every shard reads Healthy.
 //   3. Memory stays bounded: the registry never holds more aggregates than
 //      the scenario keeps live, the slot high-water mark stays there too,
 //      and (for the flash-crowd churn) the heap is stable across repeated
@@ -18,7 +20,7 @@ package mbox
 //
 // Every scenario is open-loop — the generators' offered load is exact
 // ground truth — so packet conservation is asserted exactly:
-// offered == enforcer-seen + ring-full shed.
+// offered == accepted + dropped.
 
 import (
 	"errors"
@@ -28,7 +30,6 @@ import (
 	"testing"
 	"time"
 
-	"bcpqp/internal/enforcer"
 	"bcpqp/internal/obs"
 	"bcpqp/internal/packet"
 	"bcpqp/internal/phantom"
@@ -50,27 +51,16 @@ func waitFor(timeout time.Duration, cond func() bool) bool {
 	return cond()
 }
 
-// drainAndSettle waits for every shard ring to empty, then checks that every
-// shard reclassifies Healthy once degradedFor has passed since its last shed —
-// invariant 2 — by classifying at that reading of the clock rather than
-// waiting it out. Call after the producers stop and before Close.
-func drainAndSettle(t *testing.T, e *Engine) {
+// settled checks invariant 2 once the producers have stopped, before Close:
+// no shard refused a burst, and every shard is idle and reads Healthy.
+func settled(t *testing.T, e *Engine) {
 	t.Helper()
-	if !waitFor(10*time.Second, func() bool {
-		for _, sh := range e.Health().Shards {
-			if sh.QueueDepth != 0 || sh.Busy {
-				return false
-			}
-		}
-		return true
-	}) {
-		t.Fatalf("shard rings never drained: %+v", e.Health().Shards)
+	if n := e.Overloaded.Load(); n != 0 {
+		t.Errorf("%d packets refused during the storm, want 0: no shard wedged", n)
 	}
-	later := time.Now().UnixNano() + int64(degradedFor)
-	for _, s := range e.shards {
-		if st := classify(s, later); st != ShardHealthy {
-			t.Errorf("shard %d is %v %v after the storm, want healthy: %+v",
-				s.idx, st, degradedFor, e.Health().Shards[s.idx])
+	for _, sh := range e.Health().Shards {
+		if sh.Busy || sh.State != ShardHealthy {
+			t.Errorf("shard %d after the storm: %+v, want idle and healthy", sh.Shard, sh)
 		}
 	}
 }
@@ -89,7 +79,7 @@ func closeBounded(t *testing.T, e *Engine, timeout time.Duration) CloseReport {
 
 // conserve asserts exact open-loop packet conservation for a set of
 // aggregates that saw no panics and no degradation: every offered packet
-// was either seen by an enforcer (accepted or dropped) or counted shed.
+// was seen by an enforcer, accepted or dropped.
 func conserve(t *testing.T, e *Engine, ids []string, offered int64) {
 	t.Helper()
 	var seen int64
@@ -98,13 +88,10 @@ func conserve(t *testing.T, e *Engine, ids []string, offered int64) {
 		if err != nil {
 			t.Fatalf("Stats(%s): %v", id, err)
 		}
-		p, _ := st.Totals()
-		seen += p
+		seen += st.AcceptedPackets + st.DroppedPackets
 	}
-	shed := e.Overloaded.Load()
-	if seen+shed != offered {
-		t.Errorf("conservation broken: enforcers saw %d + shed %d = %d, offered %d",
-			seen, shed, seen+shed, offered)
+	if seen != offered {
+		t.Errorf("conservation broken: enforcers accepted and dropped %d, offered %d", seen, offered)
 	}
 }
 
@@ -120,11 +107,9 @@ func TestChaosFloodOverload(t *testing.T) {
 		bucket       = int64(100 * units.MSS)
 		closeTimeout = 10 * time.Second
 	)
-	// A deliberately shallow ring (8 bursts/shard): the flood MUST
-	// overwhelm ingress so the ring-full shed, not just the enforcers,
-	// carries the overload.
+	// Two floods into two shards: producers meet at the occupancy words.
 	e := New(Config{
-		Shards: 2, QueueDepth: 8, Clock: clock.now,
+		Shards: 2, Clock: clock.now,
 		CloseTimeout: closeTimeout,
 	})
 	closed := false
@@ -174,7 +159,7 @@ func TestChaosFloodOverload(t *testing.T) {
 		}(fi, f)
 	}
 	wg.Wait()
-	drainAndSettle(t, e)
+	settled(t, e)
 
 	var offered int64
 	for _, f := range floods {
@@ -329,7 +314,7 @@ func TestChaosFlashCrowdLifecycle(t *testing.T) {
 	if heap[waves-1] > heap[0]+slack {
 		t.Errorf("heap grew across identical waves: %d → %d bytes", heap[0], heap[waves-1])
 	}
-	drainAndSettle(t, e)
+	settled(t, e)
 	rep := closeBounded(t, e, closeTimeout)
 	closed = true
 	if !rep.Clean {
@@ -350,7 +335,7 @@ func TestChaosMixedRTTSwarmOverload(t *testing.T) {
 		closeTimeout = 10 * time.Second
 	)
 	e := New(Config{
-		Shards: 4, QueueDepth: 512, Clock: clock.now,
+		Shards: 4, Clock: clock.now,
 		CloseTimeout: closeTimeout,
 	})
 	closed := false
@@ -400,7 +385,7 @@ func TestChaosMixedRTTSwarmOverload(t *testing.T) {
 		}(si, s)
 	}
 	wg.Wait()
-	drainAndSettle(t, e)
+	settled(t, e)
 
 	var offered int64
 	for _, s := range swarms {
@@ -442,7 +427,7 @@ func TestChaosShortFlowStormOverload(t *testing.T) {
 		closeTimeout = 10 * time.Second
 	)
 	e := New(Config{
-		Shards: 2, QueueDepth: 512, Clock: clock.now,
+		Shards: 2, Clock: clock.now,
 		CloseTimeout: closeTimeout,
 	})
 	closed := false
@@ -484,7 +469,7 @@ func TestChaosShortFlowStormOverload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	drainAndSettle(t, e)
+	settled(t, e)
 
 	offered, _ := storm.Offered()
 	conserve(t, e, ids, offered)
@@ -514,18 +499,18 @@ func TestChaosShortFlowStormOverload(t *testing.T) {
 // TestChaosPlanesTogether arms every plane at once on one shard, driven from
 // one goroutine on an injected clock: a policy tree,
 // routing mixed-class bursts to its two leaves, beside a flat BC-PQP
-// aggregate, both observed and audited; a cluster share that halves the tree's root rate and then restores it; and a
-// ring-full episode, in which holdShard keeps the shard while tree bursts
-// fill its ring and flat bursts shed behind them. No envelope may be
+// aggregate, both observed and audited; a cluster share that halves the
+// tree's root rate and then restores it; and a wedge episode, in which
+// holdShard keeps the shard past wedgeTimeout (its heartbeat backdated) and
+// the flat bursts offered meanwhile are refused. No envelope may be
 // breached, the tree's offered packets must equal accepted + dropped, and
-// flat's accepted + dropped + the episode's ring-full shed, exactly.
+// flat's accepted + dropped + the episode's refusals, exactly.
 func TestChaosPlanesTogether(t *testing.T) {
 	const (
 		treeRate  = 20 * units.Mbps
 		flatRate  = 8 * units.Mbps
 		queues    = 4
 		queueSize = 20 * units.MSS
-		depth     = 16
 		burstLen  = 8
 		rounds    = 100
 	)
@@ -533,7 +518,7 @@ func TestChaosPlanesTogether(t *testing.T) {
 	clock := &fakeClock{step: 100 * time.Microsecond}
 	c := obs.NewCollector(obs.Options{SampleEvery: 1})
 	e := New(Config{
-		Shards: 1, QueueDepth: depth, Clock: clock.now,
+		Shards: 1, Clock: clock.now,
 		Observer: c,
 	})
 	defer e.Close()
@@ -579,30 +564,26 @@ func TestChaosPlanesTogether(t *testing.T) {
 	}
 	traffic()
 
-	// Ring-full shed: with the shard held, the shard goroutine pops one tree
-	// burst and parks on the occupancy word; the next depth tree bursts fill
-	// the ring exactly, and every flat burst behind them sheds.
+	// Wedge episode: a held Flush keeps the shard, its heartbeat aged past
+	// wedgeTimeout, and every flat burst offered meanwhile is refused.
 	release := holdShard(t, e, "tree")
-	submit(tree, 0, &offeredTree)
-	if !waitFor(10*time.Second, func() bool { return len(e.shards[0].in) == 0 }) {
-		t.Fatal("shard goroutine never took the first queued burst")
-	}
-	for i := 0; i < depth; i++ {
-		submit(tree, i, &offeredTree)
+	e.shards[0].heartbeat.Add(-int64(wedgeTimeout))
+	if !e.Health().Wedged() {
+		t.Error("Health does not read the held shard wedged")
 	}
 	const shedBursts = 20
-	over0 := e.Overloaded.Load()
 	for i := 0; i < shedBursts; i++ {
-		submit(flat, i, &offeredFlat)
+		if err := e.SubmitBatch(flat, burstOf(burstLen, i)); !errors.Is(err, ErrSaturated) {
+			t.Fatalf("flat burst at a wedged shard = %v, want ErrSaturated", err)
+		}
+		offeredFlat += burstLen
 	}
-	shed := e.Overloaded.Load() - over0
+	shed := e.Overloaded.Load()
 	if shed != shedBursts*burstLen {
-		t.Errorf("Overloaded grew %d behind a full ring, want %d", shed, shedBursts*burstLen)
+		t.Errorf("Overloaded = %d after the wedge episode, want %d", shed, shedBursts*burstLen)
 	}
 	release()
-	if err := e.Flush("tree", func(enforcer.Enforcer) {}); err != nil { // behind the queued bursts
-		t.Fatal(err)
-	}
+	awaitIdle(t, e, 0)
 
 	if err := e.ApplyShare("tree", treeRate, false); err != nil {
 		t.Fatal(err)
@@ -622,7 +603,7 @@ func TestChaosPlanesTogether(t *testing.T) {
 		}
 	}
 	if got := e.Overloaded.Load(); got != shed {
-		t.Errorf("Overloaded = %d, want the episode's %d: the ring filled only then", got, shed)
+		t.Errorf("Overloaded = %d, want the episode's %d: the shard wedged only then", got, shed)
 	}
 	snap := e.Metrics()
 	for _, a := range []struct {
@@ -635,7 +616,7 @@ func TestChaosPlanesTogether(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := st.AcceptedPackets + st.DroppedPackets + a.shed; got != a.offered {
-			t.Errorf("%s: accepted %d + dropped %d + ring-shed %d = %d, offered %d",
+			t.Errorf("%s: accepted %d + dropped %d + refused %d = %d, offered %d",
 				a.id, st.AcceptedPackets, st.DroppedPackets, a.shed, got, a.offered)
 		}
 		if st.DroppedPackets == 0 {

@@ -4,7 +4,7 @@ package mbox
 // These run under -race in CI (the chaos job adds -count=3) and assert the
 // runtime's core invariants:
 //
-//   - a panicking enforcer never kills its shard goroutine — healthy
+//   - a panicking enforcer never takes its shard down — healthy
 //     aggregates on the same shard keep enforcing within Theorem 1 bounds,
 //   - the control plane keeps answering Stats with bounded latency,
 //   - Close returns within its deadline even with wedged shards, and
@@ -14,7 +14,6 @@ package mbox
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,7 +46,8 @@ func (*statsBombEnforcer) SetRate(time.Duration, units.Rate) error { panic("upda
 
 // TestControlPanicReportsError: a control call whose closure panics reports
 // an error naming its aggregate, never success, whether the caller found the
-// shard idle and ran the closure itself or queued it behind a held shard.
+// shard idle ("claimed") or waited for its word behind a held shard
+// ("queued").
 // Stats and Remove read a panicking EnforcerStats; SetRate's closure calls a
 // panicking SetRate (ApplyShare runs through the same path).
 func TestControlPanicReportsError(t *testing.T) {
@@ -72,8 +72,10 @@ func TestControlPanicReportsError(t *testing.T) {
 				if queued {
 					release := holdShard(t, e, "hold")
 					go func() { errc <- c.call() }()
-					if !waitFor(10*time.Second, func() bool { return e.shards[0].pending.Load() == 1 }) {
-						t.Fatalf("%s: control call never queued", c.id)
+					select {
+					case err := <-errc:
+						t.Fatalf("%s: control call returned %v while the shard was held", c.id, err)
+					case <-time.After(10 * time.Millisecond):
 					}
 					release()
 				} else {
@@ -97,7 +99,7 @@ func TestControlPanicReportsError(t *testing.T) {
 // TestChaosStorm is the storm test the acceptance criteria name: ≥100
 // seeded panics/stalls (plus corruption and clock skew) injected across
 // every shard while healthy aggregates carry traffic and the control plane
-// is polled. Invariants: no shard goroutine is lost, healthy enforcement
+// is polled. Invariants: no shard is lost, healthy enforcement
 // stays within the Theorem 1 upper bound (accepted ≤ r·Δt + B), Stats
 // latency stays bounded, Close is clean and in-deadline, and fault counters
 // reconcile exactly with the injectors' ground truth.
@@ -105,7 +107,6 @@ func TestChaosStorm(t *testing.T) {
 	clock := &fakeClock{step: 20 * time.Microsecond}
 	e := New(Config{
 		Shards:       4,
-		QueueDepth:   1 << 14, // deep enough that nothing sheds: conservation stays exact
 		CloseTimeout: 10 * time.Second,
 		Clock:        clock.now,
 	})
@@ -186,7 +187,7 @@ func TestChaosStorm(t *testing.T) {
 	}
 
 	// Control-plane poller: Stats on healthy aggregates throughout the
-	// storm, with latency recorded. ε covers the ring-drain time of a
+	// storm, with latency recorded. ε covers the wait for the word of a
 	// stalled-but-live shard plus -race/CI scheduling noise; the point is
 	// that Stats stays bounded and never approaches a hang.
 	pollStop := make(chan struct{})
@@ -219,8 +220,8 @@ func TestChaosStorm(t *testing.T) {
 	pollWG.Wait()
 
 	// Barrier every aggregate, then reconcile. Stats succeeding for an
-	// aggregate on every shard proves no shard goroutine was lost. (The
-	// barrier also means every submitted burst has been processed, so the
+	// aggregate on every shard proves no shard was lost. (The producers
+	// have returned, so every submitted burst has been served and the
 	// injector fault counters are final.)
 	finalStats := make(map[string]enforcer.Stats)
 	for i := 0; i < faulty; i++ {
@@ -285,10 +286,11 @@ func TestChaosStorm(t *testing.T) {
 		}
 	}
 
-	// Packet conservation (the queue is deep enough that nothing sheds):
-	// every submitted packet was either enforced or counted as degraded.
+	// Packet conservation (a stall is 200 µs, far short of a wedge, so
+	// nothing is refused): every submitted packet was either enforced or
+	// counted as degraded.
 	if shed := e.Overloaded.Load(); shed != 0 {
-		t.Logf("storm shed %d packets; skipping exact conservation", shed)
+		t.Logf("storm refused %d packets at a shard read wedged; skipping exact conservation", shed)
 	} else {
 		for i := 0; i < faulty; i++ {
 			id := fmt.Sprintf("faulty-%d", i)
@@ -353,8 +355,9 @@ func TestChaosStorm(t *testing.T) {
 
 // TestChaosCloseDeadlineForceAbandonsWedgedShard wedges a shard forever in
 // its emit hook and proves Close still returns within its deadline,
-// reporting the abandoned shard and the packets it shed — where the PR 1
-// engine deadlocked in e.wg.Wait().
+// reporting the abandoned shard — where the PR 1 engine deadlocked in
+// e.wg.Wait() — while a control call waiting for the wedged shard's word is
+// refused, never leaked, and calls after Close fail fast.
 func TestChaosCloseDeadlineForceAbandonsWedgedShard(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
@@ -362,43 +365,19 @@ func TestChaosCloseDeadlineForceAbandonsWedgedShard(t *testing.T) {
 	defer openGate()
 
 	const closeTimeout = 300 * time.Millisecond
-	e := New(Config{Shards: 1, QueueDepth: 4, CloseTimeout: closeTimeout})
-	started := make(chan struct{}, 1)
+	e := New(Config{Shards: 1, CloseTimeout: closeTimeout})
 	h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), func(packet.Packet) {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
 		<-gate // wedged until the test ends
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wedge the shard goroutine on the first packet, then fill all but one
-	// ring slot behind it.
-	release := holdShard(t, e, "x")
-	if err := e.SubmitBatch(h, burstOf(1, 0)); err != nil {
-		t.Fatal(err)
-	}
-	release()
-	<-started
-	for i := 0; i < 3; i++ {
-		if err := e.SubmitBatch(h, burstOf(2, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	wedgeShard(t, e, 0, func() { e.SubmitBatch(h, burstOf(1, 0)) })
 
-	// A control op parked in the last slot of the wedged shard's ring must
-	// be released by Close with an error, not leaked.
+	// A control call waiting for the wedged shard's word must come back
+	// with an error, not leak.
 	ctrlErr := make(chan error, 1)
 	go func() { ctrlErr <- e.Flush("x", func(enforcer.Enforcer) {}) }()
-	ring := e.shards[0].in
-	for deadline := time.Now().Add(10 * time.Second); len(ring) < cap(ring); {
-		if time.Now().After(deadline) {
-			t.Fatal("the Flush never took the last ring slot")
-		}
-		runtime.Gosched()
-	}
 
 	start := time.Now()
 	rep := e.Close()
@@ -412,16 +391,18 @@ func TestChaosCloseDeadlineForceAbandonsWedgedShard(t *testing.T) {
 	if rep.AbandonedShards != 1 {
 		t.Errorf("AbandonedShards = %d, want 1", rep.AbandonedShards)
 	}
-	if rep.ShedPackets == 0 {
-		t.Error("Close shed nothing despite a full ring on a wedged shard")
-	}
 	select {
 	case err := <-ctrlErr:
+		// ErrSaturated once it waited for the word, engine closed if Close
+		// published first.
 		if err == nil {
 			t.Error("control op on a wedged shard reported success across Close")
 		}
-	case <-time.After(5 * time.Second):
-		t.Error("control op still parked after Close — the PR 1 deadlock")
+	case <-time.After(wedgeTimeout + 5*time.Second):
+		t.Error("control op still waiting on the wedged shard — the PR 1 deadlock")
+	}
+	if err := e.SubmitBatch(h, burstOf(1, 1)); err == nil {
+		t.Error("SubmitBatch after Close succeeded")
 	}
 	// Idempotent: a second Close returns the same report instantly.
 	if rep2 := e.Close(); rep2 != rep {
@@ -429,12 +410,12 @@ func TestChaosCloseDeadlineForceAbandonsWedgedShard(t *testing.T) {
 	}
 }
 
-// TestChaosWatchdogClassifiesWedgedShard drives the shard goroutine into a
-// blocked emit and moves it Healthy → Wedged → Healthy, by classifying it at
-// chosen heartbeat ages and, for Health, by backdating the heartbeat of the
-// blocked shard — nothing here waits out the 1s wedge timeout.
-// TestWatchdogSeesWedgedInlineBurst is the same for a burst its submitter
-// serves.
+// TestChaosWatchdogClassifiesWedgedShard drives an Engine.SubmitBatch caller
+// into a blocked emit and moves its shard Healthy → Wedged → Healthy, by
+// classifying it at chosen heartbeat ages and, for Health, by backdating
+// the heartbeat of the blocked shard — nothing here waits out the 1s wedge
+// timeout. TestWatchdogSeesWedgedInlineBurst is the same for a
+// LocalSubmitter.
 func TestChaosWatchdogClassifiesWedgedShard(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
@@ -442,18 +423,11 @@ func TestChaosWatchdogClassifiesWedgedShard(t *testing.T) {
 	defer openGate()
 
 	e := New(Config{
-		Shards: 1, QueueDepth: 8,
+		Shards:       1,
 		CloseTimeout: 500 * time.Millisecond,
 	})
 	defer e.Close()
-	started := make(chan struct{}, 1)
-	h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), func(packet.Packet) {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
-		<-gate
-	})
+	h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), func(packet.Packet) { <-gate })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,30 +439,21 @@ func TestChaosWatchdogClassifiesWedgedShard(t *testing.T) {
 		t.Fatalf("idle shard with a stale heartbeat is %v, want healthy", got)
 	}
 
-	// Queue the burst behind a held shard, so the shard goroutine, not its
-	// submitter, is the one that blocks in the emit hook.
-	release := holdShard(t, e, "x")
-	if err := e.SubmitBatch(h, burstOf(1, 0)); err != nil {
-		t.Fatal(err)
-	}
-	release()
-	<-started
+	wedgeShard(t, e, 0, func() { e.SubmitBatch(h, burstOf(1, 0)) })
 	if got := stateAt(wedgeTimeout / 2); got != ShardHealthy {
 		t.Errorf("shard blocked for half the wedge timeout: %v, want healthy", got)
 	}
 	if got := stateAt(wedgeTimeout + 1); got != ShardWedged {
 		t.Fatalf("shard blocked past the wedge timeout: %v, want wedged", got)
 	}
-	// The shard stamps its heartbeat only around the item it is blocked in,
-	// so the backdated stamp holds until the gate opens.
+	// The holder stamps the heartbeat only around the burst it is blocked
+	// in, so the backdated stamp holds until the gate opens.
 	s.heartbeat.Add(-int64(wedgeTimeout + time.Millisecond))
 	if !e.Health().Wedged() {
 		t.Error("Health.Wedged() false while a shard is wedged")
 	}
 	openGate()
-	if err := e.Flush("x", func(enforcer.Enforcer) {}); err != nil { // the blocked burst has finished
-		t.Fatal(err)
-	}
+	awaitIdle(t, e, 0)
 	if got := stateAt(10 * wedgeTimeout); got != ShardHealthy {
 		t.Fatalf("released shard with a stale heartbeat is %v, want healthy", got)
 	}
@@ -498,48 +463,30 @@ func TestChaosWatchdogClassifiesWedgedShard(t *testing.T) {
 }
 
 // TestControlEscalationDeterministic pins, step by step, what a control call
-// does when its shard stalls — the shard goroutine stuck in an emit hook,
-// the one-slot ring full behind it. (1) A stall of five reofferIntervals is
-// no wedge yet (the heartbeat is under wedgeTimeout old; a shard goroutine
-// kept off the CPU looks the same), so the call keeps waiting. (2) Once the
-// stall reads older than wedgeTimeout — the heartbeat is backdated, as the
-// watchdog tests pick clock readings, rather than waited out — the call
-// reports ErrSaturated at its next re-offer. (3) Its fn never runs, not even
-// once the shard unwedges, so nothing it would have read or changed lands out
-// of order. TestControlFailsOverOnSaturatedShard is (2) and (3) with a
-// submitter wedged instead, TestLocalSubmitSaturatedOnWedgedShard is (1) and
-// (2) for an inline submitter, and TestControlThroughFloodedRing is the other
-// half: a live shard, however flooded, takes every call.
+// does when its shard stalls — an Engine.SubmitBatch caller stuck in an emit
+// hook, holding the word. (1) A stall of 50 ms is no wedge yet (the
+// heartbeat is under wedgeTimeout old; a holder kept off the CPU looks the
+// same), so the call keeps waiting. (2) Once the stall reads older than
+// wedgeTimeout — the heartbeat is backdated, as the watchdog tests pick
+// clock readings, rather than waited out — the call reports ErrSaturated
+// within its next round of waiting. (3) Its fn never runs, not even once the
+// shard unwedges, so nothing it would have read or changed lands out of
+// order. TestControlFailsOverOnSaturatedShard is (2) and (3) for many calls
+// behind a LocalSubmitter, and TestLocalSubmitSaturatedOnWedgedShard is (1)
+// and (2) for a burst.
 func TestControlEscalationDeterministic(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
 	openGate := func() { once.Do(func() { close(gate) }) }
 	defer openGate()
 
-	e := New(Config{Shards: 1, QueueDepth: 1})
+	e := New(Config{Shards: 1})
 	defer e.Close()
-	started := make(chan struct{}, 1)
-	h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), func(packet.Packet) {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
-		<-gate
-	})
+	h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), func(packet.Packet) { <-gate })
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wedge the shard goroutine on packet 1, fill the one-slot ring with
-	// packet 2.
-	release := holdShard(t, e, "x")
-	if err := e.SubmitBatch(h, burstOf(1, 0)); err != nil {
-		t.Fatal(err)
-	}
-	release()
-	<-started
-	if err := e.SubmitBatch(h, burstOf(1, 1)); err != nil {
-		t.Fatal(err)
-	}
+	wedgeShard(t, e, 0, func() { e.SubmitBatch(h, burstOf(1, 0)) })
 
 	var ran atomic.Bool
 	refused := make(chan error, 1)
@@ -547,7 +494,7 @@ func TestControlEscalationDeterministic(t *testing.T) {
 	select {
 	case err := <-refused:
 		t.Fatalf("Flush gave up on a shard stalled for less than wedgeTimeout: %v", err)
-	case <-time.After(5 * reofferInterval):
+	case <-time.After(50 * time.Millisecond):
 	}
 
 	e.shards[0].heartbeat.Add(-int64(wedgeTimeout))
@@ -556,212 +503,25 @@ func TestControlEscalationDeterministic(t *testing.T) {
 		if !errors.Is(err, ErrSaturated) {
 			t.Fatalf("Flush on a wedged shard = %v, want ErrSaturated", err)
 		}
-	case <-time.After(reofferInterval + time.Second):
-		t.Fatal("Flush on a wedged shard still parked after reofferInterval + 1s")
+	case <-time.After(time.Second):
+		t.Fatal("Flush on a wedged shard still waiting 1s after it read wedged")
 	}
 
-	// Unwedge. Stats rides behind whatever the ring still holds.
+	// Unwedge.
 	openGate()
+	awaitIdle(t, e, 0)
 	st, err := e.Stats("x")
 	if err != nil {
 		t.Fatalf("Stats after unwedge: %v", err)
 	}
-	if p, _ := st.Totals(); p != 2 {
-		t.Errorf("enforcer saw %d packets after unwedge, want 2", p)
+	if p, _ := st.Totals(); p != 1 {
+		t.Errorf("enforcer saw %d packets after unwedge, want 1", p)
 	}
 	if err := e.Flush("x", func(enforcer.Enforcer) {}); err != nil {
 		t.Fatalf("Flush after unwedge: %v", err)
 	}
 	if ran.Load() {
 		t.Error("the refused Flush's fn ran after the shard unwedged")
-	}
-}
-
-// TestControlThroughFloodedRing is why a shard needs no second queue for
-// control: a control call that finds the shard's two-slot ring full parks on
-// it and is handed the next slot the shard frees, ahead of producers, which
-// shed rather than wait. The flood is scripted, not spun: the shard goroutine
-// is held inside gated emit hooks, so the ring holds exactly what the test
-// put there, and one slot frees when the test opens one gate. The call waits
-// on a ring that is full when it arrives and when a producer arrives, with
-// the producer arriving before the call or after it; every call succeeds and
-// every Flush fn runs once. A shard that wedges while a call waits refuses it
-// with ErrSaturated, and its fn never runs. Either way the books balance:
-// offered = enforced + Overloaded.
-func TestControlThroughFloodedRing(t *testing.T) {
-	for _, order := range []string{"control-first", "producer-first", "wedged"} {
-		t.Run(order, func(t *testing.T) { floodedRingControl(t, order) })
-	}
-}
-
-// floodedRingControl runs one arrival order of TestControlThroughFloodedRing.
-func floodedRingControl(t *testing.T, order string) {
-	e := New(Config{Shards: 1, QueueDepth: 2})
-	defer e.Close()
-	h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Burst k of aggregate "gate" is one packet with Seq k, whose emit hook
-	// reports it on entered and then holds the shard goroutine until gate k
-	// opens.
-	entered := make(chan int64, 2)
-	gates := map[int64]chan struct{}{1: make(chan struct{}), 2: make(chan struct{})}
-	defer func() {
-		for _, g := range gates {
-			select {
-			case <-g:
-			default:
-				close(g)
-			}
-		}
-	}()
-	hGate, err := e.Add("gate", &countingEnforcer{}, func(p packet.Packet) {
-		entered <- p.Seq
-		<-gates[p.Seq]
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gateBurst := func(k int64) {
-		t.Helper()
-		if err := e.SubmitBatch(hGate, []packet.Packet{{Size: units.MSS, Seq: k}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const patience = 10 * time.Second // a failure guard; no step waits on a clock
-	awaitEntered := func(k int64) {
-		t.Helper()
-		select {
-		case got := <-entered:
-			if got != k {
-				t.Fatalf("gate burst %d entered its hook, want %d", got, k)
-			}
-		case <-time.After(patience):
-			t.Fatalf("gate burst %d never reached its hook", k)
-		}
-	}
-	var offered int64
-	produce := func(wantShed bool) {
-		t.Helper()
-		before := e.Overloaded.Load()
-		b := burstOf(8, int(offered))
-		if err := e.SubmitBatch(h, b); err != nil {
-			t.Fatal(err)
-		}
-		offered += int64(len(b))
-		want := int64(0)
-		if wantShed {
-			want = int64(len(b))
-		}
-		if shed := e.Overloaded.Load() - before; shed != want {
-			t.Fatalf("a producer's burst of %d shed %d packets, want %d", len(b), shed, want)
-		}
-	}
-	ring := e.shards[0].in
-
-	// Hold the shard goroutine in gate burst 1's hook, then fill the ring:
-	// gate burst 2, then a producer's burst.
-	release := holdShard(t, e, "x")
-	gateBurst(1)
-	release()
-	awaitEntered(1)
-	gateBurst(2)
-	produce(false)
-	if len(ring) != cap(ring) {
-		t.Fatalf("ring holds %d of %d items", len(ring), cap(ring))
-	}
-
-	flushed := 0
-	result := make(chan error, 1)
-	call := func() {
-		go func() { result <- e.Flush("x", func(enforcer.Enforcer) { flushed++ }) }()
-		waitParked(t, 1)
-	}
-	if order == "producer-first" {
-		produce(true)
-		call()
-	} else {
-		call()
-		produce(true)
-	}
-
-	if order == "wedged" {
-		e.shards[0].heartbeat.Add(-int64(wedgeTimeout))
-		select {
-		case err := <-result:
-			if !errors.Is(err, ErrSaturated) {
-				t.Fatalf("Flush on a shard wedged while it waited = %v, want ErrSaturated", err)
-			}
-		case <-time.After(patience):
-			t.Fatal("Flush on a wedged shard never gave up")
-		}
-		close(gates[1])
-		awaitEntered(2)
-		close(gates[2])
-	} else {
-		// Free one slot: the shard goroutine finishes gate burst 1 and pops
-		// gate burst 2, whose hook holds it again. The parked call is handed
-		// the slot in the same ring operation, so the ring is full again
-		// before any producer can look, and the next producer sheds.
-		close(gates[1])
-		awaitEntered(2)
-		produce(true)
-		if len(ring) != cap(ring) {
-			t.Fatalf("after one slot freed the ring holds %d of %d items: the control call did not take the slot", len(ring), cap(ring))
-		}
-		close(gates[2])
-		select {
-		case err := <-result:
-			if err != nil {
-				t.Fatalf("control call on a flooded live shard: %v", err)
-			}
-		case <-time.After(patience):
-			t.Fatal("control call on a flooded live shard never returned")
-		}
-	}
-
-	st, err := e.Stats("x") // behind every queued burst
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1
-	if order == "wedged" {
-		want = 0
-	}
-	if flushed != want {
-		t.Errorf("the Flush fn ran %d times, want %d", flushed, want)
-	}
-	enforced, _ := st.Totals()
-	if shed := e.Overloaded.Load(); offered != enforced+shed {
-		t.Errorf("offered %d != enforced %d + shed %d", offered, enforced, shed)
-	}
-}
-
-// waitParked waits until n goroutines are parked in sendUntil: control calls
-// waiting on a full ring for a slot, first in line for the next one freed.
-// A parked call leaves the ring's queue of senders for a few instructions
-// every reofferInterval, to ask whether its shard is wedged; a slot freed in
-// that moment goes to whoever offers first (500 runs of each live order on
-// two vCPUs saw none).
-func waitParked(t *testing.T, n int) {
-	t.Helper()
-	buf := make([]byte, 1<<20)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		parked := 0
-		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-			if strings.Contains(g, " [select") && strings.Contains(g, "mbox.sendUntil(") {
-				parked++
-			}
-		}
-		if parked == n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines parked on the ring, want %d", parked, n)
-		}
-		runtime.Gosched()
 	}
 }
 
@@ -776,48 +536,38 @@ func (c *countingEnforcer) SubmitBatch(_ time.Duration, pkts []packet.Packet, v 
 	}
 }
 
-// TestOverloadedAccountingExact forces shedding with a one-deep ring and a
-// stalled consumer and proves the books balance: packets shed + packets
-// delivered to the enforcer == packets submitted, exactly.
+// TestOverloadedAccountingExact wedges the shard in one burst's emit hook,
+// ages the wedge past wedgeTimeout, and offers 49 more one-packet bursts:
+// each is refused and counted, so the books balance exactly — refused +
+// delivered to the enforcer == submitted.
 func TestOverloadedAccountingExact(t *testing.T) {
 	gate := make(chan struct{})
 	var once sync.Once
 	openGate := func() { once.Do(func() { close(gate) }) }
 	defer openGate()
 
-	e := New(Config{Shards: 1, QueueDepth: 2, CloseTimeout: 5 * time.Second})
+	e := New(Config{Shards: 1, CloseTimeout: 5 * time.Second})
 	enf := &countingEnforcer{}
-	started := make(chan struct{}, 1)
-	h, err := e.Add("x", enf, func(packet.Packet) {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
-		<-gate
-	})
+	h, err := e.Add("x", enf, func(packet.Packet) { <-gate })
 	if err != nil {
 		t.Fatal(err)
 	}
 	const submitted = 50
-	// Packet 1 wedges the consumer; once it is in the emit hook the shard
-	// dequeues nothing more, so of the remaining 49 exactly QueueDepth=2
-	// are queued and 47 shed — deterministically.
-	release := holdShard(t, e, "x")
-	if err := e.SubmitBatch(h, burstOf(1, 0)); err != nil {
-		t.Fatal(err)
-	}
-	release()
-	<-started
+	wedgeShard(t, e, 0, func() { e.SubmitBatch(h, burstOf(1, 0)) })
+	e.shards[0].heartbeat.Add(-int64(wedgeTimeout))
 	for i := 1; i < submitted; i++ {
-		if err := e.SubmitBatch(h, burstOf(1, i)); err != nil {
-			t.Fatal(err)
+		if err := e.SubmitBatch(h, burstOf(1, i)); !errors.Is(err, ErrSaturated) {
+			t.Fatalf("burst %d at a wedged shard = %v, want ErrSaturated", i, err)
 		}
 	}
 	shed := e.Overloaded.Load()
-	if shed != submitted-1-2 {
-		t.Errorf("Overloaded = %d, want %d (ring holds 2, one in flight)", shed, submitted-1-2)
+	if shed != submitted-1 {
+		t.Errorf("Overloaded = %d, want %d (all but the burst in flight)", shed, submitted-1)
 	}
-	// Unwedge and drain; Close is the barrier.
+	if got := e.InlineFallbacks.Load(); got != submitted-1 {
+		t.Errorf("InlineFallbacks = %d, want %d refused bursts", got, submitted-1)
+	}
+	// Unwedge; Close waits for the held burst.
 	openGate()
 	rep := e.Close()
 	if !rep.Clean {
@@ -825,7 +575,7 @@ func TestOverloadedAccountingExact(t *testing.T) {
 	}
 	delivered := enf.n.Load()
 	if delivered+shed != submitted {
-		t.Errorf("delivered %d + shed %d = %d, want exactly %d submitted",
+		t.Errorf("delivered %d + refused %d = %d, want exactly %d submitted",
 			delivered, shed, delivered+shed, submitted)
 	}
 	// Health attribution matches the global counter.

@@ -227,7 +227,7 @@ func (c *incEnforcer) EnforcerStats() enforcer.Stats {
 //
 // Run under -race (the chaos CI target does).
 func TestChurnRaceNoVerdictBleed(t *testing.T) {
-	e := New(Config{Shards: 2, QueueDepth: 1 << 15, CloseTimeout: 10 * time.Second})
+	e := New(Config{Shards: 2, CloseTimeout: 10 * time.Second})
 
 	type incarnation struct {
 		h   Handle
@@ -254,8 +254,8 @@ func TestChurnRaceNoVerdictBleed(t *testing.T) {
 					return
 				default:
 				}
-				// Pace below shard capacity: exact reconciliation needs a
-				// lossless run (no ring shedding), which the test asserts.
+				// Exact reconciliation needs a lossless run (no burst
+				// refused at a wedged shard), which the test asserts.
 				time.Sleep(10 * time.Microsecond)
 				in := cur.Load()
 				if in == nil {
@@ -311,9 +311,9 @@ func TestChurnRaceNoVerdictBleed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The final-stats barrier covers every burst enqueued before the
-		// removal; late bursts that won the resolve race drain later, so
-		// at this point stats can only lag the eventual exact count.
+		// The final-stats barrier covers every burst served before the
+		// removal; late bursts that won the resolve race are served later,
+		// so at this point stats can only lag the eventual exact count.
 		if st.AcceptedPackets > in.ok.Load() {
 			t.Fatalf("incarnation %d: Remove stats %d > %d successful submissions",
 				i, st.AcceptedPackets, in.ok.Load())
@@ -321,8 +321,8 @@ func TestChurnRaceNoVerdictBleed(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	rep := e.Close() // clean Close drains every queued burst through the enforcers
-	if !rep.Clean || rep.ShedPackets != 0 || e.Overloaded.Load() != 0 {
+	rep := e.Close() // clean Close waits out every burst in flight
+	if !rep.Clean || e.Overloaded.Load() != 0 {
 		t.Fatalf("unclean drain (report %+v, overloaded %d); exact reconciliation needs a lossless run",
 			rep, e.Overloaded.Load())
 	}

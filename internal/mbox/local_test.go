@@ -1,10 +1,10 @@
 package mbox
 
-// Ring-bypass fast-path tests: the LocalSubmitter must wait out a live holder
-// of the occupancy word and degrade to a counted ErrSaturated only when the
-// shard is wedged, and an inline burst reads no wall clock. That it is
-// byte-identical to the ring path and refuses cross-shard and stale handles
-// is the reference model's to check (model_test.go).
+// LocalSubmitter tests: it must wait out a live holder of the occupancy word
+// and degrade to a counted ErrSaturated only when the shard is wedged, and
+// an inline burst reads no wall clock. That it is byte-identical to
+// Engine.SubmitBatch and refuses cross-shard and stale handles is the
+// reference model's to check (model_test.go).
 
 import (
 	"errors"
@@ -66,7 +66,7 @@ func TestLocalSubmitWaitsOutLiveHolder(t *testing.T) {
 // second waited out: ErrSaturated, packets counted as shed.
 func TestLocalSubmitSaturatedOnWedgedShard(t *testing.T) {
 	gate := make(chan struct{})
-	e := New(Config{Shards: 1, QueueDepth: 64})
+	e := New(Config{Shards: 1})
 	defer e.Close()
 	defer close(gate)
 	wedged := make(chan struct{})
@@ -114,9 +114,9 @@ func TestLocalSubmitSaturatedOnWedgedShard(t *testing.T) {
 }
 
 // TestWatchdogSeesWedgedInlineBurst: an inline burst stuck in an emit hook
-// holds the shard's occupancy word, and that is in-flight work to classify —
-// it used to look only at the ring and at ring items. classify is called with
-// chosen readings of now, so nothing here waits on a timer.
+// holds the shard's occupancy word, and that is in-flight work to classify.
+// classify is called with chosen readings of now, so nothing here waits on a
+// timer.
 func TestWatchdogSeesWedgedInlineBurst(t *testing.T) {
 	const wedge = wedgeTimeout
 	entered, gate := make(chan struct{}), make(chan struct{})
@@ -167,8 +167,7 @@ func TestWatchdogSeesWedgedInlineBurst(t *testing.T) {
 // holds the shard's occupancy word itself and backdates stamps rather than
 // waiting them out, so nothing here sleeps or waits on another goroutine.
 func TestHealthClassifiesOnRead(t *testing.T) {
-	const depth = 8 // ¾ full is 6 queued
-	e := New(Config{Shards: 1, QueueDepth: depth})
+	e := New(Config{Shards: 1})
 	defer e.Close()
 	h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), nil)
 	if err != nil {
@@ -191,46 +190,34 @@ func TestHealthClassifiesOnRead(t *testing.T) {
 	check("idle shard", ShardHealthy)
 
 	// Work in flight (the word held) and a heartbeat older than wedgeTimeout.
-	if !s.claim(occLocal) {
+	if !s.claim() {
 		t.Fatal("idle shard's occupancy word is taken")
 	}
 	s.heartbeat.Add(-int64(wedgeTimeout + time.Millisecond))
 	check("held shard with a stale heartbeat", ShardWedged)
 
-	// A LocalSubmitter gives up on the wedged shard and sheds its burst.
+	// Either submitter gives up on the wedged shard and its burst is counted.
 	if err := ls.SubmitBatch(h, burstOf(3, 0)); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("inline burst on a wedged shard: %v, want ErrSaturated", err)
 	}
-	if n := e.Overloaded.Load(); n != 3 {
-		t.Errorf("Overloaded = %d, want the 3 shed packets", n)
+	if err := e.SubmitBatch(h, burstOf(2, 0)); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("burst on a wedged shard: %v, want ErrSaturated", err)
+	}
+	if n := e.Overloaded.Load(); n != 5 {
+		t.Errorf("Overloaded = %d, want the 5 refused packets", n)
 	}
 	s.release()
 	if got := classify(s, s.lastFault.Load()); got != ShardDegraded {
-		t.Errorf("idle shard at its shed's stamp is %v, want degraded", got)
+		t.Errorf("idle shard at its refusal's stamp is %v, want degraded", got)
 	}
 	s.lastFault.Add(-int64(degradedFor))
-	check("shed older than degradedFor", ShardHealthy)
+	check("refusal older than degradedFor", ShardHealthy)
 
 	// An idle shard serves this Flush on the caller, stamping the heartbeat.
 	if err := e.Flush("x", func(enforcer.Enforcer) {}); err != nil {
 		t.Fatal(err)
 	}
-	// Behind the held word every burst queues; the shard goroutine may pop
-	// one and park on the word, so depth-1 bursts leave 6 or 7 queued and
-	// none sheds.
-	if !s.claim(occLocal) {
-		t.Fatal("idle shard's occupancy word is taken")
-	}
-	defer s.release()
-	for i := 0; i < depth-1; i++ {
-		if err := e.SubmitBatch(h, burstOf(1, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := e.Overloaded.Load(); n != 3 {
-		t.Fatalf("Overloaded = %d, want 3: the packed ring shed", n)
-	}
-	check("ring packed to ¾", ShardDegraded)
+	check("shard after a Flush", ShardHealthy)
 }
 
 // TestInlineBurstReadsNoWallClock pins what the inline path's speed rests on,

@@ -11,17 +11,18 @@
 // Aggregates are hashed across shards; each shard owns its aggregates
 // exclusively and serves one unit of work at a time, so enforcers never
 // need locks on the datapath (the same shared-nothing sharding a DPDK
-// middlebox gets from RSS queues). Whoever finds a shard idle serves it:
-// SubmitBatch on an idle shard enforces the burst on the caller's goroutine,
-// run to completion; when the shard is busy or has work queued, the burst is
-// copied into one ring slot and the shard's goroutine serves it in order.
-// When a shard falls behind, excess bursts are shed and counted as overload
-// — a middlebox must shed load, not buffer unboundedly.
+// middlebox gets from RSS queues). A shard is its occupancy word, and every
+// unit of work is served by the goroutine that brings it: SubmitBatch waits
+// for the word, enforces the burst on the caller's goroutine, run to
+// completion, and lets the word go. There is no ingress ring and no shard
+// goroutine. A shard whose holder has made no progress for a second reads
+// wedged, and what waits for it is refused (ErrSaturated) and counted as
+// overload: the engine never buffers.
 //
 // Control operations (stats/flush/live reconfiguration/snapshots) follow the
-// same rule and ride the same ring, serialized with the shard's bursts, so
-// they are safe during full-rate traffic; one that waits for a ring slot on a
-// wedged shard reports ErrSaturated instead of stalling the control plane.
+// same rule, serialized with the shard's bursts by the same word, so they are
+// safe during full-rate traffic; one that finds its shard wedged reports
+// ErrSaturated instead of stalling the control plane.
 // SetRate applies rate-plan changes in-band and in place — admission state
 // (phantom occupancy, burst-control windows, token levels) survives the
 // change, preserving the Theorem 1 bound piecewise across it.
@@ -35,11 +36,11 @@
 //
 // The runtime is fault-tolerant: every enforcement run and control item
 // executes inside a panic barrier, a panicking enforcer is quarantined by a
-// per-aggregate circuit breaker instead of killing the shard goroutine (its
-// traffic is dropped and counted until Remove), each read of Engine.Health
-// or Engine.Metrics classifies every shard Healthy/Degraded/Wedged from its
-// heartbeat age, ring depth and last fault, and Close is bounded by a
-// deadline that force-abandons wedged shards rather than hanging.
+// per-aggregate circuit breaker instead of unwinding its caller (its traffic
+// is dropped and counted until Remove), each read of Engine.Health or
+// Engine.Metrics classifies every shard Healthy/Degraded/Wedged from its
+// heartbeat age and last fault, and Close is bounded by a deadline that
+// force-abandons wedged shards rather than hanging.
 package mbox
 
 import (
@@ -57,14 +58,15 @@ import (
 )
 
 // Emit is called for every transmitted packet. CE-marked transmissions (AQM
-// marking) arrive with pkt.CE set. Emit runs on whichever goroutine holds the
-// shard — the submitter's own on an idle shard, the shard goroutine
-// otherwise: it must not block, and must not make a control call into the
-// Engine (the call would wait on the holder that issued it). A SubmitBatch
-// to the same shard from inside Emit queues behind the burst being emitted.
-// While Emit runs nobody else can serve the shard: what queues behind it
-// waits, and the goroutine waiting to serve it polls for the word, after the
-// first few microseconds at most once a millisecond (tryAcquire).
+// marking) arrive with pkt.CE set. Emit runs on the goroutine that submitted
+// the burst, holding the shard's occupancy word: it must not block. While
+// Emit runs nobody else can serve the shard, and whoever waits for it polls
+// for the word, after the first few microseconds at most once a millisecond
+// (tryAcquire). A call back into the Engine for the same shard from inside
+// Emit — a SubmitBatch, a Flush or any other control call — waits for the
+// word its own caller holds: it is refused with ErrSaturated once the shard
+// reads wedged (wedgeTimeout, one second after the burst began), and a
+// refused SubmitBatch is counted in Overloaded.
 type Emit func(pkt packet.Packet)
 
 // Handle addresses a registered aggregate on the datapath: one address per
@@ -115,12 +117,11 @@ var ErrStale = errors.New("stale handle")
 // enforcer.ErrNotReconfigurable sentinel. Test with errors.Is.
 var ErrNotReconfigurable = enforcer.ErrNotReconfigurable
 
-// ErrSaturated reports that an operation waiting on its shard — a control
-// call for a slot on the full ring, a LocalSubmitter for the occupancy word —
-// found the shard wedged (shard.wedged: work queued or in flight, no
-// heartbeat for wedgeTimeout). That is the only reason either gives up: a
-// live shard, however slow, is waited out. The operation did not run and
-// never will. Test with errors.Is.
+// ErrSaturated reports that an operation waiting for its shard's occupancy
+// word — a burst or a control call — found the shard wedged (shard.wedged:
+// work in flight, no heartbeat for wedgeTimeout). That is the only reason
+// anything gives up: a live shard, however slow, is waited out. The
+// operation did not run and never will. Test with errors.Is.
 var ErrSaturated = errors.New("shard saturated")
 
 // errControlPanicked reports a control call whose closure panicked: the panic
@@ -134,11 +135,11 @@ const (
 	// ShardHealthy: the shard is idle or making progress.
 	ShardHealthy ShardState = iota
 	// ShardDegraded: the shard is alive but under duress — it recovered a
-	// panic or shed load within degradedFor (50ms), or its ring is ≥ 3/4 full.
+	// panic or refused a burst within degradedFor (50ms).
 	ShardDegraded
-	// ShardWedged: the shard has queued or in-flight work but its
-	// heartbeat has not advanced within wedgeTimeout (1s) — typically a
-	// blocked Emit callback or a stalled enforcer.
+	// ShardWedged: the shard has work in flight but its heartbeat has not
+	// advanced within wedgeTimeout (1s) — typically a blocked Emit callback
+	// or a stalled enforcer.
 	ShardWedged
 )
 
@@ -158,20 +159,15 @@ func (s ShardState) String() string {
 
 // Config configures an Engine.
 type Config struct {
-	// Shards is the number of shard goroutines (default GOMAXPROCS).
+	// Shards is the number of shards (default GOMAXPROCS).
 	Shards int
-	// QueueDepth is each shard's ingress ring capacity in BURSTS
-	// (default 1024), whatever their size: a full ring of 32-packet bursts
-	// holds 32× as many packets.
-	QueueDepth int
 	// Clock supplies the virtual time passed to enforcers; it is read
 	// once per burst, not once per packet. The default is wall time
 	// since engine start. Tests inject deterministic clocks.
 	Clock func() time.Duration
 
-	// CloseTimeout bounds Close: shards that cannot be stopped and
-	// drained within this deadline are force-abandoned and their queued
-	// packets counted as shed (default 5s).
+	// CloseTimeout bounds Close: shards whose occupancy word is still held
+	// at this deadline are force-abandoned (default 5s).
 	CloseTimeout time.Duration
 	// OnFault, when non-nil, is called once per recovered panic with the
 	// aggregate id (empty when unattributable) and the recovered value. It
@@ -189,7 +185,8 @@ type Config struct {
 	// and, once the run's packets have reached the emit hook, a handful of
 	// atomic adds from it — no per-packet atomics, no allocation — plus one
 	// sampled trace event per Options.SampleEvery runs; rare events (panics,
-	// quarantine, shed, reconfiguration) are always recorded. Read it
+	// quarantine, refusals at a wedged shard, reconfiguration) are always
+	// recorded. Read it
 	// back through Engine.TraceDump and Engine.Metrics.
 	Observer *obs.Collector
 }
@@ -199,9 +196,8 @@ type Engine struct {
 	cfg    Config
 	shards []*shard
 
-	// Overloaded counts packets shed: at a full shard ring, or by a
-	// LocalSubmitter that found its shard wedged. It sums the shards' shed
-	// words.
+	// Overloaded counts packets refused at a wedged shard (ErrSaturated). It
+	// sums the shards' shed words.
 	Overloaded shardSum
 	// Panics counts recovered enforcer/emit panics (each injected or
 	// organic panic is recovered and counted exactly once, on the shard
@@ -215,18 +211,16 @@ type Engine struct {
 	// enforcer) coerced to Drop, whether or not the aggregate has an emit
 	// hook.
 	BadVerdicts atomic.Int64
-	// OverloadShed is always zero: the engine sheds only at full rings,
-	// and counts that in Overloaded.
+	// OverloadShed is always zero: the engine's one overload response is
+	// the refusal at a wedged shard, counted in Overloaded.
 	//
 	// Deprecated: kept only because bench/engine.go reads it.
 	OverloadShed atomic.Int64
-	// InlineBursts counts bursts enforced through the ring-bypass fast
-	// path (LocalSubmitter.SubmitBatch) — run to completion on the
-	// submitting goroutine, no shard-ring hop.
+	// InlineBursts counts bursts enforced through LocalSubmitter.SubmitBatch.
 	InlineBursts shardSum
-	// InlineFallbacks counts ring-bypass submissions refused because their
-	// shard read wedged while they waited for its occupancy word; their
-	// packets are counted in Overloaded.
+	// InlineFallbacks counts bursts, from either submitter, refused because
+	// their shard read wedged while they waited for its occupancy word;
+	// their packets are counted in Overloaded.
 	InlineFallbacks shardSum
 
 	// table is the slot array the datapath reads lock-free. Writers
@@ -250,8 +244,7 @@ type Engine struct {
 	freeSlots []int
 
 	// obsSample caches Observer.Options().SampleEvery for the burst timing
-	// in serve and the shed-event coalescing in recordShed (0 without an
-	// Observer).
+	// in serve (0 without an Observer).
 	obsSample int
 
 	// extraMetrics holds metric-family sources attached by subsystems
@@ -270,13 +263,7 @@ type Engine struct {
 	mono       func() time.Duration
 	coarseWall atomic.Int64
 
-	// pool recycles the buffers queued bursts are copied into. A fixed
-	// per-shard slab would pin QueueDepth × DefaultBurst packets (1024 × 32
-	// × 72 B ≈ 2.36 MB a shard) whether or not anything ever queues; the
-	// pool holds what queuing has needed lately (DESIGN.md §5).
-	pool        sync.Pool     // *burst
 	stop        chan struct{} // closed by Close: stops the wall ticker
-	dead        chan struct{} // closed once Close finished (shards exited or abandoned)
 	closeReport CloseReport   // stored by the first Close, returned by later ones
 }
 
@@ -365,100 +352,50 @@ type aggregate struct {
 	audit atomic.Pointer[aggAudit]
 }
 
-// burst is the pooled buffer a queued burst's packets are copied into; the
-// engine owns it.
-type burst struct {
-	pkts []packet.Packet
-}
-
-// item is one unit of shard work, for agg: a burst (b), a control call, or
-// the stop Close sends.
-type item struct {
-	b   *burst
-	agg *aggregate
-
-	// control runs on agg's enforcer, and agg attributes a control panic
-	// to its aggregate. done receives whether control returned (false when
-	// it panicked); it is nil when the caller runs the item itself.
-	control func(enforcer.Enforcer)
-	done    chan bool
-	stop    bool
-}
-
 // shard is one execution domain: one holder of its occupancy word at a time.
-// Its fields are grouped by who writes them, one 64-byte line per group (the
-// struct is 256 bytes, a size class whose objects start on a line): what
-// nobody writes after New; what the holder of the word writes; the pending
-// count, which both sides write; and what submitters write behind a busy
-// shard. A producer that queues or sheds there takes no line the holder is
-// writing, and one that sheds does not take the count's either.
+// Its fields fill two 64-byte lines (a 128-byte size class, whose objects
+// start on a line): the first holds what nobody writes per burst — what New
+// set, and the counters a refusal or a recovered panic writes, which a
+// holder making progress never does — and the second what the holder of the
+// word writes for every burst, beside the word itself.
 type shard struct {
 	idx      int
-	in       chan item          // the shard's one queue: bursts, control items and the stop, in order
 	verdicts []enforcer.Verdict // enforcement-side scratch, owned by the occupancy holder
 	// obs is the shard's observability block (nil without an Observer):
 	// its flight-recorder ring, burst-latency histogram and trace
 	// sampling state.
-	obs  *obs.ShardObs
-	done chan struct{} // closed when the shard goroutine exits
-	_    [8]byte
+	obs *obs.ShardObs
 
-	// occ is the shard occupancy word (occFree/occShard/occLocal): the
-	// shard goroutine CASes it around every ring item and submitters CAS
-	// it around every run of their own, so exactly one goroutine at a time
-	// uses the shard's enforcement state (enforcers, verdicts scratch,
+	shed            atomic.Int64 // packets refused at this shard (Engine.Overloaded sums them)
+	inlineFallbacks atomic.Int64 // bursts refused (Engine.InlineFallbacks sums them)
+	// lastFault is the coarse wall reading (Engine.coarseWall) at the
+	// shard's last refusal or recovered panic: classify reads the shard
+	// degraded for degradedFor after it.
+	lastFault atomic.Int64
+
+	// occ is the shard occupancy word: whoever brings a burst or a control
+	// call sets it around that unit of work, so exactly one goroutine at a
+	// time uses the shard's enforcement state (enforcers, verdicts scratch,
 	// trace sampling). See local.go.
-	occ atomic.Int32
-	// Health plane. heartbeat is stamped (wall nanos, Engine.coarseWall) around
-	// every ring item and inline burst; that one is in flight — how classify
-	// tells a shard wedged mid-item (ring may be empty) from an idle one — is
-	// the occupancy word above (inFlight).
-	heartbeat atomic.Int64
-	processed atomic.Int64 // items completed
-	panics    atomic.Int64 // panics recovered on this shard
-	// Who served what, written under the word: ring-API bursts run by their
-	// submitter (claimed) or handed to the shard goroutine (queued), and
-	// LocalSubmitter's bursts (Engine.InlineBursts sums them).
-	claimed      atomic.Int64
-	queued       atomic.Int64
-	inlineBursts atomic.Int64
+	occ atomic.Bool
+	// Health plane. heartbeat is stamped (wall nanos, Engine.coarseWall)
+	// around every burst and control call; whether one is in flight — how
+	// classify tells a wedged shard from an idle one — is the occupancy word
+	// above (inFlight).
+	heartbeat    atomic.Int64
+	processed    atomic.Int64 // bursts and control calls completed
+	panics       atomic.Int64 // panics recovered on this shard
+	inlineBursts atomic.Int64 // LocalSubmitter's bursts (Engine.InlineBursts sums them)
 	// timeTick counts down the bursts until the next one the latency digest
 	// times (one in Options.SampleEvery; see serve).
 	timeTick int
-
-	// pending counts the items offered to in and not yet completed:
-	// raised before the channel send, lowered under the word once the item
-	// has run (or by whoever sheds, times out or drains it). Submitters
-	// serve their own work only at zero (claimIdle).
-	pending atomic.Int32
-	_       [60]byte
-
-	shed            atomic.Int64 // packets shed at this shard (Engine.Overloaded sums them)
-	inlineFallbacks atomic.Int64 // LocalSubmitter bursts refused (Engine.InlineFallbacks sums them)
-	// lastFault is the coarse wall reading (Engine.coarseWall) at the
-	// shard's last shed or recovered panic: classify reads the shard
-	// degraded for degradedFor after it.
-	lastFault atomic.Int64
-	// shedTick/shedAccum coalesce KindShed trace events: under sustained
-	// overload every enqueue sheds, and recording each one would hammer
-	// the collector's global sequence from every producer. The first shed
-	// records immediately (the transition into overload is never missed);
-	// after that one event per obsSample sheds carries the accumulated
-	// packet count. Both are guarded by mu, which only a shedding producer
-	// takes (recordShed). Overloaded/shed counters stay exact.
-	mu        sync.Mutex
-	shedTick  int
-	shedAccum int64
-	_         [16]byte
+	_        [16]byte
 }
 
 // New starts an Engine.
 func New(cfg Config) *Engine {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 1024
 	}
 	if cfg.Clock == nil {
 		start := time.Now()
@@ -472,13 +409,9 @@ func New(cfg Config) *Engine {
 		wall: wallClock,
 		mono: monoClock,
 		stop: make(chan struct{}),
-		dead: make(chan struct{}),
 	}
 	if cfg.Observer != nil {
 		e.obsSample = cfg.Observer.Options().SampleEvery
-	}
-	e.pool.New = func() any {
-		return &burst{pkts: make([]packet.Packet, 0, enforcer.DefaultBurst)}
 	}
 	e.table.Store(&registry{})
 	e.ids = make(map[string]aggRef)
@@ -487,16 +420,13 @@ func New(cfg Config) *Engine {
 	for i := 0; i < cfg.Shards; i++ {
 		s := &shard{
 			idx:      i,
-			in:       make(chan item, cfg.QueueDepth),
 			verdicts: make([]enforcer.Verdict, enforcer.DefaultBurst),
-			done:     make(chan struct{}),
 		}
 		s.heartbeat.Store(now)
 		if cfg.Observer != nil {
 			s.obs = cfg.Observer.Shard(i)
 		}
 		e.shards = append(e.shards, s)
-		go e.run(s)
 	}
 	e.Overloaded = shardSum{e.shards, func(s *shard) *atomic.Int64 { return &s.shed }}
 	e.Panics = shardSum{e.shards, func(s *shard) *atomic.Int64 { return &s.panics }}
@@ -506,40 +436,8 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// run is a shard's event loop: it serves, in order, what submitters and
-// control callers queued because they found the shard busy, until Close's
-// stop item.
-func (e *Engine) run(s *shard) {
-	defer close(s.done)
-	for !e.process(s, <-s.in) {
-	}
-}
-
-// process executes one queued item on the shard goroutine; true means stop.
-// The item runs under the shard's occupancy word, which serializes it against
-// submitters serving their own work (see local.go) and tells classify
-// that work is in flight, and stops counting as pending only once it has run;
-// stop items skip both — they touch no enforcement state.
-func (e *Engine) process(s *shard, it item) bool {
-	if it.stop {
-		return true
-	}
-	s.acquire(occShard)
-	defer s.release()
-	defer s.pending.Add(-1)
-	if it.control != nil {
-		e.serveControl(s, it)
-		return false
-	}
-	e.serve(s, it.agg, it.b.pkts)
-	s.queued.Add(1)
-	e.putBurst(it.b)
-	return false
-}
-
 // serve enforces one burst on behalf of whoever holds the shard's occupancy
-// word: the shard goroutine for a queued item, the submitting goroutine for
-// one it claimed the shard for. The heartbeat stamps are the coarse wall
+// word: the goroutine that submitted it. The heartbeat stamps are the coarse wall
 // reading (coarseWall), so a burst reads no wall clock. An observed shard
 // counts every burst and times one in Options.SampleEvery, the first of each
 // stretch, for the latency digest, with two monotonic reads. The engine
@@ -565,33 +463,26 @@ func (e *Engine) serve(s *shard, agg *aggregate, pkts []packet.Packet) {
 	s.processed.Add(1)
 }
 
-// serveControl runs one control item on behalf of whoever holds the shard's
-// occupancy word, between two heartbeat stamps, and reports whether its
-// closure returned.
-func (e *Engine) serveControl(s *shard, it item) bool {
+// serveControl runs one control call's fn for agg on behalf of whoever holds
+// the shard's occupancy word, between two heartbeat stamps, and reports
+// whether fn returned.
+func (e *Engine) serveControl(s *shard, agg *aggregate, fn func(enforcer.Enforcer)) bool {
 	s.heartbeat.Store(e.coarseWall.Load())
-	ok := e.runControl(s, it)
+	ok := e.runControl(s, agg, fn)
 	s.processed.Add(1)
 	s.heartbeat.Store(e.coarseWall.Load())
 	return ok
 }
 
-// runControl executes one control item inside a panic barrier and reports
-// whether its closure returned. done is answered even when fn panics, so a
-// control waiter can never be leaked by a faulty enforcer; the panic is
-// attributed to the item's aggregate.
-func (e *Engine) runControl(s *shard, it item) (ok bool) {
-	defer func() {
-		if it.done != nil {
-			it.done <- ok
-		}
-	}()
+// runControl executes fn inside a panic barrier and reports whether it
+// returned; a panic is attributed to agg.
+func (e *Engine) runControl(s *shard, agg *aggregate, fn func(enforcer.Enforcer)) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			e.notePanic(s, it.agg, r)
+			e.notePanic(s, agg, r)
 		}
 	}()
-	it.control(it.agg.enf)
+	fn(agg.enf)
 	return true
 }
 
@@ -599,7 +490,7 @@ func (e *Engine) runControl(s *shard, it item) (ok bool) {
 // path inside a panic barrier. A quarantined aggregate's run never touches
 // the enforcer: it is dropped at once. A run that panics mid-flight
 // quarantines the aggregate and drops the unhandled remainder of the run,
-// and the shard goroutine survives.
+// and its caller carries on.
 func (e *Engine) runBatch(s *shard, now time.Duration, agg *aggregate, pkts []packet.Packet) {
 	if agg.quarantined.Load() {
 		e.degrade(agg, pkts)
@@ -862,53 +753,6 @@ func (e *Engine) wallTicker() {
 	}
 }
 
-// enqueue offers a burst to the shard ring without blocking: a full ring
-// sheds the whole burst and counts it as overload. A ring that already reads
-// full sheds without raising pending — under a flood that is most bursts, and
-// the count shares a cache line with what the shard goroutine writes per item.
-func (e *Engine) enqueue(s *shard, it item) {
-	if len(s.in) < cap(s.in) {
-		s.pending.Add(1)
-		select {
-		case s.in <- it:
-			return
-		default:
-			s.pending.Add(-1)
-		}
-	}
-	n := int64(len(it.b.pkts))
-	s.shed.Add(n)
-	s.lastFault.Store(e.coarseWall.Load())
-	e.recordShed(s, n)
-	e.putBurst(it.b)
-}
-
-// recordShed coalesces KindShed trace events for n shed packets (see
-// shard.shedTick): one event, with the accumulated packet count in A, is
-// recorded on the first shed and then once per obsSample sheds. No-op
-// without an Observer.
-func (e *Engine) recordShed(s *shard, n int64) {
-	if s.obs == nil {
-		return
-	}
-	s.mu.Lock()
-	s.shedAccum += n
-	if s.shedTick--; s.shedTick <= 0 {
-		s.shedTick = e.obsSample
-		s.obs.Record(obs.Event{Kind: obs.KindShed, Agg: -1, A: s.shedAccum})
-		s.shedAccum = 0
-	}
-	s.mu.Unlock()
-}
-
-// putBurst clears a burst (dropping payload references so the pool does not
-// pin memory) and returns it to the pool.
-func (e *Engine) putBurst(b *burst) {
-	clear(b.pkts)
-	b.pkts = b.pkts[:0]
-	e.pool.Put(b)
-}
-
 // shardFor hashes an aggregate ID onto a shard with an inline FNV-1a loop
 // (no hasher allocation: the control path is allocation-free too).
 func (e *Engine) shardFor(id string) *shard {
@@ -1015,12 +859,11 @@ func (e *Engine) add(id string, enf enforcer.Enforcer, emit Emit, pinned *shard)
 // statistics, so accounting is not silently lost at teardown.
 //
 // Drain semantics: unpublication is immediate — new submissions fail with
-// ErrStale — but bursts already queued to the shard when Remove is called
-// are still enforced and emitted (the aggregate's state stays valid until
-// its queued bursts drain). The final stats are read through an
-// in-band control barrier after those bursts, so they include every packet
-// submitted happens-before the Remove call; packets submitted concurrently
-// with Remove may land on either side.
+// ErrStale — but a burst already being served when Remove is called is
+// still enforced and emitted. The final stats are read under the shard's
+// occupancy word after it, so they include every packet submitted
+// happens-before the Remove call; packets submitted concurrently with
+// Remove may land on either side.
 //
 // The aggregate is removed even when the stats read fails: a non-nil error
 // (ErrNoStats for an enforcer without a StatsReader, ErrSaturated for a
@@ -1034,8 +877,8 @@ func (e *Engine) Remove(id string) (enforcer.Stats, error) {
 		return enforcer.Stats{}, err
 	}
 	e.record(nil, obs.Event{Kind: obs.KindRemove, Agg: int64(agg.h)})
-	// The in-band barrier on its shard: every burst queued before
-	// unpublication is enforced before the read.
+	// The in-band barrier on its shard: a burst in flight at unpublication
+	// is enforced before the read.
 	return e.readStats(agg, agg.ownStats)
 }
 
@@ -1061,8 +904,8 @@ func (e *Engine) unpublish(id string) (*aggregate, error) {
 	return agg, nil
 }
 
-// readStats runs read while holding agg's shard, behind every burst submitted
-// before the call. A control error (saturated shard, closed engine) wins
+// readStats runs read while holding agg's shard, after every burst submitted
+// before the call. A control error (saturated shard, panicked read) wins
 // over read's.
 func (e *Engine) readStats(agg *aggregate, read func() (enforcer.Stats, error)) (enforcer.Stats, error) {
 	var out enforcer.Stats
@@ -1119,16 +962,16 @@ func (e *Engine) resolve(h Handle) (*aggregate, error) {
 	return agg, nil
 }
 
-// admit is the one gate every submission passes, ring or inline (inline
-// names the submitter's shard; nil for the ring): handle resolution, shard
-// ownership for an inline submitter, and the empty burst. A nil aggregate
+// admit is the one gate every submission passes (owner names a
+// LocalSubmitter's shard; nil for Engine.SubmitBatch): handle resolution,
+// shard ownership for a LocalSubmitter, and the empty burst. A nil aggregate
 // with a nil error means there is nothing left to serve.
-func (e *Engine) admit(h Handle, n int, inline *shard) (*aggregate, error) {
+func (e *Engine) admit(h Handle, n int, owner *shard) (*aggregate, error) {
 	agg, err := e.resolve(h)
 	if err != nil {
 		return nil, err
 	}
-	if inline != nil && agg.shard != inline {
+	if owner != nil && agg.shard != owner {
 		return nil, fmt.Errorf("mbox: aggregate %q on shard %d: %w", agg.id, agg.shard.idx, ErrWrongShard)
 	}
 	if n == 0 {
@@ -1138,33 +981,45 @@ func (e *Engine) admit(h Handle, n int, inline *shard) (*aggregate, error) {
 }
 
 // SubmitBatch submits a whole burst for one aggregate (a policy tree routes
-// each packet to a leaf itself). It never waits behind another submitter's
-// work. On an idle shard
-// — nobody holds it, nothing is queued — the burst is enforced on the
-// calling goroutine before SubmitBatch returns: enforcer, observation, audit
-// and emit hook run in place on pkts (a TransmitCE verdict sets CE on the
-// caller's slice), exactly as LocalSubmitter.SubmitBatch does, so an emit
-// hook that blocks blocks its own caller. Otherwise the packets are copied into an engine-owned pooled buffer
-// and handed to the shard's goroutine in one ring operation, behind
-// everything queued before them; when the ring is full the burst is shed and
-// counted in Overloaded. Either way the caller may reuse pkts on return, and
-// steady-state submission performs no allocation. Invalid handles report an
-// error (misrouted traffic should be visible).
+// each packet to a leaf itself) and enforces it on the calling goroutine
+// before it returns: it waits for the shard's occupancy word, and then
+// enforcer, observation, audit and emit hook run in place on pkts (a
+// TransmitCE verdict sets CE on the caller's slice), exactly as
+// LocalSubmitter.SubmitBatch does, so an emit hook that blocks blocks its own
+// caller. A live holder of the word is waited out, however long it takes;
+// when the shard reads wedged the burst is refused with ErrSaturated and
+// counted in Overloaded and InlineFallbacks. The engine never retains pkts:
+// the caller may reuse them on return, and submission performs no
+// allocation. Invalid handles report an error (misrouted traffic should be
+// visible).
 func (e *Engine) SubmitBatch(h Handle, pkts []packet.Packet) error {
 	agg, err := e.admit(h, len(pkts), nil)
 	if agg == nil {
 		return err
 	}
+	return e.submit(agg, pkts)
+}
+
+// submit is the rule every burst follows, whichever submitter brought it:
+// wait for the shard's occupancy word and serve the burst, or, once the
+// shard reads wedged, refuse it and count it.
+func (e *Engine) submit(agg *aggregate, pkts []packet.Packet) error {
 	s := agg.shard
-	if s.claimIdle() {
-		defer s.release()
-		e.serve(s, agg, pkts)
-		s.claimed.Add(1)
-		return nil
+	if !s.tryAcquire(s.wedged) {
+		n := int64(len(pkts))
+		s.shed.Add(n)
+		s.inlineFallbacks.Add(1)
+		// Producers at a wedged shard are refused as fast as they offer:
+		// record the episode's first refusal, not each, so the shard's
+		// flight recorder keeps what led up to the wedge.
+		now := e.coarseWall.Load()
+		if time.Duration(now-s.lastFault.Swap(now)) >= degradedFor {
+			e.record(s, obs.Event{Kind: obs.KindShed, Agg: int64(agg.h), A: n})
+		}
+		return fmt.Errorf("mbox: aggregate %q: %w", agg.id, ErrSaturated)
 	}
-	b := e.pool.Get().(*burst)
-	b.pkts = append(b.pkts, pkts...)
-	e.enqueue(s, item{b: b, agg: agg})
+	defer s.release()
+	e.serve(s, agg, pkts)
 	return nil
 }
 
@@ -1192,65 +1047,30 @@ func (e *Engine) Flush(id string, fn func(enf enforcer.Enforcer)) error {
 	return e.controlAgg(agg, fn)
 }
 
-// reofferInterval is how long a control call parked on a full ring waits for
-// a slot before it asks again whether the shard is wedged.
-const reofferInterval = 10 * time.Millisecond
-
 // controlAgg runs fn for an already-resolved aggregate under its shard's
-// occupancy word and waits for it. It works on unpublished aggregates too,
-// which is how Remove collects final statistics.
-//
-// On an idle shard the caller claims the word and runs fn itself. Otherwise
-// the control item joins the shard's ring behind everything queued before
-// it; either way fn observes every packet submitted before the call. A full
-// ring makes the caller wait for a slot, and it gets the first one the shard
-// frees, ahead of producers that would shed rather than wait. It keeps
-// waiting while the shard is alive, however slowly it drains — a shard
-// goroutine kept off the CPU for a few scheduler slices is not wedged — and
-// checks every reofferInterval whether the shard is wedged (shard.wedged).
-// If it is, ErrSaturated is reported and fn never runs.
-// An fn that panics is recovered by runControl and reported as an error
-// wrapping errControlPanicked, never as success.
+// occupancy word, on the calling goroutine, by the rule bursts follow
+// (submit): fn observes every packet submitted before the call, a live
+// holder of the word is waited out, and a shard that reads wedged
+// (shard.wedged) refuses the call with ErrSaturated, and fn never runs. It
+// works on unpublished aggregates too, which is how Remove collects final
+// statistics. An fn that panics is recovered by runControl and reported as
+// an error wrapping errControlPanicked, never as success.
 func (e *Engine) controlAgg(agg *aggregate, fn func(enforcer.Enforcer)) error {
 	s := agg.shard
-	it := item{control: fn, agg: agg}
-	finished := func(ok bool) error {
-		if !ok {
-			return fmt.Errorf("mbox: aggregate %q: %w", agg.id, errControlPanicked)
-		}
-		return nil
+	if !s.tryAcquire(s.wedged) {
+		return fmt.Errorf("mbox: aggregate %q: %w", agg.id, ErrSaturated)
 	}
-	if s.claimIdle() {
-		defer s.release()
-		return finished(e.serveControl(s, it))
+	defer s.release()
+	if !e.serveControl(s, agg, fn) {
+		return fmt.Errorf("mbox: aggregate %q: %w", agg.id, errControlPanicked)
 	}
-	it.done = make(chan bool, 1) // runControl never waits to answer
-	s.pending.Add(1)
-	for !sendUntil(s.in, it, time.Now().Add(reofferInterval)) {
-		if s.wedged(time.Now().UnixNano()) {
-			s.pending.Add(-1)
-			return fmt.Errorf("mbox: aggregate %q: %w", agg.id, ErrSaturated)
-		}
-	}
-	select {
-	case ok := <-it.done:
-		return finished(ok)
-	case <-e.dead:
-		// The engine closed while the item was in flight; it may still
-		// have been processed during the drain.
-		select {
-		case ok := <-it.done:
-			return finished(ok)
-		default:
-			return fmt.Errorf("mbox: engine closed")
-		}
-	}
+	return nil
 }
 
 // SetRate changes an aggregate's rate, in place and in-band: the change
 // runs under the owning shard's occupancy word with the engine's clock read
-// there, serialized against the aggregate's bursts and behind any still
-// queued on the shard's ring. A concurrently running batch therefore never
+// there, serialized against the aggregate's bursts. A concurrently running
+// batch therefore never
 // observes a partially applied rate, the change observes every packet
 // submitted before the call, and — because enforcers reconfigure in place
 // (see enforcer.Reconfigurer) — admission state survives: no phantom
@@ -1264,8 +1084,7 @@ func (e *Engine) controlAgg(agg *aggregate, fn func(enforcer.Enforcer)) error {
 // and a successful change records a KindRateUpdate trace event. The
 // enforcer must implement enforcer.Reconfigurer; ErrNotReconfigurable
 // otherwise. Like all control operations, SetRate reports ErrSaturated,
-// without changing anything, when its shard's ring is full and the shard
-// wedged.
+// without changing anything, when its shard is wedged.
 func (e *Engine) SetRate(id string, rate units.Rate) error {
 	agg, err := e.aggByID(id)
 	if err != nil {
@@ -1309,22 +1128,15 @@ func (e *Engine) aggByID(id string) (*aggregate, error) {
 
 // ShardHealth is one shard's health as read by Engine.Health.
 type ShardHealth struct {
-	Shard      int
-	State      ShardState
-	QueueDepth int // bursts and control items queued on the shard's ring
-	QueueCap   int // ring capacity in bursts
+	Shard int
+	State ShardState
 	// HeartbeatAge is the time since the shard last made progress; it can
 	// read up to 500µs high (coarseWall).
 	HeartbeatAge time.Duration
-	Busy         bool  // somebody holds the shard: a burst or control item is in flight
-	Processed    int64 // items completed
+	Busy         bool  // somebody holds the shard: a burst or control call is in flight
+	Processed    int64 // bursts and control calls completed
 	Panics       int64 // panics recovered on this shard
-	Shed         int64 // packets shed at this shard (its part of Overloaded)
-	// Claimed / Queued split the Engine.SubmitBatch bursts served so far by
-	// who served them: the submitter, having found the shard idle, or the
-	// shard goroutine, from the ring.
-	Claimed int64
-	Queued  int64
+	Shed         int64 // packets refused at this shard (its part of Overloaded)
 }
 
 // Health is a point-in-time snapshot of the engine's fault plane.
@@ -1365,15 +1177,11 @@ func (e *Engine) Health() Health {
 		h.Shards[i] = ShardHealth{
 			Shard:        i,
 			State:        classify(s, now),
-			QueueDepth:   len(s.in),
-			QueueCap:     cap(s.in),
 			HeartbeatAge: time.Duration(now - s.heartbeat.Load()),
 			Busy:         s.inFlight(),
 			Processed:    s.processed.Load(),
 			Panics:       s.panics.Load(),
 			Shed:         s.shed.Load(),
-			Claimed:      s.claimed.Load(),
-			Queued:       s.queued.Load(),
 		}
 	}
 	t := e.table.Load()
@@ -1385,38 +1193,35 @@ func (e *Engine) Health() Health {
 	return h
 }
 
-// inFlight reports whether a ring item or an inline burst holds the shard's
+// inFlight reports whether a burst or a control call holds the shard's
 // enforcement state right now.
-func (s *shard) inFlight() bool { return s.occ.Load() != occFree }
+func (s *shard) inFlight() bool { return s.occ.Load() }
 
-// wedgeTimeout is the heartbeat age beyond which a shard with pending or
-// in-flight work is classified Wedged: well above the 500µs the heartbeat can
-// trail the work by (coarseWall), and the tens of milliseconds a runnable
-// shard goroutine can wait for a CPU on a host with more busy goroutines than
-// cores.
+// wedgeTimeout is the heartbeat age beyond which a shard with work in flight
+// is classified Wedged: well above the 500µs the heartbeat can trail the work
+// by (coarseWall), and the tens of milliseconds a runnable holder can wait
+// for a CPU on a host with more busy goroutines than cores.
 const wedgeTimeout = time.Second
 
-// wedged reports whether s has work (queued, or in flight on its own
-// goroutine or an inline submitter's) and a heartbeat stale by more than
-// wedgeTimeout at now — an idle shard's heartbeat goes stale legitimately,
-// and a working one's by coarseWallInterval (coarseWall).
+// wedged reports whether s has work in flight and a heartbeat stale by more
+// than wedgeTimeout at now — an idle shard's heartbeat goes stale
+// legitimately, and a working one's by coarseWallInterval (coarseWall).
 func (s *shard) wedged(now int64) bool {
-	working := len(s.in) > 0 || s.inFlight()
-	return working && time.Duration(now-s.heartbeat.Load()) > wedgeTimeout
+	return s.inFlight() && time.Duration(now-s.heartbeat.Load()) > wedgeTimeout
 }
 
-// degradedFor is how long a shed or a recovered panic keeps its shard
+// degradedFor is how long a refusal or a recovered panic keeps its shard
 // Degraded (shard.lastFault).
 const degradedFor = 50 * time.Millisecond
 
 // classify derives s's state at now (wall nanos) from atomics alone: Wedged
-// when s.wedged, Degraded when it shed load or recovered a panic within
-// degradedFor or its ring is ≥3/4 full.
+// when s.wedged, Degraded when it refused a burst or recovered a panic within
+// degradedFor.
 func classify(s *shard, now int64) ShardState {
 	switch {
 	case s.wedged(now):
 		return ShardWedged
-	case time.Duration(now-s.lastFault.Load()) < degradedFor || len(s.in) >= cap(s.in)-cap(s.in)/4:
+	case time.Duration(now-s.lastFault.Load()) < degradedFor:
 		return ShardDegraded
 	default:
 		return ShardHealthy
@@ -1425,33 +1230,29 @@ func classify(s *shard, now int64) ShardState {
 
 // CloseReport describes how a Close went down.
 type CloseReport struct {
-	// Clean is true when every shard drained its ring and exited within
-	// the deadline — the pre-fault-tolerance Close behaviour.
+	// Clean is true when every shard's occupancy word could be taken within
+	// the deadline.
 	Clean bool
-	// AbandonedShards counts shards that were force-abandoned: the shard
-	// goroutine did not exit within the deadline, or a submitter serving
-	// its own work still held the shard at it (typically wedged in a
-	// blocked Emit callback). Their goroutines are left behind; if they
-	// ever unwedge they find empty rings and exit on the pending stop.
+	// AbandonedShards counts shards that were force-abandoned: a holder of
+	// the word (typically wedged in a blocked Emit callback) still had it
+	// at the deadline. Its goroutine is left behind.
 	AbandonedShards int
-	// ShedPackets counts packets that were queued but discarded
-	// unenforced during a forced shutdown (drained from the rings of
-	// abandoned shards).
+	// ShedPackets is always zero: nothing is queued, so Close discards
+	// nothing.
+	//
+	// Deprecated: kept only because bench/engine.go reads it.
 	ShedPackets int64
 }
 
 // Close stops the engine within Config.CloseTimeout. Submitting after Close
-// returns an error; bursts submitted while Close runs may be silently
-// discarded. Close is idempotent; concurrent and later calls return the
-// first call's report.
+// returns an error; a burst or control call that resolved its aggregate
+// before Close may still be served while Close runs. Close is idempotent;
+// concurrent and later calls return the first call's report.
 //
-// Shutdown is deadline-bounded and has two stages per shard: (1) a stop item
-// joins the ring behind everything accepted before Close, so a responsive
-// shard serves all of it and exits; (2) a shard whose ring stays full, whose
-// goroutine does not exit, or whose occupancy word a submitter still holds
-// (wedged in user code) by the deadline is force-abandoned: what its ring
-// still holds is drained unenforced and counted as shed, queued control
-// calls fail with an engine-closed error, and Close returns and reports it.
+// Close publishes the closed registry, so later calls fail fast, and then
+// takes each shard's occupancy word in turn, which waits out every burst and
+// control call in flight. A shard whose word is still held at the deadline is
+// force-abandoned and counted in the report.
 func (e *Engine) Close() CloseReport {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1459,123 +1260,22 @@ func (e *Engine) Close() CloseReport {
 	if t.closed {
 		return e.closeReport
 	}
-	// Publish the closed snapshot: subsequent datapath and control calls
-	// fail fast without touching the shards.
 	e.table.Store(&registry{closed: true})
 	e.idMu.Lock()
 	e.ids = map[string]aggRef{}
 	e.idMu.Unlock()
 	close(e.stop)
-	deadline := time.Now().Add(e.cfg.CloseTimeout)
-	type result struct {
-		exited bool
-		shed   int64
-	}
-	results := make([]result, len(e.shards))
-	var wg sync.WaitGroup
-	for i, s := range e.shards {
-		wg.Add(1)
-		go func(i int, s *shard) {
-			defer wg.Done()
-			r := &results[i]
-			if sendUntil(s.in, item{stop: true}, deadline) && waitUntil(s.done, deadline) {
-				// A goroutine that exited proves nothing about a submitter
-				// serving its own burst — the stop item skips the word — so
-				// the shard counts as stopped once the word can be had too.
-				past := func(now int64) bool { return now >= deadline.UnixNano() }
-				if r.exited = s.tryAcquire(occLocal, past); r.exited {
-					s.release()
-				}
-			}
-			if !r.exited {
-				// The shard will not drain its ring: reclaim what is queued,
-				// count it as shed, and leave a stop for the goroutine to
-				// exit on should it ever unwedge.
-				r.shed = e.drainRing(s)
-				select {
-				case s.in <- item{stop: true}:
-				default:
-				}
-			}
-		}(i, s)
-	}
-	wg.Wait()
+	deadline := time.Now().Add(e.cfg.CloseTimeout).UnixNano()
+	past := func(now int64) bool { return now >= deadline }
 	var rep CloseReport
-	for _, r := range results {
-		if !r.exited {
+	for _, s := range e.shards {
+		if s.tryAcquire(past) {
+			s.release()
+		} else {
 			rep.AbandonedShards++
 		}
-		rep.ShedPackets += r.shed
 	}
 	rep.Clean = rep.AbandonedShards == 0
 	e.closeReport = rep
-	close(e.dead)
 	return rep
-}
-
-// drainRing empties a shard's ring without enforcing: bursts are pooled and
-// their packets returned, for CloseReport.ShedPackets alone (Overloaded
-// counts what full rings and wedged shards refused); control items are discarded un-run (their
-// waiters are released by e.dead with an engine-closed error, never a
-// false completion). Safe to run concurrently with a zombie consumer —
-// both are channel receivers.
-func (e *Engine) drainRing(s *shard) int64 {
-	var pkts int64
-	for {
-		select {
-		case it := <-s.in:
-			if !it.stop {
-				s.pending.Add(-1)
-			}
-			if it.b != nil {
-				pkts += int64(len(it.b.pkts))
-				e.putBurst(it.b)
-			}
-		default:
-			return pkts
-		}
-	}
-}
-
-// sendUntil offers it to ch until deadline; false means the deadline hit.
-func sendUntil(ch chan item, it item, deadline time.Time) bool {
-	select {
-	case ch <- it:
-		return true
-	default:
-	}
-	d := time.Until(deadline)
-	if d <= 0 {
-		return false
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case ch <- it:
-		return true
-	case <-t.C:
-		return false
-	}
-}
-
-// waitUntil waits for ch to close until deadline; false means the deadline
-// hit first.
-func waitUntil(ch chan struct{}, deadline time.Time) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-	}
-	d := time.Until(deadline)
-	if d <= 0 {
-		return false
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ch:
-		return true
-	case <-t.C:
-		return false
-	}
 }

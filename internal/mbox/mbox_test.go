@@ -59,89 +59,61 @@ func TestAggregateLayout(t *testing.T) {
 	}
 }
 
-// TestShardLayout pins the shard's four cache lines: what nobody writes
-// after New, what the holder of the occupancy word writes, the pending count
-// both sides write, and what submitters write behind a busy shard. 256 bytes
-// is a size class whose objects start on a line.
+// TestShardLayout pins the shard's two cache lines: what nobody writes per
+// burst (what New set, and the counters a refusal or a recovered panic
+// writes), and what the holder of the occupancy word writes for every burst,
+// beside the word. 128 bytes is a size class whose objects start on a line.
 func TestShardLayout(t *testing.T) {
 	var s shard
-	if got := unsafe.Sizeof(s); got != 256 {
-		t.Errorf("shard is %d bytes, want 256 (four lines, a malloc size class)", got)
+	if got := unsafe.Sizeof(s); got != 128 {
+		t.Errorf("shard is %d bytes, want 128 (two lines, a malloc size class)", got)
+	}
+	if end := unsafe.Offsetof(s.lastFault) + unsafe.Sizeof(s.lastFault); end > 64 {
+		t.Errorf("refusal counters end at %d, want ≤ 64", end)
 	}
 	if got := unsafe.Offsetof(s.occ); got != 64 {
 		t.Errorf("holder-written fields start at %d, want 64", got)
-	}
-	if end := unsafe.Offsetof(s.inlineBursts) + unsafe.Sizeof(s.inlineBursts); end > 128 {
-		t.Errorf("holder-written fields end at %d, want ≤ 128", end)
-	}
-	if got := unsafe.Offsetof(s.pending); got != 128 {
-		t.Errorf("pending is at %d, want 128", got)
-	}
-	if got := unsafe.Offsetof(s.shed); got != 192 {
-		t.Errorf("submitter-written fields start at %d, want 192", got)
-	}
-}
-
-func TestOverloadSheds(t *testing.T) {
-	// A blocked shard must shed bursts rather than block Submit.
-	gate := make(chan struct{})
-	e := New(Config{Shards: 1, QueueDepth: 4})
-	// LIFO: the gate must open before Close waits for the shard.
-	defer e.Close()
-	defer close(gate)
-	enf := tbf.MustNew(units.Mbps, 10*units.MSS)
-	h, err := e.Add("x", enf, func(packet.Packet) { <-gate })
-	if err != nil {
-		t.Fatal(err)
-	}
-	wedgeShard(t, e, 0, func() { e.SubmitBatch(h, []packet.Packet{pkt(0)}) })
-	deadline := time.After(5 * time.Second)
-	for e.Overloaded.Load() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("never shed load with a blocked shard")
-		default:
-		}
-		if err := e.SubmitBatch(h, []packet.Packet{pkt(0)}); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
 // The name describes the control-lane failover this test pinned until the
 // lane was removed; it stays because the floor test list names it.
 func TestControlFailsOverOnSaturatedShard(t *testing.T) {
-	// With a submitter wedged in an emit callback on a burst it serves
-	// itself and the data ring full behind it, a control operation must
-	// not block behind data traffic: there is no second queue to fail
-	// over to, so once the shard reads wedged every op reports
-	// ErrSaturated at its next re-offer, and none of their fns ever runs.
-	// TestControlEscalationDeterministic wedges the shard goroutine instead.
+	// With a LocalSubmitter wedged in an emit callback, a control operation
+	// must not block behind it for good: there is no second lane to fail
+	// over to, so once the shard reads wedged every op waiting for the word
+	// reports ErrSaturated, and none of their fns ever runs.
+	// TestControlEscalationDeterministic steps one call through the same
+	// escalation behind an Engine.SubmitBatch.
 	gate := make(chan struct{})
 	var once sync.Once
 	openGate := func() { once.Do(func() { close(gate) }) }
-	e := New(Config{Shards: 1, QueueDepth: 1})
+	e := New(Config{Shards: 1})
 	defer e.Close()
 	defer openGate()
 	h, err := e.Add("x", tbf.MustNew(units.Mbps, 1000*units.MSS), func(packet.Packet) { <-gate })
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wedge the shard and fill the ring.
-	wedgeShard(t, e, 0, func() { e.SubmitBatch(h, []packet.Packet{pkt(0)}) })
-	for i := 0; i < 64; i++ {
-		if err := e.SubmitBatch(h, []packet.Packet{pkt(0)}); err != nil {
-			t.Fatal(err)
-		}
+	ls, err := e.LocalShard(0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	wedgeShard(t, e, 0, func() { ls.SubmitBatch(h, []packet.Packet{pkt(0)}) })
 	// Age the wedge past wedgeTimeout instead of waiting it out.
 	e.shards[0].heartbeat.Add(-int64(wedgeTimeout))
 	var ran atomic.Int32
+	ops := []func() error{
+		func() error { return e.Flush("x", func(enforcer.Enforcer) { ran.Add(1) }) },
+		func() error { _, err := e.Stats("x"); return err },
+		func() error { return e.SetRate("x", 2*units.Mbps) },
+	}
 	errs := make(chan error, 24)
 	for i := 0; i < cap(errs); i++ {
-		go func() { errs <- e.Flush("x", func(enforcer.Enforcer) { ran.Add(1) }) }()
+		op := ops[i%len(ops)]
+		go func() { errs <- op() }()
 	}
-	timeout := time.After(reofferInterval + time.Second)
+	timeout := time.After(time.Second)
 	for i := 0; i < cap(errs); i++ {
 		select {
 		case err := <-errs:
@@ -149,10 +121,11 @@ func TestControlFailsOverOnSaturatedShard(t *testing.T) {
 				t.Fatalf("control op on a saturated shard = %v, want ErrSaturated", err)
 			}
 		case <-timeout:
-			t.Fatalf("%d control ops still parked after reofferInterval + 1s", cap(errs)-i)
+			t.Fatalf("%d control ops still waiting 1s after the shard read wedged", cap(errs)-i)
 		}
 	}
 	openGate()
+	awaitIdle(t, e, 0)
 	if err := e.Flush("x", func(enforcer.Enforcer) {}); err != nil {
 		t.Fatalf("Flush after unwedge: %v", err)
 	}
@@ -163,7 +136,7 @@ func TestControlFailsOverOnSaturatedShard(t *testing.T) {
 
 func TestConcurrentAddRemoveDuringTraffic(t *testing.T) {
 	clock := &fakeClock{step: 10 * time.Microsecond}
-	e := New(Config{Shards: 4, Clock: clock.now, QueueDepth: 1 << 12})
+	e := New(Config{Shards: 4, Clock: clock.now})
 	defer e.Close()
 	steady, err := e.Add("steady", tbf.MustNew(8*units.Mbps, 100*units.MSS), nil)
 	if err != nil {

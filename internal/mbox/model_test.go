@@ -15,12 +15,12 @@ package mbox
 // (the tail an emit fault leaves un-emitted keeps its verdict and is counted
 // degraded too).
 //
-// One goroutine drives the engine, so it finds every shard idle and serves
-// each burst and control call itself (the claim rule, local.go): the run is
-// deterministic, and a failing input replays exactly. The model restarts the
-// engine too — Snapshot, Close, a fresh engine whose clock reads zero,
-// re-Add, Restore — while its twins run on along the old timeline, so a
-// restart must be invisible.
+// One goroutine drives the engine, so it finds every shard's occupancy word
+// free and serves each burst and control call without waiting (local.go):
+// the run is deterministic, and a failing input replays exactly. The model
+// restarts the engine too — Snapshot, Close, a fresh engine whose clock
+// reads zero, re-Add, Restore — while its twins run on along the old
+// timeline, so a restart must be invisible.
 
 import (
 	"bytes"
@@ -219,7 +219,10 @@ type modelAgg struct {
 }
 
 type modelShard struct {
-	processed, claimed, panics int64
+	processed, panics int64
+	// submits counts the Engine.SubmitBatch bursts served (the model's own
+	// count, which the scenarios read; the engine keeps none).
+	submits int64
 	// faultSeen is the wall time of the first Health check to see the
 	// shard's latest panic (checked is the panic count it saw): the shard's
 	// fault stamp is no later, so from degradedFor after it the shard must
@@ -490,7 +493,7 @@ func (m *modelEngine) serve(a *modelAgg, pkts []packet.Packet, inline bool) []bo
 	if inline {
 		m.inline++
 	} else {
-		m.sh[a.shard].claimed++
+		m.sh[a.shard].submits++
 	}
 	if m.observed {
 		m.bursts, m.exported = m.bursts+1, false
@@ -1047,8 +1050,8 @@ func (m *modelEngine) checkHealth() {
 			state = ShardDegraded
 		}
 		h.Shards[i].HeartbeatAge = 0
-		want.Shards = append(want.Shards, ShardHealth{Shard: i, State: state, QueueCap: 1024,
-			Processed: s.processed, Panics: s.panics, Claimed: s.claimed})
+		want.Shards = append(want.Shards, ShardHealth{Shard: i, State: state,
+			Processed: s.processed, Panics: s.panics})
 	}
 	if !reflect.DeepEqual(h, want) {
 		m.fail("Health = %+v, want %+v", h, want)
@@ -1207,8 +1210,8 @@ var modelScenarios = map[string][]byte{
 	"TreeSnapshotThroughEngine": script(oneShard, add(0, kTree, hook),
 		times(30, ms1, submit(0, 0, 6), submit(0, 0, 6), submit(0, 0, 4)), long, op(opRestart, 0, 0, 0),
 		times(30, ms1, submit(0, 0, 6), submit(0, 0, 6), submit(0, 0, 4))),
-	// Ring and inline bursts interleaved on one shard, into a flat aggregate
-	// and a tree routing them to its leaves.
+	// Engine.SubmitBatch and LocalSubmitter bursts interleaved on one shard,
+	// into a flat aggregate and a tree routing them to its leaves.
 	"LocalSubmitEquivalentToRing": script(twoShards, add(0, kTBF, hook|onShard(1)), add(1, kTree, hook|onShard(1)),
 		times(40, ms1, submit(0, 0, 9), local(0, 0, 9), submit(1, 0, 7), local(1, 0, 7), local(1, 0, 5))),
 	// A LocalSubmitter on the wrong shard, on an out-of-range one, and
@@ -1277,7 +1280,7 @@ var modelScenarios = map[string][]byte{
 	"AuditTreeRollup": script(oneShard, add(0, kTree, 0), add(1, kTree, 0), arm(0, 1), arm(1, 0),
 		times(60, ms1, submit(0, 0, 6), submit(1, 0, 6))),
 	// A tree's envelope is credited by every burst the tree routes, through
-	// the ring and inline alike.
+	// either submitter alike.
 	"NodeAuditCreditedAtOrBelowIngress": script(twoShards, add(0, kTree, onShard(0)), arm(0, 0),
 		times(40, ms1, submit(0, 0, 6), local(0, 0, 6), submit(0, 0, 1))),
 	"ChaosPanicQuarantineDeterministic": script(oneShard, add(0, kTBF|fPanic, hook), add(1, kTBF, hook),
@@ -1336,9 +1339,9 @@ func TestLeafSubmissionRoutesToNodes(t *testing.T) {
 			busy++
 		}
 	}
-	if m.inline == 0 || m.sh[1].claimed == 0 || busy < 2 {
-		t.Fatalf("%d inline and %d ring bursts, %d leaves admitting: want both ingresses and several leaves",
-			m.inline, m.sh[1].claimed, busy)
+	if m.inline == 0 || m.sh[1].submits == 0 || busy < 2 {
+		t.Fatalf("%d LocalSubmitter and %d Engine.SubmitBatch bursts, %d leaves admitting: want both ingresses and several leaves",
+			m.inline, m.sh[1].submits, busy)
 	}
 }
 
@@ -1393,9 +1396,13 @@ func TestChaosRateChangePreservesPhantomOccupancy(t *testing.T) {
 func TestSnapshotRestoreReplayByteIdentical(t *testing.T) {
 	runModel(t, modelScenarios["SnapshotRestoreReplayByteIdentical"])
 }
+
+// TestLocalSubmitEquivalentToRing: the name is from when Engine.SubmitBatch
+// could queue on a shard ring; the scenario holds the engine's two
+// submitters to one model.
 func TestLocalSubmitEquivalentToRing(t *testing.T) {
-	if m := runModel(t, modelScenarios["LocalSubmitEquivalentToRing"]); m.inline == 0 || m.sh[1].claimed == 0 {
-		t.Fatalf("%d inline and %d ring bursts: the scenario must exercise both", m.inline, m.sh[1].claimed)
+	if m := runModel(t, modelScenarios["LocalSubmitEquivalentToRing"]); m.inline == 0 || m.sh[1].submits == 0 {
+		t.Fatalf("%d LocalSubmitter and %d Engine.SubmitBatch bursts: the scenario must exercise both", m.inline, m.sh[1].submits)
 	}
 }
 

@@ -87,25 +87,23 @@ func (e *Engine) Metrics() obs.Snapshot {
 	counter("bcpqp_panics_total", "recovered enforcer/emit panics", float64(e.Panics.Load()))
 	counter("bcpqp_degraded_drops_total", "packets dropped for quarantined aggregates", float64(e.DegradedDrops.Load()))
 	counter("bcpqp_bad_verdicts_total", "out-of-range verdicts coerced to drop", float64(e.BadVerdicts.Load()))
-	counter("bcpqp_overloaded_packets_total", "packets shed at full shard rings", float64(e.Overloaded.Load()))
-	counter("bcpqp_inline_bursts_total", "bursts enforced through the ring-bypass fast path", float64(e.InlineBursts.Load()))
-	counter("bcpqp_inline_fallbacks_total", "ring-bypass submissions that fell back to shedding on a wedged shard", float64(e.InlineFallbacks.Load()))
+	counter("bcpqp_overloaded_packets_total", "packets refused at a wedged shard", float64(e.Overloaded.Load()))
+	counter("bcpqp_inline_bursts_total", "bursts enforced through a LocalSubmitter", float64(e.InlineBursts.Load()))
+	counter("bcpqp_inline_fallbacks_total", "bursts refused at a wedged shard", float64(e.InlineFallbacks.Load()))
 
 	// The heartbeat age reads up to 500µs high (coarseWall).
 	now := time.Now().UnixNano()
 	shardFams := []obs.Family{
 		{Name: "bcpqp_shard_state", Help: "watchdog state (0 healthy, 1 degraded, 2 wedged)", Type: "gauge"},
-		{Name: "bcpqp_shard_queue_depth", Help: "bursts and control items queued on the shard ring", Type: "gauge"},
 		{Name: "bcpqp_shard_heartbeat_age_seconds", Help: "time since the shard last made progress", Type: "gauge"},
-		{Name: "bcpqp_shard_processed_total", Help: "items completed by the shard", Type: "counter"},
+		{Name: "bcpqp_shard_processed_total", Help: "bursts and control calls completed on the shard", Type: "counter"},
 		{Name: "bcpqp_shard_panics_total", Help: "panics recovered on the shard", Type: "counter"},
-		{Name: "bcpqp_shard_shed_packets_total", Help: "packets shed at the shard ring", Type: "counter"},
+		{Name: "bcpqp_shard_shed_packets_total", Help: "packets refused at the shard while it was wedged", Type: "counter"},
 	}
 	for i, s := range e.shards {
 		lbl := []obs.Label{{Name: "shard", Value: strconv.Itoa(i)}}
 		vals := []float64{
 			float64(classify(s, now)),
-			float64(len(s.in)),
 			float64(now-s.heartbeat.Load()) / 1e9,
 			float64(s.processed.Load()),
 			float64(s.panics.Load()),
@@ -117,14 +115,6 @@ func (e *Engine) Metrics() obs.Snapshot {
 		}
 	}
 	fams = append(fams, shardFams...)
-	bursts := obs.Family{Name: "bcpqp_shard_bursts_total", Help: "SubmitBatch bursts served, by who served them: the submitting caller on an idle shard, or the shard goroutine from the ring", Type: "counter"}
-	for i, s := range e.shards {
-		shard := obs.Label{Name: "shard", Value: strconv.Itoa(i)}
-		bursts.Samples = append(bursts.Samples,
-			obs.Sample{Labels: []obs.Label{shard, {Name: "served", Value: "caller"}}, Value: float64(s.claimed.Load())},
-			obs.Sample{Labels: []obs.Label{shard, {Name: "served", Value: "shard"}}, Value: float64(s.queued.Load())})
-	}
-	fams = append(fams, bursts)
 
 	aggFams := []obs.Family{
 		{Name: "bcpqp_aggregate_quarantined", Help: "1 when the aggregate's circuit breaker is open", Type: "gauge"},

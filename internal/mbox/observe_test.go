@@ -185,7 +185,7 @@ func TestMetricsWithoutObserver(t *testing.T) {
 // worker runs until the churner has added and removed churns aggregates.
 func TestObserveConcurrentChurn(t *testing.T) {
 	c := obs.NewCollector(obs.Options{SampleEvery: 4, RingDepth: 256})
-	e := New(Config{Shards: 2, Observer: c, QueueDepth: 1 << 12})
+	e := New(Config{Shards: 2, Observer: c})
 	defer e.Close()
 
 	steady, err := e.Add("steady", tbf.MustNew(8*units.Mbps, 100*units.MSS), nil)

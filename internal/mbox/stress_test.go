@@ -24,9 +24,8 @@ import (
 func TestEngineConcurrentStress(t *testing.T) {
 	clock := &fakeClock{step: 10 * time.Microsecond}
 	e := New(Config{
-		Shards:     4,
-		QueueDepth: 64,
-		Clock:      clock.now,
+		Shards: 4,
+		Clock:  clock.now,
 	})
 
 	const stable = 6
@@ -108,8 +107,8 @@ func TestEngineConcurrentStress(t *testing.T) {
 		}
 	}()
 
-	// Control-plane pollers: Stats rides the shard's ring, Lookup
-	// and Len read the registry snapshot.
+	// Control-plane pollers: Stats waits for the shard's occupancy word,
+	// Lookup and Len read the registry snapshot.
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func() {
@@ -128,8 +127,8 @@ func TestEngineConcurrentStress(t *testing.T) {
 		}()
 	}
 
-	// A churn cycle's control calls wait for slots on flooded rings, so
-	// cycles are few: about eight in 150 ms on two vCPUs.
+	// A churn cycle's control calls wait for the occupancy word of shards
+	// the producers keep busy.
 	const stressPkts, stressChurns = 1_000_000, 5
 	for submitted.Load() < stressPkts || churned.Load() < stressChurns {
 		runtime.Gosched()

@@ -19,12 +19,13 @@ import (
 // one gate and one serve body, SetRate as the one live reconfiguration and
 // Flush as the one in-band closure, one audit envelope per aggregate, one snapshot pair, only the
 // topology and per-node counters of a tree that NodeMetrics exports, and as
-// Config only what some caller outside the tests sets. Everything else is a constant:
-// wedgeTimeout (the one reason any waiter gives up on a shard) and
-// reofferInterval; the circuit breaker trips on the first panic. An
-// aggregate leaves the table only through Remove (or Close), and the one
-// overload response is the ring-full shed Health classifies, so Health
-// says nothing about table fill, evictions or shed classes. The fault plane
+// Config only what some caller outside the tests sets: a shard is its
+// occupancy word, so there is no queue to size. Everything else is a
+// constant: wedgeTimeout (the one reason any waiter gives up on a shard);
+// the circuit breaker trips on the first panic. An aggregate leaves the
+// table only through Remove (or Close), and the one overload response is
+// the refusal at a wedged shard Health classifies, so Health says nothing
+// about queues, table fill, evictions or shed classes. The fault plane
 // has one policy, so Health counts drops and carries no mode: a quarantined
 // aggregate's traffic is dropped until Remove.
 func TestEngineSurface(t *testing.T) {
@@ -64,8 +65,10 @@ func TestEngineSurface(t *testing.T) {
 		{"*LocalSubmitter methods", methods(&LocalSubmitter{}), []string{"SubmitBatch"}},
 		{"Handle methods", methods(Handle{}), []string{"TraceAgg"}},
 		{"Config fields", config, []string{
-			"Clock", "CloseTimeout", "Observer", "OnFault",
-			"QueueDepth", "Shards",
+			"Clock", "CloseTimeout", "Observer", "OnFault", "Shards",
+		}},
+		{"ShardHealth fields", fields(ShardHealth{}), []string{
+			"Shard", "State", "HeartbeatAge", "Busy", "Processed", "Panics", "Shed",
 		}},
 		{"AuditEntry fields", fields(AuditEntry{}), []string{"Aggregate", "Counters", "Slack", "RateErr"}},
 		{"Health fields", fields(Health{}), []string{
@@ -78,8 +81,8 @@ func TestEngineSurface(t *testing.T) {
 		}
 	}
 
-	// Nor do the metrics: no family of the removed eviction lifecycle or
-	// overload plane is exported, observed or not.
+	// Nor do the metrics: no family of the removed eviction lifecycle,
+	// overload plane or shard ring is exported, observed or not.
 	for _, cfg := range []Config{{Shards: 1}, {Shards: 1, Observer: obs.NewCollector(obs.Options{})}} {
 		e := New(cfg)
 		if _, err := e.Add("a", tbf.MustNew(units.Mbps, 10*units.MSS), nil); err != nil {
@@ -87,7 +90,8 @@ func TestEngineSurface(t *testing.T) {
 		}
 		for _, f := range e.Metrics().Families {
 			if strings.HasPrefix(f.Name, "bcpqp_overload_") || f.Name == "bcpqp_evicted_total" ||
-				f.Name == "bcpqp_aggregate_shed_packets_total" {
+				f.Name == "bcpqp_aggregate_shed_packets_total" ||
+				f.Name == "bcpqp_shard_queue_depth" || f.Name == "bcpqp_shard_bursts_total" {
 				t.Errorf("metric family %q exported, want it gone", f.Name)
 			}
 		}

@@ -27,7 +27,7 @@ func goldenWatchRun(t *testing.T) string {
 	t.Helper()
 	clk := &manualClock{}
 	c := obs.NewCollector(obs.Options{MeterWindow: 25 * time.Millisecond})
-	e := New(Config{Shards: 1, Clock: clk.read, QueueDepth: 1 << 12, Observer: c})
+	e := New(Config{Shards: 1, Clock: clk.read, Observer: c})
 	defer e.Close()
 
 	flat, err := e.Add("flat", tbf.MustNew(8*units.Mbps, 16*units.MSS), nil)

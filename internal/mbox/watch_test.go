@@ -17,7 +17,7 @@ import (
 
 // TestAuditChainsMatchReference: for drawn scripts over flat aggregates and
 // policy trees — arms and re-arms with honest and tight envelopes, rate
-// changes and cluster shares, bursts through the ring and inline, clock
+// changes and cluster shares, bursts through both submitters, clock
 // steps — each aggregate's one envelope credits exactly what the model's
 // ledger credits, run for run, whichever leaves a tree routed the run to,
 // and an honest envelope over a conformant enforcer never breaches:
@@ -52,8 +52,8 @@ func TestAuditChainsMatchReference(t *testing.T) {
 }
 
 // allocatedBy returns the bytes and objects the whole process allocated
-// while fn ran (the shard goroutine runs arming closures, so per-goroutine
-// accounting would miss them).
+// while fn ran (process-wide, so it does not depend on which goroutine ran
+// the arming closures).
 func allocatedBy(fn func()) (bytes, objects uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -23,8 +23,8 @@ import (
 // is reconfigured.
 //
 // Concurrency contract: Observe and Rebase are single-writer — the mbox
-// engine calls both on the aggregate's owning shard goroutine (rebases
-// ride the shard's ring in-band), so the envelope arithmetic needs no
+// engine calls both under the aggregate's shard's occupancy word (rebases
+// run in-band there too), so the envelope arithmetic needs no
 // synchronization. Everything a scrape reads is an atomic that single
 // writer stores (and reads back with a plain load), so metric scrapes see
 // a consistent recent view from any goroutine without stopping the

@@ -17,13 +17,11 @@ type Options struct {
 	// cannot evict rare control-plane history.
 	RingDepth int
 	// SampleEvery records one KindBurst trace event per N enforced runs
-	// per shard (default 16; 1 traces every run), times one burst in N
-	// per shard for the burst-latency digest, and coalesces KindShed
-	// events at the same cadence under sustained overload (the first shed
-	// always records). Other rare events (panics, quarantine,
-	// lifecycle) are never sampled. Beyond the latency digest, sampling
-	// only thins the flight recorder — the burst count, the metric
-	// counters and the meters see every burst and every shed packet.
+	// per shard (default 16; 1 traces every run) and times one burst in N
+	// per shard for the burst-latency digest. Rare events (panics,
+	// quarantine, refusals, lifecycle) are never sampled. Beyond the
+	// latency digest, sampling only thins the flight recorder — the burst
+	// count, the metric counters and the meters see every burst.
 	SampleEvery int
 	// MeterWindow is the windowed-rate meter granularity (default the
 	// paper's 250 ms measurement window).
@@ -159,9 +157,9 @@ func (c *Collector) NewAggObs() *AggObs {
 
 // ShardObs is one shard's observability block: its flight-recorder ring,
 // its burst-latency digest, and the trace sampling state. Record and
-// ObserveBurst are called from the shard goroutine (or, for shed events,
-// from producers under the shard's staging lock); the ring tolerates
-// either.
+// ObserveBurst are called by whoever holds the shard (or, for shed events,
+// by a producer the shard refused); the ring tolerates concurrent
+// writers.
 type ShardObs struct {
 	c     *Collector
 	shard int32
@@ -170,7 +168,7 @@ type ShardObs struct {
 
 	bursts atomic.Int64
 	// tick is the burst-trace sampling countdown. It is only touched by
-	// SampleBurst on the owning shard goroutine, so it needs no atomics.
+	// SampleBurst under the shard's occupancy word, so it needs no atomics.
 	tick int
 }
 
@@ -183,8 +181,8 @@ func (s *ShardObs) Record(e Event) {
 }
 
 // SampleBurst reports whether the current enforced run should emit a
-// KindBurst trace event (1 in Options.SampleEvery). Call only from the
-// owning shard goroutine.
+// KindBurst trace event (1 in Options.SampleEvery). Call only while
+// holding the shard.
 func (s *ShardObs) SampleBurst() bool {
 	s.tick--
 	if s.tick <= 0 {

@@ -13,7 +13,7 @@ import (
 // bytes of the window the last add fell in and of the window before it.
 // Windows are now/window, so their edges are the same for every meter on
 // one clock. It is 32 bytes held inline in AggObs, never allocates and
-// takes no lock: one writer (one add per enforced run on a shard goroutine)
+// takes no lock: one writer (one add per enforced run by the shard's holder)
 // and any number of readers, which load a single word.
 //
 // (internal/metrics.Meter keeps every window of every key and is what the

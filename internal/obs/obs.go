@@ -62,7 +62,9 @@ const (
 	KindQuarantine
 	// KindRemove is an explicit aggregate removal.
 	KindRemove
-	// KindShed is a burst shed at a full shard ring: A = packets shed.
+	// KindShed is a burst refused at a wedged shard, the first of its
+	// episode (the engine records none while the shard reads degraded
+	// from an earlier fault): A = packets refused.
 	KindShed
 	// KindPanic is a recovered enforcer/emit panic: A = the aggregate's
 	// cumulative panic count.
@@ -124,7 +126,7 @@ type Event struct {
 	// Wall is the wall-clock timestamp in Unix nanoseconds.
 	Wall int64
 	// VT is the engine's virtual time in nanoseconds, when the event was
-	// recorded on a shard goroutine; zero for control-plane events.
+	// recorded by a shard's holder; zero for control-plane events.
 	VT int64
 	// Kind classifies the event; A, B and C are kind-specific arguments
 	// (see the Kind constants).

@@ -10,12 +10,12 @@ import (
 // rate-limiting middlebox. The datapath is burst-oriented and handle-based:
 // aggregates resolve to an AggregateHandle once at Add time, submissions
 // are lock-free reads of an atomically swapped registry snapshot, and a
-// burst is enforced in place by whoever finds its shard idle — SubmitBatch
-// on an idle shard, LocalSubmitter always — or, when the shard is busy,
-// queued for the shard's goroutine in one ring operation (SubmitBatch).
-// Aggregates are hashed across shards that serve one burst at a time, so
-// enforcers stay lock-free on the datapath; a full shard ring sheds bursts
-// rather than blocking. An aggregate has one address, whatever its
+// burst is enforced in place on the goroutine that submits it, once that
+// goroutine holds its shard's occupancy word. Aggregates are hashed across
+// shards that serve one burst at a time, so enforcers stay lock-free on the
+// datapath; a shard whose holder stops making progress for a second reads
+// wedged, and what waits for it is refused rather than buffered. An
+// aggregate has one address, whatever its
 // enforcer: a PolicyTree aggregate routes each packet to a leaf itself, and
 // SetRate, ArmAudit and Stats address the whole aggregate by id.
 type Middlebox = mbox.Engine
@@ -38,10 +38,9 @@ var NoAggregate = mbox.NoHandle
 var ErrNoStats = mbox.ErrNoStats
 
 // ErrShardSaturated reports that a middlebox operation gave up on a wedged
-// shard (work queued or in flight, no progress for a second): a control call
-// waiting for a queue slot, or a LocalSubmitter waiting for its shard, whose
-// burst is then counted shed. A live shard, however slow, is waited out; the
-// operation did not run. Test with errors.Is.
+// shard (work in flight, no progress for a second): a burst, which is then
+// counted in Overloaded, or a control call. A live shard, however slow, is
+// waited out; the operation did not run. Test with errors.Is.
 var ErrShardSaturated = mbox.ErrSaturated
 
 // ErrStaleHandle reports a submission through a handle whose aggregate has
@@ -49,16 +48,16 @@ var ErrShardSaturated = mbox.ErrSaturated
 // a different generation). Test with errors.Is.
 var ErrStaleHandle = mbox.ErrStale
 
-// ErrWrongShard reports a ring-bypass submission against an aggregate owned
+// ErrWrongShard reports a LocalSubmitter submission against an aggregate owned
 // by a different shard than the submitter's. Pin the aggregate to that shard
 // with Middlebox.AddPinned. Test with errors.Is.
 var ErrWrongShard = mbox.ErrWrongShard
 
-// LocalSubmitter is the ring-bypass fast path: a shard-affinity submitter
-// that enforces bursts inline on the calling goroutine — no channel send,
-// no cross-core handoff — for per-core run-to-completion datapaths. When
-// another holder has the shard it waits, and sheds the burst
-// (ErrShardSaturated) only if the shard is wedged. Mint one with
+// LocalSubmitter is Middlebox.SubmitBatch bound to one shard, for per-core
+// run-to-completion datapaths: it refuses aggregates owned by another shard
+// (ErrWrongShard) and otherwise enforces bursts inline on the calling
+// goroutine by the same rule, waiting out a live holder of the shard and
+// refusing the burst (ErrShardSaturated) only if the shard is wedged. Mint one with
 // Middlebox.LocalShard; see mbox.LocalSubmitter for the ownership and
 // ordering contract.
 type LocalSubmitter = mbox.LocalSubmitter
@@ -85,16 +84,17 @@ type MiddleboxSnapshot = mbox.Snapshot
 type AggregateSnapshot = mbox.AggregateSnapshot
 
 // EmitFunc receives packets an aggregate's enforcer transmitted. It runs on
-// whichever goroutine holds the shard — the submitter's own on an idle shard:
-// it must not block and must not make a control call into the Middlebox.
+// the goroutine that submitted the burst, holding the shard: it must not
+// block, and a call back into the Middlebox for the same shard waits for the
+// shard its caller holds until the shard reads wedged (see mbox.Emit).
 type EmitFunc = mbox.Emit
 
 // NewMiddlebox starts a middlebox engine.
 func NewMiddlebox(cfg MiddleboxConfig) *Middlebox { return mbox.New(cfg) }
 
 // ShardState classifies a middlebox shard's health: Healthy, Degraded
-// (recent faults, shedding, or a near-full queue), or Wedged (has work but
-// its goroutine has not made progress within the wedge timeout).
+// (a recent panic or refusal), or Wedged (has work in flight but has not
+// made progress within the wedge timeout).
 type ShardState = mbox.ShardState
 
 // Shard health states reported by Middlebox.Health.
@@ -112,8 +112,7 @@ type MiddleboxHealth = mbox.Health
 type ShardHealth = mbox.ShardHealth
 
 // MiddleboxCloseReport summarizes a deadline-bounded Middlebox.Close:
-// whether shutdown was clean, how many wedged shards were force-abandoned,
-// and how many queued packets were shed in the process.
+// whether shutdown was clean and how many wedged shards were force-abandoned.
 type MiddleboxCloseReport = mbox.CloseReport
 
 // BatchSubmitter is Enforcer, whose one method decides a burst. Kept for

@@ -60,7 +60,7 @@ const (
 	TraceQuarantine = obs.KindQuarantine
 	// TraceRemove: an aggregate left the registry by Remove.
 	TraceRemove = obs.KindRemove
-	// TraceShed: a full shard ring shed a burst (A=packets).
+	// TraceShed: a wedged shard refused a burst (A=packets).
 	TraceShed = obs.KindShed
 	// TracePanic: a recovered enforcer/emit panic.
 	TracePanic = obs.KindPanic

@@ -25,7 +25,9 @@ import (
 // though a caller outside the tests may not set them: phantom's Filter (the
 // §3.3 access-control behaviour, with its own test), the storm's MinSize and
 // MaxSize and the flash crowd's Aggregates, Window and Prefix (their tests
-// need values the defaults cannot reach). Kept on purpose outside these
+// need values the defaults cannot reach), and the swarm's and storm's other
+// fields, which only mbox's overload chaos tests set now that no experiment
+// drives those generators. Kept on purpose outside these
 // structs: obs.Options (the benchmark names it), netio.Config.Batch (the
 // netio tests need small batches), cluster.Config's Window and Epoch, and
 // tcp.Config.DelayedAcks, a behaviour with its own test.
